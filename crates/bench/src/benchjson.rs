@@ -448,7 +448,7 @@ fn push_tail_exemplars(out: &mut String, cells: &[Headline]) {
                     },
                     r.batch,
                     r.fences,
-                    r.persisted_bytes,
+                    r.persisted_bytes(),
                     r.stall_events,
                 )
             })

@@ -103,7 +103,7 @@ pub fn fig01_spans(scale: &Scale) -> Table {
     );
     for &iosize in &[64usize, 4 << 10, 64 << 10] {
         let mut cfg = scale.system_config(CostModel::default());
-        cfg.obsv = workloads::ObsvOptions::none().with_spans();
+        cfg.obsv = workloads::ObsvOptions::flight();
         let sys = workloads::setups::build(SystemKind::Pmfs, &cfg).expect("build pmfs");
         let params = FioParams::new("/fio-job", 16 << 20, iosize);
         Fio::setup(&*sys.fs, &params).expect("fio setup");
@@ -535,7 +535,7 @@ pub fn fig12(scale: &Scale) -> Table {
 
 /// Fig 12 recomputed from spans: per-op totals from the OpKind × Phase
 /// matrix next to the runner's own per-op accounting for the same trace
-/// replay. `op_scope` books an op's full instrumented time into its row
+/// replay. `FsObs::op` books an op's full instrumented time into its row
 /// (the remainder under `Phase::Other`), so the two columns agree almost
 /// exactly — the span layer and the runner read the same virtual clock
 /// around the same call boundary.
@@ -554,7 +554,7 @@ pub fn fig12_spans(scale: &Scale) -> Table {
     let profile = workloads::traces::USR0;
     for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
         let mut cfg = tscale.system_config(CostModel::default());
-        cfg.obsv = workloads::ObsvOptions::none().with_spans();
+        cfg.obsv = workloads::ObsvOptions::flight();
         let sys = workloads::setups::build(kind, &cfg).expect("build");
         let set = workloads::fileset::Fileset::populate(&*sys.fs, tscale.fileset_spec(), 0xF11E)
             .expect("populate");

@@ -171,12 +171,11 @@ impl BufferCache {
     /// the stamp's origin row, and a causal trace event.
     fn record_drain(&self, stamp: &obsv::Stamp, kind: DrainKind) {
         let Some(obs) = self.obs.get() else { return };
-        let lin = obs.lineage();
-        if !lin.enabled() {
+        if !obs.full() {
             return;
         }
         let now = self.bd.byte_device().env().now();
-        let lag = lin.record_drain(stamp, kind, now, BLOCK_SIZE as u64);
+        let lag = obs.record_drain(stamp, kind, now, BLOCK_SIZE as u64);
         let seq_hi = obs.trace.emitted();
         let (row, seq_lo) = (stamp.row, stamp.seq);
         obs.trace.emit(now, || TraceEvent::LineageDrained {
@@ -195,7 +194,7 @@ impl BufferCache {
     /// writeback moves bytes but retires nothing.
     pub fn note_committed(&self, blks: &[u64], kind: DrainKind) {
         let Some(obs) = self.obs.get() else { return };
-        if !obs.lineage().enabled() {
+        if !obs.full() {
             return;
         }
         let mut stamps = Vec::new();
@@ -290,16 +289,12 @@ impl BufferCache {
         env.charge_dram_copy(cat, data.len());
         obsv::note_buffered(data.len() as u64);
         if !inner.meta[slot as usize].dirty {
-            let stamp = self
-                .obs
-                .get()
-                .map(|obs| obs.lineage().stamp(now, obs.trace.emitted()));
             let meta = &mut inner.meta[slot as usize];
             meta.dirty = true;
             meta.dirtied_ns = now;
-            if let Some(stamp) = stamp {
-                meta.stamp = stamp;
-                meta.stamped = self.obs.get().is_some_and(|o| o.lineage().enabled());
+            if let Some(obs) = self.obs.get() {
+                meta.stamp = obs.stamp(now);
+                meta.stamped = obs.full();
             }
             inner.dirty_count += 1;
         }
@@ -476,7 +471,7 @@ mod tests {
     fn lineage_stamps_retire_once_with_the_drain_kind() {
         let c = cache(8);
         let obs = Arc::new(FsObs::default());
-        obs.lineage().set_enabled(true);
+        obs.set_level(obsv::Level::Full);
         c.attach_obs(obs.clone());
         let env = c.device().byte_device().env().clone();
         // Dirty at t=1000, sync flush: lag asserted 0.

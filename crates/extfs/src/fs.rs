@@ -143,8 +143,7 @@ impl Extfs {
         let ialloc = DiskBitmap::load(&cache, l.ibitmap_start, l.inode_count);
         layout::set_clean(&cache, false, 0);
         let env = bd.byte_device().env().clone();
-        let obs = Arc::new(FsObs::default());
-        obs.set_spans(bd.byte_device().spans().clone());
+        let obs = Arc::new(FsObs::new(bd.byte_device().spans().clone()));
         cache.attach_obs(obs.clone());
         let contention = bd.byte_device().contention().clone();
         balloc.attach_contention(&contention);
@@ -183,33 +182,9 @@ impl Extfs {
         &self.cache
     }
 
-    /// Latency histograms, slow-op log and trace ring.
+    /// Level switch, latency histograms, trace ring and ledgers.
     pub fn obs(&self) -> &Arc<FsObs> {
         &self.obs
-    }
-
-    /// Runs `f` as operation `op`, recording its latency when timing is
-    /// enabled (one relaxed load otherwise).
-    fn timed<T>(&self, op: OpKind, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        let spans = self.bd.byte_device().spans().clone();
-        spans.op_scope(
-            op,
-            || self.env.now(),
-            || {
-                let _lin = self.obs.lineage().op_scope(op);
-                if !self.obs.timing_enabled() {
-                    return f();
-                }
-                let start = self.env.now();
-                let flight = self.obs.flight();
-                flight.begin(op, start, self.obs.trace.emitted());
-                let r = f();
-                let end = self.env.now();
-                flight.finish(end.saturating_sub(start), self.obs.trace.emitted());
-                self.obs.record_op(op, end.saturating_sub(start), start);
-                r
-            },
-        )
     }
 
     /// Commits the running jbd transaction, tracing the commit when it
@@ -218,13 +193,9 @@ impl Extfs {
     /// the periodic tick.
     fn jbd_commit(&self, kind: obsv::DrainKind) {
         let pending = self.jbd.running_len() as u64;
-        self.bd.byte_device().spans().scope(
-            Phase::Journal,
-            || self.env.now(),
-            || {
-                self.jbd.commit(&self.cache, kind);
-            },
-        );
+        self.bd.byte_device().spans().scope(Phase::Journal, || {
+            self.jbd.commit(&self.cache, kind);
+        });
         if pending > 0 {
             self.obs
                 .trace
@@ -411,22 +382,18 @@ impl Extfs {
         now: u64,
     ) -> Result<()> {
         let (blk, fresh) = blkmap::ensure(&self.cache, &self.jbd, &self.balloc, state, iblk, now)?;
-        self.bd.byte_device().spans().scope(
-            Phase::DramCopy,
-            || self.env.now(),
-            || {
-                if fresh && (in_blk != 0 || payload.len() != BLOCK_SIZE) {
-                    // Fresh block, partial write: materialize a zeroed page
-                    // and lay the payload in, avoiding a fetch of stale
-                    // device bytes.
-                    let mut page = vec![0u8; BLOCK_SIZE];
-                    page[in_blk..in_blk + payload.len()].copy_from_slice(payload);
-                    self.cache.write(Cat::UserWrite, blk, 0, &page, now);
-                } else {
-                    self.cache.write(Cat::UserWrite, blk, in_blk, payload, now);
-                }
-            },
-        );
+        self.bd.byte_device().spans().scope(Phase::DramCopy, || {
+            if fresh && (in_blk != 0 || payload.len() != BLOCK_SIZE) {
+                // Fresh block, partial write: materialize a zeroed page
+                // and lay the payload in, avoiding a fetch of stale
+                // device bytes.
+                let mut page = vec![0u8; BLOCK_SIZE];
+                page[in_blk..in_blk + payload.len()].copy_from_slice(payload);
+                self.cache.write(Cat::UserWrite, blk, 0, &page, now);
+            } else {
+                self.cache.write(Cat::UserWrite, blk, in_blk, payload, now);
+            }
+        });
         self.dirty_data.lock().entry(ino).or_default().insert(blk);
         Ok(())
     }
@@ -454,7 +421,7 @@ impl Extfs {
         }
         dev.write_persist(Cat::UserWrite, base + in_blk as u64, payload);
         // Single-copy persist straight to NVMM: durable at op return.
-        self.obs.lineage().record_inline_drain(payload.len() as u64);
+        self.obs.record_inline_drain(payload.len() as u64);
         Ok(())
     }
 
@@ -539,13 +506,9 @@ impl Extfs {
                             out,
                         );
                     } else {
-                        self.bd.byte_device().spans().scope(
-                            Phase::DramCopy,
-                            || self.env.now(),
-                            || {
-                                self.cache.read(Cat::UserRead, blk, in_blk, out);
-                            },
-                        );
+                        self.bd.byte_device().spans().scope(Phase::DramCopy, || {
+                            self.cache.read(Cat::UserRead, blk, in_blk, out);
+                        });
                     }
                 }
                 None => {
@@ -686,11 +649,11 @@ impl FileSystem for Extfs {
     }
 
     fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        self.timed(OpKind::Open, || self.open_impl(path, flags))
+        self.obs.op(OpKind::Open, || self.open_impl(path, flags))
     }
 
     fn close(&self, fd: Fd) -> Result<()> {
-        self.timed(OpKind::Close, || {
+        self.obs.op(OpKind::Close, || {
             self.env.charge_syscall();
             let of = self.fds.remove(fd)?;
             let orphan = {
@@ -706,21 +669,22 @@ impl FileSystem for Extfs {
     }
 
     fn read(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
-        self.timed(OpKind::Read, || self.read_impl(fd, off, buf))
+        self.obs.op(OpKind::Read, || self.read_impl(fd, off, buf))
     }
 
     fn write(&self, fd: Fd, off: u64, data: &[u8]) -> Result<usize> {
-        self.timed(OpKind::Write, || {
+        self.obs.op(OpKind::Write, || {
             self.write_impl(fd, off, data, false).map(|_| data.len())
         })
     }
 
     fn append(&self, fd: Fd, data: &[u8]) -> Result<u64> {
-        self.timed(OpKind::Write, || self.write_impl(fd, 0, data, true))
+        self.obs
+            .op(OpKind::Write, || self.write_impl(fd, 0, data, true))
     }
 
     fn fsync(&self, fd: Fd) -> Result<()> {
-        self.timed(OpKind::Fsync, || {
+        self.obs.op(OpKind::Fsync, || {
             self.env.charge_syscall();
             let of = self.fds.get(fd)?;
             self.fsync_ino(of.ino)
@@ -728,7 +692,7 @@ impl FileSystem for Extfs {
     }
 
     fn unlink(&self, path: &str) -> Result<()> {
-        self.timed(OpKind::Unlink, || {
+        self.obs.op(OpKind::Unlink, || {
             self.env.charge_syscall();
             let _ns = self.ns.lock();
             self.unlink_locked(path)
@@ -736,7 +700,8 @@ impl FileSystem for Extfs {
     }
 
     fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
-        self.timed(OpKind::Truncate, || self.truncate_impl(fd, size))
+        self.obs
+            .op(OpKind::Truncate, || self.truncate_impl(fd, size))
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
@@ -883,7 +848,7 @@ impl FileSystem for Extfs {
 
     fn sync(&self) -> Result<()> {
         self.env.charge_syscall();
-        let _lin = self.obs.lineage().bg_scope();
+        let _bg = self.obs.bg_scope();
         self.jbd_commit(obsv::DrainKind::Sync);
         self.cache.flush_all(obsv::DrainKind::Sync);
         self.bd.flush();
@@ -892,7 +857,7 @@ impl FileSystem for Extfs {
 
     fn unmount(&self) -> Result<()> {
         self.env.charge_syscall();
-        let _lin = self.obs.lineage().bg_scope();
+        let _bg = self.obs.bg_scope();
         self.jbd_commit(obsv::DrainKind::Sync);
         self.cache.flush_all(obsv::DrainKind::Sync);
         layout::set_clean(&self.cache, true, self.now());
@@ -905,7 +870,7 @@ impl FileSystem for Extfs {
         let last = self.last_commit.load(Ordering::Relaxed);
         if now_ns.saturating_sub(last) >= self.opts.periodic_commit_ns {
             self.last_commit.store(now_ns, Ordering::Relaxed);
-            let _lin = self.obs.lineage().bg_scope();
+            let _bg = self.obs.bg_scope();
             self.jbd_commit(obsv::DrainKind::Lazy);
             self.cache.flush_older_than(now_ns, self.opts.dirty_age_ns);
         }
@@ -925,11 +890,7 @@ impl obsv::Introspect for Extfs {
                 hits,
                 misses,
             }),
-            lineage: self
-                .obs
-                .lineage()
-                .enabled()
-                .then(|| self.obs.lineage().snap()),
+            lineage: self.obs.full().then(|| self.obs.lineage().snap()),
             ..obsv::FsSnapshot::default()
         }
     }

@@ -385,7 +385,7 @@ impl Fuzzer {
         self.diff_legs += 1;
         let ctx = kind_ctx(kind);
         let b = self.h.build(kind);
-        b.obs.set_tracing(true);
+        b.obs.set_level(Level::Counts);
         b.env.contention().set_level(Level::Counts);
         let mut model = match self.cfg.bug {
             Some(bug) => RefModel::with_bug(bug),

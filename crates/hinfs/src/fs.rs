@@ -77,7 +77,9 @@ impl Hinfs {
         let fs = Arc::new(Hinfs {
             shards,
             stats: HinfsStats::new(),
-            obs: Arc::new(FsObs::default()),
+            // One bundle per mounted stack: a syscall forwarded to PMFS
+            // nests in the op frame HiNFS opened.
+            obs: inner.obs().clone(),
             wb: WbCtl::new(nshards),
             inner,
             env,
@@ -86,7 +88,6 @@ impl Hinfs {
         fs.wb.attach_contention(fs.env.contention());
         // Journal commits land on the same trace timeline as writeback.
         fs.inner.journal().set_trace(fs.obs.trace.clone());
-        fs.obs.set_spans(fs.inner.device().spans().clone());
         fs.start_background();
         Ok(fs)
     }
@@ -96,32 +97,9 @@ impl Hinfs {
         &self.stats
     }
 
-    /// Latency histograms, slow-op log and trace ring.
+    /// Level switch, latency histograms, trace ring and ledgers.
     pub fn obs(&self) -> &Arc<FsObs> {
         &self.obs
-    }
-
-    /// Runs `f` as operation `op`, recording its latency when timing is
-    /// enabled (one relaxed load otherwise).
-    fn timed<T>(&self, op: OpKind, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        self.inner.device().spans().op_scope(
-            op,
-            || self.env.now(),
-            || {
-                let _lin = self.obs.lineage().op_scope(op);
-                if !self.obs.timing_enabled() {
-                    return f();
-                }
-                let start = self.env.now();
-                let flight = self.obs.flight();
-                flight.begin(op, start, self.obs.trace.emitted());
-                let r = f();
-                let end = self.env.now();
-                flight.finish(end.saturating_sub(start), self.obs.trace.emitted());
-                self.obs.record_op(op, end.saturating_sub(start), start);
-                r
-            },
-        )
     }
 
     /// The mount configuration.
@@ -330,7 +308,7 @@ impl Hinfs {
                             now,
                         )?;
                         // Eager-persistent: durable at op return, lag 0.
-                        self.obs.lineage().record_inline_drain(payload.len() as u64);
+                        self.obs.record_inline_drain(payload.len() as u64);
                     }
                     let mut sh = self.shard(ino).lock();
                     checker::record_write(sh.file_mut(ino), iblk, mask, false);
@@ -367,7 +345,7 @@ impl Hinfs {
                 sh.slot_of(ino, iblk)
                     .is_some_and(|s| sh.pool().meta(s).dirty != 0)
             });
-            let tstamp = self.obs.lineage().stamp(now, self.obs.trace.emitted());
+            let tstamp = self.obs.stamp(now);
             let file = sh.file_mut(ino);
             tracker::enqueue(file, tx, pending, tstamp, &self.stats);
             // A commit that happens here runs inside the op that logged
@@ -375,7 +353,7 @@ impl Hinfs {
             tracker::drain_ready(
                 file,
                 self.inner.journal(),
-                self.obs.lineage(),
+                &self.obs,
                 obsv::DrainKind::Sync,
                 now,
                 &self.stats,
@@ -410,39 +388,33 @@ impl Hinfs {
     /// Copies `payload` into an existing buffer slot (no fetch — the slot's
     /// missing partial lines must already be valid).
     fn apply_to_slot(&self, sh: &mut Shared, slot: u32, in_blk: usize, payload: &[u8], now: u64) {
-        self.inner.device().spans().scope(
-            Phase::DramCopy,
-            || self.env.now(),
-            || {
-                let mask = range_mask(in_blk, payload.len());
-                // A buffered write pays the DRAM write latency per touched
-                // cacheline — the `N_cw · L_dram` term of the Buffer Benefit Model
-                // (Inequality 1). This is what makes buffering *not* free relative
-                // to a direct NVMM write when no coalescing follows.
-                self.env.charge(
-                    Cat::UserWrite,
-                    mask.count_ones() as u64 * self.env.cost().dram_write_latency_ns,
-                );
-                obsv::note_buffered(payload.len() as u64);
-                sh.pool_mut().block_mut(slot)[in_blk..in_blk + payload.len()]
-                    .copy_from_slice(payload);
-                let was_clean = sh.pool().meta(slot).dirty == 0;
-                {
-                    let m = sh.pool_mut().meta_mut(slot);
-                    m.valid |= mask;
-                    m.dirty |= mask;
-                    m.last_write_ns = now;
-                }
-                if was_clean && mask != 0 {
-                    sh.dirty_blocks += 1;
-                    // The clean→dirty transition is the ack the durability
-                    // lag is measured from.
-                    sh.pool_mut().meta_mut(slot).stamp =
-                        self.obs.lineage().stamp(now, self.obs.trace.emitted());
-                }
-                sh.pool_mut().lrw.touch(slot);
-            },
-        );
+        self.inner.device().spans().scope(Phase::DramCopy, || {
+            let mask = range_mask(in_blk, payload.len());
+            // A buffered write pays the DRAM write latency per touched
+            // cacheline — the `N_cw · L_dram` term of the Buffer Benefit Model
+            // (Inequality 1). This is what makes buffering *not* free relative
+            // to a direct NVMM write when no coalescing follows.
+            self.env.charge(
+                Cat::UserWrite,
+                mask.count_ones() as u64 * self.env.cost().dram_write_latency_ns,
+            );
+            obsv::note_buffered(payload.len() as u64);
+            sh.pool_mut().block_mut(slot)[in_blk..in_blk + payload.len()].copy_from_slice(payload);
+            let was_clean = sh.pool().meta(slot).dirty == 0;
+            {
+                let m = sh.pool_mut().meta_mut(slot);
+                m.valid |= mask;
+                m.dirty |= mask;
+                m.last_write_ns = now;
+            }
+            if was_clean && mask != 0 {
+                sh.dirty_blocks += 1;
+                // The clean→dirty transition is the ack the durability
+                // lag is measured from.
+                sh.pool_mut().meta_mut(slot).stamp = self.obs.stamp(now);
+            }
+            sh.pool_mut().lrw.touch(slot);
+        });
     }
 
     /// Fetches (CLFW) the lines in `need` that are not yet valid in `slot`,
@@ -496,13 +468,9 @@ impl Hinfs {
         // overhead the page-cache baselines pay per page. This is part of
         // why an uncoalesced buffered write is *worse* than a direct one
         // (paper §3.3.2) beyond the pure `L_dram` term.
-        self.inner.device().spans().scope(
-            Phase::BufLookup,
-            || self.env.now(),
-            || {
-                self.env.charge(Cat::Other, self.env.cost().page_cache_ns);
-            },
-        );
+        self.inner.device().spans().scope(Phase::BufLookup, || {
+            self.env.charge(Cat::Other, self.env.cost().page_cache_ns);
+        });
         loop {
             let mut sh = self.shard(ino).lock();
             if let Some(slot) = sh.slot_of(ino, iblk) {
@@ -579,10 +547,10 @@ impl Hinfs {
             let sh = self.shard(of.ino).lock();
             match sh.slot_of(of.ino, iblk) {
                 Some(slot) => {
-                    self.inner.device().spans().scope(
-                        Phase::CachelineStitch,
-                        || self.env.now(),
-                        || {
+                    self.inner
+                        .device()
+                        .spans()
+                        .scope(Phase::CachelineStitch, || {
                             let meta = *sh.pool().meta(slot);
                             let rmask = range_mask(in_blk, chunk);
                             // Stitch: valid lines from DRAM, the rest from
@@ -616,8 +584,7 @@ impl Hinfs {
                                     }
                                 }
                             }
-                        },
-                    );
+                        });
                 }
                 None => {
                     drop(sh);
@@ -686,18 +653,14 @@ impl Hinfs {
                 ino,
             };
             let mut to_evict: Vec<u64> = Vec::new();
-            self.inner.device().spans().scope(
-                Phase::GhostProbe,
-                || self.env.now(),
-                || {
-                    for (iblk, n_cf) in evals {
-                        let lazy = checker::evaluate_at_sync(&ctx, file, iblk, n_cf);
-                        if !lazy && file.index.get(iblk).is_some() {
-                            to_evict.push(iblk);
-                        }
+            self.inner.device().spans().scope(Phase::GhostProbe, || {
+                for (iblk, n_cf) in evals {
+                    let lazy = checker::evaluate_at_sync(&ctx, file, iblk, n_cf);
+                    if !lazy && file.index.get(iblk).is_some() {
+                        to_evict.push(iblk);
                     }
-                },
-            );
+                }
+            });
             file.last_sync_ns = now;
             state.last_sync = now;
             // Blocks now in the Eager-Persistent state leave the buffer so
@@ -719,7 +682,7 @@ impl Hinfs {
             tracker::drain_ready(
                 file,
                 self.inner.journal(),
-                self.obs.lineage(),
+                &self.obs,
                 obsv::DrainKind::Sync,
                 now,
                 &self.stats,
@@ -754,12 +717,7 @@ impl Hinfs {
             // With allocate-on-flush the never-flushed blocks are holes on
             // NVMM, so committing the open transactions exposes zeroes at
             // worst — and the file is being deleted anyway.
-            tracker::force_commit_all(
-                &mut file,
-                self.inner.journal(),
-                self.obs.lineage(),
-                &self.stats,
-            );
+            tracker::force_commit_all(&mut file, self.inner.journal(), &self.obs, &self.stats);
         }
     }
 
@@ -826,6 +784,31 @@ impl Hinfs {
         }
     }
 
+    /// Moves whenever any file gains a buffered block or a deferred
+    /// transaction: equal readings bracket an interval in which no file
+    /// acquired volatile state.
+    fn staging_epoch(&self) -> (u64, u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        (
+            self.stats.buffer_misses.load(Relaxed),
+            self.stats.txs_opened.load(Relaxed),
+        )
+    }
+
+    /// PMFS is freeing `ino` right now (caller holds its write lock):
+    /// whatever the buffer still holds for it dies with it. The fast
+    /// paths of `close`/`unlink` decide "last reference?" on their own,
+    /// before PMFS does — two racing finishers can both answer no, or a
+    /// writer can come and go in between — so PMFS's decision, made
+    /// atomically with the descriptor count, is the one that counts.
+    /// `clean_at` (the epoch right after a fast-path drop) only spares
+    /// the common path a second shard lock.
+    fn drop_buffers_since(&self, ino: u64, clean_at: Option<(u64, u64)>) {
+        if clean_at != Some(self.staging_epoch()) {
+            self.drop_buffers(ino);
+        }
+    }
+
     /// Resolves a path to a file inode handle, if it exists and is a file.
     fn peek_file(&self, path: &str) -> Option<Arc<pmfs::inode::InodeHandle>> {
         let h = self.inner.resolve_path(path).ok()?;
@@ -854,7 +837,7 @@ impl FileSystem for Hinfs {
     }
 
     fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        self.timed(OpKind::Open, || {
+        self.obs.op(OpKind::Open, || {
             self.relieve_for_namespace();
             // O_TRUNC discards this file's buffered data before PMFS
             // truncates the persistent state.
@@ -869,44 +852,48 @@ impl FileSystem for Hinfs {
     }
 
     fn close(&self, fd: Fd) -> Result<()> {
-        self.timed(OpKind::Close, || {
+        self.obs.op(OpKind::Close, || {
             // The final close of an unlinked file frees it inside PMFS,
             // which needs journal space.
             self.relieve_for_namespace();
             let of = self.inner.open_file(fd)?;
-            let orphan_last = of.handle.state.read().nlink == 0 && *of.handle.opens.lock() == 1;
-            if orphan_last {
+            // Fast path: the only descriptor of an unlinked file.
+            let mut clean_at = None;
+            if of.handle.state.read().nlink == 0 && *of.handle.opens.lock() == 1 {
                 let _guard = of.handle.state.write();
                 self.drop_buffers(of.ino);
+                clean_at = Some(self.staging_epoch());
             }
             drop(of);
-            self.inner.close(fd)
+            self.inner
+                .close_with(fd, |h| self.drop_buffers_since(h.ino, clean_at))
         })
     }
 
     fn read(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
-        self.timed(OpKind::Read, || self.read_impl(fd, off, buf))
+        self.obs.op(OpKind::Read, || self.read_impl(fd, off, buf))
     }
 
     fn write(&self, fd: Fd, off: u64, data: &[u8]) -> Result<usize> {
-        self.timed(OpKind::Write, || {
+        self.obs.op(OpKind::Write, || {
             self.write_impl(fd, off, &[data], false).map(|_| data.len())
         })
     }
 
     fn write_vectored(&self, fd: Fd, off: u64, iovs: &[&[u8]]) -> Result<usize> {
-        self.timed(OpKind::Write, || {
+        self.obs.op(OpKind::Write, || {
             let total = iovs.iter().map(|s| s.len()).sum();
             self.write_impl(fd, off, iovs, false).map(|_| total)
         })
     }
 
     fn append(&self, fd: Fd, data: &[u8]) -> Result<u64> {
-        self.timed(OpKind::Write, || self.write_impl(fd, 0, &[data], true))
+        self.obs
+            .op(OpKind::Write, || self.write_impl(fd, 0, &[data], true))
     }
 
     fn fsync(&self, fd: Fd) -> Result<()> {
-        self.timed(OpKind::Fsync, || {
+        self.obs.op(OpKind::Fsync, || {
             self.env.charge_syscall();
             let of = self.inner.open_file(fd)?;
             let mut guard = of.handle.state.write();
@@ -915,22 +902,27 @@ impl FileSystem for Hinfs {
     }
 
     fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
-        self.timed(OpKind::Truncate, || self.truncate_impl(fd, size))
+        self.obs
+            .op(OpKind::Truncate, || self.truncate_impl(fd, size))
     }
 
     fn unlink(&self, path: &str) -> Result<()> {
-        self.timed(OpKind::Unlink, || {
+        self.obs.op(OpKind::Unlink, || {
             self.relieve_for_namespace();
+            // Fast path: nobody has the file open, so it dies in this
+            // call — drop its buffered data before PMFS journals the
+            // unlink ("writes to files that are later deleted do not
+            // need to be performed").
+            let mut clean_at = None;
             if let Some(h) = self.peek_file(path) {
                 let _guard = h.state.write();
-                // Only drop the buffered data if the file is really going
-                // away; open descriptors keep reading it until the last
-                // close.
                 if *h.opens.lock() == 0 {
                     self.drop_buffers(h.ino);
+                    clean_at = Some(self.staging_epoch());
                 }
             }
-            self.inner.unlink(path)
+            self.inner
+                .unlink_with(path, |h| self.drop_buffers_since(h.ino, clean_at))
         })
     }
 

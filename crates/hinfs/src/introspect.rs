@@ -113,11 +113,7 @@ impl Introspect for Hinfs {
                 open_txs: u.open_txs,
                 generation: u.generation,
             }),
-            lineage: self
-                .obs
-                .lineage()
-                .enabled()
-                .then(|| self.obs.lineage().snap()),
+            lineage: self.obs.full().then(|| self.obs.lineage().snap()),
             ..FsSnapshot::default()
         }
     }
@@ -229,7 +225,7 @@ impl Hinfs {
             // longer than the mount's own staleness promise — the 30 s
             // dirty-age rule plus up to two periodic-pass periods of
             // scheduling slack.
-            if self.obs.lineage().enabled() {
+            if self.obs.full() {
                 let bound = self.cfg.dirty_age_ns + 2 * self.cfg.periodic_wb_ns;
                 rep.check_le(14, 0, 0, self.obs.lineage().max_lag_ns(), bound);
             }

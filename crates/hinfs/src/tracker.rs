@@ -23,7 +23,7 @@
 
 use std::collections::HashSet;
 
-use obsv::{DrainKind, LineageTable};
+use obsv::{DrainKind, FsObs};
 use pmfs::{Journal, TxHandle};
 
 use crate::buffer::{FileBuf, LocalTx};
@@ -51,7 +51,7 @@ pub fn note_flushed(
     file: &mut FileBuf,
     journal: &Journal,
     iblk: u64,
-    lin: &LineageTable,
+    obs: &FsObs,
     kind: DrainKind,
     now: u64,
     stats: &HinfsStats,
@@ -59,7 +59,7 @@ pub fn note_flushed(
     for t in &mut file.txs {
         t.pending.remove(&iblk);
     }
-    drain_ready(file, journal, lin, kind, now, stats);
+    drain_ready(file, journal, obs, kind, now, stats);
 }
 
 /// Commits transactions from the front of the FIFO while they are ready —
@@ -68,7 +68,7 @@ pub fn note_flushed(
 pub fn drain_ready(
     file: &mut FileBuf,
     journal: &Journal,
-    lin: &LineageTable,
+    obs: &FsObs,
     kind: DrainKind,
     now: u64,
     stats: &HinfsStats,
@@ -80,7 +80,7 @@ pub fn drain_ready(
     let mut batch = Vec::with_capacity(ready);
     for t in file.txs.drain(..ready) {
         // Metadata commit: durability lag only, no data bytes drain.
-        lin.record_drain(&t.stamp, kind, now, 0);
+        obs.record_drain(&t.stamp, kind, now, 0);
         batch.push(t.tx);
     }
     HinfsStats::bump(&stats.txs_committed, ready as u64);
@@ -93,15 +93,10 @@ pub fn drain_ready(
 /// unflushed blocks are holes, so committing early exposes zeroes at worst,
 /// never garbage). The data never needed durability, so the commits record
 /// sync (lag-0) drains.
-pub fn force_commit_all(
-    file: &mut FileBuf,
-    journal: &Journal,
-    lin: &LineageTable,
-    stats: &HinfsStats,
-) {
+pub fn force_commit_all(file: &mut FileBuf, journal: &Journal, obs: &FsObs, stats: &HinfsStats) {
     let mut batch = Vec::with_capacity(file.txs.len());
     for t in file.txs.drain(..) {
-        lin.record_drain(&t.stamp, DrainKind::Sync, 0, 0);
+        obs.record_drain(&t.stamp, DrainKind::Sync, 0, 0);
         batch.push(t.tx);
     }
     HinfsStats::bump(&stats.txs_committed, batch.len() as u64);
@@ -140,7 +135,7 @@ mod tests {
     fn fifo_commit_order_is_preserved() {
         let (_d, j, _l) = journal();
         let stats = HinfsStats::new();
-        let lin = LineageTable::new();
+        let lin = FsObs::default();
         let mut f = FileBuf::new();
         let t1 = j.begin().unwrap();
         let t2 = j.begin().unwrap();
@@ -161,7 +156,7 @@ mod tests {
     fn shared_block_across_transactions() {
         let (_d, j, _l) = journal();
         let stats = HinfsStats::new();
-        let lin = LineageTable::new();
+        let lin = FsObs::default();
         let mut f = FileBuf::new();
         let t1 = j.begin().unwrap();
         let t2 = j.begin().unwrap();
@@ -177,7 +172,7 @@ mod tests {
     fn empty_pending_still_waits_its_turn() {
         let (_d, j, _l) = journal();
         let stats = HinfsStats::new();
-        let lin = LineageTable::new();
+        let lin = FsObs::default();
         let mut f = FileBuf::new();
         let t1 = j.begin().unwrap();
         let t2 = j.begin().unwrap();
@@ -193,7 +188,7 @@ mod tests {
     fn force_commit_clears_everything() {
         let (_d, j, _l) = journal();
         let stats = HinfsStats::new();
-        let lin = LineageTable::new();
+        let lin = FsObs::default();
         let mut f = FileBuf::new();
         for i in 0..5u64 {
             let t = j.begin().unwrap();
@@ -209,16 +204,16 @@ mod tests {
     fn deferred_commits_record_lag_against_the_stamp() {
         let (_d, j, _l) = journal();
         let stats = HinfsStats::new();
-        let lin = LineageTable::new();
-        lin.set_enabled(true);
+        let lin = FsObs::default();
+        lin.set_level(obsv::Level::Full);
         let mut f = FileBuf::new();
         let t1 = j.begin().unwrap();
-        let stamp = lin.stamp(1_000, 3);
+        let stamp = lin.stamp(1_000);
         enqueue(&mut f, t1, pending(&[1]), stamp, &stats);
         // A writeback-pass flush 4 µs later commits the deferred tx with
         // real lag; a sync commit would have asserted 0.
         note_flushed(&mut f, &j, 1, &lin, DrainKind::Lazy, 5_000, &stats);
-        let s = lin.snap();
+        let s = lin.lineage().snap();
         assert_eq!(s.drains_lazy, 1);
         assert_eq!(s.max_lag_ns, 4_000);
     }

@@ -144,9 +144,7 @@ impl Hinfs {
                                 sh.file_mut(meta.ino),
                                 tx,
                                 HashSet::new(),
-                                self.obs
-                                    .lineage()
-                                    .stamp(self.env.now(), self.obs.trace.emitted()),
+                                self.obs.stamp(self.env.now()),
                                 &self.stats,
                             ),
                             // Ring too full even for two undo entries:
@@ -177,11 +175,10 @@ impl Hinfs {
         // The flush retires the block's ack stamp: record the durability
         // lag and put the causal link on the trace ring (the drained
         // event carries the origin op's seq window).
-        let lin = self.obs.lineage();
-        if lin.enabled() {
+        if self.obs.full() {
             let drained = meta.dirty.count_ones() as u64 * CACHELINE as u64;
             let now = self.env.now();
-            let lag = lin.record_drain(&meta.stamp, kind, now, drained);
+            let lag = self.obs.record_drain(&meta.stamp, kind, now, drained);
             let seq_hi = self.obs.trace.emitted();
             self.obs.trace.emit(now, || TraceEvent::LineageDrained {
                 row: meta.stamp.row as u64,
@@ -196,7 +193,7 @@ impl Hinfs {
             sh.file_mut(meta.ino),
             self.inner.journal(),
             meta.iblk,
-            lin,
+            &self.obs,
             kind,
             self.env.now(),
             &self.stats,
@@ -358,7 +355,7 @@ impl Hinfs {
         }
         // Background provenance: traffic of this pass lands in the bg row
         // (when an op's own reclaim runs inline, its frame stays owner).
-        let _lin = self.obs.lineage().bg_scope();
+        let _bg = self.obs.bg_scope();
         {
             let sh = self.shards[si].lock();
             let cap = sh.pool().capacity();
@@ -454,10 +451,8 @@ impl Hinfs {
             // actor's own timeline: detach span attribution so its device
             // time lands in the background row, not in whichever op
             // triggered it.
-            let ((), end) = self
-                .dev()
-                .spans()
-                .detached(|| self.env.with_now(wb_now, || self.wb_pass_shard(si, wb_now)));
+            let ((), end) =
+                obsv::detached(|| self.env.with_now(wb_now, || self.wb_pass_shard(si, wb_now)));
             self.wb.clocks[si].store(end, Ordering::Relaxed);
             ran = true;
         }
@@ -584,7 +579,7 @@ impl Hinfs {
                     tracker::drain_ready(
                         file,
                         self.inner.journal(),
-                        self.obs.lineage(),
+                        &self.obs,
                         kind,
                         self.env.now(),
                         &self.stats,

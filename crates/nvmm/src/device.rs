@@ -97,7 +97,7 @@ impl NvmmDevice {
             env,
             stats: DeviceStats::new(),
             fault: FaultHook::new(),
-            spans: Arc::new(SpanTable::new()),
+            spans: Arc::new(SpanTable::new(contention.clock().clone())),
             len,
         })
     }
@@ -175,24 +175,20 @@ impl NvmmDevice {
     ///
     /// Panics if the range is out of bounds.
     pub fn read(&self, cat: Cat, off: u64, buf: &mut [u8]) {
-        self.spans.scope(
-            read_phase(cat),
-            || self.env.now(),
-            || {
-                self.check(off, buf.len());
-                {
-                    let mem = self.mem.read();
-                    buf.copy_from_slice(&mem[off as usize..off as usize + buf.len()]);
-                }
-                self.stats.add_read(buf.len() as u64);
-                self.env.charge_dram_copy(cat, buf.len());
-                let extra = self.env.cost().nvmm_read_extra_ns;
-                if extra > 0 {
-                    self.env
-                        .charge(cat, extra * lines_touched(off, buf.len()) as u64);
-                }
-            },
-        )
+        self.spans.scope(read_phase(cat), || {
+            self.check(off, buf.len());
+            {
+                let mem = self.mem.read();
+                buf.copy_from_slice(&mem[off as usize..off as usize + buf.len()]);
+            }
+            self.stats.add_read(buf.len() as u64);
+            self.env.charge_dram_copy(cat, buf.len());
+            let extra = self.env.cost().nvmm_read_extra_ns;
+            if extra > 0 {
+                self.env
+                    .charge(cat, extra * lines_touched(off, buf.len()) as u64);
+            }
+        })
     }
 
     /// Writes `data` at `off` with non-temporal stores: durable on return.
@@ -203,26 +199,22 @@ impl NvmmDevice {
     ///
     /// Panics if the range is out of bounds.
     pub fn write_persist(&self, cat: Cat, off: u64, data: &[u8]) {
-        self.spans.scope(
-            persist_phase(cat),
-            || self.env.now(),
-            || {
-                self.check(off, data.len());
-                {
-                    let mut mem = self.mem.write();
-                    mem[off as usize..off as usize + data.len()].copy_from_slice(data);
-                    if let Some(shadow) = &self.shadow {
-                        shadow.lock().persist_now(&mem, off, data.len());
-                    }
+        self.spans.scope(persist_phase(cat), || {
+            self.check(off, data.len());
+            {
+                let mut mem = self.mem.write();
+                mem[off as usize..off as usize + data.len()].copy_from_slice(data);
+                if let Some(shadow) = &self.shadow {
+                    shadow.lock().persist_now(&mem, off, data.len());
                 }
-                let lines = lines_touched(off, data.len());
-                self.stats.add_written((lines * CACHELINE) as u64);
-                obsv::note_persisted((lines * CACHELINE) as u64);
-                self.env.charge_dram_copy(cat, data.len());
-                self.env.nvmm_persist(cat, lines);
-                self.fault_boundary(BoundaryKind::Persist, off, lines);
-            },
-        )
+            }
+            let lines = lines_touched(off, data.len());
+            self.stats.add_written((lines * CACHELINE) as u64);
+            obsv::note_persisted((lines * CACHELINE) as u64);
+            self.env.charge_dram_copy(cat, data.len());
+            self.env.nvmm_persist(cat, lines);
+            self.fault_boundary(BoundaryKind::Persist, off, lines);
+        })
     }
 
     /// Writes `data` at `off` with regular (cached) stores: *not* durable
@@ -232,22 +224,18 @@ impl NvmmDevice {
     ///
     /// Panics if the range is out of bounds.
     pub fn write_cached(&self, cat: Cat, off: u64, data: &[u8]) {
-        self.spans.scope(
-            cached_phase(cat),
-            || self.env.now(),
-            || {
-                self.check(off, data.len());
-                {
-                    let mut mem = self.mem.write();
-                    mem[off as usize..off as usize + data.len()].copy_from_slice(data);
-                    if let Some(shadow) = &self.shadow {
-                        shadow.lock().mark_range(off, data.len());
-                    }
+        self.spans.scope(cached_phase(cat), || {
+            self.check(off, data.len());
+            {
+                let mut mem = self.mem.write();
+                mem[off as usize..off as usize + data.len()].copy_from_slice(data);
+                if let Some(shadow) = &self.shadow {
+                    shadow.lock().mark_range(off, data.len());
                 }
-                self.stats.add_cached_store(data.len() as u64);
-                self.env.charge_dram_copy(cat, data.len());
-            },
-        )
+            }
+            self.stats.add_cached_store(data.len() as u64);
+            self.env.charge_dram_copy(cat, data.len());
+        })
     }
 
     /// Flushes the cachelines covering `[off, off+len)` to the persistence
@@ -263,41 +251,33 @@ impl NvmmDevice {
         if len == 0 {
             return;
         }
-        self.spans.scope(
-            persist_phase(cat),
-            || self.env.now(),
-            || {
-                let lines = match &self.shadow {
-                    Some(shadow) => {
-                        let mem = self.mem.read();
-                        shadow.lock().flush_range(&mem, off, len)
-                    }
-                    None => lines_touched(off, len),
-                };
-                if lines == 0 {
-                    return;
+        self.spans.scope(persist_phase(cat), || {
+            let lines = match &self.shadow {
+                Some(shadow) => {
+                    let mem = self.mem.read();
+                    shadow.lock().flush_range(&mem, off, len)
                 }
-                self.stats.add_flush_lines(lines as u64);
-                self.stats.add_written((lines * CACHELINE) as u64);
-                obsv::note_persisted((lines * CACHELINE) as u64);
-                self.env.nvmm_persist(cat, lines);
-                self.fault_boundary(BoundaryKind::Flush, off, lines);
-            },
-        )
+                None => lines_touched(off, len),
+            };
+            if lines == 0 {
+                return;
+            }
+            self.stats.add_flush_lines(lines as u64);
+            self.stats.add_written((lines * CACHELINE) as u64);
+            obsv::note_persisted((lines * CACHELINE) as u64);
+            self.env.nvmm_persist(cat, lines);
+            self.fault_boundary(BoundaryKind::Flush, off, lines);
+        })
     }
 
     /// Issues a store fence (ordering point).
     pub fn sfence(&self) {
-        self.spans.scope(
-            Phase::Fence,
-            || self.env.now(),
-            || {
-                self.stats.add_fence();
-                obsv::note_fence(1);
-                self.env.charge_fence();
-                self.fault_boundary(BoundaryKind::Fence, 0, 0);
-            },
-        )
+        self.spans.scope(Phase::Fence, || {
+            self.stats.add_fence();
+            obsv::note_fence(1);
+            self.env.charge_fence();
+            self.fault_boundary(BoundaryKind::Fence, 0, 0);
+        })
     }
 
     /// Issues one store fence standing in for `n` logical ordering points
@@ -305,19 +285,15 @@ impl NvmmDevice {
     /// `n - 1` folded ordering points stay visible in the stats so fence
     /// accounting remains auditable.
     pub fn sfence_coalesced(&self, n: u64) {
-        self.spans.scope(
-            Phase::Fence,
-            || self.env.now(),
-            || {
-                self.stats.add_fence();
-                if n > 1 {
-                    self.stats.add_fences_coalesced(n - 1);
-                }
-                obsv::note_fence(n.max(1));
-                self.env.charge_fence();
-                self.fault_boundary(BoundaryKind::Fence, 0, 0);
-            },
-        )
+        self.spans.scope(Phase::Fence, || {
+            self.stats.add_fence();
+            if n > 1 {
+                self.stats.add_fences_coalesced(n - 1);
+            }
+            obsv::note_fence(n.max(1));
+            self.env.charge_fence();
+            self.fault_boundary(BoundaryKind::Fence, 0, 0);
+        })
     }
 
     /// Writes zeroes over `[off, off+len)` with non-temporal stores.
@@ -326,24 +302,20 @@ impl NvmmDevice {
         if len == 0 {
             return;
         }
-        self.spans.scope(
-            persist_phase(cat),
-            || self.env.now(),
-            || {
-                let mut mem = self.mem.write();
-                mem[off as usize..off as usize + len].fill(0);
-                if let Some(shadow) = &self.shadow {
-                    shadow.lock().persist_now(&mem, off, len);
-                }
-                drop(mem);
-                let lines = lines_touched(off, len);
-                self.stats.add_written((lines * CACHELINE) as u64);
-                obsv::note_persisted((lines * CACHELINE) as u64);
-                self.env.charge_dram_copy(cat, len);
-                self.env.nvmm_persist(cat, lines);
-                self.fault_boundary(BoundaryKind::Persist, off, lines);
-            },
-        )
+        self.spans.scope(persist_phase(cat), || {
+            let mut mem = self.mem.write();
+            mem[off as usize..off as usize + len].fill(0);
+            if let Some(shadow) = &self.shadow {
+                shadow.lock().persist_now(&mem, off, len);
+            }
+            drop(mem);
+            let lines = lines_touched(off, len);
+            self.stats.add_written((lines * CACHELINE) as u64);
+            obsv::note_persisted((lines * CACHELINE) as u64);
+            self.env.charge_dram_copy(cat, len);
+            self.env.nvmm_persist(cat, lines);
+            self.fault_boundary(BoundaryKind::Persist, off, lines);
+        })
     }
 
     /// Reads a little-endian `u64` at `off` (must not straddle a cacheline,

@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use obsv::{ContentionTable, Site};
+use obsv::{Clock, ContentionTable, Site};
 
 use crate::cost::CostModel;
 use crate::gate::BandwidthGate;
@@ -57,8 +57,10 @@ impl SimEnv {
         // per-thread logical ns in virtual mode, wall ns since the epoch
         // in spin mode. It only reads — profiling never advances time.
         let contention = Arc::new(match mode {
-            TimeMode::Virtual => ContentionTable::new(|| NOW.with(|n| n.get())),
-            TimeMode::Spin => ContentionTable::new(move || epoch.elapsed().as_nanos() as u64),
+            TimeMode::Virtual => ContentionTable::new(Clock::new(|| NOW.with(|n| n.get()))),
+            TimeMode::Spin => {
+                ContentionTable::new(Clock::new(move || epoch.elapsed().as_nanos() as u64))
+            }
         });
         let gate = BandwidthGate::new(cost.writer_slots(), cost.nvmm_write_bandwidth);
         gate.attach_contention(&contention);

@@ -13,9 +13,9 @@
 //! - **hold time**: how long each guard lived, minus any time parked in
 //!   a [`TrackedCondvar`] wait (which is booked as wait, not hold);
 //! - **site × op attribution**: waits and holds are also charged to the
-//!   caller's current [`crate::OpKind`] row (the span layer's
-//!   thread-local current-op), yielding a site × op matrix alongside the
-//!   span matrix.
+//!   row of the op frame open on the calling thread (background row when
+//!   idle or detached), yielding a site × op matrix alongside the span
+//!   matrix; wait samples also land on the frame's in-flight record.
 //!
 //! Blocking that happens *without* a lock — a foreground write paying
 //! for a writeback reclaim, a journal-full flush, bandwidth-gate
@@ -41,8 +41,9 @@
 //! spin mode (stress tests, Criterion).
 
 use crate::histo::{Histo, HistoSnapshot};
-use crate::span::{current_row, row_label, SPAN_ROWS};
-use crate::{MetricSource, Visitor};
+use crate::scope::{current_row, note_wait};
+use crate::span::{row_label, SPAN_ROWS};
+use crate::{Clock, Level, MetricSource, Visitor};
 use std::sync;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -355,18 +356,6 @@ impl Site {
     }
 }
 
-/// How much a [`ContentionTable`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Level {
-    /// Nothing: tracked locks behave like bare locks (one relaxed load).
-    Off = 0,
-    /// Acquisition and contention counters only; no clock reads.
-    Counts = 1,
-    /// Counters plus wait/hold histograms and the site × op matrix.
-    Full = 2,
-}
-
 /// Per-site accumulator. ~8 KiB each (two histograms plus the op rows).
 struct SiteStats {
     acquisitions: AtomicU64,
@@ -408,7 +397,7 @@ impl SiteStats {
 /// it. Disabled ([`Level::Off`]) by default.
 pub struct ContentionTable {
     level: AtomicU8,
-    clock: Box<dyn Fn() -> u64 + Send + Sync>,
+    clock: Clock,
     sites: [SiteStats; NSITES],
 }
 
@@ -423,10 +412,10 @@ impl std::fmt::Debug for ContentionTable {
 impl ContentionTable {
     /// A disabled table reading time from `clock` (simulated ns). The
     /// clock is only read, never advanced.
-    pub fn new(clock: impl Fn() -> u64 + Send + Sync + 'static) -> ContentionTable {
+    pub fn new(clock: Clock) -> ContentionTable {
         ContentionTable {
             level: AtomicU8::new(Level::Off as u8),
-            clock: Box::new(clock),
+            clock,
             sites: std::array::from_fn(|_| SiteStats::new()),
         }
     }
@@ -434,11 +423,7 @@ impl ContentionTable {
     /// The current recording level — one relaxed load.
     #[inline]
     pub fn level(&self) -> Level {
-        match self.level.load(Ordering::Relaxed) {
-            0 => Level::Off,
-            1 => Level::Counts,
-            _ => Level::Full,
-        }
+        Level::from_u8(self.level.load(Ordering::Relaxed))
     }
 
     /// Switches the recording level.
@@ -453,10 +438,14 @@ impl ContentionTable {
         self.level() != Level::Off
     }
 
-    /// The injected clock's current time.
+    /// The machine's injected clock.
+    pub fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
     #[inline]
     fn now(&self) -> u64 {
-        (self.clock)()
+        self.clock.now()
     }
 
     /// Records a non-lock blocking interval (`wait_ns` already measured
@@ -469,7 +458,7 @@ impl ContentionTable {
                 self.sites[site as usize]
                     .contended
                     .fetch_add(1, Ordering::Relaxed);
-                crate::flight::note_wait(site, wait_ns);
+                note_wait(site, wait_ns);
             }
             Level::Full => self.record_wait(site, wait_ns),
         }
@@ -538,7 +527,7 @@ impl ContentionTable {
         let s = &self.sites[site as usize];
         s.wait.record(wait_ns);
         s.wait_by_op[current_row()].fetch_add(wait_ns, Ordering::Relaxed);
-        crate::flight::note_wait(site, wait_ns);
+        note_wait(site, wait_ns);
     }
 
     fn record_hold(&self, site: Site, hold_ns: u64) {
@@ -1048,7 +1037,9 @@ mod tests {
     fn fake_clock() -> (Arc<AtomicU64>, Arc<ContentionTable>) {
         let c = Arc::new(AtomicU64::new(0));
         let c2 = c.clone();
-        let t = Arc::new(ContentionTable::new(move || c2.load(Ordering::Relaxed)));
+        let t = Arc::new(ContentionTable::new(Clock::new(move || {
+            c2.load(Ordering::Relaxed)
+        })));
         (c, t)
     }
 

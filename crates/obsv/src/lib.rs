@@ -1,20 +1,24 @@
 //! Unified observability layer for the HiNFS reproduction suite.
 //!
-//! Three pieces, all dependency-free and cheap enough to thread through
+//! One pipeline, dependency-free and cheap enough to thread through
 //! every crate in the workspace:
 //!
-//! - [`Histo`]: lock-free log-bucketed latency histograms, recorded per
-//!   [`OpKind`] through [`FsObs`];
-//! - [`MetricsRegistry`] / [`MetricSource`]: one collection trait that
-//!   unifies the per-subsystem counter structs (HiNFS, device, journal)
-//!   behind Prometheus-style text exposition and JSON snapshots;
-//! - [`TraceRing`]: a fixed-capacity lock-free ring of structured
-//!   [`TraceEvent`]s (writeback reclaim, watermark crossings, foreground
-//!   stalls, Buffer Benefit Model flips, journal commits).
+//! - every instrumented syscall runs inside [`FsObs::op`], which opens
+//!   the calling thread's op frame; while it is open every hook
+//!   (`note_*`, [`SpanTable::scope`], lock-wait samples) writes one
+//!   [`OpRecord`];
+//! - when the outermost scope closes, the record is folded once into
+//!   the aggregations: [`Histo`] latency histograms per [`OpKind`], the
+//!   [`SpanTable`] phase matrix, the [`LineageTable`] write-amplification
+//!   ledger and the [`FlightRecorder`] tail reservoir;
+//! - beside the per-op pipeline sit the event-driven pieces: the
+//!   [`TraceRing`] of structured [`TraceEvent`]s, the [`ContentionTable`]
+//!   lock/stall profiler, and [`MetricsRegistry`] / [`MetricSource`],
+//!   which unify every counter struct behind one exposition.
 //!
-//! Everything is **off by default**: with timing and tracing disabled the
-//! instrumentation in the file systems costs one relaxed atomic load per
-//! hook.
+//! One [`Level`] switches all of it, **off by default**: the syscall
+//! wrapper then costs one relaxed load and each `note_*` hook one
+//! thread-local read.
 
 mod contention;
 mod coverage;
@@ -22,29 +26,30 @@ mod flight;
 mod histo;
 mod lineage;
 mod registry;
+mod scope;
 mod snapshot;
 mod span;
 mod trace;
 
 pub use contention::{
-    ContentionSnapshot, ContentionTable, Level, Site, SiteSnapshot, TrackedCondvar, TrackedMutex,
+    ContentionSnapshot, ContentionTable, Site, SiteSnapshot, TrackedCondvar, TrackedMutex,
     TrackedMutexGuard, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard, WaitTimeoutResult,
     ALL_SITES, HINFS_SHARD_SITES, NSHARDS, NSITES, PMFS_ALLOC_SHARD_SITES, PMFS_INODE_SHARD_SITES,
     PMFS_NS_SHARD_SITES,
 };
 pub use coverage::{mag_bucket, CoverageDomain, CoverageMap, COVERAGE_DOMAINS};
-pub use flight::{
-    note_batch, note_fence, note_persisted, note_shard, FlightRecord, FlightRecorder,
-    FlightSnapshot, TailAnatomy, FLIGHT_MERGED_TOPK, FLIGHT_TOPK, NO_SHARD,
-};
+pub use flight::{FlightRecorder, FlightSnapshot, TailAnatomy, FLIGHT_MERGED_TOPK, FLIGHT_TOPK};
 pub use histo::{
     bucket_lower, bucket_of, bucket_upper, Histo, HistoSnapshot, N_BUCKETS, SUB_BUCKETS,
 };
 pub use lineage::{
-    current_row as lineage_current_row, note_buffered, note_journaled, note_logical, DrainKind,
-    Layer, LineageScope, LineageSnap, LineageTable, Stamp, ALL_LAYERS, LINEAGE_ROWS, NLAYERS,
+    DrainKind, Layer, LineageSnap, LineageTable, Stamp, ALL_LAYERS, LINEAGE_ROWS, NLAYERS,
 };
 pub use registry::{Counter, MetricSource, MetricsRegistry, RegistrySnapshot, Visitor};
+pub use scope::{
+    detached, note_batch, note_buffered, note_fence, note_journaled, note_logical, note_persisted,
+    note_shard, BgScope, OpRecord, NO_SHARD,
+};
 pub use snapshot::{
     dirty_line_bucket, invariant_label, lrw_age_bucket, AuditReport, AuditViolation, BufferSnap,
     CacheSnap, DeviceSnap, FsSnapshot, Introspect, JournalSnap, AUDIT_INVARIANTS,
@@ -54,11 +59,62 @@ pub use span::{row_label, Phase, SpanSnapshot, SpanTable, ALL_PHASES, BG_ROW, NP
 pub use trace::{TraceEvent, TraceRecord, TraceRing};
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// Shards used by the per-thread collection structures (the slow-op log
-/// here, the trace ring's segments). A power of two so `ordinal %
+/// The simulation clock the observability layer reads (simulated ns):
+/// injected once by the environment, shared by every table of the
+/// machine, only ever read — observing never advances time.
+#[derive(Clone)]
+pub struct Clock(Arc<dyn Fn() -> u64 + Send + Sync>);
+
+impl Clock {
+    /// Wraps a time source.
+    pub fn new(now: impl Fn() -> u64 + Send + Sync + 'static) -> Clock {
+        Clock(Arc::new(now))
+    }
+
+    /// The current time.
+    #[inline]
+    pub fn now(&self) -> u64 {
+        (self.0)()
+    }
+}
+
+impl std::fmt::Debug for Clock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Clock")
+    }
+}
+
+/// How much the observability layer records — the one switch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Level {
+    /// Nothing: every hook is one load.
+    #[default]
+    Off = 0,
+    /// Event counters only, no clock reads: the trace ring, and lock
+    /// acquisition/contention counts.
+    Counts = 1,
+    /// Everything: per-op records and all their folds (latency
+    /// histograms, span matrix, lineage ledger, tail reservoir), plus
+    /// lock wait/hold histograms and the site × op matrix.
+    Full = 2,
+}
+
+impl Level {
+    pub(crate) fn from_u8(v: u8) -> Level {
+        match v {
+            0 => Level::Off,
+            1 => Level::Counts,
+            _ => Level::Full,
+        }
+    }
+}
+
+/// Shards used by the per-thread collection structures (the tail
+/// reservoir, the trace ring's segments). A power of two so `ordinal %
 /// SHARDS` is a mask.
 pub const COLLECTION_SHARDS: usize = 8;
 
@@ -142,64 +198,49 @@ impl OpKind {
     }
 }
 
-/// One of the k slowest operations seen so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlowOp {
-    /// Operation latency in simulated ns.
-    pub ns: u64,
-    /// The op kind.
-    pub op: OpKind,
-    /// When the op started, simulated ns.
-    pub at_ns: u64,
-}
-
-/// Slots kept by the slow-op log.
-const SLOW_CAP: usize = 16;
-
-/// Per-file-system observability bundle: one latency histogram per op
-/// kind, a top-k slowest-op log, and the trace ring. Timing and tracing
-/// are independent switches, both off by default.
+/// Per-file-system observability bundle: the level switch, one latency
+/// histogram per op kind, the trace ring, the lineage ledger and the tail
+/// reservoir. [`FsObs::op`] and [`FsObs::bg_scope`] (the per-op scope)
+/// are the only way records reach the accumulators.
 #[derive(Debug)]
 pub struct FsObs {
-    timing: AtomicBool,
+    level: AtomicU8,
     ops: [Histo; NOPS],
-    /// Top-k slowest ops, sharded per thread ordinal so concurrent
-    /// recorders never serialize on one mutex; [`FsObs::slowest`] merges
-    /// the shards (the global top-k survives per-shard top-k pruning).
-    slow: [Mutex<Vec<SlowOp>>; COLLECTION_SHARDS],
     /// The structured event ring, shared with subsystems (journal) that
     /// emit into the same timeline.
     pub trace: Arc<TraceRing>,
-    /// The per-device span matrix, installed at mount so this bundle's
-    /// exposition includes the OpKind × Phase breakdown.
-    spans: OnceLock<Arc<SpanTable>>,
+    /// The device's span matrix: finished frames fold their phase totals
+    /// into it, its clock times the ops, and this bundle's exposition
+    /// includes the OpKind × Phase breakdown.
+    spans: Arc<SpanTable>,
     /// Invariant relations checked by the online auditor.
     audit_checks: AtomicU64,
     /// Invariants found broken. Non-zero means structural corruption.
     audit_violations: AtomicU64,
-    /// The per-op flight recorder (tail-latency anatomies), off by
-    /// default like everything else.
+    /// The top-K tail reservoir (slowest finished op records).
     flight: FlightRecorder,
     /// The data-lifecycle provenance ledger (durability lag, per-layer
-    /// write amplification), off by default like everything else.
+    /// write amplification).
     lineage: LineageTable,
 }
 
 impl Default for FsObs {
+    /// A bundle attached to no device (a private span table on a stopped
+    /// clock) — for tools and tests that only need the ledgers.
     fn default() -> Self {
-        FsObs::new(1024)
+        FsObs::new(Arc::new(SpanTable::new(Clock::new(|| 0))))
     }
 }
 
 impl FsObs {
-    /// A disabled bundle whose trace ring holds `trace_capacity` events.
-    pub fn new(trace_capacity: usize) -> FsObs {
+    /// A bundle at [`Level::Off`] folding into `spans` (the table of the
+    /// device the file system is mounted on) and reading its clock.
+    pub fn new(spans: Arc<SpanTable>) -> FsObs {
         FsObs {
-            timing: AtomicBool::new(false),
+            level: AtomicU8::new(Level::Off as u8),
             ops: std::array::from_fn(|_| Histo::new()),
-            slow: std::array::from_fn(|_| Mutex::new(Vec::with_capacity(SLOW_CAP))),
-            trace: Arc::new(TraceRing::new(trace_capacity)),
-            spans: OnceLock::new(),
+            trace: Arc::new(TraceRing::new(1024)),
+            spans,
             audit_checks: AtomicU64::new(0),
             audit_violations: AtomicU64::new(0),
             flight: FlightRecorder::new(),
@@ -207,7 +248,28 @@ impl FsObs {
         }
     }
 
-    /// The per-op flight recorder bundled with this file system.
+    /// The recording level — one relaxed load, the whole cost of the
+    /// syscall wrapper below [`Level::Full`].
+    #[inline]
+    pub fn level(&self) -> Level {
+        Level::from_u8(self.level.load(Ordering::Relaxed))
+    }
+
+    /// Switches the recording level: the trace ring captures from
+    /// [`Level::Counts`] up, per-op records exist at [`Level::Full`].
+    pub fn set_level(&self, level: Level) {
+        self.level.store(level as u8, Ordering::Relaxed);
+        self.trace.set_enabled(level != Level::Off);
+    }
+
+    /// Whether per-op records (and so lineage stamps and drains) are
+    /// being kept.
+    #[inline]
+    pub fn full(&self) -> bool {
+        self.level() == Level::Full
+    }
+
+    /// The tail reservoir bundled with this file system.
     #[inline]
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
@@ -218,6 +280,46 @@ impl FsObs {
     #[inline]
     pub fn lineage(&self) -> &LineageTable {
         &self.lineage
+    }
+
+    /// Creates an ack stamp for data entering a volatile staging layer:
+    /// captures the op in flight (provenance), `now`, and the trace
+    /// ring's seq ticket. Returns the default stamp below
+    /// [`Level::Full`] — stamps are pure observation, so callers store
+    /// it unconditionally.
+    pub fn stamp(&self, now_ns: u64) -> Stamp {
+        if !self.full() {
+            return Stamp::default();
+        }
+        self.lineage.count_stamp();
+        Stamp {
+            ack_ns: now_ns,
+            seq: self.trace.emitted(),
+            row: scope::stamp_row() as u8,
+        }
+    }
+
+    /// Records one drain retiring a stamp: `bytes` drained to NVMM on
+    /// behalf of the stamp's origin row, with the durability lag
+    /// ([`DrainKind::Sync`] asserts 0; [`DrainKind::Lazy`] records
+    /// `now - ack`). Returns the recorded lag so call sites can put it
+    /// on the trace ring.
+    pub fn record_drain(&self, stamp: &Stamp, kind: DrainKind, now_ns: u64, bytes: u64) -> u64 {
+        if !self.full() {
+            return 0;
+        }
+        self.lineage.record_drain(stamp, kind, now_ns, bytes)
+    }
+
+    /// Records an in-op synchronous persist that never touched a staging
+    /// layer (PMFS data writes, HiNFS eager writes, DAX stores): a drain
+    /// with lag 0 attributed to the op in flight.
+    pub fn record_inline_drain(&self, bytes: u64) {
+        let stamp = Stamp {
+            row: scope::stamp_row() as u8,
+            ..Stamp::default()
+        };
+        self.record_drain(&stamp, DrainKind::Sync, 0, bytes);
     }
 
     /// Folds an auditor pass into this bundle: counts the checks, counts
@@ -244,66 +346,14 @@ impl FsObs {
         self.audit_violations.load(Ordering::Relaxed)
     }
 
-    /// Installs the span matrix this file system charges into (the
-    /// device's table). First caller wins, like `Journal::set_trace`.
-    pub fn set_spans(&self, spans: Arc<SpanTable>) {
-        let _ = self.spans.set(spans);
-    }
-
-    /// The installed span matrix, if any.
-    pub fn spans(&self) -> Option<&Arc<SpanTable>> {
-        self.spans.get()
-    }
-
-    /// Whether per-op latency recording is on.
-    #[inline]
-    pub fn timing_enabled(&self) -> bool {
-        self.timing.load(Ordering::Relaxed)
-    }
-
-    /// Switches per-op latency recording.
-    pub fn set_timing(&self, on: bool) {
-        self.timing.store(on, Ordering::Relaxed);
-    }
-
-    /// Switches trace-event capture.
-    pub fn set_tracing(&self, on: bool) {
-        self.trace.set_enabled(on);
-    }
-
-    /// Records one completed operation (called by the file systems when
-    /// timing is enabled).
-    pub fn record_op(&self, op: OpKind, ns: u64, at_ns: u64) {
-        self.ops[op as usize].record(ns);
-        let mut slow = self.slow[thread_ordinal() % COLLECTION_SHARDS]
-            .lock()
-            .unwrap();
-        if slow.len() < SLOW_CAP {
-            slow.push(SlowOp { ns, op, at_ns });
-        } else if let Some(min) = slow.iter_mut().min_by_key(|s| s.ns) {
-            if ns > min.ns {
-                *min = SlowOp { ns, op, at_ns };
-            }
-        }
+    /// The span matrix this file system folds into.
+    pub fn spans(&self) -> &Arc<SpanTable> {
+        &self.spans
     }
 
     /// The latency histogram of one op kind.
     pub fn op_histo(&self, op: OpKind) -> &Histo {
         &self.ops[op as usize]
-    }
-
-    /// The slowest recorded ops, slowest first. Merges the per-thread
-    /// shards: any globally-top-k op necessarily survives its own
-    /// shard's top-k pruning, so the merge is exact.
-    pub fn slowest(&self) -> Vec<SlowOp> {
-        let mut v: Vec<SlowOp> = self
-            .slow
-            .iter()
-            .flat_map(|shard| shard.lock().unwrap().clone())
-            .collect();
-        v.sort_by_key(|s| std::cmp::Reverse(s.ns));
-        v.truncate(SLOW_CAP);
-        v
     }
 }
 
@@ -323,7 +373,7 @@ impl MetricSource for FsObs {
             out.counter("obsv_flight_records", self.flight.recorded());
         }
         let lin = self.lineage.snap();
-        if self.lineage.enabled() || !lin.is_empty() {
+        if self.full() || !lin.is_empty() {
             for layer in ALL_LAYERS {
                 out.counter(
                     &format!("obsv_lineage_{}_bytes", layer.label()),
@@ -339,9 +389,7 @@ impl MetricSource for FsObs {
                 out.histo("obsv_lineage_lag_ns", lin.lag);
             }
         }
-        if let Some(spans) = self.spans.get() {
-            spans.collect(out);
-        }
+        self.spans.collect(out);
     }
 }
 
@@ -477,20 +525,30 @@ mod tests {
 
     #[test]
     fn fsobs_records_and_collects() {
-        let obs = FsObs::new(8);
-        assert!(!obs.timing_enabled());
-        obs.set_timing(true);
-        obs.record_op(OpKind::Read, 100, 0);
-        obs.record_op(OpKind::Read, 300, 10);
-        obs.record_op(OpKind::Fsync, 5000, 20);
+        let now = Arc::new(AtomicU64::new(0));
+        let now2 = now.clone();
+        let clock = Clock::new(move || now2.load(Ordering::Relaxed));
+        let obs = FsObs::new(Arc::new(SpanTable::new(clock)));
+        assert_eq!(obs.level(), Level::Off);
+        assert!(!obs.trace.enabled());
+        obs.set_level(Level::Full);
+        assert!(obs.trace.enabled(), "the ring captures from Counts up");
+        for (op, ns) in [
+            (OpKind::Read, 100),
+            (OpKind::Read, 300),
+            (OpKind::Fsync, 5000),
+        ] {
+            obs.op(op, || now.fetch_add(ns, Ordering::Relaxed));
+        }
         assert_eq!(obs.op_histo(OpKind::Read).snapshot().count(), 2);
-        let slow = obs.slowest();
-        assert_eq!(slow[0].op, OpKind::Fsync);
-        assert_eq!(slow[0].ns, 5000);
+        let slow = obs.flight().snapshot();
+        assert_eq!(slow.all()[0].op, OpKind::Fsync);
+        assert_eq!(slow.all()[0].total_ns, 5000);
         let reg = MetricsRegistry::new();
         reg.register("", Arc::new(obs));
         let snap = reg.snapshot();
         assert_eq!(snap.histo("obsv_op_read_ns").unwrap().count(), 2);
+        assert_eq!(snap.counter("obsv_flight_records"), 3);
         assert!(
             snap.histo("obsv_op_write_ns").is_none(),
             "empty ops are omitted"
@@ -499,7 +557,7 @@ mod tests {
 
     #[test]
     fn record_audit_counts_and_traces_violations() {
-        let obs = FsObs::new(8);
+        let obs = FsObs::default();
         let mut rep = AuditReport::new(77);
         rep.check_eq(2, 0, 0, 5, 5);
         rep.check_eq(4, 1, 3, 0b11, 0b01);
@@ -517,18 +575,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("obsv_audit_checks"), 2);
         assert_eq!(snap.counter("obsv_audit_violations"), 1);
-    }
-
-    #[test]
-    fn slow_log_keeps_topk() {
-        let obs = FsObs::new(8);
-        for i in 0..100u64 {
-            obs.record_op(OpKind::Write, i, i);
-        }
-        let slow = obs.slowest();
-        assert_eq!(slow.len(), SLOW_CAP);
-        assert_eq!(slow[0].ns, 99);
-        assert_eq!(slow.last().unwrap().ns, 100 - SLOW_CAP as u64);
     }
 
     #[test]

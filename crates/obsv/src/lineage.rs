@@ -23,23 +23,18 @@
 //!   like the span matrix). `fences per logical KiB` and
 //!   `persisted/logical` fall straight out of the ledger.
 //!
-//! Cost rules, matching the rest of `obsv`:
-//!
-//! - **Off by default.** [`LineageTable::op_scope`] checks one relaxed
-//!   `AtomicBool` and returns an inert guard when disabled; every
-//!   `note_*` hook checks a thread-local flag that is only ever set
-//!   inside an enabled scope, so the off path is one TLS bool read.
-//! - **Allocation-free when on.** The in-flight accumulation lives in a
-//!   fixed-size thread-local frame, flushed into the table's relaxed
-//!   atomics when the outermost scope closes.
-//! - **Reads clocks, never advances them.** Stamps and drains reuse
-//!   timestamps the callers already hold, so enabling lineage changes no
-//!   result bit (proven by `tests/determinism.rs`).
+//! The table is a pure accumulator with two feeders, both gated by the
+//! owning [`FsObs`](crate::FsObs) level: finished op frames fold their
+//! per-layer bytes and fence counts into the ledger row of the op that
+//! opened them (see the `scope` module), and stamp sites call
+//! [`FsObs::stamp`](crate::FsObs::stamp) /
+//! [`FsObs::record_drain`](crate::FsObs::record_drain), which reuse
+//! timestamps the callers already hold — so enabling lineage changes no
+//! result bit (proven by `tests/determinism.rs`).
 
 use crate::histo::{Histo, HistoSnapshot};
-use crate::{OpKind, ALL_OPS, NOPS};
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::{OpKind, ALL_OPS, BG_ROW, NOPS};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The layers a logical byte moves through on its way to durability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,7 +79,7 @@ impl Layer {
 }
 
 /// Rows in the lineage ledger: one per [`OpKind`] plus the background
-/// row (index [`crate::BG_ROW`], label `bg`), mirroring the span matrix.
+/// row (index [`BG_ROW`], label `bg`), mirroring the span matrix.
 pub const LINEAGE_ROWS: usize = NOPS + 1;
 
 /// How a drain met the durability contract.
@@ -111,7 +106,7 @@ pub struct Stamp {
     /// Trace-ring seq ticket at the ack.
     pub seq: u64,
     /// Origin row: the [`OpKind`] discriminant of the op that stamped,
-    /// or [`crate::BG_ROW`] when no op was in flight.
+    /// or [`BG_ROW`] when no op was in flight.
     pub row: u8,
 }
 
@@ -122,102 +117,11 @@ impl Stamp {
     }
 }
 
-/// The thread-local in-flight accumulation. `active` mirrors into the
-/// cheap [`LACTIVE`] cell every `note_*` hook checks first; `owner` pins
-/// the frame to the table that opened it, so a nested scope on a second
-/// enabled table neither steals nor flushes the outer frame.
-struct LinFrame {
-    active: bool,
-    owner: u64,
-    depth: u32,
-    row: usize,
-    bytes: [u64; NLAYERS],
-    fences: u64,
-}
-
-const EMPTY_FRAME: LinFrame = LinFrame {
-    active: false,
-    owner: 0,
-    depth: 0,
-    row: 0,
-    bytes: [0; NLAYERS],
-    fences: 0,
-};
-
-thread_local! {
-    /// Fast gate for the `note_*` hooks: true only inside an enabled
-    /// scope on this thread.
-    static LACTIVE: Cell<bool> = const { Cell::new(false) };
-    static LFRAME: RefCell<LinFrame> = const { RefCell::new(EMPTY_FRAME) };
-}
-
-/// Process-unique table ids (Arc addresses can be reused; a counter
-/// cannot).
-static TABLE_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// Adds `bytes` to `layer` in the calling thread's in-flight frame.
-#[inline]
-fn frame_add(layer: Layer, bytes: u64) {
-    if !LACTIVE.get() {
-        return;
-    }
-    LFRAME.with(|f| f.borrow_mut().bytes[layer as usize] += bytes);
-}
-
-/// Books logical bytes the application handed to the file system.
-#[inline]
-pub fn note_logical(bytes: u64) {
-    frame_add(Layer::Logical, bytes);
-}
-
-/// Books bytes staged into a DRAM layer (buffer slot, page cache).
-#[inline]
-pub fn note_buffered(bytes: u64) {
-    frame_add(Layer::DramBuffered, bytes);
-}
-
-/// Books bytes written into a journal region.
-#[inline]
-pub fn note_journaled(bytes: u64) {
-    frame_add(Layer::JournalLogged, bytes);
-}
-
-/// Books bytes persisted to NVMM media. Called by the flight recorder's
-/// `note_persisted` fan-out, so the device instrumentation needs no
-/// second hook.
-#[inline]
-pub(crate) fn frame_note_persisted(bytes: u64) {
-    frame_add(Layer::NvmmPersisted, bytes);
-}
-
-/// Books one store fence. Called by the flight recorder's `note_fence`
-/// fan-out.
-#[inline]
-pub(crate) fn frame_note_fence() {
-    if !LACTIVE.get() {
-        return;
-    }
-    LFRAME.with(|f| f.borrow_mut().fences += 1);
-}
-
-/// The lineage row of the op currently in flight on this thread
-/// ([`crate::BG_ROW`] inside a background scope), or `None` when no
-/// enabled scope is open. Stamp sites use this to record provenance.
-#[inline]
-pub fn current_row() -> Option<usize> {
-    if !LACTIVE.get() {
-        return None;
-    }
-    Some(LFRAME.with(|f| f.borrow().row))
-}
-
 /// Per-file-system data-lifecycle ledger: a bytes matrix of
 /// [`LINEAGE_ROWS`] × [`NLAYERS`], per-row fence counts, per-origin-op
 /// durability-lag histograms and the max-lag gauge.
 #[derive(Debug)]
 pub struct LineageTable {
-    enabled: AtomicBool,
-    id: u64,
     bytes: Box<[[AtomicU64; NLAYERS]]>,
     fences: Box<[AtomicU64]>,
     lag: [Histo; NOPS],
@@ -233,47 +137,10 @@ impl Default for LineageTable {
     }
 }
 
-/// RAII guard closing a lineage scope; flushes the thread frame into the
-/// owning table when the outermost enabled scope ends.
-pub struct LineageScope<'a> {
-    table: Option<&'a LineageTable>,
-}
-
-impl Drop for LineageScope<'_> {
-    fn drop(&mut self) {
-        let Some(table) = self.table else {
-            return;
-        };
-        LFRAME.with(|f| {
-            let mut f = f.borrow_mut();
-            if !f.active || f.owner != table.id {
-                return;
-            }
-            f.depth -= 1;
-            if f.depth > 0 {
-                return;
-            }
-            let row = f.row;
-            for (layer, &b) in f.bytes.iter().enumerate() {
-                if b > 0 {
-                    table.bytes[row][layer].fetch_add(b, Ordering::Relaxed);
-                }
-            }
-            if f.fences > 0 {
-                table.fences[row].fetch_add(f.fences, Ordering::Relaxed);
-            }
-            *f = EMPTY_FRAME;
-            LACTIVE.set(false);
-        });
-    }
-}
-
 impl LineageTable {
-    /// A disabled table.
+    /// An empty table.
     pub fn new() -> LineageTable {
         LineageTable {
-            enabled: AtomicBool::new(false),
-            id: TABLE_IDS.fetch_add(1, Ordering::Relaxed),
             bytes: (0..LINEAGE_ROWS)
                 .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
                 .collect(),
@@ -286,87 +153,32 @@ impl LineageTable {
         }
     }
 
-    /// Switches provenance recording.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether provenance recording is on (one relaxed load).
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Opens a scope attributing hook traffic on this thread to `row`.
-    /// Inert when disabled. A nested scope on the same table keeps the
-    /// outer row (an O_SYNC write's internal fsync stays a write); a
-    /// scope while another table owns the frame is inert.
-    fn scope(&self, row: usize) -> LineageScope<'_> {
-        if !self.enabled() {
-            return LineageScope { table: None };
-        }
-        let opened = LFRAME.with(|f| {
-            let mut f = f.borrow_mut();
-            if f.active {
-                if f.owner != self.id {
-                    return false;
-                }
-                f.depth += 1;
-                return true;
+    /// Adds one finished frame's per-layer bytes and fences to `row`.
+    pub(crate) fn fold(&self, row: usize, bytes: &[u64; NLAYERS], fences: u64) {
+        for (cell, &b) in self.bytes[row].iter().zip(bytes) {
+            if b > 0 {
+                cell.fetch_add(b, Ordering::Relaxed);
             }
-            *f = LinFrame {
-                active: true,
-                owner: self.id,
-                depth: 1,
-                row,
-                ..EMPTY_FRAME
-            };
-            LACTIVE.set(true);
-            true
-        });
-        LineageScope {
-            table: opened.then_some(self),
+        }
+        if fences > 0 {
+            self.fences[row].fetch_add(fences, Ordering::Relaxed);
         }
     }
 
-    /// Opens an op-row scope (the `timed()` wrappers call this).
-    #[inline]
-    pub fn op_scope(&self, op: OpKind) -> LineageScope<'_> {
-        self.scope(op as usize)
-    }
-
-    /// Opens a background-row scope (writeback passes, periodic ticks,
-    /// deferred commit drains running outside any op).
-    #[inline]
-    pub fn bg_scope(&self) -> LineageScope<'_> {
-        self.scope(crate::BG_ROW)
-    }
-
-    /// Creates an ack stamp for data entering a volatile staging layer:
-    /// captures the current row (op provenance), `now`, and the trace
-    /// ring's seq ticket. Returns the default stamp when disabled —
-    /// stamps are pure observation, so callers store it unconditionally.
-    pub fn stamp(&self, now_ns: u64, trace_seq: u64) -> Stamp {
-        if !self.enabled() {
-            return Stamp::default();
-        }
+    /// Counts one ack stamp.
+    pub(crate) fn count_stamp(&self) {
         self.stamps.fetch_add(1, Ordering::Relaxed);
-        Stamp {
-            ack_ns: now_ns,
-            seq: trace_seq,
-            row: current_row().unwrap_or(crate::BG_ROW) as u8,
-        }
     }
 
-    /// Records one drain retiring a stamp: `bytes` drained to NVMM on
-    /// behalf of the stamp's origin row, with the durability lag
-    /// ([`DrainKind::Sync`] asserts 0; [`DrainKind::Lazy`] records
-    /// `now - ack`). Returns the recorded lag so call sites can put it
-    /// on the trace ring.
-    pub fn record_drain(&self, stamp: &Stamp, kind: DrainKind, now_ns: u64, bytes: u64) -> u64 {
-        if !self.enabled() {
-            return 0;
-        }
+    /// Records one drain retiring a stamp; see
+    /// [`FsObs::record_drain`](crate::FsObs::record_drain).
+    pub(crate) fn record_drain(
+        &self,
+        stamp: &Stamp,
+        kind: DrainKind,
+        now_ns: u64,
+        bytes: u64,
+    ) -> u64 {
         let lag = match kind {
             DrainKind::Sync => {
                 self.drains_sync.fetch_add(1, Ordering::Relaxed);
@@ -377,7 +189,7 @@ impl LineageTable {
                 now_ns.saturating_sub(stamp.ack_ns)
             }
         };
-        let row = (stamp.row as usize).min(crate::BG_ROW);
+        let row = (stamp.row as usize).min(BG_ROW);
         self.bytes[row][Layer::WritebackDrained as usize].fetch_add(bytes, Ordering::Relaxed);
         let op_row = if row < NOPS {
             row
@@ -387,22 +199,6 @@ impl LineageTable {
         self.lag[op_row].record(lag);
         self.max_lag_ns.fetch_max(lag, Ordering::Relaxed);
         lag
-    }
-
-    /// Records an in-op synchronous persist that never touched a staging
-    /// layer (PMFS data writes, HiNFS eager writes, DAX stores): a drain
-    /// with lag 0 attributed to the current row.
-    pub fn record_inline_drain(&self, bytes: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let row = current_row().unwrap_or(crate::BG_ROW);
-        let stamp = Stamp {
-            ack_ns: 0,
-            seq: 0,
-            row: row as u8,
-        };
-        self.record_drain(&stamp, DrainKind::Sync, 0, bytes);
     }
 
     /// The exact largest durability lag recorded so far, ns.
@@ -553,123 +349,32 @@ impl LineageSnap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FsObs, Level};
 
-    #[test]
-    fn disabled_table_is_inert() {
-        let t = LineageTable::new();
-        {
-            let _s = t.op_scope(OpKind::Write);
-            note_logical(4096);
-            note_buffered(4096);
-        }
-        let stamp = t.stamp(100, 5);
-        assert_eq!(stamp, Stamp::default());
-        t.record_drain(&stamp, DrainKind::Lazy, 900, 4096);
-        t.record_inline_drain(64);
-        let s = t.snap();
-        assert!(s.is_empty(), "{s:?}");
-        assert_eq!(s.max_lag_ns, 0);
-        assert!(current_row().is_none());
-    }
+    // How bytes reach a row (op scopes, nesting, background) is tested
+    // with the op scope in `scope.rs`; these cover stamps, drains and the
+    // derived ratios.
 
-    #[test]
-    fn scope_attributes_bytes_to_the_op_row() {
-        let t = LineageTable::new();
-        t.set_enabled(true);
-        {
-            let _s = t.op_scope(OpKind::Write);
-            assert_eq!(current_row(), Some(OpKind::Write as usize));
-            note_logical(100);
-            note_buffered(4096);
-            note_journaled(128);
-            frame_note_persisted(64);
-            frame_note_fence();
-        }
-        assert!(current_row().is_none(), "frame closed with the scope");
-        {
-            let _s = t.bg_scope();
-            assert_eq!(current_row(), Some(crate::BG_ROW));
-            frame_note_persisted(4096);
-        }
-        let s = t.snap();
-        let w = &s.row_bytes[OpKind::Write as usize];
-        assert_eq!(w[Layer::Logical as usize], 100);
-        assert_eq!(w[Layer::DramBuffered as usize], 4096);
-        assert_eq!(w[Layer::JournalLogged as usize], 128);
-        assert_eq!(w[Layer::NvmmPersisted as usize], 64);
-        assert_eq!(s.row_fences[OpKind::Write as usize], 1);
-        assert_eq!(
-            s.row_bytes[crate::BG_ROW][Layer::NvmmPersisted as usize],
-            4096
-        );
-        assert_eq!(s.layer(Layer::NvmmPersisted), 64 + 4096);
-        assert_eq!(s.fences, 1);
-    }
-
-    #[test]
-    fn nested_scopes_keep_the_outer_row() {
-        let t = LineageTable::new();
-        t.set_enabled(true);
-        {
-            let _outer = t.op_scope(OpKind::Write);
-            {
-                let _inner = t.op_scope(OpKind::Fsync);
-                note_logical(10);
-            }
-            // The frame survives the inner scope's close.
-            assert_eq!(current_row(), Some(OpKind::Write as usize));
-            note_logical(5);
-        }
-        let s = t.snap();
-        assert_eq!(
-            s.row_bytes[OpKind::Write as usize][Layer::Logical as usize],
-            15
-        );
-        assert_eq!(
-            s.row_bytes[OpKind::Fsync as usize][Layer::Logical as usize],
-            0
-        );
-    }
-
-    #[test]
-    fn second_enabled_table_neither_steals_nor_flushes() {
-        let a = LineageTable::new();
-        let b = LineageTable::new();
-        a.set_enabled(true);
-        b.set_enabled(true);
-        {
-            let _outer = a.op_scope(OpKind::Write);
-            {
-                let _inner = b.op_scope(OpKind::Read);
-                note_logical(7);
-            }
-            assert_eq!(current_row(), Some(OpKind::Write as usize));
-        }
-        assert_eq!(a.snap().layer(Layer::Logical), 7, "owner keeps the bytes");
-        assert!(b.snap().is_empty(), "interloper books nothing");
+    fn full() -> FsObs {
+        let obs = FsObs::default();
+        obs.set_level(Level::Full);
+        obs
     }
 
     #[test]
     fn stamps_and_drains_track_lag() {
-        let t = LineageTable::new();
-        t.set_enabled(true);
-        let stamp = {
-            let _s = t.op_scope(OpKind::Write);
-            t.stamp(1_000, 42)
-        };
+        let obs = full();
+        let stamp = obs.op(OpKind::Write, || obs.stamp(1_000));
         assert_eq!(stamp.origin(), Some(OpKind::Write));
         assert_eq!(stamp.ack_ns, 1_000);
-        assert_eq!(stamp.seq, 42);
+        assert_eq!(stamp.seq, obs.trace.emitted());
         // A lazy drain 9µs later records the real age...
-        let lag = t.record_drain(&stamp, DrainKind::Lazy, 10_000, 4096);
+        let lag = obs.record_drain(&stamp, DrainKind::Lazy, 10_000, 4096);
         assert_eq!(lag, 9_000);
         // ...a sync drain of a second stamp asserts 0.
-        let stamp2 = {
-            let _s = t.op_scope(OpKind::Write);
-            t.stamp(2_000, 50)
-        };
-        assert_eq!(t.record_drain(&stamp2, DrainKind::Sync, 99_000, 4096), 0);
-        let s = t.snap();
+        let stamp2 = obs.op(OpKind::Write, || obs.stamp(2_000));
+        assert_eq!(obs.record_drain(&stamp2, DrainKind::Sync, 99_000, 4096), 0);
+        let s = obs.lineage().snap();
         assert_eq!(s.stamps, 2);
         assert_eq!(s.drains_lazy, 1);
         assert_eq!(s.drains_sync, 1);
@@ -685,13 +390,9 @@ mod tests {
 
     #[test]
     fn inline_drains_are_lag_zero_on_the_current_row() {
-        let t = LineageTable::new();
-        t.set_enabled(true);
-        {
-            let _s = t.op_scope(OpKind::Truncate);
-            t.record_inline_drain(4096);
-        }
-        let s = t.snap();
+        let obs = full();
+        obs.op(OpKind::Truncate, || obs.record_inline_drain(4096));
+        let s = obs.lineage().snap();
         assert_eq!(s.drains_sync, 1);
         assert_eq!(s.max_lag_ns, 0);
         assert_eq!(s.lag_by_op[OpKind::Truncate as usize].count(), 1);
@@ -704,17 +405,13 @@ mod tests {
 
     #[test]
     fn bg_stamps_fold_into_the_write_lag_histogram() {
-        let t = LineageTable::new();
-        t.set_enabled(true);
-        let stamp = t.stamp(500, 0); // no scope: bg provenance
-        assert_eq!(stamp.row as usize, crate::BG_ROW);
+        let obs = full();
+        let stamp = obs.stamp(500); // no scope: bg provenance
+        assert_eq!(stamp.row as usize, BG_ROW);
         assert_eq!(stamp.origin(), None);
-        t.record_drain(&stamp, DrainKind::Lazy, 700, 64);
-        let s = t.snap();
-        assert_eq!(
-            s.row_bytes[crate::BG_ROW][Layer::WritebackDrained as usize],
-            64
-        );
+        obs.record_drain(&stamp, DrainKind::Lazy, 700, 64);
+        let s = obs.lineage().snap();
+        assert_eq!(s.row_bytes[BG_ROW][Layer::WritebackDrained as usize], 64);
         assert_eq!(s.lag_by_op[OpKind::Write as usize].count(), 1);
         assert_eq!(s.max_lag_ns, 200);
     }
@@ -722,24 +419,14 @@ mod tests {
     #[test]
     fn snap_derives_amplification_and_fence_rate() {
         let t = LineageTable::new();
-        t.set_enabled(true);
-        {
-            let _s = t.op_scope(OpKind::Write);
-            note_logical(2048);
-            frame_note_persisted(8192);
-            frame_note_fence();
-            frame_note_fence();
-        }
-        {
-            let _s = t.bg_scope();
-            frame_note_persisted(100);
-        }
+        t.fold(OpKind::Write as usize, &[2048, 0, 0, 8192, 0], 2);
+        t.fold(BG_ROW, &[0, 0, 0, 100, 0], 0);
         let s = t.snap();
         assert_eq!(s.amplification(Layer::NvmmPersisted), 8292.0 / 2048.0);
         assert_eq!(s.fences_per_kib(), 2 * 1024 / 2048);
         let top = s.top_amplifiers(4);
         assert_eq!(top[0], (OpKind::Write as usize, 8192));
-        assert_eq!(top[1], (crate::BG_ROW, 100));
+        assert_eq!(top[1], (BG_ROW, 100));
         // Empty table divides to zero, not a panic.
         let empty = LineageTable::new().snap();
         assert_eq!(empty.amplification(Layer::NvmmPersisted), 0.0);

@@ -1,5 +1,5 @@
-//! Nestable, allocation-free phase timers attributing time to an
-//! [`OpKind`] × [`Phase`] matrix.
+//! The [`OpKind`] × [`Phase`] span matrix and the phase timers that feed
+//! it.
 //!
 //! A [`SpanTable`] answers the question the whole-op histograms cannot:
 //! *where inside* a `write` did the time go — DRAM copy, NVMM persist,
@@ -8,27 +8,19 @@
 //! (per-op time breakdown) tables, recomputed from live measurements
 //! instead of the analytic ledger.
 //!
-//! Design rules, matching the rest of `obsv`:
-//!
-//! - **Off by default, one relaxed load when off.** [`SpanTable::scope`]
-//!   and [`SpanTable::op_scope`] check a relaxed `AtomicBool` and run the
-//!   body untouched when disabled; the clock closure is never invoked.
-//! - **Allocation-free when on.** Nesting state lives in a fixed-depth
-//!   thread-local stack of `(start, child)` frames; totals are relaxed
-//!   `AtomicU64` cells.
-//! - **Exclusive-time accounting.** A nested scope's elapsed time is
-//!   subtracted from its parent, so every simulated nanosecond inside an
-//!   `op_scope` lands in exactly one phase cell and the row sums to the
-//!   op's total elapsed time. The op wrapper itself books its remainder
-//!   (time in no named phase) under [`Phase::Other`].
-//! - **Row attribution via a thread-local current-op.** [`SpanTable::op_scope`]
-//!   sets the row for everything beneath it — including device-level
-//!   hooks that know their phase (persist, fence) but not which syscall
-//!   they serve. Work outside any op (the writeback thread) lands in a
-//!   dedicated background row ([`BG_ROW`], label `bg`).
+//! The table itself is a plain accumulator. [`SpanTable::scope`] times a
+//! phase on the calling thread's op frame (the `scope` module):
+//! nesting lives in the frame's fixed-depth span stack, a nested span's
+//! elapsed time is subtracted from its parent, and the op's own
+//! remainder is booked under [`Phase::Other`] — so every simulated
+//! nanosecond of an op lands in exactly one phase cell and its row sums
+//! to the op's latency. The finished frame folds into the matrix once,
+//! under the row of the op that opened it; spans outside any frame
+//! (untimed syscalls, the writeback thread) charge the background row
+//! ([`BG_ROW`], label `bg`) directly.
 
-use crate::{MetricSource, OpKind, Visitor, ALL_OPS, NOPS};
-use std::cell::RefCell;
+use crate::scope::{pop_span, push_span};
+use crate::{Clock, MetricSource, OpKind, Visitor, ALL_OPS, NOPS};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Execution phase a span attributes time to.
@@ -114,37 +106,6 @@ pub fn row_label(row: usize) -> &'static str {
     }
 }
 
-/// Deepest scope nesting tracked per thread. Deeper scopes still run
-/// their bodies; they just go unmeasured (ops → device → journal →
-/// device is 4–6 deep in practice).
-const MAX_DEPTH: usize = 32;
-
-#[derive(Clone, Copy)]
-struct Frame {
-    start: u64,
-    child: u64,
-}
-
-struct TlsState {
-    frames: [Frame; MAX_DEPTH],
-    depth: usize,
-    row: usize,
-    /// Frames at indices below `base` belong to a detached ancestor
-    /// context; pops stop folding child time at this boundary.
-    base: usize,
-}
-
-thread_local! {
-    static TLS: RefCell<TlsState> = const {
-        RefCell::new(TlsState {
-            frames: [Frame { start: 0, child: 0 }; MAX_DEPTH],
-            depth: 0,
-            row: BG_ROW,
-            base: 0,
-        })
-    };
-}
-
 #[derive(Debug, Default)]
 struct SpanCell {
     ns: AtomicU64,
@@ -154,102 +115,59 @@ struct SpanCell {
 /// Accumulated per-op × per-phase exclusive time, in simulated ns.
 ///
 /// One table exists per simulated NVMM device; every file system mounted
-/// on that device charges into it. Disabled by default.
+/// on that device folds its finished op frames into it. Disabled by
+/// default.
 #[derive(Debug)]
 pub struct SpanTable {
     enabled: AtomicBool,
+    clock: Clock,
     cells: [[SpanCell; NPHASES]; SPAN_ROWS],
 }
 
-impl Default for SpanTable {
-    fn default() -> Self {
-        SpanTable::new()
-    }
-}
-
 impl SpanTable {
-    /// A disabled, zeroed table.
-    pub fn new() -> SpanTable {
+    /// A disabled, zeroed table timing its spans on `clock`.
+    pub fn new(clock: Clock) -> SpanTable {
         SpanTable {
             enabled: AtomicBool::new(false),
+            clock,
             cells: std::array::from_fn(|_| std::array::from_fn(|_| SpanCell::default())),
         }
     }
 
-    /// Switches span accumulation. Leaves accumulated totals in place.
+    /// Switches span timing. Leaves accumulated totals in place.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether spans are being accumulated — one relaxed load, the whole
-    /// cost of every hook while disabled.
+    /// Whether spans are being timed — one relaxed load, the whole cost
+    /// of [`SpanTable::scope`] while disabled.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Runs `f` inside a phase span. When enabled, the elapsed `clock`
-    /// time minus any nested spans is charged to `(current op, phase)`;
-    /// when disabled this is a single relaxed load and `clock` is never
-    /// called.
+    /// The injected clock (also times the ops of the bundles folding
+    /// into this table).
+    pub fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    /// Runs `f` inside a phase span. When enabled, the elapsed clock
+    /// time minus any nested spans is booked on the calling thread's op
+    /// frame (and reaches this table when the frame folds), or charged
+    /// straight to the background row when no frame is open; when
+    /// disabled this is a single relaxed load and the clock is never
+    /// read.
     #[inline]
-    pub fn scope<R>(&self, phase: Phase, clock: impl Fn() -> u64, f: impl FnOnce() -> R) -> R {
+    pub fn scope<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
         if !self.enabled() {
             return f();
         }
-        let pushed = push_frame(clock());
+        let pushed = push_span(self.clock.now());
         let _g = ScopeGuard {
             table: self,
             phase,
-            clock: &clock,
             pushed,
-        };
-        f()
-    }
-
-    /// Runs `f` attributed to `op`: nested [`SpanTable::scope`] calls
-    /// charge `op`'s row, and the op's own remainder (time in no named
-    /// phase) is booked under [`Phase::Other`]. Nesting is fine — an
-    /// inner `op_scope` (HiNFS delegating a syscall to PMFS) books its
-    /// remainder against the same row without double counting.
-    #[inline]
-    pub fn op_scope<R>(&self, op: OpKind, clock: impl Fn() -> u64, f: impl FnOnce() -> R) -> R {
-        if !self.enabled() {
-            return f();
-        }
-        let (pushed, prev_row) = push_op_frame(clock(), op as usize);
-        let _g = OpGuard {
-            table: self,
-            row: op as usize,
-            prev_row,
-            clock: &clock,
-            pushed,
-        };
-        f()
-    }
-
-    /// Runs `f` with span attribution detached from the caller's op
-    /// context: nested scopes book into the background row, and their
-    /// elapsed time does not fold into the caller's open frames. For
-    /// background work executed inline on a foreground thread under a
-    /// detached clock (HiNFS's virtual-mode writeback actor runs on its
-    /// own timeline via `SimEnv::with_now`, so its time must not inflate
-    /// the op that happened to trigger it).
-    #[inline]
-    pub fn detached<R>(&self, f: impl FnOnce() -> R) -> R {
-        if !self.enabled() {
-            return f();
-        }
-        let (prev_row, prev_base) = TLS.with(|t| {
-            let mut t = t.borrow_mut();
-            let saved = (t.row, t.base);
-            t.row = BG_ROW;
-            t.base = t.depth;
-            saved
-        });
-        let _g = DetachGuard {
-            prev_row,
-            prev_base,
         };
         f()
     }
@@ -266,119 +184,35 @@ impl SpanTable {
         }
     }
 
-    fn charge(&self, row: usize, phase: Phase, excl_ns: u64) {
-        let cell = &self.cells[row][phase as usize];
-        cell.ns.fetch_add(excl_ns, Ordering::Relaxed);
-        cell.calls.fetch_add(1, Ordering::Relaxed);
-        crate::flight::note_phase(row, phase, excl_ns);
+    /// Adds one frame's per-phase exclusive ns and completions to `row`.
+    pub(crate) fn fold(&self, row: usize, ns: &[u64; NPHASES], calls: &[u32; NPHASES]) {
+        for (p, cell) in self.cells[row].iter().enumerate() {
+            if calls[p] > 0 {
+                cell.ns.fetch_add(ns[p], Ordering::Relaxed);
+                cell.calls.fetch_add(calls[p] as u64, Ordering::Relaxed);
+            }
+        }
     }
 }
 
-/// The calling thread's current span-matrix row: the op set by the
-/// innermost enclosing [`SpanTable::op_scope`], or [`BG_ROW`] outside
-/// any op (or while spans are disabled — `op_scope` only switches the
-/// row when enabled). The contention layer reads this to attribute
-/// waits and holds to the op being served.
-pub(crate) fn current_row() -> usize {
-    TLS.with(|t| t.borrow().row)
-}
-
-/// Pushes a timing frame; returns whether it fit in the fixed stack.
-fn push_frame(start: u64) -> bool {
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.depth == MAX_DEPTH {
-            return false;
-        }
-        let d = t.depth;
-        t.frames[d] = Frame { start, child: 0 };
-        t.depth = d + 1;
-        true
-    })
-}
-
-/// Pushes a frame and switches the current row; returns `(pushed, prev_row)`.
-/// The row switches even when the frame does not fit, so attribution
-/// survives stack overflow (only the `Other` remainder is lost).
-fn push_op_frame(start: u64, row: usize) -> (bool, usize) {
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        let prev = t.row;
-        t.row = row;
-        if t.depth == MAX_DEPTH {
-            return (false, prev);
-        }
-        let d = t.depth;
-        t.frames[d] = Frame { start, child: 0 };
-        t.depth = d + 1;
-        (true, prev)
-    })
-}
-
-/// Pops the top frame, returning `(row, elapsed, exclusive)` and folding
-/// `elapsed` into the parent frame's child time.
-fn pop_frame(end: u64) -> (usize, u64, u64) {
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        debug_assert!(t.depth > 0, "span frame stack underflow");
-        t.depth -= 1;
-        let d = t.depth;
-        let f = t.frames[d];
-        let elapsed = end.saturating_sub(f.start);
-        let excl = elapsed.saturating_sub(f.child);
-        if d > t.base {
-            t.frames[d - 1].child = t.frames[d - 1].child.saturating_add(elapsed);
-        }
-        (t.row, elapsed, excl)
-    })
-}
-
-struct ScopeGuard<'a, C: Fn() -> u64> {
+struct ScopeGuard<'a> {
     table: &'a SpanTable,
     phase: Phase,
-    clock: &'a C,
     pushed: bool,
 }
 
-impl<C: Fn() -> u64> Drop for ScopeGuard<'_, C> {
+impl Drop for ScopeGuard<'_> {
     fn drop(&mut self) {
-        if self.pushed {
-            let (row, _elapsed, excl) = pop_frame((self.clock)());
-            self.table.charge(row, self.phase, excl);
+        if !self.pushed {
+            return;
         }
-    }
-}
-
-struct DetachGuard {
-    prev_row: usize,
-    prev_base: usize,
-}
-
-impl Drop for DetachGuard {
-    fn drop(&mut self) {
-        TLS.with(|t| {
-            let mut t = t.borrow_mut();
-            t.row = self.prev_row;
-            t.base = self.prev_base;
-        });
-    }
-}
-
-struct OpGuard<'a, C: Fn() -> u64> {
-    table: &'a SpanTable,
-    row: usize,
-    prev_row: usize,
-    clock: &'a C,
-    pushed: bool,
-}
-
-impl<C: Fn() -> u64> Drop for OpGuard<'_, C> {
-    fn drop(&mut self) {
-        if self.pushed {
-            let (_, _elapsed, excl) = pop_frame((self.clock)());
-            self.table.charge(self.row, Phase::Other, excl);
+        // Outside any op frame (untimed syscalls, mount-time work) the
+        // span is background time.
+        if let Some(excl) = pop_span(self.phase, self.table.clock.now()) {
+            let cell = &self.table.cells[BG_ROW][self.phase as usize];
+            cell.ns.fetch_add(excl, Ordering::Relaxed);
+            cell.calls.fetch_add(1, Ordering::Relaxed);
         }
-        TLS.with(|t| t.borrow_mut().row = self.prev_row);
     }
 }
 
@@ -407,7 +241,7 @@ impl SpanSnapshot {
     }
 
     /// Total ns in one row (an op's full instrumented time, since the
-    /// `op_scope` remainder lands in [`Phase::Other`]).
+    /// op scope's remainder lands in [`Phase::Other`]).
     pub fn row_total(&self, row: usize) -> u64 {
         self.ns[row].iter().sum()
     }
@@ -455,175 +289,29 @@ impl MetricSource for SpanTable {
 mod tests {
     use super::*;
     use crate::MetricsRegistry;
-    use std::cell::Cell;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    /// A manually-advanced clock: every call returns the current value.
-    struct FakeClock(Cell<u64>);
-
-    impl FakeClock {
-        fn new() -> FakeClock {
-            FakeClock(Cell::new(0))
-        }
-        fn advance(&self, ns: u64) {
-            self.0.set(self.0.get() + ns);
-        }
-        fn now(&self) -> u64 {
-            self.0.get()
-        }
-    }
+    // Frame-level behaviour (nesting, detached, op rows) is tested with
+    // the op scope in `scope.rs`; these cover the table itself.
 
     #[test]
     fn disabled_scope_never_calls_the_clock() {
-        let t = SpanTable::new();
+        let t = SpanTable::new(Clock::new(|| panic!("clock must not run while disabled")));
         assert!(!t.enabled());
-        let r = t.scope(
-            Phase::Persist,
-            || panic!("clock must not run while disabled"),
-            || 42,
-        );
-        assert_eq!(r, 42);
-        let r = t.op_scope(
-            OpKind::Write,
-            || panic!("clock must not run while disabled"),
-            || 7,
-        );
-        assert_eq!(r, 7);
+        assert_eq!(t.scope(Phase::Persist, || 42), 42);
         assert_eq!(t.snapshot().grand_total(), 0);
     }
 
     #[test]
-    fn nested_scopes_account_exclusive_time() {
-        let t = SpanTable::new();
-        t.set_enabled(true);
-        let c = FakeClock::new();
-        t.op_scope(
-            OpKind::Write,
-            || c.now(),
-            || {
-                c.advance(10); // op overhead before any phase
-                t.scope(
-                    Phase::DramCopy,
-                    || c.now(),
-                    || {
-                        c.advance(100);
-                        t.scope(Phase::Persist, || c.now(), || c.advance(40));
-                        c.advance(5);
-                    },
-                );
-                c.advance(3); // op overhead after
-            },
-        );
-        let s = t.snapshot();
-        assert_eq!(s.ns_of(OpKind::Write, Phase::DramCopy), 105);
-        assert_eq!(s.ns_of(OpKind::Write, Phase::Persist), 40);
-        assert_eq!(s.ns_of(OpKind::Write, Phase::Other), 13);
-        // The row sums to the op's total elapsed time — nothing lost,
-        // nothing double-counted.
-        assert_eq!(s.row_total(OpKind::Write as usize), 158);
-        assert_eq!(s.grand_total(), 158);
-        assert_eq!(s.calls[OpKind::Write as usize][Phase::Persist as usize], 1);
-    }
-
-    #[test]
-    fn detached_work_books_to_bg_and_leaves_the_op_clean() {
-        let t = SpanTable::new();
-        t.set_enabled(true);
-        let c = FakeClock::new();
-        t.op_scope(
-            OpKind::Write,
-            || c.now(),
-            || {
-                c.advance(10);
-                // Background work on a detached timeline (e.g. the virtual
-                // writeback actor): the clock may be far from the op's, and
-                // none of it belongs to the op.
-                t.detached(|| {
-                    c.advance(500);
-                    t.scope(Phase::Persist, || c.now(), || c.advance(1000));
-                });
-                c.advance(7);
-            },
-        );
-        let s = t.snapshot();
-        // The detached persist landed in the background row...
-        assert_eq!(s.ns[BG_ROW][Phase::Persist as usize], 1000);
-        assert_eq!(s.ns_of(OpKind::Write, Phase::Persist), 0);
-        // ...and the op row carries the full elapsed window (the detached
-        // interval passed on the same clock here, so it shows up in the
-        // op's Other remainder rather than vanishing — with a truly
-        // separate clock it simply would not advance the op's window).
-        assert_eq!(s.ns_of(OpKind::Write, Phase::Other), 1517);
-        assert_eq!(t.snapshot().calls[BG_ROW][Phase::Persist as usize], 1);
-    }
-
-    #[test]
-    fn work_outside_an_op_lands_in_the_background_row() {
-        let t = SpanTable::new();
-        t.set_enabled(true);
-        let c = FakeClock::new();
-        t.scope(Phase::Persist, || c.now(), || c.advance(64));
-        let s = t.snapshot();
-        assert_eq!(s.ns[BG_ROW][Phase::Persist as usize], 64);
-        assert_eq!(row_label(BG_ROW), "bg");
-    }
-
-    #[test]
-    fn nested_op_scopes_share_the_row_without_double_counting() {
-        let t = SpanTable::new();
-        t.set_enabled(true);
-        let c = FakeClock::new();
-        // HiNFS open delegating to PMFS open: same op, two wrappers.
-        t.op_scope(
-            OpKind::Open,
-            || c.now(),
-            || {
-                c.advance(5);
-                t.op_scope(
-                    OpKind::Open,
-                    || c.now(),
-                    || {
-                        c.advance(20);
-                        t.scope(Phase::Index, || c.now(), || c.advance(30));
-                    },
-                );
-                c.advance(2);
-            },
-        );
-        let s = t.snapshot();
-        assert_eq!(s.ns_of(OpKind::Open, Phase::Index), 30);
-        assert_eq!(s.ns_of(OpKind::Open, Phase::Other), 27);
-        assert_eq!(s.row_total(OpKind::Open as usize), 57);
-    }
-
-    #[test]
-    fn overflowing_the_frame_stack_is_safe() {
-        let t = Arc::new(SpanTable::new());
-        t.set_enabled(true);
-        let c = FakeClock::new();
-        fn nest(t: &SpanTable, c: &FakeClock, depth: usize) {
-            if depth == 0 {
-                c.advance(1);
-                return;
-            }
-            t.scope(Phase::Journal, || c.now(), || nest(t, c, depth - 1));
-        }
-        nest(&t, &c, MAX_DEPTH + 8);
-        // Deep frames went unmeasured but nothing panicked and the stack
-        // unwound cleanly: a fresh scope still records.
-        t.scope(Phase::Fence, || c.now(), || c.advance(9));
-        let s = t.snapshot();
-        assert_eq!(s.ns[BG_ROW][Phase::Fence as usize], 9);
-    }
-
-    #[test]
     fn snapshot_since_diffs_cellwise() {
-        let t = SpanTable::new();
+        let now = Arc::new(AtomicU64::new(0));
+        let now2 = now.clone();
+        let t = SpanTable::new(Clock::new(move || now2.load(Ordering::Relaxed)));
         t.set_enabled(true);
-        let c = FakeClock::new();
-        t.scope(Phase::Fence, || c.now(), || c.advance(10));
+        t.scope(Phase::Fence, || now.store(10, Ordering::Relaxed));
         let early = t.snapshot();
-        t.scope(Phase::Fence, || c.now(), || c.advance(32));
+        t.scope(Phase::Fence, || now.store(42, Ordering::Relaxed));
         let d = t.snapshot().since(&early);
         assert_eq!(d.ns[BG_ROW][Phase::Fence as usize], 32);
         assert_eq!(d.calls[BG_ROW][Phase::Fence as usize], 1);
@@ -631,14 +319,12 @@ mod tests {
 
     #[test]
     fn exposes_only_touched_cells() {
-        let t = Arc::new(SpanTable::new());
-        t.set_enabled(true);
-        let c = FakeClock::new();
-        t.op_scope(
-            OpKind::Fsync,
-            || c.now(),
-            || t.scope(Phase::Fence, || c.now(), || c.advance(48)),
-        );
+        let t = Arc::new(SpanTable::new(Clock::new(|| 0)));
+        let (mut ns, mut calls) = ([0; NPHASES], [0; NPHASES]);
+        ns[Phase::Fence as usize] = 48;
+        calls[Phase::Fence as usize] = 1;
+        calls[Phase::Other as usize] = 1;
+        t.fold(OpKind::Fsync as usize, &ns, &calls);
         let reg = MetricsRegistry::new();
         reg.register("", t.clone());
         let snap = reg.snapshot();

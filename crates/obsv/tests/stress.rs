@@ -61,7 +61,7 @@ fn trace_ring_loses_nothing_within_segment_capacity() {
 fn tracked_mutex_books_stay_exact_under_contention() {
     const THREADS: u64 = 8;
     const EACH: u64 = 5_000;
-    let table = Arc::new(ContentionTable::new(|| 0));
+    let table = Arc::new(ContentionTable::new(obsv::Clock::new(|| 0)));
     table.set_level(Level::Full);
     let m = Arc::new(TrackedMutex::new(Site::FskitFdtable, 0u64));
     m.attach(&table);

@@ -115,8 +115,7 @@ impl Pmfs {
         layout::set_clean(&dev, false);
         let journal = Journal::open(dev.clone(), &l)?;
         let env = dev.env().clone();
-        let obs = Arc::new(FsObs::default());
-        obs.set_spans(dev.spans().clone());
+        let obs = Arc::new(FsObs::new(dev.spans().clone()));
         let fds = FdTable::new();
         fds.attach_contention(dev.contention());
         let ns_shards = (0..obsv::NSHARDS)
@@ -153,41 +152,53 @@ impl Pmfs {
         self.recovery
     }
 
-    /// This instance's observability bundle (per-op histograms, slow log,
-    /// trace ring, span matrix). Timing is off by default; HiNFS wraps
-    /// PMFS with its own bundle, so this one is only enabled when PMFS is
-    /// the system under test.
+    /// This instance's observability bundle (level switch, per-op
+    /// histograms, trace ring, lineage ledger, tail reservoir). HiNFS
+    /// mounted on top shares it, so a syscall HiNFS forwards here nests
+    /// in the same op frame.
     pub fn obs(&self) -> &Arc<FsObs> {
         &self.obs
     }
 
-    /// Wraps one syscall: attributes nested span phases to `op` (and the
-    /// un-phased remainder to `Phase::Other`), and records the whole-op
-    /// latency when timing is on. Both gates are single relaxed loads
-    /// when their instrument is disabled.
-    fn timed<T>(&self, op: OpKind, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        self.dev.spans().op_scope(
-            op,
-            || self.env.now(),
-            || {
-                let _lin = self.obs.lineage().op_scope(op);
-                if !self.obs.timing_enabled() {
-                    return f();
-                }
-                let t0 = self.env.now();
-                let flight = self.obs.flight();
-                flight.begin(op, t0, self.obs.trace.emitted());
-                let r = f();
-                let total = self.env.now() - t0;
-                flight.finish(total, self.obs.trace.emitted());
-                self.obs.record_op(op, total, t0);
-                r
-            },
-        )
-    }
-
     // ----- layering API (used by HiNFS, which is built on these
     // structures exactly as the paper built HiNFS inside PMFS) -----
+
+    /// `close(2)`. When this was the last descriptor of an unlinked file
+    /// the inode is freed here, and `before_free` runs first, under the
+    /// inode's write lock — the one moment a layer above (HiNFS) can
+    /// discard its volatile state for the inode without racing another
+    /// closer: PMFS decides "last one out" atomically with the
+    /// descriptor count.
+    pub fn close_with(&self, fd: Fd, before_free: impl FnOnce(&InodeHandle)) -> Result<()> {
+        self.obs.op(OpKind::Close, || {
+            self.env.charge_syscall();
+            let of = self.fds.remove(fd)?;
+            let orphan = {
+                // `state` before `opens`, like every other site (see
+                // `InodeHandle`).
+                let state = of.handle.state.read();
+                let mut opens = of.handle.opens.lock();
+                *opens -= 1;
+                *opens == 0 && state.nlink == 0
+            };
+            if orphan {
+                self.reap(&of.handle, before_free)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// `unlink(2)`. `before_free` runs under the file's write lock iff
+    /// the unlink frees the inode (last link, no open descriptor); see
+    /// [`Pmfs::close_with`].
+    pub fn unlink_with(&self, path: &str, before_free: impl FnOnce(&InodeHandle)) -> Result<()> {
+        self.obs.op(OpKind::Unlink, || {
+            self.env.charge_syscall();
+            let (parent, name) = self.resolve_parent(path)?;
+            let _ns = self.lock_ns(parent.ino, name);
+            self.unlink_at(&parent, name, before_free)
+        })
+    }
 
     /// The backing device.
     pub fn device(&self) -> &Arc<NvmmDevice> {
@@ -337,10 +348,12 @@ impl Pmfs {
     }
 
     /// Frees an unlinked inode once its last descriptor closes.
-    fn reap(&self, h: &Arc<InodeHandle>) -> Result<()> {
+    /// `before_free` runs first, under the inode's write lock.
+    fn reap(&self, h: &Arc<InodeHandle>, before_free: impl FnOnce(&InodeHandle)) -> Result<()> {
         let tx = self.journal.begin()?;
         let res = (|| -> Result<()> {
             let mut state = h.state.write();
+            before_free(h);
             self.journal
                 .log_range(&tx, self.layout.inode_off(h.ino), INODE_CORE)?;
             file::free_all(&self.dev, &self.alloc, &mut state);
@@ -391,7 +404,7 @@ impl Pmfs {
             Ok(off) => {
                 self.journal.commit(tx);
                 // Direct access: the data is durable before the ack.
-                self.obs.lineage().record_inline_drain(data.len() as u64);
+                self.obs.record_inline_drain(data.len() as u64);
                 Ok(off)
             }
             Err(e) => {
@@ -402,8 +415,14 @@ impl Pmfs {
     }
 
     /// Unlink of `name` under `parent`, with the entry's namespace shard
-    /// already held (also used by rename's replace path).
-    fn unlink_at(&self, parent: &Arc<InodeHandle>, name: &str) -> Result<()> {
+    /// already held (also used by rename's replace path). `before_free`
+    /// runs under the child's write lock iff this unlink frees the inode.
+    fn unlink_at(
+        &self,
+        parent: &Arc<InodeHandle>,
+        name: &str,
+        before_free: impl FnOnce(&InodeHandle),
+    ) -> Result<()> {
         let (ino, ftype) = {
             let pstate = parent.state.read();
             if pstate.nlink == 0 {
@@ -430,6 +449,7 @@ impl Pmfs {
             let mut cstate = child.state.write();
             let freeable = cstate.nlink == 1 && *child.opens.lock() == 0;
             if freeable {
+                before_free(&child);
                 // Free data and the inode slot in the same transaction.
                 self.journal
                     .log_range(&tx, self.layout.inode_off(ino), INODE_CORE)?;
@@ -527,7 +547,7 @@ impl FileSystem for Pmfs {
     }
 
     fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        self.timed(OpKind::Open, || {
+        self.obs.op(OpKind::Open, || {
             self.env.charge_syscall();
             let (parent, name) = self.resolve_parent(path)?;
             fskit::path::validate_name(name)?;
@@ -586,23 +606,11 @@ impl FileSystem for Pmfs {
     }
 
     fn close(&self, fd: Fd) -> Result<()> {
-        self.timed(OpKind::Close, || {
-            self.env.charge_syscall();
-            let of = self.fds.remove(fd)?;
-            let orphan = {
-                let mut opens = of.handle.opens.lock();
-                *opens -= 1;
-                *opens == 0 && of.handle.state.read().nlink == 0
-            };
-            if orphan {
-                self.reap(&of.handle)?;
-            }
-            Ok(())
-        })
+        self.close_with(fd, |_| ())
     }
 
     fn read(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
-        self.timed(OpKind::Read, || {
+        self.obs.op(OpKind::Read, || {
             self.env.charge_syscall();
             let of = self.fds.get(fd)?;
             if !of.flags.readable() {
@@ -614,7 +622,7 @@ impl FileSystem for Pmfs {
     }
 
     fn write(&self, fd: Fd, off: u64, data: &[u8]) -> Result<usize> {
-        self.timed(OpKind::Write, || {
+        self.obs.op(OpKind::Write, || {
             self.env.charge_syscall();
             let of = self.fds.get(fd)?;
             if !of.flags.writable() {
@@ -643,7 +651,7 @@ impl FileSystem for Pmfs {
                 Ok(()) => {
                     self.journal.commit(tx);
                     // Direct access: the data is durable before the ack.
-                    self.obs.lineage().record_inline_drain(data.len() as u64);
+                    self.obs.record_inline_drain(data.len() as u64);
                     Ok(data.len())
                 }
                 Err(e) => {
@@ -655,7 +663,7 @@ impl FileSystem for Pmfs {
     }
 
     fn write_vectored(&self, fd: Fd, off: u64, iovs: &[&[u8]]) -> Result<usize> {
-        self.timed(OpKind::Write, || {
+        self.obs.op(OpKind::Write, || {
             self.env.charge_syscall();
             let of = self.fds.get(fd)?;
             if !of.flags.writable() {
@@ -687,7 +695,7 @@ impl FileSystem for Pmfs {
                 Ok(n) => {
                     self.journal.commit(tx);
                     // Direct access: the data is durable before the ack.
-                    self.obs.lineage().record_inline_drain(n as u64);
+                    self.obs.record_inline_drain(n as u64);
                     Ok(n)
                 }
                 Err(e) => {
@@ -699,14 +707,14 @@ impl FileSystem for Pmfs {
     }
 
     fn append(&self, fd: Fd, data: &[u8]) -> Result<u64> {
-        self.timed(OpKind::Write, || {
+        self.obs.op(OpKind::Write, || {
             self.env.charge_syscall();
             self.append_inner(fd, data)
         })
     }
 
     fn fsync(&self, fd: Fd) -> Result<()> {
-        self.timed(OpKind::Fsync, || {
+        self.obs.op(OpKind::Fsync, || {
             self.env.charge_syscall();
             let of = self.fds.get(fd)?;
             // Direct-access writes are already durable; fsync only fences and
@@ -718,7 +726,7 @@ impl FileSystem for Pmfs {
     }
 
     fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
-        self.timed(OpKind::Truncate, || {
+        self.obs.op(OpKind::Truncate, || {
             self.env.charge_syscall();
             let of = self.fds.get(fd)?;
             if !of.flags.writable() {
@@ -748,12 +756,7 @@ impl FileSystem for Pmfs {
     }
 
     fn unlink(&self, path: &str) -> Result<()> {
-        self.timed(OpKind::Unlink, || {
-            self.env.charge_syscall();
-            let (parent, name) = self.resolve_parent(path)?;
-            let _ns = self.lock_ns(parent.ino, name);
-            self.unlink_at(&parent, name)
-        })
+        self.unlink_with(path, |_| ())
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
@@ -850,7 +853,9 @@ impl FileSystem for Pmfs {
                 return Ok(());
             }
             match (ftype, dftype) {
-                (FileType::File, FileType::File) => self.unlink_at(&dst_parent, dst_name)?,
+                (FileType::File, FileType::File) => {
+                    self.unlink_at(&dst_parent, dst_name, |_| ())?
+                }
                 (FileType::Dir, FileType::Dir) => self.rmdir_at(&dst_parent, dst_name)?,
                 (FileType::File, FileType::Dir) => return Err(FsError::IsADirectory),
                 (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
@@ -946,11 +951,7 @@ impl obsv::Introspect for Pmfs {
                 open_txs: u.open_txs,
                 generation: u.generation,
             }),
-            lineage: self
-                .obs
-                .lineage()
-                .enabled()
-                .then(|| self.obs.lineage().snap()),
+            lineage: self.obs.full().then(|| self.obs.lineage().snap()),
             ..obsv::FsSnapshot::default()
         }
     }

@@ -102,7 +102,9 @@ pub struct InodeHandle {
     /// rename, which the namespace lock serializes.
     pub state: RwLock<InodeMem>,
     /// Open descriptor count (volatile); freed inodes are reaped when it
-    /// reaches zero.
+    /// reaches zero. Lock order: `state` → `opens`, never the reverse —
+    /// "is this the last reference?" reads `nlink` and the count
+    /// together, and unlink asks it holding `state.write()`.
     pub opens: Mutex<u32>,
 }
 

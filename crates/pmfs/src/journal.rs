@@ -352,9 +352,7 @@ impl Journal {
     /// matrix (one relaxed load when spans are disabled).
     #[inline]
     fn span<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.dev
-            .spans()
-            .scope(Phase::Journal, || self.dev.env().now(), f)
+        self.dev.spans().scope(Phase::Journal, f)
     }
 
     fn free_entries_locked(&self, inner: &JInner) -> u64 {

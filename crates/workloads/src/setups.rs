@@ -64,33 +64,17 @@ impl SystemKind {
     ];
 }
 
-/// The observability switches of a system build, collapsed into one
-/// value. Every switch is off by default (each enabled layer costs at
-/// least one extra atomic load per hook); [`ObsvOptions::all`] turns the
-/// whole stack on for debugging and introspection runs.
+/// The observability switches of a system build: one recording
+/// [`Level`] for the whole stack (FS bundle, device span matrix, lock
+/// profiler) plus the invariant auditor, which is a check rather than a
+/// recorder and stays its own switch. Off by default.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsvOptions {
-    /// Record per-op latency histograms (experiments that only need
-    /// throughput skip the two extra clock reads per syscall).
-    pub timing: bool,
-    /// Record structured trace events into the ring.
-    pub trace: bool,
-    /// Attribute device/FS time to per-op phase spans.
-    pub spans: bool,
+    /// How much the stack records ([`Level::Off`] by default).
+    pub level: Level,
     /// Run the online invariant auditor at every fsync and writeback pass
     /// (HiNFS only — it walks the whole buffer pool).
     pub audit: bool,
-    /// Record lock wait/hold times and stall attribution in the machine's
-    /// contention profiler.
-    pub contention: bool,
-    /// Record per-op flight anatomies (tail-latency exemplars). Implies
-    /// `timing`, and only composes full records when `spans` and
-    /// `contention` are also on — use the [`ObsvOptions::flight`]
-    /// preset.
-    pub flight: bool,
-    /// Track data lifecycle: durability-lag histograms, per-layer write
-    /// amplification, and causal `lineage.drained` trace events.
-    pub lineage: bool,
 }
 
 impl ObsvOptions {
@@ -99,76 +83,32 @@ impl ObsvOptions {
         ObsvOptions::default()
     }
 
-    /// Everything on — full instrumentation.
+    /// Everything on — full instrumentation plus the auditor.
     pub fn all() -> ObsvOptions {
-        ObsvOptions {
-            timing: true,
-            trace: true,
-            spans: true,
-            audit: true,
-            contention: true,
-            flight: true,
-            lineage: true,
-        }
+        ObsvOptions::flight().with_audit()
     }
 
-    /// The tail-anatomy preset: everything the flight recorder composes
-    /// (timing, trace seq ranges, phase spans, contention waits) plus
-    /// the recorder itself — but not the auditor, which adds work to the
-    /// timeline being profiled.
+    /// [`Level::Full`]: per-op records and everything folded from them
+    /// (latency histograms, phase spans, lineage ledger, tail anatomies),
+    /// the trace ring and the contention profiler — but not the auditor,
+    /// which adds work to the timeline being profiled.
     pub fn flight() -> ObsvOptions {
         ObsvOptions {
-            timing: true,
-            trace: true,
-            spans: true,
+            level: Level::Full,
             audit: false,
-            contention: true,
-            flight: true,
-            lineage: false,
         }
     }
 
-    /// Enables per-op latency histograms.
-    pub fn with_timing(mut self) -> Self {
-        self.timing = true;
-        self
-    }
-
-    /// Enables the structured trace ring.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Enables per-op phase span attribution.
-    pub fn with_spans(mut self) -> Self {
-        self.spans = true;
+    /// Data-lifecycle provenance (durability lag + write amplification +
+    /// drain trace events) is part of [`Level::Full`].
+    pub fn with_lineage(mut self) -> Self {
+        self.level = Level::Full;
         self
     }
 
     /// Enables the online invariant auditor.
     pub fn with_audit(mut self) -> Self {
         self.audit = true;
-        self
-    }
-
-    /// Enables the lock-contention profiler.
-    pub fn with_contention(mut self) -> Self {
-        self.contention = true;
-        self
-    }
-
-    /// Enables the per-op flight recorder (and the timing it implies).
-    pub fn with_flight(mut self) -> Self {
-        self.flight = true;
-        self.timing = true;
-        self
-    }
-
-    /// Enables data-lifecycle provenance (durability lag + write
-    /// amplification + drain trace events).
-    pub fn with_lineage(mut self) -> Self {
-        self.lineage = true;
         self
     }
 }
@@ -244,24 +184,13 @@ pub struct System {
     /// already registered; hand it to `Runner::with_registry` for
     /// per-phase deltas.
     pub registry: Arc<MetricsRegistry>,
-    /// The file system's observability bundle (histograms, slow log,
-    /// trace ring) when the mounted system has one (HiNFS and the ext
-    /// family; PMFS only exposes journal counters).
+    /// The mounted file system's observability bundle (level switch,
+    /// histograms, trace ring, lineage ledger, tail reservoir).
     pub obs: Option<Arc<FsObs>>,
     /// State-introspection handle (snapshots + invariant audit) for the
     /// mounted system; all current kinds provide one.
     pub introspect: Option<Arc<dyn obsv::Introspect>>,
 }
-
-/// What a mount produces: the trait object, the concrete HiNFS handle
-/// when applicable, the observability bundle when one exists, and the
-/// introspection handle.
-type Mounted = (
-    Arc<dyn FileSystem>,
-    Option<Arc<Hinfs>>,
-    Option<Arc<FsObs>>,
-    Option<Arc<dyn obsv::Introspect>>,
-);
 
 /// Builds (formats and mounts) a system of the given kind.
 pub fn build(kind: SystemKind, cfg: &SystemConfig) -> Result<System> {
@@ -271,104 +200,7 @@ pub fn build(kind: SystemKind, cfg: &SystemConfig) -> Result<System> {
     } else {
         NvmmDevice::new(env.clone(), cfg.device_bytes)
     };
-    let popts = PmfsOptions {
-        journal_blocks: cfg.journal_blocks,
-        inode_count: cfg.inode_count,
-    };
-    let eopts = ExtOptions {
-        journal_blocks: cfg.journal_blocks,
-        inode_count: cfg.inode_count,
-        cache_pages: cfg.cache_pages,
-        ..ExtOptions::default()
-    };
-    let registry = Arc::new(MetricsRegistry::new());
-    registry.register("", dev.clone());
-    let (fs, hinfs, obs, introspect): Mounted = match kind {
-        SystemKind::Pmfs => {
-            let p = Pmfs::mkfs(dev.clone(), popts)?;
-            registry.register("", p.clone());
-            registry.register("", p.journal().stats().clone());
-            let obs = p.obs().clone();
-            registry.register("", obs.clone());
-            (p.clone(), None, Some(obs), Some(p as _))
-        }
-        SystemKind::Ext4Dax => {
-            let e = Extfs::mkfs(dev.clone(), ExtMode::Ext4Dax, eopts)?;
-            registry.register("", e.clone());
-            let obs = e.obs().clone();
-            (e.clone(), None, Some(obs), Some(e as _))
-        }
-        SystemKind::Ext2Bd => {
-            let e = Extfs::mkfs(dev.clone(), ExtMode::Ext2, eopts)?;
-            registry.register("", e.clone());
-            let obs = e.obs().clone();
-            (e.clone(), None, Some(obs), Some(e as _))
-        }
-        SystemKind::Ext4Bd => {
-            let e = Extfs::mkfs(dev.clone(), ExtMode::Ext4, eopts)?;
-            registry.register("", e.clone());
-            let obs = e.obs().clone();
-            (e.clone(), None, Some(obs), Some(e as _))
-        }
-        SystemKind::Hinfs | SystemKind::HinfsNclfw | SystemKind::HinfsWb => {
-            let mut hcfg = HinfsConfig::default().with_buffer_bytes(cfg.buffer_bytes);
-            if kind == SystemKind::HinfsNclfw {
-                hcfg = hcfg.nclfw();
-            }
-            if kind == SystemKind::HinfsWb {
-                hcfg = hcfg.wb_only();
-            }
-            if cfg.obsv.audit {
-                hcfg = hcfg.with_audit();
-            }
-            let h = Hinfs::mkfs(dev.clone(), popts, hcfg)?;
-            registry.register("", h.clone());
-            registry.register("", h.pmfs().journal().stats().clone());
-            let obs = h.obs().clone();
-            (h.clone(), Some(h.clone()), Some(obs), Some(h as _))
-        }
-    };
-    apply_obsv(&env, &dev, &registry, obs.as_deref(), cfg);
-    Ok(System {
-        kind,
-        fs,
-        dev,
-        env,
-        hinfs,
-        registry,
-        obs,
-        introspect,
-    })
-}
-
-/// Wires a mounted system's observability layers to the build's
-/// [`ObsvOptions`]: per-op timing and trace ring on the FS observer,
-/// span attribution on the device, and the contention profiler level on
-/// the simulation environment. Both [`build`] and [`remount_with`] end
-/// with this so the switch semantics cannot drift between first mount
-/// and remount.
-fn apply_obsv(
-    env: &Arc<SimEnv>,
-    dev: &Arc<NvmmDevice>,
-    registry: &Arc<MetricsRegistry>,
-    obs: Option<&FsObs>,
-    cfg: &SystemConfig,
-) {
-    if let Some(obs) = obs {
-        // Flight records ride the timed() wrappers, so flight implies
-        // timing.
-        obs.set_timing(cfg.obsv.timing || cfg.obsv.flight);
-        obs.set_tracing(cfg.obsv.trace);
-        obs.flight().set_enabled(cfg.obsv.flight);
-        obs.lineage().set_enabled(cfg.obsv.lineage);
-    }
-    dev.spans().set_enabled(cfg.obsv.spans);
-    env.contention().set_level(if cfg.obsv.contention {
-        Level::Full
-    } else {
-        Level::Off
-    });
-    registry.register("", env.contention().clone());
+    mount(kind, dev, env, cfg, true)
 }
 
 /// Unmounts a system and mounts it again on the same device — the
@@ -391,40 +223,69 @@ pub fn remount_with(
     env: Arc<SimEnv>,
     cfg: &SystemConfig,
 ) -> Result<System> {
-    let eopts = ExtOptions {
-        journal_blocks: cfg.journal_blocks,
-        inode_count: cfg.inode_count,
-        cache_pages: cfg.cache_pages,
-        ..ExtOptions::default()
-    };
+    mount(kind, dev, env, cfg, false)
+}
+
+/// Mounts `kind` on `dev` — formatting it first when `fresh` — wires the
+/// registry, and sets the build's one [`Level`] on every layer: the FS
+/// bundle (per-op records, trace ring), the device's span timers and the
+/// machine's lock profiler. First mount and remount share this, so the
+/// switch semantics cannot drift between them.
+fn mount(
+    kind: SystemKind,
+    dev: Arc<NvmmDevice>,
+    env: Arc<SimEnv>,
+    cfg: &SystemConfig,
+    fresh: bool,
+) -> Result<System> {
     let registry = Arc::new(MetricsRegistry::new());
     registry.register("", dev.clone());
-    let (fs, hinfs, obs, introspect): Mounted = match kind {
+    let system = |fs: Arc<dyn FileSystem>,
+                  hinfs: Option<Arc<Hinfs>>,
+                  obs: &Arc<FsObs>,
+                  introspect: Arc<dyn obsv::Introspect>| System {
+        kind,
+        fs,
+        dev: dev.clone(),
+        env: env.clone(),
+        hinfs,
+        registry: registry.clone(),
+        obs: Some(obs.clone()),
+        introspect: Some(introspect),
+    };
+    let ext = |mode: ExtMode| -> Result<System> {
+        let eopts = ExtOptions {
+            journal_blocks: cfg.journal_blocks,
+            inode_count: cfg.inode_count,
+            cache_pages: cfg.cache_pages,
+            ..ExtOptions::default()
+        };
+        let e = if fresh {
+            Extfs::mkfs(dev.clone(), mode, eopts)?
+        } else {
+            Extfs::mount(dev.clone(), mode, eopts)?
+        };
+        registry.register("", e.clone());
+        Ok(system(e.clone(), None, e.obs(), e.clone()))
+    };
+    let popts = PmfsOptions {
+        journal_blocks: cfg.journal_blocks,
+        inode_count: cfg.inode_count,
+    };
+    let sys = match kind {
+        SystemKind::Ext4Dax => ext(ExtMode::Ext4Dax)?,
+        SystemKind::Ext2Bd => ext(ExtMode::Ext2)?,
+        SystemKind::Ext4Bd => ext(ExtMode::Ext4)?,
         SystemKind::Pmfs => {
-            let p = Pmfs::mount(dev.clone())?;
+            let p = if fresh {
+                Pmfs::mkfs(dev.clone(), popts)?
+            } else {
+                Pmfs::mount(dev.clone())?
+            };
             registry.register("", p.clone());
             registry.register("", p.journal().stats().clone());
-            let obs = p.obs().clone();
-            registry.register("", obs.clone());
-            (p.clone(), None, Some(obs), Some(p as _))
-        }
-        SystemKind::Ext4Dax => {
-            let e = Extfs::mount(dev.clone(), ExtMode::Ext4Dax, eopts)?;
-            registry.register("", e.clone());
-            let obs = e.obs().clone();
-            (e.clone(), None, Some(obs), Some(e as _))
-        }
-        SystemKind::Ext2Bd => {
-            let e = Extfs::mount(dev.clone(), ExtMode::Ext2, eopts)?;
-            registry.register("", e.clone());
-            let obs = e.obs().clone();
-            (e.clone(), None, Some(obs), Some(e as _))
-        }
-        SystemKind::Ext4Bd => {
-            let e = Extfs::mount(dev.clone(), ExtMode::Ext4, eopts)?;
-            registry.register("", e.clone());
-            let obs = e.obs().clone();
-            (e.clone(), None, Some(obs), Some(e as _))
+            registry.register("", p.obs().clone());
+            system(p.clone(), None, p.obs(), p.clone())
         }
         SystemKind::Hinfs | SystemKind::HinfsNclfw | SystemKind::HinfsWb => {
             let mut hcfg = HinfsConfig::default().with_buffer_bytes(cfg.buffer_bytes);
@@ -437,24 +298,24 @@ pub fn remount_with(
             if cfg.obsv.audit {
                 hcfg = hcfg.with_audit();
             }
-            let h = Hinfs::mount(dev.clone(), hcfg)?;
+            let h = if fresh {
+                Hinfs::mkfs(dev.clone(), popts, hcfg)?
+            } else {
+                Hinfs::mount(dev.clone(), hcfg)?
+            };
             registry.register("", h.clone());
             registry.register("", h.pmfs().journal().stats().clone());
-            let obs = h.obs().clone();
-            (h.clone(), Some(h.clone()), Some(obs), Some(h as _))
+            system(h.clone(), Some(h.clone()), h.obs(), h.clone())
         }
     };
-    apply_obsv(&env, &dev, &registry, obs.as_deref(), cfg);
-    Ok(System {
-        kind,
-        fs,
-        dev,
-        env,
-        hinfs,
-        registry,
-        obs,
-        introspect,
-    })
+    let level = cfg.obsv.level;
+    if let Some(obs) = &sys.obs {
+        obs.set_level(level);
+    }
+    dev.spans().set_enabled(level == Level::Full);
+    env.contention().set_level(level);
+    registry.register("", env.contention().clone());
+    Ok(sys)
 }
 
 /// Convenience: bytes-per-page constant used when sizing caches relative
@@ -513,14 +374,14 @@ mod tests {
     }
 
     #[test]
-    fn obsv_flags_enable_histograms_and_trace() {
+    fn full_level_enables_histograms_and_trace() {
         let cfg = SystemConfig {
-            obsv: ObsvOptions::none().with_timing().with_trace(),
+            obsv: ObsvOptions::flight(),
             ..SystemConfig::small()
         };
         let sys = build(SystemKind::Hinfs, &cfg).unwrap();
         let obs = sys.obs.as_ref().unwrap();
-        assert!(obs.timing_enabled());
+        assert!(obs.full());
         assert!(obs.trace.enabled());
         let fd = sys
             .fs
@@ -643,9 +504,9 @@ mod tests {
     }
 
     #[test]
-    fn contention_flag_profiles_lock_sites() {
+    fn full_level_profiles_lock_sites() {
         let cfg = SystemConfig {
-            obsv: ObsvOptions::none().with_contention(),
+            obsv: ObsvOptions::flight(),
             ..SystemConfig::small()
         };
         let sys = build(SystemKind::Hinfs, &cfg).unwrap();
@@ -696,7 +557,7 @@ mod tests {
         type Books = Vec<[u64; 6]>;
         fn run_once() -> (u64, Books) {
             let cfg = SystemConfig {
-                obsv: ObsvOptions::none().with_contention(),
+                obsv: ObsvOptions::flight(),
                 ..SystemConfig::small()
             };
             let sys = build(SystemKind::Hinfs, &cfg).unwrap();

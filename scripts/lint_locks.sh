@@ -4,7 +4,7 @@
 # Every lock in the storage crates must go through the tracked wrappers
 # (obsv::TrackedMutex / TrackedRwLock / TrackedCondvar) so the lock site
 # is attributable in the contention profiler — a bare parking_lot or
-# std::sync lock is invisible to `obsv_dump --contention` and the bench
+# std::sync lock is invisible to `fs_inspect --contention` and the bench
 # contention matrix. This check rejects new bare lock uses outside a
 # small allowlist of per-object leaf locks where a static site id would
 # conflate thousands of independent objects (per-inode state) or which

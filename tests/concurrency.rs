@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use faultfs::{FsKind, Harness, Script};
-use fskit::OpenFlags;
+use fskit::{FileSystem, OpenFlags};
 use nvmm::{FaultPlan, TimeMode};
 use pmfs::alloc::Allocator;
 use pmfs::Layout;
@@ -116,7 +116,7 @@ fn eight_thread_hinfs_run_keeps_invariants_green() {
         device_bytes: 128 << 20,
         mode: TimeMode::Spin,
         buffer_bytes: 4 << 20,
-        obsv: ObsvOptions::none().with_audit().with_contention(),
+        obsv: ObsvOptions::all(),
         ..SystemConfig::default()
     };
     let sys = build(SystemKind::Hinfs, &cfg).unwrap();
@@ -213,4 +213,168 @@ fn crash_schedule_recorded_under_four_threads_replays_clean() {
         );
         assert!(out.checks > 0, "boundary {k}: oracle checked nothing");
     }
+}
+
+/// A small spin-mode (real-thread) mount for the race regressions below.
+fn spin_system(kind: SystemKind) -> workloads::setups::System {
+    let cfg = SystemConfig {
+        device_bytes: 64 << 20,
+        mode: TimeMode::Spin,
+        buffer_bytes: 2 << 20,
+        ..SystemConfig::default()
+    };
+    build(kind, &cfg).unwrap()
+}
+
+/// Runs `body` on its own thread under a wall-clock watchdog, so a
+/// deadlock fails the test instead of blocking the suite.
+fn within_secs(secs: u64, what: &str, body: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(()) => worker.join().unwrap(),
+        // Disconnected: the body panicked; surface its message.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().unwrap_err())
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what}: no progress for {secs} s — deadlock")
+        }
+    }
+}
+
+/// Lock order on an inode is `state` → `opens` everywhere. `Pmfs::close`
+/// used to take `opens` → `state`, which deadlocked against a concurrent
+/// unlink of the same file (`state.write()` → `opens`): one thread
+/// open/close-loops a path while another unlink/create-loops it.
+#[test]
+fn close_racing_unlink_of_the_same_file_does_not_deadlock() {
+    for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
+        within_secs(60, kind.label(), move || {
+            let sys = spin_system(kind);
+            let create = OpenFlags::RDWR | OpenFlags::CREATE;
+            sys.fs.close(sys.fs.open("/f", create).unwrap()).unwrap();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for _ in 0..4000 {
+                        // The path may be mid-recreation: only opens that
+                        // land are closed.
+                        if let Ok(fd) = sys.fs.open("/f", OpenFlags::RDWR) {
+                            sys.fs.close(fd).unwrap();
+                        }
+                    }
+                });
+                scope.spawn(|| {
+                    for _ in 0..4000 {
+                        let _ = sys.fs.unlink("/f");
+                        sys.fs.close(sys.fs.open("/f", create).unwrap()).unwrap();
+                    }
+                });
+            });
+            sys.fs.unmount().unwrap();
+        });
+    }
+}
+
+/// The same inversion, forced rather than raced: the test thread plays
+/// an unlinker inside its critical section (`state.write()` held, `opens`
+/// not yet taken) while another thread closes the file's descriptor. A
+/// closer that grabbed `opens` before waiting for `state` is holding the
+/// one lock the unlinker needs next.
+#[test]
+fn close_never_holds_opens_while_waiting_for_state() {
+    within_secs(60, "pmfs close lock order", || {
+        let env = nvmm::SimEnv::new(TimeMode::Spin, nvmm::CostModel::default());
+        let dev = nvmm::NvmmDevice::new(env, 16 << 20);
+        let fs = pmfs::Pmfs::mkfs(dev, pmfs::PmfsOptions::default()).unwrap();
+        let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
+        let h = fs.resolve_path("/f").unwrap();
+        let unlinker = h.state.write();
+        std::thread::scope(|scope| {
+            let closer = scope.spawn(|| fs.close(fd).unwrap());
+            // The descriptor leaves the table just before the closer
+            // turns to the inode's locks...
+            while fs.open_file(fd).is_ok() {
+                std::thread::yield_now();
+            }
+            // ...where it must now be parked on `state`, hands empty.
+            for _ in 0..10_000 {
+                assert!(
+                    h.opens.try_lock().is_some(),
+                    "close holds `opens` while blocked on `state` (order is state → opens)"
+                );
+                std::thread::yield_now();
+            }
+            drop(unlinker);
+            closer.join().unwrap();
+        });
+        fs.unmount().unwrap();
+    });
+}
+
+/// The last descriptor of an unlinked file and the last link of a closed
+/// one both free the inode inside PMFS; HiNFS must drop the file's
+/// buffered blocks and deferred transactions at exactly that moment.
+/// Deciding "am I the last one?" before PMFS does let two racing
+/// finishers both answer no, stranding an open transaction on a freed
+/// inode that no flush could ever commit (`unmount with open
+/// transactions`). Each round races the two finishers off a barrier.
+#[test]
+fn racing_last_close_and_unlink_strand_no_transactions() {
+    within_secs(120, "hinfs last-close race", || {
+        let sys = spin_system(SystemKind::Hinfs);
+        let hinfs = sys.hinfs.clone().unwrap();
+        let create = OpenFlags::RDWR | OpenFlags::CREATE;
+        let gate = std::sync::Barrier::new(2);
+        for round in 0..4000 {
+            // Two descriptors, each with a buffered size-extending write
+            // (a deferred metadata transaction waiting on a dirty block).
+            let a = sys.fs.open("/victim", create).unwrap();
+            let b = sys.fs.open("/victim", OpenFlags::RDWR).unwrap();
+            sys.fs.write(a, 0, &[1u8; 4096]).unwrap();
+            sys.fs.write(b, 4096, &[2u8; 4096]).unwrap();
+            if round % 2 == 0 {
+                // Unlinked while open twice: the two closes race.
+                sys.fs.unlink("/victim").unwrap();
+                std::thread::scope(|scope| {
+                    for fd in [a, b] {
+                        let (fs, gate) = (&sys.fs, &gate);
+                        scope.spawn(move || {
+                            gate.wait();
+                            fs.close(fd).unwrap();
+                        });
+                    }
+                });
+            } else {
+                // One descriptor left: its close races the unlink.
+                sys.fs.close(a).unwrap();
+                std::thread::scope(|scope| {
+                    let (fs, gate) = (&sys.fs, &gate);
+                    scope.spawn(move || {
+                        gate.wait();
+                        fs.close(b).unwrap();
+                    });
+                    scope.spawn(move || {
+                        gate.wait();
+                        fs.unlink("/victim").unwrap();
+                    });
+                });
+            }
+            // The inode is gone; nothing of it may survive in the buffer.
+            // (Checked every round: the next create reuses the inode
+            // number and would silently adopt stranded state.)
+            sys.fs.sync().unwrap();
+            assert_eq!(
+                hinfs.pmfs().journal().open_txs(),
+                0,
+                "round {round}: a flushed mount still holds open transactions"
+            );
+        }
+        let rep = sys.introspect.as_ref().unwrap().audit();
+        assert!(rep.is_clean(), "post-race audit: {rep:?}");
+        sys.fs.unmount().unwrap();
+    });
 }

@@ -31,10 +31,7 @@ fn cfg() -> SystemConfig {
         cache_pages: 512,
         journal_blocks: 256,
         inode_count: 4096,
-        obsv: ObsvOptions {
-            lineage: true,
-            ..ObsvOptions::none()
-        },
+        obsv: ObsvOptions::flight().with_lineage(),
         ..SystemConfig::default()
     }
 }
