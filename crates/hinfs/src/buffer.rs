@@ -226,6 +226,8 @@ impl Pool {
 pub struct LocalTx {
     /// The PMFS journal transaction, committed by the tracker.
     pub tx: pmfs::TxHandle,
+    /// Witness that `tx` journaled this file's inode core.
+    pub logged: pmfs::InodeLogged,
     /// File blocks still awaiting flush.
     pub pending: HashSet<u64>,
     /// Lineage ack stamp of the journaling op (the deferred commit's

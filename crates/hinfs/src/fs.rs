@@ -30,7 +30,7 @@ use crate::buffer::{covered_mask, range_mask, runs, Shared, FULL_MASK};
 use crate::checker;
 use crate::stats::HinfsStats;
 use crate::tracker;
-use crate::writeback::{FlushTry, WbCtl};
+use crate::writeback::WbCtl;
 use crate::HinfsConfig;
 
 /// A mounted HiNFS instance.
@@ -173,7 +173,13 @@ impl Hinfs {
     fn begin_tx(&self, ino: u64, state: &mut InodeMem) -> Result<TxHandle> {
         if self.inner.journal().free_entries() < Self::TX_HEADROOM {
             let t0 = self.env.now();
-            self.fsync_core(ino, state, false)?;
+            // A hole block of this file that the full ring refuses to map
+            // is no reason to give up before the global flush below has
+            // had its chance to empty the ring.
+            match self.fsync_core(ino, state, false) {
+                Ok(()) | Err(FsError::JournalFull) => {}
+                Err(e) => return Err(e),
+            }
             if self.inner.journal().free_entries() < Self::TX_HEADROOM {
                 self.flush_all_opportunistic();
             }
@@ -331,12 +337,15 @@ impl Hinfs {
         // inode core now; its commit record waits for the buffered data.
         if state.size != old_size || state.blocks != old_blocks {
             let tx = self.begin_tx(ino, state)?;
-            if let Err(e) = self.inner.log_write_inode(&tx, ino, state) {
-                // Abort rather than leak the reservation: an open tx record
-                // would pin the journal ring forever.
-                self.inner.journal().abort(tx);
-                return Err(e);
-            }
+            let logged = match self.inner.log_write_inode(&tx, ino, state) {
+                Ok(logged) => logged,
+                Err(e) => {
+                    // Abort rather than leak the reservation: an open tx
+                    // record would pin the journal ring forever.
+                    self.inner.journal().abort(tx);
+                    return Err(e);
+                }
+            };
             let mut sh = self.shard(ino).lock();
             // A reclaim may already have flushed some of this op's blocks
             // (pool pressure mid-write); only still-dirty blocks gate the
@@ -347,7 +356,7 @@ impl Hinfs {
             });
             let tstamp = self.obs.stamp(now);
             let file = sh.file_mut(ino);
-            tracker::enqueue(file, tx, pending, tstamp, &self.stats);
+            tracker::enqueue(file, tx, logged, pending, tstamp, &self.stats);
             // A commit that happens here runs inside the op that logged
             // it — the metadata is durable before the ack.
             tracker::drain_ready(
@@ -498,8 +507,9 @@ impl Hinfs {
                     .trace
                     .emit(now, || TraceEvent::ForegroundStall { ino });
                 let t0 = self.env.now();
-                self.reclaim(self.shard_idx(ino), 1, Some((ino, state)), false);
+                let reclaimed = self.reclaim(self.shard_idx(ino), 1, Some((ino, state)), false);
                 self.note_stall(Site::StallWriteback, t0);
+                reclaimed?;
                 continue;
             };
             HinfsStats::bump(&self.stats.buffer_misses, 1);
@@ -624,12 +634,8 @@ impl Hinfs {
                 }
             });
         }
-        for (_, slot, _) in &dirty {
-            match self.flush_slot_locked(&mut sh, *slot, Some(state), obsv::DrainKind::Sync)? {
-                FlushTry::Done => {}
-                FlushTry::NeedsInode(_) => unreachable!("own inode state provided"),
-            }
-        }
+        let slots: Vec<u32> = dirty.iter().map(|&(_, slot, _)| slot).collect();
+        self.flush_slots_locked(&mut sh, &slots, state, obsv::DrainKind::Sync)?;
         if eval_bbm {
             // Blocks bypassing the buffer contribute their ghost flushes;
             // every block with activity this epoch gets evaluated.

@@ -658,3 +658,124 @@ fn spin_mode_smoke() {
     fs.close(fd).unwrap();
     fs.unmount().unwrap();
 }
+
+/// A file with a dirty buffered block over a hole and **no** open
+/// transaction: truncate-extend (committed at once), then a write inside
+/// the new size. Flushing that block needs journal space of its own.
+fn sparse_file_with_a_dirty_hole_block(fs: &Hinfs, path: &str, fill: u8) -> fskit::Fd {
+    let fd = fs.open(path, rw_create()).unwrap();
+    fs.truncate(fd, 8 * BLOCK_SIZE as u64).unwrap();
+    fs.write(fd, 0, &vec![fill; BLOCK_SIZE]).unwrap();
+    assert_eq!(fs.pmfs().journal().open_txs(), 0, "no size change, no tx");
+    assert_eq!(fs.dirty_blocks(), 1);
+    fd
+}
+
+fn first_block_after_remount(dev: Arc<NvmmDevice>, path: &str) -> Vec<u8> {
+    let fs = Hinfs::mount(dev, small_cfg()).unwrap();
+    let fd = fs.open(path, OpenFlags::READ).unwrap();
+    let mut buf = vec![0u8; BLOCK_SIZE];
+    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), BLOCK_SIZE);
+    buf
+}
+
+#[test]
+fn a_flush_the_journal_refuses_maps_nothing_and_sync_reports_it() {
+    let (dev, fs) = fresh();
+    let fd = sparse_file_with_a_dirty_hole_block(&fs, "/sparse", 0xAB);
+    let plan = nvmm::fault::FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    plan.set_journal_unavailable(true);
+    let free_before = fs.pmfs().free_blocks();
+    // Neither may claim success while the block cannot be mapped, and a
+    // refused flush has no side effects: nothing allocated, still dirty,
+    // still served from DRAM.
+    assert_eq!(fs.fsync(fd), Err(FsError::JournalFull));
+    assert_eq!(fs.sync(), Err(FsError::JournalFull));
+    assert_eq!(fs.unmount(), Err(FsError::JournalFull));
+    assert_eq!(fs.pmfs().free_blocks(), free_before);
+    assert_eq!(fs.dirty_blocks(), 1);
+    let mut buf = vec![0u8; BLOCK_SIZE];
+    fs.read(fd, 0, &mut buf).unwrap();
+    assert_eq!(buf, vec![0xAB; BLOCK_SIZE]);
+    // Once the journal admits again the same calls succeed and the data
+    // is on NVMM.
+    plan.set_journal_unavailable(false);
+    fs.sync().unwrap();
+    assert_eq!(fs.dirty_blocks(), 0);
+    fs.close(fd).unwrap();
+    fs.unmount().unwrap();
+    assert_eq!(
+        first_block_after_remount(dev, "/sparse"),
+        vec![0xAB; BLOCK_SIZE]
+    );
+}
+
+#[test]
+fn sync_passes_a_file_the_full_ring_refuses_and_maps_it_once_the_ring_drained() {
+    // One shard, so `sync` visits files in inode order: the sparse file
+    // (older, lower ino) before the appender whose open transaction pins
+    // the ring.
+    let (dev, fs) = fresh_with(small_cfg().with_shards(1));
+    let sparse = sparse_file_with_a_dirty_hole_block(&fs, "/sparse", 0xCD);
+    let pinner = fs.open("/pinner", rw_create()).unwrap();
+    fs.append(pinner, &vec![0xEE; BLOCK_SIZE]).unwrap();
+    let j = fs.pmfs().journal();
+    assert_eq!(j.open_txs(), 1, "the append's deferred commit");
+    // Fill the ring to the last entry with a committed filler transaction
+    // (committing resolves it but returns no space: the pinner's open
+    // transaction keeps the generation alive).
+    let scratch = pmfs::Layout::block_off(fs.pmfs().layout().data_start);
+    let filler = j.begin().unwrap();
+    while j.free_entries() > 0 {
+        j.log_range(&filler, scratch, 40).unwrap();
+    }
+    j.commit(filler);
+    assert_eq!(j.free_entries(), 0);
+    let gen = j.generation();
+    // On its own the sparse file cannot flush: no room for its inode-core
+    // transaction, and no open transaction of its own to ride on.
+    assert_eq!(fs.fsync(sparse), Err(FsError::JournalFull));
+    assert_eq!(fs.dirty_blocks(), 2);
+    // sync: the sparse file is refused and passed by; the pinner's block
+    // rides on its own open transaction, whose commit empties the ring;
+    // the retry then maps the sparse file's block.
+    fs.sync().unwrap();
+    assert_eq!(fs.dirty_blocks(), 0);
+    assert_eq!(j.open_txs(), 0);
+    assert!(j.generation() > gen, "the drained ring was retired");
+    fs.close(sparse).unwrap();
+    fs.close(pinner).unwrap();
+    fs.unmount().unwrap();
+    assert_eq!(
+        first_block_after_remount(dev, "/sparse"),
+        vec![0xCD; BLOCK_SIZE]
+    );
+}
+
+#[test]
+fn an_aged_block_the_journal_refuses_stays_dirty_and_the_tick_returns() {
+    let (dev, fs) = fresh();
+    let env = fs.env().clone();
+    let fd = sparse_file_with_a_dirty_hole_block(&fs, "/sparse", 0x5A);
+    let plan = nvmm::fault::FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    plan.set_journal_unavailable(true);
+    // Past the dirty age the periodic pass picks the block, takes the
+    // inode lock for it and is refused. It must give the pass up — the
+    // same oldest block would be picked again, at the same `now`.
+    env.set_now(env.now() + fs.config().dirty_age_ns + fs.config().periodic_wb_ns + 1);
+    fs.tick(env.now());
+    assert_eq!(fs.dirty_blocks(), 1, "refused, not dropped");
+    // The next due pass, with the journal admitting again, flushes it.
+    plan.set_journal_unavailable(false);
+    env.set_now(env.now() + fs.config().periodic_wb_ns + 1);
+    fs.tick(env.now());
+    assert_eq!(fs.dirty_blocks(), 0);
+    fs.close(fd).unwrap();
+    fs.unmount().unwrap();
+    assert_eq!(
+        first_block_after_remount(dev, "/sparse"),
+        vec![0x5A; BLOCK_SIZE]
+    );
+}

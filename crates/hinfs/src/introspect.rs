@@ -24,9 +24,7 @@
 //! mode. A quiescent [`Introspect::audit`] call (end of run, unmount,
 //! post-recovery) always runs the full set.
 
-use obsv::{
-    dirty_line_bucket, lrw_age_bucket, AuditReport, BufferSnap, FsSnapshot, Introspect, JournalSnap,
-};
+use obsv::{dirty_line_bucket, lrw_age_bucket, AuditReport, BufferSnap, FsSnapshot, Introspect};
 
 use crate::fs::Hinfs;
 
@@ -100,19 +98,11 @@ impl Introspect for Hinfs {
         let s = self.stats.snapshot();
         b.bbm_evals = s.bbm_evals;
         b.bbm_accurate = s.bbm_accurate;
-        let u = self.inner.journal().usage();
         FsSnapshot {
             system: fskit::FileSystem::name(self).into(),
             at_ns: now,
             buffer: Some(b),
-            journal: Some(JournalSnap {
-                capacity_entries: u.capacity_entries,
-                fill_entries: u.fill_entries,
-                reserved_entries: u.reserved_entries,
-                free_entries: u.free_entries,
-                open_txs: u.open_txs,
-                generation: u.generation,
-            }),
+            journal: Some(self.inner.journal().usage().snap()),
             lineage: self.obs.full().then(|| self.obs.lineage().snap()),
             ..FsSnapshot::default()
         }

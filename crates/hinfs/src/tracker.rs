@@ -24,23 +24,32 @@
 use std::collections::HashSet;
 
 use obsv::{DrainKind, FsObs};
-use pmfs::{Journal, TxHandle};
+use pmfs::{InodeLogged, Journal, TxHandle};
 
 use crate::buffer::{FileBuf, LocalTx};
 use crate::stats::HinfsStats;
 
 /// Enqueues a transaction with the blocks whose flush it awaits and the
 /// lineage stamp of the journaling op. Pass an empty set for transactions
-/// with no buffered data (they still wait their FIFO turn).
+/// with no buffered data (they still wait their FIFO turn). `logged` is
+/// the witness that `tx` journaled the file's inode core: every queued
+/// transaction holds an image of it, which is what lets a flush under a
+/// full ring rewrite the core beneath the oldest one.
 pub fn enqueue(
     file: &mut FileBuf,
     tx: TxHandle,
+    logged: InodeLogged,
     pending: HashSet<u64>,
     stamp: obsv::Stamp,
     stats: &HinfsStats,
 ) {
     HinfsStats::bump(&stats.txs_opened, 1);
-    file.txs.push_back(LocalTx { tx, pending, stamp });
+    file.txs.push_back(LocalTx {
+        tx,
+        logged,
+        pending,
+        stamp,
+    });
 }
 
 /// Records that `(file, iblk)` reached NVMM: clears it from every open
@@ -112,15 +121,26 @@ pub fn open_count(file: &FileBuf) -> usize {
 mod tests {
     use super::*;
     use nvmm::{CostModel, NvmmDevice, SimEnv, BLOCK_SIZE};
-    use pmfs::{Journal, Layout};
+    use pmfs::{Pmfs, PmfsOptions};
     use std::sync::Arc;
 
-    fn journal() -> (Arc<NvmmDevice>, Journal, Layout) {
+    fn pmfs() -> Arc<Pmfs> {
         let dev = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 1024 * BLOCK_SIZE);
-        let layout = Layout::compute(1024, 32, 64).unwrap();
-        Journal::format(&dev, &layout);
-        let j = Journal::open(dev.clone(), &layout).unwrap();
-        (dev, j, layout)
+        let opts = PmfsOptions {
+            journal_blocks: 32,
+            inode_count: 64,
+        };
+        Pmfs::mkfs(dev, opts).unwrap()
+    }
+
+    /// An open transaction that journaled the root inode's core, as every
+    /// transaction a file queues has journaled that file's.
+    fn open_tx(fs: &Pmfs) -> (TxHandle, InodeLogged) {
+        let tx = fs.journal().begin().unwrap();
+        let root = fs.resolve_path("/").unwrap();
+        let core = *root.state.read();
+        let logged = fs.log_write_inode(&tx, root.ino, &core).unwrap();
+        (tx, logged)
     }
 
     fn pending(iblks: &[u64]) -> HashSet<u64> {
@@ -133,20 +153,21 @@ mod tests {
 
     #[test]
     fn fifo_commit_order_is_preserved() {
-        let (_d, j, _l) = journal();
+        let fs = pmfs();
+        let j = fs.journal();
         let stats = HinfsStats::new();
         let lin = FsObs::default();
         let mut f = FileBuf::new();
-        let t1 = j.begin().unwrap();
-        let t2 = j.begin().unwrap();
-        enqueue(&mut f, t1, pending(&[1]), no_stamp(), &stats);
-        enqueue(&mut f, t2, pending(&[2]), no_stamp(), &stats);
+        let (t1, l1) = open_tx(&fs);
+        let (t2, l2) = open_tx(&fs);
+        enqueue(&mut f, t1, l1, pending(&[1]), no_stamp(), &stats);
+        enqueue(&mut f, t2, l2, pending(&[2]), no_stamp(), &stats);
         // Block 2 flushes first: t2 is ready but t1 blocks the FIFO.
-        note_flushed(&mut f, &j, 2, &lin, DrainKind::Sync, 0, &stats);
+        note_flushed(&mut f, j, 2, &lin, DrainKind::Sync, 0, &stats);
         assert_eq!(f.txs.len(), 2, "t2 must wait for t1");
         assert_eq!(j.open_txs(), 2);
         // Block 1 flushes: both drain in order.
-        note_flushed(&mut f, &j, 1, &lin, DrainKind::Sync, 0, &stats);
+        note_flushed(&mut f, j, 1, &lin, DrainKind::Sync, 0, &stats);
         assert!(f.txs.is_empty());
         assert_eq!(j.open_txs(), 0);
         assert_eq!(stats.snapshot().txs_committed, 2);
@@ -154,47 +175,50 @@ mod tests {
 
     #[test]
     fn shared_block_across_transactions() {
-        let (_d, j, _l) = journal();
+        let fs = pmfs();
+        let j = fs.journal();
         let stats = HinfsStats::new();
         let lin = FsObs::default();
         let mut f = FileBuf::new();
-        let t1 = j.begin().unwrap();
-        let t2 = j.begin().unwrap();
-        enqueue(&mut f, t1, pending(&[5]), no_stamp(), &stats);
-        enqueue(&mut f, t2, pending(&[5, 6]), no_stamp(), &stats);
-        note_flushed(&mut f, &j, 5, &lin, DrainKind::Sync, 0, &stats);
+        let (t1, l1) = open_tx(&fs);
+        let (t2, l2) = open_tx(&fs);
+        enqueue(&mut f, t1, l1, pending(&[5]), no_stamp(), &stats);
+        enqueue(&mut f, t2, l2, pending(&[5, 6]), no_stamp(), &stats);
+        note_flushed(&mut f, j, 5, &lin, DrainKind::Sync, 0, &stats);
         assert_eq!(f.txs.len(), 1, "t1 committed, t2 still waits on 6");
-        note_flushed(&mut f, &j, 6, &lin, DrainKind::Sync, 0, &stats);
+        note_flushed(&mut f, j, 6, &lin, DrainKind::Sync, 0, &stats);
         assert!(f.txs.is_empty());
     }
 
     #[test]
     fn empty_pending_still_waits_its_turn() {
-        let (_d, j, _l) = journal();
+        let fs = pmfs();
+        let j = fs.journal();
         let stats = HinfsStats::new();
         let lin = FsObs::default();
         let mut f = FileBuf::new();
-        let t1 = j.begin().unwrap();
-        let t2 = j.begin().unwrap();
-        enqueue(&mut f, t1, pending(&[9]), no_stamp(), &stats);
-        enqueue(&mut f, t2, HashSet::new(), no_stamp(), &stats);
-        drain_ready(&mut f, &j, &lin, DrainKind::Sync, 0, &stats);
+        let (t1, l1) = open_tx(&fs);
+        let (t2, l2) = open_tx(&fs);
+        enqueue(&mut f, t1, l1, pending(&[9]), no_stamp(), &stats);
+        enqueue(&mut f, t2, l2, HashSet::new(), no_stamp(), &stats);
+        drain_ready(&mut f, j, &lin, DrainKind::Sync, 0, &stats);
         assert_eq!(f.txs.len(), 2, "ready t2 must not jump over t1");
-        note_flushed(&mut f, &j, 9, &lin, DrainKind::Sync, 0, &stats);
+        note_flushed(&mut f, j, 9, &lin, DrainKind::Sync, 0, &stats);
         assert!(f.txs.is_empty());
     }
 
     #[test]
     fn force_commit_clears_everything() {
-        let (_d, j, _l) = journal();
+        let fs = pmfs();
+        let j = fs.journal();
         let stats = HinfsStats::new();
         let lin = FsObs::default();
         let mut f = FileBuf::new();
         for i in 0..5u64 {
-            let t = j.begin().unwrap();
-            enqueue(&mut f, t, pending(&[i]), no_stamp(), &stats);
+            let (t, l) = open_tx(&fs);
+            enqueue(&mut f, t, l, pending(&[i]), no_stamp(), &stats);
         }
-        force_commit_all(&mut f, &j, &lin, &stats);
+        force_commit_all(&mut f, j, &lin, &stats);
         assert!(f.txs.is_empty());
         assert_eq!(j.open_txs(), 0);
         assert_eq!(stats.snapshot().txs_committed, 5);
@@ -202,17 +226,18 @@ mod tests {
 
     #[test]
     fn deferred_commits_record_lag_against_the_stamp() {
-        let (_d, j, _l) = journal();
+        let fs = pmfs();
+        let j = fs.journal();
         let stats = HinfsStats::new();
         let lin = FsObs::default();
         lin.set_level(obsv::Level::Full);
         let mut f = FileBuf::new();
-        let t1 = j.begin().unwrap();
+        let (t1, l1) = open_tx(&fs);
         let stamp = lin.stamp(1_000);
-        enqueue(&mut f, t1, pending(&[1]), stamp, &stats);
+        enqueue(&mut f, t1, l1, pending(&[1]), stamp, &stats);
         // A writeback-pass flush 4 µs later commits the deferred tx with
         // real lag; a sync commit would have asserted 0.
-        note_flushed(&mut f, &j, 1, &lin, DrainKind::Lazy, 5_000, &stats);
+        note_flushed(&mut f, j, 1, &lin, DrainKind::Lazy, 5_000, &stats);
         let s = lin.lineage().snap();
         assert_eq!(s.drains_lazy, 1);
         assert_eq!(s.max_lag_ns, 4_000);

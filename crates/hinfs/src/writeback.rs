@@ -28,7 +28,7 @@ use obsv::{ContentionTable, DrainKind, Site, TraceEvent, TrackedCondvar, Tracked
 use pmfs::inode::InodeMem;
 use pmfs::Layout;
 
-use crate::buffer::{runs, Shared};
+use crate::buffer::{range_mask, runs, BlockMeta, Shared};
 use crate::fs::Hinfs;
 use crate::stats::HinfsStats;
 use crate::tracker;
@@ -111,45 +111,56 @@ impl Hinfs {
                     let Some(st) = state else {
                         return Ok(FlushTry::NeedsInode(meta.ino));
                     };
-                    // Allocate on flush: fresh block. Zero the clean lines
-                    // a reader could reach (up to end of file); lines fully
-                    // beyond EOF are unreachable and the write path zeroes
-                    // them explicitly if the file later grows over them —
-                    // this is what keeps CLFW's NVMM write traffic at
-                    // dirty-line granularity (Fig 9b).
-                    let p = self.inner.allocator().alloc()?;
-                    let base = Layout::block_off(p);
-                    let in_file = st
-                        .size
-                        .saturating_sub(meta.iblk * nvmm::BLOCK_SIZE as u64)
-                        .min(nvmm::BLOCK_SIZE as u64) as usize;
-                    let readable = crate::buffer::range_mask(0, in_file);
-                    for (start, n) in runs(readable & !meta.dirty) {
-                        dev.zero_persist(
-                            Cat::Writeback,
-                            base + start as u64 * CACHELINE as u64,
-                            n as usize * CACHELINE,
-                        );
-                    }
-                    pmfs::tree::insert(dev, self.inner.allocator(), st, meta.iblk, p)?;
-                    st.blocks += 1;
-                    // Persist the block-count change through the ordered
-                    // FIFO. This is strictly best-effort: flushing must
-                    // make progress even under journal pressure (it is the
-                    // pressure-relief path), and the count is rebuilt from
-                    // the tree at recovery anyway.
-                    if let Ok(tx) = self.inner.journal().begin() {
-                        match self.inner.log_write_inode(&tx, meta.ino, st) {
-                            Ok(()) => tracker::enqueue(
+                    // Allocate on flush. The block may enter the file's
+                    // tree only under a journaled inode-core update —
+                    // mapped in memory alone, it is gone after a clean
+                    // remount. So the journal comes first: open the
+                    // transaction with its undo slots set aside, and on a
+                    // full ring fail here, before anything changed (the
+                    // block stays dirty in DRAM). The one thing a full
+                    // ring still admits: the file's oldest queued
+                    // transaction already holds an older image of the core
+                    // and cannot commit while the shard lock is held, so
+                    // the update rides on it — which is what lets a file
+                    // whose own deferred transactions pin the ring flush
+                    // at all.
+                    let has_open_tx = sh.files.get(&meta.ino).is_some_and(|f| !f.txs.is_empty());
+                    let tx = match self.inner.begin_inode_update() {
+                        Ok(tx) => Some(tx),
+                        Err(FsError::JournalFull) if has_open_tx => None,
+                        Err(e) => return Err(e),
+                    };
+                    let p = match self.map_fresh_block(st, &meta) {
+                        Ok(p) => p,
+                        Err(e) => {
+                            if let Some(tx) = tx {
+                                self.inner.journal().abort(tx);
+                            }
+                            return Err(e);
+                        }
+                    };
+                    match tx {
+                        Some(tx) => {
+                            let logged = self
+                                .inner
+                                .log_write_inode(&tx, meta.ino, st)
+                                .expect("undo slots were set aside at begin");
+                            // Through the ordered FIFO, behind the file's
+                            // older transactions.
+                            tracker::enqueue(
                                 sh.file_mut(meta.ino),
                                 tx,
+                                logged,
                                 HashSet::new(),
                                 self.obs.stamp(self.env.now()),
                                 &self.stats,
-                            ),
-                            // Ring too full even for two undo entries:
-                            // resolve the empty transaction and move on.
-                            Err(_) => self.inner.journal().commit(tx),
+                            );
+                        }
+                        None => {
+                            let oldest = &sh.files[&meta.ino].txs[0];
+                            debug_assert_eq!(oldest.logged.ino(), meta.ino);
+                            self.inner
+                                .rewrite_logged_inode(&oldest.tx, oldest.logged, st);
                         }
                     }
                     p
@@ -201,6 +212,34 @@ impl Hinfs {
         Ok(FlushTry::Done)
     }
 
+    /// Allocates and zero-fills the NVMM block behind a buffered hole
+    /// block and inserts it into the inode's tree (in memory and in the
+    /// tree nodes; the inode core is the caller's to persist). Zeroes only
+    /// the clean lines a reader could reach (up to end of file): lines
+    /// fully beyond EOF are unreachable and the write path zeroes them
+    /// explicitly if the file later grows over them — this is what keeps
+    /// CLFW's NVMM write traffic at dirty-line granularity (Fig 9b).
+    fn map_fresh_block(&self, st: &mut InodeMem, meta: &BlockMeta) -> Result<u64> {
+        let dev = self.inner.device();
+        let p = self.inner.allocator().alloc()?;
+        let base = Layout::block_off(p);
+        let in_file = st
+            .size
+            .saturating_sub(meta.iblk * BLOCK_SIZE as u64)
+            .min(BLOCK_SIZE as u64) as usize;
+        let readable = range_mask(0, in_file);
+        for (start, n) in runs(readable & !meta.dirty) {
+            dev.zero_persist(
+                Cat::Writeback,
+                base + start as u64 * CACHELINE as u64,
+                n as usize * CACHELINE,
+            );
+        }
+        pmfs::tree::insert(dev, self.inner.allocator(), st, meta.iblk, p)?;
+        st.blocks += 1;
+        Ok(p)
+    }
+
     /// Flushes (if dirty) and releases a slot, dropping it from its file's
     /// DRAM Block Index. Same `state` contract as [`Self::flush_slot_locked`].
     pub(crate) fn evict_slot_locked(
@@ -228,16 +267,20 @@ impl Hinfs {
     /// be flushed without re-locking. `blocking` selects whether foreign
     /// inode locks may be waited on (background) or only tried
     /// (foreground stall path — waiting there could deadlock).
+    ///
+    /// Returns the number of evicted victims; an eviction error (allocator
+    /// or journal ring exhausted) ends the pass and is returned if the pass
+    /// had freed nothing, so a foreground stall fails its write instead of
+    /// retrying a reclaim that cannot make progress.
     pub(crate) fn reclaim(
         &self,
         si: usize,
         target_free: usize,
         own: Option<(u64, &mut InodeMem)>,
         blocking: bool,
-    ) {
+    ) -> Result<u64> {
         if !self.obs.trace.enabled() {
-            self.reclaim_loop(si, target_free, own, blocking);
-            return;
+            return self.reclaim_loop(si, target_free, own, blocking);
         }
         let free = self.shards[si].lock().pool().free_count() as u64;
         self.obs
@@ -246,29 +289,32 @@ impl Hinfs {
                 free,
                 target: target_free as u64,
             });
-        let victims = self.reclaim_loop(si, target_free, own, blocking);
+        let outcome = self.reclaim_loop(si, target_free, own, blocking);
         let free = self.shards[si].lock().pool().free_count() as u64;
+        let victims = *outcome.as_ref().unwrap_or(&0);
         self.obs
             .trace
             .emit(self.env.now(), || obsv::TraceEvent::ReclaimEnd {
                 victims,
                 free,
             });
+        outcome
     }
 
-    /// The reclaim loop proper; returns the number of evicted victims.
+    /// The reclaim loop proper (see [`Self::reclaim`] for the result).
     fn reclaim_loop(
         &self,
         si: usize,
         target_free: usize,
         mut own: Option<(u64, &mut InodeMem)>,
         blocking: bool,
-    ) -> u64 {
+    ) -> Result<u64> {
         let mut victims = 0;
+        let stopped = |victims: u64, e: FsError| if victims == 0 { Err(e) } else { Ok(victims) };
         loop {
             let mut sh = self.shards[si].lock();
             if sh.pool().free_count() >= target_free {
-                return victims;
+                return Ok(victims);
             }
             // Find the oldest victim we can handle in this iteration.
             let mut victim: Option<(u32, u64)> = None; // (slot, ino-if-foreign)
@@ -285,18 +331,15 @@ impl Hinfs {
                 }
             }
             let Some((slot, foreign_ino)) = victim else {
-                return victims; // pool empty of victims (everything already free)
+                return Ok(victims); // pool empty of victims (everything already free)
             };
             if foreign_ino == 0 {
                 let state = own.as_mut().map(|(_, st)| &mut **st);
                 // Self-sufficient or own-inode victims cannot fail with
-                // NeedsInode; allocator exhaustion aborts the pass.
-                // Pool-pressure eviction drains behind the ack: lazy.
-                if self
-                    .evict_slot_locked(&mut sh, slot, state, DrainKind::Lazy)
-                    .is_err()
-                {
-                    return victims;
+                // NeedsInode; allocator or journal exhaustion aborts the
+                // pass. Pool-pressure eviction drains behind the ack: lazy.
+                if let Err(e) = self.evict_slot_locked(&mut sh, slot, state, DrainKind::Lazy) {
+                    return stopped(victims, e);
                 }
                 victims += 1;
                 continue;
@@ -322,12 +365,11 @@ impl Hinfs {
             // Re-validate after re-locking.
             let still = sh.slot_of(foreign_ino, sh.pool().meta(slot).iblk) == Some(slot)
                 && sh.pool().meta(slot).ino == foreign_ino;
-            if still
-                && self
-                    .evict_slot_locked(&mut sh, slot, Some(&mut guard), DrainKind::Lazy)
-                    .is_ok()
-            {
-                victims += 1;
+            if still {
+                match self.evict_slot_locked(&mut sh, slot, Some(&mut guard), DrainKind::Lazy) {
+                    Ok(_) => victims += 1,
+                    Err(e) => return stopped(victims, e),
+                }
             }
         }
     }
@@ -362,7 +404,9 @@ impl Hinfs {
             let free = sh.pool().free_count();
             drop(sh);
             if free < self.cfg.low_blocks_of(cap) {
-                self.reclaim(si, self.cfg.high_blocks_of(cap), None, true);
+                // Background: what could not be evicted now is retried on
+                // the next pass.
+                let _ = self.reclaim(si, self.cfg.high_blocks_of(cap), None, true);
             }
         }
         // Age-based flush: the LRW list is ordered by last write, so scan
@@ -395,18 +439,15 @@ impl Hinfs {
                     let mut guard = handle.state.write();
                     let mut sh = self.shards[si].lock();
                     let iblk = sh.pool().meta(slot).iblk;
-                    if sh.slot_of(ino, iblk) == Some(slot)
-                        && matches!(
-                            self.flush_slot_locked(
-                                &mut sh,
-                                slot,
-                                Some(&mut guard),
-                                DrainKind::Lazy
-                            ),
-                            Ok(FlushTry::Done)
-                        )
-                    {
-                        age_flushed += 1;
+                    if sh.slot_of(ino, iblk) != Some(slot) {
+                        continue; // evicted or reused meanwhile; rescan
+                    }
+                    match self.flush_slot_locked(&mut sh, slot, Some(&mut guard), DrainKind::Lazy) {
+                        Ok(_) => age_flushed += 1,
+                        // Refused (journal ring or allocator exhausted):
+                        // the block stays the oldest dirty one, so give
+                        // the pass up; the next one retries it.
+                        Err(_) => break,
                     }
                 }
                 Err(_) => break,
@@ -530,6 +571,10 @@ impl Hinfs {
     }
 
     fn flush_files(&self, blocking: bool, kind: DrainKind) -> Result<()> {
+        // Files whose hole blocks could not be mapped because the journal
+        // ring was full. Passing them by lets every other file drain its
+        // transactions, which is what empties the ring.
+        let mut ring_full: Vec<(usize, u64)> = Vec::new();
         // Shards are visited in index order and inos sorted within each:
         // flush order feeds the journal and the bandwidth-gate calendar,
         // and HashMap order would make virtual time run-dependent.
@@ -540,55 +585,90 @@ impl Hinfs {
             };
             inos.sort_unstable();
             for ino in inos {
-                let Ok(handle) = self.inner.inode(ino) else {
-                    continue;
-                };
-                let guard = if blocking {
-                    Some(handle.state.write())
-                } else {
-                    handle.state.try_write()
-                };
-                let Some(mut guard) = guard else {
-                    continue;
-                };
-                let mut sh = self.shards[si].lock();
-                let slots: Vec<u32> = match sh.files.get(&ino) {
-                    Some(f) => {
-                        let mut v = Vec::new();
-                        f.index.for_each(&mut |_, s| v.push(*s));
-                        v
-                    }
-                    None => continue,
-                };
-                for slot in slots {
-                    if sh.pool().meta(slot).dirty != 0 {
-                        match self.flush_slot_locked(&mut sh, slot, Some(&mut guard), kind)? {
-                            FlushTry::Done => {}
-                            FlushTry::NeedsInode(_) => {
-                                return Err(FsError::Corrupted("flush_all could not map block"))
-                            }
-                        }
-                    }
-                }
-                if let Some(file) = sh.files.get_mut(&ino) {
-                    // All blocks are clean: no pending entry may gate a
-                    // commit.
-                    for t in &mut file.txs {
-                        t.pending.clear();
-                    }
-                    tracker::drain_ready(
-                        file,
-                        self.inner.journal(),
-                        &self.obs,
-                        kind,
-                        self.env.now(),
-                        &self.stats,
-                    );
-                    debug_assert!(file.txs.is_empty(), "flush_all left open transactions");
+                match self.flush_file(si, ino, blocking, kind) {
+                    Err(FsError::JournalFull) => ring_full.push((si, ino)),
+                    other => other?,
                 }
             }
         }
+        // With the others drained the ring has quiesced (or has room);
+        // what still cannot be mapped now is the caller's error to see.
+        for (si, ino) in ring_full {
+            self.flush_file(si, ino, blocking, kind)?;
+        }
         Ok(())
+    }
+
+    /// Flushes every dirty block of `ino` (shard `si`) and commits its
+    /// ready transactions. Skips the file when `blocking` is false and its
+    /// inode lock is busy.
+    fn flush_file(&self, si: usize, ino: u64, blocking: bool, kind: DrainKind) -> Result<()> {
+        let Ok(handle) = self.inner.inode(ino) else {
+            return Ok(());
+        };
+        let guard = if blocking {
+            Some(handle.state.write())
+        } else {
+            handle.state.try_write()
+        };
+        let Some(mut guard) = guard else {
+            return Ok(());
+        };
+        let mut sh = self.shards[si].lock();
+        let slots: Vec<u32> = match sh.files.get(&ino) {
+            Some(f) => {
+                let mut v = Vec::new();
+                f.index.for_each(&mut |_, s| v.push(*s));
+                v
+            }
+            None => return Ok(()),
+        };
+        self.flush_slots_locked(&mut sh, &slots, &mut guard, kind)?;
+        if let Some(file) = sh.files.get_mut(&ino) {
+            // All blocks are clean: no pending entry may gate a commit.
+            for t in &mut file.txs {
+                t.pending.clear();
+            }
+            tracker::drain_ready(
+                file,
+                self.inner.journal(),
+                &self.obs,
+                kind,
+                self.env.now(),
+                &self.stats,
+            );
+            debug_assert!(file.txs.is_empty(), "flush_all left open transactions");
+        }
+        Ok(())
+    }
+
+    /// Flushes the dirty ones among `slots`, all blocks of the inode whose
+    /// state the caller lends. A block that cannot be mapped because the
+    /// journal ring is full stays dirty and does not stop the rest: their
+    /// flushes commit transactions, and those commits are what lets the
+    /// ring drain. Returns that error once every slot was tried.
+    pub(crate) fn flush_slots_locked(
+        &self,
+        sh: &mut Shared,
+        slots: &[u32],
+        state: &mut InodeMem,
+        kind: DrainKind,
+    ) -> Result<()> {
+        let mut ring_full = Ok(());
+        for &slot in slots {
+            if sh.pool().meta(slot).dirty == 0 {
+                continue;
+            }
+            match self.flush_slot_locked(sh, slot, Some(state), kind) {
+                Ok(FlushTry::Done) => {}
+                Ok(FlushTry::NeedsInode(_)) => {
+                    return Err(FsError::Corrupted("flush could not map block"))
+                }
+                Err(FsError::JournalFull) => ring_full = Err(FsError::JournalFull),
+                Err(e) => return Err(e),
+            }
+        }
+        ring_full
     }
 
     /// Total buffered dirty blocks across every shard (diagnostics).
@@ -606,7 +686,6 @@ impl Hinfs {
 
     /// Buffer capacity in blocks (sum of the shard pools).
     pub fn buffer_capacity(&self) -> usize {
-        let _ = BLOCK_SIZE;
         self.shards.iter().map(|s| s.lock().pool().capacity()).sum()
     }
 }

@@ -187,7 +187,8 @@ impl SimEnv {
     ///
     /// Admission is per cacheline — the unit real memory controllers
     /// schedule at — so concurrent writers interleave fairly instead of a
-    /// small flush waiting behind another thread's whole-block write.
+    /// small flush waiting behind another thread's whole-block write; the
+    /// gate books the lines of one persist as one run.
     pub fn nvmm_persist(&self, cat: Cat, lines: usize) {
         if lines == 0 {
             return;
@@ -196,10 +197,7 @@ impl SimEnv {
         match self.mode {
             TimeMode::Virtual => {
                 let start = self.now();
-                let mut now = start;
-                for _ in 0..lines {
-                    now = self.gate.admit(now, line_ns);
-                }
+                let now = self.gate.admit(start, line_ns, lines);
                 ledger::add(cat, now - start);
                 // Queueing delay beyond pure service time is bandwidth
                 // throttling: attribute it as an explicit stall site

@@ -64,6 +64,21 @@ pub struct OpenFile {
     pub handle: Arc<InodeHandle>,
 }
 
+/// Witness that a transaction journaled an inode's core: minted only by
+/// [`Pmfs::log_write_inode`], spent by [`Pmfs::rewrite_logged_inode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InodeLogged {
+    ino: u64,
+    txid: u32,
+}
+
+impl InodeLogged {
+    /// The inode whose core was journaled.
+    pub fn ino(&self) -> u64 {
+        self.ino
+    }
+}
+
 /// A mounted PMFS instance.
 pub struct Pmfs {
     dev: Arc<NvmmDevice>,
@@ -242,13 +257,46 @@ impl Pmfs {
     }
 
     /// Journals the inode core's old image and persists the new one.
-    /// The change becomes crash-durable when the transaction commits.
-    pub fn log_write_inode(&self, tx: &TxHandle, ino: u64, mem: &InodeMem) -> Result<()> {
-        let off = self.layout.inode_off(ino);
-        self.journal.log_range(tx, off, INODE_CORE)?;
-        self.dev.write_persist(Cat::Meta, off, &mem.encode());
+    /// The change becomes crash-durable when the transaction commits; the
+    /// returned witness says which transaction now holds that image.
+    pub fn log_write_inode(&self, tx: &TxHandle, ino: u64, mem: &InodeMem) -> Result<InodeLogged> {
+        self.journal
+            .log_range(tx, self.layout.inode_off(ino), INODE_CORE)?;
+        self.persist_inode_core(ino, mem);
+        Ok(InodeLogged {
+            ino,
+            txid: tx.txid(),
+        })
+    }
+
+    /// Opens a transaction for one inode-core update with the undo slots
+    /// [`Pmfs::log_write_inode`] needs already set aside: once this
+    /// returns, that call cannot fail on a full ring. For updates that
+    /// follow a change the caller cannot take back (HiNFS mapping a block
+    /// at flush time).
+    pub fn begin_inode_update(&self) -> Result<TxHandle> {
+        self.journal
+            .begin_reserving(INODE_CORE.div_ceil(crate::journal::PAYLOAD) as u64)
+    }
+
+    /// Persists the inode core again under a transaction that already
+    /// journaled it, adding no undo entry: `tx` is still open (the caller
+    /// holds its handle) and `logged` proves it holds an image of this
+    /// core — the (older) one a rollback restores. The caller must keep
+    /// `tx` from committing until this returns.
+    pub fn rewrite_logged_inode(&self, tx: &TxHandle, logged: InodeLogged, mem: &InodeMem) {
+        assert_eq!(
+            logged.txid,
+            tx.txid(),
+            "inode core logged by another transaction"
+        );
+        self.persist_inode_core(logged.ino, mem);
+    }
+
+    fn persist_inode_core(&self, ino: u64, mem: &InodeMem) {
+        self.dev
+            .write_persist(Cat::Meta, self.layout.inode_off(ino), &mem.encode());
         self.dev.sfence();
-        Ok(())
     }
 
     /// Free data blocks (for HiNFS's `Low_f`/`High_f` style policies and
@@ -645,7 +693,8 @@ impl FileSystem for Pmfs {
                 )?;
                 let snap = *state;
                 drop(state);
-                self.log_write_inode(&tx, of.ino, &snap)
+                self.log_write_inode(&tx, of.ino, &snap)?;
+                Ok(())
             })();
             match res {
                 Ok(()) => {
@@ -939,18 +988,10 @@ impl FileSystem for Pmfs {
 
 impl obsv::Introspect for Pmfs {
     fn snapshot(&self) -> obsv::FsSnapshot {
-        let u = self.journal.usage();
         obsv::FsSnapshot {
             system: "pmfs".into(),
             at_ns: self.env.now(),
-            journal: Some(obsv::JournalSnap {
-                capacity_entries: u.capacity_entries,
-                fill_entries: u.fill_entries,
-                reserved_entries: u.reserved_entries,
-                free_entries: u.free_entries,
-                open_txs: u.open_txs,
-                generation: u.generation,
-            }),
+            journal: Some(self.journal.usage().snap()),
             lineage: self.obs.full().then(|| self.obs.lineage().snap()),
             ..obsv::FsSnapshot::default()
         }
@@ -959,14 +1000,16 @@ impl obsv::Introspect for Pmfs {
     fn audit(&self) -> obsv::AuditReport {
         let mut rep = obsv::AuditReport::new(self.env.now());
         let u = self.journal.usage();
-        // journal.reserved: every open transaction reserves one commit slot.
+        // journal.reserved: every open transaction reserves one commit slot
+        // — the running count the reservation checks use against a recount
+        // of the transaction records.
         rep.check_eq(9, 0, 0, u.reserved_entries, u.open_txs);
         // journal.capacity: logged plus reserved entries fit the region.
         rep.check_le(
             10,
             0,
             0,
-            u.fill_entries + u.reserved_entries,
+            u.fill_entries + u.reserved_entries + u.undo_reserved_entries,
             u.capacity_entries,
         );
         // journal.stats: the activity counters agree with the live count.

@@ -28,6 +28,7 @@
 //! holds the [`TxHandle`] open until the background writeback has persisted
 //! the corresponding DRAM data blocks, and only then commits (paper §4.1).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
@@ -61,37 +62,60 @@ const KIND_UNDO: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 const VALID_MAGIC: u8 = 0xA5;
 
-/// A decoded log entry.
+/// A decoded log entry. The payload lives inline (`data[..len]`), so
+/// logging and recovery allocate nothing per entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Entry {
     txid: u32,
     kind: u8,
     gen: u32,
     addr: u64,
-    data: Vec<u8>,
+    len: u8,
+    data: [u8; PAYLOAD],
+}
+
+impl Entry {
+    /// A commit record for `txid`.
+    fn commit(txid: u32, gen: u32) -> Entry {
+        Entry {
+            txid,
+            kind: KIND_COMMIT,
+            gen,
+            addr: 0,
+            len: 0,
+            data: [0; PAYLOAD],
+        }
+    }
+
+    fn payload(&self) -> &[u8] {
+        &self.data[..self.len as usize]
+    }
 }
 
 fn checksum(buf: &[u8; ENTRY_SIZE]) -> u16 {
-    // Fletcher-style sum over the entry with the csum field (bytes 6..8)
-    // treated as zero.
+    // Fletcher-style sum (mod 255) over the entry with the csum field
+    // (bytes 6..8) treated as zero. The sums of 64 bytes stay far below
+    // `u32::MAX`, so the reduction is done once at the end: same value as
+    // reducing at every byte, without 128 divisions per entry.
     let mut a: u32 = 0;
     let mut b: u32 = 0;
     for (i, &byte) in buf.iter().enumerate() {
-        let v = if (6..8).contains(&i) { 0 } else { byte as u32 };
-        a = (a + v) % 255;
-        b = (b + a) % 255;
+        if !(6..8).contains(&i) {
+            a += byte as u32;
+        }
+        b += a;
     }
-    ((b << 8) | a) as u16
+    (((b % 255) << 8) | (a % 255)) as u16
 }
 
 fn encode(e: &Entry) -> [u8; ENTRY_SIZE] {
-    debug_assert!(e.data.len() <= PAYLOAD);
+    debug_assert!(e.len as usize <= PAYLOAD);
     let mut buf = [0u8; ENTRY_SIZE];
     buf[0..4].copy_from_slice(&e.txid.to_le_bytes());
     buf[4] = e.kind;
-    buf[5] = e.data.len() as u8;
+    buf[5] = e.len;
     buf[8..16].copy_from_slice(&e.addr.to_le_bytes());
-    buf[16..16 + e.data.len()].copy_from_slice(&e.data);
+    buf[16..16 + e.len as usize].copy_from_slice(e.payload());
     buf[56..60].copy_from_slice(&e.gen.to_le_bytes());
     buf[63] = VALID_MAGIC;
     let c = checksum(&buf);
@@ -105,23 +129,23 @@ fn decode(buf: &[u8; ENTRY_SIZE]) -> Option<Entry> {
     if buf[63] != VALID_MAGIC {
         return None;
     }
-    let mut copy = *buf;
-    copy[6] = 0;
-    copy[7] = 0;
     let stored = u16::from_le_bytes([buf[6], buf[7]]);
-    if checksum(&copy) != stored {
+    if checksum(buf) != stored {
         return None;
     }
     let len = buf[5] as usize;
     if len > PAYLOAD {
         return None;
     }
+    let mut data = [0u8; PAYLOAD];
+    data[..len].copy_from_slice(&buf[16..16 + len]);
     Some(Entry {
         txid: u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]),
         kind: buf[4],
         gen: u32::from_le_bytes(buf[56..60].try_into().unwrap()),
         addr: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
-        data: buf[16..16 + len].to_vec(),
+        len: len as u8,
+        data,
     })
 }
 
@@ -132,6 +156,9 @@ fn decode(buf: &[u8; ENTRY_SIZE]) -> Option<Entry> {
 #[derive(Debug)]
 pub struct TxHandle {
     txid: u32,
+    /// Undo slots set aside for this transaction at begin and not logged
+    /// yet (`Journal::begin_reserving`); zero for a plain `begin`.
+    reserved: Cell<u64>,
 }
 
 impl TxHandle {
@@ -159,27 +186,68 @@ struct JInner {
     next_txid: u32,
     /// Open/uncollected transactions in begin order (txids ascend).
     txs: VecDeque<TxRec>,
+    /// Number of uncommitted records in `txs` — each holds one commit
+    /// slot. One old open transaction pins every later record in the
+    /// deque, so this is kept as a count, never recounted on a hot path.
+    open: u64,
+    /// Undo slots set aside and not yet logged, summed over the open
+    /// handles (each carries its own share in `TxHandle::reserved`).
+    undo_reserved: u64,
+}
+
+impl JInner {
+    /// Entries neither written nor promised to an open transaction.
+    fn free(&self, capacity: u64) -> u64 {
+        capacity.saturating_sub(self.tail + self.open + self.undo_reserved)
+    }
+
+    /// The record of `txid` while it is in the deque (txids ascend with
+    /// begin order, so binary search).
+    fn rec_mut(&mut self, txid: u32) -> Option<&mut TxRec> {
+        let i = self.txs.partition_point(|t| t.txid < txid);
+        self.txs.get_mut(i).filter(|t| t.txid == txid)
+    }
 }
 
 /// One coherent reading of the journal region's occupancy (all fields
 /// taken under a single lock hold; see [`Journal::usage`]). Every open
-/// transaction reserves one commit-entry slot, so `reserved_entries`
-/// equals `open_txs` by construction — the auditor checks the relation
-/// anyway to catch accounting drift.
+/// transaction reserves one commit-entry slot: `reserved_entries` is the
+/// running count `begin`/commit/abort maintain (what the reservation
+/// checks use), `open_txs` a recount of the transaction records, and the
+/// auditor requires the two to agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JournalUsage {
     /// Total undo-entry slots in the region.
     pub capacity_entries: u64,
     /// Entries logged in the current generation (the log tail).
     pub fill_entries: u64,
-    /// Commit slots reserved by uncommitted transactions.
+    /// Commit slots reserved by uncommitted transactions (running count).
     pub reserved_entries: u64,
+    /// Undo slots set aside for an inode-core update and not yet logged
+    /// (zero outside such a transaction's begin-to-log window).
+    pub undo_reserved_entries: u64,
     /// Entries available to `begin`/`log_range`.
     pub free_entries: u64,
-    /// Transactions begun and not yet committed or aborted.
+    /// Transactions begun and not yet committed or aborted (recounted).
     pub open_txs: u64,
     /// Current generation counter.
     pub generation: u64,
+}
+
+impl JournalUsage {
+    /// The reading as an introspection snapshot section; both kinds of
+    /// reservation count as reserved there, so that fill + reserved + free
+    /// is the capacity.
+    pub fn snap(&self) -> obsv::JournalSnap {
+        obsv::JournalSnap {
+            capacity_entries: self.capacity_entries,
+            fill_entries: self.fill_entries,
+            reserved_entries: self.reserved_entries + self.undo_reserved_entries,
+            free_entries: self.free_entries,
+            open_txs: self.open_txs,
+            generation: self.generation,
+        }
+    }
 }
 
 /// Statistics returned by [`Journal::recover`].
@@ -245,6 +313,8 @@ impl Journal {
                     gen,
                     next_txid: 1,
                     txs: VecDeque::new(),
+                    open: 0,
+                    undo_reserved: 0,
                 },
             ),
             stats: Arc::new(JournalStats::new()),
@@ -282,7 +352,7 @@ impl Journal {
         // stop at the first slot that is invalid or from an older
         // generation.
         let mut committed: Vec<u32> = Vec::new();
-        let mut undo: Vec<(u32, u64, Vec<u8>)> = Vec::new();
+        let mut undo: Vec<Entry> = Vec::new();
         for idx in 0..capacity {
             let off = area + idx * ENTRY_SIZE as u64;
             let mut buf = [0u8; ENTRY_SIZE];
@@ -294,24 +364,21 @@ impl Journal {
             stats.scanned += 1;
             match e.kind {
                 KIND_COMMIT => committed.push(e.txid),
-                KIND_UNDO => undo.push((e.txid, e.addr, e.data)),
+                KIND_UNDO => undo.push(e),
                 _ => return Err(FsError::Corrupted("journal entry kind")),
             }
         }
+        // One sorted set, one binary search per undo entry: recovery is
+        // linear (×log) in the entries scanned however many committed.
+        committed.sort_unstable();
+        undo.retain(|e| committed.binary_search(&e.txid).is_err());
         // Roll back uncommitted transactions: apply their undo entries in
         // reverse append order so the oldest logged image wins.
-        for (txid, addr, data) in undo.iter().rev() {
-            if committed.contains(txid) {
-                continue;
-            }
-            dev.write_persist(Cat::Journal, *addr, data);
-            stats.entries_undone += 1;
+        for e in undo.iter().rev() {
+            dev.write_persist(Cat::Journal, e.addr, e.payload());
         }
-        let mut undone: Vec<u32> = undo
-            .iter()
-            .map(|(t, _, _)| *t)
-            .filter(|t| !committed.contains(t))
-            .collect();
+        stats.entries_undone = undo.len() as u64;
+        let mut undone: Vec<u32> = undo.iter().map(|e| e.txid).collect();
         undone.sort_unstable();
         undone.dedup();
         stats.txs_undone = undone.len() as u64;
@@ -325,12 +392,22 @@ impl Journal {
     /// Opens a new transaction. Fails with [`FsError::JournalFull`] when the
     /// region cannot guarantee space for this transaction's commit entry.
     pub fn begin(&self) -> Result<TxHandle> {
+        self.begin_reserving(0)
+    }
+
+    /// Opens a transaction and sets `undo_entries` undo slots aside for it
+    /// besides its commit slot: logging up to that many entries in it
+    /// cannot fail with [`FsError::JournalFull`], whatever other
+    /// transactions log in between. The handle carries the slots; those it
+    /// does not use are released when it resolves. Crate-private: the one
+    /// user is [`crate::Pmfs::begin_inode_update`].
+    pub(crate) fn begin_reserving(&self, undo_entries: u64) -> Result<TxHandle> {
         self.span(|| {
             if nvmm::fault::journal_blocked(&self.dev) {
                 return Err(FsError::JournalFull);
             }
             let mut inner = self.inner.lock();
-            if self.free_entries_locked(&inner) == 0 {
+            if inner.free(self.capacity) <= undo_entries {
                 return Err(FsError::JournalFull);
             }
             let txid = inner.next_txid;
@@ -341,10 +418,15 @@ impl Journal {
                 start,
                 committed: false,
             });
+            inner.open += 1;
+            inner.undo_reserved += undo_entries;
             self.stats
                 .begins
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Ok(TxHandle { txid })
+            Ok(TxHandle {
+                txid,
+                reserved: Cell::new(undo_entries),
+            })
         })
     }
 
@@ -355,24 +437,14 @@ impl Journal {
         self.dev.spans().scope(Phase::Journal, f)
     }
 
-    fn free_entries_locked(&self, inner: &JInner) -> u64 {
-        let reserved = inner.txs.iter().filter(|t| !t.committed).count() as u64;
-        self.capacity.saturating_sub(inner.tail + reserved)
-    }
-
     /// Entries currently available for new undo records.
     pub fn free_entries(&self) -> u64 {
-        self.free_entries_locked(&self.inner.lock())
+        self.inner.lock().free(self.capacity)
     }
 
     /// Number of transactions begun but not yet committed or aborted.
     pub fn open_txs(&self) -> usize {
-        self.inner
-            .lock()
-            .txs
-            .iter()
-            .filter(|t| !t.committed)
-            .count()
+        self.inner.lock().open as usize
     }
 
     /// The current journal generation (diagnostics).
@@ -381,16 +453,18 @@ impl Journal {
     }
 
     /// Point-in-time usage of the journal region, read under one lock hold
-    /// so the fields are mutually consistent (introspection/audit).
+    /// so the fields are mutually consistent (introspection/audit). The
+    /// only place that walks the transaction records: `open_txs` is a
+    /// recount for the auditor to hold the running count against.
     pub fn usage(&self) -> JournalUsage {
         let inner = self.inner.lock();
-        let reserved = inner.txs.iter().filter(|t| !t.committed).count() as u64;
         JournalUsage {
             capacity_entries: self.capacity,
             fill_entries: inner.tail,
-            reserved_entries: reserved,
-            free_entries: self.capacity.saturating_sub(inner.tail + reserved),
-            open_txs: reserved,
+            reserved_entries: inner.open,
+            undo_reserved_entries: inner.undo_reserved,
+            free_entries: inner.free(self.capacity),
+            open_txs: inner.txs.iter().filter(|t| !t.committed).count() as u64,
             generation: inner.gen,
         }
     }
@@ -413,48 +487,7 @@ impl Journal {
     /// *before* the range is overwritten. On return the undo records are
     /// durable; the caller may then update the metadata in place (durably).
     pub fn log_range(&self, tx: &TxHandle, addr: u64, len: usize) -> Result<()> {
-        if len == 0 {
-            return Ok(());
-        }
-        self.span(|| self.log_range_inner(tx, addr, len))
-    }
-
-    fn log_range_inner(&self, tx: &TxHandle, addr: u64, len: usize) -> Result<()> {
-        if nvmm::fault::journal_blocked(&self.dev) {
-            return Err(FsError::JournalFull);
-        }
-        let mut inner = self.inner.lock();
-        let needed = len.div_ceil(PAYLOAD) as u64;
-        if self.free_entries_locked(&inner) < needed {
-            return Err(FsError::JournalFull);
-        }
-        let gen = inner.gen as u32;
-        let mut off = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let chunk = remaining.min(PAYLOAD);
-            let mut data = vec![0u8; chunk];
-            self.dev.read(Cat::Journal, off, &mut data);
-            self.append_locked(
-                &mut inner,
-                &Entry {
-                    txid: tx.txid,
-                    kind: KIND_UNDO,
-                    gen,
-                    addr: off,
-                    data,
-                },
-            )?;
-            off += chunk as u64;
-            remaining -= chunk;
-        }
-        self.stats
-            .undo_entries
-            .fetch_add(needed, std::sync::atomic::Ordering::Relaxed);
-        // Entries durable (each slot was flushed) and ordered before the
-        // caller's in-place updates.
-        self.dev.sfence();
-        Ok(())
+        self.log_ranges(tx, &[(addr, len)])
     }
 
     /// Batched [`Journal::log_range`]: logs the current content of every
@@ -470,35 +503,38 @@ impl Journal {
     }
 
     fn log_ranges_inner(&self, tx: &TxHandle, ranges: &[(u64, usize)]) -> Result<()> {
-        if nvmm::fault::journal_blocked(&self.dev) {
-            return Err(FsError::JournalFull);
-        }
         let mut inner = self.inner.lock();
         let needed: u64 = ranges
             .iter()
             .map(|&(_, len)| len.div_ceil(PAYLOAD) as u64)
             .sum();
-        if self.free_entries_locked(&inner) < needed {
+        // Slots the handle set aside at begin are its own to use — a log
+        // they cover cannot fail, injected backpressure included; only the
+        // rest must come out of the free pool.
+        let own = tx.reserved.get().min(needed);
+        if own < needed
+            && (nvmm::fault::journal_blocked(&self.dev) || inner.free(self.capacity) < needed - own)
+        {
             return Err(FsError::JournalFull);
         }
+        tx.reserved.set(tx.reserved.get() - own);
+        inner.undo_reserved -= own;
         let gen = inner.gen as u32;
         for &(addr, len) in ranges {
             let mut off = addr;
             let mut remaining = len;
             while remaining > 0 {
                 let chunk = remaining.min(PAYLOAD);
-                let mut data = vec![0u8; chunk];
-                self.dev.read(Cat::Journal, off, &mut data);
-                self.append_locked(
-                    &mut inner,
-                    &Entry {
-                        txid: tx.txid,
-                        kind: KIND_UNDO,
-                        gen,
-                        addr: off,
-                        data,
-                    },
-                )?;
+                let mut e = Entry {
+                    txid: tx.txid,
+                    kind: KIND_UNDO,
+                    gen,
+                    addr: off,
+                    len: chunk as u8,
+                    data: [0; PAYLOAD],
+                };
+                self.dev.read(Cat::Journal, off, &mut e.data[..chunk]);
+                self.append_locked(&mut inner, &e)?;
                 off += chunk as u64;
                 remaining -= chunk;
             }
@@ -512,11 +548,17 @@ impl Journal {
         Ok(())
     }
 
-    fn resolve_locked(&self, inner: &mut JInner, txid: u32) {
-        // Mark committed; txids ascend with begin order, so binary search.
-        let idx = inner.txs.partition_point(|t| t.txid < txid);
-        if idx < inner.txs.len() && inner.txs[idx].txid == txid {
-            inner.txs[idx].committed = true;
+    fn resolve_locked(&self, inner: &mut JInner, tx: &TxHandle) {
+        // Undo slots the handle set aside and never logged go back.
+        inner.undo_reserved -= tx.reserved.take();
+        // Mark committed (once: a second resolution finds the record
+        // committed or gone) and release its commit slot.
+        let newly = inner
+            .rec_mut(tx.txid)
+            .filter(|rec| !rec.committed)
+            .map(|rec| rec.committed = true);
+        if newly.is_some() {
+            inner.open -= 1;
         }
         // Retire the longest committed prefix.
         while inner.txs.front().is_some_and(|t| t.committed) {
@@ -549,17 +591,8 @@ impl Journal {
         let gen = inner.gen as u32;
         // The commit-slot reservation in `begin`/`free_entries` guarantees
         // space for this entry.
-        self.append_locked(
-            &mut inner,
-            &Entry {
-                txid: tx.txid,
-                kind: KIND_COMMIT,
-                gen,
-                addr: 0,
-                data: Vec::new(),
-            },
-        )
-        .expect("reserved commit slot");
+        self.append_locked(&mut inner, &Entry::commit(tx.txid, gen))
+            .expect("reserved commit slot");
         self.dev.sfence();
         self.stats
             .commits
@@ -571,7 +604,7 @@ impl Journal {
                 log_entries: live,
             });
         }
-        self.resolve_locked(&mut inner, tx.txid);
+        self.resolve_locked(&mut inner, &tx);
     }
 
     /// Group commit: commits a batch of transactions with **one** lock
@@ -597,17 +630,8 @@ impl Journal {
         let gen = inner.gen as u32;
         for tx in &txs {
             // Reservation in `begin` guarantees one commit slot per tx.
-            self.append_locked(
-                &mut inner,
-                &Entry {
-                    txid: tx.txid,
-                    kind: KIND_COMMIT,
-                    gen,
-                    addr: 0,
-                    data: Vec::new(),
-                },
-            )
-            .expect("reserved commit slot");
+            self.append_locked(&mut inner, &Entry::commit(tx.txid, gen))
+                .expect("reserved commit slot");
         }
         self.dev.sfence_coalesced(n);
         self.stats
@@ -622,8 +646,8 @@ impl Journal {
                 });
             }
         }
-        for tx in txs {
-            self.resolve_locked(&mut inner, tx.txid);
+        for tx in &txs {
+            self.resolve_locked(&mut inner, tx);
         }
     }
 
@@ -638,7 +662,7 @@ impl Journal {
     fn abort_inner(&self, tx: TxHandle) {
         let mut inner = self.inner.lock();
         // Collect this tx's undo entries from the live region.
-        let mut to_undo: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut to_undo: Vec<Entry> = Vec::new();
         let start = {
             let idx = inner.txs.partition_point(|t| t.txid < tx.txid);
             inner.txs.get(idx).map_or(inner.head, |t| t.start)
@@ -649,31 +673,22 @@ impl Journal {
             self.dev.read(Cat::Journal, off, &mut buf);
             if let Some(e) = decode(&buf) {
                 if e.txid == tx.txid && e.kind == KIND_UNDO {
-                    to_undo.push((e.addr, e.data));
+                    to_undo.push(e);
                 }
             }
         }
-        for (addr, data) in to_undo.iter().rev() {
-            self.dev.write_persist(Cat::Journal, *addr, data);
+        for e in to_undo.iter().rev() {
+            self.dev.write_persist(Cat::Journal, e.addr, e.payload());
         }
         self.dev.sfence();
         let gen = inner.gen as u32;
-        self.append_locked(
-            &mut inner,
-            &Entry {
-                txid: tx.txid,
-                kind: KIND_COMMIT,
-                gen,
-                addr: 0,
-                data: Vec::new(),
-            },
-        )
-        .expect("reserved commit slot");
+        self.append_locked(&mut inner, &Entry::commit(tx.txid, gen))
+            .expect("reserved commit slot");
         self.dev.sfence();
         self.stats
             .aborts
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.resolve_locked(&mut inner, tx.txid);
+        self.resolve_locked(&mut inner, &tx);
     }
 }
 
@@ -681,6 +696,7 @@ impl Journal {
 mod tests {
     use super::*;
     use nvmm::{CostModel, SimEnv};
+    use proptest::prelude::*;
 
     fn setup() -> (Arc<NvmmDevice>, Layout) {
         let dev =
@@ -694,28 +710,28 @@ mod tests {
         Layout::block_off(layout.data_start + blk)
     }
 
-    #[test]
-    fn entry_encode_decode_roundtrip() {
-        let e = Entry {
+    /// An undo entry with a 17-byte payload.
+    fn sample_entry(gen: u32) -> Entry {
+        Entry {
             txid: 7,
             kind: KIND_UNDO,
-            gen: 3,
+            gen,
             addr: 0x1234,
-            data: vec![9; 17],
-        };
+            len: 17,
+            data: std::array::from_fn(|i| if i < 17 { 9 } else { 0 }),
+        }
+    }
+
+    #[test]
+    fn entry_encode_decode_roundtrip() {
+        let e = sample_entry(3);
         let buf = encode(&e);
         assert_eq!(decode(&buf), Some(e));
     }
 
     #[test]
     fn corrupt_entry_rejected() {
-        let e = Entry {
-            txid: 7,
-            kind: KIND_UNDO,
-            gen: 1,
-            addr: 0x1234,
-            data: vec![9; 17],
-        };
+        let e = sample_entry(1);
         let mut buf = encode(&e);
         buf[20] ^= 0xff;
         assert_eq!(decode(&buf), None);
@@ -974,6 +990,150 @@ mod tests {
         let delta = dev.stats().snapshot().since(&before);
         assert_eq!(delta.fences, 0);
         assert_eq!(delta.nvmm_bytes_written, 0);
+    }
+
+    /// The running counts against a recount of the records and of the
+    /// held handles, and `free_entries` against the formula it replaced
+    /// (capacity − tail − one slot per uncommitted record, now also − the
+    /// slots the handles carry).
+    fn assert_counts_match_a_recount(j: &Journal, held: &[TxHandle]) {
+        let set_aside: u64 = held.iter().map(|tx| tx.reserved.get()).sum();
+        let (recount, tail) = {
+            let inner = j.inner.lock();
+            let recount = inner.txs.iter().filter(|rec| !rec.committed).count() as u64;
+            assert_eq!(inner.open, recount);
+            assert_eq!(inner.undo_reserved, set_aside);
+            (recount, inner.tail)
+        };
+        assert_eq!(recount, held.len() as u64);
+        assert_eq!(j.open_txs(), held.len());
+        assert_eq!(
+            j.free_entries(),
+            j.capacity.saturating_sub(tail + recount + set_aside)
+        );
+        let u = j.usage();
+        assert_eq!(u.reserved_entries, u.open_txs, "what audit code 9 checks");
+        assert!(
+            u.fill_entries + u.reserved_entries + u.undo_reserved_entries <= u.capacity_entries
+        );
+    }
+
+    proptest! {
+        /// Random begin / log / commit / group-commit / abort sequences on a
+        /// ring small enough to fill and to retire generations, including
+        /// attempts to resolve a transaction twice: after every step the
+        /// O(1) counts equal a recount.
+        #[test]
+        fn running_counts_survive_any_resolution_order(
+            ops in prop::collection::vec((0u8..10, 0usize..64, 1usize..400), 1..300)
+        ) {
+            let dev = NvmmDevice::new_tracked(
+                SimEnv::new_virtual(CostModel::default()),
+                256 * BLOCK_SIZE,
+            );
+            // 2 entry blocks: 128 slots.
+            let layout = Layout::compute(256, 3, 64).unwrap();
+            Journal::format(&dev, &layout);
+            let j = Journal::open(dev.clone(), &layout).unwrap();
+            let scratch = data_off(&layout, 0);
+            let mut held: Vec<TxHandle> = Vec::new();
+            let mut resolved: Vec<u32> = Vec::new();
+            for (op, pick, len) in ops {
+                match op {
+                    0 | 1 => held.extend(j.begin().ok()),
+                    2 => held.extend(j.begin_reserving(pick as u64 % 4).ok()),
+                    3..=5 if !held.is_empty() => {
+                        // Full ring is a legal answer; the counts must
+                        // hold either way.
+                        let _ = j.log_range(&held[pick % held.len()], scratch, len);
+                    }
+                    6 if !held.is_empty() => {
+                        let tx = held.swap_remove(pick % held.len());
+                        resolved.push(tx.txid());
+                        j.commit(tx);
+                    }
+                    7 if !held.is_empty() => {
+                        let tx = held.swap_remove(pick % held.len());
+                        resolved.push(tx.txid());
+                        j.abort(tx);
+                    }
+                    8 if !held.is_empty() => {
+                        let n = 1 + pick % held.len();
+                        let batch: Vec<TxHandle> = held.drain(..n).collect();
+                        resolved.extend(batch.iter().map(TxHandle::txid));
+                        j.commit_group(batch);
+                    }
+                    9 if !resolved.is_empty() => {
+                        // A second resolution of a finished transaction
+                        // (its record committed, retired, or gone with
+                        // its generation) must not touch the counts.
+                        let again = TxHandle {
+                            txid: resolved[pick % resolved.len()],
+                            reserved: Cell::new(0),
+                        };
+                        j.resolve_locked(&mut j.inner.lock(), &again);
+                    }
+                    _ => {}
+                }
+                assert_counts_match_a_recount(&j, &held);
+            }
+            j.commit_group(std::mem::take(&mut held));
+            assert_counts_match_a_recount(&j, &[]);
+        }
+    }
+
+    #[test]
+    fn recovery_of_fifty_thousand_interleaved_transactions_is_exact() {
+        // 5000 eight-byte cells, ten transactions each, issued round-robin
+        // so committed and uncommitted ones interleave in the log. Per
+        // cell (by `cell % 4`) the first 10 / 9 / 5 / 0 commit and the
+        // rest stay open at the crash: recovery must restore each cell to
+        // what its last committed transaction wrote — the image the
+        // *oldest* uncommitted one logged.
+        const CELLS: u64 = 5000;
+        const ROUNDS: u64 = 10;
+        let committed_rounds = |cell: u64| [10, 9, 5, 0][(cell % 4) as usize];
+        let value = |cell: u64, round: u64| (cell << 8 | (round + 1)).to_le_bytes();
+        let dev =
+            NvmmDevice::new_tracked(SimEnv::new_virtual(CostModel::default()), 4096 * BLOCK_SIZE);
+        let layout = Layout::compute(4096, 1700, 512).unwrap();
+        Journal::format(&dev, &layout);
+        let j = Journal::open(dev.clone(), &layout).unwrap();
+        let cell_off = |cell: u64| data_off(&layout, 0) + cell * 8;
+        let mut left_open = Vec::new();
+        for round in 0..ROUNDS {
+            for cell in 0..CELLS {
+                let tx = j.begin().unwrap();
+                j.log_range(&tx, cell_off(cell), 8).unwrap();
+                dev.write_persist(Cat::Meta, cell_off(cell), &value(cell, round));
+                if round < committed_rounds(cell) {
+                    j.commit(tx);
+                } else {
+                    left_open.push(tx);
+                }
+            }
+        }
+        assert_eq!(
+            j.generation(),
+            1,
+            "open transactions kept the whole log live"
+        );
+        dev.crash();
+        let stats = Journal::recover(&dev, &layout).unwrap();
+        let open = (1 + 5 + 10) * CELLS / 4;
+        assert_eq!(stats.txs_undone, open);
+        assert_eq!(stats.entries_undone, open);
+        assert_eq!(stats.scanned, 2 * CELLS * ROUNDS - open);
+        assert_eq!(left_open.len() as u64, open);
+        for cell in 0..CELLS {
+            let mut got = [0u8; 8];
+            dev.peek(cell_off(cell), &mut got);
+            let want = match committed_rounds(cell) {
+                0 => [0u8; 8],
+                n => value(cell, n - 1),
+            };
+            assert_eq!(got, want, "cell {cell}");
+        }
     }
 
     #[test]

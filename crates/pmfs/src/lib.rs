@@ -34,6 +34,6 @@ pub mod layout;
 pub mod mmap;
 pub mod tree;
 
-pub use fs::{Pmfs, PmfsOptions};
+pub use fs::{InodeLogged, Pmfs, PmfsOptions};
 pub use journal::{Journal, JournalUsage, TxHandle};
 pub use layout::Layout;

@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: formatting, lints, build, tests.
 #
+# Prints the wall time of every stage and the total when it ends (pass or
+# fail), and fails when the two test stages together take longer than
+# TEST_BUDGET_S: the suite is only run if it stays cheap to run.
+#
 # The workspace builds fully offline — every external-looking dependency
 # (rand, proptest, criterion, parking_lot) resolves to an in-tree shim
 # under shims/ via [workspace.dependencies] path entries, and Cargo.lock
@@ -22,16 +26,58 @@ run() {
     "$@"
 }
 
+# Wall-clock budget of `workspace tests` + `benchmark tests`, seconds.
+TEST_BUDGET_S=240
+
+# stage NAME closes the running stage (recording its wall time) and opens
+# the next; the table is printed by the EXIT trap, so a failing stage still
+# shows where the time went.
+declare -A took
+stages=()
+stage_name=""
+stage_t0=$SECONDS
+stage() {
+    if [[ -n "$stage_name" ]]; then
+        took[$stage_name]=$((SECONDS - stage_t0))
+        stages+=("$stage_name")
+    fi
+    stage_name="$1"
+    stage_t0=$SECONDS
+}
+bench_tmp=$(mktemp -t BENCH_check.XXXXXX.json)
+finish() {
+    status=$?
+    rm -f "$bench_tmp" "$bench_tmp.bad" "$bench_tmp.blame" "$bench_tmp.waf"
+    stage ""
+    echo "verify: wall time per stage"
+    for s in "${stages[@]}"; do
+        printf 'verify:   %-18s %4d s\n' "$s" "${took[$s]}"
+    done
+    printf 'verify:   %-18s %4d s\n' total "$SECONDS"
+    exit "$status"
+}
+trap finish EXIT
+
+stage fmt
 run cargo fmt --all -- --check
 run scripts/lint_locks.sh
+stage clippy
 run cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
+# Everything is compiled here, test binaries included, so that the test
+# stages below time the tests and not the compiler. The repo benchmark
+# (BENCHMARK.json, benchmark/) is a package of its own reading the crates
+# through a pinned API: building it and running its tests makes renaming a
+# pinned item fail here, not only in the benchmark pipeline.
+stage build
 run cargo build --release --workspace $OFFLINE
-run cargo test -q --workspace $OFFLINE
-# The repo benchmark (BENCHMARK.json, benchmark/) is a package of its own
-# reading the crates through a pinned API: build it and run its tests so
-# renaming a pinned item fails here, not only in the benchmark pipeline.
+run cargo test -q --workspace --no-run $OFFLINE
 run cargo build --release --offline --manifest-path benchmark/Cargo.toml
+run cargo test -q --offline --no-run --manifest-path benchmark/Cargo.toml
+stage "workspace tests"
+run cargo test -q --workspace $OFFLINE
+stage "benchmark tests"
 run cargo test --offline --manifest-path benchmark/Cargo.toml
+stage "crash/fuzz drills"
 # faultfs smoke sweep: crash-point enumeration + durability oracle +
 # fault injection across hinfs/pmfs/ext4 (fixed seed, capped points;
 # exits non-zero on any oracle violation or panic).
@@ -44,6 +90,7 @@ run cargo run --release $OFFLINE --example crash_recovery
 # committed fixture (the negative test proving the gate gates).
 run scripts/fuzz_soak.sh $OFFLINE
 
+stage inspect
 # State introspection gate: run the quick-scale fileserver workload with
 # the online invariant auditor on; exits non-zero on any audit violation
 # or any snapshot-vs-registry disagreement. --lag also arms Level::Full so
@@ -57,16 +104,15 @@ run cargo run --release $OFFLINE --example fs_inspect -- dump --contention >/dev
 # quick deterministic scale and gate it against the committed baseline.
 # The virtual clock makes the run reproducible, so any drift here is a
 # real behavior change, not noise.
-bench_tmp=$(mktemp -t BENCH_check.XXXXXX.json)
-trap 'rm -f "$bench_tmp" "$bench_tmp.bad" "$bench_tmp.blame" "$bench_tmp.waf"' EXIT
+stage bench_check
 run cargo run --release $OFFLINE -p hinfs-bench --bin experiments -- \
     --quick --fig 101 --fig 112 --bench-json "$bench_tmp"
-run scripts/bench_check.sh BENCH_pr10.json "$bench_tmp"
+run scripts/bench_check.sh BENCH_pr13.json "$bench_tmp"
 # The gate must also FAIL when a regression is injected — otherwise it
 # gates nothing.
 sed 's/\("headline::fileserver::hinfs::ops_per_s": \)\([0-9]*\)/\10/' \
     "$bench_tmp" >"$bench_tmp.bad"
-if scripts/bench_check.sh BENCH_pr10.json "$bench_tmp.bad" >/dev/null 2>&1; then
+if scripts/bench_check.sh BENCH_pr13.json "$bench_tmp.bad" >/dev/null 2>&1; then
     echo "verify: bench_check failed to flag an injected regression" >&2
     exit 1
 fi
@@ -74,7 +120,7 @@ echo "verify: bench_check catches injected regressions"
 
 # Regression ATTRIBUTION: bench_diff must run clean against the
 # committed baseline.
-run scripts/bench_diff.sh $OFFLINE BENCH_pr10.json "$bench_tmp"
+run scripts/bench_diff.sh $OFFLINE BENCH_pr13.json "$bench_tmp"
 # And its blame table must NAME a planted regression: multiply the
 # journal span-phase time by 10 and require the span blame to rank
 # `journal` first for that cell.
@@ -114,4 +160,10 @@ if ! grep -q '^blame::fileserver::hinfs::lag 1 max +' <<<"$waf_diff"; then
     exit 1
 fi
 echo "verify: bench_diff blames planted regressions correctly"
-echo "verify: OK"
+stage ""
+tests_s=$((took["workspace tests"] + took["benchmark tests"]))
+if ((tests_s > TEST_BUDGET_S)); then
+    echo "verify: the test stages took ${tests_s} s, over the ${TEST_BUDGET_S} s budget" >&2
+    exit 1
+fi
+echo "verify: OK (tests ${tests_s} s of a ${TEST_BUDGET_S} s budget)"
