@@ -383,7 +383,7 @@ fn push_lineage_keys(out: &mut String, cells: &[Headline]) {
         }
         let _ = writeln!(
             out,
-            "  \"waf::{cell}::fences_per_kib\": {},",
+            "  \"waf::{cell}::fences_per_kib\": {:.3},",
             h.lineage.fences_per_kib()
         );
         let _ = writeln!(out, "  \"lag::{cell}::count\": {},", h.lineage.lag.count());

@@ -422,7 +422,7 @@ mod tests {
              \"waf::fileserver::hinfs::logical::bytes\": 1048576,\n  \
              \"waf::fileserver::hinfs::journal_logged::bytes\": 262144,\n  \
              \"waf::fileserver::hinfs::nvmm_persisted::bytes\": 2097152,\n  \
-             \"waf::fileserver::hinfs::fences_per_kib\": 4,\n  \
+             \"waf::fileserver::hinfs::fences_per_kib\": 1.204,\n  \
              \"lag::fileserver::hinfs::count\": 500,\n  \
              \"lag::fileserver::hinfs::p50_ns\": 0,\n  \
              \"lag::fileserver::hinfs::p99_ns\": 40000,\n  \
@@ -554,6 +554,18 @@ mod tests {
         assert!(
             rank1.contains("+4096.0 b/logical-kib"),
             "wrong delta: {rank1}"
+        );
+    }
+
+    #[test]
+    fn a_fence_rate_change_below_one_per_kib_is_reported() {
+        // hinfs 1.20 and pmfs 1.73 both used to print `1`.
+        let base = doc("");
+        let cand = base.replace("fences_per_kib\": 1.204,", "fences_per_kib\": 0.803,");
+        let report = diff_docs(&base, &cand, "a", "b");
+        assert!(
+            report.contains("blame::fileserver::hinfs::waf_fences -0.401 fences/kib (-33.31%)"),
+            "{report}"
         );
     }
 

@@ -296,10 +296,10 @@ impl Hinfs {
                             }
                             // Either way the buffered copy leaves the buffer
                             // so NVMM stays the single source of truth.
-                            let _ = self.evict_slot_locked(
+                            self.evict_batch_locked(
                                 &mut sh,
-                                slot,
-                                Some(state),
+                                &[slot],
+                                state,
                                 obsv::DrainKind::Sync,
                             )?;
                         }
@@ -635,7 +635,7 @@ impl Hinfs {
             });
         }
         let slots: Vec<u32> = dirty.iter().map(|&(_, slot, _)| slot).collect();
-        self.flush_slots_locked(&mut sh, &slots, state, obsv::DrainKind::Sync)?;
+        let _ = self.flush_batch_locked(&mut sh, &slots, Some(state), obsv::DrainKind::Sync)?;
         if eval_bbm {
             // Blocks bypassing the buffer contribute their ghost flushes;
             // every block with activity this epoch gets evaluated.
@@ -671,12 +671,11 @@ impl Hinfs {
             state.last_sync = now;
             // Blocks now in the Eager-Persistent state leave the buffer so
             // NVMM stays the single source of truth for them.
-            for iblk in to_evict {
-                if let Some(slot) = sh.slot_of(ino, iblk) {
-                    let _ =
-                        self.evict_slot_locked(&mut sh, slot, Some(state), obsv::DrainKind::Sync)?;
-                }
-            }
+            let slots: Vec<u32> = to_evict
+                .iter()
+                .filter_map(|&iblk| sh.slot_of(ino, iblk))
+                .collect();
+            self.evict_batch_locked(&mut sh, &slots, state, obsv::DrainKind::Sync)?;
         }
         if let Some(file) = sh.files.get_mut(&ino) {
             // Every block of this file is clean now, so no pending entry
@@ -1005,10 +1004,7 @@ impl FileSystem for Hinfs {
                 }
                 None => Vec::new(),
             };
-            for slot in slots {
-                let _ =
-                    self.evict_slot_locked(&mut sh, slot, Some(&mut guard), obsv::DrainKind::Sync)?;
-            }
+            self.evict_batch_locked(&mut sh, &slots, &mut guard, obsv::DrainKind::Sync)?;
             sh.file_mut(of.ino).mmap_pinned = true;
         }
         self.inner.mmap(fd, off, len)

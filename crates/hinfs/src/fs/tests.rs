@@ -779,3 +779,188 @@ fn an_aged_block_the_journal_refuses_stays_dirty_and_the_tick_returns() {
         vec![0x5A; BLOCK_SIZE]
     );
 }
+
+// ----- the flush batch: one core update, one pointer run -----
+
+/// Records the persistence boundaries `f` crosses.
+fn schedule_of(dev: &NvmmDevice, f: impl FnOnce()) -> Vec<nvmm::BoundaryRec> {
+    let plan = nvmm::FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    plan.start_recording();
+    f();
+    let sched = plan.stop_recording();
+    dev.fault_hook().clear();
+    sched
+}
+
+fn inode_of(fs: &Hinfs, fd: fskit::Fd) -> (u64, pmfs::inode::InodeMem) {
+    let of = fs.pmfs().open_file(fd).unwrap();
+    let mem = *of.handle.state.read();
+    (of.ino, mem)
+}
+
+fn within_block(off: u64, pblk: u64) -> bool {
+    (pmfs::Layout::block_off(pblk)..pmfs::Layout::block_off(pblk + 1)).contains(&off)
+}
+
+#[test]
+fn fsync_maps_a_fresh_batch_under_the_writes_own_transaction() {
+    let (dev, fs) = fresh_with(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
+    let fd = fs.open("/f", rw_create()).unwrap();
+    let j = fs.pmfs().journal();
+    let begins = j.stats().snapshot().begins;
+    fs.append(fd, &vec![7u8; 5 * BLOCK_SIZE]).unwrap();
+    assert_eq!(j.stats().snapshot().begins, begins + 1);
+    assert_eq!(j.open_txs(), 1, "the append's deferred commit");
+    let sched = schedule_of(&dev, || fs.fsync(fd).unwrap());
+    let after = j.stats().snapshot();
+    assert_eq!(after.begins, begins + 1, "the flush rode the append's own");
+    assert_eq!(j.open_txs(), 0);
+    let (ino, mem) = inode_of(&fs, fd);
+    assert_eq!((mem.blocks, mem.tree_height), (5, 1));
+    let persists = |hit: &dyn Fn(&nvmm::BoundaryRec) -> bool| {
+        sched
+            .iter()
+            .filter(|b| b.kind == nvmm::BoundaryKind::Persist && hit(b))
+            .count()
+    };
+    let core = fs.pmfs().layout().inode_off(ino);
+    assert_eq!(persists(&|b| b.off == core), 1, "one inode-core persist");
+    // Inside the leaf: its zeroing (64 lines) and the pointer run.
+    let pointer_lines = persists(&|b| within_block(b.off, mem.tree_root) && b.lines == 1);
+    assert!((1..=2).contains(&pointer_lines), "{pointer_lines}");
+    fs.close(fd).unwrap();
+}
+
+#[test]
+fn a_batch_with_no_transaction_to_ride_opens_one_and_commits_it_after_the_data() {
+    let (dev, fs) = fresh();
+    let fd = fs.open("/sparse", rw_create()).unwrap();
+    fs.truncate(fd, 8 * BLOCK_SIZE as u64).unwrap();
+    fs.write(fd, 0, &vec![3u8; 3 * BLOCK_SIZE]).unwrap();
+    let j = fs.pmfs().journal();
+    assert_eq!(j.open_txs(), 0, "no size change, no tx");
+    let before = j.stats().snapshot();
+    let sched = schedule_of(&dev, || fs.fsync(fd).unwrap());
+    let after = j.stats().snapshot();
+    assert_eq!(after.begins, before.begins + 1, "one for the whole batch");
+    assert_eq!(after.commits, before.commits + 1);
+    assert_eq!(
+        after.undo_entries,
+        before.undo_entries + 2,
+        "one core image"
+    );
+    // In schedule order: the last data persist, a fence, the commit entry.
+    let (_, mem) = inode_of(&fs, fd);
+    let data: Vec<u64> = (0..3)
+        .map(|i| pmfs::tree::lookup(&dev, &mem, i).expect("mapped"))
+        .collect();
+    let l = fs.pmfs().layout();
+    let journal = pmfs::Layout::block_off(l.journal_start)..pmfs::Layout::block_off(l.data_start);
+    let last_data = sched
+        .iter()
+        .rposition(|b| data.iter().any(|&p| within_block(b.off, p)))
+        .expect("data was written");
+    let commit = sched
+        .iter()
+        .rposition(|b| b.kind == nvmm::BoundaryKind::Flush && journal.contains(&b.off))
+        .expect("a commit entry was flushed");
+    assert!(last_data < commit);
+    assert!(
+        sched[last_data..commit]
+            .iter()
+            .any(|b| b.kind == nvmm::BoundaryKind::Fence),
+        "the data is fenced before the commit entry"
+    );
+    fs.close(fd).unwrap();
+}
+
+#[test]
+fn a_refused_batch_keeps_its_hole_blocks_dirty_and_still_flushes_the_mapped_ones() {
+    // (The WB variant: the checker would turn the synced block eager.)
+    let (dev, fs) = fresh_with(small_cfg().wb_only());
+    let fd = fs.open("/sparse", rw_create()).unwrap();
+    fs.truncate(fd, 8 * BLOCK_SIZE as u64).unwrap();
+    fs.write(fd, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
+    fs.fsync(fd).unwrap();
+    // Block 0 dirty over its NVMM block, blocks 1 and 2 dirty over holes,
+    // and no transaction open to ride on.
+    fs.write(fd, 0, &vec![2u8; 3 * BLOCK_SIZE]).unwrap();
+    assert_eq!(fs.pmfs().journal().open_txs(), 0);
+    assert_eq!(fs.dirty_blocks(), 3);
+    let plan = nvmm::FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    plan.set_journal_unavailable(true);
+    let free = fs.pmfs().free_blocks();
+    assert_eq!(fs.fsync(fd), Err(FsError::JournalFull));
+    assert_eq!(plan.faults_injected(), 1, "asked once for the batch");
+    assert_eq!(fs.pmfs().free_blocks(), free, "nothing allocated");
+    assert_eq!(fs.dirty_blocks(), 2);
+    let (ino, mem) = inode_of(&fs, fd);
+    {
+        let sh = fs.shard(ino).lock();
+        let dirty = |iblk| sh.pool().meta(sh.slot_of(ino, iblk).unwrap()).dirty != 0;
+        assert!(!dirty(0) && dirty(1) && dirty(2));
+    }
+    let mut nvmm_copy = vec![0u8; BLOCK_SIZE];
+    let p0 = pmfs::tree::lookup(&dev, &mem, 0).unwrap();
+    dev.peek(pmfs::Layout::block_off(p0), &mut nvmm_copy);
+    assert_eq!(
+        nvmm_copy,
+        vec![2u8; BLOCK_SIZE],
+        "the mapped block was flushed"
+    );
+    plan.set_journal_unavailable(false);
+    fs.fsync(fd).unwrap();
+    assert_eq!(fs.dirty_blocks(), 0);
+    fs.close(fd).unwrap();
+}
+
+#[test]
+fn an_allocator_running_dry_mid_batch_maps_the_prefix_and_reports_it() {
+    use obsv::Introspect;
+    for k in 0..6u64 {
+        let (dev, fs) = fresh_with(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
+        let fd = fs.open("/f", rw_create()).unwrap();
+        // The leaf exists, so the batch allocates data blocks only.
+        fs.append(fd, &vec![0x10; BLOCK_SIZE]).unwrap();
+        fs.fsync(fd).unwrap();
+        let data: Vec<u8> = (1..=6u8).flat_map(|b| vec![b; BLOCK_SIZE]).collect();
+        fs.append(fd, &data).unwrap();
+        let plan = nvmm::FaultPlan::new();
+        dev.fault_hook().install(plan.clone());
+        plan.fail_alloc_after(k);
+        assert_eq!(fs.fsync(fd), Err(FsError::NoSpace), "k={k}");
+        assert_eq!(
+            fs.dirty_blocks() as u64,
+            6 - k,
+            "k={k}: the rest stays dirty"
+        );
+        let (_, mem) = inode_of(&fs, fd);
+        assert_eq!(mem.blocks, 1 + k);
+        for iblk in 1..=6u64 {
+            let on_nvmm = pmfs::tree::lookup(&dev, &mem, iblk).map(|p| {
+                let mut b = vec![0u8; BLOCK_SIZE];
+                dev.peek(pmfs::Layout::block_off(p), &mut b);
+                b
+            });
+            let want = (iblk <= k).then(|| vec![iblk as u8; BLOCK_SIZE]);
+            assert_eq!(on_nvmm, want, "k={k} block {iblk}");
+        }
+        assert!(fs.audit().is_clean(), "k={k}: {}", fs.audit().to_json());
+        // With space again the rest follows, and all of it is durable.
+        plan.set_fail_alloc(false);
+        fs.fsync(fd).unwrap();
+        assert_eq!(fs.dirty_blocks(), 0);
+        assert!(fs.audit().is_clean());
+        dev.fault_hook().clear();
+        dev.crash();
+        drop((fd, fs));
+        let fs2 = Pmfs::mount(dev).unwrap();
+        let fd = fs2.open("/f", OpenFlags::READ).unwrap();
+        let mut buf = vec![0u8; 7 * BLOCK_SIZE];
+        assert_eq!(fs2.read(fd, 0, &mut buf).unwrap(), buf.len());
+        assert_eq!(&buf[BLOCK_SIZE..], &data[..], "k={k}");
+        fs2.close(fd).unwrap();
+    }
+}

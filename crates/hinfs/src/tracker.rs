@@ -33,8 +33,9 @@ use crate::stats::HinfsStats;
 /// lineage stamp of the journaling op. Pass an empty set for transactions
 /// with no buffered data (they still wait their FIFO turn). `logged` is
 /// the witness that `tx` journaled the file's inode core: every queued
-/// transaction holds an image of it, which is what lets a flush under a
-/// full ring rewrite the core beneath the oldest one.
+/// transaction holds an image of it, which is what lets a flush that maps
+/// blocks rewrite the core beneath the oldest one instead of journaling
+/// it again (`Hinfs::map_fresh_blocks`).
 pub fn enqueue(
     file: &mut FileBuf,
     tx: TxHandle,
@@ -52,21 +53,24 @@ pub fn enqueue(
     });
 }
 
-/// Records that `(file, iblk)` reached NVMM: clears it from every open
-/// transaction and commits the ready prefix. The commit drains inherit
-/// the flush's drain kind (a flush inside fsync commits synchronously; a
-/// writeback-pass flush commits behind the caller's back).
+/// Records that the blocks `iblks` of `file` reached NVMM: clears them
+/// from every open transaction and commits the ready prefix, once for the
+/// whole flush batch. The commit drains inherit the flush's drain kind (a
+/// flush inside fsync commits synchronously; a writeback-pass flush
+/// commits behind the caller's back).
 pub fn note_flushed(
     file: &mut FileBuf,
     journal: &Journal,
-    iblk: u64,
+    iblks: &[u64],
     obs: &FsObs,
     kind: DrainKind,
     now: u64,
     stats: &HinfsStats,
 ) {
     for t in &mut file.txs {
-        t.pending.remove(&iblk);
+        for iblk in iblks {
+            t.pending.remove(iblk);
+        }
     }
     drain_ready(file, journal, obs, kind, now, stats);
 }
@@ -163,11 +167,11 @@ mod tests {
         enqueue(&mut f, t1, l1, pending(&[1]), no_stamp(), &stats);
         enqueue(&mut f, t2, l2, pending(&[2]), no_stamp(), &stats);
         // Block 2 flushes first: t2 is ready but t1 blocks the FIFO.
-        note_flushed(&mut f, j, 2, &lin, DrainKind::Sync, 0, &stats);
+        note_flushed(&mut f, j, &[2], &lin, DrainKind::Sync, 0, &stats);
         assert_eq!(f.txs.len(), 2, "t2 must wait for t1");
         assert_eq!(j.open_txs(), 2);
         // Block 1 flushes: both drain in order.
-        note_flushed(&mut f, j, 1, &lin, DrainKind::Sync, 0, &stats);
+        note_flushed(&mut f, j, &[1], &lin, DrainKind::Sync, 0, &stats);
         assert!(f.txs.is_empty());
         assert_eq!(j.open_txs(), 0);
         assert_eq!(stats.snapshot().txs_committed, 2);
@@ -184,9 +188,9 @@ mod tests {
         let (t2, l2) = open_tx(&fs);
         enqueue(&mut f, t1, l1, pending(&[5]), no_stamp(), &stats);
         enqueue(&mut f, t2, l2, pending(&[5, 6]), no_stamp(), &stats);
-        note_flushed(&mut f, j, 5, &lin, DrainKind::Sync, 0, &stats);
+        note_flushed(&mut f, j, &[5], &lin, DrainKind::Sync, 0, &stats);
         assert_eq!(f.txs.len(), 1, "t1 committed, t2 still waits on 6");
-        note_flushed(&mut f, j, 6, &lin, DrainKind::Sync, 0, &stats);
+        note_flushed(&mut f, j, &[6], &lin, DrainKind::Sync, 0, &stats);
         assert!(f.txs.is_empty());
     }
 
@@ -203,7 +207,7 @@ mod tests {
         enqueue(&mut f, t2, l2, HashSet::new(), no_stamp(), &stats);
         drain_ready(&mut f, j, &lin, DrainKind::Sync, 0, &stats);
         assert_eq!(f.txs.len(), 2, "ready t2 must not jump over t1");
-        note_flushed(&mut f, j, 9, &lin, DrainKind::Sync, 0, &stats);
+        note_flushed(&mut f, j, &[9], &lin, DrainKind::Sync, 0, &stats);
         assert!(f.txs.is_empty());
     }
 
@@ -237,7 +241,7 @@ mod tests {
         enqueue(&mut f, t1, l1, pending(&[1]), stamp, &stats);
         // A writeback-pass flush 4 µs later commits the deferred tx with
         // real lag; a sync commit would have asserted 0.
-        note_flushed(&mut f, j, 1, &lin, DrainKind::Lazy, 5_000, &stats);
+        note_flushed(&mut f, j, &[1], &lin, DrainKind::Lazy, 5_000, &stats);
         let s = lin.lineage().snap();
         assert_eq!(s.drains_lazy, 1);
         assert_eq!(s.max_lag_ns, 4_000);

@@ -17,7 +17,6 @@
 //! deterministic *writeback actor* whose own clock advances independently
 //! of the foreground (see [`WbCtl`]).
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -68,114 +67,235 @@ impl WbCtl {
     }
 }
 
+/// Writes the lines of `dirty` from a buffered block to NVMM block
+/// `pblk` (CLFW: only dirty cachelines move).
+fn write_dirty_runs(dev: &nvmm::NvmmDevice, block: &[u8], dirty: u64, pblk: u64) {
+    let base = Layout::block_off(pblk);
+    for (start, n) in runs(dirty) {
+        let b = start as usize * CACHELINE;
+        dev.write_persist(
+            Cat::Writeback,
+            base + b as u64,
+            &block[b..b + n as usize * CACHELINE],
+        );
+    }
+}
+
 /// Outcome of one flush attempt under the shared lock.
+#[must_use]
 pub(crate) enum FlushTry {
     /// Flushed (or already clean).
     Done,
-    /// The block maps to a hole; flushing needs the owner inode's lock.
+    /// A block maps to a hole; flushing needs the owner inode's lock.
     NeedsInode(u64),
 }
 
 impl Hinfs {
-    /// Writes one buffered block's dirty lines to NVMM. Caller holds the
-    /// shared lock; `state` supplies the owner inode when available. When
-    /// the block covers a file hole and `state` is `None`, returns
+    /// Writes the dirty lines of a *batch* of buffered blocks to NVMM: the
+    /// dirty ones among `slots`, all blocks of one inode. Caller holds the
+    /// shared lock; `state` lends that inode when available. When a block
+    /// covers a file hole and `state` is `None`, returns
     /// [`FlushTry::NeedsInode`] without side effects.
     ///
-    /// `kind` classifies the drain for lineage: [`DrainKind::Sync`] when
+    /// Blocks over holes are mapped first, as one unit (allocate on
+    /// flush, see [`Self::map_fresh_blocks`]); the already-mapped ones are
+    /// then written in place, in `slots` order. A refusal to map (journal
+    /// ring or allocator exhausted) leaves the refused blocks dirty in
+    /// DRAM and does not stop the rest: their flushes commit transactions,
+    /// and those commits are what lets the ring drain. It is returned once
+    /// everything else is flushed.
+    ///
+    /// `kind` classifies the drains for lineage: [`DrainKind::Sync`] when
     /// the flush runs inside a synchronization the caller asked for
     /// (fsync, O_SYNC eviction, sync/unmount), [`DrainKind::Lazy`] when
     /// the writeback machinery flushes behind the caller's back.
-    pub(crate) fn flush_slot_locked(
+    pub(crate) fn flush_batch_locked(
         &self,
         sh: &mut Shared,
-        slot: u32,
+        slots: &[u32],
         state: Option<&mut InodeMem>,
         kind: DrainKind,
     ) -> Result<FlushTry> {
-        let meta = *sh.pool().meta(slot);
-        if meta.dirty == 0 {
+        let dev = self.inner.device();
+        let mut mapped: Vec<(u32, u64)> = Vec::new(); // (slot, NVMM block)
+        let mut fresh: Vec<(u64, u32)> = Vec::new(); // (file block, slot)
+        let mut ino = 0;
+        for &slot in slots {
+            let m = sh.pool().meta(slot);
+            if m.dirty == 0 {
+                continue;
+            }
+            debug_assert!(ino == 0 || ino == m.ino, "a batch is one inode's");
+            ino = m.ino;
+            let pblk = match (m.nvmm_block, state.as_deref()) {
+                (0, None) => return Ok(FlushTry::NeedsInode(ino)),
+                (0, Some(st)) => pmfs::tree::lookup(dev, st, m.iblk),
+                (p, _) => Some(p),
+            };
+            match pblk {
+                Some(p) => mapped.push((slot, p)),
+                None => fresh.push((m.iblk, slot)),
+            }
+        }
+        if ino == 0 {
             return Ok(FlushTry::Done);
         }
+        let mut flushed = Vec::with_capacity(mapped.len() + fresh.len());
+        let mut refused = Ok(());
+        if let (false, Some(st)) = (fresh.is_empty(), state) {
+            fresh.sort_unstable();
+            refused = self.map_fresh_blocks(sh, st, ino, &fresh, kind, &mut flushed);
+        }
+        for (slot, pblk) in mapped {
+            let BlockMeta { iblk, dirty, .. } = *sh.pool().meta(slot);
+            write_dirty_runs(dev, sh.pool().block(slot), dirty, pblk);
+            dev.sfence();
+            self.retire_slot(sh, slot, pblk, kind);
+            flushed.push(iblk);
+        }
+        tracker::note_flushed(
+            sh.file_mut(ino),
+            self.inner.journal(),
+            &flushed,
+            &self.obs,
+            kind,
+            self.env.now(),
+            &self.stats,
+        );
+        refused.map(|()| FlushTry::Done)
+    }
+
+    /// Allocate on flush: gives the dirty blocks `fresh` (`(file block,
+    /// slot)`, ascending, all over holes of inode `ino`) their NVMM blocks
+    /// and writes their content, in phases that let a crash or a refusal
+    /// at any point leave a consistent file:
+    ///
+    /// 1. **reserve** the inode-core update. A block may enter the file's
+    ///    tree only under a journaled core update — mapped in memory
+    ///    alone, it is gone after a clean remount — so the journal comes
+    ///    first. Every transaction a file queues holds an (older) undo
+    ///    image of its core and cannot commit while the shard lock is
+    ///    held, so when there is one the update rides on the oldest: the
+    ///    core is rewritten under that image, costing no journal space.
+    ///    Only a file with none opens a transaction of its own, one for
+    ///    the batch; on a full ring that fails here, before anything
+    ///    changed;
+    /// 2. **allocate**; an allocator that runs dry cuts the batch short;
+    /// 3. **fill** the unreachable blocks — zeroes on the clean lines a
+    ///    reader could reach, the dirty lines themselves — and **fence**;
+    /// 4. **link** each run of consecutive file blocks with one
+    ///    `insert_run`; what the tree has no node for is freed again;
+    /// 5. persist the **core** once, under the reserved transaction.
+    ///
+    /// The blocks that made it are retired and added to `flushed`; the
+    /// refusal that kept the rest dirty, if any, is returned.
+    fn map_fresh_blocks(
+        &self,
+        sh: &mut Shared,
+        st: &mut InodeMem,
+        ino: u64,
+        fresh: &[(u64, u32)],
+        kind: DrainKind,
+        flushed: &mut Vec<u64>,
+    ) -> Result<()> {
         let dev = self.inner.device();
-        let pblk = if meta.nvmm_block != 0 {
-            meta.nvmm_block
+        let alloc = self.inner.allocator();
+        let rides = sh.files.get(&ino).is_some_and(|f| !f.txs.is_empty());
+        let own = if rides {
+            None
         } else {
-            // Resolve or allocate the NVMM block.
-            let looked_up = state
-                .as_deref()
-                .and_then(|st| pmfs::tree::lookup(dev, st, meta.iblk));
-            match looked_up {
-                Some(p) => p,
-                None => {
-                    let Some(st) = state else {
-                        return Ok(FlushTry::NeedsInode(meta.ino));
-                    };
-                    // Allocate on flush. The block may enter the file's
-                    // tree only under a journaled inode-core update —
-                    // mapped in memory alone, it is gone after a clean
-                    // remount. So the journal comes first: open the
-                    // transaction with its undo slots set aside, and on a
-                    // full ring fail here, before anything changed (the
-                    // block stays dirty in DRAM). The one thing a full
-                    // ring still admits: the file's oldest queued
-                    // transaction already holds an older image of the core
-                    // and cannot commit while the shard lock is held, so
-                    // the update rides on it — which is what lets a file
-                    // whose own deferred transactions pin the ring flush
-                    // at all.
-                    let has_open_tx = sh.files.get(&meta.ino).is_some_and(|f| !f.txs.is_empty());
-                    let tx = match self.inner.begin_inode_update() {
-                        Ok(tx) => Some(tx),
-                        Err(FsError::JournalFull) if has_open_tx => None,
-                        Err(e) => return Err(e),
-                    };
-                    let p = match self.map_fresh_block(st, &meta) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            if let Some(tx) = tx {
-                                self.inner.journal().abort(tx);
-                            }
-                            return Err(e);
-                        }
-                    };
-                    match tx {
-                        Some(tx) => {
-                            let logged = self
-                                .inner
-                                .log_write_inode(&tx, meta.ino, st)
-                                .expect("undo slots were set aside at begin");
-                            // Through the ordered FIFO, behind the file's
-                            // older transactions.
-                            tracker::enqueue(
-                                sh.file_mut(meta.ino),
-                                tx,
-                                logged,
-                                HashSet::new(),
-                                self.obs.stamp(self.env.now()),
-                                &self.stats,
-                            );
-                        }
-                        None => {
-                            let oldest = &sh.files[&meta.ino].txs[0];
-                            debug_assert_eq!(oldest.logged.ino(), meta.ino);
-                            self.inner
-                                .rewrite_logged_inode(&oldest.tx, oldest.logged, st);
-                        }
-                    }
-                    p
-                }
-            }
+            Some(self.inner.begin_inode_update(ino)?)
         };
-        // Write the dirty runs (CLFW: only dirty cachelines move).
-        let base = Layout::block_off(pblk);
-        for (start, n) in runs(meta.dirty) {
-            let b = start as usize * CACHELINE;
-            let data = &sh.pool().block(slot)[b..b + n as usize * CACHELINE];
-            dev.write_persist(Cat::Writeback, base + b as u64, data);
+        let mut res = Ok(());
+        let blocks: Vec<u64> = fresh
+            .iter()
+            .map_while(|_| alloc.alloc().map_err(|e| res = Err(e)).ok())
+            .collect();
+        if blocks.is_empty() {
+            if let Some((tx, _)) = own {
+                self.inner.journal().abort(tx);
+            }
+            return res;
+        }
+        // Fill. Only the clean lines a reader could reach (up to end of
+        // file) are zeroed: lines fully beyond EOF are unreachable and the
+        // write path zeroes them explicitly if the file later grows over
+        // them — this is what keeps CLFW's NVMM write traffic at
+        // dirty-line granularity (Fig 9b).
+        for (&(iblk, slot), &p) in fresh.iter().zip(&blocks) {
+            let dirty = sh.pool().meta(slot).dirty;
+            let in_file = st
+                .size
+                .saturating_sub(iblk * BLOCK_SIZE as u64)
+                .min(BLOCK_SIZE as u64) as usize;
+            for (start, n) in runs(range_mask(0, in_file) & !dirty) {
+                dev.zero_persist(
+                    Cat::Writeback,
+                    Layout::block_off(p) + start as u64 * CACHELINE as u64,
+                    n as usize * CACHELINE,
+                );
+            }
+            write_dirty_runs(dev, sh.pool().block(slot), dirty, p);
         }
         dev.sfence();
-        HinfsStats::bump(&self.stats.writeback_lines, meta.dirty.count_ones() as u64);
+        // Link, run by run, while the tree takes them.
+        let mut linked = 0;
+        for run in fresh[..blocks.len()].chunk_by(|a, b| a.0 + 1 == b.0) {
+            let pblks = &blocks[linked..linked + run.len()];
+            let n = match pmfs::tree::insert_run(dev, alloc, st, run[0].0, pblks) {
+                Ok(n) => n,
+                Err(e) => {
+                    res = Err(e);
+                    break;
+                }
+            };
+            linked += n;
+            if n < run.len() {
+                res = Err(FsError::NoSpace);
+                break;
+            }
+        }
+        for &p in &blocks[linked..] {
+            alloc.free(p);
+        }
+        st.blocks += linked as u64;
+        let file = sh.file_mut(ino);
+        match own {
+            Some((tx, logged)) => {
+                self.inner.rewrite_logged_inode(&tx, logged, st);
+                // Through the ordered FIFO (it is empty), pending on the
+                // batch until the caller retires it.
+                tracker::enqueue(
+                    file,
+                    tx,
+                    logged,
+                    fresh[..linked].iter().map(|&(iblk, _)| iblk).collect(),
+                    self.obs.stamp(self.env.now()),
+                    &self.stats,
+                );
+            }
+            None => {
+                let oldest = &file.txs[0];
+                debug_assert_eq!(oldest.logged.ino(), ino);
+                self.inner
+                    .rewrite_logged_inode(&oldest.tx, oldest.logged, st);
+            }
+        }
+        for (&(iblk, slot), &p) in fresh.iter().zip(&blocks).take(linked) {
+            self.retire_slot(sh, slot, p, kind);
+            flushed.push(iblk);
+        }
+        res
+    }
+
+    /// Books a slot whose dirty lines are on NVMM block `pblk` as clean:
+    /// counters, bitmap, and the block's ack stamp — the flush retires it,
+    /// recording the durability lag and putting the causal link on the
+    /// trace ring (the drained event carries the origin op's seq window).
+    fn retire_slot(&self, sh: &mut Shared, slot: u32, pblk: u64, kind: DrainKind) {
+        let meta = *sh.pool().meta(slot);
+        let lines = meta.dirty.count_ones() as u64;
+        HinfsStats::bump(&self.stats.writeback_lines, lines);
         HinfsStats::bump(&self.stats.writeback_blocks, 1);
         {
             let m = sh.pool_mut().meta_mut(slot);
@@ -183,11 +303,8 @@ impl Hinfs {
             m.nvmm_block = pblk;
         }
         sh.dirty_blocks -= 1;
-        // The flush retires the block's ack stamp: record the durability
-        // lag and put the causal link on the trace ring (the drained
-        // event carries the origin op's seq window).
         if self.obs.full() {
-            let drained = meta.dirty.count_ones() as u64 * CACHELINE as u64;
+            let drained = lines * CACHELINE as u64;
             let now = self.env.now();
             let lag = self.obs.record_drain(&meta.stamp, kind, now, drained);
             let seq_hi = self.obs.trace.emitted();
@@ -200,64 +317,40 @@ impl Hinfs {
                 seq_hi,
             });
         }
-        tracker::note_flushed(
-            sh.file_mut(meta.ino),
-            self.inner.journal(),
-            meta.iblk,
-            &self.obs,
-            kind,
-            self.env.now(),
-            &self.stats,
-        );
-        Ok(FlushTry::Done)
     }
 
-    /// Allocates and zero-fills the NVMM block behind a buffered hole
-    /// block and inserts it into the inode's tree (in memory and in the
-    /// tree nodes; the inode core is the caller's to persist). Zeroes only
-    /// the clean lines a reader could reach (up to end of file): lines
-    /// fully beyond EOF are unreachable and the write path zeroes them
-    /// explicitly if the file later grows over them — this is what keeps
-    /// CLFW's NVMM write traffic at dirty-line granularity (Fig 9b).
-    fn map_fresh_block(&self, st: &mut InodeMem, meta: &BlockMeta) -> Result<u64> {
-        let dev = self.inner.device();
-        let p = self.inner.allocator().alloc()?;
-        let base = Layout::block_off(p);
-        let in_file = st
-            .size
-            .saturating_sub(meta.iblk * BLOCK_SIZE as u64)
-            .min(BLOCK_SIZE as u64) as usize;
-        let readable = range_mask(0, in_file);
-        for (start, n) in runs(readable & !meta.dirty) {
-            dev.zero_persist(
-                Cat::Writeback,
-                base + start as u64 * CACHELINE as u64,
-                n as usize * CACHELINE,
-            );
-        }
-        pmfs::tree::insert(dev, self.inner.allocator(), st, meta.iblk, p)?;
-        st.blocks += 1;
-        Ok(p)
-    }
-
-    /// Flushes (if dirty) and releases a slot, dropping it from its file's
-    /// DRAM Block Index. Same `state` contract as [`Self::flush_slot_locked`].
-    pub(crate) fn evict_slot_locked(
+    /// Flushes a batch of the lent inode's blocks
+    /// ([`Self::flush_batch_locked`]) and releases its slots, dropping
+    /// them from the file's DRAM Block Index.
+    pub(crate) fn evict_batch_locked(
         &self,
         sh: &mut Shared,
-        slot: u32,
-        state: Option<&mut InodeMem>,
+        slots: &[u32],
+        state: &mut InodeMem,
         kind: DrainKind,
-    ) -> Result<FlushTry> {
-        if let FlushTry::NeedsInode(ino) = self.flush_slot_locked(sh, slot, state, kind)? {
-            return Ok(FlushTry::NeedsInode(ino));
+    ) -> Result<()> {
+        // With the inode lent the flush never asks for it.
+        let _ = self.flush_batch_locked(sh, slots, Some(state), kind)?;
+        self.release_clean_prefix(sh, slots);
+        Ok(())
+    }
+
+    /// Releases the slots of `slots` up to the first that is still dirty
+    /// (all of them after a flush that refused nothing); returns how many.
+    fn release_clean_prefix(&self, sh: &mut Shared, slots: &[u32]) -> u64 {
+        let mut released = 0;
+        for &slot in slots {
+            let meta = *sh.pool().meta(slot);
+            if meta.dirty != 0 {
+                break;
+            }
+            if let Some(file) = sh.files.get_mut(&meta.ino) {
+                file.index.remove(meta.iblk);
+            }
+            sh.pool_mut().release_slot(slot);
+            released += 1;
         }
-        let meta = *sh.pool().meta(slot);
-        if let Some(file) = sh.files.get_mut(&meta.ino) {
-            file.index.remove(meta.iblk);
-        }
-        sh.pool_mut().release_slot(slot);
-        Ok(FlushTry::Done)
+        released
     }
 
     /// Reclaims LRW victims until `target_free` blocks are free, bracketing
@@ -302,6 +395,13 @@ impl Hinfs {
     }
 
     /// The reclaim loop proper (see [`Self::reclaim`] for the result).
+    ///
+    /// Victims leave in LRW order, those that need no foreign inode lock
+    /// first: clean or already-mapped blocks and the lent inode's own.
+    /// Only a pool of nothing but foreign hole blocks makes the pass take
+    /// an owner's lock. Either way one iteration handles the maximal run
+    /// of victims that belong to one file — as many as are still needed —
+    /// as one flush batch.
     fn reclaim_loop(
         &self,
         si: usize,
@@ -313,39 +413,60 @@ impl Hinfs {
         let stopped = |victims: u64, e: FsError| if victims == 0 { Err(e) } else { Ok(victims) };
         loop {
             let mut sh = self.shards[si].lock();
-            if sh.pool().free_count() >= target_free {
+            let want = target_free.saturating_sub(sh.pool().free_count());
+            if want == 0 {
                 return Ok(victims);
             }
-            // Find the oldest victim we can handle in this iteration.
-            let mut victim: Option<(u32, u64)> = None; // (slot, ino-if-foreign)
+            let own_ino = own.as_ref().map_or(0, |(oino, _)| *oino);
+            let mut run: Vec<u32> = Vec::new();
+            let mut run_ino = 0;
             for slot in sh.pool().lrw.iter_from_tail() {
                 let m = sh.pool().meta(slot);
                 let self_sufficient = m.dirty == 0 || m.nvmm_block != 0;
-                let is_own = own.as_ref().is_some_and(|(oino, _)| *oino == m.ino);
-                if self_sufficient || is_own {
-                    victim = Some((slot, 0));
+                if !self_sufficient && m.ino != own_ino {
+                    continue;
+                }
+                if run.is_empty() {
+                    run_ino = m.ino;
+                } else if m.ino != run_ino {
                     break;
                 }
-                if victim.is_none() {
-                    victim = Some((slot, m.ino));
+                run.push(slot);
+                if run.len() == want {
+                    break;
                 }
             }
-            let Some((slot, foreign_ino)) = victim else {
-                return Ok(victims); // pool empty of victims (everything already free)
-            };
-            if foreign_ino == 0 {
-                let state = own.as_mut().map(|(_, st)| &mut **st);
+            if !run.is_empty() {
+                let state = own
+                    .as_mut()
+                    .filter(|(oino, _)| *oino == run_ino)
+                    .map(|(_, st)| &mut **st);
                 // Self-sufficient or own-inode victims cannot fail with
                 // NeedsInode; allocator or journal exhaustion aborts the
                 // pass. Pool-pressure eviction drains behind the ack: lazy.
-                if let Err(e) = self.evict_slot_locked(&mut sh, slot, state, DrainKind::Lazy) {
+                let res = self.flush_batch_locked(&mut sh, &run, state, DrainKind::Lazy);
+                victims += self.release_clean_prefix(&mut sh, &run);
+                if let Err(e) = res {
                     return stopped(victims, e);
                 }
-                victims += 1;
                 continue;
             }
-            // Foreign hole-block: take the owner's inode lock with the
-            // shared lock dropped (lock order: inode before shared).
+            // Nothing but foreign hole blocks: the run at the LRW end that
+            // belongs to the oldest one's file.
+            let Some(foreign_ino) = sh.pool().lrw.tail().map(|t| sh.pool().meta(t).ino) else {
+                return Ok(victims); // pool empty of victims (everything already free)
+            };
+            let run: Vec<(u32, u64)> = sh
+                .pool()
+                .lrw
+                .iter_from_tail()
+                .map(|slot| (slot, sh.pool().meta(slot)))
+                .take_while(|(_, m)| m.ino == foreign_ino)
+                .take(want)
+                .map(|(slot, m)| (slot, m.iblk))
+                .collect();
+            // Take the owner's inode lock with the shared lock dropped
+            // (lock order: inode before shared).
             drop(sh);
             let Ok(handle) = self.inner.inode(foreign_ino) else {
                 continue; // raced with deletion; rescan
@@ -363,13 +484,15 @@ impl Hinfs {
             };
             let mut sh = self.shards[si].lock();
             // Re-validate after re-locking.
-            let still = sh.slot_of(foreign_ino, sh.pool().meta(slot).iblk) == Some(slot)
-                && sh.pool().meta(slot).ino == foreign_ino;
-            if still {
-                match self.evict_slot_locked(&mut sh, slot, Some(&mut guard), DrainKind::Lazy) {
-                    Ok(_) => victims += 1,
-                    Err(e) => return stopped(victims, e),
-                }
+            let run: Vec<u32> = run
+                .into_iter()
+                .filter(|&(slot, iblk)| sh.slot_of(foreign_ino, iblk) == Some(slot))
+                .map(|(slot, _)| slot)
+                .collect();
+            let res = self.flush_batch_locked(&mut sh, &run, Some(&mut guard), DrainKind::Lazy);
+            victims += self.release_clean_prefix(&mut sh, &run);
+            if let Err(e) = res {
+                return stopped(victims, e);
             }
         }
     }
@@ -414,24 +537,24 @@ impl Hinfs {
         let mut age_flushed: u64 = 0;
         loop {
             let mut sh = self.shards[si].lock();
-            let mut target: Option<(u32, u64)> = None;
+            let mut target: Option<u32> = None;
             for slot in sh.pool().lrw.iter_from_tail() {
                 let m = sh.pool().meta(slot);
                 if m.last_write_ns + self.cfg.dirty_age_ns > now {
                     break;
                 }
                 if m.dirty != 0 {
-                    target = Some((slot, m.ino));
+                    target = Some(slot);
                     break;
                 }
             }
-            let Some((slot, ino)) = target else { break };
-            match self.flush_slot_locked(&mut sh, slot, None, DrainKind::Lazy) {
+            let Some(slot) = target else { break };
+            match self.flush_batch_locked(&mut sh, &[slot], None, DrainKind::Lazy) {
                 Ok(FlushTry::Done) => {
                     age_flushed += 1;
                     continue;
                 }
-                Ok(FlushTry::NeedsInode(_)) => {
+                Ok(FlushTry::NeedsInode(ino)) => {
                     drop(sh);
                     let Ok(handle) = self.inner.inode(ino) else {
                         continue;
@@ -442,7 +565,12 @@ impl Hinfs {
                     if sh.slot_of(ino, iblk) != Some(slot) {
                         continue; // evicted or reused meanwhile; rescan
                     }
-                    match self.flush_slot_locked(&mut sh, slot, Some(&mut guard), DrainKind::Lazy) {
+                    match self.flush_batch_locked(
+                        &mut sh,
+                        &[slot],
+                        Some(&mut guard),
+                        DrainKind::Lazy,
+                    ) {
                         Ok(_) => age_flushed += 1,
                         // Refused (journal ring or allocator exhausted):
                         // the block stays the oldest dirty one, so give
@@ -623,7 +751,7 @@ impl Hinfs {
             }
             None => return Ok(()),
         };
-        self.flush_slots_locked(&mut sh, &slots, &mut guard, kind)?;
+        let _ = self.flush_batch_locked(&mut sh, &slots, Some(&mut guard), kind)?;
         if let Some(file) = sh.files.get_mut(&ino) {
             // All blocks are clean: no pending entry may gate a commit.
             for t in &mut file.txs {
@@ -640,35 +768,6 @@ impl Hinfs {
             debug_assert!(file.txs.is_empty(), "flush_all left open transactions");
         }
         Ok(())
-    }
-
-    /// Flushes the dirty ones among `slots`, all blocks of the inode whose
-    /// state the caller lends. A block that cannot be mapped because the
-    /// journal ring is full stays dirty and does not stop the rest: their
-    /// flushes commit transactions, and those commits are what lets the
-    /// ring drain. Returns that error once every slot was tried.
-    pub(crate) fn flush_slots_locked(
-        &self,
-        sh: &mut Shared,
-        slots: &[u32],
-        state: &mut InodeMem,
-        kind: DrainKind,
-    ) -> Result<()> {
-        let mut ring_full = Ok(());
-        for &slot in slots {
-            if sh.pool().meta(slot).dirty == 0 {
-                continue;
-            }
-            match self.flush_slot_locked(sh, slot, Some(state), kind) {
-                Ok(FlushTry::Done) => {}
-                Ok(FlushTry::NeedsInode(_)) => {
-                    return Err(FsError::Corrupted("flush could not map block"))
-                }
-                Err(FsError::JournalFull) => ring_full = Err(FsError::JournalFull),
-                Err(e) => return Err(e),
-            }
-        }
-        ring_full
     }
 
     /// Total buffered dirty blocks across every shard (diagnostics).

@@ -124,7 +124,9 @@ pub struct FaultPlan {
     recording: AtomicBool,
     schedule: Mutex<Vec<BoundaryRec>>,
     journal_unavailable: AtomicBool,
-    fail_alloc: AtomicBool,
+    /// Allocations still admitted before ENOSPC sets in, plus one
+    /// (1 = every allocation fails); 0 = injection off.
+    allocs_left: AtomicU64,
     stall_writeback: AtomicBool,
     crashes_injected: AtomicU64,
     faults_injected: AtomicU64,
@@ -186,7 +188,24 @@ impl FaultPlan {
 
     /// Switches allocation-failure (ENOSPC) injection.
     pub fn set_fail_alloc(&self, on: bool) {
-        self.fail_alloc.store(on, Ordering::Relaxed);
+        self.allocs_left.store(on as u64, Ordering::Relaxed);
+    }
+
+    /// Whether the allocation asking now is refused: the countdown has run
+    /// out (it takes one step otherwise).
+    fn refuses_alloc(&self) -> bool {
+        self.allocs_left
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
+                (left > 1).then(|| left - 1)
+            })
+            == Err(1)
+    }
+
+    /// Admits `n` more allocations, then fails every later one with
+    /// ENOSPC — the allocator running dry in the middle of an operation.
+    /// [`FaultPlan::set_fail_alloc`]`(false)` lifts it again.
+    pub fn fail_alloc_after(&self, n: u64) {
+        self.allocs_left.store(n + 1, Ordering::Relaxed);
     }
 
     /// Switches background-writeback stalling.
@@ -304,7 +323,7 @@ pub fn journal_blocked(dev: &NvmmDevice) -> bool {
 /// injection). Counts and traces the injection when it fires.
 pub fn alloc_blocked(dev: &NvmmDevice) -> bool {
     match dev.fault_hook().plan() {
-        Some(plan) if plan.fail_alloc.load(Ordering::Relaxed) => {
+        Some(plan) if plan.refuses_alloc() => {
             plan.note_fault(InjectedFault::Enospc, dev.env().now());
             true
         }
@@ -407,6 +426,21 @@ mod tests {
         assert_eq!(plan.faults_injected(), 3);
         plan.set_journal_unavailable(false);
         assert!(!journal_blocked(&d));
+    }
+
+    #[test]
+    fn alloc_countdown_admits_n_then_refuses_until_lifted() {
+        let d = dev();
+        let plan = FaultPlan::new();
+        d.fault_hook().install(plan.clone());
+        plan.fail_alloc_after(2);
+        assert!(!alloc_blocked(&d));
+        assert!(!alloc_blocked(&d));
+        assert!(alloc_blocked(&d), "the third allocation is refused");
+        assert!(alloc_blocked(&d), "and every later one");
+        assert_eq!(plan.faults_injected(), 2);
+        plan.set_fail_alloc(false);
+        assert!(!alloc_blocked(&d));
     }
 
     #[test]

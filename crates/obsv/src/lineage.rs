@@ -306,13 +306,13 @@ impl LineageSnap {
         self.layer_bytes[layer as usize]
     }
 
-    /// Fences per logical KiB (rounded), or 0 with no logical bytes.
-    pub fn fences_per_kib(&self) -> u64 {
+    /// Fences per logical KiB, or 0 with no logical bytes.
+    pub fn fences_per_kib(&self) -> f64 {
         let logical = self.layer(Layer::Logical);
         if logical == 0 {
-            return 0;
+            return 0.0;
         }
-        self.fences.saturating_mul(1024) / logical
+        self.fences as f64 * 1024.0 / logical as f64
     }
 
     /// Write amplification of `layer` against logical bytes, as a float
@@ -419,18 +419,18 @@ mod tests {
     #[test]
     fn snap_derives_amplification_and_fence_rate() {
         let t = LineageTable::new();
-        t.fold(OpKind::Write as usize, &[2048, 0, 0, 8192, 0], 2);
+        t.fold(OpKind::Write as usize, &[2048, 0, 0, 8192, 0], 3);
         t.fold(BG_ROW, &[0, 0, 0, 100, 0], 0);
         let s = t.snap();
         assert_eq!(s.amplification(Layer::NvmmPersisted), 8292.0 / 2048.0);
-        assert_eq!(s.fences_per_kib(), 2 * 1024 / 2048);
+        assert_eq!(s.fences_per_kib(), 1.5, "not truncated to 1");
         let top = s.top_amplifiers(4);
         assert_eq!(top[0], (OpKind::Write as usize, 8192));
         assert_eq!(top[1], (BG_ROW, 100));
         // Empty table divides to zero, not a panic.
         let empty = LineageTable::new().snap();
         assert_eq!(empty.amplification(Layer::NvmmPersisted), 0.0);
-        assert_eq!(empty.fences_per_kib(), 0);
+        assert_eq!(empty.fences_per_kib(), 0.0);
         assert!(empty.top_amplifiers(3).is_empty());
     }
 }

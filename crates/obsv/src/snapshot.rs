@@ -306,13 +306,13 @@ impl FsSnapshot {
                 &mut out,
                 &[
                     ("fences", l.fences),
-                    ("fences_per_kib", l.fences_per_kib()),
                     ("stamps", l.stamps),
                     ("drains_sync", l.drains_sync),
                     ("drains_lazy", l.drains_lazy),
                     ("max_lag_ns", l.max_lag_ns),
                 ],
             );
+            out.push_str(&format!("\"fences_per_kib\":{:.3},", l.fences_per_kib()));
             out.push_str(&format!(
                 "\"lag\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
                 l.lag.count(),

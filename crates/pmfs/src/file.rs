@@ -53,8 +53,70 @@ pub fn read_at(dev: &NvmmDevice, mem: &InodeMem, off: u64, buf: &mut [u8]) -> us
     n
 }
 
+/// Fresh blocks for one run of consecutive file blocks: allocated, being
+/// filled by the caller, not yet reachable. [`FreshRun::link`] fences the
+/// fill and makes the run reachable with one [`tree::insert_run`] — fill
+/// before link, so a crash never exposes what a recycled block held
+/// before. Blocks still unlinked when the run is dropped (an error cut
+/// the operation short) return to the allocator.
+pub(crate) struct FreshRun<'a> {
+    dev: &'a NvmmDevice,
+    alloc: &'a Allocator,
+    start: u64,
+    blocks: Vec<u64>,
+}
+
+impl<'a> FreshRun<'a> {
+    pub(crate) fn new(dev: &'a NvmmDevice, alloc: &'a Allocator) -> Self {
+        FreshRun {
+            dev,
+            alloc,
+            start: 0,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Allocates the block that will back file block `iblk` (a hole). A
+    /// pending run that `iblk` does not extend is linked first.
+    pub(crate) fn alloc(&mut self, mem: &mut InodeMem, iblk: u64) -> Result<u64> {
+        if self.start + self.blocks.len() as u64 != iblk {
+            self.link(mem)?;
+            self.start = iblk;
+        }
+        let p = self.alloc.alloc()?;
+        self.blocks.push(p);
+        Ok(p)
+    }
+
+    /// Links the pending run, if any, and counts it in `mem.blocks`.
+    pub(crate) fn link(&mut self, mem: &mut InodeMem) -> Result<()> {
+        if self.blocks.is_empty() {
+            return Ok(());
+        }
+        self.dev.sfence();
+        let linked = tree::insert_run(self.dev, self.alloc, mem, self.start, &self.blocks)?;
+        mem.blocks += linked as u64;
+        // What the tree had no node for stays ours to free.
+        self.blocks.drain(..linked);
+        if self.blocks.is_empty() {
+            Ok(())
+        } else {
+            Err(FsError::NoSpace)
+        }
+    }
+}
+
+impl Drop for FreshRun<'_> {
+    fn drop(&mut self) {
+        for &p in &self.blocks {
+            self.alloc.free(p);
+        }
+    }
+}
+
 /// Writes `data` at `off` with direct, durable stores. Allocates blocks as
-/// needed (zeroing the uncovered parts of fresh blocks) and updates
+/// needed (zeroing the uncovered parts of fresh blocks), links each run of
+/// consecutive fresh blocks once it is filled, and updates
 /// `mem.size`/`mem.blocks`/`mem.mtime` in memory. Always returns `true`:
 /// `mtime` advances, so the caller must journal the inode core.
 pub fn write_at(
@@ -72,6 +134,7 @@ pub fn write_at(
         .checked_add(data.len() as u64)
         .filter(|&e| e <= MAX_FILE_SIZE)
         .ok_or(FsError::FileTooLarge)?;
+    let mut fresh = FreshRun::new(dev, alloc);
     let mut done = 0;
     while done < data.len() {
         let pos = off + done as u64;
@@ -81,7 +144,7 @@ pub fn write_at(
         let pblk = match tree::lookup(dev, mem, iblk) {
             Some(p) => p,
             None => {
-                let p = alloc.alloc()?;
+                let p = fresh.alloc(mem, iblk)?;
                 let base = Layout::block_off(p);
                 // Zero the parts of the fresh block the write leaves
                 // uncovered so holes and later extensions read as zeroes.
@@ -92,8 +155,6 @@ pub fn write_at(
                 if tail < BLOCK_SIZE {
                     dev.zero_persist(Cat::UserWrite, base + tail as u64, BLOCK_SIZE - tail);
                 }
-                tree::insert(dev, alloc, mem, iblk, p)?;
-                mem.blocks += 1;
                 p
             }
         };
@@ -104,7 +165,12 @@ pub fn write_at(
         );
         done += chunk;
     }
-    dev.sfence();
+    if fresh.blocks.is_empty() {
+        dev.sfence();
+    } else {
+        // Its fence orders the in-place writes above as well.
+        fresh.link(mem)?;
+    }
     if end > mem.size {
         mem.size = end;
     }

@@ -260,23 +260,40 @@ impl Pmfs {
     /// The change becomes crash-durable when the transaction commits; the
     /// returned witness says which transaction now holds that image.
     pub fn log_write_inode(&self, tx: &TxHandle, ino: u64, mem: &InodeMem) -> Result<InodeLogged> {
+        let logged = self.log_inode(tx, ino)?;
+        self.persist_inode_core(ino, mem);
+        Ok(logged)
+    }
+
+    /// Journals the inode core's current image under `tx`.
+    fn log_inode(&self, tx: &TxHandle, ino: u64) -> Result<InodeLogged> {
         self.journal
             .log_range(tx, self.layout.inode_off(ino), INODE_CORE)?;
-        self.persist_inode_core(ino, mem);
         Ok(InodeLogged {
             ino,
             txid: tx.txid(),
         })
     }
 
-    /// Opens a transaction for one inode-core update with the undo slots
-    /// [`Pmfs::log_write_inode`] needs already set aside: once this
-    /// returns, that call cannot fail on a full ring. For updates that
-    /// follow a change the caller cannot take back (HiNFS mapping a block
-    /// at flush time).
-    pub fn begin_inode_update(&self) -> Result<TxHandle> {
-        self.journal
-            .begin_reserving(INODE_CORE.div_ceil(crate::journal::PAYLOAD) as u64)
+    /// Opens a transaction that already holds the undo image of inode
+    /// `ino`'s core: everything that can fail on a full ring happens here,
+    /// with no side effect when it does. What is left of the update —
+    /// [`Pmfs::rewrite_logged_inode`] with the returned witness, then the
+    /// commit — cannot fail. For updates that follow changes the caller
+    /// cannot take back (HiNFS mapping blocks at flush time).
+    pub fn begin_inode_update(&self, ino: u64) -> Result<(TxHandle, InodeLogged)> {
+        let tx = self
+            .journal
+            .begin_reserving(INODE_CORE.div_ceil(crate::journal::PAYLOAD) as u64)?;
+        match self.log_inode(&tx, ino) {
+            Ok(logged) => Ok((tx, logged)),
+            Err(e) => {
+                // Not with the slots set aside above — but an open record
+                // would pin the ring forever.
+                self.journal.abort(tx);
+                Err(e)
+            }
+        }
     }
 
     /// Persists the inode core again under a transaction that already

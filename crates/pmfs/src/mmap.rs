@@ -12,6 +12,7 @@ use fskit::{FsError, MmapHandle, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE, CACHELINE};
 use parking_lot::Mutex;
 
+use crate::file::FreshRun;
 use crate::fs::{OpenFile, Pmfs};
 use crate::layout::Layout;
 use crate::tree;
@@ -46,20 +47,21 @@ impl PmfsMmap {
         let mut blocks = Vec::with_capacity((last_iblk - first_iblk + 1) as usize);
         let tx = fs.journal().begin()?;
         let mut meta_changed = false;
+        let mut fresh = FreshRun::new(&dev, fs.allocator());
         for iblk in first_iblk..=last_iblk {
             let pblk = match tree::lookup(&dev, &state, iblk) {
                 Some(p) => p,
                 None => {
-                    let p = fs.allocator().alloc()?;
+                    let p = fresh.alloc(&mut state, iblk)?;
                     dev.zero_persist(Cat::Meta, Layout::block_off(p), BLOCK_SIZE);
-                    tree::insert(&dev, fs.allocator(), &mut state, iblk, p)?;
-                    state.blocks += 1;
                     meta_changed = true;
                     p
                 }
             };
             blocks.push(pblk);
         }
+        fresh.link(&mut state)?;
+        drop(fresh);
         if meta_changed {
             let snap = *state;
             drop(state);

@@ -7,11 +7,26 @@
 //! tree never needs journaling; only the inode's `tree_root`/`tree_height`
 //! fields do, and those ride in the caller's inode transaction.
 //!
+//! The unit of both mutations is the **run** of consecutive file blocks:
+//! [`insert_run`] descends once per leaf and persists the run's pointers a
+//! cacheline at a time (any subset of those lines is a valid tree, since
+//! each pointer links a block the caller filled and fenced beforehand);
+//! [`remove_from`] zeroes the freed tail of a surviving node as one run
+//! and frees an emptied node without touching its slots (it is
+//! unreachable once its parent's pointer — or the inode's root — is gone).
+//!
+//! | operation | persists | fences |
+//! |---|---|---|
+//! | `insert_run`, per leaf the run touches | 1 per pointer cacheline (8 pointers) | 1 |
+//! | …per interior/leaf node it has to create | 1 node zeroing + 1 pointer | 1 |
+//! | `remove_from`, per surviving node it cuts | 1 zeroing run | 1 |
+//! | …per emptied node | 0 (the parent's run covers its pointer) | 0 |
+//!
 //! Crash windows leak at most *unreachable* blocks, which the mount-time
 //! allocator rebuild walk reclaims (see [`crate::alloc`]).
 
 use fskit::{FsError, Result};
-use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
+use nvmm::{Cat, NvmmDevice, BLOCK_SIZE, CACHELINE};
 
 use crate::alloc::Allocator;
 use crate::inode::InodeMem;
@@ -19,6 +34,9 @@ use crate::layout::Layout;
 
 /// Pointers per node.
 pub const FANOUT: u64 = (BLOCK_SIZE / 8) as u64;
+
+/// Pointers per cacheline.
+const PTRS_PER_LINE: u64 = (CACHELINE / 8) as u64;
 
 /// Number of file blocks addressable by a tree of `height`.
 pub fn capacity(height: u32) -> u64 {
@@ -35,20 +53,37 @@ fn slot_at(iblk: u64, level: u32) -> u64 {
     (iblk >> (9 * (level - 1))) & (FANOUT - 1)
 }
 
-/// Looks up the physical block for file block `iblk`, or `None` for a hole.
-pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, iblk: u64) -> Option<u64> {
+/// The node at `level` on the path to `iblk`, or `None` where the path
+/// ends in a hole (or the tree is too short).
+fn node_at(dev: &NvmmDevice, mem: &InodeMem, iblk: u64, level: u32) -> Option<u64> {
     if mem.tree_root == 0 || iblk >= capacity(mem.tree_height) {
         return None;
     }
     let mut node = mem.tree_root;
-    for level in (1..=mem.tree_height).rev() {
-        let p = dev.read_u64(Cat::Meta, slot_off(node, slot_at(iblk, level)));
-        if p == 0 {
+    for l in (level + 1..=mem.tree_height).rev() {
+        node = dev.read_u64(Cat::Meta, slot_off(node, slot_at(iblk, l)));
+        if node == 0 {
             return None;
         }
-        node = p;
     }
     Some(node)
+}
+
+/// Looks up the physical block for file block `iblk`, or `None` for a hole.
+pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, iblk: u64) -> Option<u64> {
+    node_at(dev, mem, iblk, 0)
+}
+
+/// Reads slots `[slot, slot + out.len())` of `node` in one device access.
+fn read_slots(dev: &NvmmDevice, node: u64, slot: u64, out: &mut [u64]) {
+    let mut raw = [0u8; BLOCK_SIZE];
+    let raw = &mut raw[..out.len() * 8];
+    dev.read(Cat::Meta, slot_off(node, slot), raw);
+    for (v, b) in out.iter_mut().zip(raw.chunks_exact(8)) {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(b);
+        *v = u64::from_le_bytes(le);
+    }
 }
 
 fn new_node(dev: &NvmmDevice, alloc: &Allocator) -> Result<u64> {
@@ -57,21 +92,83 @@ fn new_node(dev: &NvmmDevice, alloc: &Allocator) -> Result<u64> {
     Ok(b)
 }
 
-/// Maps file block `iblk` to physical block `pblk`, growing the tree as
-/// needed. Updates `mem.tree_root`/`mem.tree_height` in memory; the caller
-/// persists the inode core through its journal transaction.
+/// Splits the run `[iblk0, iblk0 + n)` at leaf boundaries into
+/// `(first iblk, length)` segments.
+fn leaf_segments(iblk0: u64, n: usize) -> impl Iterator<Item = (u64, usize)> {
+    let end = iblk0 + n as u64;
+    let mut at = iblk0;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let len = (end - at).min(FANOUT - slot_at(at, 1));
+            let seg = (at, len as usize);
+            at += len;
+            seg
+        })
+    })
+}
+
+/// Maps the consecutive file blocks `iblk0, iblk0 + 1, …` to `pblks`,
+/// growing the tree as needed: one descent and one fence per leaf, one
+/// persist per pointer cacheline. The caller has filled and fenced the
+/// blocks (a pointer makes its block reachable the moment it persists).
+/// Updates `mem.tree_root`/`mem.tree_height` in memory; the caller persists
+/// the inode core through its journal transaction.
 ///
-/// Fails with [`FsError::AlreadyExists`] if the slot is occupied (callers
-/// overwrite in place instead of remapping).
-pub fn insert(
+/// Returns how many blocks of the run are linked: all of them, or — only
+/// when the allocator cannot supply a tree node — the prefix that fit the
+/// leaves reached so far.
+///
+/// Fails with [`FsError::AlreadyExists`], before linking anything, if a
+/// slot of the run is occupied (callers overwrite in place instead of
+/// remapping).
+pub fn insert_run(
     dev: &NvmmDevice,
     alloc: &Allocator,
     mem: &mut InodeMem,
-    iblk: u64,
-    pblk: u64,
-) -> Result<()> {
-    debug_assert_ne!(pblk, 0);
-    // Grow the tree until iblk fits.
+    iblk0: u64,
+    pblks: &[u64],
+) -> Result<usize> {
+    debug_assert!(pblks.iter().all(|&p| p != 0));
+    let mut slots = [0u64; FANOUT as usize];
+    for (iblk, len) in leaf_segments(iblk0, pblks.len()) {
+        if let Some(leaf) = node_at(dev, mem, iblk, 1) {
+            let slots = &mut slots[..len];
+            read_slots(dev, leaf, slot_at(iblk, 1), slots);
+            if slots.iter().any(|&p| p != 0) {
+                return Err(FsError::AlreadyExists);
+            }
+        }
+    }
+    let mut linked = 0;
+    for (iblk, len) in leaf_segments(iblk0, pblks.len()) {
+        let leaf = match leaf_for(dev, alloc, mem, iblk) {
+            Ok(leaf) => leaf,
+            Err(FsError::NoSpace) => break,
+            Err(e) => return Err(e),
+        };
+        // The segment's pointers, one persist per cacheline they touch.
+        let first = slot_at(iblk, 1);
+        let mut line = [0u8; CACHELINE];
+        let mut at = 0;
+        while at < len {
+            let slot = first + at as u64;
+            let n = (len - at).min((PTRS_PER_LINE - slot % PTRS_PER_LINE) as usize);
+            for (b, p) in line.chunks_exact_mut(8).zip(&pblks[linked + at..][..n]) {
+                b.copy_from_slice(&p.to_le_bytes());
+            }
+            dev.write_persist(Cat::Meta, slot_off(leaf, slot), &line[..n * 8]);
+            at += n;
+        }
+        dev.sfence();
+        linked += len;
+    }
+    Ok(linked)
+}
+
+/// The leaf node covering `iblk`, growing the tree and creating the
+/// interior nodes on the way as needed (each new node is zeroed, then
+/// linked with an 8-byte persist and a fence).
+fn leaf_for(dev: &NvmmDevice, alloc: &Allocator, mem: &mut InodeMem, iblk: u64) -> Result<u64> {
     while mem.tree_root == 0 || iblk >= capacity(mem.tree_height) {
         let root = new_node(dev, alloc)?;
         if mem.tree_root != 0 {
@@ -93,13 +190,21 @@ pub fn insert(
         }
         node = child;
     }
-    let off = slot_off(node, slot_at(iblk, 1));
-    if dev.read_u64(Cat::Meta, off) != 0 {
-        return Err(FsError::AlreadyExists);
+    Ok(node)
+}
+
+/// Maps the single file block `iblk` to `pblk`: [`insert_run`] of one.
+pub fn insert(
+    dev: &NvmmDevice,
+    alloc: &Allocator,
+    mem: &mut InodeMem,
+    iblk: u64,
+    pblk: u64,
+) -> Result<()> {
+    match insert_run(dev, alloc, mem, iblk, &[pblk])? {
+        0 => Err(FsError::NoSpace),
+        _ => Ok(()),
     }
-    dev.write_u64_persist(Cat::Meta, off, pblk);
-    dev.sfence();
-    Ok(())
 }
 
 /// Calls `f(iblk, pblk)` for every mapped block, ascending.
@@ -183,6 +288,10 @@ pub fn remove_from(dev: &NvmmDevice, alloc: &Allocator, mem: &mut InodeMem, from
 
 /// Prunes `node` (at `level`, covering file blocks starting at `base`);
 /// returns true if the node is now empty and should be freed by the caller.
+///
+/// The slots the node loses form one run (everything from the cut on):
+/// a surviving node zeroes it with a single persist, an emptied node is
+/// left as it is — nothing reaches it once the caller drops its pointer.
 fn prune(
     dev: &NvmmDevice,
     alloc: &Allocator,
@@ -193,56 +302,56 @@ fn prune(
     freed: &mut u64,
 ) -> bool {
     let span = capacity(level - 1);
+    let mut slots = [0u64; FANOUT as usize];
+    read_slots(dev, node, 0, &mut slots);
     let mut any_left = false;
-    for slot in 0..FANOUT {
-        let off = slot_off(node, slot);
-        let p = dev.read_u64(Cat::Meta, off);
+    // Slots cleared by this call: `[cut.0, cut.1)`.
+    let mut cut: Option<(u64, u64)> = None;
+    for (slot, &p) in (0..FANOUT).zip(&slots) {
         if p == 0 {
             continue;
         }
         let lo = base + slot * span;
-        let hi = lo + span; // exclusive
-        if hi <= from {
+        if lo + span <= from {
             any_left = true;
             continue;
         }
-        if level == 1 {
-            // Data block at index `lo` >= from: free it.
-            dev.write_u64_persist(Cat::Meta, off, 0);
-            alloc.free(p);
-            *freed += 1;
-        } else if lo >= from {
+        if level > 1 && lo < from {
+            // Straddles the boundary: recurse.
+            if !prune(dev, alloc, p, level - 1, lo, from, freed) {
+                any_left = true;
+                continue;
+            }
+        } else if level > 1 {
             // Whole subtree goes.
             drop_subtree(dev, alloc, p, level - 1, freed);
-            dev.write_u64_persist(Cat::Meta, off, 0);
-            alloc.free(p);
         } else {
-            // Straddles the boundary: recurse.
-            if prune(dev, alloc, p, level - 1, lo, from, freed) {
-                dev.write_u64_persist(Cat::Meta, off, 0);
-                alloc.free(p);
-            } else {
-                any_left = true;
-            }
+            *freed += 1;
         }
+        alloc.free(p);
+        cut = Some((cut.map_or(slot, |c| c.0), slot + 1));
     }
-    dev.sfence();
+    if let (true, Some((first, end))) = (any_left, cut) {
+        dev.zero_persist(
+            Cat::Meta,
+            slot_off(node, first),
+            ((end - first) * 8) as usize,
+        );
+        dev.sfence();
+    }
     !any_left
 }
 
 fn drop_subtree(dev: &NvmmDevice, alloc: &Allocator, node: u64, level: u32, freed: &mut u64) {
-    for slot in 0..FANOUT {
-        let p = dev.read_u64(Cat::Meta, slot_off(node, slot));
-        if p == 0 {
-            continue;
-        }
+    let mut slots = [0u64; FANOUT as usize];
+    read_slots(dev, node, 0, &mut slots);
+    for p in slots.into_iter().filter(|&p| p != 0) {
         if level == 1 {
-            alloc.free(p);
             *freed += 1;
         } else {
             drop_subtree(dev, alloc, p, level - 1, freed);
-            alloc.free(p);
         }
+        alloc.free(p);
     }
 }
 
@@ -252,6 +361,7 @@ mod tests {
     use crate::layout::Layout;
     use fskit::FileType;
     use nvmm::{CostModel, SimEnv};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn setup() -> (Arc<NvmmDevice>, Allocator, InodeMem) {
@@ -382,5 +492,258 @@ mod tests {
         assert_eq!(lookup(&dev, &mem, 700), None);
         // Height unchanged (lazy shrink) but mappings correct.
         assert!(lookup(&dev, &mem, 0).is_some());
+    }
+
+    // ----- run operations against the per-block reference -----
+
+    /// The per-block insert `insert_run` replaced, kept as the reference:
+    /// one descent, one 8-byte persist and one fence per block.
+    fn ref_insert(
+        dev: &NvmmDevice,
+        alloc: &Allocator,
+        mem: &mut InodeMem,
+        iblk: u64,
+        pblk: u64,
+    ) -> Result<()> {
+        let leaf = leaf_for(dev, alloc, mem, iblk)?;
+        let off = slot_off(leaf, slot_at(iblk, 1));
+        if dev.read_u64(Cat::Meta, off) != 0 {
+            return Err(FsError::AlreadyExists);
+        }
+        dev.write_u64_persist(Cat::Meta, off, pblk);
+        dev.sfence();
+        Ok(())
+    }
+
+    /// The per-slot unmap `prune` replaced: every freed slot zeroed with
+    /// its own persist, emptied nodes included.
+    fn ref_remove_from(dev: &NvmmDevice, alloc: &Allocator, mem: &mut InodeMem, from: u64) -> u64 {
+        fn go(
+            dev: &NvmmDevice,
+            alloc: &Allocator,
+            node: u64,
+            level: u32,
+            base: u64,
+            from: u64,
+            freed: &mut u64,
+        ) -> bool {
+            let span = capacity(level - 1);
+            let mut any_left = false;
+            for slot in 0..FANOUT {
+                let off = slot_off(node, slot);
+                let p = dev.read_u64(Cat::Meta, off);
+                let lo = base + slot * span;
+                if p == 0 {
+                    continue;
+                }
+                if lo + span <= from {
+                    any_left = true;
+                } else if level == 1 {
+                    *freed += 1;
+                    dev.write_u64_persist(Cat::Meta, off, 0);
+                    alloc.free(p);
+                } else if go(dev, alloc, p, level - 1, lo, from.max(lo), freed) {
+                    dev.write_u64_persist(Cat::Meta, off, 0);
+                    alloc.free(p);
+                } else {
+                    any_left = true;
+                }
+            }
+            !any_left
+        }
+        if mem.tree_root == 0 {
+            return 0;
+        }
+        let mut freed = 0;
+        if go(
+            dev,
+            alloc,
+            mem.tree_root,
+            mem.tree_height,
+            0,
+            from,
+            &mut freed,
+        ) {
+            alloc.free(mem.tree_root);
+            mem.tree_root = 0;
+            mem.tree_height = 0;
+        }
+        freed
+    }
+
+    /// Everything a caller can observe of a tree: the mappings, the
+    /// blocks the rebuild walk would mark, the height and the allocator's
+    /// free count.
+    type Observed = (Vec<(u64, u64)>, Vec<u64>, u32, u64);
+
+    fn observe(dev: &NvmmDevice, alloc: &Allocator, mem: &InodeMem) -> Observed {
+        let mut maps = Vec::new();
+        for_each(dev, mem, &mut |i, p| {
+            assert_eq!(lookup(dev, mem, i), Some(p), "lookup and walk agree");
+            maps.push((i, p));
+        });
+        let mut marked = Vec::new();
+        mark_all(dev, mem, &mut |p| marked.push(p));
+        (maps, marked, mem.tree_height, alloc.free_blocks())
+    }
+
+    /// A sparse file: runs of mapped blocks scattered over a height-3
+    /// index space (the third run sits beyond 512², so trees grow tall).
+    fn sparse_strategy() -> impl Strategy<Value = Vec<(u64, u16)>> {
+        prop::collection::vec(
+            prop_oneof![
+                3 => (0u64..1500, 1u16..40),
+                2 => (0u64..40_000, 1u16..700),
+                1 => (262_000u64..264_000, 1u16..30),
+            ],
+            0..5,
+        )
+    }
+
+    /// Builds the same tree twice — on two devices with two allocators in
+    /// the same state, so both hand out the same block numbers.
+    fn twin_trees(runs: &[(u64, u16)]) -> [(Arc<NvmmDevice>, Allocator, InodeMem); 2] {
+        let mut twins = [setup(), setup()];
+        for (dev, alloc, mem) in &mut twins {
+            for &(iblk0, n) in runs {
+                for iblk in iblk0..iblk0 + n as u64 {
+                    if lookup(dev, mem, iblk).is_none() {
+                        let b = alloc.alloc().unwrap();
+                        ref_insert(dev, alloc, mem, iblk, b).unwrap();
+                    }
+                }
+            }
+        }
+        twins
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// `insert_run` leaves what the per-block loop leaves, for runs
+        /// that cross leaf and height boundaries and start mid-cacheline;
+        /// a run colliding with a mapped slot links nothing.
+        #[test]
+        fn insert_run_equals_per_block_inserts(
+            (base, iblk0, len) in (
+                sparse_strategy(),
+                prop_oneof![0u64..1100, 500u64..530, 261_900u64..262_200],
+                prop_oneof![1usize..20, 1usize..2001],
+            )
+        ) {
+            let [(dev_a, alloc_a, mut a), (dev_b, alloc_b, mut b)] = twin_trees(&base);
+            let before = observe(&dev_a, &alloc_a, &a);
+            let pblks: Vec<u64> = (0..len).map(|_| alloc_a.alloc().unwrap()).collect();
+            let same: Vec<u64> = (0..len).map(|_| alloc_b.alloc().unwrap()).collect();
+            prop_assert_eq!(&pblks, &same);
+            let collides = (iblk0..iblk0 + len as u64).any(|i| lookup(&dev_a, &a, i).is_some());
+            let res = insert_run(&dev_a, &alloc_a, &mut a, iblk0, &pblks);
+            if collides {
+                prop_assert_eq!(res, Err(FsError::AlreadyExists));
+                for p in pblks {
+                    alloc_a.free(p);
+                }
+                prop_assert_eq!(observe(&dev_a, &alloc_a, &a), before);
+            } else {
+                prop_assert_eq!(res, Ok(len));
+                for (i, &p) in same.iter().enumerate() {
+                    ref_insert(&dev_b, &alloc_b, &mut b, iblk0 + i as u64, p).unwrap();
+                }
+                prop_assert_eq!(observe(&dev_a, &alloc_a, &a), observe(&dev_b, &alloc_b, &b));
+            }
+        }
+
+        /// Run unmap equals per-slot unmap after every cut, down to the
+        /// empty tree.
+        #[test]
+        fn remove_from_equals_per_slot_unmap(
+            (base, cuts) in (
+                sparse_strategy(),
+                prop::collection::vec(
+                    prop_oneof![0u64..1600, 0u64..41_000, 261_900u64..264_100],
+                    1..5,
+                ),
+            )
+        ) {
+            let [(dev_a, alloc_a, mut a), (dev_b, alloc_b, mut b)] = twin_trees(&base);
+            let mut cuts = cuts;
+            cuts.sort_unstable_by(|x, y| y.cmp(x));
+            cuts.push(0);
+            for from in cuts {
+                let freed = remove_from(&dev_a, &alloc_a, &mut a, from);
+                prop_assert_eq!(freed, ref_remove_from(&dev_b, &alloc_b, &mut b, from));
+                prop_assert_eq!(observe(&dev_a, &alloc_a, &a), observe(&dev_b, &alloc_b, &b));
+                prop_assert!(lookup(&dev_a, &a, from).is_none());
+            }
+            prop_assert_eq!(a.tree_root, 0);
+        }
+    }
+
+    #[test]
+    fn a_run_that_runs_out_of_nodes_links_the_leaves_it_reached() {
+        let (dev, alloc, mut mem) = setup();
+        // Leave exactly one block for tree nodes: the first leaf.
+        let pblks: Vec<u64> = (0..600).map(|_| alloc.alloc().unwrap()).collect();
+        while alloc.free_blocks() > 1 {
+            alloc.alloc().unwrap();
+        }
+        assert_eq!(insert_run(&dev, &alloc, &mut mem, 0, &pblks), Ok(512));
+        assert_eq!(mem.tree_height, 1, "no block left to grow a root over it");
+        assert_eq!(lookup(&dev, &mem, 511), Some(pblks[511]));
+        assert_eq!(lookup(&dev, &mem, 512), None);
+        assert_eq!(
+            insert(&dev, &alloc, &mut mem, 512, pblks[512]),
+            Err(FsError::NoSpace)
+        );
+    }
+
+    #[test]
+    fn sixteen_pointers_cost_two_lines_and_one_fence() {
+        let (dev, alloc, mut mem) = setup();
+        // The leaf exists already; the run is the file's next 64 KiB.
+        insert(&dev, &alloc, &mut mem, 0, alloc.alloc().unwrap()).unwrap();
+        let pblks: Vec<u64> = (0..16).map(|_| alloc.alloc().unwrap()).collect();
+        let before = dev.stats().snapshot();
+        assert_eq!(insert_run(&dev, &alloc, &mut mem, 8, &pblks), Ok(16));
+        let d = dev.stats().snapshot().since(&before);
+        assert_eq!(d.nvmm_bytes_written, 2 * CACHELINE as u64);
+        assert_eq!(d.fences, 1);
+        // Starting mid-cacheline the same run straddles three lines.
+        let more: Vec<u64> = (0..16).map(|_| alloc.alloc().unwrap()).collect();
+        let before = dev.stats().snapshot();
+        assert_eq!(insert_run(&dev, &alloc, &mut mem, 28, &more), Ok(16));
+        let d = dev.stats().snapshot().since(&before);
+        assert_eq!(d.nvmm_bytes_written, 3 * CACHELINE as u64);
+        assert_eq!(d.fences, 1);
+    }
+
+    #[test]
+    fn unlinking_a_small_file_persists_no_pointer() {
+        let (dev, alloc, mut mem) = setup();
+        let pblks: Vec<u64> = (0..16).map(|_| alloc.alloc().unwrap()).collect();
+        insert_run(&dev, &alloc, &mut mem, 0, &pblks).unwrap();
+        let before = dev.stats().snapshot();
+        assert_eq!(remove_from(&dev, &alloc, &mut mem, 0), 16);
+        let d = dev.stats().snapshot().since(&before);
+        assert_eq!(
+            d.nvmm_bytes_written, 0,
+            "the emptied leaf is freed as it is"
+        );
+        assert_eq!(mem.tree_root, 0);
+    }
+
+    #[test]
+    fn a_truncated_leaf_zeroes_its_tail_as_one_run() {
+        let (dev, alloc, mut mem) = setup();
+        let pblks: Vec<u64> = (0..100).map(|_| alloc.alloc().unwrap()).collect();
+        insert_run(&dev, &alloc, &mut mem, 0, &pblks).unwrap();
+        let before = dev.stats().snapshot();
+        assert_eq!(remove_from(&dev, &alloc, &mut mem, 10), 90);
+        let d = dev.stats().snapshot().since(&before);
+        // Slots 10..100 are bytes 80..800 of the node: lines 1..=12.
+        assert_eq!(d.nvmm_bytes_written, 12 * CACHELINE as u64);
+        assert_eq!(d.fences, 1);
+        assert_eq!(lookup(&dev, &mem, 9), Some(pblks[9]));
+        assert_eq!(lookup(&dev, &mem, 10), None);
     }
 }

@@ -221,7 +221,7 @@ fn report_lineage(out: &mut dyn Write, lin: &obsv::LineageSnap) {
     }
     let _ = writeln!(
         out,
-        "  {} fences ({} per logical KiB); {} stamps, drains sync={} lazy={}",
+        "  {} fences ({:.3} per logical KiB); {} stamps, drains sync={} lazy={}",
         lin.fences,
         lin.fences_per_kib(),
         lin.stamps,

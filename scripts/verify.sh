@@ -107,12 +107,12 @@ run cargo run --release $OFFLINE --example fs_inspect -- dump --contention >/dev
 stage bench_check
 run cargo run --release $OFFLINE -p hinfs-bench --bin experiments -- \
     --quick --fig 101 --fig 112 --bench-json "$bench_tmp"
-run scripts/bench_check.sh BENCH_pr13.json "$bench_tmp"
+run scripts/bench_check.sh BENCH_pr14.json "$bench_tmp"
 # The gate must also FAIL when a regression is injected — otherwise it
 # gates nothing.
 sed 's/\("headline::fileserver::hinfs::ops_per_s": \)\([0-9]*\)/\10/' \
     "$bench_tmp" >"$bench_tmp.bad"
-if scripts/bench_check.sh BENCH_pr13.json "$bench_tmp.bad" >/dev/null 2>&1; then
+if scripts/bench_check.sh BENCH_pr14.json "$bench_tmp.bad" >/dev/null 2>&1; then
     echo "verify: bench_check failed to flag an injected regression" >&2
     exit 1
 fi
@@ -120,7 +120,7 @@ echo "verify: bench_check catches injected regressions"
 
 # Regression ATTRIBUTION: bench_diff must run clean against the
 # committed baseline.
-run scripts/bench_diff.sh $OFFLINE BENCH_pr13.json "$bench_tmp"
+run scripts/bench_diff.sh $OFFLINE BENCH_pr14.json "$bench_tmp"
 # And its blame table must NAME a planted regression: multiply the
 # journal span-phase time by 10 and require the span blame to rank
 # `journal` first for that cell.
@@ -137,12 +137,18 @@ if ! scripts/bench_diff.sh $OFFLINE "$bench_tmp" "$bench_tmp.blame" |
     exit 1
 fi
 # Same drill for the v4 lineage families: a 10x NVMM-persisted byte count
-# must rank `nvmm_persisted` first in the waf blame, and a large max-lag
-# bump must rank `max` first in the lag blame, each for exactly that cell.
+# must rank `nvmm_persisted` first in the waf blame, a large max-lag bump
+# must rank `max` first in the lag blame, and a quarter of a fence more per
+# logical KiB — a change the integer this key used to be could not show —
+# must come out to the digit, each for exactly that cell.
 awk '{
     if ($0 ~ /"waf::fileserver::hinfs::nvmm_persisted::bytes": /) {
         match($0, /[0-9]+/); v = substr($0, RSTART, RLENGTH)
         sub(/[0-9]+/, sprintf("%d", v * 10))
+    }
+    if ($0 ~ /"waf::fileserver::hinfs::fences_per_kib": /) {
+        match($0, /[0-9]+\.[0-9]+/); v = substr($0, RSTART, RLENGTH)
+        sub(/[0-9]+\.[0-9]+/, sprintf("%.3f", v + 0.25))
     }
     if ($0 ~ /"lag::fileserver::hinfs::max_ns": /) {
         match($0, /[0-9]+/); v = substr($0, RSTART, RLENGTH)
@@ -157,6 +163,10 @@ if ! grep -q '^blame::fileserver::hinfs::waf 1 nvmm_persisted +' <<<"$waf_diff";
 fi
 if ! grep -q '^blame::fileserver::hinfs::lag 1 max +' <<<"$waf_diff"; then
     echo "verify: bench_diff failed to blame the planted durability-lag regression" >&2
+    exit 1
+fi
+if ! grep -q '^blame::fileserver::hinfs::waf_fences +0.250 fences/kib' <<<"$waf_diff"; then
+    echo "verify: bench_diff failed to report the planted fences-per-KiB regression" >&2
     exit 1
 fi
 echo "verify: bench_diff blames planted regressions correctly"
