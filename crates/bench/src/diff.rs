@@ -14,8 +14,9 @@
 //!
 //! Output is stable and greppable: human-readable `bench_diff:` lines
 //! plus `blame::<cell>::<family> <rank> <name> <delta>` lines, ranked
-//! worst-regression first — `verify.sh` plants a synthetic span-phase
-//! regression and asserts the blame table names it at rank 1.
+//! largest mover first, so the same table explains a regression and a
+//! gain — `verify.sh` plants a synthetic span-phase regression and
+//! asserts the blame table names it at rank 1.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -143,7 +144,7 @@ fn pct(base: f64, cand: f64) -> String {
 }
 
 /// Joins baseline and candidate `(name, value)` lists into per-name
-/// deltas, ranked largest increase first.
+/// deltas, ranked largest change (up or down) first.
 fn rank_deltas(
     base: &[(String, f64)],
     cand: &[(String, f64)],
@@ -174,8 +175,8 @@ fn rank_deltas(
         .collect();
     out.sort_by(|a, b| {
         b.delta
-            .partial_cmp(&a.delta)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .abs()
+            .total_cmp(&a.delta.abs())
             .then_with(|| a.name.cmp(&b.name))
     });
     out
@@ -339,7 +340,7 @@ pub fn render_diff(base: &FlatDoc, cand: &FlatDoc, base_name: &str, cand_name: &
         }
 
         // Durability-lag blame: the p50/p99/max quantile deltas in
-        // absolute ns, worst growth first.
+        // absolute ns, largest change first.
         if base.has_family("lag::", cell) && cand.has_family("lag::", cell) {
             let ranked = rank_deltas(
                 &base.family_values("lag::", cell, "_ns"),

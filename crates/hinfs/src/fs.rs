@@ -789,31 +789,6 @@ impl Hinfs {
         }
     }
 
-    /// Moves whenever any file gains a buffered block or a deferred
-    /// transaction: equal readings bracket an interval in which no file
-    /// acquired volatile state.
-    fn staging_epoch(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        (
-            self.stats.buffer_misses.load(Relaxed),
-            self.stats.txs_opened.load(Relaxed),
-        )
-    }
-
-    /// PMFS is freeing `ino` right now (caller holds its write lock):
-    /// whatever the buffer still holds for it dies with it. The fast
-    /// paths of `close`/`unlink` decide "last reference?" on their own,
-    /// before PMFS does — two racing finishers can both answer no, or a
-    /// writer can come and go in between — so PMFS's decision, made
-    /// atomically with the descriptor count, is the one that counts.
-    /// `clean_at` (the epoch right after a fast-path drop) only spares
-    /// the common path a second shard lock.
-    fn drop_buffers_since(&self, ino: u64, clean_at: Option<(u64, u64)>) {
-        if clean_at != Some(self.staging_epoch()) {
-            self.drop_buffers(ino);
-        }
-    }
-
     /// Resolves a path to a file inode handle, if it exists and is a file.
     fn peek_file(&self, path: &str) -> Option<Arc<pmfs::inode::InodeHandle>> {
         let h = self.inner.resolve_path(path).ok()?;
@@ -861,17 +836,10 @@ impl FileSystem for Hinfs {
             // The final close of an unlinked file frees it inside PMFS,
             // which needs journal space.
             self.relieve_for_namespace();
-            let of = self.inner.open_file(fd)?;
-            // Fast path: the only descriptor of an unlinked file.
-            let mut clean_at = None;
-            if of.handle.state.read().nlink == 0 && *of.handle.opens.lock() == 1 {
-                let _guard = of.handle.state.write();
-                self.drop_buffers(of.ino);
-                clean_at = Some(self.staging_epoch());
-            }
-            drop(of);
-            self.inner
-                .close_with(fd, |h| self.drop_buffers_since(h.ino, clean_at))
+            // PMFS decides "last descriptor of an unlinked file" atomically
+            // with the descriptor count; what the buffer still holds for
+            // the inode dies with it.
+            self.inner.close_with(fd, |h| self.drop_buffers(h.ino))
         })
     }
 
@@ -914,20 +882,10 @@ impl FileSystem for Hinfs {
     fn unlink(&self, path: &str) -> Result<()> {
         self.obs.op(OpKind::Unlink, || {
             self.relieve_for_namespace();
-            // Fast path: nobody has the file open, so it dies in this
-            // call — drop its buffered data before PMFS journals the
-            // unlink ("writes to files that are later deleted do not
-            // need to be performed").
-            let mut clean_at = None;
-            if let Some(h) = self.peek_file(path) {
-                let _guard = h.state.write();
-                if *h.opens.lock() == 0 {
-                    self.drop_buffers(h.ino);
-                    clean_at = Some(self.staging_epoch());
-                }
-            }
-            self.inner
-                .unlink_with(path, |h| self.drop_buffers_since(h.ino, clean_at))
+            // When nobody has the file open it dies in this call, and its
+            // buffered data with it ("writes to files that are later
+            // deleted do not need to be performed").
+            self.inner.unlink_with(path, |h| self.drop_buffers(h.ino))
         })
     }
 

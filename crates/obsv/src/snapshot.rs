@@ -414,6 +414,7 @@ pub const AUDIT_INVARIANTS: &[&str] = &[
     "cache.accounting",          // 12: dirty <= cached <= capacity
     "device.accounting",         // 13: persisted bytes are cacheline-granular
     "lineage.sync_decay_bound",  // 14: max durability lag <= the mount's sync-decay bound
+    "namei.index",               // 15: directory name index == on-media entries
 ];
 
 /// Label of an invariant code (`"unknown"` for out-of-range codes).

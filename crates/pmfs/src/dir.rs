@@ -31,7 +31,10 @@ fn dir_blocks(mem: &InodeMem) -> u64 {
     mem.size / BLOCK_SIZE as u64
 }
 
-/// Looks up `name`, returning its inode number and type.
+/// Looks up `name` by scanning the media, returning its inode number and
+/// type. The reference the DRAM name index ([`crate::inode::NameIndex`]) is
+/// built to agree with; the file system itself resolves names through the
+/// index.
 pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, name: &str) -> Result<Option<(u64, FileType)>> {
     let mut buf = vec![0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
@@ -49,15 +52,37 @@ pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, name: &str) -> Result<Option<(u6
 
 /// Lists every live entry.
 pub fn list(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
+    list_with(mem, |iblk, buf| {
+        let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
+        dev.read(Cat::Meta, Layout::block_off(pblk), buf);
+        Ok(())
+    })
+}
+
+/// [`list`] for the invariant auditor: reads through [`NvmmDevice::peek`],
+/// so it charges no time and moves no counter.
+pub fn list_uncharged(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
+    list_with(mem, |iblk, buf| {
+        let pblk = tree::lookup_uncharged(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
+        dev.peek(Layout::block_off(pblk), buf);
+        Ok(())
+    })
+}
+
+/// Every live entry in media order; `read_block` fills the buffer with
+/// directory block `iblk`.
+fn list_with(
+    mem: &InodeMem,
+    mut read_block: impl FnMut(u64, &mut [u8]) -> Result<()>,
+) -> Result<Vec<DirEntry>> {
     let mut out = Vec::new();
     let mut buf = vec![0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
-        let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
-        dev.read(Cat::Meta, Layout::block_off(pblk), &mut buf);
+        read_block(iblk, &mut buf)?;
         for (_, e) in parse_block(&buf)? {
             if e.ino != 0 {
                 out.push(DirEntry {
-                    name: String::from_utf8(e.name.clone())
+                    name: String::from_utf8(e.name)
                         .map_err(|_| FsError::Corrupted("dirent name utf8"))?,
                     ino: e.ino,
                     ftype: FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?,

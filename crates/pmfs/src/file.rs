@@ -196,7 +196,7 @@ pub fn truncate(
     if size < mem.size {
         let keep_blocks = size.div_ceil(BLOCK_SIZE as u64);
         let freed = tree::remove_from(dev, alloc, mem, keep_blocks);
-        mem.blocks -= freed;
+        uncount_blocks(mem, freed);
         // Zero the tail of the new last block so a later extension reads
         // zeroes, not stale bytes.
         let in_blk = (size % BLOCK_SIZE as u64) as usize;
@@ -216,11 +216,21 @@ pub fn truncate(
     Ok(true)
 }
 
+/// Takes `freed` data blocks off `mem.blocks`. The tree can hold more
+/// blocks than the core counts: a run is linked (unjournaled pointer
+/// persists) before the core that counts it is persisted, so a crash in
+/// between leaves the blocks reachable and the count behind. Freeing them
+/// later is correct — the allocator rebuild marked them used — and brings
+/// the count back in line instead of wrapping it.
+fn uncount_blocks(mem: &mut InodeMem, freed: u64) {
+    mem.blocks = mem.blocks.saturating_sub(freed);
+}
+
 /// Frees every data block and tree node of the file (unlink path).
 pub fn free_all(dev: &NvmmDevice, alloc: &Allocator, mem: &mut InodeMem) {
     let freed = tree::remove_from(dev, alloc, mem, 0);
-    mem.blocks -= freed;
-    debug_assert_eq!(mem.blocks, 0, "block accounting drift");
+    uncount_blocks(mem, freed);
+    debug_assert_eq!(mem.blocks, 0, "core counts blocks the tree does not hold");
     mem.size = 0;
 }
 

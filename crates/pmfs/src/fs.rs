@@ -16,20 +16,28 @@
 //! 2. per-inode `RwLock` — protects file size, block tree and data I/O.
 //!    Never hold two except child-then-parent in `rmdir`, which always
 //!    follows tree depth upward (no cycles).
-//! 3. journal internal mutex — leaf lock, taken inside transactions.
+//! 3. a directory's `names` mutex (its DRAM name index) — under that
+//!    directory's inode lock, or alone; two at once only in ascending
+//!    inode order (an aborting rename).
+//! 4. journal internal mutex — leaf lock, taken inside transactions.
+//!
+//! Names resolve through the per-directory DRAM name index
+//! ([`crate::inode::NameIndex`]), never by scanning directory blocks: the
+//! media is read once per directory and mount, to build the index.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use fskit::{
     DirEntry, Fd, FdTable, FileSystem, FileType, FsError, MmapHandle, OpenFlags, Result, Stat,
 };
 use nvmm::{Cat, NvmmDevice, SimEnv};
-use obsv::{FsObs, OpKind, Site, TrackedMutex};
+use obsv::{FsObs, OpKind, Phase, Site, TrackedMutex};
 
 use crate::alloc::Allocator;
 use crate::dir;
 use crate::file;
-use crate::inode::{InodeCache, InodeHandle, InodeMem, INODE_CORE};
+use crate::inode::{InodeCache, InodeHandle, InodeMem, NameIndex, INODE_CORE};
 use crate::journal::{Journal, RecoveryStats, TxHandle};
 use crate::layout::{self, Layout, ROOT_INO};
 use crate::mmap::PmfsMmap;
@@ -79,6 +87,26 @@ impl InodeLogged {
     }
 }
 
+/// Name-index activity, reported as `pmfs_namei_*`.
+#[derive(Debug, Default)]
+pub struct NameiStats {
+    /// Lookups that found their name in an index.
+    pub hits: AtomicU64,
+    /// Indexes built from the media (first lookup in a directory since
+    /// mount, or since an abort dropped its index).
+    pub builds: AtomicU64,
+    /// Names held by all built indexes right now.
+    pub entries: AtomicU64,
+}
+
+impl obsv::MetricSource for NameiStats {
+    fn collect(&self, out: &mut dyn obsv::Visitor) {
+        out.counter("pmfs_namei_hits", self.hits.load(Relaxed));
+        out.counter("pmfs_namei_builds", self.builds.load(Relaxed));
+        out.gauge("pmfs_namei_entries", self.entries.load(Relaxed));
+    }
+}
+
 /// A mounted PMFS instance.
 pub struct Pmfs {
     dev: Arc<NvmmDevice>,
@@ -91,6 +119,7 @@ pub struct Pmfs {
     ns_shards: Vec<TrackedMutex<()>>,
     recovery: RecoveryStats,
     obs: Arc<FsObs>,
+    namei: Arc<NameiStats>,
 }
 
 impl Pmfs {
@@ -147,6 +176,7 @@ impl Pmfs {
             ns_shards,
             recovery,
             obs,
+            namei: Arc::default(),
         }))
     }
 
@@ -223,6 +253,12 @@ impl Pmfs {
     /// The simulation environment.
     pub fn env(&self) -> &Arc<SimEnv> {
         &self.env
+    }
+
+    /// Name-index counters (a registry source of their own, like the
+    /// journal's: a HiNFS mount registers them too).
+    pub fn namei(&self) -> &Arc<NameiStats> {
+        &self.namei
     }
 
     /// The metadata journal.
@@ -339,6 +375,113 @@ impl Pmfs {
         self.ns_shards[self.ns_shard(parent_ino, name)].lock()
     }
 
+    /// Looks `name` up in directory `dir` (the caller holds its `state`
+    /// lock, `state`), hit or "no such name", from the directory's name
+    /// index. The first lookup builds the index with one pass over the
+    /// directory blocks, at that pass's full NVMM-read cost; a hit costs
+    /// the DRAM copy of the one entry.
+    fn lookup(
+        &self,
+        dir: &InodeHandle,
+        state: &InodeMem,
+        name: &str,
+    ) -> Result<Option<(u64, FileType)>> {
+        let mut names = dir.names.lock();
+        let index = match &mut *names {
+            Some(index) => index,
+            unbuilt => {
+                let mut index = NameIndex::new();
+                for e in dir::list(&self.dev, state)? {
+                    // A name the media repeats resolves to its first
+                    // entry, as a block scan would.
+                    index.entry(e.name).or_insert((e.ino, e.ftype));
+                }
+                self.namei.builds.fetch_add(1, Relaxed);
+                self.namei.entries.fetch_add(index.len() as u64, Relaxed);
+                unbuilt.insert(index)
+            }
+        };
+        let found = index.get(name).copied();
+        if found.is_some() {
+            self.namei.hits.fetch_add(1, Relaxed);
+            self.dev.spans().scope(Phase::Index, || {
+                self.env
+                    .charge_dram_copy(Cat::Meta, dir::entry_len(name.len()))
+            });
+        }
+        Ok(found)
+    }
+
+    /// [`dir::add`] under `tx`, mirrored in the directory's name index.
+    /// The caller holds `dir`'s write lock (`state`).
+    fn add_entry(
+        &self,
+        tx: &TxHandle,
+        dir: &InodeHandle,
+        state: &mut InodeMem,
+        name: &str,
+        ino: u64,
+        ftype: FileType,
+    ) -> Result<()> {
+        dir::add(
+            &self.dev,
+            &self.journal,
+            tx,
+            &self.alloc,
+            state,
+            name,
+            ino,
+            ftype,
+        )?;
+        if let Some(index) = dir.names.lock().as_mut() {
+            if index.insert(name.to_owned(), (ino, ftype)).is_none() {
+                self.namei.entries.fetch_add(1, Relaxed);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`dir::remove`] under `tx`, mirrored in the directory's name index.
+    /// The caller holds `dir`'s write lock (`state`).
+    fn remove_entry(
+        &self,
+        tx: &TxHandle,
+        dir: &InodeHandle,
+        state: &InodeMem,
+        name: &str,
+    ) -> Result<()> {
+        dir::remove(&self.dev, &self.journal, tx, state, name)?;
+        if let Some(index) = dir.names.lock().as_mut() {
+            if index.remove(name).is_some() {
+                self.namei.entries.fetch_sub(1, Relaxed);
+            }
+        }
+        Ok(())
+    }
+
+    /// Forgets a directory's name index (the next lookup rebuilds it).
+    fn forget_names(&self, names: &mut Option<NameIndex>) {
+        if let Some(index) = names.take() {
+            self.namei.entries.fetch_sub(index.len() as u64, Relaxed);
+        }
+    }
+
+    /// Aborts a namespace transaction that may have edited entries of
+    /// `dirs`: the rollback restores those entries on the media, under
+    /// the name indexes, so the indexes go too. Their locks are held
+    /// across the rollback — a lookup must not rebuild an index from
+    /// half-restored blocks and keep it.
+    fn abort_namespace(&self, tx: TxHandle, dirs: &[&Arc<InodeHandle>]) {
+        let mut dirs: Vec<&Arc<InodeHandle>> = dirs.to_vec();
+        dirs.sort_unstable_by_key(|d| d.ino);
+        dirs.dedup_by_key(|d| d.ino);
+        let mut held: Vec<_> = dirs.iter().map(|d| d.names.lock()).collect();
+        self.journal.abort(tx);
+        for names in &mut held {
+            self.forget_names(names);
+        }
+    }
+
     fn resolve(&self, comps: &[&str]) -> Result<Arc<InodeHandle>> {
         let mut h = self.inode(ROOT_INO)?;
         for comp in comps {
@@ -347,9 +490,7 @@ impl Pmfs {
                 if state.ftype != FileType::Dir {
                     return Err(FsError::NotADirectory);
                 }
-                dir::lookup(&self.dev, &state, comp)?
-                    .ok_or(FsError::NotFound)?
-                    .0
+                self.lookup(&h, &state, comp)?.ok_or(FsError::NotFound)?.0
             };
             h = self.inode(next)?;
         }
@@ -383,16 +524,7 @@ impl Pmfs {
                 // shard lock (different entries, different shards).
                 return Err(FsError::NotFound);
             }
-            dir::add(
-                &self.dev,
-                &self.journal,
-                &tx,
-                &self.alloc,
-                &mut pstate,
-                name,
-                ino,
-                ftype,
-            )?;
+            self.add_entry(&tx, parent, &mut pstate, name, ino, ftype)?;
             pstate.mtime = self.env.now();
             let p = *pstate;
             drop(pstate);
@@ -405,7 +537,7 @@ impl Pmfs {
                 Ok(self.icache.install(ino, mem))
             }
             Err(e) => {
-                self.journal.abort(tx);
+                self.abort_namespace(tx, &[parent]);
                 self.icache.free_slot(ino);
                 Err(e)
             }
@@ -493,7 +625,8 @@ impl Pmfs {
             if pstate.nlink == 0 {
                 return Err(FsError::NotFound);
             }
-            dir::lookup(&self.dev, &pstate, name)?.ok_or(FsError::NotFound)?
+            self.lookup(parent, &pstate, name)?
+                .ok_or(FsError::NotFound)?
         };
         if ftype != FileType::File {
             return Err(FsError::IsADirectory);
@@ -505,7 +638,7 @@ impl Pmfs {
         let res = (|| -> Result<bool> {
             {
                 let mut pstate = parent.state.write();
-                dir::remove(&self.dev, &self.journal, &tx, &pstate, name)?;
+                self.remove_entry(&tx, parent, &pstate, name)?;
                 pstate.mtime = self.env.now();
                 let p = *pstate;
                 drop(pstate);
@@ -540,7 +673,7 @@ impl Pmfs {
                 Ok(())
             }
             Err(e) => {
-                self.journal.abort(tx);
+                self.abort_namespace(tx, &[parent]);
                 Err(e)
             }
         }
@@ -554,7 +687,8 @@ impl Pmfs {
             if pstate.nlink == 0 {
                 return Err(FsError::NotFound);
             }
-            dir::lookup(&self.dev, &pstate, name)?.ok_or(FsError::NotFound)?
+            self.lookup(parent, &pstate, name)?
+                .ok_or(FsError::NotFound)?
         };
         if ftype != FileType::Dir {
             return Err(FsError::NotADirectory);
@@ -577,7 +711,7 @@ impl Pmfs {
             }
             {
                 let mut pstate = parent.state.write();
-                dir::remove(&self.dev, &self.journal, &tx, &pstate, name)?;
+                self.remove_entry(&tx, parent, &pstate, name)?;
                 pstate.mtime = self.env.now();
                 let p = *pstate;
                 drop(pstate);
@@ -586,6 +720,9 @@ impl Pmfs {
             self.journal
                 .log_range(&tx, self.layout.inode_off(ino), INODE_CORE)?;
             cstate.nlink = 0;
+            // The inode number may come back as another directory; a
+            // walker still holding this handle must find no names in it.
+            self.forget_names(&mut child.names.lock());
             file::free_all(&self.dev, &self.alloc, &mut cstate);
             self.dev
                 .write_persist(Cat::Meta, self.layout.inode_off(ino), &[0u8; INODE_CORE]);
@@ -599,7 +736,7 @@ impl Pmfs {
                 Ok(())
             }
             Err(e) => {
-                self.journal.abort(tx);
+                self.abort_namespace(tx, &[parent]);
                 Err(e)
             }
         }
@@ -625,7 +762,7 @@ impl FileSystem for Pmfs {
                 if pstate.nlink == 0 {
                     return Err(FsError::NotFound);
                 }
-                dir::lookup(&self.dev, &pstate, name)?
+                self.lookup(&parent, &pstate, name)?
             };
             let handle = match existing {
                 Some((_, FileType::Dir)) => return Err(FsError::IsADirectory),
@@ -835,7 +972,7 @@ impl FileSystem for Pmfs {
             if pstate.nlink == 0 {
                 return Err(FsError::NotFound);
             }
-            if dir::lookup(&self.dev, &pstate, name)?.is_some() {
+            if self.lookup(&parent, &pstate, name)?.is_some() {
                 return Err(FsError::AlreadyExists);
             }
         }
@@ -907,12 +1044,13 @@ impl FileSystem for Pmfs {
             if pstate.nlink == 0 {
                 return Err(FsError::NotFound);
             }
-            dir::lookup(&self.dev, &pstate, src_name)?.ok_or(FsError::NotFound)?
+            self.lookup(&src_parent, &pstate, src_name)?
+                .ok_or(FsError::NotFound)?
         };
         // Replace semantics for an existing destination.
         let dst_existing = {
             let pstate = dst_parent.state.read();
-            dir::lookup(&self.dev, &pstate, dst_name)?
+            self.lookup(&dst_parent, &pstate, dst_name)?
         };
         if let Some((dino, dftype)) = dst_existing {
             if dino == ino {
@@ -932,18 +1070,9 @@ impl FileSystem for Pmfs {
         let res = (|| -> Result<()> {
             {
                 let mut pstate = src_parent.state.write();
-                dir::remove(&self.dev, &self.journal, &tx, &pstate, src_name)?;
+                self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
                 if same_parent {
-                    dir::add(
-                        &self.dev,
-                        &self.journal,
-                        &tx,
-                        &self.alloc,
-                        &mut pstate,
-                        dst_name,
-                        ino,
-                        ftype,
-                    )?;
+                    self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
                 }
                 pstate.mtime = self.env.now();
                 let p = *pstate;
@@ -952,16 +1081,7 @@ impl FileSystem for Pmfs {
             }
             if !same_parent {
                 let mut pstate = dst_parent.state.write();
-                dir::add(
-                    &self.dev,
-                    &self.journal,
-                    &tx,
-                    &self.alloc,
-                    &mut pstate,
-                    dst_name,
-                    ino,
-                    ftype,
-                )?;
+                self.add_entry(&tx, &dst_parent, &mut pstate, dst_name, ino, ftype)?;
                 pstate.mtime = self.env.now();
                 let p = *pstate;
                 drop(pstate);
@@ -975,7 +1095,7 @@ impl FileSystem for Pmfs {
                 Ok(())
             }
             Err(e) => {
-                self.journal.abort(tx);
+                self.abort_namespace(tx, &[&src_parent, &dst_parent]);
                 Err(e)
             }
         }
@@ -1041,6 +1161,34 @@ impl obsv::Introspect for Pmfs {
             s.begins.saturating_sub(s.commits + s.aborts),
             u.open_txs,
         );
+        // namei.index: every built name index says exactly what a scan of
+        // the directory's blocks would, and the entries gauge is their
+        // sum. Only handles that have an index are locked — the in-band
+        // auditor runs under a *file's* inode lock.
+        let mut indexed = 0u64;
+        for h in self.icache.cached() {
+            if h.names.lock().is_none() {
+                continue;
+            }
+            let state = h.state.read();
+            let names = h.names.lock();
+            let Some(index) = names.as_ref() else {
+                continue;
+            };
+            indexed += index.len() as u64;
+            // An unreadable directory differs in every name.
+            let differing = dir::list_uncharged(&self.dev, &state).map_or(u64::MAX, |entries| {
+                let mut media = NameIndex::new();
+                for e in entries {
+                    media.entry(e.name).or_insert((e.ino, e.ftype));
+                }
+                let stale = index.iter().filter(|&(n, at)| media.get(n) != Some(at));
+                let missing = media.keys().filter(|&n| !index.contains_key(n));
+                (stale.count() + missing.count()) as u64
+            });
+            rep.check_eq(15, h.ino, 0, differing, 0);
+        }
+        rep.check_eq(15, 0, 0, self.namei.entries.load(Relaxed), indexed);
         rep
     }
 }

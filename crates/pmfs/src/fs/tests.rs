@@ -1,9 +1,12 @@
 use std::sync::Arc;
 
 use fskit::{FileSystem, FileType, FsError, OpenFlags};
-use nvmm::{Cat, CostModel, NvmmDevice, SimEnv, BLOCK_SIZE};
+use nvmm::{Cat, CostModel, FaultPlan, NvmmDevice, SimEnv, BLOCK_SIZE};
+use obsv::Introspect;
 
 use crate::fs::{Pmfs, PmfsOptions};
+use crate::inode::InodeMem;
+use crate::{dir, file};
 
 fn small_opts() -> PmfsOptions {
     PmfsOptions {
@@ -446,4 +449,234 @@ fn journal_time_shows_up_in_ledger() {
     assert!(snap.get(Cat::Journal) > 0, "metadata writes were journaled");
     assert!(snap.get(Cat::UserWrite) > 0);
     assert!(snap.get(Cat::Syscall) > 0);
+}
+
+fn touch(fs: &Pmfs, path: &str) {
+    let fd = fs.open(path, rw_create()).unwrap();
+    fs.close(fd).unwrap();
+}
+
+#[test]
+fn mmap_that_runs_out_of_space_leaves_no_transaction_open() {
+    let (dev, fs) = fresh();
+    let plan = FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    let fd = fs.open("/holes", rw_create()).unwrap();
+    fs.truncate(fd, 8 * BLOCK_SIZE as u64).unwrap();
+    // The third hole of the mapping finds the allocator dry.
+    plan.fail_alloc_after(2);
+    assert_eq!(fs.mmap(fd, 0, 8 * BLOCK_SIZE).err(), Some(FsError::NoSpace));
+    plan.set_fail_alloc(false);
+    assert_eq!(fs.journal().open_txs(), 0, "the failed mapping aborted");
+    assert!(fs.audit().is_clean());
+    // The ring is not pinned: the same mapping now goes through.
+    fs.mmap(fd, 0, 8 * BLOCK_SIZE).unwrap();
+    assert_eq!(fs.journal().open_txs(), 0);
+    fs.close(fd).unwrap();
+}
+
+/// A crash between linking a run and persisting the core that counts it
+/// leaves the tree holding more blocks than `blocks` says; freeing them
+/// (unlink, truncate) must not wrap the count.
+#[test]
+fn unlink_after_a_crash_that_left_the_core_behind_the_tree() {
+    for shrink_first in [false, true] {
+        let (dev, fs) = fresh();
+        touch(&fs, "/anchor"); // the root's directory block exists
+        let free0 = fs.free_blocks();
+        let fd = fs.open("/f", rw_create()).unwrap();
+        fs.write(fd, 0, &[1u8; BLOCK_SIZE]).unwrap();
+        fs.close(fd).unwrap();
+        // Link two more blocks into the leaf; "crash" before the inode
+        // core that would count them is journaled and persisted.
+        let ino = fs.stat("/f").unwrap().ino;
+        let mut ahead: InodeMem = *fs.inode(ino).unwrap().state.read();
+        file::write_at(
+            &dev,
+            fs.allocator(),
+            &mut ahead,
+            BLOCK_SIZE as u64,
+            &[2u8; 2 * BLOCK_SIZE],
+            1,
+        )
+        .unwrap();
+        dev.crash();
+        drop(fs);
+        let fs = Pmfs::mount(dev).unwrap();
+        assert_eq!(fs.stat("/f").unwrap().blocks, 1, "the core is behind");
+        if shrink_first {
+            let fd = fs.open("/f", OpenFlags::RDWR).unwrap();
+            fs.truncate(fd, 10).unwrap();
+            assert_eq!(fs.fstat(fd).unwrap().blocks, 0, "3 freed of 1 counted");
+            fs.close(fd).unwrap();
+        }
+        fs.unlink("/f").unwrap();
+        assert_eq!(fs.free_blocks(), free0, "every block came back");
+        assert!(fs.audit().is_clean());
+    }
+}
+
+/// Reads and the NVMM bytes they moved, of one `stat`.
+fn stat_cost(dev: &NvmmDevice, fs: &Pmfs, path: &str) -> (u64, u64) {
+    let (t0, r0) = (fs.env().now(), dev.stats().snapshot().nvmm_bytes_read);
+    fs.stat(path).unwrap();
+    (
+        fs.env().now() - t0,
+        dev.stats().snapshot().nvmm_bytes_read - r0,
+    )
+}
+
+#[test]
+fn lookups_after_the_first_read_no_directory_block() {
+    let (dev, fs) = fresh();
+    fs.mkdir("/a").unwrap();
+    fs.mkdir("/a/b").unwrap();
+    touch(&fs, "/a/b/file");
+    fs.unmount().unwrap();
+    drop(fs);
+    let fs = Pmfs::mount(dev.clone()).unwrap();
+    let builds = || fs.namei().builds.load(std::sync::atomic::Ordering::Relaxed);
+    // Cold: each of the three directories on the path is scanned once.
+    let (cold_ns, cold_bytes) = stat_cost(&dev, &fs, "/a/b/file");
+    assert_eq!(builds(), 3);
+    assert!(cold_bytes >= 3 * BLOCK_SIZE as u64);
+    // Warm: three index hits, each the DRAM copy of one entry, and the
+    // inodes are cached — nothing is read from NVMM.
+    let (warm_ns, warm_bytes) = stat_cost(&dev, &fs, "/a/b/file");
+    assert_eq!(builds(), 3);
+    assert_eq!(warm_bytes, 0);
+    let cost = fs.env().cost();
+    let hits: u64 = ["a", "b", "file"]
+        .iter()
+        .map(|n| cost.dram_copy_ns(dir::entry_len(n.len())))
+        .sum();
+    assert_eq!(warm_ns, cost.syscall_ns + hits);
+    assert!(cold_ns > warm_ns + 3 * cost.dram_copy_ns(BLOCK_SIZE));
+    // "No such name" is answered from the index too.
+    let r0 = dev.stats().snapshot().nvmm_bytes_read;
+    assert_eq!(fs.stat("/a/b/nope"), Err(FsError::NotFound));
+    assert_eq!(dev.stats().snapshot().nvmm_bytes_read, r0);
+    assert!(fs.audit().is_clean());
+}
+
+#[test]
+fn index_is_rebuilt_after_remount_and_after_crash_recovery() {
+    let (dev, fs) = fresh();
+    fs.mkdir("/d").unwrap();
+    touch(&fs, "/d/kept");
+    touch(&fs, "/d/gone");
+    fs.unlink("/d/gone").unwrap();
+    let d = fs.inode(fs.stat("/d").unwrap().ino).unwrap();
+    assert_eq!(d.names.lock().as_ref().map(|ix| ix.len()), Some(1));
+    // Clean remount: the index is volatile, the new mount starts without.
+    fs.unmount().unwrap();
+    drop((d, fs));
+    let fs = Pmfs::mount(dev.clone()).unwrap();
+    let d = fs.inode(fs.stat("/d").unwrap().ino).unwrap();
+    assert!(d.names.lock().is_none(), "nothing looked up in /d yet");
+    assert!(fs.stat("/d/kept").is_ok());
+    assert_eq!(fs.stat("/d/gone"), Err(FsError::NotFound));
+    // Crash in the middle of a create: the entry is on the media (and in
+    // the index) but its transaction never commits.
+    let tx = fs.journal().begin().unwrap();
+    {
+        let mut state = d.state.write();
+        dir::add(
+            &dev,
+            fs.journal(),
+            &tx,
+            fs.allocator(),
+            &mut state,
+            "uncommitted",
+            77,
+            FileType::File,
+        )
+        .unwrap();
+    }
+    let _never_committed = tx;
+    dev.crash();
+    drop((d, fs));
+    let fs = Pmfs::mount(dev).unwrap();
+    assert!(fs.recovery_stats().txs_undone > 0);
+    assert_eq!(fs.stat("/d/uncommitted"), Err(FsError::NotFound));
+    assert!(fs.stat("/d/kept").is_ok());
+    assert!(fs.audit().is_clean());
+}
+
+#[test]
+fn a_reused_inode_number_does_not_inherit_the_dead_directorys_names() {
+    let (_d, fs) = fresh();
+    fs.mkdir("/old").unwrap();
+    touch(&fs, "/old/secret");
+    let old = fs.inode(fs.stat("/old").unwrap().ino).unwrap();
+    assert!(old.names.lock().as_ref().unwrap().contains_key("secret"));
+    fs.unlink("/old/secret").unwrap();
+    fs.rmdir("/old").unwrap();
+    assert!(old.names.lock().is_none(), "freed with the inode");
+    // Lowest free slot first: the new directory gets the same number.
+    fs.mkdir("/new").unwrap();
+    let new = fs.inode(fs.stat("/new").unwrap().ino).unwrap();
+    assert_eq!(new.ino, old.ino);
+    assert!(!Arc::ptr_eq(&new, &old));
+    assert_eq!(fs.stat("/new/secret"), Err(FsError::NotFound));
+    assert!(new.names.lock().as_ref().unwrap().is_empty());
+    assert_eq!(
+        fs.namei()
+            .entries
+            .load(std::sync::atomic::Ordering::Relaxed),
+        1,
+        "only `new`, in the root's index"
+    );
+    assert!(fs.audit().is_clean());
+}
+
+#[test]
+fn a_name_the_media_repeats_resolves_to_its_first_entry() {
+    let (dev, fs) = fresh();
+    fs.mkdir("/d").unwrap();
+    touch(&fs, "/d/first");
+    touch(&fs, "/d/second");
+    let first = fs.stat("/d/first").unwrap().ino;
+    let second = fs.stat("/d/second").unwrap().ino;
+    // Damage the image: a second `first`, pointing elsewhere.
+    let d = fs.inode(fs.stat("/d").unwrap().ino).unwrap();
+    let tx = fs.journal().begin().unwrap();
+    dir::add(
+        &dev,
+        fs.journal(),
+        &tx,
+        fs.allocator(),
+        &mut d.state.write(),
+        "first",
+        second,
+        FileType::File,
+    )
+    .unwrap();
+    fs.journal().commit(tx);
+    fs.unmount().unwrap();
+    drop((d, fs));
+    let fs = Pmfs::mount(dev.clone()).unwrap();
+    assert_eq!(fs.stat("/d/first").unwrap().ino, first);
+    let d = fs.inode(fs.stat("/d").unwrap().ino).unwrap();
+    let reference = dir::lookup(&dev, &d.state.read(), "first").unwrap();
+    assert_eq!(reference, Some((first, FileType::File)));
+    assert_eq!(d.names.lock().as_ref().unwrap().len(), 2);
+    assert!(fs.audit().is_clean(), "the index is the first-match view");
+}
+
+#[test]
+fn the_auditor_names_an_index_that_left_the_media() {
+    let (_d, fs) = fresh();
+    touch(&fs, "/real");
+    let root = fs.inode(crate::layout::ROOT_INO).unwrap();
+    root.names
+        .lock()
+        .as_mut()
+        .unwrap()
+        .insert("phantom".into(), (99, FileType::File));
+    let rep = fs.audit();
+    let labels: Vec<&str> = rep.violations.iter().map(|v| v.invariant()).collect();
+    // The phantom name, and the entries gauge that never counted it.
+    assert_eq!(labels, ["namei.index", "namei.index"], "{}", rep.to_json());
+    assert_eq!(rep.violations[0].ino, crate::layout::ROOT_INO);
 }

@@ -92,6 +92,10 @@ impl InodeMem {
     }
 }
 
+/// A directory's DRAM name index: `name → (ino, ftype)` for every live
+/// on-media entry (the first one, where a damaged image repeats a name).
+pub type NameIndex = HashMap<String, (u64, FileType)>;
+
 /// Shared in-memory inode state.
 #[derive(Debug)]
 pub struct InodeHandle {
@@ -106,6 +110,24 @@ pub struct InodeHandle {
     /// "is this the last reference?" reads `nlink` and the count
     /// together, and unlink asks it holding `state.write()`.
     pub opens: Mutex<u32>,
+    /// Directories only: the authoritative name index path resolution
+    /// answers from (what the VFS dentry cache is to the paper's systems).
+    /// `None` until the first lookup in this directory after mount, which
+    /// builds it from the media; exact from then on — every entry edit
+    /// updates it under `state.write()`, and a journal abort that rolled
+    /// entries back drops it. Lock order: `state` → `names`.
+    pub names: Mutex<Option<NameIndex>>,
+}
+
+impl InodeHandle {
+    fn new(ino: u64, mem: InodeMem) -> Arc<InodeHandle> {
+        Arc::new(InodeHandle {
+            ino,
+            state: RwLock::new(mem),
+            opens: Mutex::new(0),
+            names: Mutex::new(None),
+        })
+    }
 }
 
 /// Cache of in-memory inode handles plus the free-slot list.
@@ -159,22 +181,14 @@ impl InodeCache {
         let mut buf = [0u8; INODE_CORE];
         dev.read(Cat::Meta, layout.inode_off(ino), &mut buf);
         let mem = InodeMem::decode(&buf)?.ok_or(FsError::Corrupted("reference to free inode"))?;
-        let h = Arc::new(InodeHandle {
-            ino,
-            state: RwLock::new(mem),
-            opens: Mutex::new(0),
-        });
+        let h = InodeHandle::new(ino, mem);
         map.insert(ino, h.clone());
         Ok(h)
     }
 
     /// Installs a handle for a just-created inode.
     pub fn install(&self, ino: u64, mem: InodeMem) -> Arc<InodeHandle> {
-        let h = Arc::new(InodeHandle {
-            ino,
-            state: RwLock::new(mem),
-            opens: Mutex::new(0),
-        });
+        let h = InodeHandle::new(ino, mem);
         self.shard(ino).lock().insert(ino, h.clone());
         h
     }
@@ -195,17 +209,17 @@ impl InodeCache {
         self.free_slots.lock().len()
     }
 
-    /// Every inode number that currently has a cached handle, in
-    /// ascending order (shards are walked in index order, then sorted so
-    /// callers see a shard-count-independent listing).
-    pub fn cached_inos(&self) -> Vec<u64> {
-        let mut inos: Vec<u64> = self
+    /// Every cached handle, in ascending inode order (shards are walked
+    /// in index order, then sorted so callers see a shard-count-independent
+    /// listing). No shard lock is held on return.
+    pub fn cached(&self) -> Vec<Arc<InodeHandle>> {
+        let mut handles: Vec<Arc<InodeHandle>> = self
             .shards
             .iter()
-            .flat_map(|s| s.lock().keys().copied().collect::<Vec<u64>>())
+            .flat_map(|s| s.lock().values().cloned().collect::<Vec<_>>())
             .collect();
-        inos.sort_unstable();
-        inos
+        handles.sort_unstable_by_key(|h| h.ino);
+        handles
     }
 }
 

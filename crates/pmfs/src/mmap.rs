@@ -44,30 +44,43 @@ impl PmfsMmap {
         }
         let first_iblk = off / BLOCK_SIZE as u64;
         let last_iblk = (off + len as u64 - 1) / BLOCK_SIZE as u64;
-        let mut blocks = Vec::with_capacity((last_iblk - first_iblk + 1) as usize);
         let tx = fs.journal().begin()?;
-        let mut meta_changed = false;
-        let mut fresh = FreshRun::new(&dev, fs.allocator());
-        for iblk in first_iblk..=last_iblk {
-            let pblk = match tree::lookup(&dev, &state, iblk) {
-                Some(p) => p,
-                None => {
-                    let p = fresh.alloc(&mut state, iblk)?;
-                    dev.zero_persist(Cat::Meta, Layout::block_off(p), BLOCK_SIZE);
-                    meta_changed = true;
-                    p
-                }
-            };
-            blocks.push(pblk);
-        }
-        fresh.link(&mut state)?;
-        drop(fresh);
-        if meta_changed {
-            let snap = *state;
-            drop(state);
-            fs.log_write_inode(&tx, of.ino, &snap)?;
-        }
-        fs.journal().commit(tx);
+        let mapped = (|| -> Result<Vec<u64>> {
+            let mut blocks = Vec::with_capacity((last_iblk - first_iblk + 1) as usize);
+            let mut meta_changed = false;
+            let mut fresh = FreshRun::new(&dev, fs.allocator());
+            for iblk in first_iblk..=last_iblk {
+                let pblk = match tree::lookup(&dev, &state, iblk) {
+                    Some(p) => p,
+                    None => {
+                        let p = fresh.alloc(&mut state, iblk)?;
+                        dev.zero_persist(Cat::Meta, Layout::block_off(p), BLOCK_SIZE);
+                        meta_changed = true;
+                        p
+                    }
+                };
+                blocks.push(pblk);
+            }
+            fresh.link(&mut state)?;
+            drop(fresh);
+            if meta_changed {
+                let snap = *state;
+                drop(state);
+                fs.log_write_inode(&tx, of.ino, &snap)?;
+            }
+            Ok(blocks)
+        })();
+        let blocks = match mapped {
+            Ok(blocks) => {
+                fs.journal().commit(tx);
+                blocks
+            }
+            Err(e) => {
+                // An open record would pin the journal ring forever.
+                fs.journal().abort(tx);
+                return Err(e);
+            }
+        };
         Ok(PmfsMmap {
             dev,
             blocks,

@@ -54,14 +54,15 @@ fn slot_at(iblk: u64, level: u32) -> u64 {
 }
 
 /// The node at `level` on the path to `iblk`, or `None` where the path
-/// ends in a hole (or the tree is too short).
-fn node_at(dev: &NvmmDevice, mem: &InodeMem, iblk: u64, level: u32) -> Option<u64> {
+/// ends in a hole (or the tree is too short). `read_ptr` reads the pointer
+/// at a device offset.
+fn node_at(read_ptr: impl Fn(u64) -> u64, mem: &InodeMem, iblk: u64, level: u32) -> Option<u64> {
     if mem.tree_root == 0 || iblk >= capacity(mem.tree_height) {
         return None;
     }
     let mut node = mem.tree_root;
     for l in (level + 1..=mem.tree_height).rev() {
-        node = dev.read_u64(Cat::Meta, slot_off(node, slot_at(iblk, l)));
+        node = read_ptr(slot_off(node, slot_at(iblk, l)));
         if node == 0 {
             return None;
         }
@@ -69,9 +70,25 @@ fn node_at(dev: &NvmmDevice, mem: &InodeMem, iblk: u64, level: u32) -> Option<u6
     Some(node)
 }
 
+/// The charged pointer read every file-system path descends with.
+fn read_ptr(dev: &NvmmDevice) -> impl Fn(u64) -> u64 + '_ {
+    |off| dev.read_u64(Cat::Meta, off)
+}
+
 /// Looks up the physical block for file block `iblk`, or `None` for a hole.
 pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, iblk: u64) -> Option<u64> {
-    node_at(dev, mem, iblk, 0)
+    node_at(read_ptr(dev), mem, iblk, 0)
+}
+
+/// [`lookup`] for the invariant auditor: reads through
+/// [`NvmmDevice::peek`], so it charges no time and moves no counter.
+pub fn lookup_uncharged(dev: &NvmmDevice, mem: &InodeMem, iblk: u64) -> Option<u64> {
+    let peek_ptr = |off| {
+        let mut b = [0u8; 8];
+        dev.peek(off, &mut b);
+        u64::from_le_bytes(b)
+    };
+    node_at(peek_ptr, mem, iblk, 0)
 }
 
 /// Reads slots `[slot, slot + out.len())` of `node` in one device access.
@@ -131,7 +148,7 @@ pub fn insert_run(
     debug_assert!(pblks.iter().all(|&p| p != 0));
     let mut slots = [0u64; FANOUT as usize];
     for (iblk, len) in leaf_segments(iblk0, pblks.len()) {
-        if let Some(leaf) = node_at(dev, mem, iblk, 1) {
+        if let Some(leaf) = node_at(read_ptr(dev), mem, iblk, 1) {
             let slots = &mut slots[..len];
             read_slots(dev, leaf, slot_at(iblk, 1), slots);
             if slots.iter().any(|&p| p != 0) {

@@ -42,37 +42,51 @@ fn rw_create() -> OpenFlags {
     OpenFlags::RDWR | OpenFlags::CREATE
 }
 
-/// Reads the whole file in `iosize` chunks.
-fn read_whole(ctx: &mut Ctx<'_>, fd: Fd, iosize: usize, buf: &mut Vec<u8>) -> Result<()> {
-    buf.resize(iosize.max(1), 0);
-    let size = ctx.fstat(fd)?.size;
-    let mut off = 0;
-    while off < size {
-        let n = ctx.read(fd, off, buf)?;
-        if n == 0 {
-            break;
-        }
-        off += n as u64;
-    }
-    Ok(())
+/// One actor's I/O memory, sized once: every write sends a prefix of the
+/// same constant-filled payload, every read lands in the same scratch, so
+/// a step costs the host no megabyte-sized fill of its own.
+struct IoBufs {
+    payload: Vec<u8>,
+    scratch: Vec<u8>,
 }
 
-/// Writes `total` bytes at offset 0 in `iosize` chunks.
-fn write_whole(
-    ctx: &mut Ctx<'_>,
-    fd: Fd,
-    total: usize,
-    iosize: usize,
-    buf: &mut Vec<u8>,
-) -> Result<()> {
-    buf.resize(iosize.max(1), 0x5a);
-    let mut off = 0usize;
-    while off < total {
-        let n = (total - off).min(iosize);
-        ctx.write(fd, off as u64, &buf[..n])?;
-        off += n;
+impl IoBufs {
+    fn new(params: &FilebenchParams) -> IoBufs {
+        let iosize = params.iosize.max(1);
+        // `fileset::draw_size` asks for up to 1.5 × the mean append.
+        let largest_write = iosize.max(params.append_size * 3 / 2 + 1);
+        IoBufs {
+            payload: vec![0x5a; largest_write],
+            scratch: vec![0; iosize],
+        }
     }
-    Ok(())
+
+    /// Reads the whole file, one scratch-full at a time.
+    fn read_whole(&mut self, ctx: &mut Ctx<'_>, fd: Fd) -> Result<()> {
+        let size = ctx.fstat(fd)?.size;
+        let mut off = 0;
+        while off < size {
+            let n = ctx.read(fd, off, &mut self.scratch)?;
+            if n == 0 {
+                break;
+            }
+            off += n as u64;
+        }
+        Ok(())
+    }
+
+    /// Writes `total` bytes at offset 0 in `iosize` chunks.
+    fn write_whole(&self, ctx: &mut Ctx<'_>, fd: Fd, total: usize) -> Result<()> {
+        // The scratch is one I/O long.
+        let iosize = self.scratch.len();
+        let mut off = 0usize;
+        while off < total {
+            let n = (total - off).min(iosize);
+            ctx.write(fd, off as u64, &self.payload[..n])?;
+            off += n;
+        }
+        Ok(())
+    }
 }
 
 /// Issues a log-append burst as one gather (`pwritev`) call: the data is
@@ -90,7 +104,7 @@ fn append_burst(ctx: &mut Ctx<'_>, fd: Fd, data: &[u8]) -> Result<()> {
 pub struct Fileserver {
     set: Arc<Fileset>,
     params: FilebenchParams,
-    buf: Vec<u8>,
+    io: IoBufs,
 }
 
 impl Fileserver {
@@ -98,8 +112,8 @@ impl Fileserver {
     pub fn new(set: Arc<Fileset>, params: FilebenchParams) -> Fileserver {
         Fileserver {
             set,
+            io: IoBufs::new(&params),
             params,
-            buf: Vec::new(),
         }
     }
 }
@@ -110,21 +124,20 @@ impl Actor for Fileserver {
         let path = self.set.fresh(&mut ctx.rng);
         let size = self.set.draw_size(&mut ctx.rng);
         let fd = ctx.open(&path, rw_create())?;
-        write_whole(ctx, fd, size, self.params.iosize, &mut self.buf)?;
+        self.io.write_whole(ctx, fd, size)?;
         ctx.close(fd)?;
         // open + append + close
         if let Some(p) = self.set.pick(&mut ctx.rng) {
             if let Ok(fd) = ctx.open(&p, OpenFlags::RDWR | OpenFlags::APPEND) {
                 let n = crate::fileset::draw_size(&mut ctx.rng, self.params.append_size);
-                self.buf.resize(n.max(1), 0x11);
-                ctx.append(fd, &self.buf[..n])?;
+                ctx.append(fd, &self.io.payload[..n])?;
                 ctx.close(fd)?;
             }
         }
         // open + readwholefile + close
         if let Some(p) = self.set.pick(&mut ctx.rng) {
             if let Ok(fd) = ctx.open(&p, OpenFlags::READ) {
-                read_whole(ctx, fd, self.params.iosize, &mut self.buf)?;
+                self.io.read_whole(ctx, fd)?;
                 ctx.close(fd)?;
             }
         }
@@ -148,7 +161,7 @@ pub struct Webserver {
     params: FilebenchParams,
     log: String,
     log_fd: Option<Fd>,
-    buf: Vec<u8>,
+    io: IoBufs,
 }
 
 impl Webserver {
@@ -159,7 +172,7 @@ impl Webserver {
             params,
             log: format!("/weblog-{id}"),
             log_fd: None,
-            buf: Vec::new(),
+            io: IoBufs::new(&params),
         }
     }
 }
@@ -169,7 +182,7 @@ impl Actor for Webserver {
         for _ in 0..10 {
             if let Some(p) = self.set.pick(&mut ctx.rng) {
                 if let Ok(fd) = ctx.open(&p, OpenFlags::READ) {
-                    read_whole(ctx, fd, self.params.iosize, &mut self.buf)?;
+                    self.io.read_whole(ctx, fd)?;
                     ctx.close(fd)?;
                 }
             }
@@ -177,9 +190,8 @@ impl Actor for Webserver {
         if self.log_fd.is_none() {
             self.log_fd = Some(ctx.open(&self.log, rw_create() | OpenFlags::APPEND)?);
         }
-        self.buf.resize(self.params.append_size.max(1), 0x22);
         let n = self.params.append_size;
-        append_burst(ctx, self.log_fd.unwrap(), &self.buf[..n])?;
+        append_burst(ctx, self.log_fd.unwrap(), &self.io.payload[..n])?;
         rotate_log(ctx, self.log_fd.unwrap())?;
         Ok(true)
     }
@@ -200,7 +212,7 @@ pub struct Webproxy {
     params: FilebenchParams,
     log: String,
     log_fd: Option<Fd>,
-    buf: Vec<u8>,
+    io: IoBufs,
 }
 
 impl Webproxy {
@@ -211,7 +223,7 @@ impl Webproxy {
             params,
             log: format!("/proxylog-{id}"),
             log_fd: None,
-            buf: Vec::new(),
+            io: IoBufs::new(&params),
         }
     }
 }
@@ -228,7 +240,7 @@ impl Actor for Webproxy {
         let path = self.set.fresh(&mut ctx.rng);
         let size = self.set.draw_size(&mut ctx.rng);
         let fd = ctx.open(&path, rw_create())?;
-        write_whole(ctx, fd, size, self.params.iosize, &mut self.buf)?;
+        self.io.write_whole(ctx, fd, size)?;
         ctx.close(fd)?;
         // open-read-close ×5, over the hot (recently created) tail of the
         // set: the paper attributes webproxy's behaviour to its "strong
@@ -236,7 +248,7 @@ impl Actor for Webproxy {
         for _ in 0..5 {
             if let Some(p) = self.set.pick_recent(&mut ctx.rng, 0.2) {
                 if let Ok(fd) = ctx.open(&p, OpenFlags::READ) {
-                    read_whole(ctx, fd, self.params.iosize, &mut self.buf)?;
+                    self.io.read_whole(ctx, fd)?;
                     ctx.close(fd)?;
                 }
             }
@@ -245,9 +257,8 @@ impl Actor for Webproxy {
         if self.log_fd.is_none() {
             self.log_fd = Some(ctx.open(&self.log, rw_create() | OpenFlags::APPEND)?);
         }
-        self.buf.resize(self.params.append_size.max(1), 0x33);
         let n = self.params.append_size;
-        append_burst(ctx, self.log_fd.unwrap(), &self.buf[..n])?;
+        append_burst(ctx, self.log_fd.unwrap(), &self.io.payload[..n])?;
         rotate_log(ctx, self.log_fd.unwrap())?;
         Ok(true)
     }
@@ -257,7 +268,7 @@ impl Actor for Webproxy {
 pub struct Varmail {
     set: Arc<Fileset>,
     params: FilebenchParams,
-    buf: Vec<u8>,
+    io: IoBufs,
 }
 
 impl Varmail {
@@ -265,8 +276,8 @@ impl Varmail {
     pub fn new(set: Arc<Fileset>, params: FilebenchParams) -> Varmail {
         Varmail {
             set,
+            io: IoBufs::new(&params),
             params,
-            buf: Vec::new(),
         }
     }
 
@@ -287,17 +298,15 @@ impl Actor for Varmail {
         let path = self.set.fresh(&mut ctx.rng);
         let fd = ctx.open(&path, rw_create())?;
         let n = self.draw_append(ctx);
-        self.buf.resize(n, 0x44);
-        ctx.append(fd, &self.buf[..n])?;
+        ctx.append(fd, &self.io.payload[..n])?;
         ctx.fsync(fd)?;
         ctx.close(fd)?;
         // openfile + readwholefile + appendfilerand + fsync + close
         if let Some(p) = self.set.pick(&mut ctx.rng) {
             if let Ok(fd) = ctx.open(&p, OpenFlags::RDWR) {
-                read_whole(ctx, fd, self.params.iosize, &mut self.buf)?;
+                self.io.read_whole(ctx, fd)?;
                 let n = self.draw_append(ctx);
-                self.buf.resize(n.max(1), 0x55);
-                ctx.append(fd, &self.buf[..n])?;
+                ctx.append(fd, &self.io.payload[..n])?;
                 ctx.fsync(fd)?;
                 ctx.close(fd)?;
             }
@@ -305,7 +314,7 @@ impl Actor for Varmail {
         // openfile + readwholefile + close
         if let Some(p) = self.set.pick(&mut ctx.rng) {
             if let Ok(fd) = ctx.open(&p, OpenFlags::READ) {
-                read_whole(ctx, fd, self.params.iosize, &mut self.buf)?;
+                self.io.read_whole(ctx, fd)?;
                 ctx.close(fd)?;
             }
         }

@@ -284,6 +284,7 @@ fn mount(
             };
             registry.register("", p.clone());
             registry.register("", p.journal().stats().clone());
+            registry.register("", p.namei().clone());
             registry.register("", p.obs().clone());
             system(p.clone(), None, p.obs(), p.clone())
         }
@@ -305,6 +306,7 @@ fn mount(
             };
             registry.register("", h.clone());
             registry.register("", h.pmfs().journal().stats().clone());
+            registry.register("", h.pmfs().namei().clone());
             system(h.clone(), Some(h.clone()), h.obs(), h.clone())
         }
     };

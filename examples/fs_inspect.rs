@@ -405,8 +405,18 @@ fn inspect(args: &Args) -> bool {
         report_lineage(err, &obs.lineage().snap());
     }
 
+    let reg = sys.registry.snapshot();
+    if reg.counters.contains_key("pmfs_namei_hits") {
+        eprintln!(
+            "namei: {} lookups answered from the name index, {} directory scans to build it, {} names indexed",
+            reg.counter("pmfs_namei_hits"),
+            reg.counter("pmfs_namei_builds"),
+            reg.gauge("pmfs_namei_entries"),
+        );
+    }
+
     let mut failed = false;
-    let fails = agreement_failures(&snap, &sys.registry.snapshot(), prefix(args.kind));
+    let fails = agreement_failures(&snap, &reg, prefix(args.kind));
     if fails.is_empty() {
         eprintln!("agreement: snapshot matches registry exposition");
     } else {
@@ -494,6 +504,8 @@ fn print_phase(name: &str, d: &RegistrySnapshot) {
         "hinfs_foreground_stalls",
         "hinfs_bbm_evals",
         "pmfs_journal_commits",
+        "pmfs_namei_hits",
+        "pmfs_namei_builds",
         "nvmm_bytes_written",
         "nvmm_bytes_read",
     ] {

@@ -6,8 +6,9 @@
 # Where bench_check.sh answers "did throughput regress?", this answers
 # "what changed?": it decomposes the delta between two documents into
 # ranked span-phase (ns/op), lock-site (wait-ns/op), fence-count
-# (fences/op) and p99-tail-anatomy (ns/exemplar) blame lines, worst
-# regression first. Output is greppable:
+# (fences/op) and p99-tail-anatomy (ns/exemplar) blame lines, largest
+# mover first (up or down: a gain is explained by the same table).
+# Output is greppable:
 #
 #   blame::<workload>::<system>::span 1 journal +123.4 ns/op (+85.00%)
 #

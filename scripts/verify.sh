@@ -107,12 +107,12 @@ run cargo run --release $OFFLINE --example fs_inspect -- dump --contention >/dev
 stage bench_check
 run cargo run --release $OFFLINE -p hinfs-bench --bin experiments -- \
     --quick --fig 101 --fig 112 --bench-json "$bench_tmp"
-run scripts/bench_check.sh BENCH_pr14.json "$bench_tmp"
+run scripts/bench_check.sh BENCH_pr15.json "$bench_tmp"
 # The gate must also FAIL when a regression is injected — otherwise it
 # gates nothing.
 sed 's/\("headline::fileserver::hinfs::ops_per_s": \)\([0-9]*\)/\10/' \
     "$bench_tmp" >"$bench_tmp.bad"
-if scripts/bench_check.sh BENCH_pr14.json "$bench_tmp.bad" >/dev/null 2>&1; then
+if scripts/bench_check.sh BENCH_pr15.json "$bench_tmp.bad" >/dev/null 2>&1; then
     echo "verify: bench_check failed to flag an injected regression" >&2
     exit 1
 fi
@@ -120,7 +120,7 @@ echo "verify: bench_check catches injected regressions"
 
 # Regression ATTRIBUTION: bench_diff must run clean against the
 # committed baseline.
-run scripts/bench_diff.sh $OFFLINE BENCH_pr14.json "$bench_tmp"
+run scripts/bench_diff.sh $OFFLINE BENCH_pr15.json "$bench_tmp"
 # And its blame table must NAME a planted regression: multiply the
 # journal span-phase time by 10 and require the span blame to rank
 # `journal` first for that cell.
