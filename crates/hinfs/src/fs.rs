@@ -764,22 +764,23 @@ impl Hinfs {
             }
         }
         let tx = self.begin_tx(of.ino, &mut guard)?;
-        let res = (|| -> Result<()> {
-            if pmfs::file::truncate(
+        let res = (|| -> Result<Option<pmfs::tree::Emptied>> {
+            let emptied = pmfs::file::truncate(
                 self.dev(),
                 self.inner.allocator(),
                 &mut guard,
                 size,
                 self.env.now(),
-            )? {
+            )?;
+            if emptied.is_some() {
                 let snap = *guard;
                 self.inner.log_write_inode(&tx, of.ino, &snap)?;
             }
-            Ok(())
+            Ok(emptied)
         })();
         match res {
-            Ok(()) => {
-                self.inner.journal().commit(tx);
+            Ok(emptied) => {
+                self.inner.commit_recycling(tx, emptied);
                 Ok(())
             }
             Err(e) => {
@@ -976,6 +977,7 @@ impl FileSystem for Hinfs {
 impl obsv::MetricSource for Hinfs {
     fn collect(&self, out: &mut dyn obsv::Visitor) {
         obsv::MetricSource::collect(&self.stats, out);
+        obsv::MetricSource::collect(self.inner.allocator(), out);
         obsv::MetricSource::collect(&*self.obs, out);
         // The gauges and the snapshot are the same collection, so the
         // exposition can never disagree with `fs_inspect` output.

@@ -123,14 +123,28 @@ pub struct FaultPlan {
     crash_at: AtomicU64,
     recording: AtomicBool,
     schedule: Mutex<Vec<BoundaryRec>>,
-    journal_unavailable: AtomicBool,
-    /// Allocations still admitted before ENOSPC sets in, plus one
-    /// (1 = every allocation fails); 0 = injection off.
-    allocs_left: AtomicU64,
+    journal_left: Countdown,
+    allocs_left: Countdown,
     stall_writeback: AtomicBool,
     crashes_injected: AtomicU64,
     faults_injected: AtomicU64,
     trace: Mutex<Option<Arc<TraceRing>>>,
+}
+
+/// Requests still admitted before a soft fault sets in, plus one (1 = every
+/// request is refused); 0 = injection off.
+#[derive(Debug, Default)]
+struct Countdown(AtomicU64);
+
+impl Countdown {
+    /// Whether the request asking now is refused: the countdown has run
+    /// out (it takes one step otherwise).
+    fn refuses(&self) -> bool {
+        let step = |left| (left > 1).then(|| left - 1);
+        self.0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, step)
+            == Err(1)
+    }
 }
 
 impl FaultPlan {
@@ -183,29 +197,27 @@ impl FaultPlan {
 
     /// Switches journal-full backpressure injection.
     pub fn set_journal_unavailable(&self, on: bool) {
-        self.journal_unavailable.store(on, Ordering::Relaxed);
+        self.journal_left.0.store(on as u64, Ordering::Relaxed);
+    }
+
+    /// Admits `n` more journal requests (a `begin`, a batch of undo
+    /// records), then refuses every later one — the ring filling up in
+    /// the middle of an operation.
+    /// [`FaultPlan::set_journal_unavailable`]`(false)` lifts it again.
+    pub fn fail_journal_after(&self, n: u64) {
+        self.journal_left.0.store(n + 1, Ordering::Relaxed);
     }
 
     /// Switches allocation-failure (ENOSPC) injection.
     pub fn set_fail_alloc(&self, on: bool) {
-        self.allocs_left.store(on as u64, Ordering::Relaxed);
-    }
-
-    /// Whether the allocation asking now is refused: the countdown has run
-    /// out (it takes one step otherwise).
-    fn refuses_alloc(&self) -> bool {
-        self.allocs_left
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
-                (left > 1).then(|| left - 1)
-            })
-            == Err(1)
+        self.allocs_left.0.store(on as u64, Ordering::Relaxed);
     }
 
     /// Admits `n` more allocations, then fails every later one with
     /// ENOSPC — the allocator running dry in the middle of an operation.
     /// [`FaultPlan::set_fail_alloc`]`(false)` lifts it again.
     pub fn fail_alloc_after(&self, n: u64) {
-        self.allocs_left.store(n + 1, Ordering::Relaxed);
+        self.allocs_left.0.store(n + 1, Ordering::Relaxed);
     }
 
     /// Switches background-writeback stalling.
@@ -311,7 +323,7 @@ impl FaultHook {
 /// backpressure injection). Counts and traces the injection when it fires.
 pub fn journal_blocked(dev: &NvmmDevice) -> bool {
     match dev.fault_hook().plan() {
-        Some(plan) if plan.journal_unavailable.load(Ordering::Relaxed) => {
+        Some(plan) if plan.journal_left.refuses() => {
             plan.note_fault(InjectedFault::JournalFull, dev.env().now());
             true
         }
@@ -323,7 +335,7 @@ pub fn journal_blocked(dev: &NvmmDevice) -> bool {
 /// injection). Counts and traces the injection when it fires.
 pub fn alloc_blocked(dev: &NvmmDevice) -> bool {
     match dev.fault_hook().plan() {
-        Some(plan) if plan.refuses_alloc() => {
+        Some(plan) if plan.allocs_left.refuses() => {
             plan.note_fault(InjectedFault::Enospc, dev.env().now());
             true
         }
@@ -441,6 +453,12 @@ mod tests {
         assert_eq!(plan.faults_injected(), 2);
         plan.set_fail_alloc(false);
         assert!(!alloc_blocked(&d));
+        // The journal's countdown is the same mechanism.
+        plan.fail_journal_after(1);
+        assert!(!journal_blocked(&d));
+        assert!(journal_blocked(&d), "the second request is refused");
+        plan.set_journal_unavailable(false);
+        assert!(!journal_blocked(&d));
     }
 
     #[test]

@@ -415,6 +415,7 @@ pub const AUDIT_INVARIANTS: &[&str] = &[
     "device.accounting",         // 13: persisted bytes are cacheline-granular
     "lineage.sync_decay_bound",  // 14: max durability lag <= the mount's sync-decay bound
     "namei.index",               // 15: directory name index == on-media entries
+    "alloc.zeroed_pool",         // 16: parked blocks are used once, parked once, all-zero
 ];
 
 /// Label of an invariant code (`"unknown"` for out-of-range codes).

@@ -169,20 +169,22 @@ pub fn add(
             return Ok(());
         }
     }
-    // No room: append a fresh directory block.
+    // No room: append a fresh directory block, written whole (the image
+    // below covers all of it) before the tree links it.
     let pblk = alloc.alloc()?;
-    let base = Layout::block_off(pblk);
-    dev.zero_persist(Cat::Meta, base, BLOCK_SIZE);
     let mut block = vec![0u8; BLOCK_SIZE];
     block[0..HDR].copy_from_slice(&encode_header(ino, need, name.len(), ftype.as_u8()));
     block[HDR..HDR + name.len()].copy_from_slice(name.as_bytes());
     if BLOCK_SIZE - need >= HDR {
         block[need..need + HDR].copy_from_slice(&encode_header(0, BLOCK_SIZE - need, 0, 0));
     }
-    dev.write_persist(Cat::Meta, base, &block);
+    dev.write_persist(Cat::Meta, Layout::block_off(pblk), &block);
     dev.sfence();
     let iblk = dir_blocks(mem);
-    tree::insert(dev, alloc, mem, iblk, pblk)?;
+    if let Err(e) = tree::insert(dev, alloc, mem, iblk, pblk) {
+        alloc.free(pblk);
+        return Err(e);
+    }
     mem.size += BLOCK_SIZE as u64;
     mem.blocks += 1;
     Ok(())
@@ -375,6 +377,42 @@ mod tests {
             lookup(&fx.dev, &fx.mem, &format!("{name}{:04}", n - 1)).unwrap(),
             Some((n as u64, FileType::File))
         );
+    }
+
+    #[test]
+    fn growing_by_a_block_writes_it_once() {
+        let mut fx = setup();
+        // Long names so a block holds few entries.
+        let name = "x".repeat(200);
+        let mut i = 0;
+        let grew_by = loop {
+            let tx = fx.journal.begin().unwrap();
+            let (blocks, before) = (fx.mem.blocks, fx.dev.stats().snapshot());
+            let n = format!("{name}{i:04}");
+            add(
+                &fx.dev,
+                &fx.journal,
+                &tx,
+                &fx.alloc,
+                &mut fx.mem,
+                &n,
+                i + 1,
+                FileType::File,
+            )
+            .unwrap();
+            let d = fx.dev.stats().snapshot().since(&before);
+            fx.journal.commit(tx);
+            i += 1;
+            // The second block: the tree node is there already.
+            if (blocks, fx.mem.blocks) == (1, 2) {
+                break d;
+            }
+        };
+        // The block image and the cacheline of its pointer — not the
+        // image over 4 KiB of zeroes.
+        let lines = (BLOCK_SIZE / nvmm::CACHELINE + 1) as u64;
+        assert_eq!(grew_by.nvmm_bytes_written, lines * nvmm::CACHELINE as u64);
+        assert_eq!(grew_by.fences, 2);
     }
 
     #[test]

@@ -179,23 +179,25 @@ pub fn write_at(
 }
 
 /// Truncates (or extends with a hole) to `size`. Updates `mem` in memory;
-/// returns `true` when the inode core changed.
-pub fn truncate(
+/// returns `None` when the inode core did not change, else the tree nodes
+/// the cut emptied, for the caller to recycle once its transaction has
+/// committed.
+pub fn truncate<'a>(
     dev: &NvmmDevice,
-    alloc: &Allocator,
+    alloc: &'a Allocator,
     mem: &mut InodeMem,
     size: u64,
     now: u64,
-) -> Result<bool> {
+) -> Result<Option<tree::Emptied<'a>>> {
     if size > MAX_FILE_SIZE {
         return Err(FsError::FileTooLarge);
     }
     if size == mem.size {
-        return Ok(false);
+        return Ok(None);
     }
-    if size < mem.size {
+    let emptied = if size < mem.size {
         let keep_blocks = size.div_ceil(BLOCK_SIZE as u64);
-        let freed = tree::remove_from(dev, alloc, mem, keep_blocks);
+        let (freed, emptied) = tree::remove_from(dev, alloc, mem, keep_blocks);
         uncount_blocks(mem, freed);
         // Zero the tail of the new last block so a later extension reads
         // zeroes, not stale bytes.
@@ -210,10 +212,13 @@ pub fn truncate(
             }
         }
         dev.sfence();
-    }
+        emptied
+    } else {
+        tree::Emptied::none(alloc)
+    };
     mem.size = size;
     mem.mtime = now;
-    Ok(true)
+    Ok(Some(emptied))
 }
 
 /// Takes `freed` data blocks off `mem.blocks`. The tree can hold more
@@ -226,12 +231,18 @@ fn uncount_blocks(mem: &mut InodeMem, freed: u64) {
     mem.blocks = mem.blocks.saturating_sub(freed);
 }
 
-/// Frees every data block and tree node of the file (unlink path).
-pub fn free_all(dev: &NvmmDevice, alloc: &Allocator, mem: &mut InodeMem) {
-    let freed = tree::remove_from(dev, alloc, mem, 0);
+/// Frees every data block of the file (unlink path) and returns its tree
+/// nodes, for the caller to recycle once its transaction has committed.
+pub fn free_all<'a>(
+    dev: &NvmmDevice,
+    alloc: &'a Allocator,
+    mem: &mut InodeMem,
+) -> tree::Emptied<'a> {
+    let (freed, emptied) = tree::remove_from(dev, alloc, mem, 0);
     uncount_blocks(mem, freed);
     debug_assert_eq!(mem.blocks, 0, "core counts blocks the tree does not hold");
     mem.size = 0;
+    emptied
 }
 
 #[cfg(test)]
@@ -329,7 +340,7 @@ mod tests {
         assert!(buf[..50].iter().all(|&b| b == 9));
         assert!(buf[50..].iter().all(|&b| b == 0), "stale tail zeroed");
         // Full free returns all blocks.
-        free_all(&dev, &alloc, &mut mem);
+        drop(free_all(&dev, &alloc, &mut mem));
         assert_eq!(mem.size, 0);
         assert_eq!(alloc.free_blocks(), free0);
     }

@@ -352,6 +352,16 @@ impl Pmfs {
         self.dev.sfence();
     }
 
+    /// Commits `tx`, then recycles the tree nodes it cut off their inode
+    /// (`None`: it cut none) — the one place the two are sequenced, because
+    /// the order is what makes wiping a node safe (see [`tree::Emptied`]).
+    pub fn commit_recycling(&self, tx: TxHandle, emptied: Option<tree::Emptied>) {
+        self.journal.commit(tx);
+        if let Some(emptied) = emptied {
+            emptied.recycle(&self.dev);
+        }
+    }
+
     /// Free data blocks (for HiNFS's `Low_f`/`High_f` style policies and
     /// workload sizing).
     pub fn free_blocks(&self) -> u64 {
@@ -524,11 +534,13 @@ impl Pmfs {
                 // shard lock (different entries, different shards).
                 return Err(FsError::NotFound);
             }
+            // The parent's undo image goes in before the entry does: once
+            // a grown directory counts its new block in memory, nothing
+            // is left that a full ring could refuse.
+            let logged = self.log_inode(&tx, parent.ino)?;
             self.add_entry(&tx, parent, &mut pstate, name, ino, ftype)?;
             pstate.mtime = self.env.now();
-            let p = *pstate;
-            drop(pstate);
-            self.log_write_inode(&tx, parent.ino, &p)?;
+            self.rewrite_logged_inode(&tx, logged, &pstate);
             Ok(())
         })();
         match res {
@@ -548,21 +560,47 @@ impl Pmfs {
     /// `before_free` runs first, under the inode's write lock.
     fn reap(&self, h: &Arc<InodeHandle>, before_free: impl FnOnce(&InodeHandle)) -> Result<()> {
         let tx = self.journal.begin()?;
-        let res = (|| -> Result<()> {
+        let res = (|| -> Result<tree::Emptied> {
             let mut state = h.state.write();
             before_free(h);
             self.journal
                 .log_range(&tx, self.layout.inode_off(h.ino), INODE_CORE)?;
-            file::free_all(&self.dev, &self.alloc, &mut state);
+            let emptied = file::free_all(&self.dev, &self.alloc, &mut state);
             self.dev
                 .write_persist(Cat::Meta, self.layout.inode_off(h.ino), &[0u8; INODE_CORE]);
             self.dev.sfence();
-            Ok(())
+            Ok(emptied)
         })();
         match res {
-            Ok(()) => {
-                self.journal.commit(tx);
+            Ok(emptied) => {
+                self.commit_recycling(tx, Some(emptied));
                 self.icache.free_slot(h.ino);
+                Ok(())
+            }
+            Err(e) => {
+                self.journal.abort(tx);
+                Err(e)
+            }
+        }
+    }
+
+    /// Truncates or extends `h` to `size` in a transaction of its own
+    /// (`truncate` and `open` with `O_TRUNC`).
+    fn resize(&self, h: &InodeHandle, size: u64) -> Result<()> {
+        let tx = self.journal.begin()?;
+        let res = (|| -> Result<Option<tree::Emptied>> {
+            let mut state = h.state.write();
+            let emptied = file::truncate(&self.dev, &self.alloc, &mut state, size, self.env.now())?;
+            if emptied.is_some() {
+                let snap = *state;
+                drop(state);
+                self.log_write_inode(&tx, h.ino, &snap)?;
+            }
+            Ok(emptied)
+        })();
+        match res {
+            Ok(emptied) => {
+                self.commit_recycling(tx, emptied);
                 Ok(())
             }
             Err(e) => {
@@ -635,7 +673,7 @@ impl Pmfs {
         let tx = self.journal.begin()?;
         // Fallible steps run before the volatile nlink/cache mutations so an
         // abort leaves the in-memory state matching the rolled-back bytes.
-        let res = (|| -> Result<bool> {
+        let res = (|| -> Result<Option<tree::Emptied>> {
             {
                 let mut pstate = parent.state.write();
                 self.remove_entry(&tx, parent, &pstate, name)?;
@@ -645,28 +683,30 @@ impl Pmfs {
                 self.log_write_inode(&tx, parent.ino, &p)?;
             }
             let mut cstate = child.state.write();
-            let freeable = cstate.nlink == 1 && *child.opens.lock() == 0;
-            if freeable {
+            if cstate.nlink == 1 && *child.opens.lock() == 0 {
                 before_free(&child);
                 // Free data and the inode slot in the same transaction.
                 self.journal
                     .log_range(&tx, self.layout.inode_off(ino), INODE_CORE)?;
                 cstate.nlink = 0;
-                file::free_all(&self.dev, &self.alloc, &mut cstate);
+                let emptied = file::free_all(&self.dev, &self.alloc, &mut cstate);
                 self.dev
                     .write_persist(Cat::Meta, self.layout.inode_off(ino), &[0u8; INODE_CORE]);
                 self.dev.sfence();
+                Ok(Some(emptied))
             } else {
                 let mut snap = *cstate;
                 snap.nlink -= 1;
                 self.log_write_inode(&tx, ino, &snap)?;
                 cstate.nlink -= 1;
+                Ok(None)
             }
-            Ok(freeable)
         })();
         match res {
-            Ok(freeable) => {
-                self.journal.commit(tx);
+            // `Some`: the unlink freed the inode.
+            Ok(freed) => {
+                let freeable = freed.is_some();
+                self.commit_recycling(tx, freed);
                 if freeable {
                     self.icache.free_slot(ino);
                 }
@@ -695,7 +735,7 @@ impl Pmfs {
         }
         let child = self.inode(ino)?;
         let tx = self.journal.begin()?;
-        let res = (|| -> Result<()> {
+        let res = (|| -> Result<tree::Emptied> {
             // Hold the dying directory's write lock from the emptiness
             // check through `nlink = 0`: a concurrent create into it
             // either lands first (seen here as DirectoryNotEmpty) or
@@ -723,15 +763,15 @@ impl Pmfs {
             // The inode number may come back as another directory; a
             // walker still holding this handle must find no names in it.
             self.forget_names(&mut child.names.lock());
-            file::free_all(&self.dev, &self.alloc, &mut cstate);
+            let emptied = file::free_all(&self.dev, &self.alloc, &mut cstate);
             self.dev
                 .write_persist(Cat::Meta, self.layout.inode_off(ino), &[0u8; INODE_CORE]);
             self.dev.sfence();
-            Ok(())
+            Ok(emptied)
         })();
         match res {
-            Ok(()) => {
-                self.journal.commit(tx);
+            Ok(emptied) => {
+                self.commit_recycling(tx, Some(emptied));
                 self.icache.free_slot(ino);
                 Ok(())
             }
@@ -780,23 +820,7 @@ impl FileSystem for Pmfs {
                 }
             };
             if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                let tx = self.journal.begin()?;
-                let res = (|| -> Result<()> {
-                    let mut state = handle.state.write();
-                    if file::truncate(&self.dev, &self.alloc, &mut state, 0, self.env.now())? {
-                        let snap = *state;
-                        drop(state);
-                        self.log_write_inode(&tx, handle.ino, &snap)?;
-                    }
-                    Ok(())
-                })();
-                match res {
-                    Ok(()) => self.journal.commit(tx),
-                    Err(e) => {
-                        self.journal.abort(tx);
-                        return Err(e);
-                    }
-                }
+                self.resize(&handle, 0)?;
             }
             *handle.opens.lock() += 1;
             Ok(self.fds.insert(OpenFile {
@@ -935,26 +959,7 @@ impl FileSystem for Pmfs {
             if !of.flags.writable() {
                 return Err(FsError::BadFd);
             }
-            let tx = self.journal.begin()?;
-            let res = (|| -> Result<()> {
-                let mut state = of.handle.state.write();
-                if file::truncate(&self.dev, &self.alloc, &mut state, size, self.env.now())? {
-                    let snap = *state;
-                    drop(state);
-                    self.log_write_inode(&tx, of.ino, &snap)?;
-                }
-                Ok(())
-            })();
-            match res {
-                Ok(()) => {
-                    self.journal.commit(tx);
-                    Ok(())
-                }
-                Err(e) => {
-                    self.journal.abort(tx);
-                    Err(e)
-                }
-            }
+            self.resize(&of.handle, size)
         })
     }
 
@@ -1189,6 +1194,7 @@ impl obsv::Introspect for Pmfs {
             rep.check_eq(15, h.ino, 0, differing, 0);
         }
         rep.check_eq(15, 0, 0, self.namei.entries.load(Relaxed), indexed);
+        self.alloc.audit_zeroed_pool(&self.dev, &mut rep);
         rep
     }
 }
@@ -1196,6 +1202,7 @@ impl obsv::Introspect for Pmfs {
 impl obsv::MetricSource for Pmfs {
     fn collect(&self, out: &mut dyn obsv::Visitor) {
         obsv::Introspect::snapshot(self).visit_gauges("pmfs_", out);
+        self.alloc.collect(out);
     }
 }
 

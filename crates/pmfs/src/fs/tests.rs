@@ -475,6 +475,71 @@ fn mmap_that_runs_out_of_space_leaves_no_transaction_open() {
     fs.close(fd).unwrap();
 }
 
+/// `dir::add` used to keep the block it had allocated for a growing
+/// directory when the tree then found no node to link it under.
+#[test]
+fn a_directory_growth_refused_its_tree_node_gives_the_block_back() {
+    let (dev, fs) = fresh();
+    let plan = FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    fs.mkdir("/d").unwrap();
+    let free0 = fs.free_blocks();
+    // `/d` is empty: its first entry needs a block, which is granted, and
+    // a tree root to link it under, which is not.
+    plan.fail_alloc_after(1);
+    assert_eq!(fs.mkdir("/d/sub"), Err(FsError::NoSpace));
+    assert_eq!(fs.free_blocks(), free0, "mkdir leaked its directory block");
+    plan.fail_alloc_after(1);
+    assert_eq!(fs.open("/d/f", rw_create()).err(), Some(FsError::NoSpace));
+    assert_eq!(fs.free_blocks(), free0, "create leaked its directory block");
+    plan.set_fail_alloc(false);
+    assert_eq!(fs.journal().open_txs(), 0);
+    assert!(fs.audit().is_clean());
+    fs.mkdir("/d/sub").unwrap();
+    touch(&fs, "/d/f");
+    assert_eq!(fs.readdir("/d").unwrap().len(), 2);
+    assert_eq!(fs.free_blocks(), free0 - 2, "one block, one tree node");
+}
+
+/// `create_node` used to journal the parent's core *after* `dir::add`: a
+/// full ring at that point aborted with the appended directory block
+/// still linked and counted in the in-memory parent — an entry, on the
+/// next lookup, to an inode the abort had freed.
+#[test]
+fn a_create_refused_the_parents_undo_image_leaves_the_directory_as_it_was() {
+    let (dev, fs) = fresh();
+    let plan = FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    fs.mkdir("/d").unwrap();
+    let (before, free0) = (fs.stat("/d").unwrap(), fs.free_blocks());
+    // `begin` and the new inode's core are admitted, the parent's core is
+    // not. `/d` is empty, so the entry would have appended a block.
+    plan.fail_journal_after(2);
+    assert_eq!(
+        fs.open("/d/f", rw_create()).err(),
+        Some(FsError::JournalFull)
+    );
+    plan.set_journal_unavailable(false);
+    assert_eq!(fs.stat("/d").unwrap(), before, "the parent grew in memory");
+    assert_eq!(fs.free_blocks(), free0);
+    assert_eq!(fs.stat("/d/f"), Err(FsError::NotFound));
+    assert_eq!(fs.journal().open_txs(), 0);
+    assert!(fs.audit().is_clean(), "{}", fs.audit().to_json());
+    // The same create goes through, and is all a crash leaves in `/d`.
+    touch(&fs, "/d/f");
+    dev.crash();
+    drop(fs);
+    let fs = Pmfs::mount(dev).unwrap();
+    let names: Vec<String> = fs
+        .readdir("/d")
+        .unwrap()
+        .into_iter()
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(names, ["f"]);
+    assert!(fs.audit().is_clean());
+}
+
 /// A crash between linking a run and persisting the core that counts it
 /// leaves the tree holding more blocks than `blocks` says; freeing them
 /// (unlink, truncate) must not wrap the count.

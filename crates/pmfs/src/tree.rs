@@ -12,15 +12,27 @@
 //! cacheline at a time (any subset of those lines is a valid tree, since
 //! each pointer links a block the caller filled and fenced beforehand);
 //! [`remove_from`] zeroes the freed tail of a surviving node as one run
-//! and frees an emptied node without touching its slots (it is
-//! unreachable once its parent's pointer — or the inode's root — is gone).
+//! and hands back every node it emptied, untouched (it is unreachable once
+//! its parent's pointer — or the inode's root — is gone), as [`Emptied`].
+//!
+//! **Zero on free, not on allocation.** A new node must be all holes, and
+//! PMFS gets there by zeroing 4 KiB when it allocates one — on the
+//! critical path of the first write or fsync of every file. An emptied
+//! node is all holes but for the span of slots it used, which
+//! [`remove_from`] has just read: once the freeing transaction has
+//! committed, [`Emptied::recycle`] wipes that span only and parks the node
+//! in the allocator's zeroed pool ([`crate::alloc`]), where `new_node`
+//! finds it. Not before the commit — a rollback would resurrect an inode
+//! whose root had been wiped. The pool is volatile: after a crash a parked
+//! node is an unreachable block like any other.
 //!
 //! | operation | persists | fences |
 //! |---|---|---|
 //! | `insert_run`, per leaf the run touches | 1 per pointer cacheline (8 pointers) | 1 |
-//! | …per interior/leaf node it has to create | 1 node zeroing + 1 pointer | 1 |
+//! | …per interior/leaf node it has to create | 1 pointer, + 1 node zeroing unless a recycled node is parked | 1 |
 //! | `remove_from`, per surviving node it cuts | 1 zeroing run | 1 |
 //! | …per emptied node | 0 (the parent's run covers its pointer) | 0 |
+//! | `Emptied::recycle`, per emptied node (pool has room) | 1 zeroing run over its occupied span | 1 for the lot |
 //!
 //! Crash windows leak at most *unreachable* blocks, which the mount-time
 //! allocator rebuild walk reclaims (see [`crate::alloc`]).
@@ -103,9 +115,12 @@ fn read_slots(dev: &NvmmDevice, node: u64, slot: u64, out: &mut [u64]) {
     }
 }
 
+/// A node of 512 holes: a recycled one as it is, a fresh block zeroed here.
 fn new_node(dev: &NvmmDevice, alloc: &Allocator) -> Result<u64> {
-    let b = alloc.alloc()?;
-    dev.zero_persist(Cat::Meta, Layout::block_off(b), BLOCK_SIZE);
+    let (b, zeroed) = alloc.alloc_zeroed()?;
+    if !zeroed {
+        dev.zero_persist(Cat::Meta, Layout::block_off(b), BLOCK_SIZE);
+    }
     Ok(b)
 }
 
@@ -278,40 +293,99 @@ fn mark_walk(dev: &NvmmDevice, node: u64, level: u32, mark: &mut impl FnMut(u64)
     }
 }
 
-/// Unmaps and frees every data block with file index `>= from_iblk`,
-/// freeing interior nodes that become empty. Returns the number of *data*
-/// blocks freed and updates `mem` (root/height may drop to zero).
-pub fn remove_from(dev: &NvmmDevice, alloc: &Allocator, mem: &mut InodeMem, from_iblk: u64) -> u64 {
-    if mem.tree_root == 0 {
-        return 0;
+/// Index nodes [`remove_from`] emptied, each with the slot span
+/// `[first, end)` that still holds its stale pointers. They stay allocated,
+/// out of everyone's reach, until the caller settles them: once the
+/// transaction that cut them off their inode has committed,
+/// [`crate::Pmfs::commit_recycling`] wipes the spans and parks the nodes
+/// pre-zeroed for the next new node; dropped — an abort, an error — they
+/// are freed as they are.
+#[must_use = "recycle after the commit; dropping frees the nodes un-zeroed"]
+pub struct Emptied<'a> {
+    alloc: &'a Allocator,
+    nodes: Vec<(u64, u64, u64)>,
+}
+
+impl<'a> Emptied<'a> {
+    /// No nodes (the tree lost none).
+    pub(crate) fn none(alloc: &'a Allocator) -> Self {
+        Emptied {
+            alloc,
+            nodes: Vec::new(),
+        }
     }
+
+    /// Wipes each node's span (one persist per node, one fence for the
+    /// lot) and parks the nodes in the allocator's zeroed pool; a node
+    /// whose pool is full is freed untouched. Only after the commit that
+    /// made the nodes unreachable: rolled back, the inode would own them
+    /// again, wiped.
+    pub(crate) fn recycle(mut self, dev: &NvmmDevice) {
+        let mut wiped = Vec::new();
+        for (node, first, end) in std::mem::take(&mut self.nodes) {
+            if self.alloc.zeroed_has_room(node) {
+                let len = ((end - first) * 8) as usize;
+                dev.zero_persist(Cat::Meta, slot_off(node, first), len);
+                wiped.push(node);
+            } else {
+                self.alloc.free(node);
+            }
+        }
+        if !wiped.is_empty() {
+            dev.sfence();
+        }
+        for node in wiped {
+            self.alloc.park_zeroed(node);
+        }
+    }
+}
+
+impl Drop for Emptied<'_> {
+    fn drop(&mut self) {
+        for &(node, ..) in &self.nodes {
+            self.alloc.free(node);
+        }
+    }
+}
+
+/// Unmaps and frees every data block with file index `>= from_iblk`.
+/// Returns the number of *data* blocks freed and the interior nodes that
+/// became empty, and updates `mem` (root/height may drop to zero).
+pub fn remove_from<'a>(
+    dev: &NvmmDevice,
+    alloc: &'a Allocator,
+    mem: &mut InodeMem,
+    from_iblk: u64,
+) -> (u64, Emptied<'a>) {
     let mut freed = 0;
-    let root_empty = prune(
-        dev,
-        alloc,
-        mem.tree_root,
-        mem.tree_height,
-        0,
-        from_iblk,
-        &mut freed,
-    );
-    if root_empty {
-        alloc.free(mem.tree_root);
+    let mut emptied = Emptied::none(alloc);
+    if mem.tree_root != 0
+        && prune(
+            dev,
+            &mut emptied,
+            mem.tree_root,
+            mem.tree_height,
+            0,
+            from_iblk,
+            &mut freed,
+        )
+    {
         mem.tree_root = 0;
         mem.tree_height = 0;
     }
-    freed
+    (freed, emptied)
 }
 
 /// Prunes `node` (at `level`, covering file blocks starting at `base`);
-/// returns true if the node is now empty and should be freed by the caller.
+/// returns true if the node is now empty: it is in `out` and the caller
+/// drops its pointer.
 ///
 /// The slots the node loses form one run (everything from the cut on):
 /// a surviving node zeroes it with a single persist, an emptied node is
 /// left as it is — nothing reaches it once the caller drops its pointer.
 fn prune(
     dev: &NvmmDevice,
-    alloc: &Allocator,
+    out: &mut Emptied,
     node: u64,
     level: u32,
     base: u64,
@@ -322,8 +396,8 @@ fn prune(
     let mut slots = [0u64; FANOUT as usize];
     read_slots(dev, node, 0, &mut slots);
     let mut any_left = false;
-    // Slots cleared by this call: `[cut.0, cut.1)`.
-    let mut cut: Option<(u64, u64)> = None;
+    // Slots cleared by this call: `[first, end)`.
+    let (mut first, mut end) = (0, 0);
     for (slot, &p) in (0..FANOUT).zip(&slots) {
         if p == 0 {
             continue;
@@ -333,22 +407,22 @@ fn prune(
             any_left = true;
             continue;
         }
-        if level > 1 && lo < from {
-            // Straddles the boundary: recurse.
-            if !prune(dev, alloc, p, level - 1, lo, from, freed) {
-                any_left = true;
-                continue;
-            }
-        } else if level > 1 {
-            // Whole subtree goes.
-            drop_subtree(dev, alloc, p, level - 1, freed);
-        } else {
+        if level == 1 {
             *freed += 1;
+            out.alloc.free(p);
+        } else if !prune(dev, out, p, level - 1, lo, from, freed) {
+            // Straddles the boundary and keeps something.
+            any_left = true;
+            continue;
         }
-        alloc.free(p);
-        cut = Some((cut.map_or(slot, |c| c.0), slot + 1));
+        if end == 0 {
+            first = slot;
+        }
+        end = slot + 1;
     }
-    if let (true, Some((first, end))) = (any_left, cut) {
+    if !any_left {
+        out.nodes.push((node, first, end));
+    } else if end > first {
         dev.zero_persist(
             Cat::Meta,
             slot_off(node, first),
@@ -357,19 +431,6 @@ fn prune(
         dev.sfence();
     }
     !any_left
-}
-
-fn drop_subtree(dev: &NvmmDevice, alloc: &Allocator, node: u64, level: u32, freed: &mut u64) {
-    let mut slots = [0u64; FANOUT as usize];
-    read_slots(dev, node, 0, &mut slots);
-    for p in slots.into_iter().filter(|&p| p != 0) {
-        if level == 1 {
-            *freed += 1;
-        } else {
-            drop_subtree(dev, alloc, p, level - 1, freed);
-        }
-        alloc.free(p);
-    }
 }
 
 #[cfg(test)]
@@ -468,14 +529,14 @@ mod tests {
             let b = alloc.alloc().unwrap();
             insert(&dev, &alloc, &mut mem, i, b).unwrap();
         }
-        let freed = remove_from(&dev, &alloc, &mut mem, 100);
+        let freed = remove_from(&dev, &alloc, &mut mem, 100).0;
         assert_eq!(freed, 500);
         assert_eq!(lookup(&dev, &mem, 99), lookup(&dev, &mem, 99));
         assert!(lookup(&dev, &mem, 99).is_some());
         assert_eq!(lookup(&dev, &mem, 100), None);
         assert_eq!(lookup(&dev, &mem, 599), None);
         // Full removal returns every block (data + nodes).
-        let freed2 = remove_from(&dev, &alloc, &mut mem, 0);
+        let freed2 = remove_from(&dev, &alloc, &mut mem, 0).0;
         assert_eq!(freed2, 100);
         assert_eq!(mem.tree_root, 0);
         assert_eq!(mem.tree_height, 0);
@@ -503,7 +564,7 @@ mod tests {
             let b = alloc.alloc().unwrap();
             insert(&dev, &alloc, &mut mem, i, b).unwrap();
         }
-        let freed = remove_from(&dev, &alloc, &mut mem, 700);
+        let freed = remove_from(&dev, &alloc, &mut mem, 700).0;
         assert_eq!(freed, 324);
         assert!(lookup(&dev, &mem, 699).is_some());
         assert_eq!(lookup(&dev, &mem, 700), None);
@@ -687,12 +748,66 @@ mod tests {
             cuts.sort_unstable_by(|x, y| y.cmp(x));
             cuts.push(0);
             for from in cuts {
-                let freed = remove_from(&dev_a, &alloc_a, &mut a, from);
+                let freed = remove_from(&dev_a, &alloc_a, &mut a, from).0;
                 prop_assert_eq!(freed, ref_remove_from(&dev_b, &alloc_b, &mut b, from));
                 prop_assert_eq!(observe(&dev_a, &alloc_a, &a), observe(&dev_b, &alloc_b, &b));
                 prop_assert!(lookup(&dev_a, &a, from).is_none());
             }
             prop_assert_eq!(a.tree_root, 0);
+        }
+
+        /// A recycled node is as good as a zeroed one. A tree is cut down
+        /// to nothing, every cut recycled, and a second tree is built on
+        /// what the pool holds: it maps exactly what was inserted. A
+        /// pointer left behind in a reused node would be a mapping nobody
+        /// inserted (`for_each`, `lookup`) and a block the rebuild walk
+        /// marks on top of the allocated ones.
+        #[test]
+        fn trees_built_on_recycled_nodes_hold_only_what_was_inserted(
+            (old, cuts, new) in (
+                sparse_strategy(),
+                prop::collection::vec(
+                    prop_oneof![0u64..1600, 0u64..41_000, 261_900u64..264_100],
+                    0..4,
+                ),
+                sparse_strategy(),
+            )
+        ) {
+            let [(dev, alloc, mut mem), _] = twin_trees(&old);
+            let mut cuts = cuts;
+            cuts.sort_unstable_by(|x, y| y.cmp(x));
+            cuts.push(0);
+            for from in cuts {
+                remove_from(&dev, &alloc, &mut mem, from).1.recycle(&dev);
+            }
+            prop_assert_eq!(mem.tree_root, 0);
+            let free0 = alloc.free_blocks();
+            prop_assert_eq!(free0, setup().1.free_blocks(), "parked blocks count as free");
+            let mut rep = obsv::AuditReport::new(0);
+            alloc.audit_zeroed_pool(&dev, &mut rep);
+            prop_assert!(rep.is_clean(), "{}", rep.to_json());
+            let parked = alloc.zeroed_pool().len();
+
+            let mut want = std::collections::BTreeMap::new();
+            for &(iblk0, n) in &new {
+                for iblk in iblk0..iblk0 + n as u64 {
+                    if let std::collections::btree_map::Entry::Vacant(v) = want.entry(iblk) {
+                        let b = alloc.alloc().unwrap();
+                        insert(&dev, &alloc, &mut mem, iblk, b).unwrap();
+                        v.insert(b);
+                    }
+                }
+            }
+            for &(iblk0, n) in &old {
+                for iblk in (iblk0..iblk0 + n as u64).filter(|i| !want.contains_key(i)) {
+                    prop_assert_eq!(lookup(&dev, &mem, iblk), None, "stale mapping of {}", iblk);
+                }
+            }
+            let (maps, marked, _, free) = observe(&dev, &alloc, &mem);
+            prop_assert_eq!(&maps, &want.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(marked.len() as u64, free0 - free, "the walk marks what is allocated");
+            let nodes = marked.len() - maps.len();
+            prop_assert_eq!(alloc.nodes_recycled() as usize, nodes.min(parked));
         }
     }
 
@@ -740,7 +855,7 @@ mod tests {
         let pblks: Vec<u64> = (0..16).map(|_| alloc.alloc().unwrap()).collect();
         insert_run(&dev, &alloc, &mut mem, 0, &pblks).unwrap();
         let before = dev.stats().snapshot();
-        assert_eq!(remove_from(&dev, &alloc, &mut mem, 0), 16);
+        assert_eq!(remove_from(&dev, &alloc, &mut mem, 0).0, 16);
         let d = dev.stats().snapshot().since(&before);
         assert_eq!(
             d.nvmm_bytes_written, 0,
@@ -750,12 +865,67 @@ mod tests {
     }
 
     #[test]
+    fn a_recycled_node_costs_its_span_on_free_and_nothing_on_reuse() {
+        let (dev, alloc, mut mem) = setup();
+        let pblks: Vec<u64> = (0..16).map(|_| alloc.alloc().unwrap()).collect();
+        insert_run(&dev, &alloc, &mut mem, 0, &pblks).unwrap();
+        let leaf = mem.tree_root;
+        let (_, emptied) = remove_from(&dev, &alloc, &mut mem, 0);
+        let before = dev.stats().snapshot();
+        emptied.recycle(&dev);
+        let d = dev.stats().snapshot().since(&before);
+        // Sixteen pointers are two cachelines of the node's 64.
+        assert_eq!(d.nvmm_bytes_written, 2 * CACHELINE as u64);
+        assert_eq!(d.fences, 1);
+        assert_eq!(alloc.zeroed_pool(), [leaf]);
+        // The next file's first block: one pointer line, no node zeroing.
+        let before = dev.stats().snapshot();
+        insert(&dev, &alloc, &mut mem, 3, pblks[0]).unwrap();
+        let d = dev.stats().snapshot().since(&before);
+        assert_eq!(mem.tree_root, leaf);
+        assert_eq!(d.nvmm_bytes_written, CACHELINE as u64);
+        assert_eq!(d.fences, 1);
+        assert_eq!(alloc.nodes_recycled(), 1);
+        assert_eq!(lookup(&dev, &mem, 3), Some(pblks[0]));
+        assert!((0..16).all(|i| i == 3 || lookup(&dev, &mem, i).is_none()));
+    }
+
+    #[test]
+    fn a_full_pool_frees_the_node_untouched() {
+        let (dev, alloc, _) = setup();
+        let free0 = alloc.free_blocks();
+        let mut files: Vec<InodeMem> = (0..200)
+            .map(|_| {
+                let mut mem = InodeMem::new(FileType::File, 0);
+                insert(&dev, &alloc, &mut mem, 0, alloc.alloc().unwrap()).unwrap();
+                mem
+            })
+            .collect();
+        let mut untouched = 0;
+        for mem in &mut files {
+            let parked = alloc.zeroed_pool().len();
+            let before = dev.stats().snapshot();
+            remove_from(&dev, &alloc, mem, 0).1.recycle(&dev);
+            let d = dev.stats().snapshot().since(&before);
+            if alloc.zeroed_pool().len() == parked {
+                assert_eq!((d.nvmm_bytes_written, d.fences), (0, 0));
+                untouched += 1;
+            }
+        }
+        assert!(untouched > 0, "the pool is bounded");
+        assert_eq!(alloc.free_blocks(), free0);
+        let mut rep = obsv::AuditReport::new(0);
+        alloc.audit_zeroed_pool(&dev, &mut rep);
+        assert!(rep.is_clean(), "{}", rep.to_json());
+    }
+
+    #[test]
     fn a_truncated_leaf_zeroes_its_tail_as_one_run() {
         let (dev, alloc, mut mem) = setup();
         let pblks: Vec<u64> = (0..100).map(|_| alloc.alloc().unwrap()).collect();
         insert_run(&dev, &alloc, &mut mem, 0, &pblks).unwrap();
         let before = dev.stats().snapshot();
-        assert_eq!(remove_from(&dev, &alloc, &mut mem, 10), 90);
+        assert_eq!(remove_from(&dev, &alloc, &mut mem, 10).0, 90);
         let d = dev.stats().snapshot().since(&before);
         // Slots 10..100 are bytes 80..800 of the node: lines 1..=12.
         assert_eq!(d.nvmm_bytes_written, 12 * CACHELINE as u64);

@@ -14,7 +14,14 @@
 //! survive (per-byte: synced image, later write, or hole — never
 //! garbage), and namespace operations are all-or-nothing.
 //!
-//! A second pass injects soft faults (journal-full backpressure, ENOSPC,
+//! A second pass is the recycling drill: the committed script
+//! `tests/repro/recycled_tree_node.repro` frees a block-tree node, wipes
+//! and parks it, and maps the next file's first block under it; HiNFS and
+//! PMFS are crashed at *every* boundary of it. A drill that never
+//! exercises the path is no drill: the pass fails unless
+//! `pmfs_tree_nodes_recycled` moved on both.
+//!
+//! A third pass injects soft faults (journal-full backpressure, ENOSPC,
 //! writeback stalls) and demands graceful degradation: clean errors, no
 //! panics, and a clean crash + recovery afterwards.
 //!
@@ -40,8 +47,8 @@ fn main() {
         script.ops.len(),
         cfg.max_points
     );
-    for kind in FsKind::ALL {
-        let out = h.sweep(kind, &script, cfg);
+    let sweep = |kind: FsKind, script: &Script, cfg: SweepConfig| {
+        let out = h.sweep(kind, script, cfg);
         println!(
             "  {:<6} {:>4} boundaries | {:>3} crashes (+{} torn) | {:>4} oracle checks | \
              {:>2} txs undone, {:>3} entries undone/replayed | {} violations",
@@ -54,10 +61,42 @@ fn main() {
             out.entries_undone,
             out.violations.len()
         );
-        violations.extend(out.violations);
+        out.violations
+    };
+    for kind in FsKind::ALL {
+        violations.extend(sweep(kind, &script, cfg));
     }
 
-    // -- Pass 2: soft-fault injection over a journal-heavy script tail --
+    // -- Pass 2: every boundary around a recycled tree node --
+    let drill = faultfs::Repro::parse(include_str!("../tests/repro/recycled_tree_node.repro"))
+        .expect("committed fixture parses");
+    println!("\n== recycling drill: every boundary, every 3rd torn ==");
+    for (kind, sys_kind) in [
+        (FsKind::Hinfs, SystemKind::Hinfs),
+        (FsKind::Pmfs, SystemKind::Pmfs),
+    ] {
+        let every = SweepConfig {
+            max_points: usize::MAX,
+            torn_every: 3,
+            ..cfg
+        };
+        violations.extend(sweep(kind, &drill.script, every));
+        let small = SystemConfig {
+            device_bytes: 64 << 20,
+            ..SystemConfig::default()
+        };
+        let sys = build(sys_kind, &small).expect("mkfs");
+        for op in &drill.script.ops {
+            faultfs::exec_op(&*sys.fs, &sys.env, op).expect("drill op");
+        }
+        let recycled = sys.registry.snapshot().counter("pmfs_tree_nodes_recycled");
+        println!("         pmfs_tree_nodes_recycled in the script: {recycled}");
+        if recycled == 0 {
+            violations.push(format!("{}: the drill recycled no tree node", kind.label()));
+        }
+    }
+
+    // -- Pass 3: soft-fault injection over a journal-heavy script tail --
     let faulty = Script {
         ops: vec![
             Op::Create { file: 0 },

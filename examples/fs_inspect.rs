@@ -413,6 +413,12 @@ fn inspect(args: &Args) -> bool {
             reg.counter("pmfs_namei_builds"),
             reg.gauge("pmfs_namei_entries"),
         );
+        eprintln!(
+            "tree nodes: {} taken pre-zeroed from the pool, {} zeroed on allocation, {} parked now",
+            reg.counter("pmfs_tree_nodes_recycled"),
+            reg.counter("pmfs_tree_nodes_zeroed"),
+            reg.gauge("pmfs_alloc_zeroed_pool"),
+        );
     }
 
     let mut failed = false;
@@ -506,6 +512,8 @@ fn print_phase(name: &str, d: &RegistrySnapshot) {
         "pmfs_journal_commits",
         "pmfs_namei_hits",
         "pmfs_namei_builds",
+        "pmfs_tree_nodes_recycled",
+        "pmfs_tree_nodes_zeroed",
         "nvmm_bytes_written",
         "nvmm_bytes_read",
     ] {

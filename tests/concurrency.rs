@@ -279,6 +279,43 @@ fn close_racing_unlink_of_the_same_file_does_not_deadlock() {
     }
 }
 
+/// Eight threads create, write, fsync and unlink files of their own, so
+/// tree nodes are emptied, wiped, parked and taken back on all of them at
+/// once. The zeroed pools must come out sound (audit code 16: every
+/// parked block used once, parked once, all-zero).
+#[test]
+fn eight_thread_unlink_create_churn_keeps_the_zeroed_pool_sound() {
+    for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
+        within_secs(60, kind.label(), move || {
+            let sys = spin_system(kind);
+            std::thread::scope(|scope| {
+                for t in 0..8u64 {
+                    let fs = &sys.fs;
+                    scope.spawn(move || {
+                        let path = format!("/t{t}");
+                        let create = OpenFlags::RDWR | OpenFlags::CREATE;
+                        for round in 0..150u64 {
+                            let fd = fs.open(&path, create).unwrap();
+                            let blocks = 1 + (t + round) % 5;
+                            fs.write(fd, 0, &vec![t as u8 + 1; (blocks * 4096) as usize])
+                                .unwrap();
+                            fs.fsync(fd).unwrap();
+                            fs.close(fd).unwrap();
+                            fs.unlink(&path).unwrap();
+                        }
+                    });
+                }
+            });
+            let rep = sys.introspect.as_ref().unwrap().audit();
+            assert!(rep.is_clean(), "{}: {rep:?}", kind.label());
+            let reg = sys.registry.snapshot();
+            assert!(reg.counter("pmfs_tree_nodes_recycled") > 0);
+            assert!(reg.gauge("pmfs_alloc_zeroed_pool") > 0);
+            sys.fs.unmount().unwrap();
+        });
+    }
+}
+
 /// The same inversion, forced rather than raced: the test thread plays
 /// an unlinker inside its critical section (`state.write()` held, `opens`
 /// not yet taken) while another thread closes the file's descriptor. A

@@ -13,9 +13,11 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use faultfs::{FsKind, Harness, InjectedFault, Op, Script, SweepConfig};
+use faultfs::{exec_op, FsKind, Harness, InjectedFault, Op, Oracle, Repro, Script, SweepConfig};
 use fskit::{FileSystem, FsError, OpenFlags};
+use hinfs::{Hinfs, HinfsConfig};
 use nvmm::{CostModel, FaultPlan, NvmmDevice, SimEnv};
+use obsv::Introspect;
 use pmfs::{Pmfs, PmfsOptions};
 use proptest::prelude::*;
 
@@ -338,6 +340,207 @@ fn crash_during_steal_rebuilds_exact_accounting() {
         free,
         "persisted bitmap disagrees with rebuild"
     );
+}
+
+fn load_repro(name: &str) -> Repro {
+    let path = format!("{}/tests/repro/{name}.repro", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    Repro::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// A fresh harness-sized PMFS or HiNFS on a tracked device, with the
+/// PMFS underneath.
+fn small_mount(kind: FsKind) -> (Arc<NvmmDevice>, Arc<dyn FileSystem>, Arc<Pmfs>) {
+    let dev = NvmmDevice::new_tracked(SimEnv::new_virtual(CostModel::default()), 8 << 20);
+    let popts = PmfsOptions {
+        journal_blocks: 64,
+        inode_count: 128,
+    };
+    match kind {
+        FsKind::Pmfs => {
+            let fs = Pmfs::mkfs(dev.clone(), popts).unwrap();
+            (dev, fs.clone(), fs)
+        }
+        FsKind::Hinfs => {
+            let cfg = HinfsConfig::default().with_buffer_bytes(1 << 20);
+            let fs = Hinfs::mkfs(dev.clone(), popts, cfg).unwrap();
+            let pmfs = fs.pmfs().clone();
+            (dev, fs, pmfs)
+        }
+        FsKind::Ext4 => unreachable!("a PMFS-family helper"),
+    }
+}
+
+/// The recycling drill (`tests/repro/recycled_tree_node.repro`): crash at
+/// *every* persistence boundary, every third one torn as well, with a
+/// tree node freed, wiped, parked and reused along the way.
+#[test]
+fn crash_everywhere_around_a_recycled_tree_node() {
+    let r = load_repro("recycled_tree_node");
+    let h = Harness::new();
+    for kind in [FsKind::Pmfs, FsKind::Hinfs] {
+        // A drill that never exercises the path is no drill.
+        let (dev, fs, pmfs) = small_mount(kind);
+        for op in &r.script.ops {
+            exec_op(&*fs, dev.env(), op).unwrap();
+        }
+        assert!(
+            pmfs.allocator().nodes_recycled() > 0,
+            "{}: no tree node was recycled",
+            kind.label()
+        );
+        let cfg = SweepConfig {
+            max_points: usize::MAX,
+            torn_every: 3,
+            ..SweepConfig::default()
+        };
+        let out = h.sweep(kind, &r.script, cfg);
+        assert!(
+            out.violations.is_empty(),
+            "{}: {:#?}",
+            kind.label(),
+            out.violations
+        );
+        assert_eq!(out.runs, out.boundaries, "every boundary was a crash point");
+        assert!(out.torn_runs >= out.runs / 3 && out.checks > 0);
+    }
+}
+
+/// Power fails at every boundary of the unlink that empties a tree node,
+/// on both stacks. The oracle takes a zero for any byte, so it cannot
+/// tell a file that came back whole from one whose root was wiped before
+/// the rollback brought it back — this test can: up to the commit record
+/// `/f0` is back with every synced byte, from it on `/f0` is gone; the
+/// books are exact either way (a half-wiped or never-parked node is an
+/// unreachable block the rebuild walk frees), also with blocks parked and
+/// across the clean unmount that writes them as free.
+#[test]
+fn crash_anywhere_in_an_unlink_that_recycles_is_all_or_nothing() {
+    let _quiet = Harness::new(); // installs the quiet CrashSignal panic hook
+    let r = load_repro("recycled_tree_node");
+    let (through_fsync, unlink) = (&r.script.ops[..3], &r.script.ops[3]);
+    for kind in [FsKind::Pmfs, FsKind::Hinfs] {
+        let prepare = || {
+            let (dev, fs, pmfs) = small_mount(kind);
+            for op in through_fsync {
+                exec_op(&*fs, dev.env(), op).unwrap();
+            }
+            let plan = FaultPlan::new();
+            dev.fault_hook().install(plan.clone());
+            (dev, fs, pmfs, plan)
+        };
+
+        // Record: the unlink's last two boundaries are the commit record,
+        // in the journal, and the wipe, in the data area.
+        let (dev, fs, pmfs, plan) = prepare();
+        plan.start_recording();
+        exec_op(&*fs, dev.env(), unlink).unwrap();
+        let schedule = plan.stop_recording();
+        let numbered: Vec<_> = schedule.iter().filter(|b| b.index > 0).collect();
+        let data_start = pmfs.layout().data_start * nvmm::BLOCK_SIZE as u64;
+        let (commit, wipe) = (numbered[numbered.len() - 2], numbered[numbered.len() - 1]);
+        assert!(commit.off < data_start, "second to last: the commit record");
+        assert!(
+            wipe.off >= data_start && wipe.lines == 1,
+            "last: five pointers"
+        );
+        assert_eq!(pmfs.allocator().zeroed_pool().len(), 1);
+
+        for k in 1..=wipe.index {
+            let (dev, fs, pmfs, plan) = prepare();
+            plan.arm_crash(k);
+            let res = catch_unwind(AssertUnwindSafe(|| exec_op(&*fs, dev.env(), unlink)));
+            let payload = res.expect_err("the armed crash must fire inside the unlink");
+            assert!(payload.downcast_ref::<nvmm::CrashSignal>().is_some());
+            dev.fault_hook().clear();
+            drop((fs, pmfs));
+            dev.crash();
+
+            let fs2 = Pmfs::mount(dev.clone()).unwrap();
+            let what = format!("{} k={k} (commit at {})", kind.label(), commit.index);
+            match fs2.stat("/f0") {
+                Ok(st) => {
+                    assert!(k < commit.index, "{what}: a committed unlink came back");
+                    let mut got = vec![0u8; st.size as usize];
+                    let fd = fs2.open("/f0", OpenFlags::READ).unwrap();
+                    fs2.read(fd, 0, &mut got).unwrap();
+                    fs2.close(fd).unwrap();
+                    assert!(got == [165u8; 20480], "{what}: synced bytes lost");
+                }
+                Err(e) => {
+                    assert_eq!(e, FsError::NotFound, "{what}");
+                    assert!(k >= commit.index, "{what}: an open unlink took effect");
+                }
+            }
+            assert!(fs2.audit().is_clean(), "{what}");
+            assert_exact_accounting(&fs2);
+            if k != commit.index {
+                continue;
+            }
+
+            // Park a node, then drain: parked blocks are handed out once.
+            let free = fs2.free_blocks();
+            let park_one = || {
+                for op in &r.script.ops {
+                    exec_op(&*fs2, dev.env(), op).unwrap();
+                }
+                fs2.unlink("/f1").unwrap();
+                assert!(!fs2.allocator().zeroed_pool().is_empty());
+                assert_eq!(fs2.free_blocks(), free);
+                assert!(fs2.audit().is_clean());
+            };
+            park_one();
+            assert_exact_accounting(&fs2);
+            // The drain emptied the pool; park again for the unmount.
+            park_one();
+            fs2.unmount().unwrap();
+            let fs3 = Pmfs::mount(dev).unwrap();
+            assert_eq!(fs3.free_blocks(), free, "parked blocks persist as free");
+            assert!(fs3.allocator().zeroed_pool().is_empty());
+            assert_exact_accounting(&fs3);
+        }
+    }
+}
+
+/// `tests/repro/create_journal_full.repro`: the ring refuses the third
+/// request of the first create — the parent's undo image, which used to
+/// be asked for only after the directory had grown.
+#[test]
+fn a_create_refused_the_parents_undo_image_is_clean_on_both_stacks() {
+    let r = load_repro("create_journal_full");
+    for kind in [FsKind::Pmfs, FsKind::Hinfs] {
+        let (dev, fs, pmfs) = small_mount(kind);
+        let plan = FaultPlan::new();
+        dev.fault_hook().install(plan.clone());
+        let root = fs.stat("/").unwrap();
+        let mut oracle = Oracle::new(kind);
+        plan.fail_journal_after(2);
+        for (i, op) in r.script.ops.iter().enumerate() {
+            let res = exec_op(&*fs, dev.env(), op);
+            if i == 0 {
+                assert_eq!(res, Err(FsError::JournalFull), "{}", kind.label());
+                assert_eq!(plan.faults_injected(), 1);
+                plan.set_journal_unavailable(false);
+                assert_eq!(fs.stat("/").unwrap(), root, "the root grew in memory");
+                assert_eq!(fs.stat("/f0"), Err(FsError::NotFound));
+                let rep = pmfs.audit();
+                assert!(rep.is_clean(), "{}: {}", kind.label(), rep.to_json());
+            }
+            oracle.apply(op, &res);
+        }
+        dev.fault_hook().clear();
+        drop((fs, pmfs));
+        dev.crash();
+        let fs2 = Pmfs::mount(dev).unwrap();
+        assert!(fs2.audit().is_clean());
+        let rep = oracle.check(&*fs2);
+        assert!(
+            rep.violations.is_empty(),
+            "{}: {:#?}",
+            kind.label(),
+            rep.violations
+        );
+    }
 }
 
 #[test]
