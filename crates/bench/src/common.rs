@@ -68,14 +68,6 @@ impl Scale {
             mean_file: 16 << 10,
             duration_ms: 120,
             device_bytes: 96 << 20,
-            // The DRAM buffer is sharded by inode (ino % NSHARDS), so a
-            // single file can only ever occupy its shard's 1/8 slice of
-            // the pool. At this tiny dataset the paper's 0.4 fraction
-            // would leave a slice smaller than one iosize write and every
-            // large write would stall on writeback; 2.0 keeps each slice
-            // comfortably above the per-op working set. The default scale
-            // keeps the paper's 0.4 ratio — its slices are big enough.
-            buffer_frac: 2.0,
             threads: 2,
             iosize: 64 << 10,
             append: 4 << 10,

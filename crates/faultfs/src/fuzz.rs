@@ -40,7 +40,7 @@ use obsv::{CoverageMap, Introspect, Level};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::harness::{exec_op, hinfs_cfg, pick_points, pmfs_opts, Harness, DEV_BYTES};
+use crate::harness::{exec_op, pick_points, pmfs_opts, Harness, DEV_BYTES};
 use crate::model::{ModelBug, RefModel};
 use crate::script::{FsKind, Op, Script, MAX_DIRS, MAX_FILES, MAX_IO};
 
@@ -486,7 +486,7 @@ impl Fuzzer {
 
         let env = SimEnv::new_spin(CostModel::default());
         let dev = NvmmDevice::new_tracked(env.clone(), DEV_BYTES);
-        let fs = Hinfs::mkfs(dev.clone(), pmfs_opts(), hinfs_cfg()).expect("hinfs mkfs");
+        let fs = Hinfs::mkfs(dev.clone(), pmfs_opts(), self.h.hinfs_cfg()).expect("hinfs mkfs");
         let plan = FaultPlan::new();
         dev.fault_hook().install(plan.clone());
         plan.start_recording();

@@ -58,13 +58,6 @@ fn ext_opts() -> ExtOptions {
     }
 }
 
-pub(crate) fn hinfs_cfg() -> HinfsConfig {
-    HinfsConfig {
-        buffer_bytes: 1 << 20,
-        ..HinfsConfig::default()
-    }
-}
-
 /// A freshly formatted instance plus the handles the harness needs. The
 /// concrete observability and introspection handles are captured before
 /// the file system is erased to `dyn FileSystem`, so the fuzzer can read
@@ -165,6 +158,7 @@ pub struct Harness {
     pub stats: Arc<FaultStats>,
     /// Trace ring receiving recovery and fault-injection events.
     pub trace: Arc<TraceRing>,
+    hinfs_buffer_bytes: usize,
 }
 
 impl Default for Harness {
@@ -182,7 +176,19 @@ impl Harness {
         Harness {
             stats: Arc::new(FaultStats::new()),
             trace,
+            hinfs_buffer_bytes: 1 << 20,
         }
+    }
+
+    /// Mounts HiNFS with a DRAM buffer of `bytes` (default 1 MiB, which
+    /// no script fills: pressure and stall paths need a smaller one).
+    pub fn with_hinfs_buffer(mut self, bytes: usize) -> Harness {
+        self.hinfs_buffer_bytes = bytes;
+        self
+    }
+
+    pub(crate) fn hinfs_cfg(&self) -> HinfsConfig {
+        HinfsConfig::default().with_buffer_bytes(self.hinfs_buffer_bytes)
     }
 
     /// Formats a fresh image of `kind` on a new virtual-time device.
@@ -191,7 +197,7 @@ impl Harness {
         let dev = NvmmDevice::new_tracked(env.clone(), DEV_BYTES);
         let (fs, obs, intro): (Arc<dyn FileSystem>, Arc<FsObs>, Arc<dyn Introspect>) = match kind {
             FsKind::Hinfs => {
-                let fs = Hinfs::mkfs(dev.clone(), pmfs_opts(), hinfs_cfg())
+                let fs = Hinfs::mkfs(dev.clone(), pmfs_opts(), self.hinfs_cfg())
                     .expect("hinfs mkfs on a fresh device");
                 (fs.clone(), fs.obs().clone(), fs)
             }
@@ -226,7 +232,7 @@ impl Harness {
     ) -> Result<(Arc<dyn FileSystem>, u64, u64, AuditReport), FsError> {
         match kind {
             FsKind::Hinfs => {
-                let fs = Hinfs::mount(dev, hinfs_cfg())?;
+                let fs = Hinfs::mount(dev, self.hinfs_cfg())?;
                 let r = fs.pmfs().recovery_stats();
                 let rep = Introspect::audit(fs.as_ref());
                 Ok((fs, r.txs_undone, r.entries_undone, rep))

@@ -31,6 +31,12 @@ impl RecencyList {
         }
     }
 
+    /// Extends the pool to `capacity` slots, the new ones unlinked.
+    pub fn grow(&mut self, capacity: usize) {
+        self.prev.resize(capacity, NIL);
+        self.next.resize(capacity, NIL);
+    }
+
     /// Number of linked slots.
     pub fn len(&self) -> usize {
         self.len

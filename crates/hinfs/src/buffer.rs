@@ -1,8 +1,16 @@
-//! The DRAM write buffer: block pool, Cacheline Bitmaps, and per-file
-//! buffered state.
+//! The DRAM write buffer: block budget, per-shard pools, Cacheline
+//! Bitmaps, and per-file buffered state.
 //!
-//! The pool is a flat arena of 4 KiB DRAM blocks. Each block carries two
-//! 64-bit *Cacheline Bitmaps* (paper §3.2.1):
+//! The mount has *one* budget of 4 KiB DRAM blocks — the paper's one
+//! buffer, with one `Low_f`/`High_f` over it — kept as an atomic count of
+//! the free ones. Each shard's [`Pool`] is an arena of slots with its own
+//! LRW list behind the shard's lock; a slot is only occupied while it
+//! holds a block of the budget ([`Pool::alloc_slot`] takes one,
+//! [`Pool::release_slot`] returns it — the only two places), and an arena
+//! grows to what its shard has actually held. So any one file may fill
+//! the whole buffer, and which shard gives blocks back is a policy
+//! ([`crate::writeback::reclaim_plan`]), not a partition. Each block
+//! carries two 64-bit *Cacheline Bitmaps* (paper §3.2.1):
 //!
 //! - `valid` — which 64 B lines hold data (fetched from NVMM or written);
 //! - `dirty` — which lines differ from NVMM and must be written back.
@@ -12,8 +20,10 @@
 //! writeback only persists the dirty lines.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use nvmm::{BLOCK_SIZE, CACHELINE, LINES_PER_BLOCK};
+use nvmm::{BLOCK_SIZE, CACHELINE};
 
 use crate::index::BTreeIndex;
 use crate::lrw::LrwList;
@@ -133,43 +143,59 @@ impl BlockMeta {
     }
 }
 
-/// The DRAM block pool with its LRW list.
+/// Slots per arena growth step (256 KiB of payload: the allocator hands
+/// such a chunk out as untouched zero pages).
+const CHUNK_SLOTS: usize = 64;
+
+/// One shard's slot arena with its LRW list.
 #[derive(Debug)]
 pub struct Pool {
-    data: Vec<u8>,
+    /// The mount's free blocks, shared by every shard's pool.
+    budget: Arc<AtomicUsize>,
+    chunks: Vec<Box<[u8]>>,
     meta: Vec<BlockMeta>,
     free: Vec<u32>,
-    /// The global LRW list over occupied slots.
+    /// The shard's LRW list over occupied slots.
     pub lrw: LrwList,
-    capacity: usize,
 }
 
 impl Pool {
-    /// Creates a pool of `nblocks` DRAM blocks.
-    pub fn new(nblocks: usize) -> Pool {
-        assert!(nblocks >= 2, "pool needs at least two blocks");
+    /// Creates an empty pool drawing on `budget`.
+    pub fn new(budget: Arc<AtomicUsize>) -> Pool {
         Pool {
-            data: vec![0u8; nblocks * BLOCK_SIZE],
-            meta: vec![BlockMeta::empty(); nblocks],
-            free: (0..nblocks as u32).rev().collect(),
-            lrw: LrwList::new(nblocks),
-            capacity: nblocks,
+            budget,
+            chunks: Vec::new(),
+            meta: Vec::new(),
+            free: Vec::new(),
+            lrw: LrwList::new(0),
         }
     }
 
-    /// Total blocks.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Slots this arena has grown to (occupied or locally free).
+    pub fn slots(&self) -> usize {
+        self.meta.len()
     }
 
-    /// Currently free blocks.
-    pub fn free_count(&self) -> usize {
+    /// Arena slots holding no block.
+    pub fn idle_slots(&self) -> usize {
         self.free.len()
     }
 
-    /// Takes a free slot, if any, binding it to `(ino, iblk)` and linking
-    /// it at the MRW end.
+    /// Takes a block of the budget, if any is free, binding a slot to
+    /// `(ino, iblk)` and linking it at the MRW end.
     pub fn alloc_slot(&mut self, ino: u64, iblk: u64, now: u64) -> Option<u32> {
+        self.budget
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |f| f.checked_sub(1))
+            .ok()?;
+        if self.free.is_empty() {
+            let base = self.meta.len();
+            self.chunks
+                .push(vec![0u8; CHUNK_SLOTS * BLOCK_SIZE].into_boxed_slice());
+            self.meta.resize(base + CHUNK_SLOTS, BlockMeta::empty());
+            self.lrw.grow(base + CHUNK_SLOTS);
+            self.free
+                .extend((base as u32..(base + CHUNK_SLOTS) as u32).rev());
+        }
         let slot = self.free.pop()?;
         self.meta[slot as usize] = BlockMeta {
             ino,
@@ -184,11 +210,12 @@ impl Pool {
         Some(slot)
     }
 
-    /// Unlinks and releases a slot.
+    /// Unlinks a slot and returns its block to the budget.
     pub fn release_slot(&mut self, slot: u32) {
         self.lrw.unlink(slot);
         self.meta[slot as usize] = BlockMeta::empty();
         self.free.push(slot);
+        self.budget.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The metadata of a slot.
@@ -203,19 +230,14 @@ impl Pool {
 
     /// The 4 KiB payload of a slot.
     pub fn block(&self, slot: u32) -> &[u8] {
-        let b = slot as usize * BLOCK_SIZE;
-        &self.data[b..b + BLOCK_SIZE]
+        let b = slot as usize % CHUNK_SLOTS * BLOCK_SIZE;
+        &self.chunks[slot as usize / CHUNK_SLOTS][b..b + BLOCK_SIZE]
     }
 
     /// Mutable payload of a slot.
     pub fn block_mut(&mut self, slot: u32) -> &mut [u8] {
-        let b = slot as usize * BLOCK_SIZE;
-        &mut self.data[b..b + BLOCK_SIZE]
-    }
-
-    /// Number of dirty lines across a mask (helper for sizing flushes).
-    pub fn dirty_lines(&self, slot: u32) -> u32 {
-        self.meta[slot as usize].dirty.count_ones()
+        let b = slot as usize % CHUNK_SLOTS * BLOCK_SIZE;
+        &mut self.chunks[slot as usize / CHUNK_SLOTS][b..b + BLOCK_SIZE]
     }
 }
 
@@ -275,11 +297,10 @@ impl FileBuf {
     }
 }
 
-/// The buffer half of HiNFS behind one lock: pool plus per-file state.
-#[derive(Debug, Default)]
+/// One shard of the buffer behind one lock: pool plus per-file state.
+#[derive(Debug)]
 pub struct Shared {
-    /// The DRAM block pool. `None` until `Shared::init`.
-    pool: Option<Pool>,
+    pool: Pool,
     /// Per-inode buffered state.
     pub files: HashMap<u64, FileBuf>,
     /// Number of occupied slots with at least one dirty line.
@@ -287,23 +308,23 @@ pub struct Shared {
 }
 
 impl Shared {
-    /// Initializes the pool.
-    pub fn init(nblocks: usize) -> Shared {
+    /// An empty shard drawing on `budget`.
+    pub fn init(budget: Arc<AtomicUsize>) -> Shared {
         Shared {
-            pool: Some(Pool::new(nblocks)),
+            pool: Pool::new(budget),
             files: HashMap::new(),
             dirty_blocks: 0,
         }
     }
 
-    /// The pool (panics if uninitialized — construction always inits).
+    /// The pool.
     pub fn pool(&self) -> &Pool {
-        self.pool.as_ref().expect("pool initialized")
+        &self.pool
     }
 
     /// Mutable pool access.
     pub fn pool_mut(&mut self) -> &mut Pool {
-        self.pool.as_mut().expect("pool initialized")
+        &mut self.pool
     }
 
     /// Per-file state, created on first touch.
@@ -315,24 +336,15 @@ impl Shared {
     pub fn slot_of(&self, ino: u64, iblk: u64) -> Option<u32> {
         self.files.get(&ino)?.index.get(iblk).copied()
     }
-
-    /// `(capacity, free, dirty)` block counts under one lock hold — the
-    /// registry gauges.
-    pub fn gauges(&self) -> (usize, usize, usize) {
-        (
-            self.pool().capacity(),
-            self.pool().free_count(),
-            self.dirty_blocks,
-        )
-    }
-
-    /// Lines of `LINES_PER_BLOCK` sanity (compile-time shape check).
-    pub const LINES: usize = LINES_PER_BLOCK;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn budget(nblocks: usize) -> Arc<AtomicUsize> {
+        Arc::new(AtomicUsize::new(nblocks))
+    }
 
     #[test]
     fn range_mask_edges() {
@@ -378,30 +390,44 @@ mod tests {
 
     #[test]
     fn pool_alloc_release_cycle() {
-        let mut p = Pool::new(4);
-        assert_eq!(p.free_count(), 4);
+        let budget = budget(4);
+        let mut p = Pool::new(budget.clone());
+        let free = || budget.load(Ordering::Relaxed);
+        assert_eq!((free(), p.slots()), (4, 0), "no arena before use");
         let a = p.alloc_slot(1, 0, 100).unwrap();
         let b = p.alloc_slot(1, 1, 101).unwrap();
         assert_ne!(a, b);
-        assert_eq!(p.free_count(), 2);
+        assert_eq!(free(), 2);
         assert_eq!(p.lrw.tail(), Some(a), "first written is LRW victim");
         assert_eq!(p.meta(b).iblk, 1);
         p.release_slot(a);
-        assert_eq!(p.free_count(), 3);
+        assert_eq!(free(), 3);
         assert_eq!(p.lrw.tail(), Some(b));
+        assert_eq!(p.lrw.len() + p.idle_slots(), p.slots());
     }
 
     #[test]
     fn pool_exhaustion_returns_none() {
-        let mut p = Pool::new(2);
-        p.alloc_slot(1, 0, 0).unwrap();
-        p.alloc_slot(1, 1, 0).unwrap();
-        assert!(p.alloc_slot(1, 2, 0).is_none());
+        let budget = budget(2);
+        let (mut p, mut q) = (Pool::new(budget.clone()), Pool::new(budget.clone()));
+        let a = p.alloc_slot(1, 0, 0).unwrap();
+        q.alloc_slot(2, 0, 0).unwrap();
+        assert!(
+            p.alloc_slot(1, 1, 0).is_none(),
+            "the budget, not the arena, is out"
+        );
+        assert!(q.alloc_slot(2, 1, 0).is_none());
+        p.release_slot(a);
+        assert!(
+            q.alloc_slot(2, 1, 0).is_some(),
+            "a block p gave back serves q"
+        );
+        assert_eq!(budget.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn block_data_is_per_slot() {
-        let mut p = Pool::new(3);
+        let mut p = Pool::new(budget(3));
         let a = p.alloc_slot(1, 0, 0).unwrap();
         let b = p.alloc_slot(1, 1, 0).unwrap();
         p.block_mut(a)[0..4].copy_from_slice(&[1, 2, 3, 4]);
@@ -412,7 +438,7 @@ mod tests {
 
     #[test]
     fn shared_file_state_on_demand() {
-        let mut sh = Shared::init(4);
+        let mut sh = Shared::init(budget(4));
         assert!(sh.slot_of(7, 0).is_none());
         let now = 5;
         let slot = sh.pool_mut().alloc_slot(7, 3, now).unwrap();

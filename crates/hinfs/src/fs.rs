@@ -13,11 +13,16 @@
 //!
 //! Lock order: inode `RwLock` → buffer shard mutex → journal mutex. A
 //! file's buffered state lives entirely in shard `ino % cfg.shards`, so a
-//! per-file path holds at most one shard lock; only mount-wide sweeps
-//! (flush-all, introspection) visit several shards, and they do so one at
-//! a time, never nested.
+//! per-file path holds at most one shard lock; mount-wide sweeps
+//! (flush-all, introspection, the reclaim plan) and a foreground stall
+//! that finds its own shard empty visit several shards, one at a time,
+//! never nested. The stalled writer keeps its own inode lock while it
+//! evicts from a foreign shard; a foreign inode it only `try_write`s,
+//! with no shard lock held. Buffer *capacity* is not behind any of these
+//! locks: it is one atomic count of free blocks for the mount.
 
 use std::collections::HashSet;
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use fskit::{DirEntry, Fd, FileSystem, FileType, FsError, MmapHandle, OpenFlags, Result, Stat};
@@ -38,9 +43,11 @@ pub struct Hinfs {
     pub(crate) inner: Arc<Pmfs>,
     pub(crate) env: Arc<SimEnv>,
     pub(crate) cfg: HinfsConfig,
-    /// The buffer pool, split into independent shards keyed `ino % shards`
-    /// — a file's blocks, index, LRW position and open transactions all
-    /// live in exactly one shard, so per-file paths take one shard lock.
+    /// The mount's block budget: the free ones of `cfg.buffer_blocks()`.
+    pub(crate) budget: Arc<AtomicUsize>,
+    /// The buffer's shards keyed `ino % shards` — a file's blocks, index,
+    /// LRW position and open transactions all live in exactly one shard,
+    /// so per-file paths take one shard lock.
     pub(crate) shards: Vec<TrackedMutex<Shared>>,
     pub(crate) stats: HinfsStats,
     pub(crate) obs: Arc<FsObs>,
@@ -65,16 +72,18 @@ impl Hinfs {
     fn wrap(inner: Arc<Pmfs>, cfg: HinfsConfig) -> Result<Arc<Hinfs>> {
         let env = inner.env().clone();
         let nshards = cfg.shards.max(1);
+        let budget = Arc::new(AtomicUsize::new(cfg.buffer_blocks()));
         let shards = (0..nshards)
             .map(|i| {
                 TrackedMutex::attached(
                     env.contention(),
                     Site::hinfs_shard(i),
-                    Shared::init(cfg.shard_blocks(i)),
+                    Shared::init(budget.clone()),
                 )
             })
             .collect();
         let fs = Arc::new(Hinfs {
+            budget,
             shards,
             stats: HinfsStats::new(),
             // One bundle per mounted stack: a syscall forwarded to PMFS
@@ -167,9 +176,11 @@ impl Hinfs {
         }
     }
 
-    /// Begins a journal transaction, relieving journal pressure by flushing
-    /// (and thereby committing) open lazy transactions if the ring is
-    /// nearly full — first this file's, then, best-effort, everyone's.
+    /// Begins the journal transaction of an inode-core update
+    /// ([`Pmfs::begin_core_tx`]: a refusal comes from here, not from the
+    /// core's log), relieving journal pressure by flushing (and thereby
+    /// committing) open lazy transactions if the ring is nearly full —
+    /// first this file's, then, best-effort, everyone's.
     fn begin_tx(&self, ino: u64, state: &mut InodeMem) -> Result<TxHandle> {
         if self.inner.journal().free_entries() < Self::TX_HEADROOM {
             let t0 = self.env.now();
@@ -185,13 +196,13 @@ impl Hinfs {
             }
             self.note_stall(Site::StallJournalFull, t0);
         }
-        match self.inner.journal().begin() {
+        match self.inner.begin_core_tx() {
             Ok(tx) => Ok(tx),
             Err(FsError::JournalFull) => {
                 let t0 = self.env.now();
                 self.fsync_core(ino, state, false)?;
                 self.note_stall(Site::StallJournalFull, t0);
-                self.inner.journal().begin()
+                self.inner.begin_core_tx()
             }
             Err(e) => Err(e),
         }
@@ -374,21 +385,13 @@ impl Hinfs {
         }
         drop(guard);
 
-        // Wake the background writeback when the file's shard runs low
-        // (Low_f, applied to the shard's own capacity).
-        let low = {
-            let sh = self.shard(ino).lock();
-            let free = sh.pool().free_count();
-            let low_mark = self.cfg.low_blocks_of(sh.pool().capacity());
-            if free < low_mark {
-                self.obs.trace.emit(now, || TraceEvent::WatermarkLow {
-                    free: free as u64,
-                    low: low_mark as u64,
-                });
-            }
-            free < low_mark
-        };
-        if low {
+        // Wake the background writeback when the buffer runs low (Low_f).
+        let (free, low) = (self.free_buffer_blocks(), self.cfg.low_blocks());
+        if free < low {
+            self.obs.trace.emit(now, || TraceEvent::WatermarkLow {
+                free: free as u64,
+                low: low as u64,
+            });
             self.kick_background(self.env.now());
         }
         Ok(off)
@@ -499,17 +502,19 @@ impl Hinfs {
                 return Ok(());
             }
             let Some(slot) = sh.pool_mut().alloc_slot(ino, iblk, now) else {
-                // Pool exhausted before background writeback caught up: the
-                // foreground pays for one reclaim itself (the stall).
+                // Budget exhausted before background writeback caught up:
+                // the foreground pays for one eviction itself (the stall).
                 drop(sh);
                 HinfsStats::bump(&self.stats.foreground_stalls, 1);
                 self.obs
                     .trace
                     .emit(now, || TraceEvent::ForegroundStall { ino });
                 let t0 = self.env.now();
-                let reclaimed = self.reclaim(self.shard_idx(ino), 1, Some((ino, state)), false);
+                let evicted = self.stall_evict(ino, state);
                 self.note_stall(Site::StallWriteback, t0);
-                reclaimed?;
+                if evicted? == 0 {
+                    std::thread::yield_now(); // every holder's inode is busy
+                }
                 continue;
             };
             HinfsStats::bump(&self.stats.buffer_misses, 1);
@@ -733,21 +738,22 @@ impl Hinfs {
             return Err(FsError::BadFd);
         }
         let mut guard = of.handle.state.write();
-        if size == 0 {
-            // Truncate-to-zero (log rotation) is a delete of the contents:
-            // like unlink, the buffered data need never reach NVMM.
-            // drop_buffers force-commits the open transactions (safe: the
-            // never-flushed blocks are holes, and the truncate transaction
-            // below supersedes the sizes anyway).
-            self.drop_buffers(of.ino);
-        } else {
-            // Quiesce the file's ordered transactions, then drop its
-            // buffered state entirely (simple and safe; partial truncate
-            // is rare in the evaluated workloads) before resizing the
-            // persistent file.
+        if size != 0 {
+            // Quiesce the file's ordered transactions before this one
+            // opens, so that its buffered state can be dropped entirely
+            // (simple and safe; partial truncate is rare in the evaluated
+            // workloads).
             self.fsync_core(of.ino, &mut guard, false)?;
-            self.drop_buffers(of.ino);
         }
+        // The last step a full ring can refuse, and nothing has changed
+        // yet: dropped buffers and a cut tree cannot be taken back.
+        let tx = self.begin_tx(of.ino, &mut guard)?;
+        // Truncate-to-zero (log rotation) is a delete of the contents:
+        // like unlink, the buffered data need never reach NVMM.
+        // drop_buffers force-commits the open transactions (safe: the
+        // never-flushed blocks are holes, and the truncate transaction
+        // supersedes the sizes anyway).
+        self.drop_buffers(of.ino);
         // Extending over the old tail block must expose zeroes even where
         // the flush path left stale bytes past the old EOF.
         let old_size = guard.size;
@@ -763,7 +769,6 @@ impl Hinfs {
                 );
             }
         }
-        let tx = self.begin_tx(of.ino, &mut guard)?;
         let res = (|| -> Result<Option<pmfs::tree::Emptied>> {
             let emptied = pmfs::file::truncate(
                 self.dev(),

@@ -50,9 +50,7 @@ fn buffered_write_read_roundtrip() {
 
 #[test]
 fn lazy_writes_stay_off_nvmm_until_fsync() {
-    // One file lives in one shard: size the pool so that shard holds the
-    // whole 8-block write without reclaiming.
-    let (dev, fs) = fresh_with(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
+    let (dev, fs) = fresh();
     let fd = fs.open("/f", rw_create()).unwrap();
     let before = dev.stats().snapshot();
     fs.write(fd, 0, &vec![7u8; 8 * BLOCK_SIZE]).unwrap();
@@ -77,13 +75,7 @@ fn lazy_writes_stay_off_nvmm_until_fsync() {
 fn buffered_write_is_much_faster_than_direct() {
     let env = SimEnv::new_virtual(CostModel::default());
     let dev_h = NvmmDevice::new(env.clone(), 8192 * BLOCK_SIZE);
-    // 16 blocks go to a single file (one shard): give that shard headroom.
-    let hin = Hinfs::mkfs(
-        dev_h,
-        opts(),
-        small_cfg().with_buffer_bytes(512 * BLOCK_SIZE),
-    )
-    .unwrap();
+    let hin = Hinfs::mkfs(dev_h, opts(), small_cfg()).unwrap();
     let dev_p = NvmmDevice::new(env.clone(), 8192 * BLOCK_SIZE);
     let pm = Pmfs::mkfs(dev_p, opts()).unwrap();
 
@@ -353,6 +345,93 @@ fn pool_pressure_reclaims_and_stays_correct() {
     // Watermark respected after a tick.
     assert!(fs.free_buffer_blocks() >= fs.config().low_blocks());
     fs.close(fd).unwrap();
+}
+
+/// The budget is the mount's: one inode may hold (nearly) all of it,
+/// whatever shard it hashes to. (Sliced eight ways, 8 of these 57 blocks
+/// fit and the rest stalled.)
+#[test]
+fn one_file_may_use_the_whole_buffer() {
+    let (dev, fs) = fresh(); // 64 blocks
+    let n = fs.config().buffer_blocks() * 9 / 10;
+    let data: Vec<u8> = (0..n * BLOCK_SIZE).map(|i| (i % 251) as u8).collect();
+    let fd = fs.open("/big", rw_create()).unwrap();
+    fs.write(fd, 0, &data).unwrap();
+    let s = fs.stats().snapshot();
+    assert_eq!((s.foreground_stalls, s.writeback_blocks), (0, 0));
+    assert_eq!(fs.dirty_blocks(), n);
+    assert_eq!(fs.free_buffer_blocks(), fs.buffer_capacity() - n);
+    let before = dev.stats().snapshot();
+    let mut buf = vec![0u8; data.len()];
+    fs.read(fd, 0, &mut buf).unwrap();
+    assert!(buf == data);
+    let read = dev.stats().snapshot().since(&before).nvmm_bytes_read;
+    assert_eq!(read, 0, "every byte came from DRAM");
+    fs.close(fd).unwrap();
+}
+
+/// A writer whose own shard holds nothing takes its victim from the next
+/// shard that does — and, once it holds a block, from its own again: one
+/// eviction per stalled block, with the background stalled throughout.
+#[test]
+fn a_stalled_writer_with_an_empty_shard_evicts_from_a_foreign_one() {
+    let (dev, fs) = fresh_with(small_cfg().with_audit());
+    let plan = nvmm::fault::FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    plan.set_stall_writeback(true);
+    let cap = fs.buffer_capacity();
+    let (a, b) = (
+        fs.open("/a", rw_create()).unwrap(),
+        fs.open("/b", rw_create()).unwrap(),
+    );
+    let shard_of = |path| fs.shard_idx(fs.stat(path).unwrap().ino);
+    let (sa, sb) = (shard_of("/a"), shard_of("/b"));
+    assert_ne!(sa, sb, "consecutive inodes, different shards");
+    fs.write(a, 0, &vec![0xA1; cap * BLOCK_SIZE]).unwrap();
+    assert_eq!(fs.free_buffer_blocks(), 0, "shard A holds the whole budget");
+    assert_eq!(fs.stats().snapshot().foreground_stalls, 0);
+    fs.write(b, 0, &vec![0xB2; 5 * BLOCK_SIZE]).unwrap();
+    assert_eq!(fs.stats().snapshot().foreground_stalls, 5, "no rescans");
+    let held = obsv::Introspect::snapshot(&*fs)
+        .buffer
+        .unwrap()
+        .shard_occupied_blocks;
+    assert_eq!((held[sa], held[sb]), (cap as u64 - 1, 1));
+    assert_eq!(fs.free_buffer_blocks(), 0);
+    for (fd, fill, blocks) in [(a, 0xA1, cap), (b, 0xB2, 5)] {
+        let mut buf = vec![0u8; blocks * BLOCK_SIZE];
+        fs.read(fd, 0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == fill));
+    }
+    let rep = obsv::Introspect::audit(&*fs);
+    assert!(rep.is_clean(), "{}", rep.to_json());
+    assert_eq!(fs.obs().audit_violations(), 0);
+}
+
+#[test]
+fn reclaim_plan_hands_the_deficit_to_the_fullest_shards() {
+    use crate::writeback::reclaim_plan;
+    let (low, high) = (5, 20);
+    // At or above Low_f: nobody evicts.
+    assert_eq!(reclaim_plan(5, low, high, &[40, 30, 25]), [0, 0, 0]);
+    assert_eq!(reclaim_plan(50, low, high, &[40, 10, 0]), [0, 0, 0]);
+    // Below: the deficit to High_f, fullest first, capped at the holding.
+    assert_eq!(reclaim_plan(4, low, high, &[30, 40, 26]), [0, 16, 0]);
+    assert_eq!(reclaim_plan(0, low, high, &[12, 3, 85]), [0, 0, 20]);
+    assert_eq!(reclaim_plan(0, low, high, &[9, 78, 13]), [0, 20, 0]);
+    assert_eq!(
+        reclaim_plan(2, low, high, &[7, 0, 9, 82 - 80]),
+        [7, 0, 9, 2]
+    );
+    // Ties go to the lower index.
+    assert_eq!(reclaim_plan(0, low, high, &[8, 12, 12, 12]), [0, 12, 8, 0]);
+    for held in [[25u8, 25, 25, 25], [0, 97, 1, 2], [3, 3, 90, 4]] {
+        let held: Vec<usize> = held.iter().map(|&h| h as usize).collect();
+        let free = 100 - held.iter().sum::<usize>();
+        let plan = reclaim_plan(free, low, high, &held);
+        assert_eq!(plan.iter().sum::<usize>(), high - free);
+        assert!(plan.iter().zip(&held).all(|(p, h)| p <= h));
+    }
 }
 
 #[test]
@@ -962,5 +1041,76 @@ fn an_allocator_running_dry_mid_batch_maps_the_prefix_and_reports_it() {
         assert_eq!(fs2.read(fd, 0, &mut buf).unwrap(), buf.len());
         assert_eq!(&buf[BLOCK_SIZE..], &data[..], "k={k}");
         fs2.close(fd).unwrap();
+    }
+}
+
+mod budget_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Write(u8, u64, usize),
+        Fsync(u8),
+        Unlink(u8),
+        Truncate(u8, u64),
+        Tick,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let file = 0u8..6;
+        prop_oneof![
+            (file.clone(), 0u64..40, 1usize..24).prop_map(|(f, b, n)| Op::Write(f, b, n)),
+            (file.clone(), 0u64..40, 1usize..24).prop_map(|(f, b, n)| Op::Write(f, b, n)),
+            file.clone().prop_map(Op::Fsync),
+            file.clone().prop_map(Op::Unlink),
+            (file, 0u64..40).prop_map(|(f, b)| Op::Truncate(f, b)),
+            Just(Op::Tick),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Whatever a script does, every block of the budget is either
+        /// free or linked in exactly one shard.
+        #[test]
+        fn the_budget_is_conserved(ops in proptest::collection::vec(op(), 1..40)) {
+            let (_d, fs) = fresh_with(small_cfg().with_audit());
+            let path = |f: u8| format!("/f{f}");
+            for op in ops {
+                match op {
+                    Op::Write(f, blk, n) => {
+                        let fd = fs.open(&path(f), rw_create()).unwrap();
+                        fs.write(fd, blk * BLOCK_SIZE as u64 + 100, &vec![f + 1; n * 1000]).unwrap();
+                        fs.close(fd).unwrap();
+                    }
+                    Op::Fsync(f) => {
+                        if let Ok(fd) = fs.open(&path(f), OpenFlags::RDWR) {
+                            fs.fsync(fd).unwrap();
+                            fs.close(fd).unwrap();
+                        }
+                    }
+                    Op::Unlink(f) => {
+                        let _ = fs.unlink(&path(f));
+                    }
+                    Op::Truncate(f, blk) => {
+                        if let Ok(fd) = fs.open(&path(f), OpenFlags::RDWR) {
+                            fs.truncate(fd, blk * BLOCK_SIZE as u64 + 7).unwrap();
+                            fs.close(fd).unwrap();
+                        }
+                    }
+                    Op::Tick => fs.tick(fs.env().now()),
+                }
+                let b = obsv::Introspect::snapshot(&*fs).buffer.unwrap();
+                prop_assert_eq!(b.capacity_blocks, fs.config().buffer_blocks() as u64);
+                prop_assert!(b.free_blocks <= b.capacity_blocks);
+                let held: u64 = b.shard_occupied_blocks.iter().sum();
+                prop_assert_eq!(held + b.free_blocks, b.capacity_blocks);
+                prop_assert_eq!(held, b.occupied_blocks);
+            }
+            prop_assert!(obsv::Introspect::audit(&*fs).is_clean());
+            prop_assert_eq!(fs.obs().audit_violations(), 0);
+        }
     }
 }

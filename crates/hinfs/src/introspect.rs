@@ -13,8 +13,9 @@
 //! own audit. Both calls take only the subsystem's regular locks and never
 //! mutate state, so running them cannot change any workload result.
 //!
-//! The cross-layer accounting checks (codes 8 and 9) compare counters that
-//! quiesce between operations, and the folded-in PMFS audit walks
+//! The cross-layer accounting checks (codes 8 and 9, and the mount-wide
+//! half of code 2: Σ linked + budget free == capacity) compare counters
+//! that quiesce between operations, and the folded-in PMFS audit walks
 //! namespace and block trees. Both are only exact when no mutator is
 //! mid-operation, so the *in-band* auditor (fsync/writeback hooks) skips
 //! them in spin mode, where other real threads run concurrently: there a
@@ -46,6 +47,9 @@ impl Introspect for Hinfs {
     fn snapshot(&self) -> FsSnapshot {
         let now = self.env.now();
         let mut b = BufferSnap {
+            // The budget is the mount's, counted once — not per shard.
+            capacity_blocks: self.buffer_capacity() as u64,
+            free_blocks: self.free_buffer_blocks() as u64,
             low_blocks: self.cfg.low_blocks() as u64,
             high_blocks: self.cfg.high_blocks() as u64,
             ..BufferSnap::default()
@@ -57,9 +61,8 @@ impl Introspect for Hinfs {
         for shard in &self.shards {
             let sh = shard.lock();
             let pool = sh.pool();
-            b.capacity_blocks += pool.capacity() as u64;
-            b.free_blocks += pool.free_count() as u64;
             b.occupied_blocks += pool.lrw.len() as u64;
+            b.shard_occupied_blocks.push(pool.lrw.len() as u64);
             b.dirty_blocks += sh.dirty_blocks as u64;
             for slot in pool.lrw.iter_from_tail() {
                 let m = pool.meta(slot);
@@ -122,19 +125,21 @@ impl Hinfs {
     fn audit_inner(&self, quiescent: bool) -> AuditReport {
         let mut rep = AuditReport::new(self.env.now());
         let mut open_sum = 0u64;
-        // Per-shard structural checks: each shard is its own pool + index
+        let cap = self.buffer_capacity() as u64;
+        // config.watermarks: low < high <= capacity, over the one budget.
+        let high = self.cfg.high_blocks() as u64;
+        rep.check_lt(6, 0, 0, self.cfg.low_blocks() as u64, high);
+        rep.check_le(6, 0, 0, high, cap);
+        let (free, mut linked_sum) = (self.free_buffer_blocks() as u64, 0u64);
+        // Per-shard structural checks: each shard is its own arena + index
         // + LRW universe, so codes 0–7 hold shard-locally.
         for shard in &self.shards {
             let sh = shard.lock();
             let pool = sh.pool();
-            let cap = pool.capacity() as u64;
-            // config.watermarks: low < high <= capacity, per shard.
-            let low = self.cfg.low_blocks_of(pool.capacity()) as u64;
-            let high = self.cfg.high_blocks_of(pool.capacity()) as u64;
-            rep.check_lt(6, 0, 0, low, high);
-            rep.check_le(6, 0, 0, high, cap);
-            // lrw.accounting: every slot is either linked or free.
-            rep.check_eq(2, 0, 0, (pool.lrw.len() + pool.free_count()) as u64, cap);
+            linked_sum += pool.lrw.len() as u64;
+            // lrw.accounting: every arena slot is either linked or idle.
+            let slots = pool.slots() as u64;
+            rep.check_eq(2, 0, 0, (pool.lrw.len() + pool.idle_slots()) as u64, slots);
             // One pass from the LRW tail: bitmap containment, chain
             // integrity, and the dirty-slot population. (Write *stamps* are
             // not compared: the workload runner gives each actor its own
@@ -198,6 +203,13 @@ impl Hinfs {
             rep.check_eq(1, 0, 0, index_entries, pool.lrw.len() as u64);
         }
         if quiescent {
+            // lrw.accounting, mount-wide: every block of the budget is
+            // either free or linked in exactly one shard. (A background
+            // pass still draining after a spin-mode run only releases:
+            // an unchanged count says the walk raced with nothing.)
+            if free == self.free_buffer_blocks() as u64 {
+                rep.check_eq(2, 0, 0, linked_sum + free, cap);
+            }
             // tx.accounting: the opened/committed counters explain every
             // open transaction, summed over all shards.
             let s = self.stats.snapshot();

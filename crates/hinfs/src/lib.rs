@@ -8,7 +8,7 @@
 //!
 //! | Paper concept | Module |
 //! |---|---|
-//! | NVMM-aware Write Buffer (LRW, `Low_f`/`High_f`, 5 s / 30 s flushes) | [`buffer`], [`writeback`] |
+//! | NVMM-aware Write Buffer (one block budget, `Low_f`/`High_f` over it, per-shard LRW lists, 5 s / 30 s flushes) | [`buffer`], [`writeback`] |
 //! | DRAM Block Index (per-file B-tree in DRAM) | [`index`] |
 //! | Cacheline Bitmap + CLFW (fine-grained fetch/writeback) | [`buffer`] |
 //! | Eager-Persistent Write Checker + Buffer Benefit Model + ghost buffer | [`checker`] |
@@ -71,10 +71,12 @@ pub struct HinfsConfig {
     /// violations on the trace ring and the `obsv_audit_violations`
     /// counter. Off by default (the audit walks the whole buffer pool).
     pub audit: bool,
-    /// Number of buffer-pool shards. The DRAM block pool, the per-file
-    /// index, and the LRW list are split into this many independent
-    /// instances keyed by `ino % shards`, each behind its own lock, so
-    /// writers to different files do not serialize on one buffer mutex.
+    /// Number of buffer shards. The per-file index, the LRW list and the
+    /// slot arena are split into this many instances keyed by
+    /// `ino % shards`, each behind its own lock, so writers to different
+    /// files do not serialize on one buffer mutex. The *capacity* is not
+    /// split: every shard draws on the one budget of
+    /// [`Self::buffer_blocks`].
     pub shards: usize,
 }
 
@@ -129,22 +131,10 @@ impl HinfsConfig {
         self
     }
 
-    /// Number of buffer blocks this configuration provides. At least two
-    /// blocks per shard so every shard's pool can hold a victim and a
-    /// newcomer.
+    /// Number of buffer blocks this configuration provides — the mount's
+    /// one budget, whatever the shard count.
     pub fn buffer_blocks(&self) -> usize {
-        (self.buffer_bytes / nvmm::BLOCK_SIZE)
-            .max(8)
-            .max(2 * self.shards.max(1))
-    }
-
-    /// Capacity of shard `i`'s pool. The global block budget is split
-    /// evenly with the remainder spread over the low shards, so the
-    /// per-shard capacities always sum to [`Self::buffer_blocks`].
-    pub fn shard_blocks(&self, i: usize) -> usize {
-        let n = self.shards.max(1);
-        let total = self.buffer_blocks();
-        total / n + usize::from(i < total % n)
+        (self.buffer_bytes / nvmm::BLOCK_SIZE).max(8)
     }
 
     /// Reclaim trigger threshold in blocks (`Low_f`).
@@ -155,16 +145,6 @@ impl HinfsConfig {
     /// Reclaim stop threshold in blocks (`High_f`).
     pub fn high_blocks(&self) -> usize {
         ((self.buffer_blocks() as f64 * self.high_watermark) as usize).max(2)
-    }
-
-    /// `Low_f` applied to one shard's capacity.
-    pub fn low_blocks_of(&self, cap: usize) -> usize {
-        ((cap as f64 * self.low_watermark) as usize).max(1)
-    }
-
-    /// `High_f` applied to one shard's capacity.
-    pub fn high_blocks_of(&self, cap: usize) -> usize {
-        ((cap as f64 * self.high_watermark) as usize).max(2)
     }
 }
 
@@ -198,24 +178,15 @@ mod tests {
     }
 
     #[test]
-    fn shard_capacities_sum_to_buffer_blocks() {
-        for blocks in [8usize, 64, 67, 256, 16384] {
-            let c = HinfsConfig::default().with_buffer_bytes(blocks * nvmm::BLOCK_SIZE);
-            let sum: usize = (0..c.shards).map(|i| c.shard_blocks(i)).sum();
-            assert_eq!(sum, c.buffer_blocks(), "blocks={blocks}");
-            for i in 0..c.shards {
-                assert!(c.shard_blocks(i) >= 2, "shard {i} too small");
-            }
-        }
-    }
-
-    #[test]
     fn single_shard_keeps_legacy_capacity() {
-        let c = HinfsConfig::default()
-            .with_shards(1)
-            .with_buffer_bytes(64 * nvmm::BLOCK_SIZE);
-        assert_eq!(c.shards, 1);
-        assert_eq!(c.shard_blocks(0), c.buffer_blocks());
-        assert_eq!(c.buffer_blocks(), 64);
+        // The budget does not depend on the shard count.
+        for shards in [1, 8] {
+            let c = HinfsConfig::default()
+                .with_shards(shards)
+                .with_buffer_bytes(64 * nvmm::BLOCK_SIZE);
+            assert_eq!(c.shards, shards);
+            assert_eq!(c.buffer_blocks(), 64);
+            assert_eq!((c.low_blocks(), c.high_blocks()), (3, 12));
+        }
     }
 }

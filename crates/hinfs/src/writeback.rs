@@ -4,18 +4,20 @@
 //! Dirty DRAM blocks are written back to NVMM at cacheline granularity
 //! (CLFW) by:
 //!
-//! - the **reclaim path**, woken when free blocks drop below `Low_f`,
-//!   evicting LRW victims until `High_f` is reached;
+//! - the **reclaim path**, woken when the mount's free blocks drop below
+//!   `Low_f`: [`reclaim_plan`] hands the deficit to `High_f` to the
+//!   fullest shards, and each evicts its share from its own LRW tail;
 //! - the **periodic pass** (every 5 s), which also flushes any dirty block
 //!   last written more than 30 s ago;
-//! - **foreground stalls**: when the pool is exhausted before background
-//!   writeback catches up, the writing thread flushes a victim itself and
-//!   pays for it (the cost `Low_f` exists to avoid);
+//! - **foreground stalls**: when the budget is exhausted before background
+//!   writeback catches up, the writing thread evicts a victim itself and
+//!   pays for it (the cost `Low_f` exists to avoid) — from its own shard,
+//!   or from the next one that holds anything;
 //! - **fsync**, which flushes the file's blocks on the caller's clock.
 //!
-//! In spin mode these run on real threads; in virtual mode they run as a
-//! deterministic *writeback actor* whose own clock advances independently
-//! of the foreground (see [`WbCtl`]).
+//! In spin mode these run on real threads; in virtual mode they run as
+//! deterministic *writeback actors*, one per shard, whose clocks advance
+//! independently of the foreground (see [`WbCtl`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,6 +81,23 @@ fn write_dirty_runs(dev: &nvmm::NvmmDevice, block: &[u8], dirty: u64, pblk: u64)
             &block[b..b + n as usize * CACHELINE],
         );
     }
+}
+
+/// The reclaim policy — the one place that decides which shard evicts how
+/// many victims, given the mount's `free` blocks and what each shard holds.
+/// Nothing at or above `low` (`Low_f`); below it the deficit to `high`
+/// (`High_f`) goes to the fullest shard first (ties to the lower index),
+/// capped at what it holds, the rest to the next.
+pub fn reclaim_plan(free: usize, low: usize, high: usize, held: &[usize]) -> Vec<usize> {
+    let mut plan = vec![0; held.len()];
+    let mut deficit = high.saturating_sub(free);
+    let mut order: Vec<usize> = (0..held.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(held[i]));
+    for i in order.into_iter().filter(|_| free < low) {
+        plan[i] = deficit.min(held[i]);
+        deficit -= plan[i];
+    }
+    plan
 }
 
 /// Outcome of one flush attempt under the shared lock.
@@ -353,37 +372,67 @@ impl Hinfs {
         released
     }
 
-    /// Reclaims LRW victims until `target_free` blocks are free, bracketing
-    /// the pass with trace events when tracing is on.
+    /// [`reclaim_plan`] over the mount's current state; `None` at or above
+    /// `Low_f` (one atomic load — the shards are only visited below it).
+    fn plan_reclaim(&self) -> Option<Vec<usize>> {
+        let (free, low) = (self.free_buffer_blocks(), self.cfg.low_blocks());
+        (free < low).then(|| {
+            let held: Vec<usize> = self
+                .shards
+                .iter()
+                .map(|s| s.lock().pool().lrw.len())
+                .collect();
+            reclaim_plan(free, low, self.cfg.high_blocks(), &held)
+        })
+    }
+
+    /// The foreground stall: evicts one victim from the shard of the
+    /// writer's locked inode (`state`, lent to that pass) or, when it has
+    /// none, from the next shard in index order that does. Foreign inodes
+    /// are only tried: `Ok(0)` means every holder is busy.
+    pub(crate) fn stall_evict(&self, ino: u64, state: &mut InodeMem) -> Result<u64> {
+        let (home, n) = (self.shard_idx(ino), self.shards.len());
+        let mut own = Some((ino, state));
+        for si in (home..home + n).map(|s| s % n) {
+            if self.reclaim(si, 1, own.take(), false)? > 0 {
+                return Ok(1);
+            }
+        }
+        Ok(0)
+    }
+
+    /// Evicts up to `want` LRW victims of shard `si`, bracketing the pass
+    /// with trace events when tracing is on.
     ///
     /// `own` lends the caller's already-locked inode so its own blocks can
     /// be flushed without re-locking. `blocking` selects whether foreign
     /// inode locks may be waited on (background) or only tried
     /// (foreground stall path — waiting there could deadlock).
     ///
-    /// Returns the number of evicted victims; an eviction error (allocator
-    /// or journal ring exhausted) ends the pass and is returned if the pass
-    /// had freed nothing, so a foreground stall fails its write instead of
-    /// retrying a reclaim that cannot make progress.
+    /// Returns the number of evicted victims (fewer when the shard ran out
+    /// or, not `blocking`, an owner's lock was busy); an eviction error
+    /// (allocator or journal ring exhausted) ends the pass and is returned
+    /// if the pass had freed nothing, so a foreground stall fails its
+    /// write instead of retrying a reclaim that cannot make progress.
     pub(crate) fn reclaim(
         &self,
         si: usize,
-        target_free: usize,
+        want: usize,
         own: Option<(u64, &mut InodeMem)>,
         blocking: bool,
     ) -> Result<u64> {
         if !self.obs.trace.enabled() {
-            return self.reclaim_loop(si, target_free, own, blocking);
+            return self.reclaim_loop(si, want, own, blocking);
         }
-        let free = self.shards[si].lock().pool().free_count() as u64;
+        let free = self.free_buffer_blocks() as u64;
         self.obs
             .trace
             .emit(self.env.now(), || obsv::TraceEvent::ReclaimBegin {
                 free,
-                target: target_free as u64,
+                target: free + want as u64,
             });
-        let outcome = self.reclaim_loop(si, target_free, own, blocking);
-        let free = self.shards[si].lock().pool().free_count() as u64;
+        let outcome = self.reclaim_loop(si, want, own, blocking);
+        let free = self.free_buffer_blocks() as u64;
         let victims = *outcome.as_ref().unwrap_or(&0);
         self.obs
             .trace
@@ -405,18 +454,18 @@ impl Hinfs {
     fn reclaim_loop(
         &self,
         si: usize,
-        target_free: usize,
+        want: usize,
         mut own: Option<(u64, &mut InodeMem)>,
         blocking: bool,
     ) -> Result<u64> {
         let mut victims = 0;
         let stopped = |victims: u64, e: FsError| if victims == 0 { Err(e) } else { Ok(victims) };
         loop {
-            let mut sh = self.shards[si].lock();
-            let want = target_free.saturating_sub(sh.pool().free_count());
+            let want = want.saturating_sub(victims as usize);
             if want == 0 {
                 return Ok(victims);
             }
+            let mut sh = self.shards[si].lock();
             let own_ino = own.as_ref().map_or(0, |(oino, _)| *oino);
             let mut run: Vec<u32> = Vec::new();
             let mut run_ino = 0;
@@ -454,7 +503,7 @@ impl Hinfs {
             // Nothing but foreign hole blocks: the run at the LRW end that
             // belongs to the oldest one's file.
             let Some(foreign_ino) = sh.pool().lrw.tail().map(|t| sh.pool().meta(t).ino) else {
-                return Ok(victims); // pool empty of victims (everything already free)
+                return Ok(victims); // the shard holds nothing
             };
             let run: Vec<(u32, u64)> = sh
                 .pool()
@@ -477,10 +526,9 @@ impl Hinfs {
                 handle.state.try_write()
             };
             let Some(mut guard) = guard else {
-                // Foreground stall path: do not wait (deadlock risk);
-                // rescan — background writeback will handle it.
-                std::thread::yield_now();
-                continue;
+                // Foreground stall path: do not wait (deadlock risk) — the
+                // caller moves on to the next shard.
+                return Ok(victims);
             };
             let mut sh = self.shards[si].lock();
             // Re-validate after re-locking.
@@ -500,18 +548,19 @@ impl Hinfs {
     /// One full writeback pass over every shard at time `now` (on the
     /// caller's clock) — the spin-mode thread body.
     pub(crate) fn wb_pass(&self, now: u64) {
+        let plan = self.plan_reclaim();
         for si in 0..self.shards.len() {
-            self.wb_pass_shard(si, now);
+            self.wb_pass_shard(si, now, plan.as_ref().map_or(0, |p| p[si]));
         }
         // Periodic online audit: each background pass re-verifies the
         // index/bitmap/LRW invariants when the mount has auditing on.
         self.maybe_audit();
     }
 
-    /// One writeback pass over shard `si`: watermark reclaim against the
-    /// shard's own `Low_f`/`High_f`, then the 30 s dirty-age flush along
-    /// the shard's LRW list.
-    pub(crate) fn wb_pass_shard(&self, si: usize, now: u64) {
+    /// One writeback pass over shard `si`: its share `victims` of the
+    /// watermark reclaim, then the 30 s dirty-age flush along the shard's
+    /// LRW list.
+    pub(crate) fn wb_pass_shard(&self, si: usize, now: u64, victims: usize) {
         // Injected stall: the writeback actor simply makes no progress this
         // pass. Foreground paths must degrade gracefully (flush-on-demand
         // via fsync / pool-pressure reclaim in the write path still run).
@@ -521,16 +570,10 @@ impl Hinfs {
         // Background provenance: traffic of this pass lands in the bg row
         // (when an op's own reclaim runs inline, its frame stays owner).
         let _bg = self.obs.bg_scope();
-        {
-            let sh = self.shards[si].lock();
-            let cap = sh.pool().capacity();
-            let free = sh.pool().free_count();
-            drop(sh);
-            if free < self.cfg.low_blocks_of(cap) {
-                // Background: what could not be evicted now is retried on
-                // the next pass.
-                let _ = self.reclaim(si, self.cfg.high_blocks_of(cap), None, true);
-            }
+        if victims > 0 {
+            // Background: what could not be evicted now is retried on the
+            // next pass.
+            let _ = self.reclaim(si, victims, None, true);
         }
         // Age-based flush: the LRW list is ordered by last write, so scan
         // from the LRW end until blocks get too young.
@@ -604,13 +647,11 @@ impl Hinfs {
         // producers, and bounding the lead also re-anchors the actor after
         // a timeline rebase (env.rebase() moves the foreground back to 0).
         const MAX_LEAD: u64 = 20_000_000; // 20 ms
+        let plan = self.plan_reclaim();
         let mut ran = false;
         for si in 0..self.shards.len() {
-            let need_reclaim = {
-                let sh = self.shards[si].lock();
-                sh.pool().free_count() < self.cfg.low_blocks_of(sh.pool().capacity())
-            };
-            if !need_reclaim && !periodic_due {
+            let victims = plan.as_ref().map_or(0, |p| p[si]);
+            if victims == 0 && !periodic_due {
                 continue;
             }
             let wb_now = self.wb.clocks[si]
@@ -620,8 +661,10 @@ impl Hinfs {
             // actor's own timeline: detach span attribution so its device
             // time lands in the background row, not in whichever op
             // triggered it.
-            let ((), end) =
-                obsv::detached(|| self.env.with_now(wb_now, || self.wb_pass_shard(si, wb_now)));
+            let ((), end) = obsv::detached(|| {
+                self.env
+                    .with_now(wb_now, || self.wb_pass_shard(si, wb_now, victims))
+            });
             self.wb.clocks[si].store(end, Ordering::Relaxed);
             ran = true;
         }
@@ -775,16 +818,13 @@ impl Hinfs {
         self.shards.iter().map(|s| s.lock().dirty_blocks).sum()
     }
 
-    /// Free DRAM buffer blocks across every shard (diagnostics).
+    /// Free blocks of the mount's buffer budget (diagnostics).
     pub fn free_buffer_blocks(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().pool().free_count())
-            .sum()
+        self.budget.load(Ordering::Relaxed)
     }
 
-    /// Buffer capacity in blocks (sum of the shard pools).
+    /// Buffer capacity in blocks (the mount's budget).
     pub fn buffer_capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().pool().capacity()).sum()
+        self.cfg.buffer_blocks()
     }
 }

@@ -67,6 +67,8 @@ pub struct BufferSnap {
     pub free_blocks: u64,
     /// Occupied slots (LRW-linked).
     pub occupied_blocks: u64,
+    /// Occupied slots per buffer shard — who holds the budget.
+    pub shard_occupied_blocks: Vec<u64>,
     /// Occupied slots holding unflushed lines.
     pub dirty_blocks: u64,
     /// `Low_f` reclaim trigger, in blocks.
@@ -231,6 +233,7 @@ impl FsSnapshot {
                     ("lrw_oldest_age_ns", b.lrw_oldest_age_ns),
                 ],
             );
+            push_array(&mut out, "shard_occupied_blocks", &b.shard_occupied_blocks);
             push_array(&mut out, "dirty_line_histo", &b.dirty_line_histo);
             push_array(&mut out, "lrw_age_bounds_ns", &LRW_AGE_BOUNDS_NS);
             push_array(&mut out, "lrw_age_histo", &b.lrw_age_histo);
@@ -401,7 +404,7 @@ impl FsSnapshot {
 pub const AUDIT_INVARIANTS: &[&str] = &[
     "index.slot_owner",          // 0: index entry -> slot with matching (ino, iblk)
     "index.coverage",            // 1: occupied slots and index entries are a bijection
-    "lrw.accounting",            // 2: lrw.len + free == capacity
+    "lrw.accounting",            // 2: linked + idle == slots per shard; Σ linked + free == capacity
     "lrw.order",                 // 3: LRW tail-to-head chain complete and ends at head
     "bitmap.dirty_subset_valid", // 4: dirty cachelines are a subset of valid ones
     "buffer.dirty_count",        // 5: dirty-block gauge == count of dirty slots

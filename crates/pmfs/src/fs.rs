@@ -311,6 +311,15 @@ impl Pmfs {
         })
     }
 
+    /// Opens a transaction with the undo slots of one inode-core update
+    /// set aside: a full ring refuses here, not the core's
+    /// [`Pmfs::log_write_inode`] under it — which, in a truncate, follows
+    /// a cut of the tree that cannot be taken back.
+    pub fn begin_core_tx(&self) -> Result<TxHandle> {
+        self.journal
+            .begin_reserving(INODE_CORE.div_ceil(crate::journal::PAYLOAD) as u64)
+    }
+
     /// Opens a transaction that already holds the undo image of inode
     /// `ino`'s core: everything that can fail on a full ring happens here,
     /// with no side effect when it does. What is left of the update —
@@ -318,9 +327,7 @@ impl Pmfs {
     /// commit — cannot fail. For updates that follow changes the caller
     /// cannot take back (HiNFS mapping blocks at flush time).
     pub fn begin_inode_update(&self, ino: u64) -> Result<(TxHandle, InodeLogged)> {
-        let tx = self
-            .journal
-            .begin_reserving(INODE_CORE.div_ceil(crate::journal::PAYLOAD) as u64)?;
+        let tx = self.begin_core_tx()?;
         match self.log_inode(&tx, ino) {
             Ok(logged) => Ok((tx, logged)),
             Err(e) => {
@@ -587,7 +594,7 @@ impl Pmfs {
     /// Truncates or extends `h` to `size` in a transaction of its own
     /// (`truncate` and `open` with `O_TRUNC`).
     fn resize(&self, h: &InodeHandle, size: u64) -> Result<()> {
-        let tx = self.journal.begin()?;
+        let tx = self.begin_core_tx()?;
         let res = (|| -> Result<Option<tree::Emptied>> {
             let mut state = h.state.write();
             let emptied = file::truncate(&self.dev, &self.alloc, &mut state, size, self.env.now())?;

@@ -21,7 +21,16 @@
 //! exercises the path is no drill: the pass fails unless
 //! `pmfs_tree_nodes_recycled` moved on both.
 //!
-//! A third pass injects soft faults (journal-full backpressure, ENOSPC,
+//! The budget drill (`tests/repro/foreign_shard_stall.repro`) runs HiNFS
+//! with an 8-block DRAM buffer: one file fills the whole budget, a file of
+//! another shard then writes with the background writeback stalled, and
+//! the stalled writer must take its victim from the foreign shard. The
+//! script is swept under that stall, in lockstep with the reference model
+//! on all three systems, and with a crash at every boundary; the pass
+//! fails unless `hinfs_foreground_stalls` moved and the full shard gave
+//! a block up.
+//!
+//! A last pass injects soft faults (journal-full backpressure, ENOSPC,
 //! writeback stalls) and demands graceful degradation: clean errors, no
 //! panics, and a clean crash + recovery afterwards.
 //!
@@ -30,6 +39,41 @@
 
 use faultfs::Op;
 use hinfs_suite::prelude::*;
+
+/// Replays the budget drill's script on a HiNFS mount of `buffer_bytes`
+/// with the background writeback stalled; returns the foreground stalls it
+/// took and the per-shard occupancy right after the first write to `f1`.
+fn budget_drill_counts(ops: &[Op], buffer_bytes: usize) -> (u64, Vec<u64>) {
+    let sys = build(
+        SystemKind::Hinfs,
+        &SystemConfig {
+            device_bytes: 64 << 20,
+            buffer_bytes,
+            ..SystemConfig::default()
+        },
+    )
+    .expect("mkfs");
+    let plan = nvmm::FaultPlan::new();
+    sys.dev.fault_hook().install(plan.clone());
+    plan.set_stall_writeback(true);
+    let mut held = Vec::new();
+    for op in ops {
+        faultfs::exec_op(&*sys.fs, &sys.env, op).expect("drill op");
+        if held.is_empty() && matches!(op, Op::Write { file: 1, .. }) {
+            let snap = sys
+                .introspect
+                .as_ref()
+                .expect("hinfs introspects")
+                .snapshot();
+            held = snap
+                .buffer
+                .expect("hinfs has a buffer")
+                .shard_occupied_blocks;
+        }
+    }
+    let stalls = sys.registry.snapshot().counter("hinfs_foreground_stalls");
+    (stalls, held)
+}
 
 fn main() {
     let h = Harness::new();
@@ -71,15 +115,15 @@ fn main() {
     let drill = faultfs::Repro::parse(include_str!("../tests/repro/recycled_tree_node.repro"))
         .expect("committed fixture parses");
     println!("\n== recycling drill: every boundary, every 3rd torn ==");
+    let every = SweepConfig {
+        max_points: usize::MAX,
+        torn_every: 3,
+        ..cfg
+    };
     for (kind, sys_kind) in [
         (FsKind::Hinfs, SystemKind::Hinfs),
         (FsKind::Pmfs, SystemKind::Pmfs),
     ] {
-        let every = SweepConfig {
-            max_points: usize::MAX,
-            torn_every: 3,
-            ..cfg
-        };
         violations.extend(sweep(kind, &drill.script, every));
         let small = SystemConfig {
             device_bytes: 64 << 20,
@@ -96,7 +140,43 @@ fn main() {
         }
     }
 
-    // -- Pass 3: soft-fault injection over a journal-heavy script tail --
+    // -- Pass 3: the budget drill, on an 8-block HiNFS buffer --
+    let drill = faultfs::Repro::parse(include_str!("../tests/repro/foreign_shard_stall.repro"))
+        .expect("committed fixture parses");
+    println!("\n== budget drill: 8-block buffer, writeback stalled ==");
+    let tiny = 8 * nvmm::BLOCK_SIZE;
+    let th = Harness::new().with_hinfs_buffer(tiny);
+    let ops = &drill.script.ops;
+    let out = th.fault_run(
+        FsKind::Hinfs,
+        &drill.script,
+        InjectedFault::WritebackStall,
+        0..ops.len(),
+    );
+    println!(
+        "  hinfs  writeback-stall -> {} clean errors, {} oracle checks, {} violations",
+        out.clean_errors.len(),
+        out.checks,
+        out.violations.len()
+    );
+    violations.extend(out.violations);
+    violations.extend(drill.replay(&th));
+    let out = th.sweep(FsKind::Hinfs, &drill.script, every);
+    println!(
+        "  hinfs  {} boundaries | {} crashes (+{} torn) | {} violations",
+        out.boundaries,
+        out.runs,
+        out.torn_runs,
+        out.violations.len()
+    );
+    violations.extend(out.violations);
+    let (stalls, held) = budget_drill_counts(ops, tiny);
+    println!("         hinfs_foreground_stalls in the script: {stalls}, blocks per shard after f1's write: {held:?}");
+    if stalls == 0 || held.iter().any(|&h| h as usize * nvmm::BLOCK_SIZE == tiny) {
+        violations.push("hinfs: the budget drill never evicted from a foreign shard".into());
+    }
+
+    // -- Pass 4: soft-fault injection over a journal-heavy script tail --
     let faulty = Script {
         ops: vec![
             Op::Create { file: 0 },

@@ -84,7 +84,11 @@ stage "crash/fuzz drills"
 # recycling drill — a crash at every boundary around a block-tree node
 # that is freed, wiped, parked and reused — which also exits non-zero when
 # `pmfs_tree_nodes_recycled` stayed 0 on hinfs or pmfs: a drill that
-# never exercises the path is no drill.
+# never exercises the path is no drill. Its third pass is the budget
+# drill: HiNFS on an 8-block buffer with the writeback stalled, swept
+# under that fault, in 3-way lockstep with the reference model and with a
+# crash at every boundary — exits non-zero unless `hinfs_foreground_stalls`
+# moved and the stalled writer took a block from a foreign shard.
 run cargo run --release $OFFLINE --example crash_recovery
 
 # Coverage-guided fuzz soak: a seed- and iteration-capped campaign that
@@ -111,12 +115,12 @@ run cargo run --release $OFFLINE --example fs_inspect -- dump --contention >/dev
 stage bench_check
 run cargo run --release $OFFLINE -p hinfs-bench --bin experiments -- \
     --quick --fig 101 --fig 112 --bench-json "$bench_tmp"
-run scripts/bench_check.sh BENCH_pr17.json "$bench_tmp"
+run scripts/bench_check.sh BENCH_pr21.json "$bench_tmp"
 # The gate must also FAIL when a regression is injected — otherwise it
 # gates nothing.
 sed 's/\("headline::fileserver::hinfs::ops_per_s": \)\([0-9]*\)/\10/' \
     "$bench_tmp" >"$bench_tmp.bad"
-if scripts/bench_check.sh BENCH_pr17.json "$bench_tmp.bad" >/dev/null 2>&1; then
+if scripts/bench_check.sh BENCH_pr21.json "$bench_tmp.bad" >/dev/null 2>&1; then
     echo "verify: bench_check failed to flag an injected regression" >&2
     exit 1
 fi
@@ -124,7 +128,7 @@ echo "verify: bench_check catches injected regressions"
 
 # Regression ATTRIBUTION: bench_diff must run clean against the
 # committed baseline.
-run scripts/bench_diff.sh $OFFLINE BENCH_pr17.json "$bench_tmp"
+run scripts/bench_diff.sh $OFFLINE BENCH_pr21.json "$bench_tmp"
 # And its blame table must NAME a planted regression: multiply the
 # journal span-phase time by 10 and require the span blame to rank
 # `journal` first for that cell.

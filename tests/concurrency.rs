@@ -5,6 +5,9 @@
 //!   steal-on-empty path: no lost blocks, no double allocations;
 //! - an 8-thread HiNFS run in spin mode leaves every online invariant
 //!   green and all data readable;
+//! - eight threads churning a 64-block HiNFS buffer from three shards'
+//!   worth of files (every write stalls, most victims are foreign) neither
+//!   deadlock nor lose a block of the budget;
 //! - a crash schedule recorded while four threads hammer HiNFS replays
 //!   through the faultfs harness with the durability oracle clean at
 //!   every sampled boundary.
@@ -146,6 +149,88 @@ fn eight_thread_hinfs_run_keeps_invariants_green() {
     assert!(obs.audit_checks() > 0, "the auditor actually ran");
     assert_eq!(obs.audit_violations(), 0);
     sys.fs.unmount().unwrap();
+}
+
+/// Eight real threads write, fsync and truncate files of three buffer
+/// shards through a budget of 64 blocks — less than two of their writes
+/// — so most blocks stall, and with five shards empty and
+/// files shared between threads the victim is often a foreign shard's or
+/// a busy inode's. The run must end (no deadlock, no spin), and at
+/// quiescence every block of the budget is free or linked exactly once.
+#[test]
+fn eight_thread_churn_on_a_tiny_budget_conserves_it() {
+    const THREADS: usize = 8;
+    let cfg = SystemConfig {
+        device_bytes: 64 << 20,
+        mode: TimeMode::Spin,
+        buffer_bytes: 64 * nvmm::BLOCK_SIZE,
+        obsv: ObsvOptions::all(),
+        ..SystemConfig::default()
+    };
+    let sys = build(SystemKind::Hinfs, &cfg).unwrap();
+    let mut paths = Vec::new();
+    for i in 0.. {
+        let path = format!("/c{i}");
+        let fd = sys
+            .fs
+            .open(&path, OpenFlags::RDWR | OpenFlags::CREATE)
+            .unwrap();
+        sys.fs.close(fd).unwrap();
+        if sys.fs.stat(&path).unwrap().ino % (obsv::NSHARDS as u64) < 3 {
+            paths.push(path);
+        }
+        if paths.len() == 6 {
+            break;
+        }
+    }
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let watchdog = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            for _ in 0..1200 {
+                if done.load(Ordering::Relaxed) {
+                    return;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            eprintln!("eight_thread_churn: no progress in 120 s (deadlock or spin)");
+            std::process::abort();
+        })
+    };
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (fs, path) = (sys.fs.clone(), paths[t % paths.len()].clone());
+            scope.spawn(move || {
+                let fd = fs.open(&path, OpenFlags::RDWR).unwrap();
+                let blk = nvmm::BLOCK_SIZE as u64;
+                for i in 0..60u64 {
+                    let data = vec![(t as u64 * 60 + i) as u8 | 1; 40 * nvmm::BLOCK_SIZE];
+                    fs.write(fd, (i * 5 % 20) * blk + 64 * t as u64, &data)
+                        .unwrap();
+                    match i % 11 {
+                        3 | 8 => fs.fsync(fd).unwrap(),
+                        10 => fs.truncate(fd, 0).unwrap(),
+                        _ => {}
+                    }
+                }
+                fs.close(fd).unwrap();
+            });
+        }
+    });
+    done.store(true, Ordering::Relaxed);
+    watchdog.join().unwrap();
+    let hinfs = sys.hinfs.as_ref().unwrap();
+    assert!(hinfs.stats().snapshot().foreground_stalls > 0);
+    // Unmount joins the writeback threads: nothing moves any more.
+    sys.fs.unmount().unwrap();
+    let b = sys.introspect.as_ref().unwrap().snapshot().buffer.unwrap();
+    assert_eq!(b.capacity_blocks, 64);
+    let held: u64 = b.shard_occupied_blocks.iter().sum();
+    assert_eq!(held + b.free_blocks, b.capacity_blocks, "{b:?}");
+    assert!(b.shard_occupied_blocks[3..].iter().all(|&h| h == 0));
+    let rep = sys.introspect.as_ref().unwrap().audit();
+    assert!(rep.is_clean(), "post-run audit: {rep:?}");
+    assert_eq!(sys.obs.as_ref().unwrap().audit_violations(), 0);
 }
 
 /// Records the persistence-boundary schedule of a four-thread HiNFS run

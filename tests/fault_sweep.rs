@@ -543,6 +543,125 @@ fn a_create_refused_the_parents_undo_image_is_clean_on_both_stacks() {
     }
 }
 
+/// `tests/repro/truncate_journal_full.repro`: the ring refuses one of the
+/// script's truncates after `admit` requests. The second request of a
+/// truncate used to be the core's undo image, asked for after the cut: a
+/// refusal there left the in-memory inode truncated over an un-truncated
+/// core.
+#[test]
+fn a_truncate_the_journal_refuses_changes_nothing_on_both_stacks() {
+    let r = load_repro("truncate_journal_full");
+    let content = |fs: &dyn FileSystem| {
+        let fd = fs.open("/f0", OpenFlags::READ).unwrap();
+        let mut buf = vec![0u8; fs.fstat(fd).unwrap().size as usize];
+        assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), buf.len());
+        fs.close(fd).unwrap();
+        buf
+    };
+    for kind in [FsKind::Pmfs, FsKind::Hinfs] {
+        for (victim, op) in r.script.ops.iter().enumerate() {
+            let Op::Truncate { size, .. } = *op else {
+                continue;
+            };
+            let mut refused = 0;
+            for admit in 0..4 {
+                let what = format!("{} op {victim} admit {admit}", kind.label());
+                let (dev, fs, pmfs) = small_mount(kind);
+                let plan = FaultPlan::new();
+                dev.fault_hook().install(plan.clone());
+                let mut oracle = Oracle::new(kind);
+                for op in &r.script.ops[..victim] {
+                    oracle.apply(op, &exec_op(&*fs, dev.env(), op));
+                }
+                let before = content(&*fs);
+                plan.fail_journal_after(admit);
+                let res = exec_op(&*fs, dev.env(), op);
+                plan.set_journal_unavailable(false);
+                let after = content(&*fs);
+                match res {
+                    Ok(()) => assert_eq!(after.len() as u64, size, "{what}"),
+                    Err(e) => {
+                        refused += 1;
+                        assert_eq!(e, FsError::JournalFull, "{what}");
+                        assert!(after == before, "{what}: the file changed");
+                    }
+                }
+                assert_eq!(pmfs.journal().open_txs(), 0, "{what}");
+                let rep = pmfs.audit();
+                assert!(rep.is_clean(), "{what}: {}", rep.to_json());
+                oracle.apply(op, &res);
+                for op in &r.script.ops[victim + 1..] {
+                    oracle.apply(op, &exec_op(&*fs, dev.env(), op));
+                }
+                dev.fault_hook().clear();
+                drop((fs, pmfs));
+                dev.crash();
+                let fs2 = Pmfs::mount(dev).unwrap();
+                assert!(fs2.audit().is_clean(), "{what}");
+                let rep = oracle.check(&*fs2);
+                assert!(rep.violations.is_empty(), "{what}: {:#?}", rep.violations);
+            }
+            // `begin` is the request a refusal can still come from, and
+            // with it admitted the truncate goes through.
+            assert!((1..4).contains(&refused), "{} op {victim}", kind.label());
+        }
+    }
+}
+
+/// The budget drill (`tests/repro/foreign_shard_stall.repro`) on an
+/// 8-block HiNFS buffer: under a writeback stall the writer of the empty
+/// shard takes its first victim from the full one.
+#[test]
+fn a_stalled_writer_evicts_from_a_foreign_shard_under_every_crash() {
+    let r = load_repro("foreign_shard_stall");
+    let tiny = 8 * nvmm::BLOCK_SIZE;
+    // A drill that never takes the path is no drill.
+    let dev = NvmmDevice::new_tracked(SimEnv::new_virtual(CostModel::default()), 8 << 20);
+    let popts = PmfsOptions {
+        journal_blocks: 64,
+        inode_count: 128,
+    };
+    let cfg = HinfsConfig::default().with_buffer_bytes(tiny);
+    let fs = Hinfs::mkfs(dev.clone(), popts, cfg).unwrap();
+    let plan = FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    plan.set_stall_writeback(true);
+    for op in &r.script.ops {
+        exec_op(&*fs, dev.env(), op).unwrap();
+        if matches!(op, Op::Write { file: 1, .. }) {
+            let held = fs.snapshot().buffer.unwrap().shard_occupied_blocks;
+            assert_eq!(held.iter().sum::<u64>(), 8, "the budget is out");
+            assert_eq!(held.iter().max(), Some(&7), "f0's shard gave one up");
+        }
+    }
+    assert_eq!(fs.stats().snapshot().foreground_stalls, 4);
+    assert!(fs.audit().is_clean());
+    dev.fault_hook().clear();
+
+    let h = Harness::new().with_hinfs_buffer(tiny);
+    let window = 0..r.script.ops.len();
+    let out = h.fault_run(
+        FsKind::Hinfs,
+        &r.script,
+        InjectedFault::WritebackStall,
+        window,
+    );
+    assert!(out.violations.is_empty(), "{:#?}", out.violations);
+    assert_eq!(
+        r.replay(&h),
+        Vec::<String>::new(),
+        "lockstep with the model"
+    );
+    let every = SweepConfig {
+        max_points: usize::MAX,
+        torn_every: 3,
+        ..sweep_cfg()
+    };
+    let out = h.sweep(FsKind::Hinfs, &r.script, every);
+    assert!(out.violations.is_empty(), "{:#?}", out.violations);
+    assert!(out.runs > 100, "every boundary: {}", out.runs);
+}
+
 #[test]
 fn harness_counters_flow_into_obsv() {
     let h = Harness::new();
