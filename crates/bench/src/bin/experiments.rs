@@ -1,48 +1,43 @@
 //! Regenerates the paper's evaluation figures.
 //!
 //! ```text
-//! experiments [--fig N]... [--quick] [--md PATH] [--bench-json PATH]
+//! experiments [--fig N]... [--quick] [--md PATH]
 //! ```
 //!
 //! Without `--fig`, every experiment runs (Figs 1, 2, 6–13; the
 //! span-recomputed variants are `--fig 101` and `--fig 112`). `--quick`
 //! uses the smoke-test scale; `--md PATH` appends markdown tables to a
-//! file (used to produce `EXPERIMENTS.md`); `--bench-json PATH` runs the
-//! headline grid with spans + timing enabled and writes the
-//! machine-readable BENCH document (see `scripts/bench_check.sh`).
+//! file (used to produce `EXPERIMENTS.md`).
 
 use std::io::Write as _;
 
-use hinfs_bench::{benchjson, figs, Scale};
+use hinfs_bench::{figs, Scale};
+
+fn usage() -> ! {
+    eprintln!("usage: experiments [--fig N]... [--quick] [--md PATH]");
+    std::process::exit(2);
+}
 
 fn main() {
     let mut figs_wanted: Vec<u32> = Vec::new();
     let mut quick = false;
     let mut md_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--fig" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--fig needs a number");
-                figs_wanted.push(n);
-            }
+            "--fig" => match args.next().and_then(|s| s.parse().ok()) {
+                Some(n) => figs_wanted.push(n),
+                None => usage(),
+            },
             "--quick" => quick = true,
-            "--md" => md_path = args.next(),
-            "--bench-json" => json_path = args.next(),
+            "--md" => md_path = Some(args.next().unwrap_or_else(|| usage())),
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: experiments [--fig N]... [--quick] [--md PATH] [--bench-json PATH]"
-                );
-                std::process::exit(2);
+                usage();
             }
         }
     }
-    if figs_wanted.is_empty() && json_path.is_none() {
+    if figs_wanted.is_empty() {
         figs_wanted = figs::ALL_FIGS.to_vec();
     }
     let scale = if quick {
@@ -50,9 +45,7 @@ fn main() {
     } else {
         Scale::default()
     };
-    let scale_name = if quick { "quick" } else { "default" };
     let mut md = String::new();
-    let mut tables = Vec::new();
     for n in figs_wanted {
         let Some(table) = figs::fig(n, &scale) else {
             eprintln!("figure {n} has no experiment (figures 3-5 are architecture diagrams)");
@@ -60,7 +53,6 @@ fn main() {
         };
         println!("{}", table.render_text());
         md.push_str(&table.render_markdown());
-        tables.push(table);
     }
     if let Some(path) = md_path {
         let mut f = std::fs::OpenOptions::new()
@@ -70,10 +62,5 @@ fn main() {
             .expect("open markdown output");
         f.write_all(md.as_bytes()).expect("write markdown");
         eprintln!("appended markdown tables to {path}");
-    }
-    if let Some(path) = json_path {
-        let doc = benchjson::emit(&scale, scale_name, &tables);
-        std::fs::write(&path, doc).expect("write bench json");
-        eprintln!("wrote bench document to {path}");
     }
 }

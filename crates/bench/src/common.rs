@@ -222,27 +222,18 @@ mod tests {
     #[test]
     fn quick_filebench_on_two_systems() {
         let scale = Scale::quick();
-        let r_pmfs = filebench_once(
-            SystemKind::Pmfs,
-            Personality::Fileserver,
-            1,
-            &scale,
-            CostModel::default(),
-        );
-        let r_hinfs = filebench_once(
-            SystemKind::Hinfs,
-            Personality::Fileserver,
-            1,
-            &scale,
-            CostModel::default(),
-        );
-        assert!(r_pmfs.metrics.steps > 0);
-        assert!(r_hinfs.metrics.steps > 0);
-        assert!(
-            r_hinfs.throughput() > r_pmfs.throughput(),
-            "HiNFS beats PMFS on fileserver ({:.0} vs {:.0} ops/s)",
-            r_hinfs.throughput(),
-            r_pmfs.throughput()
-        );
+        for p in [Personality::Fileserver, Personality::Webproxy] {
+            let run = |kind| filebench_once(kind, p, 1, &scale, CostModel::default());
+            let (r_pmfs, r_hinfs) = (run(SystemKind::Pmfs), run(SystemKind::Hinfs));
+            assert!(r_pmfs.metrics.steps > 0);
+            assert!(r_hinfs.metrics.steps > 0);
+            assert!(
+                r_hinfs.throughput() > r_pmfs.throughput(),
+                "HiNFS beats PMFS on {} ({:.0} vs {:.0} ops/s)",
+                p.label(),
+                r_hinfs.throughput(),
+                r_pmfs.throughput()
+            );
+        }
     }
 }

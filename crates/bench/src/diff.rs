@@ -1,614 +1,433 @@
-//! Bench-regression attribution: diff two `BENCH_*.json` documents and
-//! decompose a Δops_per_s or Δp99 into ranked span-phase, lock-site and
-//! fence-count deltas — a machine-generated "blame table" instead of a
-//! bare pass/fail gate.
+//! The regression gate and blame table over two `benchmark/run.sh --out`
+//! files, whose rows read `workload⇥metric⇥clock⇥value`.
 //!
-//! The parser reads only the flat one-key-per-line families the emitter
-//! guarantees (`headline::`, `tail::`, `span::`, `lock::`, `fence::`,
-//! and, since schema v4, `waf::` and `lag::`), so it needs no JSON
-//! library and tolerates any schema's nested sections. An older baseline
-//! (a v2 doc without `tail::`/`span::` keys, or a v3 doc without
-//! `waf::`/`lag::` keys) still diffs cleanly: headline deltas always
-//! print, and each missing family is reported as a note instead of a
-//! blame ranking.
+//! Only `modelled` rows are read: they repeat exactly at one seed, so any
+//! difference is a change of behaviour, not noise. `host` rows are skipped.
 //!
-//! Output is stable and greppable: human-readable `bench_diff:` lines
-//! plus `blame::<cell>::<family> <rank> <name> <delta>` lines, ranked
-//! largest mover first, so the same table explains a regression and a
-//! gain — `verify.sh` plants a synthetic span-phase regression and
-//! asserts the blame table names it at rank 1.
+//! - **Gate.** A workload's end-to-end metric fails when it is worse than
+//!   the baseline by more than its bound (direction and bound come from
+//!   `BENCHMARK.json`, the pipeline's own rule), as does a baseline row the
+//!   candidate lacks and an `ops_failed.*` count that grew.
+//! - **Blame.** Per workload, the per-layer rows ranked by relative change,
+//!   largest mover first. Totals are divided by each side's
+//!   `workloads.steps`; ratios, percentiles, `*_end` gauges and `probe.*`
+//!   values are compared as they are.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// The flat key families the diff understands.
-const FAMILIES: [&str; 7] = [
-    "headline::",
-    "tail::",
-    "span::",
-    "lock::",
-    "fence::",
-    "waf::",
-    "lag::",
-];
+/// The benchmark manifest: the one source of directions and bounds.
+pub const MANIFEST: &str = include_str!("../../../BENCHMARK.json");
 
-/// Span/lock deltas below this many ns per op are noise, not blame.
-const MIN_NS_PER_OP: f64 = 0.05;
-
-/// Blame rows printed per family per cell.
+/// Blame rows printed per workload.
 const TOP_BLAME: usize = 5;
 
-/// A parsed flat-key document: key → numeric value, plus the scale's
-/// thread count (for labeling) and total ops per cell (for per-op
-/// normalization).
-#[derive(Debug, Default)]
-pub struct FlatDoc {
-    /// Every `<family>::…` key with its numeric value.
-    pub keys: BTreeMap<String, f64>,
-    /// `schema_version`, when present.
-    pub schema: Option<u32>,
-}
-
-impl FlatDoc {
-    /// Parses the flat key families out of a BENCH document. Lines that
-    /// are not `"key": number[,]` with a known family prefix are
-    /// ignored, so nested sections never confuse the diff.
-    pub fn parse(doc: &str) -> FlatDoc {
-        let mut out = FlatDoc::default();
-        for line in doc.lines() {
-            let t = line.trim();
-            if let Some(rest) = t.strip_prefix("\"schema_version\": ") {
-                out.schema = rest.trim_end_matches(',').trim().parse().ok();
-                continue;
-            }
-            let Some(rest) = t.strip_prefix('"') else {
-                continue;
-            };
-            let Some((key, val)) = rest.split_once("\": ") else {
-                continue;
-            };
-            if !FAMILIES.iter().any(|f| key.starts_with(f)) {
-                continue;
-            }
-            if let Ok(v) = val.trim_end_matches(',').trim().parse::<f64>() {
-                out.keys.insert(key.to_string(), v);
-            }
-        }
-        out
-    }
-
-    fn get(&self, key: &str) -> Option<f64> {
-        self.keys.get(key).copied()
-    }
-
-    /// The headline cells (`<workload>::<system>`) present in the doc.
-    fn cells(&self) -> Vec<String> {
-        self.keys
-            .keys()
-            .filter_map(|k| {
-                let rest = k.strip_prefix("headline::")?;
-                let cell = rest.strip_suffix("::ops_per_s")?;
-                // A cell is `<workload>::<system>`; anything deeper is a
-                // sweep key like `<cell>::threads=8`.
-                if cell.matches("::").count() != 1 {
-                    return None;
-                }
-                Some(cell.to_string())
-            })
-            .collect()
-    }
-
-    /// Whether the doc carries any key of `family` for `cell`.
-    fn has_family(&self, family: &str, cell: &str) -> bool {
-        let prefix = format!("{family}{cell}::");
-        self.keys.keys().any(|k| k.starts_with(&prefix))
-    }
-
-    /// `(name, value)` pairs of `<family><cell>::…<suffix>` keys, with
-    /// the name being the middle segment (e.g. the `phase=` or `site=`
-    /// value).
-    fn family_values(&self, family: &str, cell: &str, suffix: &str) -> Vec<(String, f64)> {
-        let prefix = format!("{family}{cell}::");
-        self.keys
-            .iter()
-            .filter_map(|(k, &v)| {
-                let mid = k.strip_prefix(&prefix)?.strip_suffix(suffix)?;
-                let name = mid
-                    .split_once('=')
-                    .map(|(_, n)| n)
-                    .unwrap_or(mid)
-                    .to_string();
-                Some((name, v))
-            })
-            .collect()
-    }
-}
-
-/// One ranked blame entry: a named component's per-op (or per-exemplar)
-/// delta between baseline and candidate.
+/// One metric the manifest declares.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Blame {
-    /// Phase or site name.
-    pub name: String,
-    /// Candidate minus baseline, normalized ns (per op or per exemplar).
-    pub delta: f64,
-    /// Baseline normalized value.
-    pub base: f64,
+pub(crate) struct Metric {
+    name: String,
+    unit: String,
+    higher_is_better: bool,
+    /// Share of the baseline by which an end-to-end metric may worsen;
+    /// per-layer metrics carry none.
+    bound: Option<f64>,
 }
 
-fn pct(base: f64, cand: f64) -> String {
-    if base == 0.0 {
-        return "n/a".to_string();
+/// The workloads and metrics of `BENCHMARK.json`.
+#[derive(Debug, Default)]
+pub struct Manifest {
+    workloads: Vec<String>,
+    end_to_end: Vec<Metric>,
+    per_layer: Vec<Metric>,
+}
+
+/// The value of `"key": …` on one manifest line, unquoted.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let tag = format!("\"{key}\": ");
+    let rest = &line[line.find(&tag)? + tag.len()..];
+    match rest.strip_prefix('"') {
+        Some(quoted) => quoted.split('"').next(),
+        None => rest.split([',', '}']).next(),
     }
-    format!("{:+.2}%", (cand - base) / base * 100.0)
 }
 
-/// Joins baseline and candidate `(name, value)` lists into per-name
-/// deltas, ranked largest change (up or down) first.
-fn rank_deltas(
-    base: &[(String, f64)],
-    cand: &[(String, f64)],
-    base_norm: f64,
-    cand_norm: f64,
-) -> Vec<Blame> {
-    let mut names: Vec<&String> = base.iter().chain(cand.iter()).map(|(n, _)| n).collect();
-    names.sort();
-    names.dedup();
-    let lookup = |set: &[(String, f64)], name: &str| -> f64 {
-        set.iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0.0)
+impl Manifest {
+    /// Reads the generated manifest line by line: each entry of its
+    /// `workloads`, `end_to_end` and `per_layer` lists sits on one line.
+    pub fn parse(json: &str) -> Manifest {
+        let mut m = Manifest::default();
+        let mut section = "";
+        for line in json.lines() {
+            if let Some(key) = line.trim().strip_suffix(": [") {
+                section = key.trim_matches('"');
+                continue;
+            }
+            let Some(name) = field(line, "name") else {
+                continue;
+            };
+            let metric = || Metric {
+                name: name.to_string(),
+                unit: field(line, "unit").unwrap_or_default().to_string(),
+                higher_is_better: field(line, "better") == Some("higher"),
+                bound: field(line, "bound").and_then(|b| b.trim().parse().ok()),
+            };
+            match section {
+                "workloads" => m.workloads.push(name.to_string()),
+                "end_to_end" => m.end_to_end.push(metric()),
+                "per_layer" => m.per_layer.push(metric()),
+                _ => {}
+            }
+        }
+        m
+    }
+}
+
+/// The modelled rows of a `--out` file: (workload, metric) → value.
+pub type Rows = BTreeMap<(String, String), f64>;
+
+/// Parses a `--out` file, keeping its `modelled` rows.
+pub fn parse_rows(tsv: &str) -> Result<Rows, String> {
+    let mut rows = Rows::new();
+    for (i, line) in tsv.lines().enumerate() {
+        let bad = |why: String| format!("line {}: {why}: {line}", i + 1);
+        let [workload, metric, clock, value] = line.split('\t').collect::<Vec<_>>()[..] else {
+            return Err(bad("not workload⇥metric⇥clock⇥value".into()));
+        };
+        match clock {
+            "host" => continue,
+            "modelled" => {}
+            other => return Err(bad(format!("unknown clock {other}"))),
+        }
+        let v = value.parse().map_err(|e| bad(format!("{e}")))?;
+        rows.insert((workload.to_string(), metric.to_string()), v);
+    }
+    Ok(rows)
+}
+
+/// `(cand - base) / |base|`; a move away from 0 is infinite.
+fn change(base: f64, cand: f64) -> f64 {
+    if base != 0.0 {
+        (cand - base) / base.abs()
+    } else if cand == base {
+        0.0
+    } else {
+        f64::INFINITY.copysign(cand)
+    }
+}
+
+/// Whether blame compares a per-layer metric as it is rather than per step.
+fn compared_as_is(m: &Metric) -> bool {
+    let last = m.name.rsplit('.').next().unwrap_or_default();
+    let percentile = last.starts_with('p') && last[1..].starts_with(|c: char| c.is_ascii_digit());
+    m.unit == "ratio"
+        || percentile
+        || last.ends_with("_end")
+        || m.name.starts_with("probe.")
+        || m.name == "workloads.steps"
+}
+
+/// One workload's per-layer movers, largest relative change first:
+/// `(metric, Δ, relative change)`.
+fn blame(manifest: &Manifest, base: &Rows, cand: &Rows, workload: &str) -> Vec<(String, f64, f64)> {
+    let get = |rows: &Rows, metric: &str| {
+        rows.get(&(workload.to_string(), metric.to_string()))
+            .copied()
     };
-    let mut out: Vec<Blame> = names
-        .into_iter()
-        .map(|name| {
-            let b = lookup(base, name) / base_norm.max(1.0);
-            let c = lookup(cand, name) / cand_norm.max(1.0);
-            Blame {
-                name: name.clone(),
-                delta: c - b,
-                base: b,
+    let steps = |rows: &Rows| get(rows, "workloads.steps").unwrap_or(0.0).max(1.0);
+    let mut movers: Vec<(String, f64, f64)> = manifest
+        .per_layer
+        .iter()
+        .filter_map(|m| {
+            let (mut b, mut c) = (get(base, &m.name)?, get(cand, &m.name)?);
+            if !compared_as_is(m) {
+                (b, c) = (b / steps(base), c / steps(cand));
             }
+            (b != c).then(|| (m.name.clone(), c - b, change(b, c)))
         })
-        .filter(|b| b.delta.abs() >= MIN_NS_PER_OP)
         .collect();
-    out.sort_by(|a, b| {
-        b.delta
-            .abs()
-            .total_cmp(&a.delta.abs())
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    out
+    movers.sort_by(|x, y| y.2.abs().total_cmp(&x.2.abs()).then_with(|| x.0.cmp(&y.0)));
+    movers
 }
 
-fn push_blame_family(out: &mut String, cell: &str, family: &str, unit: &str, ranked: &[Blame]) {
-    for (i, b) in ranked.iter().take(TOP_BLAME).enumerate() {
+/// What [`diff`] found: the report to print and how many gate checks
+/// failed.
+#[derive(Debug)]
+pub struct Report {
+    pub text: String,
+    pub failures: usize,
+}
+
+/// Gates `cand` against `base` and ranks the per-layer movers.
+pub fn diff(manifest: &Manifest, base: &Rows, cand: &Rows) -> Report {
+    let mut text = String::new();
+    let mut failures = 0;
+    let mut changed = 0;
+    for ((workload, metric), &b) in base {
+        let Some(&c) = cand.get(&(workload.clone(), metric.clone())) else {
+            failures += 1;
+            let _ = writeln!(text, "FAIL {workload} {metric}: missing from the candidate");
+            continue;
+        };
+        changed += usize::from(b != c);
+        if metric.starts_with("ops_failed.") {
+            if c > b {
+                failures += 1;
+                let _ = writeln!(text, "FAIL {workload} {metric}: {b} -> {c}");
+            }
+            continue;
+        }
+        let Some(m) = manifest.end_to_end.iter().find(|m| m.name == *metric) else {
+            continue;
+        };
+        if b == c {
+            continue;
+        }
+        let bound = m.bound.unwrap_or(0.0);
+        let rel = change(b, c);
+        let worse = if m.higher_is_better { -rel } else { rel };
+        let verdict = if worse > bound { "FAIL" } else { "ok  " };
+        failures += usize::from(worse > bound);
         let _ = writeln!(
-            out,
-            "blame::{cell}::{family} {} {} {:+.1} {unit} ({})",
-            i + 1,
-            b.name,
-            b.delta,
-            pct(b.base, b.base + b.delta)
+            text,
+            "{verdict} {workload} {metric}: {b} -> {c} ({:+.2}%, bound {:.0}%)",
+            rel * 100.0,
+            bound * 100.0
         );
     }
-}
-
-/// Renders the full diff of two parsed documents. Pure string-in /
-/// string-out so the negative test in `verify.sh` (and the unit tests
-/// here) can assert on exact blame lines.
-pub fn render_diff(base: &FlatDoc, cand: &FlatDoc, base_name: &str, cand_name: &str) -> String {
-    let mut out = String::new();
+    let mut workloads: Vec<&String> = base.keys().map(|(w, _)| w).collect();
+    workloads.dedup();
+    for w in workloads {
+        for (rank, (metric, delta, rel)) in blame(manifest, base, cand, w)
+            .iter()
+            .take(TOP_BLAME)
+            .enumerate()
+        {
+            let _ = writeln!(
+                text,
+                "blame::{w} {} {metric} {delta:+.3} ({:+.2}%)",
+                rank + 1,
+                rel * 100.0
+            );
+        }
+    }
     let _ = writeln!(
-        out,
-        "bench_diff: baseline {base_name} (schema {}) vs candidate {cand_name} (schema {})",
-        base.schema.map_or("?".into(), |v| v.to_string()),
-        cand.schema.map_or("?".into(), |v| v.to_string()),
+        text,
+        "bench_diff: {} baseline rows, {changed} changed: {}",
+        base.len(),
+        match failures {
+            0 => "OK".to_string(),
+            n => format!("FAILED on {n}"),
+        }
     );
-    let mut cells = base.cells();
-    cells.retain(|c| cand.cells().contains(c));
-    if cells.is_empty() {
-        let _ = writeln!(
-            out,
-            "bench_diff: no common headline cells — nothing to diff"
-        );
-        return out;
-    }
-    for cell in &cells {
-        let _ = writeln!(out, "bench_diff: cell {cell}");
-        let b_ops = base
-            .get(&format!("headline::{cell}::ops_per_s"))
-            .unwrap_or(0.0);
-        let c_ops = cand
-            .get(&format!("headline::{cell}::ops_per_s"))
-            .unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "bench_diff:   ops_per_s {b_ops:.1} -> {c_ops:.1} ({})",
-            pct(b_ops, c_ops)
-        );
-        let b_total = base
-            .get(&format!("headline::{cell}::total_ops"))
-            .unwrap_or(0.0);
-        let c_total = cand
-            .get(&format!("headline::{cell}::total_ops"))
-            .unwrap_or(0.0);
-        // p99: prefer the schema-v3 tail key, fall back to the slowest
-        // sweep point's p99 present in both docs.
-        let p99_key = format!("tail::{cell}::p99::ns");
-        match (base.get(&p99_key), cand.get(&p99_key)) {
-            (Some(b), Some(c)) => {
-                let _ = writeln!(out, "bench_diff:   p99_ns {b:.0} -> {c:.0} ({})", pct(b, c));
-            }
-            _ => {
-                let _ = writeln!(
-                    out,
-                    "bench_diff:   note {cell}: no tail::p99 key in both docs (schema < 3 side); p99 delta from headline sweep only"
-                );
-            }
-        }
-
-        // Span-phase blame, normalized to ns per op.
-        if base.has_family("span::", cell) && cand.has_family("span::", cell) {
-            let ranked = rank_deltas(
-                &base.family_values("span::", cell, "::ns"),
-                &cand.family_values("span::", cell, "::ns"),
-                b_total,
-                c_total,
-            );
-            push_blame_family(&mut out, cell, "span", "ns/op", &ranked);
-        } else {
-            let _ = writeln!(
-                out,
-                "bench_diff:   note {cell}: span:: keys missing on one side; span blame skipped"
-            );
-        }
-
-        // Lock-site blame, normalized to wait ns per op.
-        if base.has_family("lock::", cell) && cand.has_family("lock::", cell) {
-            let ranked = rank_deltas(
-                &base.family_values("lock::", cell, "::wait_ns"),
-                &cand.family_values("lock::", cell, "::wait_ns"),
-                b_total,
-                c_total,
-            );
-            push_blame_family(&mut out, cell, "lock", "wait-ns/op", &ranked);
-        } else {
-            let _ = writeln!(
-                out,
-                "bench_diff:   note {cell}: lock:: keys missing on one side; lock blame skipped"
-            );
-        }
-
-        // Fence-count delta, per op.
-        let fence_key = format!("fence::{cell}::count");
-        match (base.get(&fence_key), cand.get(&fence_key)) {
-            (Some(b), Some(c)) => {
-                let b = b / b_total.max(1.0);
-                let c = c / c_total.max(1.0);
-                let _ = writeln!(
-                    out,
-                    "blame::{cell}::fence {:+.3} fences/op ({})",
-                    c - b,
-                    pct(b, c)
-                );
-            }
-            _ => {
-                let _ = writeln!(
-                    out,
-                    "bench_diff:   note {cell}: fence:: keys missing on one side; fence delta skipped"
-                );
-            }
-        }
-
-        // Write-amplification blame: per-layer bytes normalized to bytes
-        // per logical KiB, so a candidate that moves more journal or
-        // writeback traffic per unit of useful work is named by layer.
-        if base.has_family("waf::", cell) && cand.has_family("waf::", cell) {
-            let b_kib = base
-                .get(&format!("waf::{cell}::logical::bytes"))
-                .unwrap_or(0.0)
-                / 1024.0;
-            let c_kib = cand
-                .get(&format!("waf::{cell}::logical::bytes"))
-                .unwrap_or(0.0)
-                / 1024.0;
-            let ranked = rank_deltas(
-                &base.family_values("waf::", cell, "::bytes"),
-                &cand.family_values("waf::", cell, "::bytes"),
-                b_kib,
-                c_kib,
-            );
-            push_blame_family(&mut out, cell, "waf", "b/logical-kib", &ranked);
-            let fpk_key = format!("waf::{cell}::fences_per_kib");
-            if let (Some(b), Some(c)) = (base.get(&fpk_key), cand.get(&fpk_key)) {
-                if b != c {
-                    let _ = writeln!(
-                        out,
-                        "blame::{cell}::waf_fences {:+.3} fences/kib ({})",
-                        c - b,
-                        pct(b, c)
-                    );
-                }
-            }
-        } else {
-            let _ = writeln!(
-                out,
-                "bench_diff:   note {cell}: waf:: keys missing on one side (schema < 4 side); waf blame skipped"
-            );
-        }
-
-        // Durability-lag blame: the p50/p99/max quantile deltas in
-        // absolute ns, largest change first.
-        if base.has_family("lag::", cell) && cand.has_family("lag::", cell) {
-            let ranked = rank_deltas(
-                &base.family_values("lag::", cell, "_ns"),
-                &cand.family_values("lag::", cell, "_ns"),
-                1.0,
-                1.0,
-            );
-            push_blame_family(&mut out, cell, "lag", "ns", &ranked);
-        } else {
-            let _ = writeln!(
-                out,
-                "bench_diff:   note {cell}: lag:: keys missing on one side (schema < 4 side); lag blame skipped"
-            );
-        }
-
-        // Tail-anatomy blame: Δp99 decomposed into per-exemplar phase
-        // averages of the p99 cohort.
-        if base.has_family("tail::", cell) && cand.has_family("tail::", cell) {
-            let tcell = format!("{cell}::p99");
-            let b_n = base.get(&format!("tail::{tcell}::count")).unwrap_or(0.0);
-            let c_n = cand.get(&format!("tail::{tcell}::count")).unwrap_or(0.0);
-            let ranked = rank_deltas(
-                &base.family_values("tail::", &tcell, "::ns"),
-                &cand.family_values("tail::", &tcell, "::ns"),
-                b_n,
-                c_n,
-            );
-            // family_values over "::ns" also captures the quantile key
-            // itself (`tail::<cell>::p99::ns`, name "p99::ns" → "ns")
-            // and wait keys; keep only phase names.
-            let phase_only: Vec<Blame> = ranked
-                .into_iter()
-                .filter(|b| {
-                    base.get(&format!("tail::{tcell}::phase={}::ns", b.name))
-                        .is_some()
-                        || cand
-                            .get(&format!("tail::{tcell}::phase={}::ns", b.name))
-                            .is_some()
-                })
-                .collect();
-            push_blame_family(&mut out, cell, "tail_p99", "ns/exemplar", &phase_only);
-        } else {
-            let _ = writeln!(
-                out,
-                "bench_diff:   note {cell}: tail:: keys missing on one side; tail blame skipped"
-            );
-        }
-    }
-    let _ = writeln!(out, "bench_diff: done ({} cells)", cells.len());
-    out
-}
-
-/// Diffs two documents by content; the names label the report only.
-pub fn diff_docs(base_doc: &str, cand_doc: &str, base_name: &str, cand_name: &str) -> String {
-    render_diff(
-        &FlatDoc::parse(base_doc),
-        &FlatDoc::parse(cand_doc),
-        base_name,
-        cand_name,
-    )
+    Report { text, failures }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(extra: &str) -> String {
-        format!(
-            "{{\n  \"schema_version\": 4,\n  \
-             \"headline::fileserver::hinfs::ops_per_s\": 1000.000,\n  \
-             \"headline::fileserver::hinfs::total_ops\": 2000,\n  \
-             \"tail::fileserver::hinfs::p99::ns\": 5000,\n  \
-             \"tail::fileserver::hinfs::p99::count\": 10,\n  \
-             \"tail::fileserver::hinfs::p99::phase=journal::ns\": 20000,\n  \
-             \"tail::fileserver::hinfs::p99::phase=persist::ns\": 10000,\n  \
-             \"span::fileserver::hinfs::phase=journal::ns\": 100000,\n  \
-             \"span::fileserver::hinfs::phase=persist::ns\": 300000,\n  \
-             \"lock::fileserver::hinfs::site=pmfs.journal::wait_ns\": 50000,\n  \
-             \"fence::fileserver::hinfs::count\": 4000,\n  \
-             \"waf::fileserver::hinfs::logical::bytes\": 1048576,\n  \
-             \"waf::fileserver::hinfs::journal_logged::bytes\": 262144,\n  \
-             \"waf::fileserver::hinfs::nvmm_persisted::bytes\": 2097152,\n  \
-             \"waf::fileserver::hinfs::fences_per_kib\": 1.204,\n  \
-             \"lag::fileserver::hinfs::count\": 500,\n  \
-             \"lag::fileserver::hinfs::p50_ns\": 0,\n  \
-             \"lag::fileserver::hinfs::p99_ns\": 40000,\n  \
-             \"lag::fileserver::hinfs::max_ns\": 90000,\n{extra}  \
-             \"end\": 0\n}}\n"
-        )
+    /// The committed baseline: the modelled rows of the repo benchmark.
+    const BENCH: &str = include_str!("../../../BENCH.tsv");
+
+    const W: &str = "fileserver-pressure";
+
+    fn manifest() -> Manifest {
+        Manifest::parse(MANIFEST)
     }
 
-    #[test]
-    fn parses_flat_families_only() {
-        let d = FlatDoc::parse(&doc(""));
-        assert_eq!(d.schema, Some(4));
-        assert_eq!(d.cells(), vec!["fileserver::hinfs".to_string()]);
-        assert_eq!(
-            d.get("span::fileserver::hinfs::phase=journal::ns"),
-            Some(100000.0)
-        );
-        assert!(d.get("end").is_none(), "unknown families are ignored");
+    fn baseline() -> Rows {
+        parse_rows(BENCH).expect("BENCH.tsv parses")
     }
 
-    #[test]
-    fn planted_span_regression_is_blamed_first() {
-        let base = doc("");
-        // Journal span grows 10x while everything else is unchanged: the
-        // span blame table must put journal at rank 1.
-        let cand = base.replace(
-            "\"span::fileserver::hinfs::phase=journal::ns\": 100000,",
-            "\"span::fileserver::hinfs::phase=journal::ns\": 1000000,",
-        );
-        let report = diff_docs(&base, &cand, "a", "b");
-        let rank1 = report
+    /// The baseline with one `fileserver-pressure` row rewritten.
+    fn planted(metric: &str, f: impl Fn(f64) -> f64) -> Rows {
+        let mut rows = baseline();
+        let v = rows
+            .get_mut(&(W.to_string(), metric.to_string()))
+            .expect(metric);
+        *v = f(*v);
+        rows
+    }
+
+    fn run(cand: &Rows) -> Report {
+        diff(&manifest(), &baseline(), cand)
+    }
+
+    fn rank1(report: &Report) -> &str {
+        let prefix = format!("blame::{W} 1 ");
+        report
+            .text
             .lines()
-            .find(|l| l.starts_with("blame::fileserver::hinfs::span 1 "))
-            .expect("span blame rank 1 line");
-        assert!(
-            rank1.starts_with("blame::fileserver::hinfs::span 1 journal "),
-            "wrong blame: {rank1}"
-        );
-        // Delta is (1000000-100000)/2000 = +450 ns/op.
-        assert!(rank1.contains("+450.0 ns/op"), "wrong delta: {rank1}");
+            .find(|l| l.starts_with(&prefix))
+            .unwrap_or_else(|| panic!("no rank-1 blame:\n{}", report.text))
     }
 
     #[test]
-    fn schema_v2_baseline_degrades_to_notes_not_errors() {
-        // A v2 baseline has headline keys only.
-        let base = "{\n  \"schema_version\": 2,\n  \
-                    \"headline::fileserver::hinfs::ops_per_s\": 900.000,\n  \
-                    \"headline::fileserver::hinfs::total_ops\": 1800,\n}\n";
-        let report = diff_docs(base, &doc(""), "pr7", "pr9");
-        assert!(report.contains("bench_diff: cell fileserver::hinfs"));
-        assert!(report.contains("ops_per_s 900.0 -> 1000.0"));
-        assert!(report.contains("span blame skipped"));
-        assert!(report.contains("lock blame skipped"));
-        assert!(report.contains("bench_diff: done (1 cells)"));
-        assert!(
-            !report.lines().any(|l| l.starts_with("blame::")),
-            "no blame lines without both sides:\n{report}"
-        );
+    fn manifest_reader_yields_the_eight_end_to_end_metrics() {
+        let got: Vec<(String, bool, Option<f64>)> = manifest()
+            .end_to_end
+            .into_iter()
+            .map(|m| (m.name, m.higher_is_better, m.bound))
+            .collect();
+        let want = [
+            ("ops_per_vsec", true, 0.03),
+            ("pmfs_ops_per_vsec", true, 0.03),
+            ("write_mean_vns", false, 0.05),
+            ("read_mean_vns", false, 0.05),
+            ("nvmm_write_amp", false, 0.03),
+            ("host_ns_per_op", false, 0.25),
+            ("pmfs_host_ns_per_op", false, 0.25),
+            ("setup_s", false, 0.25),
+        ]
+        .map(|(n, h, b)| (n.to_string(), h, Some(b)));
+        assert_eq!(got, want);
     }
 
+    /// A metric added to the benchmark without a regenerated baseline
+    /// fails here.
     #[test]
-    fn lock_and_fence_deltas_rank_and_normalize() {
-        let base = doc("");
-        let cand = doc("")
-            .replace(
-                "\"lock::fileserver::hinfs::site=pmfs.journal::wait_ns\": 50000,",
-                "\"lock::fileserver::hinfs::site=pmfs.journal::wait_ns\": 250000,",
-            )
-            .replace(
-                "\"fence::fileserver::hinfs::count\": 4000,",
-                "\"fence::fileserver::hinfs::count\": 6000,",
-            );
-        let report = diff_docs(&base, &cand, "a", "b");
-        assert!(
-            report.contains("blame::fileserver::hinfs::lock 1 pmfs.journal +100.0 wait-ns/op"),
-            "{report}"
-        );
-        assert!(
-            report.contains("blame::fileserver::hinfs::fence +1.000 fences/op"),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn tail_phase_blame_uses_per_exemplar_averages() {
-        let base = doc("");
-        let cand = doc("").replace(
-            "\"tail::fileserver::hinfs::p99::phase=journal::ns\": 20000,",
-            "\"tail::fileserver::hinfs::p99::phase=journal::ns\": 60000,",
-        );
-        let report = diff_docs(&base, &cand, "a", "b");
-        // (60000-20000)/10 exemplars = +4000 ns/exemplar.
-        assert!(
-            report.contains("blame::fileserver::hinfs::tail_p99 1 journal +4000.0 ns/exemplar"),
-            "{report}"
-        );
+    fn baseline_has_every_workload_times_every_modelled_metric() {
+        let m = manifest();
+        assert_eq!(m.workloads.len(), 5);
+        // The host-clock names, as the benchmark's metric table assigns them.
+        let host = |n: &str| {
+            n.contains("host_ns")
+                || n == "setup_s"
+                || n.ends_with(".host_share")
+                || n.contains("overhead")
+        };
+        let mut want: Vec<String> = m
+            .end_to_end
+            .iter()
+            .chain(&m.per_layer)
+            .map(|d| d.name.clone())
+            .filter(|n| !host(n))
+            .collect();
+        want.extend(["ops_failed.end_to_end", "ops_failed.per_layer"].map(String::from));
+        let rows = baseline();
+        for w in &m.workloads {
+            for metric in &want {
+                assert!(
+                    rows.contains_key(&(w.clone(), metric.clone())),
+                    "BENCH.tsv lacks {w} {metric}"
+                );
+            }
+        }
+        assert_eq!(rows.len(), m.workloads.len() * want.len());
+        assert_eq!(rows.len(), 430);
     }
 
     #[test]
     fn identical_docs_produce_no_blame_rows() {
-        let report = diff_docs(&doc(""), &doc(""), "a", "a");
+        let r = run(&baseline());
+        assert_eq!(r.failures, 0, "{}", r.text);
+        assert_eq!(r.text, "bench_diff: 430 baseline rows, 0 changed: OK\n");
+    }
+
+    #[test]
+    fn a_throughput_loss_inside_the_bound_passes() {
+        let r = run(&planted("ops_per_vsec", |v| v * 0.98));
+        assert_eq!(r.failures, 0, "{}", r.text);
         assert!(
-            !report
-                .lines()
-                .any(|l| l.starts_with("blame::") && !l.contains("+0.000")),
-            "unexpected blame:\n{report}"
+            r.text.contains(&format!("ok   {W} ops_per_vsec: ")),
+            "{}",
+            r.text
         );
+        assert!(r.text.contains("(-2.00%, bound 3%)"), "{}", r.text);
+    }
+
+    #[test]
+    fn a_throughput_loss_beyond_the_bound_fails() {
+        let r = run(&planted("ops_per_vsec", |v| v * 0.90));
+        assert_eq!(r.failures, 1, "{}", r.text);
+        assert!(
+            r.text.contains(&format!("FAIL {W} ops_per_vsec: ")),
+            "{}",
+            r.text
+        );
+        // A gain of the same size passes.
+        assert_eq!(run(&planted("ops_per_vsec", |v| v * 1.10)).failures, 0);
+    }
+
+    #[test]
+    fn a_lower_is_better_metric_fails_when_it_rises() {
+        let r = run(&planted("write_mean_vns", |v| v * 1.06));
+        assert_eq!(r.failures, 1, "{}", r.text);
+        assert!(r.text.contains("(+6.00%, bound 5%)"), "{}", r.text);
+        assert_eq!(run(&planted("write_mean_vns", |v| v * 0.94)).failures, 0);
+    }
+
+    #[test]
+    fn a_baseline_row_missing_from_the_candidate_fails() {
+        let mut cand = baseline();
+        cand.remove(&(W.to_string(), "nvmm.fences".to_string()));
+        let r = run(&cand);
+        assert_eq!(r.failures, 1, "{}", r.text);
+        assert!(r
+            .text
+            .contains(&format!("FAIL {W} nvmm.fences: missing from the candidate")));
+    }
+
+    #[test]
+    fn a_failed_operation_fails() {
+        let r = run(&planted("ops_failed.end_to_end", |v| v + 1.0));
+        assert_eq!(r.failures, 1, "{}", r.text);
+        assert!(r
+            .text
+            .contains(&format!("FAIL {W} ops_failed.end_to_end: 0 -> 1")));
+    }
+
+    #[test]
+    fn host_rows_are_ignored() {
+        let host_row =
+            |v: &str| format!("{BENCH}{W}\thost_ns_per_op\thost\t{v}\n{W}\tsetup_s\thost\t{v}\n");
+        let (base, cand) = (
+            parse_rows(&host_row("100")).unwrap(),
+            parse_rows(&host_row("900")).unwrap(),
+        );
+        assert_eq!(base, baseline());
+        assert_eq!(cand, baseline());
+        assert!(parse_rows(&format!("{W}\tsetup_s\twall\t1\n")).is_err());
+        assert!(parse_rows("fileserver-fit\tsetup_s\n").is_err());
+    }
+
+    #[test]
+    fn planted_journal_regression_is_blamed_first() {
+        let r = run(&planted("pmfs.journal_vns", |v| v * 10.0));
+        assert_eq!(r.failures, 0, "per-layer rows are blamed, not gated");
+        assert!(
+            rank1(&r).starts_with(&format!("blame::{W} 1 pmfs.journal_vns +")),
+            "{}",
+            r.text
+        );
+        assert!(rank1(&r).ends_with("(+900.00%)"), "{}", r.text);
     }
 
     #[test]
     fn planted_waf_regression_is_blamed_by_layer() {
-        let base = doc("");
-        // NVMM-persisted bytes triple at constant logical traffic: the waf
-        // blame must name the layer at rank 1, in bytes per logical KiB.
-        let cand = base.replace(
-            "\"waf::fileserver::hinfs::nvmm_persisted::bytes\": 2097152,",
-            "\"waf::fileserver::hinfs::nvmm_persisted::bytes\": 6291456,",
-        );
-        let report = diff_docs(&base, &cand, "a", "b");
-        let rank1 = report
-            .lines()
-            .find(|l| l.starts_with("blame::fileserver::hinfs::waf 1 "))
-            .expect("waf blame rank 1 line");
+        let r = run(&planted("nvmm.bytes_written", |v| v * 10.0));
         assert!(
-            rank1.starts_with("blame::fileserver::hinfs::waf 1 nvmm_persisted "),
-            "wrong blame: {rank1}"
-        );
-        // (6291456-2097152)/1024 logical KiB = +4096 b/logical-kib.
-        assert!(
-            rank1.contains("+4096.0 b/logical-kib"),
-            "wrong delta: {rank1}"
+            rank1(&r).starts_with(&format!("blame::{W} 1 nvmm.bytes_written +")),
+            "{}",
+            r.text
         );
     }
 
     #[test]
-    fn a_fence_rate_change_below_one_per_kib_is_reported() {
-        // hinfs 1.20 and pmfs 1.73 both used to print `1`.
-        let base = doc("");
-        let cand = base.replace("fences_per_kib\": 1.204,", "fences_per_kib\": 0.803,");
-        let report = diff_docs(&base, &cand, "a", "b");
-        assert!(
-            report.contains("blame::fileserver::hinfs::waf_fences -0.401 fences/kib (-33.31%)"),
-            "{report}"
+    fn a_fence_rate_change_is_reported_to_the_digit_per_step() {
+        let rows = baseline();
+        let get = |m: &str| rows[&(W.to_string(), m.to_string())];
+        let per_step = 0.25 * get("nvmm.fences") / get("workloads.steps");
+        let r = run(&planted("nvmm.fences", |v| v * 1.25));
+        assert_eq!(
+            rank1(&r),
+            format!("blame::{W} 1 nvmm.fences {per_step:+.3} (+25.00%)")
         );
-    }
-
-    #[test]
-    fn planted_lag_regression_is_blamed_by_quantile() {
-        let base = doc("");
-        let cand = base.replace(
-            "\"lag::fileserver::hinfs::max_ns\": 90000,",
-            "\"lag::fileserver::hinfs::max_ns\": 5090000,",
-        );
-        let report = diff_docs(&base, &cand, "a", "b");
-        let rank1 = report
-            .lines()
-            .find(|l| l.starts_with("blame::fileserver::hinfs::lag 1 "))
-            .expect("lag blame rank 1 line");
-        assert!(
-            rank1.starts_with("blame::fileserver::hinfs::lag 1 max "),
-            "wrong blame: {rank1}"
-        );
-        assert!(rank1.contains("+5000000.0 ns"), "wrong delta: {rank1}");
-    }
-
-    #[test]
-    fn schema_v3_baseline_degrades_waf_and_lag_to_notes() {
-        // A v3 baseline has every family except waf::/lag::.
-        let base = doc("")
-            .lines()
-            .filter(|l| !l.contains("\"waf::") && !l.contains("\"lag::"))
-            .collect::<Vec<_>>()
-            .join("\n")
-            .replace("\"schema_version\": 4", "\"schema_version\": 3");
-        let report = diff_docs(&base, &doc(""), "pr9", "pr10");
-        assert!(report.contains("waf blame skipped"), "{report}");
-        assert!(report.contains("lag blame skipped"), "{report}");
-        // The older families still produce full diffs.
-        assert!(report.contains("bench_diff: cell fileserver::hinfs"));
-        assert!(
-            !report
-                .lines()
-                .any(|l| l.starts_with("blame::fileserver::hinfs::waf")
-                    || l.starts_with("blame::fileserver::hinfs::lag")),
-            "no waf/lag blame without both sides:\n{report}"
+        // Gauges and probes are compared as they are, not per step.
+        let r = run(&planted("probe.nvmm.persist_4k.vns", |v| v + 1.0));
+        assert_eq!(
+            rank1(&r),
+            format!("blame::{W} 1 probe.nvmm.persist_4k.vns +1.000 (+0.01%)")
         );
     }
 }

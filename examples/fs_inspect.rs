@@ -571,9 +571,8 @@ fn dump(args: &Args) {
     );
 
     // Per-op latency percentiles out of the log-bucketed histograms. The
-    // p50/p95/p99 columns use the interpolated `quantile()` (the same
-    // numbers `--bench-json` serializes); p90/p999 come from the coarser
-    // `percentiles()` helper.
+    // p50/p95/p99 columns use the interpolated `quantile()`; p90/p999 come
+    // from the coarser `percentiles()` helper.
     println!("--- per-op latency (ns) ---");
     println!(
         "{:<10} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",

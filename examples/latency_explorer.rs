@@ -67,9 +67,17 @@ fn tail_line(sys_label: &str, obs: &FsObs) -> String {
 }
 
 fn main() {
-    let which = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "fileserver".into());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let which = match args.as_slice() {
+        [] => "fileserver",
+        [w] if ["fileserver", "webserver", "webproxy", "varmail"].contains(&w.as_str()) => {
+            w.as_str()
+        }
+        _ => {
+            eprintln!("usage: latency_explorer [fileserver|webserver|webproxy|varmail]");
+            std::process::exit(2);
+        }
+    };
     println!("single-thread {which} throughput vs NVMM write latency\n");
     println!(
         "{:>8} {:>12} {:>12} {:>8}",
@@ -100,7 +108,7 @@ fn main() {
                 iosize: 256 << 10,
                 append_size: 8 << 10,
             };
-            let actor: Box<dyn Actor> = match which.as_str() {
+            let actor: Box<dyn Actor> = match which {
                 "webserver" => Box::new(Webserver::new(Arc::clone(&set), params, 0)),
                 "webproxy" => Box::new(Webproxy::new(Arc::clone(&set), params, 0)),
                 "varmail" => Box::new(Varmail::new(Arc::clone(&set), params)),
