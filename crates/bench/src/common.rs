@@ -187,9 +187,11 @@ pub fn run_personality(
     scale: &Scale,
 ) -> RunReport {
     let actors = p.actors(set, scale.filebench_params(), threads);
-    Runner::new(sys.env.clone(), sys.fs.clone())
+    let report = Runner::new(sys.env.clone(), sys.fs.clone())
         .with_device(sys.dev.clone())
-        .run(actors, RunLimit::duration_ms(scale.duration_ms), 0xBEEF)
+        .run(actors, RunLimit::duration_ms(scale.duration_ms), 0xBEEF);
+    assert_eq!(report.error, None, "{} on {}", p.label(), sys.kind.label());
+    report
 }
 
 /// Convenience: build + populate + run one personality, returning the

@@ -40,9 +40,11 @@ pub fn fig(n: u32, scale: &Scale) -> Option<Table> {
 pub const ALL_FIGS: [u32; 10] = [1, 2, 6, 7, 8, 9, 10, 11, 12, 13];
 
 fn run_actors(sys: &System, actors: Vec<Box<dyn Actor>>, limit: RunLimit, seed: u64) -> RunReport {
-    Runner::new(sys.env.clone(), sys.fs.clone())
+    let report = Runner::new(sys.env.clone(), sys.fs.clone())
         .with_device(sys.dev.clone())
-        .run(actors, limit, seed)
+        .run(actors, limit, seed);
+    assert_eq!(report.error, None, "{}", sys.kind.label());
+    report
 }
 
 // ---------------------------------------------------------------- Fig 1

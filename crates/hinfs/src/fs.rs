@@ -825,15 +825,9 @@ impl FileSystem for Hinfs {
     fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
         self.obs.op(OpKind::Open, || {
             self.relieve_for_namespace();
-            // O_TRUNC discards this file's buffered data before PMFS
-            // truncates the persistent state.
-            if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                if let Some(h) = self.peek_file(path) {
-                    let _guard = h.state.write();
-                    self.drop_buffers(h.ino);
-                }
-            }
-            self.inner.open(path, flags)
+            // O_TRUNC drops the file's buffers inside PMFS's truncate.
+            self.inner
+                .open_with(path, flags, |h| self.drop_buffers(h.ino))
         })
     }
 

@@ -16,6 +16,7 @@
 //! exercise recovery paths against exactly the bytes that would have
 //! survived a power failure.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use obsv::{ContentionTable, Phase, Site, SpanTable, TrackedMutex, TrackedRwLock};
@@ -37,6 +38,9 @@ pub struct NvmmDevice {
     fault: Arc<FaultHook>,
     spans: Arc<SpanTable>,
     len: usize,
+    /// True until the first store (both images all zero, no line pending).
+    /// Only accessed under the `mem` write lock, hence `Relaxed`.
+    never_stored: AtomicBool,
 }
 
 /// Phase a device *read* charges, by traffic category: journal undo-image
@@ -99,6 +103,7 @@ impl NvmmDevice {
             fault: FaultHook::new(),
             spans: Arc::new(SpanTable::new(contention.clock().clone())),
             len,
+            never_stored: AtomicBool::new(true),
         })
     }
 
@@ -203,6 +208,7 @@ impl NvmmDevice {
             self.check(off, data.len());
             {
                 let mut mem = self.mem.write();
+                self.never_stored.store(false, Ordering::Relaxed);
                 mem[off as usize..off as usize + data.len()].copy_from_slice(data);
                 if let Some(shadow) = &self.shadow {
                     shadow.lock().persist_now(&mem, off, data.len());
@@ -228,6 +234,7 @@ impl NvmmDevice {
             self.check(off, data.len());
             {
                 let mut mem = self.mem.write();
+                self.never_stored.store(false, Ordering::Relaxed);
                 mem[off as usize..off as usize + data.len()].copy_from_slice(data);
                 if let Some(shadow) = &self.shadow {
                     shadow.lock().mark_range(off, data.len());
@@ -296,7 +303,8 @@ impl NvmmDevice {
         })
     }
 
-    /// Writes zeroes over `[off, off+len)` with non-temporal stores.
+    /// Writes zeroes over `[off, off+len)` with non-temporal stores. On a
+    /// never-stored device (all zero) only the byte work is skipped.
     pub fn zero_persist(&self, cat: Cat, off: u64, len: usize) {
         self.check(off, len);
         if len == 0 {
@@ -304,11 +312,14 @@ impl NvmmDevice {
         }
         self.spans.scope(persist_phase(cat), || {
             let mut mem = self.mem.write();
-            mem[off as usize..off as usize + len].fill(0);
-            if let Some(shadow) = &self.shadow {
-                shadow.lock().persist_now(&mem, off, len);
+            let mut shadow = self.shadow.as_ref().map(|s| s.lock());
+            if !self.never_stored.load(Ordering::Relaxed) {
+                mem[off as usize..off as usize + len].fill(0);
+                if let Some(shadow) = &mut shadow {
+                    shadow.persist_now(&mem, off, len);
+                }
             }
-            drop(mem);
+            drop((shadow, mem));
             let lines = lines_touched(off, len);
             self.stats.add_written((lines * CACHELINE) as u64);
             obsv::note_persisted((lines * CACHELINE) as u64);
@@ -346,6 +357,7 @@ impl NvmmDevice {
             .as_ref()
             .expect("crash simulation requires a tracked device");
         let mut mem = self.mem.write();
+        self.never_stored.store(false, Ordering::Relaxed);
         shadow.lock().crash_into(&mut mem);
     }
 
@@ -366,6 +378,7 @@ impl NvmmDevice {
             .as_ref()
             .expect("crash simulation requires a tracked device");
         let mut mem = self.mem.write();
+        self.never_stored.store(false, Ordering::Relaxed);
         shadow
             .lock()
             .crash_into_partial(&mut mem, |line| fault::mix(seed, line as u64) & 1 == 0)
@@ -388,6 +401,7 @@ impl NvmmDevice {
     pub fn poke(&self, off: u64, data: &[u8]) {
         self.check(off, data.len());
         let mut mem = self.mem.write();
+        self.never_stored.store(false, Ordering::Relaxed);
         mem[off as usize..off as usize + data.len()].copy_from_slice(data);
         if let Some(shadow) = &self.shadow {
             shadow.lock().persist_now(&mem, off, data.len());
@@ -551,6 +565,102 @@ mod tests {
         let mut buf = [0u8; 256];
         d.peek(0, &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
+    }
+
+    const AT: u64 = 4096 + 70;
+
+    /// A store path: its name, whether it needs a tracked device, and a
+    /// call that leaves `0xa5` at `AT` through it.
+    type Store = (&'static str, bool, fn(&NvmmDevice));
+
+    /// Every store path; the crash sites replay a flushed store through
+    /// the power loss.
+    fn stores() -> [Store; 5] {
+        fn flushed(d: &NvmmDevice) {
+            d.write_cached(Cat::UserWrite, AT, &[0xa5]);
+            d.clflush(Cat::UserWrite, AT, 1);
+        }
+        [
+            ("write_persist", false, |d| {
+                d.write_persist(Cat::UserWrite, AT, &[0xa5])
+            }),
+            ("write_cached", false, |d| {
+                d.write_cached(Cat::UserWrite, AT, &[0xa5])
+            }),
+            ("poke", false, |d| d.poke(AT, &[0xa5])),
+            ("crash", true, |d| {
+                flushed(d);
+                d.crash();
+            }),
+            ("crash_partial", true, |d| {
+                flushed(d);
+                d.crash_partial(3);
+            }),
+        ]
+    }
+
+    #[test]
+    fn zero_persist_clears_after_every_store_path() {
+        for (site, needs_shadow, store) in stores() {
+            for tracked in [false, true] {
+                if needs_shadow && !tracked {
+                    continue;
+                }
+                let env = SimEnv::new_virtual(CostModel::default());
+                let d = NvmmDevice::build(env, 1 << 16, tracked);
+                store(&d);
+                assert!(!d.never_stored.load(Ordering::Relaxed), "{site}");
+                let mut b = [0u8; 1];
+                d.peek(AT, &mut b);
+                assert_eq!(b[0], 0xa5, "{site} stored");
+                d.zero_persist(Cat::Meta, 4096, 4096);
+                d.peek(AT, &mut b);
+                assert_eq!(b[0], 0, "{site}, tracked {tracked}");
+                if tracked {
+                    assert_eq!(d.pending_lines(), 0, "{site}");
+                    d.crash();
+                    d.peek(AT, &mut b);
+                    assert_eq!(b[0], 0, "{site} after crash");
+                }
+            }
+        }
+        // A crash alone clears the flag too.
+        for crash in [
+            |d: &NvmmDevice| d.crash(),
+            |d: &NvmmDevice| _ = d.crash_partial(1),
+        ] {
+            let d = dev();
+            crash(&d);
+            assert!(!d.never_stored.load(Ordering::Relaxed));
+        }
+    }
+
+    #[test]
+    fn eliding_the_zeroing_books_every_charge() {
+        // `touched` differs only in a zero-valued poke far from the range,
+        // which costs nothing but clears the flag.
+        let run = |touched: bool| {
+            let d = dev();
+            if touched {
+                d.poke(1 << 15, &[0]);
+            }
+            let plan = fault::FaultPlan::new();
+            d.fault_hook().install(plan.clone());
+            ledger::reset();
+            d.env().set_now(0);
+            d.zero_persist(Cat::Meta, 64, 8192);
+            assert_eq!(d.never_stored.load(Ordering::Relaxed), !touched);
+            (
+                d.env().now(),
+                ledger::snapshot(),
+                d.stats().snapshot(),
+                d.pending_lines(),
+                plan.boundaries_seen(),
+            )
+        };
+        let fresh = run(false);
+        assert!(fresh.0 > 0 && fresh.4 == 1, "{fresh:?}");
+        assert_eq!(fresh, run(true));
     }
 
     #[test]

@@ -233,6 +233,57 @@ impl Pmfs {
         })
     }
 
+    /// `open(2)`. On a writable `O_TRUNC` open, `before_truncate` runs
+    /// inside the truncating transaction under the file's write lock, so a
+    /// layer above (HiNFS) can drop its buffers with no write in between.
+    pub fn open_with(
+        &self,
+        path: &str,
+        flags: OpenFlags,
+        before_truncate: impl FnOnce(&InodeHandle),
+    ) -> Result<Fd> {
+        self.obs.op(OpKind::Open, || {
+            self.env.charge_syscall();
+            let (parent, name) = self.resolve_parent(path)?;
+            fskit::path::validate_name(name)?;
+            let _ns = self.lock_ns(parent.ino, name);
+            let existing = {
+                let pstate = parent.state.read();
+                if pstate.ftype != FileType::Dir {
+                    return Err(FsError::NotADirectory);
+                }
+                if pstate.nlink == 0 {
+                    return Err(FsError::NotFound);
+                }
+                self.lookup(&parent, &pstate, name)?
+            };
+            let handle = match existing {
+                Some((_, FileType::Dir)) => return Err(FsError::IsADirectory),
+                Some((ino, FileType::File)) => {
+                    if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
+                        return Err(FsError::AlreadyExists);
+                    }
+                    self.inode(ino)?
+                }
+                None => {
+                    if !flags.contains(OpenFlags::CREATE) {
+                        return Err(FsError::NotFound);
+                    }
+                    self.create_node(&parent, name, FileType::File)?
+                }
+            };
+            if flags.contains(OpenFlags::TRUNC) && flags.writable() {
+                self.resize(&handle, 0, before_truncate)?;
+            }
+            *handle.opens.lock() += 1;
+            Ok(self.fds.insert(OpenFile {
+                ino: handle.ino,
+                flags,
+                handle,
+            }))
+        })
+    }
+
     /// `unlink(2)`. `before_free` runs under the file's write lock iff
     /// the unlink frees the inode (last link, no open descriptor); see
     /// [`Pmfs::close_with`].
@@ -592,11 +643,13 @@ impl Pmfs {
     }
 
     /// Truncates or extends `h` to `size` in a transaction of its own
-    /// (`truncate` and `open` with `O_TRUNC`).
-    fn resize(&self, h: &InodeHandle, size: u64) -> Result<()> {
+    /// (`truncate` and `open` with `O_TRUNC`). `hook` runs under the
+    /// inode's write lock once the transaction is open.
+    fn resize(&self, h: &InodeHandle, size: u64, hook: impl FnOnce(&InodeHandle)) -> Result<()> {
         let tx = self.begin_core_tx()?;
         let res = (|| -> Result<Option<tree::Emptied>> {
             let mut state = h.state.write();
+            hook(h);
             let emptied = file::truncate(&self.dev, &self.alloc, &mut state, size, self.env.now())?;
             if emptied.is_some() {
                 let snap = *state;
@@ -796,46 +849,7 @@ impl FileSystem for Pmfs {
     }
 
     fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        self.obs.op(OpKind::Open, || {
-            self.env.charge_syscall();
-            let (parent, name) = self.resolve_parent(path)?;
-            fskit::path::validate_name(name)?;
-            let _ns = self.lock_ns(parent.ino, name);
-            let existing = {
-                let pstate = parent.state.read();
-                if pstate.ftype != FileType::Dir {
-                    return Err(FsError::NotADirectory);
-                }
-                if pstate.nlink == 0 {
-                    return Err(FsError::NotFound);
-                }
-                self.lookup(&parent, &pstate, name)?
-            };
-            let handle = match existing {
-                Some((_, FileType::Dir)) => return Err(FsError::IsADirectory),
-                Some((ino, FileType::File)) => {
-                    if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
-                        return Err(FsError::AlreadyExists);
-                    }
-                    self.inode(ino)?
-                }
-                None => {
-                    if !flags.contains(OpenFlags::CREATE) {
-                        return Err(FsError::NotFound);
-                    }
-                    self.create_node(&parent, name, FileType::File)?
-                }
-            };
-            if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                self.resize(&handle, 0)?;
-            }
-            *handle.opens.lock() += 1;
-            Ok(self.fds.insert(OpenFile {
-                ino: handle.ino,
-                flags,
-                handle,
-            }))
-        })
+        self.open_with(path, flags, |_| ())
     }
 
     fn close(&self, fd: Fd) -> Result<()> {
@@ -966,7 +980,7 @@ impl FileSystem for Pmfs {
             if !of.flags.writable() {
                 return Err(FsError::BadFd);
             }
-            self.resize(&of.handle, size)
+            self.resize(&of.handle, size, |_| ())
         })
     }
 

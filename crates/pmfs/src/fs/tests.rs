@@ -66,6 +66,35 @@ fn open_flags_semantics() {
 }
 
 #[test]
+fn open_with_runs_its_hook_inside_the_truncate() {
+    let (_d, fs) = fresh();
+    let fd = fs.open("/f", rw_create()).unwrap();
+    fs.write(fd, 0, &[7u8; 3 * BLOCK_SIZE]).unwrap();
+    fs.close(fd).unwrap();
+    let mut ran = 0;
+    let fd = fs
+        .open_with("/f", OpenFlags::RDWR | OpenFlags::TRUNC, |h| {
+            assert!(h.state.try_read().is_none(), "under the inode lock");
+            assert_eq!(
+                fs.journal().open_txs(),
+                1,
+                "inside the truncate's transaction"
+            );
+            ran += 1;
+        })
+        .unwrap();
+    assert_eq!((ran, fs.fstat(fd).unwrap().size), (1, 0));
+    fs.close(fd).unwrap();
+    // Without O_TRUNC, or on a read-only open, nothing is cut.
+    for flags in [OpenFlags::RDWR, OpenFlags::READ | OpenFlags::TRUNC] {
+        let fd = fs
+            .open_with("/f", flags, |_| panic!("no truncate"))
+            .unwrap();
+        fs.close(fd).unwrap();
+    }
+}
+
+#[test]
 fn append_mode_appends() {
     let (_d, fs) = fresh();
     let fd = fs.open("/log", rw_create() | OpenFlags::APPEND).unwrap();

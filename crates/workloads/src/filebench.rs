@@ -360,6 +360,7 @@ mod tests {
         let runner = Runner::new(env, fs);
         let actor = Fileserver::new(set, params());
         let r = runner.run(vec![Box::new(actor)], RunLimit::steps(30), 5);
+        assert_eq!(r.error, None);
         assert_eq!(r.metrics.steps, 30);
         assert!(r.metrics.bytes_written > 0);
         assert!(r.metrics.bytes_read > 0);
@@ -373,6 +374,7 @@ mod tests {
         let runner = Runner::new(env, fs);
         let actor = Webserver::new(set, params(), 0);
         let r = runner.run(vec![Box::new(actor)], RunLimit::steps(20), 5);
+        assert_eq!(r.error, None);
         assert!(
             r.metrics.bytes_read > 5 * r.metrics.bytes_written,
             "10 whole-file reads per 16 KiB log append (read {} written {})",
@@ -388,6 +390,7 @@ mod tests {
         let runner = Runner::new(env, fs);
         let actor = Webproxy::new(set.clone(), params(), 0);
         let r = runner.run(vec![Box::new(actor)], RunLimit::steps(25), 5);
+        assert_eq!(r.error, None);
         assert!(r.op_count(crate::OpKind::Unlink) >= 20);
         // Population stays roughly stable: one delete + one create per loop.
         assert!((set.len() as i64 - before as i64).abs() <= 2);
@@ -399,6 +402,7 @@ mod tests {
         let runner = Runner::new(env, fs);
         let actor = Varmail::new(set, params());
         let r = runner.run(vec![Box::new(actor)], RunLimit::steps(25), 5);
+        assert_eq!(r.error, None);
         assert!(
             r.op_count(crate::OpKind::Fsync) >= 40,
             "two fsyncs per loop"
@@ -435,6 +439,7 @@ mod tests {
             RunLimit::steps(15),
             9,
         );
+        assert_eq!(r.error, None);
         assert_eq!(r.metrics.steps, 30);
         fskit::FileSystem::unmount(&*fs).unwrap();
     }

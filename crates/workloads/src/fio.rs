@@ -126,6 +126,7 @@ mod tests {
         let runner = Runner::new(env, fs);
         let fio = Fio::new(FioParams::new("/job", 4 << 20, 4096));
         let r = runner.run(vec![Box::new(fio)], RunLimit::steps(601), 13);
+        assert_eq!(r.error, None);
         // 601 I/O steps plus the 4 MiB preallocation (4 chunked writes).
         let reads = r.op_count(OpKind::Read);
         let writes = r.op_count(OpKind::Write);

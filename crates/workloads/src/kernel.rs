@@ -232,6 +232,7 @@ mod tests {
             RunLimit::default(),
             2,
         );
+        assert_eq!(r.error, None);
         assert_eq!(r.metrics.steps, 32 + 1, "one step per file + final empty");
         assert_eq!(r.metrics.bytes_written, 0, "grep is read-only");
         assert!(r.metrics.bytes_read > 32 * 4096);
@@ -246,6 +247,7 @@ mod tests {
             RunLimit::default(),
             2,
         );
+        assert_eq!(r.error, None);
         assert_eq!(r.op_count(OpKind::Fsync), 0);
         assert!(r.metrics.bytes_written > 0);
         // Objects exist.
@@ -265,6 +267,7 @@ mod tests {
             RunLimit::default(),
             2,
         );
+        assert_eq!(r.error, None);
         // 32 files + 2 final empty steps.
         assert_eq!(r.metrics.steps, 34);
     }

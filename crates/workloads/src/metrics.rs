@@ -62,6 +62,9 @@ pub struct RunReport {
     pub registry: Option<obsv::RegistrySnapshot>,
     /// Number of actors (threads).
     pub actors: usize,
+    /// The first failed step as (actor index, error); that actor stopped
+    /// there, the others ran on. Spin mode reports the lowest index.
+    pub error: Option<(usize, fskit::FsError)>,
 }
 
 impl RunReport {

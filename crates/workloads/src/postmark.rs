@@ -123,6 +123,7 @@ mod tests {
         let runner = Runner::new(env, fs);
         let pm = Postmark::new(set, PostmarkParams::default());
         let r = runner.run(vec![Box::new(pm)], RunLimit::steps(200), 21);
+        assert_eq!(r.error, None);
         assert_eq!(r.metrics.steps, 200);
         assert!(r.op_count(OpKind::Unlink) > 20, "deletes happen");
         assert!(r.op_count(OpKind::Open) > 200);

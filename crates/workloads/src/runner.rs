@@ -221,7 +221,8 @@ impl Runner {
     }
 
     /// Runs the actors to completion or to the limit. `seed` derives each
-    /// actor's RNG, so runs are reproducible.
+    /// actor's RNG, so runs are reproducible. A failed step stops only its
+    /// actor; [`RunReport::error`] keeps the first.
     pub fn run(&self, actors: Vec<Box<dyn Actor>>, limit: RunLimit, seed: u64) -> RunReport {
         match self.env.mode() {
             TimeMode::Virtual => self.run_virtual(actors, limit, seed),
@@ -249,6 +250,7 @@ impl Runner {
         let mut alive = vec![true; n];
         let mut steps = vec![0u64; n];
         let mut live = n;
+        let mut error = None;
         while live > 0 {
             // Smallest-clock live actor steps next.
             let (i, _) = clocks
@@ -258,13 +260,14 @@ impl Runner {
                 .min_by_key(|&(_, &c)| c)
                 .expect("live actor exists");
             self.env.set_now(clocks[i]);
-            let more = actors[i].step(&mut ctxs[i]).expect("workload step failed");
-            ctxs[i].metrics.steps += 1;
+            let step = actors[i].step(&mut ctxs[i]);
+            ctxs[i].metrics.steps += u64::from(step.is_ok());
+            error = error.or(step.err().map(|e| (i, e)));
             steps[i] += 1;
             clocks[i] = self.env.now();
             // Give background machinery its turn at the current time.
             self.fs.tick(clocks[i]);
-            let done = !more
+            let done = step != Ok(true)
                 || limit
                     .duration_ns
                     .is_some_and(|d| clocks[i].saturating_sub(start) >= d)
@@ -299,6 +302,7 @@ impl Runner {
                     .since(reg_before.as_ref().expect("snapshot taken"))
             }),
             actors: n,
+            error,
         }
     }
 
@@ -307,7 +311,7 @@ impl Runner {
         let dev_before = self.device.as_ref().map(|d| d.stats().snapshot());
         let reg_before = self.registry.as_ref().map(|r| r.snapshot());
         let n = actors.len();
-        let results: Vec<(ActorMetrics, nvmm::ledger::Ledger)> = std::thread::scope(|scope| {
+        let results = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (i, mut actor) in actors.into_iter().enumerate() {
                 let env = &self.env;
@@ -317,8 +321,11 @@ impl Runner {
                     let mut ctx = Ctx::new(&**fs, env, seed.wrapping_add(i as u64 * 0x9e37_79b9));
                     let t0 = env.now();
                     let mut steps = 0u64;
-                    loop {
-                        let more = actor.step(&mut ctx).expect("workload step failed");
+                    let error = loop {
+                        let more = match actor.step(&mut ctx) {
+                            Ok(more) => more,
+                            Err(e) => break Some(e),
+                        };
                         ctx.metrics.steps += 1;
                         steps += 1;
                         let done = !more
@@ -327,22 +334,24 @@ impl Runner {
                                 .is_some_and(|d| env.now().saturating_sub(t0) >= d)
                             || limit.max_steps.is_some_and(|m| steps >= m);
                         if done {
-                            break;
+                            break None;
                         }
-                    }
-                    (ctx.metrics, ledger::snapshot().since(&lb))
+                    };
+                    (ctx.metrics, ledger::snapshot().since(&lb), error)
                 }));
             }
             handles
                 .into_iter()
                 .map(|h| h.join().expect("actor thread"))
-                .collect()
+                .collect::<Vec<_>>()
         });
         let mut metrics = ActorMetrics::default();
         let mut ledger_total = nvmm::ledger::Ledger::new();
-        for (m, l) in &results {
+        let mut error = None;
+        for (i, (m, l, e)) in results.iter().enumerate() {
             metrics.merge(m);
             ledger_total.merge(l);
+            error = error.or(e.map(|e| (i, e)));
         }
         RunReport {
             metrics,
@@ -362,6 +371,7 @@ impl Runner {
                     .since(reg_before.as_ref().expect("snapshot taken"))
             }),
             actors: n,
+            error,
         }
     }
 }
@@ -369,6 +379,7 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fskit::FsError;
     use nvmm::{CostModel, NvmmDevice};
     use pmfs::{Pmfs, PmfsOptions};
 
@@ -468,6 +479,48 @@ mod tests {
         let report = runner.run(vec![Box::new(Forever)], RunLimit::duration_ms(1), 1);
         assert!(report.elapsed_ns >= 1_000_000);
         assert!(report.metrics.steps > 2);
+    }
+
+    /// Fails its third step.
+    struct FailsAtThree(u32);
+
+    impl Actor for FailsAtThree {
+        fn step(&mut self, ctx: &mut Ctx<'_>) -> Result<bool> {
+            self.0 += 1;
+            if self.0 == 3 {
+                ctx.open("/missing", OpenFlags::READ)?;
+            }
+            Ok(true)
+        }
+    }
+
+    #[test]
+    fn a_failed_step_stops_only_its_actor() {
+        let spin = || {
+            let env = SimEnv::new(TimeMode::Spin, CostModel::default());
+            let dev = NvmmDevice::new(env.clone(), 8192 * nvmm::BLOCK_SIZE);
+            let popts = PmfsOptions {
+                journal_blocks: 64,
+                inode_count: 256,
+            };
+            (env, Pmfs::mkfs(dev, popts).unwrap())
+        };
+        let (venv, _dev, vfs) = setup();
+        for (env, fs) in [(venv, vfs), spin()] {
+            env.rebase();
+            let report = Runner::new(env, fs).run(
+                vec![
+                    Box::new(WriterActor { fd: None, count: 0 }),
+                    Box::new(FailsAtThree(0)),
+                ],
+                RunLimit::default(),
+                3,
+            );
+            assert_eq!(report.error, Some((1, FsError::NotFound)));
+            // The writer's 20 steps and the two before the failure.
+            assert_eq!(report.metrics.steps, 22);
+            assert_eq!(report.op_count(OpKind::Write), 20);
+        }
     }
 
     #[test]

@@ -575,6 +575,7 @@ mod tests {
             );
             let runner = Runner::new(sys.env.clone(), sys.fs.clone()).with_device(sys.dev.clone());
             let r = runner.run(vec![Box::new(actor)], RunLimit::steps(40), 7);
+            assert_eq!(r.error, None);
             let books = sys
                 .env
                 .contention()

@@ -166,6 +166,7 @@ mod tests {
         };
         let t = Tpcc::new(params);
         let r = runner.run(vec![Box::new(t)], RunLimit::steps(101), 17);
+        assert_eq!(r.error, None);
         // Step 1 materializes the table (not fsynced); 100 transactions.
         assert_eq!(r.op_count(OpKind::Fsync), 100 + 100 / 64);
         // The table prealloc dominates raw bytes; exclude it for the Fig 2

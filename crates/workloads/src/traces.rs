@@ -262,7 +262,9 @@ mod tests {
         env.rebase();
         let runner = Runner::new(env, fs);
         let replay = TraceReplay::new(set, profile, 23);
-        runner.run(vec![Box::new(replay)], RunLimit::steps(400), 31)
+        let r = runner.run(vec![Box::new(replay)], RunLimit::steps(400), 31);
+        assert_eq!(r.error, None);
+        r
     }
 
     #[test]

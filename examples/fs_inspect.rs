@@ -376,13 +376,14 @@ fn inspect(args: &Args) -> bool {
             set.clone(),
             FilebenchParams::default(),
         ))];
-        Runner::new(sys.env.clone(), sys.fs.clone())
+        let report = Runner::new(sys.env.clone(), sys.fs.clone())
             .with_device(sys.dev.clone())
             .run(
                 actors,
                 RunLimit::duration_ms(ROUND_MS),
                 0x1A5 + round as u64,
             );
+        assert_eq!(report.error, None);
         if top {
             // One snapshot line per round, newest state last.
             println!("{}", full_snapshot(&sys).to_json());
@@ -558,6 +559,7 @@ fn dump(args: &Args) {
     ];
     let span_base = sys.dev.spans().snapshot();
     let report = runner.run(actors, RunLimit::duration_ms(30), 42);
+    assert_eq!(report.error, None);
     let spans = sys.dev.spans().snapshot().since(&span_base);
     print_phase(
         "transactions",

@@ -119,6 +119,7 @@ fn main() {
                 RunLimit::duration_ms(400),
                 5,
             );
+            assert_eq!(report.error, None, "{which} on {}", kind.label());
             tput.push(report.throughput());
             if let Some(obs) = &sys.obs {
                 let label = match kind {

@@ -44,6 +44,7 @@ fn main() {
         let report = Runner::new(sys.env.clone(), sys.fs.clone())
             .with_device(sys.dev.clone())
             .run(actors, RunLimit::duration_ms(1000), 99);
+        assert_eq!(report.error, None);
 
         let dropped = sys
             .hinfs

@@ -7,6 +7,14 @@
 #
 #   PROFILE_TOP=N    rows per table (default 25)
 #
+# The sampler path also prints a phase table: each sample goes to set-up
+# (build = mkfs + mount, with mkfs's zero_persist as a sub-row; populate;
+# unmount; cold remount), the measured run (Runner::run), the checks
+# (hash_tree, verify_durable, fault_sweep; also anything a rep does after
+# its run, such as verify_durable's cold remount), the probes, or other.
+# Samples arrive in time order, which is what tells a rep's remount before
+# its run from the checks' remount after it.
+#
 # Uses `perf record -g` when perf exists. Otherwise (this sandbox has no
 # perf, gdb or valgrind) it compiles the small SIGPROF + backtrace()
 # LD_PRELOAD sampler below with cc and symbolises the samples with nm. The
@@ -130,6 +138,7 @@ awk -v top="$top" '
         return memo[pc] = name[lo] }
     NR == FNR { nsym++; addr[nsym] = hex($1); $1 = ""; sub(/^ /, ""); name[nsym] = $0; next }
     $1 == "base" { base = hex($2); next }
+    function has(re,    s) { for (s in seen) if (s ~ re) return 1; return 0 }
     NF > 0 {
         total++
         delete seen
@@ -138,9 +147,28 @@ awk -v top="$top" '
             else s = sym(hex($i) - base - (i > 1))   # return addresses point after the call
             if (i == 1) self[s]++
             if (!(s in seen)) { seen[s] = 1; incl[s]++ }
-        } }
+        }
+        if (has("rig::(fault_sweep|hash_tree|verify_durable)")) p = "checks"
+        else if (has("Runner::run$")) { p = "run"; after_run = 1 }
+        else if (has("^hinfs_benchmark::probes::")) p = "probes"
+        else if (has("setups::build$")) {
+            after_run = 0
+            p = "set-up: build"
+            if (has("NvmmDevice::zero_persist$")) phase["  of which zero_persist"]++
+        }
+        else if (has("Spec::populate$")) p = "set-up: populate"
+        else if (has("setups::(remount_with|mount)$")) p = after_run ? "checks" : "set-up: remount"
+        else if (has("as fskit::vfs::FileSystem>::unmount$")) p = after_run ? "checks" : "set-up: unmount"
+        else p = "other"
+        phase[p]++
+        if (p ~ /^set-up/) phase["set-up"]++
+    }
     END {
         printf "%d samples of process CPU time\n", total
+        print "== phases =="
+        n = split("set-up|set-up: build|  of which zero_persist|set-up: populate|set-up: unmount|set-up: remount|run|checks|probes|other", order, "|")
+        for (i = 1; i <= n; i++)
+            printf "%6.2f%% %6d  %s\n", 100 * phase[order[i]] / total, phase[order[i]], order[i]
         printf "== top %d self ==\n", top
         cmd = "sort -rn | head -n " top
         for (s in self) printf "%6.2f%% %6d  %s\n", 100 * self[s] / total, self[s], s | cmd

@@ -139,9 +139,10 @@ fn eight_thread_hinfs_run_keeps_invariants_green() {
             }
         })
         .collect();
-    Runner::new(sys.env.clone(), sys.fs.clone())
+    let r = Runner::new(sys.env.clone(), sys.fs.clone())
         .with_device(sys.dev.clone())
         .run(actors, RunLimit::steps(25), 42);
+    assert_eq!(r.error, None);
 
     let rep = sys.introspect.as_ref().unwrap().audit();
     assert!(rep.is_clean(), "post-run audit: {rep:?}");
@@ -497,6 +498,80 @@ fn racing_last_close_and_unlink_strand_no_transactions() {
         }
         let rep = sys.introspect.as_ref().unwrap().audit();
         assert!(rep.is_clean(), "post-race audit: {rep:?}");
+        sys.fs.unmount().unwrap();
+    });
+}
+
+/// An `O_TRUNC` open discards the file's buffered blocks inside PMFS's
+/// truncating transaction, under the inode lock. Discarding them before
+/// PMFS took that lock let a buffered write slip in between: it then
+/// committed after the truncate it was logged before, and the truncate
+/// left a dirty block past the new end of file. Each round races such a
+/// write against an `O_TRUNC` open off a barrier; the file must end in
+/// one of the two serial outcomes with the auditor clean.
+#[test]
+fn o_trunc_open_racing_a_buffered_write_serializes() {
+    within_secs(120, "hinfs O_TRUNC race", || {
+        let cfg = SystemConfig {
+            device_bytes: 64 << 20,
+            mode: TimeMode::Spin,
+            buffer_bytes: 2 << 20,
+            obsv: ObsvOptions::none().with_audit(),
+            ..SystemConfig::default()
+        };
+        let sys = build(SystemKind::Hinfs, &cfg).unwrap();
+        let intro = sys.introspect.as_ref().unwrap();
+        let fd = sys
+            .fs
+            .open("/v", OpenFlags::RDWR | OpenFlags::CREATE)
+            .unwrap();
+        let gate = std::sync::Barrier::new(2);
+        for round in 0..2000u32 {
+            let byte = (round % 251) as u8 + 1;
+            std::thread::scope(|scope| {
+                let (fs, gate) = (&sys.fs, &gate);
+                scope.spawn(move || {
+                    gate.wait();
+                    // A varying head start for the opener sweeps the
+                    // write across every point of its path.
+                    for _ in 0..(round % 97) * 40 {
+                        std::hint::spin_loop();
+                    }
+                    fs.write(fd, 0, &[byte; 4096]).unwrap();
+                });
+                scope.spawn(move || {
+                    gate.wait();
+                    let t = fs.open("/v", OpenFlags::RDWR | OpenFlags::TRUNC).unwrap();
+                    fs.close(t).unwrap();
+                });
+            });
+            // Write then truncate: empty, nothing buffered. Truncate then
+            // write: the write's block (buffered, or on NVMM if Eager).
+            let size = sys.fs.fstat(fd).unwrap().size;
+            let buffered: u64 = intro
+                .snapshot()
+                .buffer
+                .unwrap()
+                .shard_occupied_blocks
+                .iter()
+                .sum();
+            assert!(
+                buffered <= size / 4096,
+                "round {round}: {buffered} blocks past EOF {size}"
+            );
+            if size != 0 {
+                let mut back = [0u8; 4096];
+                sys.fs.read(fd, 0, &mut back).unwrap();
+                assert!(back.iter().all(|&b| b == byte), "round {round}");
+            }
+            // Every fsync self-audits.
+            sys.fs.fsync(fd).unwrap();
+            sys.fs.truncate(fd, 0).unwrap();
+        }
+        sys.fs.close(fd).unwrap();
+        let rep = intro.audit();
+        assert!(rep.is_clean(), "post-race audit: {rep:?}");
+        assert_eq!(sys.obs.as_ref().unwrap().audit_violations(), 0);
         sys.fs.unmount().unwrap();
     });
 }

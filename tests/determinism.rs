@@ -7,7 +7,7 @@ use std::sync::Arc;
 use hinfs_suite::prelude::*;
 use workloads::filebench::{FilebenchParams, Fileserver, Varmail};
 use workloads::fileset::{Fileset, FilesetSpec};
-use workloads::setups::{build, ObsvOptions, SystemConfig, SystemKind};
+use workloads::setups::{build, remount_with, ObsvOptions, System, SystemConfig, SystemKind};
 use workloads::traces::{TraceReplay, USR0};
 use workloads::RunReport;
 
@@ -37,9 +37,8 @@ const KINDS: [SystemKind; 4] = [
     SystemKind::Ext4Dax,
 ];
 
-fn one_run_cfg(kind: SystemKind, seed: u64, obsv: ObsvOptions) -> RunReport {
-    let audited = obsv.audit;
-    let cfg = SystemConfig {
+fn config(obsv: ObsvOptions) -> SystemConfig {
+    SystemConfig {
         device_bytes: 64 << 20,
         buffer_bytes: 2 << 20,
         cache_pages: 512,
@@ -47,8 +46,16 @@ fn one_run_cfg(kind: SystemKind, seed: u64, obsv: ObsvOptions) -> RunReport {
         inode_count: 4096,
         obsv,
         ..SystemConfig::default()
-    };
-    let sys = build(kind, &cfg).unwrap();
+    }
+}
+
+fn one_run_cfg(kind: SystemKind, seed: u64, obsv: ObsvOptions) -> RunReport {
+    let audited = obsv.audit;
+    run_on(build(kind, &config(obsv)).unwrap(), seed, audited)
+}
+
+/// Populates `sys`, runs the mixed workload on it and unmounts it.
+fn run_on(sys: System, seed: u64, audited: bool) -> RunReport {
     let set = Fileset::populate(&*sys.fs, FilesetSpec::new("/d", 48, 10, 16 << 10), 7).unwrap();
     sys.env.rebase();
     let params = FilebenchParams {
@@ -63,6 +70,7 @@ fn one_run_cfg(kind: SystemKind, seed: u64, obsv: ObsvOptions) -> RunReport {
     let r = Runner::new(sys.env.clone(), sys.fs.clone())
         .with_device(sys.dev.clone())
         .run(actors, RunLimit::duration_ms(100), seed);
+    assert_eq!(r.error, None);
     if audited {
         // Snapshots and a full audit pass are read-only; take them before
         // unmount so the run exercises both with the caches still warm.
@@ -175,4 +183,36 @@ fn different_seeds_differ() {
         (b.elapsed_ns, b.metrics.bytes_written),
         "seeded runs should explore different schedules"
     );
+}
+
+/// mkfs's metadata zeroing is the first store to a new device, and a
+/// never-stored device skips its byte work while booking every charge.
+/// Formatting a device whose flag a zero-valued `poke` cleared first must
+/// therefore give the same run, bit for bit.
+#[test]
+fn a_never_stored_device_formats_like_a_touched_one() {
+    let cfg = config(ObsvOptions::none());
+    for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
+        let run = |touched: bool| {
+            let env = SimEnv::new(cfg.mode, cfg.cost.clone());
+            let dev = NvmmDevice::new(env.clone(), cfg.device_bytes);
+            if touched {
+                dev.poke(cfg.device_bytes as u64 - 64, &[0]);
+            }
+            let popts = PmfsOptions {
+                journal_blocks: cfg.journal_blocks,
+                inode_count: cfg.inode_count,
+            };
+            match kind {
+                SystemKind::Pmfs => Pmfs::mkfs(dev.clone(), popts).unwrap().unmount(),
+                _ => {
+                    let hcfg = HinfsConfig::default().with_buffer_bytes(cfg.buffer_bytes);
+                    Hinfs::mkfs(dev.clone(), popts, hcfg).unwrap().unmount()
+                }
+            }
+            .unwrap();
+            run_on(remount_with(kind, dev, env, &cfg).unwrap(), 42, false)
+        };
+        assert_identical(&run(false), &run(true), kind.label());
+    }
 }

@@ -96,6 +96,7 @@ fn synced_content_survives_a_cold_remount(journal_blocks: u64) {
     let runner = Runner::new(sys.env.clone(), sys.fs.clone()).with_device(sys.dev.clone());
     let report = runner.run(actors, RunLimit::duration_ms(800), 0xBEEF);
     drop(runner);
+    assert_eq!(report.error, None);
     assert!(report.total_ops() > 0);
     let usage = sys.hinfs.as_ref().unwrap().pmfs().journal().usage();
     assert!(

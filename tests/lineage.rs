@@ -160,9 +160,10 @@ fn hinfs_max_lag_stays_inside_the_sync_decay_bound() {
     let set = Fileset::populate(&*sys.fs, FilesetSpec::new("/d", 48, 10, 16 << 10), 7).unwrap();
     let actors: Vec<Box<dyn Actor>> =
         vec![Box::new(Fileserver::new(set, FilebenchParams::default()))];
-    Runner::new(sys.env.clone(), sys.fs.clone())
+    let r = Runner::new(sys.env.clone(), sys.fs.clone())
         .with_device(sys.dev.clone())
         .run(actors, RunLimit::duration_ms(200), 42);
+    assert_eq!(r.error, None);
     // Park past the dirty-age horizon so the periodic passes measurably
     // drain aged blocks (real, non-zero lag) before the audit runs.
     for _ in 0..8 {
