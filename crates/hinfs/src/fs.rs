@@ -25,7 +25,7 @@ use std::collections::HashSet;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
-use fskit::{DirEntry, Fd, FileSystem, FileType, FsError, MmapHandle, OpenFlags, Result, Stat};
+use fskit::{DirEntry, Fd, FileSystem, FsError, MmapHandle, OpenFlags, Result, Stat};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE, CACHELINE};
 use obsv::{FsObs, OpKind, Phase, Site, TraceEvent, TrackedMutex};
 use pmfs::inode::InodeMem;
@@ -794,13 +794,6 @@ impl Hinfs {
             }
         }
     }
-
-    /// Resolves a path to a file inode handle, if it exists and is a file.
-    fn peek_file(&self, path: &str) -> Option<Arc<pmfs::inode::InodeHandle>> {
-        let h = self.inner.resolve_path(path).ok()?;
-        let is_file = h.state.read().ftype == FileType::File;
-        is_file.then_some(h)
-    }
 }
 
 /// Clips the byte span of a line run to `[in_blk, in_blk+chunk)`; returns
@@ -913,22 +906,11 @@ impl FileSystem for Hinfs {
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
         self.relieve_for_namespace();
-        // Replacing an existing destination discards its buffered data —
-        // but only a rename that actually replaces it may do so: with a
-        // missing source the rename fails, and with `from == to` it is a
-        // no-op, and in both cases the destination (and its not-yet-
-        // written-back DRAM blocks) must survive intact.
-        if let Some(h) = self.peek_file(to) {
-            let replacing = match self.peek_file(from) {
-                Some(src) => src.ino != h.ino,
-                None => false,
-            };
-            if replacing {
-                let _guard = h.state.write();
-                self.drop_buffers(h.ino);
-            }
-        }
-        self.inner.rename(from, to)
+        // A replaced file that dies in this call takes its buffered data
+        // with it, like unlink; one that is still open keeps it until its
+        // last close.
+        self.inner
+            .rename_with(from, to, |h| self.drop_buffers(h.ino))
     }
 
     fn sync(&self) -> Result<()> {

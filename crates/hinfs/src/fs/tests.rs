@@ -540,6 +540,38 @@ fn rename_replace_discards_target_buffers() {
 }
 
 #[test]
+fn rename_over_an_open_file_keeps_its_buffered_data_until_the_last_close() {
+    let (_d, fs) = fresh();
+    let a = fs.open("/a", rw_create()).unwrap();
+    fs.write(a, 0, b"source").unwrap();
+    fs.close(a).unwrap();
+    let b = fs.open("/b", rw_create()).unwrap();
+    fs.write(b, 0, &[0x5a; 2 * BLOCK_SIZE]).unwrap();
+    assert!(fs.dirty_blocks() > 0, "the data is still in the buffer");
+    fs.rename("/a", "/b").unwrap();
+    // The replaced inode is unlinked but open: its descriptor still
+    // reads what it wrote.
+    let mut buf = vec![0u8; 2 * BLOCK_SIZE];
+    assert_eq!(fs.read(b, 0, &mut buf).unwrap(), buf.len());
+    assert!(
+        buf.iter().all(|&x| x == 0x5a),
+        "first bytes {:?}",
+        &buf[..4]
+    );
+    assert_eq!(fs.stat("/b").unwrap().size, 6);
+    // Its last close frees it, and its buffered blocks die with it.
+    let dropped = fs.stats().snapshot().dropped_dirty_blocks;
+    fs.close(b).unwrap();
+    assert_eq!(fs.stats().snapshot().dropped_dirty_blocks, dropped + 2);
+    assert_eq!(fs.dirty_blocks(), 1, "only the renamed source's block");
+    let fd = fs.open("/b", OpenFlags::READ).unwrap();
+    let mut buf = [0u8; 6];
+    fs.read(fd, 0, &mut buf).unwrap();
+    assert_eq!(&buf, b"source");
+    fs.close(fd).unwrap();
+}
+
+#[test]
 fn mmap_pins_blocks_eager() {
     let (_d, fs) = fresh();
     let fd = fs.open("/m", rw_create()).unwrap();

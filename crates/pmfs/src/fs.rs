@@ -296,6 +296,88 @@ impl Pmfs {
         })
     }
 
+    /// `rename(2)`. When the rename replaces a file and that frees its
+    /// inode (last link, no open descriptor), `before_free` runs under
+    /// the replaced file's write lock; see [`Pmfs::unlink_with`].
+    pub fn rename_with(
+        &self,
+        from: &str,
+        to: &str,
+        before_free: impl FnOnce(&InodeHandle),
+    ) -> Result<()> {
+        self.env.charge_syscall();
+        let (src_parent, src_name) = self.resolve_parent(from)?;
+        let (dst_parent, dst_name) = self.resolve_parent(to)?;
+        fskit::path::validate_name(dst_name)?;
+        // Lock both entries' shards in ascending index order (one lock
+        // when they collide) so concurrent renames cannot deadlock.
+        let si = self.ns_shard(src_parent.ino, src_name);
+        let di = self.ns_shard(dst_parent.ino, dst_name);
+        let (lo, hi) = (si.min(di), si.max(di));
+        let _ns_lo = self.ns_shards[lo].lock();
+        let _ns_hi = (hi != lo).then(|| self.ns_shards[hi].lock());
+        let (ino, ftype) = {
+            let pstate = src_parent.state.read();
+            if pstate.nlink == 0 {
+                return Err(FsError::NotFound);
+            }
+            self.lookup(&src_parent, &pstate, src_name)?
+                .ok_or(FsError::NotFound)?
+        };
+        // Replace semantics for an existing destination.
+        let dst_existing = {
+            let pstate = dst_parent.state.read();
+            self.lookup(&dst_parent, &pstate, dst_name)?
+        };
+        if let Some((dino, dftype)) = dst_existing {
+            if dino == ino {
+                return Ok(());
+            }
+            match (ftype, dftype) {
+                (FileType::File, FileType::File) => {
+                    self.unlink_at(&dst_parent, dst_name, before_free)?
+                }
+                (FileType::Dir, FileType::Dir) => self.rmdir_at(&dst_parent, dst_name)?,
+                (FileType::File, FileType::Dir) => return Err(FsError::IsADirectory),
+                (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
+            }
+        }
+        let tx = self.journal.begin()?;
+        let same_parent = Arc::ptr_eq(&src_parent, &dst_parent);
+        let res = (|| -> Result<()> {
+            {
+                let mut pstate = src_parent.state.write();
+                self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
+                if same_parent {
+                    self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
+                }
+                pstate.mtime = self.env.now();
+                let p = *pstate;
+                drop(pstate);
+                self.log_write_inode(&tx, src_parent.ino, &p)?;
+            }
+            if !same_parent {
+                let mut pstate = dst_parent.state.write();
+                self.add_entry(&tx, &dst_parent, &mut pstate, dst_name, ino, ftype)?;
+                pstate.mtime = self.env.now();
+                let p = *pstate;
+                drop(pstate);
+                self.log_write_inode(&tx, dst_parent.ino, &p)?;
+            }
+            Ok(())
+        })();
+        match res {
+            Ok(()) => {
+                self.journal.commit(tx);
+                Ok(())
+            }
+            Err(e) => {
+                self.abort_namespace(tx, &[&src_parent, &dst_parent]);
+                Err(e)
+            }
+        }
+    }
+
     /// The backing device.
     pub fn device(&self) -> &Arc<NvmmDevice> {
         &self.dev
@@ -1054,77 +1136,7 @@ impl FileSystem for Pmfs {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.env.charge_syscall();
-        let (src_parent, src_name) = self.resolve_parent(from)?;
-        let (dst_parent, dst_name) = self.resolve_parent(to)?;
-        fskit::path::validate_name(dst_name)?;
-        // Lock both entries' shards in ascending index order (one lock
-        // when they collide) so concurrent renames cannot deadlock.
-        let si = self.ns_shard(src_parent.ino, src_name);
-        let di = self.ns_shard(dst_parent.ino, dst_name);
-        let (lo, hi) = (si.min(di), si.max(di));
-        let _ns_lo = self.ns_shards[lo].lock();
-        let _ns_hi = (hi != lo).then(|| self.ns_shards[hi].lock());
-        let (ino, ftype) = {
-            let pstate = src_parent.state.read();
-            if pstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
-            self.lookup(&src_parent, &pstate, src_name)?
-                .ok_or(FsError::NotFound)?
-        };
-        // Replace semantics for an existing destination.
-        let dst_existing = {
-            let pstate = dst_parent.state.read();
-            self.lookup(&dst_parent, &pstate, dst_name)?
-        };
-        if let Some((dino, dftype)) = dst_existing {
-            if dino == ino {
-                return Ok(());
-            }
-            match (ftype, dftype) {
-                (FileType::File, FileType::File) => {
-                    self.unlink_at(&dst_parent, dst_name, |_| ())?
-                }
-                (FileType::Dir, FileType::Dir) => self.rmdir_at(&dst_parent, dst_name)?,
-                (FileType::File, FileType::Dir) => return Err(FsError::IsADirectory),
-                (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
-            }
-        }
-        let tx = self.journal.begin()?;
-        let same_parent = Arc::ptr_eq(&src_parent, &dst_parent);
-        let res = (|| -> Result<()> {
-            {
-                let mut pstate = src_parent.state.write();
-                self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
-                if same_parent {
-                    self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
-                }
-                pstate.mtime = self.env.now();
-                let p = *pstate;
-                drop(pstate);
-                self.log_write_inode(&tx, src_parent.ino, &p)?;
-            }
-            if !same_parent {
-                let mut pstate = dst_parent.state.write();
-                self.add_entry(&tx, &dst_parent, &mut pstate, dst_name, ino, ftype)?;
-                pstate.mtime = self.env.now();
-                let p = *pstate;
-                drop(pstate);
-                self.log_write_inode(&tx, dst_parent.ino, &p)?;
-            }
-            Ok(())
-        })();
-        match res {
-            Ok(()) => {
-                self.journal.commit(tx);
-                Ok(())
-            }
-            Err(e) => {
-                self.abort_namespace(tx, &[&src_parent, &dst_parent]);
-                Err(e)
-            }
-        }
+        self.rename_with(from, to, |_| ())
     }
 
     fn sync(&self) -> Result<()> {
