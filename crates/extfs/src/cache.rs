@@ -287,7 +287,7 @@ impl BufferCache {
         let env = self.bd.byte_device().env();
         env.charge(Cat::Other, env.cost().page_cache_ns);
         env.charge_dram_copy(cat, data.len());
-        obsv::note_buffered(data.len() as u64);
+        obsv::note_bytes(obsv::Layer::DramBuffered, data.len() as u64);
         if !inner.meta[slot as usize].dirty {
             let meta = &mut inner.meta[slot as usize];
             meta.dirty = true;

@@ -450,7 +450,7 @@ impl Extfs {
             .checked_add(data.len() as u64)
             .filter(|&e| e / BLOCK_SIZE as u64 <= blkmap::max_blocks())
             .ok_or(FsError::FileTooLarge)?;
-        obsv::note_logical(data.len() as u64);
+        obsv::note_bytes(obsv::Layer::Logical, data.len() as u64);
         let mut done = 0;
         while done < data.len() {
             let pos = off + done as u64;

@@ -157,7 +157,7 @@ impl Jbd {
             inner.write_ptr = 0;
             self.bd
                 .write_block(Cat::Journal, self.start, &vec![0u8; BLOCK_SIZE]);
-            obsv::note_journaled(BLOCK_SIZE as u64);
+            obsv::note_bytes(obsv::Layer::JournalLogged, BLOCK_SIZE as u64);
             self.bd.flush();
             // Everything of this transaction is already in place; no
             // journal records needed.
@@ -206,7 +206,10 @@ impl Jbd {
         self.bd
             .write_block(Cat::Journal, self.start + inner.write_ptr, &commit);
         inner.write_ptr += 1;
-        obsv::note_journaled((inner.write_ptr - ring_before) * BLOCK_SIZE as u64);
+        obsv::note_bytes(
+            obsv::Layer::JournalLogged,
+            (inner.write_ptr - ring_before) * BLOCK_SIZE as u64,
+        );
         self.bd.flush();
         inner.seq += 1;
         inner.commits += 1;

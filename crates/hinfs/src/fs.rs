@@ -235,7 +235,7 @@ impl Hinfs {
             .checked_add(total)
             .filter(|&e| e <= pmfs::file::MAX_FILE_SIZE)
             .ok_or(FsError::FileTooLarge)?;
-        obsv::note_logical(total);
+        obsv::note_bytes(obsv::Layer::Logical, total);
         let now = self.env.now();
         let case1 = of.flags.contains(OpenFlags::SYNC) || self.cfg.sync_mount;
         let old_size = state.size;
@@ -410,7 +410,7 @@ impl Hinfs {
                 Cat::UserWrite,
                 mask.count_ones() as u64 * self.env.cost().dram_write_latency_ns,
             );
-            obsv::note_buffered(payload.len() as u64);
+            obsv::note_bytes(obsv::Layer::DramBuffered, payload.len() as u64);
             sh.pool_mut().block_mut(slot)[in_blk..in_blk + payload.len()].copy_from_slice(payload);
             let was_clean = sh.pool().meta(slot).dirty == 0;
             {

@@ -216,7 +216,7 @@ impl NvmmDevice {
             }
             let lines = lines_touched(off, data.len());
             self.stats.add_written((lines * CACHELINE) as u64);
-            obsv::note_persisted((lines * CACHELINE) as u64);
+            obsv::note_bytes(obsv::Layer::NvmmPersisted, (lines * CACHELINE) as u64);
             self.env.charge_dram_copy(cat, data.len());
             self.env.nvmm_persist(cat, lines);
             self.fault_boundary(BoundaryKind::Persist, off, lines);
@@ -271,7 +271,7 @@ impl NvmmDevice {
             }
             self.stats.add_flush_lines(lines as u64);
             self.stats.add_written((lines * CACHELINE) as u64);
-            obsv::note_persisted((lines * CACHELINE) as u64);
+            obsv::note_bytes(obsv::Layer::NvmmPersisted, (lines * CACHELINE) as u64);
             self.env.nvmm_persist(cat, lines);
             self.fault_boundary(BoundaryKind::Flush, off, lines);
         })
@@ -322,7 +322,7 @@ impl NvmmDevice {
             drop((shadow, mem));
             let lines = lines_touched(off, len);
             self.stats.add_written((lines * CACHELINE) as u64);
-            obsv::note_persisted((lines * CACHELINE) as u64);
+            obsv::note_bytes(obsv::Layer::NvmmPersisted, (lines * CACHELINE) as u64);
             self.env.charge_dram_copy(cat, len);
             self.env.nvmm_persist(cat, lines);
             self.fault_boundary(BoundaryKind::Persist, off, lines);

@@ -42,317 +42,177 @@
 
 use crate::histo::{Histo, HistoSnapshot};
 use crate::scope::{current_row, note_wait};
-use crate::span::{row_label, SPAN_ROWS};
+use crate::span::SPAN_ROWS;
 use crate::{Clock, Level, MetricSource, Visitor};
 use std::sync;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// A static lock or stall site. One id per lock *declaration*, named
-/// `<crate>.<structure>`; `stall.*` sites are not locks but explicit
-/// blocking points on the write path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Site {
-    /// `nvmm::NvmmDevice::mem` — the device byte array.
-    NvmmDevice = 0,
-    /// `nvmm::NvmmDevice::shadow` — the crash-consistency shadow.
-    NvmmShadow = 1,
-    /// `nvmm::BandwidthGate` — calendar and writer-slot semaphore.
-    NvmmGate = 2,
-    /// `fskit::FdTable` — the descriptor table.
-    FskitFdtable = 3,
-    /// `pmfs::Journal` — the undo-journal ring.
-    PmfsJournal = 4,
-    /// `pmfs::Allocator` — the block/inode allocator.
-    PmfsAlloc = 5,
-    /// `pmfs::Pmfs::ns` — the namespace (directory tree) lock.
-    PmfsNamespace = 6,
-    /// `pmfs::InodeCache` — the in-memory inode map.
-    PmfsInodeMap = 7,
-    /// `hinfs::Hinfs::shared` — the DRAM buffer pool and block index.
-    HinfsBufferPool = 8,
-    /// `hinfs::WbCtl` — writeback kick flag and thread registry.
-    HinfsWriteback = 9,
-    /// `extfs::Jbd` — the JBD2-style journal.
-    ExtfsJbd = 10,
-    /// `extfs::Allocator` — the block/inode allocator.
-    ExtfsAlloc = 11,
-    /// `extfs::Extfs::ns` — the namespace lock.
-    ExtfsNamespace = 12,
-    /// `extfs::Extfs::dirty_data` — the ordered-mode dirty-data set.
-    ExtfsDirtyData = 13,
-    /// `extfs::Cache` — the page cache.
-    ExtfsCache = 14,
-    /// `extfs::InodeCache` — the in-memory inode map.
-    ExtfsInodeMap = 15,
-    /// A foreground write paying for a buffer-pool reclaim itself.
-    StallWriteback = 16,
-    /// Journal-pressure relief: flushing open transactions to free ring
-    /// space before (or inside) `begin_tx`.
-    StallJournalFull = 17,
-    /// NVMM write-bandwidth throttling: queueing delay charged by the
-    /// bandwidth gate beyond pure service time.
-    StallThrottle = 18,
-    /// `hinfs::Hinfs::shards[0]` — one shard of the DRAM buffer pool.
-    HinfsShard0 = 19,
-    /// `hinfs::Hinfs::shards[1]`.
-    HinfsShard1 = 20,
-    /// `hinfs::Hinfs::shards[2]`.
-    HinfsShard2 = 21,
-    /// `hinfs::Hinfs::shards[3]`.
-    HinfsShard3 = 22,
-    /// `hinfs::Hinfs::shards[4]`.
-    HinfsShard4 = 23,
-    /// `hinfs::Hinfs::shards[5]`.
-    HinfsShard5 = 24,
-    /// `hinfs::Hinfs::shards[6]`.
-    HinfsShard6 = 25,
-    /// `hinfs::Hinfs::shards[7]`.
-    HinfsShard7 = 26,
-    /// `pmfs::Allocator::shards[0]` — one shard of the block allocator.
-    PmfsAllocShard0 = 27,
-    /// `pmfs::Allocator::shards[1]`.
-    PmfsAllocShard1 = 28,
-    /// `pmfs::Allocator::shards[2]`.
-    PmfsAllocShard2 = 29,
-    /// `pmfs::Allocator::shards[3]`.
-    PmfsAllocShard3 = 30,
-    /// `pmfs::Allocator::shards[4]`.
-    PmfsAllocShard4 = 31,
-    /// `pmfs::Allocator::shards[5]`.
-    PmfsAllocShard5 = 32,
-    /// `pmfs::Allocator::shards[6]`.
-    PmfsAllocShard6 = 33,
-    /// `pmfs::Allocator::shards[7]`.
-    PmfsAllocShard7 = 34,
-    /// `pmfs::Pmfs::ns_shards[0]` — one shard of the namespace lock.
-    PmfsNsShard0 = 35,
-    /// `pmfs::Pmfs::ns_shards[1]`.
-    PmfsNsShard1 = 36,
-    /// `pmfs::Pmfs::ns_shards[2]`.
-    PmfsNsShard2 = 37,
-    /// `pmfs::Pmfs::ns_shards[3]`.
-    PmfsNsShard3 = 38,
-    /// `pmfs::Pmfs::ns_shards[4]`.
-    PmfsNsShard4 = 39,
-    /// `pmfs::Pmfs::ns_shards[5]`.
-    PmfsNsShard5 = 40,
-    /// `pmfs::Pmfs::ns_shards[6]`.
-    PmfsNsShard6 = 41,
-    /// `pmfs::Pmfs::ns_shards[7]`.
-    PmfsNsShard7 = 42,
-    /// `pmfs::InodeCache::shards[0]` — one shard of the inode map.
-    PmfsInodeShard0 = 43,
-    /// `pmfs::InodeCache::shards[1]`.
-    PmfsInodeShard1 = 44,
-    /// `pmfs::InodeCache::shards[2]`.
-    PmfsInodeShard2 = 45,
-    /// `pmfs::InodeCache::shards[3]`.
-    PmfsInodeShard3 = 46,
-    /// `pmfs::InodeCache::shards[4]`.
-    PmfsInodeShard4 = 47,
-    /// `pmfs::InodeCache::shards[5]`.
-    PmfsInodeShard5 = 48,
-    /// `pmfs::InodeCache::shards[6]`.
-    PmfsInodeShard6 = 49,
-    /// `pmfs::InodeCache::shards[7]`.
-    PmfsInodeShard7 = 50,
-}
-
-/// Number of [`Site`] variants.
-pub const NSITES: usize = 51;
-
 /// Shard fan-out of the sharded subsystems. Every shard-indexed site
 /// family below has exactly this many members, so `Site::hinfs_shard(i)`
 /// and friends are total for any `i` (reduced mod `NSHARDS`).
 pub const NSHARDS: usize = 8;
 
+/// A static lock or stall site. One id per lock *declaration*, named
+/// `<crate>.<structure>`; `stall.*` sites are not locks but explicit
+/// blocking points on the write path. A sharded lock is a family of
+/// [`NSHARDS`] sites labelled `<family><i>`, numbered after the named
+/// sites and reached only through the family's constructor.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Site(u8);
+
+/// The labels of one shard family, `<prefix>0` … `<prefix>7`.
+macro_rules! shard_labels {
+    ($prefix:literal) => {
+        [
+            concat!($prefix, 0),
+            concat!($prefix, 1),
+            concat!($prefix, 2),
+            concat!($prefix, 3),
+            concat!($prefix, 4),
+            concat!($prefix, 5),
+            concat!($prefix, 6),
+            concat!($prefix, 7),
+        ]
+    };
+}
+
+/// Declares the named sites (one constant each) and the shard families
+/// (one constructor each), in discriminant order.
+macro_rules! sites {
+    (
+        named {
+            $( $(#[$meta:meta])* $name:ident = $label:literal, )+
+        }
+        families {
+            $( $(#[$fmeta:meta])* $family:ident = $prefix:literal, )+
+        }
+    ) => {
+        #[repr(u8)]
+        enum Named {
+            $( $name, )+
+        }
+
+        #[allow(non_camel_case_types)]
+        enum Family {
+            $( $family, )+
+        }
+
+        const NAMED_LABELS: &[&str] = &[$($label),+];
+        const FAMILY_LABELS: &[[&str; NSHARDS]] = &[$(shard_labels!($prefix)),+];
+
+        #[allow(non_upper_case_globals)]
+        impl Site {
+            $( $(#[$meta])* pub const $name: Site = Site(Named::$name as u8); )+
+            $(
+                $(#[$fmeta])*
+                pub fn $family(i: usize) -> Site {
+                    Site::shard(Family::$family as usize, i)
+                }
+            )+
+        }
+    };
+}
+
+sites! {
+    named {
+        /// `nvmm::NvmmDevice::mem` — the device byte array.
+        NvmmDevice = "nvmm.device",
+        /// `nvmm::NvmmDevice::shadow` — the crash-consistency shadow.
+        NvmmShadow = "nvmm.shadow",
+        /// `nvmm::BandwidthGate` — calendar and writer-slot semaphore.
+        NvmmGate = "nvmm.gate",
+        /// `fskit::FdTable` — the descriptor table.
+        FskitFdtable = "fskit.fdtable",
+        /// `pmfs::Journal` — the undo-journal ring.
+        PmfsJournal = "pmfs.journal",
+        /// `pmfs::Allocator` — the block/inode allocator.
+        PmfsAlloc = "pmfs.alloc",
+        /// `pmfs::Pmfs::ns` — the namespace (directory tree) lock.
+        PmfsNamespace = "pmfs.ns",
+        /// `pmfs::InodeCache` — the in-memory inode map.
+        PmfsInodeMap = "pmfs.inode_map",
+        /// `hinfs::Hinfs::shared` — the DRAM buffer pool and block index.
+        HinfsBufferPool = "hinfs.buffer_pool",
+        /// `hinfs::WbCtl` — writeback kick flag and thread registry.
+        HinfsWriteback = "hinfs.writeback",
+        /// `extfs::Jbd` — the JBD2-style journal.
+        ExtfsJbd = "extfs.jbd",
+        /// `extfs::Allocator` — the block/inode allocator.
+        ExtfsAlloc = "extfs.alloc",
+        /// `extfs::Extfs::ns` — the namespace lock.
+        ExtfsNamespace = "extfs.ns",
+        /// `extfs::Extfs::dirty_data` — the ordered-mode dirty-data set.
+        ExtfsDirtyData = "extfs.dirty_data",
+        /// `extfs::Cache` — the page cache.
+        ExtfsCache = "extfs.cache",
+        /// `extfs::InodeCache` — the in-memory inode map.
+        ExtfsInodeMap = "extfs.inode_map",
+        /// A foreground write paying for a buffer-pool reclaim itself.
+        StallWriteback = "stall.writeback",
+        /// Journal-pressure relief: flushing open transactions to free ring
+        /// space before (or inside) `begin_tx`.
+        StallJournalFull = "stall.journal_full",
+        /// NVMM write-bandwidth throttling: queueing delay charged by the
+        /// bandwidth gate beyond pure service time.
+        StallThrottle = "stall.throttle",
+    }
+    families {
+        /// `hinfs::Hinfs::shards[i]` — shard `i` (mod [`NSHARDS`]) of the
+        /// DRAM buffer pool.
+        hinfs_shard = "hinfs.shard",
+        /// `pmfs::Allocator::shards[i]` — shard `i` of the block allocator.
+        pmfs_alloc_shard = "pmfs.alloc_shard",
+        /// `pmfs::Pmfs::ns_shards[i]` — shard `i` of the namespace lock.
+        pmfs_ns_shard = "pmfs.ns_shard",
+        /// `pmfs::InodeCache::shards[i]` — shard `i` of the inode map.
+        pmfs_inode_shard = "pmfs.inode_shard",
+    }
+}
+
+/// Number of sites: the named ones, then [`NSHARDS`] per family.
+pub const NSITES: usize = NAMED_LABELS.len() + FAMILY_LABELS.len() * NSHARDS;
+
 /// All sites in discriminant order.
-pub const ALL_SITES: [Site; NSITES] = [
-    Site::NvmmDevice,
-    Site::NvmmShadow,
-    Site::NvmmGate,
-    Site::FskitFdtable,
-    Site::PmfsJournal,
-    Site::PmfsAlloc,
-    Site::PmfsNamespace,
-    Site::PmfsInodeMap,
-    Site::HinfsBufferPool,
-    Site::HinfsWriteback,
-    Site::ExtfsJbd,
-    Site::ExtfsAlloc,
-    Site::ExtfsNamespace,
-    Site::ExtfsDirtyData,
-    Site::ExtfsCache,
-    Site::ExtfsInodeMap,
-    Site::StallWriteback,
-    Site::StallJournalFull,
-    Site::StallThrottle,
-    Site::HinfsShard0,
-    Site::HinfsShard1,
-    Site::HinfsShard2,
-    Site::HinfsShard3,
-    Site::HinfsShard4,
-    Site::HinfsShard5,
-    Site::HinfsShard6,
-    Site::HinfsShard7,
-    Site::PmfsAllocShard0,
-    Site::PmfsAllocShard1,
-    Site::PmfsAllocShard2,
-    Site::PmfsAllocShard3,
-    Site::PmfsAllocShard4,
-    Site::PmfsAllocShard5,
-    Site::PmfsAllocShard6,
-    Site::PmfsAllocShard7,
-    Site::PmfsNsShard0,
-    Site::PmfsNsShard1,
-    Site::PmfsNsShard2,
-    Site::PmfsNsShard3,
-    Site::PmfsNsShard4,
-    Site::PmfsNsShard5,
-    Site::PmfsNsShard6,
-    Site::PmfsNsShard7,
-    Site::PmfsInodeShard0,
-    Site::PmfsInodeShard1,
-    Site::PmfsInodeShard2,
-    Site::PmfsInodeShard3,
-    Site::PmfsInodeShard4,
-    Site::PmfsInodeShard5,
-    Site::PmfsInodeShard6,
-    Site::PmfsInodeShard7,
-];
-
-/// The hinfs buffer-pool shard sites, in shard order.
-pub const HINFS_SHARD_SITES: [Site; NSHARDS] = [
-    Site::HinfsShard0,
-    Site::HinfsShard1,
-    Site::HinfsShard2,
-    Site::HinfsShard3,
-    Site::HinfsShard4,
-    Site::HinfsShard5,
-    Site::HinfsShard6,
-    Site::HinfsShard7,
-];
-
-/// The pmfs allocator shard sites, in shard order.
-pub const PMFS_ALLOC_SHARD_SITES: [Site; NSHARDS] = [
-    Site::PmfsAllocShard0,
-    Site::PmfsAllocShard1,
-    Site::PmfsAllocShard2,
-    Site::PmfsAllocShard3,
-    Site::PmfsAllocShard4,
-    Site::PmfsAllocShard5,
-    Site::PmfsAllocShard6,
-    Site::PmfsAllocShard7,
-];
-
-/// The pmfs namespace shard sites, in shard order.
-pub const PMFS_NS_SHARD_SITES: [Site; NSHARDS] = [
-    Site::PmfsNsShard0,
-    Site::PmfsNsShard1,
-    Site::PmfsNsShard2,
-    Site::PmfsNsShard3,
-    Site::PmfsNsShard4,
-    Site::PmfsNsShard5,
-    Site::PmfsNsShard6,
-    Site::PmfsNsShard7,
-];
-
-/// The pmfs inode-map shard sites, in shard order.
-pub const PMFS_INODE_SHARD_SITES: [Site; NSHARDS] = [
-    Site::PmfsInodeShard0,
-    Site::PmfsInodeShard1,
-    Site::PmfsInodeShard2,
-    Site::PmfsInodeShard3,
-    Site::PmfsInodeShard4,
-    Site::PmfsInodeShard5,
-    Site::PmfsInodeShard6,
-    Site::PmfsInodeShard7,
-];
+pub const ALL_SITES: [Site; NSITES] = {
+    let mut all = [Site(0); NSITES];
+    let mut i = 0;
+    while i < NSITES {
+        all[i] = Site(i as u8);
+        i += 1;
+    }
+    all
+};
 
 impl Site {
+    fn shard(family: usize, i: usize) -> Site {
+        Site((NAMED_LABELS.len() + family * NSHARDS + i % NSHARDS) as u8)
+    }
+
+    /// The site's discriminant: its position in [`ALL_SITES`].
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
     /// Stable dotted label for reports and the bench JSON.
     pub fn label(self) -> &'static str {
-        match self {
-            Site::NvmmDevice => "nvmm.device",
-            Site::NvmmShadow => "nvmm.shadow",
-            Site::NvmmGate => "nvmm.gate",
-            Site::FskitFdtable => "fskit.fdtable",
-            Site::PmfsJournal => "pmfs.journal",
-            Site::PmfsAlloc => "pmfs.alloc",
-            Site::PmfsNamespace => "pmfs.ns",
-            Site::PmfsInodeMap => "pmfs.inode_map",
-            Site::HinfsBufferPool => "hinfs.buffer_pool",
-            Site::HinfsWriteback => "hinfs.writeback",
-            Site::ExtfsJbd => "extfs.jbd",
-            Site::ExtfsAlloc => "extfs.alloc",
-            Site::ExtfsNamespace => "extfs.ns",
-            Site::ExtfsDirtyData => "extfs.dirty_data",
-            Site::ExtfsCache => "extfs.cache",
-            Site::ExtfsInodeMap => "extfs.inode_map",
-            Site::StallWriteback => "stall.writeback",
-            Site::StallJournalFull => "stall.journal_full",
-            Site::StallThrottle => "stall.throttle",
-            Site::HinfsShard0 => "hinfs.shard0",
-            Site::HinfsShard1 => "hinfs.shard1",
-            Site::HinfsShard2 => "hinfs.shard2",
-            Site::HinfsShard3 => "hinfs.shard3",
-            Site::HinfsShard4 => "hinfs.shard4",
-            Site::HinfsShard5 => "hinfs.shard5",
-            Site::HinfsShard6 => "hinfs.shard6",
-            Site::HinfsShard7 => "hinfs.shard7",
-            Site::PmfsAllocShard0 => "pmfs.alloc_shard0",
-            Site::PmfsAllocShard1 => "pmfs.alloc_shard1",
-            Site::PmfsAllocShard2 => "pmfs.alloc_shard2",
-            Site::PmfsAllocShard3 => "pmfs.alloc_shard3",
-            Site::PmfsAllocShard4 => "pmfs.alloc_shard4",
-            Site::PmfsAllocShard5 => "pmfs.alloc_shard5",
-            Site::PmfsAllocShard6 => "pmfs.alloc_shard6",
-            Site::PmfsAllocShard7 => "pmfs.alloc_shard7",
-            Site::PmfsNsShard0 => "pmfs.ns_shard0",
-            Site::PmfsNsShard1 => "pmfs.ns_shard1",
-            Site::PmfsNsShard2 => "pmfs.ns_shard2",
-            Site::PmfsNsShard3 => "pmfs.ns_shard3",
-            Site::PmfsNsShard4 => "pmfs.ns_shard4",
-            Site::PmfsNsShard5 => "pmfs.ns_shard5",
-            Site::PmfsNsShard6 => "pmfs.ns_shard6",
-            Site::PmfsNsShard7 => "pmfs.ns_shard7",
-            Site::PmfsInodeShard0 => "pmfs.inode_shard0",
-            Site::PmfsInodeShard1 => "pmfs.inode_shard1",
-            Site::PmfsInodeShard2 => "pmfs.inode_shard2",
-            Site::PmfsInodeShard3 => "pmfs.inode_shard3",
-            Site::PmfsInodeShard4 => "pmfs.inode_shard4",
-            Site::PmfsInodeShard5 => "pmfs.inode_shard5",
-            Site::PmfsInodeShard6 => "pmfs.inode_shard6",
-            Site::PmfsInodeShard7 => "pmfs.inode_shard7",
+        match self.index().checked_sub(NAMED_LABELS.len()) {
+            None => NAMED_LABELS[self.index()],
+            Some(s) => FAMILY_LABELS[s / NSHARDS][s % NSHARDS],
         }
-    }
-
-    /// The buffer-pool shard site for shard index `i` (mod [`NSHARDS`]).
-    pub fn hinfs_shard(i: usize) -> Site {
-        HINFS_SHARD_SITES[i % NSHARDS]
-    }
-
-    /// The allocator shard site for shard index `i` (mod [`NSHARDS`]).
-    pub fn pmfs_alloc_shard(i: usize) -> Site {
-        PMFS_ALLOC_SHARD_SITES[i % NSHARDS]
-    }
-
-    /// The namespace shard site for shard index `i` (mod [`NSHARDS`]).
-    pub fn pmfs_ns_shard(i: usize) -> Site {
-        PMFS_NS_SHARD_SITES[i % NSHARDS]
-    }
-
-    /// The inode-map shard site for shard index `i` (mod [`NSHARDS`]).
-    pub fn pmfs_inode_shard(i: usize) -> Site {
-        PMFS_INODE_SHARD_SITES[i % NSHARDS]
     }
 
     /// Snake-case form of [`Site::label`] for metric names.
     fn metric_suffix(self) -> String {
         self.label().replace('.', "_")
+    }
+}
+
+impl std::fmt::Debug for Site {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -455,7 +315,7 @@ impl ContentionTable {
         match self.level() {
             Level::Off => {}
             Level::Counts => {
-                self.sites[site as usize]
+                self.sites[site.index()]
                     .contended
                     .fetch_add(1, Ordering::Relaxed);
                 note_wait(site, wait_ns);
@@ -480,7 +340,7 @@ impl ContentionTable {
             sites: ALL_SITES
                 .iter()
                 .map(|&site| {
-                    let s = &self.sites[site as usize];
+                    let s = &self.sites[site.index()];
                     SiteSnapshot {
                         site,
                         acquisitions: s.acquisitions.load(Ordering::Relaxed),
@@ -501,14 +361,14 @@ impl ContentionTable {
 
     #[inline]
     fn note_acquisition(&self, site: Site) {
-        self.sites[site as usize]
+        self.sites[site.index()]
             .acquisitions
             .fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
     fn note_contended(&self, site: Site) {
-        self.sites[site as usize]
+        self.sites[site.index()]
             .contended
             .fetch_add(1, Ordering::Relaxed);
     }
@@ -524,14 +384,14 @@ impl ContentionTable {
     /// lock paths tick *before* blocking, so a stalled thread is visible
     /// while it waits).
     fn record_wait_sample(&self, site: Site, wait_ns: u64) {
-        let s = &self.sites[site as usize];
+        let s = &self.sites[site.index()];
         s.wait.record(wait_ns);
         s.wait_by_op[current_row()].fetch_add(wait_ns, Ordering::Relaxed);
         note_wait(site, wait_ns);
     }
 
     fn record_hold(&self, site: Site, hold_ns: u64) {
-        let s = &self.sites[site as usize];
+        let s = &self.sites[site.index()];
         s.hold.record(hold_ns);
         s.hold_by_op[current_row()].fetch_add(hold_ns, Ordering::Relaxed);
     }
@@ -594,7 +454,7 @@ pub struct ContentionSnapshot {
 impl ContentionSnapshot {
     /// One site's snapshot.
     pub fn site(&self, site: Site) -> &SiteSnapshot {
-        &self.sites[site as usize]
+        &self.sites[site.index()]
     }
 
     /// Sites that saw activity, in discriminant order.
@@ -611,15 +471,10 @@ impl ContentionSnapshot {
                 .sum()
                 .cmp(&a.wait.sum())
                 .then(b.hold.sum().cmp(&a.hold.sum()))
-                .then((a.site as usize).cmp(&(b.site as usize)))
+                .then(a.site.index().cmp(&b.site.index()))
         });
         v.truncate(n);
         v
-    }
-
-    /// Label of a site × op matrix row (re-exported span row labels).
-    pub fn op_label(row: usize) -> &'static str {
-        row_label(row)
     }
 }
 
@@ -627,6 +482,73 @@ impl ContentionSnapshot {
 /// lock leaves the data as-is.
 fn unpoison<G>(r: Result<G, sync::PoisonError<G>>) -> G {
     r.unwrap_or_else(sync::PoisonError::into_inner)
+}
+
+/// [`unpoison`] for a non-blocking acquire: `None` only when it would
+/// block.
+fn try_unpoison<G>(r: Result<G, sync::TryLockError<G>>) -> Option<G> {
+    match r {
+        Ok(g) => Some(g),
+        Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(sync::TryLockError::WouldBlock) => None,
+    }
+}
+
+/// The one level dispatch behind every tracked acquire. Unattached or at
+/// [`Level::Off`] it costs one `OnceLock` load and one relaxed load, then
+/// `block` (or, for a try, `try_acquire`) runs bare. Otherwise the
+/// acquisition is counted; a blocking acquire that `try_acquire` cannot
+/// satisfy ticks the contended counter *before* it blocks (a thread is
+/// visibly stalled while it waits) and, at [`Level::Full`], samples the
+/// wait; at `Full` the guard also opens a [`Hold`]. A try (`block` is
+/// `None`) that would block returns `None`, counting nothing: a failed
+/// try is a caller decision, not a blocked thread.
+#[inline]
+fn acquire<'a, G>(
+    table: &'a OnceLock<Arc<ContentionTable>>,
+    site: Site,
+    try_acquire: impl FnOnce() -> Option<G>,
+    block: Option<impl FnOnce() -> G>,
+) -> Option<(Option<Hold<'a>>, G)> {
+    let (table, full) = match table.get().map(|t| (t, t.level())) {
+        Some((t, Level::Counts)) => (t, false),
+        Some((t, Level::Full)) => (t, true),
+        _ => {
+            return match block {
+                Some(block) => Some((None, block())),
+                None => try_acquire().map(|g| (None, g)),
+            }
+        }
+    };
+    let g = match block {
+        None => {
+            let g = try_acquire()?;
+            table.note_acquisition(site);
+            g
+        }
+        Some(block) => {
+            table.note_acquisition(site);
+            match try_acquire() {
+                Some(g) => g,
+                None => {
+                    table.note_contended(site);
+                    let t0 = full.then(|| table.now());
+                    let g = block();
+                    if let Some(t0) = t0 {
+                        table.record_wait_sample(site, table.now().saturating_sub(t0));
+                    }
+                    g
+                }
+            }
+        }
+    };
+    let hold = full.then(|| Hold {
+        table,
+        site,
+        acquired_at: table.now(),
+        deduct: 0,
+    });
+    Some((hold, g))
 }
 
 /// Open hold-time measurement carried by a guard at [`Level::Full`].
@@ -653,16 +575,23 @@ impl Drop for Hold<'_> {
     }
 }
 
-/// A [`Site`]-tagged mutex recording into an attached
+/// A [`Site`]-tagged `std::sync` lock `L` recording into an attached
 /// [`ContentionTable`]. Construction is `const`-friendly and detached —
 /// a lock built before its simulation environment exists (allocators,
-/// caches) behaves as a bare lock until [`TrackedMutex::attach`].
+/// caches) behaves as a bare lock until [`Tracked::attach`].
 #[derive(Debug)]
-pub struct TrackedMutex<T: ?Sized> {
+pub struct Tracked<L> {
     site: Site,
     table: OnceLock<Arc<ContentionTable>>,
-    inner: sync::Mutex<T>,
+    inner: L,
 }
+
+/// A tracked mutex.
+pub type TrackedMutex<T> = Tracked<sync::Mutex<T>>;
+
+/// A tracked reader-writer lock. Reads and writes record into the same
+/// site (each guard books its own hold).
+pub type TrackedRwLock<T> = Tracked<sync::RwLock<T>>;
 
 /// Guard for [`TrackedMutex`]. The inner `Option` is only ever `None`
 /// transiently inside [`TrackedCondvar::wait`].
@@ -671,127 +600,89 @@ pub struct TrackedMutexGuard<'a, T: ?Sized> {
     g: Option<sync::MutexGuard<'a, T>>,
 }
 
-impl<T> TrackedMutex<T> {
-    /// An untracked-until-attached mutex.
-    pub const fn new(site: Site, t: T) -> TrackedMutex<T> {
-        TrackedMutex {
+/// Guard for [`TrackedRwLock`]: the inner `std::sync` guard `G` plus the
+/// open hold.
+pub struct TrackedGuard<'a, G> {
+    _hold: Option<Hold<'a>>,
+    g: G,
+}
+
+/// Shared-read guard for [`TrackedRwLock`].
+pub type TrackedReadGuard<'a, T> = TrackedGuard<'a, sync::RwLockReadGuard<'a, T>>;
+
+/// Exclusive-write guard for [`TrackedRwLock`].
+pub type TrackedWriteGuard<'a, T> = TrackedGuard<'a, sync::RwLockWriteGuard<'a, T>>;
+
+impl<L> Tracked<L> {
+    const fn with(site: Site, inner: L) -> Tracked<L> {
+        Tracked {
             site,
             table: OnceLock::new(),
-            inner: sync::Mutex::new(t),
+            inner,
         }
     }
 
-    /// A mutex born attached to `table`.
-    pub fn attached(table: &Arc<ContentionTable>, site: Site, t: T) -> TrackedMutex<T> {
-        let m = TrackedMutex::new(site, t);
-        m.attach(table);
-        m
-    }
-
-    /// Consumes the mutex, returning the data.
-    pub fn into_inner(self) -> T {
-        unpoison(self.inner.into_inner())
-    }
-}
-
-impl<T: ?Sized> TrackedMutex<T> {
     /// Connects this lock to a table. First caller wins; later calls are
-    /// no-ops (mirrors `FsObs::set_spans`).
+    /// no-ops.
     pub fn attach(&self, table: &Arc<ContentionTable>) {
         let _ = self.table.set(table.clone());
+    }
+
+    /// This lock born attached to `table`.
+    fn attached_to(self, table: &Arc<ContentionTable>) -> Tracked<L> {
+        self.attach(table);
+        self
     }
 
     /// This lock's site id.
     pub fn site(&self) -> Site {
         self.site
     }
+}
 
-    /// Acquires the lock, recording per the attached table's level.
-    pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        let Some(table) = self.table.get() else {
-            return TrackedMutexGuard {
-                hold: None,
-                g: Some(unpoison(self.inner.lock())),
-            };
-        };
-        match table.level() {
-            Level::Off => TrackedMutexGuard {
-                hold: None,
-                g: Some(unpoison(self.inner.lock())),
-            },
-            Level::Counts => {
-                table.note_acquisition(self.site);
-                let g = match self.inner.try_lock() {
-                    Ok(g) => g,
-                    Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-                    Err(sync::TryLockError::WouldBlock) => {
-                        table.note_contended(self.site);
-                        unpoison(self.inner.lock())
-                    }
-                };
-                TrackedMutexGuard {
-                    hold: None,
-                    g: Some(g),
-                }
-            }
-            Level::Full => {
-                table.note_acquisition(self.site);
-                let g = match self.inner.try_lock() {
-                    Ok(g) => g,
-                    Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-                    Err(sync::TryLockError::WouldBlock) => {
-                        // Contended tick first: a thread is visibly
-                        // stalled *while* it waits, not only after.
-                        table.note_contended(self.site);
-                        let t0 = table.now();
-                        let g = unpoison(self.inner.lock());
-                        table.record_wait_sample(self.site, table.now().saturating_sub(t0));
-                        g
-                    }
-                };
-                TrackedMutexGuard {
-                    hold: Some(Hold {
-                        table,
-                        site: self.site,
-                        acquired_at: table.now(),
-                        deduct: 0,
-                    }),
-                    g: Some(g),
-                }
-            }
-        }
+impl<T> TrackedMutex<T> {
+    /// An untracked-until-attached mutex.
+    pub const fn new(site: Site, t: T) -> TrackedMutex<T> {
+        Tracked::with(site, sync::Mutex::new(t))
     }
 
-    /// Non-blocking acquire. Counts as an acquisition (never contended —
-    /// a failed try is a caller decision, not a blocked thread).
-    pub fn try_lock(&self) -> Option<TrackedMutexGuard<'_, T>> {
-        let g = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(sync::TryLockError::WouldBlock) => return None,
-        };
-        let hold = self.table.get().and_then(|table| match table.level() {
-            Level::Off => None,
-            Level::Counts => {
-                table.note_acquisition(self.site);
-                None
-            }
-            Level::Full => {
-                table.note_acquisition(self.site);
-                Some(Hold {
-                    table,
-                    site: self.site,
-                    acquired_at: table.now(),
-                    deduct: 0,
-                })
-            }
-        });
-        Some(TrackedMutexGuard { hold, g: Some(g) })
+    /// A mutex born attached to `table`.
+    pub fn attached(table: &Arc<ContentionTable>, site: Site, t: T) -> TrackedMutex<T> {
+        TrackedMutex::new(site, t).attached_to(table)
+    }
+
+    /// Consumes the mutex, returning the data.
+    pub fn into_inner(self) -> T {
+        unpoison(self.inner.into_inner())
     }
 
     /// Exclusive access without locking.
     pub fn get_mut(&mut self) -> &mut T {
         unpoison(self.inner.get_mut())
+    }
+
+    /// Acquires the lock, recording per the attached table's level.
+    pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
+        let (hold, g) = acquire(
+            &self.table,
+            self.site,
+            || try_unpoison(self.inner.try_lock()),
+            Some(|| unpoison(self.inner.lock())),
+        )
+        .expect("a blocking acquire always acquires");
+        TrackedMutexGuard { hold, g: Some(g) }
+    }
+
+    /// Non-blocking acquire. Counts as an acquisition (never contended —
+    /// a failed try is a caller decision, not a blocked thread).
+    pub fn try_lock(&self) -> Option<TrackedMutexGuard<'_, T>> {
+        let (hold, g) = acquire(
+            &self.table,
+            self.site,
+            || try_unpoison(self.inner.try_lock()),
+            None::<fn() -> _>,
+        )?;
+        Some(TrackedMutexGuard { hold, g: Some(g) })
     }
 }
 
@@ -808,17 +699,6 @@ impl<T: ?Sized> std::ops::DerefMut for TrackedMutexGuard<'_, T> {
     }
 }
 
-/// Result of [`TrackedCondvar::wait_for`].
-#[derive(Debug, Clone, Copy)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended by timeout rather than a notification.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 /// A condition variable operating on [`TrackedMutexGuard`] in place.
 /// Time parked in a wait is booked as *wait* against the guard's site
 /// (and counted as contended) and deducted from the guard's hold time.
@@ -831,37 +711,30 @@ impl TrackedCondvar {
         TrackedCondvar(sync::Condvar::new())
     }
 
-    fn book_wait<T: ?Sized>(guard: &mut TrackedMutexGuard<'_, T>, t0: Option<u64>) {
+    /// Blocks until notified.
+    pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
+        Self::park(guard, |g| unpoison(self.0.wait(g)));
+    }
+
+    /// Blocks until notified or `timeout` elapses (wall time).
+    pub fn wait_for<T>(&self, guard: &mut TrackedMutexGuard<'_, T>, timeout: Duration) {
+        Self::park(guard, |g| unpoison(self.0.wait_timeout(g, timeout)).0);
+    }
+
+    /// Parks `guard` in `wait`, booking the parked time as wait and
+    /// taking it off the guard's hold.
+    fn park<'a, T>(
+        guard: &mut TrackedMutexGuard<'a, T>,
+        wait: impl FnOnce(sync::MutexGuard<'a, T>) -> sync::MutexGuard<'a, T>,
+    ) {
+        let t0 = guard.hold.as_ref().map(|h| h.table.now());
+        let g = guard.g.take().expect("guard present");
+        guard.g = Some(wait(g));
         if let (Some(h), Some(t0)) = (guard.hold.as_mut(), t0) {
             let waited = h.table.now().saturating_sub(t0);
             h.table.record_wait(h.site, waited);
             h.deduct = h.deduct.saturating_add(waited);
         }
-    }
-
-    /// Blocks until notified.
-    pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
-        let t0 = guard.hold.as_ref().map(|h| h.table.now());
-        let g = guard.g.take().expect("guard present");
-        guard.g = Some(unpoison(self.0.wait(g)));
-        Self::book_wait(guard, t0);
-    }
-
-    /// Blocks until notified or `timeout` elapses (wall time).
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut TrackedMutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let t0 = guard.hold.as_ref().map(|h| h.table.now());
-        let g = guard.g.take().expect("guard present");
-        let (g, res) = match self.0.wait_timeout(g, timeout) {
-            Ok(pair) => pair,
-            Err(p) => p.into_inner(),
-        };
-        guard.g = Some(g);
-        Self::book_wait(guard, t0);
-        WaitTimeoutResult(res.timed_out())
     }
 
     /// Wakes one waiter.
@@ -875,153 +748,61 @@ impl TrackedCondvar {
     }
 }
 
-/// A [`Site`]-tagged reader-writer lock; same attachment and recording
-/// rules as [`TrackedMutex`]. Reads and writes record into the same
-/// site (each guard books its own hold).
-#[derive(Debug)]
-pub struct TrackedRwLock<T: ?Sized> {
-    site: Site,
-    table: OnceLock<Arc<ContentionTable>>,
-    inner: sync::RwLock<T>,
-}
-
-/// Shared-read guard for [`TrackedRwLock`].
-pub struct TrackedReadGuard<'a, T: ?Sized> {
-    _hold: Option<Hold<'a>>,
-    g: sync::RwLockReadGuard<'a, T>,
-}
-
-/// Exclusive-write guard for [`TrackedRwLock`].
-pub struct TrackedWriteGuard<'a, T: ?Sized> {
-    _hold: Option<Hold<'a>>,
-    g: sync::RwLockWriteGuard<'a, T>,
-}
-
 impl<T> TrackedRwLock<T> {
     /// An untracked-until-attached rwlock.
     pub const fn new(site: Site, t: T) -> TrackedRwLock<T> {
-        TrackedRwLock {
-            site,
-            table: OnceLock::new(),
-            inner: sync::RwLock::new(t),
-        }
+        Tracked::with(site, sync::RwLock::new(t))
     }
 
     /// An rwlock born attached to `table`.
     pub fn attached(table: &Arc<ContentionTable>, site: Site, t: T) -> TrackedRwLock<T> {
-        let l = TrackedRwLock::new(site, t);
-        l.attach(table);
-        l
+        TrackedRwLock::new(site, t).attached_to(table)
     }
 
     /// Consumes the lock, returning the data.
     pub fn into_inner(self) -> T {
         unpoison(self.inner.into_inner())
     }
-}
-
-impl<T: ?Sized> TrackedRwLock<T> {
-    /// Connects this lock to a table (first caller wins).
-    pub fn attach(&self, table: &Arc<ContentionTable>) {
-        let _ = self.table.set(table.clone());
-    }
-
-    /// This lock's site id.
-    pub fn site(&self) -> Site {
-        self.site
-    }
-
-    /// The table and an open hold, per the current level, for a guard
-    /// acquired via `acquire` (which runs between the counter tick and
-    /// the hold-open clock read).
-    fn run<G>(
-        &self,
-        try_acquire: impl FnOnce() -> Option<G>,
-        acquire: impl FnOnce() -> G,
-    ) -> (Option<Hold<'_>>, G) {
-        let Some(table) = self.table.get() else {
-            return (None, acquire());
-        };
-        match table.level() {
-            Level::Off => (None, acquire()),
-            Level::Counts => {
-                table.note_acquisition(self.site);
-                let g = try_acquire().unwrap_or_else(|| {
-                    table.note_contended(self.site);
-                    acquire()
-                });
-                (None, g)
-            }
-            Level::Full => {
-                table.note_acquisition(self.site);
-                let g = try_acquire().unwrap_or_else(|| {
-                    table.note_contended(self.site);
-                    let t0 = table.now();
-                    let g = acquire();
-                    table.record_wait_sample(self.site, table.now().saturating_sub(t0));
-                    g
-                });
-                (
-                    Some(Hold {
-                        table,
-                        site: self.site,
-                        acquired_at: table.now(),
-                        deduct: 0,
-                    }),
-                    g,
-                )
-            }
-        }
-    }
-
-    /// Acquires a shared read guard.
-    pub fn read(&self) -> TrackedReadGuard<'_, T> {
-        let (hold, g) = self.run(
-            || match self.inner.try_read() {
-                Ok(g) => Some(g),
-                Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                Err(sync::TryLockError::WouldBlock) => None,
-            },
-            || unpoison(self.inner.read()),
-        );
-        TrackedReadGuard { _hold: hold, g }
-    }
-
-    /// Acquires the exclusive write guard.
-    pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-        let (hold, g) = self.run(
-            || match self.inner.try_write() {
-                Ok(g) => Some(g),
-                Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                Err(sync::TryLockError::WouldBlock) => None,
-            },
-            || unpoison(self.inner.write()),
-        );
-        TrackedWriteGuard { _hold: hold, g }
-    }
 
     /// Exclusive access without locking.
     pub fn get_mut(&mut self) -> &mut T {
         unpoison(self.inner.get_mut())
     }
+
+    /// Acquires a shared read guard.
+    pub fn read(&self) -> TrackedReadGuard<'_, T> {
+        let (_hold, g) = acquire(
+            &self.table,
+            self.site,
+            || try_unpoison(self.inner.try_read()),
+            Some(|| unpoison(self.inner.read())),
+        )
+        .expect("a blocking acquire always acquires");
+        TrackedGuard { _hold, g }
+    }
+
+    /// Acquires the exclusive write guard.
+    pub fn write(&self) -> TrackedWriteGuard<'_, T> {
+        let (_hold, g) = acquire(
+            &self.table,
+            self.site,
+            || try_unpoison(self.inner.try_write()),
+            Some(|| unpoison(self.inner.write())),
+        )
+        .expect("a blocking acquire always acquires");
+        TrackedGuard { _hold, g }
+    }
 }
 
-impl<T: ?Sized> std::ops::Deref for TrackedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
+impl<G: std::ops::Deref> std::ops::Deref for TrackedGuard<'_, G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
         &self.g
     }
 }
 
-impl<T: ?Sized> std::ops::Deref for TrackedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.g
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for TrackedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
+impl<G: std::ops::DerefMut> std::ops::DerefMut for TrackedGuard<'_, G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
         &mut self.g
     }
 }
@@ -1291,7 +1072,7 @@ mod tests {
     fn labels_unique_and_ordered() {
         let mut seen = std::collections::HashSet::new();
         for (i, s) in ALL_SITES.iter().enumerate() {
-            assert_eq!(*s as usize, i);
+            assert_eq!(s.index(), i);
             assert!(seen.insert(s.label()));
             assert!(s.label().contains('.'), "{} is not dotted", s.label());
         }

@@ -37,41 +37,21 @@ use crate::contention::ContentionSnapshot;
 use crate::snapshot::FsSnapshot;
 use crate::trace::TraceEvent;
 
-/// Which observability source a coverage point came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum CoverageDomain {
-    /// Trace-ring event kinds with bucketed payloads.
-    Trace = 0,
-    /// Contention-site first-hits.
-    Site = 1,
-    /// Introspection-state classes (watermark region, journal fill, …).
-    State = 2,
-    /// Crash-schedule shape and recovery depth.
-    Crash = 3,
-    /// Per-operation outcome classes.
-    Op = 4,
-}
-
-/// Every domain, in tag order.
-pub const COVERAGE_DOMAINS: [CoverageDomain; 5] = [
-    CoverageDomain::Trace,
-    CoverageDomain::Site,
-    CoverageDomain::State,
-    CoverageDomain::Crash,
-    CoverageDomain::Op,
-];
-
-impl CoverageDomain {
-    /// Stable label for summaries.
-    pub fn label(self) -> &'static str {
-        match self {
-            CoverageDomain::Trace => "trace",
-            CoverageDomain::Site => "site",
-            CoverageDomain::State => "state",
-            CoverageDomain::Crash => "crash",
-            CoverageDomain::Op => "op",
-        }
+labelled! {
+    /// Which observability source a coverage point came from; the
+    /// discriminant is the point's domain tag.
+    #[repr(u8)]
+    pub enum CoverageDomain, all COVERAGE_DOMAINS, count NDOMAINS {
+        /// Trace-ring event kinds with bucketed payloads.
+        Trace = "trace",
+        /// Contention-site first-hits.
+        Site = "site",
+        /// Introspection-state classes (watermark region, journal fill, …).
+        State = "state",
+        /// Crash-schedule shape and recovery depth.
+        Crash = "crash",
+        /// Per-operation outcome classes.
+        Op = "op",
     }
 }
 
@@ -90,53 +70,6 @@ pub fn mag_bucket(v: u64) -> u64 {
 /// feature payload in the low 48 bits.
 fn point(domain: CoverageDomain, ctx: u8, feature: u64) -> u64 {
     ((domain as u64) << 56) | ((ctx as u64) << 48) | (feature & 0xFFFF_FFFF_FFFF)
-}
-
-/// Stable index of a trace-event kind (mirrors the ring's wire tags).
-fn trace_kind_idx(ev: &TraceEvent) -> u64 {
-    match ev {
-        TraceEvent::ReclaimBegin { .. } => 0,
-        TraceEvent::ReclaimEnd { .. } => 1,
-        TraceEvent::WatermarkLow { .. } => 2,
-        TraceEvent::ForegroundStall { .. } => 3,
-        TraceEvent::BbmFlip { .. } => 4,
-        TraceEvent::JournalCommit { .. } => 5,
-        TraceEvent::PeriodicPass { .. } => 6,
-        TraceEvent::RecoveryBegin { .. } => 7,
-        TraceEvent::RecoveryEnd { .. } => 8,
-        TraceEvent::FaultInjected { .. } => 9,
-        TraceEvent::AuditViolation { .. } => 10,
-        TraceEvent::LineageDrained { .. } => 11,
-    }
-}
-
-/// The bucketed sub-feature of one trace event: which payload magnitudes
-/// make this occurrence of the kind "new".
-fn trace_sub_feature(ev: &TraceEvent) -> u64 {
-    match *ev {
-        TraceEvent::ReclaimBegin { free, .. } => mag_bucket(free),
-        TraceEvent::ReclaimEnd { victims, .. } => mag_bucket(victims),
-        TraceEvent::WatermarkLow { free, .. } => mag_bucket(free),
-        TraceEvent::ForegroundStall { .. } => 0,
-        TraceEvent::BbmFlip {
-            to_lazy,
-            n_cw,
-            n_cf,
-            ..
-        } => (u64::from(to_lazy) << 16) | (mag_bucket(n_cw) << 8) | mag_bucket(n_cf),
-        TraceEvent::JournalCommit { log_entries, .. } => mag_bucket(log_entries),
-        TraceEvent::PeriodicPass { age_flushed } => mag_bucket(age_flushed),
-        TraceEvent::RecoveryBegin { .. } => 0,
-        TraceEvent::RecoveryEnd {
-            txs_undone,
-            entries_undone,
-        } => (mag_bucket(txs_undone) << 8) | mag_bucket(entries_undone),
-        TraceEvent::FaultInjected { kind, .. } => kind,
-        TraceEvent::AuditViolation { code, .. } => code,
-        TraceEvent::LineageDrained {
-            row, lazy, lag_ns, ..
-        } => (row << 16) | (u64::from(lazy) << 8) | mag_bucket(lag_ns),
-    }
 }
 
 /// A deterministic set of coverage points.
@@ -158,7 +91,7 @@ impl CoverageMap {
 
     /// Folds one trace event in. Returns the number of new points (0–1).
     pub fn add_trace(&mut self, ctx: u8, ev: &TraceEvent) -> usize {
-        let feature = (trace_kind_idx(ev) << 24) | (trace_sub_feature(ev) & 0xFF_FFFF);
+        let feature = (ev.tag() << 24) | (ev.coverage_feature() & 0xFF_FFFF);
         usize::from(self.insert(CoverageDomain::Trace, ctx, feature))
     }
 
@@ -167,10 +100,14 @@ impl CoverageMap {
     pub fn add_contention(&mut self, ctx: u8, snap: &ContentionSnapshot) -> usize {
         let mut new = 0;
         for s in snap.touched() {
-            new += usize::from(self.insert(CoverageDomain::Site, ctx, (s.site as u64) << 1));
+            new +=
+                usize::from(self.insert(CoverageDomain::Site, ctx, (s.site.index() as u64) << 1));
             if s.contended > 0 {
-                new +=
-                    usize::from(self.insert(CoverageDomain::Site, ctx, ((s.site as u64) << 1) | 1));
+                new += usize::from(self.insert(
+                    CoverageDomain::Site,
+                    ctx,
+                    ((s.site.index() as u64) << 1) | 1,
+                ));
             }
         }
         new
@@ -270,8 +207,8 @@ impl CoverageMap {
     }
 
     /// Distinct points per domain, in [`COVERAGE_DOMAINS`] order.
-    pub fn domain_counts(&self) -> [usize; COVERAGE_DOMAINS.len()] {
-        let mut out = [0usize; COVERAGE_DOMAINS.len()];
+    pub fn domain_counts(&self) -> [usize; NDOMAINS] {
+        let mut out = [0usize; NDOMAINS];
         for &p in &self.points {
             let tag = (p >> 56) as usize;
             if tag < out.len() {

@@ -174,11 +174,7 @@ impl HistoSnapshot {
             }
             if (cum + n) as f64 >= rank {
                 let upper = bucket_upper(b).min(self.max);
-                let lower = if b == 0 {
-                    0
-                } else {
-                    bucket_upper(b - 1).saturating_add(1).min(upper)
-                };
+                let lower = bucket_lower(b).min(upper);
                 let frac = (rank - cum as f64) / n as f64;
                 let v = lower as f64 + frac * (upper - lower) as f64;
                 return (v.round() as u64).min(self.max);

@@ -20,9 +20,42 @@
 //! wrapper then costs one relaxed load and each `note_*` hook one
 //! thread-local read.
 
+/// Defines a fieldless enum whose variants each carry one stable label:
+/// the enum (discriminants in declaration order from 0), its variant
+/// count, the array of every variant in discriminant order, and
+/// `label()`. Each name is written once, here.
+macro_rules! labelled {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident, all $all:ident, count $count:ident {
+            $( $(#[$vmeta:meta])* $variant:ident = $label:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )+
+        }
+
+        #[doc = concat!("Number of [`", stringify!($name), "`] variants.")]
+        pub const $count: usize = [$($label),+].len();
+
+        #[doc = concat!("Every [`", stringify!($name), "`] in discriminant order.")]
+        pub const $all: [$name; $count] = [$($name::$variant),+];
+
+        impl $name {
+            /// Stable label for reports and metric names.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $label, )+
+                }
+            }
+        }
+    };
+}
+
 mod contention;
 mod coverage;
-mod flight;
 mod histo;
 mod lineage;
 mod registry;
@@ -32,23 +65,21 @@ mod span;
 mod trace;
 
 pub use contention::{
-    ContentionSnapshot, ContentionTable, Site, SiteSnapshot, TrackedCondvar, TrackedMutex,
-    TrackedMutexGuard, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard, WaitTimeoutResult,
-    ALL_SITES, HINFS_SHARD_SITES, NSHARDS, NSITES, PMFS_ALLOC_SHARD_SITES, PMFS_INODE_SHARD_SITES,
-    PMFS_NS_SHARD_SITES,
+    ContentionSnapshot, ContentionTable, Site, SiteSnapshot, Tracked, TrackedCondvar, TrackedGuard,
+    TrackedMutex, TrackedMutexGuard, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard, ALL_SITES,
+    NSHARDS, NSITES,
 };
 pub use coverage::{mag_bucket, CoverageDomain, CoverageMap, COVERAGE_DOMAINS};
-pub use flight::{FlightRecorder, FlightSnapshot, TailAnatomy, FLIGHT_MERGED_TOPK, FLIGHT_TOPK};
 pub use histo::{
     bucket_lower, bucket_of, bucket_upper, Histo, HistoSnapshot, N_BUCKETS, SUB_BUCKETS,
 };
 pub use lineage::{
     DrainKind, Layer, LineageSnap, LineageTable, Stamp, ALL_LAYERS, LINEAGE_ROWS, NLAYERS,
 };
-pub use registry::{Counter, MetricSource, MetricsRegistry, RegistrySnapshot, Visitor};
+pub use registry::{MetricSource, MetricsRegistry, RegistrySnapshot, Visitor};
 pub use scope::{
-    detached, note_batch, note_buffered, note_fence, note_journaled, note_logical, note_persisted,
-    note_shard, BgScope, OpRecord, NO_SHARD,
+    detached, note_batch, note_bytes, note_fence, note_shard, FlightRecorder, FlightSnapshot,
+    OpRecord, Scope, TailAnatomy, FLIGHT_MERGED_TOPK, FLIGHT_TOPK, NO_SHARD,
 };
 pub use snapshot::{
     dirty_line_bucket, invariant_label, lrw_age_bucket, AuditReport, AuditViolation, BufferSnap,
@@ -143,58 +174,22 @@ pub fn thread_ordinal() -> usize {
     })
 }
 
-/// Syscall categories tracked per file system (the Fig 12 breakdown uses
-/// `Read`, `Write`, `Unlink` and `Fsync`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum OpKind {
-    Open = 0,
-    Close = 1,
-    Read = 2,
-    Write = 3,
-    Fsync = 4,
-    Unlink = 5,
-    Mkdir = 6,
-    Readdir = 7,
-    Stat = 8,
-    Rename = 9,
-    Truncate = 10,
-}
-
-/// Number of [`OpKind`] variants.
-pub const NOPS: usize = 11;
-
-/// All op kinds in discriminant order.
-pub const ALL_OPS: [OpKind; NOPS] = [
-    OpKind::Open,
-    OpKind::Close,
-    OpKind::Read,
-    OpKind::Write,
-    OpKind::Fsync,
-    OpKind::Unlink,
-    OpKind::Mkdir,
-    OpKind::Readdir,
-    OpKind::Stat,
-    OpKind::Rename,
-    OpKind::Truncate,
-];
-
-impl OpKind {
-    /// Stable label for reports and metric names.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpKind::Open => "open",
-            OpKind::Close => "close",
-            OpKind::Read => "read",
-            OpKind::Write => "write",
-            OpKind::Fsync => "fsync",
-            OpKind::Unlink => "unlink",
-            OpKind::Mkdir => "mkdir",
-            OpKind::Readdir => "readdir",
-            OpKind::Stat => "stat",
-            OpKind::Rename => "rename",
-            OpKind::Truncate => "truncate",
-        }
+labelled! {
+    /// Syscall categories tracked per file system (the Fig 12 breakdown
+    /// uses `Read`, `Write`, `Unlink` and `Fsync`).
+    #[repr(usize)]
+    pub enum OpKind, all ALL_OPS, count NOPS {
+        Open = "open",
+        Close = "close",
+        Read = "read",
+        Write = "write",
+        Fsync = "fsync",
+        Unlink = "unlink",
+        Mkdir = "mkdir",
+        Readdir = "readdir",
+        Stat = "stat",
+        Rename = "rename",
+        Truncate = "truncate",
     }
 }
 
@@ -374,17 +369,13 @@ impl MetricSource for FsObs {
         }
         let lin = self.lineage.snap();
         if self.full() || !lin.is_empty() {
-            for layer in ALL_LAYERS {
-                out.counter(
-                    &format!("obsv_lineage_{}_bytes", layer.label()),
-                    lin.layer(layer),
-                );
-            }
-            out.counter("obsv_lineage_fences", lin.fences);
-            out.counter("obsv_lineage_stamps", lin.stamps);
-            out.counter("obsv_lineage_drains_sync", lin.drains_sync);
-            out.counter("obsv_lineage_drains_lazy", lin.drains_lazy);
-            out.gauge("obsv_lineage_max_lag_ns", lin.max_lag_ns);
+            lin.visit("obsv_lineage_", out, |out, name, v| {
+                if name.ends_with("max_lag_ns") {
+                    out.gauge(name, v)
+                } else {
+                    out.counter(name, v)
+                }
+            });
             if lin.lag.count() > 0 {
                 out.histo("obsv_lineage_lag_ns", lin.lag);
             }

@@ -33,48 +33,24 @@
 //! result bit (proven by `tests/determinism.rs`).
 
 use crate::histo::{Histo, HistoSnapshot};
-use crate::{OpKind, ALL_OPS, BG_ROW, NOPS};
+use crate::{OpKind, Visitor, ALL_OPS, BG_ROW, NOPS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The layers a logical byte moves through on its way to durability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Layer {
-    /// Bytes the application handed to the file system.
-    Logical = 0,
-    /// Bytes staged in DRAM (HiNFS buffer slots, ext page cache).
-    DramBuffered = 1,
-    /// Bytes written to a journal region (undo entries, jbd blocks).
-    JournalLogged = 2,
-    /// Bytes persisted to NVMM media (cacheline granularity, all paths).
-    NvmmPersisted = 3,
-    /// Bytes drained out of a volatile staging layer to NVMM — the
-    /// subset of persisted traffic that retired a stamp.
-    WritebackDrained = 4,
-}
-
-/// Number of [`Layer`] variants.
-pub const NLAYERS: usize = 5;
-
-/// All layers in discriminant order.
-pub const ALL_LAYERS: [Layer; NLAYERS] = [
-    Layer::Logical,
-    Layer::DramBuffered,
-    Layer::JournalLogged,
-    Layer::NvmmPersisted,
-    Layer::WritebackDrained,
-];
-
-impl Layer {
-    /// Stable label for reports and metric names.
-    pub fn label(self) -> &'static str {
-        match self {
-            Layer::Logical => "logical",
-            Layer::DramBuffered => "dram_buffered",
-            Layer::JournalLogged => "journal_logged",
-            Layer::NvmmPersisted => "nvmm_persisted",
-            Layer::WritebackDrained => "writeback_drained",
-        }
+labelled! {
+    /// The layers a logical byte moves through on its way to durability.
+    #[repr(usize)]
+    pub enum Layer, all ALL_LAYERS, count NLAYERS {
+        /// Bytes the application handed to the file system.
+        Logical = "logical",
+        /// Bytes staged in DRAM (HiNFS buffer slots, ext page cache).
+        DramBuffered = "dram_buffered",
+        /// Bytes written to a journal region (undo entries, jbd blocks).
+        JournalLogged = "journal_logged",
+        /// Bytes persisted to NVMM media (cacheline granularity, all paths).
+        NvmmPersisted = "nvmm_persisted",
+        /// Bytes drained out of a volatile staging layer to NVMM — the
+        /// subset of persisted traffic that retired a stamp.
+        WritebackDrained = "writeback_drained",
     }
 }
 
@@ -274,23 +250,6 @@ pub struct LineageSnap {
     pub drains_lazy: u64,
 }
 
-impl Default for LineageSnap {
-    fn default() -> Self {
-        LineageSnap {
-            row_bytes: vec![[0; NLAYERS]; LINEAGE_ROWS],
-            layer_bytes: [0; NLAYERS],
-            fences: 0,
-            row_fences: vec![0; LINEAGE_ROWS],
-            lag_by_op: vec![HistoSnapshot::default(); NOPS],
-            lag: HistoSnapshot::default(),
-            max_lag_ns: 0,
-            stamps: 0,
-            drains_sync: 0,
-            drains_lazy: 0,
-        }
-    }
-}
-
 impl LineageSnap {
     /// Whether anything was recorded.
     pub fn is_empty(&self) -> bool {
@@ -299,6 +258,39 @@ impl LineageSnap {
             && self.drains_lazy == 0
             && self.layer_bytes.iter().all(|&b| b == 0)
             && self.fences == 0
+    }
+
+    /// The scalar totals under their exposition names, in exposition
+    /// order: the snapshot JSON, its gauges and `obsv_lineage_*` all list
+    /// these.
+    pub fn totals(&self) -> [(&'static str, u64); 5] {
+        [
+            ("fences", self.fences),
+            ("stamps", self.stamps),
+            ("drains_sync", self.drains_sync),
+            ("drains_lazy", self.drains_lazy),
+            ("max_lag_ns", self.max_lag_ns),
+        ]
+    }
+
+    /// Reports the bytes of each layer as `<prefix><layer>_bytes`, then
+    /// each of [`LineageSnap::totals`] as `<prefix><name>`, through `emit`.
+    pub(crate) fn visit(
+        &self,
+        prefix: &str,
+        out: &mut dyn Visitor,
+        emit: impl Fn(&mut dyn Visitor, &str, u64),
+    ) {
+        for layer in ALL_LAYERS {
+            emit(
+                out,
+                &format!("{prefix}{}_bytes", layer.label()),
+                self.layer(layer),
+            );
+        }
+        for (name, v) in self.totals() {
+            emit(out, &format!("{prefix}{name}"), v);
+        }
     }
 
     /// Bytes in one layer (all rows).

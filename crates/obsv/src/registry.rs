@@ -3,12 +3,11 @@
 //!
 //! Subsystems keep their own cheap atomic counter structs and implement
 //! [`MetricSource`]; the registry holds `Arc`s to them and materialises a
-//! [`RegistrySnapshot`] on demand. Snapshots support deltas (`since`),
-//! Prometheus-style text exposition and a JSON rendering, so one mechanism
-//! serves interactive dumps, per-phase workload reports and tests.
+//! [`RegistrySnapshot`] on demand. Snapshots support deltas (`since`) and
+//! Prometheus-style text exposition, so one mechanism serves interactive
+//! dumps, per-phase workload reports and tests.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::histo::HistoSnapshot;
@@ -30,41 +29,16 @@ pub trait MetricSource: Send + Sync {
     fn collect(&self, out: &mut dyn Visitor);
 }
 
-/// A handle to a registry-owned counter (for code without its own stats
-/// struct, e.g. experiment drivers marking phases).
-#[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds 1.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// The registry. Cloneable via `Arc`; all methods take `&self`.
 #[derive(Default)]
 pub struct MetricsRegistry {
     sources: Mutex<Vec<(String, Arc<dyn MetricSource>)>>,
-    owned: Mutex<Vec<(String, Counter)>>,
-    help: Mutex<BTreeMap<String, String>>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
             .field("sources", &self.sources.lock().unwrap().len())
-            .field("owned", &self.owned.lock().unwrap().len())
             .finish()
     }
 }
@@ -85,38 +59,11 @@ impl MetricsRegistry {
             .push((scope.to_string(), source));
     }
 
-    /// Returns the registry-owned counter named `name`, creating it at
-    /// zero on first use.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut owned = self.owned.lock().unwrap();
-        if let Some((_, c)) = owned.iter().find(|(n, _)| n == name) {
-            return c.clone();
-        }
-        let c = Counter(Arc::new(AtomicU64::new(0)));
-        owned.push((name.to_string(), c.clone()));
-        c
-    }
-
-    /// Attaches `# HELP` text to a metric family for the Prometheus
-    /// exposition. Last call per name wins.
-    pub fn describe(&self, name: &str, help: &str) {
-        self.help
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), help.to_string());
-    }
-
     /// Collects every source into a snapshot. Metrics reported under the
     /// same final name are summed (counters, histograms) or last-wins
     /// (gauges).
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let mut snap = RegistrySnapshot {
-            help: self.help.lock().unwrap().clone(),
-            ..RegistrySnapshot::default()
-        };
-        for (name, c) in self.owned.lock().unwrap().iter() {
-            *snap.counters.entry(name.clone()).or_insert(0) += c.get();
-        }
+        let mut snap = RegistrySnapshot::default();
         for (scope, source) in self.sources.lock().unwrap().iter() {
             let mut v = ScopedVisitor {
                 scope,
@@ -167,8 +114,6 @@ pub struct RegistrySnapshot {
     pub gauges: BTreeMap<String, u64>,
     /// Distributions.
     pub histos: BTreeMap<String, HistoSnapshot>,
-    /// `# HELP` text per family, from [`MetricsRegistry::describe`].
-    pub help: BTreeMap<String, String>,
 }
 
 impl RegistrySnapshot {
@@ -211,140 +156,47 @@ impl RegistrySnapshot {
             counters,
             gauges: self.gauges.clone(),
             histos,
-            help: self.help.clone(),
         }
     }
 
     /// Prometheus text exposition, conforming to the text-format grammar:
-    /// per family exactly one `# TYPE` (and one `# HELP` when registered
-    /// via [`MetricsRegistry::describe`]) immediately before its samples,
-    /// label values escaped per the spec. Histograms render as summaries
-    /// with `quantile` labels plus a separate `<name>_max` gauge family
-    /// (`_max` is not part of the summary grammar).
+    /// per family exactly one `# TYPE` immediately before its samples.
+    /// Histograms render as summaries with `quantile` labels plus a
+    /// separate `<name>_max` gauge family (`_max` is not part of the
+    /// summary grammar).
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let header = |out: &mut String, name: &str, kind: &str| {
-            if let Some(h) = self.help.get(name) {
-                out.push_str(&format!("# HELP {name} {}\n", escape_help(h)));
+        let scalars = [("counter", &self.counters), ("gauge", &self.gauges)];
+        for (kind, family) in scalars {
+            for (name, v) in family {
+                out.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
             }
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-        };
-        for (name, v) in &self.counters {
-            header(&mut out, name, "counter");
-            out.push_str(&format!("{name} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            header(&mut out, name, "gauge");
-            out.push_str(&format!("{name} {v}\n"));
         }
         for (name, h) in &self.histos {
             let (p50, p90, p99, p999) = h.percentiles();
-            header(&mut out, name, "summary");
+            out.push_str(&format!("# TYPE {name} summary\n"));
             for (q, v) in [("0.5", p50), ("0.9", p90), ("0.99", p99), ("0.999", p999)] {
-                out.push_str(&format!(
-                    "{name}{{quantile=\"{}\"}} {v}\n",
-                    escape_label_value(q)
-                ));
+                out.push_str(&format!("{name}{{quantile=\"{q}\"}} {v}\n"));
             }
-            out.push_str(&format!("{name}_sum {}\n", h.sum()));
-            out.push_str(&format!("{name}_count {}\n", h.count()));
-            let max_name = format!("{name}_max");
-            header(&mut out, &max_name, "gauge");
-            out.push_str(&format!("{max_name} {}\n", h.max()));
+            out.push_str(&format!(
+                "{name}_sum {}\n{name}_count {}\n",
+                h.sum(),
+                h.count()
+            ));
+            out.push_str(&format!(
+                "# TYPE {name}_max gauge\n{name}_max {}\n",
+                h.max()
+            ));
         }
         out
     }
-
-    /// JSON rendering (stable key order; histograms as percentile
-    /// summaries).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        push_map(
-            &mut out,
-            self.counters.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        out.push_str("},\"gauges\":{");
-        push_map(
-            &mut out,
-            self.gauges.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        out.push_str("},\"histos\":{");
-        push_map(
-            &mut out,
-            self.histos.iter().map(|(k, h)| {
-                let (p50, p90, p99, p999) = h.percentiles();
-                (
-                    k,
-                    format!(
-                        "{{\"count\":{},\"sum\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-                        h.count(),
-                        h.sum(),
-                        h.mean(),
-                        p50,
-                        p90,
-                        p99,
-                        p999,
-                        h.max()
-                    ),
-                )
-            }),
-        );
-        out.push_str("}}");
-        out
-    }
-}
-
-fn push_map<'a>(out: &mut String, entries: impl Iterator<Item = (&'a String, String)>) {
-    let mut first = true;
-    for (k, v) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\"{}\":{}", escape_json(k), v));
-    }
-}
-
-/// Escapes a label value per the exposition format: backslash, double
-/// quote and line feed.
-fn escape_label_value(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '\\' => "\\\\".chars().collect::<Vec<_>>(),
-            '"' => "\\\"".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Escapes `# HELP` text per the exposition format: backslash and line
-/// feed only.
-fn escape_help(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '\\' => "\\\\".chars().collect::<Vec<_>>(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::histo::Histo;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct FakeSource {
         hits: AtomicU64,
@@ -394,15 +246,14 @@ mod tests {
     }
 
     #[test]
-    fn owned_counters_and_snapshot_monotonicity() {
+    fn snapshot_counters_are_monotone_and_since_reports_growth() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("phases_done");
-        let c2 = reg.counter("phases_done");
-        c.inc();
-        c2.add(2);
-        assert_eq!(c.get(), 3, "same-name handles share the cell");
+        let src = Arc::new(FakeSource {
+            hits: AtomicU64::new(3),
+        });
+        reg.register("", src.clone());
         let s1 = reg.snapshot();
-        c.inc();
+        src.hits.fetch_add(1, Ordering::Relaxed);
         let s2 = reg.snapshot();
         // Every counter is monotone across snapshots...
         for (name, v1) in &s1.counters {
@@ -410,7 +261,7 @@ mod tests {
         }
         // ...and since() reports exactly the growth.
         let d = s2.since(&s1);
-        assert_eq!(d.counter("phases_done"), 1);
+        assert_eq!(d.counter("hits"), 1);
     }
 
     #[test]
@@ -456,8 +307,6 @@ mod tests {
                 hits: AtomicU64::new(7),
             }),
         );
-        reg.describe("hits", "total cache hits, with \\ and\nnewline");
-        reg.describe("lat_ns", "operation latency");
         let text = reg.snapshot().to_prometheus();
 
         // Line-by-line parse against the exposition grammar.
@@ -468,17 +317,9 @@ mod tests {
                     .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
         };
         let mut type_of: BTreeMap<String, String> = BTreeMap::new();
-        let mut help_seen: BTreeMap<String, u32> = BTreeMap::new();
         let mut current_family: Option<String> = None;
         for line in text.lines() {
             assert!(!line.is_empty(), "blank line in exposition");
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                let (name, help) = rest.split_once(' ').expect("HELP has text");
-                assert!(name_ok(name), "bad family name {name:?}");
-                assert!(!help.contains('\n'));
-                *help_seen.entry(name.to_string()).or_insert(0) += 1;
-                continue;
-            }
             if let Some(rest) = line.strip_prefix("# TYPE ") {
                 let (name, kind) = rest.split_once(' ').expect("TYPE has kind");
                 assert!(name_ok(name), "bad family name {name:?}");
@@ -520,33 +361,5 @@ mod tests {
             };
             assert_eq!(base, fam, "sample {name} outside its family block");
         }
-        for (name, n) in help_seen {
-            assert_eq!(n, 1, "# HELP {name} repeated");
-            assert!(type_of.contains_key(&name), "HELP without TYPE for {name}");
-        }
-        // The registered help text came through, escaped.
-        assert!(
-            text.contains("# HELP hits total cache hits, with \\\\ and\\nnewline"),
-            "{text}"
-        );
-        // Label values pass through the escaper.
-        assert_eq!(escape_label_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn json_is_wellformed_enough() {
-        let reg = MetricsRegistry::new();
-        reg.register(
-            "",
-            Arc::new(FakeSource {
-                hits: AtomicU64::new(1),
-            }),
-        );
-        let json = reg.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"hits\":1"), "{json}");
-        assert!(json.contains("\"p50\":"), "{json}");
-        assert_eq!(escape_json("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
     }
 }

@@ -30,8 +30,12 @@
 
 use crate::histo::bucket_of;
 use crate::span::{Phase, ALL_PHASES, BG_ROW, NPHASES};
+use crate::{thread_ordinal, COLLECTION_SHARDS, NOPS};
 use crate::{FsObs, Layer, Level, OpKind, Site, ALL_SITES, NLAYERS, NSITES};
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Shard id meaning "this op touched no buffer-pool shard".
 pub const NO_SHARD: u32 = u32::MAX;
@@ -117,10 +121,31 @@ impl OpRecord {
     pub fn top_waits(&self, k: usize) -> Vec<(Site, u64)> {
         top_k(&ALL_SITES, &self.wait_ns, k)
     }
+
+    /// Adds `r` into this record: times, bytes, fences, stalls, phases
+    /// and waits sum, `batch` keeps the larger, and `seq_start..seq_end`
+    /// widens to cover both; `op`, `at_ns` and `shard` stay this
+    /// record's.
+    pub fn absorb(&mut self, r: &OpRecord) {
+        self.total_ns += r.total_ns;
+        self.batch = self.batch.max(r.batch);
+        self.fences += r.fences;
+        self.fences_coalesced += r.fences_coalesced;
+        self.stall_events += r.stall_events;
+        self.seq_start = self.seq_start.min(r.seq_start);
+        self.seq_end = self.seq_end.max(r.seq_end);
+        let add = |a: &mut [u64], b: &[u64]| a.iter_mut().zip(b).for_each(|(a, b)| *a += b);
+        add(&mut self.bytes, &r.bytes);
+        add(&mut self.phase_ns, &r.phase_ns);
+        add(&mut self.wait_ns, &r.wait_ns);
+        for (a, b) in self.phase_calls.iter_mut().zip(r.phase_calls) {
+            *a += b;
+        }
+    }
 }
 
 /// The `k` largest nonzero `values`, largest first, ties in label order.
-pub(crate) fn top_k<L: Copy>(labels: &[L], values: &[u64], k: usize) -> Vec<(L, u64)> {
+fn top_k<L: Copy>(labels: &[L], values: &[u64], k: usize) -> Vec<(L, u64)> {
     let mut v: Vec<(usize, u64)> = values
         .iter()
         .copied()
@@ -143,25 +168,6 @@ struct Span {
     child: u64,
 }
 
-/// Exclusive ns and completions per phase.
-#[derive(Clone, Copy)]
-struct PhaseTotals {
-    ns: [u64; NPHASES],
-    calls: [u32; NPHASES],
-}
-
-impl PhaseTotals {
-    const ZERO: PhaseTotals = PhaseTotals {
-        ns: [0; NPHASES],
-        calls: [0; NPHASES],
-    };
-
-    fn add(&mut self, phase: Phase, excl_ns: u64) {
-        self.ns[phase as usize] += excl_ns;
-        self.calls[phase as usize] += 1;
-    }
-}
-
 /// The calling thread's op frame.
 struct Frame {
     /// Open op/bg scopes; 0 = idle (no hook records).
@@ -178,9 +184,10 @@ struct Frame {
     span_base: usize,
     /// The in-flight record (the op's own anatomy).
     rec: OpRecord,
-    /// Span charges owed to the background row: everything in a
-    /// background frame, detached work in an op frame.
-    bg: PhaseTotals,
+    /// Span charges owed to the background row (only its phases are
+    /// used): everything in a background frame, detached work in an op
+    /// frame.
+    bg: OpRecord,
 }
 
 thread_local! {
@@ -193,7 +200,7 @@ thread_local! {
             span_depth: 0,
             span_base: 0,
             rec: OpRecord::EMPTY,
-            bg: PhaseTotals::ZERO,
+            bg: OpRecord::EMPTY,
         })
     };
 }
@@ -207,7 +214,7 @@ impl Frame {
         self.depth += 1;
         if self.depth == 1 {
             self.row = row;
-            self.bg = PhaseTotals::ZERO;
+            self.bg = OpRecord::EMPTY;
             self.rec = OpRecord::EMPTY;
             if let (Some(&op), Some((at_ns, seq))) = (crate::ALL_OPS.get(row), timed) {
                 self.rec.op = op;
@@ -245,12 +252,13 @@ impl Frame {
     /// Books exclusive span time: on the op's own anatomy, or on the
     /// background row for background frames and detached work.
     fn charge(&mut self, phase: Phase, excl_ns: u64) {
-        if self.detached || self.row == BG_ROW {
-            self.bg.add(phase, excl_ns);
+        let rec = if self.detached || self.row == BG_ROW {
+            &mut self.bg
         } else {
-            self.rec.phase_ns[phase as usize] += excl_ns;
-            self.rec.phase_calls[phase as usize] += 1;
-        }
+            &mut self.rec
+        };
+        rec.phase_ns[phase as usize] += excl_ns;
+        rec.phase_calls[phase as usize] += 1;
     }
 
     /// Closes a scope at `end` (an op scope's clock read; background
@@ -291,28 +299,12 @@ fn note(f: impl FnOnce(&mut OpRecord)) {
     });
 }
 
-/// Books logical bytes the application handed to the file system.
+/// Books `bytes` the op moved through `layer`: handed in by the
+/// application, staged in DRAM, written to a journal, or persisted to
+/// NVMM (cacheline granularity).
 #[inline]
-pub fn note_logical(bytes: u64) {
-    note(|r| r.bytes[Layer::Logical as usize] += bytes);
-}
-
-/// Books bytes staged into a DRAM layer (buffer slot, page cache).
-#[inline]
-pub fn note_buffered(bytes: u64) {
-    note(|r| r.bytes[Layer::DramBuffered as usize] += bytes);
-}
-
-/// Books bytes written into a journal region.
-#[inline]
-pub fn note_journaled(bytes: u64) {
-    note(|r| r.bytes[Layer::JournalLogged as usize] += bytes);
-}
-
-/// Books `bytes` persisted to NVMM (cacheline granularity).
-#[inline]
-pub fn note_persisted(bytes: u64) {
-    note(|r| r.bytes[Layer::NvmmPersisted as usize] += bytes);
+pub fn note_bytes(layer: Layer, bytes: u64) {
+    note(|r| r.bytes[layer as usize] += bytes);
 }
 
 /// Books one fence covering `coalesced` logical transactions (`sfence`
@@ -346,7 +338,7 @@ pub fn note_batch(n: u32) {
 #[inline]
 pub(crate) fn note_wait(site: Site, wait_ns: u64) {
     note(|r| {
-        r.wait_ns[site as usize] += wait_ns;
+        r.wait_ns[site.index()] += wait_ns;
         if matches!(
             site,
             Site::StallWriteback | Site::StallJournalFull | Site::StallThrottle
@@ -433,13 +425,19 @@ pub fn detached<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// RAII guard of a background scope; see [`FsObs::bg_scope`].
-pub struct BgScope<'a>(Option<&'a FsObs>);
+/// RAII guard of an open scope, an op's ([`FsObs::op`]) or a background
+/// one ([`FsObs::bg_scope`]): dropping it closes the scope, reading the
+/// clock again for an op.
+pub struct Scope<'a> {
+    obs: Option<&'a FsObs>,
+    timed: bool,
+    pushed: bool,
+}
 
-impl Drop for BgScope<'_> {
+impl Drop for Scope<'_> {
     fn drop(&mut self) {
-        if let Some(obs) = self.0 {
-            obs.exit(None, false);
+        if let Some(obs) = self.obs {
+            obs.exit(self.timed.then(|| obs.now_and_seq()), self.pushed);
         }
     }
 }
@@ -456,18 +454,13 @@ impl FsObs {
         if self.level() != Level::Full {
             return f();
         }
-        struct Guard<'a> {
-            obs: &'a FsObs,
-            pushed: bool,
-        }
-        impl Drop for Guard<'_> {
-            fn drop(&mut self) {
-                self.obs.exit(Some(self.obs.now_and_seq()), self.pushed);
-            }
-        }
         let start = self.now_and_seq();
         let pushed = FRAME.with(|fr| fr.borrow_mut().enter(op as usize, Some(start)));
-        let _g = Guard { obs: self, pushed };
+        let _scope = Scope {
+            obs: Some(self),
+            timed: true,
+            pushed,
+        };
         f()
     }
 
@@ -481,12 +474,16 @@ impl FsObs {
     /// background row until the guard drops. Inert below
     /// [`Level::Full`]; nested inside an op it only deepens the op's
     /// frame (an op's own inline reclaim stays the op's).
-    pub fn bg_scope(&self) -> BgScope<'_> {
-        if self.level() != Level::Full {
-            return BgScope(None);
+    pub fn bg_scope(&self) -> Scope<'_> {
+        let open = self.level() == Level::Full;
+        if open {
+            FRAME.with(|fr| fr.borrow_mut().enter(BG_ROW, None));
         }
-        FRAME.with(|fr| fr.borrow_mut().enter(BG_ROW, None));
-        BgScope(Some(self))
+        Scope {
+            obs: open.then_some(self),
+            timed: false,
+            pushed: false,
+        }
     }
 
     fn exit(&self, end: Option<(u64, u64)>, pushed: bool) {
@@ -501,7 +498,8 @@ impl FsObs {
     /// Folds a finished frame into the aggregations — the one place the
     /// per-op record meets the accumulators.
     fn fold(&self, fr: &Frame) {
-        self.spans().fold(BG_ROW, &fr.bg.ns, &fr.bg.calls);
+        self.spans()
+            .fold(BG_ROW, &fr.bg.phase_ns, &fr.bg.phase_calls);
         self.lineage()
             .fold(fr.row, &fr.rec.bytes, fr.rec.fences as u64);
         if fr.row == BG_ROW {
@@ -514,9 +512,193 @@ impl FsObs {
     }
 }
 
+/// Records kept per op kind per collection shard. The merged snapshot
+/// keeps [`FLIGHT_MERGED_TOPK`]; any globally-top-K record necessarily
+/// survives its own shard's top-K pruning, so the merge is exact up to
+/// `FLIGHT_TOPK` records per shard.
+pub const FLIGHT_TOPK: usize = 8;
+
+/// Records kept per op kind after merging the collection shards.
+pub const FLIGHT_MERGED_TOPK: usize = 16;
+
+/// One collection shard's reservoirs: a top-K vector per op kind,
+/// boxed and lazily allocated on the shard's first retirement.
+type ShardReservoirs = Mutex<Option<Box<[Vec<OpRecord>; NOPS]>>>;
+
+/// The tail reservoir: per file system, the [`FLIGHT_TOPK`] slowest
+/// finished [`OpRecord`]s of each [`OpKind`] — one more fold of the
+/// record, fed by the scope alone. The histograms say *what* the p99 is;
+/// these say why one particular slow op was slow, and double as the
+/// histograms' exemplars ([`FlightSnapshot::cohort`]). Sharded per
+/// thread ordinal so concurrent retirements never serialize on one
+/// mutex; retiring replaces the shard's fastest kept record in place, so
+/// the only allocations are the lazy first-use reservoir boxes.
+#[derive(Debug, Default)]
+pub struct FlightRecorder {
+    recorded: AtomicU64,
+    shards: [ShardReservoirs; COLLECTION_SHARDS],
+}
+
+/// Locks a reservoir shard. A panic mid-retire leaves whole records
+/// behind, so a poisoned shard is still valid.
+fn lock(shard: &ShardReservoirs) -> MutexGuard<'_, Option<Box<[Vec<OpRecord>; NOPS]>>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Sort key putting the slowest record first, deterministically.
+fn slowest_first(r: &OpRecord) -> (Reverse<u64>, u64, u64) {
+    (Reverse(r.total_ns), r.at_ns, r.seq_start)
+}
+
+impl FlightRecorder {
+    /// An empty recorder.
+    pub fn new() -> FlightRecorder {
+        FlightRecorder::default()
+    }
+
+    /// Operations retired into the reservoirs so far.
+    pub fn recorded(&self) -> u64 {
+        self.recorded.load(Ordering::Relaxed)
+    }
+
+    /// Inserts a finished record into the caller's reservoir shard,
+    /// replacing that shard's fastest record once the op's K slots are
+    /// full.
+    pub(crate) fn retire(&self, rec: &OpRecord) {
+        self.recorded.fetch_add(1, Ordering::Relaxed);
+        let mut guard = lock(&self.shards[thread_ordinal() % COLLECTION_SHARDS]);
+        let slots = guard.get_or_insert_with(|| {
+            Box::new(std::array::from_fn(|_| Vec::with_capacity(FLIGHT_TOPK)))
+        });
+        let v = &mut slots[rec.op as usize];
+        if v.len() < FLIGHT_TOPK {
+            v.push(*rec);
+        } else if let Some(min) = v.iter_mut().min_by_key(|r| r.total_ns) {
+            if rec.total_ns > min.total_ns {
+                *min = *rec;
+            }
+        }
+    }
+
+    /// Drops every record and zeroes the retire counter (timeline
+    /// rebasing, like `Histo::reset`).
+    pub fn reset(&self) {
+        for shard in &self.shards {
+            *lock(shard) = None;
+        }
+        self.recorded.store(0, Ordering::Relaxed);
+    }
+
+    /// Merges the reservoir shards into a frozen snapshot: per op kind,
+    /// the up-to-[`FLIGHT_MERGED_TOPK`] slowest records, slowest first,
+    /// deterministically ordered.
+    pub fn snapshot(&self) -> FlightSnapshot {
+        let mut snap = FlightSnapshot {
+            recorded: self.recorded(),
+            ..FlightSnapshot::default()
+        };
+        for shard in &self.shards {
+            if let Some(slots) = lock(shard).as_ref() {
+                for (op, v) in slots.iter().enumerate() {
+                    snap.per_op[op].extend_from_slice(v);
+                }
+            }
+        }
+        for v in &mut snap.per_op {
+            v.sort_by_key(slowest_first);
+            v.truncate(FLIGHT_MERGED_TOPK);
+        }
+        snap
+    }
+}
+
+/// A frozen copy of a [`FlightRecorder`]'s reservoirs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlightSnapshot {
+    per_op: Vec<Vec<OpRecord>>,
+    recorded: u64,
+}
+
+impl Default for FlightSnapshot {
+    fn default() -> Self {
+        FlightSnapshot {
+            per_op: vec![Vec::new(); NOPS],
+            recorded: 0,
+        }
+    }
+}
+
+impl FlightSnapshot {
+    /// Operations retired when the snapshot was taken.
+    pub fn recorded(&self) -> u64 {
+        self.recorded
+    }
+
+    /// The kept records of one op kind, slowest first.
+    pub fn records(&self, op: OpKind) -> &[OpRecord] {
+        &self.per_op[op as usize]
+    }
+
+    /// Every kept record across all op kinds, slowest first.
+    pub fn all(&self) -> Vec<&OpRecord> {
+        self.cohort(0)
+    }
+
+    /// The exemplar cohort of a quantile: every kept record whose
+    /// latency bucket is at (or above) the bucket `quantile_ns` falls
+    /// in, slowest first. With `quantile_ns` from the merged histogram's
+    /// `quantile(q)`, these are the concrete anatomies behind the
+    /// reported pXX.
+    pub fn cohort(&self, quantile_ns: u64) -> Vec<&OpRecord> {
+        let floor = bucket_of(quantile_ns);
+        let mut v: Vec<&OpRecord> = self
+            .per_op
+            .iter()
+            .flatten()
+            .filter(|r| r.bucket() >= floor)
+            .collect();
+        v.sort_by_key(|r| slowest_first(r));
+        v
+    }
+}
+
+/// Aggregate anatomy of a set of records (an exemplar cohort): how many,
+/// and their sum.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TailAnatomy {
+    /// Records aggregated.
+    pub count: u64,
+    /// The records [absorbed](OpRecord::absorb) into one: summed phase,
+    /// wait and byte totals, the largest batch, and the covering
+    /// trace-seq window `seq_start..seq_end` (`0..0` for no records).
+    pub sum: OpRecord,
+}
+
+impl TailAnatomy {
+    /// Sums `records` into one anatomy.
+    pub fn aggregate<'a>(records: impl IntoIterator<Item = &'a OpRecord>) -> TailAnatomy {
+        let mut a = TailAnatomy {
+            count: 0,
+            sum: OpRecord {
+                seq_start: u64::MAX,
+                ..OpRecord::EMPTY
+            },
+        };
+        for r in records {
+            a.count += 1;
+            a.sum.absorb(r);
+        }
+        if a.count == 0 {
+            a.sum.seq_start = 0;
+        }
+        a
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histo::{bucket_lower, bucket_upper, Histo};
     use crate::{Clock, DrainKind, SpanTable};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -556,7 +738,7 @@ mod tests {
             obs.set_level(level);
             let r = obs.op(OpKind::Write, || {
                 assert!(idle(), "no frame below Full");
-                note_logical(4096);
+                note_bytes(Layer::Logical, 4096);
                 note_fence(1);
                 7
             });
@@ -586,10 +768,10 @@ mod tests {
             note_wait(Site::StallWriteback, 60);
             note_fence(1);
             note_fence(4); // one fence covering a 4-tx group commit
-            note_logical(100);
-            note_buffered(4096);
-            note_journaled(128);
-            note_persisted(256);
+            note_bytes(Layer::Logical, 100);
+            note_bytes(Layer::DramBuffered, 4096);
+            note_bytes(Layer::JournalLogged, 128);
+            note_bytes(Layer::NvmmPersisted, 256);
             note_shard(3);
             note_batch(4);
             note_batch(2);
@@ -605,8 +787,8 @@ mod tests {
         // ...whose remainder lands in Other, so the phases sum to the total.
         assert_eq!(r.phase_ns[Phase::Other as usize], 580);
         assert_eq!(r.phase_ns.iter().sum::<u64>(), r.total_ns);
-        assert_eq!(r.wait_ns[Site::PmfsJournal as usize], 40);
-        assert_eq!(r.wait_ns[Site::StallWriteback as usize], 60);
+        assert_eq!(r.wait_ns[Site::PmfsJournal.index()], 40);
+        assert_eq!(r.wait_ns[Site::StallWriteback.index()], 60);
         assert_eq!(r.stall_events, 1);
         assert_eq!((r.fences, r.fences_coalesced), (2, 3));
         assert_eq!(r.persisted_bytes(), 256);
@@ -668,7 +850,7 @@ mod tests {
             inner.op(OpKind::Fsync, || {
                 c.advance(20);
                 t.scope(Phase::Index, || c.advance(30));
-                note_logical(7);
+                note_bytes(Layer::Logical, 7);
                 assert_eq!(stamp_row(), OpKind::Open as usize);
             });
             assert!(!idle(), "outer frame survives the inner scope");
@@ -711,7 +893,7 @@ mod tests {
                 assert_eq!(stamp_row(), OpKind::Write as usize);
                 c.advance(500);
                 t.scope(Phase::Persist, || c.advance(1000));
-                note_persisted(4096);
+                note_bytes(Layer::NvmmPersisted, 4096);
             });
             assert_eq!(current_row(), OpKind::Write as usize);
             c.advance(7);
@@ -742,7 +924,7 @@ mod tests {
             let _bg = obs.bg_scope();
             assert_eq!(stamp_row(), BG_ROW);
             t.scope(Phase::Persist, || c.advance(64));
-            note_persisted(4096);
+            note_bytes(Layer::NvmmPersisted, 4096);
             note_fence(1);
         }
         assert!(idle());
@@ -758,7 +940,7 @@ mod tests {
     fn idle_thread_spans_charge_the_background_row_directly() {
         let (c, t, _obs) = rig();
         t.scope(Phase::Persist, || c.advance(64));
-        note_persisted(64); // no frame: dropped
+        note_bytes(Layer::NvmmPersisted, 64); // no frame: dropped
         assert_eq!(t.snapshot().ns[BG_ROW][Phase::Persist as usize], 64);
         assert_eq!(current_row(), BG_ROW);
     }
@@ -788,5 +970,73 @@ mod tests {
         }));
         assert!(r.is_err());
         assert!(idle(), "unwinding must not leave the thread's frame open");
+    }
+
+    // The tail reservoir itself; how records are assembled and when they
+    // retire is tested above.
+
+    fn record_one(fl: &FlightRecorder, op: OpKind, at_ns: u64, total_ns: u64) {
+        let mut rec = OpRecord {
+            op,
+            at_ns,
+            total_ns,
+            ..OpRecord::EMPTY
+        };
+        rec.phase_ns[Phase::Other as usize] = total_ns;
+        fl.retire(&rec);
+    }
+
+    #[test]
+    fn reservoir_keeps_topk_slowest_per_op() {
+        let fl = FlightRecorder::new();
+        for i in 0..100u64 {
+            record_one(&fl, OpKind::Read, i, i + 1);
+        }
+        assert_eq!(fl.recorded(), 100);
+        let snap = fl.snapshot();
+        let recs = snap.records(OpKind::Read);
+        assert_eq!(recs.len(), FLIGHT_TOPK.min(FLIGHT_MERGED_TOPK));
+        assert_eq!(recs[0].total_ns, 100);
+        assert!(recs.windows(2).all(|w| w[0].total_ns >= w[1].total_ns));
+        assert_eq!(recs.last().unwrap().total_ns, 100 - FLIGHT_TOPK as u64 + 1);
+        fl.reset();
+        assert_eq!(fl.recorded(), 0);
+        assert!(fl.snapshot().all().is_empty());
+    }
+
+    #[test]
+    fn exemplars_agree_with_histogram_buckets() {
+        // The exemplar ↔ bucket contract: a record keyed to bucket b has
+        // bucket_lower(b) <= total_ns <= bucket_upper(b), and the cohort
+        // of the histogram's pXX contains exactly the records at or above
+        // the quantile's bucket.
+        let fl = FlightRecorder::new();
+        let h = Histo::new();
+        let samples: Vec<u64> = (1..=200u64).map(|i| i * 97).collect();
+        for (i, &ns) in samples.iter().enumerate() {
+            h.record(ns);
+            record_one(&fl, OpKind::Write, i as u64, ns);
+        }
+        let snap = fl.snapshot();
+        for r in snap.all() {
+            let b = r.bucket();
+            assert!(bucket_lower(b) <= r.total_ns && r.total_ns <= bucket_upper(b));
+        }
+        let p99 = h.snapshot().quantile(0.99);
+        let cohort = snap.cohort(p99);
+        assert!(!cohort.is_empty(), "top-K exemplars must cover the p99");
+        for r in &cohort {
+            assert!(
+                r.bucket() >= bucket_of(p99),
+                "cohort record below the p99 bucket"
+            );
+        }
+        let a = TailAnatomy::aggregate(cohort.iter().copied());
+        assert_eq!(a.count, cohort.len() as u64);
+        assert_eq!(
+            a.sum.total_ns,
+            cohort.iter().map(|r| r.total_ns).sum::<u64>()
+        );
+        assert_eq!(a.sum.phase_ns.iter().sum::<u64>(), a.sum.total_ns);
     }
 }

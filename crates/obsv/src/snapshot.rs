@@ -58,102 +58,204 @@ pub fn dirty_line_bucket(dirty_lines: u32) -> usize {
     }
 }
 
-/// State of the HiNFS NVMM-aware write buffer (paper §3.2/§3.3).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BufferSnap {
-    /// DRAM buffer slots configured.
-    pub capacity_blocks: u64,
-    /// Free slots right now.
-    pub free_blocks: u64,
-    /// Occupied slots (LRW-linked).
-    pub occupied_blocks: u64,
-    /// Occupied slots per buffer shard — who holds the budget.
-    pub shard_occupied_blocks: Vec<u64>,
-    /// Occupied slots holding unflushed lines.
-    pub dirty_blocks: u64,
-    /// `Low_f` reclaim trigger, in blocks.
-    pub low_blocks: u64,
-    /// `High_f` reclaim target, in blocks.
-    pub high_blocks: u64,
-    /// Blocks the Buffer Benefit Model currently holds Eager-Persistent.
-    pub eager_blocks: u64,
-    /// Occupied slots not marked eager (the lazy-buffered population).
-    pub lazy_buffered_blocks: u64,
-    /// Ghost-buffer entries: BBM-tracked blocks with no resident slot.
-    pub ghost_blocks: u64,
-    /// Total blocks with Buffer Benefit Model history.
-    pub bbm_tracked_blocks: u64,
-    /// Model evaluations so far (mirror of `hinfs_bbm_evals`).
-    pub bbm_evals: u64,
-    /// Evaluations that confirmed the previous prediction (`hinfs_bbm_accurate`).
-    pub bbm_accurate: u64,
-    /// Files with buffer state tracked.
-    pub files_tracked: u64,
-    /// Open (deferred-commit) transactions across every file.
-    pub open_txs: u64,
-    /// Per-block dirty-cacheline population histogram from the Cacheline
-    /// Bitmaps (see [`dirty_line_bucket`]).
-    pub dirty_line_histo: [u64; DIRTY_LINE_BUCKETS],
-    /// Ages of buffered blocks since their last write (see
-    /// [`lrw_age_bucket`]).
-    pub lrw_age_histo: [u64; LRW_AGE_BUCKETS],
-    /// Age of the LRW victim candidate (tail), ns.
-    pub lrw_oldest_age_ns: u64,
+/// A section field's JSON value.
+trait Json {
+    fn json(&self, out: &mut String);
 }
 
-/// State of the PMFS undo journal.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct JournalSnap {
-    /// Total undo-entry slots in the journal area.
-    pub capacity_entries: u64,
-    /// Entries logged in the current generation (the log tail).
-    pub fill_entries: u64,
-    /// Entries reserved by uncommitted transactions.
-    pub reserved_entries: u64,
-    /// Entries still available to `begin`/`log_range`.
-    pub free_entries: u64,
-    /// Transactions begun and not yet resolved.
-    pub open_txs: u64,
-    /// Journal generation counter.
-    pub generation: u64,
+impl Json for u64 {
+    fn json(&self, out: &mut String) {
+        out.push_str(&self.to_string());
+    }
 }
 
-/// State of the ext-family DRAM page cache.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheSnap {
-    /// Page slots configured.
-    pub capacity_pages: u64,
-    /// Pages currently cached.
-    pub cached_pages: u64,
-    /// Cached pages holding unwritten data.
-    pub dirty_pages: u64,
-    /// Lookup hits so far.
-    pub hits: u64,
-    /// Lookup misses so far.
-    pub misses: u64,
+impl Json for [u64] {
+    fn json(&self, out: &mut String) {
+        let vals: Vec<String> = self.iter().map(u64::to_string).collect();
+        out.push_str(&format!("[{}]", vals.join(",")));
+    }
 }
 
-/// Traffic totals of the emulated NVMM device plus the calling thread's
-/// latency-ledger breakdown.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeviceSnap {
-    /// Device size in bytes.
-    pub capacity_bytes: u64,
-    /// Bytes persisted to the media (cacheline granularity).
-    pub bytes_written: u64,
-    /// Bytes read from the media.
-    pub bytes_read: u64,
-    /// Cachelines persisted via `clflush`.
-    pub flush_lines: u64,
-    /// Store fences issued.
-    pub fences: u64,
-    /// Bytes stored into the volatile domain.
-    pub cached_store_bytes: u64,
-    /// `(category label, ns)` pairs of the calling thread's analytic time
-    /// ledger, in category order.
-    pub ledger_ns: Vec<(String, u64)>,
-    /// Sum of the ledger categories.
-    pub ledger_total_ns: u64,
+impl Json for Vec<u64> {
+    fn json(&self, out: &mut String) {
+        self[..].json(out);
+    }
+}
+
+impl<const N: usize> Json for [u64; N] {
+    fn json(&self, out: &mut String) {
+        self[..].json(out);
+    }
+}
+
+impl Json for Vec<(String, u64)> {
+    fn json(&self, out: &mut String) {
+        let vals: Vec<String> = self.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        out.push_str(&format!("{{{}}}", vals.join(",")));
+    }
+}
+
+/// One flat snapshot section: a JSON object under `KEY`, and registry
+/// gauges named `<prefix><KEY>_<name>`.
+trait Section {
+    const KEY: &'static str;
+    /// `"field":value,` per field, in declaration order.
+    fn json_fields(&self, out: &mut String);
+    fn gauges(&self, prefix: &str, out: &mut dyn crate::Visitor);
+}
+
+/// Declares a snapshot section struct, naming each field once: the
+/// struct field is also its JSON key, in declaration order. `, gauge`
+/// exports it as a gauge too (`, gauge "name"` under another name), and
+/// `, after "key" = EXPR` writes the constant `"key":EXPR` just before
+/// it in the JSON.
+macro_rules! section {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident in $key:literal {
+            $(
+                $(#[$fmeta:meta])*
+                pub $field:ident: $ty:ty
+                $(, gauge $($gauge:literal)?)?
+                $(, after $ckey:literal = $cval:expr)?;
+            )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )+
+        }
+
+        impl Section for $name {
+            const KEY: &'static str = $key;
+
+            fn json_fields(&self, out: &mut String) {
+                $(
+                    $( push_json(out, $ckey, &$cval); )?
+                    push_json(out, stringify!($field), &self.$field);
+                )+
+            }
+
+            #[allow(unused_variables)] // a section may export no gauge
+            fn gauges(&self, prefix: &str, out: &mut dyn crate::Visitor) {
+                $($(
+                    let name = section!(@gauge $field $($gauge)?);
+                    out.gauge(&format!("{prefix}{}_{name}", $key), self.$field);
+                )?)+
+            }
+        }
+    };
+    (@gauge $field:ident) => { stringify!($field) };
+    (@gauge $field:ident $gauge:literal) => { $gauge };
+}
+
+fn push_json(out: &mut String, key: &str, v: &(impl Json + ?Sized)) {
+    out.push_str(&format!("\"{key}\":"));
+    v.json(out);
+    out.push(',');
+}
+
+section! {
+    /// State of the HiNFS NVMM-aware write buffer (paper §3.2/§3.3).
+    pub struct BufferSnap in "buffer" {
+        /// DRAM buffer slots configured.
+        pub capacity_blocks: u64, gauge;
+        /// Free slots right now.
+        pub free_blocks: u64, gauge;
+        /// Occupied slots (LRW-linked).
+        pub occupied_blocks: u64;
+        /// Occupied slots holding unflushed lines.
+        pub dirty_blocks: u64, gauge;
+        /// `Low_f` reclaim trigger, in blocks.
+        pub low_blocks: u64, gauge;
+        /// `High_f` reclaim target, in blocks.
+        pub high_blocks: u64, gauge;
+        /// Blocks the Buffer Benefit Model currently holds Eager-Persistent.
+        pub eager_blocks: u64, gauge;
+        /// Occupied slots not marked eager (the lazy-buffered population).
+        pub lazy_buffered_blocks: u64, gauge "lazy_blocks";
+        /// Ghost-buffer entries: BBM-tracked blocks with no resident slot.
+        pub ghost_blocks: u64, gauge;
+        /// Total blocks with Buffer Benefit Model history.
+        pub bbm_tracked_blocks: u64;
+        /// Model evaluations so far (mirror of `hinfs_bbm_evals`).
+        pub bbm_evals: u64;
+        /// Evaluations that confirmed the previous prediction (`hinfs_bbm_accurate`).
+        pub bbm_accurate: u64;
+        /// Files with buffer state tracked.
+        pub files_tracked: u64, gauge;
+        /// Open (deferred-commit) transactions across every file.
+        pub open_txs: u64, gauge;
+        /// Age of the LRW victim candidate (tail), ns.
+        pub lrw_oldest_age_ns: u64;
+        /// Occupied slots per buffer shard — who holds the budget.
+        pub shard_occupied_blocks: Vec<u64>;
+        /// Per-block dirty-cacheline population histogram from the Cacheline
+        /// Bitmaps (see [`dirty_line_bucket`]).
+        pub dirty_line_histo: [u64; DIRTY_LINE_BUCKETS];
+        /// Ages of buffered blocks since their last write (see
+        /// [`lrw_age_bucket`]), serialized after their bucket bounds.
+        pub lrw_age_histo: [u64; LRW_AGE_BUCKETS], after "lrw_age_bounds_ns" = LRW_AGE_BOUNDS_NS;
+    }
+}
+
+section! {
+    /// State of the PMFS undo journal.
+    pub struct JournalSnap in "journal" {
+        /// Total undo-entry slots in the journal area.
+        pub capacity_entries: u64, gauge;
+        /// Entries logged in the current generation (the log tail).
+        pub fill_entries: u64, gauge;
+        /// Entries reserved by uncommitted transactions.
+        pub reserved_entries: u64, gauge;
+        /// Entries still available to `begin`/`log_range`.
+        pub free_entries: u64, gauge;
+        /// Transactions begun and not yet resolved.
+        pub open_txs: u64, gauge;
+        /// Journal generation counter.
+        pub generation: u64, gauge;
+    }
+}
+
+section! {
+    /// State of the ext-family DRAM page cache.
+    pub struct CacheSnap in "cache" {
+        /// Page slots configured.
+        pub capacity_pages: u64, gauge;
+        /// Pages currently cached.
+        pub cached_pages: u64, gauge;
+        /// Cached pages holding unwritten data.
+        pub dirty_pages: u64, gauge;
+        /// Lookup hits so far.
+        pub hits: u64;
+        /// Lookup misses so far.
+        pub misses: u64;
+    }
+}
+
+section! {
+    /// Traffic totals of the emulated NVMM device plus the calling thread's
+    /// latency-ledger breakdown.
+    pub struct DeviceSnap in "device" {
+        /// Device size in bytes.
+        pub capacity_bytes: u64;
+        /// Bytes persisted to the media (cacheline granularity).
+        pub bytes_written: u64;
+        /// Bytes read from the media.
+        pub bytes_read: u64;
+        /// Cachelines persisted via `clflush`.
+        pub flush_lines: u64;
+        /// Store fences issued.
+        pub fences: u64;
+        /// Bytes stored into the volatile domain.
+        pub cached_store_bytes: u64;
+        /// Sum of the ledger categories.
+        pub ledger_total_ns: u64;
+        /// `(category label, ns)` pairs of the calling thread's analytic time
+        /// ledger, in category order.
+        pub ledger_ns: Vec<(String, u64)>;
+    }
 }
 
 /// One schema-versioned, point-in-time state snapshot. Sections a system
@@ -177,21 +279,14 @@ pub struct FsSnapshot {
     pub lineage: Option<crate::LineageSnap>,
 }
 
-fn push_u64s(out: &mut String, fields: &[(&str, u64)]) {
-    for (k, v) in fields {
-        out.push_str(&format!("\"{k}\":{v},"));
+/// Writes `"KEY":{...},` for a present section.
+fn push_section<S: Section>(out: &mut String, section: &Option<S>) {
+    if let Some(s) = section {
+        out.push_str(&format!("\"{}\":{{", S::KEY));
+        s.json_fields(out);
+        close_obj(out);
+        out.push(',');
     }
-}
-
-fn push_array(out: &mut String, name: &str, vals: &[u64]) {
-    out.push_str(&format!("\"{name}\":["));
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push_str("],");
 }
 
 fn close_obj(out: &mut String) {
@@ -211,120 +306,30 @@ impl FsSnapshot {
             self.system.replace(['"', '\\'], "_"),
             self.at_ns
         );
-        if let Some(b) = &self.buffer {
-            out.push_str("\"buffer\":{");
-            push_u64s(
-                &mut out,
-                &[
-                    ("capacity_blocks", b.capacity_blocks),
-                    ("free_blocks", b.free_blocks),
-                    ("occupied_blocks", b.occupied_blocks),
-                    ("dirty_blocks", b.dirty_blocks),
-                    ("low_blocks", b.low_blocks),
-                    ("high_blocks", b.high_blocks),
-                    ("eager_blocks", b.eager_blocks),
-                    ("lazy_buffered_blocks", b.lazy_buffered_blocks),
-                    ("ghost_blocks", b.ghost_blocks),
-                    ("bbm_tracked_blocks", b.bbm_tracked_blocks),
-                    ("bbm_evals", b.bbm_evals),
-                    ("bbm_accurate", b.bbm_accurate),
-                    ("files_tracked", b.files_tracked),
-                    ("open_txs", b.open_txs),
-                    ("lrw_oldest_age_ns", b.lrw_oldest_age_ns),
-                ],
-            );
-            push_array(&mut out, "shard_occupied_blocks", &b.shard_occupied_blocks);
-            push_array(&mut out, "dirty_line_histo", &b.dirty_line_histo);
-            push_array(&mut out, "lrw_age_bounds_ns", &LRW_AGE_BOUNDS_NS);
-            push_array(&mut out, "lrw_age_histo", &b.lrw_age_histo);
-            close_obj(&mut out);
-            out.push(',');
-        }
-        if let Some(j) = &self.journal {
-            out.push_str("\"journal\":{");
-            push_u64s(
-                &mut out,
-                &[
-                    ("capacity_entries", j.capacity_entries),
-                    ("fill_entries", j.fill_entries),
-                    ("reserved_entries", j.reserved_entries),
-                    ("free_entries", j.free_entries),
-                    ("open_txs", j.open_txs),
-                    ("generation", j.generation),
-                ],
-            );
-            close_obj(&mut out);
-            out.push(',');
-        }
-        if let Some(c) = &self.cache {
-            out.push_str("\"cache\":{");
-            push_u64s(
-                &mut out,
-                &[
-                    ("capacity_pages", c.capacity_pages),
-                    ("cached_pages", c.cached_pages),
-                    ("dirty_pages", c.dirty_pages),
-                    ("hits", c.hits),
-                    ("misses", c.misses),
-                ],
-            );
-            close_obj(&mut out);
-            out.push(',');
-        }
-        if let Some(d) = &self.device {
-            out.push_str("\"device\":{");
-            push_u64s(
-                &mut out,
-                &[
-                    ("capacity_bytes", d.capacity_bytes),
-                    ("bytes_written", d.bytes_written),
-                    ("bytes_read", d.bytes_read),
-                    ("flush_lines", d.flush_lines),
-                    ("fences", d.fences),
-                    ("cached_store_bytes", d.cached_store_bytes),
-                    ("ledger_total_ns", d.ledger_total_ns),
-                ],
-            );
-            out.push_str("\"ledger_ns\":{");
-            for (i, (k, v)) in d.ledger_ns.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{k}\":{v}"));
-            }
-            out.push_str("},");
-            close_obj(&mut out);
-            out.push(',');
-        }
+        push_section(&mut out, &self.buffer);
+        push_section(&mut out, &self.journal);
+        push_section(&mut out, &self.cache);
+        push_section(&mut out, &self.device);
         if let Some(l) = &self.lineage {
-            out.push_str("\"lineage\":{\"layers\":{");
-            for (i, layer) in crate::ALL_LAYERS.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", layer.label(), l.layer(*layer)));
+            let layers: Vec<String> = crate::ALL_LAYERS
+                .iter()
+                .map(|&layer| format!("\"{}\":{}", layer.label(), l.layer(layer)))
+                .collect();
+            out.push_str(&format!(
+                "\"lineage\":{{\"layers\":{{{}}},",
+                layers.join(",")
+            ));
+            for (k, v) in l.totals() {
+                push_json(&mut out, k, &v);
             }
-            out.push_str("},");
-            push_u64s(
-                &mut out,
-                &[
-                    ("fences", l.fences),
-                    ("stamps", l.stamps),
-                    ("drains_sync", l.drains_sync),
-                    ("drains_lazy", l.drains_lazy),
-                    ("max_lag_ns", l.max_lag_ns),
-                ],
-            );
             out.push_str(&format!("\"fences_per_kib\":{:.3},", l.fences_per_kib()));
             out.push_str(&format!(
-                "\"lag\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
+                "\"lag\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}}},",
                 l.lag.count(),
                 l.lag.quantile(0.50),
                 l.lag.quantile(0.99),
                 l.lag.max()
             ));
-            close_obj(&mut out);
-            out.push(',');
         }
         close_obj(&mut out);
         out
@@ -333,68 +338,24 @@ impl FsSnapshot {
     /// Fills this snapshot's empty sections from `other` (a snapshot of
     /// another layer of the same system, e.g. the backing device).
     pub fn merge(&mut self, other: FsSnapshot) {
-        if self.buffer.is_none() {
-            self.buffer = other.buffer;
-        }
-        if self.journal.is_none() {
-            self.journal = other.journal;
-        }
-        if self.cache.is_none() {
-            self.cache = other.cache;
-        }
-        if self.device.is_none() {
-            self.device = other.device;
-        }
-        if self.lineage.is_none() {
-            self.lineage = other.lineage;
-        }
+        self.buffer = self.buffer.take().or(other.buffer);
+        self.journal = self.journal.take().or(other.journal);
+        self.cache = self.cache.take().or(other.cache);
+        self.device = self.device.take().or(other.device);
+        self.lineage = self.lineage.take().or(other.lineage);
     }
 
     /// Pushes every section's headline numbers as registry gauges under
     /// `prefix` (e.g. `hinfs_`), so the snapshot and the exposition can
     /// never disagree — they are the same collection.
     pub fn visit_gauges(&self, prefix: &str, out: &mut dyn crate::Visitor) {
-        let g = |out: &mut dyn crate::Visitor, name: &str, v: u64| {
-            out.gauge(&format!("{prefix}{name}"), v);
-        };
-        if let Some(b) = &self.buffer {
-            g(out, "buffer_capacity_blocks", b.capacity_blocks);
-            g(out, "buffer_free_blocks", b.free_blocks);
-            g(out, "buffer_dirty_blocks", b.dirty_blocks);
-            g(out, "buffer_low_blocks", b.low_blocks);
-            g(out, "buffer_high_blocks", b.high_blocks);
-            g(out, "buffer_eager_blocks", b.eager_blocks);
-            g(out, "buffer_lazy_blocks", b.lazy_buffered_blocks);
-            g(out, "buffer_ghost_blocks", b.ghost_blocks);
-            g(out, "buffer_open_txs", b.open_txs);
-            g(out, "buffer_files_tracked", b.files_tracked);
-        }
-        if let Some(j) = &self.journal {
-            g(out, "journal_capacity_entries", j.capacity_entries);
-            g(out, "journal_fill_entries", j.fill_entries);
-            g(out, "journal_reserved_entries", j.reserved_entries);
-            g(out, "journal_free_entries", j.free_entries);
-            g(out, "journal_open_txs", j.open_txs);
-            g(out, "journal_generation", j.generation);
-        }
-        if let Some(c) = &self.cache {
-            g(out, "cache_capacity_pages", c.capacity_pages);
-            g(out, "cache_cached_pages", c.cached_pages);
-            g(out, "cache_dirty_pages", c.dirty_pages);
-        }
+        self.buffer.iter().for_each(|s| s.gauges(prefix, out));
+        self.journal.iter().for_each(|s| s.gauges(prefix, out));
+        self.cache.iter().for_each(|s| s.gauges(prefix, out));
         if let Some(l) = &self.lineage {
-            for layer in crate::ALL_LAYERS {
-                g(
-                    out,
-                    &format!("lineage_{}_bytes", layer.label()),
-                    l.layer(layer),
-                );
-            }
-            g(out, "lineage_fences", l.fences);
-            g(out, "lineage_stamps", l.stamps);
-            g(out, "lineage_drains_sync", l.drains_sync);
-            g(out, "lineage_drains_lazy", l.drains_lazy);
-            g(out, "lineage_max_lag_ns", l.max_lag_ns);
+            l.visit(&format!("{prefix}lineage_"), out, |out, name, v| {
+                out.gauge(name, v)
+            });
         }
     }
 }

@@ -23,70 +23,34 @@ use crate::scope::{pop_span, push_span};
 use crate::{Clock, MetricSource, OpKind, Visitor, ALL_OPS, NOPS};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Execution phase a span attributes time to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Phase {
-    /// DRAM buffer-cache lookup / page-cache indexing on the write path.
-    BufLookup = 0,
-    /// Copying between user buffers and DRAM (buffer slots, page cache).
-    DramCopy = 1,
-    /// Copying from NVMM into DRAM (reads, CLFW fetches, writeback reads).
-    NvmmCopy = 2,
-    /// Stitching a read from interleaved DRAM and NVMM cachelines.
-    CachelineStitch = 3,
-    /// Persistent stores to NVMM (data writes, flushes) and their
-    /// bandwidth-gate admission.
-    Persist = 4,
-    /// Store fences (`sfence`) ordering persistent writes.
-    Fence = 5,
-    /// Journal work: undo logging, commit records, recovery scans.
-    Journal = 6,
-    /// Block / inode allocator work.
-    Alloc = 7,
-    /// Metadata indexing: inode table and directory persistence.
-    Index = 8,
-    /// Buffer Benefit Model evaluation (ghost-probe bookkeeping at fsync).
-    GhostProbe = 9,
-    /// Instrumented op time in no named phase (syscall overhead,
-    /// software-only bookkeeping).
-    Other = 10,
-}
-
-/// Number of [`Phase`] variants.
-pub const NPHASES: usize = 11;
-
-/// All phases in discriminant order.
-pub const ALL_PHASES: [Phase; NPHASES] = [
-    Phase::BufLookup,
-    Phase::DramCopy,
-    Phase::NvmmCopy,
-    Phase::CachelineStitch,
-    Phase::Persist,
-    Phase::Fence,
-    Phase::Journal,
-    Phase::Alloc,
-    Phase::Index,
-    Phase::GhostProbe,
-    Phase::Other,
-];
-
-impl Phase {
-    /// Stable label for reports and metric names.
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::BufLookup => "buf_lookup",
-            Phase::DramCopy => "dram_copy",
-            Phase::NvmmCopy => "nvmm_copy",
-            Phase::CachelineStitch => "cacheline_stitch",
-            Phase::Persist => "persist",
-            Phase::Fence => "fence",
-            Phase::Journal => "journal",
-            Phase::Alloc => "alloc",
-            Phase::Index => "index",
-            Phase::GhostProbe => "ghost_probe",
-            Phase::Other => "other",
-        }
+labelled! {
+    /// Execution phase a span attributes time to.
+    #[repr(usize)]
+    pub enum Phase, all ALL_PHASES, count NPHASES {
+        /// DRAM buffer-cache lookup / page-cache indexing on the write path.
+        BufLookup = "buf_lookup",
+        /// Copying between user buffers and DRAM (buffer slots, page cache).
+        DramCopy = "dram_copy",
+        /// Copying from NVMM into DRAM (reads, CLFW fetches, writeback reads).
+        NvmmCopy = "nvmm_copy",
+        /// Stitching a read from interleaved DRAM and NVMM cachelines.
+        CachelineStitch = "cacheline_stitch",
+        /// Persistent stores to NVMM (data writes, flushes) and their
+        /// bandwidth-gate admission.
+        Persist = "persist",
+        /// Store fences (`sfence`) ordering persistent writes.
+        Fence = "fence",
+        /// Journal work: undo logging, commit records, recovery scans.
+        Journal = "journal",
+        /// Block / inode allocator work.
+        Alloc = "alloc",
+        /// Metadata indexing: inode table and directory persistence.
+        Index = "index",
+        /// Buffer Benefit Model evaluation (ghost-probe bookkeeping at fsync).
+        GhostProbe = "ghost_probe",
+        /// Instrumented op time in no named phase (syscall overhead,
+        /// software-only bookkeeping).
+        Other = "other",
     }
 }
 
@@ -223,15 +187,6 @@ pub struct SpanSnapshot {
     pub ns: [[u64; NPHASES]; SPAN_ROWS],
     /// Scope completions per `[row][phase]` cell.
     pub calls: [[u64; NPHASES]; SPAN_ROWS],
-}
-
-impl Default for SpanSnapshot {
-    fn default() -> Self {
-        SpanSnapshot {
-            ns: [[0; NPHASES]; SPAN_ROWS],
-            calls: [[0; NPHASES]; SPAN_ROWS],
-        }
-    }
 }
 
 impl SpanSnapshot {

@@ -13,22 +13,121 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Number of payload words per event.
-const PAYLOAD: usize = 7;
+/// Payload words per event: one per field of the widest kind.
+const PAYLOAD: usize = 8;
 
-/// One structured event. Every variant is `Copy` and encodes into a fixed
-/// number of `u64` payload words, which is what lets the ring stay
-/// lock-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
+/// A trace-event field: every field travels as one `u64` word.
+trait Word: Copy {
+    fn word(self) -> u64;
+    fn from_word(w: u64) -> Self;
+}
+
+impl Word for u64 {
+    fn word(self) -> u64 {
+        self
+    }
+    fn from_word(w: u64) -> u64 {
+        w
+    }
+}
+
+impl Word for bool {
+    fn word(self) -> u64 {
+        u64::from(self)
+    }
+    fn from_word(w: u64) -> bool {
+        w != 0
+    }
+}
+
+/// Declares [`TraceEvent`] from one entry per kind — variant, dotted
+/// label, fields — and generates the ring's wire form from it: the tag is
+/// the kind's declaration index, the payload its fields in order. A field
+/// marked `=> mag` (log₂-bucketed) or `=> raw` is part of the kind's
+/// coverage feature.
+macro_rules! trace_events {
+    (
+        $(
+            $(#[$meta:meta])*
+            $kind:ident = $label:literal { $($field:ident: $ty:ty $(=> $cov:ident)?),+ $(,)? }
+        )+
+    ) => {
+        /// One structured event. Every variant is `Copy` and encodes into a
+        /// fixed number of `u64` payload words, which is what lets the ring
+        /// stay lock-free.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $( $(#[$meta])* $kind { $($field: $ty),+ }, )+
+        }
+
+        /// Wire tags: the kinds in declaration order.
+        enum Tag {
+            $( $kind, )+
+        }
+
+        /// Dotted label per tag.
+        const KINDS: &[&str] = &[$($label),+];
+
+        /// Field names per tag, in payload order.
+        const FIELDS: &[&[&str]] = &[$(&[$(stringify!($field)),+]),+];
+
+        impl TraceEvent {
+            /// `(tag, payload)` wire form.
+            fn encode(self) -> (u64, [u64; PAYLOAD]) {
+                let mut p = [0; PAYLOAD];
+                let tag = match self {
+                    $( TraceEvent::$kind { $($field),+ } => {
+                        let words = [$($field.word()),+];
+                        p[..words.len()].copy_from_slice(&words);
+                        Tag::$kind
+                    } )+
+                };
+                (tag as u64, p)
+            }
+
+            /// The coverage sub-feature: the marked fields packed 8 bits
+            /// apart, the first one highest.
+            #[allow(unused_variables)] // unmarked fields
+            pub(crate) fn coverage_feature(&self) -> u64 {
+                let mut f = 0;
+                match *self {
+                    $( TraceEvent::$kind { $($field),+ } => {
+                        $($( f = (f << 8) | coverage_part!($cov, $field.word()); )?)+
+                    } )+
+                }
+                f
+            }
+
+            fn decode(tag: u64, p: [u64; PAYLOAD]) -> Option<TraceEvent> {
+                let mut w = p.into_iter();
+                $( if tag == Tag::$kind as u64 {
+                    return Some(TraceEvent::$kind { $($field: Word::from_word(w.next()?)),+ });
+                } )+
+                None
+            }
+        }
+    };
+}
+
+/// One field's share of a coverage feature.
+macro_rules! coverage_part {
+    (mag, $v:expr) => {
+        crate::coverage::mag_bucket($v)
+    };
+    (raw, $v:expr) => {
+        $v
+    };
+}
+
+trace_events! {
     /// A reclaim pass started: `free` blocks left, aiming for `target`.
-    ReclaimBegin { free: u64, target: u64 },
+    ReclaimBegin = "reclaim.begin" { free: u64 => mag, target: u64 }
     /// The pass ended after evicting `victims` blocks.
-    ReclaimEnd { victims: u64, free: u64 },
+    ReclaimEnd = "reclaim.end" { victims: u64 => mag, free: u64 }
     /// The pool crossed the `Low_f` watermark on the write path.
-    WatermarkLow { free: u64, low: u64 },
+    WatermarkLow = "watermark.low" { free: u64 => mag, low: u64 }
     /// A foreground write had to reclaim a block itself.
-    ForegroundStall { ino: u64 },
+    ForegroundStall = "foreground.stall" { ino: u64 }
     /// The Buffer Benefit Model changed a block's state, with every
     /// Inequality-1 input that drove the decision: the epoch's cacheline
     /// writes (`n_cw`) and sync flushes (`n_cf`), the latencies the model
@@ -36,46 +135,43 @@ pub enum TraceEvent {
     /// (`sync_age_ns`, time since the file's previous synchronization —
     /// the clock the Eager→Lazy decay runs on). Each decision is
     /// replayable from this one record.
-    BbmFlip {
+    BbmFlip = "bbm.flip" {
         ino: u64,
         iblk: u64,
-        to_lazy: bool,
-        n_cw: u64,
-        n_cf: u64,
+        to_lazy: bool => raw,
+        n_cw: u64 => mag,
+        n_cf: u64 => mag,
         l_dram: u64,
         l_nvmm: u64,
         sync_age_ns: u64,
-    },
+    }
     /// A journal transaction committed; `log_entries` is the live entry
     /// count (log tail) at commit time.
-    JournalCommit { txid: u64, log_entries: u64 },
+    JournalCommit = "journal.commit" { txid: u64, log_entries: u64 => mag }
     /// One periodic writeback pass; `age_flushed` blocks hit the 30 s
     /// dirty-age rule.
-    PeriodicPass { age_flushed: u64 },
+    PeriodicPass = "writeback.periodic" { age_flushed: u64 => mag }
     /// Journal recovery started on a mount; `gen` is the journal
     /// generation being scanned.
-    RecoveryBegin { gen: u64 },
+    RecoveryBegin = "recovery.begin" { gen: u64 }
     /// Journal recovery finished: `txs_undone` uncommitted transactions
     /// rolled back using `entries_undone` undo records.
-    RecoveryEnd {
-        txs_undone: u64,
-        entries_undone: u64,
-    },
+    RecoveryEnd = "recovery.end" { txs_undone: u64 => mag, entries_undone: u64 => mag }
     /// A fault-injection plan fired: `kind` 0 = crash (power loss), 1 =
     /// journal-full, 2 = ENOSPC, 3 = writeback stall; `at_boundary` is the
     /// persistence-boundary count when it fired.
-    FaultInjected { kind: u64, at_boundary: u64 },
+    FaultInjected = "fault.injected" { kind: u64 => raw, at_boundary: u64 }
     /// The online invariant auditor found a broken invariant. `code`
     /// indexes [`crate::AUDIT_INVARIANTS`]; `ino`/`iblk` locate the
     /// offender when the invariant is per-block (0 otherwise); `got` and
     /// `want` are the two sides of the violated relation.
-    AuditViolation {
-        code: u64,
+    AuditViolation = "audit.violation" {
+        code: u64 => raw,
         ino: u64,
         iblk: u64,
         got: u64,
         want: u64,
-    },
+    }
     /// A drain made stamped data durable: the causal link from a
     /// foreground op's ring events to the pass that persisted its data.
     /// `row` is the origin lineage row (op discriminant, or the
@@ -84,363 +180,68 @@ pub enum TraceEvent {
     /// so a dump can stitch the op's full life back together. `lazy`
     /// distinguishes background drains (real lag) from synchronous ones
     /// (lag asserted 0).
-    LineageDrained {
-        row: u64,
-        lazy: bool,
+    LineageDrained = "lineage.drained" {
+        row: u64 => raw,
+        lazy: bool => raw,
         bytes: u64,
-        lag_ns: u64,
+        lag_ns: u64 => mag,
         seq_lo: u64,
         seq_hi: u64,
-    },
-}
-
-impl TraceEvent {
-    /// `(tag, payload)` wire form. The tag's low byte is the variant, bit 8
-    /// carries `BbmFlip::to_lazy`.
-    fn encode(self) -> (u64, [u64; PAYLOAD]) {
-        match self {
-            TraceEvent::ReclaimBegin { free, target } => (0, [free, target, 0, 0, 0, 0, 0]),
-            TraceEvent::ReclaimEnd { victims, free } => (1, [victims, free, 0, 0, 0, 0, 0]),
-            TraceEvent::WatermarkLow { free, low } => (2, [free, low, 0, 0, 0, 0, 0]),
-            TraceEvent::ForegroundStall { ino } => (3, [ino, 0, 0, 0, 0, 0, 0]),
-            TraceEvent::BbmFlip {
-                ino,
-                iblk,
-                to_lazy,
-                n_cw,
-                n_cf,
-                l_dram,
-                l_nvmm,
-                sync_age_ns,
-            } => (
-                4 | (u64::from(to_lazy) << 8),
-                [ino, iblk, n_cw, n_cf, l_dram, l_nvmm, sync_age_ns],
-            ),
-            TraceEvent::JournalCommit { txid, log_entries } => {
-                (5, [txid, log_entries, 0, 0, 0, 0, 0])
-            }
-            TraceEvent::PeriodicPass { age_flushed } => (6, [age_flushed, 0, 0, 0, 0, 0, 0]),
-            TraceEvent::RecoveryBegin { gen } => (7, [gen, 0, 0, 0, 0, 0, 0]),
-            TraceEvent::RecoveryEnd {
-                txs_undone,
-                entries_undone,
-            } => (8, [txs_undone, entries_undone, 0, 0, 0, 0, 0]),
-            TraceEvent::FaultInjected { kind, at_boundary } => {
-                (9, [kind, at_boundary, 0, 0, 0, 0, 0])
-            }
-            TraceEvent::AuditViolation {
-                code,
-                ino,
-                iblk,
-                got,
-                want,
-            } => (10, [code, ino, iblk, got, want, 0, 0]),
-            TraceEvent::LineageDrained {
-                row,
-                lazy,
-                bytes,
-                lag_ns,
-                seq_lo,
-                seq_hi,
-            } => (
-                11 | (u64::from(lazy) << 8),
-                [row, bytes, lag_ns, seq_lo, seq_hi, 0, 0],
-            ),
-        }
-    }
-
-    fn decode(tag: u64, p: [u64; PAYLOAD]) -> Option<TraceEvent> {
-        Some(match tag & 0xff {
-            0 => TraceEvent::ReclaimBegin {
-                free: p[0],
-                target: p[1],
-            },
-            1 => TraceEvent::ReclaimEnd {
-                victims: p[0],
-                free: p[1],
-            },
-            2 => TraceEvent::WatermarkLow {
-                free: p[0],
-                low: p[1],
-            },
-            3 => TraceEvent::ForegroundStall { ino: p[0] },
-            4 => TraceEvent::BbmFlip {
-                ino: p[0],
-                iblk: p[1],
-                to_lazy: tag & (1 << 8) != 0,
-                n_cw: p[2],
-                n_cf: p[3],
-                l_dram: p[4],
-                l_nvmm: p[5],
-                sync_age_ns: p[6],
-            },
-            5 => TraceEvent::JournalCommit {
-                txid: p[0],
-                log_entries: p[1],
-            },
-            6 => TraceEvent::PeriodicPass { age_flushed: p[0] },
-            7 => TraceEvent::RecoveryBegin { gen: p[0] },
-            8 => TraceEvent::RecoveryEnd {
-                txs_undone: p[0],
-                entries_undone: p[1],
-            },
-            9 => TraceEvent::FaultInjected {
-                kind: p[0],
-                at_boundary: p[1],
-            },
-            10 => TraceEvent::AuditViolation {
-                code: p[0],
-                ino: p[1],
-                iblk: p[2],
-                got: p[3],
-                want: p[4],
-            },
-            11 => TraceEvent::LineageDrained {
-                row: p[0],
-                lazy: tag & (1 << 8) != 0,
-                bytes: p[1],
-                lag_ns: p[2],
-                seq_lo: p[3],
-                seq_hi: p[4],
-            },
-            _ => return None,
-        })
     }
 }
 
+/// Names of `FaultInjected::kind` codes.
+const FAULT_KINDS: [&str; 4] = ["crash", "journal_full", "enospc", "writeback_stall"];
+
 impl TraceEvent {
+    /// The kind's wire tag (its declaration index).
+    pub(crate) fn tag(&self) -> u64 {
+        self.encode().0
+    }
+
     /// Stable dotted kind label, shared by the human dump and the JSONL
     /// export.
     pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::ReclaimBegin { .. } => "reclaim.begin",
-            TraceEvent::ReclaimEnd { .. } => "reclaim.end",
-            TraceEvent::WatermarkLow { .. } => "watermark.low",
-            TraceEvent::ForegroundStall { .. } => "foreground.stall",
-            TraceEvent::BbmFlip { .. } => "bbm.flip",
-            TraceEvent::JournalCommit { .. } => "journal.commit",
-            TraceEvent::PeriodicPass { .. } => "writeback.periodic",
-            TraceEvent::RecoveryBegin { .. } => "recovery.begin",
-            TraceEvent::RecoveryEnd { .. } => "recovery.end",
-            TraceEvent::FaultInjected { .. } => "fault.injected",
-            TraceEvent::AuditViolation { .. } => "audit.violation",
-            TraceEvent::LineageDrained { .. } => "lineage.drained",
-        }
+        KINDS[self.tag() as usize]
     }
 
-    /// `(name, value)` payload fields in a stable order (`to_lazy` is
+    /// `(name, value)` payload fields in declaration order (flags are
     /// 0/1).
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        match *self {
-            TraceEvent::ReclaimBegin { free, target } => vec![("free", free), ("target", target)],
-            TraceEvent::ReclaimEnd { victims, free } => vec![("victims", victims), ("free", free)],
-            TraceEvent::WatermarkLow { free, low } => vec![("free", free), ("low", low)],
-            TraceEvent::ForegroundStall { ino } => vec![("ino", ino)],
-            TraceEvent::BbmFlip {
-                ino,
-                iblk,
-                to_lazy,
-                n_cw,
-                n_cf,
-                l_dram,
-                l_nvmm,
-                sync_age_ns,
-            } => vec![
-                ("ino", ino),
-                ("iblk", iblk),
-                ("to_lazy", u64::from(to_lazy)),
-                ("n_cw", n_cw),
-                ("n_cf", n_cf),
-                ("l_dram", l_dram),
-                ("l_nvmm", l_nvmm),
-                ("sync_age_ns", sync_age_ns),
-            ],
-            TraceEvent::JournalCommit { txid, log_entries } => {
-                vec![("txid", txid), ("log_entries", log_entries)]
-            }
-            TraceEvent::PeriodicPass { age_flushed } => vec![("age_flushed", age_flushed)],
-            TraceEvent::RecoveryBegin { gen } => vec![("gen", gen)],
-            TraceEvent::RecoveryEnd {
-                txs_undone,
-                entries_undone,
-            } => vec![
-                ("txs_undone", txs_undone),
-                ("entries_undone", entries_undone),
-            ],
-            TraceEvent::FaultInjected { kind, at_boundary } => {
-                vec![("kind", kind), ("at_boundary", at_boundary)]
-            }
-            TraceEvent::AuditViolation {
-                code,
-                ino,
-                iblk,
-                got,
-                want,
-            } => vec![
-                ("code", code),
-                ("ino", ino),
-                ("iblk", iblk),
-                ("got", got),
-                ("want", want),
-            ],
-            TraceEvent::LineageDrained {
-                row,
-                lazy,
-                bytes,
-                lag_ns,
-                seq_lo,
-                seq_hi,
-            } => vec![
-                ("row", row),
-                ("lazy", u64::from(lazy)),
-                ("bytes", bytes),
-                ("lag_ns", lag_ns),
-                ("seq_lo", seq_lo),
-                ("seq_hi", seq_hi),
-            ],
-        }
-    }
-
-    /// Rebuilds an event from its kind label and named fields (the
-    /// inverse of [`TraceEvent::fields`]).
-    fn from_fields(kind: &str, get: impl Fn(&str) -> Option<u64>) -> Option<TraceEvent> {
-        Some(match kind {
-            "reclaim.begin" => TraceEvent::ReclaimBegin {
-                free: get("free")?,
-                target: get("target")?,
-            },
-            "reclaim.end" => TraceEvent::ReclaimEnd {
-                victims: get("victims")?,
-                free: get("free")?,
-            },
-            "watermark.low" => TraceEvent::WatermarkLow {
-                free: get("free")?,
-                low: get("low")?,
-            },
-            "foreground.stall" => TraceEvent::ForegroundStall { ino: get("ino")? },
-            "bbm.flip" => TraceEvent::BbmFlip {
-                ino: get("ino")?,
-                iblk: get("iblk")?,
-                to_lazy: get("to_lazy")? != 0,
-                n_cw: get("n_cw")?,
-                n_cf: get("n_cf")?,
-                l_dram: get("l_dram")?,
-                l_nvmm: get("l_nvmm")?,
-                sync_age_ns: get("sync_age_ns")?,
-            },
-            "journal.commit" => TraceEvent::JournalCommit {
-                txid: get("txid")?,
-                log_entries: get("log_entries")?,
-            },
-            "writeback.periodic" => TraceEvent::PeriodicPass {
-                age_flushed: get("age_flushed")?,
-            },
-            "recovery.begin" => TraceEvent::RecoveryBegin { gen: get("gen")? },
-            "recovery.end" => TraceEvent::RecoveryEnd {
-                txs_undone: get("txs_undone")?,
-                entries_undone: get("entries_undone")?,
-            },
-            "fault.injected" => TraceEvent::FaultInjected {
-                kind: get("kind")?,
-                at_boundary: get("at_boundary")?,
-            },
-            "audit.violation" => TraceEvent::AuditViolation {
-                code: get("code")?,
-                ino: get("ino")?,
-                iblk: get("iblk")?,
-                got: get("got")?,
-                want: get("want")?,
-            },
-            "lineage.drained" => TraceEvent::LineageDrained {
-                row: get("row")?,
-                lazy: get("lazy")? != 0,
-                bytes: get("bytes")?,
-                lag_ns: get("lag_ns")?,
-                seq_lo: get("seq_lo")?,
-                seq_hi: get("seq_hi")?,
-            },
-            _ => return None,
-        })
+    fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let (tag, p) = self.encode();
+        FIELDS[tag as usize].iter().copied().zip(p)
     }
 }
 
 impl std::fmt::Display for TraceEvent {
+    /// `kind name=value …`, with codes and flags spelled out: the BBM's
+    /// direction, the fault kind, the invariant, the drain's origin row
+    /// and kind, and the seq window as one `seq=[lo, hi]`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            TraceEvent::ReclaimBegin { free, target } => {
-                write!(f, "reclaim.begin free={free} target={target}")
-            }
-            TraceEvent::ReclaimEnd { victims, free } => {
-                write!(f, "reclaim.end victims={victims} free={free}")
-            }
-            TraceEvent::WatermarkLow { free, low } => {
-                write!(f, "watermark.low free={free} low={low}")
-            }
-            TraceEvent::ForegroundStall { ino } => write!(f, "foreground.stall ino={ino}"),
-            TraceEvent::BbmFlip {
-                ino,
-                iblk,
-                to_lazy,
-                n_cw,
-                n_cf,
-                l_dram,
-                l_nvmm,
-                sync_age_ns,
-            } => write!(
-                f,
-                "bbm.flip ino={ino} iblk={iblk} to={} n_cw={n_cw} n_cf={n_cf} \
-                 l_dram={l_dram} l_nvmm={l_nvmm} sync_age_ns={sync_age_ns}",
-                if to_lazy { "lazy" } else { "eager" }
-            ),
-            TraceEvent::JournalCommit { txid, log_entries } => {
-                write!(f, "journal.commit txid={txid} log_entries={log_entries}")
-            }
-            TraceEvent::PeriodicPass { age_flushed } => {
-                write!(f, "writeback.periodic age_flushed={age_flushed}")
-            }
-            TraceEvent::RecoveryBegin { gen } => write!(f, "recovery.begin gen={gen}"),
-            TraceEvent::RecoveryEnd {
-                txs_undone,
-                entries_undone,
-            } => write!(
-                f,
-                "recovery.end txs_undone={txs_undone} entries_undone={entries_undone}"
-            ),
-            TraceEvent::FaultInjected { kind, at_boundary } => {
-                let label = match kind {
-                    0 => "crash",
-                    1 => "journal_full",
-                    2 => "enospc",
-                    3 => "writeback_stall",
-                    _ => "unknown",
-                };
-                write!(f, "fault.injected kind={label} at_boundary={at_boundary}")
-            }
-            TraceEvent::AuditViolation {
-                code,
-                ino,
-                iblk,
-                got,
-                want,
-            } => write!(
-                f,
-                "audit.violation invariant={} ino={ino} iblk={iblk} got={got} want={want}",
-                crate::snapshot::invariant_label(code)
-            ),
-            TraceEvent::LineageDrained {
-                row,
-                lazy,
-                bytes,
-                lag_ns,
-                seq_lo,
-                seq_hi,
-            } => write!(
-                f,
-                "lineage.drained origin={} kind={} bytes={bytes} lag_ns={lag_ns} seq=[{seq_lo}, {seq_hi}]",
-                crate::span::row_label((row as usize).min(crate::BG_ROW)),
-                if lazy { "lazy" } else { "sync" }
-            ),
+        f.write_str(self.kind())?;
+        let pick = |v: u64, yes: &'static str, no: &'static str| if v != 0 { yes } else { no };
+        for (name, v) in self.fields() {
+            match name {
+                "to_lazy" => write!(f, " to={}", pick(v, "lazy", "eager")),
+                "kind" => write!(
+                    f,
+                    " kind={}",
+                    FAULT_KINDS.get(v as usize).unwrap_or(&"unknown")
+                ),
+                "code" => write!(f, " invariant={}", crate::snapshot::invariant_label(v)),
+                "row" => write!(
+                    f,
+                    " origin={}",
+                    crate::span::row_label((v as usize).min(crate::BG_ROW))
+                ),
+                "lazy" => write!(f, " kind={}", pick(v, "lazy", "sync")),
+                // `seq_hi` follows `seq_lo`: together one window.
+                "seq_lo" => write!(f, " seq=[{v}, "),
+                "seq_hi" => write!(f, "{v}]"),
+                _ => write!(f, " {name}={v}"),
+            }?;
         }
+        Ok(())
     }
 }
 
@@ -476,32 +277,6 @@ impl TraceRecord {
         }
         out.push('}');
         out
-    }
-
-    /// Parses a line produced by [`TraceRecord::to_json`]. Returns `None`
-    /// on malformed input or an unknown kind.
-    pub fn from_json(line: &str) -> Option<TraceRecord> {
-        let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut kind = None;
-        let mut nums: Vec<(String, u64)> = Vec::new();
-        for part in body.split(',') {
-            let (k, v) = part.split_once(':')?;
-            let k = k.trim().strip_prefix('"')?.strip_suffix('"')?;
-            let v = v.trim();
-            if let Some(s) = v.strip_prefix('"') {
-                if k == "kind" {
-                    kind = Some(s.strip_suffix('"')?.to_string());
-                }
-            } else {
-                nums.push((k.to_string(), v.parse().ok()?));
-            }
-        }
-        let get = |name: &str| nums.iter().find(|(k, _)| k == name).map(|&(_, v)| v);
-        Some(TraceRecord {
-            seq: get("seq")?,
-            at_ns: get("at_ns")?,
-            ev: TraceEvent::from_fields(&kind?, get)?,
-        })
     }
 }
 
@@ -563,12 +338,9 @@ pub struct TraceRing {
 impl std::fmt::Debug for TraceRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRing")
-            .field("enabled", &self.enabled())
-            .field("capacity", &self.capacity())
-            .field("segments", &self.segments.len())
             .field("emitted", &self.emitted())
             .field("dropped", &self.dropped())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -810,44 +582,6 @@ mod tests {
         // A shorter tail keeps only the newest.
         assert_eq!(ring.tail(3).first().unwrap().seq, 17);
         assert_eq!(ring.emitted(), 20);
-    }
-
-    #[test]
-    fn jsonl_roundtrips_every_variant() {
-        // Through the ring end-to-end, covering the PR 2 fault/recovery
-        // events alongside the writeback/BBM ones.
-        let ring = TraceRing::new(32);
-        ring.set_enabled(true);
-        let evs = all_variants();
-        assert!(evs.iter().any(|e| e.kind() == "fault.injected"));
-        assert!(evs.iter().any(|e| e.kind() == "recovery.begin"));
-        assert!(evs.iter().any(|e| e.kind() == "recovery.end"));
-        for (i, ev) in evs.iter().enumerate() {
-            ring.push(i as u64 * 100, *ev);
-        }
-        let jsonl = ring.tail_jsonl(evs.len());
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), evs.len());
-        for (i, line) in lines.iter().enumerate() {
-            // Structurally flat JSON: one object, no nesting, kind field.
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert_eq!(line.matches('{').count(), 1);
-            let rec =
-                TraceRecord::from_json(line).unwrap_or_else(|| panic!("unparseable line {line}"));
-            assert_eq!(rec.seq, i as u64);
-            assert_eq!(rec.at_ns, i as u64 * 100);
-            assert_eq!(rec.ev, evs[i], "round-trip mismatch on {line}");
-        }
-        // Malformed input is rejected, not mis-parsed.
-        for bad in [
-            "",
-            "{}",
-            "not json",
-            "{\"seq\":1,\"at_ns\":2,\"kind\":\"no.such.kind\"}",
-            "{\"seq\":1,\"at_ns\":2,\"kind\":\"foreground.stall\"}",
-        ] {
-            assert!(TraceRecord::from_json(bad).is_none(), "accepted {bad:?}");
-        }
     }
 
     #[test]

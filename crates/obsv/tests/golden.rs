@@ -72,7 +72,8 @@ fn all_51_site_labels_in_discriminant_order() {
     assert_eq!(pos(Site::FskitFdtable), 3);
     assert_eq!(pos(Site::HinfsWriteback), 9);
     assert_eq!(pos(Site::StallThrottle), 18);
-    let families: [(fn(usize) -> Site, usize); 4] = [
+    type Family = fn(usize) -> Site;
+    let families: [(Family, usize); 4] = [
         (Site::hinfs_shard, 19),
         (Site::pmfs_alloc_shard, 27),
         (Site::pmfs_ns_shard, 35),
@@ -307,10 +308,10 @@ fn full_snapshot() -> FsSnapshot {
     let obs = obsv::FsObs::default();
     obs.set_level(obsv::Level::Full);
     obs.op(obsv::OpKind::Write, || {
-        obsv::note_logical(4096);
-        obsv::note_buffered(4096);
-        obsv::note_journaled(128);
-        obsv::note_persisted(64);
+        obsv::note_bytes(obsv::Layer::Logical, 4096);
+        obsv::note_bytes(obsv::Layer::DramBuffered, 4096);
+        obsv::note_bytes(obsv::Layer::JournalLogged, 128);
+        obsv::note_bytes(obsv::Layer::NvmmPersisted, 64);
         obsv::note_fence(1);
     });
     let stamp = obs.stamp(10);
@@ -425,7 +426,9 @@ fn snapshot_json_keys_and_gauge_names() {
 fn fs_obs_exposes_its_lineage_under_the_same_names() {
     let obs = obsv::FsObs::default();
     obs.set_level(obsv::Level::Full);
-    obs.op(obsv::OpKind::Write, || obsv::note_logical(4096));
+    obs.op(obsv::OpKind::Write, || {
+        obsv::note_bytes(obsv::Layer::Logical, 4096)
+    });
     let mut names = Names(Vec::new());
     obsv::MetricSource::collect(&obs, &mut names);
     let lines: Vec<&str> = names

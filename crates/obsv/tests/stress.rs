@@ -205,16 +205,24 @@ fn histogram_concurrent_with_snapshots() {
     assert_eq!(s.max(), 20_000);
 }
 
+obsv::counter_set! {
+    /// The stress test's one counter.
+    struct StressStats, snapshot StressSnapshot, prefix "stress_" {
+        ops,
+    }
+}
+
 #[test]
 fn registry_snapshot_under_concurrent_updates() {
     let reg = Arc::new(MetricsRegistry::new());
-    let c = reg.counter("stress_ops");
+    let stats = Arc::new(StressStats::new());
+    reg.register("", stats.clone());
     let writers: Vec<_> = (0..4)
         .map(|_| {
-            let c = c.clone();
+            let stats = stats.clone();
             std::thread::spawn(move || {
                 for _ in 0..10_000 {
-                    c.inc();
+                    stats.ops.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
             })
         })

@@ -759,7 +759,7 @@ impl Pmfs {
         if !of.flags.writable() {
             return Err(FsError::BadFd);
         }
-        obsv::note_logical(data.len() as u64);
+        obsv::note_bytes(obsv::Layer::Logical, data.len() as u64);
         let tx = self.journal.begin()?;
         let res = (|| -> Result<u64> {
             let mut state = of.handle.state.write();
@@ -960,7 +960,7 @@ impl FileSystem for Pmfs {
             if of.flags.contains(OpenFlags::APPEND) {
                 return self.append_inner(fd, data).map(|_| data.len());
             }
-            obsv::note_logical(data.len() as u64);
+            obsv::note_bytes(obsv::Layer::Logical, data.len() as u64);
             let tx = self.journal.begin()?;
             let res = (|| -> Result<()> {
                 let mut state = of.handle.state.write();
@@ -1002,7 +1002,10 @@ impl FileSystem for Pmfs {
             // One journal transaction, one inode lock hold and one logged
             // inode core cover the whole gather list — per-slice the only
             // repeated cost is the data copy itself.
-            obsv::note_logical(iovs.iter().map(|s| s.len() as u64).sum());
+            obsv::note_bytes(
+                obsv::Layer::Logical,
+                iovs.iter().map(|s| s.len() as u64).sum(),
+            );
             let tx = self.journal.begin()?;
             let res = (|| -> Result<usize> {
                 let mut state = of.handle.state.write();

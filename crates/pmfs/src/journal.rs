@@ -475,7 +475,7 @@ impl Journal {
         }
         let off = self.area + inner.tail * ENTRY_SIZE as u64;
         let buf = encode(e);
-        obsv::note_journaled(ENTRY_SIZE as u64);
+        obsv::note_bytes(obsv::Layer::JournalLogged, ENTRY_SIZE as u64);
         self.dev.write_cached(Cat::Journal, off, &buf);
         self.dev.clflush(Cat::Journal, off, ENTRY_SIZE);
         inner.tail += 1;

@@ -153,10 +153,10 @@ fn report_tail(out: &mut dyn Write, obs: &obsv::FsObs) {
         p99,
         anatomy.count,
         fsnap.recorded(),
-        anatomy.seq_lo,
-        anatomy.seq_hi
+        anatomy.sum.seq_start,
+        anatomy.sum.seq_end
     );
-    for (phase, ns) in anatomy.top_phases(4) {
+    for (phase, ns) in anatomy.sum.top_phases(4) {
         let per = ns / anatomy.count.max(1);
         let _ = writeln!(
             out,
@@ -164,7 +164,7 @@ fn report_tail(out: &mut dyn Write, obs: &obsv::FsObs) {
             phase.label()
         );
     }
-    for (site, ns) in anatomy.top_waits(4) {
+    for (site, ns) in anatomy.sum.top_waits(4) {
         let per = ns / anatomy.count.max(1);
         let _ = writeln!(
             out,

@@ -47,11 +47,13 @@ fn tail_line(sys_label: &str, obs: &FsObs) -> String {
         return format!("  {sys_label:>5} p99 {p99:>8}ns  (no exemplars in cohort)");
     }
     let phases: Vec<String> = anatomy
+        .sum
         .top_phases(3)
         .into_iter()
         .map(|(p, ns)| format!("{}={}ns", p.label(), ns / anatomy.count))
         .collect();
     let waits: Vec<String> = anatomy
+        .sum
         .top_waits(1)
         .into_iter()
         .map(|(s, ns)| format!("wait[{}]={}ns", s.label(), ns / anatomy.count))
@@ -59,7 +61,7 @@ fn tail_line(sys_label: &str, obs: &FsObs) -> String {
     format!(
         "  {sys_label:>5} p99 {p99:>8}ns  {} exemplars, {:.1} fences/op: {}{}{}",
         anatomy.count,
-        anatomy.fences as f64 / anatomy.count as f64,
+        anatomy.sum.fences as f64 / anatomy.count as f64,
         phases.join(" "),
         if waits.is_empty() { "" } else { " " },
         waits.join(" "),

@@ -61,6 +61,8 @@ trap finish EXIT
 stage fmt
 run cargo fmt --all -- --check
 run scripts/lint_locks.sh
+# The observer stays smaller than the system it observes (ROADMAP item 2).
+run scripts/loc.sh --max-obsv 4000
 stage clippy
 run cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
 # Everything is compiled here, test binaries included, so that the test
