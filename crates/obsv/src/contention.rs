@@ -62,22 +62,6 @@ pub const NSHARDS: usize = 8;
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Site(u8);
 
-/// The labels of one shard family, `<prefix>0` … `<prefix>7`.
-macro_rules! shard_labels {
-    ($prefix:literal) => {
-        [
-            concat!($prefix, 0),
-            concat!($prefix, 1),
-            concat!($prefix, 2),
-            concat!($prefix, 3),
-            concat!($prefix, 4),
-            concat!($prefix, 5),
-            concat!($prefix, 6),
-            concat!($prefix, 7),
-        ]
-    };
-}
-
 /// Declares the named sites (one constant each) and the shard families
 /// (one constructor each), in discriminant order.
 macro_rules! sites {
@@ -100,7 +84,7 @@ macro_rules! sites {
         }
 
         const NAMED_LABELS: &[&str] = &[$($label),+];
-        const FAMILY_LABELS: &[[&str; NSHARDS]] = &[$(shard_labels!($prefix)),+];
+        const FAMILY_PREFIXES: &[&str] = &[$($prefix),+];
 
         #[allow(non_upper_case_globals)]
         impl Site {
@@ -172,7 +156,7 @@ sites! {
 }
 
 /// Number of sites: the named ones, then [`NSHARDS`] per family.
-pub const NSITES: usize = NAMED_LABELS.len() + FAMILY_LABELS.len() * NSHARDS;
+pub const NSITES: usize = NAMED_LABELS.len() + FAMILY_PREFIXES.len() * NSHARDS;
 
 /// All sites in discriminant order.
 pub const ALL_SITES: [Site; NSITES] = {
@@ -196,17 +180,21 @@ impl Site {
         self.0 as usize
     }
 
-    /// Stable dotted label for reports and the bench JSON.
+    /// Stable dotted label for reports and the bench JSON: a named
+    /// site's own, `<family><i>` for shard `i` of a family.
     pub fn label(self) -> &'static str {
-        match self.index().checked_sub(NAMED_LABELS.len()) {
-            None => NAMED_LABELS[self.index()],
-            Some(s) => FAMILY_LABELS[s / NSHARDS][s % NSHARDS],
-        }
-    }
-
-    /// Snake-case form of [`Site::label`] for metric names.
-    fn metric_suffix(self) -> String {
-        self.label().replace('.', "_")
+        static LABELS: OnceLock<Vec<String>> = OnceLock::new();
+        let labels = LABELS.get_or_init(|| {
+            let shards = FAMILY_PREFIXES
+                .iter()
+                .flat_map(|p| (0..NSHARDS).map(move |i| format!("{p}{i}")));
+            NAMED_LABELS
+                .iter()
+                .map(|l| l.to_string())
+                .chain(shards)
+                .collect()
+        });
+        &labels[self.index()]
     }
 }
 
@@ -217,6 +205,7 @@ impl std::fmt::Debug for Site {
 }
 
 /// Per-site accumulator. ~8 KiB each (two histograms plus the op rows).
+#[derive(Debug, Default)]
 struct SiteStats {
     acquisitions: AtomicU64,
     contended: AtomicU64,
@@ -227,26 +216,11 @@ struct SiteStats {
 }
 
 impl SiteStats {
-    fn new() -> SiteStats {
-        SiteStats {
-            acquisitions: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            wait: Histo::new(),
-            hold: Histo::new(),
-            wait_by_op: std::array::from_fn(|_| AtomicU64::new(0)),
-            hold_by_op: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
     fn reset(&self) {
-        self.acquisitions.store(0, Ordering::Relaxed);
-        self.contended.store(0, Ordering::Relaxed);
         self.wait.reset();
         self.hold.reset();
-        for c in &self.wait_by_op {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in &self.hold_by_op {
+        let counters = [&self.acquisitions, &self.contended].into_iter();
+        for c in counters.chain(&self.wait_by_op).chain(&self.hold_by_op) {
             c.store(0, Ordering::Relaxed);
         }
     }
@@ -255,18 +229,11 @@ impl SiteStats {
 /// The shared contention accumulator of one simulated machine. One table
 /// exists per `SimEnv`; every tracked lock on that machine attaches to
 /// it. Disabled ([`Level::Off`]) by default.
+#[derive(Debug)]
 pub struct ContentionTable {
     level: AtomicU8,
     clock: Clock,
     sites: [SiteStats; NSITES],
-}
-
-impl std::fmt::Debug for ContentionTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ContentionTable")
-            .field("level", &self.level())
-            .finish_non_exhaustive()
-    }
 }
 
 impl ContentionTable {
@@ -276,7 +243,7 @@ impl ContentionTable {
         ContentionTable {
             level: AtomicU8::new(Level::Off as u8),
             clock,
-            sites: std::array::from_fn(|_| SiteStats::new()),
+            sites: std::array::from_fn(|_| SiteStats::default()),
         }
     }
 
@@ -303,11 +270,6 @@ impl ContentionTable {
         &self.clock
     }
 
-    #[inline]
-    fn now(&self) -> u64 {
-        self.clock.now()
-    }
-
     /// Records a non-lock blocking interval (`wait_ns` already measured
     /// by the caller on the simulation clock) against a `stall.*` site.
     /// At [`Level::Counts`] only the contended counter ticks.
@@ -315,9 +277,7 @@ impl ContentionTable {
         match self.level() {
             Level::Off => {}
             Level::Counts => {
-                self.sites[site.index()]
-                    .contended
-                    .fetch_add(1, Ordering::Relaxed);
+                self.note_contended(site);
                 note_wait(site, wait_ns);
             }
             Level::Full => self.record_wait(site, wait_ns),
@@ -403,7 +363,7 @@ impl MetricSource for ContentionTable {
             if snap.acquisitions == 0 && snap.contended == 0 {
                 continue;
             }
-            let base = format!("obsv_site_{}", snap.site.metric_suffix());
+            let base = format!("obsv_site_{}", snap.site.label().replace('.', "_"));
             out.counter(&format!("{base}_acquisitions"), snap.acquisitions);
             out.counter(&format!("{base}_contended"), snap.contended);
             if snap.wait.count() > 0 {
@@ -494,15 +454,12 @@ fn try_unpoison<G>(r: Result<G, sync::TryLockError<G>>) -> Option<G> {
     }
 }
 
-/// The one level dispatch behind every tracked acquire. Unattached or at
-/// [`Level::Off`] it costs one `OnceLock` load and one relaxed load, then
-/// `block` (or, for a try, `try_acquire`) runs bare. Otherwise the
-/// acquisition is counted; a blocking acquire that `try_acquire` cannot
+/// The one level dispatch behind every tracked acquire, at the cost the
+/// module docs state. A blocking acquire that `try_acquire` cannot
 /// satisfy ticks the contended counter *before* it blocks (a thread is
-/// visibly stalled while it waits) and, at [`Level::Full`], samples the
-/// wait; at `Full` the guard also opens a [`Hold`]. A try (`block` is
-/// `None`) that would block returns `None`, counting nothing: a failed
-/// try is a caller decision, not a blocked thread.
+/// visibly stalled while it waits). A try (`block` is `None`) that would
+/// block returns `None` and counts nothing: a failed try is a caller
+/// decision, not a blocked thread.
 #[inline]
 fn acquire<'a, G>(
     table: &'a OnceLock<Arc<ContentionTable>>,
@@ -532,10 +489,10 @@ fn acquire<'a, G>(
                 Some(g) => g,
                 None => {
                     table.note_contended(site);
-                    let t0 = full.then(|| table.now());
+                    let t0 = full.then(|| table.clock.now());
                     let g = block();
                     if let Some(t0) = t0 {
-                        table.record_wait_sample(site, table.now().saturating_sub(t0));
+                        table.record_wait_sample(site, table.clock.now().saturating_sub(t0));
                     }
                     g
                 }
@@ -545,7 +502,7 @@ fn acquire<'a, G>(
     let hold = full.then(|| Hold {
         table,
         site,
-        acquired_at: table.now(),
+        acquired_at: table.clock.now(),
         deduct: 0,
     });
     Some((hold, g))
@@ -568,6 +525,7 @@ impl Drop for Hold<'_> {
     fn drop(&mut self) {
         let held = self
             .table
+            .clock
             .now()
             .saturating_sub(self.acquired_at)
             .saturating_sub(self.deduct);
@@ -656,11 +614,6 @@ impl<T> TrackedMutex<T> {
         unpoison(self.inner.into_inner())
     }
 
-    /// Exclusive access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        unpoison(self.inner.get_mut())
-    }
-
     /// Acquires the lock, recording per the attached table's level.
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
         let (hold, g) = acquire(
@@ -727,11 +680,11 @@ impl TrackedCondvar {
         guard: &mut TrackedMutexGuard<'a, T>,
         wait: impl FnOnce(sync::MutexGuard<'a, T>) -> sync::MutexGuard<'a, T>,
     ) {
-        let t0 = guard.hold.as_ref().map(|h| h.table.now());
+        let t0 = guard.hold.as_ref().map(|h| h.table.clock.now());
         let g = guard.g.take().expect("guard present");
         guard.g = Some(wait(g));
         if let (Some(h), Some(t0)) = (guard.hold.as_mut(), t0) {
-            let waited = h.table.now().saturating_sub(t0);
+            let waited = h.table.clock.now().saturating_sub(t0);
             h.table.record_wait(h.site, waited);
             h.deduct = h.deduct.saturating_add(waited);
         }
@@ -762,11 +715,6 @@ impl<T> TrackedRwLock<T> {
     /// Consumes the lock, returning the data.
     pub fn into_inner(self) -> T {
         unpoison(self.inner.into_inner())
-    }
-
-    /// Exclusive access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        unpoison(self.inner.get_mut())
     }
 
     /// Acquires a shared read guard.

@@ -2,28 +2,9 @@
 //!
 //! A [`CoverageMap`] is a deterministic set of *coverage points* — small
 //! integers encoding "this run reached a state the observability layer
-//! can name". The fuzzer keeps one global map and evolves its corpus
-//! toward inputs that add points no earlier input produced. Everything a
-//! point encodes is something the repo already observes:
-//!
-//! - **Trace** ([`CoverageDomain::Trace`]): trace-ring event kinds with
-//!   their interesting payload fields log₂-bucketed — a `bbm.flip` to
-//!   Lazy at a different write-count magnitude, a `watermark.low`
-//!   crossing at a different free level, a recovery that undid a
-//!   different number of journal entries all count as distinct points.
-//! - **Site** ([`CoverageDomain::Site`]): contention-site first-hits — a
-//!   lock or stall identity acquired (and separately, contended) for the
-//!   first time, so shard-colliding inode choices score.
-//! - **State** ([`CoverageDomain::State`]): invariant-auditor /
-//!   introspection state classes derived from an [`FsSnapshot`] —
-//!   watermark region, journal fill bucket, Eager/Lazy/ghost population
-//!   flags, dirty-cacheline and LRW-age histogram occupancy.
-//! - **Crash** ([`CoverageDomain::Crash`]): crash-schedule shape — how
-//!   many persistence boundaries a script crosses, which boundary a
-//!   crash landed on, whether it fired mid-operation or tore the store
-//!   buffer, and how much recovery had to undo.
-//! - **Op** ([`CoverageDomain::Op`]): operation outcomes — which op kind
-//!   produced which result class on which system.
+//! can name", one [`CoverageDomain`] per source. The fuzzer keeps one
+//! global map and evolves its corpus toward inputs that add points no
+//! earlier input produced.
 //!
 //! Points carry an 8-bit caller-supplied context (the fuzzer uses the
 //! file-system kind) so "watermark crossing on hinfs" and "on pmfs" are
@@ -42,15 +23,22 @@ labelled! {
     /// discriminant is the point's domain tag.
     #[repr(u8)]
     pub enum CoverageDomain, all COVERAGE_DOMAINS, count NDOMAINS {
-        /// Trace-ring event kinds with bucketed payloads.
+        /// Trace-ring event kinds with their interesting payload fields
+        /// log₂-bucketed — a `bbm.flip` to Lazy at a different write-count
+        /// magnitude, a `watermark.low` crossing at a different free level.
         Trace = "trace",
-        /// Contention-site first-hits.
+        /// Contention-site first-hits: a lock or stall site acquired (and
+        /// separately, contended) for the first time, so shard-colliding
+        /// inode choices score.
         Site = "site",
-        /// Introspection-state classes (watermark region, journal fill, …).
+        /// Introspection-state classes of an [`FsSnapshot`]: watermark
+        /// region, journal fill, Eager/ghost population, dirty-cacheline
+        /// and LRW-age histogram occupancy.
         State = "state",
-        /// Crash-schedule shape and recovery depth.
+        /// Crash-schedule shape: boundaries crossed, where a crash landed,
+        /// whether it fired mid-op or tore the store buffer, recovery depth.
         Crash = "crash",
-        /// Per-operation outcome classes.
+        /// Operation outcomes: which op class produced which result class.
         Op = "op",
     }
 }
@@ -100,14 +88,10 @@ impl CoverageMap {
     pub fn add_contention(&mut self, ctx: u8, snap: &ContentionSnapshot) -> usize {
         let mut new = 0;
         for s in snap.touched() {
-            new +=
-                usize::from(self.insert(CoverageDomain::Site, ctx, (s.site.index() as u64) << 1));
+            let site = (s.site.index() as u64) << 1;
+            new += usize::from(self.insert(CoverageDomain::Site, ctx, site));
             if s.contended > 0 {
-                new += usize::from(self.insert(
-                    CoverageDomain::Site,
-                    ctx,
-                    ((s.site.index() as u64) << 1) | 1,
-                ));
+                new += usize::from(self.insert(CoverageDomain::Site, ctx, site | 1));
             }
         }
         new
@@ -135,14 +119,9 @@ impl CoverageMap {
             new += put(2, u64::from(b.eager_blocks > 0));
             new += put(3, u64::from(b.ghost_blocks > 0));
             new += put(4, mag_bucket(b.open_txs));
-            for (i, &c) in b.dirty_line_histo.iter().enumerate() {
-                if c > 0 {
-                    new += put(5, i as u64);
-                }
-            }
-            for (i, &c) in b.lrw_age_histo.iter().enumerate() {
-                if c > 0 {
-                    new += put(6, i as u64);
+            for (sub, histo) in [(5, &b.dirty_line_histo[..]), (6, &b.lrw_age_histo[..])] {
+                for (i, _) in histo.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                    new += put(sub, i as u64);
                 }
             }
         }

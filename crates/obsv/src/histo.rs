@@ -89,11 +89,9 @@ impl Histo {
     /// (timeline resets); racing recorders are not torn, merely split
     /// across the reset.
     pub fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
+        for a in self.buckets.iter().chain([&self.sum, &self.max]) {
+            a.store(0, Ordering::Relaxed);
         }
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of the distribution.

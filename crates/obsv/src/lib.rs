@@ -73,9 +73,7 @@ pub use coverage::{mag_bucket, CoverageDomain, CoverageMap, COVERAGE_DOMAINS};
 pub use histo::{
     bucket_lower, bucket_of, bucket_upper, Histo, HistoSnapshot, N_BUCKETS, SUB_BUCKETS,
 };
-pub use lineage::{
-    DrainKind, Layer, LineageSnap, LineageTable, Stamp, ALL_LAYERS, LINEAGE_ROWS, NLAYERS,
-};
+pub use lineage::{DrainKind, Layer, LineageSnap, LineageTable, Stamp, ALL_LAYERS, NLAYERS};
 pub use registry::{MetricSource, MetricsRegistry, RegistrySnapshot, Visitor};
 pub use scope::{
     detached, note_batch, note_bytes, note_fence, note_shard, FlightRecorder, FlightSnapshot,
@@ -238,8 +236,8 @@ impl FsObs {
             spans,
             audit_checks: AtomicU64::new(0),
             audit_violations: AtomicU64::new(0),
-            flight: FlightRecorder::new(),
-            lineage: LineageTable::new(),
+            flight: FlightRecorder::default(),
+            lineage: LineageTable::default(),
         }
     }
 

@@ -18,22 +18,19 @@
 //!   stamped data. A max-lag gauge feeds the online auditor, which
 //!   checks it against the mount's sync-decay bound.
 //! - **Per-layer write amplification** — logical bytes vs DRAM-buffered
-//!   vs journal-logged vs NVMM-persisted vs writeback-drained bytes,
-//!   plus fences, per [`OpKind`] row (background work gets its own row,
-//!   like the span matrix). `fences per logical KiB` and
+//!   vs journal-logged vs NVMM-persisted vs writeback-drained bytes per
+//!   [`OpKind`] row (background work gets its own row, like the span
+//!   matrix), plus fences. `fences per logical KiB` and
 //!   `persisted/logical` fall straight out of the ledger.
 //!
-//! The table is a pure accumulator with two feeders, both gated by the
-//! owning [`FsObs`](crate::FsObs) level: finished op frames fold their
-//! per-layer bytes and fence counts into the ledger row of the op that
-//! opened them (see the `scope` module), and stamp sites call
+//! The table is a pure accumulator fed by the op scope's fold and by
 //! [`FsObs::stamp`](crate::FsObs::stamp) /
 //! [`FsObs::record_drain`](crate::FsObs::record_drain), which reuse
 //! timestamps the callers already hold — so enabling lineage changes no
 //! result bit (proven by `tests/determinism.rs`).
 
 use crate::histo::{Histo, HistoSnapshot};
-use crate::{OpKind, Visitor, ALL_OPS, BG_ROW, NOPS};
+use crate::{OpKind, Visitor, BG_ROW, NOPS, SPAN_ROWS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 labelled! {
@@ -53,10 +50,6 @@ labelled! {
         WritebackDrained = "writeback_drained",
     }
 }
-
-/// Rows in the lineage ledger: one per [`OpKind`] plus the background
-/// row (index [`BG_ROW`], label `bg`), mirroring the span matrix.
-pub const LINEAGE_ROWS: usize = NOPS + 1;
 
 /// How a drain met the durability contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,20 +79,13 @@ pub struct Stamp {
     pub row: u8,
 }
 
-impl Stamp {
-    /// The origin op kind, when the stamp was made inside an op.
-    pub fn origin(&self) -> Option<OpKind> {
-        ALL_OPS.get(self.row as usize).copied()
-    }
-}
-
 /// Per-file-system data-lifecycle ledger: a bytes matrix of
-/// [`LINEAGE_ROWS`] × [`NLAYERS`], per-row fence counts, per-origin-op
+/// [`SPAN_ROWS`] × [`NLAYERS`], the fence count, per-origin-op
 /// durability-lag histograms and the max-lag gauge.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LineageTable {
-    bytes: Box<[[AtomicU64; NLAYERS]]>,
-    fences: Box<[AtomicU64]>,
+    bytes: [[AtomicU64; NLAYERS]; SPAN_ROWS],
+    fences: AtomicU64,
     lag: [Histo; NOPS],
     max_lag_ns: AtomicU64,
     stamps: AtomicU64,
@@ -107,28 +93,7 @@ pub struct LineageTable {
     drains_lazy: AtomicU64,
 }
 
-impl Default for LineageTable {
-    fn default() -> Self {
-        LineageTable::new()
-    }
-}
-
 impl LineageTable {
-    /// An empty table.
-    pub fn new() -> LineageTable {
-        LineageTable {
-            bytes: (0..LINEAGE_ROWS)
-                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                .collect(),
-            fences: (0..LINEAGE_ROWS).map(|_| AtomicU64::new(0)).collect(),
-            lag: std::array::from_fn(|_| Histo::new()),
-            max_lag_ns: AtomicU64::new(0),
-            stamps: AtomicU64::new(0),
-            drains_sync: AtomicU64::new(0),
-            drains_lazy: AtomicU64::new(0),
-        }
-    }
-
     /// Adds one finished frame's per-layer bytes and fences to `row`.
     pub(crate) fn fold(&self, row: usize, bytes: &[u64; NLAYERS], fences: u64) {
         for (cell, &b) in self.bytes[row].iter().zip(bytes) {
@@ -137,7 +102,7 @@ impl LineageTable {
             }
         }
         if fences > 0 {
-            self.fences[row].fetch_add(fences, Ordering::Relaxed);
+            self.fences.fetch_add(fences, Ordering::Relaxed);
         }
     }
 
@@ -182,12 +147,6 @@ impl LineageTable {
         self.max_lag_ns.load(Ordering::Relaxed)
     }
 
-    /// Stamps created (blocks/pages/transactions entering a staging
-    /// layer while enabled).
-    pub fn stamps(&self) -> u64 {
-        self.stamps.load(Ordering::Relaxed)
-    }
-
     /// Point-in-time copy of the whole ledger.
     pub fn snap(&self) -> LineageSnap {
         let row_bytes: Vec<[u64; NLAYERS]> = self
@@ -195,12 +154,6 @@ impl LineageTable {
             .iter()
             .map(|row| std::array::from_fn(|l| row[l].load(Ordering::Relaxed)))
             .collect();
-        let mut layer_bytes = [0u64; NLAYERS];
-        for row in &row_bytes {
-            for (l, &b) in row.iter().enumerate() {
-                layer_bytes[l] += b;
-            }
-        }
         let lag_by_op: Vec<HistoSnapshot> = self.lag.iter().map(|h| h.snapshot()).collect();
         let mut lag = HistoSnapshot::default();
         for s in &lag_by_op {
@@ -208,17 +161,11 @@ impl LineageTable {
         }
         LineageSnap {
             row_bytes,
-            layer_bytes,
-            fences: self.fences.iter().map(|f| f.load(Ordering::Relaxed)).sum(),
-            row_fences: self
-                .fences
-                .iter()
-                .map(|f| f.load(Ordering::Relaxed))
-                .collect(),
+            fences: self.fences.load(Ordering::Relaxed),
             lag_by_op,
             lag,
             max_lag_ns: self.max_lag_ns(),
-            stamps: self.stamps(),
+            stamps: self.stamps.load(Ordering::Relaxed),
             drains_sync: self.drains_sync.load(Ordering::Relaxed),
             drains_lazy: self.drains_lazy.load(Ordering::Relaxed),
         }
@@ -228,14 +175,10 @@ impl LineageTable {
 /// A frozen copy of a [`LineageTable`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineageSnap {
-    /// Bytes per row × layer ([`LINEAGE_ROWS`] rows, `bg` last).
+    /// Bytes per row × layer ([`SPAN_ROWS`] rows, `bg` last).
     pub row_bytes: Vec<[u64; NLAYERS]>,
-    /// Bytes per layer summed over all rows.
-    pub layer_bytes: [u64; NLAYERS],
-    /// Fences summed over all rows.
+    /// Fences issued inside scopes.
     pub fences: u64,
-    /// Fences per row.
-    pub row_fences: Vec<u64>,
     /// Durability-lag distribution per origin [`OpKind`].
     pub lag_by_op: Vec<HistoSnapshot>,
     /// Durability-lag distribution merged over all origins.
@@ -253,11 +196,7 @@ pub struct LineageSnap {
 impl LineageSnap {
     /// Whether anything was recorded.
     pub fn is_empty(&self) -> bool {
-        self.stamps == 0
-            && self.drains_sync == 0
-            && self.drains_lazy == 0
-            && self.layer_bytes.iter().all(|&b| b == 0)
-            && self.fences == 0
+        self.totals().iter().all(|&(_, v)| v == 0) && ALL_LAYERS.iter().all(|&l| self.layer(l) == 0)
     }
 
     /// The scalar totals under their exposition names, in exposition
@@ -295,7 +234,7 @@ impl LineageSnap {
 
     /// Bytes in one layer (all rows).
     pub fn layer(&self, layer: Layer) -> u64 {
-        self.layer_bytes[layer as usize]
+        self.row_bytes.iter().map(|row| row[layer as usize]).sum()
     }
 
     /// Fences per logical KiB, or 0 with no logical bytes.
@@ -357,7 +296,7 @@ mod tests {
     fn stamps_and_drains_track_lag() {
         let obs = full();
         let stamp = obs.op(OpKind::Write, || obs.stamp(1_000));
-        assert_eq!(stamp.origin(), Some(OpKind::Write));
+        assert_eq!(stamp.row, OpKind::Write as u8);
         assert_eq!(stamp.ack_ns, 1_000);
         assert_eq!(stamp.seq, obs.trace.emitted());
         // A lazy drain 9µs later records the real age...
@@ -400,7 +339,7 @@ mod tests {
         let obs = full();
         let stamp = obs.stamp(500); // no scope: bg provenance
         assert_eq!(stamp.row as usize, BG_ROW);
-        assert_eq!(stamp.origin(), None);
+        assert_eq!(stamp.row as usize, BG_ROW);
         obs.record_drain(&stamp, DrainKind::Lazy, 700, 64);
         let s = obs.lineage().snap();
         assert_eq!(s.row_bytes[BG_ROW][Layer::WritebackDrained as usize], 64);
@@ -410,7 +349,7 @@ mod tests {
 
     #[test]
     fn snap_derives_amplification_and_fence_rate() {
-        let t = LineageTable::new();
+        let t = LineageTable::default();
         t.fold(OpKind::Write as usize, &[2048, 0, 0, 8192, 0], 3);
         t.fold(BG_ROW, &[0, 0, 0, 100, 0], 0);
         let s = t.snap();
@@ -420,7 +359,7 @@ mod tests {
         assert_eq!(top[0], (OpKind::Write as usize, 8192));
         assert_eq!(top[1], (BG_ROW, 100));
         // Empty table divides to zero, not a panic.
-        let empty = LineageTable::new().snap();
+        let empty = LineageTable::default().snap();
         assert_eq!(empty.amplification(Layer::NvmmPersisted), 0.0);
         assert_eq!(empty.fences_per_kib(), 0.0);
         assert!(empty.top_amplifiers(3).is_empty());

@@ -80,28 +80,21 @@ struct ScopedVisitor<'a> {
     snap: &'a mut RegistrySnapshot,
 }
 
-impl ScopedVisitor<'_> {
-    fn name(&self, name: &str) -> String {
-        format!("{}{}", self.scope, name)
-    }
-}
-
 impl Visitor for ScopedVisitor<'_> {
     fn counter(&mut self, name: &str, value: u64) {
-        *self.snap.counters.entry(self.name(name)).or_insert(0) += value;
+        let name = format!("{}{name}", self.scope);
+        *self.snap.counters.entry(name).or_insert(0) += value;
     }
 
     fn gauge(&mut self, name: &str, value: u64) {
-        self.snap.gauges.insert(self.name(name), value);
+        self.snap
+            .gauges
+            .insert(format!("{}{name}", self.scope), value);
     }
 
     fn histo(&mut self, name: &str, snap: HistoSnapshot) {
-        match self.snap.histos.entry(self.name(name)) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(snap);
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&snap),
-        }
+        let name = format!("{}{name}", self.scope);
+        self.snap.histos.entry(name).or_default().merge(&snap);
     }
 }
 
@@ -141,16 +134,11 @@ impl RegistrySnapshot {
             .iter()
             .map(|(k, &v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
             .collect();
+        let empty = HistoSnapshot::default();
         let histos = self
             .histos
             .iter()
-            .map(|(k, v)| {
-                let d = match earlier.histos.get(k) {
-                    Some(e) => v.since(e),
-                    None => v.clone(),
-                };
-                (k.clone(), d)
-            })
+            .map(|(k, v)| (k.clone(), v.since(earlier.histos.get(k).unwrap_or(&empty))))
             .collect();
         RegistrySnapshot {
             counters,

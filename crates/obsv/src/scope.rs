@@ -101,11 +101,6 @@ impl OpRecord {
         wait_ns: [0; NSITES],
     };
 
-    /// Bytes the op persisted to NVMM (cacheline granularity).
-    pub fn persisted_bytes(&self) -> u64 {
-        self.bytes[Layer::NvmmPersisted as usize]
-    }
-
     /// The latency-histogram bucket this record's total falls in — the
     /// link between an exemplar and the quantile math.
     pub fn bucket(&self) -> usize {
@@ -144,17 +139,14 @@ impl OpRecord {
     }
 }
 
-/// The `k` largest nonzero `values`, largest first, ties in label order.
+/// The `k` largest nonzero `values`, largest first, ties in label order
+/// (the sort is stable).
 fn top_k<L: Copy>(labels: &[L], values: &[u64], k: usize) -> Vec<(L, u64)> {
-    let mut v: Vec<(usize, u64)> = values
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|&(_, ns)| ns > 0)
-        .collect();
-    v.sort_by_key(|&(i, ns)| (std::cmp::Reverse(ns), i));
+    let pairs = labels.iter().copied().zip(values.iter().copied());
+    let mut v: Vec<(L, u64)> = pairs.filter(|&(_, ns)| ns > 0).collect();
+    v.sort_by_key(|&(_, ns)| Reverse(ns));
     v.truncate(k);
-    v.into_iter().map(|(i, ns)| (labels[i], ns)).collect()
+    v
 }
 
 /// Deepest span nesting tracked per thread. Deeper spans still run their
@@ -551,11 +543,6 @@ fn slowest_first(r: &OpRecord) -> (Reverse<u64>, u64, u64) {
 }
 
 impl FlightRecorder {
-    /// An empty recorder.
-    pub fn new() -> FlightRecorder {
-        FlightRecorder::default()
-    }
-
     /// Operations retired into the reservoirs so far.
     pub fn recorded(&self) -> u64 {
         self.recorded.load(Ordering::Relaxed)
@@ -613,19 +600,10 @@ impl FlightRecorder {
 }
 
 /// A frozen copy of a [`FlightRecorder`]'s reservoirs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlightSnapshot {
-    per_op: Vec<Vec<OpRecord>>,
+    per_op: [Vec<OpRecord>; NOPS],
     recorded: u64,
-}
-
-impl Default for FlightSnapshot {
-    fn default() -> Self {
-        FlightSnapshot {
-            per_op: vec![Vec::new(); NOPS],
-            recorded: 0,
-        }
-    }
 }
 
 impl FlightSnapshot {
@@ -791,7 +769,7 @@ mod tests {
         assert_eq!(r.wait_ns[Site::StallWriteback.index()], 60);
         assert_eq!(r.stall_events, 1);
         assert_eq!((r.fences, r.fences_coalesced), (2, 3));
-        assert_eq!(r.persisted_bytes(), 256);
+        assert_eq!(r.bytes[Layer::NvmmPersisted as usize], 256);
         assert_eq!((r.shard, r.batch), (3, 4));
         assert_eq!(
             r.top_phases(2),
@@ -813,7 +791,7 @@ mod tests {
         assert_eq!(w[Layer::DramBuffered as usize], 4096);
         assert_eq!(w[Layer::JournalLogged as usize], 128);
         assert_eq!(w[Layer::NvmmPersisted as usize], 256);
-        assert_eq!(l.row_fences[OpKind::Write as usize], 2);
+        assert_eq!(l.fences, 2);
     }
 
     #[test]
@@ -914,7 +892,10 @@ mod tests {
             l.row_bytes[OpKind::Write as usize][Layer::NvmmPersisted as usize],
             4096
         );
-        assert_eq!(obs.flight().snapshot().all()[0].persisted_bytes(), 4096);
+        assert_eq!(
+            obs.flight().snapshot().all()[0].bytes[Layer::NvmmPersisted as usize],
+            4096
+        );
     }
 
     #[test]
@@ -931,7 +912,7 @@ mod tests {
         assert_eq!(t.snapshot().ns[BG_ROW][Phase::Persist as usize], 64);
         let l = obs.lineage().snap();
         assert_eq!(l.row_bytes[BG_ROW][Layer::NvmmPersisted as usize], 4096);
-        assert_eq!(l.row_fences[BG_ROW], 1);
+        assert_eq!(l.fences, 1);
         // No latency, no anatomy: a pass is not an op.
         assert_eq!(obs.flight().recorded(), 0);
     }
@@ -988,7 +969,7 @@ mod tests {
 
     #[test]
     fn reservoir_keeps_topk_slowest_per_op() {
-        let fl = FlightRecorder::new();
+        let fl = FlightRecorder::default();
         for i in 0..100u64 {
             record_one(&fl, OpKind::Read, i, i + 1);
         }
@@ -1010,7 +991,7 @@ mod tests {
         // bucket_lower(b) <= total_ns <= bucket_upper(b), and the cohort
         // of the histogram's pXX contains exactly the records at or above
         // the quantile's bucket.
-        let fl = FlightRecorder::new();
+        let fl = FlightRecorder::default();
         let h = Histo::new();
         let samples: Vec<u64> = (1..=200u64).map(|i| i * 97).collect();
         for (i, &ns) in samples.iter().enumerate() {

@@ -1,8 +1,7 @@
 //! Structured state introspection: live, serializable snapshots of a
 //! mounted file system plus the online invariant auditor's report types.
 //!
-//! PR 1 and PR 3 made *time* observable (metrics, trace ring, spans); this
-//! module makes *state* observable. A [`FsSnapshot`] answers "what is in
+//! A [`FsSnapshot`] answers "what is in
 //! the write buffer, how full is the journal, where did device time go"
 //! at one instant, in a schema-versioned shape that serializes to JSON by
 //! hand (no serde in the workspace) and is deterministic under the virtual
@@ -58,50 +57,30 @@ pub fn dirty_line_bucket(dirty_lines: u32) -> usize {
     }
 }
 
-/// A section field's JSON value.
+/// A section field's JSON value (arrays and vectors of `u64` reach the
+/// slice impl by auto-deref).
 trait Json {
-    fn json(&self, out: &mut String);
+    fn json(&self) -> String;
 }
 
 impl Json for u64 {
-    fn json(&self, out: &mut String) {
-        out.push_str(&self.to_string());
+    fn json(&self) -> String {
+        self.to_string()
     }
 }
 
 impl Json for [u64] {
-    fn json(&self, out: &mut String) {
+    fn json(&self) -> String {
         let vals: Vec<String> = self.iter().map(u64::to_string).collect();
-        out.push_str(&format!("[{}]", vals.join(",")));
-    }
-}
-
-impl Json for Vec<u64> {
-    fn json(&self, out: &mut String) {
-        self[..].json(out);
-    }
-}
-
-impl<const N: usize> Json for [u64; N] {
-    fn json(&self, out: &mut String) {
-        self[..].json(out);
+        format!("[{}]", vals.join(","))
     }
 }
 
 impl Json for Vec<(String, u64)> {
-    fn json(&self, out: &mut String) {
+    fn json(&self) -> String {
         let vals: Vec<String> = self.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-        out.push_str(&format!("{{{}}}", vals.join(",")));
+        format!("{{{}}}", vals.join(","))
     }
-}
-
-/// One flat snapshot section: a JSON object under `KEY`, and registry
-/// gauges named `<prefix><KEY>_<name>`.
-trait Section {
-    const KEY: &'static str;
-    /// `"field":value,` per field, in declaration order.
-    fn json_fields(&self, out: &mut String);
-    fn gauges(&self, prefix: &str, out: &mut dyn crate::Visitor);
 }
 
 /// Declares a snapshot section struct, naming each field once: the
@@ -127,33 +106,32 @@ macro_rules! section {
             $( $(#[$fmeta])* pub $field: $ty, )+
         }
 
-        impl Section for $name {
-            const KEY: &'static str = $key;
-
-            fn json_fields(&self, out: &mut String) {
+        impl $name {
+            /// Writes `"<key>":{<fields>},`.
+            fn push_json(&self, out: &mut String) {
+                out.push_str(concat!("\"", $key, "\":{"));
                 $(
-                    $( push_json(out, $ckey, &$cval); )?
-                    push_json(out, stringify!($field), &self.$field);
+                    $( push_json(out, $ckey, $cval.json()); )?
+                    push_json(out, stringify!($field), self.$field.json());
                 )+
+                close_obj(out);
+                out.push(',');
             }
 
+            /// Reports the gauge fields as `<prefix><key>_<name>`.
             #[allow(unused_variables)] // a section may export no gauge
             fn gauges(&self, prefix: &str, out: &mut dyn crate::Visitor) {
                 $($(
-                    let name = section!(@gauge $field $($gauge)?);
+                    let name = crate::counter_set!(@name "", $field $(, $gauge)?);
                     out.gauge(&format!("{prefix}{}_{name}", $key), self.$field);
                 )?)+
             }
         }
     };
-    (@gauge $field:ident) => { stringify!($field) };
-    (@gauge $field:ident $gauge:literal) => { $gauge };
 }
 
-fn push_json(out: &mut String, key: &str, v: &(impl Json + ?Sized)) {
-    out.push_str(&format!("\"{key}\":"));
-    v.json(out);
-    out.push(',');
+fn push_json(out: &mut String, key: &str, value: String) {
+    out.push_str(&format!("\"{key}\":{value},"));
 }
 
 section! {
@@ -279,16 +257,6 @@ pub struct FsSnapshot {
     pub lineage: Option<crate::LineageSnap>,
 }
 
-/// Writes `"KEY":{...},` for a present section.
-fn push_section<S: Section>(out: &mut String, section: &Option<S>) {
-    if let Some(s) = section {
-        out.push_str(&format!("\"{}\":{{", S::KEY));
-        s.json_fields(out);
-        close_obj(out);
-        out.push(',');
-    }
-}
-
 fn close_obj(out: &mut String) {
     if out.ends_with(',') {
         out.pop();
@@ -306,10 +274,10 @@ impl FsSnapshot {
             self.system.replace(['"', '\\'], "_"),
             self.at_ns
         );
-        push_section(&mut out, &self.buffer);
-        push_section(&mut out, &self.journal);
-        push_section(&mut out, &self.cache);
-        push_section(&mut out, &self.device);
+        self.buffer.iter().for_each(|s| s.push_json(&mut out));
+        self.journal.iter().for_each(|s| s.push_json(&mut out));
+        self.cache.iter().for_each(|s| s.push_json(&mut out));
+        self.device.iter().for_each(|s| s.push_json(&mut out));
         if let Some(l) = &self.lineage {
             let layers: Vec<String> = crate::ALL_LAYERS
                 .iter()
@@ -320,7 +288,7 @@ impl FsSnapshot {
                 layers.join(",")
             ));
             for (k, v) in l.totals() {
-                push_json(&mut out, k, &v);
+                push_json(&mut out, k, v.json());
             }
             out.push_str(&format!("\"fences_per_kib\":{:.3},", l.fences_per_kib()));
             out.push_str(&format!(
@@ -352,6 +320,7 @@ impl FsSnapshot {
         self.buffer.iter().for_each(|s| s.gauges(prefix, out));
         self.journal.iter().for_each(|s| s.gauges(prefix, out));
         self.cache.iter().for_each(|s| s.gauges(prefix, out));
+        self.device.iter().for_each(|s| s.gauges(prefix, out));
         if let Some(l) = &self.lineage {
             l.visit(&format!("{prefix}lineage_"), out, |out, name, v| {
                 out.gauge(name, v)
@@ -424,16 +393,10 @@ impl AuditViolation {
 }
 
 impl std::fmt::Display for AuditViolation {
+    /// The `audit.violation` event's rendering, from its invariant on.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} ino={} iblk={} got={} want={}",
-            self.invariant(),
-            self.ino,
-            self.iblk,
-            self.got,
-            self.want
-        )
+        let ev = self.event().to_string();
+        f.write_str(ev.strip_prefix("audit.violation invariant=").unwrap_or(&ev))
     }
 }
 
@@ -498,23 +461,23 @@ impl AuditReport {
 
     /// Compact JSON form: `{"at_ns":..,"checks":..,"violations":[..]}`.
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"at_ns\":{},\"checks\":{},", self.at_ns, self.checks);
-        out.push_str("\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"invariant\":\"{}\",\"ino\":{},\"iblk\":{},\"got\":{},\"want\":{}}}",
-                v.invariant(),
-                v.ino,
-                v.iblk,
-                v.got,
-                v.want
-            ));
-        }
-        out.push_str("]}");
-        out
+        let violations: Vec<String> = self
+            .violations
+            .iter()
+            .map(|v| {
+                format!(
+                    "{{\"invariant\":\"{}\"{}}}",
+                    v.invariant(),
+                    v.event().json_fields(1)
+                )
+            })
+            .collect();
+        format!(
+            "{{\"at_ns\":{},\"checks\":{},\"violations\":[{}]}}",
+            self.at_ns,
+            self.checks,
+            violations.join(",")
+        )
     }
 }
 

@@ -8,15 +8,10 @@
 //! (per-op time breakdown) tables, recomputed from live measurements
 //! instead of the analytic ledger.
 //!
-//! The table itself is a plain accumulator. [`SpanTable::scope`] times a
-//! phase on the calling thread's op frame (the `scope` module):
-//! nesting lives in the frame's fixed-depth span stack, a nested span's
-//! elapsed time is subtracted from its parent, and the op's own
-//! remainder is booked under [`Phase::Other`] — so every simulated
-//! nanosecond of an op lands in exactly one phase cell and its row sums
-//! to the op's latency. The finished frame folds into the matrix once,
-//! under the row of the op that opened it; spans outside any frame
-//! (untimed syscalls, the writeback thread) charge the background row
+//! The table itself is a plain accumulator: [`SpanTable::scope`] times a
+//! phase on the calling thread's op frame (the `scope` module), and the
+//! finished frame folds into the matrix once, under the row of the op
+//! that opened it; spans outside any frame charge the background row
 //! ([`BG_ROW`], label `bg`) directly.
 
 use crate::scope::{pop_span, push_span};
@@ -213,14 +208,13 @@ impl SpanSnapshot {
 
     /// Cell-wise difference `self - earlier`, saturating at zero.
     pub fn since(&self, earlier: &SpanSnapshot) -> SpanSnapshot {
-        let mut out = self.clone();
-        for r in 0..SPAN_ROWS {
-            for p in 0..NPHASES {
-                out.ns[r][p] = self.ns[r][p].saturating_sub(earlier.ns[r][p]);
-                out.calls[r][p] = self.calls[r][p].saturating_sub(earlier.calls[r][p]);
-            }
+        let diff = |a: &[[u64; NPHASES]; SPAN_ROWS], b: &[[u64; NPHASES]; SPAN_ROWS]| {
+            std::array::from_fn(|r| std::array::from_fn(|p| a[r][p].saturating_sub(b[r][p])))
+        };
+        SpanSnapshot {
+            ns: diff(&self.ns, &earlier.ns),
+            calls: diff(&self.calls, &earlier.calls),
         }
-        out
     }
 }
 

@@ -16,25 +16,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Payload words per event: one per field of the widest kind.
 const PAYLOAD: usize = 8;
 
-/// A trace-event field: every field travels as one `u64` word.
-trait Word: Copy {
-    fn word(self) -> u64;
+/// Reads a trace-event field back from its `u64` word.
+trait FromWord {
     fn from_word(w: u64) -> Self;
 }
 
-impl Word for u64 {
-    fn word(self) -> u64 {
-        self
-    }
+impl FromWord for u64 {
     fn from_word(w: u64) -> u64 {
         w
     }
 }
 
-impl Word for bool {
-    fn word(self) -> u64 {
-        u64::from(self)
-    }
+impl FromWord for bool {
     fn from_word(w: u64) -> bool {
         w != 0
     }
@@ -77,7 +70,7 @@ macro_rules! trace_events {
                 let mut p = [0; PAYLOAD];
                 let tag = match self {
                     $( TraceEvent::$kind { $($field),+ } => {
-                        let words = [$($field.word()),+];
+                        let words = [$(u64::from($field)),+];
                         p[..words.len()].copy_from_slice(&words);
                         Tag::$kind
                     } )+
@@ -92,7 +85,7 @@ macro_rules! trace_events {
                 let mut f = 0;
                 match *self {
                     $( TraceEvent::$kind { $($field),+ } => {
-                        $($( f = (f << 8) | coverage_part!($cov, $field.word()); )?)+
+                        $($( f = (f << 8) | coverage_part!($cov, u64::from($field)); )?)+
                     } )+
                 }
                 f
@@ -101,7 +94,7 @@ macro_rules! trace_events {
             fn decode(tag: u64, p: [u64; PAYLOAD]) -> Option<TraceEvent> {
                 let mut w = p.into_iter();
                 $( if tag == Tag::$kind as u64 {
-                    return Some(TraceEvent::$kind { $($field: Word::from_word(w.next()?)),+ });
+                    return Some(TraceEvent::$kind { $($field: FromWord::from_word(w.next()?)),+ });
                 } )+
                 None
             }
@@ -211,6 +204,12 @@ impl TraceEvent {
         let (tag, p) = self.encode();
         FIELDS[tag as usize].iter().copied().zip(p)
     }
+
+    /// `,"name":value` for each field after the first `skip`.
+    pub(crate) fn json_fields(&self, skip: usize) -> String {
+        let fields = self.fields().skip(skip);
+        fields.map(|(k, v)| format!(",\"{k}\":{v}")).collect()
+    }
 }
 
 impl std::fmt::Display for TraceEvent {
@@ -266,39 +265,19 @@ impl TraceRecord {
     /// One flat JSON object: `{"seq":..,"at_ns":..,"kind":"..",<fields>}`.
     /// All values are unsigned integers except `kind`; `to_lazy` is 0/1.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"seq\":{},\"at_ns\":{},\"kind\":\"{}\"",
-            self.seq,
-            self.at_ns,
-            self.ev.kind()
-        );
-        for (k, v) in self.ev.fields() {
-            out.push_str(&format!(",\"{k}\":{v}"));
-        }
-        out.push('}');
-        out
+        let (seq, at_ns, kind) = (self.seq, self.at_ns, self.ev.kind());
+        let fields = self.ev.json_fields(0);
+        format!("{{\"seq\":{seq},\"at_ns\":{at_ns},\"kind\":\"{kind}\"{fields}}}")
     }
 }
 
 /// One ring slot. `seq == 0` means never written; an odd value means a
 /// write is in flight; `2 * (ticket + 1)` means the slot holds the event
-/// emitted with that ticket.
+/// emitted with that ticket, whose `[tag, at_ns, payload..]` are `words`.
+#[derive(Default)]
 struct Slot {
     seq: AtomicU64,
-    tag: AtomicU64,
-    at_ns: AtomicU64,
-    payload: [AtomicU64; PAYLOAD],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            tag: AtomicU64::new(0),
-            at_ns: AtomicU64::new(0),
-            payload: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
+    words: [AtomicU64; PAYLOAD + 2],
 }
 
 /// One per-thread-shard ring segment: its own slot cursor, so threads in
@@ -306,15 +285,6 @@ impl Slot {
 struct Segment {
     cursor: AtomicU64,
     slots: Box<[Slot]>,
-}
-
-impl Segment {
-    fn new(capacity: usize) -> Segment {
-        Segment {
-            cursor: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-        }
-    }
 }
 
 /// The ring. See the module docs for the concurrency protocol.
@@ -353,7 +323,10 @@ impl TraceRing {
             next: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             segments: (0..crate::COLLECTION_SHARDS)
-                .map(|_| Segment::new(capacity))
+                .map(|_| Segment {
+                    cursor: AtomicU64::new(0),
+                    slots: (0..capacity).map(|_| Slot::default()).collect(),
+                })
                 .collect(),
         }
     }
@@ -398,9 +371,11 @@ impl TraceRing {
             return;
         }
         let (tag, payload) = ev.encode();
-        slot.tag.store(tag, Ordering::Relaxed);
-        slot.at_ns.store(at_ns, Ordering::Relaxed);
-        for (w, v) in slot.payload.iter().zip(payload) {
+        for (w, v) in slot
+            .words
+            .iter()
+            .zip([tag, at_ns].into_iter().chain(payload))
+        {
             w.store(v, Ordering::Relaxed);
         }
         slot.seq.store(2 * (ticket + 1), Ordering::Release);
@@ -425,12 +400,7 @@ impl TraceRing {
     /// The most recent `n` retained events as JSONL, oldest first: one
     /// [`TraceRecord::to_json`] object per line.
     pub fn tail_jsonl(&self, n: usize) -> String {
-        let mut out = String::new();
-        for rec in self.tail(n) {
-            out.push_str(&rec.to_json());
-            out.push('\n');
-        }
-        out
+        self.tail(n).iter().map(|r| r.to_json() + "\n").collect()
     }
 
     /// The most recent `n` events, oldest first, merged across every
@@ -443,9 +413,8 @@ impl TraceRing {
             if s1 == 0 || s1 % 2 == 1 {
                 continue;
             }
-            let tag = slot.tag.load(Ordering::Relaxed);
-            let at_ns = slot.at_ns.load(Ordering::Relaxed);
-            let payload = std::array::from_fn(|i| slot.payload[i].load(Ordering::Relaxed));
+            let [tag, at_ns, payload @ ..] =
+                slot.words.each_ref().map(|w| w.load(Ordering::Relaxed));
             std::sync::atomic::fence(Ordering::Acquire);
             if slot.seq.load(Ordering::Relaxed) != s1 {
                 continue; // overwritten while reading

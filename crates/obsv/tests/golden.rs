@@ -448,3 +448,22 @@ fn fs_obs_exposes_its_lineage_under_the_same_names() {
          g obsv_lineage_max_lag_ns=0"
     );
 }
+
+#[test]
+fn audit_report_json_and_violation_rendering() {
+    let mut rep = obsv::AuditReport::new(5);
+    rep.check_eq(4, 3, 9, 7, 5);
+    rep.check_le(999, 0, 0, 2, 1);
+    assert_eq!(
+        rep.to_json(),
+        r#"{"at_ns":5,"checks":2,"violations":[{"invariant":"bitmap.dirty_subset_valid","ino":3,"iblk":9,"got":7,"want":5},{"invariant":"unknown","ino":0,"iblk":0,"got":2,"want":1}]}"#
+    );
+    let shown: Vec<String> = rep.violations.iter().map(|v| v.to_string()).collect();
+    assert_eq!(
+        shown,
+        [
+            "bitmap.dirty_subset_valid ino=3 iblk=9 got=7 want=5",
+            "unknown ino=0 iblk=0 got=2 want=1",
+        ]
+    );
+}
