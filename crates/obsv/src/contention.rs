@@ -60,7 +60,7 @@ pub const NSHARDS: usize = 8;
 /// [`NSHARDS`] sites labelled `<family><i>`, numbered after the named
 /// sites and reached only through the family's constructor.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Site(u8);
+pub struct Site(usize);
 
 /// Declares the named sites (one constant each) and the shard families
 /// (one constructor each), in discriminant order.
@@ -73,7 +73,6 @@ macro_rules! sites {
             $( $(#[$fmeta:meta])* $family:ident = $prefix:literal, )+
         }
     ) => {
-        #[repr(u8)]
         enum Named {
             $( $name, )+
         }
@@ -88,7 +87,7 @@ macro_rules! sites {
 
         #[allow(non_upper_case_globals)]
         impl Site {
-            $( $(#[$meta])* pub const $name: Site = Site(Named::$name as u8); )+
+            $( $(#[$meta])* pub const $name: Site = Site(Named::$name as usize); )+
             $(
                 $(#[$fmeta])*
                 pub fn $family(i: usize) -> Site {
@@ -163,7 +162,7 @@ pub const ALL_SITES: [Site; NSITES] = {
     let mut all = [Site(0); NSITES];
     let mut i = 0;
     while i < NSITES {
-        all[i] = Site(i as u8);
+        all[i] = Site(i);
         i += 1;
     }
     all
@@ -171,13 +170,13 @@ pub const ALL_SITES: [Site; NSITES] = {
 
 impl Site {
     fn shard(family: usize, i: usize) -> Site {
-        Site((NAMED_LABELS.len() + family * NSHARDS + i % NSHARDS) as u8)
+        Site(NAMED_LABELS.len() + family * NSHARDS + i % NSHARDS)
     }
 
     /// The site's discriminant: its position in [`ALL_SITES`].
     #[inline]
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.0
     }
 
     /// Stable dotted label for reports and the bench JSON: a named
