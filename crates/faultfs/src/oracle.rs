@@ -11,9 +11,11 @@
 //!   every recovered byte below it equals the synced image or a later
 //!   pending overwrite.
 //! - **Acknowledged, lazy** (buffered writes not yet synced): the data
-//!   **may** survive — each recovered byte must be zero (a hole), the last
-//!   synced value, or the fill of some write covering it; recovered size
-//!   never exceeds the largest size ever reached (`ceil`).
+//!   **may** survive — each recovered byte must be the last synced value
+//!   or the fill of some write covering it, and zero only where the model
+//!   has no durable value (past the synced image, at or above a pending
+//!   truncate, on a tainted file); recovered size never exceeds the
+//!   largest size ever reached (`ceil`).
 //! - **Namespace** operations must be all-or-nothing: on the eagerly
 //!   journaled systems (PMFS, HiNFS) an acknowledged create/unlink/rename
 //!   is durable on return (`MustExist`/`MustNotExist`); on EXT4 it is
@@ -109,17 +111,17 @@ impl Default for FileModel {
 }
 
 impl FileModel {
-    /// Is `b` an acceptable recovered value for byte `o`?
+    /// Is `b` an acceptable recovered value for byte `o`? A byte the last
+    /// sync made durable comes back as that value or as a pending write's
+    /// fill. Zero is a value like any other: it passes only past the
+    /// synced image (or with none), at or above a pending truncate, under
+    /// a write of fill 0, or on a tainted file.
     fn byte_ok(&self, o: u64, b: u8) -> bool {
-        if b == 0 {
-            return true; // hole, or never-persisted region
+        let synced = self.synced.as_ref().and_then(|s| s.get(o as usize));
+        if synced == Some(&b) || self.pending.iter().any(|w| w.covers(o) && w.fill == b) {
+            return true;
         }
-        if let Some(s) = &self.synced {
-            if (o as usize) < s.len() && s[o as usize] == b {
-                return true;
-            }
-        }
-        self.pending.iter().any(|w| w.covers(o) && w.fill == b)
+        b == 0 && (synced.is_none() || o >= self.floor || self.tainted)
     }
 
     /// Marks the current volatile state durable (successful sync point).
@@ -649,4 +651,91 @@ fn content_ok(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A file whose last sync made `image` durable.
+    fn synced(image: &[u8]) -> FileModel {
+        FileModel {
+            live: true,
+            vsize: image.len() as u64,
+            vimage: image.to_vec(),
+            ns: NsState::MustExist,
+            synced: Some(image.to_vec()),
+            floor: image.len() as u64,
+            ceil: image.len() as u64,
+            ..FileModel::default()
+        }
+    }
+
+    #[test]
+    fn a_zero_over_a_synced_nonzero_byte_is_a_violation() {
+        let m = synced(&[7, 7, 7, 7]);
+        assert!(m.byte_ok(1, 7));
+        assert!(!m.byte_ok(1, 0), "the sync made 7 durable");
+        assert!(!m.byte_ok(1, 9), "no write of 9 is pending");
+    }
+
+    #[test]
+    fn zero_passes_past_the_synced_image() {
+        let m = synced(&[7, 7]);
+        assert!(m.byte_ok(2, 0));
+        assert!(m.byte_ok(4096, 0));
+    }
+
+    #[test]
+    fn zero_passes_where_the_synced_byte_is_zero_or_nothing_was_synced() {
+        let m = synced(&[7, 0, 7]);
+        assert!(m.byte_ok(1, 0));
+        assert!(!m.byte_ok(0, 0));
+        let never = FileModel::default();
+        assert!(never.byte_ok(0, 0));
+        assert!(!never.byte_ok(0, 7), "nothing wrote a 7");
+    }
+
+    #[test]
+    fn zero_passes_at_or_above_a_pending_truncate() {
+        let mut m = synced(&[7; 8]);
+        m.floor = 5;
+        assert!(!m.byte_ok(4, 0));
+        assert!(m.byte_ok(5, 0));
+        assert!(m.byte_ok(7, 0));
+    }
+
+    #[test]
+    fn zero_passes_under_a_pending_write_of_fill_zero() {
+        let mut m = synced(&[7; 8]);
+        m.pending.push(WriteRec {
+            off: 2,
+            len: 2,
+            fill: 0,
+        });
+        assert!(!m.byte_ok(1, 0));
+        assert!(m.byte_ok(2, 0));
+        assert!(m.byte_ok(3, 0));
+        assert!(!m.byte_ok(4, 0));
+    }
+
+    #[test]
+    fn zero_passes_on_a_tainted_file() {
+        let mut m = synced(&[7; 8]);
+        m.tainted = true;
+        assert!(m.byte_ok(0, 0));
+        assert!(!m.byte_ok(0, 9), "taint admits zero, not any value");
+    }
+
+    #[test]
+    fn a_pending_write_admits_its_fill_over_the_synced_image() {
+        let mut m = synced(&[7; 8]);
+        m.pending.push(WriteRec {
+            off: 0,
+            len: 4,
+            fill: 9,
+        });
+        assert!(m.byte_ok(3, 9) && m.byte_ok(3, 7));
+        assert!(!m.byte_ok(4, 9));
+    }
 }

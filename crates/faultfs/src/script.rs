@@ -157,11 +157,16 @@ impl Op {
         }
     }
 
-    /// Parses the [`Op::to_text`] form. `None` on any malformed input.
+    /// Parses the [`Op::to_text`] form. `None` on any malformed input,
+    /// fill 0 included: the oracle tells a lost byte from a written one
+    /// only because no script writes zeroes.
     pub fn parse(line: &str) -> Option<Op> {
         fn slot(tok: &str, prefix: char, max: u8) -> Option<u8> {
             let id: u8 = tok.strip_prefix(prefix)?.parse().ok()?;
             (id < max).then_some(id)
+        }
+        fn fill(tok: &str) -> Option<u8> {
+            tok.parse().ok().filter(|&f| f != 0)
         }
         let mut t = line.split_whitespace();
         let op = match t.next()? {
@@ -172,12 +177,12 @@ impl Op {
                 file: slot(t.next()?, 'f', MAX_FILES)?,
                 off: t.next()?.parse().ok()?,
                 len: t.next()?.parse().ok()?,
-                fill: t.next()?.parse().ok()?,
+                fill: fill(t.next()?)?,
             },
             "append" => Op::Append {
                 file: slot(t.next()?, 'f', MAX_FILES)?,
                 len: t.next()?.parse().ok()?,
-                fill: t.next()?.parse().ok()?,
+                fill: fill(t.next()?)?,
             },
             "fsync" => Op::Fsync {
                 file: slot(t.next()?, 'f', MAX_FILES)?,
@@ -273,11 +278,22 @@ mod tests {
             "write f0 1",
             "create f9",
             "create d0",
+            "write f0 0 16 0",
+            "append f1 16 0",
             "mkdir d5",
             "sync extra",
             "chmod f0",
         ] {
             assert_eq!(Op::parse(bad), None, "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn random_ops_never_fill_zero() {
+        for op in Script::random(0xF111, 2000).ops {
+            if let Op::Write { fill, .. } | Op::Append { fill, .. } = op {
+                assert_ne!(fill, 0, "{op:?}");
+            }
         }
     }
 
