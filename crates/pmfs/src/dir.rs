@@ -11,14 +11,19 @@
 //! 12..   name bytes, padded to rec_len
 //! ```
 //!
-//! Modifications journal the entry headers they touch through the caller's
-//! transaction, so a crash can never leave a broken entry chain.
+//! Modifications journal the entry header whose `rec_len` they rewrite
+//! through the caller's transaction, so a crash can never leave a broken
+//! entry chain. They find their slot through the directory's DRAM name
+//! index ([`NameIndex`]) and never read the block they edit; lookups,
+//! listings and the index build scan the media.
 
+use fskit::dirent::RawEntry;
 use fskit::{DirEntry, FileType, FsError, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
+use obsv::Phase;
 
 use crate::alloc::Allocator;
-use crate::inode::InodeMem;
+use crate::inode::{Hdr, InodeMem, NameIndex};
 use crate::journal::{Journal, TxHandle};
 use crate::layout::Layout;
 use crate::tree;
@@ -52,34 +57,75 @@ pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, name: &str) -> Result<Option<(u6
 
 /// Lists every live entry.
 pub fn list(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
-    list_with(mem, |iblk, buf| {
-        let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
-        dev.read(Cat::Meta, Layout::block_off(pblk), buf);
-        Ok(())
-    })
+    list_with(mem, charged(dev, mem))
 }
 
 /// [`list`] for the invariant auditor: reads through [`NvmmDevice::peek`],
 /// so it charges no time and moves no counter.
 pub fn list_uncharged(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
-    list_with(mem, |iblk, buf| {
-        let pblk = tree::lookup_uncharged(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
-        dev.peek(Layout::block_off(pblk), buf);
-        Ok(())
-    })
+    list_with(mem, uncharged(dev, mem))
 }
 
-/// Every live entry in media order; `read_block` fills the buffer with
-/// directory block `iblk`.
-fn list_with(
+/// Builds the directory's name index ([`NameIndex`]) with one pass over
+/// its blocks, at that pass's full NVMM-read cost.
+pub fn index(dev: &NvmmDevice, mem: &InodeMem) -> Result<NameIndex> {
+    index_with(mem, charged(dev, mem))
+}
+
+/// [`index`] for the invariant auditor, read through [`NvmmDevice::peek`].
+pub fn index_uncharged(dev: &NvmmDevice, mem: &InodeMem) -> Result<NameIndex> {
+    index_with(mem, uncharged(dev, mem))
+}
+
+/// Reads directory block `iblk` into the buffer and returns its physical
+/// number: the charged read every scan of the media pays.
+fn charged<'a>(
+    dev: &'a NvmmDevice,
+    mem: &'a InodeMem,
+) -> impl FnMut(u64, &mut [u8]) -> Result<u64> + 'a {
+    move |iblk, buf| {
+        let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
+        dev.read(Cat::Meta, Layout::block_off(pblk), buf);
+        Ok(pblk)
+    }
+}
+
+/// [`charged`] through [`NvmmDevice::peek`].
+fn uncharged<'a>(
+    dev: &'a NvmmDevice,
+    mem: &'a InodeMem,
+) -> impl FnMut(u64, &mut [u8]) -> Result<u64> + 'a {
+    move |iblk, buf| {
+        let pblk = tree::lookup_uncharged(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
+        dev.peek(Layout::block_off(pblk), buf);
+        Ok(pblk)
+    }
+}
+
+/// Parses every directory block in order: `read_block` fills the buffer
+/// with block `iblk` and returns its physical number, `each` takes that
+/// number and the block's records.
+fn scan_with(
     mem: &InodeMem,
-    mut read_block: impl FnMut(u64, &mut [u8]) -> Result<()>,
-) -> Result<Vec<DirEntry>> {
-    let mut out = Vec::new();
+    mut read_block: impl FnMut(u64, &mut [u8]) -> Result<u64>,
+    mut each: impl FnMut(u64, Vec<(usize, RawEntry)>) -> Result<()>,
+) -> Result<()> {
     let mut buf = vec![0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
-        read_block(iblk, &mut buf)?;
-        for (_, e) in parse_block(&buf)? {
+        let pblk = read_block(iblk, &mut buf)?;
+        each(pblk, parse_block(&buf)?)?;
+    }
+    Ok(())
+}
+
+/// Every live entry in media order.
+fn list_with(
+    mem: &InodeMem,
+    read_block: impl FnMut(u64, &mut [u8]) -> Result<u64>,
+) -> Result<Vec<DirEntry>> {
+    let mut out = Vec::new();
+    scan_with(mem, read_block, |_, entries| {
+        for (_, e) in entries {
             if e.ino != 0 {
                 out.push(DirEntry {
                     name: String::from_utf8(e.name)
@@ -89,8 +135,40 @@ fn list_with(
                 });
             }
         }
-    }
+        Ok(())
+    })?;
     Ok(out)
+}
+
+/// The name index of the media: every header, and every live name's
+/// first entry.
+fn index_with(
+    mem: &InodeMem,
+    read_block: impl FnMut(u64, &mut [u8]) -> Result<u64>,
+) -> Result<NameIndex> {
+    let mut index = NameIndex::default();
+    scan_with(mem, read_block, |pblk, entries| {
+        let first = index.push_block(pblk);
+        for (off, e) in entries {
+            let slot = NameIndex::shifted(first, off);
+            let hdr = Hdr {
+                ino: e.ino,
+                rec_len: e.rec_len as u16,
+                name_len: e.name.len() as u8,
+                ftype: e.ftype,
+            };
+            index.set(slot, Some(hdr));
+            if e.ino != 0 {
+                let name = std::str::from_utf8(&e.name)
+                    .map_err(|_| FsError::Corrupted("dirent name utf8"))?;
+                let ftype = FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?;
+                index.bind(name, e.ino, ftype, slot);
+            }
+        }
+        index.resum(first);
+        Ok(())
+    })?;
+    Ok(index)
 }
 
 /// Whether the directory has no live entries.
@@ -98,9 +176,34 @@ pub fn is_empty(dev: &NvmmDevice, mem: &InodeMem) -> Result<bool> {
     Ok(list(dev, mem)?.is_empty())
 }
 
-/// Adds `name -> ino`. The caller must have verified the name is absent and
-/// holds the directory inode lock; inode-core changes (size growth) ride in
-/// the caller's transaction.
+/// Charges reading `n` entry headers from the name index's DRAM copy.
+fn read_hdrs(dev: &NvmmDevice, n: usize) {
+    let env = dev.env();
+    dev.spans()
+        .scope(Phase::Index, || env.charge_dram_copy(Cat::Meta, n * HDR));
+}
+
+/// Writes entry `name -> ino` as a record of `rec_len` bytes at `at`:
+/// header, name, and zeroes to the record's end.
+fn write_entry(dev: &NvmmDevice, at: u64, hdr: Hdr, name: &str) {
+    let mut rec = Vec::with_capacity(hdr.rec_len as usize);
+    rec.extend_from_slice(&hdr.encode());
+    rec.extend_from_slice(name.as_bytes());
+    rec.resize(hdr.rec_len as usize, 0);
+    dev.write_persist(Cat::Meta, at, &rec);
+}
+
+/// Adds `name -> ino` where a media scan would put it, found through
+/// `index` (exact for this directory; updated here): no directory block
+/// is read. The caller must have verified the name is absent and holds
+/// the directory inode lock; inode-core changes (size growth) ride in the
+/// caller's transaction, which must have journaled the core whenever
+/// [`NameIndex::fits`] said no.
+///
+/// Only the header whose `rec_len` changes is journaled. Every other byte
+/// the add writes lies past the end of some record — unreachable from
+/// the chain until that header is rewritten, last — so a rollback never
+/// needs it.
 #[allow(clippy::too_many_arguments)]
 pub fn add(
     dev: &NvmmDevice,
@@ -108,76 +211,82 @@ pub fn add(
     tx: &TxHandle,
     alloc: &Allocator,
     mem: &mut InodeMem,
+    index: &mut NameIndex,
     name: &str,
     ino: u64,
     ftype: FileType,
 ) -> Result<()> {
     debug_assert!(!name.is_empty() && name.len() <= 255);
     let need = entry_len(name.len());
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for iblk in 0..dir_blocks(mem) {
-        let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
-        let base = Layout::block_off(pblk);
-        dev.read(Cat::Meta, base, &mut buf);
-        for (off, e) in parse_block(&buf)? {
-            let (free_off, free_len, split_used) = if e.ino == 0 {
-                (off, e.rec_len, false)
-            } else {
-                let used = entry_len(e.name.len());
-                (off + used, e.rec_len - used, true)
-            };
-            if free_len < need {
-                continue;
-            }
-            // Journal the headers we are about to modify: the hosting
-            // entry's header and the new entry's header location.
-            journal.log_range(tx, base + off as u64, HDR)?;
-            journal.log_range(tx, base + free_off as u64, HDR)?;
-            if split_used {
-                // Shrink the used entry to its minimal length, then write
-                // the new entry into its slack.
-                let host = encode_header(e.ino, entry_len(e.name.len()), e.name.len(), e.ftype);
-                let mut new = Vec::with_capacity(free_len);
-                new.extend_from_slice(&encode_header(ino, free_len, name.len(), ftype.as_u8()));
-                new.extend_from_slice(name.as_bytes());
-                new.resize(free_len, 0);
-                // New entry body first, host header (the split point) last.
-                dev.write_persist(Cat::Meta, base + free_off as u64, &new);
-                dev.sfence();
-                dev.write_persist(Cat::Meta, base + off as u64, &host);
-                dev.sfence();
-            } else {
-                // Claim the free entry; split off the remainder if it is
-                // large enough to hold a future header.
-                let (claim_len, rest) = if free_len - need >= HDR {
-                    (need, free_len - need)
-                } else {
-                    (free_len, 0)
-                };
-                if rest > 0 {
-                    let rest_hdr = encode_header(0, rest, 0, 0);
-                    dev.write_persist(Cat::Meta, base + (free_off + claim_len) as u64, &rest_hdr);
-                    dev.sfence();
-                }
-                let mut new = Vec::with_capacity(claim_len);
-                new.extend_from_slice(&encode_header(ino, claim_len, name.len(), ftype.as_u8()));
-                new.extend_from_slice(name.as_bytes());
-                new.resize(claim_len, 0);
-                dev.write_persist(Cat::Meta, base + free_off as u64, &new);
-                dev.sfence();
-            }
-            return Ok(());
+    let Some((at, host)) = index.host(need) else {
+        return grow(dev, alloc, mem, index, name, ino, ftype);
+    };
+    read_hdrs(dev, 1);
+    let base = Layout::block_off(index.pblk(at));
+    let host_at = base + NameIndex::off(at) as u64;
+    journal.log_range(tx, host_at, HDR)?;
+    let slot = if host.ino != 0 {
+        // Write the new entry into the used entry's slack, then shrink
+        // the host to its minimal length (the split point) last.
+        let used = host.rec_len as usize - host.slack();
+        let slot = NameIndex::shifted(at, used);
+        let new = Hdr::live(ino, host.slack(), name, ftype);
+        write_entry(dev, host_at + used as u64, new, name);
+        dev.sfence();
+        let shrunk = Hdr {
+            rec_len: used as u16,
+            ..host
+        };
+        dev.write_persist(Cat::Meta, host_at, &shrunk.encode());
+        dev.sfence();
+        index.set(at, Some(shrunk));
+        index.set(slot, Some(new));
+        slot
+    } else {
+        // Claim the free entry; split off the remainder if it is large
+        // enough to hold a future header.
+        let free_len = host.rec_len as usize;
+        let (claim_len, rest) = if free_len - need >= HDR {
+            (need, free_len - need)
+        } else {
+            (free_len, 0)
+        };
+        if rest > 0 {
+            let rest_hdr = Hdr::free(rest);
+            dev.write_persist(Cat::Meta, host_at + claim_len as u64, &rest_hdr.encode());
+            dev.sfence();
+            index.set(NameIndex::shifted(at, claim_len), Some(rest_hdr));
         }
-    }
-    // No room: append a fresh directory block, written whole (the image
-    // below covers all of it) before the tree links it.
+        let new = Hdr::live(ino, claim_len, name, ftype);
+        write_entry(dev, host_at, new, name);
+        dev.sfence();
+        index.set(at, Some(new));
+        at
+    };
+    index.bind(name, ino, ftype, slot);
+    index.resum(at);
+    Ok(())
+}
+
+/// [`add`] with no room left: appends a fresh directory block, written
+/// whole (the image below covers all of it) before the tree links it.
+fn grow(
+    dev: &NvmmDevice,
+    alloc: &Allocator,
+    mem: &mut InodeMem,
+    index: &mut NameIndex,
+    name: &str,
+    ino: u64,
+    ftype: FileType,
+) -> Result<()> {
+    let need = entry_len(name.len());
     let pblk = alloc.alloc()?;
+    let new = Hdr::live(ino, need, name, ftype);
+    let rest = Hdr::free(BLOCK_SIZE - need);
     let mut block = vec![0u8; BLOCK_SIZE];
-    block[0..HDR].copy_from_slice(&encode_header(ino, need, name.len(), ftype.as_u8()));
+    block[0..HDR].copy_from_slice(&new.encode());
     block[HDR..HDR + name.len()].copy_from_slice(name.as_bytes());
-    if BLOCK_SIZE - need >= HDR {
-        block[need..need + HDR].copy_from_slice(&encode_header(0, BLOCK_SIZE - need, 0, 0));
-    }
+    block[need..need + HDR].copy_from_slice(&rest.encode());
     dev.write_persist(Cat::Meta, Layout::block_off(pblk), &block);
     dev.sfence();
     let iblk = dir_blocks(mem);
@@ -187,45 +296,58 @@ pub fn add(
     }
     mem.size += BLOCK_SIZE as u64;
     mem.blocks += 1;
+    let at = index.push_block(pblk);
+    index.set(at, Some(new));
+    index.set(NameIndex::shifted(at, need), Some(rest));
+    index.bind(name, ino, ftype, at);
+    index.resum(at);
     Ok(())
 }
 
-/// Removes `name`. Returns the unlinked inode number and type.
+/// Removes `name`, found through `index` (exact for this directory;
+/// updated here): no directory block is read. Returns the unlinked inode
+/// number and type.
 pub fn remove(
     dev: &NvmmDevice,
     journal: &Journal,
     tx: &TxHandle,
-    mem: &InodeMem,
+    index: &mut NameIndex,
     name: &str,
 ) -> Result<(u64, FileType)> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for iblk in 0..dir_blocks(mem) {
-        let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
-        let base = Layout::block_off(pblk);
-        dev.read(Cat::Meta, base, &mut buf);
-        let entries = parse_block(&buf)?;
-        for (i, (off, e)) in entries.iter().enumerate() {
-            if e.ino == 0 || e.name != name.as_bytes() {
-                continue;
-            }
-            let ftype = FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?;
-            if i > 0 {
-                // Merge into the predecessor.
-                let (poff, p) = &entries[i - 1];
-                journal.log_range(tx, base + *poff as u64, HDR)?;
-                let hdr = encode_header(p.ino, p.rec_len + e.rec_len, p.name.len(), p.ftype);
-                dev.write_persist(Cat::Meta, base + *poff as u64, &hdr);
-            } else {
-                // First entry of the block: mark free.
-                journal.log_range(tx, base + *off as u64, HDR)?;
-                let hdr = encode_header(0, e.rec_len, 0, 0);
-                dev.write_persist(Cat::Meta, base + *off as u64, &hdr);
-            }
-            dev.sfence();
-            return Ok((e.ino, ftype));
+    let ((ino, ftype), at) = index
+        .get(name)
+        .zip(index.slot(name))
+        .ok_or(FsError::NotFound)?;
+    let e = index.hdr(at);
+    let base = Layout::block_off(index.pblk(at));
+    match index.before(at) {
+        Some((prev_at, prev)) => {
+            // Merge into the predecessor.
+            read_hdrs(dev, 2);
+            let prev_off = base + NameIndex::off(prev_at) as u64;
+            journal.log_range(tx, prev_off, HDR)?;
+            let merged = Hdr {
+                rec_len: prev.rec_len + e.rec_len,
+                ..prev
+            };
+            dev.write_persist(Cat::Meta, prev_off, &merged.encode());
+            index.set(prev_at, Some(merged));
+            index.set(at, None);
+        }
+        None => {
+            // First entry of the block: mark free.
+            read_hdrs(dev, 1);
+            let off = base + NameIndex::off(at) as u64;
+            journal.log_range(tx, off, HDR)?;
+            let free = Hdr::free(e.rec_len as usize);
+            dev.write_persist(Cat::Meta, off, &free.encode());
+            index.set(at, Some(free));
         }
     }
-    Err(FsError::NotFound)
+    dev.sfence();
+    index.unbind(name);
+    index.resum(at);
+    Ok((ino, ftype))
 }
 
 #[cfg(test)]
@@ -240,6 +362,7 @@ mod tests {
         journal: Journal,
         alloc: Allocator,
         mem: InodeMem,
+        index: NameIndex,
     }
 
     fn setup() -> Fx {
@@ -258,6 +381,7 @@ mod tests {
             journal,
             alloc,
             mem,
+            index: NameIndex::default(),
         }
     }
 
@@ -270,6 +394,7 @@ mod tests {
                 &tx,
                 &self.alloc,
                 &mut self.mem,
+                &mut self.index,
                 name,
                 ino,
                 ft,
@@ -280,7 +405,7 @@ mod tests {
 
         fn remove(&mut self, name: &str) -> Result<(u64, FileType)> {
             let tx = self.journal.begin().unwrap();
-            let r = remove(&self.dev, &self.journal, &tx, &self.mem, name);
+            let r = remove(&self.dev, &self.journal, &tx, &mut self.index, name);
             self.journal.commit(tx);
             r
         }
@@ -395,6 +520,7 @@ mod tests {
                 &tx,
                 &fx.alloc,
                 &mut fx.mem,
+                &mut fx.index,
                 &n,
                 i + 1,
                 FileType::File,
@@ -436,6 +562,7 @@ mod tests {
             &tx,
             &fx.alloc,
             &mut fx.mem,
+            &mut fx.index,
             "lost",
             6,
             FileType::File,
@@ -453,5 +580,27 @@ mod tests {
         assert_eq!(lookup(&fx.dev, &fx.mem, "lost").unwrap(), None);
         let entries = list(&fx.dev, &fx.mem).unwrap();
         assert_eq!(entries.len(), 1);
+    }
+
+    #[test]
+    fn the_index_mirrors_the_media_through_every_edit() {
+        let mut fx = setup();
+        // Long names: a block holds 15, so edits split, claim, merge,
+        // free a block's first entry and grow.
+        let name = |i: u64| format!("{i:0>250}");
+        let mut live = Vec::new();
+        for step in 0..200u64 {
+            let i = step * 7 % 61;
+            if live.contains(&i) {
+                fx.remove(&name(i)).unwrap();
+                live.retain(|&j| j != i);
+            } else {
+                fx.add(&name(i), i + 1, FileType::File).unwrap();
+                live.push(i);
+            }
+            assert_eq!(fx.index, index(&fx.dev, &fx.mem).unwrap(), "step {step}");
+        }
+        assert_eq!(fx.index.len(), live.len());
+        assert!(fx.mem.blocks >= 3);
     }
 }

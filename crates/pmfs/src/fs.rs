@@ -23,7 +23,8 @@
 //!
 //! Names resolve through the per-directory DRAM name index
 //! ([`crate::inode::NameIndex`]), never by scanning directory blocks: the
-//! media is read once per directory and mount, to build the index.
+//! media is read once per directory and mount, to build the index. Entry
+//! edits find their slot there too, and write only the bytes they change.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -86,6 +87,10 @@ impl InodeLogged {
         self.ino
     }
 }
+
+/// Undo slots a rename sets aside: one per entry header it edits, plus a
+/// grown directory's core.
+const RENAME_UNDO_SLOTS: u64 = 2 + INODE_CORE.div_ceil(crate::journal::PAYLOAD) as u64;
 
 /// Name-index activity, reported as `pmfs_namei_*`.
 #[derive(Debug, Default)]
@@ -342,28 +347,29 @@ impl Pmfs {
                 (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
             }
         }
-        let tx = self.journal.begin()?;
-        let same_parent = Arc::ptr_eq(&src_parent, &dst_parent);
+        // Undo slots for every log below (two entry headers and a grown
+        // directory's core) are set aside up front: past the first entry
+        // edit, nothing can fail on a full ring.
+        let tx = self.journal.begin_reserving(RENAME_UNDO_SLOTS)?;
         let res = (|| -> Result<()> {
+            if Arc::ptr_eq(&src_parent, &dst_parent) {
+                // Add before remove: the new entry may only land on bytes
+                // no record reached when the transaction began — the
+                // removed entry's are not, once merged into its neighbour.
+                let mut pstate = src_parent.state.write();
+                let logged = self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
+                self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
+                self.stamp_dir(&tx, src_parent.ino, &mut pstate, logged);
+                return Ok(());
+            }
             {
                 let mut pstate = src_parent.state.write();
                 self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
-                if same_parent {
-                    self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
-                }
-                pstate.mtime = self.env.now();
-                let p = *pstate;
-                drop(pstate);
-                self.log_write_inode(&tx, src_parent.ino, &p)?;
+                self.stamp_dir(&tx, src_parent.ino, &mut pstate, None);
             }
-            if !same_parent {
-                let mut pstate = dst_parent.state.write();
-                self.add_entry(&tx, &dst_parent, &mut pstate, dst_name, ino, ftype)?;
-                pstate.mtime = self.env.now();
-                let p = *pstate;
-                drop(pstate);
-                self.log_write_inode(&tx, dst_parent.ino, &p)?;
-            }
+            let mut pstate = dst_parent.state.write();
+            let logged = self.add_entry(&tx, &dst_parent, &mut pstate, dst_name, ino, ftype)?;
+            self.stamp_dir(&tx, dst_parent.ino, &mut pstate, logged);
             Ok(())
         })();
         match res {
@@ -525,11 +531,27 @@ impl Pmfs {
         self.ns_shards[self.ns_shard(parent_ino, name)].lock()
     }
 
+    /// The name index of directory `dir` (whose `state` lock the caller
+    /// holds, `state`), from `names` (its locked slot): built on first use
+    /// with one pass over the directory blocks, at that pass's full
+    /// NVMM-read cost.
+    fn index_of<'n>(
+        &self,
+        names: &'n mut Option<NameIndex>,
+        state: &InodeMem,
+    ) -> Result<&'n mut NameIndex> {
+        if names.is_none() {
+            let index = dir::index(&self.dev, state)?;
+            self.namei.builds.fetch_add(1, Relaxed);
+            self.namei.entries.fetch_add(index.len() as u64, Relaxed);
+            *names = Some(index);
+        }
+        Ok(names.as_mut().expect("built above"))
+    }
+
     /// Looks `name` up in directory `dir` (the caller holds its `state`
     /// lock, `state`), hit or "no such name", from the directory's name
-    /// index. The first lookup builds the index with one pass over the
-    /// directory blocks, at that pass's full NVMM-read cost; a hit costs
-    /// the DRAM copy of the one entry.
+    /// index. A hit costs the DRAM copy of the one entry.
     fn lookup(
         &self,
         dir: &InodeHandle,
@@ -537,21 +559,7 @@ impl Pmfs {
         name: &str,
     ) -> Result<Option<(u64, FileType)>> {
         let mut names = dir.names.lock();
-        let index = match &mut *names {
-            Some(index) => index,
-            unbuilt => {
-                let mut index = NameIndex::new();
-                for e in dir::list(&self.dev, state)? {
-                    // A name the media repeats resolves to its first
-                    // entry, as a block scan would.
-                    index.entry(e.name).or_insert((e.ino, e.ftype));
-                }
-                self.namei.builds.fetch_add(1, Relaxed);
-                self.namei.entries.fetch_add(index.len() as u64, Relaxed);
-                unbuilt.insert(index)
-            }
-        };
-        let found = index.get(name).copied();
+        let found = self.index_of(&mut names, state)?.get(name);
         if found.is_some() {
             self.namei.hits.fetch_add(1, Relaxed);
             self.dev.spans().scope(Phase::Index, || {
@@ -562,8 +570,13 @@ impl Pmfs {
         Ok(found)
     }
 
-    /// [`dir::add`] under `tx`, mirrored in the directory's name index.
-    /// The caller holds `dir`'s write lock (`state`).
+    /// [`dir::add`] under `tx`, through and into the directory's name
+    /// index. The caller holds `dir`'s write lock (`state`). When the
+    /// entry does not fit the directory's blocks, the directory's core is
+    /// journaled first — once a grown directory counts its new block in
+    /// memory, nothing is left that a full ring could refuse — and the
+    /// witness returned for [`Pmfs::stamp_dir`]; `None`: only the mtime
+    /// changes.
     fn add_entry(
         &self,
         tx: &TxHandle,
@@ -572,27 +585,33 @@ impl Pmfs {
         name: &str,
         ino: u64,
         ftype: FileType,
-    ) -> Result<()> {
+    ) -> Result<Option<InodeLogged>> {
+        let mut names = dir.names.lock();
+        let index = self.index_of(&mut names, state)?;
+        let logged = match index.fits(name.len()) {
+            true => None,
+            false => Some(self.log_inode(tx, dir.ino)?),
+        };
+        let before = index.len();
         dir::add(
             &self.dev,
             &self.journal,
             tx,
             &self.alloc,
             state,
+            index,
             name,
             ino,
             ftype,
         )?;
-        if let Some(index) = dir.names.lock().as_mut() {
-            if index.insert(name.to_owned(), (ino, ftype)).is_none() {
-                self.namei.entries.fetch_add(1, Relaxed);
-            }
-        }
-        Ok(())
+        self.namei
+            .entries
+            .fetch_add((index.len() - before) as u64, Relaxed);
+        Ok(logged)
     }
 
-    /// [`dir::remove`] under `tx`, mirrored in the directory's name index.
-    /// The caller holds `dir`'s write lock (`state`).
+    /// [`dir::remove`] under `tx`, through and out of the directory's name
+    /// index. The caller holds `dir`'s write lock (`state`).
     fn remove_entry(
         &self,
         tx: &TxHandle,
@@ -600,13 +619,37 @@ impl Pmfs {
         state: &InodeMem,
         name: &str,
     ) -> Result<()> {
-        dir::remove(&self.dev, &self.journal, tx, state, name)?;
-        if let Some(index) = dir.names.lock().as_mut() {
-            if index.remove(name).is_some() {
-                self.namei.entries.fetch_sub(1, Relaxed);
+        let mut names = dir.names.lock();
+        let index = self.index_of(&mut names, state)?;
+        let before = index.len();
+        dir::remove(&self.dev, &self.journal, tx, index, name)?;
+        self.namei
+            .entries
+            .fetch_sub((before - index.len()) as u64, Relaxed);
+        Ok(())
+    }
+
+    /// Stamps directory `ino`'s mtime after an entry edit under `tx`.
+    /// With `logged` (the edit grew the directory) the core is rewritten
+    /// under its undo image; otherwise the mtime is the one field that
+    /// changed, and goes to the media as one 8-byte atomic store that no
+    /// rollback takes back.
+    fn stamp_dir(
+        &self,
+        tx: &TxHandle,
+        ino: u64,
+        state: &mut InodeMem,
+        logged: Option<InodeLogged>,
+    ) {
+        state.mtime = self.env.now();
+        match logged {
+            Some(logged) => self.rewrite_logged_inode(tx, logged, state),
+            None => {
+                let at = self.layout.inode_off(ino) + crate::inode::MTIME_OFF as u64;
+                self.dev.write_u64_persist(Cat::Meta, at, state.mtime);
+                self.dev.sfence();
             }
         }
-        Ok(())
     }
 
     /// Forgets a directory's name index (the next lookup rebuilds it).
@@ -674,13 +717,8 @@ impl Pmfs {
                 // shard lock (different entries, different shards).
                 return Err(FsError::NotFound);
             }
-            // The parent's undo image goes in before the entry does: once
-            // a grown directory counts its new block in memory, nothing
-            // is left that a full ring could refuse.
-            let logged = self.log_inode(&tx, parent.ino)?;
-            self.add_entry(&tx, parent, &mut pstate, name, ino, ftype)?;
-            pstate.mtime = self.env.now();
-            self.rewrite_logged_inode(&tx, logged, &pstate);
+            let logged = self.add_entry(&tx, parent, &mut pstate, name, ino, ftype)?;
+            self.stamp_dir(&tx, parent.ino, &mut pstate, logged);
             Ok(())
         })();
         match res {
@@ -819,10 +857,7 @@ impl Pmfs {
             {
                 let mut pstate = parent.state.write();
                 self.remove_entry(&tx, parent, &pstate, name)?;
-                pstate.mtime = self.env.now();
-                let p = *pstate;
-                drop(pstate);
-                self.log_write_inode(&tx, parent.ino, &p)?;
+                self.stamp_dir(&tx, parent.ino, &mut pstate, None);
             }
             let mut cstate = child.state.write();
             if cstate.nlink == 1 && *child.opens.lock() == 0 {
@@ -894,10 +929,7 @@ impl Pmfs {
             {
                 let mut pstate = parent.state.write();
                 self.remove_entry(&tx, parent, &pstate, name)?;
-                pstate.mtime = self.env.now();
-                let p = *pstate;
-                drop(pstate);
-                self.log_write_inode(&tx, parent.ino, &p)?;
+                self.stamp_dir(&tx, parent.ino, &mut pstate, None);
             }
             self.journal
                 .log_range(&tx, self.layout.inode_off(ino), INODE_CORE)?;
@@ -1203,8 +1235,9 @@ impl obsv::Introspect for Pmfs {
             u.open_txs,
         );
         // namei.index: every built name index says exactly what a scan of
-        // the directory's blocks would, and the entries gauge is their
-        // sum. Only handles that have an index are locked — the in-band
+        // the directory's blocks would — each name's inode, type and slot
+        // (a live header carrying that name), each block's header chain
+        // and free-space summary — and the entries gauge is their sum. Only handles that have an index are locked — the in-band
         // auditor runs under a *file's* inode lock.
         let mut indexed = 0u64;
         for h in self.icache.cached() {
@@ -1218,15 +1251,8 @@ impl obsv::Introspect for Pmfs {
             };
             indexed += index.len() as u64;
             // An unreadable directory differs in every name.
-            let differing = dir::list_uncharged(&self.dev, &state).map_or(u64::MAX, |entries| {
-                let mut media = NameIndex::new();
-                for e in entries {
-                    media.entry(e.name).or_insert((e.ino, e.ftype));
-                }
-                let stale = index.iter().filter(|&(n, at)| media.get(n) != Some(at));
-                let missing = media.keys().filter(|&n| !index.contains_key(n));
-                (stale.count() + missing.count()) as u64
-            });
+            let differing = dir::index_uncharged(&self.dev, &state)
+                .map_or(u64::MAX, |media| index.differences(&media));
             rep.check_eq(15, h.ino, 0, differing, 0);
         }
         rep.check_eq(15, 0, 0, self.namei.entries.load(Relaxed), indexed);

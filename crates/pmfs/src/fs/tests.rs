@@ -5,7 +5,7 @@ use nvmm::{Cat, CostModel, FaultPlan, NvmmDevice, SimEnv, BLOCK_SIZE};
 use obsv::Introspect;
 
 use crate::fs::{Pmfs, PmfsOptions};
-use crate::inode::InodeMem;
+use crate::inode::{InodeMem, INODE_CORE};
 use crate::{dir, file};
 
 fn small_opts() -> PmfsOptions {
@@ -681,6 +681,7 @@ fn index_is_rebuilt_after_remount_and_after_crash_recovery() {
             &tx,
             fs.allocator(),
             &mut state,
+            d.names.lock().as_mut().unwrap(),
             "uncommitted",
             77,
             FileType::File,
@@ -703,7 +704,7 @@ fn a_reused_inode_number_does_not_inherit_the_dead_directorys_names() {
     fs.mkdir("/old").unwrap();
     touch(&fs, "/old/secret");
     let old = fs.inode(fs.stat("/old").unwrap().ino).unwrap();
-    assert!(old.names.lock().as_ref().unwrap().contains_key("secret"));
+    assert!(old.names.lock().as_ref().unwrap().get("secret").is_some());
     fs.unlink("/old/secret").unwrap();
     fs.rmdir("/old").unwrap();
     assert!(old.names.lock().is_none(), "freed with the inode");
@@ -741,6 +742,7 @@ fn a_name_the_media_repeats_resolves_to_its_first_entry() {
         &tx,
         fs.allocator(),
         &mut d.state.write(),
+        d.names.lock().as_mut().unwrap(),
         "first",
         second,
         FileType::File,
@@ -763,14 +765,77 @@ fn the_auditor_names_an_index_that_left_the_media() {
     let (_d, fs) = fresh();
     touch(&fs, "/real");
     let root = fs.inode(crate::layout::ROOT_INO).unwrap();
-    root.names
-        .lock()
-        .as_mut()
-        .unwrap()
-        .insert("phantom".into(), (99, FileType::File));
+    {
+        let mut names = root.names.lock();
+        let index = names.as_mut().unwrap();
+        let at = index.slot("real").unwrap();
+        index.bind("phantom", 99, FileType::File, at);
+    }
     let rep = fs.audit();
     let labels: Vec<&str> = rep.violations.iter().map(|v| v.invariant()).collect();
     // The phantom name, and the entries gauge that never counted it.
     assert_eq!(labels, ["namei.index", "namei.index"], "{}", rep.to_json());
     assert_eq!(rep.violations[0].ino, crate::layout::ROOT_INO);
+}
+
+/// Audit code 15 covers the slots: a name whose cookie points at a
+/// header that does not carry it is reported, even when its inode and
+/// type are right.
+#[test]
+fn the_auditor_names_a_stale_slot_cookie() {
+    let (_d, fs) = fresh();
+    touch(&fs, "/a");
+    touch(&fs, "/b");
+    assert!(fs.audit().is_clean());
+    let root = fs.inode(crate::layout::ROOT_INO).unwrap();
+    {
+        let mut names = root.names.lock();
+        let index = names.as_mut().unwrap();
+        let (ino, ftype) = index.get("a").unwrap();
+        let b_at = index.slot("b").unwrap();
+        index.unbind("a");
+        index.bind("a", ino, ftype, b_at);
+    }
+    let rep = fs.audit();
+    let labels: Vec<&str> = rep.violations.iter().map(|v| v.invariant()).collect();
+    assert_eq!(labels, ["namei.index"], "{}", rep.to_json());
+    assert_eq!(rep.violations[0].ino, crate::layout::ROOT_INO);
+}
+
+/// Entry edits go from the name index to the slot: a create that fits
+/// and an unlink read no directory block — the one NVMM read is the
+/// journal copying its undo images — journal one entry header each, and
+/// stamp the parent's mtime with one 8-byte store.
+#[test]
+fn creates_and_unlinks_read_no_directory_block() {
+    let (dev, fs) = fresh();
+    touch(&fs, "/warm");
+    let undo = || fs.journal().stats().snapshot().undo_entries;
+    let read = || dev.stats().snapshot().nvmm_bytes_read;
+    // The inode core (two entries) and one entry header, both ways.
+    let images = (3, (INODE_CORE + dir::HDR) as u64);
+    for i in 0..20 {
+        let (u0, r0) = (undo(), read());
+        touch(&fs, &format!("/f{i}"));
+        assert_eq!((undo() - u0, read() - r0), images, "create {i}");
+    }
+    for i in (0..20).step_by(3) {
+        let (u0, r0) = (undo(), read());
+        fs.unlink(&format!("/f{i}")).unwrap();
+        assert_eq!((undo() - u0, read() - r0), images, "unlink {i}");
+    }
+    // A create reusing freed space journals one header too.
+    let (u0, r0) = (undo(), read());
+    touch(&fs, "/f0");
+    assert_eq!((undo() - u0, read() - r0), images);
+    let mtime = fs.stat("/").unwrap().mtime_ns;
+    fs.unmount().unwrap();
+    drop(fs);
+    let fs = Pmfs::mount(dev).unwrap();
+    assert_eq!(
+        fs.stat("/").unwrap().mtime_ns,
+        mtime,
+        "the stamp is durable"
+    );
+    assert!(fs.audit().is_clean());
 }

@@ -5,9 +5,10 @@
 //! single 64 B line. In-memory state is an [`InodeHandle`] with a `RwLock`,
 //! shared by every open descriptor of the file.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use fskit::dirent::{encode_header, entry_len, HDR};
 use fskit::{FileType, FsError, Result};
 use nvmm::{Cat, NvmmDevice};
 use obsv::{Site, TrackedMutex};
@@ -17,6 +18,10 @@ use crate::layout::Layout;
 
 /// Size of the journaled/persisted inode core, one cacheline.
 pub const INODE_CORE: usize = 64;
+
+/// Offset of `mtime` in the core: 8-byte aligned, so a directory whose
+/// entry edit changes nothing else stamps it with one atomic store.
+pub const MTIME_OFF: usize = 40;
 
 /// In-memory mirror of an inode's persistent core plus volatile state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +70,7 @@ impl InodeMem {
         b[16..24].copy_from_slice(&self.blocks.to_le_bytes());
         b[24..32].copy_from_slice(&self.tree_root.to_le_bytes());
         b[32..36].copy_from_slice(&self.tree_height.to_le_bytes());
-        b[40..48].copy_from_slice(&self.mtime.to_le_bytes());
+        b[MTIME_OFF..MTIME_OFF + 8].copy_from_slice(&self.mtime.to_le_bytes());
         b[48..56].copy_from_slice(&self.last_sync.to_le_bytes());
         b
     }
@@ -86,15 +91,240 @@ impl InodeMem {
             blocks: u64::from_le_bytes(b[16..24].try_into().unwrap()),
             tree_root: u64::from_le_bytes(b[24..32].try_into().unwrap()),
             tree_height: u32::from_le_bytes(b[32..36].try_into().unwrap()),
-            mtime: u64::from_le_bytes(b[40..48].try_into().unwrap()),
+            mtime: u64::from_le_bytes(b[MTIME_OFF..MTIME_OFF + 8].try_into().unwrap()),
             last_sync: u64::from_le_bytes(b[48..56].try_into().unwrap()),
         }))
     }
 }
 
+/// Where a directory entry's header sits: directory block and byte
+/// offset. Opaque outside this module and [`crate::dir`], which makes and
+/// reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    blk: u32,
+    off: u16,
+}
+
+/// A dirent header as the media holds it; the name stays in the map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Hdr {
+    pub ino: u64,
+    pub rec_len: u16,
+    pub name_len: u8,
+    pub ftype: u8,
+}
+
+impl Hdr {
+    /// A free record of `rec_len` bytes.
+    pub fn free(rec_len: usize) -> Hdr {
+        Hdr {
+            ino: 0,
+            rec_len: rec_len as u16,
+            name_len: 0,
+            ftype: 0,
+        }
+    }
+
+    /// The header of a live entry.
+    pub fn live(ino: u64, rec_len: usize, name: &str, ftype: FileType) -> Hdr {
+        Hdr {
+            ino,
+            rec_len: rec_len as u16,
+            name_len: name.len() as u8,
+            ftype: ftype.as_u8(),
+        }
+    }
+
+    /// Bytes the record holds beyond what its entry uses: all of it for a
+    /// free record, the padding after the name for a live one.
+    pub fn slack(&self) -> usize {
+        let used = if self.ino == 0 {
+            0
+        } else {
+            entry_len(self.name_len as usize)
+        };
+        self.rec_len as usize - used
+    }
+
+    pub fn encode(&self) -> [u8; HDR] {
+        encode_header(
+            self.ino,
+            self.rec_len as usize,
+            self.name_len as usize,
+            self.ftype,
+        )
+    }
+}
+
+/// One directory block: its physical number, the DRAM copy of its header
+/// chain, and the free-space summary — the largest [`Hdr::slack`] in it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct BlockSpace {
+    pblk: u64,
+    hdrs: BTreeMap<u16, Hdr>,
+    room: u16,
+}
+
+impl BlockSpace {
+    fn resum(&mut self) {
+        self.room = self.hdrs.values().map(Hdr::slack).max().unwrap_or(0) as u16;
+    }
+}
+
+/// A live name: its inode, type and slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Named {
+    ino: u64,
+    ftype: FileType,
+    slot: Slot,
+}
+
 /// A directory's DRAM name index: `name → (ino, ftype)` for every live
-/// on-media entry (the first one, where a damaged image repeats a name).
-pub type NameIndex = HashMap<String, (u64, FileType)>;
+/// on-media entry (the first one, where a damaged image repeats a name),
+/// each with the [`Slot`] of its header, plus every block's header chain
+/// and free-space summary — what an entry edit needs, so it never reads
+/// the block it edits.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NameIndex {
+    names: HashMap<String, Named>,
+    blocks: Vec<BlockSpace>,
+}
+
+impl NameIndex {
+    /// Live names.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Whether the directory holds no live name.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The inode and type `name` resolves to.
+    pub fn get(&self, name: &str) -> Option<(u64, FileType)> {
+        self.names.get(name).map(|n| (n.ino, n.ftype))
+    }
+
+    /// Where `name`'s header sits.
+    pub fn slot(&self, name: &str) -> Option<Slot> {
+        self.names.get(name).map(|n| n.slot)
+    }
+
+    /// Names, blocks or summaries in which `self` and `media` (an index
+    /// built from the blocks) disagree.
+    pub fn differences(&self, media: &NameIndex) -> u64 {
+        let stale = self
+            .names
+            .iter()
+            .filter(|&(n, at)| media.names.get(n) != Some(at));
+        let missing = media.names.keys().filter(|&n| !self.names.contains_key(n));
+        let blocks = self.blocks.len().max(media.blocks.len());
+        let differing = (0..blocks).filter(|&i| self.blocks.get(i) != media.blocks.get(i));
+        (stale.count() + missing.count() + differing.count()) as u64
+    }
+
+    /// Appends an empty directory block `pblk`; returns the slot at its
+    /// start. The caller [`NameIndex::set`]s its chain.
+    pub(crate) fn push_block(&mut self, pblk: u64) -> Slot {
+        self.blocks.push(BlockSpace {
+            pblk,
+            hdrs: BTreeMap::new(),
+            room: 0,
+        });
+        Slot {
+            blk: self.blocks.len() as u32 - 1,
+            off: 0,
+        }
+    }
+
+    /// Physical block of `slot`'s directory block.
+    pub(crate) fn pblk(&self, slot: Slot) -> u64 {
+        self.blocks[slot.blk as usize].pblk
+    }
+
+    /// Byte offset of `slot` in its block.
+    pub(crate) fn off(slot: Slot) -> usize {
+        slot.off as usize
+    }
+
+    /// The header at `slot`.
+    pub(crate) fn hdr(&self, slot: Slot) -> Hdr {
+        self.blocks[slot.blk as usize].hdrs[&slot.off]
+    }
+
+    /// The header before `slot` in its block (`None`: it is the first).
+    pub(crate) fn before(&self, slot: Slot) -> Option<(Slot, Hdr)> {
+        let (&off, &hdr) = self.blocks[slot.blk as usize]
+            .hdrs
+            .range(..slot.off)
+            .next_back()?;
+        Some((Slot { blk: slot.blk, off }, hdr))
+    }
+
+    /// The first record, in directory order, with `need` bytes of slack —
+    /// where a media scan would put a new entry — or `None`: the
+    /// directory must grow. Blocks whose summary is short are skipped
+    /// unread.
+    pub(crate) fn host(&self, need: usize) -> Option<(Slot, Hdr)> {
+        self.blocks.iter().enumerate().find_map(|(blk, b)| {
+            if (b.room as usize) < need {
+                return None;
+            }
+            let (&off, &hdr) = b.hdrs.iter().find(|(_, h)| h.slack() >= need)?;
+            Some((
+                Slot {
+                    blk: blk as u32,
+                    off,
+                },
+                hdr,
+            ))
+        })
+    }
+
+    /// Whether an entry for an `n`-byte name fits without growing.
+    pub fn fits(&self, n: usize) -> bool {
+        let need = entry_len(n);
+        self.blocks.iter().any(|b| b.room as usize >= need)
+    }
+
+    /// Records a header write: `hdr` now sits at `slot` (`None`: the
+    /// record at `slot` was merged into its predecessor). The caller
+    /// re-sums the block once its edit is done, with [`NameIndex::resum`].
+    pub(crate) fn set(&mut self, slot: Slot, hdr: Option<Hdr>) {
+        let hdrs = &mut self.blocks[slot.blk as usize].hdrs;
+        match hdr {
+            Some(h) => hdrs.insert(slot.off, h),
+            None => hdrs.remove(&slot.off),
+        };
+    }
+
+    /// `slot`, moved `by` bytes further into its block.
+    pub(crate) fn shifted(slot: Slot, by: usize) -> Slot {
+        Slot {
+            blk: slot.blk,
+            off: slot.off + by as u16,
+        }
+    }
+
+    /// Re-computes the free-space summary of `slot`'s block.
+    pub(crate) fn resum(&mut self, slot: Slot) {
+        self.blocks[slot.blk as usize].resum();
+    }
+
+    /// Binds `name` to `slot` (the first binding wins, as on the media).
+    pub(crate) fn bind(&mut self, name: &str, ino: u64, ftype: FileType, slot: Slot) {
+        self.names
+            .entry(name.to_owned())
+            .or_insert(Named { ino, ftype, slot });
+    }
+
+    /// Drops `name`.
+    pub(crate) fn unbind(&mut self, name: &str) {
+        self.names.remove(name);
+    }
+}
 
 /// Shared in-memory inode state.
 #[derive(Debug)]

@@ -77,13 +77,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// What a scan of the media says, first entry per name.
+/// What a scan of the media says: first entry per name, with its slot,
+/// and every block's header chain and free-space summary.
 fn media_index(dev: &NvmmDevice, mem: &pmfs::inode::InodeMem) -> NameIndex {
-    let mut ix = NameIndex::new();
-    for e in dir::list(dev, mem).unwrap() {
-        ix.entry(e.name).or_insert((e.ino, e.ftype));
-    }
-    ix
+    dir::index(dev, mem).unwrap()
 }
 
 /// The live directories: the root and its subdirectories.
