@@ -70,6 +70,10 @@ pub(crate) struct Built {
     pub(crate) intro: Arc<dyn Introspect>,
 }
 
+/// A remounted file system, its auditor, and its recovery counts
+/// (`txs_undone`, `entries_undone`).
+type Remounted = (Arc<dyn FileSystem>, Arc<dyn Introspect>, u64, u64);
+
 /// Outcome of one crash-recover-check cycle.
 #[derive(Debug, Default)]
 pub struct RunOutcome {
@@ -220,36 +224,56 @@ impl Harness {
         }
     }
 
-    /// Remounts `dev` after a crash, returning the file system, the
-    /// `(txs_undone, entries_undone)` recovery counts, and the invariant
-    /// auditor's report over the freshly recovered state — a crash must
-    /// never leave the remounted system with inconsistent volatile
-    /// structures, journal accounting, or device counters.
-    fn remount(
-        &self,
-        kind: FsKind,
-        dev: Arc<NvmmDevice>,
-    ) -> Result<(Arc<dyn FileSystem>, u64, u64, AuditReport), FsError> {
+    /// Remounts `dev` after a crash, returning the file system, its
+    /// auditor, and the `(txs_undone, entries_undone)` recovery counts.
+    fn remount(&self, kind: FsKind, dev: Arc<NvmmDevice>) -> Result<Remounted, FsError> {
         match kind {
             FsKind::Hinfs => {
                 let fs = Hinfs::mount(dev, self.hinfs_cfg())?;
                 let r = fs.pmfs().recovery_stats();
-                let rep = Introspect::audit(fs.as_ref());
-                Ok((fs, r.txs_undone, r.entries_undone, rep))
+                Ok((fs.clone(), fs, r.txs_undone, r.entries_undone))
             }
             FsKind::Pmfs => {
                 let fs = Pmfs::mount(dev)?;
                 let r = fs.recovery_stats();
-                let rep = Introspect::audit(fs.as_ref());
-                Ok((fs, r.txs_undone, r.entries_undone, rep))
+                Ok((fs.clone(), fs, r.txs_undone, r.entries_undone))
             }
             FsKind::Ext4 => {
                 let fs = Extfs::mount(dev, ExtMode::Ext4, ext_opts())?;
                 let replayed = fs.recovery_replayed();
-                let rep = Introspect::audit(fs.as_ref());
-                Ok((fs, 0, replayed, rep))
+                Ok((fs.clone(), fs, 0, replayed))
             }
         }
+    }
+
+    /// Checks a recovered file system: the oracle over its tree, then the
+    /// invariant auditor — a crash must never leave the remounted system
+    /// with inconsistent volatile structures, journal accounting, device
+    /// counters, or name indexes (which the oracle's walk has just built
+    /// from the recovered directory blocks).
+    fn check_recovered(
+        &self,
+        out: &mut RunOutcome,
+        oracle: &Oracle,
+        remounted: Remounted,
+        now: u64,
+    ) {
+        let (fs, intro, txs, entries) = remounted;
+        out.txs_undone = txs;
+        out.entries_undone = entries;
+        self.trace.emit(now, || TraceEvent::RecoveryEnd {
+            txs_undone: txs,
+            entries_undone: entries,
+        });
+        let rep = oracle.check(&*fs);
+        out.checks = rep.checks;
+        out.violations.extend(rep.violations);
+        self.absorb_audit(out, intro.audit(), now);
+        if let Err(e) = fs.unmount() {
+            out.violations
+                .push(format!("unmount after recovery failed: {e:?}"));
+        }
+        self.stats.recoveries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds a post-recovery audit report into a run outcome: checks are
@@ -341,23 +365,7 @@ impl Harness {
                 out.violations
                     .push(format!("remount after crash at boundary {k} failed: {e:?}"));
             }
-            Ok((fs2, txs, entries, audit)) => {
-                out.txs_undone = txs;
-                out.entries_undone = entries;
-                self.trace.emit(b.env.now(), || TraceEvent::RecoveryEnd {
-                    txs_undone: txs,
-                    entries_undone: entries,
-                });
-                self.absorb_audit(&mut out, audit, b.env.now());
-                let rep = oracle.check(&*fs2);
-                out.checks = rep.checks;
-                out.violations.extend(rep.violations);
-                if let Err(e) = fs2.unmount() {
-                    out.violations
-                        .push(format!("unmount after recovery failed: {e:?}"));
-                }
-                self.stats.recoveries.fetch_add(1, Ordering::Relaxed);
-            }
+            Ok(remounted) => self.check_recovered(&mut out, &oracle, remounted, b.env.now()),
         }
         self.record_run_stats(&out);
         out
@@ -436,23 +444,7 @@ impl Harness {
                 Err(e) => out
                     .violations
                     .push(format!("remount after {} run failed: {e:?}", fault.label())),
-                Ok((fs2, txs, entries, audit)) => {
-                    out.txs_undone = txs;
-                    out.entries_undone = entries;
-                    self.trace.emit(b.env.now(), || TraceEvent::RecoveryEnd {
-                        txs_undone: txs,
-                        entries_undone: entries,
-                    });
-                    self.absorb_audit(&mut out, audit, b.env.now());
-                    let rep = oracle.check(&*fs2);
-                    out.checks = rep.checks;
-                    out.violations.extend(rep.violations);
-                    if let Err(e) = fs2.unmount() {
-                        out.violations
-                            .push(format!("unmount after recovery failed: {e:?}"));
-                    }
-                    self.stats.recoveries.fetch_add(1, Ordering::Relaxed);
-                }
+                Ok(remounted) => self.check_recovered(&mut out, &oracle, remounted, b.env.now()),
             }
         }
         self.record_run_stats(&out);
