@@ -55,15 +55,23 @@ pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, name: &str) -> Result<Option<(u6
     Ok(None)
 }
 
-/// Lists every live entry.
+/// Lists every live entry, in media order.
 pub fn list(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
-    list_with(mem, charged(dev, mem))
-}
-
-/// [`list`] for the invariant auditor: reads through [`NvmmDevice::peek`],
-/// so it charges no time and moves no counter.
-pub fn list_uncharged(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
-    list_with(mem, uncharged(dev, mem))
+    let mut out = Vec::new();
+    scan_with(mem, charged(dev, mem), |_, entries| {
+        for (_, e) in entries {
+            if e.ino != 0 {
+                out.push(DirEntry {
+                    name: String::from_utf8(e.name)
+                        .map_err(|_| FsError::Corrupted("dirent name utf8"))?,
+                    ino: e.ino,
+                    ftype: FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?,
+                });
+            }
+        }
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Builds the directory's name index ([`NameIndex`]) with one pass over
@@ -72,7 +80,8 @@ pub fn index(dev: &NvmmDevice, mem: &InodeMem) -> Result<NameIndex> {
     index_with(mem, charged(dev, mem))
 }
 
-/// [`index`] for the invariant auditor, read through [`NvmmDevice::peek`].
+/// [`index`] for the invariant auditor: reads through
+/// [`NvmmDevice::peek`], so it charges no time and moves no counter.
 pub fn index_uncharged(dev: &NvmmDevice, mem: &InodeMem) -> Result<NameIndex> {
     index_with(mem, uncharged(dev, mem))
 }
@@ -118,28 +127,6 @@ fn scan_with(
     Ok(())
 }
 
-/// Every live entry in media order.
-fn list_with(
-    mem: &InodeMem,
-    read_block: impl FnMut(u64, &mut [u8]) -> Result<u64>,
-) -> Result<Vec<DirEntry>> {
-    let mut out = Vec::new();
-    scan_with(mem, read_block, |_, entries| {
-        for (_, e) in entries {
-            if e.ino != 0 {
-                out.push(DirEntry {
-                    name: String::from_utf8(e.name)
-                        .map_err(|_| FsError::Corrupted("dirent name utf8"))?,
-                    ino: e.ino,
-                    ftype: FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?,
-                });
-            }
-        }
-        Ok(())
-    })?;
-    Ok(out)
-}
-
 /// The name index of the media: every header, and every live name's
 /// first entry.
 fn index_with(
@@ -165,7 +152,6 @@ fn index_with(
                 index.bind(name, e.ino, ftype, slot);
             }
         }
-        index.resum(first);
         Ok(())
     })?;
     Ok(index)
@@ -223,7 +209,7 @@ pub fn add(
     };
     read_hdrs(dev, 1);
     let base = Layout::block_off(index.pblk(at));
-    let host_at = base + NameIndex::off(at) as u64;
+    let host_at = base + at.off as u64;
     journal.log_range(tx, host_at, HDR)?;
     let slot = if host.ino != 0 {
         // Write the new entry into the used entry's slack, then shrink
@@ -264,7 +250,6 @@ pub fn add(
         at
     };
     index.bind(name, ino, ftype, slot);
-    index.resum(at);
     Ok(())
 }
 
@@ -300,7 +285,6 @@ fn grow(
     index.set(at, Some(new));
     index.set(NameIndex::shifted(at, need), Some(rest));
     index.bind(name, ino, ftype, at);
-    index.resum(at);
     Ok(())
 }
 
@@ -324,7 +308,7 @@ pub fn remove(
         Some((prev_at, prev)) => {
             // Merge into the predecessor.
             read_hdrs(dev, 2);
-            let prev_off = base + NameIndex::off(prev_at) as u64;
+            let prev_off = base + prev_at.off as u64;
             journal.log_range(tx, prev_off, HDR)?;
             let merged = Hdr {
                 rec_len: prev.rec_len + e.rec_len,
@@ -337,7 +321,7 @@ pub fn remove(
         None => {
             // First entry of the block: mark free.
             read_hdrs(dev, 1);
-            let off = base + NameIndex::off(at) as u64;
+            let off = base + at.off as u64;
             journal.log_range(tx, off, HDR)?;
             let free = Hdr::free(e.rec_len as usize);
             dev.write_persist(Cat::Meta, off, &free.encode());
@@ -346,7 +330,6 @@ pub fn remove(
     }
     dev.sfence();
     index.unbind(name);
-    index.resum(at);
     Ok((ino, ftype))
 }
 

@@ -18,7 +18,8 @@
 //!    follows tree depth upward (no cycles).
 //! 3. a directory's `names` mutex (its DRAM name index) — under that
 //!    directory's inode lock, or alone; two at once only in ascending
-//!    inode order (an aborting rename).
+//!    inode order (an aborting rename). An entry edit holds it across
+//!    its journal log and, when the directory grows, its allocation.
 //! 4. journal internal mutex — leaf lock, taken inside transactions.
 //!
 //! Names resolve through the per-directory DRAM name index
@@ -540,13 +541,15 @@ impl Pmfs {
         names: &'n mut Option<NameIndex>,
         state: &InodeMem,
     ) -> Result<&'n mut NameIndex> {
-        if names.is_none() {
-            let index = dir::index(&self.dev, state)?;
-            self.namei.builds.fetch_add(1, Relaxed);
-            self.namei.entries.fetch_add(index.len() as u64, Relaxed);
-            *names = Some(index);
+        match names {
+            Some(index) => Ok(index),
+            unbuilt => {
+                let index = dir::index(&self.dev, state)?;
+                self.namei.builds.fetch_add(1, Relaxed);
+                self.namei.entries.fetch_add(index.len() as u64, Relaxed);
+                Ok(unbuilt.insert(index))
+            }
         }
-        Ok(names.as_mut().expect("built above"))
     }
 
     /// Looks `name` up in directory `dir` (the caller holds its `state`
@@ -588,9 +591,10 @@ impl Pmfs {
     ) -> Result<Option<InodeLogged>> {
         let mut names = dir.names.lock();
         let index = self.index_of(&mut names, state)?;
-        let logged = match index.fits(name.len()) {
-            true => None,
-            false => Some(self.log_inode(tx, dir.ino)?),
+        let logged = if index.fits(name.len()) {
+            None
+        } else {
+            Some(self.log_inode(tx, dir.ino)?)
         };
         let before = index.len();
         dir::add(
@@ -1237,7 +1241,8 @@ impl obsv::Introspect for Pmfs {
         // namei.index: every built name index says exactly what a scan of
         // the directory's blocks would — each name's inode, type and slot
         // (a live header carrying that name), each block's header chain
-        // and free-space summary — and the entries gauge is their sum. Only handles that have an index are locked — the in-band
+        // and free-space summary — and the entries gauge is their sum.
+        // Only handles that have an index are locked — the in-band
         // auditor runs under a *file's* inode lock.
         let mut indexed = 0u64;
         for h in self.icache.cached() {

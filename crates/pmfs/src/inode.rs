@@ -98,12 +98,11 @@ impl InodeMem {
 }
 
 /// Where a directory entry's header sits: directory block and byte
-/// offset. Opaque outside this module and [`crate::dir`], which makes and
-/// reads them.
+/// offset. Opaque outside the crate; [`crate::dir`] makes and reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
     blk: u32,
-    off: u16,
+    pub(crate) off: u16,
 }
 
 /// A dirent header as the media holds it; the name stays in the map.
@@ -147,6 +146,7 @@ impl Hdr {
         self.rec_len as usize - used
     }
 
+    /// The header's on-media bytes.
     pub fn encode(&self) -> [u8; HDR] {
         encode_header(
             self.ino,
@@ -164,12 +164,6 @@ struct BlockSpace {
     pblk: u64,
     hdrs: BTreeMap<u16, Hdr>,
     room: u16,
-}
-
-impl BlockSpace {
-    fn resum(&mut self) {
-        self.room = self.hdrs.values().map(Hdr::slack).max().unwrap_or(0) as u16;
-    }
 }
 
 /// A live name: its inode, type and slot.
@@ -244,11 +238,6 @@ impl NameIndex {
         self.blocks[slot.blk as usize].pblk
     }
 
-    /// Byte offset of `slot` in its block.
-    pub(crate) fn off(slot: Slot) -> usize {
-        slot.off as usize
-    }
-
     /// The header at `slot`.
     pub(crate) fn hdr(&self, slot: Slot) -> Hdr {
         self.blocks[slot.blk as usize].hdrs[&slot.off]
@@ -290,14 +279,15 @@ impl NameIndex {
     }
 
     /// Records a header write: `hdr` now sits at `slot` (`None`: the
-    /// record at `slot` was merged into its predecessor). The caller
-    /// re-sums the block once its edit is done, with [`NameIndex::resum`].
+    /// record at `slot` was merged into its predecessor), and re-sums the
+    /// block's free space.
     pub(crate) fn set(&mut self, slot: Slot, hdr: Option<Hdr>) {
-        let hdrs = &mut self.blocks[slot.blk as usize].hdrs;
+        let b = &mut self.blocks[slot.blk as usize];
         match hdr {
-            Some(h) => hdrs.insert(slot.off, h),
-            None => hdrs.remove(&slot.off),
+            Some(h) => b.hdrs.insert(slot.off, h),
+            None => b.hdrs.remove(&slot.off),
         };
+        b.room = b.hdrs.values().map(Hdr::slack).max().unwrap_or(0) as u16;
     }
 
     /// `slot`, moved `by` bytes further into its block.
@@ -306,11 +296,6 @@ impl NameIndex {
             blk: slot.blk,
             off: slot.off + by as u16,
         }
-    }
-
-    /// Re-computes the free-space summary of `slot`'s block.
-    pub(crate) fn resum(&mut self, slot: Slot) {
-        self.blocks[slot.blk as usize].resum();
     }
 
     /// Binds `name` to `slot` (the first binding wins, as on the media).
