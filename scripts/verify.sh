@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: formatting, lints, build, tests.
+# Tier-1 verification gate: formatting, lints, build, tests, the crash and
+# fuzz drills, the benchmark's modelled rows and the quick figures.
 #
 # Prints the wall time of every stage and the total when it ends (pass or
 # fail), and fails when the two test stages together take longer than
@@ -45,9 +46,10 @@ stage() {
     stage_t0=$SECONDS
 }
 bench_tmp=$(mktemp -t BENCH.XXXXXX.tsv)
+quick_tmp=$(mktemp -t quick.XXXXXX.txt)
 finish() {
     status=$?
-    rm -f "$bench_tmp"
+    rm -f "$bench_tmp" "$quick_tmp"
     stage ""
     echo "verify: wall time per stage"
     for s in "${stages[@]}"; do
@@ -124,6 +126,18 @@ if ! awk -F'\t' '$3 == "modelled"' "$bench_tmp" | cmp -s - BENCH.tsv; then
     exit 1
 fi
 echo "verify: the benchmark's modelled rows equal BENCH.tsv"
+
+# The quick figures run on the virtual clock, so they repeat exactly: they
+# must equal the committed experiments_quick.txt byte for byte.
+stage figures
+run cargo run -q --release $OFFLINE -p hinfs-bench --bin experiments -- --quick >"$quick_tmp"
+if ! cmp -s "$quick_tmp" experiments_quick.txt; then
+    diff -u experiments_quick.txt "$quick_tmp" || true
+    echo "verify: the quick figures differ from experiments_quick.txt; if the change is meant, regenerate it:" >&2
+    echo "  cargo run -q --release -p hinfs-bench --bin experiments -- --quick > experiments_quick.txt" >&2
+    exit 1
+fi
+echo "verify: the quick figures equal experiments_quick.txt"
 stage ""
 tests_s=$((took["workspace tests"] + took["benchmark tests"]))
 if ((tests_s > TEST_BUDGET_S)); then
