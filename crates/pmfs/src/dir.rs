@@ -184,7 +184,7 @@ fn write_entry(dev: &NvmmDevice, at: u64, hdr: Hdr, name: &str) {
 /// is read. The caller must have verified the name is absent and holds
 /// the directory inode lock; inode-core changes (size growth) ride in the
 /// caller's transaction, which must have journaled the core whenever
-/// [`NameIndex::fits`] said no.
+/// `NameIndex::fits` said no.
 ///
 /// Only the header whose `rec_len` changes is journaled. Every other byte
 /// the add writes lies past the end of some record — unreachable from

@@ -98,9 +98,9 @@ impl InodeMem {
 }
 
 /// Where a directory entry's header sits: directory block and byte
-/// offset. Opaque outside the crate; [`crate::dir`] makes and reads them.
+/// offset; [`crate::dir`] makes and reads them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot {
+pub(crate) struct Slot {
     blk: u32,
     pub(crate) off: u16,
 }
@@ -176,7 +176,7 @@ struct Named {
 
 /// A directory's DRAM name index: `name → (ino, ftype)` for every live
 /// on-media entry (the first one, where a damaged image repeats a name),
-/// each with the [`Slot`] of its header, plus every block's header chain
+/// each with the slot of its header, plus every block's header chain
 /// and free-space summary — what an entry edit needs, so it never reads
 /// the block it edits.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -202,13 +202,13 @@ impl NameIndex {
     }
 
     /// Where `name`'s header sits.
-    pub fn slot(&self, name: &str) -> Option<Slot> {
+    pub(crate) fn slot(&self, name: &str) -> Option<Slot> {
         self.names.get(name).map(|n| n.slot)
     }
 
     /// Names, blocks or summaries in which `self` and `media` (an index
     /// built from the blocks) disagree.
-    pub fn differences(&self, media: &NameIndex) -> u64 {
+    pub(crate) fn differences(&self, media: &NameIndex) -> u64 {
         let stale = self
             .names
             .iter()
@@ -273,7 +273,7 @@ impl NameIndex {
     }
 
     /// Whether an entry for an `n`-byte name fits without growing.
-    pub fn fits(&self, n: usize) -> bool {
+    pub(crate) fn fits(&self, n: usize) -> bool {
         let need = entry_len(n);
         self.blocks.iter().any(|b| b.room as usize >= need)
     }
