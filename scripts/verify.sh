@@ -130,7 +130,8 @@ echo "verify: the benchmark's modelled rows equal BENCH.tsv"
 # The quick figures run on the virtual clock, so they repeat exactly: they
 # must equal the committed experiments_quick.txt byte for byte.
 stage figures
-run cargo run -q --release $OFFLINE -p hinfs-bench --bin experiments -- --quick >"$quick_tmp"
+echo "verify: experiments --quick"
+cargo run -q --release $OFFLINE -p hinfs-bench --bin experiments -- --quick >"$quick_tmp"
 if ! cmp -s "$quick_tmp" experiments_quick.txt; then
     diff -u experiments_quick.txt "$quick_tmp" || true
     echo "verify: the quick figures differ from experiments_quick.txt; if the change is meant, regenerate it:" >&2
