@@ -98,8 +98,9 @@ run cargo run --release $OFFLINE --example crash_recovery
 # Coverage-guided fuzz soak: a seed- and iteration-capped campaign that
 # must (1) be byte-reproducible, (2) reach strictly more coverage than
 # replaying the scripted seed corpus, with zero violations, and (3) catch
-# a deliberately planted reference-model bug and shrink it to the exact
-# committed fixture (the negative test proving the gate gates).
+# a deliberately planted reference-model bug in at least half of a fixed
+# set of campaigns and shrink it to the exact committed fixture (the
+# negative test proving the gate gates).
 run scripts/fuzz_soak.sh $OFFLINE
 
 stage inspect
