@@ -25,6 +25,57 @@ pub fn entry_len(n: usize) -> usize {
     align4(HDR + n)
 }
 
+/// An entry header as the media holds it; the name follows it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Target inode; 0 marks free space.
+    pub ino: u64,
+    /// Total record length including padding.
+    pub rec_len: u16,
+    /// Name length (0 for free records).
+    pub name_len: u8,
+    /// On-media file type byte.
+    pub ftype: u8,
+}
+
+impl Header {
+    /// A free record of `rec_len` bytes.
+    pub fn free(rec_len: usize) -> Header {
+        Header::live(0, rec_len, "", 0)
+    }
+
+    /// The header of entry `name -> ino` in a record of `rec_len` bytes.
+    pub fn live(ino: u64, rec_len: usize, name: &str, ftype: u8) -> Header {
+        Header {
+            ino,
+            rec_len: rec_len as u16,
+            name_len: name.len() as u8,
+            ftype,
+        }
+    }
+
+    /// Bytes the record holds beyond what its entry uses: all of it for a
+    /// free record, the padding after the name for a live one.
+    pub fn slack(&self) -> usize {
+        let used = if self.ino == 0 {
+            0
+        } else {
+            entry_len(self.name_len as usize)
+        };
+        self.rec_len as usize - used
+    }
+
+    /// The header's on-media bytes.
+    pub fn encode(&self) -> [u8; HDR] {
+        encode_header(
+            self.ino,
+            self.rec_len as usize,
+            self.name_len as usize,
+            self.ftype,
+        )
+    }
+}
+
 /// A decoded directory entry record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawEntry {
@@ -36,6 +87,18 @@ pub struct RawEntry {
     pub ftype: u8,
     /// Name bytes (empty for free records).
     pub name: Vec<u8>,
+}
+
+impl RawEntry {
+    /// The record's header.
+    pub fn header(&self) -> Header {
+        Header {
+            ino: self.ino,
+            rec_len: self.rec_len as u16,
+            name_len: self.name.len() as u8,
+            ftype: self.ftype,
+        }
+    }
 }
 
 /// Encodes an entry header.

@@ -11,24 +11,24 @@
 //! 12..   name bytes, padded to rec_len
 //! ```
 //!
-//! Modifications journal the entry header whose `rec_len` they rewrite
-//! through the caller's transaction, so a crash can never leave a broken
-//! entry chain. They find their slot through the directory's DRAM name
-//! index ([`NameIndex`]) and never read the block they edit; lookups,
+//! Modifications journal the entry bytes a chain reaches that they
+//! rewrite through the caller's transaction, so a crash can never leave a
+//! broken entry chain. They find their slot through the directory's DRAM
+//! name index ([`NameIndex`]) and never read the block they edit;
 //! listings and the index build scan the media.
 
-use fskit::dirent::RawEntry;
+use fskit::dirent::{init_block, Header};
 use fskit::{DirEntry, FileType, FsError, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
 use obsv::Phase;
 
 use crate::alloc::Allocator;
-use crate::inode::{Hdr, InodeMem, NameIndex};
+use crate::inode::{InodeMem, NameIndex};
 use crate::journal::{Journal, TxHandle};
 use crate::layout::Layout;
 use crate::tree;
 
-pub use fskit::dirent::{encode_header, entry_len, parse_block, HDR};
+pub use fskit::dirent::{encode_header, entry_len, parse_block, RawEntry, HDR};
 
 /// Number of directory data blocks (directories always grow in whole
 /// blocks).
@@ -36,29 +36,17 @@ fn dir_blocks(mem: &InodeMem) -> u64 {
     mem.size / BLOCK_SIZE as u64
 }
 
-/// Looks up `name` by scanning the media, returning its inode number and
-/// type. The reference the DRAM name index ([`crate::inode::NameIndex`]) is
-/// built to agree with; the file system itself resolves names through the
-/// index.
+/// Looks up `name` on the media, returning its inode number and type:
+/// the reference the DRAM name index is built to agree with (the file
+/// system itself resolves names through the index).
 pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, name: &str) -> Result<Option<(u64, FileType)>> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for iblk in 0..dir_blocks(mem) {
-        let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
-        dev.read(Cat::Meta, Layout::block_off(pblk), &mut buf);
-        for (_, e) in parse_block(&buf)? {
-            if e.ino != 0 && e.name == name.as_bytes() {
-                let ftype = FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?;
-                return Ok(Some((e.ino, ftype)));
-            }
-        }
-    }
-    Ok(None)
+    Ok(index(dev, mem)?.get(name))
 }
 
 /// Lists every live entry, in media order.
 pub fn list(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
     let mut out = Vec::new();
-    scan_with(mem, charged(dev, mem), |_, entries| {
+    scan(dev, mem, true, |_, entries| {
         for (_, e) in entries {
             if e.ino != 0 {
                 out.push(DirEntry {
@@ -77,51 +65,37 @@ pub fn list(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
 /// Builds the directory's name index ([`NameIndex`]) with one pass over
 /// its blocks, at that pass's full NVMM-read cost.
 pub fn index(dev: &NvmmDevice, mem: &InodeMem) -> Result<NameIndex> {
-    index_with(mem, charged(dev, mem))
+    index_with(dev, mem, true)
 }
 
 /// [`index`] for the invariant auditor: reads through
 /// [`NvmmDevice::peek`], so it charges no time and moves no counter.
 pub fn index_uncharged(dev: &NvmmDevice, mem: &InodeMem) -> Result<NameIndex> {
-    index_with(mem, uncharged(dev, mem))
+    index_with(dev, mem, false)
 }
 
-/// Reads directory block `iblk` into the buffer and returns its physical
-/// number: the charged read every scan of the media pays.
-fn charged<'a>(
-    dev: &'a NvmmDevice,
-    mem: &'a InodeMem,
-) -> impl FnMut(u64, &mut [u8]) -> Result<u64> + 'a {
-    move |iblk, buf| {
-        let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
-        dev.read(Cat::Meta, Layout::block_off(pblk), buf);
-        Ok(pblk)
-    }
-}
-
-/// [`charged`] through [`NvmmDevice::peek`].
-fn uncharged<'a>(
-    dev: &'a NvmmDevice,
-    mem: &'a InodeMem,
-) -> impl FnMut(u64, &mut [u8]) -> Result<u64> + 'a {
-    move |iblk, buf| {
-        let pblk = tree::lookup_uncharged(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
-        dev.peek(Layout::block_off(pblk), buf);
-        Ok(pblk)
-    }
-}
-
-/// Parses every directory block in order: `read_block` fills the buffer
-/// with block `iblk` and returns its physical number, `each` takes that
-/// number and the block's records.
-fn scan_with(
+/// Parses every directory block in order, read charged (`charge`) or
+/// through [`NvmmDevice::peek`]; `each` takes the block's physical number
+/// and its records.
+fn scan(
+    dev: &NvmmDevice,
     mem: &InodeMem,
-    mut read_block: impl FnMut(u64, &mut [u8]) -> Result<u64>,
+    charge: bool,
     mut each: impl FnMut(u64, Vec<(usize, RawEntry)>) -> Result<()>,
 ) -> Result<()> {
     let mut buf = vec![0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
-        let pblk = read_block(iblk, &mut buf)?;
+        let pblk = if charge {
+            tree::lookup(dev, mem, iblk)
+        } else {
+            tree::lookup_uncharged(dev, mem, iblk)
+        }
+        .ok_or(FsError::Corrupted("dir hole"))?;
+        if charge {
+            dev.read(Cat::Meta, Layout::block_off(pblk), &mut buf);
+        } else {
+            dev.peek(Layout::block_off(pblk), &mut buf);
+        }
         each(pblk, parse_block(&buf)?)?;
     }
     Ok(())
@@ -129,22 +103,13 @@ fn scan_with(
 
 /// The name index of the media: every header, and every live name's
 /// first entry.
-fn index_with(
-    mem: &InodeMem,
-    read_block: impl FnMut(u64, &mut [u8]) -> Result<u64>,
-) -> Result<NameIndex> {
+fn index_with(dev: &NvmmDevice, mem: &InodeMem, charge: bool) -> Result<NameIndex> {
     let mut index = NameIndex::default();
-    scan_with(mem, read_block, |pblk, entries| {
+    scan(dev, mem, charge, |pblk, entries| {
         let first = index.push_block(pblk);
         for (off, e) in entries {
             let slot = NameIndex::shifted(first, off);
-            let hdr = Hdr {
-                ino: e.ino,
-                rec_len: e.rec_len as u16,
-                name_len: e.name.len() as u8,
-                ftype: e.ftype,
-            };
-            index.set(slot, Some(hdr));
+            index.set(slot, Some(e.header()));
             if e.ino != 0 {
                 let name = std::str::from_utf8(&e.name)
                     .map_err(|_| FsError::Corrupted("dirent name utf8"))?;
@@ -169,9 +134,9 @@ fn read_hdrs(dev: &NvmmDevice, n: usize) {
         .scope(Phase::Index, || env.charge_dram_copy(Cat::Meta, n * HDR));
 }
 
-/// Writes entry `name -> ino` as a record of `rec_len` bytes at `at`:
-/// header, name, and zeroes to the record's end.
-fn write_entry(dev: &NvmmDevice, at: u64, hdr: Hdr, name: &str) {
+/// Writes entry `name` with header `hdr` at `at`: header, name, and
+/// zeroes to the record's end.
+fn write_entry(dev: &NvmmDevice, at: u64, hdr: Header, name: &str) {
     let mut rec = Vec::with_capacity(hdr.rec_len as usize);
     rec.extend_from_slice(&hdr.encode());
     rec.extend_from_slice(name.as_bytes());
@@ -184,7 +149,7 @@ fn write_entry(dev: &NvmmDevice, at: u64, hdr: Hdr, name: &str) {
 /// is read. The caller must have verified the name is absent and holds
 /// the directory inode lock; inode-core changes (size growth) ride in the
 /// caller's transaction, which must have journaled the core whenever
-/// `NameIndex::fits` said no.
+/// [`NameIndex::host`] finds no record with room for the entry.
 ///
 /// Only the header whose `rec_len` changes is journaled. Every other byte
 /// the add writes lies past the end of some record — unreachable from
@@ -216,10 +181,10 @@ pub fn add(
         // the host to its minimal length (the split point) last.
         let used = host.rec_len as usize - host.slack();
         let slot = NameIndex::shifted(at, used);
-        let new = Hdr::live(ino, host.slack(), name, ftype);
+        let new = Header::live(ino, host.slack(), name, ftype.as_u8());
         write_entry(dev, host_at + used as u64, new, name);
         dev.sfence();
-        let shrunk = Hdr {
+        let shrunk = Header {
             rec_len: used as u16,
             ..host
         };
@@ -238,12 +203,12 @@ pub fn add(
             (free_len, 0)
         };
         if rest > 0 {
-            let rest_hdr = Hdr::free(rest);
+            let rest_hdr = Header::free(rest);
             dev.write_persist(Cat::Meta, host_at + claim_len as u64, &rest_hdr.encode());
             dev.sfence();
             index.set(NameIndex::shifted(at, claim_len), Some(rest_hdr));
         }
-        let new = Hdr::live(ino, claim_len, name, ftype);
+        let new = Header::live(ino, claim_len, name, ftype.as_u8());
         write_entry(dev, host_at, new, name);
         dev.sfence();
         index.set(at, Some(new));
@@ -266,12 +231,9 @@ fn grow(
 ) -> Result<()> {
     let need = entry_len(name.len());
     let pblk = alloc.alloc()?;
-    let new = Hdr::live(ino, need, name, ftype);
-    let rest = Hdr::free(BLOCK_SIZE - need);
-    let mut block = vec![0u8; BLOCK_SIZE];
-    block[0..HDR].copy_from_slice(&new.encode());
-    block[HDR..HDR + name.len()].copy_from_slice(name.as_bytes());
-    block[need..need + HDR].copy_from_slice(&rest.encode());
+    let new = Header::live(ino, need, name, ftype.as_u8());
+    let rest = Header::free(BLOCK_SIZE - need);
+    let block = init_block(BLOCK_SIZE, ino, name, ftype.as_u8());
     dev.write_persist(Cat::Meta, Layout::block_off(pblk), &block);
     dev.sfence();
     let iblk = dir_blocks(mem);
@@ -310,7 +272,7 @@ pub fn remove(
             read_hdrs(dev, 2);
             let prev_off = base + prev_at.off as u64;
             journal.log_range(tx, prev_off, HDR)?;
-            let merged = Hdr {
+            let merged = Header {
                 rec_len: prev.rec_len + e.rec_len,
                 ..prev
             };
@@ -323,7 +285,7 @@ pub fn remove(
             read_hdrs(dev, 1);
             let off = base + at.off as u64;
             journal.log_range(tx, off, HDR)?;
-            let free = Hdr::free(e.rec_len as usize);
+            let free = Header::free(e.rec_len as usize);
             dev.write_persist(Cat::Meta, off, &free.encode());
             index.set(at, Some(free));
         }
@@ -331,6 +293,40 @@ pub fn remove(
     dev.sfence();
     index.unbind(name);
     Ok((ino, ftype))
+}
+
+/// Renames entry `from` to `to` in place, found through `index` (exact
+/// for this directory; updated here), when `to`'s entry fits `from`'s
+/// record; returns `false`, touching nothing, when it does not. The
+/// header and the new name are journaled and rewritten; the record keeps
+/// its length, so the chain does not change. The caller must have
+/// verified `to` is absent.
+pub fn rename(
+    dev: &NvmmDevice,
+    journal: &Journal,
+    tx: &TxHandle,
+    index: &mut NameIndex,
+    from: &str,
+    to: &str,
+) -> Result<bool> {
+    let ((ino, ftype), at) = index
+        .get(from)
+        .zip(index.slot(from))
+        .ok_or(FsError::NotFound)?;
+    let rec_len = index.hdr(at).rec_len as usize;
+    if entry_len(to.len()) > rec_len {
+        return Ok(false);
+    }
+    read_hdrs(dev, 1);
+    let off = Layout::block_off(index.pblk(at)) + at.off as u64;
+    journal.log_range(tx, off, HDR + to.len())?;
+    let new = Header::live(ino, rec_len, to, ftype.as_u8());
+    dev.write_persist(Cat::Meta, off, &[&new.encode()[..], to.as_bytes()].concat());
+    dev.sfence();
+    index.set(at, Some(new));
+    index.unbind(from);
+    index.bind(to, ino, ftype, at);
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -89,9 +89,14 @@ impl InodeLogged {
     }
 }
 
-/// Undo slots a rename sets aside: one per entry header it edits, plus a
-/// grown directory's core.
-const RENAME_UNDO_SLOTS: u64 = 2 + INODE_CORE.div_ceil(crate::journal::PAYLOAD) as u64;
+/// Undo slots a rename to an `n`-byte name sets aside. In place it logs
+/// the entry's header and the new name; as a move, at worst the removed
+/// entry's predecessor header and a grown directory's core (an add that
+/// fits logs one header instead of the core).
+fn rename_undo_slots(n: usize) -> u64 {
+    let payload = crate::journal::PAYLOAD;
+    (1 + INODE_CORE.div_ceil(payload)).max((dir::HDR + n).div_ceil(payload)) as u64
+}
 
 /// Name-index activity, reported as `pmfs_namei_*`.
 #[derive(Debug, Default)]
@@ -348,18 +353,32 @@ impl Pmfs {
                 (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
             }
         }
-        // Undo slots for every log below (two entry headers and a grown
-        // directory's core) are set aside up front: past the first entry
-        // edit, nothing can fail on a full ring.
-        let tx = self.journal.begin_reserving(RENAME_UNDO_SLOTS)?;
+        // Undo slots for every log below are set aside up front: past the
+        // first entry edit, nothing can fail on a full ring.
+        let tx = self
+            .journal
+            .begin_reserving(rename_undo_slots(dst_name.len()))?;
         let res = (|| -> Result<()> {
             if Arc::ptr_eq(&src_parent, &dst_parent) {
-                // Add before remove: the new entry may only land on bytes
-                // no record reached when the transaction began — the
-                // removed entry's are not, once merged into its neighbour.
+                // In place when the new name fits the old record, so a
+                // full directory does not grow. Otherwise add before
+                // remove: the new entry may only land on bytes no record
+                // reached when the transaction began — the removed
+                // entry's are not, once merged into its neighbour.
                 let mut pstate = src_parent.state.write();
-                let logged = self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
-                self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
+                let in_place = {
+                    let mut names = src_parent.names.lock();
+                    let index = self.index_of(&mut names, &pstate)?;
+                    dir::rename(&self.dev, &self.journal, &tx, index, src_name, dst_name)?
+                };
+                let logged = if in_place {
+                    None
+                } else {
+                    let logged =
+                        self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
+                    self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
+                    logged
+                };
                 self.stamp_dir(&tx, src_parent.ino, &mut pstate, logged);
                 return Ok(());
             }
@@ -591,10 +610,9 @@ impl Pmfs {
     ) -> Result<Option<InodeLogged>> {
         let mut names = dir.names.lock();
         let index = self.index_of(&mut names, state)?;
-        let logged = if index.fits(name.len()) {
-            None
-        } else {
-            Some(self.log_inode(tx, dir.ino)?)
+        let logged = match index.host(dir::entry_len(name.len())) {
+            Some(_) => None,
+            None => Some(self.log_inode(tx, dir.ino)?),
         };
         let before = index.len();
         dir::add(

@@ -839,3 +839,93 @@ fn creates_and_unlinks_read_no_directory_block() {
     );
     assert!(fs.audit().is_clean());
 }
+
+/// `/d` holding 256 entries of 16 bytes: its one block, with no slack.
+fn full_dir(fs: &Pmfs) {
+    fs.mkdir("/d").unwrap();
+    for i in 0..256 {
+        touch(fs, &format!("/d/a{i:03}"));
+    }
+    assert_eq!(fs.stat("/d").unwrap().blocks, 1);
+}
+
+/// A same-directory rename whose new name fits the old record rewrites
+/// that record in place: a full directory does not grow, and the header
+/// with the name is the one undo image.
+#[test]
+fn a_same_length_rename_in_a_full_directory_does_not_grow_it() {
+    let (_dev, fs) = fresh();
+    full_dir(&fs);
+    let (free0, undo0) = (
+        fs.free_blocks(),
+        fs.journal().stats().snapshot().undo_entries,
+    );
+    fs.rename("/d/a100", "/d/b100").unwrap();
+    assert_eq!(fs.stat("/d").unwrap().blocks, 1);
+    assert_eq!(fs.free_blocks(), free0);
+    assert_eq!(fs.journal().stats().snapshot().undo_entries - undo0, 1);
+    assert_eq!(fs.stat("/d/a100"), Err(FsError::NotFound));
+    assert!(fs.stat("/d/b100").is_ok());
+    assert_eq!(fs.readdir("/d").unwrap().len(), 256);
+    assert!(fs.audit().is_clean(), "{}", fs.audit().to_json());
+}
+
+/// A same-directory rename to a name its record cannot hold adds the new
+/// entry first and then removes the old one; a crash at any persistence
+/// boundary of it, clean or torn, recovers to one of the two listings.
+/// Here `c` follows the record `b` was merged into: removed first, `c`
+/// would be merged there too, and the new entry, laid over the gap, would
+/// overwrite `c`'s header, which a rollback then points at again.
+#[test]
+fn a_rename_that_outgrows_its_record_survives_a_crash_at_every_boundary() {
+    let long = "c-longername";
+    let names = |fs: &Pmfs| {
+        let mut v: Vec<String> = fs
+            .readdir("/d")
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        v.sort();
+        v
+    };
+    let before = ["a", "c", "d"].map(String::from).to_vec();
+    let after = ["a", long, "d"].map(String::from).to_vec();
+    let mut crashed = 0;
+    for k in 1.. {
+        for torn in [None, Some(0x7e57 ^ k)] {
+            let (dev, fs) = fresh();
+            fs.mkdir("/d").unwrap();
+            for n in ["a", "b", "c", "d"] {
+                touch(&fs, &format!("/d/{n}"));
+            }
+            fs.unlink("/d/b").unwrap();
+            let plan = FaultPlan::new();
+            dev.fault_hook().install(plan.clone());
+            plan.arm_crash(k);
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fs.rename("/d/c", &format!("/d/{long}"))
+            }));
+            dev.fault_hook().clear();
+            let Err(payload) = res else {
+                assert_eq!(names(&fs), after);
+                assert!(crashed > 0);
+                return;
+            };
+            assert!(payload.downcast_ref::<nvmm::CrashSignal>().is_some());
+            crashed += 1;
+            drop(fs);
+            match torn {
+                Some(seed) => _ = dev.crash_partial(seed),
+                None => dev.crash(),
+            }
+            let fs = Pmfs::mount(dev).unwrap();
+            let got = fs.readdir("/d").map(|_| names(&fs));
+            assert!(
+                got == Ok(before.clone()) || got == Ok(after.clone()),
+                "k={k} torn={torn:?}: {got:?}"
+            );
+            assert!(fs.audit().is_clean(), "k={k}: {}", fs.audit().to_json());
+        }
+    }
+}

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use fskit::dirent::{encode_header, entry_len, HDR};
+use fskit::dirent::Header;
 use fskit::{FileType, FsError, Result};
 use nvmm::{Cat, NvmmDevice};
 use obsv::{Site, TrackedMutex};
@@ -105,64 +105,12 @@ pub(crate) struct Slot {
     pub(crate) off: u16,
 }
 
-/// A dirent header as the media holds it; the name stays in the map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Hdr {
-    pub ino: u64,
-    pub rec_len: u16,
-    pub name_len: u8,
-    pub ftype: u8,
-}
-
-impl Hdr {
-    /// A free record of `rec_len` bytes.
-    pub fn free(rec_len: usize) -> Hdr {
-        Hdr {
-            ino: 0,
-            rec_len: rec_len as u16,
-            name_len: 0,
-            ftype: 0,
-        }
-    }
-
-    /// The header of a live entry.
-    pub fn live(ino: u64, rec_len: usize, name: &str, ftype: FileType) -> Hdr {
-        Hdr {
-            ino,
-            rec_len: rec_len as u16,
-            name_len: name.len() as u8,
-            ftype: ftype.as_u8(),
-        }
-    }
-
-    /// Bytes the record holds beyond what its entry uses: all of it for a
-    /// free record, the padding after the name for a live one.
-    pub fn slack(&self) -> usize {
-        let used = if self.ino == 0 {
-            0
-        } else {
-            entry_len(self.name_len as usize)
-        };
-        self.rec_len as usize - used
-    }
-
-    /// The header's on-media bytes.
-    pub fn encode(&self) -> [u8; HDR] {
-        encode_header(
-            self.ino,
-            self.rec_len as usize,
-            self.name_len as usize,
-            self.ftype,
-        )
-    }
-}
-
 /// One directory block: its physical number, the DRAM copy of its header
-/// chain, and the free-space summary — the largest [`Hdr::slack`] in it.
+/// chain, and the free-space summary — the largest [`Header::slack`] in it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct BlockSpace {
     pblk: u64,
-    hdrs: BTreeMap<u16, Hdr>,
+    hdrs: BTreeMap<u16, Header>,
     room: u16,
 }
 
@@ -239,12 +187,12 @@ impl NameIndex {
     }
 
     /// The header at `slot`.
-    pub(crate) fn hdr(&self, slot: Slot) -> Hdr {
+    pub(crate) fn hdr(&self, slot: Slot) -> Header {
         self.blocks[slot.blk as usize].hdrs[&slot.off]
     }
 
     /// The header before `slot` in its block (`None`: it is the first).
-    pub(crate) fn before(&self, slot: Slot) -> Option<(Slot, Hdr)> {
+    pub(crate) fn before(&self, slot: Slot) -> Option<(Slot, Header)> {
         let (&off, &hdr) = self.blocks[slot.blk as usize]
             .hdrs
             .range(..slot.off)
@@ -256,7 +204,7 @@ impl NameIndex {
     /// where a media scan would put a new entry — or `None`: the
     /// directory must grow. Blocks whose summary is short are skipped
     /// unread.
-    pub(crate) fn host(&self, need: usize) -> Option<(Slot, Hdr)> {
+    pub(crate) fn host(&self, need: usize) -> Option<(Slot, Header)> {
         self.blocks.iter().enumerate().find_map(|(blk, b)| {
             if (b.room as usize) < need {
                 return None;
@@ -272,22 +220,16 @@ impl NameIndex {
         })
     }
 
-    /// Whether an entry for an `n`-byte name fits without growing.
-    pub(crate) fn fits(&self, n: usize) -> bool {
-        let need = entry_len(n);
-        self.blocks.iter().any(|b| b.room as usize >= need)
-    }
-
     /// Records a header write: `hdr` now sits at `slot` (`None`: the
     /// record at `slot` was merged into its predecessor), and re-sums the
     /// block's free space.
-    pub(crate) fn set(&mut self, slot: Slot, hdr: Option<Hdr>) {
+    pub(crate) fn set(&mut self, slot: Slot, hdr: Option<Header>) {
         let b = &mut self.blocks[slot.blk as usize];
         match hdr {
             Some(h) => b.hdrs.insert(slot.off, h),
             None => b.hdrs.remove(&slot.off),
         };
-        b.room = b.hdrs.values().map(Hdr::slack).max().unwrap_or(0) as u16;
+        b.room = b.hdrs.values().map(Header::slack).max().unwrap_or(0) as u16;
     }
 
     /// `slot`, moved `by` bytes further into its block.

@@ -399,8 +399,8 @@ impl Journal {
     /// besides its commit slot: logging up to that many entries in it
     /// cannot fail with [`FsError::JournalFull`], whatever other
     /// transactions log in between. The handle carries the slots; those it
-    /// does not use are released when it resolves. Crate-private: the one
-    /// user is [`crate::Pmfs::begin_inode_update`].
+    /// does not use are released when it resolves. Crate-private: the
+    /// users are [`crate::Pmfs::begin_inode_update`] and rename.
     pub(crate) fn begin_reserving(&self, undo_entries: u64) -> Result<TxHandle> {
         self.span(|| {
             if nvmm::fault::journal_blocked(&self.dev) {

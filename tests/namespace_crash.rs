@@ -3,8 +3,9 @@
 //! directory, plus the create that grows the (empty) root by a block.
 //!
 //! Entry edits find their slot through the DRAM name index and journal
-//! only the header whose `rec_len` they rewrite; the parent's mtime is an
-//! unjournaled 8-byte store. Each case crashes at **every** persistence
+//! only the header whose `rec_len` they rewrite (a rename in place: the
+//! header and the new name); the parent's mtime is an unjournaled 8-byte
+//! store. Each case crashes at **every** persistence
 //! boundary of its last op, clean and with the volatile store buffer
 //! torn. After each recovery the harness checks that the root's dirent
 //! chain parses (the oracle's `readdir /`), that the exact oracle is
@@ -73,7 +74,10 @@ const CASES: &[Case] = &[
         ops: &["create f0", "create f1", "create f2", "rename f2 f3"],
     },
     // The source follows a freed entry: removing it first would merge
-    // it into a record the new name then lands in, over its header.
+    // it into a record the new name then lands in, over its header. The
+    // script's names are all one length, so each rename here rewrites
+    // its record in place; pmfs's own tests crash the add-then-remove
+    // rename a longer name takes.
     Case {
         name: "rename after a freed entry",
         ops: &[
