@@ -23,13 +23,13 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use fskit::{DirEntry, Fd, FileSystem, FsError, MmapHandle, OpenFlags, Result, Stat};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE, CACHELINE};
 use obsv::{FsObs, OpKind, Phase, Site, TraceEvent, TrackedMutex};
-use pmfs::inode::InodeMem;
-use pmfs::{Layout, Pmfs, PmfsOptions, TxHandle};
+use pmfs::inode::{InodeHandle, InodeMem};
+use pmfs::{Layout, Pmfs, PmfsOptions, TxHandle, VolatileLayer};
 
 use crate::buffer::{covered_mask, range_mask, runs, Shared, FULL_MASK};
 use crate::checker;
@@ -95,6 +95,8 @@ impl Hinfs {
             cfg,
         });
         fs.wb.attach_contention(fs.env.contention());
+        let layer: Weak<Hinfs> = Arc::downgrade(&fs);
+        fs.inner.attach_layer(layer);
         // Journal commits land on the same trace timeline as writeback.
         fs.inner.journal().set_trace(fs.obs.trace.clone());
         fs.start_background();
@@ -162,17 +164,6 @@ impl Hinfs {
         let dt = self.env.now().saturating_sub(t0);
         if dt > 0 {
             c.stall(site, dt);
-        }
-    }
-
-    /// Relieves journal pressure before a namespace operation delegates to
-    /// PMFS: open lazy transactions are what pins the ring, and only HiNFS
-    /// can flush them.
-    fn relieve_for_namespace(&self) {
-        if self.inner.journal().free_entries() < Self::NS_HEADROOM {
-            let t0 = self.env.now();
-            self.flush_all_opportunistic();
-            self.note_stall(Site::StallJournalFull, t0);
         }
     }
 
@@ -625,8 +616,17 @@ impl Hinfs {
 
     /// Flushes the file's dirty buffered blocks, commits its ordered
     /// transactions, and (when `eval_bbm`) runs the Buffer Benefit Model
-    /// for the involved blocks. Caller holds the inode write lock.
+    /// for the involved blocks; then the in-band auditor runs. Caller
+    /// holds the inode write lock.
     pub(crate) fn fsync_core(&self, ino: u64, state: &mut InodeMem, eval_bbm: bool) -> Result<()> {
+        self.quiesce(ino, state, eval_bbm)?;
+        self.maybe_audit();
+        Ok(())
+    }
+
+    /// [`Hinfs::fsync_core`] without the audit, for a caller inside a
+    /// transaction of its own, which no file's queue holds.
+    fn quiesce(&self, ino: u64, state: &mut InodeMem, eval_bbm: bool) -> Result<()> {
         let now = self.env.now();
         let mut sh = self.shard(ino).lock();
         // Collect this file's dirty blocks and their flush sizes (N_cf).
@@ -704,7 +704,6 @@ impl Hinfs {
         }
         drop(sh);
         self.dev().sfence();
-        self.maybe_audit();
         Ok(())
     }
 
@@ -730,70 +729,6 @@ impl Hinfs {
             tracker::force_commit_all(&mut file, self.inner.journal(), &self.obs, &self.stats);
         }
     }
-
-    fn truncate_impl(&self, fd: Fd, size: u64) -> Result<()> {
-        self.env.charge_syscall();
-        let of = self.inner.open_file(fd)?;
-        if !of.flags.writable() {
-            return Err(FsError::BadFd);
-        }
-        let mut guard = of.handle.state.write();
-        if size != 0 {
-            // Quiesce the file's ordered transactions before this one
-            // opens, so that its buffered state can be dropped entirely
-            // (simple and safe; partial truncate is rare in the evaluated
-            // workloads).
-            self.fsync_core(of.ino, &mut guard, false)?;
-        }
-        // The last step a full ring can refuse, and nothing has changed
-        // yet: dropped buffers and a cut tree cannot be taken back.
-        let tx = self.begin_tx(of.ino, &mut guard)?;
-        // Truncate-to-zero (log rotation) is a delete of the contents:
-        // like unlink, the buffered data need never reach NVMM.
-        // drop_buffers force-commits the open transactions (safe: the
-        // never-flushed blocks are holes, and the truncate transaction
-        // supersedes the sizes anyway).
-        self.drop_buffers(of.ino);
-        // Extending over the old tail block must expose zeroes even where
-        // the flush path left stale bytes past the old EOF.
-        let old_size = guard.size;
-        if size > old_size && old_size % BLOCK_SIZE as u64 != 0 {
-            if let Some(pblk) = pmfs::tree::lookup(self.dev(), &guard, old_size / BLOCK_SIZE as u64)
-            {
-                let in_blk = (old_size % BLOCK_SIZE as u64) as usize;
-                let len = (BLOCK_SIZE - in_blk).min((size - old_size) as usize);
-                self.dev().zero_persist(
-                    Cat::UserWrite,
-                    Layout::block_off(pblk) + in_blk as u64,
-                    len,
-                );
-            }
-        }
-        let res = (|| -> Result<Option<pmfs::tree::Emptied>> {
-            let emptied = pmfs::file::truncate(
-                self.dev(),
-                self.inner.allocator(),
-                &mut guard,
-                size,
-                self.env.now(),
-            )?;
-            if emptied.is_some() {
-                let snap = *guard;
-                self.inner.log_write_inode(&tx, of.ino, &snap)?;
-            }
-            Ok(emptied)
-        })();
-        match res {
-            Ok(emptied) => {
-                self.inner.commit_recycling(tx, emptied);
-                Ok(())
-            }
-            Err(e) => {
-                self.inner.journal().abort(tx);
-                Err(e)
-            }
-        }
-    }
 }
 
 /// Clips the byte span of a line run to `[in_blk, in_blk+chunk)`; returns
@@ -815,25 +750,14 @@ impl FileSystem for Hinfs {
         }
     }
 
+    // Namespace ops and truncate are PMFS's: it calls back into this
+    // mount as its `VolatileLayer`.
     fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        self.obs.op(OpKind::Open, || {
-            self.relieve_for_namespace();
-            // O_TRUNC drops the file's buffers inside PMFS's truncate.
-            self.inner
-                .open_with(path, flags, |h| self.drop_buffers(h.ino))
-        })
+        self.inner.open(path, flags)
     }
 
     fn close(&self, fd: Fd) -> Result<()> {
-        self.obs.op(OpKind::Close, || {
-            // The final close of an unlinked file frees it inside PMFS,
-            // which needs journal space.
-            self.relieve_for_namespace();
-            // PMFS decides "last descriptor of an unlinked file" atomically
-            // with the descriptor count; what the buffer still holds for
-            // the inode dies with it.
-            self.inner.close_with(fd, |h| self.drop_buffers(h.ino))
-        })
+        self.inner.close(fd)
     }
 
     fn read(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
@@ -868,27 +792,18 @@ impl FileSystem for Hinfs {
     }
 
     fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
-        self.obs
-            .op(OpKind::Truncate, || self.truncate_impl(fd, size))
+        self.inner.truncate(fd, size)
     }
 
     fn unlink(&self, path: &str) -> Result<()> {
-        self.obs.op(OpKind::Unlink, || {
-            self.relieve_for_namespace();
-            // When nobody has the file open it dies in this call, and its
-            // buffered data with it ("writes to files that are later
-            // deleted do not need to be performed").
-            self.inner.unlink_with(path, |h| self.drop_buffers(h.ino))
-        })
+        self.inner.unlink(path)
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
-        self.relieve_for_namespace();
         self.inner.mkdir(path)
     }
 
     fn rmdir(&self, path: &str) -> Result<()> {
-        self.relieve_for_namespace();
         self.inner.rmdir(path)
     }
 
@@ -905,12 +820,7 @@ impl FileSystem for Hinfs {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.relieve_for_namespace();
-        // A replaced file that dies in this call takes its buffered data
-        // with it, like unlink; one that is still open keeps it until its
-        // last close.
-        self.inner
-            .rename_with(from, to, |h| self.drop_buffers(h.ino))
+        self.inner.rename(from, to)
     }
 
     fn sync(&self) -> Result<()> {
@@ -952,6 +862,47 @@ impl FileSystem for Hinfs {
 
     fn tick(&self, now_ns: u64) {
         self.tick_virtual(now_ns);
+    }
+}
+
+impl VolatileLayer for Hinfs {
+    /// The file's buffered blocks and deferred transactions go without
+    /// being written back: a freed file's, and a truncate-to-zero's (log
+    /// rotation), whose contents are deleted too. A cut or an extend to
+    /// `size != 0` first quiesces the file's ordered transactions, so
+    /// that its buffered state can be dropped entirely (simple and safe;
+    /// partial truncate is rare in the evaluated workloads), and an
+    /// extend over the old tail block exposes zeroes even where the flush
+    /// path left stale bytes past the old end of file.
+    fn discard(&self, h: &InodeHandle, state: &mut InodeMem, size: u64) -> Result<()> {
+        if size != 0 {
+            self.quiesce(h.ino, state, false)?;
+        }
+        self.drop_buffers(h.ino);
+        let old_size = state.size;
+        if size > old_size && old_size % BLOCK_SIZE as u64 != 0 {
+            if let Some(pblk) = pmfs::tree::lookup(self.dev(), state, old_size / BLOCK_SIZE as u64)
+            {
+                let in_blk = (old_size % BLOCK_SIZE as u64) as usize;
+                let len = (BLOCK_SIZE - in_blk).min((size - old_size) as usize);
+                self.dev().zero_persist(
+                    Cat::UserWrite,
+                    Layout::block_off(pblk) + in_blk as u64,
+                    len,
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Open lazy transactions are what pins the journal ring, and only
+    /// HiNFS can flush them.
+    fn make_room(&self) {
+        if self.inner.journal().free_entries() < Self::NS_HEADROOM {
+            let t0 = self.env.now();
+            self.flush_all_opportunistic();
+            self.note_stall(Site::StallJournalFull, t0);
+        }
     }
 }
 

@@ -28,7 +28,7 @@
 //! edits find their slot there too, and write only the bytes they change.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 use fskit::{
     DirEntry, Fd, FdTable, FileSystem, FileType, FsError, MmapHandle, OpenFlags, Result, Stat,
@@ -89,6 +89,34 @@ impl InodeLogged {
     }
 }
 
+/// The contract between PMFS and a layer that keeps volatile per-inode
+/// state above it (HiNFS's DRAM buffer; the paper built HiNFS inside
+/// PMFS): "writes to files that are later deleted do not need to be
+/// performed", so what the layer holds for a file dies in the same
+/// atomic step as the inode or the bytes it describes. PMFS makes both
+/// calls itself, attached once per mount ([`Pmfs::attach_layer`]).
+pub trait VolatileLayer: Send + Sync {
+    /// Regular file `h` is being freed (`size` 0) or cut or extended to
+    /// `size`: drop what the layer holds for it. Called from the one place
+    /// PMFS frees an inode and from its truncate, under `h`'s write lock
+    /// (`state` is the locked image) and inside the freeing or truncating
+    /// transaction, after its begin; an error aborts that transaction.
+    fn discard(&self, h: &InodeHandle, state: &mut InodeMem, size: u64) -> Result<()>;
+
+    /// Makes journal room before a namespace op or a truncate, holding
+    /// no lock: the first statement of `open`, `close`, `unlink`,
+    /// `rename`, `mkdir`, `rmdir` and `truncate`.
+    fn make_room(&self);
+}
+
+/// An inode [`Pmfs::free_inode`] freed: once its transaction commits,
+/// the tree nodes it cut are recycled and its slot returns to the free
+/// list.
+struct Freed<'a> {
+    ino: u64,
+    emptied: tree::Emptied<'a>,
+}
+
 /// Undo slots a rename to an `n`-byte name sets aside. In place it logs
 /// the entry's header and the new name; as a move, at worst the removed
 /// entry's predecessor header and a grown directory's core (an add that
@@ -131,6 +159,7 @@ pub struct Pmfs {
     recovery: RecoveryStats,
     obs: Arc<FsObs>,
     namei: Arc<NameiStats>,
+    layer: OnceLock<Weak<dyn VolatileLayer>>,
 }
 
 impl Pmfs {
@@ -188,6 +217,7 @@ impl Pmfs {
             recovery,
             obs,
             namei: Arc::default(),
+            layer: OnceLock::new(),
         }))
     }
 
@@ -216,191 +246,24 @@ impl Pmfs {
         &self.obs
     }
 
-    // ----- layering API (used by HiNFS, which is built on these
-    // structures exactly as the paper built HiNFS inside PMFS) -----
-
-    /// `close(2)`. When this was the last descriptor of an unlinked file
-    /// the inode is freed here, and `before_free` runs first, under the
-    /// inode's write lock — the one moment a layer above (HiNFS) can
-    /// discard its volatile state for the inode without racing another
-    /// closer: PMFS decides "last one out" atomically with the
-    /// descriptor count.
-    pub fn close_with(&self, fd: Fd, before_free: impl FnOnce(&InodeHandle)) -> Result<()> {
-        self.obs.op(OpKind::Close, || {
-            self.env.charge_syscall();
-            let of = self.fds.remove(fd)?;
-            let orphan = {
-                // `state` before `opens`, like every other site (see
-                // `InodeHandle`).
-                let state = of.handle.state.read();
-                let mut opens = of.handle.opens.lock();
-                *opens -= 1;
-                *opens == 0 && state.nlink == 0
-            };
-            if orphan {
-                self.reap(&of.handle, before_free)?;
-            }
-            Ok(())
-        })
+    /// Registers the layer that keeps volatile per-inode state above this
+    /// mount (HiNFS's DRAM buffer). Once per mount; held weakly, so the
+    /// layer's own `Arc` of this mount makes no cycle. With none (plain
+    /// PMFS) the layer's calls are no-ops.
+    pub fn attach_layer(&self, layer: Weak<dyn VolatileLayer>) {
+        assert!(
+            self.layer.set(layer).is_ok(),
+            "a volatile layer is already attached"
+        );
     }
 
-    /// `open(2)`. On a writable `O_TRUNC` open, `before_truncate` runs
-    /// inside the truncating transaction under the file's write lock, so a
-    /// layer above (HiNFS) can drop its buffers with no write in between.
-    pub fn open_with(
-        &self,
-        path: &str,
-        flags: OpenFlags,
-        before_truncate: impl FnOnce(&InodeHandle),
-    ) -> Result<Fd> {
-        self.obs.op(OpKind::Open, || {
-            self.env.charge_syscall();
-            let (parent, name) = self.resolve_parent(path)?;
-            fskit::path::validate_name(name)?;
-            let _ns = self.lock_ns(parent.ino, name);
-            let existing = {
-                let pstate = parent.state.read();
-                if pstate.ftype != FileType::Dir {
-                    return Err(FsError::NotADirectory);
-                }
-                if pstate.nlink == 0 {
-                    return Err(FsError::NotFound);
-                }
-                self.lookup(&parent, &pstate, name)?
-            };
-            let handle = match existing {
-                Some((_, FileType::Dir)) => return Err(FsError::IsADirectory),
-                Some((ino, FileType::File)) => {
-                    if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
-                        return Err(FsError::AlreadyExists);
-                    }
-                    self.inode(ino)?
-                }
-                None => {
-                    if !flags.contains(OpenFlags::CREATE) {
-                        return Err(FsError::NotFound);
-                    }
-                    self.create_node(&parent, name, FileType::File)?
-                }
-            };
-            if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                self.resize(&handle, 0, before_truncate)?;
-            }
-            *handle.opens.lock() += 1;
-            Ok(self.fds.insert(OpenFile {
-                ino: handle.ino,
-                flags,
-                handle,
-            }))
-        })
+    fn layer(&self) -> Option<Arc<dyn VolatileLayer>> {
+        self.layer.get()?.upgrade()
     }
 
-    /// `unlink(2)`. `before_free` runs under the file's write lock iff
-    /// the unlink frees the inode (last link, no open descriptor); see
-    /// [`Pmfs::close_with`].
-    pub fn unlink_with(&self, path: &str, before_free: impl FnOnce(&InodeHandle)) -> Result<()> {
-        self.obs.op(OpKind::Unlink, || {
-            self.env.charge_syscall();
-            let (parent, name) = self.resolve_parent(path)?;
-            let _ns = self.lock_ns(parent.ino, name);
-            self.unlink_at(&parent, name, before_free)
-        })
-    }
-
-    /// `rename(2)`. When the rename replaces a file and that frees its
-    /// inode (last link, no open descriptor), `before_free` runs under
-    /// the replaced file's write lock; see [`Pmfs::unlink_with`].
-    pub fn rename_with(
-        &self,
-        from: &str,
-        to: &str,
-        before_free: impl FnOnce(&InodeHandle),
-    ) -> Result<()> {
-        self.env.charge_syscall();
-        let (src_parent, src_name) = self.resolve_parent(from)?;
-        let (dst_parent, dst_name) = self.resolve_parent(to)?;
-        fskit::path::validate_name(dst_name)?;
-        // Lock both entries' shards in ascending index order (one lock
-        // when they collide) so concurrent renames cannot deadlock.
-        let si = self.ns_shard(src_parent.ino, src_name);
-        let di = self.ns_shard(dst_parent.ino, dst_name);
-        let (lo, hi) = (si.min(di), si.max(di));
-        let _ns_lo = self.ns_shards[lo].lock();
-        let _ns_hi = (hi != lo).then(|| self.ns_shards[hi].lock());
-        let (ino, ftype) = {
-            let pstate = src_parent.state.read();
-            if pstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
-            self.lookup(&src_parent, &pstate, src_name)?
-                .ok_or(FsError::NotFound)?
-        };
-        // Replace semantics for an existing destination.
-        let dst_existing = {
-            let pstate = dst_parent.state.read();
-            self.lookup(&dst_parent, &pstate, dst_name)?
-        };
-        if let Some((dino, dftype)) = dst_existing {
-            if dino == ino {
-                return Ok(());
-            }
-            match (ftype, dftype) {
-                (FileType::File, FileType::File) => {
-                    self.unlink_at(&dst_parent, dst_name, before_free)?
-                }
-                (FileType::Dir, FileType::Dir) => self.rmdir_at(&dst_parent, dst_name)?,
-                (FileType::File, FileType::Dir) => return Err(FsError::IsADirectory),
-                (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
-            }
-        }
-        // Undo slots for every log below are set aside up front: past the
-        // first entry edit, nothing can fail on a full ring.
-        let tx = self
-            .journal
-            .begin_reserving(rename_undo_slots(dst_name.len()))?;
-        let res = (|| -> Result<()> {
-            if Arc::ptr_eq(&src_parent, &dst_parent) {
-                // In place when the new name fits the old record, so a
-                // full directory does not grow. Otherwise add before
-                // remove: the new entry may only land on bytes no record
-                // reached when the transaction began — the removed
-                // entry's are not, once merged into its neighbour.
-                let mut pstate = src_parent.state.write();
-                let in_place = {
-                    let mut names = src_parent.names.lock();
-                    let index = self.index_of(&mut names, &pstate)?;
-                    dir::rename(&self.dev, &self.journal, &tx, index, src_name, dst_name)?
-                };
-                let logged = if in_place {
-                    None
-                } else {
-                    let logged =
-                        self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
-                    self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
-                    logged
-                };
-                self.stamp_dir(&tx, src_parent.ino, &mut pstate, logged);
-                return Ok(());
-            }
-            {
-                let mut pstate = src_parent.state.write();
-                self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
-                self.stamp_dir(&tx, src_parent.ino, &mut pstate, None);
-            }
-            let mut pstate = dst_parent.state.write();
-            let logged = self.add_entry(&tx, &dst_parent, &mut pstate, dst_name, ino, ftype)?;
-            self.stamp_dir(&tx, dst_parent.ino, &mut pstate, logged);
-            Ok(())
-        })();
-        match res {
-            Ok(()) => {
-                self.journal.commit(tx);
-                Ok(())
-            }
-            Err(e) => {
-                self.abort_namespace(tx, &[&src_parent, &dst_parent]);
-                Err(e)
-            }
+    fn make_room(&self) {
+        if let Some(layer) = self.layer() {
+            layer.make_room();
         }
     }
 
@@ -756,42 +619,102 @@ impl Pmfs {
         }
     }
 
-    /// Frees an unlinked inode once its last descriptor closes.
-    /// `before_free` runs first, under the inode's write lock.
-    fn reap(&self, h: &Arc<InodeHandle>, before_free: impl FnOnce(&InodeHandle)) -> Result<()> {
-        let tx = self.journal.begin()?;
-        let res = (|| -> Result<tree::Emptied> {
-            let mut state = h.state.write();
-            before_free(h);
-            self.journal
-                .log_range(&tx, self.layout.inode_off(h.ino), INODE_CORE)?;
-            let emptied = file::free_all(&self.dev, &self.alloc, &mut state);
-            self.dev
-                .write_persist(Cat::Meta, self.layout.inode_off(h.ino), &[0u8; INODE_CORE]);
-            self.dev.sfence();
-            Ok(emptied)
-        })();
+    /// Frees inode `h`, whose last link is gone and which no descriptor
+    /// holds open, inside `tx` and under its write lock (`state`): the one
+    /// place PMFS frees an inode. What the layer above holds for a regular
+    /// file goes first ([`VolatileLayer::discard`]); then the core is
+    /// journaled, the blocks freed and the core zeroed. The caller ends
+    /// `tx` with [`Pmfs::finish_namespace`].
+    fn free_inode(
+        &self,
+        tx: &TxHandle,
+        h: &InodeHandle,
+        state: &mut InodeMem,
+    ) -> Result<Freed<'_>> {
+        match state.ftype {
+            FileType::File => {
+                if let Some(layer) = self.layer() {
+                    layer.discard(h, state, 0)?;
+                }
+            }
+            // The inode number may come back as another directory; a
+            // walker still holding this handle must find no names in it.
+            FileType::Dir => self.forget_names(&mut h.names.lock()),
+        }
+        self.log_inode(tx, h.ino)?;
+        state.nlink = 0;
+        let emptied = file::free_all(&self.dev, &self.alloc, state);
+        self.dev
+            .write_persist(Cat::Meta, self.layout.inode_off(h.ino), &[0u8; INODE_CORE]);
+        self.dev.sfence();
+        Ok(Freed {
+            ino: h.ino,
+            emptied,
+        })
+    }
+
+    /// Drops one link of `h` inside `tx`, under its write lock (`state`):
+    /// frees the inode when that was its last link and no descriptor holds
+    /// it open, else journals the lower count.
+    fn drop_link(
+        &self,
+        tx: &TxHandle,
+        h: &InodeHandle,
+        state: &mut InodeMem,
+    ) -> Result<Option<Freed<'_>>> {
+        if state.nlink == 1 && *h.opens.lock() == 0 {
+            return self.free_inode(tx, h, state).map(Some);
+        }
+        let mut snap = *state;
+        snap.nlink -= 1;
+        self.log_write_inode(tx, h.ino, &snap)?;
+        state.nlink -= 1;
+        Ok(None)
+    }
+
+    /// Ends a namespace transaction: commits `tx`, then recycles what it
+    /// freed and returns the inode slot (`None`: it freed none) — or, on
+    /// an error, aborts it ([`Pmfs::abort_namespace`] over `dirs`).
+    fn finish_namespace(
+        &self,
+        tx: TxHandle,
+        res: Result<Option<Freed<'_>>>,
+        dirs: &[&Arc<InodeHandle>],
+    ) -> Result<()> {
         match res {
-            Ok(emptied) => {
-                self.commit_recycling(tx, Some(emptied));
-                self.icache.free_slot(h.ino);
+            Ok(freed) => {
+                let ino = freed.as_ref().map(|f| f.ino);
+                self.commit_recycling(tx, freed.map(|f| f.emptied));
+                if let Some(ino) = ino {
+                    self.icache.free_slot(ino);
+                }
                 Ok(())
             }
             Err(e) => {
-                self.journal.abort(tx);
+                self.abort_namespace(tx, dirs);
                 Err(e)
             }
         }
     }
 
+    /// Frees an unlinked inode once its last descriptor closes.
+    fn reap(&self, h: &InodeHandle) -> Result<()> {
+        let tx = self.journal.begin()?;
+        let res = self.free_inode(&tx, h, &mut h.state.write());
+        self.finish_namespace(tx, res.map(Some), &[])
+    }
+
     /// Truncates or extends `h` to `size` in a transaction of its own
-    /// (`truncate` and `open` with `O_TRUNC`). `hook` runs under the
-    /// inode's write lock once the transaction is open.
-    fn resize(&self, h: &InodeHandle, size: u64, hook: impl FnOnce(&InodeHandle)) -> Result<()> {
+    /// (`truncate` and `open` with `O_TRUNC`). What the layer above holds
+    /// for the file goes under the inode's write lock once the transaction
+    /// is open ([`VolatileLayer::discard`]).
+    fn resize(&self, h: &InodeHandle, size: u64) -> Result<()> {
         let tx = self.begin_core_tx()?;
         let res = (|| -> Result<Option<tree::Emptied>> {
             let mut state = h.state.write();
-            hook(h);
+            if let Some(layer) = self.layer() {
+                layer.discard(h, &mut state, size)?;
+            }
             let emptied = file::truncate(&self.dev, &self.alloc, &mut state, size, self.env.now())?;
             if emptied.is_some() {
                 let snap = *state;
@@ -851,23 +774,32 @@ impl Pmfs {
         }
     }
 
+    /// Looks `name` up in directory `dir` under its read lock: the entry,
+    /// or "no such name" — also when `dir` itself was removed.
+    fn entry(&self, dir: &InodeHandle, name: &str) -> Result<(u64, FileType)> {
+        let state = dir.state.read();
+        if state.nlink == 0 {
+            return Err(FsError::NotFound);
+        }
+        self.lookup(dir, &state, name)?.ok_or(FsError::NotFound)
+    }
+
+    /// Whether directory `state` (write-locked by the caller) may be
+    /// removed: still linked, and empty.
+    fn check_removable(&self, state: &InodeMem) -> Result<()> {
+        if state.nlink == 0 {
+            return Err(FsError::NotFound);
+        }
+        if !dir::is_empty(&self.dev, state)? {
+            return Err(FsError::DirectoryNotEmpty);
+        }
+        Ok(())
+    }
+
     /// Unlink of `name` under `parent`, with the entry's namespace shard
-    /// already held (also used by rename's replace path). `before_free`
-    /// runs under the child's write lock iff this unlink frees the inode.
-    fn unlink_at(
-        &self,
-        parent: &Arc<InodeHandle>,
-        name: &str,
-        before_free: impl FnOnce(&InodeHandle),
-    ) -> Result<()> {
-        let (ino, ftype) = {
-            let pstate = parent.state.read();
-            if pstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
-            self.lookup(parent, &pstate, name)?
-                .ok_or(FsError::NotFound)?
-        };
+    /// already held (also used by rename's replace path).
+    fn unlink_at(&self, parent: &Arc<InodeHandle>, name: &str) -> Result<()> {
+        let (ino, ftype) = self.entry(parent, name)?;
         if ftype != FileType::File {
             return Err(FsError::IsADirectory);
         }
@@ -875,66 +807,27 @@ impl Pmfs {
         let tx = self.journal.begin()?;
         // Fallible steps run before the volatile nlink/cache mutations so an
         // abort leaves the in-memory state matching the rolled-back bytes.
-        let res = (|| -> Result<Option<tree::Emptied>> {
+        let res = (|| -> Result<Option<Freed<'_>>> {
             {
                 let mut pstate = parent.state.write();
                 self.remove_entry(&tx, parent, &pstate, name)?;
                 self.stamp_dir(&tx, parent.ino, &mut pstate, None);
             }
-            let mut cstate = child.state.write();
-            if cstate.nlink == 1 && *child.opens.lock() == 0 {
-                before_free(&child);
-                // Free data and the inode slot in the same transaction.
-                self.journal
-                    .log_range(&tx, self.layout.inode_off(ino), INODE_CORE)?;
-                cstate.nlink = 0;
-                let emptied = file::free_all(&self.dev, &self.alloc, &mut cstate);
-                self.dev
-                    .write_persist(Cat::Meta, self.layout.inode_off(ino), &[0u8; INODE_CORE]);
-                self.dev.sfence();
-                Ok(Some(emptied))
-            } else {
-                let mut snap = *cstate;
-                snap.nlink -= 1;
-                self.log_write_inode(&tx, ino, &snap)?;
-                cstate.nlink -= 1;
-                Ok(None)
-            }
+            self.drop_link(&tx, &child, &mut child.state.write())
         })();
-        match res {
-            // `Some`: the unlink freed the inode.
-            Ok(freed) => {
-                let freeable = freed.is_some();
-                self.commit_recycling(tx, freed);
-                if freeable {
-                    self.icache.free_slot(ino);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.abort_namespace(tx, &[parent]);
-                Err(e)
-            }
-        }
+        self.finish_namespace(tx, res, &[parent])
     }
 
     /// Rmdir of `name` under `parent`, with the entry's namespace shard
     /// already held.
     fn rmdir_at(&self, parent: &Arc<InodeHandle>, name: &str) -> Result<()> {
-        let (ino, ftype) = {
-            let pstate = parent.state.read();
-            if pstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
-            self.lookup(parent, &pstate, name)?
-                .ok_or(FsError::NotFound)?
-        };
+        let (ino, ftype) = self.entry(parent, name)?;
         if ftype != FileType::Dir {
             return Err(FsError::NotADirectory);
         }
         let child = self.inode(ino)?;
         let tx = self.journal.begin()?;
-        let res = (|| -> Result<tree::Emptied> {
+        let res = (|| -> Result<Option<Freed<'_>>> {
             // Hold the dying directory's write lock from the emptiness
             // check through `nlink = 0`: a concurrent create into it
             // either lands first (seen here as DirectoryNotEmpty) or
@@ -942,40 +835,15 @@ impl Pmfs {
             // Child-then-parent nesting always follows tree depth upward,
             // so it cannot deadlock against another rmdir.
             let mut cstate = child.state.write();
-            if cstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
-            if !dir::is_empty(&self.dev, &cstate)? {
-                return Err(FsError::DirectoryNotEmpty);
-            }
+            self.check_removable(&cstate)?;
             {
                 let mut pstate = parent.state.write();
                 self.remove_entry(&tx, parent, &pstate, name)?;
                 self.stamp_dir(&tx, parent.ino, &mut pstate, None);
             }
-            self.journal
-                .log_range(&tx, self.layout.inode_off(ino), INODE_CORE)?;
-            cstate.nlink = 0;
-            // The inode number may come back as another directory; a
-            // walker still holding this handle must find no names in it.
-            self.forget_names(&mut child.names.lock());
-            let emptied = file::free_all(&self.dev, &self.alloc, &mut cstate);
-            self.dev
-                .write_persist(Cat::Meta, self.layout.inode_off(ino), &[0u8; INODE_CORE]);
-            self.dev.sfence();
-            Ok(emptied)
+            self.free_inode(&tx, &child, &mut cstate).map(Some)
         })();
-        match res {
-            Ok(emptied) => {
-                self.commit_recycling(tx, Some(emptied));
-                self.icache.free_slot(ino);
-                Ok(())
-            }
-            Err(e) => {
-                self.abort_namespace(tx, &[parent]);
-                Err(e)
-            }
-        }
+        self.finish_namespace(tx, res, &[parent])
     }
 }
 
@@ -985,11 +853,69 @@ impl FileSystem for Pmfs {
     }
 
     fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        self.open_with(path, flags, |_| ())
+        self.obs.op(OpKind::Open, || {
+            self.make_room();
+            self.env.charge_syscall();
+            let (parent, name) = self.resolve_parent(path)?;
+            fskit::path::validate_name(name)?;
+            let _ns = self.lock_ns(parent.ino, name);
+            let existing = {
+                let pstate = parent.state.read();
+                if pstate.ftype != FileType::Dir {
+                    return Err(FsError::NotADirectory);
+                }
+                if pstate.nlink == 0 {
+                    return Err(FsError::NotFound);
+                }
+                self.lookup(&parent, &pstate, name)?
+            };
+            let handle = match existing {
+                Some((_, FileType::Dir)) => return Err(FsError::IsADirectory),
+                Some((ino, FileType::File)) => {
+                    if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
+                        return Err(FsError::AlreadyExists);
+                    }
+                    self.inode(ino)?
+                }
+                None => {
+                    if !flags.contains(OpenFlags::CREATE) {
+                        return Err(FsError::NotFound);
+                    }
+                    self.create_node(&parent, name, FileType::File)?
+                }
+            };
+            if flags.contains(OpenFlags::TRUNC) && flags.writable() {
+                self.resize(&handle, 0)?;
+            }
+            *handle.opens.lock() += 1;
+            Ok(self.fds.insert(OpenFile {
+                ino: handle.ino,
+                flags,
+                handle,
+            }))
+        })
     }
 
+    /// `close(2)`. The last descriptor of an unlinked file frees it; PMFS
+    /// decides "last one out" atomically with the descriptor count.
     fn close(&self, fd: Fd) -> Result<()> {
-        self.close_with(fd, |_| ())
+        self.obs.op(OpKind::Close, || {
+            self.make_room();
+            self.env.charge_syscall();
+            let of = self.fds.remove(fd)?;
+            let orphan = {
+                // `state` before `opens`, like every other site (see
+                // `InodeHandle`).
+                let state = of.handle.state.read();
+                let mut opens = of.handle.opens.lock();
+                *opens -= 1;
+                *opens == 0 && state.nlink == 0
+            };
+            if orphan {
+                self.reap(&of.handle)?;
+            }
+            Ok(())
+        })
     }
 
     fn read(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
@@ -1114,20 +1040,28 @@ impl FileSystem for Pmfs {
 
     fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
         self.obs.op(OpKind::Truncate, || {
+            self.make_room();
             self.env.charge_syscall();
             let of = self.fds.get(fd)?;
             if !of.flags.writable() {
                 return Err(FsError::BadFd);
             }
-            self.resize(&of.handle, size, |_| ())
+            self.resize(&of.handle, size)
         })
     }
 
     fn unlink(&self, path: &str) -> Result<()> {
-        self.unlink_with(path, |_| ())
+        self.obs.op(OpKind::Unlink, || {
+            self.make_room();
+            self.env.charge_syscall();
+            let (parent, name) = self.resolve_parent(path)?;
+            let _ns = self.lock_ns(parent.ino, name);
+            self.unlink_at(&parent, name)
+        })
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
+        self.make_room();
         self.env.charge_syscall();
         let (parent, name) = self.resolve_parent(path)?;
         fskit::path::validate_name(name)?;
@@ -1146,6 +1080,7 @@ impl FileSystem for Pmfs {
     }
 
     fn rmdir(&self, path: &str) -> Result<()> {
+        self.make_room();
         self.env.charge_syscall();
         let (parent, name) = self.resolve_parent(path)?;
         let _ns = self.lock_ns(parent.ino, name);
@@ -1193,7 +1128,75 @@ impl FileSystem for Pmfs {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.rename_with(from, to, |_| ())
+        self.make_room();
+        self.env.charge_syscall();
+        let (src_parent, src_name) = self.resolve_parent(from)?;
+        let (dst_parent, dst_name) = self.resolve_parent(to)?;
+        fskit::path::validate_name(dst_name)?;
+        // Lock both entries' shards in ascending index order (one lock
+        // when they collide) so concurrent renames cannot deadlock.
+        let si = self.ns_shard(src_parent.ino, src_name);
+        let di = self.ns_shard(dst_parent.ino, dst_name);
+        let (lo, hi) = (si.min(di), si.max(di));
+        let _ns_lo = self.ns_shards[lo].lock();
+        let _ns_hi = (hi != lo).then(|| self.ns_shards[hi].lock());
+        let (ino, ftype) = self.entry(&src_parent, src_name)?;
+        // Replace semantics for an existing destination.
+        let dst_existing = {
+            let pstate = dst_parent.state.read();
+            self.lookup(&dst_parent, &pstate, dst_name)?
+        };
+        if let Some((dino, dftype)) = dst_existing {
+            if dino == ino {
+                return Ok(());
+            }
+            match (ftype, dftype) {
+                (FileType::File, FileType::File) => self.unlink_at(&dst_parent, dst_name)?,
+                (FileType::Dir, FileType::Dir) => self.rmdir_at(&dst_parent, dst_name)?,
+                (FileType::File, FileType::Dir) => return Err(FsError::IsADirectory),
+                (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
+            }
+        }
+        // Undo slots for every log below are set aside up front: past the
+        // first entry edit, nothing can fail on a full ring.
+        let tx = self
+            .journal
+            .begin_reserving(rename_undo_slots(dst_name.len()))?;
+        let res = (|| -> Result<()> {
+            if Arc::ptr_eq(&src_parent, &dst_parent) {
+                // In place when the new name fits the old record, so a
+                // full directory does not grow. Otherwise add before
+                // remove: the new entry may only land on bytes no record
+                // reached when the transaction began — the removed
+                // entry's are not, once merged into its neighbour.
+                let mut pstate = src_parent.state.write();
+                let in_place = {
+                    let mut names = src_parent.names.lock();
+                    let index = self.index_of(&mut names, &pstate)?;
+                    dir::rename(&self.dev, &self.journal, &tx, index, src_name, dst_name)?
+                };
+                let logged = if in_place {
+                    None
+                } else {
+                    let logged =
+                        self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
+                    self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
+                    logged
+                };
+                self.stamp_dir(&tx, src_parent.ino, &mut pstate, logged);
+                return Ok(());
+            }
+            {
+                let mut pstate = src_parent.state.write();
+                self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
+                self.stamp_dir(&tx, src_parent.ino, &mut pstate, None);
+            }
+            let mut pstate = dst_parent.state.write();
+            let logged = self.add_entry(&tx, &dst_parent, &mut pstate, dst_name, ino, ftype)?;
+            self.stamp_dir(&tx, dst_parent.ino, &mut pstate, logged);
+            Ok(())
+        })();
+        self.finish_namespace(tx, res.map(|()| None), &[&src_parent, &dst_parent])
     }
 
     fn sync(&self) -> Result<()> {

@@ -1,11 +1,12 @@
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use fskit::{FileSystem, FileType, FsError, OpenFlags};
 use nvmm::{Cat, CostModel, FaultPlan, NvmmDevice, SimEnv, BLOCK_SIZE};
 use obsv::Introspect;
 
-use crate::fs::{Pmfs, PmfsOptions};
-use crate::inode::{InodeMem, INODE_CORE};
+use crate::fs::{Pmfs, PmfsOptions, VolatileLayer};
+use crate::inode::{InodeHandle, InodeMem, INODE_CORE};
 use crate::{dir, file};
 
 fn small_opts() -> PmfsOptions {
@@ -65,33 +66,128 @@ fn open_flags_semantics() {
     fs.close(fd).unwrap();
 }
 
-#[test]
-fn open_with_runs_its_hook_inside_the_truncate() {
-    let (_d, fs) = fresh();
-    let fd = fs.open("/f", rw_create()).unwrap();
-    fs.write(fd, 0, &[7u8; 3 * BLOCK_SIZE]).unwrap();
-    fs.close(fd).unwrap();
-    let mut ran = 0;
-    let fd = fs
-        .open_with("/f", OpenFlags::RDWR | OpenFlags::TRUNC, |h| {
-            assert!(h.state.try_read().is_none(), "under the inode lock");
-            assert_eq!(
-                fs.journal().open_txs(),
-                1,
-                "inside the truncate's transaction"
-            );
-            ran += 1;
-        })
-        .unwrap();
-    assert_eq!((ran, fs.fstat(fd).unwrap().size), (1, 0));
-    fs.close(fd).unwrap();
-    // Without O_TRUNC, or on a read-only open, nothing is cut.
-    for flags in [OpenFlags::RDWR, OpenFlags::READ | OpenFlags::TRUNC] {
-        let fd = fs
-            .open_with("/f", flags, |_| panic!("no truncate"))
-            .unwrap();
-        fs.close(fd).unwrap();
+/// A [`VolatileLayer`] that records each call, and for each `discard`
+/// whether the inode's lock was write-held and how many transactions
+/// were open.
+#[derive(Default)]
+struct Recorder {
+    fs: OnceLock<Weak<Pmfs>>,
+    discards: Mutex<Vec<Discard>>,
+    rooms: AtomicUsize,
+}
+
+#[derive(Debug, PartialEq)]
+struct Discard {
+    ino: u64,
+    size: u64,
+    locked: bool,
+    open_txs: usize,
+}
+
+impl VolatileLayer for Recorder {
+    fn discard(&self, h: &InodeHandle, _state: &mut InodeMem, size: u64) -> fskit::Result<()> {
+        let fs = self.fs.get().and_then(Weak::upgrade).unwrap();
+        self.discards.lock().unwrap().push(Discard {
+            ino: h.ino,
+            size,
+            locked: h.state.try_read().is_none(),
+            open_txs: fs.journal().open_txs(),
+        });
+        Ok(())
     }
+
+    fn make_room(&self) {
+        self.rooms.fetch_add(1, Relaxed);
+    }
+}
+
+impl Recorder {
+    /// Asserts the calls since the last check: `rooms` `make_room`s, and
+    /// a `discard` of each `(ino, size)` in order, each under the inode's
+    /// write lock inside exactly one transaction.
+    fn saw(&self, what: &str, rooms: usize, discards: &[(u64, u64)]) {
+        let want: Vec<Discard> = discards
+            .iter()
+            .map(|&(ino, size)| Discard {
+                ino,
+                size,
+                locked: true,
+                open_txs: 1,
+            })
+            .collect();
+        let got = std::mem::take(&mut *self.discards.lock().unwrap());
+        assert_eq!(got, want, "{what}");
+        assert_eq!(self.rooms.swap(0, Relaxed), rooms, "{what}: make_room");
+    }
+}
+
+/// The contract with the layer above, on a plain mount with a recording
+/// layer: `discard` runs exactly where an inode is freed or cut — last
+/// close of an unlinked file, unlink, rename over a closed file, `O_TRUNC`
+/// open, `ftruncate` — and nowhere else; `make_room` once per namespace
+/// op and per truncate.
+#[test]
+fn the_layer_discards_exactly_where_an_inode_is_freed_or_cut() {
+    let (_d, fs) = fresh();
+    let rec = Arc::new(Recorder::default());
+    rec.fs.set(Arc::downgrade(&fs)).unwrap();
+    let layer: Weak<Recorder> = Arc::downgrade(&rec);
+    fs.attach_layer(layer);
+    let ino = |path: &str| fs.stat(path).unwrap().ino;
+    let create = |path: &str| {
+        let fd = fs.open(path, rw_create()).unwrap();
+        fs.write(fd, 0, &[7u8; 3 * BLOCK_SIZE]).unwrap();
+        fd
+    };
+
+    let fd = create("/a");
+    fs.close(fd).unwrap();
+    rec.saw("create and close", 2, &[]);
+    let a = ino("/a");
+    let fd = fs.open("/a", OpenFlags::RDWR | OpenFlags::TRUNC).unwrap();
+    assert_eq!(fs.fstat(fd).unwrap().size, 0);
+    rec.saw("O_TRUNC open", 1, &[(a, 0)]);
+    fs.truncate(fd, 100).unwrap();
+    rec.saw("ftruncate", 1, &[(a, 100)]);
+    fs.close(fd).unwrap();
+    rec.saw("close", 1, &[]);
+    for flags in [OpenFlags::RDWR, OpenFlags::READ | OpenFlags::TRUNC] {
+        let fd = fs.open("/a", flags).unwrap();
+        fs.close(fd).unwrap();
+        rec.saw("open without a cut", 2, &[]);
+    }
+    fs.unlink("/a").unwrap();
+    rec.saw("unlink", 1, &[(a, 0)]);
+
+    let fd = create("/b");
+    let b = ino("/b");
+    fs.unlink("/b").unwrap();
+    rec.saw("unlink of an open file", 2, &[]);
+    fs.close(fd).unwrap();
+    rec.saw("its last close", 1, &[(b, 0)]);
+
+    let (c, d) = (create("/c"), create("/d"));
+    fs.close(c).unwrap();
+    fs.close(d).unwrap();
+    let d = ino("/d");
+    rec.saw("set-up", 4, &[]);
+    fs.rename("/c", "/d").unwrap();
+    rec.saw("rename over a closed file", 1, &[(d, 0)]);
+
+    let e = create("/e");
+    let f = create("/f");
+    fs.close(f).unwrap();
+    let e_ino = ino("/e");
+    rec.saw("set-up", 3, &[]);
+    fs.rename("/f", "/e").unwrap();
+    rec.saw("rename over an open file", 1, &[]);
+    fs.close(e).unwrap();
+    rec.saw("its last close", 1, &[(e_ino, 0)]);
+
+    fs.mkdir("/g").unwrap();
+    fs.rmdir("/g").unwrap();
+    rec.saw("mkdir and rmdir", 2, &[]);
+    assert!(fs.audit().is_clean(), "{}", fs.audit().to_json());
 }
 
 #[test]
