@@ -462,11 +462,14 @@ impl Oracle {
                 m.ns = NsState::MayExist;
             }
             Op::Rename { from, to } => {
-                // Both names become uncertain; the destination may hold
-                // either file's content.
+                // The source name becomes uncertain; the destination may
+                // hold either file's content. A destination that had to
+                // exist still does: a replace is one atomic step.
                 let src_model = self.files.get(&from).cloned().unwrap_or_default();
                 let dst = self.files.entry(to).or_default();
-                dst.ns = NsState::MayExist;
+                if dst.ns != NsState::MustExist {
+                    dst.ns = NsState::MayExist;
+                }
                 dst.alts.push(src_model);
                 let src = self.files.entry(from).or_default();
                 src.ns = NsState::MayExist;
@@ -534,7 +537,7 @@ impl Oracle {
                     .push(format!("{path}: expected a file, found {:?}", st.ftype)),
                 Ok(st) => {
                     rep.checks += 1;
-                    if let Err(v) = content_ok(fs, &path, st, m, true) {
+                    if let Err(v) = content_ok_any(fs, &path, st, m, true) {
                         rep.violations.push(v);
                     }
                 }
@@ -560,14 +563,8 @@ impl Oracle {
                             .push(format!("{path}: expected a file, found {:?}", st.ftype));
                         return;
                     }
-                    let primary = content_ok(fs, &path, st, m, false);
-                    let ok = primary.is_ok()
-                        || m.alts
-                            .iter()
-                            .any(|alt| content_ok(fs, &path, st, alt, false).is_ok());
-                    if let (Err(v), false) = (primary, ok) {
-                        rep.violations
-                            .push(format!("{v} (no alternative state matches)"));
+                    if let Err(v) = content_ok_any(fs, &path, st, m, false) {
+                        rep.violations.push(v);
                     }
                 }
             },
@@ -609,6 +606,29 @@ impl Oracle {
             },
         }
     }
+}
+
+/// Validates a recovered file against `m` or, failing that, any of its
+/// alternative states; the error is the primary model's.
+fn content_ok_any(
+    fs: &dyn FileSystem,
+    path: &str,
+    st: Stat,
+    m: &FileModel,
+    must: bool,
+) -> Result<(), String> {
+    let primary = content_ok(fs, path, st, m, must);
+    if primary.is_ok()
+        || m.alts
+            .iter()
+            .any(|alt| content_ok(fs, path, st, alt, must).is_ok())
+    {
+        return Ok(());
+    }
+    if m.alts.is_empty() {
+        return primary;
+    }
+    primary.map_err(|v| format!("{v} (no alternative state matches)"))
 }
 
 /// Validates a recovered file's size and bytes against one model.

@@ -880,7 +880,7 @@ impl VolatileLayer for Hinfs {
         }
         self.drop_buffers(h.ino);
         let old_size = state.size;
-        if size > old_size && old_size % BLOCK_SIZE as u64 != 0 {
+        if size > old_size && !old_size.is_multiple_of(BLOCK_SIZE as u64) {
             if let Some(pblk) = pmfs::tree::lookup(self.dev(), state, old_size / BLOCK_SIZE as u64)
             {
                 let in_blk = (old_size % BLOCK_SIZE as u64) as usize;

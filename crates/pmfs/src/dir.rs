@@ -329,6 +329,36 @@ pub fn rename(
     Ok(true)
 }
 
+/// Points entry `name`'s header, found through `index` (exact for this
+/// directory; updated here), at `ino` and `ftype`: rename's replace. The
+/// record keeps its length and name, so the chain does not change and
+/// the header is the one undo image.
+pub fn retarget(
+    dev: &NvmmDevice,
+    journal: &Journal,
+    tx: &TxHandle,
+    index: &mut NameIndex,
+    name: &str,
+    ino: u64,
+    ftype: FileType,
+) -> Result<()> {
+    let at = index.slot(name).ok_or(FsError::NotFound)?;
+    read_hdrs(dev, 1);
+    let off = Layout::block_off(index.pblk(at)) + at.off as u64;
+    journal.log_range(tx, off, HDR)?;
+    let new = Header {
+        ino,
+        ftype: ftype.as_u8(),
+        ..index.hdr(at)
+    };
+    dev.write_persist(Cat::Meta, off, &new.encode());
+    dev.sfence();
+    index.set(at, Some(new));
+    index.unbind(name);
+    index.bind(name, ino, ftype, at);
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -120,10 +120,16 @@ struct Freed<'a> {
 /// Undo slots a rename to an `n`-byte name sets aside. In place it logs
 /// the entry's header and the new name; as a move, at worst the removed
 /// entry's predecessor header and a grown directory's core (an add that
-/// fits logs one header instead of the core).
-fn rename_undo_slots(n: usize) -> u64 {
+/// fits logs one header instead of the core); over an existing entry
+/// (`replace`), that entry's header, the removed entry's predecessor
+/// header and the replaced inode's core.
+fn rename_undo_slots(n: usize, replace: bool) -> u64 {
     let payload = crate::journal::PAYLOAD;
-    (1 + INODE_CORE.div_ceil(payload)).max((dir::HDR + n).div_ceil(payload)) as u64
+    let core = INODE_CORE.div_ceil(payload);
+    if replace {
+        return (2 + core) as u64;
+    }
+    (1 + core).max((dir::HDR + n).div_ceil(payload)) as u64
 }
 
 /// Name-index activity, reported as `pmfs_namei_*`.
@@ -796,54 +802,50 @@ impl Pmfs {
         Ok(())
     }
 
-    /// Unlink of `name` under `parent`, with the entry's namespace shard
-    /// already held (also used by rename's replace path).
-    fn unlink_at(&self, parent: &Arc<InodeHandle>, name: &str) -> Result<()> {
-        let (ino, ftype) = self.entry(parent, name)?;
-        if ftype != FileType::File {
-            return Err(FsError::IsADirectory);
-        }
-        let child = self.inode(ino)?;
-        let tx = self.journal.begin()?;
-        // Fallible steps run before the volatile nlink/cache mutations so an
-        // abort leaves the in-memory state matching the rolled-back bytes.
-        let res = (|| -> Result<Option<Freed<'_>>> {
-            {
-                let mut pstate = parent.state.write();
-                self.remove_entry(&tx, parent, &pstate, name)?;
-                self.stamp_dir(&tx, parent.ino, &mut pstate, None);
-            }
-            self.drop_link(&tx, &child, &mut child.state.write())
-        })();
-        self.finish_namespace(tx, res, &[parent])
+    /// [`Pmfs::remove_entry`] under `dir`'s write lock, then the mtime
+    /// stamp: an entry edit that changes nothing else in the directory.
+    fn remove_stamped(&self, tx: &TxHandle, dir: &Arc<InodeHandle>, name: &str) -> Result<()> {
+        let mut state = dir.state.write();
+        self.remove_entry(tx, dir, &state, name)?;
+        self.stamp_dir(tx, dir.ino, &mut state, None);
+        Ok(())
     }
 
-    /// Rmdir of `name` under `parent`, with the entry's namespace shard
-    /// already held.
-    fn rmdir_at(&self, parent: &Arc<InodeHandle>, name: &str) -> Result<()> {
-        let (ino, ftype) = self.entry(parent, name)?;
-        if ftype != FileType::Dir {
-            return Err(FsError::NotADirectory);
+    /// Rename over an existing entry, inside `tx`: the destination entry
+    /// (`dst`, bound to `victim`) is pointed at the source inode in place,
+    /// the source entry goes, and `victim` loses the link — one
+    /// transaction, so a crash leaves the destination naming one file or
+    /// the other, never neither. `victim`'s write lock is held throughout:
+    /// a directory is checked empty under it, as in `rmdir`.
+    fn replace_entry(
+        &self,
+        tx: &TxHandle,
+        (src_parent, src_name): (&Arc<InodeHandle>, &str),
+        (dst_parent, dst_name): (&Arc<InodeHandle>, &str),
+        (ino, ftype): (u64, FileType),
+        victim: &InodeHandle,
+    ) -> Result<Option<Freed<'_>>> {
+        let mut vstate = victim.state.write();
+        if vstate.ftype == FileType::Dir {
+            self.check_removable(&vstate)?;
         }
-        let child = self.inode(ino)?;
-        let tx = self.journal.begin()?;
-        let res = (|| -> Result<Option<Freed<'_>>> {
-            // Hold the dying directory's write lock from the emptiness
-            // check through `nlink = 0`: a concurrent create into it
-            // either lands first (seen here as DirectoryNotEmpty) or
-            // observes the dead directory under its own parent lock.
-            // Child-then-parent nesting always follows tree depth upward,
-            // so it cannot deadlock against another rmdir.
-            let mut cstate = child.state.write();
-            self.check_removable(&cstate)?;
+        let same_dir = Arc::ptr_eq(src_parent, dst_parent);
+        {
+            let mut pstate = dst_parent.state.write();
             {
-                let mut pstate = parent.state.write();
-                self.remove_entry(&tx, parent, &pstate, name)?;
-                self.stamp_dir(&tx, parent.ino, &mut pstate, None);
+                let mut names = dst_parent.names.lock();
+                let index = self.index_of(&mut names, &pstate)?;
+                dir::retarget(&self.dev, &self.journal, tx, index, dst_name, ino, ftype)?;
             }
-            self.free_inode(&tx, &child, &mut cstate).map(Some)
-        })();
-        self.finish_namespace(tx, res, &[parent])
+            if same_dir {
+                self.remove_entry(tx, src_parent, &pstate, src_name)?;
+            }
+            self.stamp_dir(tx, dst_parent.ino, &mut pstate, None);
+        }
+        if !same_dir {
+            self.remove_stamped(tx, src_parent, src_name)?;
+        }
+        self.drop_link(tx, victim, &mut vstate)
     }
 }
 
@@ -1056,7 +1058,20 @@ impl FileSystem for Pmfs {
             self.env.charge_syscall();
             let (parent, name) = self.resolve_parent(path)?;
             let _ns = self.lock_ns(parent.ino, name);
-            self.unlink_at(&parent, name)
+            let (ino, ftype) = self.entry(&parent, name)?;
+            if ftype != FileType::File {
+                return Err(FsError::IsADirectory);
+            }
+            let child = self.inode(ino)?;
+            let tx = self.journal.begin()?;
+            // Fallible steps run before the volatile nlink/cache mutations
+            // so an abort leaves the in-memory state matching the
+            // rolled-back bytes.
+            let res = (|| -> Result<Option<Freed<'_>>> {
+                self.remove_stamped(&tx, &parent, name)?;
+                self.drop_link(&tx, &child, &mut child.state.write())
+            })();
+            self.finish_namespace(tx, res, &[&parent])
         })
     }
 
@@ -1084,7 +1099,25 @@ impl FileSystem for Pmfs {
         self.env.charge_syscall();
         let (parent, name) = self.resolve_parent(path)?;
         let _ns = self.lock_ns(parent.ino, name);
-        self.rmdir_at(&parent, name)
+        let (ino, ftype) = self.entry(&parent, name)?;
+        if ftype != FileType::Dir {
+            return Err(FsError::NotADirectory);
+        }
+        let child = self.inode(ino)?;
+        let tx = self.journal.begin()?;
+        let res = (|| -> Result<Option<Freed<'_>>> {
+            // Hold the dying directory's write lock from the emptiness
+            // check through `nlink = 0`: a concurrent create into it
+            // either lands first (seen here as DirectoryNotEmpty) or
+            // observes the dead directory under its own parent lock.
+            // Child-then-parent nesting always follows tree depth upward,
+            // so it cannot deadlock against another rmdir.
+            let mut cstate = child.state.write();
+            self.check_removable(&cstate)?;
+            self.remove_stamped(&tx, &parent, name)?;
+            self.free_inode(&tx, &child, &mut cstate).map(Some)
+        })();
+        self.finish_namespace(tx, res, &[&parent])
     }
 
     fn readdir(&self, path: &str) -> Result<Vec<DirEntry>> {
@@ -1141,28 +1174,31 @@ impl FileSystem for Pmfs {
         let _ns_lo = self.ns_shards[lo].lock();
         let _ns_hi = (hi != lo).then(|| self.ns_shards[hi].lock());
         let (ino, ftype) = self.entry(&src_parent, src_name)?;
-        // Replace semantics for an existing destination.
-        let dst_existing = {
+        let replaced = {
             let pstate = dst_parent.state.read();
             self.lookup(&dst_parent, &pstate, dst_name)?
         };
-        if let Some((dino, dftype)) = dst_existing {
-            if dino == ino {
-                return Ok(());
+        let victim = match replaced {
+            None => None,
+            Some((dino, _)) if dino == ino => return Ok(()),
+            Some((_, FileType::Dir)) if ftype == FileType::File => {
+                return Err(FsError::IsADirectory)
             }
-            match (ftype, dftype) {
-                (FileType::File, FileType::File) => self.unlink_at(&dst_parent, dst_name)?,
-                (FileType::Dir, FileType::Dir) => self.rmdir_at(&dst_parent, dst_name)?,
-                (FileType::File, FileType::Dir) => return Err(FsError::IsADirectory),
-                (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
+            Some((_, FileType::File)) if ftype == FileType::Dir => {
+                return Err(FsError::NotADirectory)
             }
-        }
+            Some((dino, _)) => Some(self.inode(dino)?),
+        };
         // Undo slots for every log below are set aside up front: past the
         // first entry edit, nothing can fail on a full ring.
         let tx = self
             .journal
-            .begin_reserving(rename_undo_slots(dst_name.len()))?;
-        let res = (|| -> Result<()> {
+            .begin_reserving(rename_undo_slots(dst_name.len(), victim.is_some()))?;
+        let res = (|| -> Result<Option<Freed<'_>>> {
+            if let Some(victim) = &victim {
+                let (src, dst) = ((&src_parent, src_name), (&dst_parent, dst_name));
+                return self.replace_entry(&tx, src, dst, (ino, ftype), victim);
+            }
             if Arc::ptr_eq(&src_parent, &dst_parent) {
                 // In place when the new name fits the old record, so a
                 // full directory does not grow. Otherwise add before
@@ -1184,19 +1220,15 @@ impl FileSystem for Pmfs {
                     logged
                 };
                 self.stamp_dir(&tx, src_parent.ino, &mut pstate, logged);
-                return Ok(());
+                return Ok(None);
             }
-            {
-                let mut pstate = src_parent.state.write();
-                self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
-                self.stamp_dir(&tx, src_parent.ino, &mut pstate, None);
-            }
+            self.remove_stamped(&tx, &src_parent, src_name)?;
             let mut pstate = dst_parent.state.write();
             let logged = self.add_entry(&tx, &dst_parent, &mut pstate, dst_name, ino, ftype)?;
             self.stamp_dir(&tx, dst_parent.ino, &mut pstate, logged);
-            Ok(())
+            Ok(None)
         })();
-        self.finish_namespace(tx, res.map(|()| None), &[&src_parent, &dst_parent])
+        self.finish_namespace(tx, res, &[&src_parent, &dst_parent])
     }
 
     fn sync(&self) -> Result<()> {

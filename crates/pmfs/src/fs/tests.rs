@@ -1025,3 +1025,66 @@ fn a_rename_that_outgrows_its_record_survives_a_crash_at_every_boundary() {
         }
     }
 }
+
+/// A directory renamed over an empty one replaces it in one transaction:
+/// a crash at any persistence boundary of the rename, clean or torn,
+/// recovers to the tree before or the tree after — never one without
+/// `/b`, and never one that leaks the replaced directory.
+#[test]
+fn a_directory_renamed_over_an_empty_one_survives_a_crash_at_every_boundary() {
+    let tree = |fs: &Pmfs| -> Vec<String> {
+        let mut v = Vec::new();
+        for e in fs.readdir("/").unwrap() {
+            v.push(format!("/{}", e.name));
+            if e.ftype == FileType::Dir {
+                let inner = fs.readdir(&format!("/{}", e.name)).unwrap();
+                v.extend(inner.into_iter().map(|c| format!("/{}/{}", e.name, c.name)));
+            }
+        }
+        v.sort();
+        v
+    };
+    let before = ["/a", "/a/x", "/b", "/c"].map(String::from).to_vec();
+    let after = ["/b", "/b/x", "/c"].map(String::from).to_vec();
+    let mut crashed = 0;
+    for k in 1.. {
+        for torn in [None, Some(0xd1d1 ^ k)] {
+            let (dev, fs) = fresh();
+            for d in ["/a", "/b"] {
+                fs.mkdir(d).unwrap();
+            }
+            touch(&fs, "/a/x");
+            touch(&fs, "/c");
+            // `/b` is empty but holds a block.
+            touch(&fs, "/b/y");
+            fs.unlink("/b/y").unwrap();
+            let free0 = fs.free_blocks();
+            let plan = FaultPlan::new();
+            dev.fault_hook().install(plan.clone());
+            plan.arm_crash(k);
+            let res =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fs.rename("/a", "/b")));
+            dev.fault_hook().clear();
+            let Err(payload) = res else {
+                assert_eq!(tree(&fs), after);
+                assert!(fs.free_blocks() > free0, "the replaced directory's blocks");
+                assert!(crashed > 0);
+                return;
+            };
+            assert!(payload.downcast_ref::<nvmm::CrashSignal>().is_some());
+            crashed += 1;
+            drop(fs);
+            match torn {
+                Some(seed) => _ = dev.crash_partial(seed),
+                None => dev.crash(),
+            }
+            let fs = Pmfs::mount(dev).unwrap();
+            let got = tree(&fs);
+            assert!(
+                got == before || got == after,
+                "k={k} torn={torn:?}: {got:?}"
+            );
+            assert!(fs.audit().is_clean(), "k={k}: {}", fs.audit().to_json());
+        }
+    }
+}
