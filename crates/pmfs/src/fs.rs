@@ -741,37 +741,45 @@ impl Pmfs {
         }
     }
 
-    /// Append implementation shared by `append` and APPEND-flagged
-    /// `write` (both wrap it in the op scope / syscall charge).
-    fn append_inner(&self, fd: Fd, data: &[u8]) -> Result<u64> {
+    /// The write path of `write`, `write_vectored` and `append` (each
+    /// wraps it in the op scope and the syscall charge): the gather list
+    /// lands as one run at `off`, or at the end of file for `None` or an
+    /// `O_APPEND` descriptor. One journal transaction, one inode lock hold
+    /// and one logged inode core cover the whole list — per slice the only
+    /// repeated cost is the data copy itself. Returns where the run landed
+    /// and its length.
+    fn write_inner(&self, fd: Fd, off: Option<u64>, iovs: &[&[u8]]) -> Result<(u64, usize)> {
         let of = self.fds.get(fd)?;
         if !of.flags.writable() {
             return Err(FsError::BadFd);
         }
-        obsv::note_bytes(obsv::Layer::Logical, data.len() as u64);
+        obsv::note_bytes(
+            obsv::Layer::Logical,
+            iovs.iter().map(|s| s.len() as u64).sum(),
+        );
         let tx = self.journal.begin()?;
-        let res = (|| -> Result<u64> {
+        let res = (|| -> Result<(u64, usize)> {
             let mut state = of.handle.state.write();
-            let off = state.size;
-            file::write_at(
-                &self.dev,
-                &self.alloc,
-                &mut state,
-                off,
-                data,
-                self.env.now(),
-            )?;
+            let start = match off {
+                Some(off) if !of.flags.contains(OpenFlags::APPEND) => off,
+                _ => state.size,
+            };
+            let mut cur = start;
+            for iov in iovs {
+                file::write_at(&self.dev, &self.alloc, &mut state, cur, iov, self.env.now())?;
+                cur += iov.len() as u64;
+            }
             let snap = *state;
             drop(state);
             self.log_write_inode(&tx, of.ino, &snap)?;
-            Ok(off)
+            Ok((start, (cur - start) as usize))
         })();
         match res {
-            Ok(off) => {
+            Ok((start, n)) => {
                 self.journal.commit(tx);
                 // Direct access: the data is durable before the ack.
-                self.obs.record_inline_drain(data.len() as u64);
-                Ok(off)
+                self.obs.record_inline_drain(n as u64);
+                Ok((start, n))
             }
             Err(e) => {
                 self.journal.abort(tx);
@@ -933,98 +941,20 @@ impl FileSystem for Pmfs {
     }
 
     fn write(&self, fd: Fd, off: u64, data: &[u8]) -> Result<usize> {
-        self.obs.op(OpKind::Write, || {
-            self.env.charge_syscall();
-            let of = self.fds.get(fd)?;
-            if !of.flags.writable() {
-                return Err(FsError::BadFd);
-            }
-            if of.flags.contains(OpenFlags::APPEND) {
-                return self.append_inner(fd, data).map(|_| data.len());
-            }
-            obsv::note_bytes(obsv::Layer::Logical, data.len() as u64);
-            let tx = self.journal.begin()?;
-            let res = (|| -> Result<()> {
-                let mut state = of.handle.state.write();
-                file::write_at(
-                    &self.dev,
-                    &self.alloc,
-                    &mut state,
-                    off,
-                    data,
-                    self.env.now(),
-                )?;
-                let snap = *state;
-                drop(state);
-                self.log_write_inode(&tx, of.ino, &snap)?;
-                Ok(())
-            })();
-            match res {
-                Ok(()) => {
-                    self.journal.commit(tx);
-                    // Direct access: the data is durable before the ack.
-                    self.obs.record_inline_drain(data.len() as u64);
-                    Ok(data.len())
-                }
-                Err(e) => {
-                    self.journal.abort(tx);
-                    Err(e)
-                }
-            }
-        })
+        self.write_vectored(fd, off, &[data])
     }
 
     fn write_vectored(&self, fd: Fd, off: u64, iovs: &[&[u8]]) -> Result<usize> {
         self.obs.op(OpKind::Write, || {
             self.env.charge_syscall();
-            let of = self.fds.get(fd)?;
-            if !of.flags.writable() {
-                return Err(FsError::BadFd);
-            }
-            // One journal transaction, one inode lock hold and one logged
-            // inode core cover the whole gather list — per-slice the only
-            // repeated cost is the data copy itself.
-            obsv::note_bytes(
-                obsv::Layer::Logical,
-                iovs.iter().map(|s| s.len() as u64).sum(),
-            );
-            let tx = self.journal.begin()?;
-            let res = (|| -> Result<usize> {
-                let mut state = of.handle.state.write();
-                let mut cur = if of.flags.contains(OpenFlags::APPEND) {
-                    state.size
-                } else {
-                    off
-                };
-                let start = cur;
-                for iov in iovs {
-                    file::write_at(&self.dev, &self.alloc, &mut state, cur, iov, self.env.now())?;
-                    cur += iov.len() as u64;
-                }
-                let snap = *state;
-                drop(state);
-                self.log_write_inode(&tx, of.ino, &snap)?;
-                Ok((cur - start) as usize)
-            })();
-            match res {
-                Ok(n) => {
-                    self.journal.commit(tx);
-                    // Direct access: the data is durable before the ack.
-                    self.obs.record_inline_drain(n as u64);
-                    Ok(n)
-                }
-                Err(e) => {
-                    self.journal.abort(tx);
-                    Err(e)
-                }
-            }
+            self.write_inner(fd, Some(off), iovs).map(|(_, n)| n)
         })
     }
 
     fn append(&self, fd: Fd, data: &[u8]) -> Result<u64> {
         self.obs.op(OpKind::Write, || {
             self.env.charge_syscall();
-            self.append_inner(fd, data)
+            self.write_inner(fd, None, &[data]).map(|(off, _)| off)
         })
     }
 
