@@ -1079,6 +1079,7 @@ fn an_allocator_running_dry_mid_batch_maps_the_prefix_and_reports_it() {
 mod budget_props {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -1086,6 +1087,9 @@ mod budget_props {
         Fsync(u8),
         Unlink(u8),
         Truncate(u8, u64),
+        Rename(u8, u8),
+        TruncOpen(u8),
+        UnlinkOpen(u8),
         Tick,
     }
 
@@ -1096,7 +1100,10 @@ mod budget_props {
             (file.clone(), 0u64..40, 1usize..24).prop_map(|(f, b, n)| Op::Write(f, b, n)),
             file.clone().prop_map(Op::Fsync),
             file.clone().prop_map(Op::Unlink),
-            (file, 0u64..40).prop_map(|(f, b)| Op::Truncate(f, b)),
+            (file.clone(), 0u64..40).prop_map(|(f, b)| Op::Truncate(f, b)),
+            (file.clone(), file.clone()).prop_map(|(f, g)| Op::Rename(f, g)),
+            file.clone().prop_map(Op::TruncOpen),
+            file.prop_map(Op::UnlinkOpen),
             Just(Op::Tick),
         ]
     }
@@ -1105,7 +1112,9 @@ mod budget_props {
         #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
         /// Whatever a script does, every block of the budget is either
-        /// free or linked in exactly one shard.
+        /// free or linked in exactly one shard, and only a file some name
+        /// still reaches holds buffer state: each path that frees or
+        /// empties an inode discards it.
         #[test]
         fn the_budget_is_conserved(ops in proptest::collection::vec(op(), 1..40)) {
             let (_d, fs) = fresh_with(small_cfg().with_audit());
@@ -1132,7 +1141,28 @@ mod budget_props {
                             fs.close(fd).unwrap();
                         }
                     }
+                    Op::Rename(f, g) => {
+                        let _ = fs.rename(&path(f), &path(g));
+                    }
+                    Op::TruncOpen(f) => {
+                        if let Ok(fd) = fs.open(&path(f), OpenFlags::RDWR | OpenFlags::TRUNC) {
+                            fs.close(fd).unwrap();
+                        }
+                    }
+                    Op::UnlinkOpen(f) => {
+                        if let Ok(fd) = fs.open(&path(f), OpenFlags::RDWR) {
+                            fs.unlink(&path(f)).unwrap();
+                            fs.write(fd, 0, &vec![f + 1; 3000]).unwrap();
+                            fs.close(fd).unwrap();
+                        }
+                    }
                     Op::Tick => fs.tick(fs.env().now()),
+                }
+                let live: HashSet<u64> = (0..6).filter_map(|f| fs.stat(&path(f)).ok()).map(|s| s.ino).collect();
+                for shard in &fs.shards {
+                    for ino in shard.lock().files.keys() {
+                        prop_assert!(live.contains(ino), "inode {} holds buffer state but no name reaches it", ino);
+                    }
                 }
                 let b = obsv::Introspect::snapshot(&*fs).buffer.unwrap();
                 prop_assert_eq!(b.capacity_blocks, fs.config().buffer_blocks() as u64);
