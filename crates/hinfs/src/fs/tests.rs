@@ -1158,10 +1158,11 @@ mod budget_props {
                     }
                     Op::Tick => fs.tick(fs.env().now()),
                 }
-                let live: HashSet<u64> = (0..6).filter_map(|f| fs.stat(&path(f)).ok()).map(|s| s.ino).collect();
+                let live: HashSet<u64> =
+                    (0..6).filter_map(|f| fs.stat(&path(f)).ok()).map(|s| s.ino).collect();
                 for shard in &fs.shards {
                     for ino in shard.lock().files.keys() {
-                        prop_assert!(live.contains(ino), "inode {} holds buffer state but no name reaches it", ino);
+                        prop_assert!(live.contains(ino), "no name reaches buffered inode {}", ino);
                     }
                 }
                 let b = obsv::Introspect::snapshot(&*fs).buffer.unwrap();

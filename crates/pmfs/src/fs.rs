@@ -14,8 +14,10 @@
 //!    `nlink = 0`, and every entry mutation re-checks `nlink` under the
 //!    parent's lock.
 //! 2. per-inode `RwLock` — protects file size, block tree and data I/O.
-//!    Never hold two except child-then-parent in `rmdir`, which always
-//!    follows tree depth upward (no cycles).
+//!    Never hold two except child-then-parent: `rmdir` and a rename over
+//!    an existing entry hold the dying inode's lock while they edit the
+//!    parents. That inode is a file or an empty directory, checked under
+//!    its lock first, so no lock holder waits on it (no cycles).
 //! 3. a directory's `names` mutex (its DRAM name index) — under that
 //!    directory's inode lock, or alone; two at once only in ascending
 //!    inode order (an aborting rename). An entry edit holds it across

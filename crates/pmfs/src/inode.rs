@@ -259,8 +259,8 @@ pub struct InodeHandle {
     /// The inode number.
     pub ino: u64,
     /// The mutable inode state. Lock order: namespace lock before inode
-    /// locks; never hold two inode locks except parent-then-child in
-    /// rename, which the namespace lock serializes.
+    /// locks; never hold two inode locks except child-then-parent (see
+    /// [`crate::fs`]).
     pub state: RwLock<InodeMem>,
     /// Open descriptor count (volatile); freed inodes are reaped when it
     /// reaches zero. Lock order: `state` → `opens`, never the reverse —
