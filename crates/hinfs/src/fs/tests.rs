@@ -18,7 +18,7 @@ fn small_cfg() -> HinfsConfig {
     HinfsConfig::default().with_buffer_bytes(64 * BLOCK_SIZE)
 }
 
-fn fresh_with(cfg: HinfsConfig) -> (Arc<NvmmDevice>, Arc<Hinfs>) {
+fn fresh_cfg(cfg: HinfsConfig) -> (Arc<NvmmDevice>, Arc<Hinfs>) {
     let env = SimEnv::new_virtual(CostModel::default());
     env.set_now(0);
     let dev = NvmmDevice::new_tracked(env, 16384 * BLOCK_SIZE);
@@ -27,7 +27,7 @@ fn fresh_with(cfg: HinfsConfig) -> (Arc<NvmmDevice>, Arc<Hinfs>) {
 }
 
 fn fresh() -> (Arc<NvmmDevice>, Arc<Hinfs>) {
-    fresh_with(small_cfg())
+    fresh_cfg(small_cfg())
 }
 
 fn rw_create() -> OpenFlags {
@@ -220,7 +220,7 @@ fn eager_state_decays_after_five_seconds() {
 
 #[test]
 fn hinfs_wb_variant_never_goes_eager() {
-    let (_d, fs) = fresh_with(small_cfg().wb_only());
+    let (_d, fs) = fresh_cfg(small_cfg().wb_only());
     assert_eq!(fs.name(), "hinfs-wb");
     let fd = fs.open("/mail", rw_create()).unwrap();
     for _ in 0..10 {
@@ -237,7 +237,7 @@ fn hinfs_wb_variant_never_goes_eager() {
 fn clfw_flushes_only_dirty_lines() {
     // The WB variant keeps the checker out of the way so the block stays
     // buffered across both fsyncs and the flush granularity is isolated.
-    let (dev, fs) = fresh_with(small_cfg().wb_only());
+    let (dev, fs) = fresh_cfg(small_cfg().wb_only());
     let fd = fs.open("/f", rw_create()).unwrap();
     // Prime a full block so later writes hit an existing NVMM block.
     fs.write(fd, 0, &[0u8; BLOCK_SIZE]).unwrap();
@@ -257,7 +257,7 @@ fn clfw_flushes_only_dirty_lines() {
 
 #[test]
 fn nclfw_flushes_whole_blocks() {
-    let (dev, fs) = fresh_with(small_cfg().nclfw().wb_only());
+    let (dev, fs) = fresh_cfg(small_cfg().nclfw().wb_only());
     assert_eq!(fs.name(), "hinfs-wb");
     let fd = fs.open("/f", rw_create()).unwrap();
     fs.write(fd, 0, &[0u8; BLOCK_SIZE]).unwrap();
@@ -303,7 +303,7 @@ fn clfw_fetches_only_partial_lines() {
 #[test]
 fn deleted_files_skip_writeback() {
     // 16 dirty blocks of one file must all still be buffered at unlink.
-    let (dev, fs) = fresh_with(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
+    let (dev, fs) = fresh_cfg(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
     let fd = fs.open("/tmp1", rw_create()).unwrap();
     fs.write(fd, 0, &vec![1u8; 16 * BLOCK_SIZE]).unwrap();
     fs.close(fd).unwrap();
@@ -375,7 +375,7 @@ fn one_file_may_use_the_whole_buffer() {
 /// eviction per stalled block, with the background stalled throughout.
 #[test]
 fn a_stalled_writer_with_an_empty_shard_evicts_from_a_foreign_one() {
-    let (dev, fs) = fresh_with(small_cfg().with_audit());
+    let (dev, fs) = fresh_cfg(small_cfg().with_audit());
     let plan = nvmm::fault::FaultPlan::new();
     dev.fault_hook().install(plan.clone());
     plan.set_stall_writeback(true);
@@ -625,7 +625,7 @@ fn sync_flushes_all_files() {
 fn read_write_mix_across_eviction_boundaries() {
     // Deterministic pseudo-random op mix compared against an in-memory
     // model, with a tiny pool to force constant eviction and re-fetch.
-    let (_d, fs) = fresh_with(HinfsConfig::default().with_buffer_bytes(16 * BLOCK_SIZE));
+    let (_d, fs) = fresh_cfg(HinfsConfig::default().with_buffer_bytes(16 * BLOCK_SIZE));
     let fd = fs.open("/model", rw_create()).unwrap();
     let file_len = 40 * BLOCK_SIZE;
     let mut model = vec![0u8; file_len];
@@ -827,7 +827,7 @@ fn sync_passes_a_file_the_full_ring_refuses_and_maps_it_once_the_ring_drained() 
     // One shard, so `sync` visits files in inode order: the sparse file
     // (older, lower ino) before the appender whose open transaction pins
     // the ring.
-    let (dev, fs) = fresh_with(small_cfg().with_shards(1));
+    let (dev, fs) = fresh_cfg(small_cfg().with_shards(1));
     let sparse = sparse_file_with_a_dirty_hole_block(&fs, "/sparse", 0xCD);
     let pinner = fs.open("/pinner", rw_create()).unwrap();
     fs.append(pinner, &vec![0xEE; BLOCK_SIZE]).unwrap();
@@ -916,7 +916,7 @@ fn within_block(off: u64, pblk: u64) -> bool {
 
 #[test]
 fn fsync_maps_a_fresh_batch_under_the_writes_own_transaction() {
-    let (dev, fs) = fresh_with(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
+    let (dev, fs) = fresh_cfg(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
     let fd = fs.open("/f", rw_create()).unwrap();
     let j = fs.pmfs().journal();
     let begins = j.stats().snapshot().begins;
@@ -989,7 +989,7 @@ fn a_batch_with_no_transaction_to_ride_opens_one_and_commits_it_after_the_data()
 #[test]
 fn a_refused_batch_keeps_its_hole_blocks_dirty_and_still_flushes_the_mapped_ones() {
     // (The WB variant: the checker would turn the synced block eager.)
-    let (dev, fs) = fresh_with(small_cfg().wb_only());
+    let (dev, fs) = fresh_cfg(small_cfg().wb_only());
     let fd = fs.open("/sparse", rw_create()).unwrap();
     fs.truncate(fd, 8 * BLOCK_SIZE as u64).unwrap();
     fs.write(fd, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
@@ -1031,7 +1031,7 @@ fn a_refused_batch_keeps_its_hole_blocks_dirty_and_still_flushes_the_mapped_ones
 fn an_allocator_running_dry_mid_batch_maps_the_prefix_and_reports_it() {
     use obsv::Introspect;
     for k in 0..6u64 {
-        let (dev, fs) = fresh_with(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
+        let (dev, fs) = fresh_cfg(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
         let fd = fs.open("/f", rw_create()).unwrap();
         // The leaf exists, so the batch allocates data blocks only.
         fs.append(fd, &vec![0x10; BLOCK_SIZE]).unwrap();
@@ -1117,7 +1117,7 @@ mod budget_props {
         /// empties an inode discards it.
         #[test]
         fn the_budget_is_conserved(ops in proptest::collection::vec(op(), 1..40)) {
-            let (_d, fs) = fresh_with(small_cfg().with_audit());
+            let (_d, fs) = fresh_cfg(small_cfg().with_audit());
             let path = |f: u8| format!("/f{f}");
             for op in ops {
                 match op {

@@ -65,13 +65,13 @@ pub fn list(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
 /// Builds the directory's name index ([`NameIndex`]) with one pass over
 /// its blocks, at that pass's full NVMM-read cost.
 pub fn index(dev: &NvmmDevice, mem: &InodeMem) -> Result<NameIndex> {
-    index_with(dev, mem, true)
+    build_index(dev, mem, true)
 }
 
 /// [`index`] for the invariant auditor: reads through
 /// [`NvmmDevice::peek`], so it charges no time and moves no counter.
 pub fn index_uncharged(dev: &NvmmDevice, mem: &InodeMem) -> Result<NameIndex> {
-    index_with(dev, mem, false)
+    build_index(dev, mem, false)
 }
 
 /// Parses every directory block in order, read charged (`charge`) or
@@ -103,7 +103,7 @@ fn scan(
 
 /// The name index of the media: every header, and every live name's
 /// first entry.
-fn index_with(dev: &NvmmDevice, mem: &InodeMem, charge: bool) -> Result<NameIndex> {
+fn build_index(dev: &NvmmDevice, mem: &InodeMem, charge: bool) -> Result<NameIndex> {
     let mut index = NameIndex::default();
     scan(dev, mem, charge, |pblk, entries| {
         let first = index.push_block(pblk);
