@@ -19,13 +19,12 @@
 //! unaligned write only fetches the lines it partially overwrites, and
 //! writeback only persists the dirty lines.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nvmm::{BLOCK_SIZE, CACHELINE};
 
-use crate::index::BTreeIndex;
 use crate::lrw::LrwList;
 
 /// A full cacheline mask (all 64 lines of a block).
@@ -269,17 +268,19 @@ pub struct BlockStats {
     /// The previous synchronization's decision (`true` = lazy beneficial),
     /// for the Fig 6 accuracy measurement.
     pub prev_lazy: Option<bool>,
+    /// Whether the block is in the Eager-Persistent state (set by the last
+    /// evaluation; decays with the file's `last_sync_ns`).
+    pub eager: bool,
 }
 
 /// Per-file buffered state: the DRAM Block Index plus policy bookkeeping.
 #[derive(Debug, Default)]
 pub struct FileBuf {
-    /// DRAM Block Index: file block -> pool slot.
-    pub index: BTreeIndex<u32>,
-    /// Blocks currently in the Eager-Persistent state, with the time the
-    /// state was set.
-    pub eager: HashMap<u64, u64>,
-    /// Buffer Benefit Model state per block.
+    /// DRAM Block Index: file block -> pool slot, std's B-tree in DRAM
+    /// (paper §3.2, Fig 5); iteration is in ascending block order.
+    pub index: BTreeMap<u64, u32>,
+    /// Buffer Benefit Model state per block, the Eager-Persistent flag
+    /// included.
     pub bbm: HashMap<u64, BlockStats>,
     /// Open lazy transactions in begin order (commit must follow this
     /// order; see `tracker`).
@@ -334,7 +335,7 @@ impl Shared {
 
     /// Looks up the pool slot buffering `(ino, iblk)`.
     pub fn slot_of(&self, ino: u64, iblk: u64) -> Option<u32> {
-        self.files.get(&ino)?.index.get(iblk).copied()
+        self.files.get(&ino)?.index.get(&iblk).copied()
     }
 }
 

@@ -56,7 +56,7 @@ pub fn is_eager_block(cfg: &HinfsConfig, file: &FileBuf, iblk: u64, now: u64) ->
     if file.mmap_pinned {
         return true;
     }
-    if !file.eager.contains_key(&iblk) {
+    if !file.bbm.get(&iblk).is_some_and(|st| st.eager) {
         return false;
     }
     now.saturating_sub(file.last_sync_ns) <= cfg.eager_decay_ns
@@ -102,7 +102,7 @@ pub fn evaluate_at_sync(ctx: &EvalCtx<'_>, file: &mut FileBuf, iblk: u64, n_cf: 
     let st = file.bbm.entry(iblk).or_default();
     if st.n_cw == 0 && n_cf == 0 {
         // Nothing happened to this block this epoch; keep its state.
-        return !file.eager.contains_key(&iblk);
+        return !st.eager;
     }
     let n_cw = st.n_cw;
     let lazy = buffering_wins(ctx.cost, n_cw, n_cf);
@@ -133,11 +133,7 @@ pub fn evaluate_at_sync(ctx: &EvalCtx<'_>, file: &mut FileBuf, iblk: u64, n_cf: 
     st.prev_lazy = Some(lazy);
     st.n_cw = 0;
     st.ghost_dirty = 0;
-    if lazy || !ctx.cfg.checker {
-        file.eager.remove(&iblk);
-    } else {
-        file.eager.insert(iblk, ctx.now);
-    }
+    st.eager = !lazy && ctx.cfg.checker;
     lazy
 }
 
@@ -175,7 +171,7 @@ mod tests {
         let c = cfg();
         let mut f = FileBuf::new();
         assert!(!is_eager_block(&c, &f, 0, 0), "blocks start lazy");
-        f.eager.insert(0, 1_000);
+        f.bbm.entry(0).or_default().eager = true;
         f.last_sync_ns = 1_000;
         assert!(is_eager_block(&c, &f, 0, 2_000));
         // 5 s after the last sync the state decays back to lazy.
@@ -187,7 +183,7 @@ mod tests {
     fn wb_variant_disables_checker() {
         let c = cfg().wb_only();
         let mut f = FileBuf::new();
-        f.eager.insert(0, 0);
+        f.bbm.entry(0).or_default().eager = true;
         assert!(!is_eager_block(&c, &f, 0, 100));
     }
 
@@ -218,7 +214,7 @@ mod tests {
         // Epoch 1: no coalescing -> eager.
         record_write(&mut f, 0, 0xff, true);
         assert!(!evaluate_at_sync(&ctx(100), &mut f, 0, 8));
-        assert!(f.eager.contains_key(&0));
+        assert!(f.bbm[&0].eager);
         // Epoch 2: same behaviour -> still eager, and accurate.
         record_write(&mut f, 0, 0xff, false);
         assert!(!evaluate_at_sync(&ctx(200), &mut f, 0, 8));
@@ -230,7 +226,7 @@ mod tests {
             record_write(&mut f, 0, 0xff, false);
         }
         assert!(evaluate_at_sync(&ctx(300), &mut f, 0, 8));
-        assert!(!f.eager.contains_key(&0));
+        assert!(!f.bbm[&0].eager);
         let s = stats.snapshot();
         assert_eq!(s.bbm_evals, 3);
         assert_eq!(s.bbm_accurate, 2, "the flip was a misprediction");
@@ -268,7 +264,7 @@ mod tests {
         let stats = HinfsStats::new();
         let trace = TraceRing::new(4);
         let mut f = FileBuf::new();
-        f.eager.insert(7, 50);
+        f.bbm.entry(7).or_default().eager = true;
         let ctx = EvalCtx {
             cfg: &c,
             cost: &cost,

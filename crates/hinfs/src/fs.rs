@@ -474,23 +474,11 @@ impl Hinfs {
         self.inner.device().spans().scope(Phase::BufLookup, || {
             self.env.charge(Cat::Other, self.env.cost().page_cache_ns);
         });
-        loop {
+        let (mut sh, slot) = loop {
             let mut sh = self.shard(ino).lock();
             if let Some(slot) = sh.slot_of(ino, iblk) {
                 HinfsStats::bump(&self.stats.buffer_hits, 1);
-                let fetch_need = if self.cfg.clfw {
-                    touched & !covered
-                } else {
-                    FULL_MASK
-                };
-                self.ensure_lines(&mut sh, slot, fetch_need);
-                self.apply_to_slot(&mut sh, slot, in_blk, payload, now);
-                if !self.cfg.clfw {
-                    let m = sh.pool_mut().meta_mut(slot);
-                    m.valid = FULL_MASK;
-                    m.dirty = FULL_MASK;
-                }
-                return Ok(());
+                break (sh, slot);
             }
             let Some(slot) = sh.pool_mut().alloc_slot(ino, iblk, now) else {
                 // Budget exhausted before background writeback caught up:
@@ -513,20 +501,21 @@ impl Hinfs {
             let pblk = pmfs::tree::lookup(self.dev(), state, iblk).unwrap_or(0);
             sh.pool_mut().meta_mut(slot).nvmm_block = pblk;
             sh.file_mut(ino).index.insert(iblk, slot);
-            let fetch_need = if self.cfg.clfw {
-                touched & !covered
-            } else {
-                FULL_MASK
-            };
-            self.ensure_lines(&mut sh, slot, fetch_need);
-            self.apply_to_slot(&mut sh, slot, in_blk, payload, now);
-            if !self.cfg.clfw {
-                let m = sh.pool_mut().meta_mut(slot);
-                m.valid = FULL_MASK;
-                m.dirty = FULL_MASK;
-            }
-            return Ok(());
+            break (sh, slot);
+        };
+        let fetch_need = if self.cfg.clfw {
+            touched & !covered
+        } else {
+            FULL_MASK
+        };
+        self.ensure_lines(&mut sh, slot, fetch_need);
+        self.apply_to_slot(&mut sh, slot, in_blk, payload, now);
+        if !self.cfg.clfw {
+            let m = sh.pool_mut().meta_mut(slot);
+            m.valid = FULL_MASK;
+            m.dirty = FULL_MASK;
         }
+        Ok(())
     }
 
     // ----- read path -----
@@ -632,12 +621,12 @@ impl Hinfs {
         // Collect this file's dirty blocks and their flush sizes (N_cf).
         let mut dirty: Vec<(u64, u32, u64)> = Vec::new(); // (iblk, slot, n_cf)
         if let Some(file) = sh.files.get(&ino) {
-            file.index.for_each(&mut |iblk, slot| {
-                let d = sh.pool().meta(*slot).dirty;
+            for (&iblk, &slot) in &file.index {
+                let d = sh.pool().meta(slot).dirty;
                 if d != 0 {
-                    dirty.push((iblk, *slot, d.count_ones() as u64));
+                    dirty.push((iblk, slot, d.count_ones() as u64));
                 }
-            });
+            }
         }
         let slots: Vec<u32> = dirty.iter().map(|&(_, slot, _)| slot).collect();
         let _ = self.flush_batch_locked(&mut sh, &slots, Some(state), obsv::DrainKind::Sync)?;
@@ -663,24 +652,20 @@ impl Hinfs {
                 now,
                 ino,
             };
-            let mut to_evict: Vec<u64> = Vec::new();
+            // Blocks now in the Eager-Persistent state leave the buffer so
+            // NVMM stays the single source of truth for them.
+            let mut to_evict: Vec<u32> = Vec::new();
             self.inner.device().spans().scope(Phase::GhostProbe, || {
                 for (iblk, n_cf) in evals {
                     let lazy = checker::evaluate_at_sync(&ctx, file, iblk, n_cf);
-                    if !lazy && file.index.get(iblk).is_some() {
-                        to_evict.push(iblk);
+                    if !lazy {
+                        to_evict.extend(file.index.get(&iblk));
                     }
                 }
             });
             file.last_sync_ns = now;
             state.last_sync = now;
-            // Blocks now in the Eager-Persistent state leave the buffer so
-            // NVMM stays the single source of truth for them.
-            let slots: Vec<u32> = to_evict
-                .iter()
-                .filter_map(|&iblk| sh.slot_of(ino, iblk))
-                .collect();
-            self.evict_batch_locked(&mut sh, &slots, state, obsv::DrainKind::Sync)?;
+            self.evict_batch_locked(&mut sh, &to_evict, state, obsv::DrainKind::Sync)?;
         }
         if let Some(file) = sh.files.get_mut(&ino) {
             // Every block of this file is clean now, so no pending entry
@@ -714,9 +699,7 @@ impl Hinfs {
     pub(crate) fn drop_buffers(&self, ino: u64) {
         let mut sh = self.shard(ino).lock();
         if let Some(mut file) = sh.files.remove(&ino) {
-            let mut slots = Vec::new();
-            file.index.drain(&mut |_, slot| slots.push(slot));
-            for slot in slots {
+            for slot in std::mem::take(&mut file.index).into_values() {
                 if sh.pool().meta(slot).dirty != 0 {
                     sh.dirty_blocks -= 1;
                     HinfsStats::bump(&self.stats.dropped_dirty_blocks, 1);
@@ -847,11 +830,7 @@ impl FileSystem for Hinfs {
             let mut sh = self.shard(of.ino).lock();
             // Drop (clean) buffered copies: the mapping must see NVMM.
             let slots: Vec<u32> = match sh.files.get(&of.ino) {
-                Some(f) => {
-                    let mut v = Vec::new();
-                    f.index.for_each(&mut |_, s| v.push(*s));
-                    v
-                }
+                Some(f) => f.index.values().copied().collect(),
                 None => Vec::new(),
             };
             self.evict_batch_locked(&mut sh, &slots, &mut guard, obsv::DrainKind::Sync)?;

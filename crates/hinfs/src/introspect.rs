@@ -80,19 +80,14 @@ impl Introspect for Hinfs {
             inos.sort_unstable();
             for ino in inos {
                 let f = &sh.files[&ino];
-                b.eager_blocks += f.eager.len() as u64;
                 b.bbm_tracked_blocks += f.bbm.len() as u64;
                 b.open_txs += f.txs.len() as u64;
-                resident_eager += f
-                    .eager
-                    .keys()
-                    .filter(|&&iblk| f.index.get(iblk).is_some())
-                    .count() as u64;
-                b.ghost_blocks += f
-                    .bbm
-                    .keys()
-                    .filter(|&&iblk| f.index.get(iblk).is_none())
-                    .count() as u64;
+                for (iblk, st) in &f.bbm {
+                    let resident = f.index.contains_key(iblk);
+                    b.eager_blocks += st.eager as u64;
+                    resident_eager += (st.eager && resident) as u64;
+                    b.ghost_blocks += !resident as u64;
+                }
             }
         }
         // Eager blocks are evicted when they flip, so resident eager slots
@@ -180,11 +175,11 @@ impl Hinfs {
                 open_sum += f.txs.len() as u64;
                 // index.slot_owner: each index entry points at a slot bound
                 // to exactly this (ino, iblk).
-                f.index.for_each(&mut |iblk, slot: &u32| {
-                    let m = pool.meta(*slot);
+                for (&iblk, &slot) in &f.index {
+                    let m = pool.meta(slot);
                     rep.check_eq(0, ino, iblk, m.ino, ino);
                     rep.check_eq(0, ino, iblk, m.iblk, iblk);
-                });
+                }
                 // tx.pending_buffered: a block gating a deferred commit
                 // must still be buffered dirty, else the commit could never
                 // drain.
@@ -193,7 +188,7 @@ impl Hinfs {
                     blocks.sort_unstable();
                     for iblk in blocks {
                         let buffered_dirty =
-                            f.index.get(iblk).is_some_and(|&s| pool.meta(s).dirty != 0);
+                            f.index.get(&iblk).is_some_and(|&s| pool.meta(s).dirty != 0);
                         rep.check_eq(7, ino, iblk, buffered_dirty as u64, 1);
                     }
                 }
@@ -360,6 +355,36 @@ mod tests {
             .into_iter()
             .any(|r| r.ev.kind() == "audit.violation");
         assert!(traced, "violation emitted as a trace event");
+    }
+
+    #[test]
+    fn corrupted_block_index_is_caught_as_violation() {
+        let fs = fresh(small_cfg());
+        let fd = populate(&fs);
+        fs.write(fd, 6 * BLOCK_SIZE as u64, &[7; 64]).unwrap();
+        let ino = fs.stat("/f").unwrap().ino;
+        let found = |fs: &Hinfs| -> Vec<(u64, u64, u64)> {
+            let rep = fs.audit();
+            rep.violations
+                .iter()
+                .map(|v| (v.code, v.ino, v.iblk))
+                .collect()
+        };
+        // index.slot_owner: block 5's entry points at block 6's slot.
+        let own = {
+            let mut sh = fs.shard(ino).lock();
+            let six = sh.slot_of(ino, 6).expect("block 6 is buffered");
+            sh.file_mut(ino)
+                .index
+                .insert(5, six)
+                .expect("block 5 is buffered")
+        };
+        assert!(found(&fs).contains(&(0, ino, 5)), "slot owner mismatch");
+        fs.shard(ino).lock().file_mut(ino).index.insert(5, own);
+        assert!(fs.audit().is_clean());
+        // index.coverage: an entry goes while its slot stays linked.
+        fs.shard(ino).lock().file_mut(ino).index.remove(&6);
+        assert!(found(&fs).iter().any(|&(code, _, _)| code == 1));
     }
 
     #[test]

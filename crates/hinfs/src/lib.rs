@@ -9,7 +9,7 @@
 //! | Paper concept | Module |
 //! |---|---|
 //! | NVMM-aware Write Buffer (one block budget, `Low_f`/`High_f` over it, per-shard LRW lists, 5 s / 30 s flushes) | [`buffer`], [`writeback`] |
-//! | DRAM Block Index (per-file B-tree in DRAM) | [`index`] |
+//! | DRAM Block Index (per-file B-tree in DRAM: `std`'s `BTreeMap` in [`buffer::FileBuf`]) | [`buffer`] |
 //! | Cacheline Bitmap + CLFW (fine-grained fetch/writeback) | [`buffer`] |
 //! | Eager-Persistent Write Checker + Buffer Benefit Model + ghost buffer | [`checker`] |
 //! | Ordered-mode journaling with deferred commits | [`tracker`] (FIFO per-file transactions over the PMFS undo journal) |
@@ -24,7 +24,6 @@
 pub mod buffer;
 pub mod checker;
 pub mod fs;
-pub mod index;
 pub mod introspect;
 pub mod lrw;
 pub mod stats;

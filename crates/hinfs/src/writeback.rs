@@ -364,7 +364,7 @@ impl Hinfs {
                 break;
             }
             if let Some(file) = sh.files.get_mut(&meta.ino) {
-                file.index.remove(meta.iblk);
+                file.index.remove(&meta.iblk);
             }
             sh.pool_mut().release_slot(slot);
             released += 1;
@@ -787,11 +787,7 @@ impl Hinfs {
         };
         let mut sh = self.shards[si].lock();
         let slots: Vec<u32> = match sh.files.get(&ino) {
-            Some(f) => {
-                let mut v = Vec::new();
-                f.index.for_each(&mut |_, s| v.push(*s));
-                v
-            }
+            Some(f) => f.index.values().copied().collect(),
             None => return Ok(()),
         };
         let _ = self.flush_batch_locked(&mut sh, &slots, Some(&mut guard), kind)?;
