@@ -63,6 +63,7 @@ trap finish EXIT
 stage fmt
 run cargo fmt --all -- --check
 run scripts/lint_locks.sh
+run scripts/lint_panics.sh
 # The observer stays smaller than the system it observes (ROADMAP item 2).
 run scripts/loc.sh --max-obsv 4000
 stage clippy
