@@ -33,14 +33,13 @@
 
 use std::collections::BTreeSet;
 
-use fskit::{FileSystem, FsError};
-use hinfs::Hinfs;
-use nvmm::{CostModel, FaultPlan, NvmmDevice, SimEnv};
-use obsv::{CoverageMap, Introspect, Level};
+use fskit::FsError;
+use nvmm::{CostModel, FaultPlan, SimEnv};
+use obsv::{CoverageMap, Level};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::harness::{exec_op, pick_points, pmfs_opts, Harness, DEV_BYTES};
+use crate::harness::{exec_op, pick_points, Built, Harness};
 use crate::model::{ModelBug, RefModel};
 use crate::script::{FsKind, Op, Script, MAX_DIRS, MAX_FILES, MAX_IO};
 
@@ -131,6 +130,20 @@ pub struct Repro {
 }
 
 impl Repro {
+    /// A single-threaded differential reproducer of `ops` on `kind`, named
+    /// by its content.
+    fn diff(kind: FsKind, ops: Vec<Op>, note: String) -> Repro {
+        let script = Script { ops };
+        Repro {
+            name: format!("diff_{}_{:012x}", kind.label(), repro_hash(&script, &[])),
+            kind: Some(kind),
+            threads: 1,
+            boundaries: Vec::new(),
+            note,
+            script,
+        }
+    }
+
     /// Serializes to the committed text form (see `tests/repro/`).
     pub fn to_text(&self) -> String {
         let mut s = String::from("# faultfs repro v1\n");
@@ -378,54 +391,21 @@ impl Fuzzer {
         (new, founds)
     }
 
-    /// One differential leg: replay on a fresh `kind` image with tracing,
-    /// contention counting and the reference model in lockstep; fold
-    /// trace/state/site/op coverage into `cov`.
+    /// One differential leg: [`lockstep`] on a fresh `kind` image with
+    /// tracing and contention counting on, folding each op's outcome and
+    /// then the trace, state, audit and contention coverage into `cov`.
     fn diff_leg(&mut self, kind: FsKind, script: &Script, cov: &mut CoverageMap) -> Vec<String> {
         self.diff_legs += 1;
         let ctx = kind_ctx(kind);
-        let b = self.h.build(kind);
+        let b = match self.h.build(kind) {
+            Ok(b) => b,
+            Err(v) => return vec![v],
+        };
         b.obs.set_level(Level::Counts);
         b.env.contention().set_level(Level::Counts);
-        let mut model = match self.cfg.bug {
-            Some(bug) => RefModel::with_bug(bug),
-            None => RefModel::new(),
-        };
-        let mut vs = Vec::new();
-        let mut capped = false;
-        for (i, op) in script.ops.iter().enumerate() {
-            let got = exec_op(&*b.fs, &b.env, op);
-            let want = model.apply(op);
-            cov.add_op_outcome(ctx, op_index(op), outcome_class(&got));
-            match (&got, &want) {
-                (Ok(()), Ok(())) | (Err(_), Err(_)) => {}
-                (Ok(()), Err(e)) => {
-                    vs.push(format!(
-                        "{}: op {i} `{}` succeeded but the model expects {e:?}",
-                        kind.label(),
-                        op.to_text()
-                    ));
-                    break;
-                }
-                (Err(ge), Ok(())) => {
-                    if resource_error(ge) {
-                        // Resource exhaustion is capacity policy, not a
-                        // semantic divergence; stop this leg cleanly.
-                        capped = true;
-                        break;
-                    }
-                    vs.push(format!(
-                        "{}: op {i} `{}` failed {ge:?} but the model succeeds",
-                        kind.label(),
-                        op.to_text()
-                    ));
-                    break;
-                }
-            }
-        }
-        if vs.is_empty() && !capped {
-            vs.extend(model.diff(&*b.fs, kind.label()));
-        }
+        let mut vs = lockstep(&b, kind, &script.ops, self.cfg.bug, &mut |op, got| {
+            cov.add_op_outcome(ctx, op_index(op), outcome_class(got));
+        });
         for rec in b.obs.trace.tail(4096) {
             cov.add_trace(ctx, &rec.ev);
         }
@@ -484,11 +464,20 @@ impl Fuzzer {
         let ctx = kind_ctx(FsKind::Hinfs);
         let threads = case.threads as usize;
 
-        let env = SimEnv::new_spin(CostModel::default());
-        let dev = NvmmDevice::new_tracked(env.clone(), DEV_BYTES);
-        let fs = Hinfs::mkfs(dev.clone(), pmfs_opts(), self.h.hinfs_cfg()).expect("hinfs mkfs");
+        let found = |message| Found::Crash {
+            kind: FsKind::Hinfs,
+            boundary: 0,
+            torn: false,
+            threads: case.threads,
+            messages: vec![message],
+        };
+        let spin = SimEnv::new_spin(CostModel::default());
+        let b = match self.h.build_on(spin, FsKind::Hinfs) {
+            Ok(b) => b,
+            Err(v) => return (0, vec![found(v)]),
+        };
         let plan = FaultPlan::new();
-        dev.fault_hook().install(plan.clone());
+        b.dev.fault_hook().install(plan.clone());
         plan.start_recording();
         std::thread::scope(|scope| {
             for t in 0..threads {
@@ -500,8 +489,7 @@ impl Fuzzer {
                     .step_by(threads)
                     .copied()
                     .collect();
-                let fs = fs.clone();
-                let env = env.clone();
+                let (fs, env) = (b.fs.clone(), b.env.clone());
                 scope.spawn(move || {
                     for op in &ops {
                         // Clean errors (racing unlinks, missing files) are
@@ -512,18 +500,13 @@ impl Fuzzer {
             }
         });
         let schedule = plan.stop_recording();
-        dev.fault_hook().clear();
-        let rep = Introspect::audit(fs.as_ref());
-        for v in &rep.violations {
-            founds.push(Found::Crash {
-                kind: FsKind::Hinfs,
-                boundary: 0,
-                torn: false,
-                threads: case.threads,
-                messages: vec![format!("post-run audit under {threads} threads: {v}")],
-            });
+        b.dev.fault_hook().clear();
+        for v in &b.intro.audit().violations {
+            founds.push(found(format!(
+                "post-run audit under {threads} threads: {v}"
+            )));
         }
-        let _ = fs.unmount();
+        let _ = b.fs.unmount();
 
         cov.add_schedule_depth(ctx, schedule.len() as u64);
         let crash_points: Vec<u64> = schedule
@@ -562,24 +545,12 @@ impl Fuzzer {
         let mut budget = self.cfg.shrink_budget;
         match *found {
             Found::Differential { kind, ref messages } => {
-                let bug = self.cfg.bug;
-                let h = &self.h;
-                let min = ddmin(ops.to_vec(), &mut |cand| {
-                    if budget == 0 {
-                        return false;
-                    }
-                    budget -= 1;
-                    !differential(h, kind, cand, bug).is_empty()
-                });
-                let script = Script { ops: min };
-                Repro {
-                    name: format!("diff_{}_{:012x}", kind.label(), repro_hash(&script, &[])),
-                    kind: Some(kind),
-                    threads: 1,
-                    boundaries: Vec::new(),
-                    note: messages.first().cloned().unwrap_or_default(),
-                    script,
-                }
+                // A leg's live-audit finding may not fail the shrinker's
+                // predicate: it is kept as found then.
+                let mut repro = shrink_differential(&self.h, kind, ops, self.cfg.bug, budget)
+                    .unwrap_or_else(|| Repro::diff(kind, ops.to_vec(), String::new()));
+                repro.note = messages.first().cloned().unwrap_or_default();
+                repro
             }
             Found::Crash {
                 kind,
@@ -832,46 +803,48 @@ fn remap_file(op: &mut Op, a: u8, to: u8) {
 }
 
 /// Replays `ops` on a fresh `kind` image in lockstep with the reference
-/// model (with optional planted bug): per-op outcome classes must agree,
-/// and the final state must match. The shared core of the fuzzer's
-/// differential leg, the shrinker's predicate, and [`Repro::replay`].
+/// model (with optional planted bug) — see [`lockstep`]. The shrinker's
+/// predicate and [`Repro::replay`]; the fuzzer's differential leg runs the
+/// same loop with coverage folds around it.
 pub fn differential(h: &Harness, kind: FsKind, ops: &[Op], bug: Option<ModelBug>) -> Vec<String> {
-    let b = h.build(kind);
+    let b = match h.build(kind) {
+        Ok(b) => b,
+        Err(v) => return vec![v],
+    };
+    let vs = lockstep(&b, kind, ops, bug, &mut |_, _| {});
+    let _ = b.fs.unmount();
+    vs
+}
+
+/// The lockstep loop: per-op outcome classes must agree, and the final
+/// state must match unless resource exhaustion stopped the replay (that
+/// is capacity policy, not a semantic divergence, and the model applied
+/// the op the file system refused). `on_op` sees each op's outcome.
+fn lockstep(
+    b: &Built,
+    kind: FsKind,
+    ops: &[Op],
+    bug: Option<ModelBug>,
+    on_op: &mut dyn FnMut(&Op, &Result<(), FsError>),
+) -> Vec<String> {
     let mut model = match bug {
         Some(bug) => RefModel::with_bug(bug),
         None => RefModel::new(),
     };
-    let mut vs = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         let got = exec_op(&*b.fs, &b.env, op);
         let want = model.apply(op);
-        match (&got, &want) {
-            (Ok(()), Ok(())) | (Err(_), Err(_)) => {}
-            (Ok(()), Err(e)) => {
-                vs.push(format!(
-                    "{}: op {i} `{}` succeeded but the model expects {e:?}",
-                    kind.label(),
-                    op.to_text()
-                ));
-                break;
-            }
-            (Err(ge), Ok(())) => {
-                if !resource_error(ge) {
-                    vs.push(format!(
-                        "{}: op {i} `{}` failed {ge:?} but the model succeeds",
-                        kind.label(),
-                        op.to_text()
-                    ));
-                }
-                break;
-            }
-        }
+        on_op(op, &got);
+        let diverged = match (&got, &want) {
+            (Ok(()), Ok(())) | (Err(_), Err(_)) => continue,
+            (Ok(()), Err(e)) => format!("succeeded but the model expects {e:?}"),
+            (Err(ge), Ok(())) if resource_error(ge) => return Vec::new(),
+            (Err(ge), Ok(())) => format!("failed {ge:?} but the model succeeds"),
+        };
+        let op = op.to_text();
+        return vec![format!("{}: op {i} `{op}` {diverged}", kind.label())];
     }
-    if vs.is_empty() {
-        vs.extend(model.diff(&*b.fs, kind.label()));
-    }
-    let _ = b.fs.unmount();
-    vs
+    model.diff(&*b.fs, kind.label())
 }
 
 /// The seeded known-bad script of the shrinker self-test: a fixed random
@@ -905,10 +878,7 @@ pub fn shrink_differential(
     bug: Option<ModelBug>,
     budget: usize,
 ) -> Option<Repro> {
-    let first = differential(h, kind, ops, bug);
-    if first.is_empty() {
-        return None;
-    }
+    let note = differential(h, kind, ops, bug).into_iter().next()?;
     let mut budget = budget;
     let min = ddmin(ops.to_vec(), &mut |cand| {
         if budget == 0 {
@@ -917,15 +887,7 @@ pub fn shrink_differential(
         budget -= 1;
         !differential(h, kind, cand, bug).is_empty()
     });
-    let script = Script { ops: min };
-    Some(Repro {
-        name: format!("diff_{}_{:012x}", kind.label(), repro_hash(&script, &[])),
-        kind: Some(kind),
-        threads: 1,
-        boundaries: Vec::new(),
-        note: first.first().cloned().unwrap_or_default(),
-        script,
-    })
+    Some(Repro::diff(kind, min, note))
 }
 
 /// Whether an error reflects resource exhaustion (capacity policy) rather

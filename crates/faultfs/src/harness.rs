@@ -35,14 +35,14 @@ use crate::script::{dir_path, file_path, FsKind, Op, Script};
 use crate::FaultStats;
 
 /// Backing device size for harness images.
-pub(crate) const DEV_BYTES: usize = 8 << 20;
+const DEV_BYTES: usize = 8 << 20;
 
 /// How far one [`Op::Tick`] advances the background clock (comfortably
 /// past the 5 s periodic writeback/commit interval).
 const TICK_ADVANCE_NS: u64 = 6_000_000_000;
 
 /// Small-format options so journal-pressure paths are reachable.
-pub(crate) fn pmfs_opts() -> PmfsOptions {
+fn pmfs_opts() -> PmfsOptions {
     PmfsOptions {
         journal_blocks: 64,
         inode_count: 128,
@@ -95,6 +95,16 @@ pub struct RunOutcome {
     pub clean_errors: Vec<(usize, String)>,
     /// Oracle violations (empty = pass).
     pub violations: Vec<String>,
+}
+
+impl RunOutcome {
+    /// A run that could not start: its one violation says why.
+    fn failed(why: String) -> RunOutcome {
+        RunOutcome {
+            violations: vec![why],
+            ..RunOutcome::default()
+        }
+    }
 }
 
 /// Aggregate of a whole enumeration sweep over one file system.
@@ -191,37 +201,35 @@ impl Harness {
         self
     }
 
-    pub(crate) fn hinfs_cfg(&self) -> HinfsConfig {
+    fn hinfs_cfg(&self) -> HinfsConfig {
         HinfsConfig::default().with_buffer_bytes(self.hinfs_buffer_bytes)
     }
 
-    /// Formats a fresh image of `kind` on a new virtual-time device.
-    pub(crate) fn build(&self, kind: FsKind) -> Built {
-        let env = SimEnv::new_virtual(CostModel::default());
+    /// Formats a fresh image of `kind` on a new virtual-time device. A
+    /// format that fails is reported as the violation it is.
+    pub(crate) fn build(&self, kind: FsKind) -> Result<Built, String> {
+        self.build_on(SimEnv::new_virtual(CostModel::default()), kind)
+    }
+
+    /// [`Self::build`] on a new device of `env`'s clock.
+    pub(crate) fn build_on(&self, env: Arc<SimEnv>, kind: FsKind) -> Result<Built, String> {
         let dev = NvmmDevice::new_tracked(env.clone(), DEV_BYTES);
         let (fs, obs, intro): (Arc<dyn FileSystem>, Arc<FsObs>, Arc<dyn Introspect>) = match kind {
-            FsKind::Hinfs => {
-                let fs = Hinfs::mkfs(dev.clone(), pmfs_opts(), self.hinfs_cfg())
-                    .expect("hinfs mkfs on a fresh device");
-                (fs.clone(), fs.obs().clone(), fs)
-            }
-            FsKind::Pmfs => {
-                let fs = Pmfs::mkfs(dev.clone(), pmfs_opts()).expect("pmfs mkfs on a fresh device");
-                (fs.clone(), fs.obs().clone(), fs)
-            }
-            FsKind::Ext4 => {
-                let fs = Extfs::mkfs(dev.clone(), ExtMode::Ext4, ext_opts())
-                    .expect("ext4 mkfs on a fresh device");
-                (fs.clone(), fs.obs().clone(), fs)
-            }
-        };
-        Built {
+            FsKind::Hinfs => Hinfs::mkfs(dev.clone(), pmfs_opts(), self.hinfs_cfg())
+                .map(|fs| (fs.clone() as _, fs.obs().clone(), fs as _)),
+            FsKind::Pmfs => Pmfs::mkfs(dev.clone(), pmfs_opts())
+                .map(|fs| (fs.clone() as _, fs.obs().clone(), fs as _)),
+            FsKind::Ext4 => Extfs::mkfs(dev.clone(), ExtMode::Ext4, ext_opts())
+                .map(|fs| (fs.clone() as _, fs.obs().clone(), fs as _)),
+        }
+        .map_err(|e| format!("{}: mkfs on a fresh device failed: {e:?}", kind.label()))?;
+        Ok(Built {
             fs,
             dev,
             env,
             obs,
             intro,
-        }
+        })
     }
 
     /// Remounts `dev` after a crash, returning the file system, its
@@ -289,8 +297,12 @@ impl Harness {
 
     /// Records the crash schedule of `script` on a fresh `kind` image:
     /// every persistence boundary the replay crosses, in order.
+    /// Empty when the image cannot be formatted ([`Self::crash_run`]
+    /// reports that).
     pub fn record_schedule(&self, kind: FsKind, script: &Script) -> Vec<BoundaryRec> {
-        let b = self.build(kind);
+        let Ok(b) = self.build(kind) else {
+            return Vec::new();
+        };
         let plan = FaultPlan::new();
         b.dev.fault_hook().install(plan.clone());
         plan.start_recording();
@@ -318,7 +330,10 @@ impl Harness {
         k: u64,
         torn_seed: Option<u64>,
     ) -> RunOutcome {
-        let b = self.build(kind);
+        let b = match self.build(kind) {
+            Ok(b) => b,
+            Err(v) => return RunOutcome::failed(v),
+        };
         let plan = FaultPlan::new();
         plan.set_trace(self.trace.clone());
         b.dev.fault_hook().install(plan.clone());
@@ -381,7 +396,10 @@ impl Harness {
         fault: InjectedFault,
         window: std::ops::Range<usize>,
     ) -> RunOutcome {
-        let b = self.build(kind);
+        let b = match self.build(kind) {
+            Ok(b) => b,
+            Err(v) => return RunOutcome::failed(v),
+        };
         let plan = FaultPlan::new();
         plan.set_trace(self.trace.clone());
         b.dev.fault_hook().install(plan.clone());

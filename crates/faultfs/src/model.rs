@@ -171,13 +171,8 @@ impl RefModel {
                 Ok(())
             }
             Op::Rename { from, to } => {
-                if !self.file_live(from) {
-                    return Err(FsError::NotFound);
-                }
-                if from != to {
-                    let img = self.files.remove(&from).expect("live");
-                    self.files.insert(to, img);
-                }
+                let img = self.files.remove(&from).ok_or(FsError::NotFound)?;
+                self.files.insert(to, img);
                 Ok(())
             }
             Op::Mkdir { dir } => {

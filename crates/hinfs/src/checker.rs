@@ -2,8 +2,8 @@
 //! (paper §3.3.2).
 //!
 //! HiNFS routes a write either to the DRAM buffer (lazy-persistent) or
-//! straight to NVMM (eager-persistent). Case 1 — `O_SYNC` descriptors or a
-//! sync mount — is checked trivially. Case 2 — asynchronous writes whose
+//! straight to NVMM (eager-persistent). Case 1 — `O_SYNC` descriptors (the
+//! paper's sync mount has no switch here) — is checked trivially. Case 2 — asynchronous writes whose
 //! fsync arrives before enough coalescing happens — is predicted per data
 //! block by the Buffer Benefit Model: at each synchronization the block's
 //! history decides its state for subsequent writes, using
@@ -42,6 +42,10 @@ pub fn buffering_wins(cost: &CostModel, n_cw: u64, n_cf: u64) -> bool {
     lazy < eager
 }
 
+/// Eager→Lazy decay: a block drops its Eager-Persistent state if its file
+/// saw no synchronization for this long (paper: 5 s).
+pub const EAGER_DECAY_NS: u64 = 5_000_000_000;
+
 /// Whether a write to `(file, iblk)` at `now` must take the eager path
 /// under case 2 (block in the Eager-Persistent state, not yet decayed).
 ///
@@ -59,7 +63,7 @@ pub fn is_eager_block(cfg: &HinfsConfig, file: &FileBuf, iblk: u64, now: u64) ->
     if !file.bbm.get(&iblk).is_some_and(|st| st.eager) {
         return false;
     }
-    now.saturating_sub(file.last_sync_ns) <= cfg.eager_decay_ns
+    now.saturating_sub(file.last_sync_ns) <= EAGER_DECAY_NS
 }
 
 /// Records a write's cacheline activity for the model. `buffered` selects
@@ -96,7 +100,7 @@ pub struct EvalCtx<'a> {
 /// is now Lazy-Persistent.
 pub fn evaluate_at_sync(ctx: &EvalCtx<'_>, file: &mut FileBuf, iblk: u64, n_cf: u64) -> bool {
     // Age of the epoch being closed (time since the previous sync) — the
-    // same quantity the decay rule compares against `eager_decay_ns`.
+    // same quantity the decay rule compares against `EAGER_DECAY_NS`.
     // Captured before the bitmap entry borrow.
     let sync_age_ns = ctx.now.saturating_sub(file.last_sync_ns);
     let st = file.bbm.entry(iblk).or_default();
@@ -175,7 +179,7 @@ mod tests {
         f.last_sync_ns = 1_000;
         assert!(is_eager_block(&c, &f, 0, 2_000));
         // 5 s after the last sync the state decays back to lazy.
-        let decayed = 1_000 + c.eager_decay_ns + 1;
+        let decayed = 1_000 + EAGER_DECAY_NS + 1;
         assert!(!is_eager_block(&c, &f, 0, decayed));
     }
 

@@ -228,7 +228,7 @@ impl Hinfs {
             .ok_or(FsError::FileTooLarge)?;
         obsv::note_bytes(obsv::Layer::Logical, total);
         let now = self.env.now();
-        let case1 = of.flags.contains(OpenFlags::SYNC) || self.cfg.sync_mount;
+        let case1 = of.flags.contains(OpenFlags::SYNC);
         let old_size = state.size;
         let old_blocks = state.blocks;
 
@@ -301,9 +301,10 @@ impl Hinfs {
                             self.evict_batch_locked(
                                 &mut sh,
                                 &[slot],
-                                state,
+                                Some(state),
                                 obsv::DrainKind::Sync,
-                            )?;
+                            )
+                            .1?;
                         }
                     }
                     if !absorbed {
@@ -629,7 +630,7 @@ impl Hinfs {
             }
         }
         let slots: Vec<u32> = dirty.iter().map(|&(_, slot, _)| slot).collect();
-        let _ = self.flush_batch_locked(&mut sh, &slots, Some(state), obsv::DrainKind::Sync)?;
+        self.flush_batch_locked(&mut sh, &slots, Some(state), obsv::DrainKind::Sync)?;
         if eval_bbm {
             // Blocks bypassing the buffer contribute their ghost flushes;
             // every block with activity this epoch gets evaluated.
@@ -665,28 +666,10 @@ impl Hinfs {
             });
             file.last_sync_ns = now;
             state.last_sync = now;
-            self.evict_batch_locked(&mut sh, &to_evict, state, obsv::DrainKind::Sync)?;
+            self.evict_batch_locked(&mut sh, &to_evict, Some(state), obsv::DrainKind::Sync)
+                .1?;
         }
-        if let Some(file) = sh.files.get_mut(&ino) {
-            // Every block of this file is clean now, so no pending entry
-            // may gate a commit any longer (entries can go stale when a
-            // reclaim flushed a block before its transaction was enqueued).
-            for t in &mut file.txs {
-                t.pending.clear();
-            }
-            tracker::drain_ready(
-                file,
-                self.inner.journal(),
-                &self.obs,
-                obsv::DrainKind::Sync,
-                now,
-                &self.stats,
-            );
-            debug_assert!(
-                file.txs.is_empty(),
-                "fsync left open transactions for ino {ino}"
-            );
-        }
+        self.commit_clean_file(&mut sh, ino, obsv::DrainKind::Sync, now);
         drop(sh);
         self.dev().sfence();
         Ok(())
@@ -833,7 +816,8 @@ impl FileSystem for Hinfs {
                 Some(f) => f.index.values().copied().collect(),
                 None => Vec::new(),
             };
-            self.evict_batch_locked(&mut sh, &slots, &mut guard, obsv::DrainKind::Sync)?;
+            self.evict_batch_locked(&mut sh, &slots, Some(&mut guard), obsv::DrainKind::Sync)
+                .1?;
             sh.file_mut(of.ino).mmap_pinned = true;
         }
         self.inner.mmap(fd, off, len)

@@ -209,7 +209,7 @@ fn eager_state_decays_after_five_seconds() {
     let eager_count = fs.stats().snapshot().eager_writes;
     assert!(eager_count > 0);
     // 5+ virtual seconds without a sync: the state decays to lazy.
-    env.set_now(env.now() + fs.config().eager_decay_ns + 1);
+    env.set_now(env.now() + crate::checker::EAGER_DECAY_NS + 1);
     let lazy_before = fs.stats().snapshot().lazy_writes;
     fs.write(fd, 0, &[3u8; BLOCK_SIZE]).unwrap();
     let s = fs.stats().snapshot();
@@ -751,7 +751,6 @@ fn spin_mode_smoke() {
         buffer_bytes: 32 * BLOCK_SIZE,
         periodic_wb_ns: 2_000_000, // 2 ms
         dirty_age_ns: 1_000_000,
-        wb_threads: 1,
         ..HinfsConfig::default()
     };
     let fs = Hinfs::mkfs(dev, opts(), cfg).unwrap();
@@ -768,6 +767,36 @@ fn spin_mode_smoke() {
     }
     fs.close(fd).unwrap();
     fs.unmount().unwrap();
+}
+
+#[test]
+fn a_spin_mode_kick_reclaims_exactly_the_plan() {
+    let env = SimEnv::new_spin(CostModel {
+        nvmm_write_latency_ns: 50,
+        ..CostModel::default()
+    });
+    let dev = NvmmDevice::new(env, 4096 * BLOCK_SIZE);
+    let cfg = small_cfg();
+    let fs = Hinfs::mkfs(dev, opts(), cfg.clone()).unwrap();
+    assert_eq!(fs.wb.threads.lock().len(), cfg.shards);
+    // One write leaves 2 of 64 blocks free, under Low_f (3): its one kick
+    // plans High_f (12) - 2 = 10 victims, all from the file's shard.
+    let fd = fs.open("/kick", rw_create()).unwrap();
+    let want = cfg.buffer_blocks() - 2;
+    fs.write(fd, 0, &vec![7u8; want * BLOCK_SIZE]).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while fs.free_buffer_blocks() < cfg.high_blocks() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // Long enough for a second, overlapping plan to have shown.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    assert_eq!(fs.free_buffer_blocks(), cfg.high_blocks());
+    fs.close(fd).unwrap();
+    fs.unmount().unwrap();
+    assert!(
+        fs.wb.threads.lock().is_empty(),
+        "unmount joins every thread"
+    );
 }
 
 /// A file with a dirty buffered block over a hole and **no** open

@@ -39,32 +39,17 @@ pub struct HinfsConfig {
     /// DRAM write buffer capacity in bytes (paper default: 2 GiB for the
     /// filebench runs; experiments scale it relative to the working set).
     pub buffer_bytes: usize,
-    /// `Low_f`: background reclaim starts when the free fraction of DRAM
-    /// blocks drops below this (paper: 5 %).
-    pub low_watermark: f64,
-    /// `High_f`: reclaim stops once the free fraction exceeds this
-    /// (paper: 20 %).
-    pub high_watermark: f64,
     /// Period of the background writeback wake-up (paper: 5 s).
     pub periodic_wb_ns: u64,
     /// Dirty blocks older than this are flushed by the periodic pass
     /// (paper: 30 s).
     pub dirty_age_ns: u64,
-    /// Eager→Lazy decay: a block drops its Eager-Persistent state if its
-    /// file saw no synchronization for this long (paper: 5 s).
-    pub eager_decay_ns: u64,
     /// Cacheline Level Fetch/Writeback. `false` reproduces HiNFS-NCLFW:
     /// whole-block fetch-before-write and whole-block writeback.
     pub clfw: bool,
     /// The Eager-Persistent Write Checker. `false` reproduces HiNFS-WB:
     /// every write is buffered in DRAM first.
     pub checker: bool,
-    /// Mount-wide sync option: every write is eager-persistent (case 1).
-    pub sync_mount: bool,
-    /// Number of background writeback threads in spin mode (paper mounts
-    /// "multiple independent kernel threads"; virtual mode uses one
-    /// deterministic writeback actor regardless).
-    pub wb_threads: usize,
     /// Online invariant auditor: when set, every fsync and every periodic
     /// writeback pass runs [`obsv::Introspect::audit`] and records
     /// violations on the trace ring and the `obsv_audit_violations`
@@ -75,7 +60,8 @@ pub struct HinfsConfig {
     /// `ino % shards`, each behind its own lock, so writers to different
     /// files do not serialize on one buffer mutex. The *capacity* is not
     /// split: every shard draws on the one budget of
-    /// [`Self::buffer_blocks`].
+    /// [`Self::buffer_blocks`]. Each shard has one writeback actor (a real
+    /// thread in spin mode).
     pub shards: usize,
 }
 
@@ -83,20 +69,23 @@ impl Default for HinfsConfig {
     fn default() -> Self {
         HinfsConfig {
             buffer_bytes: 64 << 20,
-            low_watermark: 0.05,
-            high_watermark: 0.20,
             periodic_wb_ns: 5_000_000_000,
             dirty_age_ns: 30_000_000_000,
-            eager_decay_ns: 5_000_000_000,
             clfw: true,
             checker: true,
-            sync_mount: false,
-            wb_threads: 2,
             audit: false,
             shards: obsv::NSHARDS,
         }
     }
 }
+
+/// `Low_f`: background reclaim starts when the free fraction of DRAM
+/// blocks drops below this (paper: 5 %).
+pub const LOW_WATERMARK: f64 = 0.05;
+
+/// `High_f`: reclaim stops once the free fraction exceeds this (paper:
+/// 20 %).
+pub const HIGH_WATERMARK: f64 = 0.20;
 
 impl HinfsConfig {
     /// Variant without CLFW (HiNFS-NCLFW in Fig 9).
@@ -138,12 +127,12 @@ impl HinfsConfig {
 
     /// Reclaim trigger threshold in blocks (`Low_f`).
     pub fn low_blocks(&self) -> usize {
-        ((self.buffer_blocks() as f64 * self.low_watermark) as usize).max(1)
+        ((self.buffer_blocks() as f64 * LOW_WATERMARK) as usize).max(1)
     }
 
     /// Reclaim stop threshold in blocks (`High_f`).
     pub fn high_blocks(&self) -> usize {
-        ((self.buffer_blocks() as f64 * self.high_watermark) as usize).max(2)
+        ((self.buffer_blocks() as f64 * HIGH_WATERMARK) as usize).max(2)
     }
 }
 
@@ -154,11 +143,11 @@ mod tests {
     #[test]
     fn default_matches_paper_parameters() {
         let c = HinfsConfig::default();
-        assert_eq!(c.low_watermark, 0.05);
-        assert_eq!(c.high_watermark, 0.20);
+        assert_eq!(LOW_WATERMARK, 0.05);
+        assert_eq!(HIGH_WATERMARK, 0.20);
         assert_eq!(c.periodic_wb_ns, 5_000_000_000);
         assert_eq!(c.dirty_age_ns, 30_000_000_000);
-        assert_eq!(c.eager_decay_ns, 5_000_000_000);
+        assert_eq!(crate::checker::EAGER_DECAY_NS, 5_000_000_000);
         assert!(c.clfw);
         assert!(c.checker);
     }

@@ -15,13 +15,17 @@
 //!   or from the next one that holds anything;
 //! - **fsync**, which flushes the file's blocks on the caller's clock.
 //!
-//! In spin mode these run on real threads; in virtual mode they run as
-//! deterministic *writeback actors*, one per shard, whose clocks advance
-//! independently of the foreground (see [`WbCtl`]).
+//! The background work runs as one writeback pass per shard on either
+//! clock ([`Hinfs::wb_pass_shard`]), each on the shard's share of one
+//! [`reclaim_plan`] taken when the buffer runs low: in virtual mode as a
+//! deterministic *writeback actor* whose clock advances independently of
+//! the foreground, in spin mode on the shard's own real thread (see
+//! [`WbCtl`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use fskit::{FsError, Result};
 use nvmm::{Cat, TimeMode, BLOCK_SIZE, CACHELINE};
@@ -34,29 +38,33 @@ use crate::fs::Hinfs;
 use crate::stats::HinfsStats;
 use crate::tracker;
 
-/// Control state of the writeback machinery.
+/// Control state of the writeback machinery: one actor per shard.
 #[derive(Debug)]
 pub struct WbCtl {
     /// Per-shard writeback-actor virtual clocks (virtual mode only): each
     /// shard's background pass advances on its own timeline, mirroring one
     /// writeback thread per shard.
     pub(crate) clocks: Vec<AtomicU64>,
-    /// Last periodic pass, in simulated ns.
+    /// Last periodic pass, in simulated ns (virtual mode only).
     pub(crate) last_periodic: AtomicU64,
     pub(crate) stop: AtomicBool,
-    pub(crate) kick_flag: TrackedMutex<bool>,
-    pub(crate) kick_cv: TrackedCondvar,
+    /// Spin mode: each shard thread's share of the last kick's reclaim
+    /// plan, taken when the thread wakes (`None`: not kicked since).
+    pub(crate) kicks: TrackedMutex<Vec<Option<usize>>>,
+    /// Spin mode: one wake-up per shard thread, paired with `kicks`.
+    pub(crate) kick_cv: Vec<TrackedCondvar>,
     pub(crate) threads: TrackedMutex<Vec<JoinHandle<()>>>,
 }
 
 impl WbCtl {
     pub(crate) fn new(nshards: usize) -> WbCtl {
+        let n = nshards.max(1);
         WbCtl {
-            clocks: (0..nshards.max(1)).map(|_| AtomicU64::new(0)).collect(),
+            clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             last_periodic: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            kick_flag: TrackedMutex::new(Site::HinfsWriteback, false),
-            kick_cv: TrackedCondvar::new(),
+            kicks: TrackedMutex::new(Site::HinfsWriteback, vec![None; n]),
+            kick_cv: (0..n).map(|_| TrackedCondvar::new()).collect(),
             threads: TrackedMutex::new(Site::HinfsWriteback, Vec::new()),
         }
     }
@@ -64,7 +72,7 @@ impl WbCtl {
     /// Wires the control locks to the machine's contention profiler
     /// (first caller wins). `Hinfs::wrap` calls this at mount.
     pub(crate) fn attach_contention(&self, table: &Arc<ContentionTable>) {
-        self.kick_flag.attach(table);
+        self.kicks.attach(table);
         self.threads.attach(table);
     }
 }
@@ -100,21 +108,12 @@ pub fn reclaim_plan(free: usize, low: usize, high: usize, held: &[usize]) -> Vec
     plan
 }
 
-/// Outcome of one flush attempt under the shared lock.
-#[must_use]
-pub(crate) enum FlushTry {
-    /// Flushed (or already clean).
-    Done,
-    /// A block maps to a hole; flushing needs the owner inode's lock.
-    NeedsInode(u64),
-}
-
 impl Hinfs {
     /// Writes the dirty lines of a *batch* of buffered blocks to NVMM: the
     /// dirty ones among `slots`, all blocks of one inode. Caller holds the
-    /// shared lock; `state` lends that inode when available. When a block
-    /// covers a file hole and `state` is `None`, returns
-    /// [`FlushTry::NeedsInode`] without side effects.
+    /// shared lock and lends that inode as `state`, or hands only blocks
+    /// already mapped on NVMM, which need none ([`Self::with_owner`] takes
+    /// an owner's lock for the others).
     ///
     /// Blocks over holes are mapped first, as one unit (allocate on
     /// flush, see [`Self::map_fresh_blocks`]); the already-mapped ones are
@@ -134,7 +133,7 @@ impl Hinfs {
         slots: &[u32],
         state: Option<&mut InodeMem>,
         kind: DrainKind,
-    ) -> Result<FlushTry> {
+    ) -> Result<()> {
         let dev = self.inner.device();
         let mut mapped: Vec<(u32, u64)> = Vec::new(); // (slot, NVMM block)
         let mut fresh: Vec<(u64, u32)> = Vec::new(); // (file block, slot)
@@ -146,10 +145,15 @@ impl Hinfs {
             }
             debug_assert!(ino == 0 || ino == m.ino, "a batch is one inode's");
             ino = m.ino;
-            let pblk = match (m.nvmm_block, state.as_deref()) {
-                (0, None) => return Ok(FlushTry::NeedsInode(ino)),
-                (0, Some(st)) => pmfs::tree::lookup(dev, st, m.iblk),
-                (p, _) => Some(p),
+            debug_assert!(
+                m.nvmm_block != 0 || state.is_some(),
+                "a block over a hole needs its owner's inode"
+            );
+            let pblk = match m.nvmm_block {
+                0 => state
+                    .as_deref()
+                    .and_then(|st| pmfs::tree::lookup(dev, st, m.iblk)),
+                p => Some(p),
             };
             match pblk {
                 Some(p) => mapped.push((slot, p)),
@@ -157,7 +161,7 @@ impl Hinfs {
             }
         }
         if ino == 0 {
-            return Ok(FlushTry::Done);
+            return Ok(());
         }
         let mut flushed = Vec::with_capacity(mapped.len() + fresh.len());
         let mut refused = Ok(());
@@ -181,7 +185,7 @@ impl Hinfs {
             self.env.now(),
             &self.stats,
         );
-        refused.map(|()| FlushTry::Done)
+        refused
     }
 
     /// Allocate on flush: gives the dirty blocks `fresh` (`(file block,
@@ -338,25 +342,19 @@ impl Hinfs {
         }
     }
 
-    /// Flushes a batch of the lent inode's blocks
-    /// ([`Self::flush_batch_locked`]) and releases its slots, dropping
-    /// them from the file's DRAM Block Index.
+    /// Flushes a batch of one inode's blocks ([`Self::flush_batch_locked`],
+    /// `state` lent as there) and releases the slots of `slots` up to the
+    /// first that is still dirty — all of them unless the flush was
+    /// refused — dropping them from the file's DRAM Block Index. Returns
+    /// how many were released, and the refusal.
     pub(crate) fn evict_batch_locked(
         &self,
         sh: &mut Shared,
         slots: &[u32],
-        state: &mut InodeMem,
+        state: Option<&mut InodeMem>,
         kind: DrainKind,
-    ) -> Result<()> {
-        // With the inode lent the flush never asks for it.
-        let _ = self.flush_batch_locked(sh, slots, Some(state), kind)?;
-        self.release_clean_prefix(sh, slots);
-        Ok(())
-    }
-
-    /// Releases the slots of `slots` up to the first that is still dirty
-    /// (all of them after a flush that refused nothing); returns how many.
-    fn release_clean_prefix(&self, sh: &mut Shared, slots: &[u32]) -> u64 {
+    ) -> (u64, Result<()>) {
+        let res = self.flush_batch_locked(sh, slots, state, kind);
         let mut released = 0;
         for &slot in slots {
             let meta = *sh.pool().meta(slot);
@@ -369,7 +367,65 @@ impl Hinfs {
             sh.pool_mut().release_slot(slot);
             released += 1;
         }
-        released
+        (released, res)
+    }
+
+    /// Runs `f` on shard `si` with the inode `ino` locked and lent to it.
+    /// The inode lock comes first (lock order: inode before shard, so the
+    /// caller holds no shard lock) — waited for when `blocking`, only
+    /// tried otherwise — then the shard lock is re-taken and `picked`, the
+    /// `(slot, file block)` pairs chosen under an earlier hold of it, is
+    /// re-checked against the index: what was evicted or reused meanwhile
+    /// is dropped. `None` picks every block the file holds now. Returns
+    /// `None` when the inode is gone or, not `blocking`, its lock busy.
+    fn with_owner<R>(
+        &self,
+        si: usize,
+        ino: u64,
+        blocking: bool,
+        picked: Option<&[(u32, u64)]>,
+        f: impl FnOnce(&mut Shared, Vec<u32>, &mut InodeMem) -> R,
+    ) -> Option<R> {
+        let handle = self.inner.inode(ino).ok()?;
+        let mut guard = if blocking {
+            Some(handle.state.write())
+        } else {
+            handle.state.try_write()
+        }?;
+        let mut sh = self.shards[si].lock();
+        let slots = match picked {
+            Some(picked) => picked
+                .iter()
+                .filter(|&&(slot, iblk)| sh.slot_of(ino, iblk) == Some(slot))
+                .map(|&(slot, _)| slot)
+                .collect(),
+            None => sh
+                .files
+                .get(&ino)
+                .map_or_else(Vec::new, |f| f.index.values().copied().collect()),
+        };
+        Some(f(&mut sh, slots, &mut guard))
+    }
+
+    /// The closing step of flushing a whole file: every block of `ino` is
+    /// clean now, so no pending entry may gate a commit any longer
+    /// (entries go stale when a reclaim flushed a block before its
+    /// transaction was enqueued), and every queued transaction commits.
+    pub(crate) fn commit_clean_file(&self, sh: &mut Shared, ino: u64, kind: DrainKind, now: u64) {
+        if let Some(file) = sh.files.get_mut(&ino) {
+            for t in &mut file.txs {
+                t.pending.clear();
+            }
+            tracker::drain_ready(
+                file,
+                self.inner.journal(),
+                &self.obs,
+                kind,
+                now,
+                &self.stats,
+            );
+            debug_assert!(file.txs.is_empty(), "ino {ino} kept open transactions");
+        }
     }
 
     /// [`reclaim_plan`] over the mount's current state; `None` at or above
@@ -448,9 +504,10 @@ impl Hinfs {
     /// Victims leave in LRW order, those that need no foreign inode lock
     /// first: clean or already-mapped blocks and the lent inode's own.
     /// Only a pool of nothing but foreign hole blocks makes the pass take
-    /// an owner's lock. Either way one iteration handles the maximal run
+    /// an owner's lock. Either way one iteration evicts the maximal run
     /// of victims that belong to one file — as many as are still needed —
-    /// as one flush batch.
+    /// as one flush batch. Pool-pressure eviction drains behind the ack:
+    /// lazy.
     fn reclaim_loop(
         &self,
         si: usize,
@@ -459,7 +516,6 @@ impl Hinfs {
         blocking: bool,
     ) -> Result<u64> {
         let mut victims = 0;
-        let stopped = |victims: u64, e: FsError| if victims == 0 { Err(e) } else { Ok(victims) };
         loop {
             let want = want.saturating_sub(victims as usize);
             if want == 0 {
@@ -485,81 +541,51 @@ impl Hinfs {
                     break;
                 }
             }
-            if !run.is_empty() {
+            let (released, res) = if !run.is_empty() {
                 let state = own
                     .as_mut()
                     .filter(|(oino, _)| *oino == run_ino)
                     .map(|(_, st)| &mut **st);
-                // Self-sufficient or own-inode victims cannot fail with
-                // NeedsInode; allocator or journal exhaustion aborts the
-                // pass. Pool-pressure eviction drains behind the ack: lazy.
-                let res = self.flush_batch_locked(&mut sh, &run, state, DrainKind::Lazy);
-                victims += self.release_clean_prefix(&mut sh, &run);
-                if let Err(e) = res {
-                    return stopped(victims, e);
-                }
-                continue;
-            }
-            // Nothing but foreign hole blocks: the run at the LRW end that
-            // belongs to the oldest one's file.
-            let Some(foreign_ino) = sh.pool().lrw.tail().map(|t| sh.pool().meta(t).ino) else {
-                return Ok(victims); // the shard holds nothing
-            };
-            let run: Vec<(u32, u64)> = sh
-                .pool()
-                .lrw
-                .iter_from_tail()
-                .map(|slot| (slot, sh.pool().meta(slot)))
-                .take_while(|(_, m)| m.ino == foreign_ino)
-                .take(want)
-                .map(|(slot, m)| (slot, m.iblk))
-                .collect();
-            // Take the owner's inode lock with the shared lock dropped
-            // (lock order: inode before shared).
-            drop(sh);
-            let Ok(handle) = self.inner.inode(foreign_ino) else {
-                continue; // raced with deletion; rescan
-            };
-            let guard = if blocking {
-                Some(handle.state.write())
+                self.evict_batch_locked(&mut sh, &run, state, DrainKind::Lazy)
             } else {
-                handle.state.try_write()
+                // Nothing but foreign hole blocks: the run at the LRW end
+                // that belongs to the oldest one's file.
+                let Some(foreign_ino) = sh.pool().lrw.tail().map(|t| sh.pool().meta(t).ino) else {
+                    return Ok(victims); // the shard holds nothing
+                };
+                let run: Vec<(u32, u64)> = sh
+                    .pool()
+                    .lrw
+                    .iter_from_tail()
+                    .map(|slot| (slot, sh.pool().meta(slot)))
+                    .take_while(|(_, m)| m.ino == foreign_ino)
+                    .take(want)
+                    .map(|(slot, m)| (slot, m.iblk))
+                    .collect();
+                drop(sh);
+                let evicted =
+                    self.with_owner(si, foreign_ino, blocking, Some(&run), |sh, run, st| {
+                        self.evict_batch_locked(sh, &run, Some(st), DrainKind::Lazy)
+                    });
+                match evicted {
+                    Some(evicted) => evicted,
+                    // A foreground stall does not wait for a busy owner
+                    // (deadlock risk): its caller moves on to the next
+                    // shard.
+                    None => return Ok(victims),
+                }
             };
-            let Some(mut guard) = guard else {
-                // Foreground stall path: do not wait (deadlock risk) — the
-                // caller moves on to the next shard.
-                return Ok(victims);
-            };
-            let mut sh = self.shards[si].lock();
-            // Re-validate after re-locking.
-            let run: Vec<u32> = run
-                .into_iter()
-                .filter(|&(slot, iblk)| sh.slot_of(foreign_ino, iblk) == Some(slot))
-                .map(|(slot, _)| slot)
-                .collect();
-            let res = self.flush_batch_locked(&mut sh, &run, Some(&mut guard), DrainKind::Lazy);
-            victims += self.release_clean_prefix(&mut sh, &run);
+            victims += released;
             if let Err(e) = res {
-                return stopped(victims, e);
+                return if victims == 0 { Err(e) } else { Ok(victims) };
             }
         }
     }
 
-    /// One full writeback pass over every shard at time `now` (on the
-    /// caller's clock) — the spin-mode thread body.
-    pub(crate) fn wb_pass(&self, now: u64) {
-        let plan = self.plan_reclaim();
-        for si in 0..self.shards.len() {
-            self.wb_pass_shard(si, now, plan.as_ref().map_or(0, |p| p[si]));
-        }
-        // Periodic online audit: each background pass re-verifies the
-        // index/bitmap/LRW invariants when the mount has auditing on.
-        self.maybe_audit();
-    }
-
-    /// One writeback pass over shard `si`: its share `victims` of the
-    /// watermark reclaim, then the 30 s dirty-age flush along the shard's
-    /// LRW list.
+    /// One writeback pass over shard `si` at time `now` — on the shard
+    /// actor's clock in virtual mode, on its thread in spin mode: its
+    /// share `victims` of the watermark reclaim, then the 30 s dirty-age
+    /// flush along the shard's LRW list.
     pub(crate) fn wb_pass_shard(&self, si: usize, now: u64, victims: usize) {
         // Injected stall: the writeback actor simply makes no progress this
         // pass. Foreground paths must degrade gracefully (flush-on-demand
@@ -580,47 +606,39 @@ impl Hinfs {
         let mut age_flushed: u64 = 0;
         loop {
             let mut sh = self.shards[si].lock();
-            let mut target: Option<u32> = None;
+            let mut target = None;
             for slot in sh.pool().lrw.iter_from_tail() {
                 let m = sh.pool().meta(slot);
                 if m.last_write_ns + self.cfg.dirty_age_ns > now {
                     break;
                 }
                 if m.dirty != 0 {
-                    target = Some(slot);
+                    target = Some((slot, *m));
                     break;
                 }
             }
-            let Some(slot) = target else { break };
-            match self.flush_batch_locked(&mut sh, &[slot], None, DrainKind::Lazy) {
-                Ok(FlushTry::Done) => {
-                    age_flushed += 1;
-                    continue;
+            let Some((slot, m)) = target else { break };
+            let flushed = if m.nvmm_block != 0 {
+                self.flush_batch_locked(&mut sh, &[slot], None, DrainKind::Lazy)
+                    .map(|()| 1)
+            } else {
+                drop(sh);
+                let picked = [(slot, m.iblk)];
+                let flushed = self.with_owner(si, m.ino, true, Some(&picked), |sh, slots, st| {
+                    self.flush_batch_locked(sh, &slots, Some(st), DrainKind::Lazy)
+                        .map(|()| slots.len() as u64)
+                });
+                match flushed {
+                    Some(flushed) => flushed,
+                    None => break, // the file is gone
                 }
-                Ok(FlushTry::NeedsInode(ino)) => {
-                    drop(sh);
-                    let Ok(handle) = self.inner.inode(ino) else {
-                        continue;
-                    };
-                    let mut guard = handle.state.write();
-                    let mut sh = self.shards[si].lock();
-                    let iblk = sh.pool().meta(slot).iblk;
-                    if sh.slot_of(ino, iblk) != Some(slot) {
-                        continue; // evicted or reused meanwhile; rescan
-                    }
-                    match self.flush_batch_locked(
-                        &mut sh,
-                        &[slot],
-                        Some(&mut guard),
-                        DrainKind::Lazy,
-                    ) {
-                        Ok(_) => age_flushed += 1,
-                        // Refused (journal ring or allocator exhausted):
-                        // the block stays the oldest dirty one, so give
-                        // the pass up; the next one retries it.
-                        Err(_) => break,
-                    }
-                }
+            };
+            match flushed {
+                // 0 when the block was evicted or reused meanwhile: rescan.
+                Ok(n) => age_flushed += n,
+                // Refused (journal ring or allocator exhausted): the block
+                // stays the oldest dirty one, so give the pass up; the
+                // next one retries it.
                 Err(_) => break,
             }
         }
@@ -674,52 +692,67 @@ impl Hinfs {
         }
     }
 
-    /// Wakes the background threads (spin mode) or runs the actor
-    /// (virtual mode).
+    /// Wakes the writeback actors below `Low_f`: runs them inline on their
+    /// own clocks (virtual mode), or hands each shard's thread its share
+    /// of one reclaim plan (spin mode).
     pub(crate) fn kick_background(&self, now: u64) {
         match self.env.mode() {
             TimeMode::Virtual => self.tick_virtual(now),
             TimeMode::Spin => {
-                let mut flag = self.wb.kick_flag.lock();
-                *flag = true;
-                self.wb.kick_cv.notify_all();
+                let Some(plan) = self.plan_reclaim() else {
+                    return;
+                };
+                let mut kicks = self.wb.kicks.lock();
+                for (si, share) in plan.into_iter().enumerate().filter(|&(_, n)| n > 0) {
+                    // A share not yet taken is stale: this plan counts
+                    // its deficit again.
+                    kicks[si] = Some(share);
+                    self.wb.kick_cv[si].notify_one();
+                }
             }
         }
     }
 
-    /// Spawns the spin-mode writeback threads ("multiple independent kernel
-    /// threads created at mount time").
+    /// Spawns the spin-mode writeback threads, one per shard ("multiple
+    /// independent kernel threads created at mount time"). Each wakes on
+    /// its kick, or after `periodic_wb_ns` with no share to reclaim, and
+    /// runs its shard's pass.
     pub(crate) fn start_background(self: &Arc<Self>) {
         if self.env.mode() != TimeMode::Spin {
             return;
         }
+        let period = Duration::from_nanos(self.cfg.periodic_wb_ns);
         let mut threads = self.wb.threads.lock();
-        for _ in 0..self.cfg.wb_threads.max(1) {
+        for si in 0..self.shards.len() {
             let fs = Arc::clone(self);
             threads.push(std::thread::spawn(move || loop {
-                {
-                    let mut flag = fs.wb.kick_flag.lock();
-                    if !*flag {
-                        let timeout = std::time::Duration::from_nanos(fs.cfg.periodic_wb_ns);
-                        fs.wb.kick_cv.wait_for(&mut flag, timeout);
+                let victims = {
+                    let mut kicks = fs.wb.kicks.lock();
+                    if kicks[si].is_none() {
+                        fs.wb.kick_cv[si].wait_for(&mut kicks, period);
                     }
-                    *flag = false;
-                }
+                    kicks[si].take().unwrap_or(0)
+                };
                 if fs.wb.stop.load(Ordering::Relaxed) {
                     return;
                 }
-                fs.wb_pass(fs.env.now());
+                fs.wb_pass_shard(si, fs.env.now(), victims);
+                // Periodic online audit: each background pass re-verifies
+                // the invariants when the mount has auditing on.
+                fs.maybe_audit();
             }));
         }
     }
 
-    /// Stops and joins the background threads (unmount).
+    /// Stops and joins the writeback threads (unmount).
     pub(crate) fn stop_background(&self) {
         self.wb.stop.store(true, Ordering::Relaxed);
         {
-            let mut flag = self.wb.kick_flag.lock();
-            *flag = true;
-            self.wb.kick_cv.notify_all();
+            let mut kicks = self.wb.kicks.lock();
+            for (kick, cv) in kicks.iter_mut().zip(&self.wb.kick_cv) {
+                *kick = Some(0);
+                cv.notify_one();
+            }
         }
         let mut threads = self.wb.threads.lock();
         for t in threads.drain(..) {
@@ -774,39 +807,12 @@ impl Hinfs {
     /// ready transactions. Skips the file when `blocking` is false and its
     /// inode lock is busy.
     fn flush_file(&self, si: usize, ino: u64, blocking: bool, kind: DrainKind) -> Result<()> {
-        let Ok(handle) = self.inner.inode(ino) else {
-            return Ok(());
-        };
-        let guard = if blocking {
-            Some(handle.state.write())
-        } else {
-            handle.state.try_write()
-        };
-        let Some(mut guard) = guard else {
-            return Ok(());
-        };
-        let mut sh = self.shards[si].lock();
-        let slots: Vec<u32> = match sh.files.get(&ino) {
-            Some(f) => f.index.values().copied().collect(),
-            None => return Ok(()),
-        };
-        let _ = self.flush_batch_locked(&mut sh, &slots, Some(&mut guard), kind)?;
-        if let Some(file) = sh.files.get_mut(&ino) {
-            // All blocks are clean: no pending entry may gate a commit.
-            for t in &mut file.txs {
-                t.pending.clear();
-            }
-            tracker::drain_ready(
-                file,
-                self.inner.journal(),
-                &self.obs,
-                kind,
-                self.env.now(),
-                &self.stats,
-            );
-            debug_assert!(file.txs.is_empty(), "flush_all left open transactions");
-        }
-        Ok(())
+        self.with_owner(si, ino, blocking, None, |sh, slots, st| {
+            self.flush_batch_locked(sh, &slots, Some(st), kind)?;
+            self.commit_clean_file(sh, ino, kind, self.env.now());
+            Ok(())
+        })
+        .unwrap_or(Ok(()))
     }
 
     /// Total buffered dirty blocks across every shard (diagnostics).

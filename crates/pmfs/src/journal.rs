@@ -582,29 +582,7 @@ impl Journal {
     /// metadata updates durable before calling (PMFS writes metadata with
     /// non-temporal stores, so this holds by construction).
     pub fn commit(&self, tx: TxHandle) {
-        self.span(|| self.commit_inner(tx))
-    }
-
-    fn commit_inner(&self, tx: TxHandle) {
-        let mut inner = self.inner.lock();
-        self.dev.sfence();
-        let gen = inner.gen as u32;
-        // The commit-slot reservation in `begin`/`free_entries` guarantees
-        // space for this entry.
-        self.append_locked(&mut inner, &Entry::commit(tx.txid, gen))
-            .expect("reserved commit slot");
-        self.dev.sfence();
-        self.stats
-            .commits
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(ring) = self.trace.get() {
-            let live = inner.tail;
-            ring.emit(self.dev.env().now(), || TraceEvent::JournalCommit {
-                txid: tx.txid as u64,
-                log_entries: live,
-            });
-        }
-        self.resolve_locked(&mut inner, &tx);
+        self.span(|| self.commit_batch(std::slice::from_ref(&tx)))
     }
 
     /// Group commit: commits a batch of transactions with **one** lock
@@ -617,19 +595,25 @@ impl Journal {
         if txs.is_empty() {
             return;
         }
-        self.span(|| self.commit_group_inner(txs))
+        self.span(|| {
+            obsv::note_batch(txs.len() as u32);
+            self.commit_batch(&txs)
+        })
     }
 
-    fn commit_group_inner(&self, txs: Vec<TxHandle>) {
+    /// The body of [`Self::commit`] and [`Self::commit_group`]: one fence
+    /// standing for every transaction of `txs`, their commit entries, one
+    /// more fence. A batch of one is a plain commit.
+    fn commit_batch(&self, txs: &[TxHandle]) {
         let n = txs.len() as u64;
-        obsv::note_batch(n as u32);
         let mut inner = self.inner.lock();
         // Order every caller's in-place metadata updates before any of the
         // batch's commit entries.
         self.dev.sfence_coalesced(n);
         let gen = inner.gen as u32;
-        for tx in &txs {
-            // Reservation in `begin` guarantees one commit slot per tx.
+        for tx in txs {
+            // The commit-slot reservation in `begin`/`free_entries`
+            // guarantees one commit slot per transaction.
             self.append_locked(&mut inner, &Entry::commit(tx.txid, gen))
                 .expect("reserved commit slot");
         }
@@ -639,14 +623,14 @@ impl Journal {
             .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
         if let Some(ring) = self.trace.get() {
             let live = inner.tail;
-            for tx in &txs {
+            for tx in txs {
                 ring.emit(self.dev.env().now(), || TraceEvent::JournalCommit {
                     txid: tx.txid as u64,
                     log_entries: live,
                 });
             }
         }
-        for tx in &txs {
+        for tx in txs {
             self.resolve_locked(&mut inner, tx);
         }
     }
