@@ -8,7 +8,7 @@
 
 use fskit::{FsError, Result};
 use nvmm::{Cat, BLOCK_SIZE};
-use obsv::{ContentionTable, Site, TrackedMutex};
+use obsv::{Site, TrackedMutex};
 
 use crate::cache::BufferCache;
 use crate::jbd::Jbd;
@@ -29,7 +29,8 @@ pub struct DiskBitmap {
 }
 
 impl DiskBitmap {
-    /// Loads the bitmap from disk (through the cache).
+    /// Loads the bitmap from disk (through the cache); its lock records
+    /// into the cache's machine's contention table.
     pub fn load(cache: &BufferCache, start_blk: u64, nbits: u64) -> DiskBitmap {
         let words = (nbits as usize).div_ceil(64);
         let mut bits = vec![0u64; words];
@@ -57,6 +58,7 @@ impl DiskBitmap {
             start_blk,
             nbits,
             state: TrackedMutex::new(
+                cache.device().byte_device().contention(),
                 Site::ExtfsAlloc,
                 State {
                     bits,
@@ -65,12 +67,6 @@ impl DiskBitmap {
                 },
             ),
         }
-    }
-
-    /// Wires the bitmap's lock to a contention profiler (first caller
-    /// wins). The file system calls this at mount.
-    pub fn attach_contention(&self, table: &std::sync::Arc<ContentionTable>) {
-        self.state.attach(table);
     }
 
     /// Number of free bits.

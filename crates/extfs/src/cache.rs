@@ -65,7 +65,7 @@ impl BufferCache {
         let contention = bd.byte_device().contention().clone();
         BufferCache {
             bd,
-            inner: TrackedMutex::attached(
+            inner: TrackedMutex::new(
                 &contention,
                 Site::ExtfsCache,
                 Inner {

@@ -146,12 +146,6 @@ impl Extfs {
         let obs = Arc::new(FsObs::new(bd.byte_device().spans().clone()));
         cache.attach_obs(obs.clone());
         let contention = bd.byte_device().contention().clone();
-        balloc.attach_contention(&contention);
-        ialloc.attach_contention(&contention);
-        let icache = ExtInodeCache::new();
-        icache.attach_contention(&contention);
-        let fds = FdTable::new();
-        fds.attach_contention(&contention);
         Ok(Arc::new(Extfs {
             mode,
             env,
@@ -161,12 +155,12 @@ impl Extfs {
             jbd,
             balloc,
             ialloc,
-            icache,
-            fds,
-            ns: TrackedMutex::attached(&contention, Site::ExtfsNamespace, ()),
+            icache: ExtInodeCache::new(&contention),
+            fds: FdTable::new(&contention),
+            ns: TrackedMutex::new(&contention, Site::ExtfsNamespace, ()),
             opts,
             last_commit: AtomicU64::new(0),
-            dirty_data: TrackedMutex::attached(&contention, Site::ExtfsDirtyData, HashMap::new()),
+            dirty_data: TrackedMutex::new(&contention, Site::ExtfsDirtyData, HashMap::new()),
             obs,
             replayed,
         }))

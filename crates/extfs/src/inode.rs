@@ -106,24 +106,12 @@ pub struct ExtInodeCache {
     map: TrackedMutex<HashMap<u64, Arc<ExtInodeHandle>>>,
 }
 
-impl Default for ExtInodeCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ExtInodeCache {
-    /// An empty handle cache.
-    pub fn new() -> ExtInodeCache {
+    /// An empty handle cache whose map lock records into `table`.
+    pub fn new(table: &Arc<ContentionTable>) -> ExtInodeCache {
         ExtInodeCache {
-            map: TrackedMutex::new(Site::ExtfsInodeMap, HashMap::new()),
+            map: TrackedMutex::new(table, Site::ExtfsInodeMap, HashMap::new()),
         }
-    }
-
-    /// Wires the handle-map lock to a contention profiler (first caller
-    /// wins). The file system calls this at mount.
-    pub fn attach_contention(&self, table: &Arc<ContentionTable>) {
-        self.map.attach(table);
     }
 
     /// Loads (or returns the cached) handle for a used inode.
@@ -226,7 +214,7 @@ mod tests {
         let (cache, jbd, layout) = setup();
         let m = ExtInodeMem::new(FileType::Dir, 7);
         write_inode(&cache, &jbd, &layout, 5, &m, 0);
-        let icache = ExtInodeCache::new();
+        let icache = ExtInodeCache::new(cache.device().byte_device().contention());
         let h = icache.get(&cache, &layout, 5).unwrap();
         assert_eq!(*h.state.read(), m);
         // Same handle on repeat.
@@ -246,14 +234,14 @@ mod tests {
             0,
         );
         clear_inode(&cache, &jbd, &layout, 9, 1);
-        let icache = ExtInodeCache::new();
+        let icache = ExtInodeCache::new(cache.device().byte_device().contention());
         assert!(icache.get(&cache, &layout, 9).is_err());
     }
 
     #[test]
     fn out_of_range_rejected() {
         let (cache, _jbd, layout) = setup();
-        let icache = ExtInodeCache::new();
+        let icache = ExtInodeCache::new(cache.device().byte_device().contention());
         assert!(icache.get(&cache, &layout, 0).is_err());
         assert!(icache.get(&cache, &layout, layout.inode_count).is_err());
     }

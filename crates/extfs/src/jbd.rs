@@ -61,7 +61,7 @@ impl Jbd {
     /// (ext2 mode) turns every operation into a no-op.
     pub fn open(bd: Arc<Nvmmbd>, start: u64, blocks: u64, enabled: bool) -> Jbd {
         assert!(blocks >= 8, "journal area too small");
-        let inner = TrackedMutex::attached(
+        let inner = TrackedMutex::new(
             bd.byte_device().contention(),
             Site::ExtfsJbd,
             JbdInner {

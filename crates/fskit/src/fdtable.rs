@@ -22,17 +22,12 @@ struct Inner<T> {
     free: Vec<usize>,
 }
 
-impl<T> Default for FdTable<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> FdTable<T> {
-    /// Creates an empty table.
-    pub fn new() -> Self {
+    /// Creates an empty table whose lock records into `table`.
+    pub fn new(table: &Arc<ContentionTable>) -> Self {
         FdTable {
             inner: TrackedMutex::new(
+                table,
                 Site::FskitFdtable,
                 Inner {
                     slots: Vec::new(),
@@ -40,12 +35,6 @@ impl<T> FdTable<T> {
                 },
             ),
         }
-    }
-
-    /// Connects the table's lock to a contention profiler (first caller
-    /// wins). File systems call this at mount.
-    pub fn attach_contention(&self, table: &Arc<ContentionTable>) {
-        self.inner.attach(table);
     }
 
     /// Inserts per-open state and returns its descriptor.
@@ -100,9 +89,13 @@ impl<T> FdTable<T> {
 mod tests {
     use super::*;
 
+    fn table<T>() -> FdTable<T> {
+        FdTable::new(&Arc::new(ContentionTable::new(obsv::Clock::new(|| 0))))
+    }
+
     #[test]
     fn insert_get_remove() {
-        let t: FdTable<String> = FdTable::new();
+        let t: FdTable<String> = table();
         let fd = t.insert("hello".into());
         assert_eq!(*t.get(fd).unwrap(), "hello");
         t.remove(fd).unwrap();
@@ -112,7 +105,7 @@ mod tests {
 
     #[test]
     fn descriptors_are_reused() {
-        let t: FdTable<u32> = FdTable::new();
+        let t: FdTable<u32> = table();
         let a = t.insert(1);
         let b = t.insert(2);
         t.remove(a).unwrap();
@@ -124,7 +117,7 @@ mod tests {
 
     #[test]
     fn open_count_and_all() {
-        let t: FdTable<u32> = FdTable::new();
+        let t: FdTable<u32> = table();
         let a = t.insert(1);
         let _b = t.insert(2);
         assert_eq!(t.open_count(), 2);
@@ -136,7 +129,7 @@ mod tests {
 
     #[test]
     fn unknown_fd_is_badfd() {
-        let t: FdTable<u32> = FdTable::new();
+        let t: FdTable<u32> = table();
         assert_eq!(t.get(42), Err(FsError::BadFd));
     }
 }

@@ -75,7 +75,7 @@ impl Hinfs {
         let budget = Arc::new(AtomicUsize::new(cfg.buffer_blocks()));
         let shards = (0..nshards)
             .map(|i| {
-                TrackedMutex::attached(
+                TrackedMutex::new(
                     env.contention(),
                     Site::hinfs_shard(i),
                     Shared::init(budget.clone()),
@@ -89,12 +89,11 @@ impl Hinfs {
             // One bundle per mounted stack: a syscall forwarded to PMFS
             // nests in the op frame HiNFS opened.
             obs: inner.obs().clone(),
-            wb: WbCtl::new(nshards),
+            wb: WbCtl::new(env.contention(), nshards),
             inner,
             env,
             cfg,
         });
-        fs.wb.attach_contention(fs.env.contention());
         let layer: Weak<Hinfs> = Arc::downgrade(&fs);
         fs.inner.attach_layer(layer);
         // Journal commits land on the same trace timeline as writeback.

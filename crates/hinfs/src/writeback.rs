@@ -57,23 +57,18 @@ pub struct WbCtl {
 }
 
 impl WbCtl {
-    pub(crate) fn new(nshards: usize) -> WbCtl {
+    /// Control state for `nshards` actors, its locks recording into
+    /// `table`.
+    pub(crate) fn new(table: &Arc<ContentionTable>, nshards: usize) -> WbCtl {
         let n = nshards.max(1);
         WbCtl {
             clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             last_periodic: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            kicks: TrackedMutex::new(Site::HinfsWriteback, vec![None; n]),
+            kicks: TrackedMutex::new(table, Site::HinfsWriteback, vec![None; n]),
             kick_cv: (0..n).map(|_| TrackedCondvar::new()).collect(),
-            threads: TrackedMutex::new(Site::HinfsWriteback, Vec::new()),
+            threads: TrackedMutex::new(table, Site::HinfsWriteback, Vec::new()),
         }
-    }
-
-    /// Wires the control locks to the machine's contention profiler
-    /// (first caller wins). `Hinfs::wrap` calls this at mount.
-    pub(crate) fn attach_contention(&self, table: &Arc<ContentionTable>) {
-        self.kicks.attach(table);
-        self.threads.attach(table);
     }
 }
 
@@ -729,7 +724,7 @@ impl Hinfs {
                 let victims = {
                     let mut kicks = fs.wb.kicks.lock();
                     if kicks[si].is_none() {
-                        fs.wb.kick_cv[si].wait_for(&mut kicks, period);
+                        kicks = fs.wb.kick_cv[si].wait_for(kicks, period);
                     }
                     kicks[si].take().unwrap_or(0)
                 };

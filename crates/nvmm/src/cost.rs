@@ -7,8 +7,6 @@
 //! calibration constants chosen so the Fig 1 time-breakdown proportions
 //! match the paper; see `DESIGN.md`.
 
-use crate::CACHELINE;
-
 /// Latency and bandwidth constants of the simulated machine.
 ///
 /// All file systems in the workspace charge their work through one shared
@@ -21,8 +19,9 @@ pub struct CostModel {
     /// every non-temporal store line, exactly like the paper's emulator.
     pub nvmm_write_latency_ns: u64,
     /// Sustained NVMM write bandwidth in bytes per second (paper: 1 GB/s).
-    /// Enforced by capping concurrent writer slots; see
-    /// [`CostModel::writer_slots`].
+    /// Enforced on both clocks by the [`BandwidthGate`](crate::gate::BandwidthGate)
+    /// calendar: at most `bandwidth × 1 µs` of cachelines complete in any
+    /// 1 µs bucket.
     pub nvmm_write_bandwidth: u64,
     /// Extra latency per NVMM read, in nanoseconds. The paper assumes NVMM
     /// reads run at DRAM speed, so this defaults to zero.
@@ -84,32 +83,6 @@ impl CostModel {
         self
     }
 
-    /// The maximum number of concurrent NVMM writers, `N_w`.
-    ///
-    /// The paper (§5.1) emulates bandwidth by queueing writer threads beyond
-    /// `N_w = B_NVMM / (1/L_NVMM)` where the unit of work is one cacheline:
-    /// a single thread persists one 64 B line per `L_NVMM`, so its
-    /// throughput is `CACHELINE / L_NVMM` bytes/s and
-    /// `N_w = B_NVMM · L_NVMM / CACHELINE`, rounded up and at least 1.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// // 1 GB/s at 200 ns/line: each writer sustains 320 MB/s, so 4 slots.
-    /// let m = nvmm::CostModel::default();
-    /// assert_eq!(m.writer_slots(), 4);
-    /// ```
-    pub fn writer_slots(&self) -> usize {
-        let lat = self.nvmm_write_latency_ns.max(1);
-        // Bytes/s a single writer can sustain.
-        let per_writer = (CACHELINE as u128 * 1_000_000_000) / lat as u128;
-        if per_writer == 0 {
-            return 1;
-        }
-        let slots = (self.nvmm_write_bandwidth as u128).div_ceil(per_writer);
-        slots.max(1) as usize
-    }
-
     /// Cost of copying `bytes` through DRAM (either direction), in ns.
     pub fn dram_copy_ns(&self, bytes: usize) -> u64 {
         (bytes as u64 * self.dram_ns_per_kib) / 1024
@@ -132,23 +105,6 @@ mod tests {
         assert_eq!(m.nvmm_write_latency_ns, 200);
         assert_eq!(m.nvmm_write_bandwidth, 1 << 30);
         assert_eq!(m.nvmm_read_extra_ns, 0);
-    }
-
-    #[test]
-    fn writer_slots_scale_with_latency() {
-        // Longer latency -> lower per-writer throughput -> more slots to
-        // reach the same bandwidth.
-        let slow = CostModel::default().with_write_latency(800);
-        let fast = CostModel::default().with_write_latency(50);
-        assert!(slow.writer_slots() > CostModel::default().writer_slots());
-        assert!(fast.writer_slots() <= CostModel::default().writer_slots());
-        assert!(fast.writer_slots() >= 1);
-    }
-
-    #[test]
-    fn writer_slots_never_zero() {
-        let tiny = CostModel::default().with_write_bandwidth(1);
-        assert_eq!(tiny.writer_slots(), 1);
     }
 
     #[test]

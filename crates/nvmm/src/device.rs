@@ -91,13 +91,13 @@ impl NvmmDevice {
         assert_eq!(len % CACHELINE, 0, "device length must be line-aligned");
         let contention = env.contention().clone();
         Arc::new(NvmmDevice {
-            mem: TrackedRwLock::attached(
+            mem: TrackedRwLock::new(
                 &contention,
                 Site::NvmmDevice,
                 vec![0u8; len].into_boxed_slice(),
             ),
             shadow: tracked
-                .then(|| TrackedMutex::attached(&contention, Site::NvmmShadow, Shadow::new(len))),
+                .then(|| TrackedMutex::new(&contention, Site::NvmmShadow, Shadow::new(len))),
             env,
             stats: DeviceStats::new(),
             fault: FaultHook::new(),

@@ -2,26 +2,24 @@
 //!
 //! The paper emulates NVMM's limited write bandwidth by capping the number
 //! of concurrently writing threads at `N_w` and queueing the rest (§5.1).
-//! This gate implements the same cap for both time modes:
-//!
-//! - In **virtual** time it is a *utilization calendar*: time is split
-//!   into 1 µs buckets, each with room for `bandwidth × 1 µs` worth of
-//!   cachelines. A line written at time `t` occupies the first bucket at
-//!   or after `t` with spare room; when demand exceeds the device
-//!   bandwidth the next free bucket moves into the future and the writer's
-//!   clock is pushed along — exactly the queueing the paper's `N_w` model
-//!   produces, but fair at cacheline granularity and insensitive to the
-//!   discrete-event scheduler's actor-clock skew (an actor whose clock
-//!   lags may fill a past bucket that genuinely had bandwidth to spare).
-//! - In **spin** mode it is a counting semaphore of `N_w` permits taken
-//!   per cacheline; the caller blocks for a permit and busy-waits the line
-//!   latency, just like the paper's emulator.
+//! This gate enforces the same limit as a *utilization calendar*, one
+//! for both time modes: time is split into 1 µs buckets, each with room
+//! for `bandwidth × 1 µs` worth of cachelines. A line written at time `t`
+//! occupies the first bucket at or after `t` with spare room; when demand
+//! exceeds the device bandwidth the next free bucket moves into the
+//! future and the writer's completion is pushed along — the queueing the
+//! paper's `N_w` model produces, but fair at cacheline granularity and
+//! insensitive to the discrete-event scheduler's actor-clock skew (an
+//! actor whose clock lags may fill a past bucket that genuinely had
+//! bandwidth to spare). In virtual time the writer's clock jumps to the
+//! completion time; in spin mode it busy-waits until the wall clock
+//! reaches it.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use obsv::{ContentionTable, Site, TrackedCondvar, TrackedMutex};
+use obsv::{ContentionTable, Site, TrackedMutex};
 
 /// Width of one calendar bucket, ns.
 const BUCKET_NS: u64 = 1_000;
@@ -87,59 +85,38 @@ impl Default for Calendar {
     }
 }
 
-/// An `N_w`-writer bandwidth gate.
+/// The NVMM write-bandwidth gate: one calendar of 1 µs buckets.
 #[derive(Debug)]
 pub struct BandwidthGate {
-    /// Virtual mode calendar.
     cal: TrackedMutex<Calendar>,
     /// Lines that fit in one bucket (device bandwidth × bucket width).
     lines_per_bucket: u32,
-    /// Spin mode: available permits.
-    permits: TrackedMutex<usize>,
-    cv: TrackedCondvar,
-    n: usize,
 }
 
 impl BandwidthGate {
-    /// Creates a gate with `n` writer slots sustaining
-    /// `bandwidth_bytes_per_sec` in total.
-    pub fn new(n: usize, bandwidth_bytes_per_sec: u64) -> Self {
-        let n = n.max(1);
+    /// Creates a gate sustaining `bandwidth_bytes_per_sec`, its calendar
+    /// lock recording into `table`.
+    pub fn new(table: &Arc<ContentionTable>, bandwidth_bytes_per_sec: u64) -> Self {
         let bytes_per_bucket = bandwidth_bytes_per_sec as u128 * BUCKET_NS as u128 / 1_000_000_000;
         let lines_per_bucket = (bytes_per_bucket / crate::CACHELINE as u128).max(1) as u32;
         BandwidthGate {
-            cal: TrackedMutex::new(Site::NvmmGate, Calendar::default()),
+            cal: TrackedMutex::new(table, Site::NvmmGate, Calendar::default()),
             lines_per_bucket,
-            permits: TrackedMutex::new(Site::NvmmGate, n),
-            cv: TrackedCondvar::new(),
-            n,
         }
     }
 
-    /// Connects the gate's locks to a contention table (first caller
-    /// wins). `SimEnv::new` calls this right after construction.
-    pub fn attach_contention(&self, table: &Arc<ContentionTable>) {
-        self.cal.attach(table);
-        self.permits.attach(table);
-    }
-
-    /// Number of writer slots (spin mode).
-    pub fn slots(&self) -> usize {
-        self.n
-    }
-
-    /// Cacheline capacity of one 1 µs calendar bucket (virtual mode).
+    /// Cacheline capacity of one 1 µs calendar bucket.
     pub fn lines_per_bucket(&self) -> u32 {
         self.lines_per_bucket
     }
 
-    /// Virtual mode: admits `lines` back-to-back cacheline writes, the
-    /// first issued at `now`, each with service time `line_ns` and each
-    /// issued when the one before completes; returns the completion time
-    /// of the last. A line takes the first bucket at or after its issue
-    /// time with room. The whole run is booked under one hold of the
-    /// calendar lock, a bucket's share of it at a time, and books exactly
-    /// what `lines` chained one-line admissions would.
+    /// Admits `lines` back-to-back cacheline writes, the first issued at
+    /// `now` (on either clock), each with service time `line_ns` and
+    /// each issued when the one before completes; returns the completion
+    /// time of the last. A line takes the first bucket at or after its
+    /// issue time with room. The whole run is booked under one hold of
+    /// the calendar lock, a bucket's share of it at a time, and books
+    /// exactly what `lines` chained one-line admissions would.
     pub fn admit(&self, now: u64, line_ns: u64, lines: usize) -> u64 {
         let mut guard = self.cal.lock();
         let cal = &mut *guard;
@@ -211,25 +188,7 @@ impl BandwidthGate {
         (cal.floor, cal.low, cal.admits, booked)
     }
 
-    /// Spin mode: blocks until a writer slot is available.
-    pub fn acquire(&self) {
-        let mut p = self.permits.lock();
-        while *p == 0 {
-            self.cv.wait(&mut p);
-        }
-        *p -= 1;
-    }
-
-    /// Spin mode: returns a writer slot.
-    pub fn release(&self) {
-        let mut p = self.permits.lock();
-        *p += 1;
-        drop(p);
-        self.cv.notify_one();
-    }
-
-    /// Resets the virtual calendar to empty (used when re-basing a
-    /// timeline).
+    /// Resets the calendar to empty (used when re-basing a timeline).
     pub fn reset(&self) {
         let mut cal = self.cal.lock();
         *cal = Calendar::default();
@@ -241,9 +200,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn gate_at(bandwidth: u64) -> BandwidthGate {
+        let table = Arc::new(ContentionTable::new(obsv::Clock::new(|| 0)));
+        BandwidthGate::new(&table, bandwidth)
+    }
+
     fn gate() -> BandwidthGate {
         // 1 GiB/s: 16 lines per µs bucket.
-        BandwidthGate::new(4, 1 << 30)
+        gate_at(1 << 30)
     }
 
     #[test]
@@ -252,7 +216,7 @@ mod tests {
         // (1 GiB/s × 1 µs) / 64 B = 16.7 -> 16 lines.
         assert_eq!(g.lines_per_bucket(), 16);
         // A tiny-bandwidth device still admits at least one line.
-        let tiny = BandwidthGate::new(1, 1);
+        let tiny = gate_at(1);
         assert_eq!(tiny.lines_per_bucket(), 1);
     }
 
@@ -362,7 +326,7 @@ mod tests {
             // (actor, clock advance before the run in ns, lines, kind)
             prop::collection::vec((0usize..4, 0u64..30_000, 1usize..700, 0u8..60), 1..400),
         )) {
-            let g = BandwidthGate::new(4, bandwidth_mib << 20);
+            let g = gate_at(bandwidth_mib << 20);
             let cap = g.lines_per_bucket();
             let mut model = PerLine::default();
             let mut clocks = [0u64; 4];
@@ -417,17 +381,6 @@ mod tests {
             g.calendar().3,
             vec![(0, 16), (1, 1), (1_000, 1), (HOUR / BUCKET_NS, 1)]
         );
-    }
-
-    #[test]
-    fn spin_semaphore_roundtrip() {
-        let g = gate();
-        g.acquire();
-        g.acquire();
-        g.release();
-        g.acquire();
-        g.release();
-        g.release();
     }
 
     #[test]

@@ -128,9 +128,12 @@ thread_local! {
     static LEDGER: RefCell<Ledger> = RefCell::new(Ledger::new());
 }
 
-/// Adds `ns` to `cat` in the current thread's ledger.
+/// Adds `ns` to `cat` in the current thread's ledger, and books it to
+/// the observer's innermost open span ([`obsv::note_charge`]): every
+/// modelled nanosecond is counted here, once.
 pub fn add(cat: Cat, ns: u64) {
     LEDGER.with(|l| l.borrow_mut().add(cat, ns));
+    obsv::note_charge(ns);
 }
 
 /// Returns a copy of the current thread's ledger.

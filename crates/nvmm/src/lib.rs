@@ -7,8 +7,9 @@
 //! - A byte-addressable **NVMM device** backed by host DRAM, where every
 //!   persisted cacheline pays a configurable extra write latency (200 ns by
 //!   default) and the sustained write bandwidth is capped (1 GB/s by
-//!   default) by limiting the number of concurrent writer slots, exactly as
-//!   the paper's `N_w = B_NVMM / (cacheline / L_NVMM)` model prescribes.
+//!   default) by one calendar of 1 µs buckets on both clocks
+//!   ([`gate::BandwidthGate`]), the queueing the paper's `N_w` writer
+//!   cap produces.
 //! - Reads run at DRAM speed (the paper assumes symmetric read latency).
 //! - A **volatile store buffer** stands in for the CPU cache: stores issued
 //!   with [`NvmmDevice::write_cached`] are not durable until an explicit

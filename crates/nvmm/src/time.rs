@@ -10,6 +10,11 @@
 //! In virtual mode a scheduler multiplexes many *logical actors* onto one
 //! OS thread by saving/restoring the thread-local clock around each actor
 //! step ([`SimEnv::set_now`] / [`SimEnv::with_now`]).
+//!
+//! NVMM writes pass the one [`BandwidthGate`] calendar in both modes: it
+//! returns each persist's completion time, to which the virtual clock
+//! jumps or until which the spin-mode caller busy-waits. Either way the
+//! ledger gets the same service-plus-queueing time.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -62,8 +67,7 @@ impl SimEnv {
                 ContentionTable::new(Clock::new(move || epoch.elapsed().as_nanos() as u64))
             }
         });
-        let gate = BandwidthGate::new(cost.writer_slots(), cost.nvmm_write_bandwidth);
-        gate.attach_contention(&contention);
+        let gate = BandwidthGate::new(&contention, cost.nvmm_write_bandwidth);
         Arc::new(SimEnv {
             mode,
             cost,
@@ -183,7 +187,9 @@ impl SimEnv {
     }
 
     /// Persists `lines` cachelines to NVMM through the bandwidth gate:
-    /// charges the service time plus any queueing delay to `cat`.
+    /// charges the service time plus any queueing delay to `cat`, and
+    /// moves the clock (virtual) or busy-waits (spin) to the completion
+    /// time the gate returns.
     ///
     /// Admission is per cacheline — the unit real memory controllers
     /// schedule at — so concurrent writers interleave fairly instead of a
@@ -194,29 +200,19 @@ impl SimEnv {
             return;
         }
         let line_ns = self.cost.nvmm_write_latency_ns;
+        let start = self.now();
+        let done = self.gate.admit(start, line_ns, lines);
+        ledger::add(cat, done - start);
+        // Queueing delay beyond pure service time is bandwidth
+        // throttling: attribute it as an explicit stall site (this only
+        // *records* — the clock moves the same with profiling on or off).
+        let queued = (done - start).saturating_sub(line_ns * lines as u64);
+        if queued > 0 {
+            self.contention.stall(Site::StallThrottle, queued);
+        }
         match self.mode {
-            TimeMode::Virtual => {
-                let start = self.now();
-                let now = self.gate.admit(start, line_ns, lines);
-                ledger::add(cat, now - start);
-                // Queueing delay beyond pure service time is bandwidth
-                // throttling: attribute it as an explicit stall site
-                // (this only *records* — the clock advance below is the
-                // same with profiling on or off).
-                let queued = (now - start).saturating_sub(line_ns * lines as u64);
-                if queued > 0 {
-                    self.contention.stall(Site::StallThrottle, queued);
-                }
-                NOW.with(|n| n.set(now));
-            }
-            TimeMode::Spin => {
-                for _ in 0..lines {
-                    self.gate.acquire();
-                    spin_for(line_ns);
-                    self.gate.release();
-                }
-                ledger::add(cat, self.cost.nvmm_persist_ns(lines));
-            }
+            TimeMode::Virtual => NOW.with(|n| n.set(done)),
+            TimeMode::Spin => spin_for(done.saturating_sub(self.now())),
         }
     }
 }
@@ -315,6 +311,56 @@ mod tests {
         // set_now is a no-op in spin mode.
         env.set_now(0);
         assert!(env.now() >= t1);
+    }
+
+    #[test]
+    fn spin_persist_waits_for_the_calendar() {
+        // 64 B per µs: the calendar holds one line per 1 µs bucket.
+        let env = SimEnv::new_spin(CostModel::default().with_write_bandwidth(64_000_000));
+        assert_eq!(env.gate().lines_per_bucket(), 1);
+        env.contention().set_level(obsv::Level::Full);
+        ledger::reset();
+        let line_ns = env.cost().nvmm_write_latency_ns;
+        let t0 = env.now();
+        env.nvmm_persist(Cat::UserWrite, 4);
+        let took = env.now() - t0;
+        let booked = ledger::snapshot().get(Cat::UserWrite);
+        // Four lines take four buckets: the last one starts at least two
+        // full buckets after the first one's bucket, wherever in it the
+        // persist began.
+        assert!(booked > 2 * 1_000 + line_ns, "booked {booked} ns");
+        assert!(took >= booked, "returned after {took} ns, booked {booked}");
+        // What is not service time is throttling.
+        let throttle = env.contention().snapshot();
+        let throttle = throttle.site(Site::StallThrottle);
+        assert_eq!(throttle.wait.sum(), booked - 4 * line_ns);
+    }
+
+    #[test]
+    fn spin_mode_phases_book_exactly_their_charges() {
+        use crate::NvmmDevice;
+        use obsv::{FsObs, Level, OpKind, Phase};
+        let env = SimEnv::new_spin(CostModel::default());
+        let dev = NvmmDevice::new(env.clone(), 4096);
+        let spans = dev.spans().clone();
+        spans.set_enabled(true);
+        let obs = FsObs::new(spans.clone());
+        obs.set_level(Level::Full);
+        obs.op(OpKind::Write, || {
+            env.charge_syscall();
+            spans.scope(Phase::DramCopy, || env.charge(Cat::UserWrite, 20_000));
+            spans.scope(Phase::Journal, || {
+                env.charge(Cat::Journal, 30_000);
+                spans.scope(Phase::Fence, || env.charge_fence());
+            });
+        });
+        let s = spans.snapshot();
+        assert_eq!(s.ns_of(OpKind::Write, Phase::DramCopy), 20_000);
+        assert_eq!(s.ns_of(OpKind::Write, Phase::Journal), 30_000);
+        assert_eq!(s.ns_of(OpKind::Write, Phase::Fence), env.cost().fence_ns);
+        // The rest of the op's wall-clock latency is its `Other`, which
+        // holds at least the syscall charge.
+        assert!(s.ns_of(OpKind::Write, Phase::Other) >= env.cost().syscall_ns);
     }
 
     #[test]

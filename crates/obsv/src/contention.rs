@@ -25,8 +25,8 @@
 //!
 //! Cost rules, matching the rest of `obsv`:
 //!
-//! - **Unattached or [`Level::Off`]**: a tracked lock is a plain
-//!   `std::sync` lock plus one `OnceLock` load and one relaxed load.
+//! - **[`Level::Off`]**: a tracked lock is a plain `std::sync` lock
+//!   plus one relaxed load.
 //! - **[`Level::Counts`]**: the uncontended fast path is exactly one
 //!   relaxed increment (then a bare `try_lock`); no clock is read.
 //! - **[`Level::Full`]**: adds clock reads and histogram records —
@@ -104,7 +104,7 @@ sites! {
         NvmmDevice = "nvmm.device",
         /// `nvmm::NvmmDevice::shadow` — the crash-consistency shadow.
         NvmmShadow = "nvmm.shadow",
-        /// `nvmm::BandwidthGate` — calendar and writer-slot semaphore.
+        /// `nvmm::BandwidthGate` — the bandwidth calendar.
         NvmmGate = "nvmm.gate",
         /// `fskit::FdTable` — the descriptor table.
         FskitFdtable = "fskit.fdtable",
@@ -226,7 +226,7 @@ impl SiteStats {
 }
 
 /// The shared contention accumulator of one simulated machine. One table
-/// exists per `SimEnv`; every tracked lock on that machine attaches to
+/// exists per `SimEnv`; every tracked lock on that machine is built with
 /// it. Disabled ([`Level::Off`]) by default.
 #[derive(Debug)]
 pub struct ContentionTable {
@@ -453,60 +453,6 @@ fn try_unpoison<G>(r: Result<G, sync::TryLockError<G>>) -> Option<G> {
     }
 }
 
-/// The one level dispatch behind every tracked acquire, at the cost the
-/// module docs state. A blocking acquire that `try_acquire` cannot
-/// satisfy ticks the contended counter *before* it blocks (a thread is
-/// visibly stalled while it waits). A try (`block` is `None`) that would
-/// block returns `None` and counts nothing: a failed try is a caller
-/// decision, not a blocked thread.
-#[inline]
-fn acquire<'a, G>(
-    table: &'a OnceLock<Arc<ContentionTable>>,
-    site: Site,
-    try_acquire: impl FnOnce() -> Option<G>,
-    block: Option<impl FnOnce() -> G>,
-) -> Option<(Option<Hold<'a>>, G)> {
-    let (table, full) = match table.get().map(|t| (t, t.level())) {
-        Some((t, Level::Counts)) => (t, false),
-        Some((t, Level::Full)) => (t, true),
-        _ => {
-            return match block {
-                Some(block) => Some((None, block())),
-                None => try_acquire().map(|g| (None, g)),
-            }
-        }
-    };
-    let g = match block {
-        None => {
-            let g = try_acquire()?;
-            table.note_acquisition(site);
-            g
-        }
-        Some(block) => {
-            table.note_acquisition(site);
-            match try_acquire() {
-                Some(g) => g,
-                None => {
-                    table.note_contended(site);
-                    let t0 = full.then(|| table.clock.now());
-                    let g = block();
-                    if let Some(t0) = t0 {
-                        table.record_wait_sample(site, table.clock.now().saturating_sub(t0));
-                    }
-                    g
-                }
-            }
-        }
-    };
-    let hold = full.then(|| Hold {
-        table,
-        site,
-        acquired_at: table.clock.now(),
-        deduct: 0,
-    });
-    Some((hold, g))
-}
-
 /// Open hold-time measurement carried by a guard at [`Level::Full`].
 /// Dropping it books the hold sample, so it is declared *before* the
 /// inner guard in each tracked guard struct (fields drop in declaration
@@ -532,14 +478,12 @@ impl Drop for Hold<'_> {
     }
 }
 
-/// A [`Site`]-tagged `std::sync` lock `L` recording into an attached
-/// [`ContentionTable`]. Construction is `const`-friendly and detached —
-/// a lock built before its simulation environment exists (allocators,
-/// caches) behaves as a bare lock until [`Tracked::attach`].
+/// A [`Site`]-tagged `std::sync` lock `L` recording into its machine's
+/// [`ContentionTable`], which it is built with.
 #[derive(Debug)]
 pub struct Tracked<L> {
     site: Site,
-    table: OnceLock<Arc<ContentionTable>>,
+    table: Arc<ContentionTable>,
     inner: L,
 }
 
@@ -550,11 +494,11 @@ pub type TrackedMutex<T> = Tracked<sync::Mutex<T>>;
 /// site (each guard books its own hold).
 pub type TrackedRwLock<T> = Tracked<sync::RwLock<T>>;
 
-/// Guard for [`TrackedMutex`]. The inner `Option` is only ever `None`
-/// transiently inside [`TrackedCondvar::wait`].
+/// Guard for [`TrackedMutex`]: the inner `std::sync` guard plus the open
+/// hold.
 pub struct TrackedMutexGuard<'a, T: ?Sized> {
     hold: Option<Hold<'a>>,
-    g: Option<sync::MutexGuard<'a, T>>,
+    g: sync::MutexGuard<'a, T>,
 }
 
 /// Guard for [`TrackedRwLock`]: the inner `std::sync` guard `G` plus the
@@ -571,41 +515,78 @@ pub type TrackedReadGuard<'a, T> = TrackedGuard<'a, sync::RwLockReadGuard<'a, T>
 pub type TrackedWriteGuard<'a, T> = TrackedGuard<'a, sync::RwLockWriteGuard<'a, T>>;
 
 impl<L> Tracked<L> {
-    const fn with(site: Site, inner: L) -> Tracked<L> {
-        Tracked {
-            site,
-            table: OnceLock::new(),
-            inner,
-        }
-    }
-
-    /// Connects this lock to a table. First caller wins; later calls are
-    /// no-ops.
-    pub fn attach(&self, table: &Arc<ContentionTable>) {
-        let _ = self.table.set(table.clone());
-    }
-
-    /// This lock born attached to `table`.
-    fn attached_to(self, table: &Arc<ContentionTable>) -> Tracked<L> {
-        self.attach(table);
-        self
-    }
-
     /// This lock's site id.
     pub fn site(&self) -> Site {
         self.site
     }
+
+    /// The hold measurement a fresh guard carries at [`Level::Full`].
+    fn hold(&self, full: bool) -> Option<Hold<'_>> {
+        full.then(|| Hold {
+            table: &self.table,
+            site: self.site,
+            acquired_at: self.table.clock.now(),
+            deduct: 0,
+        })
+    }
+
+    /// A blocking acquire, at the cost the module docs state. When
+    /// `try_acquire` cannot satisfy it, the contended counter ticks
+    /// *before* `block` blocks (a thread is visibly stalled while it
+    /// waits).
+    #[inline]
+    fn acquire<G>(
+        &self,
+        try_acquire: impl FnOnce() -> Option<G>,
+        block: impl FnOnce() -> G,
+    ) -> (Option<Hold<'_>>, G) {
+        let (table, site) = (&*self.table, self.site);
+        let full = match table.level() {
+            Level::Off => return (None, block()),
+            Level::Counts => false,
+            Level::Full => true,
+        };
+        table.note_acquisition(site);
+        let g = match try_acquire() {
+            Some(g) => g,
+            None => {
+                table.note_contended(site);
+                let t0 = full.then(|| table.clock.now());
+                let g = block();
+                if let Some(t0) = t0 {
+                    table.record_wait_sample(site, table.clock.now().saturating_sub(t0));
+                }
+                g
+            }
+        };
+        (self.hold(full), g)
+    }
+
+    /// A non-blocking acquire: `None` when it would block, counting
+    /// nothing — a failed try is a caller decision, not a blocked
+    /// thread.
+    #[inline]
+    fn try_acquire<G>(
+        &self,
+        try_acquire: impl FnOnce() -> Option<G>,
+    ) -> Option<(Option<Hold<'_>>, G)> {
+        let level = self.table.level();
+        let g = try_acquire()?;
+        if level != Level::Off {
+            self.table.note_acquisition(self.site);
+        }
+        Some((self.hold(level == Level::Full), g))
+    }
 }
 
 impl<T> TrackedMutex<T> {
-    /// An untracked-until-attached mutex.
-    pub const fn new(site: Site, t: T) -> TrackedMutex<T> {
-        Tracked::with(site, sync::Mutex::new(t))
-    }
-
-    /// A mutex born attached to `table`.
-    pub fn attached(table: &Arc<ContentionTable>, site: Site, t: T) -> TrackedMutex<T> {
-        TrackedMutex::new(site, t).attached_to(table)
+    /// A mutex at `site` recording into `table`.
+    pub fn new(table: &Arc<ContentionTable>, site: Site, t: T) -> TrackedMutex<T> {
+        Tracked {
+            site,
+            table: table.clone(),
+            inner: sync::Mutex::new(t),
+        }
     }
 
     /// Consumes the mutex, returning the data.
@@ -613,47 +594,39 @@ impl<T> TrackedMutex<T> {
         unpoison(self.inner.into_inner())
     }
 
-    /// Acquires the lock, recording per the attached table's level.
+    /// Acquires the lock, recording per the table's level.
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        let (hold, g) = acquire(
-            &self.table,
-            self.site,
+        let (hold, g) = self.acquire(
             || try_unpoison(self.inner.try_lock()),
-            Some(|| unpoison(self.inner.lock())),
-        )
-        .expect("a blocking acquire always acquires");
-        TrackedMutexGuard { hold, g: Some(g) }
+            || unpoison(self.inner.lock()),
+        );
+        TrackedMutexGuard { hold, g }
     }
 
     /// Non-blocking acquire. Counts as an acquisition (never contended —
     /// a failed try is a caller decision, not a blocked thread).
     pub fn try_lock(&self) -> Option<TrackedMutexGuard<'_, T>> {
-        let (hold, g) = acquire(
-            &self.table,
-            self.site,
-            || try_unpoison(self.inner.try_lock()),
-            None::<fn() -> _>,
-        )?;
-        Some(TrackedMutexGuard { hold, g: Some(g) })
+        let (hold, g) = self.try_acquire(|| try_unpoison(self.inner.try_lock()))?;
+        Some(TrackedMutexGuard { hold, g })
     }
 }
 
 impl<T: ?Sized> std::ops::Deref for TrackedMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.g.as_deref().expect("guard present outside wait")
+        &self.g
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for TrackedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.g.as_deref_mut().expect("guard present outside wait")
+        &mut self.g
     }
 }
 
-/// A condition variable operating on [`TrackedMutexGuard`] in place.
-/// Time parked in a wait is booked as *wait* against the guard's site
-/// (and counted as contended) and deducted from the guard's hold time.
+/// A condition variable operating on [`TrackedMutexGuard`]. Time parked
+/// in a wait is booked as *wait* against the guard's site (and counted
+/// as contended) and deducted from the guard's hold time.
 #[derive(Debug, Default)]
 pub struct TrackedCondvar(sync::Condvar);
 
@@ -663,30 +636,23 @@ impl TrackedCondvar {
         TrackedCondvar(sync::Condvar::new())
     }
 
-    /// Blocks until notified.
-    pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
-        Self::park(guard, |g| unpoison(self.0.wait(g)));
-    }
-
-    /// Blocks until notified or `timeout` elapses (wall time).
-    pub fn wait_for<T>(&self, guard: &mut TrackedMutexGuard<'_, T>, timeout: Duration) {
-        Self::park(guard, |g| unpoison(self.0.wait_timeout(g, timeout)).0);
-    }
-
-    /// Parks `guard` in `wait`, booking the parked time as wait and
-    /// taking it off the guard's hold.
-    fn park<'a, T>(
-        guard: &mut TrackedMutexGuard<'a, T>,
-        wait: impl FnOnce(sync::MutexGuard<'a, T>) -> sync::MutexGuard<'a, T>,
-    ) {
-        let t0 = guard.hold.as_ref().map(|h| h.table.clock.now());
-        let g = guard.g.take().expect("guard present");
-        guard.g = Some(wait(g));
-        if let (Some(h), Some(t0)) = (guard.hold.as_mut(), t0) {
+    /// Parks `guard` until notified or `timeout` elapses (wall time),
+    /// booking the parked time as wait and taking it off the guard's
+    /// hold; returns the re-acquired guard.
+    pub fn wait_for<'a, T>(
+        &self,
+        guard: TrackedMutexGuard<'a, T>,
+        timeout: Duration,
+    ) -> TrackedMutexGuard<'a, T> {
+        let TrackedMutexGuard { mut hold, g } = guard;
+        let t0 = hold.as_ref().map(|h| h.table.clock.now());
+        let g = unpoison(self.0.wait_timeout(g, timeout)).0;
+        if let (Some(h), Some(t0)) = (hold.as_mut(), t0) {
             let waited = h.table.clock.now().saturating_sub(t0);
             h.table.record_wait(h.site, waited);
             h.deduct = h.deduct.saturating_add(waited);
         }
+        TrackedMutexGuard { hold, g }
     }
 
     /// Wakes one waiter.
@@ -701,14 +667,13 @@ impl TrackedCondvar {
 }
 
 impl<T> TrackedRwLock<T> {
-    /// An untracked-until-attached rwlock.
-    pub const fn new(site: Site, t: T) -> TrackedRwLock<T> {
-        Tracked::with(site, sync::RwLock::new(t))
-    }
-
-    /// An rwlock born attached to `table`.
-    pub fn attached(table: &Arc<ContentionTable>, site: Site, t: T) -> TrackedRwLock<T> {
-        TrackedRwLock::new(site, t).attached_to(table)
+    /// An rwlock at `site` recording into `table`.
+    pub fn new(table: &Arc<ContentionTable>, site: Site, t: T) -> TrackedRwLock<T> {
+        Tracked {
+            site,
+            table: table.clone(),
+            inner: sync::RwLock::new(t),
+        }
     }
 
     /// Consumes the lock, returning the data.
@@ -718,25 +683,19 @@ impl<T> TrackedRwLock<T> {
 
     /// Acquires a shared read guard.
     pub fn read(&self) -> TrackedReadGuard<'_, T> {
-        let (_hold, g) = acquire(
-            &self.table,
-            self.site,
+        let (_hold, g) = self.acquire(
             || try_unpoison(self.inner.try_read()),
-            Some(|| unpoison(self.inner.read())),
-        )
-        .expect("a blocking acquire always acquires");
+            || unpoison(self.inner.read()),
+        );
         TrackedGuard { _hold, g }
     }
 
     /// Acquires the exclusive write guard.
     pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-        let (_hold, g) = acquire(
-            &self.table,
-            self.site,
+        let (_hold, g) = self.acquire(
             || try_unpoison(self.inner.try_write()),
-            Some(|| unpoison(self.inner.write())),
-        )
-        .expect("a blocking acquire always acquires");
+            || unpoison(self.inner.write()),
+        );
         TrackedGuard { _hold, g }
     }
 }
@@ -772,24 +731,26 @@ mod tests {
     }
 
     #[test]
-    fn unattached_lock_is_a_plain_lock() {
-        let m = TrackedMutex::new(Site::PmfsJournal, 1);
+    fn off_level_lock_is_a_plain_lock() {
+        let (_, t) = fake_clock();
+        let m = TrackedMutex::new(&t, Site::PmfsJournal, 1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
         assert!(m.try_lock().is_some());
         let g = m.lock();
         assert!(m.try_lock().is_none());
         drop(g);
-        let l = TrackedRwLock::new(Site::NvmmDevice, 7);
+        let l = TrackedRwLock::new(&t, Site::NvmmDevice, 7);
         assert_eq!(*l.read(), 7);
         *l.write() = 8;
         assert_eq!(l.into_inner(), 8);
+        assert!(t.snapshot().touched().next().is_none());
     }
 
     #[test]
     fn off_level_records_nothing() {
         let (_, t) = fake_clock();
-        let m = TrackedMutex::attached(&t, Site::PmfsJournal, 0);
+        let m = TrackedMutex::new(&t, Site::PmfsJournal, 0);
         *m.lock() += 1;
         let snap = t.snapshot();
         assert_eq!(snap.site(Site::PmfsJournal).acquisitions, 0);
@@ -800,7 +761,7 @@ mod tests {
     fn counts_level_ticks_only_counters() {
         let (c, t) = fake_clock();
         t.set_level(Level::Counts);
-        let m = TrackedMutex::attached(&t, Site::HinfsBufferPool, 0);
+        let m = TrackedMutex::new(&t, Site::HinfsBufferPool, 0);
         for _ in 0..5 {
             c.fetch_add(100, Ordering::Relaxed);
             *m.lock() += 1;
@@ -817,7 +778,7 @@ mod tests {
     fn full_level_books_hold_time_by_op_row() {
         let (c, t) = fake_clock();
         t.set_level(Level::Full);
-        let m = TrackedMutex::attached(&t, Site::PmfsNamespace, ());
+        let m = TrackedMutex::new(&t, Site::PmfsNamespace, ());
         {
             let _g = m.lock();
             c.fetch_add(50, Ordering::Relaxed);
@@ -841,7 +802,7 @@ mod tests {
     fn rwlock_read_and_write_hold_separately() {
         let (c, t) = fake_clock();
         t.set_level(Level::Full);
-        let l = TrackedRwLock::attached(&t, Site::NvmmDevice, 0u64);
+        let l = TrackedRwLock::new(&t, Site::NvmmDevice, 0u64);
         {
             let _r = l.read();
             c.fetch_add(10, Ordering::Relaxed);
@@ -883,7 +844,7 @@ mod tests {
     fn contended_acquire_samples_wait() {
         let (c, t) = fake_clock();
         t.set_level(Level::Full);
-        let m = Arc::new(TrackedMutex::attached(&t, Site::PmfsJournal, ()));
+        let m = Arc::new(TrackedMutex::new(&t, Site::PmfsJournal, ()));
         let gate = Arc::new(Barrier::new(2));
         let holder = {
             let (m, t, c, gate) = (m.clone(), t.clone(), c.clone(), gate.clone());
@@ -918,7 +879,7 @@ mod tests {
         let (c, t) = fake_clock();
         t.set_level(Level::Full);
         let pair = Arc::new((
-            TrackedMutex::attached(&t, Site::HinfsWriteback, false),
+            TrackedMutex::new(&t, Site::HinfsWriteback, false),
             TrackedCondvar::new(),
         ));
         // Ordering: the waiter must be parked in cv.wait before the
@@ -945,7 +906,7 @@ mod tests {
             let mut flag = m.lock();
             ready.store(1, Ordering::Release);
             while !*flag {
-                cv.wait(&mut flag);
+                flag = cv.wait_for(flag, std::time::Duration::from_secs(60));
             }
             c.fetch_add(100, Ordering::Relaxed);
         }
@@ -963,7 +924,7 @@ mod tests {
     fn reset_zeroes_everything() {
         let (c, t) = fake_clock();
         t.set_level(Level::Full);
-        let m = TrackedMutex::attached(&t, Site::ExtfsJbd, ());
+        let m = TrackedMutex::new(&t, Site::ExtfsJbd, ());
         {
             let _g = m.lock();
             c.fetch_add(9, Ordering::Relaxed);
@@ -993,7 +954,7 @@ mod tests {
     fn metrics_expose_touched_sites_with_prefixed_names() {
         let (c, t) = fake_clock();
         t.set_level(Level::Full);
-        let m = TrackedMutex::attached(&t, Site::HinfsBufferPool, ());
+        let m = TrackedMutex::new(&t, Site::HinfsBufferPool, ());
         {
             let _g = m.lock();
             c.fetch_add(25, Ordering::Relaxed);

@@ -76,8 +76,8 @@ pub use histo::{
 pub use lineage::{DrainKind, Layer, LineageSnap, LineageTable, Stamp, ALL_LAYERS, NLAYERS};
 pub use registry::{MetricSource, MetricsRegistry, RegistrySnapshot, Visitor};
 pub use scope::{
-    detached, note_batch, note_bytes, note_fence, note_shard, FlightRecorder, FlightSnapshot,
-    OpRecord, Scope, TailAnatomy, FLIGHT_MERGED_TOPK, FLIGHT_TOPK, NO_SHARD,
+    detached, note_batch, note_bytes, note_charge, note_fence, note_shard, FlightRecorder,
+    FlightSnapshot, OpRecord, Scope, TailAnatomy, FLIGHT_MERGED_TOPK, FLIGHT_TOPK, NO_SHARD,
 };
 pub use snapshot::{
     dirty_line_bucket, invariant_label, lrw_age_bucket, AuditReport, AuditViolation, BufferSnap,

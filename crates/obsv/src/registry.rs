@@ -8,7 +8,7 @@
 //! dumps, per-phase workload reports and tests.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::histo::HistoSnapshot;
 
@@ -38,7 +38,7 @@ pub struct MetricsRegistry {
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("sources", &self.sources.lock().unwrap().len())
+            .field("sources", &self.sources().len())
             .finish()
     }
 }
@@ -49,14 +49,17 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// Locks the source list. A panic mid-push leaves whole entries
+    /// behind, so a poisoned list is still valid.
+    fn sources(&self) -> MutexGuard<'_, Vec<(String, Arc<dyn MetricSource>)>> {
+        self.sources.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a source. `scope` is prepended to every metric name the
     /// source reports (use `""` for sources whose names are already
     /// prefixed; a non-empty scope disambiguates multiple instances).
     pub fn register(&self, scope: &str, source: Arc<dyn MetricSource>) {
-        self.sources
-            .lock()
-            .unwrap()
-            .push((scope.to_string(), source));
+        self.sources().push((scope.to_string(), source));
     }
 
     /// Collects every source into a snapshot. Metrics reported under the
@@ -64,7 +67,7 @@ impl MetricsRegistry {
     /// (gauges).
     pub fn snapshot(&self) -> RegistrySnapshot {
         let mut snap = RegistrySnapshot::default();
-        for (scope, source) in self.sources.lock().unwrap().iter() {
+        for (scope, source) in self.sources().iter() {
             let mut v = ScopedVisitor {
                 scope,
                 snap: &mut snap,

@@ -25,14 +25,19 @@
 //!   writeback pass): its span time lands in the background row, while
 //!   the bytes it persists and the stalls it absorbs stay on the op that
 //!   paid for them.
-//! - **Clocks are read, never advanced**, and only at the scope's two
-//!   ends, so the record changes no result bit.
+//! - **Time is booked, not timed.** The simulation's charge funnel
+//!   reports every modelled nanosecond through [`note_charge`]; a phase
+//!   span, a nested op and a [`detached`] block each own what is charged
+//!   while they are innermost. Only the outermost op scope reads the
+//!   clock, once at each end, for its latency and its `Other`
+//!   remainder. Clocks are never advanced here, so the record changes
+//!   no result bit.
 
 use crate::histo::bucket_of;
 use crate::span::{Phase, ALL_PHASES, BG_ROW, NPHASES};
 use crate::{thread_ordinal, COLLECTION_SHARDS, NOPS};
 use crate::{FsObs, Layer, Level, OpKind, Site, ALL_SITES, NLAYERS, NSITES};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -149,17 +154,6 @@ fn top_k<L: Copy>(labels: &[L], values: &[u64], k: usize) -> Vec<(L, u64)> {
     v
 }
 
-/// Deepest span nesting tracked per thread. Deeper spans still run their
-/// bodies; they just go unmeasured (ops → device → journal → device is
-/// 4–6 deep in practice).
-const MAX_DEPTH: usize = 32;
-
-#[derive(Clone, Copy)]
-struct Span {
-    start: u64,
-    child: u64,
-}
-
 /// The calling thread's op frame.
 struct Frame {
     /// Open op/bg scopes; 0 = idle (no hook records).
@@ -169,11 +163,6 @@ struct Frame {
     row: usize,
     /// Inside [`detached`]: span charges go to the background row.
     detached: bool,
-    spans: [Span; MAX_DEPTH],
-    span_depth: usize,
-    /// Spans below this index belong to the context a [`detached`] block
-    /// left behind; pops stop folding child time at this boundary.
-    span_base: usize,
     /// The in-flight record (the op's own anatomy).
     rec: OpRecord,
     /// Span charges owed to the background row (only its phases are
@@ -188,57 +177,48 @@ thread_local! {
             depth: 0,
             row: BG_ROW,
             detached: false,
-            spans: [Span { start: 0, child: 0 }; MAX_DEPTH],
-            span_depth: 0,
-            span_base: 0,
             rec: OpRecord::EMPTY,
             bg: OpRecord::EMPTY,
         })
     };
+
+    /// Modelled ns charged on this thread since the innermost open span,
+    /// nested op or [`detached`] block began.
+    static CHARGED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Books `ns` of modelled time charged on the calling thread. The
+/// simulation's one charge funnel calls this for every nanosecond it
+/// books; the innermost open span (or nested op) owns it.
+#[inline]
+pub fn note_charge(ns: u64) {
+    CHARGED.with(|c| c.set(c.get().wrapping_add(ns)));
+}
+
+/// Sets the thread's charge counter to `v` and returns what it held: a
+/// scope swaps in 0 when it opens and the outer count back when it
+/// closes, so what it swaps out then is its own exclusive time.
+pub(crate) fn swap_charged(v: u64) -> u64 {
+    CHARGED.with(|c| c.replace(v))
 }
 
 impl Frame {
     /// Opens a scope. The outermost one claims the frame for `row` and
-    /// starts a fresh record; a nested one deepens it and, when `timed`,
-    /// pushes a span so its own remainder can be booked at close. Returns
-    /// whether a span was pushed.
-    fn enter(&mut self, row: usize, timed: Option<(u64, u64)>) -> bool {
+    /// starts a fresh record (an op's with its start time and seq); a
+    /// nested one only deepens it.
+    fn enter(&mut self, row: usize, start: Option<(u64, u64)>) {
         self.depth += 1;
-        if self.depth == 1 {
-            self.row = row;
-            self.bg = OpRecord::EMPTY;
-            self.rec = OpRecord::EMPTY;
-            if let (Some(&op), Some((at_ns, seq))) = (crate::ALL_OPS.get(row), timed) {
-                self.rec.op = op;
-                self.rec.at_ns = at_ns;
-                self.rec.seq_start = seq;
-            }
-            return false;
+        if self.depth > 1 {
+            return;
         }
-        timed.is_some_and(|(start, _)| self.push_span(start))
-    }
-
-    fn push_span(&mut self, start: u64) -> bool {
-        if self.span_depth == MAX_DEPTH {
-            return false;
+        self.row = row;
+        self.bg = OpRecord::EMPTY;
+        self.rec = OpRecord::EMPTY;
+        if let (Some(&op), Some((at_ns, seq))) = (crate::ALL_OPS.get(row), start) {
+            self.rec.op = op;
+            self.rec.at_ns = at_ns;
+            self.rec.seq_start = seq;
         }
-        self.spans[self.span_depth] = Span { start, child: 0 };
-        self.span_depth += 1;
-        true
-    }
-
-    /// Pops the top span, folding its elapsed time into the parent span
-    /// and returning its exclusive time.
-    fn pop_span(&mut self, end: u64) -> u64 {
-        debug_assert!(self.span_depth > 0, "span stack underflow");
-        self.span_depth -= 1;
-        let d = self.span_depth;
-        let s = self.spans[d];
-        let elapsed = end.saturating_sub(s.start);
-        if d > self.span_base {
-            self.spans[d - 1].child = self.spans[d - 1].child.saturating_add(elapsed);
-        }
-        elapsed.saturating_sub(s.child)
     }
 
     /// Books exclusive span time: on the op's own anatomy, or on the
@@ -253,16 +233,12 @@ impl Frame {
         rec.phase_calls[phase as usize] += 1;
     }
 
-    /// Closes a scope at `end` (an op scope's clock read; background
-    /// scopes have none). Returns whether the frame is now finished and
-    /// must be folded.
-    fn exit(&mut self, end: Option<(u64, u64)>, pushed: bool) -> bool {
+    /// Closes a scope at `end` (the outermost op scope's clock read;
+    /// other scopes have none). Returns whether the frame is now
+    /// finished and must be folded.
+    fn exit(&mut self, end: Option<(u64, u64)>) -> bool {
         self.depth -= 1;
         if self.depth > 0 {
-            if let (true, Some((end_ns, _))) = (pushed, end) {
-                let excl = self.pop_span(end_ns);
-                self.charge(Phase::Other, excl);
-            }
             return false;
         }
         if let (true, Some((end_ns, seq))) = (self.row != BG_ROW, end) {
@@ -368,20 +344,14 @@ pub(crate) fn stamp_row() -> usize {
     })
 }
 
-/// Pushes a phase span starting at `start`; returns whether it fit in
-/// the fixed stack.
-pub(crate) fn push_span(start: u64) -> bool {
-    FRAME.with(|fr| fr.borrow_mut().push_span(start))
-}
-
-/// Pops the top phase span at `end`. Inside a frame its exclusive time
-/// is booked on the frame and `None` is returned; on an idle thread the
-/// exclusive time is handed back for the caller to charge to the
-/// background row directly.
-pub(crate) fn pop_span(phase: Phase, end: u64) -> Option<u64> {
+/// Closes a phase span opened when the counter held `outer`. Inside a
+/// frame its exclusive charges are booked on the frame and `None` is
+/// returned; on an idle thread they are handed back for the caller to
+/// charge to the background row directly.
+pub(crate) fn close_span(phase: Phase, outer: u64) -> Option<u64> {
+    let excl = swap_charged(outer);
     FRAME.with(|fr| {
         let mut fr = fr.borrow_mut();
-        let excl = fr.pop_span(end);
         if fr.depth == 0 {
             return Some(excl);
         }
@@ -391,46 +361,70 @@ pub(crate) fn pop_span(phase: Phase, end: u64) -> Option<u64> {
 }
 
 /// Runs `f` with span attribution detached from the caller's context:
-/// span time books into the background row and does not fold into the
-/// caller's open spans. For background work executed inline on a
-/// foreground thread under a detached clock (HiNFS's virtual-mode
-/// writeback actor runs on its own timeline via `SimEnv::with_now`, so
-/// its time must not inflate the op that happened to trigger it).
+/// span time books into the background row, and nothing charged inside
+/// counts toward the caller's open spans. For background work executed
+/// inline on a foreground thread under a detached clock (HiNFS's
+/// virtual-mode writeback actor runs on its own timeline via
+/// `SimEnv::with_now`, so its time must not inflate the op that happened
+/// to trigger it).
 pub fn detached<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool, usize);
+    struct Restore {
+        detached: bool,
+        outer: u64,
+    }
     impl Drop for Restore {
         fn drop(&mut self) {
-            FRAME.with(|fr| {
-                let mut fr = fr.borrow_mut();
-                fr.detached = self.0;
-                fr.span_base = self.1;
-            });
+            swap_charged(self.outer);
+            FRAME.with(|fr| fr.borrow_mut().detached = self.detached);
         }
     }
-    let _restore = FRAME.with(|fr| {
-        let mut fr = fr.borrow_mut();
-        let saved = Restore(fr.detached, fr.span_base);
-        fr.detached = true;
-        fr.span_base = fr.span_depth;
-        saved
-    });
+    let _restore = Restore {
+        detached: FRAME.with(|fr| std::mem::replace(&mut fr.borrow_mut().detached, true)),
+        outer: swap_charged(0),
+    };
     f()
 }
 
+/// How an open [`Scope`] closes.
+enum Close {
+    /// The outermost op scope: reads the clock and folds the frame.
+    Op,
+    /// A nested op: books its own charges to [`Phase::Other`] and hands
+    /// the counter back to the enclosing scope.
+    Nested { outer: u64 },
+    /// A background scope: no clock, no charges of its own.
+    Bg,
+}
+
 /// RAII guard of an open scope, an op's ([`FsObs::op`]) or a background
-/// one ([`FsObs::bg_scope`]): dropping it closes the scope, reading the
-/// clock again for an op.
+/// one ([`FsObs::bg_scope`]). Dropping it closes the scope; unwinding
+/// (a crash signal) drops it too, so the frame and the charge counter
+/// are always restored.
 pub struct Scope<'a> {
     obs: Option<&'a FsObs>,
-    timed: bool,
-    pushed: bool,
+    close: Close,
 }
 
 impl Drop for Scope<'_> {
     fn drop(&mut self) {
-        if let Some(obs) = self.obs {
-            obs.exit(self.timed.then(|| obs.now_and_seq()), self.pushed);
-        }
+        let Some(obs) = self.obs else {
+            return;
+        };
+        let end = match self.close {
+            Close::Op => Some(obs.now_and_seq()),
+            Close::Nested { outer } => {
+                let excl = swap_charged(outer);
+                FRAME.with(|fr| fr.borrow_mut().charge(Phase::Other, excl));
+                None
+            }
+            Close::Bg => None,
+        };
+        FRAME.with(|fr| {
+            let mut fr = fr.borrow_mut();
+            if fr.exit(end) {
+                obs.fold(&fr);
+            }
+        });
     }
 }
 
@@ -439,24 +433,32 @@ impl FsObs {
     /// Below [`Level::Full`] this is one relaxed load. At `Full` the
     /// outermost call on the thread opens the op frame, reads the clock
     /// at both ends, and folds the finished [`OpRecord`]; a nested call
-    /// (HiNFS forwarding to PMFS) deepens the frame and books its own
-    /// un-phased remainder under [`Phase::Other`] on the same row.
+    /// (HiNFS forwarding to PMFS) deepens the frame and books what it
+    /// charged outside named phases under [`Phase::Other`] on the same
+    /// row, reading no clock.
     #[inline]
     pub fn op<R>(&self, op: OpKind, f: impl FnOnce() -> R) -> R {
         if self.level() != Level::Full {
             return f();
         }
-        let start = self.now_and_seq();
-        let pushed = FRAME.with(|fr| fr.borrow_mut().enter(op as usize, Some(start)));
+        let nested = FRAME.with(|fr| fr.borrow().depth > 0);
+        let start = (!nested).then(|| self.now_and_seq());
+        FRAME.with(|fr| fr.borrow_mut().enter(op as usize, start));
+        let close = if nested {
+            Close::Nested {
+                outer: swap_charged(0),
+            }
+        } else {
+            Close::Op
+        };
         let _scope = Scope {
             obs: Some(self),
-            timed: true,
-            pushed,
+            close,
         };
         f()
     }
 
-    /// The clock and the trace ring's seq ticket: a scope's two ends.
+    /// The clock and the trace ring's seq ticket: an op's two ends.
     fn now_and_seq(&self) -> (u64, u64) {
         (self.spans().clock().now(), self.trace.emitted())
     }
@@ -473,18 +475,8 @@ impl FsObs {
         }
         Scope {
             obs: open.then_some(self),
-            timed: false,
-            pushed: false,
+            close: Close::Bg,
         }
-    }
-
-    fn exit(&self, end: Option<(u64, u64)>, pushed: bool) {
-        FRAME.with(|fr| {
-            let mut fr = fr.borrow_mut();
-            if fr.exit(end, pushed) {
-                self.fold(&fr);
-            }
-        });
     }
 
     /// Folds a finished frame into the aggregations — the one place the
@@ -686,7 +678,10 @@ mod tests {
     struct FakeClock(Arc<AtomicU64>);
 
     impl FakeClock {
-        fn advance(&self, ns: u64) {
+        /// Charges `ns` the way the simulation does in virtual time:
+        /// books it to the open scope and advances the clock.
+        fn charge(&self, ns: u64) {
+            note_charge(ns);
             self.0.fetch_add(ns, Ordering::Relaxed);
         }
     }
@@ -737,11 +732,11 @@ mod tests {
     #[test]
     fn one_record_composes_every_hook_and_folds_everywhere() {
         let (c, t, obs) = rig();
-        c.advance(1000);
+        c.charge(1000);
         obs.op(OpKind::Write, || {
-            c.advance(10);
-            t.scope(Phase::DramCopy, || c.advance(120));
-            t.scope(Phase::Persist, || c.advance(300));
+            c.charge(10);
+            t.scope(Phase::DramCopy, || c.charge(120));
+            t.scope(Phase::Persist, || c.charge(300));
             note_wait(Site::PmfsJournal, 40);
             note_wait(Site::StallWriteback, 60);
             note_fence(1);
@@ -753,7 +748,7 @@ mod tests {
             note_shard(3);
             note_batch(4);
             note_batch(2);
-            c.advance(570);
+            c.charge(570);
         });
         assert!(idle(), "frame closes with the outermost scope");
         // The tail reservoir keeps the whole anatomy...
@@ -798,13 +793,13 @@ mod tests {
     fn nested_spans_account_exclusive_time() {
         let (c, t, obs) = rig();
         obs.op(OpKind::Write, || {
-            c.advance(10); // op overhead before any phase
+            c.charge(10); // op overhead before any phase
             t.scope(Phase::DramCopy, || {
-                c.advance(100);
-                t.scope(Phase::Persist, || c.advance(40));
-                c.advance(5);
+                c.charge(100);
+                t.scope(Phase::Persist, || c.charge(40));
+                c.charge(5);
             });
-            c.advance(3); // op overhead after
+            c.charge(3); // op overhead after
         });
         let s = t.snapshot();
         assert_eq!(s.ns_of(OpKind::Write, Phase::DramCopy), 105);
@@ -824,15 +819,15 @@ mod tests {
         let inner = FsObs::default();
         inner.set_level(Level::Full);
         outer.op(OpKind::Open, || {
-            c.advance(5);
+            c.charge(5);
             inner.op(OpKind::Fsync, || {
-                c.advance(20);
-                t.scope(Phase::Index, || c.advance(30));
+                c.charge(20);
+                t.scope(Phase::Index, || c.charge(30));
                 note_bytes(Layer::Logical, 7);
                 assert_eq!(stamp_row(), OpKind::Open as usize);
             });
             assert!(!idle(), "outer frame survives the inner scope");
-            c.advance(2);
+            c.charge(2);
         });
         assert_eq!(inner.flight().recorded(), 0);
         assert!(
@@ -861,7 +856,7 @@ mod tests {
     fn detached_work_books_spans_to_bg_and_bytes_to_the_op() {
         let (c, t, obs) = rig();
         obs.op(OpKind::Write, || {
-            c.advance(10);
+            c.charge(10);
             // Background work on a detached timeline (e.g. the virtual
             // writeback actor): the clock may be far from the op's, and
             // none of its time belongs to the op.
@@ -869,12 +864,12 @@ mod tests {
                 let _bg = obs.bg_scope(); // nested: only deepens
                 assert_eq!(current_row(), BG_ROW);
                 assert_eq!(stamp_row(), OpKind::Write as usize);
-                c.advance(500);
-                t.scope(Phase::Persist, || c.advance(1000));
+                c.charge(500);
+                t.scope(Phase::Persist, || c.charge(1000));
                 note_bytes(Layer::NvmmPersisted, 4096);
             });
             assert_eq!(current_row(), OpKind::Write as usize);
-            c.advance(7);
+            c.charge(7);
         });
         let s = t.snapshot();
         // The detached persist landed in the background row...
@@ -904,7 +899,7 @@ mod tests {
         {
             let _bg = obs.bg_scope();
             assert_eq!(stamp_row(), BG_ROW);
-            t.scope(Phase::Persist, || c.advance(64));
+            t.scope(Phase::Persist, || c.charge(64));
             note_bytes(Layer::NvmmPersisted, 4096);
             note_fence(1);
         }
@@ -920,37 +915,52 @@ mod tests {
     #[test]
     fn idle_thread_spans_charge_the_background_row_directly() {
         let (c, t, _obs) = rig();
-        t.scope(Phase::Persist, || c.advance(64));
+        t.scope(Phase::Persist, || c.charge(64));
         note_bytes(Layer::NvmmPersisted, 64); // no frame: dropped
         assert_eq!(t.snapshot().ns[BG_ROW][Phase::Persist as usize], 64);
         assert_eq!(current_row(), BG_ROW);
     }
 
     #[test]
-    fn overflowing_the_span_stack_is_safe() {
-        let (c, t, _obs) = rig();
-        fn nest(t: &SpanTable, c: &FakeClock, depth: usize) {
-            if depth == 0 {
-                c.advance(1);
-                return;
-            }
-            t.scope(Phase::Journal, || nest(t, c, depth - 1));
+    fn forty_nested_spans_each_book_their_own_charge() {
+        let (_c, t, _obs) = rig();
+        fn nest(t: &SpanTable, depth: usize) {
+            t.scope(Phase::Journal, || {
+                note_charge(1);
+                if depth > 1 {
+                    nest(t, depth - 1);
+                }
+            });
         }
-        nest(&t, &c, MAX_DEPTH + 8);
-        // Deep spans went unmeasured but nothing panicked and the stack
-        // unwound cleanly: a fresh span still records.
-        t.scope(Phase::Fence, || c.advance(9));
-        assert_eq!(t.snapshot().ns[BG_ROW][Phase::Fence as usize], 9);
+        nest(&t, 40);
+        let s = t.snapshot();
+        assert_eq!(s.calls[BG_ROW][Phase::Journal as usize], 40);
+        assert_eq!(s.ns[BG_ROW][Phase::Journal as usize], 40);
     }
 
     #[test]
     fn a_panicking_op_still_closes_the_frame() {
-        let (_c, _t, obs) = rig();
+        let (c, t, obs) = rig();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             obs.op(OpKind::Write, || panic!("injected crash"))
         }));
         assert!(r.is_err());
         assert!(idle(), "unwinding must not leave the thread's frame open");
+        // A span unwound mid-charge hands the counter back to its parent.
+        t.scope(Phase::Persist, || {
+            c.charge(5);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                t.scope(Phase::Fence, || {
+                    c.charge(7);
+                    panic!("injected crash")
+                })
+            }));
+            assert!(r.is_err());
+            c.charge(1);
+        });
+        let s = t.snapshot();
+        assert_eq!(s.ns[BG_ROW][Phase::Fence as usize], 7);
+        assert_eq!(s.ns[BG_ROW][Phase::Persist as usize], 6);
     }
 
     // The tail reservoir itself; how records are assembled and when they

@@ -8,13 +8,14 @@
 //! (per-op time breakdown) tables, recomputed from live measurements
 //! instead of the analytic ledger.
 //!
-//! The table itself is a plain accumulator: [`SpanTable::scope`] times a
-//! phase on the calling thread's op frame (the `scope` module), and the
-//! finished frame folds into the matrix once, under the row of the op
-//! that opened it; spans outside any frame charge the background row
-//! ([`BG_ROW`], label `bg`) directly.
+//! The table itself is a plain accumulator: [`SpanTable::scope`] books
+//! the modelled time charged inside a phase on the calling thread's op
+//! frame (the `scope` module), and the finished frame folds into the
+//! matrix once, under the row of the op that opened it; spans outside
+//! any frame charge the background row ([`BG_ROW`], label `bg`)
+//! directly.
 
-use crate::scope::{pop_span, push_span};
+use crate::scope::{close_span, swap_charged};
 use crate::{Clock, MetricSource, OpKind, Visitor, ALL_OPS, NOPS};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -84,7 +85,7 @@ pub struct SpanTable {
 }
 
 impl SpanTable {
-    /// A disabled, zeroed table timing its spans on `clock`.
+    /// A disabled, zeroed table whose bundles time their ops on `clock`.
     pub fn new(clock: Clock) -> SpanTable {
         SpanTable {
             enabled: AtomicBool::new(false),
@@ -93,40 +94,39 @@ impl SpanTable {
         }
     }
 
-    /// Switches span timing. Leaves accumulated totals in place.
+    /// Switches span booking. Leaves accumulated totals in place.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether spans are being timed — one relaxed load, the whole cost
+    /// Whether spans are being booked — one relaxed load, the whole cost
     /// of [`SpanTable::scope`] while disabled.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// The injected clock (also times the ops of the bundles folding
-    /// into this table).
+    /// The injected clock: the outermost op scopes of the bundles
+    /// folding into this table read it at their two ends.
     pub fn clock(&self) -> &Clock {
         &self.clock
     }
 
-    /// Runs `f` inside a phase span. When enabled, the elapsed clock
-    /// time minus any nested spans is booked on the calling thread's op
-    /// frame (and reaches this table when the frame folds), or charged
-    /// straight to the background row when no frame is open; when
-    /// disabled this is a single relaxed load and the clock is never
-    /// read.
+    /// Runs `f` inside a phase span. When enabled, the modelled ns
+    /// charged inside `f` outside any nested span ([`crate::note_charge`])
+    /// are booked on the calling thread's op frame (and reach this table
+    /// when the frame folds), or charged straight to the background row
+    /// when no frame is open. Reads no clock; when disabled this is a
+    /// single relaxed load.
     #[inline]
     pub fn scope<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
         if !self.enabled() {
             return f();
         }
-        let pushed = push_span(self.clock.now());
         let _g = ScopeGuard {
             table: self,
             phase,
-            pushed,
+            outer: swap_charged(0),
         };
         f()
     }
@@ -157,17 +157,15 @@ impl SpanTable {
 struct ScopeGuard<'a> {
     table: &'a SpanTable,
     phase: Phase,
-    pushed: bool,
+    /// The enclosing scope's charge count, handed back on close.
+    outer: u64,
 }
 
 impl Drop for ScopeGuard<'_> {
     fn drop(&mut self) {
-        if !self.pushed {
-            return;
-        }
         // Outside any op frame (untimed syscalls, mount-time work) the
         // span is background time.
-        if let Some(excl) = pop_span(self.phase, self.table.clock.now()) {
+        if let Some(excl) = close_span(self.phase, self.outer) {
             let cell = &self.table.cells[BG_ROW][self.phase as usize];
             cell.ns.fetch_add(excl, Ordering::Relaxed);
             cell.calls.fetch_add(1, Ordering::Relaxed);
@@ -238,7 +236,6 @@ impl MetricSource for SpanTable {
 mod tests {
     use super::*;
     use crate::MetricsRegistry;
-    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     // Frame-level behaviour (nesting, detached, op rows) is tested with
@@ -254,13 +251,11 @@ mod tests {
 
     #[test]
     fn snapshot_since_diffs_cellwise() {
-        let now = Arc::new(AtomicU64::new(0));
-        let now2 = now.clone();
-        let t = SpanTable::new(Clock::new(move || now2.load(Ordering::Relaxed)));
+        let t = SpanTable::new(Clock::new(|| panic!("spans read no clock")));
         t.set_enabled(true);
-        t.scope(Phase::Fence, || now.store(10, Ordering::Relaxed));
+        t.scope(Phase::Fence, || crate::note_charge(10));
         let early = t.snapshot();
-        t.scope(Phase::Fence, || now.store(42, Ordering::Relaxed));
+        t.scope(Phase::Fence, || crate::note_charge(32));
         let d = t.snapshot().since(&early);
         assert_eq!(d.ns[BG_ROW][Phase::Fence as usize], 32);
         assert_eq!(d.calls[BG_ROW][Phase::Fence as usize], 1);

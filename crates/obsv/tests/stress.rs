@@ -63,8 +63,7 @@ fn tracked_mutex_books_stay_exact_under_contention() {
     const EACH: u64 = 5_000;
     let table = Arc::new(ContentionTable::new(obsv::Clock::new(|| 0)));
     table.set_level(Level::Full);
-    let m = Arc::new(TrackedMutex::new(Site::FskitFdtable, 0u64));
-    m.attach(&table);
+    let m = Arc::new(TrackedMutex::new(&table, Site::FskitFdtable, 0u64));
     let threads: Vec<_> = (0..THREADS)
         .map(|_| {
             let m = m.clone();

@@ -26,10 +26,11 @@
 //! unreachable, so the rebuild walk frees it.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use fskit::{FsError, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
-use obsv::{Site, TrackedMutex, NSHARDS};
+use obsv::{ContentionTable, Site, TrackedMutex, NSHARDS};
 
 use crate::layout::Layout;
 
@@ -130,7 +131,7 @@ pub struct Allocator {
     total_blocks: u64,
     /// Device whose fault-injection hook is consulted on `alloc` (attached
     /// at mount; absent in unit tests that build the allocator bare).
-    fault_dev: std::sync::OnceLock<std::sync::Arc<NvmmDevice>>,
+    fault_dev: std::sync::OnceLock<Arc<NvmmDevice>>,
     /// [`Allocator::alloc_zeroed`] calls by whether a zeroed pool served
     /// them: `[the caller had to zero the block, recycled]`.
     nodes: [AtomicU64; 2],
@@ -149,12 +150,14 @@ impl Allocator {
     /// Creates an allocator with every data block free. Metadata blocks
     /// (superblock, journal, inode table, bitmap image) sit below
     /// `data_start`, outside every shard, and are implicitly in use.
-    pub fn new_empty(layout: &Layout) -> Allocator {
-        Allocator::from_bits(layout.data_start, layout.total_blocks, |_| false)
+    /// Its shard locks record into `table`.
+    pub fn new_empty(layout: &Layout, table: &Arc<ContentionTable>) -> Allocator {
+        Allocator::from_bits(layout, table, |_| false)
     }
 
     /// Builds the shard array, marking block `b` used when `used(b)`.
-    fn from_bits(data_start: u64, total_blocks: u64, used: impl Fn(u64) -> bool) -> Allocator {
+    fn from_bits(l: &Layout, t: &Arc<ContentionTable>, used: impl Fn(u64) -> bool) -> Allocator {
+        let (data_start, total_blocks) = (l.data_start, l.total_blocks);
         let shards = (0..NSHARDS)
             .map(|i| {
                 let (start, end) = segment(data_start, total_blocks, i);
@@ -165,7 +168,7 @@ impl Allocator {
                         s.free -= 1;
                     }
                 }
-                TrackedMutex::new(Site::pmfs_alloc_shard(i), s)
+                TrackedMutex::new(t, Site::pmfs_alloc_shard(i), s)
             })
             .collect();
         Allocator {
@@ -179,12 +182,8 @@ impl Allocator {
     }
 
     /// Attaches the device whose fault-injection plan `alloc` consults
-    /// (ENOSPC injection), and wires every shard lock to the device's
-    /// contention profiler. Later calls are ignored.
-    pub fn attach_fault_device(&self, dev: std::sync::Arc<NvmmDevice>) {
-        for shard in &self.shards {
-            shard.attach(dev.contention());
-        }
+    /// (ENOSPC injection). Later calls are ignored.
+    pub fn attach_fault_device(&self, dev: Arc<NvmmDevice>) {
         let _ = self.fault_dev.set(dev);
     }
 
@@ -365,7 +364,7 @@ impl Allocator {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        Allocator::from_bits(layout.data_start, layout.total_blocks, |b| {
+        Allocator::from_bits(layout, dev.contention(), |b| {
             bitmap[(b / 64) as usize] & (1 << (b % 64)) != 0
         })
     }
@@ -384,7 +383,6 @@ impl obsv::MetricSource for Allocator {
 mod tests {
     use super::*;
     use nvmm::{CostModel, SimEnv};
-    use std::sync::Arc;
 
     fn setup() -> (Arc<NvmmDevice>, Layout) {
         let dev = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 1024 * BLOCK_SIZE);
@@ -394,8 +392,8 @@ mod tests {
 
     #[test]
     fn alloc_free_roundtrip() {
-        let (_, layout) = setup();
-        let a = Allocator::new_empty(&layout);
+        let (dev, layout) = setup();
+        let a = Allocator::new_empty(&layout, dev.contention());
         let initial = a.free_blocks();
         assert_eq!(initial, layout.data_blocks());
         let b1 = a.alloc().unwrap();
@@ -416,8 +414,8 @@ mod tests {
 
     #[test]
     fn round_robin_spreads_across_segments() {
-        let (_, layout) = setup();
-        let a = Allocator::new_empty(&layout);
+        let (dev, layout) = setup();
+        let a = Allocator::new_empty(&layout, dev.contention());
         let picks: Vec<u64> = (0..NSHARDS).map(|_| a.alloc().unwrap()).collect();
         let shards: std::collections::HashSet<usize> =
             picks.iter().map(|&b| a.shard_of(b)).collect();
@@ -426,8 +424,8 @@ mod tests {
 
     #[test]
     fn exhaustion_steals_then_returns_nospace() {
-        let (_, layout) = setup();
-        let a = Allocator::new_empty(&layout);
+        let (dev, layout) = setup();
+        let a = Allocator::new_empty(&layout, dev.contention());
         let mut seen = std::collections::HashSet::new();
         for _ in 0..layout.data_blocks() {
             // Every allocation must be unique: the tail of the run drains
@@ -440,8 +438,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
-        let (_, layout) = setup();
-        let a = Allocator::new_empty(&layout);
+        let (dev, layout) = setup();
+        let a = Allocator::new_empty(&layout, dev.contention());
         let b = a.alloc().unwrap();
         a.free(b);
         a.free(b);
@@ -450,15 +448,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-data block")]
     fn freeing_metadata_block_panics() {
-        let (_, layout) = setup();
-        let a = Allocator::new_empty(&layout);
+        let (dev, layout) = setup();
+        let a = Allocator::new_empty(&layout, dev.contention());
         a.free(0);
     }
 
     #[test]
     fn persist_load_roundtrip() {
         let (dev, layout) = setup();
-        let a = Allocator::new_empty(&layout);
+        let a = Allocator::new_empty(&layout, dev.contention());
         let b1 = a.alloc().unwrap();
         let _b2 = a.alloc().unwrap();
         let b3 = a.alloc().unwrap();
@@ -474,7 +472,7 @@ mod tests {
 
     /// An allocator on `dev` with `n` blocks parked (distinct shards).
     fn with_parked(dev: &Arc<NvmmDevice>, layout: &Layout, n: usize) -> (Allocator, Vec<u64>) {
-        let a = Allocator::new_empty(layout);
+        let a = Allocator::new_empty(layout, dev.contention());
         a.attach_fault_device(dev.clone());
         let parked: Vec<u64> = (0..n).map(|_| a.alloc().unwrap()).collect();
         for &b in &parked {
@@ -560,8 +558,8 @@ mod tests {
 
     #[test]
     fn mark_used_is_idempotent() {
-        let (_, layout) = setup();
-        let a = Allocator::new_empty(&layout);
+        let (dev, layout) = setup();
+        let a = Allocator::new_empty(&layout, dev.contention());
         let before = a.free_blocks();
         a.mark_used(layout.data_start + 5);
         a.mark_used(layout.data_start + 5);

@@ -383,7 +383,7 @@ mod tests {
         let layout = Layout::compute(blocks, 64, 128).unwrap();
         Journal::format(&dev, &layout);
         let journal = Journal::open(dev.clone(), &layout).unwrap();
-        let alloc = Allocator::new_empty(&layout);
+        let alloc = Allocator::new_empty(&layout, dev.contention());
         let mem = InodeMem::new(FileType::Dir, 0);
         Fx {
             dev,

@@ -259,11 +259,8 @@ mod tests {
             blocks as usize * BLOCK_SIZE,
         );
         let layout = Layout::compute(blocks, 16, 128).unwrap();
-        (
-            dev,
-            Allocator::new_empty(&layout),
-            InodeMem::new(FileType::File, 0),
-        )
+        let alloc = Allocator::new_empty(&layout, dev.contention());
+        (dev, alloc, InodeMem::new(FileType::File, 0))
     }
 
     #[test]
@@ -362,7 +359,7 @@ mod tests {
             blocks as usize * BLOCK_SIZE,
         );
         let layout = Layout::compute(blocks, 16, 128).unwrap();
-        let alloc = Allocator::new_empty(&layout);
+        let alloc = Allocator::new_empty(&layout, dev.contention());
         let mut mem = InodeMem::new(FileType::File, 0);
         write_at(&dev, &alloc, &mut mem, 0, &[3u8; 5000], 1).unwrap();
         dev.crash();

@@ -187,7 +187,7 @@ impl Pmfs {
         dev.write_persist(Cat::Meta, l.inode_off(ROOT_INO), &root.encode());
         dev.sfence();
         // Fresh allocator image so a clean mount can load it.
-        Allocator::new_empty(&l).persist(&dev, &l);
+        Allocator::new_empty(&l, dev.contention()).persist(&dev, &l);
         layout::write_superblock(&dev, &l);
         Self::mount(dev)
     }
@@ -208,10 +208,9 @@ impl Pmfs {
         let journal = Journal::open(dev.clone(), &l)?;
         let env = dev.env().clone();
         let obs = Arc::new(FsObs::new(dev.spans().clone()));
-        let fds = FdTable::new();
-        fds.attach_contention(dev.contention());
+        let fds = FdTable::new(dev.contention());
         let ns_shards = (0..obsv::NSHARDS)
-            .map(|i| TrackedMutex::attached(dev.contention(), Site::pmfs_ns_shard(i), ()))
+            .map(|i| TrackedMutex::new(dev.contention(), Site::pmfs_ns_shard(i), ()))
             .collect();
         Ok(Arc::new(Pmfs {
             dev,
@@ -230,7 +229,7 @@ impl Pmfs {
     }
 
     fn rebuild_allocator(dev: &NvmmDevice, l: &Layout) -> Result<Allocator> {
-        let alloc = Allocator::new_empty(l);
+        let alloc = Allocator::new_empty(l, dev.contention());
         let mut buf = [0u8; INODE_CORE];
         for ino in 1..l.inode_count {
             dev.read(Cat::Meta, l.inode_off(ino), &mut buf);

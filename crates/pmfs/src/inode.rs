@@ -314,11 +314,11 @@ impl InodeCache {
         }
         let contention = dev.contention();
         let shards = (0..obsv::NSHARDS)
-            .map(|i| TrackedMutex::attached(contention, Site::pmfs_inode_shard(i), HashMap::new()))
+            .map(|i| TrackedMutex::new(contention, Site::pmfs_inode_shard(i), HashMap::new()))
             .collect();
         Ok(InodeCache {
             shards,
-            free_slots: TrackedMutex::attached(contention, Site::PmfsInodeMap, free),
+            free_slots: TrackedMutex::new(contention, Site::PmfsInodeMap, free),
         })
     }
 

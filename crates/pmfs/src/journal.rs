@@ -304,7 +304,7 @@ impl Journal {
             area: hdr + BLOCK_SIZE as u64,
             hdr,
             capacity,
-            inner: TrackedMutex::attached(
+            inner: TrackedMutex::new(
                 dev.contention(),
                 Site::PmfsJournal,
                 JInner {

@@ -449,7 +449,7 @@ mod tests {
             blocks as usize * BLOCK_SIZE,
         );
         let layout = Layout::compute(blocks, 16, 128).unwrap();
-        let alloc = Allocator::new_empty(&layout);
+        let alloc = Allocator::new_empty(&layout, dev.contention());
         let mem = InodeMem::new(FileType::File, 0);
         (dev, alloc, mem)
     }

@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 
 use faultfs::{FsKind, Harness, Script};
 use fskit::{FileSystem, OpenFlags};
-use nvmm::{FaultPlan, TimeMode};
+use nvmm::{CostModel, FaultPlan, SimEnv, TimeMode};
 use pmfs::alloc::Allocator;
 use pmfs::Layout;
 use workloads::filebench::{FilebenchParams, Fileserver, Varmail};
@@ -37,7 +37,8 @@ fn eight_thread_steal_stress_no_lost_or_double_blocks() {
     const ROUNDS: usize = 40;
 
     let layout = Layout::compute(1024, 16, 256).expect("layout");
-    let alloc = Arc::new(Allocator::new_empty(&layout));
+    let env = SimEnv::new_virtual(CostModel::default());
+    let alloc = Arc::new(Allocator::new_empty(&layout, env.contention()));
     let total = alloc.free_blocks();
     // Each thread's burst is larger than one shard's segment, so draining
     // the preferred shard and stealing from neighbours is guaranteed.
