@@ -338,11 +338,9 @@ mod tests {
 
     #[test]
     fn spin_mode_phases_book_exactly_their_charges() {
-        use crate::NvmmDevice;
-        use obsv::{FsObs, Level, OpKind, Phase};
+        use obsv::{FsObs, Level, OpKind, Phase, SpanTable};
         let env = SimEnv::new_spin(CostModel::default());
-        let dev = NvmmDevice::new(env.clone(), 4096);
-        let spans = dev.spans().clone();
+        let spans = Arc::new(SpanTable::new(env.contention().clock().clone()));
         spans.set_enabled(true);
         let obs = FsObs::new(spans.clone());
         obs.set_level(Level::Full);
