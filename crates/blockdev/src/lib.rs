@@ -108,7 +108,7 @@ mod tests {
 
     fn bd() -> Nvmmbd {
         let env = SimEnv::new_virtual(CostModel::default());
-        Nvmmbd::new(NvmmDevice::new_tracked(env, 256 * BLOCK_SIZE))
+        Nvmmbd::new(NvmmDevice::new(env, 256 * BLOCK_SIZE))
     }
 
     #[test]

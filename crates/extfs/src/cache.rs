@@ -385,7 +385,7 @@ mod tests {
 
     fn cache(pages: usize) -> BufferCache {
         let env = SimEnv::new_virtual(CostModel::default());
-        let dev = NvmmDevice::new_tracked(env, 512 * BLOCK_SIZE);
+        let dev = NvmmDevice::new(env, 512 * BLOCK_SIZE);
         BufferCache::new(Arc::new(Nvmmbd::new(dev)), pages)
     }
 

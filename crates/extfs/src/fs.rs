@@ -35,22 +35,6 @@ pub struct ExtOptions {
     /// systems 3 GB of system memory next to a 5 GB dataset; experiments
     /// scale this relative to the working set).
     pub cache_pages: usize,
-    /// Journal commit / writeback period (5 s, like jbd2).
-    pub periodic_commit_ns: u64,
-    /// Age after which dirty pages are written back (30 s default).
-    pub dirty_age_ns: u64,
-}
-
-impl Default for ExtOptions {
-    fn default() -> Self {
-        ExtOptions {
-            journal_blocks: 1024,
-            inode_count: 16384,
-            cache_pages: 16384,
-            periodic_commit_ns: 5_000_000_000,
-            dirty_age_ns: 30_000_000_000,
-        }
-    }
 }
 
 /// Per-open state.
@@ -74,7 +58,6 @@ pub struct Extfs {
     icache: ExtInodeCache,
     fds: FdTable<ExtOpenFile>,
     ns: TrackedMutex<()>,
-    opts: ExtOptions,
     last_commit: AtomicU64,
     /// Device data blocks dirtied per inode, for ordered-mode fsync.
     dirty_data: TrackedMutex<HashMap<u64, HashSet<u64>>>,
@@ -158,7 +141,6 @@ impl Extfs {
             icache: ExtInodeCache::new(&contention),
             fds: FdTable::new(&contention),
             ns: TrackedMutex::new(&contention, Site::ExtfsNamespace, ()),
-            opts,
             last_commit: AtomicU64::new(0),
             dirty_data: TrackedMutex::new(&contention, Site::ExtfsDirtyData, HashMap::new()),
             obs,
@@ -862,11 +844,11 @@ impl FileSystem for Extfs {
 
     fn tick(&self, now_ns: u64) {
         let last = self.last_commit.load(Ordering::Relaxed);
-        if now_ns.saturating_sub(last) >= self.opts.periodic_commit_ns {
+        if now_ns.saturating_sub(last) >= crate::COMMIT_PERIOD_NS {
             self.last_commit.store(now_ns, Ordering::Relaxed);
             let _bg = self.obs.bg_scope();
             self.jbd_commit(obsv::DrainKind::Lazy);
-            self.cache.flush_older_than(now_ns, self.opts.dirty_age_ns);
+            self.cache.flush_older_than(now_ns, crate::DIRTY_AGE_NS);
         }
     }
 }

@@ -11,13 +11,12 @@ fn small_opts() -> ExtOptions {
         journal_blocks: 64,
         inode_count: 512,
         cache_pages: 256,
-        ..ExtOptions::default()
     }
 }
 
 fn fresh(mode: ExtMode) -> (Arc<NvmmDevice>, Arc<Extfs>) {
     let env = SimEnv::new_virtual(CostModel::default());
-    let dev = NvmmDevice::new_tracked(env, 16384 * BLOCK_SIZE);
+    let dev = NvmmDevice::new(env, 16384 * BLOCK_SIZE);
     let fs = Extfs::mkfs(dev.clone(), mode, small_opts()).unwrap();
     (dev, fs)
 }

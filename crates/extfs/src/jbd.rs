@@ -331,7 +331,7 @@ mod tests {
 
     fn setup() -> (Arc<Nvmmbd>, BufferCache, Jbd) {
         let env = SimEnv::new_virtual(CostModel::default());
-        let dev = NvmmDevice::new_tracked(env, 1024 * BLOCK_SIZE);
+        let dev = NvmmDevice::new(env, 1024 * BLOCK_SIZE);
         let bd = Arc::new(Nvmmbd::new(dev));
         let cache = BufferCache::new(bd.clone(), 64);
         Jbd::format(&bd, 1);

@@ -29,6 +29,13 @@ pub mod layout;
 
 pub use fs::{ExtOptions, Extfs};
 
+/// Journal commit / writeback period (5 s, like jbd2).
+pub const COMMIT_PERIOD_NS: u64 = 5_000_000_000;
+
+/// Age after which dirty pages are written back (30 s, like the kernel's
+/// `dirty_expire_centisecs`).
+pub const DIRTY_AGE_NS: u64 = 30_000_000_000;
+
 /// Which baseline personality an [`Extfs`] instance runs as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtMode {

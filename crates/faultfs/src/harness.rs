@@ -9,8 +9,8 @@
 //! 2. **Enumerate** — for each scheduled boundary `k`, rebuild the image,
 //!    replay the same script with a crash armed at boundary `k`
 //!    (optionally tearing the volatile store buffer with a seeded partial
-//!    drop), catch the [`CrashSignal`], revert the device to its
-//!    persistent image, remount (running journal recovery), and run the
+//!    drop), catch the [`CrashSignal`], give every pending cacheline its
+//!    durable bytes back, remount (running journal recovery), and run the
 //!    [`Oracle`] over the recovered tree.
 //! 3. **Inject** — replay with a soft fault (journal-full, ENOSPC,
 //!    writeback stall) switched on for a window of operations, asserting
@@ -54,7 +54,6 @@ fn ext_opts() -> ExtOptions {
         journal_blocks: 64,
         inode_count: 128,
         cache_pages: 256,
-        ..ExtOptions::default()
     }
 }
 
@@ -213,7 +212,7 @@ impl Harness {
 
     /// [`Self::build`] on a new device of `env`'s clock.
     pub(crate) fn build_on(&self, env: Arc<SimEnv>, kind: FsKind) -> Result<Built, String> {
-        let dev = NvmmDevice::new_tracked(env.clone(), DEV_BYTES);
+        let dev = NvmmDevice::new(env.clone(), DEV_BYTES);
         let (fs, obs, intro): (Arc<dyn FileSystem>, Arc<FsObs>, Arc<dyn Introspect>) = match kind {
             FsKind::Hinfs => Hinfs::mkfs(dev.clone(), pmfs_opts(), self.hinfs_cfg())
                 .map(|fs| (fs.clone() as _, fs.obs().clone(), fs as _)),
@@ -363,8 +362,8 @@ impl Harness {
         b.dev.fault_hook().clear();
         drop(b.fs);
 
-        // Power loss: revert to the persistent image, optionally keeping a
-        // seeded subset of pending (volatile) cachelines.
+        // Power loss: every pending (volatile) cacheline gets its durable
+        // bytes back, except — on a torn crash — a seeded subset kept.
         match torn_seed {
             Some(seed) => {
                 b.dev.crash_partial(seed);

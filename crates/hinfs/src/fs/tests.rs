@@ -21,7 +21,7 @@ fn small_cfg() -> HinfsConfig {
 fn fresh_cfg(cfg: HinfsConfig) -> (Arc<NvmmDevice>, Arc<Hinfs>) {
     let env = SimEnv::new_virtual(CostModel::default());
     env.set_now(0);
-    let dev = NvmmDevice::new_tracked(env, 16384 * BLOCK_SIZE);
+    let dev = NvmmDevice::new(env, 16384 * BLOCK_SIZE);
     let fs = Hinfs::mkfs(dev.clone(), opts(), cfg).unwrap();
     (dev, fs)
 }

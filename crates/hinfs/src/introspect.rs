@@ -247,7 +247,7 @@ mod tests {
     fn fresh(cfg: HinfsConfig) -> Arc<Hinfs> {
         let env = SimEnv::new_virtual(CostModel::default());
         env.set_now(0);
-        let dev = NvmmDevice::new_tracked(env, 16384 * BLOCK_SIZE);
+        let dev = NvmmDevice::new(env, 16384 * BLOCK_SIZE);
         Hinfs::mkfs(
             dev,
             PmfsOptions {

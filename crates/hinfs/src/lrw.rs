@@ -93,7 +93,7 @@ mod tests {
         fn run() -> (Vec<u64>, Vec<u64>) {
             let env = SimEnv::new_virtual(CostModel::default());
             env.set_now(0);
-            let dev = NvmmDevice::new_tracked(env, 16384 * BLOCK_SIZE);
+            let dev = NvmmDevice::new(env, 16384 * BLOCK_SIZE);
             let fs: Arc<Hinfs> = Hinfs::mkfs(
                 dev,
                 PmfsOptions {

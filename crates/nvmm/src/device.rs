@@ -10,16 +10,17 @@
 //!   NVMM write latency through the bandwidth gate.
 //! - [`NvmmDevice::write_cached`] is a regular store: DRAM cost only, not
 //!   durable until [`NvmmDevice::clflush`] persists the touched lines.
+//! - [`NvmmDevice::write_flushed`] is a cached store whose lines are
+//!   flushed in the same lock hold (an appended journal entry).
 //!
-//! Devices created with [`NvmmDevice::new_tracked`] also maintain a
-//! persistent shadow image so tests can call [`NvmmDevice::crash`] and
-//! exercise recovery paths against exactly the bytes that would have
-//! survived a power failure.
+//! Every device tracks its persistence domain (see [`crate::crash`]): the
+//! durable bytes of each line a cached store left unflushed. Tests call
+//! [`NvmmDevice::crash`] and exercise recovery paths against exactly the
+//! bytes that would have survived a power failure.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use obsv::{ContentionTable, Phase, Site, SpanTable, TrackedMutex, TrackedRwLock};
+use obsv::{ContentionTable, Phase, Site, SpanTable, TrackedRwLock};
 
 use crate::crash::Shadow;
 use crate::fault::{self, BoundaryKind, FaultHook};
@@ -32,15 +33,47 @@ use crate::{lines_touched, CACHELINE};
 #[derive(Debug)]
 pub struct NvmmDevice {
     env: Arc<SimEnv>,
-    mem: TrackedRwLock<Box<[u8]>>,
-    shadow: Option<TrackedMutex<Shadow>>,
+    image: TrackedRwLock<Image>,
     stats: DeviceStats,
     fault: Arc<FaultHook>,
     spans: Arc<SpanTable>,
     len: usize,
-    /// True until the first store (both images all zero, no line pending).
-    /// Only accessed under the `mem` write lock, hence `Relaxed`.
-    never_stored: AtomicBool,
+}
+
+/// The device's bytes and its persistence domain, under one lock.
+#[derive(Debug)]
+struct Image {
+    bytes: Box<[u8]>,
+    /// The durable bytes of the lines a cached store left pending.
+    shadow: Shadow,
+    /// True until the first store (every byte zero, no line pending).
+    never_stored: bool,
+}
+
+impl Image {
+    fn store(&mut self, off: u64, data: &[u8]) {
+        self.never_stored = false;
+        self.bytes[off as usize..off as usize + data.len()].copy_from_slice(data);
+    }
+
+    /// A cached store: the lines it touches become pending.
+    fn store_cached(&mut self, off: u64, data: &[u8]) {
+        self.shadow.mark_range(&self.bytes, off, data.len());
+        self.store(off, data);
+    }
+
+    /// A store that is durable on return: the lines it touches persist.
+    fn store_durable(&mut self, off: u64, data: &[u8]) {
+        self.store(off, data);
+        self.shadow.persist_range(off, data.len());
+    }
+
+    /// Power loss: each pending line `keep` picks stays, the rest get their
+    /// durable bytes back. Returns how many stayed.
+    fn crash(&mut self, keep: impl FnMut(usize) -> bool) -> usize {
+        self.never_stored = false;
+        self.shadow.crash_into(&mut self.bytes, keep)
+    }
 }
 
 /// Phase a device *read* charges, by traffic category: journal undo-image
@@ -74,36 +107,23 @@ fn cached_phase(cat: Cat) -> Phase {
 }
 
 impl NvmmDevice {
-    /// Creates an untracked device of `len` bytes (no crash simulation;
-    /// `clflush` assumes every line in the range is dirty).
+    /// Creates a zeroed device of `len` bytes with nothing pending.
     pub fn new(env: Arc<SimEnv>, len: usize) -> Arc<Self> {
-        Self::build(env, len, false)
-    }
-
-    /// Creates a device that tracks its persistence domain, enabling
-    /// [`NvmmDevice::crash`]. Uses twice the memory of an untracked device.
-    pub fn new_tracked(env: Arc<SimEnv>, len: usize) -> Arc<Self> {
-        Self::build(env, len, true)
-    }
-
-    fn build(env: Arc<SimEnv>, len: usize, tracked: bool) -> Arc<Self> {
         assert!(len > 0, "device must not be empty");
         assert_eq!(len % CACHELINE, 0, "device length must be line-aligned");
         let contention = env.contention().clone();
+        let image = Image {
+            bytes: vec![0u8; len].into_boxed_slice(),
+            shadow: Shadow::default(),
+            never_stored: true,
+        };
         Arc::new(NvmmDevice {
-            mem: TrackedRwLock::new(
-                &contention,
-                Site::NvmmDevice,
-                vec![0u8; len].into_boxed_slice(),
-            ),
-            shadow: tracked
-                .then(|| TrackedMutex::new(&contention, Site::NvmmShadow, Shadow::new(len))),
+            image: TrackedRwLock::new(&contention, Site::NvmmDevice, image),
             env,
             stats: DeviceStats::new(),
             fault: FaultHook::new(),
             spans: Arc::new(SpanTable::new(contention.clock().clone())),
             len,
-            never_stored: AtomicBool::new(true),
         })
     }
 
@@ -129,7 +149,7 @@ impl NvmmDevice {
     }
 
     /// Reports a persistence boundary to the installed fault plan, if any.
-    /// Called after the store's effect (memory + shadow + cost) is applied,
+    /// Called after the store's effect (image + cost) is applied,
     /// so a crash fired here models power loss *just after* the store.
     #[inline]
     fn fault_boundary(&self, kind: BoundaryKind, off: u64, lines: usize) {
@@ -158,11 +178,6 @@ impl NvmmDevice {
         &self.stats
     }
 
-    /// Whether this device tracks its persistence domain.
-    pub fn is_tracked(&self) -> bool {
-        self.shadow.is_some()
-    }
-
     fn check(&self, off: u64, len: usize) {
         assert!(
             (off as usize)
@@ -183,8 +198,8 @@ impl NvmmDevice {
         self.spans.scope(read_phase(cat), || {
             self.check(off, buf.len());
             {
-                let mem = self.mem.read();
-                buf.copy_from_slice(&mem[off as usize..off as usize + buf.len()]);
+                let image = self.image.read();
+                buf.copy_from_slice(&image.bytes[off as usize..off as usize + buf.len()]);
             }
             self.stats.add_read(buf.len() as u64);
             self.env.charge_dram_copy(cat, buf.len());
@@ -206,14 +221,7 @@ impl NvmmDevice {
     pub fn write_persist(&self, cat: Cat, off: u64, data: &[u8]) {
         self.spans.scope(persist_phase(cat), || {
             self.check(off, data.len());
-            {
-                let mut mem = self.mem.write();
-                self.never_stored.store(false, Ordering::Relaxed);
-                mem[off as usize..off as usize + data.len()].copy_from_slice(data);
-                if let Some(shadow) = &self.shadow {
-                    shadow.lock().persist_now(&mem, off, data.len());
-                }
-            }
+            self.image.write().store_durable(off, data);
             let lines = lines_touched(off, data.len());
             self.stats.add_written((lines * CACHELINE) as u64);
             obsv::note_bytes(obsv::Layer::NvmmPersisted, (lines * CACHELINE) as u64);
@@ -232,23 +240,14 @@ impl NvmmDevice {
     pub fn write_cached(&self, cat: Cat, off: u64, data: &[u8]) {
         self.spans.scope(cached_phase(cat), || {
             self.check(off, data.len());
-            {
-                let mut mem = self.mem.write();
-                self.never_stored.store(false, Ordering::Relaxed);
-                mem[off as usize..off as usize + data.len()].copy_from_slice(data);
-                if let Some(shadow) = &self.shadow {
-                    shadow.lock().mark_range(off, data.len());
-                }
-            }
+            self.image.write().store_cached(off, data);
             self.stats.add_cached_store(data.len() as u64);
             self.env.charge_dram_copy(cat, data.len());
         })
     }
 
     /// Flushes the cachelines covering `[off, off+len)` to the persistence
-    /// domain. On a tracked device only the lines actually pending are
-    /// persisted and charged; untracked devices charge every line in the
-    /// range (callers flush exactly what they wrote).
+    /// domain. Only the lines actually pending are persisted and charged.
     ///
     /// # Panics
     ///
@@ -259,22 +258,42 @@ impl NvmmDevice {
             return;
         }
         self.spans.scope(persist_phase(cat), || {
-            let lines = match &self.shadow {
-                Some(shadow) => {
-                    let mem = self.mem.read();
-                    shadow.lock().flush_range(&mem, off, len)
-                }
-                None => lines_touched(off, len),
-            };
-            if lines == 0 {
-                return;
-            }
-            self.stats.add_flush_lines(lines as u64);
-            self.stats.add_written((lines * CACHELINE) as u64);
-            obsv::note_bytes(obsv::Layer::NvmmPersisted, (lines * CACHELINE) as u64);
-            self.env.nvmm_persist(cat, lines);
-            self.fault_boundary(BoundaryKind::Flush, off, lines);
+            let lines = self.image.write().shadow.persist_range(off, len);
+            self.book_flush(cat, off, lines);
         })
+    }
+
+    /// [`NvmmDevice::write_cached`] followed by a [`NvmmDevice::clflush`]
+    /// of the lines it touched, in one lock hold: the lines never become
+    /// pending. Books exactly what the pair books, phases included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub fn write_flushed(&self, cat: Cat, off: u64, data: &[u8]) {
+        self.spans.scope(cached_phase(cat), || {
+            self.check(off, data.len());
+            self.image.write().store_durable(off, data);
+            self.stats.add_cached_store(data.len() as u64);
+            self.env.charge_dram_copy(cat, data.len());
+        });
+        if !data.is_empty() {
+            self.spans.scope(persist_phase(cat), || {
+                self.book_flush(cat, off, lines_touched(off, data.len()))
+            })
+        }
+    }
+
+    /// Books a flush of `lines` pending lines starting at `off`.
+    fn book_flush(&self, cat: Cat, off: u64, lines: usize) {
+        if lines == 0 {
+            return;
+        }
+        self.stats.add_flush_lines(lines as u64);
+        self.stats.add_written((lines * CACHELINE) as u64);
+        obsv::note_bytes(obsv::Layer::NvmmPersisted, (lines * CACHELINE) as u64);
+        self.env.nvmm_persist(cat, lines);
+        self.fault_boundary(BoundaryKind::Flush, off, lines);
     }
 
     /// Issues a store fence (ordering point).
@@ -311,15 +330,13 @@ impl NvmmDevice {
             return;
         }
         self.spans.scope(persist_phase(cat), || {
-            let mut mem = self.mem.write();
-            let mut shadow = self.shadow.as_ref().map(|s| s.lock());
-            if !self.never_stored.load(Ordering::Relaxed) {
-                mem[off as usize..off as usize + len].fill(0);
-                if let Some(shadow) = &mut shadow {
-                    shadow.persist_now(&mem, off, len);
+            {
+                let mut image = self.image.write();
+                if !image.never_stored {
+                    image.bytes[off as usize..off as usize + len].fill(0);
+                    image.shadow.persist_range(off, len);
                 }
             }
-            drop((shadow, mem));
             let lines = lines_touched(off, len);
             self.stats.add_written((lines * CACHELINE) as u64);
             obsv::note_bytes(obsv::Layer::NvmmPersisted, (lines * CACHELINE) as u64);
@@ -345,20 +362,10 @@ impl NvmmDevice {
         self.write_persist(cat, off, &v.to_le_bytes());
     }
 
-    /// Simulates power loss and restart: the volatile image is replaced by
-    /// the persistent one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device was not created with [`NvmmDevice::new_tracked`].
+    /// Simulates power loss and restart: every pending line gets its
+    /// durable bytes back.
     pub fn crash(&self) {
-        let shadow = self
-            .shadow
-            .as_ref()
-            .expect("crash simulation requires a tracked device");
-        let mut mem = self.mem.write();
-        self.never_stored.store(false, Ordering::Relaxed);
-        shadow.lock().crash_into(&mut mem);
+        self.image.write().crash(|_| false);
     }
 
     /// Simulates power loss with a *partial* cache eviction: each pending
@@ -368,44 +375,28 @@ impl NvmmDevice {
     /// the power actually dies, producing torn multi-line states that a
     /// clean [`NvmmDevice::crash`] never shows. Returns how many pending
     /// lines survived.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device was not created with [`NvmmDevice::new_tracked`].
     pub fn crash_partial(&self, seed: u64) -> usize {
-        let shadow = self
-            .shadow
-            .as_ref()
-            .expect("crash simulation requires a tracked device");
-        let mut mem = self.mem.write();
-        self.never_stored.store(false, Ordering::Relaxed);
-        shadow
-            .lock()
-            .crash_into_partial(&mut mem, |line| fault::mix(seed, line as u64) & 1 == 0)
+        self.image
+            .write()
+            .crash(|line| fault::mix(seed, line as u64) & 1 == 0)
     }
 
     /// Number of cachelines whose latest content has not been persisted.
-    /// Zero for untracked devices.
     pub fn pending_lines(&self) -> usize {
-        self.shadow.as_ref().map_or(0, |s| s.lock().pending_lines())
+        self.image.read().shadow.pending_lines()
     }
 
     /// Cost-free read for tests and assertions.
     pub fn peek(&self, off: u64, buf: &mut [u8]) {
         self.check(off, buf.len());
-        let mem = self.mem.read();
-        buf.copy_from_slice(&mem[off as usize..off as usize + buf.len()]);
+        let image = self.image.read();
+        buf.copy_from_slice(&image.bytes[off as usize..off as usize + buf.len()]);
     }
 
     /// Cost-free durable write for test setup.
     pub fn poke(&self, off: u64, data: &[u8]) {
         self.check(off, data.len());
-        let mut mem = self.mem.write();
-        self.never_stored.store(false, Ordering::Relaxed);
-        mem[off as usize..off as usize + data.len()].copy_from_slice(data);
-        if let Some(shadow) = &self.shadow {
-            shadow.lock().persist_now(&mem, off, data.len());
-        }
+        self.image.write().store_durable(off, data);
     }
 }
 
@@ -454,10 +445,15 @@ impl obsv::MetricSource for NvmmDevice {
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use crate::crash::reference::TwoImages;
     use crate::ledger;
 
     fn dev() -> Arc<NvmmDevice> {
-        NvmmDevice::new_tracked(SimEnv::new_virtual(CostModel::default()), 1 << 16)
+        NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 1 << 16)
+    }
+
+    fn never_stored(d: &NvmmDevice) -> bool {
+        d.image.read().never_stored
     }
 
     #[test]
@@ -482,6 +478,35 @@ mod tests {
         let mut buf = [0u8; 7];
         d.peek(4096, &mut buf);
         assert_eq!(&buf, b"flushed");
+    }
+
+    #[test]
+    fn crash_on_a_new_device_restores_durable_bytes() {
+        let d = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 1 << 16);
+        d.write_persist(Cat::Meta, 0, &[1; 64]);
+        d.write_cached(Cat::Meta, 32, &[2; 64]);
+        d.write_cached(Cat::Meta, 4096, &[3; 8]);
+        d.clflush(Cat::Meta, 4096, 8);
+        assert_eq!(d.pending_lines(), 2);
+        d.crash();
+        assert_eq!(d.pending_lines(), 0);
+        let mut buf = [0u8; 128];
+        d.peek(0, &mut buf);
+        assert_eq!(buf[..64], [1; 64], "the persisted line keeps its bytes");
+        assert_eq!(buf[64..], [0; 64], "the unflushed store is lost");
+        let mut buf = [0u8; 8];
+        d.peek(4096, &mut buf);
+        assert_eq!(buf, [3; 8], "the flushed store survives");
+    }
+
+    #[test]
+    fn clflush_of_a_never_written_range_books_nothing() {
+        let d = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 1 << 16);
+        d.env().set_now(0);
+        let before = d.stats().snapshot();
+        d.clflush(Cat::Journal, 0, 4096);
+        assert_eq!(d.stats().snapshot().since(&before).flush_lines, 0);
+        assert_eq!(d.env().now(), 0);
     }
 
     #[test]
@@ -569,30 +594,33 @@ mod tests {
 
     const AT: u64 = 4096 + 70;
 
-    /// A store path: its name, whether it needs a tracked device, and a
-    /// call that leaves `0xa5` at `AT` through it.
-    type Store = (&'static str, bool, fn(&NvmmDevice));
+    /// A store path: its name and a call that leaves `0xa5` at `AT`
+    /// through it.
+    type Store = (&'static str, fn(&NvmmDevice));
 
     /// Every store path; the crash sites replay a flushed store through
     /// the power loss.
-    fn stores() -> [Store; 5] {
+    fn stores() -> [Store; 6] {
         fn flushed(d: &NvmmDevice) {
             d.write_cached(Cat::UserWrite, AT, &[0xa5]);
             d.clflush(Cat::UserWrite, AT, 1);
         }
         [
-            ("write_persist", false, |d| {
+            ("write_persist", |d| {
                 d.write_persist(Cat::UserWrite, AT, &[0xa5])
             }),
-            ("write_cached", false, |d| {
+            ("write_cached", |d| {
                 d.write_cached(Cat::UserWrite, AT, &[0xa5])
             }),
-            ("poke", false, |d| d.poke(AT, &[0xa5])),
-            ("crash", true, |d| {
+            ("write_flushed", |d| {
+                d.write_flushed(Cat::UserWrite, AT, &[0xa5])
+            }),
+            ("poke", |d| d.poke(AT, &[0xa5])),
+            ("crash", |d| {
                 flushed(d);
                 d.crash();
             }),
-            ("crash_partial", true, |d| {
+            ("crash_partial", |d| {
                 flushed(d);
                 d.crash_partial(3);
             }),
@@ -601,28 +629,20 @@ mod tests {
 
     #[test]
     fn zero_persist_clears_after_every_store_path() {
-        for (site, needs_shadow, store) in stores() {
-            for tracked in [false, true] {
-                if needs_shadow && !tracked {
-                    continue;
-                }
-                let env = SimEnv::new_virtual(CostModel::default());
-                let d = NvmmDevice::build(env, 1 << 16, tracked);
-                store(&d);
-                assert!(!d.never_stored.load(Ordering::Relaxed), "{site}");
-                let mut b = [0u8; 1];
-                d.peek(AT, &mut b);
-                assert_eq!(b[0], 0xa5, "{site} stored");
-                d.zero_persist(Cat::Meta, 4096, 4096);
-                d.peek(AT, &mut b);
-                assert_eq!(b[0], 0, "{site}, tracked {tracked}");
-                if tracked {
-                    assert_eq!(d.pending_lines(), 0, "{site}");
-                    d.crash();
-                    d.peek(AT, &mut b);
-                    assert_eq!(b[0], 0, "{site} after crash");
-                }
-            }
+        for (site, store) in stores() {
+            let d = dev();
+            store(&d);
+            assert!(!never_stored(&d), "{site}");
+            let mut b = [0u8; 1];
+            d.peek(AT, &mut b);
+            assert_eq!(b[0], 0xa5, "{site} stored");
+            d.zero_persist(Cat::Meta, 4096, 4096);
+            d.peek(AT, &mut b);
+            assert_eq!(b[0], 0, "{site}");
+            assert_eq!(d.pending_lines(), 0, "{site}");
+            d.crash();
+            d.peek(AT, &mut b);
+            assert_eq!(b[0], 0, "{site} after crash");
         }
         // A crash alone clears the flag too.
         for crash in [
@@ -631,7 +651,7 @@ mod tests {
         ] {
             let d = dev();
             crash(&d);
-            assert!(!d.never_stored.load(Ordering::Relaxed));
+            assert!(!never_stored(&d));
         }
     }
 
@@ -649,7 +669,7 @@ mod tests {
             ledger::reset();
             d.env().set_now(0);
             d.zero_persist(Cat::Meta, 64, 8192);
-            assert_eq!(d.never_stored.load(Ordering::Relaxed), !touched);
+            assert_eq!(never_stored(&d), !touched);
             (
                 d.env().now(),
                 ledger::snapshot(),
@@ -692,12 +712,118 @@ mod tests {
     }
 
     #[test]
-    fn untracked_device_charges_full_range() {
-        let env = SimEnv::new_virtual(CostModel::default());
-        let d = NvmmDevice::new(env, 1 << 16);
-        assert!(!d.is_tracked());
-        let before = d.stats().snapshot();
-        d.clflush(Cat::Journal, 0, 4096);
-        assert_eq!(d.stats().snapshot().since(&before).flush_lines, 64);
+    fn write_flushed_books_what_the_pair_books() {
+        // Each call leaves the same bytes through one of the two paths;
+        // the second store lands on a line already pending.
+        let run = |pair: bool| {
+            let d = dev();
+            d.write_cached(Cat::Meta, 64 + 8, &[9; 8]);
+            let plan = fault::FaultPlan::new();
+            d.fault_hook().install(plan.clone());
+            plan.start_recording();
+            d.spans().set_enabled(true);
+            ledger::reset();
+            d.env().set_now(0);
+            for (cat, off, len) in [(Cat::Journal, 4096, 64), (Cat::Meta, 60, 16)] {
+                let data = vec![0x5a; len];
+                if pair {
+                    d.write_cached(cat, off, &data);
+                    d.clflush(cat, off, len);
+                } else {
+                    d.write_flushed(cat, off, &data);
+                }
+            }
+            let mut bytes = vec![0u8; 8192];
+            d.peek(0, &mut bytes);
+            (
+                d.env().now(),
+                ledger::snapshot(),
+                d.stats().snapshot(),
+                d.spans().snapshot(),
+                plan.stop_recording(),
+                d.pending_lines(),
+                bytes,
+            )
+        };
+        let flushed = run(false);
+        assert_eq!(flushed.5, 0, "nothing left pending");
+        assert_eq!(flushed.4.len(), 2, "one flush boundary per store");
+        assert_eq!(flushed, run(true));
+    }
+
+    /// The device against [`TwoImages`] — the volatile/persistent pair
+    /// the map replaced — over seeded random operations: after every step
+    /// the images, the pending count and the image a crash would leave
+    /// agree, and so does every flush's line count.
+    #[test]
+    fn differential_against_two_images() {
+        const LEN: usize = 4096;
+        let durable_image = |d: &NvmmDevice| {
+            let image = d.image.read();
+            image.shadow.durable_image(&image.bytes)
+        };
+        for seed in 0..64 {
+            let d = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), LEN);
+            let mut r = TwoImages::new(LEN);
+            let mut n = 0;
+            let mut next = |m: u64| {
+                n += 1;
+                fault::mix(seed, n) % m
+            };
+            for step in 0..400 {
+                let len = next(200) as usize;
+                let off = next((LEN - len) as u64 + 1);
+                let data: Vec<u8> = (0..len).map(|_| next(255) as u8 + 1).collect();
+                let op = next(9);
+                match op {
+                    0 | 1 => {
+                        d.write_cached(Cat::UserWrite, off, &data);
+                        r.write_cached(off, &data);
+                    }
+                    2 => {
+                        d.write_persist(Cat::UserWrite, off, &data);
+                        r.write_persist(off, &data);
+                    }
+                    3 => {
+                        d.write_flushed(Cat::UserWrite, off, &data);
+                        r.write_cached(off, &data);
+                        r.clflush(off, len);
+                    }
+                    4 => {
+                        d.zero_persist(Cat::Meta, off, len);
+                        r.write_persist(off, &vec![0; len]);
+                    }
+                    5 => {
+                        d.poke(off, &data);
+                        r.write_persist(off, &data);
+                    }
+                    6 => {
+                        let before = d.stats().snapshot().flush_lines;
+                        d.clflush(Cat::UserWrite, off, len);
+                        let lines = r.clflush(off, len) as u64;
+                        assert_eq!(d.stats().snapshot().flush_lines - before, lines);
+                    }
+                    7 => {
+                        d.crash();
+                        r.crash(|_| false);
+                    }
+                    _ => {
+                        let coin = next(1 << 20);
+                        let kept = d.crash_partial(coin);
+                        let want = r.crash(|line| fault::mix(coin, line as u64) & 1 == 0);
+                        assert_eq!(kept, want, "seed {seed} step {step}");
+                    }
+                }
+                let at = format!("seed {seed} step {step} op {op}");
+                assert_eq!(d.pending_lines(), r.pending.len(), "{at}");
+                let mut bytes = vec![0u8; LEN];
+                d.peek(0, &mut bytes);
+                assert!(bytes == r.volatile, "volatile image differs: {at}");
+                assert!(
+                    durable_image(&d) == r.persistent,
+                    "durable image differs: {at}"
+                );
+            }
+        }
     }
 }

@@ -374,7 +374,7 @@ mod tests {
     use crate::time::SimEnv;
 
     fn dev() -> Arc<NvmmDevice> {
-        NvmmDevice::new_tracked(SimEnv::new_virtual(CostModel::default()), 1 << 16)
+        NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 1 << 16)
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! - A **volatile store buffer** stands in for the CPU cache: stores issued
 //!   with [`NvmmDevice::write_cached`] are not durable until an explicit
 //!   [`NvmmDevice::clflush`], while [`NvmmDevice::write_persist`] models the
-//!   non-temporal (`*_nocache`) copy path used by PMFS. A crash-simulation
-//!   API reverts the device to its persistent image so recovery logic can be
-//!   tested for real.
+//!   non-temporal (`*_nocache`) copy path used by PMFS. Every device keeps
+//!   the durable bytes of each line a cached store left unflushed, and a
+//!   crash-simulation API writes them back — O(pending lines), one image —
+//!   so recovery logic can be tested for real.
 //!
 //! Two [`TimeMode`]s are supported:
 //!

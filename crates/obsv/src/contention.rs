@@ -100,10 +100,9 @@ macro_rules! sites {
 
 sites! {
     named {
-        /// `nvmm::NvmmDevice::mem` — the device byte array.
+        /// `nvmm::NvmmDevice::image` — the device bytes and their
+        /// persistence domain.
         NvmmDevice = "nvmm.device",
-        /// `nvmm::NvmmDevice::shadow` — the crash-consistency shadow.
-        NvmmShadow = "nvmm.shadow",
         /// `nvmm::BandwidthGate` — the bandwidth calendar.
         NvmmGate = "nvmm.gate",
         /// `fskit::FdTable` — the descriptor table.

@@ -47,11 +47,11 @@ fn labels_in_discriminant_order() {
 }
 
 #[test]
-fn all_51_site_labels_in_discriminant_order() {
-    assert_eq!(ALL_SITES.len(), 51);
+fn all_50_site_labels_in_discriminant_order() {
+    assert_eq!(ALL_SITES.len(), 50);
     assert_eq!(
         labels(&ALL_SITES, |s| s.label()),
-        "nvmm.device nvmm.shadow nvmm.gate fskit.fdtable pmfs.journal pmfs.alloc pmfs.ns \
+        "nvmm.device nvmm.gate fskit.fdtable pmfs.journal pmfs.alloc pmfs.ns \
          pmfs.inode_map hinfs.buffer_pool hinfs.writeback extfs.jbd extfs.alloc extfs.ns \
          extfs.dirty_data extfs.cache extfs.inode_map stall.writeback stall.journal_full \
          stall.throttle \
@@ -69,15 +69,15 @@ fn all_51_site_labels_in_discriminant_order() {
     // family constructor wraps its index.
     let pos = |s: Site| ALL_SITES.iter().position(|&t| t == s).unwrap();
     assert_eq!(pos(Site::NvmmDevice), 0);
-    assert_eq!(pos(Site::FskitFdtable), 3);
-    assert_eq!(pos(Site::HinfsWriteback), 9);
-    assert_eq!(pos(Site::StallThrottle), 18);
+    assert_eq!(pos(Site::FskitFdtable), 2);
+    assert_eq!(pos(Site::HinfsWriteback), 8);
+    assert_eq!(pos(Site::StallThrottle), 17);
     type Family = fn(usize) -> Site;
     let families: [(Family, usize); 4] = [
-        (Site::hinfs_shard, 19),
-        (Site::pmfs_alloc_shard, 27),
-        (Site::pmfs_ns_shard, 35),
-        (Site::pmfs_inode_shard, 43),
+        (Site::hinfs_shard, 18),
+        (Site::pmfs_alloc_shard, 26),
+        (Site::pmfs_ns_shard, 34),
+        (Site::pmfs_inode_shard, 42),
     ];
     for (family, base) in families {
         for i in 0..8 {

@@ -376,7 +376,7 @@ mod tests {
 
     fn setup() -> Fx {
         let blocks = 4096u64;
-        let dev = NvmmDevice::new_tracked(
+        let dev = NvmmDevice::new(
             SimEnv::new_virtual(CostModel::default()),
             blocks as usize * BLOCK_SIZE,
         );

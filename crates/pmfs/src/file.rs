@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn writes_are_durable_without_fsync() {
         let blocks = 4096u64;
-        let dev = NvmmDevice::new_tracked(
+        let dev = NvmmDevice::new(
             SimEnv::new_virtual(CostModel::default()),
             blocks as usize * BLOCK_SIZE,
         );

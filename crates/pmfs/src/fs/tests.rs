@@ -18,7 +18,7 @@ fn small_opts() -> PmfsOptions {
 
 fn fresh() -> (Arc<NvmmDevice>, Arc<Pmfs>) {
     let env = SimEnv::new_virtual(CostModel::default());
-    let dev = NvmmDevice::new_tracked(env, 16384 * BLOCK_SIZE);
+    let dev = NvmmDevice::new(env, 16384 * BLOCK_SIZE);
     let fs = Pmfs::mkfs(dev.clone(), small_opts()).unwrap();
     (dev, fs)
 }

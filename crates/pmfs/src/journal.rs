@@ -476,8 +476,7 @@ impl Journal {
         let off = self.area + inner.tail * ENTRY_SIZE as u64;
         let buf = encode(e);
         obsv::note_bytes(obsv::Layer::JournalLogged, ENTRY_SIZE as u64);
-        self.dev.write_cached(Cat::Journal, off, &buf);
-        self.dev.clflush(Cat::Journal, off, ENTRY_SIZE);
+        self.dev.write_flushed(Cat::Journal, off, &buf);
         inner.tail += 1;
         Ok(())
     }
@@ -683,8 +682,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn setup() -> (Arc<NvmmDevice>, Layout) {
-        let dev =
-            NvmmDevice::new_tracked(SimEnv::new_virtual(CostModel::default()), 4096 * BLOCK_SIZE);
+        let dev = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 4096 * BLOCK_SIZE);
         let layout = Layout::compute(4096, 64, 512).unwrap();
         Journal::format(&dev, &layout);
         (dev, layout)
@@ -1011,7 +1009,7 @@ mod tests {
         fn running_counts_survive_any_resolution_order(
             ops in prop::collection::vec((0u8..10, 0usize..64, 1usize..400), 1..300)
         ) {
-            let dev = NvmmDevice::new_tracked(
+            let dev = NvmmDevice::new(
                 SimEnv::new_virtual(CostModel::default()),
                 256 * BLOCK_SIZE,
             );
@@ -1078,8 +1076,7 @@ mod tests {
         const ROUNDS: u64 = 10;
         let committed_rounds = |cell: u64| [10, 9, 5, 0][(cell % 4) as usize];
         let value = |cell: u64, round: u64| (cell << 8 | (round + 1)).to_le_bytes();
-        let dev =
-            NvmmDevice::new_tracked(SimEnv::new_virtual(CostModel::default()), 4096 * BLOCK_SIZE);
+        let dev = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 4096 * BLOCK_SIZE);
         let layout = Layout::compute(4096, 1700, 512).unwrap();
         Journal::format(&dev, &layout);
         let j = Journal::open(dev.clone(), &layout).unwrap();

@@ -178,7 +178,7 @@ mod tests {
     use std::sync::Arc;
 
     fn dev(blocks: u64) -> Arc<NvmmDevice> {
-        NvmmDevice::new_tracked(
+        NvmmDevice::new(
             SimEnv::new_virtual(CostModel::default()),
             (blocks as usize) * BLOCK_SIZE,
         )

@@ -2,15 +2,14 @@
 //!
 //! A mapping translates loads and stores straight to the NVMM blocks of the
 //! file — one copy, no page cache. Stores go through the volatile (cached)
-//! path and are *not* durable until `msync`, which flushes exactly the
-//! dirtied cachelines, mirroring how CPU caches treat mapped NVMM.
+//! path and are *not* durable until `msync`, which flushes the synced
+//! range — the device persists (and charges) exactly the cachelines left
+//! pending there, mirroring how CPU caches treat mapped NVMM.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use fskit::{FsError, MmapHandle, Result};
-use nvmm::{Cat, NvmmDevice, BLOCK_SIZE, CACHELINE};
-use parking_lot::Mutex;
+use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
 
 use crate::file::FreshRun;
 use crate::fs::{OpenFile, Pmfs};
@@ -25,8 +24,6 @@ pub struct PmfsMmap {
     /// Offset of the mapping start within the first block.
     first_off: usize,
     len: usize,
-    /// Absolute device cacheline indices dirtied since the last msync.
-    dirty: Mutex<BTreeSet<u64>>,
 }
 
 impl PmfsMmap {
@@ -86,7 +83,6 @@ impl PmfsMmap {
             blocks,
             first_off: (off % BLOCK_SIZE as u64) as usize,
             len,
-            dirty: Mutex::new(BTreeSet::new()),
         })
     }
 
@@ -130,49 +126,17 @@ impl MmapHandle for PmfsMmap {
 
     fn store(&self, off: usize, data: &[u8]) -> Result<()> {
         self.check(off, data.len())?;
-        let mut dirty = self.dirty.lock();
         for (dev_off, start, len) in self.segments(off, data.len()) {
             self.dev
                 .write_cached(Cat::UserWrite, dev_off, &data[start..start + len]);
-            let first = dev_off / CACHELINE as u64;
-            let last = (dev_off + len as u64 - 1) / CACHELINE as u64;
-            for line in first..=last {
-                dirty.insert(line);
-            }
         }
         Ok(())
     }
 
     fn msync(&self, off: usize, len: usize) -> Result<()> {
         self.check(off, len)?;
-        let mut dirty = self.dirty.lock();
-        // Collect the dirty lines that fall inside the synced range.
-        let mut in_range: Vec<u64> = Vec::new();
         for (dev_off, _, seg_len) in self.segments(off, len) {
-            let first = dev_off / CACHELINE as u64;
-            let last = (dev_off + seg_len as u64 - 1) / CACHELINE as u64;
-            for line in dirty.range(first..=last) {
-                in_range.push(*line);
-            }
-        }
-        // Flush coalesced runs of consecutive lines.
-        let mut i = 0;
-        while i < in_range.len() {
-            let start = in_range[i];
-            let mut end = start;
-            while i + 1 < in_range.len() && in_range[i + 1] == end + 1 {
-                i += 1;
-                end = in_range[i];
-            }
-            self.dev.clflush(
-                Cat::UserWrite,
-                start * CACHELINE as u64,
-                ((end - start + 1) as usize) * CACHELINE,
-            );
-            i += 1;
-        }
-        for line in &in_range {
-            dirty.remove(line);
+            self.dev.clflush(Cat::UserWrite, dev_off, seg_len);
         }
         self.dev.sfence();
         Ok(())

@@ -133,7 +133,7 @@ fn check(dev: &NvmmDevice, fs: &Pmfs, step: usize, op: &Op) {
 
 fn run(ops: &[Op]) {
     let env = SimEnv::new_virtual(CostModel::default());
-    let dev = NvmmDevice::new_tracked(env, 4096 * BLOCK_SIZE);
+    let dev = NvmmDevice::new(env, 4096 * BLOCK_SIZE);
     let plan = FaultPlan::new();
     dev.fault_hook().install(plan.clone());
     let opts = PmfsOptions {
@@ -210,7 +210,7 @@ proptest! {
 #[test]
 fn the_generator_reaches_aborts_and_unbuilt_directories() {
     let env = SimEnv::new_virtual(CostModel::default());
-    let dev = NvmmDevice::new_tracked(env, 4096 * BLOCK_SIZE);
+    let dev = NvmmDevice::new(env, 4096 * BLOCK_SIZE);
     let plan = FaultPlan::new();
     dev.fault_hook().install(plan.clone());
     let fs = Pmfs::mkfs(dev.clone(), PmfsOptions::default()).unwrap();

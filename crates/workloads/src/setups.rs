@@ -132,9 +132,6 @@ pub struct SystemConfig {
     pub inode_count: u64,
     /// Observability switches (all off by default).
     pub obsv: ObsvOptions,
-    /// Build the device with cacheline-granularity persistence tracking
-    /// so crash simulation (`NvmmDevice::crash`) is available.
-    pub tracked: bool,
 }
 
 impl Default for SystemConfig {
@@ -148,7 +145,6 @@ impl Default for SystemConfig {
             journal_blocks: 2048,
             inode_count: 65536,
             obsv: ObsvOptions::none(),
-            tracked: false,
         }
     }
 }
@@ -195,11 +191,7 @@ pub struct System {
 /// Builds (formats and mounts) a system of the given kind.
 pub fn build(kind: SystemKind, cfg: &SystemConfig) -> Result<System> {
     let env = SimEnv::new(cfg.mode, cfg.cost.clone());
-    let dev = if cfg.tracked {
-        NvmmDevice::new_tracked(env.clone(), cfg.device_bytes)
-    } else {
-        NvmmDevice::new(env.clone(), cfg.device_bytes)
-    };
+    let dev = NvmmDevice::new(env.clone(), cfg.device_bytes);
     mount(kind, dev, env, cfg, true)
 }
 
@@ -258,7 +250,6 @@ fn mount(
             journal_blocks: cfg.journal_blocks,
             inode_count: cfg.inode_count,
             cache_pages: cfg.cache_pages,
-            ..ExtOptions::default()
         };
         let e = if fresh {
             Extfs::mkfs(dev.clone(), mode, eopts)?

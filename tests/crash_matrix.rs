@@ -21,7 +21,7 @@ struct Harness {
 
 fn run_crash_round(seed: u64, use_hinfs: bool) {
     let env = SimEnv::new_virtual(CostModel::default());
-    let dev = NvmmDevice::new_tracked(env.clone(), 64 << 20);
+    let dev = NvmmDevice::new(env.clone(), 64 << 20);
     let popts = PmfsOptions {
         journal_blocks: 256,
         inode_count: 2048,
@@ -140,7 +140,7 @@ fn crash_mid_namespace_churn_recovers() {
     // Creates/unlinks in flight when the power fails.
     for seed in 0..10u64 {
         let env = SimEnv::new_virtual(CostModel::default());
-        let dev = NvmmDevice::new_tracked(env, 64 << 20);
+        let dev = NvmmDevice::new(env, 64 << 20);
         let fs = Hinfs::mkfs(
             dev.clone(),
             PmfsOptions {

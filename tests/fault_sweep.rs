@@ -187,7 +187,7 @@ fn stress_many_seeds_all_kinds() {
 /// mounted fs and the open fd.
 fn pmfs_in_steal_regime() -> (Arc<NvmmDevice>, Arc<Pmfs>, fskit::Fd) {
     let env = SimEnv::new_virtual(CostModel::default());
-    let dev = NvmmDevice::new_tracked(env.clone(), 8 << 20);
+    let dev = NvmmDevice::new(env.clone(), 8 << 20);
     let fs = Pmfs::mkfs(
         dev.clone(),
         PmfsOptions {
@@ -348,10 +348,10 @@ fn load_repro(name: &str) -> Repro {
     Repro::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// A fresh harness-sized PMFS or HiNFS on a tracked device, with the
+/// A fresh harness-sized PMFS or HiNFS on an 8 MiB device, with the
 /// PMFS underneath.
 fn small_mount(kind: FsKind) -> (Arc<NvmmDevice>, Arc<dyn FileSystem>, Arc<Pmfs>) {
-    let dev = NvmmDevice::new_tracked(SimEnv::new_virtual(CostModel::default()), 8 << 20);
+    let dev = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 8 << 20);
     let popts = PmfsOptions {
         journal_blocks: 64,
         inode_count: 128,
@@ -616,7 +616,7 @@ fn a_stalled_writer_evicts_from_a_foreign_shard_under_every_crash() {
     let r = load_repro("foreign_shard_stall");
     let tiny = 8 * nvmm::BLOCK_SIZE;
     // A drill that never takes the path is no drill.
-    let dev = NvmmDevice::new_tracked(SimEnv::new_virtual(CostModel::default()), 8 << 20);
+    let dev = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 8 << 20);
     let popts = PmfsOptions {
         journal_blocks: 64,
         inode_count: 128,

@@ -25,7 +25,6 @@ const PAYLOAD: usize = 256 << 10;
 
 fn cfg() -> SystemConfig {
     SystemConfig {
-        tracked: true,
         device_bytes: 64 << 20,
         buffer_bytes: 2 << 20,
         cache_pages: 512,
