@@ -121,8 +121,8 @@ pub fn parse_block(buf: &[u8]) -> Result<Vec<(usize, RawEntry)>> {
         if off + HDR > block_size {
             return Err(FsError::Corrupted("dirent header past block end"));
         }
-        let ino = u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-        let rec_len = u16::from_le_bytes(buf[off + 8..off + 10].try_into().unwrap()) as usize;
+        let ino = u64::from_le_bytes(std::array::from_fn(|i| buf[off + i]));
+        let rec_len = u16::from_le_bytes([buf[off + 8], buf[off + 9]]) as usize;
         let name_len = buf[off + 10] as usize;
         let ftype = buf[off + 11];
         if rec_len < HDR || !rec_len.is_multiple_of(4) || off + rec_len > block_size {

@@ -16,10 +16,11 @@ pub const MAX_NAME: usize = 255;
 ///
 /// ```
 /// use fskit::path::components;
-/// assert_eq!(components("/a/b/c").unwrap(), vec!["a", "b", "c"]);
-/// assert_eq!(components("/a//b/./c/..").unwrap(), vec!["a", "b"]);
-/// assert_eq!(components("/").unwrap(), Vec::<&str>::new());
+/// assert_eq!(components("/a/b/c")?, vec!["a", "b", "c"]);
+/// assert_eq!(components("/a//b/./c/..")?, vec!["a", "b"]);
+/// assert_eq!(components("/")?, Vec::<&str>::new());
 /// assert!(components("relative").is_err());
+/// # Ok::<(), fskit::FsError>(())
 /// ```
 pub fn components(path: &str) -> Result<Vec<&str>> {
     if !path.starts_with('/') {

@@ -289,6 +289,10 @@ pub struct FileBuf {
     pub last_sync_ns: u64,
     /// While a direct mapping is live every write is eager (paper §4.2).
     pub mmap_pinned: bool,
+    /// Buffered blocks with dirty lines over a hole: the *carriers* whose
+    /// flush persists the file's in-DRAM core (see `tracker`). Counted
+    /// where a slot turns dirty and where it is retired.
+    pub dirty_holes: usize,
 }
 
 impl FileBuf {
@@ -336,6 +340,24 @@ impl Shared {
     /// Looks up the pool slot buffering `(ino, iblk)`.
     pub fn slot_of(&self, ino: u64, iblk: u64) -> Option<u32> {
         self.files.get(&ino)?.index.get(&iblk).copied()
+    }
+
+    /// The carriers of `ino` buffered now ([`FileBuf::dirty_holes`]).
+    pub fn carriers(&self, ino: u64) -> usize {
+        self.files.get(&ino).map_or(0, |f| f.dirty_holes)
+    }
+
+    /// The buffered blocks of `ino` with dirty lines that start below
+    /// `size`: what must reach NVMM before a core of that size commits.
+    pub fn dirty_below(&self, ino: u64, size: u64) -> Vec<u64> {
+        let end = size.div_ceil(BLOCK_SIZE as u64);
+        self.files.get(&ino).map_or_else(Vec::new, |f| {
+            f.index
+                .range(..end)
+                .filter(|&(_, &slot)| self.pool.meta(slot).dirty != 0)
+                .map(|(&iblk, _)| iblk)
+                .collect()
+        })
     }
 }
 

@@ -200,9 +200,10 @@ impl Hinfs {
 
     /// The shared write path: a gather list of slices lands as one
     /// contiguous run at `off_req` (or EOF in append mode). One syscall
-    /// charge, one inode write lock, one metadata journal transaction and
-    /// one watermark check cover the whole vector — `write`/`append` pass
-    /// a single slice, `write_vectored` passes the caller's iovec.
+    /// charge, one inode write lock, at most one metadata journal
+    /// transaction and one watermark check cover the whole vector —
+    /// `write`/`append` pass a single slice, `write_vectored` passes the
+    /// caller's iovec.
     fn write_impl(&self, fd: Fd, off_req: u64, iovs: &[&[u8]], append: bool) -> Result<u64> {
         self.env.charge_syscall();
         let of = self.inner.open_file(fd)?;
@@ -228,6 +229,7 @@ impl Hinfs {
         obsv::note_bytes(obsv::Layer::Logical, total);
         let now = self.env.now();
         let case1 = of.flags.contains(OpenFlags::SYNC);
+        let mut all_lazy = !case1;
         let old_size = state.size;
         let old_blocks = state.blocks;
 
@@ -281,6 +283,7 @@ impl Hinfs {
                 } else {
                     // Eager-persistent: the block's data must be on NVMM
                     // when the write completes.
+                    all_lazy = false;
                     let mut absorbed = false;
                     {
                         let mut sh = self.shard(ino).lock();
@@ -335,9 +338,13 @@ impl Hinfs {
             state.size = end;
         }
         state.mtime = now;
-        // Metadata durability (ordered mode): a transaction journals the
-        // inode core now; its commit record waits for the buffered data.
-        if state.size != old_size || state.blocks != old_blocks {
+        // Metadata durability (ordered mode, see `tracker`): a write whose
+        // chunks all went lazy leaves its inode update to the file's
+        // carriers, whose flush persists the core. Any other change
+        // journals the core now; its commit record waits for the data.
+        let grew = state.size != old_size || state.blocks != old_blocks;
+        let carried = grew && all_lazy && self.shard(ino).lock().carriers(ino) > 0;
+        if grew && !carried {
             let tx = self.begin_tx(ino, state)?;
             let logged = match self.inner.log_write_inode(&tx, ino, state) {
                 Ok(logged) => logged,
@@ -356,6 +363,11 @@ impl Hinfs {
                 sh.slot_of(ino, iblk)
                     .is_some_and(|s| sh.pool().meta(s).dirty != 0)
             });
+            // An eager write may land while earlier lazy writes' sizes
+            // still ride a carrier: the core it persists covers theirs.
+            if sh.carriers(ino) > 0 {
+                pending.extend(sh.dirty_below(ino, state.size));
+            }
             let tstamp = self.obs.stamp(now);
             let file = sh.file_mut(ino);
             tracker::enqueue(file, tx, logged, pending, tstamp, &self.stats);
@@ -412,6 +424,10 @@ impl Hinfs {
             }
             if was_clean && mask != 0 {
                 sh.dirty_blocks += 1;
+                let m = *sh.pool().meta(slot);
+                if m.nvmm_block == 0 {
+                    sh.file_mut(m.ino).dirty_holes += 1;
+                }
                 // The clean→dirty transition is the ack the durability
                 // lag is measured from.
                 sh.pool_mut().meta_mut(slot).stamp = self.obs.stamp(now);

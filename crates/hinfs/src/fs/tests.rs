@@ -103,11 +103,22 @@ fn ordered_mode_crash_without_fsync_reverts_metadata() {
     let (dev, fs) = fresh();
     let fd = fs.open("/f", rw_create()).unwrap();
     fs.write(fd, 0, &[1u8; 4096]).unwrap();
-    fs.fsync(fd).unwrap();
-    // Extend lazily, no fsync: the size-extension transaction stays open.
+    let gd = fs.open("/g", rw_create()).unwrap();
+    fs.write(gd, 0, &[3u8; 100]).unwrap();
+    // Both durable, and (no BBM evaluation) both blocks still lazy.
+    fs.sync().unwrap();
+    let j = fs.pmfs().journal();
+    let begins = j.stats().snapshot().begins;
+    // Extend /f lazily into holes, no fsync: its size rides on the new
+    // blocks' flush, so nothing of the extension reaches NVMM.
     fs.write(fd, 4096, &[2u8; 8192]).unwrap();
+    assert_eq!(j.stats().snapshot().begins, begins, "a carried size");
+    // Extend /g inside its mapped block: journaled now, its commit
+    // deferred until the block is flushed.
+    fs.write(gd, 100, &[4u8; 1000]).unwrap();
+    assert_eq!(j.open_txs(), 1, "the extension's deferred commit");
     dev.crash();
-    drop((fd, fs));
+    drop((fd, gd, fs));
     let fs2 = Pmfs::mount(dev).unwrap();
     assert!(fs2.recovery_stats().txs_undone >= 1, "open tx rolled back");
     let st = fs2.stat("/f").unwrap();
@@ -117,6 +128,16 @@ fn ordered_mode_crash_without_fsync_reverts_metadata() {
     fs2.read(fd, 0, &mut buf).unwrap();
     assert_eq!(buf, [1u8; 4096], "synced data intact");
     fs2.close(fd).unwrap();
+    assert_eq!(
+        fs2.stat("/g").unwrap().size,
+        100,
+        "rolled back to the synced size"
+    );
+    let gd = fs2.open("/g", OpenFlags::READ).unwrap();
+    let mut buf = [0u8; 100];
+    fs2.read(gd, 0, &mut buf).unwrap();
+    assert_eq!(buf, [3u8; 100], "synced data intact");
+    fs2.close(gd).unwrap();
 }
 
 #[test]
@@ -857,11 +878,17 @@ fn sync_passes_a_file_the_full_ring_refuses_and_maps_it_once_the_ring_drained() 
     // (older, lower ino) before the appender whose open transaction pins
     // the ring.
     let (dev, fs) = fresh_cfg(small_cfg().with_shards(1));
-    let sparse = sparse_file_with_a_dirty_hole_block(&fs, "/sparse", 0xCD);
+    let sparse = fs.open("/sparse", rw_create()).unwrap();
+    fs.close(sparse).unwrap();
+    // The pinner's block 0 is mapped and still lazy (sync evaluates no
+    // BBM), so an extension inside it journals at write time.
     let pinner = fs.open("/pinner", rw_create()).unwrap();
-    fs.append(pinner, &vec![0xEE; BLOCK_SIZE]).unwrap();
+    fs.write(pinner, 0, &[0xEE; 100]).unwrap();
+    fs.sync().unwrap();
+    let sparse = sparse_file_with_a_dirty_hole_block(&fs, "/sparse", 0xCD);
+    fs.write(pinner, 100, &[0xEE; 1000]).unwrap();
     let j = fs.pmfs().journal();
-    assert_eq!(j.open_txs(), 1, "the append's deferred commit");
+    assert_eq!(j.open_txs(), 1, "the extension's deferred commit");
     // Fill the ring to the last entry with a committed filler transaction
     // (committing resolves it but returns no space: the pinner's open
     // transaction keeps the generation alive).
@@ -878,8 +905,8 @@ fn sync_passes_a_file_the_full_ring_refuses_and_maps_it_once_the_ring_drained() 
     assert_eq!(fs.fsync(sparse), Err(FsError::JournalFull));
     assert_eq!(fs.dirty_blocks(), 2);
     // sync: the sparse file is refused and passed by; the pinner's block
-    // rides on its own open transaction, whose commit empties the ring;
-    // the retry then maps the sparse file's block.
+    // is mapped, and its flush commits the pinner's open transaction,
+    // which empties the ring; the retry then maps the sparse file's block.
     fs.sync().unwrap();
     assert_eq!(fs.dirty_blocks(), 0);
     assert_eq!(j.open_txs(), 0);
@@ -944,17 +971,57 @@ fn within_block(off: u64, pblk: u64) -> bool {
 }
 
 #[test]
-fn fsync_maps_a_fresh_batch_under_the_writes_own_transaction() {
-    let (dev, fs) = fresh_cfg(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
+fn a_lazy_append_into_fresh_blocks_persists_nothing_and_opens_no_transaction() {
+    let (dev, fs) = fresh();
     let fd = fs.open("/f", rw_create()).unwrap();
     let j = fs.pmfs().journal();
     let begins = j.stats().snapshot().begins;
-    fs.append(fd, &vec![7u8; 5 * BLOCK_SIZE]).unwrap();
+    let data: Vec<u8> = (0..3 * BLOCK_SIZE + 100)
+        .map(|i| (i % 251) as u8 + 1)
+        .collect();
+    let sched = schedule_of(&dev, || {
+        fs.append(fd, &data).unwrap();
+    });
+    let persists = sched
+        .iter()
+        .filter(|b| b.kind == nvmm::BoundaryKind::Persist)
+        .count();
+    assert_eq!(persists, 0, "the size rides on the hole blocks");
+    assert_eq!(j.stats().snapshot().begins, begins);
+    assert_eq!(j.open_txs(), 0);
+    assert_eq!(fs.fstat(fd).unwrap().size, data.len() as u64);
+    // The fsync's flush of those blocks persists the size with them.
+    fs.fsync(fd).unwrap();
+    dev.crash();
+    drop((fd, fs));
+    let fs2 = Pmfs::mount(dev).unwrap();
+    assert_eq!(fs2.stat("/f").unwrap().size, data.len() as u64);
+    let fd = fs2.open("/f", OpenFlags::READ).unwrap();
+    let mut buf = vec![0u8; data.len()];
+    assert_eq!(fs2.read(fd, 0, &mut buf).unwrap(), data.len());
+    assert_eq!(buf, data);
+    fs2.close(fd).unwrap();
+}
+
+#[test]
+fn fsync_maps_a_fresh_batch_under_the_writes_own_transaction() {
+    let (dev, fs) = fresh_cfg(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
+    let fd = fs.open("/f", rw_create()).unwrap();
+    // Block 0 mapped and still lazy (sync evaluates no BBM): an extension
+    // inside it journals at write time.
+    fs.write(fd, 0, &[7u8; 100]).unwrap();
+    fs.sync().unwrap();
+    let j = fs.pmfs().journal();
+    let begins = j.stats().snapshot().begins;
+    fs.write(fd, 100, &[7u8; 100]).unwrap();
     assert_eq!(j.stats().snapshot().begins, begins + 1);
-    assert_eq!(j.open_txs(), 1, "the append's deferred commit");
+    assert_eq!(j.open_txs(), 1, "the extension's deferred commit");
+    // Into four hole blocks: the size rides on them, no transaction.
+    fs.append(fd, &vec![7u8; 4 * BLOCK_SIZE]).unwrap();
+    assert_eq!(j.stats().snapshot().begins, begins + 1);
     let sched = schedule_of(&dev, || fs.fsync(fd).unwrap());
     let after = j.stats().snapshot();
-    assert_eq!(after.begins, begins + 1, "the flush rode the append's own");
+    assert_eq!(after.begins, begins + 1, "the flush rode the write's own");
     assert_eq!(j.open_txs(), 0);
     let (ino, mem) = inode_of(&fs, fd);
     assert_eq!((mem.blocks, mem.tree_height), (5, 1));

@@ -9,20 +9,23 @@
 //!
 //! [`Introspect::audit`] checks the structural invariants that tie the
 //! DRAM Block Index, the Cacheline Bitmaps and the LRW list together (see
-//! [`obsv::AUDIT_INVARIANTS`] codes 0–9), then folds in the PMFS journal's
-//! own audit. Both calls take only the subsystem's regular locks and never
-//! mutate state, so running them cannot change any workload result.
+//! [`obsv::AUDIT_INVARIANTS`] codes 0–9) and that every inode update a
+//! lazy write left unpersisted has a carrier (codes 17–18), then folds in
+//! the PMFS journal's own audit. Both calls take only the subsystem's
+//! regular locks and never mutate state, so running them cannot change
+//! any workload result.
 //!
-//! The cross-layer accounting checks (codes 8 and 9, and the mount-wide
-//! half of code 2: Σ linked + budget free == capacity) compare counters
-//! that quiesce between operations, and the folded-in PMFS audit walks
+//! The cross-layer checks (codes 8, 9 and 17, and the mount-wide half of
+//! code 2: Σ linked + budget free == capacity) compare state that
+//! quiesces between operations, and the folded-in PMFS audit walks
 //! namespace and block trees. Both are only exact when no mutator is
 //! mid-operation, so the *in-band* auditor (fsync/writeback hooks) skips
 //! them in spin mode, where other real threads run concurrently: there a
 //! journal transaction legitimately exists for a moment before its file
 //! FIFO entry does. The shard-local checks (codes 0–7) run under each
-//! shard's lock and hold at every lock release, so they stay on in every
-//! mode. A quiescent [`Introspect::audit`] call (end of run, unmount,
+//! shard's lock and hold at every lock release (code 18 too), so they
+//! stay on in every mode. A quiescent [`Introspect::audit`] call (end of
+//! run, unmount,
 //! post-recovery) always runs the full set.
 
 use obsv::{dirty_line_bucket, lrw_age_bucket, AuditReport, BufferSnap, FsSnapshot, Introspect};
@@ -113,10 +116,10 @@ impl Introspect for Hinfs {
 
 impl Hinfs {
     /// The audit body. `quiescent: false` restricts the pass to the
-    /// shard-local invariants (codes 0–7), which hold at every shard-lock
-    /// release even while other threads mutate; `true` adds the
-    /// cross-layer sums (codes 8–9) and the PMFS walk, which are only
-    /// exact with no operation in flight.
+    /// shard-local invariants (codes 0–7 and 18), which hold at every
+    /// shard-lock release even while other threads mutate; `true` adds
+    /// the cross-layer checks (codes 8, 9 and 17) and the PMFS walk, which
+    /// are only exact with no operation in flight.
     fn audit_inner(&self, quiescent: bool) -> AuditReport {
         let mut rep = AuditReport::new(self.env.now());
         let mut open_sum = 0u64;
@@ -126,6 +129,7 @@ impl Hinfs {
         rep.check_lt(6, 0, 0, self.cfg.low_blocks() as u64, high);
         rep.check_le(6, 0, 0, high, cap);
         let (free, mut linked_sum) = (self.free_buffer_blocks() as u64, 0u64);
+        let mut buffered: Vec<u64> = Vec::new();
         // Per-shard structural checks: each shard is its own arena + index
         // + LRW universe, so codes 0–7 hold shard-locally.
         for shard in &self.shards {
@@ -175,11 +179,16 @@ impl Hinfs {
                 open_sum += f.txs.len() as u64;
                 // index.slot_owner: each index entry points at a slot bound
                 // to exactly this (ino, iblk).
+                let mut holes = 0u64;
                 for (&iblk, &slot) in &f.index {
                     let m = pool.meta(slot);
                     rep.check_eq(0, ino, iblk, m.ino, ino);
                     rep.check_eq(0, ino, iblk, m.iblk, iblk);
+                    holes += (m.dirty != 0 && m.nvmm_block == 0) as u64;
                 }
+                // buffer.hole_count: the incremental carrier count matches
+                // a recount.
+                rep.check_eq(18, ino, 0, f.dirty_holes as u64, holes);
                 // tx.pending_buffered: a block gating a deferred commit
                 // must still be buffered dirty, else the commit could never
                 // drain.
@@ -196,6 +205,7 @@ impl Hinfs {
             // index.coverage: with slot owners verified, equal counts make
             // the index-entry <-> occupied-slot relation a bijection.
             rep.check_eq(1, 0, 0, index_entries, pool.lrw.len() as u64);
+            buffered.extend(inos);
         }
         if quiescent {
             // lrw.accounting, mount-wide: every block of the budget is
@@ -225,6 +235,28 @@ impl Hinfs {
             if self.obs.full() {
                 let bound = self.cfg.dirty_age_ns + 2 * self.cfg.periodic_wb_ns;
                 rep.check_le(14, 0, 0, self.obs.lineage().max_lag_ns(), bound);
+            }
+            // inode.carrier: a file whose in-DRAM size or block count is
+            // not its on-NVMM core's holds a dirty block over a hole, whose
+            // flush persists the core. Cross-layer: PMFS's `resize` drops
+            // the inode lock before it journals the cut core. A file whose
+            // inode is locked (the in-band auditor runs under one) is
+            // skipped.
+            for ino in buffered {
+                let Ok(h) = self.inner.inode(ino) else {
+                    continue;
+                };
+                let Some(mem) = h.state.try_read() else {
+                    continue;
+                };
+                let mut core = [0u8; pmfs::inode::INODE_CORE];
+                self.dev()
+                    .peek(self.inner.layout().inode_off(ino), &mut core);
+                let on_nvmm = pmfs::inode::InodeMem::decode(&core).ok().flatten();
+                if on_nvmm.map(|c| (c.size, c.blocks)) != Some((mem.size, mem.blocks)) {
+                    let holes = self.shards[self.shard_idx(ino)].lock().carriers(ino);
+                    rep.check_lt(17, ino, 0, 0, holes as u64);
+                }
             }
             rep.merge(Introspect::audit(self.inner.as_ref()));
         }
@@ -290,8 +322,24 @@ mod tests {
         assert_eq!(b.low_blocks, fs.config().low_blocks() as u64);
         assert_eq!(b.high_blocks, fs.config().high_blocks() as u64);
         assert_eq!(b.files_tracked, 1);
-        assert!(b.open_txs >= 1, "the size-changing write deferred a commit");
+        assert_eq!(
+            b.open_txs, 0,
+            "the lazy writes' sizes ride their hole blocks"
+        );
         let j = snap.journal.as_ref().unwrap();
+        assert_eq!(j.open_txs, b.open_txs, "journal and tracker agree");
+        assert_eq!(
+            j.capacity_entries,
+            j.fill_entries + j.reserved_entries + j.free_entries
+        );
+        // Mapped, an extension inside the last block journals at once and
+        // defers its commit.
+        fs.sync().unwrap();
+        fs.write(fd, 5 * BLOCK_SIZE as u64 + 102, &[1; 10]).unwrap();
+        let mid = fs.snapshot();
+        let b = mid.buffer.as_ref().unwrap();
+        assert_eq!(b.open_txs, 1, "the size-changing write deferred a commit");
+        let j = mid.journal.as_ref().unwrap();
         assert_eq!(j.open_txs, b.open_txs, "journal and tracker agree");
         assert_eq!(
             j.capacity_entries,
@@ -385,6 +433,37 @@ mod tests {
         // index.coverage: an entry goes while its slot stays linked.
         fs.shard(ino).lock().file_mut(ino).index.remove(&6);
         assert!(found(&fs).iter().any(|&(code, _, _)| code == 1));
+    }
+
+    #[test]
+    fn an_inode_update_with_no_carrier_is_caught_as_violation() {
+        let fs = fresh(small_cfg());
+        let fd = populate(&fs);
+        let ino = fs.stat("/f").unwrap().ino;
+        let found = |fs: &Hinfs| -> Vec<(u64, u64)> {
+            let rep = fs.audit();
+            rep.violations.iter().map(|v| (v.code, v.ino)).collect()
+        };
+        assert!(fs.audit().is_clean(), "the sizes ride on the hole blocks");
+        // buffer.hole_count: the count loses the carriers, so the
+        // populated size, which nothing persisted, has none either.
+        let holes = std::mem::take(&mut fs.shard(ino).lock().file_mut(ino).dirty_holes);
+        assert!(holes > 0);
+        let v = found(&fs);
+        assert!(v.contains(&(18, ino)), "{v:?}");
+        assert!(v.contains(&(17, ino)), "{v:?}");
+        fs.shard(ino).lock().file_mut(ino).dirty_holes = holes;
+        assert!(fs.audit().is_clean());
+        // inode.carrier: everything mapped, then the in-DRAM size moves
+        // with no carrier and no journaled core.
+        fs.sync().unwrap();
+        assert!(fs.audit().is_clean());
+        let of = fs.pmfs().open_file(fd).unwrap();
+        of.handle.state.write().size += 1;
+        assert_eq!(found(&fs), vec![(17, ino)]);
+        of.handle.state.write().size -= 1;
+        assert!(fs.audit().is_clean());
+        fs.close(fd).unwrap();
     }
 
     #[test]

@@ -1,12 +1,25 @@
 //! Ordered-mode transaction tracking (paper §4.1).
 //!
-//! A lazy-persistent write journals and applies its metadata immediately
-//! but must not write the commit record "until the related DRAM data
-//! blocks are persisted to NVMM". Each file keeps its open transactions in
-//! a FIFO ([`FileBuf::txs`]); a transaction commits only when
+//! In the paper a lazy-persistent write journals and applies its metadata
+//! immediately but must not write the commit record "until the related
+//! DRAM data blocks are persisted to NVMM". Here a write whose chunks all
+//! went lazy (no `O_SYNC`, no eager chunk, no mmap pin) journals nothing
+//! when, once its data is applied, the file holds a *carrier*: a dirty
+//! buffered block over a hole ([`FileBuf::dirty_holes`] counts them).
+//! Allocate-on-flush maps a carrier under a journaled inode-core update,
+//! so its flush persists the in-DRAM core, size included, under a
+//! transaction of its own or riding the file's oldest
+//! (`Hinfs::map_fresh_blocks`); that transaction then also waits for every
+//! other block of the file still dirty below the size it persisted. Any
+//! other size or block-count change journals the core at write time, and
+//! when the file holds carriers its transaction waits for the same set.
+//! So a committed size never covers bytes that have not reached NVMM.
 //!
-//! 1. every data block it covers has been flushed (its `pending` set is
-//!    empty), **and**
+//! Each file keeps its open transactions in a FIFO ([`FileBuf::txs`]); a
+//! transaction commits only when
+//!
+//! 1. every data block it waits for has been flushed (its `pending` set
+//!    is empty), **and**
 //! 2. it is the oldest open transaction of the file.
 //!
 //! Rule 2 is essential for undo-log correctness: transactions of one file

@@ -22,6 +22,7 @@
 //! the foreground, in spin mode on the shard's own real thread (see
 //! [`WbCtl`]).
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -203,7 +204,10 @@ impl Hinfs {
     ///    reader could reach, the dirty lines themselves — and **fence**;
     /// 4. **link** each run of consecutive file blocks with one
     ///    `insert_run`; what the tree has no node for is freed again;
-    /// 5. persist the **core** once, under the reserved transaction.
+    /// 5. persist the in-DRAM **core** once, under the reserved
+    ///    transaction, which then also waits for every other block of the
+    ///    file still dirty below its size: the size may be lazy writes'
+    ///    that left their update to a carrier (see `tracker`).
     ///
     /// The blocks that made it are retired and added to `flushed`; the
     /// refusal that kept the rest dirty, if any, is returned.
@@ -277,26 +281,29 @@ impl Hinfs {
             alloc.free(p);
         }
         st.blocks += linked as u64;
+        // The batch's own blocks among them clear when the caller notes
+        // the flush.
+        let waits: HashSet<u64> = sh.dirty_below(ino, st.size).into_iter().collect();
         let file = sh.file_mut(ino);
         match own {
             Some((tx, logged)) => {
                 self.inner.rewrite_logged_inode(&tx, logged, st);
-                // Through the ordered FIFO (it is empty), pending on the
-                // batch until the caller retires it.
+                // Through the ordered FIFO (it is empty).
                 tracker::enqueue(
                     file,
                     tx,
                     logged,
-                    fresh[..linked].iter().map(|&(iblk, _)| iblk).collect(),
+                    waits,
                     self.obs.stamp(self.env.now()),
                     &self.stats,
                 );
             }
             None => {
-                let oldest = &file.txs[0];
+                let oldest = &mut file.txs[0];
                 debug_assert_eq!(oldest.logged.ino(), ino);
                 self.inner
                     .rewrite_logged_inode(&oldest.tx, oldest.logged, st);
+                oldest.pending.extend(waits);
             }
         }
         for (&(iblk, slot), &p) in fresh.iter().zip(&blocks).take(linked) {
@@ -321,6 +328,9 @@ impl Hinfs {
             m.nvmm_block = pblk;
         }
         sh.dirty_blocks -= 1;
+        if meta.nvmm_block == 0 {
+            sh.file_mut(meta.ino).dirty_holes -= 1;
+        }
         if self.obs.full() {
             let drained = lines * CACHELINE as u64;
             let now = self.env.now();

@@ -349,6 +349,8 @@ pub const AUDIT_INVARIANTS: &[&str] = &[
     "lineage.sync_decay_bound",  // 14: max durability lag <= the mount's sync-decay bound
     "namei.index",               // 15: directory name index == on-media entries
     "alloc.zeroed_pool",         // 16: parked blocks are used once, parked once, all-zero
+    "inode.carrier",             // 17: an unpersisted inode update has a dirty hole block
+    "buffer.hole_count",         // 18: per-file dirty-hole count == count of such slots
 ];
 
 /// Label of an invariant code (`"unknown"` for out-of-range codes).

@@ -1,17 +1,19 @@
 //! Allocate-on-flush under a full journal ring must not lose data.
 //!
-//! Replays the case documented in `benchmark/README.md` ("Known defect"):
-//! the `fileserver-fit` traffic of the repo benchmark (384 files × 64 KiB,
-//! 16 KiB appends, buffer 2 × dataset, two clients, 800 ms of virtual time
-//! at seed `0xBEEF`) on a journal small enough that the undo ring fills
-//! during the run — 2048 blocks (the default) and 1024. A flush that has
-//! to allocate the NVMM block used to map it in the in-memory inode only
-//! when the ring had no room for the inode-core transaction, and a
-//! **clean** `sync()` + `unmount()` + `mount()` then returned files of the
-//! right size and all zeroes: 3 of 384 files at 2048 blocks and 214 at 1024
+//! Runs the `fileserver-fit` traffic of the repo benchmark (384 files ×
+//! 64 KiB, 16 KiB appends, buffer 2 × dataset, two clients, 800 ms of
+//! virtual time at seed `0xBEEF`) on a journal small enough that the undo
+//! ring fills during the run — 2048 blocks (the default) and 1024; the
+//! test asserts the ring's generation moved. A flush that had to allocate
+//! the NVMM block once mapped it in the in-memory inode only when the
+//! ring had no room for the inode-core transaction, and a **clean**
+//! `sync()` + `unmount()` + `mount()` then returned files of the right
+//! size and all zeroes: 3 of 384 files at 2048 blocks and 214 at 1024
 //! with the benchmark's 1 MiB transfer size; 1 and 241 with the 128 KiB
 //! used here, which still writes every file in one call and spares an
-//! unoptimised test build most of the generator's buffer refills.
+//! unoptimised test build most of the generator's buffer refills. Such a
+//! flush now leaves the block dirty and reports the refusal (DESIGN
+//! § *Design decisions*, allocate-on-flush); this test keeps it so.
 //!
 //! The contract: a block is mapped only under a journaled inode-core
 //! update, so what the live mount serves after `sync()` is exactly what a
