@@ -9,7 +9,8 @@
 //!    perturb sizes/offsets/fills, toggle fsync placement, remap file
 //!    slots so inodes collide on one shard, optionally vary the thread
 //!    count);
-//! 2. **differentially checks** the mutant on every [`FsKind`] against
+//! 2. **differentially checks** the mutant on every kind of
+//!    [`CRASH_KINDS`] against
 //!    the shared [`RefModel`]: per-op outcome classes must agree, and the
 //!    final files/directories must match byte-for-byte;
 //! 3. **scores coverage** from what the repo already observes — trace-ring
@@ -34,14 +35,16 @@
 use std::collections::BTreeSet;
 
 use fskit::FsError;
-use nvmm::{CostModel, FaultPlan, SimEnv};
+use nvmm::{FaultPlan, TimeMode};
 use obsv::{CoverageMap, Level};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use workloads::setups::{self, System, SystemConfig, SystemKind};
 
-use crate::harness::{exec_op, pick_points, Built, Harness};
+use crate::harness::{auditor, exec_op, pick_points, Harness};
 use crate::model::{ModelBug, RefModel};
-use crate::script::{FsKind, Op, Script, MAX_DIRS, MAX_FILES, MAX_IO};
+use crate::script::{Op, Script, MAX_DIRS, MAX_FILES, MAX_IO};
+use crate::CRASH_KINDS;
 
 /// Knobs of one fuzzing campaign. A fixed config is a fixed run: every
 /// field feeds the same seeded RNG and virtual clock.
@@ -99,10 +102,13 @@ struct FuzzCase {
 #[derive(Debug)]
 enum Found {
     /// The file system and the reference model disagreed.
-    Differential { kind: FsKind, messages: Vec<String> },
+    Differential {
+        kind: SystemKind,
+        messages: Vec<String>,
+    },
     /// The durability oracle rejected a recovery.
     Crash {
-        kind: FsKind,
+        kind: SystemKind,
         boundary: u64,
         torn: bool,
         threads: u8,
@@ -116,7 +122,7 @@ pub struct Repro {
     /// Stable slug (also the suggested file stem).
     pub name: String,
     /// The kind that exhibited the violation; `None` replays all kinds.
-    pub kind: Option<FsKind>,
+    pub kind: Option<SystemKind>,
     /// Thread count the violation was discovered under. Replay is always
     /// single-threaded: for `threads > 1` the `boundaries` below were
     /// recorded under real threads and replayed at those indices.
@@ -132,7 +138,7 @@ pub struct Repro {
 impl Repro {
     /// A single-threaded differential reproducer of `ops` on `kind`, named
     /// by its content.
-    fn diff(kind: FsKind, ops: Vec<Op>, note: String) -> Repro {
+    fn diff(kind: SystemKind, ops: Vec<Op>, note: String) -> Repro {
         let script = Script { ops };
         Repro {
             name: format!("diff_{}_{:012x}", kind.label(), repro_hash(&script, &[])),
@@ -194,10 +200,12 @@ impl Repro {
                 "kind" => {
                     kind = match val {
                         "all" => None,
-                        "hinfs" => Some(FsKind::Hinfs),
-                        "pmfs" => Some(FsKind::Pmfs),
-                        "ext4" => Some(FsKind::Ext4),
-                        _ => return Err(format!("line {}: unknown kind {val:?}", lno + 1)),
+                        _ => Some(
+                            SystemKind::ALL
+                                .into_iter()
+                                .find(|k| k.label() == val)
+                                .ok_or_else(|| format!("line {}: unknown kind {val:?}", lno + 1))?,
+                        ),
                     }
                 }
                 "threads" => {
@@ -237,9 +245,9 @@ impl Repro {
     /// kind(s), then a crash-recover-check at every recorded boundary.
     /// Returns every violation; empty means the regression stays fixed.
     pub fn replay(&self, h: &Harness) -> Vec<String> {
-        let kinds: Vec<FsKind> = match self.kind {
+        let kinds: Vec<SystemKind> = match self.kind {
             Some(k) => vec![k],
-            None => FsKind::ALL.to_vec(),
+            None => CRASH_KINDS.to_vec(),
         };
         let mut vs = Vec::new();
         for &kind in &kinds {
@@ -374,7 +382,7 @@ impl Fuzzer {
         }
         let mut cov = CoverageMap::new();
         let mut founds = Vec::new();
-        for kind in FsKind::ALL {
+        for kind in CRASH_KINDS {
             let messages = self.diff_leg(kind, &case.script, &mut cov);
             if !messages.is_empty() {
                 founds.push(Found::Differential { kind, messages });
@@ -383,7 +391,7 @@ impl Fuzzer {
         let mut new = self.coverage.merge(&cov);
         if new > 0 || force_crash || !founds.is_empty() {
             let mut ccov = CoverageMap::new();
-            for kind in FsKind::ALL {
+            for kind in CRASH_KINDS {
                 self.crash_leg(kind, &case.script, 1, &mut ccov, &mut founds);
             }
             new += self.coverage.merge(&ccov);
@@ -394,23 +402,32 @@ impl Fuzzer {
     /// One differential leg: [`lockstep`] on a fresh `kind` image with
     /// tracing and contention counting on, folding each op's outcome and
     /// then the trace, state, audit and contention coverage into `cov`.
-    fn diff_leg(&mut self, kind: FsKind, script: &Script, cov: &mut CoverageMap) -> Vec<String> {
+    fn diff_leg(
+        &mut self,
+        kind: SystemKind,
+        script: &Script,
+        cov: &mut CoverageMap,
+    ) -> Vec<String> {
         self.diff_legs += 1;
         let ctx = kind_ctx(kind);
-        let b = match self.h.build(kind) {
+        let b = match self.h.mkfs(kind) {
             Ok(b) => b,
+            Err(v) => return vec![v],
+        };
+        let intro = match auditor(&b) {
+            Ok(intro) => intro,
             Err(v) => return vec![v],
         };
         b.obs.set_level(Level::Counts);
         b.env.contention().set_level(Level::Counts);
-        let mut vs = lockstep(&b, kind, &script.ops, self.cfg.bug, &mut |op, got| {
+        let mut vs = lockstep(&b, &script.ops, self.cfg.bug, &mut |op, got| {
             cov.add_op_outcome(ctx, op_index(op), outcome_class(got));
         });
         for rec in b.obs.trace.tail(4096) {
             cov.add_trace(ctx, &rec.ev);
         }
-        cov.add_state(ctx, &b.intro.snapshot());
-        let rep = b.intro.audit();
+        cov.add_state(ctx, &intro.snapshot());
+        let rep = intro.audit();
         for v in &rep.violations {
             vs.push(format!("{}: live audit: {v}", kind.label()));
         }
@@ -425,7 +442,7 @@ impl Fuzzer {
     /// the crash shapes back as coverage.
     fn crash_leg(
         &mut self,
-        kind: FsKind,
+        kind: SystemKind,
         script: &Script,
         threads: u8,
         cov: &mut CoverageMap,
@@ -461,19 +478,25 @@ impl Fuzzer {
     fn evaluate_threaded(&mut self, case: &FuzzCase) -> (usize, Vec<Found>) {
         let mut cov = CoverageMap::new();
         let mut founds = Vec::new();
-        let ctx = kind_ctx(FsKind::Hinfs);
+        let ctx = kind_ctx(SystemKind::Hinfs);
         let threads = case.threads as usize;
 
         let found = |message| Found::Crash {
-            kind: FsKind::Hinfs,
+            kind: SystemKind::Hinfs,
             boundary: 0,
             torn: false,
             threads: case.threads,
             messages: vec![message],
         };
-        let spin = SimEnv::new_spin(CostModel::default());
-        let b = match self.h.build_on(spin, FsKind::Hinfs) {
-            Ok(b) => b,
+        let spin = SystemConfig {
+            mode: TimeMode::Spin,
+            ..self.h.config().clone()
+        };
+        let built = setups::build(SystemKind::Hinfs, &spin)
+            .map_err(|e| format!("hinfs: spin-mode mkfs failed: {e:?}"))
+            .and_then(|b| Ok((auditor(&b)?, b)));
+        let (intro, b) = match built {
+            Ok(built) => built,
             Err(v) => return (0, vec![found(v)]),
         };
         let plan = FaultPlan::new();
@@ -501,7 +524,7 @@ impl Fuzzer {
         });
         let schedule = plan.stop_recording();
         b.dev.fault_hook().clear();
-        for v in &b.intro.audit().violations {
+        for v in &intro.audit().violations {
             founds.push(found(format!(
                 "post-run audit under {threads} threads: {v}"
             )));
@@ -520,13 +543,13 @@ impl Fuzzer {
             let quarts = self.cfg.crash_points.max(2);
             for q in 0..quarts {
                 let k = crash_points[(crash_points.len() - 1) * q / (quarts - 1).max(1)];
-                let out = self.h.crash_run(FsKind::Hinfs, &case.script, k, None);
+                let out = self.h.crash_run(SystemKind::Hinfs, &case.script, k, None);
                 self.crash_runs += 1;
                 self.oracle_checks += out.checks;
                 cov.add_crash_run(ctx, k, out.crashed_mid_op, out.torn, out.entries_undone);
                 if !out.violations.is_empty() {
                     founds.push(Found::Crash {
-                        kind: FsKind::Hinfs,
+                        kind: SystemKind::Hinfs,
                         boundary: k,
                         torn: false,
                         threads: case.threads,
@@ -806,12 +829,17 @@ fn remap_file(op: &mut Op, a: u8, to: u8) {
 /// model (with optional planted bug) — see [`lockstep`]. The shrinker's
 /// predicate and [`Repro::replay`]; the fuzzer's differential leg runs the
 /// same loop with coverage folds around it.
-pub fn differential(h: &Harness, kind: FsKind, ops: &[Op], bug: Option<ModelBug>) -> Vec<String> {
-    let b = match h.build(kind) {
+pub fn differential(
+    h: &Harness,
+    kind: SystemKind,
+    ops: &[Op],
+    bug: Option<ModelBug>,
+) -> Vec<String> {
+    let b = match h.mkfs(kind) {
         Ok(b) => b,
         Err(v) => return vec![v],
     };
-    let vs = lockstep(&b, kind, ops, bug, &mut |_, _| {});
+    let vs = lockstep(&b, ops, bug, &mut |_, _| {});
     let _ = b.fs.unmount();
     vs
 }
@@ -821,8 +849,7 @@ pub fn differential(h: &Harness, kind: FsKind, ops: &[Op], bug: Option<ModelBug>
 /// is capacity policy, not a semantic divergence, and the model applied
 /// the op the file system refused). `on_op` sees each op's outcome.
 fn lockstep(
-    b: &Built,
-    kind: FsKind,
+    b: &System,
     ops: &[Op],
     bug: Option<ModelBug>,
     on_op: &mut dyn FnMut(&Op, &Result<(), FsError>),
@@ -842,9 +869,9 @@ fn lockstep(
             (Err(ge), Ok(())) => format!("failed {ge:?} but the model succeeds"),
         };
         let op = op.to_text();
-        return vec![format!("{}: op {i} `{op}` {diverged}", kind.label())];
+        return vec![format!("{}: op {i} `{op}` {diverged}", b.kind.label())];
     }
-    model.diff(&*b.fs, kind.label())
+    model.diff(&*b.fs, b.kind.label())
 }
 
 /// The seeded known-bad script of the shrinker self-test: a fixed random
@@ -873,7 +900,7 @@ pub fn known_bad_script() -> Vec<Op> {
 /// `tests/fuzz_regress.rs`).
 pub fn shrink_differential(
     h: &Harness,
-    kind: FsKind,
+    kind: SystemKind,
     ops: &[Op],
     bug: Option<ModelBug>,
     budget: usize,
@@ -932,13 +959,11 @@ fn ddmin(mut cur: Vec<Op>, fails: &mut dyn FnMut(&[Op]) -> bool) -> Vec<Op> {
     cur
 }
 
-/// Coverage context byte of one kind (position in [`FsKind::ALL`]).
-fn kind_ctx(kind: FsKind) -> u8 {
-    match kind {
-        FsKind::Hinfs => 0,
-        FsKind::Pmfs => 1,
-        FsKind::Ext4 => 2,
-    }
+/// Coverage context byte of one kind: its position in [`CRASH_KINDS`]
+/// (one past the end for a kind the campaign does not run).
+fn kind_ctx(kind: SystemKind) -> u8 {
+    let pos = CRASH_KINDS.iter().position(|&k| k == kind);
+    pos.unwrap_or(CRASH_KINDS.len()) as u8
 }
 
 /// Stable index of one op class for op-outcome coverage.
@@ -1022,7 +1047,7 @@ mod tests {
     fn repro_text_round_trips() {
         let r = Repro {
             name: "crash_pmfs_0000deadbeef".into(),
-            kind: Some(FsKind::Pmfs),
+            kind: Some(SystemKind::Pmfs),
             threads: 4,
             boundaries: vec![3, 17],
             note: "recorded under 4 threads".into(),
@@ -1051,7 +1076,7 @@ mod tests {
     fn differential_is_clean_on_all_kinds_for_a_seed_script() {
         let h = Harness::new();
         let script = Script::random(0xD1FF, 14);
-        for kind in FsKind::ALL {
+        for kind in CRASH_KINDS {
             let vs = differential(&h, kind, &script.ops, None);
             assert!(vs.is_empty(), "{}: {vs:?}", kind.label());
         }
@@ -1071,17 +1096,17 @@ mod tests {
             },
         );
         assert!(
-            !differential(&h, FsKind::Pmfs, &ops, Some(bug)).is_empty(),
+            !differential(&h, SystemKind::Pmfs, &ops, Some(bug)).is_empty(),
             "the planted bug must be visible before shrinking"
         );
         let min = ddmin(ops, &mut |c| {
-            !differential(&h, FsKind::Pmfs, c, Some(bug)).is_empty()
+            !differential(&h, SystemKind::Pmfs, c, Some(bug)).is_empty()
         });
         // Fixed point: a create (so truncate does not NotFound on both
         // sides) plus the extending truncate.
         assert!(min.len() <= 2, "shrunk to {min:?}");
         let again = ddmin(min.clone(), &mut |c| {
-            !differential(&h, FsKind::Pmfs, c, Some(bug)).is_empty()
+            !differential(&h, SystemKind::Pmfs, c, Some(bug)).is_empty()
         });
         assert_eq!(again, min, "shrinking is a fixed point");
     }

@@ -1,6 +1,8 @@
 //! The crash-point enumeration harness.
 //!
-//! One [`Harness`] drives the full cycle for any [`FsKind`]:
+//! One [`Harness`] drives the full cycle for any [`SystemKind`], formatting
+//! and remounting every image through [`setups::build`] and
+//! [`setups::remount_with`] at one [`SystemConfig`]:
 //!
 //! 1. **Record** — replay a script on a fresh image with the device's
 //!    [`FaultPlan`] recording, producing the numbered *crash schedule* of
@@ -23,55 +25,18 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Once};
 
-use extfs::{ExtMode, ExtOptions, Extfs};
 use fskit::{FileSystem, FsError, OpenFlags};
-use hinfs::{Hinfs, HinfsConfig};
-use nvmm::{BoundaryRec, CostModel, CrashSignal, FaultPlan, InjectedFault, NvmmDevice, SimEnv};
-use obsv::{AuditReport, FsObs, Introspect, TraceEvent, TraceRing};
-use pmfs::{Pmfs, PmfsOptions};
+use nvmm::{BoundaryRec, CrashSignal, FaultPlan, InjectedFault, SimEnv};
+use obsv::{AuditReport, Introspect, TraceEvent, TraceRing};
+use workloads::setups::{self, System, SystemConfig, SystemKind};
 
 use crate::oracle::Oracle;
-use crate::script::{dir_path, file_path, FsKind, Op, Script};
+use crate::script::{dir_path, file_path, Op, Script};
 use crate::FaultStats;
-
-/// Backing device size for harness images.
-const DEV_BYTES: usize = 8 << 20;
 
 /// How far one [`Op::Tick`] advances the background clock (comfortably
 /// past the 5 s periodic writeback/commit interval).
 const TICK_ADVANCE_NS: u64 = 6_000_000_000;
-
-/// Small-format options so journal-pressure paths are reachable.
-fn pmfs_opts() -> PmfsOptions {
-    PmfsOptions {
-        journal_blocks: 64,
-        inode_count: 128,
-    }
-}
-
-fn ext_opts() -> ExtOptions {
-    ExtOptions {
-        journal_blocks: 64,
-        inode_count: 128,
-        cache_pages: 256,
-    }
-}
-
-/// A freshly formatted instance plus the handles the harness needs. The
-/// concrete observability and introspection handles are captured before
-/// the file system is erased to `dyn FileSystem`, so the fuzzer can read
-/// trace/state coverage off any kind uniformly.
-pub(crate) struct Built {
-    pub(crate) fs: Arc<dyn FileSystem>,
-    pub(crate) dev: Arc<NvmmDevice>,
-    pub(crate) env: Arc<SimEnv>,
-    pub(crate) obs: Arc<FsObs>,
-    pub(crate) intro: Arc<dyn Introspect>,
-}
-
-/// A remounted file system, its auditor, and its recovery counts
-/// (`txs_undone`, `entries_undone`).
-type Remounted = (Arc<dyn FileSystem>, Arc<dyn Introspect>, u64, u64);
 
 /// Outcome of one crash-recover-check cycle.
 #[derive(Debug, Default)]
@@ -110,7 +75,7 @@ impl RunOutcome {
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// Which file system was swept.
-    pub kind: FsKind,
+    pub kind: SystemKind,
     /// Total persistence boundaries the recording pass observed.
     pub boundaries: u64,
     /// Clean-crash runs executed.
@@ -171,7 +136,7 @@ pub struct Harness {
     pub stats: Arc<FaultStats>,
     /// Trace ring receiving recovery and fault-injection events.
     pub trace: Arc<TraceRing>,
-    hinfs_buffer_bytes: usize,
+    cfg: SystemConfig,
 }
 
 impl Default for Harness {
@@ -186,71 +151,48 @@ impl Harness {
         install_quiet_crash_hook();
         let trace = Arc::new(TraceRing::new(4096));
         trace.set_enabled(true);
+        // A small format, so journal-pressure paths are reachable.
+        let cfg = SystemConfig {
+            device_bytes: 8 << 20,
+            buffer_bytes: 1 << 20,
+            cache_pages: 256,
+            journal_blocks: 64,
+            inode_count: 128,
+            ..SystemConfig::default()
+        };
         Harness {
             stats: Arc::new(FaultStats::new()),
             trace,
-            hinfs_buffer_bytes: 1 << 20,
+            cfg,
         }
     }
 
     /// Mounts HiNFS with a DRAM buffer of `bytes` (default 1 MiB, which
     /// no script fills: pressure and stall paths need a smaller one).
     pub fn with_hinfs_buffer(mut self, bytes: usize) -> Harness {
-        self.hinfs_buffer_bytes = bytes;
+        self.cfg.buffer_bytes = bytes;
         self
     }
 
-    fn hinfs_cfg(&self) -> HinfsConfig {
-        HinfsConfig::default().with_buffer_bytes(self.hinfs_buffer_bytes)
+    /// The geometry every image of this harness is formatted and
+    /// remounted with: an 8 MiB device, 64 journal blocks, 128 inodes,
+    /// 256 cache pages and the HiNFS buffer (1 MiB by default).
+    pub fn config(&self) -> &SystemConfig {
+        &self.cfg
     }
 
     /// Formats a fresh image of `kind` on a new virtual-time device. A
     /// format that fails is reported as the violation it is.
-    pub(crate) fn build(&self, kind: FsKind) -> Result<Built, String> {
-        self.build_on(SimEnv::new_virtual(CostModel::default()), kind)
+    pub(crate) fn mkfs(&self, kind: SystemKind) -> Result<System, String> {
+        setups::build(kind, &self.cfg)
+            .map_err(|e| format!("{}: mkfs on a fresh device failed: {e:?}", kind.label()))
     }
 
-    /// [`Self::build`] on a new device of `env`'s clock.
-    pub(crate) fn build_on(&self, env: Arc<SimEnv>, kind: FsKind) -> Result<Built, String> {
-        let dev = NvmmDevice::new(env.clone(), DEV_BYTES);
-        let (fs, obs, intro): (Arc<dyn FileSystem>, Arc<FsObs>, Arc<dyn Introspect>) = match kind {
-            FsKind::Hinfs => Hinfs::mkfs(dev.clone(), pmfs_opts(), self.hinfs_cfg())
-                .map(|fs| (fs.clone() as _, fs.obs().clone(), fs as _)),
-            FsKind::Pmfs => Pmfs::mkfs(dev.clone(), pmfs_opts())
-                .map(|fs| (fs.clone() as _, fs.obs().clone(), fs as _)),
-            FsKind::Ext4 => Extfs::mkfs(dev.clone(), ExtMode::Ext4, ext_opts())
-                .map(|fs| (fs.clone() as _, fs.obs().clone(), fs as _)),
-        }
-        .map_err(|e| format!("{}: mkfs on a fresh device failed: {e:?}", kind.label()))?;
-        Ok(Built {
-            fs,
-            dev,
-            env,
-            obs,
-            intro,
-        })
-    }
-
-    /// Remounts `dev` after a crash, returning the file system, its
-    /// auditor, and the `(txs_undone, entries_undone)` recovery counts.
-    fn remount(&self, kind: FsKind, dev: Arc<NvmmDevice>) -> Result<Remounted, FsError> {
-        match kind {
-            FsKind::Hinfs => {
-                let fs = Hinfs::mount(dev, self.hinfs_cfg())?;
-                let r = fs.pmfs().recovery_stats();
-                Ok((fs.clone(), fs, r.txs_undone, r.entries_undone))
-            }
-            FsKind::Pmfs => {
-                let fs = Pmfs::mount(dev)?;
-                let r = fs.recovery_stats();
-                Ok((fs.clone(), fs, r.txs_undone, r.entries_undone))
-            }
-            FsKind::Ext4 => {
-                let fs = Extfs::mount(dev, ExtMode::Ext4, ext_opts())?;
-                let replayed = fs.recovery_replayed();
-                Ok((fs.clone(), fs, 0, replayed))
-            }
-        }
+    /// Mounts `crashed`'s device again after a power failure, running
+    /// journal recovery.
+    fn recover(&self, crashed: &System) -> fskit::Result<System> {
+        let (dev, env) = (crashed.dev.clone(), crashed.env.clone());
+        setups::remount_with(crashed.kind, dev, env, &self.cfg)
     }
 
     /// Checks a recovered file system: the oracle over its tree, then the
@@ -258,25 +200,21 @@ impl Harness {
     /// with inconsistent volatile structures, journal accounting, device
     /// counters, or name indexes (which the oracle's walk has just built
     /// from the recovered directory blocks).
-    fn check_recovered(
-        &self,
-        out: &mut RunOutcome,
-        oracle: &Oracle,
-        remounted: Remounted,
-        now: u64,
-    ) {
-        let (fs, intro, txs, entries) = remounted;
-        out.txs_undone = txs;
-        out.entries_undone = entries;
+    fn check_recovered(&self, out: &mut RunOutcome, oracle: &Oracle, sys: System, now: u64) {
+        out.txs_undone = sys.txs_undone;
+        out.entries_undone = sys.entries_undone;
         self.trace.emit(now, || TraceEvent::RecoveryEnd {
-            txs_undone: txs,
-            entries_undone: entries,
+            txs_undone: sys.txs_undone,
+            entries_undone: sys.entries_undone,
         });
-        let rep = oracle.check(&*fs);
+        let rep = oracle.check(&*sys.fs);
         out.checks = rep.checks;
         out.violations.extend(rep.violations);
-        self.absorb_audit(out, intro.audit(), now);
-        if let Err(e) = fs.unmount() {
+        match auditor(&sys) {
+            Ok(intro) => self.absorb_audit(out, intro.audit(), now),
+            Err(v) => out.violations.push(v),
+        }
+        if let Err(e) = sys.fs.unmount() {
             out.violations
                 .push(format!("unmount after recovery failed: {e:?}"));
         }
@@ -298,8 +236,8 @@ impl Harness {
     /// every persistence boundary the replay crosses, in order.
     /// Empty when the image cannot be formatted ([`Self::crash_run`]
     /// reports that).
-    pub fn record_schedule(&self, kind: FsKind, script: &Script) -> Vec<BoundaryRec> {
-        let Ok(b) = self.build(kind) else {
+    pub fn record_schedule(&self, kind: SystemKind, script: &Script) -> Vec<BoundaryRec> {
+        let Ok(b) = self.mkfs(kind) else {
             return Vec::new();
         };
         let plan = FaultPlan::new();
@@ -315,6 +253,18 @@ impl Harness {
         schedule
     }
 
+    /// The 1-based boundaries the script's last operation crosses: the
+    /// crash points of a drill aimed at that one operation.
+    pub fn last_op_boundaries(&self, kind: SystemKind, script: &Script) -> Vec<u64> {
+        let numbered = |ops: &[Op]| {
+            let s = Script { ops: ops.to_vec() };
+            let schedule = self.record_schedule(kind, &s);
+            schedule.iter().filter(|b| b.index != 0).count() as u64
+        };
+        let prefix = &script.ops[..script.ops.len().saturating_sub(1)];
+        (numbered(prefix) + 1..=numbered(&script.ops)).collect()
+    }
+
     /// Replays `script` on a fresh `kind` image, crashes at 1-based
     /// boundary `k` (or after the last operation if the replay never
     /// reaches it), remounts, and oracle-checks the recovered tree.
@@ -324,12 +274,12 @@ impl Harness {
     /// simulating a torn flush in flight at the power failure.
     pub fn crash_run(
         &self,
-        kind: FsKind,
+        kind: SystemKind,
         script: &Script,
         k: u64,
         torn_seed: Option<u64>,
     ) -> RunOutcome {
-        let b = match self.build(kind) {
+        let b = match self.mkfs(kind) {
             Ok(b) => b,
             Err(v) => return RunOutcome::failed(v),
         };
@@ -360,7 +310,6 @@ impl Harness {
             }
         }
         b.dev.fault_hook().clear();
-        drop(b.fs);
 
         // Power loss: every pending (volatile) cacheline gets its durable
         // bytes back, except — on a torn crash — a seeded subset kept.
@@ -374,7 +323,7 @@ impl Harness {
 
         self.trace
             .emit(b.env.now(), || TraceEvent::RecoveryBegin { gen: k });
-        match self.remount(kind, b.dev.clone()) {
+        match self.recover(&b) {
             Err(e) => {
                 out.violations
                     .push(format!("remount after crash at boundary {k} failed: {e:?}"));
@@ -390,12 +339,12 @@ impl Harness {
     /// errors only, no panics, and a clean crash-recover-check afterwards.
     pub fn fault_run(
         &self,
-        kind: FsKind,
+        kind: SystemKind,
         script: &Script,
         fault: InjectedFault,
         window: std::ops::Range<usize>,
     ) -> RunOutcome {
-        let b = match self.build(kind) {
+        let b = match self.mkfs(kind) {
             Ok(b) => b,
             Err(v) => return RunOutcome::failed(v),
         };
@@ -452,12 +401,11 @@ impl Harness {
             }
             // ...and survive a crash on top of the degraded history.
             b.dev.fault_hook().clear();
-            drop(b.fs);
             b.dev.crash();
             self.stats.crashes_injected.fetch_add(1, Ordering::Relaxed);
             self.trace
                 .emit(b.env.now(), || TraceEvent::RecoveryBegin { gen: 0 });
-            match self.remount(kind, b.dev.clone()) {
+            match self.recover(&b) {
                 Err(e) => out
                     .violations
                     .push(format!("remount after {} run failed: {e:?}", fault.label())),
@@ -471,7 +419,7 @@ impl Harness {
     /// Enumerates crash points of `script` on `kind`: records the
     /// schedule, then runs a crash-recover-check cycle at (up to
     /// `max_points`) boundaries, with periodic torn-store variants.
-    pub fn sweep(&self, kind: FsKind, script: &Script, cfg: SweepConfig) -> SweepOutcome {
+    pub fn sweep(&self, kind: SystemKind, script: &Script, cfg: SweepConfig) -> SweepOutcome {
         let schedule = self.record_schedule(kind, script);
         let total = schedule.len() as u64;
         let points = pick_points(total, cfg.max_points);
@@ -548,6 +496,14 @@ pub(crate) fn pick_points(total: u64, cap: usize) -> Vec<u64> {
         .collect();
     points.dedup();
     points
+}
+
+/// The state-introspection handle of a mounted system (every kind
+/// provides one; a missing one is reported as a violation).
+pub(crate) fn auditor(sys: &System) -> Result<Arc<dyn Introspect>, String> {
+    sys.introspect
+        .clone()
+        .ok_or_else(|| format!("{}: no auditor", sys.kind.label()))
 }
 
 /// Executes one scripted operation against `fs`, opening and closing a

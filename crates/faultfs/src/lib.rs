@@ -16,13 +16,19 @@
 //!   (plus torn-store variants and soft-fault injections), remounting and
 //!   oracle-checking every time.
 //!
+//! Every image is formatted and remounted by the evaluation's own system
+//! factory, [`workloads::setups`], and named by its [`SystemKind`]. The
+//! differential checks run on all seven kinds; the crash oracle judges
+//! one kind per durability model, [`CRASH_KINDS`].
+//!
 //! ```
-//! use faultfs::{FsKind, Harness, Script, SweepConfig};
+//! use faultfs::{Harness, Script, SweepConfig};
+//! use workloads::setups::SystemKind;
 //!
 //! let h = Harness::new();
 //! let script = Script::random(7, 6);
 //! let cfg = SweepConfig { max_points: 8, ..SweepConfig::default() };
-//! let out = h.sweep(FsKind::Pmfs, &script, cfg);
+//! let out = h.sweep(SystemKind::Pmfs, &script, cfg);
 //! assert!(out.violations.is_empty(), "{:?}", out.violations);
 //! ```
 
@@ -37,7 +43,14 @@ pub use harness::{exec_op, Harness, RunOutcome, SweepConfig, SweepOutcome};
 pub use model::{ModelBug, RefModel};
 pub use nvmm::InjectedFault;
 pub use oracle::{CheckReport, Oracle};
-pub use script::{dir_path, file_path, FsKind, Op, Script};
+pub use script::{dir_path, file_path, Op, Script};
+pub use workloads::setups::SystemKind as FsKind;
+use workloads::setups::SystemKind;
+
+/// The kinds the crash oracle judges, one per durability model: eager
+/// PMFS, lazily buffered HiNFS and jbd-committed ext4 (ext2 has no
+/// journal to recover from). In the fuzzer's coverage-context order.
+pub const CRASH_KINDS: [SystemKind; 3] = [SystemKind::Hinfs, SystemKind::Pmfs, SystemKind::Ext4Bd];
 
 obsv::counter_set! {
     /// Counters exported by the fault-injection harness.

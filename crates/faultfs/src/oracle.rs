@@ -32,8 +32,29 @@
 use std::collections::BTreeMap;
 
 use fskit::{FileSystem, FileType, FsError, OpenFlags, Stat};
+use workloads::setups::SystemKind;
 
-use crate::script::{dir_path, file_path, FsKind, Op, MAX_DIRS, MAX_FILES};
+use crate::script::{dir_path, file_path, Op, MAX_DIRS, MAX_FILES};
+
+/// Whether an acknowledged data operation (write/append/truncate) is
+/// already durable when the call returns — the *eager* judgment. True for
+/// PMFS (in-place non-temporal stores plus a committed metadata
+/// transaction before return); false for the buffered systems.
+fn write_sync_on_ack(kind: SystemKind) -> bool {
+    matches!(kind, SystemKind::Pmfs)
+}
+
+/// Whether an acknowledged namespace operation (create/unlink/mkdir/
+/// rmdir/rename) is durable when the call returns. True for PMFS and
+/// HiNFS (the undo-journal transaction commits before the syscall
+/// returns); false for the ext family, where namespace changes only
+/// become durable at a jbd commit point.
+fn ns_sync(kind: SystemKind) -> bool {
+    matches!(
+        kind,
+        SystemKind::Pmfs | SystemKind::Hinfs | SystemKind::HinfsNclfw | SystemKind::HinfsWb
+    )
+}
 
 /// Durability class of a name after the operations so far.
 // The shared `Exist` suffix is the domain language (must / must-not /
@@ -180,24 +201,19 @@ pub struct CheckReport {
 /// the remounted file system.
 #[derive(Debug)]
 pub struct Oracle {
-    kind: FsKind,
+    kind: SystemKind,
     files: BTreeMap<u8, FileModel>,
     dirs: BTreeMap<u8, DirModel>,
 }
 
 impl Oracle {
     /// A fresh oracle for one run against `kind`.
-    pub fn new(kind: FsKind) -> Oracle {
+    pub fn new(kind: SystemKind) -> Oracle {
         Oracle {
             kind,
             files: BTreeMap::new(),
             dirs: BTreeMap::new(),
         }
-    }
-
-    /// The file-system kind this oracle models.
-    pub fn kind(&self) -> FsKind {
-        self.kind
     }
 
     /// Whether `op` failing is the *expected* outcome of the current
@@ -229,8 +245,8 @@ impl Oracle {
     }
 
     fn apply_ok(&mut self, op: &Op) {
-        let eager = self.kind.write_sync_on_ack();
-        let ns_sync = self.kind.ns_sync();
+        let eager = write_sync_on_ack(self.kind);
+        let ns_sync = ns_sync(self.kind);
         match *op {
             Op::Create { file } => {
                 let m = self.files.entry(file).or_default();
@@ -676,6 +692,15 @@ fn content_ok(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kind_labels_and_judgments() {
+        assert_eq!(SystemKind::Pmfs.label(), "pmfs");
+        assert!(write_sync_on_ack(SystemKind::Pmfs));
+        assert!(!write_sync_on_ack(SystemKind::Hinfs));
+        assert!(ns_sync(SystemKind::Hinfs));
+        assert!(!ns_sync(SystemKind::Ext4Bd));
+    }
 
     /// A file whose last sync made `image` durable.
     fn synced(image: &[u8]) -> FileModel {

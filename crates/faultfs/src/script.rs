@@ -15,48 +15,6 @@ pub const MAX_DIRS: u8 = 2;
 /// Per-operation payload cap in bytes.
 pub const MAX_IO: usize = 12 * 1024;
 
-/// Which file system a run targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsKind {
-    /// HiNFS: DRAM write buffer over PMFS (lazy data, eager metadata).
-    Hinfs,
-    /// PMFS: direct in-place data, undo-journaled metadata.
-    Pmfs,
-    /// EXT4 over the NVMMBD block device (jbd2-style redo journal).
-    Ext4,
-}
-
-impl FsKind {
-    /// Every kind, for sweeps.
-    pub const ALL: [FsKind; 3] = [FsKind::Hinfs, FsKind::Pmfs, FsKind::Ext4];
-
-    /// Stable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            FsKind::Hinfs => "hinfs",
-            FsKind::Pmfs => "pmfs",
-            FsKind::Ext4 => "ext4",
-        }
-    }
-
-    /// Whether an acknowledged data operation (write/append/truncate) is
-    /// already durable when the call returns — the *eager* judgment. True
-    /// for PMFS (in-place non-temporal stores plus a committed metadata
-    /// transaction before return); false for the buffered systems.
-    pub fn write_sync_on_ack(self) -> bool {
-        matches!(self, FsKind::Pmfs)
-    }
-
-    /// Whether an acknowledged namespace operation (create/unlink/mkdir/
-    /// rmdir/rename) is durable when the call returns. True for PMFS and
-    /// HiNFS (the undo-journal transaction commits before the syscall
-    /// returns); false for EXT4, where namespace changes only become
-    /// durable at a jbd commit point.
-    pub fn ns_sync(self) -> bool {
-        !matches!(self, FsKind::Ext4)
-    }
-}
-
 /// One scripted operation. File and directory ids are slot numbers mapped
 /// to paths by [`file_path`] / [`dir_path`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,14 +253,5 @@ mod tests {
                 assert_ne!(fill, 0, "{op:?}");
             }
         }
-    }
-
-    #[test]
-    fn kind_labels_and_judgments() {
-        assert_eq!(FsKind::Pmfs.label(), "pmfs");
-        assert!(FsKind::Pmfs.write_sync_on_ack());
-        assert!(!FsKind::Hinfs.write_sync_on_ack());
-        assert!(FsKind::Hinfs.ns_sync());
-        assert!(!FsKind::Ext4.ns_sync());
     }
 }

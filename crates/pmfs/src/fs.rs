@@ -724,9 +724,9 @@ impl Pmfs {
             }
             let emptied = file::truncate(&self.dev, &self.alloc, &mut state, size, self.env.now())?;
             if emptied.is_some() {
-                let snap = *state;
-                drop(state);
-                self.log_write_inode(&tx, h.ino, &snap)?;
+                // Logged under the lock: a writer that takes it next must
+                // find its own core persisted last.
+                self.log_write_inode(&tx, h.ino, &state)?;
             }
             Ok(emptied)
         })();
@@ -770,9 +770,7 @@ impl Pmfs {
                 file::write_at(&self.dev, &self.alloc, &mut state, cur, iov, self.env.now())?;
                 cur += iov.len() as u64;
             }
-            let snap = *state;
-            drop(state);
-            self.log_write_inode(&tx, of.ino, &snap)?;
+            self.log_write_inode(&tx, of.ino, &state)?;
             Ok((start, (cur - start) as usize))
         })();
         match res {

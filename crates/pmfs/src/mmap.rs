@@ -61,12 +61,11 @@ impl PmfsMmap {
             fresh.link(&mut state)?;
             drop(fresh);
             if meta_changed {
-                let snap = *state;
-                drop(state);
-                fs.log_write_inode(&tx, of.ino, &snap)?;
+                fs.log_write_inode(&tx, of.ino, &state)?;
             }
             Ok(blocks)
         })();
+        drop(state);
         let blocks = match mapped {
             Ok(blocks) => {
                 fs.journal().commit(tx);

@@ -44,6 +44,17 @@ impl SystemKind {
         }
     }
 
+    /// Every system, in declaration order.
+    pub const ALL: [SystemKind; 7] = [
+        SystemKind::Pmfs,
+        SystemKind::Ext4Dax,
+        SystemKind::Ext2Bd,
+        SystemKind::Ext4Bd,
+        SystemKind::Hinfs,
+        SystemKind::HinfsNclfw,
+        SystemKind::HinfsWb,
+    ];
+
     /// The five systems of the overall comparison (Fig 7/8/10/11).
     pub const FIG7: [SystemKind; 5] = [
         SystemKind::Pmfs,
@@ -182,10 +193,16 @@ pub struct System {
     pub registry: Arc<MetricsRegistry>,
     /// The mounted file system's observability bundle (level switch,
     /// histograms, trace ring, lineage ledger, tail reservoir).
-    pub obs: Option<Arc<FsObs>>,
+    pub obs: Arc<FsObs>,
     /// State-introspection handle (snapshots + invariant audit) for the
     /// mounted system; all current kinds provide one.
     pub introspect: Option<Arc<dyn obsv::Introspect>>,
+    /// Undo transactions the mount's recovery rolled back (PMFS family;
+    /// zero on ext and on a fresh format).
+    pub txs_undone: u64,
+    /// Journal entries the mount's recovery undid (PMFS family) or
+    /// replayed (ext); zero on a fresh format.
+    pub entries_undone: u64,
 }
 
 /// Builds (formats and mounts) a system of the given kind.
@@ -195,20 +212,10 @@ pub fn build(kind: SystemKind, cfg: &SystemConfig) -> Result<System> {
     mount(kind, dev, env, cfg, true)
 }
 
-/// Unmounts a system and mounts it again on the same device — the
-/// equivalent of the paper's "after clearing the contents of the OS page
-/// cache": every volatile cache (HiNFS DRAM buffer, ext page cache) starts
-/// cold while the persistent state survives.
-pub fn remount(sys: System) -> Result<System> {
-    sys.fs.unmount()?;
-    let System { kind, dev, env, .. } = sys;
-    // Reconstruct mount-time options from the device-independent defaults;
-    // sizes that matter post-mount (buffer/cache) are re-derived by the
-    // caller through `build`-time config, so carry them via remount_with.
-    remount_with(kind, dev, env, &SystemConfig::default())
-}
-
-/// Remounts with explicit sizing (buffer bytes / cache pages).
+/// Mounts `kind` again on `dev` — after an unmount, the equivalent of the
+/// paper's "after clearing the contents of the OS page cache" (every
+/// volatile cache starts cold while the persistent state survives), or
+/// after a crash, running journal recovery. `cfg` should be the build's.
 pub fn remount_with(
     kind: SystemKind,
     dev: Arc<NvmmDevice>,
@@ -235,15 +242,18 @@ fn mount(
     let system = |fs: Arc<dyn FileSystem>,
                   hinfs: Option<Arc<Hinfs>>,
                   obs: &Arc<FsObs>,
-                  introspect: Arc<dyn obsv::Introspect>| System {
+                  introspect: Arc<dyn obsv::Introspect>,
+                  (txs_undone, entries_undone): (u64, u64)| System {
         kind,
         fs,
         dev: dev.clone(),
         env: env.clone(),
         hinfs,
         registry: registry.clone(),
-        obs: Some(obs.clone()),
+        obs: obs.clone(),
         introspect: Some(introspect),
+        txs_undone,
+        entries_undone,
     };
     let ext = |mode: ExtMode| -> Result<System> {
         let eopts = ExtOptions {
@@ -257,7 +267,8 @@ fn mount(
             Extfs::mount(dev.clone(), mode, eopts)?
         };
         registry.register("", e.clone());
-        Ok(system(e.clone(), None, e.obs(), e.clone()))
+        let replayed = e.recovery_replayed();
+        Ok(system(e.clone(), None, e.obs(), e.clone(), (0, replayed)))
     };
     let popts = PmfsOptions {
         journal_blocks: cfg.journal_blocks,
@@ -277,7 +288,9 @@ fn mount(
             registry.register("", p.journal().stats().clone());
             registry.register("", p.namei().clone());
             registry.register("", p.obs().clone());
-            system(p.clone(), None, p.obs(), p.clone())
+            let r = p.recovery_stats();
+            let undone = (r.txs_undone, r.entries_undone);
+            system(p.clone(), None, p.obs(), p.clone(), undone)
         }
         SystemKind::Hinfs | SystemKind::HinfsNclfw | SystemKind::HinfsWb => {
             let mut hcfg = HinfsConfig::default().with_buffer_bytes(cfg.buffer_bytes);
@@ -298,13 +311,13 @@ fn mount(
             registry.register("", h.clone());
             registry.register("", h.pmfs().journal().stats().clone());
             registry.register("", h.pmfs().namei().clone());
-            system(h.clone(), Some(h.clone()), h.obs(), h.clone())
+            let r = h.pmfs().recovery_stats();
+            let undone = (r.txs_undone, r.entries_undone);
+            system(h.clone(), Some(h.clone()), h.obs(), h.clone(), undone)
         }
     };
     let level = cfg.obsv.level;
-    if let Some(obs) = &sys.obs {
-        obs.set_level(level);
-    }
+    sys.obs.set_level(level);
     dev.spans().set_enabled(level == Level::Full);
     env.contention().set_level(level);
     registry.register("", env.contention().clone());
@@ -322,15 +335,7 @@ mod tests {
 
     #[test]
     fn every_system_builds_and_works() {
-        for kind in [
-            SystemKind::Pmfs,
-            SystemKind::Ext4Dax,
-            SystemKind::Ext2Bd,
-            SystemKind::Ext4Bd,
-            SystemKind::Hinfs,
-            SystemKind::HinfsNclfw,
-            SystemKind::HinfsWb,
-        ] {
+        for kind in SystemKind::ALL {
             let sys = build(kind, &SystemConfig::small()).unwrap();
             let fd = sys
                 .fs
@@ -373,7 +378,7 @@ mod tests {
             ..SystemConfig::small()
         };
         let sys = build(SystemKind::Hinfs, &cfg).unwrap();
-        let obs = sys.obs.as_ref().unwrap();
+        let obs = &sys.obs;
         assert!(obs.full());
         assert!(obs.trace.enabled());
         let fd = sys
@@ -489,7 +494,7 @@ mod tests {
         sys.fs.write(fd, 0, &[3u8; 8192]).unwrap();
         sys.fs.fsync(fd).unwrap();
         sys.fs.close(fd).unwrap();
-        let obs = sys.obs.as_ref().unwrap();
+        let obs = &sys.obs;
         assert!(obs.audit_checks() > 0, "fsync ran the auditor");
         assert_eq!(obs.audit_violations(), 0, "auditor is clean");
         let rep = sys.introspect.as_ref().unwrap().audit();

@@ -5,7 +5,7 @@
 //! cargo run --release --example crash_recovery
 //! ```
 //!
-//! For each file system (HiNFS, PMFS, EXT4) the harness records the
+//! For each journaled file system (HiNFS, PMFS, ext4) the harness records the
 //! numbered crash schedule of a scripted run — every flush/fence/persist
 //! boundary the NVMM device crossed — then replays the script once per
 //! boundary, power-failing there (plus seeded torn-store variants),
@@ -37,7 +37,7 @@
 //! The process exits non-zero on any oracle violation, so this doubles as
 //! the `scripts/verify.sh` smoke sweep.
 
-use faultfs::Op;
+use faultfs::{Op, CRASH_KINDS};
 use hinfs_suite::prelude::*;
 
 /// Replays the budget drill's script on a HiNFS mount of `buffer_bytes`
@@ -91,7 +91,7 @@ fn main() {
         script.ops.len(),
         cfg.max_points
     );
-    let sweep = |kind: FsKind, script: &Script, cfg: SweepConfig| {
+    let sweep = |kind: SystemKind, script: &Script, cfg: SweepConfig| {
         let out = h.sweep(kind, script, cfg);
         println!(
             "  {:<6} {:>4} boundaries | {:>3} crashes (+{} torn) | {:>4} oracle checks | \
@@ -107,7 +107,7 @@ fn main() {
         );
         out.violations
     };
-    for kind in FsKind::ALL {
+    for kind in CRASH_KINDS {
         violations.extend(sweep(kind, &script, cfg));
     }
 
@@ -120,16 +120,13 @@ fn main() {
         torn_every: 3,
         ..cfg
     };
-    for (kind, sys_kind) in [
-        (FsKind::Hinfs, SystemKind::Hinfs),
-        (FsKind::Pmfs, SystemKind::Pmfs),
-    ] {
+    for kind in [SystemKind::Hinfs, SystemKind::Pmfs] {
         violations.extend(sweep(kind, &drill.script, every));
         let small = SystemConfig {
             device_bytes: 64 << 20,
             ..SystemConfig::default()
         };
-        let sys = build(sys_kind, &small).expect("mkfs");
+        let sys = build(kind, &small).expect("mkfs");
         for op in &drill.script.ops {
             faultfs::exec_op(&*sys.fs, &sys.env, op).expect("drill op");
         }
@@ -148,7 +145,7 @@ fn main() {
     let th = Harness::new().with_hinfs_buffer(tiny);
     let ops = &drill.script.ops;
     let out = th.fault_run(
-        FsKind::Hinfs,
+        SystemKind::Hinfs,
         &drill.script,
         InjectedFault::WritebackStall,
         0..ops.len(),
@@ -161,7 +158,7 @@ fn main() {
     );
     violations.extend(out.violations);
     violations.extend(drill.replay(&th));
-    let out = th.sweep(FsKind::Hinfs, &drill.script, every);
+    let out = th.sweep(SystemKind::Hinfs, &drill.script, every);
     println!(
         "  hinfs  {} boundaries | {} crashes (+{} torn) | {} violations",
         out.boundaries,
@@ -201,7 +198,7 @@ fn main() {
         "\n== fault injection (window: ops 3..{}) ==",
         faulty.ops.len()
     );
-    for kind in FsKind::ALL {
+    for kind in CRASH_KINDS {
         for fault in [
             InjectedFault::JournalFull,
             InjectedFault::Enospc,

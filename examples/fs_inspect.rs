@@ -395,7 +395,7 @@ fn inspect(args: &Args) -> bool {
     }
 
     let err = &mut std::io::stderr();
-    let obs = sys.obs.as_ref().expect("every system has an obs bundle");
+    let obs = &sys.obs;
     if args.contention {
         report_contention(err, &sys.env.contention().snapshot());
     }
@@ -532,7 +532,7 @@ fn dump(args: &Args) {
         ..SystemConfig::small()
     };
     let sys = build(SystemKind::Hinfs, &cfg).expect("build hinfs");
-    let obs = sys.obs.clone().expect("hinfs has an obs bundle");
+    let obs = sys.obs.clone();
     println!(
         "mounted {} with a {} KiB write buffer at Level::Full + auditor\n",
         sys.kind.label(),

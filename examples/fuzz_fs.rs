@@ -43,7 +43,8 @@
 //! found (reproducers printed and, with `--write-repros`, written out).
 
 use faultfs::fuzz::{known_bad_script, shrink_differential};
-use faultfs::{FsKind, FuzzConfig, Fuzzer, Harness, ModelBug, Repro};
+use faultfs::{FuzzConfig, Fuzzer, Harness, ModelBug, Repro};
+use workloads::setups::SystemKind;
 
 fn usage() -> ! {
     eprintln!(
@@ -187,7 +188,7 @@ fn run_self_test(cfg: FuzzConfig) {
     //    diffs the text below against tests/repro/selftest_truncate_extend.repro.
     let h = Harness::new();
     let ops = known_bad_script();
-    let repro: Repro = shrink_differential(&h, FsKind::Pmfs, &ops, Some(bug), 400)
+    let repro: Repro = shrink_differential(&h, SystemKind::Pmfs, &ops, Some(bug), 400)
         .expect("the known-bad script must fail the differential");
     if repro.script.ops.len() > 2 {
         eprintln!(
@@ -196,7 +197,7 @@ fn run_self_test(cfg: FuzzConfig) {
         );
         std::process::exit(1);
     }
-    let again = shrink_differential(&h, FsKind::Pmfs, &repro.script.ops, Some(bug), 400)
+    let again = shrink_differential(&h, SystemKind::Pmfs, &repro.script.ops, Some(bug), 400)
         .expect("the shrunk script must still fail");
     if again.script.ops != repro.script.ops {
         eprintln!("FAIL: shrinking is not a fixed point");

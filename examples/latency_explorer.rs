@@ -103,9 +103,7 @@ fn main() {
             sys.env.rebase();
             // Drop the populate phase's exemplars so the anatomy shows
             // the steady-state workload, not fileset creation.
-            if let Some(obs) = &sys.obs {
-                obs.flight().reset();
-            }
+            sys.obs.flight().reset();
             let params = FilebenchParams {
                 iosize: 256 << 10,
                 append_size: 8 << 10,
@@ -123,13 +121,11 @@ fn main() {
             );
             assert_eq!(report.error, None, "{which} on {}", kind.label());
             tput.push(report.throughput());
-            if let Some(obs) = &sys.obs {
-                let label = match kind {
-                    SystemKind::Pmfs => "pmfs",
-                    _ => "hinfs",
-                };
-                anatomies.push(tail_line(label, obs));
-            }
+            let label = match kind {
+                SystemKind::Pmfs => "pmfs",
+                _ => "hinfs",
+            };
+            anatomies.push(tail_line(label, &sys.obs));
             sys.fs.unmount().expect("unmount");
         }
         println!(

@@ -84,7 +84,8 @@ stage "benchmark tests"
 run cargo test --offline --manifest-path benchmark/Cargo.toml
 stage "crash/fuzz drills"
 # faultfs smoke sweep: crash-point enumeration + durability oracle +
-# fault injection across hinfs/pmfs/ext4 (fixed seed, capped points;
+# fault injection across the journaled kinds, hinfs/pmfs/ext4-nvmmbd
+# (faultfs::CRASH_KINDS; fixed seed, capped points;
 # exits non-zero on any oracle violation or panic). Its second pass is the
 # recycling drill — a crash at every boundary around a block-tree node
 # that is freed, wiped, parked and reused — which also exits non-zero when

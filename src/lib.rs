@@ -53,7 +53,7 @@ pub use workloads;
 /// The most common imports in one place.
 pub mod prelude {
     pub use extfs::{ExtMode, ExtOptions, Extfs};
-    pub use faultfs::{FsKind, Harness, InjectedFault, Script, SweepConfig};
+    pub use faultfs::{Harness, InjectedFault, Script, SweepConfig};
     pub use fskit::{DirEntry, Fd, FileSystem, FileType, FsError, OpenFlags, Stat};
     pub use hinfs::{Hinfs, HinfsConfig};
     pub use nvmm::{Cat, CostModel, NvmmDevice, SimEnv, TimeMode, BLOCK_SIZE, CACHELINE};

@@ -21,13 +21,10 @@
 //! so `tests/fuzz_regress.rs` replays it too (the harness's default
 //! buffer is the 1 MiB the script is sized for).
 
-use std::sync::Arc;
+mod common;
 
-use faultfs::{exec_op, FsKind, Harness, Op, Repro, Script};
-use fskit::FileSystem;
-use hinfs::{Hinfs, HinfsConfig};
-use nvmm::{CostModel, NvmmDevice, SimEnv};
-use pmfs::PmfsOptions;
+use faultfs::{exec_op, Harness, Op, Script};
+use workloads::setups::{self, SystemKind};
 
 const OPS: &[&str] = &[
     "create f0",
@@ -58,20 +55,6 @@ fn script() -> Script {
     }
 }
 
-/// The 1-based boundaries the script's last op crosses.
-fn boundaries_of_last_op(h: &Harness, s: &Script) -> Vec<u64> {
-    let numbered = |s: &Script| {
-        h.record_schedule(FsKind::Hinfs, s)
-            .iter()
-            .filter(|b| b.index != 0)
-            .count() as u64
-    };
-    let prefix = Script {
-        ops: s.ops[..s.ops.len() - 1].to_vec(),
-    };
-    (numbered(&prefix) + 1..=numbered(s)).collect()
-}
-
 /// A drill that never takes the path is no drill: replayed on the
 /// harness's geometry (8 MiB device, 64 journal blocks, 128 inodes, 1 MiB
 /// buffer), the script's stall flushes `f1`'s hole block alone, and the
@@ -79,28 +62,18 @@ fn boundaries_of_last_op(h: &Harness, s: &Script) -> Vec<u64> {
 /// transaction is still open.
 #[test]
 fn the_stall_flushes_one_hole_block_under_an_open_transaction() {
-    let env = SimEnv::new_virtual(CostModel::default());
-    let dev = NvmmDevice::new(env.clone(), 8 << 20);
-    let opts = PmfsOptions {
-        journal_blocks: 64,
-        inode_count: 128,
-    };
-    let fs = Hinfs::mkfs(
-        dev.clone(),
-        opts,
-        HinfsConfig::default().with_buffer_bytes(1 << 20),
-    )
-    .unwrap();
+    let sys = setups::build(SystemKind::Hinfs, Harness::new().config()).unwrap();
+    let fs = sys.hinfs.clone().unwrap();
     let s = script();
-    let fsys: Arc<dyn FileSystem> = fs.clone();
     for op in &s.ops[..s.ops.len() - 1] {
-        exec_op(&*fsys, &env, op).unwrap();
+        exec_op(&*sys.fs, &sys.env, op).unwrap();
     }
     assert_eq!(fs.stats().snapshot().foreground_stalls, 1);
-    let st = fs.stat("/f1").unwrap();
+    let st = sys.fs.stat("/f1").unwrap();
     assert_eq!(st.size, 16384 + 53248);
     let mut core = [0u8; pmfs::inode::INODE_CORE];
-    dev.peek(fs.pmfs().layout().inode_off(st.ino), &mut core);
+    sys.dev
+        .peek(fs.pmfs().layout().inode_off(st.ino), &mut core);
     let on_nvmm = pmfs::inode::InodeMem::decode(&core).unwrap().unwrap();
     assert_eq!(
         (on_nvmm.size, on_nvmm.blocks),
@@ -117,12 +90,12 @@ fn the_stall_flushes_one_hole_block_under_an_open_transaction() {
 fn a_carried_size_never_commits_ahead_of_its_data() {
     let h = Harness::new();
     let s = script();
-    let points = boundaries_of_last_op(&h, &s);
+    let points = h.last_op_boundaries(SystemKind::Hinfs, &s);
     assert!(points.len() >= 4, "the fsync maps a block: {points:?}");
     let (mut violations, mut undone) = (Vec::new(), 0);
     for &k in &points {
         for torn in [None, Some(0xCA11 ^ k)] {
-            let out = h.crash_run(FsKind::Hinfs, &s, k, torn);
+            let out = h.crash_run(SystemKind::Hinfs, &s, k, torn);
             assert!(out.crashed_mid_op, "boundary {k} is inside the fsync");
             undone += u64::from(out.txs_undone > 0);
             let how = if torn.is_some() { " torn" } else { "" };
@@ -141,18 +114,13 @@ fn a_carried_size_never_commits_ahead_of_its_data() {
 /// of its last op, so the corpus replay crashes there too.
 #[test]
 fn the_fixture_carries_the_drill() {
-    let path = format!(
-        "{}/tests/repro/carrier_flush_hinfs.repro",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let r = Repro::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    assert_eq!(r.kind, Some(FsKind::Hinfs));
+    let r = common::fixture("carrier_flush_hinfs");
+    assert_eq!(r.kind, Some(SystemKind::Hinfs));
     assert_eq!(r.script, script(), "ops");
     let h = Harness::new();
     assert_eq!(
         r.boundaries,
-        boundaries_of_last_op(&h, &r.script),
+        h.last_op_boundaries(SystemKind::Hinfs, &r.script),
         "update the `boundaries:` line"
     );
 }

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use faultfs::{FsKind, Harness, Script};
+use faultfs::{Harness, Script};
 use fskit::{FileSystem, OpenFlags};
 use nvmm::{CostModel, FaultPlan, SimEnv, TimeMode};
 use pmfs::alloc::Allocator;
@@ -147,7 +147,7 @@ fn eight_thread_hinfs_run_keeps_invariants_green() {
 
     let rep = sys.introspect.as_ref().unwrap().audit();
     assert!(rep.is_clean(), "post-run audit: {rep:?}");
-    let obs = sys.obs.as_ref().unwrap();
+    let obs = sys.obs;
     assert!(obs.audit_checks() > 0, "the auditor actually ran");
     assert_eq!(obs.audit_violations(), 0);
     sys.fs.unmount().unwrap();
@@ -232,7 +232,7 @@ fn eight_thread_churn_on_a_tiny_budget_conserves_it() {
     assert!(b.shard_occupied_blocks[3..].iter().all(|&h| h == 0));
     let rep = sys.introspect.as_ref().unwrap().audit();
     assert!(rep.is_clean(), "post-run audit: {rep:?}");
-    assert_eq!(sys.obs.as_ref().unwrap().audit_violations(), 0);
+    assert_eq!(sys.obs.audit_violations(), 0);
 }
 
 /// Records the persistence-boundary schedule of a four-thread HiNFS run
@@ -292,7 +292,7 @@ fn crash_schedule_recorded_under_four_threads_replays_clean() {
     let script = Script::random(0xC0FFEE, 12);
     for q in 0..=4 {
         let k = crash_points[(crash_points.len() - 1) * q / 4];
-        let out = h.crash_run(FsKind::Hinfs, &script, k, None);
+        let out = h.crash_run(SystemKind::Hinfs, &script, k, None);
         assert!(
             out.violations.is_empty(),
             "crash at recorded boundary {k}: {:#?}",
@@ -572,7 +572,7 @@ fn o_trunc_open_racing_a_buffered_write_serializes() {
         sys.fs.close(fd).unwrap();
         let rep = intro.audit();
         assert!(rep.is_clean(), "post-race audit: {rep:?}");
-        assert_eq!(sys.obs.as_ref().unwrap().audit_violations(), 0);
+        assert_eq!(sys.obs.audit_violations(), 0);
         sys.fs.unmount().unwrap();
     });
 }

@@ -1,155 +1,58 @@
-//! Crash-consistency matrix: power-fail the NVMM-aware systems at random
-//! points of a random workload and check the recovery invariants:
-//!
-//! 1. Recovery always succeeds (the journal never leaves broken metadata).
-//! 2. Everything fsync'd (data and size) survives exactly.
-//! 3. Ordered data mode: no garbage — every recovered byte was either
-//!    written by the workload or is zero.
+//! Crash-consistency matrix: power-fail the NVMM-aware systems after the
+//! last op of a random script and judge each recovery with the exact
+//! durability oracle: recovery succeeds, everything fsync'd (data and
+//! size) survives exactly, no byte appears that was never written, and
+//! every namespace op is all-or-nothing.
 
+use faultfs::{Harness, Script};
 use hinfs_suite::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use workloads::setups::remount_with;
 
-const MARKERS: [u8; 4] = [0x11, 0x22, 0x33, 0x44];
-
-struct Harness {
-    /// Last-fsynced image per file (must survive exactly as a prefix
-    /// invariant: fsynced size + content survive).
-    synced: HashMap<String, Vec<u8>>,
-}
-
-fn run_crash_round(seed: u64, use_hinfs: bool) {
-    let env = SimEnv::new_virtual(CostModel::default());
-    let dev = NvmmDevice::new(env.clone(), 64 << 20);
-    let popts = PmfsOptions {
-        journal_blocks: 256,
-        inode_count: 2048,
-    };
-    let fs: std::sync::Arc<dyn FileSystem> = if use_hinfs {
-        Hinfs::mkfs(
-            dev.clone(),
-            popts,
-            HinfsConfig::default().with_buffer_bytes(1 << 20),
-        )
-        .unwrap()
-    } else {
-        Pmfs::mkfs(dev.clone(), popts).unwrap()
-    };
-
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut h = Harness {
-        synced: HashMap::new(),
-    };
-    let mut shadow: HashMap<String, Vec<u8>> = HashMap::new();
-    let nfiles = 6;
-    let mut fds = Vec::new();
-    for i in 0..nfiles {
-        let path = format!("/c{i}");
-        let fd = fs.open(&path, OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
-        fds.push((path, fd));
+/// Crashes 25 random scripts of 20 to 120 ops on `kind`, each after its
+/// last op (no boundary is armed that the replay reaches: descriptors,
+/// dirty buffers and open transactions are all in flight).
+fn crash_rounds(kind: SystemKind, first_seed: u64) {
+    let h = Harness::new();
+    for seed in first_seed..first_seed + 25 {
+        let len = SmallRng::seed_from_u64(seed).gen_range(20..120);
+        let out = h.crash_run(kind, &Script::random(seed, len), u64::MAX, None);
+        assert!(!out.crashed_mid_op, "seed {seed}: the crash hit an op");
+        assert!(
+            out.violations.is_empty(),
+            "{} seed {seed}: {:#?}",
+            kind.label(),
+            out.violations
+        );
+        assert!(out.checks > 0, "seed {seed}: the oracle checked nothing");
     }
-    let steps = rng.gen_range(20..120);
-    for step in 0..steps {
-        let i = rng.gen_range(0..nfiles);
-        let (path, fd) = &fds[i];
-        match rng.gen_range(0..5) {
-            0..=2 => {
-                let off = rng.gen_range(0..48 * 1024u64) as usize;
-                let len = rng.gen_range(1..12_000usize);
-                let data = vec![MARKERS[step % MARKERS.len()]; len];
-                fs.write(*fd, off as u64, &data).unwrap();
-                let img = shadow.entry(path.clone()).or_default();
-                if img.len() < off + len {
-                    img.resize(off + len, 0);
-                }
-                img[off..off + len].copy_from_slice(&data);
-            }
-            3 => {
-                fs.fsync(*fd).unwrap();
-                h.synced
-                    .insert(path.clone(), shadow.get(path).cloned().unwrap_or_default());
-            }
-            _ => {
-                fs.tick(env.now());
-            }
-        }
-    }
-    // Crash at an arbitrary point (no unmount, descriptors open, buffer
-    // dirty, transactions in flight).
-    dev.crash();
-    drop(fds);
-    drop(fs);
-
-    // Invariant 1: recovery succeeds.
-    let fs2 = Pmfs::mount(dev).unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
-    for i in 0..nfiles {
-        let path = format!("/c{i}");
-        let st = fs2
-            .stat(&path)
-            .unwrap_or_else(|e| panic!("seed {seed}: {path} lost: {e}"));
-        let fd = fs2.open(&path, OpenFlags::READ).unwrap();
-        let mut got = vec![0u8; st.size as usize];
-        fs2.read(fd, 0, &mut got).unwrap();
-        fs2.close(fd).unwrap();
-        // Invariant 2: the fsynced image survives exactly.
-        if let Some(synced) = h.synced.get(&path) {
-            assert!(
-                st.size as usize >= synced.len(),
-                "seed {seed}: {path} lost fsynced size ({} < {})",
-                st.size,
-                synced.len()
-            );
-            // Bytes the last fsync covered must match unless a later
-            // (possibly persisted) write overwrote them — so each byte is
-            // either the synced value or some later-written marker/zero.
-            for (pos, (&g, &s)) in got.iter().zip(synced).enumerate() {
-                assert!(
-                    g == s || MARKERS.contains(&g) || g == 0,
-                    "seed {seed}: {path}[{pos}] = {g:#x}, synced {s:#x}"
-                );
-            }
-        }
-        // Invariant 3: no garbage anywhere.
-        for (pos, &b) in got.iter().enumerate() {
-            assert!(
-                b == 0 || MARKERS.contains(&b),
-                "seed {seed}: {path}[{pos}] holds garbage byte {b:#x}"
-            );
-        }
-    }
-    fs2.unmount().unwrap();
 }
 
 #[test]
 fn hinfs_crash_rounds() {
-    for seed in 0..25 {
-        run_crash_round(1000 + seed, true);
-    }
+    crash_rounds(SystemKind::Hinfs, 1000);
 }
 
 #[test]
 fn pmfs_crash_rounds() {
-    for seed in 0..25 {
-        run_crash_round(2000 + seed, false);
-    }
+    crash_rounds(SystemKind::Pmfs, 2000);
 }
 
+/// Creates and unlinks in flight in one directory when the power fails:
+/// up to 60 names, more than a script's file slots can reach.
 #[test]
 fn crash_mid_namespace_churn_recovers() {
-    // Creates/unlinks in flight when the power fails.
+    let cfg = SystemConfig {
+        device_bytes: 64 << 20,
+        buffer_bytes: 1 << 20,
+        journal_blocks: 256,
+        inode_count: 2048,
+        ..SystemConfig::default()
+    };
     for seed in 0..10u64 {
-        let env = SimEnv::new_virtual(CostModel::default());
-        let dev = NvmmDevice::new(env, 64 << 20);
-        let fs = Hinfs::mkfs(
-            dev.clone(),
-            PmfsOptions {
-                journal_blocks: 256,
-                inode_count: 2048,
-            },
-            HinfsConfig::default().with_buffer_bytes(1 << 20),
-        )
-        .unwrap();
+        let sys = build(SystemKind::Hinfs, &cfg).unwrap();
+        let fs = &sys.fs;
         let mut rng = SmallRng::seed_from_u64(seed);
         fs.mkdir("/dir").unwrap();
         for i in 0..rng.gen_range(5..60) {
@@ -161,9 +64,8 @@ fn crash_mid_namespace_churn_recovers() {
                 fs.unlink(&path).unwrap();
             }
         }
-        dev.crash();
-        drop(fs);
-        let fs2 = Pmfs::mount(dev).unwrap();
+        sys.dev.crash();
+        let fs2 = remount_with(sys.kind, sys.dev, sys.env, &cfg).unwrap().fs;
         // The namespace parses and every listed file opens and reads.
         for e in fs2.readdir("/dir").unwrap() {
             let p = format!("/dir/{}", e.name);

@@ -79,9 +79,7 @@ fn run_on(sys: System, seed: u64, audited: bool) -> RunReport {
         assert_eq!(snap, intro.snapshot(), "snapshotting is repeatable");
         let rep = intro.audit();
         assert!(rep.is_clean(), "audit violations: {:?}", rep.violations);
-        if let Some(obs) = &sys.obs {
-            assert_eq!(obs.audit_violations(), 0);
-        }
+        assert_eq!(sys.obs.audit_violations(), 0);
     }
     sys.fs.unmount().unwrap();
     r

@@ -1,22 +1,13 @@
 //! Differential testing: the same operation sequence must produce the same
 //! observable file system state on every system in the workspace — PMFS,
 //! HiNFS (all variants), EXT4-DAX, and ext2/ext4 on NVMMBD all implement
-//! the same VFS contract.
+//! the same VFS contract — and the same outcomes as the fuzzer's
+//! reference model.
 
 use hinfs_suite::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use workloads::setups::{build, SystemConfig, SystemKind};
-
-const ALL: [SystemKind; 7] = [
-    SystemKind::Pmfs,
-    SystemKind::Hinfs,
-    SystemKind::HinfsNclfw,
-    SystemKind::HinfsWb,
-    SystemKind::Ext4Dax,
-    SystemKind::Ext2Bd,
-    SystemKind::Ext4Bd,
-];
 
 fn cfg() -> SystemConfig {
     SystemConfig {
@@ -113,7 +104,7 @@ fn all_systems_agree_on_the_same_script() {
         state
     };
     assert!(!reference.is_empty());
-    for kind in ALL.into_iter().skip(1) {
+    for kind in SystemKind::ALL.into_iter().skip(1) {
         let sys = build(kind, &cfg()).unwrap();
         let state = drive(&*sys.fs);
         sys.fs.unmount().unwrap();
@@ -145,7 +136,7 @@ fn all_systems_agree_on_the_same_script() {
 
 #[test]
 fn state_survives_remount_on_every_system() {
-    for kind in ALL {
+    for kind in SystemKind::ALL {
         let sys = build(kind, &cfg()).unwrap();
         let state = drive(&*sys.fs);
         sys.fs.unmount().unwrap();
@@ -169,5 +160,20 @@ fn state_survives_remount_on_every_system() {
             );
         }
         sys2.fs.unmount().unwrap();
+    }
+}
+
+/// The fuzzer's lockstep on every system: each op of a random script has
+/// the outcome class the reference model expects, and the final files
+/// and directories match it byte for byte.
+#[test]
+fn every_system_runs_in_lockstep_with_the_model() {
+    let h = Harness::new();
+    for seed in 0..32u64 {
+        let script = Script::random(0x10C5 + seed, 60);
+        for kind in SystemKind::ALL {
+            let vs = faultfs::differential(&h, kind, &script.ops, None);
+            assert!(vs.is_empty(), "{} seed {seed}: {vs:#?}", kind.label());
+        }
     }
 }

@@ -13,13 +13,17 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use faultfs::{exec_op, FsKind, Harness, InjectedFault, Op, Oracle, Repro, Script, SweepConfig};
+mod common;
+
+use common::fixture;
+use faultfs::{exec_op, Harness, InjectedFault, Op, Oracle, Script, SweepConfig, CRASH_KINDS};
 use fskit::{FileSystem, FsError, OpenFlags};
 use hinfs::{Hinfs, HinfsConfig};
 use nvmm::{CostModel, FaultPlan, NvmmDevice, SimEnv};
 use obsv::Introspect;
 use pmfs::{Pmfs, PmfsOptions};
 use proptest::prelude::*;
+use workloads::setups::{self, SystemKind};
 
 fn sweep_cfg() -> SweepConfig {
     SweepConfig {
@@ -29,7 +33,7 @@ fn sweep_cfg() -> SweepConfig {
     }
 }
 
-fn sweep_clean(kind: FsKind, seed: u64, n_ops: usize) {
+fn sweep_clean(kind: SystemKind, seed: u64, n_ops: usize) {
     let h = Harness::new();
     let script = Script::random(seed, n_ops);
     let out = h.sweep(kind, &script, sweep_cfg());
@@ -47,17 +51,17 @@ proptest! {
 
     #[test]
     fn crash_every_point_hinfs((seed, n) in (0u64..1 << 32, 6usize..10)) {
-        sweep_clean(FsKind::Hinfs, seed, n);
+        sweep_clean(SystemKind::Hinfs, seed, n);
     }
 
     #[test]
     fn crash_every_point_pmfs((seed, n) in (0u64..1 << 32, 6usize..10)) {
-        sweep_clean(FsKind::Pmfs, seed, n);
+        sweep_clean(SystemKind::Pmfs, seed, n);
     }
 
     #[test]
     fn crash_every_point_ext4((seed, n) in (0u64..1 << 32, 6usize..10)) {
-        sweep_clean(FsKind::Ext4, seed, n);
+        sweep_clean(SystemKind::Ext4Bd, seed, n);
     }
 }
 
@@ -90,7 +94,7 @@ fn faultable_script() -> Script {
 /// Runs `fault` over the script tail and asserts graceful degradation:
 /// no panics, no oracle violations, and (when `expect_errors`) at least
 /// one clean error mentioning `needle`.
-fn fault_round(kind: FsKind, fault: InjectedFault, expect_errors: bool, needle: &str) {
+fn fault_round(kind: SystemKind, fault: InjectedFault, expect_errors: bool, needle: &str) {
     let h = Harness::new();
     let script = faultable_script();
     let out = h.fault_run(kind, &script, fault, 3..script.ops.len());
@@ -116,7 +120,7 @@ fn fault_round(kind: FsKind, fault: InjectedFault, expect_errors: bool, needle: 
 #[test]
 fn journal_full_is_a_clean_error_on_pmfs() {
     fault_round(
-        FsKind::Pmfs,
+        SystemKind::Pmfs,
         InjectedFault::JournalFull,
         true,
         "JournalFull",
@@ -126,7 +130,7 @@ fn journal_full_is_a_clean_error_on_pmfs() {
 #[test]
 fn journal_full_is_a_clean_error_on_hinfs() {
     fault_round(
-        FsKind::Hinfs,
+        SystemKind::Hinfs,
         InjectedFault::JournalFull,
         true,
         "JournalFull",
@@ -136,7 +140,7 @@ fn journal_full_is_a_clean_error_on_hinfs() {
 #[test]
 fn journal_full_is_a_clean_error_on_ext4() {
     fault_round(
-        FsKind::Ext4,
+        SystemKind::Ext4Bd,
         InjectedFault::JournalFull,
         true,
         "JournalFull",
@@ -145,7 +149,7 @@ fn journal_full_is_a_clean_error_on_ext4() {
 
 #[test]
 fn enospc_is_a_clean_error_everywhere() {
-    for kind in FsKind::ALL {
+    for kind in CRASH_KINDS {
         fault_round(kind, InjectedFault::Enospc, true, "NoSpace");
     }
 }
@@ -154,7 +158,7 @@ fn enospc_is_a_clean_error_everywhere() {
 fn writeback_stall_degrades_gracefully_on_hinfs() {
     // A stalled writeback actor makes no progress but must not fail
     // foreground operations or break recovery once lifted.
-    fault_round(FsKind::Hinfs, InjectedFault::WritebackStall, false, "");
+    fault_round(SystemKind::Hinfs, InjectedFault::WritebackStall, false, "");
 }
 
 /// Heavy sweep for manual soak runs: `cargo test --test fault_sweep -- --ignored`.
@@ -163,7 +167,7 @@ fn writeback_stall_degrades_gracefully_on_hinfs() {
 fn stress_many_seeds_all_kinds() {
     let h = Harness::new();
     for seed in 0..40u64 {
-        for kind in FsKind::ALL {
+        for kind in CRASH_KINDS {
             let script = Script::random(seed * 7 + 1, 14);
             let cfg = SweepConfig {
                 max_points: 48,
@@ -342,32 +346,26 @@ fn crash_during_steal_rebuilds_exact_accounting() {
     );
 }
 
-fn load_repro(name: &str) -> Repro {
-    let path = format!("{}/tests/repro/{name}.repro", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    Repro::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
 /// A fresh harness-sized PMFS or HiNFS on an 8 MiB device, with the
 /// PMFS underneath.
-fn small_mount(kind: FsKind) -> (Arc<NvmmDevice>, Arc<dyn FileSystem>, Arc<Pmfs>) {
+fn small_mount(kind: SystemKind) -> (Arc<NvmmDevice>, Arc<dyn FileSystem>, Arc<Pmfs>) {
     let dev = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 8 << 20);
     let popts = PmfsOptions {
         journal_blocks: 64,
         inode_count: 128,
     };
     match kind {
-        FsKind::Pmfs => {
+        SystemKind::Pmfs => {
             let fs = Pmfs::mkfs(dev.clone(), popts).unwrap();
             (dev, fs.clone(), fs)
         }
-        FsKind::Hinfs => {
+        SystemKind::Hinfs => {
             let cfg = HinfsConfig::default().with_buffer_bytes(1 << 20);
             let fs = Hinfs::mkfs(dev.clone(), popts, cfg).unwrap();
             let pmfs = fs.pmfs().clone();
             (dev, fs, pmfs)
         }
-        FsKind::Ext4 => unreachable!("a PMFS-family helper"),
+        _ => unreachable!("a PMFS-family helper"),
     }
 }
 
@@ -376,9 +374,9 @@ fn small_mount(kind: FsKind) -> (Arc<NvmmDevice>, Arc<dyn FileSystem>, Arc<Pmfs>
 /// tree node freed, wiped, parked and reused along the way.
 #[test]
 fn crash_everywhere_around_a_recycled_tree_node() {
-    let r = load_repro("recycled_tree_node");
+    let r = fixture("recycled_tree_node");
     let h = Harness::new();
-    for kind in [FsKind::Pmfs, FsKind::Hinfs] {
+    for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
         // A drill that never exercises the path is no drill.
         let (dev, fs, pmfs) = small_mount(kind);
         for op in &r.script.ops {
@@ -417,9 +415,9 @@ fn crash_everywhere_around_a_recycled_tree_node() {
 #[test]
 fn crash_anywhere_in_an_unlink_that_recycles_is_all_or_nothing() {
     let _quiet = Harness::new(); // installs the quiet CrashSignal panic hook
-    let r = load_repro("recycled_tree_node");
+    let r = fixture("recycled_tree_node");
     let (through_fsync, unlink) = (&r.script.ops[..3], &r.script.ops[3]);
-    for kind in [FsKind::Pmfs, FsKind::Hinfs] {
+    for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
         let prepare = || {
             let (dev, fs, pmfs) = small_mount(kind);
             for op in through_fsync {
@@ -507,8 +505,8 @@ fn crash_anywhere_in_an_unlink_that_recycles_is_all_or_nothing() {
 /// be asked for only after the directory had grown.
 #[test]
 fn a_create_refused_the_parents_undo_image_is_clean_on_both_stacks() {
-    let r = load_repro("create_journal_full");
-    for kind in [FsKind::Pmfs, FsKind::Hinfs] {
+    let r = fixture("create_journal_full");
+    for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
         let (dev, fs, pmfs) = small_mount(kind);
         let plan = FaultPlan::new();
         dev.fault_hook().install(plan.clone());
@@ -550,7 +548,7 @@ fn a_create_refused_the_parents_undo_image_is_clean_on_both_stacks() {
 /// core.
 #[test]
 fn a_truncate_the_journal_refuses_changes_nothing_on_both_stacks() {
-    let r = load_repro("truncate_journal_full");
+    let r = fixture("truncate_journal_full");
     let content = |fs: &dyn FileSystem| {
         let fd = fs.open("/f0", OpenFlags::READ).unwrap();
         let mut buf = vec![0u8; fs.fstat(fd).unwrap().size as usize];
@@ -558,7 +556,7 @@ fn a_truncate_the_journal_refuses_changes_nothing_on_both_stacks() {
         fs.close(fd).unwrap();
         buf
     };
-    for kind in [FsKind::Pmfs, FsKind::Hinfs] {
+    for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
         for (victim, op) in r.script.ops.iter().enumerate() {
             let Op::Truncate { size, .. } = *op else {
                 continue;
@@ -613,21 +611,16 @@ fn a_truncate_the_journal_refuses_changes_nothing_on_both_stacks() {
 /// shard takes its first victim from the full one.
 #[test]
 fn a_stalled_writer_evicts_from_a_foreign_shard_under_every_crash() {
-    let r = load_repro("foreign_shard_stall");
-    let tiny = 8 * nvmm::BLOCK_SIZE;
+    let r = fixture("foreign_shard_stall");
+    let h = Harness::new().with_hinfs_buffer(8 * nvmm::BLOCK_SIZE);
     // A drill that never takes the path is no drill.
-    let dev = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 8 << 20);
-    let popts = PmfsOptions {
-        journal_blocks: 64,
-        inode_count: 128,
-    };
-    let cfg = HinfsConfig::default().with_buffer_bytes(tiny);
-    let fs = Hinfs::mkfs(dev.clone(), popts, cfg).unwrap();
+    let sys = setups::build(SystemKind::Hinfs, h.config()).unwrap();
+    let fs = sys.hinfs.clone().unwrap();
     let plan = FaultPlan::new();
-    dev.fault_hook().install(plan.clone());
+    sys.dev.fault_hook().install(plan.clone());
     plan.set_stall_writeback(true);
     for op in &r.script.ops {
-        exec_op(&*fs, dev.env(), op).unwrap();
+        exec_op(&*sys.fs, &sys.env, op).unwrap();
         if matches!(op, Op::Write { file: 1, .. }) {
             let held = fs.snapshot().buffer.unwrap().shard_occupied_blocks;
             assert_eq!(held.iter().sum::<u64>(), 8, "the budget is out");
@@ -636,12 +629,11 @@ fn a_stalled_writer_evicts_from_a_foreign_shard_under_every_crash() {
     }
     assert_eq!(fs.stats().snapshot().foreground_stalls, 4);
     assert!(fs.audit().is_clean());
-    dev.fault_hook().clear();
+    sys.dev.fault_hook().clear();
 
-    let h = Harness::new().with_hinfs_buffer(tiny);
     let window = 0..r.script.ops.len();
     let out = h.fault_run(
-        FsKind::Hinfs,
+        SystemKind::Hinfs,
         &r.script,
         InjectedFault::WritebackStall,
         window,
@@ -657,7 +649,7 @@ fn a_stalled_writer_evicts_from_a_foreign_shard_under_every_crash() {
         torn_every: 3,
         ..sweep_cfg()
     };
-    let out = h.sweep(FsKind::Hinfs, &r.script, every);
+    let out = h.sweep(SystemKind::Hinfs, &r.script, every);
     assert!(out.violations.is_empty(), "{:#?}", out.violations);
     assert!(out.runs > 100, "every boundary: {}", out.runs);
 }
@@ -666,7 +658,7 @@ fn a_stalled_writer_evicts_from_a_foreign_shard_under_every_crash() {
 fn harness_counters_flow_into_obsv() {
     let h = Harness::new();
     let script = Script::random(11, 8);
-    let out = h.sweep(FsKind::Pmfs, &script, sweep_cfg());
+    let out = h.sweep(SystemKind::Pmfs, &script, sweep_cfg());
     assert!(out.violations.is_empty(), "{:#?}", out.violations);
     let snap = h.stats.snapshot();
     assert!(snap.crashes_injected > 0);

@@ -10,34 +10,16 @@
 //! oracle accepts a zero, the synced image or a pending write's fill for
 //! each byte; the poison is none of those.
 
-use faultfs::{Harness, Repro, Script};
+mod common;
 
-fn load(name: &str) -> Repro {
-    let path = format!("{}/tests/repro/{name}.repro", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    Repro::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-/// The 1-based boundaries the script's last op crosses.
-fn boundaries_of_last_op(h: &Harness, r: &Repro) -> Vec<u64> {
-    let kind = r.kind.expect("fixture names its kind");
-    let numbered = |s: &Script| {
-        h.record_schedule(kind, s)
-            .iter()
-            .filter(|b| b.index != 0)
-            .count() as u64
-    };
-    let prefix = Script {
-        ops: r.script.ops[..r.script.ops.len() - 1].to_vec(),
-    };
-    (numbered(&prefix) + 1..=numbered(&r.script)).collect()
-}
+use common::fixture;
+use faultfs::Harness;
 
 fn crash_everywhere(name: &str) {
     let h = Harness::new();
-    let r = load(name);
-    let kind = r.kind.unwrap();
-    let points = boundaries_of_last_op(&h, &r);
+    let r = fixture(name);
+    let kind = r.kind.expect("fixture names its kind");
+    let points = h.last_op_boundaries(kind, &r.script);
     assert!(points.len() >= 4, "{name}: the op maps a block: {points:?}");
     let mut violations = Vec::new();
     for &k in &points {
@@ -71,10 +53,11 @@ fn pmfs_write_never_exposes_a_recycled_blocks_content() {
 fn fixtures_carry_every_boundary_of_the_mapping_op() {
     let h = Harness::new();
     for name in ["fill_before_link_hinfs", "fill_before_link_pmfs"] {
-        let r = load(name);
+        let r = fixture(name);
+        let kind = r.kind.expect("fixture names its kind");
         assert_eq!(
             r.boundaries,
-            boundaries_of_last_op(&h, &r),
+            h.last_op_boundaries(kind, &r.script),
             "{name}: update the `boundaries:` line"
         );
     }

@@ -15,26 +15,18 @@
 //! with a deliberately planted bug, to that exact byte-identical two-op
 //! fixed point on every run.
 
+mod common;
+
+use common::{fixture, REPRO_DIR};
 use faultfs::fuzz::{known_bad_script, shrink_differential};
-use faultfs::{exec_op, FsKind, Harness, ModelBug, Repro};
+use faultfs::{exec_op, Harness, ModelBug, Repro};
 use nvmm::{FaultPlan, TimeMode};
 use workloads::setups::{build, SystemConfig, SystemKind};
 
-fn repro_dir() -> String {
-    format!("{}/tests/repro", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn load(name: &str) -> Repro {
-    let path = format!("{}/{name}", repro_dir());
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    Repro::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
 /// Every committed fixture as `(file name, contents)`, sorted.
 fn all_repro_files() -> Vec<(String, String)> {
-    let dir = repro_dir();
     let mut out = Vec::new();
-    for entry in std::fs::read_dir(&dir).expect("tests/repro must exist") {
+    for entry in std::fs::read_dir(REPRO_DIR).expect("tests/repro must exist") {
         let p = entry.expect("dirent").path();
         if p.extension().is_some_and(|e| e == "repro") {
             let name = p.file_name().unwrap().to_string_lossy().into_owned();
@@ -42,7 +34,7 @@ fn all_repro_files() -> Vec<(String, String)> {
         }
     }
     out.sort();
-    assert!(!out.is_empty(), "no committed reproducers in {dir}");
+    assert!(!out.is_empty(), "no committed reproducers in {REPRO_DIR}");
     out
 }
 
@@ -84,7 +76,7 @@ fn committed_repros_stay_fixed() {
 fn known_bad_script_shrinks_to_the_committed_fixture() {
     let bug = ModelBug::TruncateExtendLost { threshold: 16_384 };
     let h = Harness::new();
-    let repro = shrink_differential(&h, FsKind::Pmfs, &known_bad_script(), Some(bug), 400)
+    let repro = shrink_differential(&h, SystemKind::Pmfs, &known_bad_script(), Some(bug), 400)
         .expect("the known-bad script must fail against the planted bug");
     assert!(
         repro.script.ops.len() <= 2,
@@ -92,11 +84,11 @@ fn known_bad_script_shrinks_to_the_committed_fixture() {
         repro.script.ops.len(),
         repro.script.ops
     );
-    let again = shrink_differential(&h, FsKind::Pmfs, &repro.script.ops, Some(bug), 400)
+    let again = shrink_differential(&h, SystemKind::Pmfs, &repro.script.ops, Some(bug), 400)
         .expect("the shrunk script must still fail");
     assert_eq!(again.script.ops, repro.script.ops, "shrink fixed point");
 
-    let path = format!("{}/selftest_truncate_extend.repro", repro_dir());
+    let path = format!("{REPRO_DIR}/selftest_truncate_extend.repro");
     let fixture = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     assert_eq!(
         repro.to_text(),
@@ -118,7 +110,7 @@ fn known_bad_script_shrinks_to_the_committed_fixture() {
 /// nondeterministic; every replayed crash is deterministic.
 #[test]
 fn threaded_repro_replays_committed_and_fresh_schedules() {
-    let r = load("fuzzed_threads4_appends.repro");
+    let r = fixture("fuzzed_threads4_appends");
     assert_eq!(r.threads, 4);
     assert!(
         !r.boundaries.is_empty(),
@@ -176,7 +168,7 @@ fn threaded_repro_replays_committed_and_fresh_schedules() {
     );
     for q in 0..=3 {
         let k = crash_points[(crash_points.len() - 1) * q / 3];
-        let out = h.crash_run(FsKind::Hinfs, &r.script, k, None);
+        let out = h.crash_run(SystemKind::Hinfs, &r.script, k, None);
         assert!(
             out.violations.is_empty(),
             "crash at freshly recorded boundary {k}: {:#?}",

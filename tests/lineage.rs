@@ -46,7 +46,7 @@ fn fsync_acked_data_has_zero_lag_on_every_system() {
         SystemKind::Ext4Dax,
     ] {
         let sys = build(kind, &cfg()).unwrap();
-        let obs = sys.obs.as_ref().expect("lineage-armed mount");
+        let obs = &sys.obs;
         let fd = sys
             .fs
             .open("/sync.log", OpenFlags::RDWR | OpenFlags::CREATE)
@@ -90,7 +90,7 @@ fn fsync_acked_data_has_zero_lag_on_every_system() {
 fn crash_after_reported_drain_finds_the_data() {
     for kind in [SystemKind::Hinfs, SystemKind::Pmfs, SystemKind::Ext4Bd] {
         let sys = build(kind, &cfg()).unwrap();
-        let obs = Arc::clone(sys.obs.as_ref().expect("lineage-armed mount"));
+        let obs = Arc::clone(&sys.obs);
         let payload: Vec<u8> = (0..PAYLOAD).map(|i| (i % 251) as u8).collect();
         let fd = sys
             .fs
@@ -155,7 +155,7 @@ fn hinfs_max_lag_stays_inside_the_sync_decay_bound() {
     let mut c = cfg();
     c.obsv.audit = true;
     let sys = build(SystemKind::Hinfs, &c).unwrap();
-    let obs = Arc::clone(sys.obs.as_ref().expect("lineage-armed mount"));
+    let obs = Arc::clone(&sys.obs);
     let set = Fileset::populate(&*sys.fs, FilesetSpec::new("/d", 48, 10, 16 << 10), 7).unwrap();
     let actors: Vec<Box<dyn Actor>> =
         vec![Box::new(Fileserver::new(set, FilebenchParams::default()))];

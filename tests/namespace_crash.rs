@@ -17,7 +17,11 @@
 //! (`tests/repro/namespace_*.repro`), so `tests/fuzz_regress.rs` replays
 //! them too.
 
-use faultfs::{FsKind, Harness, Op, Repro, Script};
+mod common;
+
+use common::fixture;
+use faultfs::{Harness, Op, Script};
+use workloads::setups::SystemKind;
 
 /// A case: the ops before the one under test, then that op, as text.
 struct Case {
@@ -119,24 +123,10 @@ fn script(ops: &[&str]) -> Script {
     }
 }
 
-/// The 1-based boundaries the script's last op crosses.
-fn boundaries_of_last_op(h: &Harness, kind: FsKind, s: &Script) -> Vec<u64> {
-    let numbered = |s: &Script| {
-        h.record_schedule(kind, s)
-            .iter()
-            .filter(|b| b.index != 0)
-            .count() as u64
-    };
-    let prefix = Script {
-        ops: s.ops[..s.ops.len() - 1].to_vec(),
-    };
-    (numbered(&prefix) + 1..=numbered(s)).collect()
-}
-
 /// Crashes `s` at every boundary of its last op, clean and torn; returns
 /// the violations and how many recoveries rolled a transaction back.
-fn crash_everywhere(h: &Harness, kind: FsKind, name: &str, s: &Script) -> (Vec<String>, u64) {
-    let points = boundaries_of_last_op(h, kind, s);
+fn crash_everywhere(h: &Harness, kind: SystemKind, name: &str, s: &Script) -> (Vec<String>, u64) {
+    let points = h.last_op_boundaries(kind, s);
     assert!(!points.is_empty(), "{name}: the op persists nothing");
     let (mut violations, mut undone) = (Vec::new(), 0);
     for &k in &points {
@@ -155,7 +145,7 @@ fn crash_everywhere(h: &Harness, kind: FsKind, name: &str, s: &Script) -> (Vec<S
     (violations, undone)
 }
 
-fn drill(kind: FsKind) {
+fn drill(kind: SystemKind) {
     let h = Harness::new();
     let (mut violations, mut undone) = (Vec::new(), 0);
     for case in CASES {
@@ -169,18 +159,12 @@ fn drill(kind: FsKind) {
 
 #[test]
 fn pmfs_namespace_ops_survive_a_crash_at_every_boundary() {
-    drill(FsKind::Pmfs);
+    drill(SystemKind::Pmfs);
 }
 
 #[test]
 fn hinfs_namespace_ops_survive_a_crash_at_every_boundary() {
-    drill(FsKind::Hinfs);
-}
-
-fn load(name: &str) -> Repro {
-    let path = format!("{}/tests/repro/{name}.repro", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    Repro::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    drill(SystemKind::Hinfs);
 }
 
 /// The committed fixtures are the drill's grow and rename cases, and
@@ -189,18 +173,18 @@ fn load(name: &str) -> Repro {
 #[test]
 fn fixtures_carry_the_drills_grow_and_rename_cases() {
     let h = Harness::new();
-    for (fixture, case) in [
+    for (name, case) in [
         ("namespace_grow_hinfs", "create grows the directory"),
         ("namespace_rename_pmfs", "rename after a freed entry"),
     ] {
-        let r = load(fixture);
+        let r = fixture(name);
         let case = CASES.iter().find(|c| c.name == case).unwrap();
-        assert_eq!(r.script, script(case.ops), "{fixture}: ops");
+        assert_eq!(r.script, script(case.ops), "{name}: ops");
         let kind = r.kind.expect("fixture names its kind");
         assert_eq!(
             r.boundaries,
-            boundaries_of_last_op(&h, kind, &r.script),
-            "{fixture}: update the `boundaries:` line"
+            h.last_op_boundaries(kind, &r.script),
+            "{name}: update the `boundaries:` line"
         );
     }
 }
