@@ -279,6 +279,20 @@ impl Harness {
         k: u64,
         torn_seed: Option<u64>,
     ) -> RunOutcome {
+        self.crash_run_then(kind, script, k, torn_seed, |_| Vec::new())
+    }
+
+    /// [`Self::crash_run`], with a drill's own check of the recovered
+    /// system: `inspect` runs on it right after the remount, and what it
+    /// returns joins the run's violations.
+    pub fn crash_run_then(
+        &self,
+        kind: SystemKind,
+        script: &Script,
+        k: u64,
+        torn_seed: Option<u64>,
+        inspect: impl FnOnce(&System) -> Vec<String>,
+    ) -> RunOutcome {
         let b = match self.mkfs(kind) {
             Ok(b) => b,
             Err(v) => return RunOutcome::failed(v),
@@ -328,7 +342,10 @@ impl Harness {
                 out.violations
                     .push(format!("remount after crash at boundary {k} failed: {e:?}"));
             }
-            Ok(remounted) => self.check_recovered(&mut out, &oracle, remounted, b.env.now()),
+            Ok(remounted) => {
+                out.violations.extend(inspect(&remounted));
+                self.check_recovered(&mut out, &oracle, remounted, b.env.now());
+            }
         }
         self.record_run_stats(&out);
         out

@@ -212,7 +212,7 @@ impl Hinfs {
         }
         let ino = of.ino;
         let mut guard = of.handle.state.write();
-        let state = &mut *guard;
+        let state = &mut guard;
         let off = if append || of.flags.contains(OpenFlags::APPEND) {
             state.size
         } else {
@@ -346,7 +346,7 @@ impl Hinfs {
         let carried = grew && all_lazy && self.shard(ino).lock().carriers(ino) > 0;
         if grew && !carried {
             let tx = self.begin_tx(ino, state)?;
-            let logged = match self.inner.log_write_inode(&tx, ino, state) {
+            let logged = match self.inner.log_write_inode(&tx, &of.handle, state) {
                 Ok(logged) => logged,
                 Err(e) => {
                     // Abort rather than leak the reservation: an open tx

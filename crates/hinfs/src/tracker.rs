@@ -155,8 +155,7 @@ mod tests {
     fn open_tx(fs: &Pmfs) -> (TxHandle, InodeLogged) {
         let tx = fs.journal().begin().unwrap();
         let root = fs.resolve_path("/").unwrap();
-        let core = *root.state.read();
-        let logged = fs.log_write_inode(&tx, root.ino, &core).unwrap();
+        let logged = fs.log_write_inode(&tx, &root, &root.state.write()).unwrap();
         (tx, logged)
     }
 

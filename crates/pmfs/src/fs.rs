@@ -41,7 +41,7 @@ use obsv::{FsObs, OpKind, Phase, Site, TrackedMutex};
 use crate::alloc::Allocator;
 use crate::dir;
 use crate::file;
-use crate::inode::{InodeCache, InodeHandle, InodeMem, NameIndex, INODE_CORE};
+use crate::inode::{InodeCache, InodeGuard, InodeHandle, InodeMem, NameIndex, INODE_CORE};
 use crate::journal::{Journal, RecoveryStats, TxHandle};
 use crate::layout::{self, Layout, ROOT_INO};
 use crate::mmap::PmfsMmap;
@@ -124,14 +124,13 @@ struct Freed<'a> {
 /// entry's predecessor header and a grown directory's core (an add that
 /// fits logs one header instead of the core); over an existing entry
 /// (`replace`), that entry's header, the removed entry's predecessor
-/// header and the replaced inode's core.
+/// header and the replaced inode's liveness word.
 fn rename_undo_slots(n: usize, replace: bool) -> u64 {
-    let payload = crate::journal::PAYLOAD;
-    let core = INODE_CORE.div_ceil(payload);
+    let slots = |bytes: usize| bytes.div_ceil(crate::journal::PAYLOAD) as u64;
     if replace {
-        return (2 + core) as u64;
+        return 2 + slots(crate::inode::LIVENESS);
     }
-    (1 + core).max((dir::HDR + n).div_ceil(payload)) as u64
+    (1 + slots(INODE_CORE)).max(slots(dir::HDR + n))
 }
 
 /// Name-index activity, reported as `pmfs_namei_*`.
@@ -321,12 +320,18 @@ impl Pmfs {
         self.resolve(&comps)
     }
 
-    /// Journals the inode core's old image and persists the new one.
+    /// Journals inode `h`'s core's old image and persists the new one from
+    /// `state`, the caller's live write guard on `h` (never a stale copy).
     /// The change becomes crash-durable when the transaction commits; the
     /// returned witness says which transaction now holds that image.
-    pub fn log_write_inode(&self, tx: &TxHandle, ino: u64, mem: &InodeMem) -> Result<InodeLogged> {
-        let logged = self.log_inode(tx, ino)?;
-        self.persist_inode_core(ino, mem);
+    pub fn log_write_inode(
+        &self,
+        tx: &TxHandle,
+        h: &InodeHandle,
+        state: &InodeGuard,
+    ) -> Result<InodeLogged> {
+        let logged = self.log_inode(tx, h.ino)?;
+        self.persist_inode_core(h.ino, state);
         Ok(logged)
     }
 
@@ -385,6 +390,21 @@ impl Pmfs {
     fn persist_inode_core(&self, ino: u64, mem: &InodeMem) {
         self.dev
             .write_persist(Cat::Meta, self.layout.inode_off(ino), &mem.encode());
+        self.dev.sfence();
+    }
+
+    /// Journals word 0 of inode `ino`'s core, its liveness (see
+    /// [`crate::inode`]): all a namespace op's rollback puts back.
+    fn log_liveness(&self, tx: &TxHandle, ino: u64) -> Result<()> {
+        self.journal
+            .log_range(tx, self.layout.inode_off(ino), crate::inode::LIVENESS)
+    }
+
+    /// Stores the 8-byte word at `off` in inode `ino`'s core with one
+    /// atomic store.
+    fn store_word(&self, ino: u64, off: usize, word: u64) {
+        let at = self.layout.inode_off(ino) + off as u64;
+        self.dev.write_u64_persist(Cat::Meta, at, word);
         self.dev.sfence();
     }
 
@@ -536,11 +556,7 @@ impl Pmfs {
         state.mtime = self.env.now();
         match logged {
             Some(logged) => self.rewrite_logged_inode(tx, logged, state),
-            None => {
-                let at = self.layout.inode_off(ino) + crate::inode::MTIME_OFF as u64;
-                self.dev.write_u64_persist(Cat::Meta, at, state.mtime);
-                self.dev.sfence();
-            }
+            None => self.store_word(ino, crate::inode::MTIME_OFF, state.mtime),
         }
     }
 
@@ -602,7 +618,8 @@ impl Pmfs {
         let tx = self.journal.begin()?;
         let mem = InodeMem::new(ftype, self.env.now());
         let res = (|| -> Result<()> {
-            self.log_write_inode(&tx, ino, &mem)?;
+            self.log_liveness(&tx, ino)?;
+            self.persist_inode_core(ino, &mem);
             let mut pstate = parent.state.write();
             if pstate.ftype != FileType::Dir || pstate.nlink == 0 {
                 // The parent was removed between resolution and the
@@ -629,9 +646,10 @@ impl Pmfs {
     /// Frees inode `h`, whose last link is gone and which no descriptor
     /// holds open, inside `tx` and under its write lock (`state`): the one
     /// place PMFS frees an inode. What the layer above holds for a regular
-    /// file goes first ([`VolatileLayer::discard`]); then the core is
-    /// journaled, the blocks freed and the core zeroed. The caller ends
-    /// `tx` with [`Pmfs::finish_namespace`].
+    /// file goes first ([`VolatileLayer::discard`]); then word 0 is
+    /// journaled, the blocks freed and word 0 cleared (the rest of the core
+    /// is the slot's dead tail). The caller ends `tx` with
+    /// [`Pmfs::finish_namespace`].
     fn free_inode(
         &self,
         tx: &TxHandle,
@@ -648,12 +666,10 @@ impl Pmfs {
             // walker still holding this handle must find no names in it.
             FileType::Dir => self.forget_names(&mut h.names.lock()),
         }
-        self.log_inode(tx, h.ino)?;
+        self.log_liveness(tx, h.ino)?;
         state.nlink = 0;
         let emptied = file::free_all(&self.dev, &self.alloc, state);
-        self.dev
-            .write_persist(Cat::Meta, self.layout.inode_off(h.ino), &[0u8; INODE_CORE]);
-        self.dev.sfence();
+        self.store_word(h.ino, 0, 0);
         Ok(Freed {
             ino: h.ino,
             emptied,
@@ -662,7 +678,7 @@ impl Pmfs {
 
     /// Drops one link of `h` inside `tx`, under its write lock (`state`):
     /// frees the inode when that was its last link and no descriptor holds
-    /// it open, else journals the lower count.
+    /// it open, else journals word 0 and stores it with the lower count.
     fn drop_link(
         &self,
         tx: &TxHandle,
@@ -672,10 +688,9 @@ impl Pmfs {
         if state.nlink == 1 && *h.opens.lock() == 0 {
             return self.free_inode(tx, h, state).map(Some);
         }
-        let mut snap = *state;
-        snap.nlink -= 1;
-        self.log_write_inode(tx, h.ino, &snap)?;
+        self.log_liveness(tx, h.ino)?;
         state.nlink -= 1;
+        self.store_word(h.ino, 0, state.liveness_word());
         Ok(None)
     }
 
@@ -726,7 +741,7 @@ impl Pmfs {
             if emptied.is_some() {
                 // Logged under the lock: a writer that takes it next must
                 // find its own core persisted last.
-                self.log_write_inode(&tx, h.ino, &state)?;
+                self.log_write_inode(&tx, h, &state)?;
             }
             Ok(emptied)
         })();
@@ -770,7 +785,7 @@ impl Pmfs {
                 file::write_at(&self.dev, &self.alloc, &mut state, cur, iov, self.env.now())?;
                 cur += iov.len() as u64;
             }
-            self.log_write_inode(&tx, of.ino, &state)?;
+            self.log_write_inode(&tx, &of.handle, &state)?;
             Ok((start, (cur - start) as usize))
         })();
         match res {
@@ -788,13 +803,13 @@ impl Pmfs {
     }
 
     /// Looks `name` up in directory `dir` under its read lock: the entry,
-    /// or "no such name" — also when `dir` itself was removed.
-    fn entry(&self, dir: &InodeHandle, name: &str) -> Result<(u64, FileType)> {
+    /// if any — "no such name" when `dir` itself was removed.
+    fn entry(&self, dir: &InodeHandle, name: &str) -> Result<Option<(u64, FileType)>> {
         let state = dir.state.read();
         if state.nlink == 0 {
             return Err(FsError::NotFound);
         }
-        self.lookup(dir, &state, name)?.ok_or(FsError::NotFound)
+        self.lookup(dir, &state, name)
     }
 
     /// Whether directory `state` (write-locked by the caller) may be
@@ -868,30 +883,14 @@ impl FileSystem for Pmfs {
             let (parent, name) = self.resolve_parent(path)?;
             fskit::path::validate_name(name)?;
             let _ns = self.lock_ns(parent.ino, name);
-            let existing = {
-                let pstate = parent.state.read();
-                if pstate.ftype != FileType::Dir {
-                    return Err(FsError::NotADirectory);
-                }
-                if pstate.nlink == 0 {
-                    return Err(FsError::NotFound);
-                }
-                self.lookup(&parent, &pstate, name)?
-            };
-            let handle = match existing {
+            let create = flags.contains(OpenFlags::CREATE);
+            let excl = create && flags.contains(OpenFlags::EXCL);
+            let handle = match self.entry(&parent, name)? {
                 Some((_, FileType::Dir)) => return Err(FsError::IsADirectory),
-                Some((ino, FileType::File)) => {
-                    if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
-                        return Err(FsError::AlreadyExists);
-                    }
-                    self.inode(ino)?
-                }
-                None => {
-                    if !flags.contains(OpenFlags::CREATE) {
-                        return Err(FsError::NotFound);
-                    }
-                    self.create_node(&parent, name, FileType::File)?
-                }
+                Some(_) if excl => return Err(FsError::AlreadyExists),
+                Some((ino, _)) => self.inode(ino)?,
+                None if !create => return Err(FsError::NotFound),
+                None => self.create_node(&parent, name, FileType::File)?,
             };
             if flags.contains(OpenFlags::TRUNC) && flags.writable() {
                 self.resize(&handle, 0)?;
@@ -987,7 +986,7 @@ impl FileSystem for Pmfs {
             self.env.charge_syscall();
             let (parent, name) = self.resolve_parent(path)?;
             let _ns = self.lock_ns(parent.ino, name);
-            let (ino, ftype) = self.entry(&parent, name)?;
+            let (ino, ftype) = self.entry(&parent, name)?.ok_or(FsError::NotFound)?;
             if ftype != FileType::File {
                 return Err(FsError::IsADirectory);
             }
@@ -1010,14 +1009,8 @@ impl FileSystem for Pmfs {
         let (parent, name) = self.resolve_parent(path)?;
         fskit::path::validate_name(name)?;
         let _ns = self.lock_ns(parent.ino, name);
-        {
-            let pstate = parent.state.read();
-            if pstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
-            if self.lookup(&parent, &pstate, name)?.is_some() {
-                return Err(FsError::AlreadyExists);
-            }
+        if self.entry(&parent, name)?.is_some() {
+            return Err(FsError::AlreadyExists);
         }
         self.create_node(&parent, name, FileType::Dir)?;
         Ok(())
@@ -1028,7 +1021,7 @@ impl FileSystem for Pmfs {
         self.env.charge_syscall();
         let (parent, name) = self.resolve_parent(path)?;
         let _ns = self.lock_ns(parent.ino, name);
-        let (ino, ftype) = self.entry(&parent, name)?;
+        let (ino, ftype) = self.entry(&parent, name)?.ok_or(FsError::NotFound)?;
         if ftype != FileType::Dir {
             return Err(FsError::NotADirectory);
         }
@@ -1051,8 +1044,7 @@ impl FileSystem for Pmfs {
 
     fn readdir(&self, path: &str) -> Result<Vec<DirEntry>> {
         self.env.charge_syscall();
-        let comps = fskit::path::components(path)?;
-        let h = self.resolve(&comps)?;
+        let h = self.resolve_path(path)?;
         let state = h.state.read();
         if state.ftype != FileType::Dir {
             return Err(FsError::NotADirectory);
@@ -1062,31 +1054,12 @@ impl FileSystem for Pmfs {
 
     fn stat(&self, path: &str) -> Result<Stat> {
         self.env.charge_syscall();
-        let comps = fskit::path::components(path)?;
-        let h = self.resolve(&comps)?;
-        let s = h.state.read();
-        Ok(Stat {
-            ino: h.ino,
-            ftype: s.ftype,
-            size: s.size,
-            blocks: s.blocks,
-            nlink: s.nlink,
-            mtime_ns: s.mtime,
-        })
+        Ok(self.resolve_path(path)?.stat())
     }
 
     fn fstat(&self, fd: Fd) -> Result<Stat> {
         self.env.charge_syscall();
-        let of = self.fds.get(fd)?;
-        let s = of.handle.state.read();
-        Ok(Stat {
-            ino: of.ino,
-            ftype: s.ftype,
-            size: s.size,
-            blocks: s.blocks,
-            nlink: s.nlink,
-            mtime_ns: s.mtime,
-        })
+        Ok(self.fds.get(fd)?.handle.stat())
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
@@ -1102,7 +1075,9 @@ impl FileSystem for Pmfs {
         let (lo, hi) = (si.min(di), si.max(di));
         let _ns_lo = self.ns_shards[lo].lock();
         let _ns_hi = (hi != lo).then(|| self.ns_shards[hi].lock());
-        let (ino, ftype) = self.entry(&src_parent, src_name)?;
+        let (ino, ftype) = self
+            .entry(&src_parent, src_name)?
+            .ok_or(FsError::NotFound)?;
         let replaced = {
             let pstate = dst_parent.state.read();
             self.lookup(&dst_parent, &pstate, dst_name)?

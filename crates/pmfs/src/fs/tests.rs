@@ -6,7 +6,7 @@ use nvmm::{Cat, CostModel, FaultPlan, NvmmDevice, SimEnv, BLOCK_SIZE};
 use obsv::Introspect;
 
 use crate::fs::{Pmfs, PmfsOptions, VolatileLayer};
-use crate::inode::{InodeHandle, InodeMem, INODE_CORE};
+use crate::inode::{InodeHandle, InodeMem, LIVENESS};
 use crate::{dir, file};
 
 fn small_opts() -> PmfsOptions {
@@ -901,29 +901,40 @@ fn the_auditor_names_a_stale_slot_cookie() {
 /// Entry edits go from the name index to the slot: a create that fits
 /// and an unlink read no directory block — the one NVMM read is the
 /// journal copying its undo images — journal one entry header each, and
-/// stamp the parent's mtime with one 8-byte store.
+/// stamp the parent's mtime with one 8-byte store. The child's slot
+/// journals its liveness word only, both ways.
 #[test]
 fn creates_and_unlinks_read_no_directory_block() {
     let (dev, fs) = fresh();
     touch(&fs, "/warm");
     let undo = || fs.journal().stats().snapshot().undo_entries;
     let read = || dev.stats().snapshot().nvmm_bytes_read;
-    // The inode core (two entries) and one entry header, both ways.
-    let images = (3, (INODE_CORE + dir::HDR) as u64);
+    let lines = || dev.stats().snapshot().nvmm_bytes_written / nvmm::CACHELINE as u64;
+    // Word 0 of the core and one entry header, both ways (one undo entry
+    // each).
+    let images = (2, (LIVENESS + dir::HDR) as u64);
+    // A create, with its open and close: two undo entries, the new core,
+    // the entry, the mtime stamp, the commit record; an unlink stores
+    // word 0 where the create wrote the core.
+    let (create_lines, unlink_lines) = (7, 6);
     for i in 0..20 {
-        let (u0, r0) = (undo(), read());
+        let (u0, r0, w0) = (undo(), read(), lines());
         touch(&fs, &format!("/f{i}"));
-        assert_eq!((undo() - u0, read() - r0), images, "create {i}");
+        let got = (undo() - u0, read() - r0, lines() - w0);
+        assert_eq!(got, (images.0, images.1, create_lines), "create {i}");
     }
     for i in (0..20).step_by(3) {
-        let (u0, r0) = (undo(), read());
+        let (u0, r0, w0) = (undo(), read(), lines());
         fs.unlink(&format!("/f{i}")).unwrap();
-        assert_eq!((undo() - u0, read() - r0), images, "unlink {i}");
+        let got = (undo() - u0, read() - r0, lines() - w0);
+        assert_eq!(got, (images.0, images.1, unlink_lines), "unlink {i}");
     }
-    // A create reusing freed space journals one header too.
-    let (u0, r0) = (undo(), read());
+    // A create reusing freed space, and a freed slot with its dead tail,
+    // journals the same.
+    let (u0, r0, w0) = (undo(), read(), lines());
     touch(&fs, "/f0");
-    assert_eq!((undo() - u0, read() - r0), images);
+    let got = (undo() - u0, read() - r0, lines() - w0);
+    assert_eq!(got, (images.0, images.1, create_lines));
     let mtime = fs.stat("/").unwrap().mtime_ns;
     fs.unmount().unwrap();
     drop(fs);

@@ -3,13 +3,15 @@
 //! Each inode occupies a 256 B slot in the inode table; the fields live in
 //! the slot's first cacheline so an inode update journals and persists a
 //! single 64 B line. In-memory state is an [`InodeHandle`] with a `RwLock`,
-//! shared by every open descriptor of the file.
+//! shared by every open descriptor of the file. A slot is free iff its
+//! byte 0 (the valid flag) is 0; the rest of a free slot is a don't-care
+//! dead tail, which the next create overwrites.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use fskit::dirent::Header;
-use fskit::{FileType, FsError, Result};
+use fskit::{FileType, FsError, Result, Stat};
 use nvmm::{Cat, NvmmDevice};
 use obsv::{Site, TrackedMutex};
 use parking_lot::{Mutex, RwLock};
@@ -18,6 +20,10 @@ use crate::layout::Layout;
 
 /// Size of the journaled/persisted inode core, one cacheline.
 pub const INODE_CORE: usize = 64;
+
+/// Word 0 of the core (valid flag, type, `nlink`): all that a namespace op
+/// journals of the inode it allocates, frees or relinks.
+pub const LIVENESS: usize = 8;
 
 /// Offset of `mtime` in the core: 8-byte aligned, so a directory whose
 /// entry edit changes nothing else stamps it with one atomic store.
@@ -63,9 +69,7 @@ impl InodeMem {
     /// Encodes the persistent core (valid flag set).
     pub fn encode(&self) -> [u8; INODE_CORE] {
         let mut b = [0u8; INODE_CORE];
-        b[0] = 1; // valid
-        b[1] = self.ftype.as_u8();
-        b[4..8].copy_from_slice(&self.nlink.to_le_bytes());
+        b[..LIVENESS].copy_from_slice(&self.liveness_word().to_le_bytes());
         b[8..16].copy_from_slice(&self.size.to_le_bytes());
         b[16..24].copy_from_slice(&self.blocks.to_le_bytes());
         b[24..32].copy_from_slice(&self.tree_root.to_le_bytes());
@@ -73,6 +77,11 @@ impl InodeMem {
         b[MTIME_OFF..MTIME_OFF + 8].copy_from_slice(&self.mtime.to_le_bytes());
         b[48..56].copy_from_slice(&self.last_sync.to_le_bytes());
         b
+    }
+
+    /// The core's word 0 ([`LIVENESS`]).
+    pub fn liveness_word(&self) -> u64 {
+        1 | (self.ftype.as_u8() as u64) << 8 | (self.nlink as u64) << 32
     }
 
     /// Decodes a persistent core. Returns `Ok(None)` for a free slot.
@@ -253,6 +262,9 @@ impl NameIndex {
     }
 }
 
+/// A held write lock on an inode's state ([`InodeHandle::state`]).
+pub type InodeGuard<'a> = parking_lot::RwLockWriteGuard<'a, InodeMem>;
+
 /// Shared in-memory inode state.
 #[derive(Debug)]
 pub struct InodeHandle {
@@ -277,6 +289,19 @@ pub struct InodeHandle {
 }
 
 impl InodeHandle {
+    /// `stat(2)`'s view of the inode.
+    pub fn stat(&self) -> Stat {
+        let s = self.state.read();
+        Stat {
+            ino: self.ino,
+            ftype: s.ftype,
+            size: s.size,
+            blocks: s.blocks,
+            nlink: s.nlink,
+            mtime_ns: s.mtime,
+        }
+    }
+
     fn new(ino: u64, mem: InodeMem) -> Arc<InodeHandle> {
         Arc::new(InodeHandle {
             ino,
@@ -411,6 +436,16 @@ mod tests {
     fn free_slot_decodes_as_none() {
         let zero = [0u8; INODE_CORE];
         assert_eq!(InodeMem::decode(&zero).unwrap(), None);
+    }
+
+    #[test]
+    fn a_free_slot_keeps_a_dead_tail() {
+        let m = InodeMem::new(FileType::File, 9);
+        let mut b = m.encode();
+        assert_eq!(b[..LIVENESS], m.liveness_word().to_le_bytes());
+        assert_eq!((b[0], b[1], b[4]), (1, FileType::File.as_u8(), 1));
+        b[..LIVENESS].fill(0);
+        assert_eq!(InodeMem::decode(&b).unwrap(), None);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! Transaction protocol (undo logging):
 //!
 //! 1. [`Journal::begin`] a transaction.
-//! 2. [`Journal::log_range`] the *current* content of every metadata range
-//!    about to change. Entries are flushed and fenced — only after that
-//!    may the caller overwrite the metadata in place (durably).
+//! 2. [`Journal::log_range`] the *current* content of what a rollback must
+//!    restore (of an inode a namespace op creates or frees: word 0). Entries
+//!    are flushed and fenced — then the caller may overwrite it in place.
 //! 3. [`Journal::commit`] appends a commit entry. Until the commit entry is
 //!    persistent, recovery undoes the transaction.
 //!

@@ -61,7 +61,7 @@ impl PmfsMmap {
             fresh.link(&mut state)?;
             drop(fresh);
             if meta_changed {
-                fs.log_write_inode(&tx, of.ino, &state)?;
+                fs.log_write_inode(&tx, &of.handle, &state)?;
             }
             Ok(blocks)
         })();

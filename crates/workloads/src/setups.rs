@@ -187,6 +187,10 @@ pub struct System {
     /// The concrete HiNFS handle when `kind` is a HiNFS variant (for
     /// policy statistics such as the Fig 6 accuracy counters).
     pub hinfs: Option<Arc<Hinfs>>,
+    /// The concrete PMFS handle when `kind` is PMFS or a HiNFS variant
+    /// (HiNFS's own PMFS under it): the journal, the allocator and the
+    /// on-media layout.
+    pub pmfs: Option<Arc<Pmfs>>,
     /// Metrics registry with the device, file system and journal sources
     /// already registered; hand it to `Runner::with_registry` for
     /// per-phase deltas.
@@ -248,6 +252,7 @@ fn mount(
         fs,
         dev: dev.clone(),
         env: env.clone(),
+        pmfs: hinfs.as_ref().map(|h| h.pmfs().clone()),
         hinfs,
         registry: registry.clone(),
         obs: obs.clone(),
@@ -290,7 +295,11 @@ fn mount(
             registry.register("", p.obs().clone());
             let r = p.recovery_stats();
             let undone = (r.txs_undone, r.entries_undone);
-            system(p.clone(), None, p.obs(), p.clone(), undone)
+            let sys = system(p.clone(), None, p.obs(), p.clone(), undone);
+            System {
+                pmfs: Some(p),
+                ..sys
+            }
         }
         SystemKind::Hinfs | SystemKind::HinfsNclfw | SystemKind::HinfsWb => {
             let mut hcfg = HinfsConfig::default().with_buffer_bytes(cfg.buffer_bytes);

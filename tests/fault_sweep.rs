@@ -18,10 +18,9 @@ mod common;
 use common::fixture;
 use faultfs::{exec_op, Harness, InjectedFault, Op, Oracle, Script, SweepConfig, CRASH_KINDS};
 use fskit::{FileSystem, FsError, OpenFlags};
-use hinfs::{Hinfs, HinfsConfig};
-use nvmm::{CostModel, FaultPlan, NvmmDevice, SimEnv};
+use nvmm::{FaultPlan, NvmmDevice};
 use obsv::Introspect;
-use pmfs::{Pmfs, PmfsOptions};
+use pmfs::Pmfs;
 use proptest::prelude::*;
 use workloads::setups::{self, SystemKind};
 
@@ -190,16 +189,7 @@ fn stress_many_seeds_all_kinds() {
 /// allocation runs the PR-7 steal-on-empty path. Returns the device, the
 /// mounted fs and the open fd.
 fn pmfs_in_steal_regime() -> (Arc<NvmmDevice>, Arc<Pmfs>, fskit::Fd) {
-    let env = SimEnv::new_virtual(CostModel::default());
-    let dev = NvmmDevice::new(env.clone(), 8 << 20);
-    let fs = Pmfs::mkfs(
-        dev.clone(),
-        PmfsOptions {
-            journal_blocks: 64,
-            inode_count: 128,
-        },
-    )
-    .unwrap();
+    let (dev, _, fs) = small_mount(SystemKind::Pmfs);
     let fd = fs
         .open("/big", OpenFlags::RDWR | OpenFlags::CREATE)
         .unwrap();
@@ -346,27 +336,12 @@ fn crash_during_steal_rebuilds_exact_accounting() {
     );
 }
 
-/// A fresh harness-sized PMFS or HiNFS on an 8 MiB device, with the
-/// PMFS underneath.
+/// A fresh PMFS or HiNFS at the harness geometry ([`Harness::config`]),
+/// with the PMFS underneath.
 fn small_mount(kind: SystemKind) -> (Arc<NvmmDevice>, Arc<dyn FileSystem>, Arc<Pmfs>) {
-    let dev = NvmmDevice::new(SimEnv::new_virtual(CostModel::default()), 8 << 20);
-    let popts = PmfsOptions {
-        journal_blocks: 64,
-        inode_count: 128,
-    };
-    match kind {
-        SystemKind::Pmfs => {
-            let fs = Pmfs::mkfs(dev.clone(), popts).unwrap();
-            (dev, fs.clone(), fs)
-        }
-        SystemKind::Hinfs => {
-            let cfg = HinfsConfig::default().with_buffer_bytes(1 << 20);
-            let fs = Hinfs::mkfs(dev.clone(), popts, cfg).unwrap();
-            let pmfs = fs.pmfs().clone();
-            (dev, fs, pmfs)
-        }
-        _ => unreachable!("a PMFS-family helper"),
-    }
+    let sys = setups::build(kind, Harness::new().config()).unwrap();
+    let pmfs = sys.pmfs.clone().expect("a PMFS-family kind");
+    (sys.dev, sys.fs, pmfs)
 }
 
 /// The recycling drill (`tests/repro/recycled_tree_node.repro`): crash at
