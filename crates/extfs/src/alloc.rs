@@ -31,17 +31,17 @@ pub struct DiskBitmap {
 impl DiskBitmap {
     /// Loads the bitmap from disk (through the cache); its lock records
     /// into the cache's machine's contention table.
-    pub fn load(cache: &BufferCache, start_blk: u64, nbits: u64) -> DiskBitmap {
+    pub fn load(cache: &BufferCache, start_blk: u64, nbits: u64) -> Result<DiskBitmap> {
         let words = (nbits as usize).div_ceil(64);
         let mut bits = vec![0u64; words];
         let mut buf = vec![0u8; BLOCK_SIZE];
         let nblocks = (words * 8).div_ceil(BLOCK_SIZE);
         for b in 0..nblocks {
-            cache.read(Cat::Meta, start_blk + b as u64, 0, &mut buf);
+            cache.read(Cat::Meta, start_blk + b as u64, 0, &mut buf)?;
             for (i, chunk) in buf.chunks_exact(8).enumerate() {
                 let w = b * (BLOCK_SIZE / 8) + i;
                 if w < words {
-                    bits[w] = u64::from_le_bytes(chunk.try_into().unwrap());
+                    bits[w] = fskit::le::u64_at(chunk, 0);
                 }
             }
         }
@@ -54,7 +54,7 @@ impl DiskBitmap {
                 }
             }
         }
-        DiskBitmap {
+        Ok(DiskBitmap {
             start_blk,
             nbits,
             state: TrackedMutex::new(
@@ -66,7 +66,7 @@ impl DiskBitmap {
                     hint: 0,
                 },
             ),
-        }
+        })
     }
 
     /// Number of free bits.
@@ -74,20 +74,22 @@ impl DiskBitmap {
         self.state.lock().free
     }
 
-    /// Whether `idx` is currently set (test helper).
-    pub fn is_set(&self, idx: u64) -> bool {
-        let s = self.state.lock();
-        s.bits[(idx / 64) as usize] & (1 << (idx % 64)) != 0
-    }
-
     /// Persists the word holding `idx` through the cache and journals the
     /// bitmap block.
-    fn write_word(&self, cache: &BufferCache, jbd: &Jbd, idx: u64, word: u64, now: u64) {
+    fn write_word(
+        &self,
+        cache: &BufferCache,
+        jbd: &Jbd,
+        idx: u64,
+        word: u64,
+        now: u64,
+    ) -> Result<()> {
         let byte = (idx / 64) * 8;
         let blk = self.start_blk + byte / BLOCK_SIZE as u64;
         let off = (byte % BLOCK_SIZE as u64) as usize;
-        cache.write(Cat::Meta, blk, off, &word.to_le_bytes(), now);
+        cache.write(Cat::Meta, blk, off, &word.to_le_bytes(), now)?;
         jbd.add(cache, blk);
+        Ok(())
     }
 
     /// Allocates one bit, returning its index.
@@ -107,7 +109,7 @@ impl DiskBitmap {
                 s.hint = if idx + 1 < self.nbits { idx + 1 } else { 0 };
                 let word = s.bits[w];
                 drop(s);
-                self.write_word(cache, jbd, idx, word, now);
+                self.write_word(cache, jbd, idx, word, now)?;
                 return Ok(idx);
             }
             idx += 1;
@@ -121,7 +123,7 @@ impl DiskBitmap {
     }
 
     /// Marks `idx` used (mkfs pre-marking of metadata blocks).
-    pub fn set(&self, cache: &BufferCache, jbd: &Jbd, idx: u64, now: u64) {
+    pub fn set(&self, cache: &BufferCache, jbd: &Jbd, idx: u64, now: u64) -> Result<()> {
         let mut s = self.state.lock();
         let w = (idx / 64) as usize;
         let bit = idx % 64;
@@ -130,26 +132,26 @@ impl DiskBitmap {
             s.free -= 1;
             let word = s.bits[w];
             drop(s);
-            self.write_word(cache, jbd, idx, word, now);
+            self.write_word(cache, jbd, idx, word, now)?;
         }
+        Ok(())
     }
 
-    /// Frees `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on double free (corruption should fail loudly).
-    pub fn release(&self, cache: &BufferCache, jbd: &Jbd, idx: u64, now: u64) {
+    /// Frees `idx`. A bit that is already clear is a double free: the
+    /// image is corrupt, and nothing changes.
+    pub fn release(&self, cache: &BufferCache, jbd: &Jbd, idx: u64, now: u64) -> Result<()> {
         let mut s = self.state.lock();
         let w = (idx / 64) as usize;
         let bit = idx % 64;
-        assert!(s.bits[w] & (1 << bit) != 0, "double free of bit {idx}");
+        if s.bits[w] & (1 << bit) == 0 {
+            return Err(FsError::Corrupted("ext bitmap double free"));
+        }
         s.bits[w] &= !(1 << bit);
         s.free += 1;
         s.hint = s.hint.min(idx);
         let word = s.bits[w];
         drop(s);
-        self.write_word(cache, jbd, idx, word, now);
+        self.write_word(cache, jbd, idx, word, now)
     }
 }
 
@@ -159,6 +161,13 @@ mod tests {
     use blockdev::Nvmmbd;
     use nvmm::{CostModel, NvmmDevice, SimEnv};
     use std::sync::Arc;
+
+    impl DiskBitmap {
+        fn is_set(&self, idx: u64) -> bool {
+            let s = self.state.lock();
+            s.bits[(idx / 64) as usize] & (1 << (idx % 64)) != 0
+        }
+    }
 
     fn setup() -> (BufferCache, Jbd) {
         let env = SimEnv::new_virtual(CostModel::default());
@@ -171,13 +180,13 @@ mod tests {
     #[test]
     fn alloc_release_roundtrip() {
         let (cache, jbd) = setup();
-        let bm = DiskBitmap::load(&cache, 20, 1000);
+        let bm = DiskBitmap::load(&cache, 20, 1000).unwrap();
         assert_eq!(bm.free_count(), 1000);
         let a = bm.alloc(&cache, &jbd, 0).unwrap();
         let b = bm.alloc(&cache, &jbd, 0).unwrap();
         assert_ne!(a, b);
         assert!(bm.is_set(a));
-        bm.release(&cache, &jbd, a, 0);
+        bm.release(&cache, &jbd, a, 0).unwrap();
         assert!(!bm.is_set(a));
         assert_eq!(bm.free_count(), 999);
     }
@@ -185,15 +194,15 @@ mod tests {
     #[test]
     fn persists_through_cache_reload() {
         let (cache, jbd) = setup();
-        let bm = DiskBitmap::load(&cache, 20, 500);
+        let bm = DiskBitmap::load(&cache, 20, 500).unwrap();
         let mut got = Vec::new();
         for _ in 0..10 {
             got.push(bm.alloc(&cache, &jbd, 0).unwrap());
         }
-        bm.release(&cache, &jbd, got[3], 0);
+        bm.release(&cache, &jbd, got[3], 0).unwrap();
         cache.flush_all(obsv::DrainKind::Sync);
         // Reload from the (cached/fetched) on-disk image.
-        let bm2 = DiskBitmap::load(&cache, 20, 500);
+        let bm2 = DiskBitmap::load(&cache, 20, 500).unwrap();
         assert_eq!(bm2.free_count(), 500 - 9);
         for (i, idx) in got.iter().enumerate() {
             assert_eq!(bm2.is_set(*idx), i != 3);
@@ -203,7 +212,7 @@ mod tests {
     #[test]
     fn exhaustion() {
         let (cache, jbd) = setup();
-        let bm = DiskBitmap::load(&cache, 20, 64);
+        let bm = DiskBitmap::load(&cache, 20, 64).unwrap();
         for _ in 0..64 {
             bm.alloc(&cache, &jbd, 0).unwrap();
         }
@@ -211,23 +220,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "double free")]
-    fn double_free_panics() {
+    fn double_free_is_corruption_and_changes_nothing() {
         let (cache, jbd) = setup();
-        let bm = DiskBitmap::load(&cache, 20, 64);
+        let bm = DiskBitmap::load(&cache, 20, 64).unwrap();
         let a = bm.alloc(&cache, &jbd, 0).unwrap();
-        bm.release(&cache, &jbd, a, 0);
-        bm.release(&cache, &jbd, a, 0);
+        bm.release(&cache, &jbd, a, 0).unwrap();
+        assert_eq!(
+            bm.release(&cache, &jbd, a, 0),
+            Err(FsError::Corrupted("ext bitmap double free"))
+        );
+        assert_eq!(bm.free_count(), 64);
+        assert!(!bm.is_set(a));
     }
 
     #[test]
     fn spans_multiple_blocks() {
         let (cache, jbd) = setup();
         // 40000 bits ≈ 1.2 bitmap blocks.
-        let bm = DiskBitmap::load(&cache, 20, 40_000);
-        bm.set(&cache, &jbd, 39_999, 0);
+        let bm = DiskBitmap::load(&cache, 20, 40_000).unwrap();
+        bm.set(&cache, &jbd, 39_999, 0).unwrap();
         cache.flush_all(obsv::DrainKind::Sync);
-        let bm2 = DiskBitmap::load(&cache, 20, 40_000);
+        let bm2 = DiskBitmap::load(&cache, 20, 40_000).unwrap();
         assert!(bm2.is_set(39_999));
         assert_eq!(bm2.free_count(), 39_999);
     }

@@ -18,54 +18,74 @@ pub fn max_blocks() -> u64 {
     NDIRECT as u64 + PTRS + PTRS * PTRS
 }
 
-fn read_ptr(cache: &BufferCache, blk: u64, idx: u64) -> u64 {
+fn read_ptr(cache: &BufferCache, blk: u64, idx: u64) -> Result<u64> {
     let mut b = [0u8; 8];
-    cache.read(Cat::Meta, blk, (idx * 8) as usize, &mut b);
-    u64::from_le_bytes(b)
+    cache.read(Cat::Meta, blk, (idx * 8) as usize, &mut b)?;
+    Ok(u64::from_le_bytes(b))
 }
 
-fn write_ptr(cache: &BufferCache, jbd: &Jbd, blk: u64, idx: u64, v: u64, now: u64) {
-    cache.write(Cat::Meta, blk, (idx * 8) as usize, &v.to_le_bytes(), now);
+fn write_ptr(cache: &BufferCache, jbd: &Jbd, blk: u64, idx: u64, v: u64, now: u64) -> Result<()> {
+    cache.write(Cat::Meta, blk, (idx * 8) as usize, &v.to_le_bytes(), now)?;
     jbd.add(cache, blk);
+    Ok(())
 }
 
 fn new_indirect(cache: &BufferCache, jbd: &Jbd, balloc: &DiskBitmap, now: u64) -> Result<u64> {
     let blk = balloc.alloc(cache, jbd, now)?;
     // Full-block zero write: no fetch, becomes journaled metadata.
-    cache.write(Cat::Meta, blk, 0, &vec![0u8; BLOCK_SIZE], now);
+    cache.write(Cat::Meta, blk, 0, &vec![0u8; BLOCK_SIZE], now)?;
     jbd.add(cache, blk);
     Ok(blk)
 }
 
 /// Resolves file block `iblk` to a device block, or `None` for a hole.
-pub fn lookup(cache: &BufferCache, mem: &ExtInodeMem, iblk: u64) -> Option<u64> {
+pub fn lookup(cache: &BufferCache, mem: &ExtInodeMem, iblk: u64) -> Result<Option<u64>> {
+    resolve(mem, iblk, |blk, idx| read_ptr(cache, blk, idx))
+}
+
+/// [`lookup`] for the invariant auditor: pointers are read through
+/// [`BufferCache::peek`], so it charges no time and touches no page.
+pub fn lookup_uncharged(cache: &BufferCache, mem: &ExtInodeMem, iblk: u64) -> Option<u64> {
+    let peek = |blk, idx: u64| {
+        let mut b = [0u8; 8];
+        cache.peek(blk, (idx * 8) as usize, &mut b);
+        Ok(u64::from_le_bytes(b))
+    };
+    resolve(mem, iblk, peek).ok().flatten()
+}
+
+/// Resolves `iblk` with `ptr(blk, idx)` reading pointer `idx` of
+/// indirect block `blk`.
+fn resolve(
+    mem: &ExtInodeMem,
+    iblk: u64,
+    mut ptr: impl FnMut(u64, u64) -> Result<u64>,
+) -> Result<Option<u64>> {
+    let mapped = |p: u64| (p != 0).then_some(p);
     if iblk < NDIRECT as u64 {
-        let p = mem.ptrs[iblk as usize];
-        return (p != 0).then_some(p);
+        return Ok(mapped(mem.ptrs[iblk as usize]));
     }
     let iblk = iblk - NDIRECT as u64;
     if iblk < PTRS {
         let ind = mem.ptrs[SINGLE];
         if ind == 0 {
-            return None;
+            return Ok(None);
         }
-        let p = read_ptr(cache, ind, iblk);
-        return (p != 0).then_some(p);
+        return Ok(mapped(ptr(ind, iblk)?));
     }
     let iblk = iblk - PTRS;
     if iblk < PTRS * PTRS {
         let dbl = mem.ptrs[DOUBLE];
         if dbl == 0 {
-            return None;
+            return Ok(None);
         }
-        let ind = read_ptr(cache, dbl, iblk / PTRS);
+        let ind = ptr(dbl, iblk / PTRS)?;
         if ind == 0 {
-            return None;
+            return Ok(None);
         }
-        let p = read_ptr(cache, ind, iblk % PTRS);
-        return (p != 0).then_some(p);
+        return Ok(mapped(ptr(ind, iblk % PTRS)?));
     }
-    None
+    Ok(None)
 }
 
 /// Maps `iblk` to a (possibly fresh) device block, allocating indirect
@@ -82,7 +102,7 @@ pub fn ensure(
     if iblk >= max_blocks() {
         return Err(FsError::FileTooLarge);
     }
-    if let Some(p) = lookup(cache, mem, iblk) {
+    if let Some(p) = lookup(cache, mem, iblk)? {
         return Ok((p, false));
     }
     let data = balloc.alloc(cache, jbd, now)?;
@@ -96,7 +116,7 @@ pub fn ensure(
         if mem.ptrs[SINGLE] == 0 {
             mem.ptrs[SINGLE] = new_indirect(cache, jbd, balloc, now)?;
         }
-        write_ptr(cache, jbd, mem.ptrs[SINGLE], rel, data, now);
+        write_ptr(cache, jbd, mem.ptrs[SINGLE], rel, data, now)?;
         mem.blocks += 1;
         return Ok((data, true));
     }
@@ -105,49 +125,19 @@ pub fn ensure(
         mem.ptrs[DOUBLE] = new_indirect(cache, jbd, balloc, now)?;
     }
     let dbl = mem.ptrs[DOUBLE];
-    let mut ind = read_ptr(cache, dbl, rel / PTRS);
+    let mut ind = read_ptr(cache, dbl, rel / PTRS)?;
     if ind == 0 {
         ind = new_indirect(cache, jbd, balloc, now)?;
-        write_ptr(cache, jbd, dbl, rel / PTRS, ind, now);
+        write_ptr(cache, jbd, dbl, rel / PTRS, ind, now)?;
     }
-    write_ptr(cache, jbd, ind, rel % PTRS, data, now);
+    write_ptr(cache, jbd, ind, rel % PTRS, data, now)?;
     mem.blocks += 1;
     Ok((data, true))
 }
 
-/// Calls `f(iblk, device_block)` for every mapped block, ascending.
-pub fn for_each(cache: &BufferCache, mem: &ExtInodeMem, f: &mut impl FnMut(u64, u64)) {
-    for (i, &p) in mem.ptrs[..NDIRECT].iter().enumerate() {
-        if p != 0 {
-            f(i as u64, p);
-        }
-    }
-    if mem.ptrs[SINGLE] != 0 {
-        for i in 0..PTRS {
-            let p = read_ptr(cache, mem.ptrs[SINGLE], i);
-            if p != 0 {
-                f(NDIRECT as u64 + i, p);
-            }
-        }
-    }
-    if mem.ptrs[DOUBLE] != 0 {
-        for j in 0..PTRS {
-            let ind = read_ptr(cache, mem.ptrs[DOUBLE], j);
-            if ind == 0 {
-                continue;
-            }
-            for i in 0..PTRS {
-                let p = read_ptr(cache, ind, i);
-                if p != 0 {
-                    f(NDIRECT as u64 + PTRS + j * PTRS + i, p);
-                }
-            }
-        }
-    }
-}
-
 /// Frees every data block with index `>= from`, plus indirect blocks that
-/// empty out. Returns the number of data blocks freed; updates `mem`.
+/// empty out. Returns the number of data blocks freed; updates `mem` as
+/// it goes, so an error partway leaves it counting what is still mapped.
 pub fn free_from(
     cache: &BufferCache,
     jbd: &Jbd,
@@ -155,16 +145,17 @@ pub fn free_from(
     mem: &mut ExtInodeMem,
     from: u64,
     now: u64,
-) -> u64 {
+) -> Result<u64> {
     let mut freed = 0;
     for i in 0..NDIRECT as u64 {
         if i >= from && mem.ptrs[i as usize] != 0 {
             let p = mem.ptrs[i as usize];
             jbd.forget(cache, p);
             cache.invalidate(p);
-            balloc.release(cache, jbd, p, now);
+            balloc.release(cache, jbd, p, now)?;
             mem.ptrs[i as usize] = 0;
             freed += 1;
+            mem.blocks -= 1;
         }
     }
     // Single indirect.
@@ -173,16 +164,17 @@ pub fn free_from(
         let mut any_left = false;
         for i in 0..PTRS {
             let file_idx = NDIRECT as u64 + i;
-            let p = read_ptr(cache, ind, i);
+            let p = read_ptr(cache, ind, i)?;
             if p == 0 {
                 continue;
             }
             if file_idx >= from {
                 jbd.forget(cache, p);
                 cache.invalidate(p);
-                balloc.release(cache, jbd, p, now);
-                write_ptr(cache, jbd, ind, i, 0, now);
+                balloc.release(cache, jbd, p, now)?;
+                write_ptr(cache, jbd, ind, i, 0, now)?;
                 freed += 1;
+                mem.blocks -= 1;
             } else {
                 any_left = true;
             }
@@ -190,7 +182,7 @@ pub fn free_from(
         if !any_left {
             jbd.forget(cache, ind);
             cache.invalidate(ind);
-            balloc.release(cache, jbd, ind, now);
+            balloc.release(cache, jbd, ind, now)?;
             mem.ptrs[SINGLE] = 0;
         }
     }
@@ -199,23 +191,24 @@ pub fn free_from(
         let dbl = mem.ptrs[DOUBLE];
         let mut any_ind_left = false;
         for j in 0..PTRS {
-            let ind = read_ptr(cache, dbl, j);
+            let ind = read_ptr(cache, dbl, j)?;
             if ind == 0 {
                 continue;
             }
             let mut any_left = false;
             for i in 0..PTRS {
                 let file_idx = NDIRECT as u64 + PTRS + j * PTRS + i;
-                let p = read_ptr(cache, ind, i);
+                let p = read_ptr(cache, ind, i)?;
                 if p == 0 {
                     continue;
                 }
                 if file_idx >= from {
                     jbd.forget(cache, p);
                     cache.invalidate(p);
-                    balloc.release(cache, jbd, p, now);
-                    write_ptr(cache, jbd, ind, i, 0, now);
+                    balloc.release(cache, jbd, p, now)?;
+                    write_ptr(cache, jbd, ind, i, 0, now)?;
                     freed += 1;
+                    mem.blocks -= 1;
                 } else {
                     any_left = true;
                 }
@@ -223,8 +216,8 @@ pub fn free_from(
             if !any_left {
                 jbd.forget(cache, ind);
                 cache.invalidate(ind);
-                balloc.release(cache, jbd, ind, now);
-                write_ptr(cache, jbd, dbl, j, 0, now);
+                balloc.release(cache, jbd, ind, now)?;
+                write_ptr(cache, jbd, dbl, j, 0, now)?;
             } else {
                 any_ind_left = true;
             }
@@ -232,12 +225,11 @@ pub fn free_from(
         if !any_ind_left {
             jbd.forget(cache, dbl);
             cache.invalidate(dbl);
-            balloc.release(cache, jbd, dbl, now);
+            balloc.release(cache, jbd, dbl, now)?;
             mem.ptrs[DOUBLE] = 0;
         }
     }
-    mem.blocks -= freed;
-    freed
+    Ok(freed)
 }
 
 #[cfg(test)]
@@ -254,10 +246,10 @@ mod tests {
         let bd = Arc::new(Nvmmbd::new(dev));
         let cache = BufferCache::new(bd.clone(), 256);
         let jbd = Jbd::open(bd, 1, 32, false);
-        let balloc = DiskBitmap::load(&cache, 40, 8192);
+        let balloc = DiskBitmap::load(&cache, 40, 8192).unwrap();
         // Pre-mark the metadata region.
         for b in 0..64 {
-            balloc.set(&cache, &jbd, b, 0);
+            balloc.set(&cache, &jbd, b, 0).unwrap();
         }
         (cache, jbd, balloc, ExtInodeMem::new(FileType::File, 0))
     }
@@ -267,8 +259,8 @@ mod tests {
         let (cache, jbd, balloc, mut mem) = setup();
         let (p, fresh) = ensure(&cache, &jbd, &balloc, &mut mem, 3, 0).unwrap();
         assert!(fresh);
-        assert_eq!(lookup(&cache, &mem, 3), Some(p));
-        assert_eq!(lookup(&cache, &mem, 4), None);
+        assert_eq!(lookup(&cache, &mem, 3).unwrap(), Some(p));
+        assert_eq!(lookup(&cache, &mem, 4).unwrap(), None);
         let (p2, fresh2) = ensure(&cache, &jbd, &balloc, &mut mem, 3, 0).unwrap();
         assert_eq!(p2, p);
         assert!(!fresh2);
@@ -292,13 +284,9 @@ mod tests {
             got.push(p);
         }
         for (i, &idx) in idxs.iter().enumerate() {
-            assert_eq!(lookup(&cache, &mem, idx), Some(got[i]));
+            assert_eq!(lookup(&cache, &mem, idx).unwrap(), Some(got[i]));
         }
         assert_eq!(mem.blocks, idxs.len() as u64);
-        // for_each visits in ascending order.
-        let mut seen = Vec::new();
-        for_each(&cache, &mem, &mut |i, _| seen.push(i));
-        assert_eq!(seen, idxs);
     }
 
     #[test]
@@ -308,11 +296,11 @@ mod tests {
         for i in 0..600u64 {
             ensure(&cache, &jbd, &balloc, &mut mem, i, 0).unwrap();
         }
-        let freed = free_from(&cache, &jbd, &balloc, &mut mem, 100, 0);
+        let freed = free_from(&cache, &jbd, &balloc, &mut mem, 100, 0).unwrap();
         assert_eq!(freed, 500);
-        assert!(lookup(&cache, &mem, 99).is_some());
-        assert_eq!(lookup(&cache, &mem, 100), None);
-        let freed2 = free_from(&cache, &jbd, &balloc, &mut mem, 0, 0);
+        assert!(lookup(&cache, &mem, 99).unwrap().is_some());
+        assert_eq!(lookup(&cache, &mem, 100).unwrap(), None);
+        let freed2 = free_from(&cache, &jbd, &balloc, &mut mem, 0, 0).unwrap();
         assert_eq!(freed2, 100);
         assert_eq!(mem.blocks, 0);
         assert_eq!(balloc.free_count(), before, "indirect blocks also freed");

@@ -15,6 +15,7 @@ use std::sync::{Arc, OnceLock};
 
 use blockdev::Nvmmbd;
 use fskit::lrulist::RecencyList;
+use fskit::{FsError, Result};
 use nvmm::{Cat, BLOCK_SIZE};
 use obsv::{DrainKind, FsObs, Site, TraceEvent, TrackedMutex};
 
@@ -105,17 +106,6 @@ impl BufferCache {
         self.capacity
     }
 
-    /// `(hits, misses)` since creation.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        (inner.hits, inner.misses)
-    }
-
-    /// Pages currently holding a cached block.
-    pub fn cached_pages(&self) -> usize {
-        self.capacity - self.inner.lock().free.len()
-    }
-
     /// `(cached_pages, dirty_pages, hits, misses)` read under one lock hold,
     /// so the four values are mutually consistent for snapshots and audits.
     pub fn usage(&self) -> (usize, usize, u64, u64) {
@@ -126,11 +116,6 @@ impl BufferCache {
             inner.hits,
             inner.misses,
         )
-    }
-
-    /// Number of dirty pages.
-    pub fn dirty_pages(&self) -> usize {
-        self.inner.lock().dirty_count
     }
 
     /// The underlying block device.
@@ -217,14 +202,16 @@ impl BufferCache {
 
     /// Gets (or fetches) the slot caching `blk`. `fill` controls whether a
     /// miss reads the block from the device (reads and partial writes) or
-    /// may leave the page uninitialized (full-block overwrite).
-    fn get_slot(&self, inner: &mut Inner, blk: u64, fill: bool) -> u32 {
+    /// may leave the page uninitialized (full-block overwrite). A miss
+    /// with every page pinned by the running journal transaction fails
+    /// with [`FsError::JournalFull`]: that transaction holds the whole
+    /// cache.
+    fn get_slot(&self, inner: &mut Inner, blk: u64, fill: bool) -> Result<u32> {
         if let Some(&slot) = inner.map.get(&blk) {
             inner.hits += 1;
             inner.lru.touch(slot);
-            return slot;
+            return Ok(slot);
         }
-        inner.misses += 1;
         let slot = match inner.free.pop() {
             Some(s) => s,
             None => {
@@ -234,7 +221,7 @@ impl BufferCache {
                     .lru
                     .iter_from_tail()
                     .find(|&s| !inner.meta[s as usize].pinned)
-                    .expect("page cache exhausted by pinned journal pages");
+                    .ok_or(FsError::JournalFull)?;
                 // Eviction drains behind the owner's back: lazy.
                 self.writeback_slot(inner, victim, DrainKind::Lazy);
                 let old = inner.meta[victim as usize].blk;
@@ -243,6 +230,7 @@ impl BufferCache {
                 victim
             }
         };
+        inner.misses += 1;
         inner.meta[slot as usize] = PageMeta {
             blk,
             dirty: false,
@@ -259,30 +247,45 @@ impl BufferCache {
             self.bd.read_block(Cat::Fetch, blk, &mut page);
             inner.data[b..b + BLOCK_SIZE].copy_from_slice(&page);
         }
-        slot
+        Ok(slot)
     }
 
     /// Reads `buf.len()` bytes from byte `off` of block `blk` through the
     /// cache; the page→user copy is charged to `cat`.
-    pub fn read(&self, cat: Cat, blk: u64, off: usize, buf: &mut [u8]) {
+    pub fn read(&self, cat: Cat, blk: u64, off: usize, buf: &mut [u8]) -> Result<()> {
         assert!(off + buf.len() <= BLOCK_SIZE);
         let mut inner = self.inner.lock();
-        let slot = self.get_slot(&mut inner, blk, true);
+        let slot = self.get_slot(&mut inner, blk, true)?;
         let page = Self::page(&inner, slot);
         buf.copy_from_slice(&page[off..off + buf.len()]);
         let env = self.bd.byte_device().env();
         env.charge(Cat::Other, env.cost().page_cache_ns);
         env.charge_dram_copy(cat, buf.len());
+        Ok(())
+    }
+
+    /// What [`BufferCache::read`] would return, for the invariant
+    /// auditor: the cached page, else the device bytes, read through
+    /// [`nvmm::NvmmDevice::peek`] — no time charged, no page touched.
+    pub fn peek(&self, blk: u64, off: usize, buf: &mut [u8]) {
+        let inner = self.inner.lock();
+        match inner.map.get(&blk) {
+            Some(&slot) => buf.copy_from_slice(&Self::page(&inner, slot)[off..off + buf.len()]),
+            None => self
+                .bd
+                .byte_device()
+                .peek(blk * BLOCK_SIZE as u64 + off as u64, buf),
+        }
     }
 
     /// Writes `data` at byte `off` of block `blk` through the cache
     /// (fetch-before-write on a partial miss); the user→page copy is
     /// charged to `cat`.
-    pub fn write(&self, cat: Cat, blk: u64, off: usize, data: &[u8], now: u64) {
+    pub fn write(&self, cat: Cat, blk: u64, off: usize, data: &[u8], now: u64) -> Result<()> {
         assert!(off + data.len() <= BLOCK_SIZE);
         let mut inner = self.inner.lock();
         let full = off == 0 && data.len() == BLOCK_SIZE;
-        let slot = self.get_slot(&mut inner, blk, !full);
+        let slot = self.get_slot(&mut inner, blk, !full)?;
         Self::page_mut(&mut inner, slot)[off..off + data.len()].copy_from_slice(data);
         let env = self.bd.byte_device().env();
         env.charge(Cat::Other, env.cost().page_cache_ns);
@@ -299,6 +302,7 @@ impl BufferCache {
             inner.dirty_count += 1;
         }
         inner.lru.touch(slot);
+        Ok(())
     }
 
     /// Flushes `blk` if it is cached and dirty, draining it as `kind`.
@@ -383,6 +387,18 @@ mod tests {
     use super::*;
     use nvmm::{CostModel, NvmmDevice, SimEnv};
 
+    impl BufferCache {
+        /// `(hits, misses)` since creation.
+        pub(crate) fn hit_miss(&self) -> (u64, u64) {
+            let (_, _, hits, misses) = self.usage();
+            (hits, misses)
+        }
+
+        pub(crate) fn dirty_pages(&self) -> usize {
+            self.usage().1
+        }
+    }
+
     fn cache(pages: usize) -> BufferCache {
         let env = SimEnv::new_virtual(CostModel::default());
         let dev = NvmmDevice::new(env, 512 * BLOCK_SIZE);
@@ -392,9 +408,9 @@ mod tests {
     #[test]
     fn read_write_roundtrip_through_cache() {
         let c = cache(16);
-        c.write(Cat::UserWrite, 3, 100, b"hello", 0);
+        c.write(Cat::UserWrite, 3, 100, b"hello", 0).unwrap();
         let mut buf = [0u8; 5];
-        c.read(Cat::UserRead, 3, 100, &mut buf);
+        c.read(Cat::UserRead, 3, 100, &mut buf).unwrap();
         assert_eq!(&buf, b"hello");
         let (hits, misses) = c.hit_miss();
         assert_eq!(misses, 1, "one fetch-before-write miss");
@@ -404,7 +420,8 @@ mod tests {
     #[test]
     fn dirty_pages_reach_device_only_on_flush() {
         let c = cache(16);
-        c.write(Cat::UserWrite, 7, 0, &[9u8; BLOCK_SIZE], 0);
+        c.write(Cat::UserWrite, 7, 0, &[9u8; BLOCK_SIZE], 0)
+            .unwrap();
         assert_eq!(c.dirty_pages(), 1);
         let mut direct = vec![0u8; BLOCK_SIZE];
         c.device()
@@ -423,12 +440,14 @@ mod tests {
     fn eviction_writes_back_and_refetches() {
         let c = cache(8);
         for blk in 0..8u64 {
-            c.write(Cat::UserWrite, blk, 0, &[blk as u8; BLOCK_SIZE], 0);
+            c.write(Cat::UserWrite, blk, 0, &[blk as u8; BLOCK_SIZE], 0)
+                .unwrap();
         }
         // Touch one more block: the LRU (block 0) is evicted with writeback.
-        c.write(Cat::UserWrite, 100, 0, &[0xff; BLOCK_SIZE], 0);
+        c.write(Cat::UserWrite, 100, 0, &[0xff; BLOCK_SIZE], 0)
+            .unwrap();
         let mut buf = [0u8; 4];
-        c.read(Cat::UserRead, 0, 0, &mut buf);
+        c.read(Cat::UserRead, 0, 0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 4], "evicted block refetched with its data");
         let (_, misses) = c.hit_miss();
         assert!(misses >= 2);
@@ -438,20 +457,44 @@ mod tests {
     fn full_block_overwrite_skips_fetch() {
         let c = cache(8);
         let (r0, _, _) = c.device().request_counts();
-        c.write(Cat::UserWrite, 5, 0, &[1u8; BLOCK_SIZE], 0);
+        c.write(Cat::UserWrite, 5, 0, &[1u8; BLOCK_SIZE], 0)
+            .unwrap();
         let (r1, _, _) = c.device().request_counts();
         assert_eq!(r1, r0, "no fetch for a full-block overwrite");
         // A partial write does fetch.
-        c.write(Cat::UserWrite, 6, 10, &[1u8; 100], 0);
+        c.write(Cat::UserWrite, 6, 10, &[1u8; 100], 0).unwrap();
         let (r2, _, _) = c.device().request_counts();
         assert_eq!(r2, r1 + 1, "fetch-before-write for a partial miss");
     }
 
     #[test]
+    fn a_cache_full_of_pinned_pages_refuses_a_miss_cleanly() {
+        let c = cache(8);
+        for blk in 0..8u64 {
+            c.write(Cat::Meta, blk, 0, &[1u8; 64], 0).unwrap();
+            c.pin(blk);
+        }
+        let mut buf = [0u8; 4];
+        assert_eq!(
+            c.read(Cat::Meta, 100, 0, &mut buf),
+            Err(FsError::JournalFull)
+        );
+        assert_eq!(
+            c.write(Cat::Meta, 100, 0, &[2u8; 4], 0),
+            Err(FsError::JournalFull)
+        );
+        assert_eq!(c.hit_miss(), (0, 8), "the refused misses count nothing");
+        // A hit still works, and one unpinned page makes room again.
+        c.read(Cat::Meta, 3, 0, &mut buf).unwrap();
+        c.unpin(3);
+        c.read(Cat::Meta, 100, 0, &mut buf).unwrap();
+    }
+
+    #[test]
     fn age_based_flush() {
         let c = cache(8);
-        c.write(Cat::UserWrite, 1, 0, &[1u8; 64], 100);
-        c.write(Cat::UserWrite, 2, 0, &[2u8; 64], 5_000);
+        c.write(Cat::UserWrite, 1, 0, &[1u8; 64], 100).unwrap();
+        c.write(Cat::UserWrite, 2, 0, &[2u8; 64], 5_000).unwrap();
         c.flush_older_than(6_000, 3_000);
         assert_eq!(c.dirty_pages(), 1, "only the old page flushed");
     }
@@ -459,7 +502,8 @@ mod tests {
     #[test]
     fn invalidate_drops_without_writeback() {
         let c = cache(8);
-        c.write(Cat::UserWrite, 4, 0, &[3u8; BLOCK_SIZE], 0);
+        c.write(Cat::UserWrite, 4, 0, &[3u8; BLOCK_SIZE], 0)
+            .unwrap();
         let (_, w0, _) = c.device().request_counts();
         c.invalidate(4);
         assert_eq!(c.dirty_pages(), 0);
@@ -476,14 +520,14 @@ mod tests {
         let env = c.device().byte_device().env().clone();
         // Dirty at t=1000, sync flush: lag asserted 0.
         env.set_now(1_000);
-        c.write(Cat::UserWrite, 3, 0, &[1u8; 64], 1_000);
+        c.write(Cat::UserWrite, 3, 0, &[1u8; 64], 1_000).unwrap();
         c.flush_block(3, DrainKind::Sync);
         assert_eq!(obs.lineage().max_lag_ns(), 0);
         // Dirty again (acked at t=2000), lazy age flush much later: the
         // drain records the real age against the wall clock, which the
         // device charges keep advancing.
         env.set_now(9_000);
-        c.write(Cat::UserWrite, 3, 0, &[2u8; 64], 2_000);
+        c.write(Cat::UserWrite, 3, 0, &[2u8; 64], 2_000).unwrap();
         c.flush_older_than(env.now(), 1_000);
         let lag = obs.lineage().max_lag_ns();
         assert_eq!(lag, env.now() - 2_000);
@@ -504,7 +548,7 @@ mod tests {
         nvmm::ledger::reset();
         env.set_now(0);
         let mut buf = vec![0u8; BLOCK_SIZE];
-        c.read(Cat::UserRead, 9, 0, &mut buf); // miss
+        c.read(Cat::UserRead, 9, 0, &mut buf).unwrap(); // miss
         let snap = nvmm::ledger::snapshot();
         // Copy 1: device -> page (Fetch); copy 2: page -> user (UserRead);
         // plus one block-layer request.

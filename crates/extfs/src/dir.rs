@@ -1,9 +1,12 @@
 //! Directories for the ext baselines: the shared dirent format
 //! ([`fskit::dirent`]) stored in the directory's data blocks and accessed
-//! through the buffer cache; every modified block joins the running journal
-//! transaction.
+//! through the page cache; every modified block joins the running journal
+//! transaction. Names resolve, and entry edits find their slot, through
+//! the directory's name index ([`NameIndex`]), as in PMFS: only the
+//! index build, listings and the emptiness check read directory blocks.
 
-use fskit::dirent::{encode_header, entry_len, parse_block, HDR};
+use fskit::dirent::{init_block, HDR};
+use fskit::namei::{self, Edit, NameIndex};
 use fskit::{DirEntry, FileType, FsError, Result};
 use nvmm::{Cat, BLOCK_SIZE};
 
@@ -17,54 +20,39 @@ fn dir_blocks(mem: &ExtInodeMem) -> u64 {
     mem.size / BLOCK_SIZE as u64
 }
 
-fn read_dir_block(
-    cache: &BufferCache,
-    mem: &ExtInodeMem,
-    iblk: u64,
-    buf: &mut [u8],
-) -> Result<u64> {
-    let blk = blkmap::lookup(cache, mem, iblk).ok_or(FsError::Corrupted("ext dir hole"))?;
-    cache.read(Cat::Meta, blk, 0, buf);
-    Ok(blk)
-}
-
-/// Looks up `name`, returning its inode number and type.
-pub fn lookup(
-    cache: &BufferCache,
-    mem: &ExtInodeMem,
-    name: &str,
-) -> Result<Option<(u64, FileType)>> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for iblk in 0..dir_blocks(mem) {
-        read_dir_block(cache, mem, iblk, &mut buf)?;
-        for (_, e) in parse_block(&buf)? {
-            if e.ino != 0 && e.name == name.as_bytes() {
-                let ftype = FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?;
-                return Ok(Some((e.ino, ftype)));
-            }
-        }
+/// Reads directory block `iblk` through the page cache; returns its
+/// device block number.
+fn reader<'a>(
+    cache: &'a BufferCache,
+    mem: &'a ExtInodeMem,
+) -> impl FnMut(u64, &mut [u8]) -> Result<u64> + 'a {
+    move |iblk, buf| {
+        let blk = blkmap::lookup(cache, mem, iblk)?.ok_or(FsError::Corrupted("ext dir hole"))?;
+        cache.read(Cat::Meta, blk, 0, buf)?;
+        Ok(blk)
     }
-    Ok(None)
 }
 
-/// Lists every live entry.
+/// Builds the directory's name index with one pass over its blocks,
+/// through the page cache at that pass's cost.
+pub fn index(cache: &BufferCache, mem: &ExtInodeMem) -> Result<NameIndex> {
+    NameIndex::build(dir_blocks(mem), reader(cache, mem))
+}
+
+/// [`index`] for the invariant auditor: reads through
+/// [`BufferCache::peek`], so it charges no time and touches no page.
+pub fn index_uncharged(cache: &BufferCache, mem: &ExtInodeMem) -> Result<NameIndex> {
+    NameIndex::build(dir_blocks(mem), |iblk, buf| {
+        let blk =
+            blkmap::lookup_uncharged(cache, mem, iblk).ok_or(FsError::Corrupted("ext dir hole"))?;
+        cache.peek(blk, 0, buf);
+        Ok(blk)
+    })
+}
+
+/// Lists every live entry, in media order.
 pub fn list(cache: &BufferCache, mem: &ExtInodeMem) -> Result<Vec<DirEntry>> {
-    let mut out = Vec::new();
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for iblk in 0..dir_blocks(mem) {
-        read_dir_block(cache, mem, iblk, &mut buf)?;
-        for (_, e) in parse_block(&buf)? {
-            if e.ino != 0 {
-                out.push(DirEntry {
-                    name: String::from_utf8(e.name.clone())
-                        .map_err(|_| FsError::Corrupted("dirent name utf8"))?,
-                    ino: e.ino,
-                    ftype: FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?,
-                });
-            }
-        }
-    }
-    Ok(out)
+    fskit::dirent::list(dir_blocks(mem), reader(cache, mem))
 }
 
 /// Whether the directory has no live entries.
@@ -72,101 +60,68 @@ pub fn is_empty(cache: &BufferCache, mem: &ExtInodeMem) -> Result<bool> {
     Ok(list(cache, mem)?.is_empty())
 }
 
-/// Adds `name -> ino` (caller verified absence and holds the dir lock).
+/// Carries `edit` (planned on `index`) into its block through the page
+/// cache; the block joins the running transaction.
+fn write_edit(
+    cache: &BufferCache,
+    jbd: &Jbd,
+    index: &NameIndex,
+    edit: &Edit,
+    name: &str,
+    now: u64,
+) -> Result<()> {
+    namei::charge(cache.device().byte_device(), edit.reads * HDR);
+    let blk = index.pblk(edit.linked());
+    for put in &edit.puts {
+        cache.write(Cat::Meta, blk, put.slot.off as usize, &put.bytes(name), now)?;
+    }
+    jbd.add(cache, blk);
+    Ok(())
+}
+
+/// Adds `name -> ino` where a media scan would put it, found through
+/// `index` (exact for this directory; updated here, and to be dropped if
+/// this fails): no directory block is read. The caller verified the name
+/// is absent and holds the directory's write lock.
 #[allow(clippy::too_many_arguments)]
 pub fn add(
     cache: &BufferCache,
     jbd: &Jbd,
     balloc: &DiskBitmap,
     mem: &mut ExtInodeMem,
+    index: &mut NameIndex,
     name: &str,
     ino: u64,
     ftype: FileType,
     now: u64,
 ) -> Result<()> {
     debug_assert!(!name.is_empty() && name.len() <= 255);
-    let need = entry_len(name.len());
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for iblk in 0..dir_blocks(mem) {
-        let blk = read_dir_block(cache, mem, iblk, &mut buf)?;
-        for (off, e) in parse_block(&buf)? {
-            let (free_off, free_len, split_used) = if e.ino == 0 {
-                (off, e.rec_len, false)
-            } else {
-                let used = entry_len(e.name.len());
-                (off + used, e.rec_len - used, true)
-            };
-            if free_len < need {
-                continue;
-            }
-            if split_used {
-                let host = encode_header(e.ino, entry_len(e.name.len()), e.name.len(), e.ftype);
-                let mut new = Vec::with_capacity(free_len);
-                new.extend_from_slice(&encode_header(ino, free_len, name.len(), ftype.as_u8()));
-                new.extend_from_slice(name.as_bytes());
-                new.resize(free_len, 0);
-                cache.write(Cat::Meta, blk, free_off, &new, now);
-                cache.write(Cat::Meta, blk, off, &host, now);
-            } else {
-                let (claim_len, rest) = if free_len - need >= HDR {
-                    (need, free_len - need)
-                } else {
-                    (free_len, 0)
-                };
-                if rest > 0 {
-                    let rest_hdr = encode_header(0, rest, 0, 0);
-                    cache.write(Cat::Meta, blk, free_off + claim_len, &rest_hdr, now);
-                }
-                let mut new = Vec::with_capacity(claim_len);
-                new.extend_from_slice(&encode_header(ino, claim_len, name.len(), ftype.as_u8()));
-                new.extend_from_slice(name.as_bytes());
-                new.resize(claim_len, 0);
-                cache.write(Cat::Meta, blk, free_off, &new, now);
-            }
-            jbd.add(cache, blk);
-            return Ok(());
-        }
+    if let Some(edit) = index.add(name, ino, ftype) {
+        return write_edit(cache, jbd, index, &edit, name, now);
     }
     // Grow by one block.
     let iblk = dir_blocks(mem);
     let (blk, _fresh) = blkmap::ensure(cache, jbd, balloc, mem, iblk, now)?;
-    let block = fskit::dirent::init_block(BLOCK_SIZE, ino, name, ftype.as_u8());
-    cache.write(Cat::Meta, blk, 0, &block, now);
+    let block = init_block(BLOCK_SIZE, ino, name, ftype.as_u8());
+    cache.write(Cat::Meta, blk, 0, &block, now)?;
     jbd.add(cache, blk);
     mem.size += BLOCK_SIZE as u64;
-    Ok(())
+    index.push_block(blk, &block)
 }
 
-/// Removes `name`, returning the inode number and type it pointed at.
+/// Removes `name`, found through `index` (exact for this directory;
+/// updated here, and to be dropped if this fails), returning the inode
+/// number and type it pointed at.
 pub fn remove(
     cache: &BufferCache,
     jbd: &Jbd,
-    mem: &ExtInodeMem,
+    index: &mut NameIndex,
     name: &str,
     now: u64,
 ) -> Result<(u64, FileType)> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for iblk in 0..dir_blocks(mem) {
-        let blk = read_dir_block(cache, mem, iblk, &mut buf)?;
-        let entries = parse_block(&buf)?;
-        for (i, (off, e)) in entries.iter().enumerate() {
-            if e.ino == 0 || e.name != name.as_bytes() {
-                continue;
-            }
-            let ftype = FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?;
-            if i > 0 {
-                let (poff, p) = &entries[i - 1];
-                let hdr = encode_header(p.ino, p.rec_len + e.rec_len, p.name.len(), p.ftype);
-                cache.write(Cat::Meta, blk, *poff, &hdr, now);
-            } else {
-                let hdr = encode_header(0, e.rec_len, 0, 0);
-                cache.write(Cat::Meta, blk, *off, &hdr, now);
-            }
-            jbd.add(cache, blk);
-            return Ok((e.ino, ftype));
-        }
-    }
-    Err(FsError::NotFound)
+    let (ino, ftype, edit) = index.remove(name)?;
+    write_edit(cache, jbd, index, &edit, name, now)?;
+    Ok((ino, ftype))
 }
 
 #[cfg(test)]
@@ -181,6 +136,7 @@ mod tests {
         jbd: Jbd,
         balloc: DiskBitmap,
         mem: ExtInodeMem,
+        index: NameIndex,
     }
 
     fn setup() -> Fx {
@@ -189,110 +145,89 @@ mod tests {
         let bd = Arc::new(Nvmmbd::new(dev));
         let cache = BufferCache::new(bd.clone(), 128);
         let jbd = Jbd::open(bd, 1, 32, true);
-        let balloc = DiskBitmap::load(&cache, 40, 4096);
+        let balloc = DiskBitmap::load(&cache, 40, 4096).unwrap();
         for b in 0..64 {
-            balloc.set(&cache, &jbd, b, 0);
+            balloc.set(&cache, &jbd, b, 0).unwrap();
         }
         Fx {
             cache,
             jbd,
             balloc,
             mem: ExtInodeMem::new(FileType::Dir, 0),
+            index: NameIndex::default(),
+        }
+    }
+
+    impl Fx {
+        fn add(&mut self, name: &str, ino: u64, ftype: FileType) {
+            let (c, j, b) = (&self.cache, &self.jbd, &self.balloc);
+            add(c, j, b, &mut self.mem, &mut self.index, name, ino, ftype, 0).unwrap();
+        }
+
+        fn remove(&mut self, name: &str) -> Result<(u64, FileType)> {
+            remove(&self.cache, &self.jbd, &mut self.index, name, 0)
+        }
+
+        /// What a scan of the blocks resolves `name` to.
+        fn on_media(&self, name: &str) -> Option<(u64, FileType)> {
+            index(&self.cache, &self.mem).unwrap().get(name)
         }
     }
 
     #[test]
     fn add_lookup_remove_list() {
         let mut fx = setup();
-        add(
-            &fx.cache,
-            &fx.jbd,
-            &fx.balloc,
-            &mut fx.mem,
-            "a.txt",
-            10,
-            FileType::File,
-            0,
-        )
-        .unwrap();
-        add(
-            &fx.cache,
-            &fx.jbd,
-            &fx.balloc,
-            &mut fx.mem,
-            "sub",
-            11,
-            FileType::Dir,
-            0,
-        )
-        .unwrap();
-        assert_eq!(
-            lookup(&fx.cache, &fx.mem, "a.txt").unwrap(),
-            Some((10, FileType::File))
-        );
-        assert_eq!(lookup(&fx.cache, &fx.mem, "nope").unwrap(), None);
+        fx.add("a.txt", 10, FileType::File);
+        fx.add("sub", 11, FileType::Dir);
+        assert_eq!(fx.on_media("a.txt"), Some((10, FileType::File)));
+        assert_eq!(fx.on_media("nope"), None);
         assert_eq!(list(&fx.cache, &fx.mem).unwrap().len(), 2);
-        assert_eq!(
-            remove(&fx.cache, &fx.jbd, &fx.mem, "a.txt", 0).unwrap(),
-            (10, FileType::File)
-        );
-        assert_eq!(lookup(&fx.cache, &fx.mem, "a.txt").unwrap(), None);
+        assert_eq!(fx.remove("a.txt").unwrap(), (10, FileType::File));
+        assert_eq!(fx.remove("a.txt"), Err(FsError::NotFound));
+        assert_eq!(fx.on_media("a.txt"), None);
         assert!(!is_empty(&fx.cache, &fx.mem).unwrap());
-        remove(&fx.cache, &fx.jbd, &fx.mem, "sub", 0).unwrap();
+        fx.remove("sub").unwrap();
         assert!(is_empty(&fx.cache, &fx.mem).unwrap());
+        assert_eq!(fx.index, index(&fx.cache, &fx.mem).unwrap());
     }
 
     #[test]
     fn grows_and_reuses_space() {
         let mut fx = setup();
         for i in 0..100u64 {
-            add(
-                &fx.cache,
-                &fx.jbd,
-                &fx.balloc,
-                &mut fx.mem,
-                &format!("file-{i:04}"),
-                i + 1,
-                FileType::File,
-                0,
-            )
-            .unwrap();
+            fx.add(&format!("file-{i:04}"), i + 1, FileType::File);
         }
         let blocks = fx.mem.blocks;
         for i in 0..100u64 {
-            remove(&fx.cache, &fx.jbd, &fx.mem, &format!("file-{i:04}"), 0).unwrap();
+            fx.remove(&format!("file-{i:04}")).unwrap();
         }
         for i in 0..100u64 {
-            add(
-                &fx.cache,
-                &fx.jbd,
-                &fx.balloc,
-                &mut fx.mem,
-                &format!("file2-{i:04}"),
-                i + 200,
-                FileType::File,
-                0,
-            )
-            .unwrap();
+            fx.add(&format!("file2-{i:04}"), i + 200, FileType::File);
         }
         assert_eq!(fx.mem.blocks, blocks, "space reused, no growth");
         assert_eq!(list(&fx.cache, &fx.mem).unwrap().len(), 100);
+        assert_eq!(fx.index, index(&fx.cache, &fx.mem).unwrap());
+        assert_eq!(fx.index, index_uncharged(&fx.cache, &fx.mem).unwrap());
     }
 
     #[test]
     fn dir_edits_are_journaled() {
         let mut fx = setup();
-        add(
-            &fx.cache,
-            &fx.jbd,
-            &fx.balloc,
-            &mut fx.mem,
-            "j",
-            5,
-            FileType::File,
-            0,
-        )
-        .unwrap();
+        fx.add("j", 5, FileType::File);
         assert!(fx.jbd.running_len() > 0, "dir block joined the running tx");
+    }
+
+    #[test]
+    fn edits_read_no_directory_block() {
+        let mut fx = setup();
+        for i in 0..40u64 {
+            fx.add(&format!("f{i}"), i + 1, FileType::File);
+        }
+        let (hits, misses) = fx.cache.hit_miss();
+        fx.add("late", 99, FileType::File);
+        fx.remove("f7").unwrap();
+        let (h, m) = fx.cache.hit_miss();
+        // Each edit writes its one block: a cached page, never a read.
+        assert_eq!((h - hits, m - misses), (3, 0));
     }
 }

@@ -4,13 +4,16 @@
 //! buffer cache and the journal; they differ in the data path and in
 //! whether the journal is active (see [`crate::ExtMode`]).
 //!
-//! Lock order: `ns` mutex → inode `RwLock` → cache/journal internals.
+//! Lock order: `ns` mutex → inode `RwLock` → a directory's `names` (its
+//! name index, [`fskit::namei`]) → cache/journal internals. Names resolve
+//! through the name index, never by scanning directory blocks.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use blockdev::Nvmmbd;
+use fskit::namei::{NameIndex, NameiStats};
 use fskit::{DirEntry, Fd, FdTable, FileSystem, FileType, FsError, OpenFlags, Result, Stat};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE};
 use obsv::{FsObs, OpKind, Phase, Site, TraceEvent, TrackedMutex};
@@ -62,6 +65,7 @@ pub struct Extfs {
     /// Device data blocks dirtied per inode, for ordered-mode fsync.
     dirty_data: TrackedMutex<HashMap<u64, HashSet<u64>>>,
     obs: Arc<FsObs>,
+    namei: Arc<NameiStats>,
     /// Journal transactions replayed at mount (0 on a fresh mkfs mount).
     replayed: u64,
 }
@@ -77,18 +81,18 @@ impl Extfs {
         // Zero the bitmap and inode table regions.
         let zero = vec![0u8; BLOCK_SIZE];
         for b in l.ibitmap_start..l.data_start {
-            cache.write(Cat::Meta, b, 0, &zero, 0);
+            cache.write(Cat::Meta, b, 0, &zero, 0)?;
         }
         // Pre-mark metadata blocks and reserved inodes; journaling off
         // during mkfs.
         let nojournal = Jbd::open(bd.clone(), l.journal_start, l.journal_blocks, false);
-        let balloc = DiskBitmap::load(&cache, l.bbitmap_start, l.total_blocks);
+        let balloc = DiskBitmap::load(&cache, l.bbitmap_start, l.total_blocks)?;
         for b in 0..l.data_start {
-            balloc.set(&cache, &nojournal, b, 0);
+            balloc.set(&cache, &nojournal, b, 0)?;
         }
-        let ialloc = DiskBitmap::load(&cache, l.ibitmap_start, l.inode_count);
-        ialloc.set(&cache, &nojournal, 0, 0); // reserved
-        ialloc.set(&cache, &nojournal, ROOT_INO, 0);
+        let ialloc = DiskBitmap::load(&cache, l.ibitmap_start, l.inode_count)?;
+        ialloc.set(&cache, &nojournal, 0, 0)?; // reserved
+        ialloc.set(&cache, &nojournal, ROOT_INO, 0)?;
         write_inode(
             &cache,
             &nojournal,
@@ -96,8 +100,8 @@ impl Extfs {
             ROOT_INO,
             &ExtInodeMem::new(FileType::Dir, 0),
             0,
-        );
-        layout::write_superblock(&cache, &l, 0);
+        )?;
+        layout::write_superblock(&cache, &l, 0)?;
         cache.flush_all(obsv::DrainKind::Sync);
         drop(cache);
         let dev = bd.byte_device().clone();
@@ -122,9 +126,9 @@ impl Extfs {
             l.journal_blocks,
             mode.journaled(),
         );
-        let balloc = DiskBitmap::load(&cache, l.bbitmap_start, l.total_blocks);
-        let ialloc = DiskBitmap::load(&cache, l.ibitmap_start, l.inode_count);
-        layout::set_clean(&cache, false, 0);
+        let balloc = DiskBitmap::load(&cache, l.bbitmap_start, l.total_blocks)?;
+        let ialloc = DiskBitmap::load(&cache, l.ibitmap_start, l.inode_count)?;
+        layout::set_clean(&cache, false, 0)?;
         let env = bd.byte_device().env().clone();
         let obs = Arc::new(FsObs::new(bd.byte_device().spans().clone()));
         cache.attach_obs(obs.clone());
@@ -144,6 +148,7 @@ impl Extfs {
             last_commit: AtomicU64::new(0),
             dirty_data: TrackedMutex::new(&contention, Site::ExtfsDirtyData, HashMap::new()),
             obs,
+            namei: Arc::default(),
             replayed,
         }))
     }
@@ -163,15 +168,21 @@ impl Extfs {
         &self.obs
     }
 
+    /// Name-index counters (a registry source of their own, as PMFS's).
+    pub fn namei(&self) -> &Arc<NameiStats> {
+        &self.namei
+    }
+
     /// Commits the running jbd transaction, tracing the commit when it
     /// actually wrote something. `kind` classifies the durability drain:
     /// sync when a caller asked for it (fsync, sync, unmount), lazy for
     /// the periodic tick.
-    fn jbd_commit(&self, kind: obsv::DrainKind) {
+    fn jbd_commit(&self, kind: obsv::DrainKind) -> Result<()> {
         let pending = self.jbd.running_len() as u64;
-        self.bd.byte_device().spans().scope(Phase::Journal, || {
-            self.jbd.commit(&self.cache, kind);
-        });
+        self.bd
+            .byte_device()
+            .spans()
+            .scope(Phase::Journal, || self.jbd.commit(&self.cache, kind))?;
         if pending > 0 {
             self.obs
                 .trace
@@ -180,6 +191,7 @@ impl Extfs {
                     log_entries: pending,
                 });
         }
+        Ok(())
     }
 
     /// The block device (diagnostics).
@@ -203,23 +215,52 @@ impl Extfs {
 
     // ----- namespace internals (mirroring the PMFS structure) -----
 
-    fn inode(&self, ino: u64) -> Result<Arc<ExtInodeHandle>> {
+    /// The in-memory handle of inode `ino` (diagnostics and tests).
+    pub fn inode(&self, ino: u64) -> Result<Arc<ExtInodeHandle>> {
         self.icache.get(&self.cache, &self.layout, ino)
+    }
+
+    /// Looks `name` up in directory `d` through its name index (a hit
+    /// costs the DRAM copy of the one entry).
+    fn lookup(&self, d: &ExtInodeHandle, name: &str) -> Result<Option<(u64, FileType)>> {
+        let state = d.state.read();
+        if state.ftype != FileType::Dir {
+            return Err(FsError::NotADirectory);
+        }
+        let build = || dir::index(&self.cache, &state);
+        self.namei
+            .lookup(self.bd.byte_device(), &mut d.names.lock(), build, name)
+    }
+
+    /// Runs entry edit `edit` ([`dir::add`], [`dir::remove`]) on directory
+    /// `d`'s name index, under `d`'s write lock (`state`):
+    /// [`NameiStats::edit`], the index built through the page cache on
+    /// first use.
+    fn edit_names<R>(
+        &self,
+        d: &ExtInodeHandle,
+        state: &mut ExtInodeMem,
+        edit: impl FnOnce(&mut NameIndex, &mut ExtInodeMem) -> Result<R>,
+    ) -> Result<R> {
+        let build = |s: &ExtInodeMem| dir::index(&self.cache, s);
+        self.namei.edit(&mut d.names.lock(), state, build, edit)
+    }
+
+    /// [`dir::remove`] of `name` from directory `d`, then its mtime and
+    /// inode.
+    fn remove_entry(&self, d: &ExtInodeHandle, name: &str, now: u64) -> Result<()> {
+        let mut state = d.state.write();
+        self.edit_names(d, &mut state, |index, _| {
+            dir::remove(&self.cache, &self.jbd, index, name, now)
+        })?;
+        state.mtime = now;
+        write_inode(&self.cache, &self.jbd, &self.layout, d.ino, &state, now)
     }
 
     fn resolve(&self, comps: &[&str]) -> Result<Arc<ExtInodeHandle>> {
         let mut h = self.inode(ROOT_INO)?;
         for comp in comps {
-            let next = {
-                let state = h.state.read();
-                if state.ftype != FileType::Dir {
-                    return Err(FsError::NotADirectory);
-                }
-                dir::lookup(&self.cache, &state, comp)?
-                    .ok_or(FsError::NotFound)?
-                    .0
-            };
-            h = self.inode(next)?;
+            h = self.inode(self.lookup(&h, comp)?.ok_or(FsError::NotFound)?.0)?;
         }
         Ok(h)
     }
@@ -247,61 +288,63 @@ impl Extfs {
         let now = self.now();
         let ino = self.ialloc.alloc(&self.cache, &self.jbd, now)?;
         let mem = ExtInodeMem::new(ftype, now);
-        write_inode(&self.cache, &self.jbd, &self.layout, ino, &mem, now);
+        write_inode(&self.cache, &self.jbd, &self.layout, ino, &mem, now)?;
         let mut pstate = parent.state.write();
-        if let Err(e) = dir::add(
-            &self.cache,
-            &self.jbd,
-            &self.balloc,
-            &mut pstate,
-            name,
-            ino,
-            ftype,
-            now,
-        ) {
-            clear_inode(&self.cache, &self.jbd, &self.layout, ino, now);
-            self.ialloc.release(&self.cache, &self.jbd, ino, now);
+        if let Err(e) = self.add_entry(parent, &mut pstate, name, ino, ftype, now) {
+            clear_inode(&self.cache, &self.jbd, &self.layout, ino, now)?;
+            self.ialloc.release(&self.cache, &self.jbd, ino, now)?;
             return Err(e);
         }
-        pstate.mtime = now;
         let p = *pstate;
         drop(pstate);
-        write_inode(&self.cache, &self.jbd, &self.layout, parent.ino, &p, now);
+        write_inode(&self.cache, &self.jbd, &self.layout, parent.ino, &p, now)?;
         Ok(self.icache.install(ino, mem))
     }
 
-    /// Frees an inode's data and slot.
-    fn free_inode(&self, h: &Arc<ExtInodeHandle>) {
+    /// [`dir::add`] of `name -> ino` to directory `d`, under its write
+    /// lock (`state`), stamping its mtime; the caller writes the inode.
+    fn add_entry(
+        &self,
+        d: &ExtInodeHandle,
+        state: &mut ExtInodeMem,
+        name: &str,
+        ino: u64,
+        ftype: FileType,
+        now: u64,
+    ) -> Result<()> {
+        self.edit_names(d, state, |index, state| {
+            let (c, j, b) = (&self.cache, &self.jbd, &self.balloc);
+            dir::add(c, j, b, state, index, name, ino, ftype, now)
+        })?;
+        state.mtime = now;
+        Ok(())
+    }
+
+    /// Frees an inode's data and slot. A directory's name index goes
+    /// with it: a walker still holding the handle must find no names.
+    fn free_inode(&self, h: &Arc<ExtInodeHandle>) -> Result<()> {
         let now = self.now();
         let mut state = h.state.write();
-        blkmap::free_from(&self.cache, &self.jbd, &self.balloc, &mut state, 0, now);
+        self.namei.forget(&mut h.names.lock());
+        blkmap::free_from(&self.cache, &self.jbd, &self.balloc, &mut state, 0, now)?;
         state.size = 0;
-        clear_inode(&self.cache, &self.jbd, &self.layout, h.ino, now);
-        self.ialloc.release(&self.cache, &self.jbd, h.ino, now);
+        clear_inode(&self.cache, &self.jbd, &self.layout, h.ino, now)?;
+        self.ialloc.release(&self.cache, &self.jbd, h.ino, now)?;
         drop(state);
         self.icache.forget(h.ino);
         self.dirty_data.lock().remove(&h.ino);
+        Ok(())
     }
 
     fn unlink_locked(&self, path: &str) -> Result<()> {
         let (parent, name) = self.resolve_parent(path)?;
         let now = self.now();
-        let (ino, ftype) = {
-            let pstate = parent.state.read();
-            dir::lookup(&self.cache, &pstate, name)?.ok_or(FsError::NotFound)?
-        };
+        let (ino, ftype) = self.lookup(&parent, name)?.ok_or(FsError::NotFound)?;
         if ftype != FileType::File {
             return Err(FsError::IsADirectory);
         }
         let child = self.inode(ino)?;
-        {
-            let mut pstate = parent.state.write();
-            dir::remove(&self.cache, &self.jbd, &pstate, name, now)?;
-            pstate.mtime = now;
-            let p = *pstate;
-            drop(pstate);
-            write_inode(&self.cache, &self.jbd, &self.layout, parent.ino, &p, now);
-        }
+        self.remove_entry(&parent, name, now)?;
         let freeable = {
             let mut cstate = child.state.write();
             cstate.nlink -= 1;
@@ -309,12 +352,12 @@ impl Extfs {
             if !freeable {
                 let snap = *cstate;
                 drop(cstate);
-                write_inode(&self.cache, &self.jbd, &self.layout, ino, &snap, now);
+                write_inode(&self.cache, &self.jbd, &self.layout, ino, &snap, now)?;
             }
             freeable
         };
         if freeable {
-            self.free_inode(&child);
+            self.free_inode(&child)?;
         }
         Ok(())
     }
@@ -322,10 +365,7 @@ impl Extfs {
     fn rmdir_locked(&self, path: &str) -> Result<()> {
         let (parent, name) = self.resolve_parent(path)?;
         let now = self.now();
-        let (ino, ftype) = {
-            let pstate = parent.state.read();
-            dir::lookup(&self.cache, &pstate, name)?.ok_or(FsError::NotFound)?
-        };
+        let (ino, ftype) = self.lookup(&parent, name)?.ok_or(FsError::NotFound)?;
         if ftype != FileType::Dir {
             return Err(FsError::NotADirectory);
         }
@@ -333,16 +373,8 @@ impl Extfs {
         if !dir::is_empty(&self.cache, &child.state.read())? {
             return Err(FsError::DirectoryNotEmpty);
         }
-        {
-            let mut pstate = parent.state.write();
-            dir::remove(&self.cache, &self.jbd, &pstate, name, now)?;
-            pstate.mtime = now;
-            let p = *pstate;
-            drop(pstate);
-            write_inode(&self.cache, &self.jbd, &self.layout, parent.ino, &p, now);
-        }
-        self.free_inode(&child);
-        Ok(())
+        self.remove_entry(&parent, name, now)?;
+        self.free_inode(&child)
     }
 
     // ----- data paths -----
@@ -365,11 +397,11 @@ impl Extfs {
                 // device bytes.
                 let mut page = vec![0u8; BLOCK_SIZE];
                 page[in_blk..in_blk + payload.len()].copy_from_slice(payload);
-                self.cache.write(Cat::UserWrite, blk, 0, &page, now);
+                self.cache.write(Cat::UserWrite, blk, 0, &page, now)
             } else {
-                self.cache.write(Cat::UserWrite, blk, in_blk, payload, now);
+                self.cache.write(Cat::UserWrite, blk, in_blk, payload, now)
             }
-        });
+        })?;
         self.dirty_data.lock().entry(ino).or_default().insert(blk);
         Ok(())
     }
@@ -447,7 +479,7 @@ impl Extfs {
         state.mtime = now;
         let snap = *state;
         drop(state);
-        write_inode(&self.cache, &self.jbd, &self.layout, of.ino, &snap, now);
+        write_inode(&self.cache, &self.jbd, &self.layout, of.ino, &snap, now)?;
         if of.flags.contains(OpenFlags::SYNC) {
             self.fsync_ino(of.ino)?;
         }
@@ -472,7 +504,7 @@ impl Extfs {
             let in_blk = (pos % BLOCK_SIZE as u64) as usize;
             let chunk = (BLOCK_SIZE - in_blk).min(n - done);
             let out = &mut buf[done..done + chunk];
-            match blkmap::lookup(&self.cache, &state, iblk) {
+            match blkmap::lookup(&self.cache, &state, iblk)? {
                 Some(blk) => {
                     if self.mode.dax_data() {
                         // Single copy from the NVMM bytes.
@@ -483,8 +515,8 @@ impl Extfs {
                         );
                     } else {
                         self.bd.byte_device().spans().scope(Phase::DramCopy, || {
-                            self.cache.read(Cat::UserRead, blk, in_blk, out);
-                        });
+                            self.cache.read(Cat::UserRead, blk, in_blk, out)
+                        })?;
                     }
                 }
                 None => {
@@ -519,7 +551,7 @@ impl Extfs {
             self.cache.flush_block(blk, obsv::DrainKind::Sync);
         }
         if self.jbd.enabled() {
-            self.jbd_commit(obsv::DrainKind::Sync);
+            self.jbd_commit(obsv::DrainKind::Sync)?;
         } else {
             // ext2: push the inode block too, then barrier.
             let (iblk, _) = self.layout.inode_loc(ino);
@@ -534,13 +566,7 @@ impl Extfs {
         let _ns = self.ns.lock();
         let (parent, name) = self.resolve_parent(path)?;
         fskit::path::validate_name(name)?;
-        let existing = {
-            let pstate = parent.state.read();
-            if pstate.ftype != FileType::Dir {
-                return Err(FsError::NotADirectory);
-            }
-            dir::lookup(&self.cache, &pstate, name)?
-        };
+        let existing = self.lookup(&parent, name)?;
         let handle = match existing {
             Some((_, FileType::Dir)) => return Err(FsError::IsADirectory),
             Some((ino, FileType::File)) => {
@@ -560,12 +586,12 @@ impl Extfs {
             let now = self.now();
             let mut state = handle.state.write();
             if state.size > 0 {
-                blkmap::free_from(&self.cache, &self.jbd, &self.balloc, &mut state, 0, now);
+                blkmap::free_from(&self.cache, &self.jbd, &self.balloc, &mut state, 0, now)?;
                 state.size = 0;
                 state.mtime = now;
                 let snap = *state;
                 drop(state);
-                write_inode(&self.cache, &self.jbd, &self.layout, handle.ino, &snap, now);
+                write_inode(&self.cache, &self.jbd, &self.layout, handle.ino, &snap, now)?;
                 self.dirty_data.lock().remove(&handle.ino);
             }
         }
@@ -587,11 +613,11 @@ impl Extfs {
         let mut state = of.handle.state.write();
         if size < state.size {
             let keep = size.div_ceil(BLOCK_SIZE as u64);
-            blkmap::free_from(&self.cache, &self.jbd, &self.balloc, &mut state, keep, now);
+            blkmap::free_from(&self.cache, &self.jbd, &self.balloc, &mut state, keep, now)?;
             // Zero the tail of the new last block.
             let in_blk = (size % BLOCK_SIZE as u64) as usize;
             if in_blk != 0 {
-                if let Some(blk) = blkmap::lookup(&self.cache, &state, size / BLOCK_SIZE as u64) {
+                if let Some(blk) = blkmap::lookup(&self.cache, &state, size / BLOCK_SIZE as u64)? {
                     let zeros = vec![0u8; BLOCK_SIZE - in_blk];
                     if self.mode.dax_data() {
                         self.bd.byte_device().zero_persist(
@@ -600,7 +626,7 @@ impl Extfs {
                             BLOCK_SIZE - in_blk,
                         );
                     } else {
-                        self.cache.write(Cat::UserWrite, blk, in_blk, &zeros, now);
+                        self.cache.write(Cat::UserWrite, blk, in_blk, &zeros, now)?;
                         self.dirty_data
                             .lock()
                             .entry(of.ino)
@@ -614,8 +640,7 @@ impl Extfs {
         state.mtime = now;
         let snap = *state;
         drop(state);
-        write_inode(&self.cache, &self.jbd, &self.layout, of.ino, &snap, now);
-        Ok(())
+        write_inode(&self.cache, &self.jbd, &self.layout, of.ino, &snap, now)
     }
 }
 
@@ -638,7 +663,7 @@ impl FileSystem for Extfs {
                 *opens == 0 && of.handle.state.read().nlink == 0
             };
             if orphan {
-                self.free_inode(&of.handle);
+                self.free_inode(&of.handle)?;
             }
             Ok(())
         })
@@ -685,11 +710,8 @@ impl FileSystem for Extfs {
         let _ns = self.ns.lock();
         let (parent, name) = self.resolve_parent(path)?;
         fskit::path::validate_name(name)?;
-        {
-            let pstate = parent.state.read();
-            if dir::lookup(&self.cache, &pstate, name)?.is_some() {
-                return Err(FsError::AlreadyExists);
-            }
+        if self.lookup(&parent, name)?.is_some() {
+            return Err(FsError::AlreadyExists);
         }
         self.create_node(&parent, name, FileType::Dir)?;
         Ok(())
@@ -715,30 +737,12 @@ impl FileSystem for Extfs {
     fn stat(&self, path: &str) -> Result<Stat> {
         self.env.charge_syscall();
         let comps = fskit::path::components(path)?;
-        let h = self.resolve(&comps)?;
-        let s = h.state.read();
-        Ok(Stat {
-            ino: h.ino,
-            ftype: s.ftype,
-            size: s.size,
-            blocks: s.blocks,
-            nlink: s.nlink,
-            mtime_ns: s.mtime,
-        })
+        Ok(self.resolve(&comps)?.stat())
     }
 
     fn fstat(&self, fd: Fd) -> Result<Stat> {
         self.env.charge_syscall();
-        let of = self.fds.get(fd)?;
-        let s = of.handle.state.read();
-        Ok(Stat {
-            ino: of.ino,
-            ftype: s.ftype,
-            size: s.size,
-            blocks: s.blocks,
-            nlink: s.nlink,
-            mtime_ns: s.mtime,
-        })
+        Ok(self.fds.get(fd)?.handle.stat())
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
@@ -748,15 +752,10 @@ impl FileSystem for Extfs {
         let (src_parent, src_name) = self.resolve_parent(from)?;
         let (dst_parent, dst_name) = self.resolve_parent(to)?;
         fskit::path::validate_name(dst_name)?;
-        let (ino, ftype) = {
-            let pstate = src_parent.state.read();
-            dir::lookup(&self.cache, &pstate, src_name)?.ok_or(FsError::NotFound)?
-        };
-        let dst_existing = {
-            let pstate = dst_parent.state.read();
-            dir::lookup(&self.cache, &pstate, dst_name)?
-        };
-        if let Some((dino, dftype)) = dst_existing {
+        let (ino, ftype) = self
+            .lookup(&src_parent, src_name)?
+            .ok_or(FsError::NotFound)?;
+        if let Some((dino, dftype)) = self.lookup(&dst_parent, dst_name)? {
             if dino == ino {
                 return Ok(());
             }
@@ -767,65 +766,32 @@ impl FileSystem for Extfs {
                 (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
             }
         }
-        let same_parent = Arc::ptr_eq(&src_parent, &dst_parent);
-        {
+        let dst_state = if Arc::ptr_eq(&src_parent, &dst_parent) {
             let mut pstate = src_parent.state.write();
-            dir::remove(&self.cache, &self.jbd, &pstate, src_name, now)?;
-            if same_parent {
-                dir::add(
-                    &self.cache,
-                    &self.jbd,
-                    &self.balloc,
-                    &mut pstate,
-                    dst_name,
-                    ino,
-                    ftype,
-                    now,
-                )?;
-            }
-            pstate.mtime = now;
-            let p = *pstate;
-            drop(pstate);
-            write_inode(
-                &self.cache,
-                &self.jbd,
-                &self.layout,
-                src_parent.ino,
-                &p,
-                now,
-            );
-        }
-        if !same_parent {
-            let mut pstate = dst_parent.state.write();
-            dir::add(
-                &self.cache,
-                &self.jbd,
-                &self.balloc,
-                &mut pstate,
-                dst_name,
-                ino,
-                ftype,
-                now,
-            )?;
-            pstate.mtime = now;
-            let p = *pstate;
-            drop(pstate);
-            write_inode(
-                &self.cache,
-                &self.jbd,
-                &self.layout,
-                dst_parent.ino,
-                &p,
-                now,
-            );
-        }
-        Ok(())
+            self.edit_names(&src_parent, &mut pstate, |index, _| {
+                dir::remove(&self.cache, &self.jbd, index, src_name, now)
+            })?;
+            pstate
+        } else {
+            self.remove_entry(&src_parent, src_name, now)?;
+            dst_parent.state.write()
+        };
+        let mut pstate = dst_state;
+        self.add_entry(&dst_parent, &mut pstate, dst_name, ino, ftype, now)?;
+        write_inode(
+            &self.cache,
+            &self.jbd,
+            &self.layout,
+            dst_parent.ino,
+            &pstate,
+            now,
+        )
     }
 
     fn sync(&self) -> Result<()> {
         self.env.charge_syscall();
         let _bg = self.obs.bg_scope();
-        self.jbd_commit(obsv::DrainKind::Sync);
+        self.jbd_commit(obsv::DrainKind::Sync)?;
         self.cache.flush_all(obsv::DrainKind::Sync);
         self.bd.flush();
         Ok(())
@@ -834,9 +800,9 @@ impl FileSystem for Extfs {
     fn unmount(&self) -> Result<()> {
         self.env.charge_syscall();
         let _bg = self.obs.bg_scope();
-        self.jbd_commit(obsv::DrainKind::Sync);
+        self.jbd_commit(obsv::DrainKind::Sync)?;
         self.cache.flush_all(obsv::DrainKind::Sync);
-        layout::set_clean(&self.cache, true, self.now());
+        layout::set_clean(&self.cache, true, self.now())?;
         self.cache.flush_all(obsv::DrainKind::Sync);
         self.bd.flush();
         Ok(())
@@ -847,7 +813,9 @@ impl FileSystem for Extfs {
         if now_ns.saturating_sub(last) >= crate::COMMIT_PERIOD_NS {
             self.last_commit.store(now_ns, Ordering::Relaxed);
             let _bg = self.obs.bg_scope();
-            self.jbd_commit(obsv::DrainKind::Lazy);
+            // A commit the cache cannot serve stays running; the next
+            // fsync, sync or tick retries it.
+            let _ = self.jbd_commit(obsv::DrainKind::Lazy);
             self.cache.flush_older_than(now_ns, crate::DIRTY_AGE_NS);
         }
     }
@@ -878,6 +846,14 @@ impl obsv::Introspect for Extfs {
         // never exceed the page-cache capacity.
         rep.check_le(12, 0, 0, dirty as u64, cached as u64);
         rep.check_le(12, 0, 0, cached as u64, self.cache.capacity() as u64);
+        // namei.index, against the blocks as the page cache holds them.
+        let dirs = self.icache.cached().into_iter().filter_map(|h| {
+            h.names.lock().as_ref()?;
+            let state = h.state.read();
+            let index = h.names.lock().clone()?;
+            Some((h.ino, index, dir::index_uncharged(&self.cache, &state)))
+        });
+        self.namei.audit(&mut rep, dirs);
         rep
     }
 }

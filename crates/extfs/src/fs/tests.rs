@@ -355,3 +355,39 @@ fn metadata_ops_charge_block_layer_on_miss() {
         "metadata misses go through the block layer"
     );
 }
+
+/// The name index serves repeat lookups: in a directory of several
+/// blocks, the second `stat` of a name reads no directory block — the
+/// page cache sees no access at all — and counts as an index hit.
+#[test]
+fn a_second_stat_reads_no_directory_block() {
+    let (_d, fs) = fresh(ExtMode::Ext4Dax);
+    fs.mkdir("/d").unwrap();
+    let long = |i: u32| format!("{i:0>200}");
+    for i in 0..60 {
+        let fd = fs.open(&format!("/d/{}", long(i)), rw_create()).unwrap();
+        fs.close(fd).unwrap();
+    }
+    assert!(fs.stat("/d").unwrap().size >= 3 * BLOCK_SIZE as u64);
+    fs.unmount().unwrap();
+    let dev = fs.device().byte_device().clone();
+    drop(fs);
+    let fs = Extfs::mount(dev, ExtMode::Ext4Dax, small_opts()).unwrap();
+    let name = format!("/d/{}", long(59));
+    let hits = || fs.namei().hits.load(std::sync::atomic::Ordering::Relaxed);
+    fs.stat(&name).unwrap();
+    assert_eq!(
+        fs.namei().builds.load(std::sync::atomic::Ordering::Relaxed),
+        2
+    );
+    let (h0, before) = (hits(), fs.cache().hit_miss());
+    let t0 = fs.env().now();
+    fs.stat(&name).unwrap();
+    assert_eq!(fs.cache().hit_miss(), before, "no page-cache access");
+    assert_eq!(hits(), h0 + 2, "`d` in the root, the name in `d`");
+    let cost = fs.env().cost();
+    let entries = cost.dram_copy_ns(fskit::dirent::entry_len(1))
+        + cost.dram_copy_ns(fskit::dirent::entry_len(200));
+    assert_eq!(fs.env().now() - t0, cost.syscall_ns + entries);
+    assert!(obsv::Introspect::audit(&*fs).is_clean());
+}

@@ -7,7 +7,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fskit::{FileType, FsError, Result};
+use fskit::le::{u32_at, u64_at};
+use fskit::namei::NameIndex;
+use fskit::{FileType, FsError, Result, Stat};
 use nvmm::Cat;
 use obsv::{ContentionTable, Site, TrackedMutex};
 use parking_lot::{Mutex, RwLock};
@@ -79,14 +81,14 @@ impl ExtInodeMem {
         let mut ptrs = [0u64; NPTRS];
         for (i, p) in ptrs.iter_mut().enumerate() {
             let o = 32 + i * 8;
-            *p = u64::from_le_bytes(b[o..o + 8].try_into().unwrap());
+            *p = u64_at(b, o);
         }
         Ok(Some(ExtInodeMem {
             ftype,
-            nlink: u32::from_le_bytes(b[4..8].try_into().unwrap()),
-            size: u64::from_le_bytes(b[8..16].try_into().unwrap()),
-            blocks: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-            mtime: u64::from_le_bytes(b[24..32].try_into().unwrap()),
+            nlink: u32_at(b, 4),
+            size: u64_at(b, 8),
+            blocks: u64_at(b, 16),
+            mtime: u64_at(b, 24),
             ptrs,
         }))
     }
@@ -98,6 +100,35 @@ pub struct ExtInodeHandle {
     pub ino: u64,
     pub state: RwLock<ExtInodeMem>,
     pub opens: Mutex<u32>,
+    /// Directories only: the name index ([`fskit::namei`]), built on the
+    /// first lookup after mount. Lock order: `state` → `names`.
+    pub names: Mutex<Option<NameIndex>>,
+}
+
+impl ExtInodeHandle {
+    /// `stat(2)`'s view of the inode.
+    pub fn stat(&self) -> Stat {
+        let s = self.state.read();
+        let (ino, ftype, size, blocks, nlink) = (self.ino, s.ftype, s.size, s.blocks, s.nlink);
+        let mtime_ns = s.mtime;
+        Stat {
+            ino,
+            ftype,
+            size,
+            blocks,
+            nlink,
+            mtime_ns,
+        }
+    }
+
+    fn new(ino: u64, mem: ExtInodeMem) -> Arc<ExtInodeHandle> {
+        Arc::new(ExtInodeHandle {
+            ino,
+            state: RwLock::new(mem),
+            opens: Mutex::new(0),
+            names: Mutex::new(None),
+        })
+    }
 }
 
 /// Cache of in-memory inode handles.
@@ -130,25 +161,17 @@ impl ExtInodeCache {
         }
         let (blk, off) = layout.inode_loc(ino);
         let mut buf = [0u8; INODE_SLOT];
-        cache.read(Cat::Meta, blk, off, &mut buf);
+        cache.read(Cat::Meta, blk, off, &mut buf)?;
         let mem =
             ExtInodeMem::decode(&buf)?.ok_or(FsError::Corrupted("reference to free ext inode"))?;
-        let h = Arc::new(ExtInodeHandle {
-            ino,
-            state: RwLock::new(mem),
-            opens: Mutex::new(0),
-        });
+        let h = ExtInodeHandle::new(ino, mem);
         map.insert(ino, h.clone());
         Ok(h)
     }
 
     /// Installs a handle for a just-created inode.
     pub fn install(&self, ino: u64, mem: ExtInodeMem) -> Arc<ExtInodeHandle> {
-        let h = Arc::new(ExtInodeHandle {
-            ino,
-            state: RwLock::new(mem),
-            opens: Mutex::new(0),
-        });
+        let h = ExtInodeHandle::new(ino, mem);
         self.map.lock().insert(ino, h.clone());
         h
     }
@@ -156,6 +179,14 @@ impl ExtInodeCache {
     /// Drops the cached handle (inode freed).
     pub fn forget(&self, ino: u64) {
         self.map.lock().remove(&ino);
+    }
+
+    /// Every cached handle, in ascending inode order. The map lock is not
+    /// held on return.
+    pub fn cached(&self) -> Vec<Arc<ExtInodeHandle>> {
+        let mut handles: Vec<_> = self.map.lock().values().cloned().collect();
+        handles.sort_unstable_by_key(|h| h.ino);
+        handles
     }
 }
 
@@ -168,17 +199,25 @@ pub fn write_inode(
     ino: u64,
     mem: &ExtInodeMem,
     now: u64,
-) {
+) -> Result<()> {
     let (blk, off) = layout.inode_loc(ino);
-    cache.write(Cat::Meta, blk, off, &mem.encode(), now);
+    cache.write(Cat::Meta, blk, off, &mem.encode(), now)?;
     jbd.add(cache, blk);
+    Ok(())
 }
 
 /// Clears an inode slot (free).
-pub fn clear_inode(cache: &BufferCache, jbd: &Jbd, layout: &ExtLayout, ino: u64, now: u64) {
+pub fn clear_inode(
+    cache: &BufferCache,
+    jbd: &Jbd,
+    layout: &ExtLayout,
+    ino: u64,
+    now: u64,
+) -> Result<()> {
     let (blk, off) = layout.inode_loc(ino);
-    cache.write(Cat::Meta, blk, off, &[0u8; INODE_SLOT], now);
+    cache.write(Cat::Meta, blk, off, &[0u8; INODE_SLOT], now)?;
     jbd.add(cache, blk);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -213,7 +252,7 @@ mod tests {
     fn write_read_through_table() {
         let (cache, jbd, layout) = setup();
         let m = ExtInodeMem::new(FileType::Dir, 7);
-        write_inode(&cache, &jbd, &layout, 5, &m, 0);
+        write_inode(&cache, &jbd, &layout, 5, &m, 0).unwrap();
         let icache = ExtInodeCache::new(cache.device().byte_device().contention());
         let h = icache.get(&cache, &layout, 5).unwrap();
         assert_eq!(*h.state.read(), m);
@@ -232,8 +271,9 @@ mod tests {
             9,
             &ExtInodeMem::new(FileType::File, 0),
             0,
-        );
-        clear_inode(&cache, &jbd, &layout, 9, 1);
+        )
+        .unwrap();
+        clear_inode(&cache, &jbd, &layout, 9, 1).unwrap();
         let icache = ExtInodeCache::new(cache.device().byte_device().contention());
         assert!(icache.get(&cache, &layout, 9).is_err());
     }

@@ -19,6 +19,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use blockdev::Nvmmbd;
+use fskit::le::u64_at;
+use fskit::Result;
 use nvmm::{Cat, BLOCK_SIZE};
 use obsv::{DrainKind, Site, TrackedMutex};
 
@@ -30,6 +32,19 @@ const REVOKE_MAGIC: u64 = 0x4a42_4452_4556_4b31; // "JBDREVK1"
 
 /// Targets per descriptor block: header (magic, seq, count) + blknos.
 const DESC_CAPACITY: usize = BLOCK_SIZE / 8 - 3;
+
+/// A journal record block: magic, sequence number, then — for a
+/// descriptor or revoke record — the count and the block numbers.
+fn record(magic: u64, seq: u64, blks: &[u64]) -> Vec<u8> {
+    let words = [magic, seq, blks.len() as u64]
+        .into_iter()
+        .chain(blks.iter().copied());
+    let mut block = vec![0u8; BLOCK_SIZE];
+    for (w, v) in block.chunks_exact_mut(8).zip(words) {
+        w.copy_from_slice(&v.to_le_bytes());
+    }
+    block
+}
 
 #[derive(Debug)]
 struct JbdInner {
@@ -131,13 +146,16 @@ impl Jbd {
     /// Commits the running transaction, draining the journaled pages'
     /// lineage stamps as `kind` (the commit makes them recoverable). The
     /// caller has already flushed the related *data* pages (ordered mode).
-    pub fn commit(&self, cache: &BufferCache, kind: DrainKind) {
+    /// When a journaled page cannot be read back (the cache is out of
+    /// pages), the transaction stays running, uncommitted, and the next
+    /// commit writes over what this one logged.
+    pub fn commit(&self, cache: &BufferCache, kind: DrainKind) -> Result<()> {
         if !self.enabled {
-            return;
+            return Ok(());
         }
         let mut inner = self.inner.lock();
         if inner.running.is_empty() && inner.revoked.is_empty() {
-            return;
+            return Ok(());
         }
         let blks: Vec<u64> = std::mem::take(&mut inner.running).into_iter().collect();
         let revoked: Vec<u64> = std::mem::take(&mut inner.revoked).into_iter().collect();
@@ -163,46 +181,35 @@ impl Jbd {
             // journal records needed.
             inner.seq += 1;
             inner.commits += 1;
-            return;
+            return Ok(());
         }
         let ring_before = inner.write_ptr;
         for group in revoked.chunks(DESC_CAPACITY) {
-            let mut rev = vec![0u8; BLOCK_SIZE];
-            rev[0..8].copy_from_slice(&REVOKE_MAGIC.to_le_bytes());
-            rev[8..16].copy_from_slice(&inner.seq.to_le_bytes());
-            rev[16..24].copy_from_slice(&(group.len() as u64).to_le_bytes());
-            for (i, blk) in group.iter().enumerate() {
-                let o = 24 + i * 8;
-                rev[o..o + 8].copy_from_slice(&blk.to_le_bytes());
-            }
+            let rev = record(REVOKE_MAGIC, inner.seq, group);
             self.bd
                 .write_block(Cat::Journal, self.start + inner.write_ptr, &rev);
             inner.write_ptr += 1;
         }
         for group in blks.chunks(DESC_CAPACITY) {
-            let mut desc = vec![0u8; BLOCK_SIZE];
-            desc[0..8].copy_from_slice(&DESC_MAGIC.to_le_bytes());
-            desc[8..16].copy_from_slice(&inner.seq.to_le_bytes());
-            desc[16..24].copy_from_slice(&(group.len() as u64).to_le_bytes());
-            for (i, blk) in group.iter().enumerate() {
-                let o = 24 + i * 8;
-                desc[o..o + 8].copy_from_slice(&blk.to_le_bytes());
-            }
+            let desc = record(DESC_MAGIC, inner.seq, group);
             self.bd
                 .write_block(Cat::Journal, self.start + inner.write_ptr, &desc);
             inner.write_ptr += 1;
             let mut page = vec![0u8; BLOCK_SIZE];
             for &blk in group {
-                cache.read(Cat::Journal, blk, 0, &mut page);
+                if let Err(e) = cache.read(Cat::Journal, blk, 0, &mut page) {
+                    inner.running = blks.iter().copied().collect();
+                    inner.revoked = revoked.iter().copied().collect();
+                    inner.write_ptr = ring_before;
+                    return Err(e);
+                }
                 self.bd
                     .write_block(Cat::Journal, self.start + inner.write_ptr, &page);
                 inner.write_ptr += 1;
             }
         }
         self.bd.flush();
-        let mut commit = vec![0u8; BLOCK_SIZE];
-        commit[0..8].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
-        commit[8..16].copy_from_slice(&inner.seq.to_le_bytes());
+        let commit = record(COMMIT_MAGIC, inner.seq, &[]);
         self.bd
             .write_block(Cat::Journal, self.start + inner.write_ptr, &commit);
         inner.write_ptr += 1;
@@ -220,6 +227,7 @@ impl Jbd {
         for &blk in &blks {
             cache.unpin(blk);
         }
+        Ok(())
     }
 
     /// Replays committed transactions after a crash, writing their block
@@ -247,11 +255,11 @@ impl Jbd {
                 break;
             }
             bd.read_block(Cat::Journal, start + ptr, &mut block);
-            let magic = u64::from_le_bytes(block[0..8].try_into().unwrap());
+            let magic = u64_at(&block, 0);
             if magic != DESC_MAGIC && magic != REVOKE_MAGIC {
                 break;
             }
-            let seq = u64::from_le_bytes(block[8..16].try_into().unwrap());
+            let seq = u64_at(&block, 8);
             if let Some(e) = expect {
                 if seq != e {
                     // Stale record from an earlier lap of the ring.
@@ -266,8 +274,8 @@ impl Jbd {
                     break 'outer;
                 }
                 bd.read_block(Cat::Journal, start + p, &mut block);
-                let magic = u64::from_le_bytes(block[0..8].try_into().unwrap());
-                let bseq = u64::from_le_bytes(block[8..16].try_into().unwrap());
+                let magic = u64_at(&block, 0);
+                let bseq = u64_at(&block, 8);
                 if magic == COMMIT_MAGIC && bseq == seq {
                     // Committed: record it.
                     for blk in revokes {
@@ -283,14 +291,13 @@ impl Jbd {
                     // Torn transaction: stop replay entirely.
                     break 'outer;
                 }
-                let count = u64::from_le_bytes(block[16..24].try_into().unwrap());
+                let count = u64_at(&block, 16);
                 if count as usize > DESC_CAPACITY {
                     break 'outer;
                 }
                 if magic == REVOKE_MAGIC {
                     for i in 0..count as usize {
-                        let o = 24 + i * 8;
-                        revokes.push(u64::from_le_bytes(block[o..o + 8].try_into().unwrap()));
+                        revokes.push(u64_at(&block, 24 + i * 8));
                     }
                     p += 1;
                 } else {
@@ -298,8 +305,7 @@ impl Jbd {
                         break 'outer;
                     }
                     for i in 0..count as usize {
-                        let o = 24 + i * 8;
-                        let tblk = u64::from_le_bytes(block[o..o + 8].try_into().unwrap());
+                        let tblk = u64_at(&block, 24 + i * 8);
                         targets.push((p + 1 + i as u64, tblk));
                     }
                     p += count + 1;
@@ -343,9 +349,9 @@ mod tests {
     fn committed_metadata_replays_after_crash() {
         let (bd, cache, jbd) = setup();
         // Dirty a metadata block, journal it, commit — but never checkpoint.
-        cache.write(Cat::Meta, 200, 0, &[7u8; 64], 0);
+        cache.write(Cat::Meta, 200, 0, &[7u8; 64], 0).unwrap();
         jbd.add(&cache, 200);
-        jbd.commit(&cache, DrainKind::Sync);
+        jbd.commit(&cache, DrainKind::Sync).unwrap();
         // Crash: the in-place block was never written (page still dirty).
         bd.byte_device().crash();
         let replayed = Jbd::replay(&bd, 1, 64);
@@ -358,7 +364,7 @@ mod tests {
     #[test]
     fn uncommitted_transaction_is_not_replayed() {
         let (bd, cache, jbd) = setup();
-        cache.write(Cat::Meta, 201, 0, &[9u8; 64], 0);
+        cache.write(Cat::Meta, 201, 0, &[9u8; 64], 0).unwrap();
         jbd.add(&cache, 201);
         // No commit; pinned page cannot be flushed in place either.
         cache.flush_all(DrainKind::Sync);
@@ -372,11 +378,13 @@ mod tests {
     #[test]
     fn pinned_pages_resist_eviction_until_commit() {
         let (bd, cache, jbd) = setup();
-        cache.write(Cat::Meta, 300, 0, &[1u8; 64], 0);
+        cache.write(Cat::Meta, 300, 0, &[1u8; 64], 0).unwrap();
         jbd.add(&cache, 300);
         // Fill the cache to force evictions; block 300 must survive.
         for blk in 0..100u64 {
-            cache.write(Cat::UserWrite, 400 + blk, 0, &[2u8; BLOCK_SIZE], 0);
+            cache
+                .write(Cat::UserWrite, 400 + blk, 0, &[2u8; BLOCK_SIZE], 0)
+                .unwrap();
         }
         let mut direct = vec![0u8; BLOCK_SIZE];
         bd.byte_device().peek(300 * BLOCK_SIZE as u64, &mut direct);
@@ -385,7 +393,7 @@ mod tests {
             &[0u8; 64],
             "pinned page never written in place"
         );
-        jbd.commit(&cache, DrainKind::Sync);
+        jbd.commit(&cache, DrainKind::Sync).unwrap();
         cache.flush_all(DrainKind::Sync);
         bd.byte_device().peek(300 * BLOCK_SIZE as u64, &mut direct);
         assert_eq!(&direct[0..64], &[1u8; 64]);
@@ -395,9 +403,9 @@ mod tests {
     fn multiple_transactions_replay_in_order() {
         let (bd, cache, jbd) = setup();
         for round in 1..=3u8 {
-            cache.write(Cat::Meta, 210, 0, &[round; 64], 0);
+            cache.write(Cat::Meta, 210, 0, &[round; 64], 0).unwrap();
             jbd.add(&cache, 210);
-            jbd.commit(&cache, DrainKind::Sync);
+            jbd.commit(&cache, DrainKind::Sync).unwrap();
         }
         bd.byte_device().crash();
         assert_eq!(Jbd::replay(&bd, 1, 64), 3);
@@ -411,9 +419,11 @@ mod tests {
         let (bd, cache, jbd) = setup();
         // 64-block ring; each commit here uses 3 blocks. Push beyond.
         for i in 0..40u64 {
-            cache.write(Cat::Meta, 220 + (i % 5), 0, &[i as u8; 64], 0);
+            cache
+                .write(Cat::Meta, 220 + (i % 5), 0, &[i as u8; 64], 0)
+                .unwrap();
             jbd.add(&cache, 220 + (i % 5));
-            jbd.commit(&cache, DrainKind::Sync);
+            jbd.commit(&cache, DrainKind::Sync).unwrap();
         }
         assert_eq!(jbd.commits(), 40);
         // After crash, replay must still leave a consistent image: whatever
@@ -431,17 +441,17 @@ mod tests {
         // reuse it as a plain data block. Replay must not clobber the new
         // data with the stale journaled image.
         let (bd, cache, jbd) = setup();
-        cache.write(Cat::Meta, 400, 0, &[0xEE; 64], 0);
+        cache.write(Cat::Meta, 400, 0, &[0xEE; 64], 0).unwrap();
         jbd.add(&cache, 400);
-        jbd.commit(&cache, DrainKind::Sync);
+        jbd.commit(&cache, DrainKind::Sync).unwrap();
         // Free + revoke, then the block gets a new life as data.
         jbd.forget(&cache, 400);
         cache.invalidate(400);
         bd.write_block(Cat::UserWrite, 400, &vec![0xDD; BLOCK_SIZE]);
         // The revoke must be committed (it rides the next commit).
-        cache.write(Cat::Meta, 401, 0, &[1; 8], 0);
+        cache.write(Cat::Meta, 401, 0, &[1; 8], 0).unwrap();
         jbd.add(&cache, 401);
-        jbd.commit(&cache, DrainKind::Sync);
+        jbd.commit(&cache, DrainKind::Sync).unwrap();
         bd.byte_device().crash();
         Jbd::replay(&bd, 1, 64);
         let mut buf = vec![0u8; BLOCK_SIZE];
@@ -459,10 +469,10 @@ mod tests {
         let bd = Arc::new(Nvmmbd::new(dev));
         let cache = BufferCache::new(bd.clone(), 16);
         let jbd = Jbd::open(bd.clone(), 1, 16, false);
-        cache.write(Cat::Meta, 100, 0, &[1u8; 64], 0);
+        cache.write(Cat::Meta, 100, 0, &[1u8; 64], 0).unwrap();
         jbd.add(&cache, 100);
         let (_, w0, _) = bd.request_counts();
-        jbd.commit(&cache, DrainKind::Sync);
+        jbd.commit(&cache, DrainKind::Sync).unwrap();
         let (_, w1, _) = bd.request_counts();
         assert_eq!(w0, w1, "ext2 mode journals nothing");
         // And the page is not pinned: flush_all writes it.

@@ -104,7 +104,7 @@ mod sbo {
 }
 
 /// Writes a fresh superblock through the cache and flushes it.
-pub fn write_superblock(cache: &BufferCache, l: &ExtLayout, now: u64) {
+pub fn write_superblock(cache: &BufferCache, l: &ExtLayout, now: u64) -> Result<()> {
     let mut block = vec![0u8; BLOCK_SIZE];
     let mut put = |off: usize, v: u64| {
         block[off..off + 8].copy_from_slice(&v.to_le_bytes());
@@ -122,15 +122,16 @@ pub fn write_superblock(cache: &BufferCache, l: &ExtLayout, now: u64) {
     put(sbo::INODE_COUNT, l.inode_count);
     put(sbo::DATA_START, l.data_start);
     put(sbo::CLEAN, 1);
-    cache.write(Cat::Meta, 0, 0, &block, now);
+    cache.write(Cat::Meta, 0, 0, &block, now)?;
     cache.flush_block(0, obsv::DrainKind::Sync);
+    Ok(())
 }
 
 /// Reads and validates the superblock; returns the layout and clean flag.
 pub fn read_superblock(cache: &BufferCache) -> Result<(ExtLayout, bool)> {
     let mut block = vec![0u8; BLOCK_SIZE];
-    cache.read(Cat::Meta, 0, 0, &mut block);
-    let get = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
+    cache.read(Cat::Meta, 0, 0, &mut block)?;
+    let get = |off: usize| fskit::le::u64_at(&block, off);
     if get(sbo::MAGIC) != MAGIC {
         return Err(FsError::Corrupted("ext superblock magic"));
     }
@@ -154,9 +155,10 @@ pub fn read_superblock(cache: &BufferCache) -> Result<(ExtLayout, bool)> {
 }
 
 /// Sets the clean flag and flushes the superblock.
-pub fn set_clean(cache: &BufferCache, clean: bool, now: u64) {
-    cache.write(Cat::Meta, 0, sbo::CLEAN, &(clean as u64).to_le_bytes(), now);
+pub fn set_clean(cache: &BufferCache, clean: bool, now: u64) -> Result<()> {
+    cache.write(Cat::Meta, 0, sbo::CLEAN, &(clean as u64).to_le_bytes(), now)?;
     cache.flush_block(0, obsv::DrainKind::Sync);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -197,11 +199,11 @@ mod tests {
     fn superblock_roundtrip() {
         let c = cache(8192);
         let l = ExtLayout::compute(8192, 64, 512).unwrap();
-        write_superblock(&c, &l, 0);
+        write_superblock(&c, &l, 0).unwrap();
         let (got, clean) = read_superblock(&c).unwrap();
         assert_eq!(got, l);
         assert!(clean);
-        set_clean(&c, false, 1);
+        set_clean(&c, false, 1).unwrap();
         let (_, clean) = read_superblock(&c).unwrap();
         assert!(!clean);
     }

@@ -243,7 +243,10 @@ impl Repro {
     /// Replays the reproducer deterministically (single-threaded, virtual
     /// clock): the differential against the healthy model on the repro's
     /// kind(s), then a crash-recover-check at every recorded boundary.
-    /// Returns every violation; empty means the regression stays fixed.
+    /// A boundary the replay never reaches mid-operation is a violation
+    /// too: its crash would land after the script, checking nothing the
+    /// fixture was committed for. Returns every violation; empty means
+    /// the regression stays fixed.
     pub fn replay(&self, h: &Harness) -> Vec<String> {
         let kinds: Vec<SystemKind> = match self.kind {
             Some(k) => vec![k],
@@ -254,6 +257,12 @@ impl Repro {
             vs.extend(differential(h, kind, &self.script.ops, None));
             for &k in &self.boundaries {
                 let out = h.crash_run(kind, &self.script, k, None);
+                if !out.crashed_mid_op {
+                    vs.push(format!(
+                        "[{} k={k}] boundary never fired mid-operation",
+                        kind.label()
+                    ));
+                }
                 for v in out.violations {
                     vs.push(format!("[{} k={k}] {v}", kind.label()));
                 }

@@ -11,7 +11,10 @@
 //! 12..   name bytes, padded to rec_len
 //! ```
 
+use nvmm::BLOCK_SIZE;
+
 use crate::error::{FsError, Result};
+use crate::types::{DirEntry, FileType};
 
 /// Fixed header bytes of an entry.
 pub const HDR: usize = 12;
@@ -65,88 +68,91 @@ impl Header {
         self.rec_len as usize - used
     }
 
+    /// A live record's name (its bytes, `name`) and type; `None` for free
+    /// space.
+    pub fn named<'a>(&self, name: &'a [u8]) -> Result<Option<(&'a str, FileType)>> {
+        if self.ino == 0 {
+            return Ok(None);
+        }
+        let name = std::str::from_utf8(name).map_err(|_| FsError::Corrupted("dirent name utf8"))?;
+        let ftype = FileType::from_u8(self.ftype).ok_or(FsError::Corrupted("dirent type"))?;
+        Ok(Some((name, ftype)))
+    }
+
     /// The header's on-media bytes.
     pub fn encode(&self) -> [u8; HDR] {
-        encode_header(
-            self.ino,
-            self.rec_len as usize,
-            self.name_len as usize,
-            self.ftype,
-        )
+        let mut h = [0u8; HDR];
+        h[0..8].copy_from_slice(&self.ino.to_le_bytes());
+        h[8..10].copy_from_slice(&self.rec_len.to_le_bytes());
+        h[10] = self.name_len;
+        h[11] = self.ftype;
+        h
     }
 }
 
-/// A decoded directory entry record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawEntry {
-    /// Target inode; 0 marks free space.
-    pub ino: u64,
-    /// Total record length including padding.
-    pub rec_len: usize,
-    /// On-media file type byte.
-    pub ftype: u8,
-    /// Name bytes (empty for free records).
-    pub name: Vec<u8>,
-}
-
-impl RawEntry {
-    /// The record's header.
-    pub fn header(&self) -> Header {
-        Header {
-            ino: self.ino,
-            rec_len: self.rec_len as u16,
-            name_len: self.name.len() as u8,
-            ftype: self.ftype,
-        }
-    }
-}
-
-/// Encodes an entry header.
-pub fn encode_header(ino: u64, rec_len: usize, name_len: usize, ftype: u8) -> [u8; HDR] {
-    let mut h = [0u8; HDR];
-    h[0..8].copy_from_slice(&ino.to_le_bytes());
-    h[8..10].copy_from_slice(&(rec_len as u16).to_le_bytes());
-    h[10] = name_len as u8;
-    h[11] = ftype;
-    h
-}
-
-/// Parses one directory block into `(offset, entry)` pairs, validating the
+/// Parses one directory block into `(offset, header, name)` records (a
+/// free record's name is empty, its `name_len` 0), validating that the
 /// record chain tiles the block exactly.
-pub fn parse_block(buf: &[u8]) -> Result<Vec<(usize, RawEntry)>> {
-    let block_size = buf.len();
+pub fn parse_block(buf: &[u8]) -> Result<Vec<(usize, Header, &[u8])>> {
     let mut out = Vec::new();
     let mut off = 0;
-    while off < block_size {
-        if off + HDR > block_size {
+    while off < buf.len() {
+        if off + HDR > buf.len() {
             return Err(FsError::Corrupted("dirent header past block end"));
         }
-        let ino = u64::from_le_bytes(std::array::from_fn(|i| buf[off + i]));
-        let rec_len = u16::from_le_bytes([buf[off + 8], buf[off + 9]]) as usize;
-        let name_len = buf[off + 10] as usize;
-        let ftype = buf[off + 11];
-        if rec_len < HDR || !rec_len.is_multiple_of(4) || off + rec_len > block_size {
+        let ino = crate::le::u64_at(buf, off);
+        let rec_len = u16::from_le_bytes([buf[off + 8], buf[off + 9]]);
+        let name_len = if ino == 0 { 0 } else { buf[off + 10] };
+        let (len, n) = (rec_len as usize, name_len as usize);
+        if len < HDR || !len.is_multiple_of(4) || off + len > buf.len() {
             return Err(FsError::Corrupted("dirent rec_len"));
         }
-        if ino != 0 && HDR + name_len > rec_len {
+        if HDR + n > len {
             return Err(FsError::Corrupted("dirent name_len"));
         }
-        let name = if ino != 0 {
-            buf[off + HDR..off + HDR + name_len].to_vec()
-        } else {
-            Vec::new()
+        let ftype = buf[off + 11];
+        let hdr = Header {
+            ino,
+            rec_len,
+            name_len,
+            ftype,
         };
-        out.push((
-            off,
-            RawEntry {
-                ino,
-                rec_len,
-                ftype,
-                name,
-            },
-        ));
-        off += rec_len;
+        out.push((off, hdr, &buf[off + HDR..off + HDR + n]));
+        off += len;
     }
+    Ok(out)
+}
+
+/// Hands a directory's `nblocks` blocks, in order, to `each` with their
+/// physical numbers: `read(i, buf)` reads block `i` and returns its number.
+pub fn scan(
+    nblocks: u64,
+    mut read: impl FnMut(u64, &mut [u8]) -> Result<u64>,
+    mut each: impl FnMut(u64, &[u8]) -> Result<()>,
+) -> Result<()> {
+    let mut buf = vec![0u8; BLOCK_SIZE];
+    for i in 0..nblocks {
+        let pblk = read(i, &mut buf)?;
+        each(pblk, &buf)?;
+    }
+    Ok(())
+}
+
+/// Every live entry of the directory [`scan`] reads, in media order.
+pub fn list(
+    nblocks: u64,
+    read: impl FnMut(u64, &mut [u8]) -> Result<u64>,
+) -> Result<Vec<DirEntry>> {
+    let mut out = Vec::new();
+    scan(nblocks, read, |_, block| {
+        for (_, hdr, name) in parse_block(block)? {
+            if let Some((name, ftype)) = hdr.named(name)? {
+                let (name, ino) = (name.to_owned(), hdr.ino);
+                out.push(DirEntry { name, ino, ftype });
+            }
+        }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -156,16 +162,17 @@ pub fn init_block(block_size: usize, ino: u64, name: &str, ftype: u8) -> Vec<u8>
     let need = entry_len(name.len());
     debug_assert!(need + HDR <= block_size);
     let mut block = vec![0u8; block_size];
-    block[0..HDR].copy_from_slice(&encode_header(ino, need, name.len(), ftype));
+    block[0..HDR].copy_from_slice(&Header::live(ino, need, name, ftype).encode());
     block[HDR..HDR + name.len()].copy_from_slice(name.as_bytes());
-    block[need..need + HDR].copy_from_slice(&encode_header(0, block_size - need, 0, 0));
+    block[need..need + HDR].copy_from_slice(&Header::free(block_size - need).encode());
     block
 }
 
 /// Builds an empty directory block (one free record).
-pub fn empty_block(block_size: usize) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn empty_block(block_size: usize) -> Vec<u8> {
     let mut block = vec![0u8; block_size];
-    block[0..HDR].copy_from_slice(&encode_header(0, block_size, 0, 0));
+    block[0..HDR].copy_from_slice(&Header::free(block_size).encode());
     block
 }
 
@@ -188,7 +195,7 @@ mod tests {
         let entries = parse_block(&b).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].1.ino, 7);
-        assert_eq!(entries[0].1.name, b"hello");
+        assert_eq!(entries[0].2, b"hello");
         assert_eq!(entries[1].1.ino, 0);
         assert_eq!(entries[0].1.rec_len + entries[1].1.rec_len, 4096);
     }

@@ -4,13 +4,16 @@
 //! and HiNFS itself) implements the same [`FileSystem`] trait, so workloads
 //! and experiments are written once and run against any of them. The crate
 //! also provides the building blocks those implementations share: the error
-//! type, open flags, path handling and a file descriptor table.
+//! type, open flags, path handling, a file descriptor table and the
+//! directory name index ([`namei`]).
 
 pub mod dirent;
 pub mod error;
 pub mod fdtable;
 pub mod flags;
+pub mod le;
 pub mod lrulist;
+pub mod namei;
 pub mod path;
 pub mod types;
 pub mod vfs;

@@ -362,7 +362,7 @@ impl Allocator {
         );
         let bitmap: Vec<u64> = bytes
             .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .map(|c| fskit::le::u64_at(c, 0))
             .collect();
         Allocator::from_bits(layout, dev.contention(), |b| {
             bitmap[(b / 64) as usize] & (1 << (b % 64)) != 0

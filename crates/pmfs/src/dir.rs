@@ -1,34 +1,25 @@
-//! Directories: ext2-style variable-length entries stored in the directory
-//! inode's data blocks.
-//!
-//! Entry format (byte offsets within an entry):
-//!
-//! ```text
-//! 0..8   ino      (0 = free space)
-//! 8..10  rec_len  (multiple of 4; last entry reaches the block end)
-//! 10     name_len
-//! 11     ftype
-//! 12..   name bytes, padded to rec_len
-//! ```
+//! Directories: the shared dirent format ([`fskit::dirent`]) stored in
+//! the directory inode's data blocks.
 //!
 //! Modifications journal the entry bytes a chain reaches that they
 //! rewrite through the caller's transaction, so a crash can never leave a
 //! broken entry chain. They find their slot through the directory's DRAM
-//! name index ([`NameIndex`]) and never read the block they edit;
-//! listings and the index build scan the media.
+//! name index ([`NameIndex`], which also decides where an edit lands) and
+//! never read the block they edit; listings and the index build scan the
+//! media.
 
 use fskit::dirent::{init_block, Header};
+use fskit::namei::{self, Edit, NameIndex};
 use fskit::{DirEntry, FileType, FsError, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
-use obsv::Phase;
 
 use crate::alloc::Allocator;
-use crate::inode::{InodeMem, NameIndex};
+use crate::inode::InodeMem;
 use crate::journal::{Journal, TxHandle};
 use crate::layout::Layout;
 use crate::tree;
 
-pub use fskit::dirent::{encode_header, entry_len, parse_block, RawEntry, HDR};
+pub use fskit::dirent::{entry_len, HDR};
 
 /// Number of directory data blocks (directories always grow in whole
 /// blocks).
@@ -36,55 +27,32 @@ fn dir_blocks(mem: &InodeMem) -> u64 {
     mem.size / BLOCK_SIZE as u64
 }
 
-/// Looks up `name` on the media, returning its inode number and type:
-/// the reference the DRAM name index is built to agree with (the file
-/// system itself resolves names through the index).
-pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, name: &str) -> Result<Option<(u64, FileType)>> {
-    Ok(index(dev, mem)?.get(name))
-}
-
 /// Lists every live entry, in media order.
 pub fn list(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
-    let mut out = Vec::new();
-    scan(dev, mem, true, |_, entries| {
-        for (_, e) in entries {
-            if e.ino != 0 {
-                out.push(DirEntry {
-                    name: String::from_utf8(e.name)
-                        .map_err(|_| FsError::Corrupted("dirent name utf8"))?,
-                    ino: e.ino,
-                    ftype: FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?,
-                });
-            }
-        }
-        Ok(())
-    })?;
-    Ok(out)
+    fskit::dirent::list(dir_blocks(mem), reader(dev, mem, true))
 }
 
 /// Builds the directory's name index ([`NameIndex`]) with one pass over
-/// its blocks, at that pass's full NVMM-read cost.
+/// its blocks, at that pass's full NVMM-read cost: what the file system
+/// resolves names through, and the tests' media reference.
 pub fn index(dev: &NvmmDevice, mem: &InodeMem) -> Result<NameIndex> {
-    build_index(dev, mem, true)
+    NameIndex::build(dir_blocks(mem), reader(dev, mem, true))
 }
 
 /// [`index`] for the invariant auditor: reads through
 /// [`NvmmDevice::peek`], so it charges no time and moves no counter.
 pub fn index_uncharged(dev: &NvmmDevice, mem: &InodeMem) -> Result<NameIndex> {
-    build_index(dev, mem, false)
+    NameIndex::build(dir_blocks(mem), reader(dev, mem, false))
 }
 
-/// Parses every directory block in order, read charged (`charge`) or
-/// through [`NvmmDevice::peek`]; `each` takes the block's physical number
-/// and its records.
-fn scan(
-    dev: &NvmmDevice,
-    mem: &InodeMem,
+/// Reads directory block `iblk` into `buf`, charged (`charge`) or through
+/// [`NvmmDevice::peek`]; returns its physical number.
+fn reader<'a>(
+    dev: &'a NvmmDevice,
+    mem: &'a InodeMem,
     charge: bool,
-    mut each: impl FnMut(u64, Vec<(usize, RawEntry)>) -> Result<()>,
-) -> Result<()> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for iblk in 0..dir_blocks(mem) {
+) -> impl FnMut(u64, &mut [u8]) -> Result<u64> + 'a {
+    move |iblk, buf| {
         let pblk = if charge {
             tree::lookup(dev, mem, iblk)
         } else {
@@ -92,34 +60,12 @@ fn scan(
         }
         .ok_or(FsError::Corrupted("dir hole"))?;
         if charge {
-            dev.read(Cat::Meta, Layout::block_off(pblk), &mut buf);
+            dev.read(Cat::Meta, Layout::block_off(pblk), buf);
         } else {
-            dev.peek(Layout::block_off(pblk), &mut buf);
+            dev.peek(Layout::block_off(pblk), buf);
         }
-        each(pblk, parse_block(&buf)?)?;
+        Ok(pblk)
     }
-    Ok(())
-}
-
-/// The name index of the media: every header, and every live name's
-/// first entry.
-fn build_index(dev: &NvmmDevice, mem: &InodeMem, charge: bool) -> Result<NameIndex> {
-    let mut index = NameIndex::default();
-    scan(dev, mem, charge, |pblk, entries| {
-        let first = index.push_block(pblk);
-        for (off, e) in entries {
-            let slot = NameIndex::shifted(first, off);
-            index.set(slot, Some(e.header()));
-            if e.ino != 0 {
-                let name = std::str::from_utf8(&e.name)
-                    .map_err(|_| FsError::Corrupted("dirent name utf8"))?;
-                let ftype = FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?;
-                index.bind(name, e.ino, ftype, slot);
-            }
-        }
-        Ok(())
-    })?;
-    Ok(index)
 }
 
 /// Whether the directory has no live entries.
@@ -127,34 +73,39 @@ pub fn is_empty(dev: &NvmmDevice, mem: &InodeMem) -> Result<bool> {
     Ok(list(dev, mem)?.is_empty())
 }
 
-/// Charges reading `n` entry headers from the name index's DRAM copy.
-fn read_hdrs(dev: &NvmmDevice, n: usize) {
-    let env = dev.env();
-    dev.spans()
-        .scope(Phase::Index, || env.charge_dram_copy(Cat::Meta, n * HDR));
+/// Byte address of `slot`'s header.
+fn addr(index: &NameIndex, slot: namei::Slot) -> u64 {
+    Layout::block_off(index.pblk(slot)) + slot.off as u64
 }
 
-/// Writes entry `name` with header `hdr` at `at`: header, name, and
-/// zeroes to the record's end.
-fn write_entry(dev: &NvmmDevice, at: u64, hdr: Header, name: &str) {
-    let mut rec = Vec::with_capacity(hdr.rec_len as usize);
-    rec.extend_from_slice(&hdr.encode());
-    rec.extend_from_slice(name.as_bytes());
-    rec.resize(hdr.rec_len as usize, 0);
-    dev.write_persist(Cat::Meta, at, &rec);
+/// Carries `edit` (planned on `index`) to the media under `tx`: journals
+/// the one header it links, then persists and fences each write in order.
+fn write_edit(
+    dev: &NvmmDevice,
+    journal: &Journal,
+    tx: &TxHandle,
+    index: &NameIndex,
+    edit: &Edit,
+    name: &str,
+) -> Result<()> {
+    namei::charge(dev, edit.reads * HDR);
+    journal.log_range(tx, addr(index, edit.linked()), HDR)?;
+    for put in &edit.puts {
+        dev.write_persist(Cat::Meta, addr(index, put.slot), &put.bytes(name));
+        dev.sfence();
+    }
+    Ok(())
 }
 
 /// Adds `name -> ino` where a media scan would put it, found through
-/// `index` (exact for this directory; updated here): no directory block
-/// is read. The caller must have verified the name is absent and holds
-/// the directory inode lock; inode-core changes (size growth) ride in the
-/// caller's transaction, which must have journaled the core whenever
-/// [`NameIndex::host`] finds no record with room for the entry.
-///
-/// Only the header whose `rec_len` changes is journaled. Every other byte
-/// the add writes lies past the end of some record — unreachable from
-/// the chain until that header is rewritten, last — so a rollback never
-/// needs it.
+/// `index` (exact for this directory; updated here, and to be dropped if
+/// this fails): no directory block is read. The caller must have
+/// verified the name is absent and holds the directory inode lock;
+/// inode-core changes (size growth) ride in the caller's transaction,
+/// which must have journaled the core whenever [`NameIndex::host`] finds
+/// no record with room for the entry. Only the one header an [`Edit`]
+/// links is journaled; a grown directory's fresh block is written whole
+/// before the tree links it.
 #[allow(clippy::too_many_arguments)]
 pub fn add(
     dev: &NvmmDevice,
@@ -168,91 +119,25 @@ pub fn add(
     ftype: FileType,
 ) -> Result<()> {
     debug_assert!(!name.is_empty() && name.len() <= 255);
-    let need = entry_len(name.len());
-    let Some((at, host)) = index.host(need) else {
-        return grow(dev, alloc, mem, index, name, ino, ftype);
-    };
-    read_hdrs(dev, 1);
-    let base = Layout::block_off(index.pblk(at));
-    let host_at = base + at.off as u64;
-    journal.log_range(tx, host_at, HDR)?;
-    let slot = if host.ino != 0 {
-        // Write the new entry into the used entry's slack, then shrink
-        // the host to its minimal length (the split point) last.
-        let used = host.rec_len as usize - host.slack();
-        let slot = NameIndex::shifted(at, used);
-        let new = Header::live(ino, host.slack(), name, ftype.as_u8());
-        write_entry(dev, host_at + used as u64, new, name);
-        dev.sfence();
-        let shrunk = Header {
-            rec_len: used as u16,
-            ..host
-        };
-        dev.write_persist(Cat::Meta, host_at, &shrunk.encode());
-        dev.sfence();
-        index.set(at, Some(shrunk));
-        index.set(slot, Some(new));
-        slot
-    } else {
-        // Claim the free entry; split off the remainder if it is large
-        // enough to hold a future header.
-        let free_len = host.rec_len as usize;
-        let (claim_len, rest) = if free_len - need >= HDR {
-            (need, free_len - need)
-        } else {
-            (free_len, 0)
-        };
-        if rest > 0 {
-            let rest_hdr = Header::free(rest);
-            dev.write_persist(Cat::Meta, host_at + claim_len as u64, &rest_hdr.encode());
-            dev.sfence();
-            index.set(NameIndex::shifted(at, claim_len), Some(rest_hdr));
-        }
-        let new = Header::live(ino, claim_len, name, ftype.as_u8());
-        write_entry(dev, host_at, new, name);
-        dev.sfence();
-        index.set(at, Some(new));
-        at
-    };
-    index.bind(name, ino, ftype, slot);
-    Ok(())
-}
-
-/// [`add`] with no room left: appends a fresh directory block, written
-/// whole (the image below covers all of it) before the tree links it.
-fn grow(
-    dev: &NvmmDevice,
-    alloc: &Allocator,
-    mem: &mut InodeMem,
-    index: &mut NameIndex,
-    name: &str,
-    ino: u64,
-    ftype: FileType,
-) -> Result<()> {
-    let need = entry_len(name.len());
+    if let Some(edit) = index.add(name, ino, ftype) {
+        return write_edit(dev, journal, tx, index, &edit, name);
+    }
     let pblk = alloc.alloc()?;
-    let new = Header::live(ino, need, name, ftype.as_u8());
-    let rest = Header::free(BLOCK_SIZE - need);
     let block = init_block(BLOCK_SIZE, ino, name, ftype.as_u8());
     dev.write_persist(Cat::Meta, Layout::block_off(pblk), &block);
     dev.sfence();
-    let iblk = dir_blocks(mem);
-    if let Err(e) = tree::insert(dev, alloc, mem, iblk, pblk) {
+    if let Err(e) = tree::insert(dev, alloc, mem, dir_blocks(mem), pblk) {
         alloc.free(pblk);
         return Err(e);
     }
     mem.size += BLOCK_SIZE as u64;
     mem.blocks += 1;
-    let at = index.push_block(pblk);
-    index.set(at, Some(new));
-    index.set(NameIndex::shifted(at, need), Some(rest));
-    index.bind(name, ino, ftype, at);
-    Ok(())
+    index.push_block(pblk, &block)
 }
 
 /// Removes `name`, found through `index` (exact for this directory;
-/// updated here): no directory block is read. Returns the unlinked inode
-/// number and type.
+/// updated here, and to be dropped if this fails): no directory block is
+/// read. Returns the unlinked inode number and type.
 pub fn remove(
     dev: &NvmmDevice,
     journal: &Journal,
@@ -260,38 +145,8 @@ pub fn remove(
     index: &mut NameIndex,
     name: &str,
 ) -> Result<(u64, FileType)> {
-    let ((ino, ftype), at) = index
-        .get(name)
-        .zip(index.slot(name))
-        .ok_or(FsError::NotFound)?;
-    let e = index.hdr(at);
-    let base = Layout::block_off(index.pblk(at));
-    match index.before(at) {
-        Some((prev_at, prev)) => {
-            // Merge into the predecessor.
-            read_hdrs(dev, 2);
-            let prev_off = base + prev_at.off as u64;
-            journal.log_range(tx, prev_off, HDR)?;
-            let merged = Header {
-                rec_len: prev.rec_len + e.rec_len,
-                ..prev
-            };
-            dev.write_persist(Cat::Meta, prev_off, &merged.encode());
-            index.set(prev_at, Some(merged));
-            index.set(at, None);
-        }
-        None => {
-            // First entry of the block: mark free.
-            read_hdrs(dev, 1);
-            let off = base + at.off as u64;
-            journal.log_range(tx, off, HDR)?;
-            let free = Header::free(e.rec_len as usize);
-            dev.write_persist(Cat::Meta, off, &free.encode());
-            index.set(at, Some(free));
-        }
-    }
-    dev.sfence();
-    index.unbind(name);
+    let (ino, ftype, edit) = index.remove(name)?;
+    write_edit(dev, journal, tx, index, &edit, name)?;
     Ok((ino, ftype))
 }
 
@@ -317,8 +172,8 @@ pub fn rename(
     if entry_len(to.len()) > rec_len {
         return Ok(false);
     }
-    read_hdrs(dev, 1);
-    let off = Layout::block_off(index.pblk(at)) + at.off as u64;
+    namei::charge(dev, HDR);
+    let off = addr(index, at);
     journal.log_range(tx, off, HDR + to.len())?;
     let new = Header::live(ino, rec_len, to, ftype.as_u8());
     dev.write_persist(Cat::Meta, off, &[&new.encode()[..], to.as_bytes()].concat());
@@ -343,8 +198,8 @@ pub fn retarget(
     ftype: FileType,
 ) -> Result<()> {
     let at = index.slot(name).ok_or(FsError::NotFound)?;
-    read_hdrs(dev, 1);
-    let off = Layout::block_off(index.pblk(at)) + at.off as u64;
+    namei::charge(dev, HDR);
+    let off = addr(index, at);
     journal.log_range(tx, off, HDR)?;
     let new = Header {
         ino,
@@ -365,6 +220,11 @@ mod tests {
     use crate::journal::Journal;
     use nvmm::{CostModel, SimEnv};
     use std::sync::Arc;
+
+    /// What a scan of the media resolves `name` to.
+    fn lookup(dev: &NvmmDevice, mem: &InodeMem, name: &str) -> Result<Option<(u64, FileType)>> {
+        Ok(index(dev, mem)?.get(name))
+    }
 
     struct Fx {
         dev: Arc<NvmmDevice>,

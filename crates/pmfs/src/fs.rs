@@ -25,23 +25,23 @@
 //! 4. journal internal mutex — leaf lock, taken inside transactions.
 //!
 //! Names resolve through the per-directory DRAM name index
-//! ([`crate::inode::NameIndex`]), never by scanning directory blocks: the
+//! ([`fskit::namei::NameIndex`]), never by scanning directory blocks: the
 //! media is read once per directory and mount, to build the index. Entry
 //! edits find their slot there too, and write only the bytes they change.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock, Weak};
 
+use fskit::namei::{NameIndex, NameiStats};
 use fskit::{
     DirEntry, Fd, FdTable, FileSystem, FileType, FsError, MmapHandle, OpenFlags, Result, Stat,
 };
 use nvmm::{Cat, NvmmDevice, SimEnv};
-use obsv::{FsObs, OpKind, Phase, Site, TrackedMutex};
+use obsv::{FsObs, OpKind, Site, TrackedMutex};
 
 use crate::alloc::Allocator;
 use crate::dir;
 use crate::file;
-use crate::inode::{InodeCache, InodeGuard, InodeHandle, InodeMem, NameIndex, INODE_CORE};
+use crate::inode::{InodeCache, InodeGuard, InodeHandle, InodeMem, INODE_CORE};
 use crate::journal::{Journal, RecoveryStats, TxHandle};
 use crate::layout::{self, Layout, ROOT_INO};
 use crate::mmap::PmfsMmap;
@@ -131,26 +131,6 @@ fn rename_undo_slots(n: usize, replace: bool) -> u64 {
         return 2 + slots(crate::inode::LIVENESS);
     }
     (1 + slots(INODE_CORE)).max(slots(dir::HDR + n))
-}
-
-/// Name-index activity, reported as `pmfs_namei_*`.
-#[derive(Debug, Default)]
-pub struct NameiStats {
-    /// Lookups that found their name in an index.
-    pub hits: AtomicU64,
-    /// Indexes built from the media (first lookup in a directory since
-    /// mount, or since an abort dropped its index).
-    pub builds: AtomicU64,
-    /// Names held by all built indexes right now.
-    pub entries: AtomicU64,
-}
-
-impl obsv::MetricSource for NameiStats {
-    fn collect(&self, out: &mut dyn obsv::Visitor) {
-        out.counter("pmfs_namei_hits", self.hits.load(Relaxed));
-        out.counter("pmfs_namei_builds", self.builds.load(Relaxed));
-        out.gauge("pmfs_namei_entries", self.entries.load(Relaxed));
-    }
 }
 
 /// A mounted PMFS instance.
@@ -441,45 +421,31 @@ impl Pmfs {
         self.ns_shards[self.ns_shard(parent_ino, name)].lock()
     }
 
-    /// The name index of directory `dir` (whose `state` lock the caller
-    /// holds, `state`), from `names` (its locked slot): built on first use
-    /// with one pass over the directory blocks, at that pass's full
-    /// NVMM-read cost.
-    fn index_of<'n>(
+    /// Runs entry edit `edit` on directory `d`'s name index, under its
+    /// write lock (`state`): [`NameiStats::edit`], the index built on
+    /// first use with one pass over the directory blocks, at that pass's
+    /// full NVMM-read cost.
+    fn edit_names<R>(
         &self,
-        names: &'n mut Option<NameIndex>,
-        state: &InodeMem,
-    ) -> Result<&'n mut NameIndex> {
-        match names {
-            Some(index) => Ok(index),
-            unbuilt => {
-                let index = dir::index(&self.dev, state)?;
-                self.namei.builds.fetch_add(1, Relaxed);
-                self.namei.entries.fetch_add(index.len() as u64, Relaxed);
-                Ok(unbuilt.insert(index))
-            }
-        }
+        d: &InodeHandle,
+        state: &mut InodeMem,
+        edit: impl FnOnce(&mut NameIndex, &mut InodeMem) -> Result<R>,
+    ) -> Result<R> {
+        let build = |s: &InodeMem| dir::index(&self.dev, s);
+        self.namei.edit(&mut d.names.lock(), state, build, edit)
     }
 
-    /// Looks `name` up in directory `dir` (the caller holds its `state`
-    /// lock, `state`), hit or "no such name", from the directory's name
-    /// index. A hit costs the DRAM copy of the one entry.
+    /// Looks `name` up in directory `d` (`state` read-locked by the caller)
+    /// through its name index: a hit costs the DRAM copy of the one entry.
     fn lookup(
         &self,
-        dir: &InodeHandle,
+        d: &InodeHandle,
         state: &InodeMem,
         name: &str,
     ) -> Result<Option<(u64, FileType)>> {
-        let mut names = dir.names.lock();
-        let found = self.index_of(&mut names, state)?.get(name);
-        if found.is_some() {
-            self.namei.hits.fetch_add(1, Relaxed);
-            self.dev.spans().scope(Phase::Index, || {
-                self.env
-                    .charge_dram_copy(Cat::Meta, dir::entry_len(name.len()))
-            });
-        }
-        Ok(found)
+        let build = || dir::index(&self.dev, state);
+        self.namei
+            .lookup(&self.dev, &mut d.names.lock(), build, name)
     }
 
     /// [`dir::add`] under `tx`, through and into the directory's name
@@ -498,28 +464,15 @@ impl Pmfs {
         ino: u64,
         ftype: FileType,
     ) -> Result<Option<InodeLogged>> {
-        let mut names = dir.names.lock();
-        let index = self.index_of(&mut names, state)?;
-        let logged = match index.host(dir::entry_len(name.len())) {
-            Some(_) => None,
-            None => Some(self.log_inode(tx, dir.ino)?),
-        };
-        let before = index.len();
-        dir::add(
-            &self.dev,
-            &self.journal,
-            tx,
-            &self.alloc,
-            state,
-            index,
-            name,
-            ino,
-            ftype,
-        )?;
-        self.namei
-            .entries
-            .fetch_add((index.len() - before) as u64, Relaxed);
-        Ok(logged)
+        self.edit_names(dir, state, |index, state| {
+            let logged = match index.host(dir::entry_len(name.len())) {
+                Some(_) => None,
+                None => Some(self.log_inode(tx, dir.ino)?),
+            };
+            let (dev, j, alloc) = (&self.dev, &self.journal, &self.alloc);
+            dir::add(dev, j, tx, alloc, state, index, name, ino, ftype)?;
+            Ok(logged)
+        })
     }
 
     /// [`dir::remove`] under `tx`, through and out of the directory's name
@@ -528,17 +481,12 @@ impl Pmfs {
         &self,
         tx: &TxHandle,
         dir: &InodeHandle,
-        state: &InodeMem,
+        state: &mut InodeMem,
         name: &str,
     ) -> Result<()> {
-        let mut names = dir.names.lock();
-        let index = self.index_of(&mut names, state)?;
-        let before = index.len();
-        dir::remove(&self.dev, &self.journal, tx, index, name)?;
-        self.namei
-            .entries
-            .fetch_sub((before - index.len()) as u64, Relaxed);
-        Ok(())
+        self.edit_names(dir, state, |index, _| {
+            dir::remove(&self.dev, &self.journal, tx, index, name).map(drop)
+        })
     }
 
     /// Stamps directory `ino`'s mtime after an entry edit under `tx`.
@@ -560,13 +508,6 @@ impl Pmfs {
         }
     }
 
-    /// Forgets a directory's name index (the next lookup rebuilds it).
-    fn forget_names(&self, names: &mut Option<NameIndex>) {
-        if let Some(index) = names.take() {
-            self.namei.entries.fetch_sub(index.len() as u64, Relaxed);
-        }
-    }
-
     /// Aborts a namespace transaction that may have edited entries of
     /// `dirs`: the rollback restores those entries on the media, under
     /// the name indexes, so the indexes go too. Their locks are held
@@ -579,7 +520,7 @@ impl Pmfs {
         let mut held: Vec<_> = dirs.iter().map(|d| d.names.lock()).collect();
         self.journal.abort(tx);
         for names in &mut held {
-            self.forget_names(names);
+            self.namei.forget(names);
         }
     }
 
@@ -664,7 +605,7 @@ impl Pmfs {
             }
             // The inode number may come back as another directory; a
             // walker still holding this handle must find no names in it.
-            FileType::Dir => self.forget_names(&mut h.names.lock()),
+            FileType::Dir => self.namei.forget(&mut h.names.lock()),
         }
         self.log_liveness(tx, h.ino)?;
         state.nlink = 0;
@@ -828,7 +769,7 @@ impl Pmfs {
     /// stamp: an entry edit that changes nothing else in the directory.
     fn remove_stamped(&self, tx: &TxHandle, dir: &Arc<InodeHandle>, name: &str) -> Result<()> {
         let mut state = dir.state.write();
-        self.remove_entry(tx, dir, &state, name)?;
+        self.remove_entry(tx, dir, &mut state, name)?;
         self.stamp_dir(tx, dir.ino, &mut state, None);
         Ok(())
     }
@@ -854,13 +795,11 @@ impl Pmfs {
         let same_dir = Arc::ptr_eq(src_parent, dst_parent);
         {
             let mut pstate = dst_parent.state.write();
-            {
-                let mut names = dst_parent.names.lock();
-                let index = self.index_of(&mut names, &pstate)?;
-                dir::retarget(&self.dev, &self.journal, tx, index, dst_name, ino, ftype)?;
-            }
+            self.edit_names(dst_parent, &mut pstate, |index, _| {
+                dir::retarget(&self.dev, &self.journal, tx, index, dst_name, ino, ftype)
+            })?;
             if same_dir {
-                self.remove_entry(tx, src_parent, &pstate, src_name)?;
+                self.remove_entry(tx, src_parent, &mut pstate, src_name)?;
             }
             self.stamp_dir(tx, dst_parent.ino, &mut pstate, None);
         }
@@ -1110,17 +1049,15 @@ impl FileSystem for Pmfs {
                 // reached when the transaction began — the removed
                 // entry's are not, once merged into its neighbour.
                 let mut pstate = src_parent.state.write();
-                let in_place = {
-                    let mut names = src_parent.names.lock();
-                    let index = self.index_of(&mut names, &pstate)?;
-                    dir::rename(&self.dev, &self.journal, &tx, index, src_name, dst_name)?
-                };
+                let in_place = self.edit_names(&src_parent, &mut pstate, |index, _| {
+                    dir::rename(&self.dev, &self.journal, &tx, index, src_name, dst_name)
+                })?;
                 let logged = if in_place {
                     None
                 } else {
                     let logged =
                         self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
-                    self.remove_entry(&tx, &src_parent, &pstate, src_name)?;
+                    self.remove_entry(&tx, &src_parent, &mut pstate, src_name)?;
                     logged
                 };
                 self.stamp_dir(&tx, src_parent.ino, &mut pstate, logged);
@@ -1195,29 +1132,15 @@ impl obsv::Introspect for Pmfs {
             s.begins.saturating_sub(s.commits + s.aborts),
             u.open_txs,
         );
-        // namei.index: every built name index says exactly what a scan of
-        // the directory's blocks would — each name's inode, type and slot
-        // (a live header carrying that name), each block's header chain
-        // and free-space summary — and the entries gauge is their sum.
-        // Only handles that have an index are locked — the in-band
-        // auditor runs under a *file's* inode lock.
-        let mut indexed = 0u64;
-        for h in self.icache.cached() {
-            if h.names.lock().is_none() {
-                continue;
-            }
+        // namei.index. Only handles that have an index are locked — the
+        // in-band auditor runs under a *file's* inode lock.
+        let dirs = self.icache.cached().into_iter().filter_map(|h| {
+            h.names.lock().as_ref()?;
             let state = h.state.read();
-            let names = h.names.lock();
-            let Some(index) = names.as_ref() else {
-                continue;
-            };
-            indexed += index.len() as u64;
-            // An unreadable directory differs in every name.
-            let differing = dir::index_uncharged(&self.dev, &state)
-                .map_or(u64::MAX, |media| index.differences(&media));
-            rep.check_eq(15, h.ino, 0, differing, 0);
-        }
-        rep.check_eq(15, 0, 0, self.namei.entries.load(Relaxed), indexed);
+            let index = h.names.lock().clone()?;
+            Some((h.ino, index, dir::index_uncharged(&self.dev, &state)))
+        });
+        self.namei.audit(&mut rep, dirs);
         self.alloc.audit_zeroed_pool(&self.dev, &mut rep);
         rep
     }

@@ -850,7 +850,7 @@ fn a_name_the_media_repeats_resolves_to_its_first_entry() {
     let fs = Pmfs::mount(dev.clone()).unwrap();
     assert_eq!(fs.stat("/d/first").unwrap().ino, first);
     let d = fs.inode(fs.stat("/d").unwrap().ino).unwrap();
-    let reference = dir::lookup(&dev, &d.state.read(), "first").unwrap();
+    let reference = dir::index(&dev, &d.state.read()).unwrap().get("first");
     assert_eq!(reference, Some((first, FileType::File)));
     assert_eq!(d.names.lock().as_ref().unwrap().len(), 2);
     assert!(fs.audit().is_clean(), "the index is the first-match view");

@@ -7,10 +7,11 @@
 //! byte 0 (the valid flag) is 0; the rest of a free slot is a don't-care
 //! dead tail, which the next create overwrites.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use fskit::dirent::Header;
+use fskit::le::{u32_at, u64_at};
+use fskit::namei::NameIndex;
 use fskit::{FileType, FsError, Result, Stat};
 use nvmm::{Cat, NvmmDevice};
 use obsv::{Site, TrackedMutex};
@@ -95,170 +96,14 @@ impl InodeMem {
         let ftype = FileType::from_u8(b[1]).ok_or(FsError::Corrupted("inode type"))?;
         Ok(Some(InodeMem {
             ftype,
-            nlink: u32::from_le_bytes(b[4..8].try_into().unwrap()),
-            size: u64::from_le_bytes(b[8..16].try_into().unwrap()),
-            blocks: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-            tree_root: u64::from_le_bytes(b[24..32].try_into().unwrap()),
-            tree_height: u32::from_le_bytes(b[32..36].try_into().unwrap()),
-            mtime: u64::from_le_bytes(b[MTIME_OFF..MTIME_OFF + 8].try_into().unwrap()),
-            last_sync: u64::from_le_bytes(b[48..56].try_into().unwrap()),
+            nlink: u32_at(b, 4),
+            size: u64_at(b, 8),
+            blocks: u64_at(b, 16),
+            tree_root: u64_at(b, 24),
+            tree_height: u32_at(b, 32),
+            mtime: u64_at(b, MTIME_OFF),
+            last_sync: u64_at(b, 48),
         }))
-    }
-}
-
-/// Where a directory entry's header sits: directory block and byte
-/// offset; [`crate::dir`] makes and reads them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Slot {
-    blk: u32,
-    pub(crate) off: u16,
-}
-
-/// One directory block: its physical number, the DRAM copy of its header
-/// chain, and the free-space summary — the largest [`Header::slack`] in it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct BlockSpace {
-    pblk: u64,
-    hdrs: BTreeMap<u16, Header>,
-    room: u16,
-}
-
-/// A live name: its inode, type and slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Named {
-    ino: u64,
-    ftype: FileType,
-    slot: Slot,
-}
-
-/// A directory's DRAM name index: `name → (ino, ftype)` for every live
-/// on-media entry (the first one, where a damaged image repeats a name),
-/// each with the slot of its header, plus every block's header chain
-/// and free-space summary — what an entry edit needs, so it never reads
-/// the block it edits.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NameIndex {
-    names: HashMap<String, Named>,
-    blocks: Vec<BlockSpace>,
-}
-
-impl NameIndex {
-    /// Live names.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the directory holds no live name.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// The inode and type `name` resolves to.
-    pub fn get(&self, name: &str) -> Option<(u64, FileType)> {
-        self.names.get(name).map(|n| (n.ino, n.ftype))
-    }
-
-    /// Where `name`'s header sits.
-    pub(crate) fn slot(&self, name: &str) -> Option<Slot> {
-        self.names.get(name).map(|n| n.slot)
-    }
-
-    /// Names, blocks or summaries in which `self` and `media` (an index
-    /// built from the blocks) disagree.
-    pub(crate) fn differences(&self, media: &NameIndex) -> u64 {
-        let stale = self
-            .names
-            .iter()
-            .filter(|&(n, at)| media.names.get(n) != Some(at));
-        let missing = media.names.keys().filter(|&n| !self.names.contains_key(n));
-        let blocks = self.blocks.len().max(media.blocks.len());
-        let differing = (0..blocks).filter(|&i| self.blocks.get(i) != media.blocks.get(i));
-        (stale.count() + missing.count() + differing.count()) as u64
-    }
-
-    /// Appends an empty directory block `pblk`; returns the slot at its
-    /// start. The caller [`NameIndex::set`]s its chain.
-    pub(crate) fn push_block(&mut self, pblk: u64) -> Slot {
-        self.blocks.push(BlockSpace {
-            pblk,
-            hdrs: BTreeMap::new(),
-            room: 0,
-        });
-        Slot {
-            blk: self.blocks.len() as u32 - 1,
-            off: 0,
-        }
-    }
-
-    /// Physical block of `slot`'s directory block.
-    pub(crate) fn pblk(&self, slot: Slot) -> u64 {
-        self.blocks[slot.blk as usize].pblk
-    }
-
-    /// The header at `slot`.
-    pub(crate) fn hdr(&self, slot: Slot) -> Header {
-        self.blocks[slot.blk as usize].hdrs[&slot.off]
-    }
-
-    /// The header before `slot` in its block (`None`: it is the first).
-    pub(crate) fn before(&self, slot: Slot) -> Option<(Slot, Header)> {
-        let (&off, &hdr) = self.blocks[slot.blk as usize]
-            .hdrs
-            .range(..slot.off)
-            .next_back()?;
-        Some((Slot { blk: slot.blk, off }, hdr))
-    }
-
-    /// The first record, in directory order, with `need` bytes of slack —
-    /// where a media scan would put a new entry — or `None`: the
-    /// directory must grow. Blocks whose summary is short are skipped
-    /// unread.
-    pub(crate) fn host(&self, need: usize) -> Option<(Slot, Header)> {
-        self.blocks.iter().enumerate().find_map(|(blk, b)| {
-            if (b.room as usize) < need {
-                return None;
-            }
-            let (&off, &hdr) = b.hdrs.iter().find(|(_, h)| h.slack() >= need)?;
-            Some((
-                Slot {
-                    blk: blk as u32,
-                    off,
-                },
-                hdr,
-            ))
-        })
-    }
-
-    /// Records a header write: `hdr` now sits at `slot` (`None`: the
-    /// record at `slot` was merged into its predecessor), and re-sums the
-    /// block's free space.
-    pub(crate) fn set(&mut self, slot: Slot, hdr: Option<Header>) {
-        let b = &mut self.blocks[slot.blk as usize];
-        match hdr {
-            Some(h) => b.hdrs.insert(slot.off, h),
-            None => b.hdrs.remove(&slot.off),
-        };
-        b.room = b.hdrs.values().map(Header::slack).max().unwrap_or(0) as u16;
-    }
-
-    /// `slot`, moved `by` bytes further into its block.
-    pub(crate) fn shifted(slot: Slot, by: usize) -> Slot {
-        Slot {
-            blk: slot.blk,
-            off: slot.off + by as u16,
-        }
-    }
-
-    /// Binds `name` to `slot` (the first binding wins, as on the media).
-    pub(crate) fn bind(&mut self, name: &str, ino: u64, ftype: FileType, slot: Slot) {
-        self.names
-            .entry(name.to_owned())
-            .or_insert(Named { ino, ftype, slot });
-    }
-
-    /// Drops `name`.
-    pub(crate) fn unbind(&mut self, name: &str) {
-        self.names.remove(name);
     }
 }
 
@@ -279,12 +124,9 @@ pub struct InodeHandle {
     /// "is this the last reference?" reads `nlink` and the count
     /// together, and unlink asks it holding `state.write()`.
     pub opens: Mutex<u32>,
-    /// Directories only: the authoritative name index path resolution
-    /// answers from (what the VFS dentry cache is to the paper's systems).
-    /// `None` until the first lookup in this directory after mount, which
-    /// builds it from the media; exact from then on — every entry edit
-    /// updates it under `state.write()`, and a journal abort that rolled
-    /// entries back drops it. Lock order: `state` → `names`.
+    /// Directories only: the name index ([`fskit::namei`]), built on the
+    /// first lookup after mount; a journal abort that rolled entries back
+    /// drops it. Lock order: `state` → `names`.
     pub names: Mutex<Option<NameIndex>>,
 }
 

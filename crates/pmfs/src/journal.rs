@@ -142,8 +142,8 @@ fn decode(buf: &[u8; ENTRY_SIZE]) -> Option<Entry> {
     Some(Entry {
         txid: u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]),
         kind: buf[4],
-        gen: u32::from_le_bytes(buf[56..60].try_into().unwrap()),
-        addr: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
+        gen: fskit::le::u32_at(buf, 56),
+        addr: fskit::le::u64_at(buf, 8),
         len: len as u8,
         data,
     })

@@ -272,6 +272,7 @@ fn mount(
             Extfs::mount(dev.clone(), mode, eopts)?
         };
         registry.register("", e.clone());
+        registry.register("extfs_", e.namei().clone());
         let replayed = e.recovery_replayed();
         Ok(system(e.clone(), None, e.obs(), e.clone(), (0, replayed)))
     };
@@ -291,7 +292,7 @@ fn mount(
             };
             registry.register("", p.clone());
             registry.register("", p.journal().stats().clone());
-            registry.register("", p.namei().clone());
+            registry.register("pmfs_", p.namei().clone());
             registry.register("", p.obs().clone());
             let r = p.recovery_stats();
             let undone = (r.txs_undone, r.entries_undone);
@@ -319,7 +320,7 @@ fn mount(
             };
             registry.register("", h.clone());
             registry.register("", h.pmfs().journal().stats().clone());
-            registry.register("", h.pmfs().namei().clone());
+            registry.register("pmfs_", h.pmfs().namei().clone());
             let r = h.pmfs().recovery_stats();
             let undone = (r.txs_undone, r.entries_undone);
             system(h.clone(), Some(h.clone()), h.obs(), h.clone(), undone)

@@ -407,13 +407,18 @@ fn inspect(args: &Args) -> bool {
     }
 
     let reg = sys.registry.snapshot();
-    if reg.counters.contains_key("pmfs_namei_hits") {
+    for fs in ["pmfs", "extfs"] {
+        if !reg.counters.contains_key(&format!("{fs}_namei_hits")) {
+            continue;
+        }
         eprintln!(
             "namei: {} lookups answered from the name index, {} directory scans to build it, {} names indexed",
-            reg.counter("pmfs_namei_hits"),
-            reg.counter("pmfs_namei_builds"),
-            reg.gauge("pmfs_namei_entries"),
+            reg.counter(&format!("{fs}_namei_hits")),
+            reg.counter(&format!("{fs}_namei_builds")),
+            reg.gauge(&format!("{fs}_namei_entries")),
         );
+    }
+    if reg.counters.contains_key("pmfs_namei_hits") {
         eprintln!(
             "tree nodes: {} taken pre-zeroed from the pool, {} zeroed on allocation, {} parked now",
             reg.counter("pmfs_tree_nodes_recycled"),

@@ -7,8 +7,9 @@
 //! the differential against the healthy reference model on the repro's
 //! kind(s), then a crash-recover-oracle cycle at every recorded boundary
 //! — all single-threaded on the virtual clock, even for cases discovered
-//! under real threads (their boundary indices were recorded at discovery
-//! time, the same record-then-replay scheme as `tests/concurrency.rs`).
+//! under real threads, so a committed boundary is a point of the
+//! single-threaded replay's own schedule; one that never fires
+//! mid-operation fails the replay.
 //!
 //! The `selftest_` fixture is different: it is the shrinker's own
 //! regression. A seeded known-bad script must shrink, against a model
@@ -103,8 +104,9 @@ fn known_bad_script_shrinks_to_the_committed_fixture() {
     assert!(vs.is_empty(), "fixture vs healthy model: {vs:#?}");
 }
 
-/// The four-thread fixture end to end: replay the committed recorded
-/// boundaries, then record a *fresh* schedule by running the same script
+/// The four-thread fixture end to end: replay the committed boundaries
+/// (quartiles of the replay's own schedule), then record a *fresh*
+/// schedule by running the same script
 /// partitioned round-robin over four real threads (spin mode) and replay
 /// crashes at quartiles of that schedule too. Recording is inherently
 /// nondeterministic; every replayed crash is deterministic.

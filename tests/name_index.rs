@@ -1,18 +1,21 @@
-//! Property test of the per-directory DRAM name index: under random
-//! create / unlink / mkdir / rmdir / rename sequences — with ENOSPC and
-//! journal-full injected so operations abort half-way, and with clean and
-//! crashed remounts in between — every *built* index says exactly what a
-//! scan of the directory's blocks says, a directory whose index was never
-//! built (or was dropped by an abort) answers the same through the build
-//! path, and the auditor's `namei.index` code agrees throughout.
+//! Property test of the per-directory DRAM name index (`fskit::namei`)
+//! in both file system families — PMFS and an ext kind (EXT4-DAX, which
+//! journals): under random create / unlink / mkdir / rmdir / rename
+//! sequences — with ENOSPC and journal-full injected so operations fail
+//! or abort half-way, and with clean and crashed remounts in between —
+//! every *built* index says exactly what a scan of the directory's blocks
+//! says, a directory whose index was never built (or was dropped) answers
+//! the same through the build path, and the auditor's `namei.index` code
+//! agrees throughout.
 
 use std::sync::Arc;
 
+use extfs::{ExtMode, ExtOptions, Extfs};
+use fskit::namei::NameIndex;
 use fskit::{FileSystem, FileType, FsError, OpenFlags};
 use nvmm::{CostModel, FaultPlan, NvmmDevice, SimEnv, BLOCK_SIZE};
-use obsv::Introspect;
-use pmfs::inode::NameIndex;
-use pmfs::{dir, Pmfs, PmfsOptions};
+use obsv::{AuditReport, Introspect};
+use pmfs::{Pmfs, PmfsOptions};
 use proptest::prelude::*;
 
 /// Directory slots: 0 is the root, 1..=3 are `/d1`..`/d3` (which may or
@@ -35,6 +38,86 @@ fn entry_name(n: u8) -> String {
 
 fn path(slot: u8, n: u8) -> String {
     format!("{}/{}", dir_path(slot), entry_name(n))
+}
+
+/// The two families, mounted.
+enum Mounted {
+    Pmfs(Arc<Pmfs>),
+    Ext(Arc<Extfs>),
+}
+
+/// Which family a run drives.
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    Pmfs,
+    Ext,
+}
+
+const EXT_OPTS: ExtOptions = ExtOptions {
+    journal_blocks: 64,
+    inode_count: 512,
+    cache_pages: 256,
+};
+
+impl Family {
+    fn mkfs(self, dev: &Arc<NvmmDevice>) -> Mounted {
+        match self {
+            Family::Pmfs => {
+                let opts = PmfsOptions {
+                    journal_blocks: 64,
+                    inode_count: 512,
+                };
+                Mounted::Pmfs(Pmfs::mkfs(dev.clone(), opts).unwrap())
+            }
+            Family::Ext => {
+                Mounted::Ext(Extfs::mkfs(dev.clone(), ExtMode::Ext4Dax, EXT_OPTS).unwrap())
+            }
+        }
+    }
+
+    fn mount(self, dev: &Arc<NvmmDevice>) -> Mounted {
+        match self {
+            Family::Pmfs => Mounted::Pmfs(Pmfs::mount(dev.clone()).unwrap()),
+            Family::Ext => {
+                Mounted::Ext(Extfs::mount(dev.clone(), ExtMode::Ext4Dax, EXT_OPTS).unwrap())
+            }
+        }
+    }
+}
+
+impl Mounted {
+    fn fs(&self) -> &dyn FileSystem {
+        match self {
+            Mounted::Pmfs(fs) => &**fs,
+            Mounted::Ext(fs) => &**fs,
+        }
+    }
+
+    fn audit(&self) -> AuditReport {
+        match self {
+            Mounted::Pmfs(fs) => fs.audit(),
+            Mounted::Ext(fs) => fs.audit(),
+        }
+    }
+
+    /// Directory `ino`'s built index, if any, and the index a scan of its
+    /// blocks builds (uncharged, so checking moves nothing).
+    fn indexes(&self, ino: u64) -> (Option<NameIndex>, NameIndex) {
+        match self {
+            Mounted::Pmfs(fs) => {
+                let h = fs.inode(ino).unwrap();
+                let media = pmfs::dir::index_uncharged(fs.device(), &h.state.read());
+                let built = h.names.lock().clone();
+                (built, media.unwrap())
+            }
+            Mounted::Ext(fs) => {
+                let h = fs.inode(ino).unwrap();
+                let media = extfs::dir::index_uncharged(fs.cache(), &h.state.read());
+                let built = h.names.lock().clone();
+                (built, media.unwrap())
+            }
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -77,14 +160,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// What a scan of the media says: first entry per name, with its slot,
-/// and every block's header chain and free-space summary.
-fn media_index(dev: &NvmmDevice, mem: &pmfs::inode::InodeMem) -> NameIndex {
-    dir::index(dev, mem).unwrap()
-}
-
 /// The live directories: the root and its subdirectories.
-fn live_dirs(fs: &Pmfs) -> Vec<(String, u64)> {
+fn live_dirs(fs: &dyn FileSystem) -> Vec<(String, u64)> {
     let mut dirs = vec![(String::new(), fs.stat("/").unwrap().ino)];
     for e in fs.readdir("/").unwrap() {
         if e.ftype == FileType::Dir {
@@ -95,57 +172,43 @@ fn live_dirs(fs: &Pmfs) -> Vec<(String, u64)> {
 }
 
 /// Every name of directory `dpath` resolves through the file system to
-/// what `dir::lookup` finds on the media.
-fn probe(dev: &NvmmDevice, fs: &Pmfs, dpath: &str, ino: u64) {
-    let mem = *fs.inode(ino).unwrap().state.read();
+/// what a scan of the directory's blocks finds.
+fn probe(m: &Mounted, dpath: &str, ino: u64) {
+    let media = m.indexes(ino).1;
     for n in 0..NAMES {
         let name = entry_name(n);
-        let through_fs = match fs.stat(&format!("{dpath}/{name}")) {
+        let through_fs = match m.fs().stat(&format!("{dpath}/{name}")) {
             Ok(st) => Some((st.ino, st.ftype)),
             Err(FsError::NotFound) => None,
             Err(e) => panic!("{dpath}/{n}: {e:?}"),
         };
-        assert_eq!(
-            through_fs,
-            dir::lookup(dev, &mem, &name).unwrap(),
-            "{dpath}/{n}"
-        );
+        assert_eq!(through_fs, media.get(&name), "{dpath}/{n}");
     }
 }
 
 /// After every step: built indexes equal the media, the auditor agrees.
-fn check(dev: &NvmmDevice, fs: &Pmfs, step: usize, op: &Op) {
-    for (dpath, ino) in live_dirs(fs) {
-        let h = fs.inode(ino).unwrap();
-        let mem = *h.state.read();
-        let built = h.names.lock().clone();
-        if let Some(index) = built {
-            assert_eq!(
-                index,
-                media_index(dev, &mem),
-                "step {step} {op:?}: index of `{dpath}/`"
-            );
+fn check(m: &Mounted, step: usize, op: &Op) {
+    for (dpath, ino) in live_dirs(m.fs()) {
+        if let (Some(built), media) = m.indexes(ino) {
+            assert_eq!(built, media, "step {step} {op:?}: index of `{dpath}/`");
         }
     }
-    let rep = fs.audit();
+    let rep = m.audit();
     assert!(rep.is_clean(), "step {step} {op:?}: {}", rep.to_json());
 }
 
-fn run(ops: &[Op]) {
+fn run(family: Family, ops: &[Op]) {
     let env = SimEnv::new_virtual(CostModel::default());
     let dev = NvmmDevice::new(env, 4096 * BLOCK_SIZE);
     let plan = FaultPlan::new();
     dev.fault_hook().install(plan.clone());
-    let opts = PmfsOptions {
-        journal_blocks: 64,
-        inode_count: 512,
-    };
-    let mut fs: Arc<Pmfs> = Pmfs::mkfs(dev.clone(), opts).unwrap();
+    let mut m = family.mkfs(&dev);
     let faults_off = || {
         plan.set_fail_alloc(false);
         plan.set_journal_unavailable(false);
     };
     for (step, op) in ops.iter().enumerate() {
+        let fs = m.fs();
         // Results are not judged here (the differential fuzzer does
         // that): an injected fault may fail any of them half-way.
         match *op {
@@ -165,33 +228,33 @@ fn run(ops: &[Op]) {
             Op::Remount => {
                 faults_off();
                 fs.unmount().unwrap();
-                fs = Pmfs::mount(dev.clone()).unwrap();
+                m = family.mount(&dev);
             }
             Op::Crash => {
                 faults_off();
                 dev.crash();
-                fs = Pmfs::mount(dev.clone()).unwrap();
+                m = family.mount(&dev);
             }
             Op::Probe(d) => {
                 // Mostly a directory whose index is absent: remounts and
                 // aborts drop them, only lookups *inside* build them.
                 if let Ok(st) = fs.stat(&format!("{}/", dir_path(d))) {
                     if st.ftype == FileType::Dir {
-                        probe(&dev, &fs, &dir_path(d), st.ino);
+                        probe(&m, &dir_path(d), st.ino);
                     }
                 }
             }
         }
-        check(&dev, &fs, step, op);
+        check(&m, step, op);
     }
     // Whatever state the indexes ended in, every name of every directory
     // resolves to what the media says — and now all of them are built.
     faults_off();
-    for (dpath, ino) in live_dirs(&fs) {
-        probe(&dev, &fs, &dpath, ino);
-        assert!(fs.inode(ino).unwrap().names.lock().is_some());
+    for (dpath, ino) in live_dirs(m.fs()) {
+        probe(&m, &dpath, ino);
+        assert!(m.indexes(ino).0.is_some(), "{family:?} `{dpath}/`");
     }
-    check(&dev, &fs, ops.len(), &Op::FaultsOff);
+    check(&m, ops.len(), &Op::FaultsOff);
 }
 
 proptest! {
@@ -201,7 +264,8 @@ proptest! {
     fn index_equals_media_under_aborts_and_remounts(
         ops in prop::collection::vec(op_strategy(), 40..160)
     ) {
-        run(&ops);
+        run(Family::Pmfs, &ops);
+        run(Family::Ext, &ops);
     }
 }
 
@@ -239,4 +303,21 @@ fn the_generator_reaches_aborts_and_unbuilt_directories() {
     );
     assert_eq!(fs.stat(&path(2, 7)), Err(FsError::NotFound));
     assert!(fs.audit().is_clean());
+
+    // The ext family has no rollback: a failed create changes nothing,
+    // and its index stays built and exact; a directory nothing was looked
+    // up in has none.
+    let ext = Extfs::mkfs(dev.clone(), ExtMode::Ext4Dax, EXT_OPTS).unwrap();
+    ext.mkdir("/d1").unwrap();
+    ext.mkdir("/d2").unwrap();
+    let d1 = ext.inode(ext.stat("/d1").unwrap().ino).unwrap();
+    let d2 = ext.inode(ext.stat("/d2").unwrap().ino).unwrap();
+    assert!(d1.names.lock().is_none() && d2.names.lock().is_none());
+    plan.fail_alloc_after(0);
+    let create = ext.open(&path(1, 0), OpenFlags::RDWR | OpenFlags::CREATE);
+    assert_eq!(create, Err(FsError::NoSpace));
+    plan.set_fail_alloc(false);
+    assert!(d1.names.lock().is_some(), "the create looked the name up");
+    assert!(d2.names.lock().is_none(), "nothing was looked up in /d2");
+    assert!(ext.audit().is_clean());
 }
