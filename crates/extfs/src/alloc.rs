@@ -138,7 +138,9 @@ impl DiskBitmap {
     }
 
     /// Frees `idx`. A bit that is already clear is a double free: the
-    /// image is corrupt, and nothing changes.
+    /// image is corrupt, and nothing changes. The bit clears only once its
+    /// word is written, so a release that fails leaves `idx` allocated
+    /// and no later `alloc` can hand it out while its owner still maps it.
     pub fn release(&self, cache: &BufferCache, jbd: &Jbd, idx: u64, now: u64) -> Result<()> {
         let mut s = self.state.lock();
         let w = (idx / 64) as usize;
@@ -146,12 +148,12 @@ impl DiskBitmap {
         if s.bits[w] & (1 << bit) == 0 {
             return Err(FsError::Corrupted("ext bitmap double free"));
         }
-        s.bits[w] &= !(1 << bit);
+        let word = s.bits[w] & !(1 << bit);
+        self.write_word(cache, jbd, idx, word, now)?;
+        s.bits[w] = word;
         s.free += 1;
         s.hint = s.hint.min(idx);
-        let word = s.bits[w];
-        drop(s);
-        self.write_word(cache, jbd, idx, word, now)
+        Ok(())
     }
 }
 
@@ -207,6 +209,23 @@ mod tests {
         for (i, idx) in got.iter().enumerate() {
             assert_eq!(bm2.is_set(*idx), i != 3);
         }
+    }
+
+    #[test]
+    fn a_release_that_cannot_write_its_word_frees_nothing() {
+        let (cache, jbd) = setup();
+        let bm = DiskBitmap::load(&cache, 20, 1000).unwrap();
+        let a = bm.alloc(&cache, &jbd, 0).unwrap();
+        cache.flush_all(obsv::DrainKind::Sync);
+        cache.invalidate(20);
+        // Every page pinned: the bitmap block cannot come back in.
+        for b in 100..132 {
+            cache.write(Cat::Meta, b, 0, &[1], 0).unwrap();
+            cache.pin(b);
+        }
+        assert_eq!(bm.release(&cache, &jbd, a, 0), Err(FsError::JournalFull));
+        assert!(bm.is_set(a));
+        assert_eq!(bm.free_count(), 999);
     }
 
     #[test]

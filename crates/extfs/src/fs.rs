@@ -847,13 +847,18 @@ impl obsv::Introspect for Extfs {
         rep.check_le(12, 0, 0, dirty as u64, cached as u64);
         rep.check_le(12, 0, 0, cached as u64, self.cache.capacity() as u64);
         // namei.index, against the blocks as the page cache holds them.
-        let dirs = self.icache.cached().into_iter().filter_map(|h| {
-            h.names.lock().as_ref()?;
+        let mut held = 0;
+        for h in self.icache.cached() {
+            if h.names.lock().is_none() {
+                continue;
+            }
             let state = h.state.read();
-            let index = h.names.lock().clone()?;
-            Some((h.ino, index, dir::index_uncharged(&self.cache, &state)))
-        });
-        self.namei.audit(&mut rep, dirs);
+            let media = dir::index_uncharged(&self.cache, &state);
+            if let Some(index) = h.names.lock().as_ref() {
+                held += index.audit(&mut rep, h.ino, media);
+            }
+        }
+        self.namei.audit(&mut rep, held);
         rep
     }
 }

@@ -135,13 +135,13 @@ impl NameIndex {
     }
 
     /// Where `name`'s header sits.
-    pub fn slot(&self, name: &str) -> Option<Slot> {
+    fn slot(&self, name: &str) -> Option<Slot> {
         self.names.get(name).map(|n| n.slot)
     }
 
     /// Names, blocks or summaries in which `self` and `media` (an index
     /// built from the blocks) disagree.
-    pub fn differences(&self, media: &NameIndex) -> u64 {
+    fn differences(&self, media: &NameIndex) -> u64 {
         let stale = self
             .names
             .iter()
@@ -158,7 +158,7 @@ impl NameIndex {
     }
 
     /// The header at `slot`.
-    pub fn hdr(&self, slot: Slot) -> Header {
+    fn hdr(&self, slot: Slot) -> Header {
         self.blocks[slot.blk as usize].hdrs[&slot.off]
     }
 
@@ -178,7 +178,7 @@ impl NameIndex {
 
     /// Records a header write: `hdr` now sits at `slot` (`None`: the
     /// record there was merged into its predecessor).
-    pub fn set(&mut self, slot: Slot, hdr: Option<Header>) {
+    fn set(&mut self, slot: Slot, hdr: Option<Header>) {
         let b = &mut self.blocks[slot.blk as usize];
         match hdr {
             Some(h) => b.hdrs.insert(slot.off, h),
@@ -188,13 +188,13 @@ impl NameIndex {
     }
 
     /// Binds `name` to `slot` (the first binding wins, as on the media).
-    pub fn bind(&mut self, name: &str, ino: u64, ftype: FileType, slot: Slot) {
+    fn bind(&mut self, name: &str, ino: u64, ftype: FileType, slot: Slot) {
         let named = Named { ino, ftype, slot };
         self.names.entry(name.to_owned()).or_insert(named);
     }
 
     /// Drops `name`.
-    pub fn unbind(&mut self, name: &str) {
+    fn unbind(&mut self, name: &str) {
         self.names.remove(name);
     }
 
@@ -253,6 +253,41 @@ impl NameIndex {
         let named = false;
         let puts = vec![Put { slot, hdr, named }];
         Ok((ino, ftype, Edit { puts, reads }))
+    }
+
+    /// Rewrites entry `from`'s header in place to name `to` and point at
+    /// `ino` and `ftype` — a rename, or rename's replace when `to` is
+    /// `from` — and returns the header write that does it (a new name
+    /// follows the header). `None`, the index unchanged: `to`'s entry does
+    /// not fit `from`'s record. The record keeps its length, so the chain
+    /// does not change. The caller has checked that a new `to` is absent.
+    pub fn rewrite(
+        &mut self,
+        from: &str,
+        to: &str,
+        ino: u64,
+        ftype: FileType,
+    ) -> Result<Option<(Slot, Header)>> {
+        let slot = self.slot(from).ok_or(FsError::NotFound)?;
+        let rec_len = self.hdr(slot).rec_len as usize;
+        if entry_len(to.len()) > rec_len {
+            return Ok(None);
+        }
+        let hdr = Header::live(ino, rec_len, to, ftype.as_u8());
+        self.set(slot, Some(hdr));
+        self.unbind(from);
+        self.bind(to, ino, ftype, slot);
+        Ok(Some((slot, hdr)))
+    }
+
+    /// Audit code 15 (`namei.index`) for directory `ino`: its index says
+    /// exactly what its blocks say (`media`, the index they build) — an
+    /// unreadable directory differs in every name. Returns the names the
+    /// index holds, for [`NameiStats::audit`].
+    pub fn audit(&self, rep: &mut AuditReport, ino: u64, media: Result<NameIndex>) -> u64 {
+        let differing = media.map_or(u64::MAX, |media| self.differences(&media));
+        rep.check_eq(15, ino, 0, differing, 0);
+        self.len() as u64
     }
 }
 
@@ -343,22 +378,11 @@ impl NameiStats {
         }
     }
 
-    /// Audit code 15 (`namei.index`): each directory's built index (`ino`,
-    /// index, the index its blocks build) says exactly what its blocks say
-    /// — an unreadable directory differs in every name — and the entries
-    /// gauge is the sum of what the built indexes hold.
-    pub fn audit(
-        &self,
-        rep: &mut AuditReport,
-        dirs: impl IntoIterator<Item = (u64, NameIndex, Result<NameIndex>)>,
-    ) {
-        let mut indexed = 0;
-        for (ino, index, media) in dirs {
-            let differing = media.map_or(u64::MAX, |media| index.differences(&media));
-            rep.check_eq(15, ino, 0, differing, 0);
-            indexed += index.len() as u64;
-        }
-        rep.check_eq(15, 0, 0, self.entries.load(Relaxed), indexed);
+    /// Audit code 15 (`namei.index`), the mount's half: the entries
+    /// gauge is `held`, the sum of what the built indexes hold (each
+    /// checked by [`NameIndex::audit`]).
+    pub fn audit(&self, rep: &mut AuditReport, held: u64) {
+        rep.check_eq(15, 0, 0, self.entries.load(Relaxed), held);
     }
 }
 
@@ -426,6 +450,43 @@ mod tests {
         assert_eq!(index.len(), live.len());
         assert!(blocks.len() >= 3);
         assert_eq!(index.remove("absent"), Err(FsError::NotFound));
+    }
+
+    #[test]
+    fn a_rewrite_changes_one_header_and_name_in_place() {
+        let mut blocks = vec![empty_block(BLOCK_SIZE)];
+        let mut index = rebuilt(&blocks);
+        for (ino, name) in [(1, "aa"), (2, "b"), (3, "c")] {
+            let edit = index.add(name, ino, FileType::File).unwrap();
+            write(&mut blocks, &index, &edit, name);
+        }
+        let mut land = |(at, hdr): (Slot, Header), name: &str| {
+            let bytes = [&hdr.encode()[..], name.as_bytes()].concat();
+            let off = at.off as usize;
+            blocks[at.blk as usize][off..off + bytes.len()].copy_from_slice(&bytes);
+        };
+        land(
+            index
+                .rewrite("aa", "d", 1, FileType::File)
+                .unwrap()
+                .unwrap(),
+            "d",
+        );
+        land(
+            index.rewrite("c", "c", 9, FileType::Dir).unwrap().unwrap(),
+            "c",
+        );
+        // A name too long for "b"'s record changes nothing.
+        assert_eq!(index.rewrite("b", "long-name", 2, FileType::File), Ok(None));
+        assert_eq!(
+            index.rewrite("absent", "x", 1, FileType::File),
+            Err(FsError::NotFound)
+        );
+        assert_eq!(index, rebuilt(&blocks));
+        assert_eq!(index.get("aa"), None);
+        assert_eq!(index.get("d"), Some((1, FileType::File)));
+        assert_eq!(index.get("b"), Some((2, FileType::File)));
+        assert_eq!(index.get("c"), Some((9, FileType::Dir)));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! never read the block they edit; listings and the index build scan the
 //! media.
 
-use fskit::dirent::{init_block, Header};
+use fskit::dirent::init_block;
 use fskit::namei::{self, Edit, NameIndex};
 use fskit::{DirEntry, FileType, FsError, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
@@ -150,68 +150,38 @@ pub fn remove(
     Ok((ino, ftype))
 }
 
-/// Renames entry `from` to `to` in place, found through `index` (exact
-/// for this directory; updated here), when `to`'s entry fits `from`'s
-/// record; returns `false`, touching nothing, when it does not. The
-/// header and the new name are journaled and rewritten; the record keeps
-/// its length, so the chain does not change. The caller must have
-/// verified `to` is absent.
-pub fn rename(
+/// Rewrites entry `from`'s header in place, found through `index`
+/// (exact for this directory; updated here, and to be dropped if this
+/// fails), to name `to` and point at `ino` and `ftype`
+/// ([`NameIndex::rewrite`]): a rename, or rename's replace when `to` is
+/// `from`. The header, and a new name, are journaled and rewritten.
+/// Returns `false`, touching nothing, when `to`'s entry does not fit
+/// `from`'s record. The caller must have verified a new `to` is absent.
+#[allow(clippy::too_many_arguments)]
+pub fn rewrite(
     dev: &NvmmDevice,
     journal: &Journal,
     tx: &TxHandle,
     index: &mut NameIndex,
     from: &str,
     to: &str,
-) -> Result<bool> {
-    let ((ino, ftype), at) = index
-        .get(from)
-        .zip(index.slot(from))
-        .ok_or(FsError::NotFound)?;
-    let rec_len = index.hdr(at).rec_len as usize;
-    if entry_len(to.len()) > rec_len {
-        return Ok(false);
-    }
-    namei::charge(dev, HDR);
-    let off = addr(index, at);
-    journal.log_range(tx, off, HDR + to.len())?;
-    let new = Header::live(ino, rec_len, to, ftype.as_u8());
-    dev.write_persist(Cat::Meta, off, &[&new.encode()[..], to.as_bytes()].concat());
-    dev.sfence();
-    index.set(at, Some(new));
-    index.unbind(from);
-    index.bind(to, ino, ftype, at);
-    Ok(true)
-}
-
-/// Points entry `name`'s header, found through `index` (exact for this
-/// directory; updated here), at `ino` and `ftype`: rename's replace. The
-/// record keeps its length and name, so the chain does not change and
-/// the header is the one undo image.
-pub fn retarget(
-    dev: &NvmmDevice,
-    journal: &Journal,
-    tx: &TxHandle,
-    index: &mut NameIndex,
-    name: &str,
     ino: u64,
     ftype: FileType,
-) -> Result<()> {
-    let at = index.slot(name).ok_or(FsError::NotFound)?;
+) -> Result<bool> {
+    let Some((at, hdr)) = index.rewrite(from, to, ino, ftype)? else {
+        return Ok(false);
+    };
+    let name = if to == from { "" } else { to };
     namei::charge(dev, HDR);
     let off = addr(index, at);
-    journal.log_range(tx, off, HDR)?;
-    let new = Header {
-        ino,
-        ftype: ftype.as_u8(),
-        ..index.hdr(at)
-    };
-    dev.write_persist(Cat::Meta, off, &new.encode());
+    journal.log_range(tx, off, HDR + name.len())?;
+    dev.write_persist(
+        Cat::Meta,
+        off,
+        &[&hdr.encode()[..], name.as_bytes()].concat(),
+    );
     dev.sfence();
-    index.set(at, Some(new));
-    index.unbind(name);
-    index.bind(name, ino, ftype, at);
-    Ok(())
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -796,7 +796,8 @@ impl Pmfs {
         {
             let mut pstate = dst_parent.state.write();
             self.edit_names(dst_parent, &mut pstate, |index, _| {
-                dir::retarget(&self.dev, &self.journal, tx, index, dst_name, ino, ftype)
+                let (from, to) = (dst_name, dst_name);
+                dir::rewrite(&self.dev, &self.journal, tx, index, from, to, ino, ftype)
             })?;
             if same_dir {
                 self.remove_entry(tx, src_parent, &mut pstate, src_name)?;
@@ -1050,7 +1051,8 @@ impl FileSystem for Pmfs {
                 // entry's are not, once merged into its neighbour.
                 let mut pstate = src_parent.state.write();
                 let in_place = self.edit_names(&src_parent, &mut pstate, |index, _| {
-                    dir::rename(&self.dev, &self.journal, &tx, index, src_name, dst_name)
+                    let (from, to) = (src_name, dst_name);
+                    dir::rewrite(&self.dev, &self.journal, &tx, index, from, to, ino, ftype)
                 })?;
                 let logged = if in_place {
                     None
@@ -1134,13 +1136,18 @@ impl obsv::Introspect for Pmfs {
         );
         // namei.index. Only handles that have an index are locked — the
         // in-band auditor runs under a *file's* inode lock.
-        let dirs = self.icache.cached().into_iter().filter_map(|h| {
-            h.names.lock().as_ref()?;
+        let mut held = 0;
+        for h in self.icache.cached() {
+            if h.names.lock().is_none() {
+                continue;
+            }
             let state = h.state.read();
-            let index = h.names.lock().clone()?;
-            Some((h.ino, index, dir::index_uncharged(&self.dev, &state)))
-        });
-        self.namei.audit(&mut rep, dirs);
+            let media = dir::index_uncharged(&self.dev, &state);
+            if let Some(index) = h.names.lock().as_ref() {
+                held += index.audit(&mut rep, h.ino, media);
+            }
+        }
+        self.namei.audit(&mut rep, held);
         self.alloc.audit_zeroed_pool(&self.dev, &mut rep);
         rep
     }

@@ -864,8 +864,8 @@ fn the_auditor_names_an_index_that_left_the_media() {
     {
         let mut names = root.names.lock();
         let index = names.as_mut().unwrap();
-        let at = index.slot("real").unwrap();
-        index.bind("phantom", 99, FileType::File, at);
+        // An edit the media never sees.
+        index.add("phantom", 99, FileType::File).unwrap();
     }
     let rep = fs.audit();
     let labels: Vec<&str> = rep.violations.iter().map(|v| v.invariant()).collect();
@@ -879,18 +879,32 @@ fn the_auditor_names_an_index_that_left_the_media() {
 /// type are right.
 #[test]
 fn the_auditor_names_a_stale_slot_cookie() {
-    let (_d, fs) = fresh();
+    let (dev, fs) = fresh();
     touch(&fs, "/a");
     touch(&fs, "/b");
-    assert!(fs.audit().is_clean());
+    touch(&fs, "/c");
+    let a = fs.stat("/a").unwrap().ino;
     let root = fs.inode(crate::layout::ROOT_INO).unwrap();
+    // Point /b's header at /a's inode too: the two headers are now alike.
+    let tx = fs.journal().begin().unwrap();
+    let mut names = root.names.lock();
+    let index = names.as_mut().unwrap();
+    let journal = fs.journal();
+    assert!(dir::rewrite(&dev, journal, &tx, index, "b", "b", a, FileType::File).unwrap());
+    fs.journal().commit(tx);
+    drop(names);
+    assert!(fs.audit().is_clean());
     {
+        // Swap the two names' slots in the index alone.
         let mut names = root.names.lock();
         let index = names.as_mut().unwrap();
-        let (ino, ftype) = index.get("a").unwrap();
-        let b_at = index.slot("b").unwrap();
-        index.unbind("a");
-        index.bind("a", ino, ftype, b_at);
+        for (from, to) in [("a", "t"), ("b", "a"), ("t", "b")] {
+            assert!(index
+                .rewrite(from, to, a, FileType::File)
+                .unwrap()
+                .is_some());
+        }
+        assert_eq!(index.get("a"), Some((a, FileType::File)));
     }
     let rep = fs.audit();
     let labels: Vec<&str> = rep.violations.iter().map(|v| v.invariant()).collect();
