@@ -766,7 +766,7 @@ impl FileSystem for Extfs {
                 (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
             }
         }
-        let dst_state = if Arc::ptr_eq(&src_parent, &dst_parent) {
+        let mut pstate = if Arc::ptr_eq(&src_parent, &dst_parent) {
             let mut pstate = src_parent.state.write();
             self.edit_names(&src_parent, &mut pstate, |index, _| {
                 dir::remove(&self.cache, &self.jbd, index, src_name, now)
@@ -776,8 +776,23 @@ impl FileSystem for Extfs {
             self.remove_entry(&src_parent, src_name, now)?;
             dst_parent.state.write()
         };
-        let mut pstate = dst_state;
-        self.add_entry(&dst_parent, &mut pstate, dst_name, ino, ftype, now)?;
+        if let Err(e) = self.add_entry(&dst_parent, &mut pstate, dst_name, ino, ftype, now) {
+            // The add found no room and could not grow (ENOSPC): the
+            // source entry goes back, into the record its removal freed,
+            // so the rename changed no name.
+            drop(pstate);
+            let mut sstate = src_parent.state.write();
+            self.add_entry(&src_parent, &mut sstate, src_name, ino, ftype, now)?;
+            write_inode(
+                &self.cache,
+                &self.jbd,
+                &self.layout,
+                src_parent.ino,
+                &sstate,
+                now,
+            )?;
+            return Err(e);
+        }
         write_inode(
             &self.cache,
             &self.jbd,

@@ -391,3 +391,56 @@ fn a_second_stat_reads_no_directory_block() {
     assert_eq!(fs.env().now() - t0, cost.syscall_ns + entries);
     assert!(obsv::Introspect::audit(&*fs).is_clean());
 }
+
+/// A rename whose add finds no room in a directory that cannot grow
+/// (the device is full) used to return ENOSPC with the source entry
+/// already removed: the file was lost. It now puts the source back, on
+/// both the cross-directory and the same-directory branch, and the
+/// remount agrees.
+#[test]
+fn a_rename_refused_for_space_keeps_its_source() {
+    let long = "x".repeat(60);
+    for (from, to) in [("/f", format!("/d/{long}")), ("/d/f", format!("/d/{long}"))] {
+        let env = SimEnv::new_virtual(CostModel::default());
+        let dev = NvmmDevice::new(env, 512 * BLOCK_SIZE);
+        let fs = Extfs::mkfs(dev.clone(), ExtMode::Ext4, small_opts()).unwrap();
+        fs.mkdir("/d").unwrap();
+        let fd = fs.open("/d/entry-0000", rw_create()).unwrap();
+        fs.close(fd).unwrap();
+        let fd = fs.open(from, rw_create()).unwrap();
+        fs.write(fd, 0, b"payload").unwrap();
+        fs.close(fd).unwrap();
+        // Fill the device, then `/d`'s one block.
+        let fd = fs.open("/fill", rw_create()).unwrap();
+        let mut off = 0;
+        while fs.write(fd, off, &[7u8; BLOCK_SIZE]).is_ok() {
+            off += BLOCK_SIZE as u64;
+        }
+        fs.close(fd).unwrap();
+        for i in 1.. {
+            match fs.open(&format!("/d/entry-{i:04}"), rw_create()) {
+                Ok(fd) => fs.close(fd).unwrap(),
+                Err(e) => {
+                    assert_eq!(e, FsError::NoSpace);
+                    break;
+                }
+            }
+        }
+        assert_eq!(fs.stat("/d").unwrap().size, BLOCK_SIZE as u64);
+        assert_eq!(fs.rename(from, &to), Err(FsError::NoSpace), "{from}");
+        assert_eq!(fs.stat(&to), Err(FsError::NotFound));
+        let read = |fs: &Extfs| {
+            let fd = fs.open(from, OpenFlags::READ).unwrap();
+            let mut buf = [0u8; 7];
+            assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), 7, "{from}");
+            fs.close(fd).unwrap();
+            buf
+        };
+        assert_eq!(&read(&fs), b"payload");
+        assert!(obsv::Introspect::audit(&*fs).is_clean());
+        fs.unmount().unwrap();
+        drop(fs);
+        let fs = Extfs::mount(dev, ExtMode::Ext4, small_opts()).unwrap();
+        assert_eq!(&read(&fs), b"payload", "{from} after the remount");
+    }
+}

@@ -35,7 +35,7 @@ use fskit::namei::{NameIndex, NameiStats};
 use fskit::{
     DirEntry, Fd, FdTable, FileSystem, FileType, FsError, MmapHandle, OpenFlags, Result, Stat,
 };
-use nvmm::{Cat, NvmmDevice, SimEnv};
+use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE};
 use obsv::{FsObs, OpKind, Site, TrackedMutex};
 
 use crate::alloc::Allocator;
@@ -701,10 +701,13 @@ impl Pmfs {
     /// The write path of `write`, `write_vectored` and `append` (each
     /// wraps it in the op scope and the syscall charge): the gather list
     /// lands as one run at `off`, or at the end of file for `None` or an
-    /// `O_APPEND` descriptor. One journal transaction, one inode lock hold
-    /// and one logged inode core cover the whole list — per slice the only
-    /// repeated cost is the data copy itself. Returns where the run landed
-    /// and its length.
+    /// `O_APPEND` descriptor. One inode lock hold covers the whole list.
+    /// A one-slice write that stays inside one mapped block updates the
+    /// inode in place ([`Pmfs::write_in_place`]); any other write is one
+    /// journal transaction with one logged inode core, its undo slots set
+    /// aside at `begin`, so a full ring refuses it before a byte moves —
+    /// per slice the only repeated cost is the data copy itself. Returns
+    /// where the run landed and its length.
     fn write_inner(&self, fd: Fd, off: Option<u64>, iovs: &[&[u8]]) -> Result<(u64, usize)> {
         let of = self.fds.get(fd)?;
         if !of.flags.writable() {
@@ -714,23 +717,31 @@ impl Pmfs {
             obsv::Layer::Logical,
             iovs.iter().map(|s| s.len() as u64).sum(),
         );
-        let tx = self.journal.begin()?;
-        let res = (|| -> Result<(u64, usize)> {
-            let mut state = of.handle.state.write();
-            let start = match off {
-                Some(off) if !of.flags.contains(OpenFlags::APPEND) => off,
-                _ => state.size,
-            };
+        let mut state = of.handle.state.write();
+        let start = match off {
+            Some(off) if !of.flags.contains(OpenFlags::APPEND) => off,
+            _ => state.size,
+        };
+        if let [data] = iovs {
+            if self.write_in_place(of.ino, &mut state, start, data) {
+                drop(state);
+                self.obs.record_inline_drain(data.len() as u64);
+                return Ok((start, data.len()));
+            }
+        }
+        let tx = self.begin_core_tx()?;
+        let res = (|| -> Result<usize> {
             let mut cur = start;
             for iov in iovs {
                 file::write_at(&self.dev, &self.alloc, &mut state, cur, iov, self.env.now())?;
                 cur += iov.len() as u64;
             }
             self.log_write_inode(&tx, &of.handle, &state)?;
-            Ok((start, (cur - start) as usize))
+            Ok((cur - start) as usize)
         })();
+        drop(state);
         match res {
-            Ok((start, n)) => {
+            Ok(n) => {
                 self.journal.commit(tx);
                 // Direct access: the data is durable before the ack.
                 self.obs.record_inline_drain(n as u64);
@@ -741,6 +752,43 @@ impl Pmfs {
                 Err(e)
             }
         }
+    }
+
+    /// PMFS's in-place write (`pmfs_file_write_fast`): when `data` is not
+    /// empty, ends inside the block it starts in, and that block is
+    /// mapped, the bytes are copied there and fenced, then a grown size
+    /// and the mtime each go to the core with one 8-byte atomic store —
+    /// size first — and no transaction. Returns `false`, having changed
+    /// nothing, for any other write. A block that holds no byte below EOF
+    /// is taken for a hole without walking the tree (only a crash between
+    /// linking a run and persisting its core leaves one mapped), so an
+    /// append that opens a block walks the tree once, in
+    /// [`file::write_at`]. Caller holds inode `ino`'s write lock (`state`).
+    fn write_in_place(&self, ino: u64, state: &mut InodeMem, off: u64, data: &[u8]) -> bool {
+        let block = BLOCK_SIZE as u64;
+        let (iblk, in_blk) = (off / block, (off % block) as usize);
+        if data.is_empty() || in_blk + data.len() > BLOCK_SIZE || iblk >= state.size.div_ceil(block)
+        {
+            return false;
+        }
+        let Some(pblk) = tree::lookup(&self.dev, state, iblk) else {
+            return false;
+        };
+        let now = self.env.now();
+        self.dev.write_persist(
+            Cat::UserWrite,
+            Layout::block_off(pblk) + in_blk as u64,
+            data,
+        );
+        self.dev.sfence();
+        let end = off + data.len() as u64;
+        if end > state.size {
+            self.store_word(ino, crate::inode::SIZE_OFF, end);
+            state.size = end;
+        }
+        state.mtime = now;
+        self.store_word(ino, crate::inode::MTIME_OFF, now);
+        true
     }
 
     /// Looks `name` up in directory `dir` under its read lock: the entry,

@@ -1113,3 +1113,244 @@ fn a_directory_renamed_over_an_empty_one_survives_a_crash_at_every_boundary() {
         }
     }
 }
+
+/// `/f` holding `len` bytes of a pattern, open read-write.
+fn file_of(fs: &Pmfs, len: usize) -> fskit::Fd {
+    let fd = fs.open("/f", rw_create()).unwrap();
+    let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+    fs.write(fd, 0, &data).unwrap();
+    fd
+}
+
+/// What one op cost: journal transactions begun, NVMM lines persisted,
+/// fences.
+fn write_cost(dev: &NvmmDevice, fs: &Pmfs, op: impl FnOnce()) -> (u64, u64, u64) {
+    let begins = || fs.journal().stats().snapshot().begins;
+    let (b0, s0) = (begins(), dev.stats().snapshot());
+    op();
+    let s1 = dev.stats().snapshot();
+    let lines = (s1.nvmm_bytes_written - s0.nvmm_bytes_written) / nvmm::CACHELINE as u64;
+    (begins() - b0, lines, s1.fences - s0.fences)
+}
+
+/// Cachelines a data write of `len` bytes at block offset `in_blk` covers.
+fn data_lines(in_blk: usize, len: usize) -> u64 {
+    ((in_blk + len).div_ceil(nvmm::CACHELINE) - in_blk / nvmm::CACHELINE) as u64
+}
+
+/// The core on NVMM decodes to the in-DRAM image of `/f`.
+fn assert_core_on_media(dev: &NvmmDevice, fs: &Pmfs, what: &str) {
+    let h = fs.resolve_path("/f").unwrap();
+    let mut raw = [0u8; crate::inode::INODE_CORE];
+    dev.peek(fs.layout().inode_off(h.ino), &mut raw);
+    let media = InodeMem::decode(&raw).unwrap();
+    assert_eq!(media.as_ref(), Some(&*h.state.read()), "{what}");
+}
+
+/// An overwrite inside one mapped block takes PMFS's in-place path: its
+/// data lines and the mtime word, no transaction.
+#[test]
+fn an_in_block_overwrite_opens_no_transaction() {
+    let (dev, fs) = fresh();
+    let fd = file_of(&fs, 2 * BLOCK_SIZE);
+    let cost = write_cost(&dev, &fs, || {
+        assert_eq!(
+            fs.write(fd, BLOCK_SIZE as u64 + 100, &[9u8; 1000]),
+            Ok(1000)
+        );
+    });
+    assert_eq!(cost, (0, data_lines(100, 1000) + 1, 2));
+    assert_eq!(fs.fstat(fd).unwrap().size, 2 * BLOCK_SIZE as u64);
+    assert_core_on_media(&dev, &fs, "overwrite");
+    let mut buf = [0u8; 1002];
+    fs.read(fd, BLOCK_SIZE as u64 + 99, &mut buf).unwrap();
+    assert_eq!(buf[0], ((BLOCK_SIZE + 99) % 251) as u8);
+    assert!(buf[1..1001].iter().all(|&b| b == 9));
+    assert_eq!(buf[1001], ((BLOCK_SIZE + 1100) % 251) as u8);
+    fs.close(fd).unwrap();
+}
+
+/// An append that stays inside the tail block stores the size word, then
+/// the mtime word: two meta lines, three fences, no transaction — for
+/// `append` and for `O_APPEND`.
+#[test]
+fn an_in_block_append_opens_no_transaction() {
+    let (dev, fs) = fresh();
+    let fd = file_of(&fs, 5000);
+    let cost = write_cost(&dev, &fs, || {
+        assert_eq!(fs.append(fd, &[7u8; 100]), Ok(5000))
+    });
+    assert_eq!(cost, (0, data_lines(904, 100) + 2, 3));
+    assert_eq!(fs.fstat(fd).unwrap().size, 5100);
+    assert_core_on_media(&dev, &fs, "append");
+    fs.close(fd).unwrap();
+    let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::APPEND).unwrap();
+    let cost = write_cost(&dev, &fs, || {
+        assert_eq!(fs.write(fd, 0, &[8u8; 50]), Ok(50))
+    });
+    assert_eq!(cost, (0, data_lines(1004, 50) + 2, 3));
+    assert_eq!(fs.fstat(fd).unwrap().size, 5150);
+    assert_core_on_media(&dev, &fs, "O_APPEND");
+    let mut buf = [0u8; 150];
+    fs.read(fd, 5000, &mut buf).unwrap();
+    assert!(buf[..100].iter().all(|&b| b == 7) && buf[100..].iter().all(|&b| b == 8));
+    fs.close(fd).unwrap();
+}
+
+/// A write that crosses a block, lands in a hole, opens a new block or
+/// comes as two slices keeps the journaled path: one transaction each.
+#[test]
+fn other_writes_keep_the_journaled_path() {
+    let (dev, fs) = fresh();
+    let fd = file_of(&fs, 2 * BLOCK_SIZE);
+    fs.truncate(fd, 4 * BLOCK_SIZE as u64).unwrap();
+    let cases: [(&str, u64, &[&[u8]]); 4] = [
+        ("crosses a block", BLOCK_SIZE as u64 - 10, &[&[1u8; 20]]),
+        ("lands in a hole", 2 * BLOCK_SIZE as u64 + 10, &[&[2u8; 20]]),
+        (
+            "opens a block past EOF",
+            4 * BLOCK_SIZE as u64,
+            &[&[3u8; 20]],
+        ),
+        ("is vectored", 100, &[&[4u8; 10], &[5u8; 10]]),
+    ];
+    for (what, off, iovs) in cases {
+        let (begins, _, _) = write_cost(&dev, &fs, || {
+            assert_eq!(fs.write_vectored(fd, off, iovs), Ok(20), "{what}");
+        });
+        assert_eq!(begins, 1, "{what}");
+        assert_core_on_media(&dev, &fs, what);
+    }
+    assert_eq!(fs.journal().open_txs(), 0);
+    fs.close(fd).unwrap();
+}
+
+/// A write the journal refuses used to have happened: `begin` was
+/// admitted, the data, size and mtime moved, and the core's undo log was
+/// refused — the live file kept the bytes, and a clean remount read the
+/// old size. The core's undo slots are now set aside at `begin`, so the
+/// refusal comes before a byte moves, whichever journal consult is made
+/// to refuse.
+#[test]
+fn a_write_refused_for_journal_space_changes_nothing() {
+    let read_all = |fs: &Pmfs| {
+        let fd = fs.open("/f", OpenFlags::READ).unwrap();
+        let mut buf = vec![0u8; 3 * BLOCK_SIZE];
+        let n = fs.read(fd, 0, &mut buf).unwrap();
+        fs.close(fd).unwrap();
+        buf.truncate(n);
+        buf
+    };
+    for append in [false, true] {
+        let mut refused = 0;
+        for k in 0..3 {
+            let (dev, fs) = fresh();
+            let fd = file_of(&fs, 100);
+            let before = read_all(&fs);
+            let plan = FaultPlan::new();
+            dev.fault_hook().install(plan.clone());
+            plan.fail_journal_after(k);
+            let data = [0xa5u8; 5336];
+            let res = if append {
+                fs.append(fd, &data).map(drop)
+            } else {
+                fs.write(fd, 100, &data).map(drop)
+            };
+            plan.set_journal_unavailable(false);
+            let live = read_all(&fs);
+            match res {
+                Err(e) => {
+                    assert_eq!(e, FsError::JournalFull);
+                    assert_eq!(
+                        live, before,
+                        "append={append} k={k}: the refused write moved"
+                    );
+                    refused += 1;
+                }
+                Ok(()) => assert_eq!(live.len(), 5436, "append={append} k={k}"),
+            }
+            assert_eq!(fs.journal().open_txs(), 0);
+            assert!(fs.audit().is_clean());
+            fs.close(fd).unwrap();
+            fs.unmount().unwrap();
+            drop(fs);
+            let fs = Pmfs::mount(dev).unwrap();
+            assert_eq!(
+                read_all(&fs),
+                live,
+                "append={append} k={k}: the remount differs"
+            );
+        }
+        assert_eq!(refused, 1, "append={append}: only `begin` refuses");
+    }
+}
+
+/// A crash at any persistence boundary, clean or torn, of an in-place
+/// write recovers the file at its old size or at its new size with every
+/// new byte; bytes the write did not cover are unchanged, and a gap it
+/// opened past the old EOF reads zero.
+#[test]
+fn an_in_place_write_survives_a_crash_at_every_boundary() {
+    const OLD: usize = 5000;
+    let pattern = |i: usize| (i % 251) as u8;
+    let cases = [
+        ("overwrite", 100u64, 1000usize),
+        ("append", 5000, 100),
+        ("gap", 5200, 100),
+    ];
+    for (what, off, len) in cases {
+        let new_size = OLD.max(off as usize + len);
+        let mut crashed = 0;
+        for k in 1.. {
+            let mut done = false;
+            for torn in [None, Some(0xf1fe ^ k)] {
+                let (dev, fs) = fresh();
+                let fd = file_of(&fs, OLD);
+                let begins = fs.journal().stats().snapshot().begins;
+                let plan = FaultPlan::new();
+                dev.fault_hook().install(plan.clone());
+                plan.arm_crash(k);
+                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fs.write(fd, off, &vec![0xeeu8; len])
+                }));
+                dev.fault_hook().clear();
+                assert_eq!(fs.journal().stats().snapshot().begins, begins, "{what}");
+                let Err(payload) = res else {
+                    assert_eq!(fs.fstat(fd).unwrap().size, new_size as u64);
+                    assert!(crashed > 0, "{what}");
+                    done = true;
+                    break;
+                };
+                assert!(payload.downcast_ref::<nvmm::CrashSignal>().is_some());
+                crashed += 1;
+                drop(fs);
+                match torn {
+                    Some(seed) => _ = dev.crash_partial(seed),
+                    None => dev.crash(),
+                }
+                let fs = Pmfs::mount(dev).unwrap();
+                let fd = fs.open("/f", OpenFlags::READ).unwrap();
+                let size = fs.fstat(fd).unwrap().size as usize;
+                assert!(size == OLD || size == new_size, "{what} k={k}: size {size}");
+                let mut got = vec![0u8; size];
+                assert_eq!(fs.read(fd, 0, &mut got).unwrap(), size);
+                let range = off as usize..off as usize + len;
+                for (i, &b) in got.iter().enumerate() {
+                    let ok = if range.contains(&i) {
+                        b == 0xee || (size == OLD && b == pattern(i))
+                    } else if i < OLD {
+                        b == pattern(i)
+                    } else {
+                        b == 0
+                    };
+                    assert!(ok, "{what} k={k} torn={torn:?}: byte {i} reads {b:#x}");
+                }
+                fs.close(fd).unwrap();
+                assert!(fs.audit().is_clean(), "{what} k={k}");
+            }
+            if done {
+                break;
+            }
+        }
+    }
+}

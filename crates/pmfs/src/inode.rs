@@ -26,8 +26,13 @@ pub const INODE_CORE: usize = 64;
 /// journals of the inode it allocates, frees or relinks.
 pub const LIVENESS: usize = 8;
 
+/// Offset of `size` in the core: 8-byte aligned, so a write that grows a
+/// file inside a mapped block stores it with one atomic store.
+pub const SIZE_OFF: usize = 8;
+
 /// Offset of `mtime` in the core: 8-byte aligned, so a directory whose
-/// entry edit changes nothing else stamps it with one atomic store.
+/// entry edit changes nothing else, or a write inside a mapped block,
+/// stamps it with one atomic store.
 pub const MTIME_OFF: usize = 40;
 
 /// In-memory mirror of an inode's persistent core plus volatile state.
@@ -71,7 +76,7 @@ impl InodeMem {
     pub fn encode(&self) -> [u8; INODE_CORE] {
         let mut b = [0u8; INODE_CORE];
         b[..LIVENESS].copy_from_slice(&self.liveness_word().to_le_bytes());
-        b[8..16].copy_from_slice(&self.size.to_le_bytes());
+        b[SIZE_OFF..SIZE_OFF + 8].copy_from_slice(&self.size.to_le_bytes());
         b[16..24].copy_from_slice(&self.blocks.to_le_bytes());
         b[24..32].copy_from_slice(&self.tree_root.to_le_bytes());
         b[32..36].copy_from_slice(&self.tree_height.to_le_bytes());
@@ -97,7 +102,7 @@ impl InodeMem {
         Ok(Some(InodeMem {
             ftype,
             nlink: u32_at(b, 4),
-            size: u64_at(b, 8),
+            size: u64_at(b, SIZE_OFF),
             blocks: u64_at(b, 16),
             tree_root: u64_at(b, 24),
             tree_height: u32_at(b, 32),

@@ -469,16 +469,26 @@ impl Journal {
         }
     }
 
-    fn append_locked(&self, inner: &mut JInner, e: &Entry) -> Result<()> {
-        if inner.tail >= self.capacity {
-            return Err(FsError::JournalFull);
-        }
+    /// Writes `e` into the tail slot. Infallible by construction: every
+    /// caller owns the slot — an undo entry one its batch's check in
+    /// [`Self::log_ranges`] found free or its handle set aside, a commit
+    /// entry the one its transaction's `begin` reserved
+    /// ([`Self::append_commit_locked`]).
+    fn append_locked(&self, inner: &mut JInner, e: &Entry) {
+        debug_assert!(inner.tail < self.capacity, "journal entry past its region");
         let off = self.area + inner.tail * ENTRY_SIZE as u64;
         let buf = encode(e);
         obsv::note_bytes(obsv::Layer::JournalLogged, ENTRY_SIZE as u64);
         self.dev.write_flushed(Cat::Journal, off, &buf);
         inner.tail += 1;
-        Ok(())
+    }
+
+    /// Appends `txid`'s commit entry into the slot its `begin` reserved
+    /// (`JInner::open` counts one per unresolved transaction, and
+    /// `JInner::free` keeps them out of every other reservation).
+    fn append_commit_locked(&self, inner: &mut JInner, txid: u32) {
+        let e = Entry::commit(txid, inner.gen as u32);
+        self.append_locked(inner, &e);
     }
 
     /// Records the current content of `[addr, addr+len)` so it can be
@@ -533,7 +543,7 @@ impl Journal {
                     data: [0; PAYLOAD],
                 };
                 self.dev.read(Cat::Journal, off, &mut e.data[..chunk]);
-                self.append_locked(&mut inner, &e)?;
+                self.append_locked(&mut inner, &e);
                 off += chunk as u64;
                 remaining -= chunk;
             }
@@ -609,12 +619,8 @@ impl Journal {
         // Order every caller's in-place metadata updates before any of the
         // batch's commit entries.
         self.dev.sfence_coalesced(n);
-        let gen = inner.gen as u32;
         for tx in txs {
-            // The commit-slot reservation in `begin`/`free_entries`
-            // guarantees one commit slot per transaction.
-            self.append_locked(&mut inner, &Entry::commit(tx.txid, gen))
-                .expect("reserved commit slot");
+            self.append_commit_locked(&mut inner, tx.txid);
         }
         self.dev.sfence_coalesced(n);
         self.stats
@@ -664,9 +670,7 @@ impl Journal {
             self.dev.write_persist(Cat::Journal, e.addr, e.payload());
         }
         self.dev.sfence();
-        let gen = inner.gen as u32;
-        self.append_locked(&mut inner, &Entry::commit(tx.txid, gen))
-            .expect("reserved commit slot");
+        self.append_commit_locked(&mut inner, tx.txid);
         self.dev.sfence();
         self.stats
             .aborts
