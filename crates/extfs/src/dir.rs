@@ -55,11 +55,6 @@ pub fn list(cache: &BufferCache, mem: &ExtInodeMem) -> Result<Vec<DirEntry>> {
     fskit::dirent::list(dir_blocks(mem), reader(cache, mem))
 }
 
-/// Whether the directory has no live entries.
-pub fn is_empty(cache: &BufferCache, mem: &ExtInodeMem) -> Result<bool> {
-    Ok(list(cache, mem)?.is_empty())
-}
-
 /// Carries `edit` (planned on `index`) into its block through the page
 /// cache; the block joins the running transaction.
 fn write_edit(
@@ -124,6 +119,34 @@ pub fn remove(
     Ok((ino, ftype))
 }
 
+/// Rewrites entry `from`'s header in place, found through `index`
+/// (exact for this directory; updated here, and to be dropped if this
+/// fails), to name `to` and point at `ino` and `ftype`
+/// ([`NameIndex::rewrite`]): a rename, or rename's replace when `to` is
+/// `from`. Returns `false`, touching nothing, when `to`'s entry does not
+/// fit `from`'s record. The caller verified a new `to` is absent.
+#[allow(clippy::too_many_arguments)]
+pub fn rewrite(
+    cache: &BufferCache,
+    jbd: &Jbd,
+    index: &mut NameIndex,
+    from: &str,
+    to: &str,
+    ino: u64,
+    ftype: FileType,
+    now: u64,
+) -> Result<bool> {
+    let Some((at, hdr)) = index.rewrite(from, to, ino, ftype)? else {
+        return Ok(false);
+    };
+    namei::charge(cache.device().byte_device(), HDR);
+    let blk = index.pblk(at);
+    let rec = [&hdr.encode()[..], to.as_bytes()].concat();
+    cache.write(Cat::Meta, blk, at.off as usize, &rec, now)?;
+    jbd.add(cache, blk);
+    Ok(true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,9 +208,9 @@ mod tests {
         assert_eq!(fx.remove("a.txt").unwrap(), (10, FileType::File));
         assert_eq!(fx.remove("a.txt"), Err(FsError::NotFound));
         assert_eq!(fx.on_media("a.txt"), None);
-        assert!(!is_empty(&fx.cache, &fx.mem).unwrap());
+        assert!(!list(&fx.cache, &fx.mem).unwrap().is_empty());
         fx.remove("sub").unwrap();
-        assert!(is_empty(&fx.cache, &fx.mem).unwrap());
+        assert!(list(&fx.cache, &fx.mem).unwrap().is_empty());
         assert_eq!(fx.index, index(&fx.cache, &fx.mem).unwrap());
     }
 

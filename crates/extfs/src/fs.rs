@@ -4,9 +4,13 @@
 //! buffer cache and the journal; they differ in the data path and in
 //! whether the journal is active (see [`crate::ExtMode`]).
 //!
-//! Lock order: `ns` mutex → inode `RwLock` → a directory's `names` (its
-//! name index, [`fskit::namei`]) → cache/journal internals. Names resolve
-//! through the name index, never by scanning directory blocks.
+//! The namespace rules are [`fskit::vfs`]'s; ext is its [`Namespace`]
+//! with one namespace lock, `ns`, held across each namespace op, and a
+//! transaction that records the op's entry edits, to undo them if a
+//! later step fails. Lock order: `ns` → inode `RwLock` (two only
+//! child-then-parent) → a directory's `names` (its name index,
+//! [`fskit::namei`]) → cache/journal internals. Names resolve through
+//! the name index, never by scanning directory blocks.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,9 +18,10 @@ use std::sync::Arc;
 
 use blockdev::Nvmmbd;
 use fskit::namei::{NameIndex, NameiStats};
-use fskit::{DirEntry, Fd, FdTable, FileSystem, FileType, FsError, OpenFlags, Result, Stat};
+use fskit::vfs::{self, Edit, Namespace, OpenFile, Reserve};
+use fskit::{DirEntry, Fd, FdTable, FileSystem, FileType, FsError, OpenFlags, Result};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE};
-use obsv::{FsObs, OpKind, Phase, Site, TraceEvent, TrackedMutex};
+use obsv::{FsObs, OpKind, Phase, Site, TraceEvent, TrackedMutex, TrackedMutexGuard};
 
 use crate::alloc::DiskBitmap;
 use crate::blkmap;
@@ -40,12 +45,14 @@ pub struct ExtOptions {
     pub cache_pages: usize,
 }
 
-/// Per-open state.
-#[derive(Debug)]
-pub struct ExtOpenFile {
-    pub ino: u64,
-    pub flags: OpenFlags,
-    pub handle: Arc<ExtInodeHandle>,
+/// A namespace op's transaction ([`Namespace::begin`]): the op's one
+/// clock reading, and what undoes its steps — the inode it allocated,
+/// the inverse of each entry edit — which [`Namespace::finish`] runs in
+/// reverse when the op fails.
+pub struct ExtTx {
+    now: u64,
+    created: Option<u64>,
+    undo: Vec<(Arc<ExtInodeHandle>, Edit<String>)>,
 }
 
 /// A mounted ext2/ext4/ext4-dax instance.
@@ -59,7 +66,7 @@ pub struct Extfs {
     balloc: DiskBitmap,
     ialloc: DiskBitmap,
     icache: ExtInodeCache,
-    fds: FdTable<ExtOpenFile>,
+    fds: FdTable<OpenFile<ExtInodeMem>>,
     ns: TrackedMutex<()>,
     last_commit: AtomicU64,
     /// Device data blocks dirtied per inode, for ordered-mode fsync.
@@ -213,168 +220,56 @@ impl Extfs {
         self.env.now()
     }
 
-    // ----- namespace internals (mirroring the PMFS structure) -----
-
-    /// The in-memory handle of inode `ino` (diagnostics and tests).
-    pub fn inode(&self, ino: u64) -> Result<Arc<ExtInodeHandle>> {
-        self.icache.get(&self.cache, &self.layout, ino)
-    }
-
-    /// Looks `name` up in directory `d` through its name index (a hit
-    /// costs the DRAM copy of the one entry).
-    fn lookup(&self, d: &ExtInodeHandle, name: &str) -> Result<Option<(u64, FileType)>> {
-        let state = d.state.read();
-        if state.ftype != FileType::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        let build = || dir::index(&self.cache, &state);
-        self.namei
-            .lookup(self.bd.byte_device(), &mut d.names.lock(), build, name)
-    }
-
-    /// Runs entry edit `edit` ([`dir::add`], [`dir::remove`]) on directory
-    /// `d`'s name index, under `d`'s write lock (`state`):
-    /// [`NameiStats::edit`], the index built through the page cache on
-    /// first use.
-    fn edit_names<R>(
+    /// Carries entry edit `edit` of a directory (`state`) to its blocks
+    /// through `index`, at time `now`.
+    fn apply<N: AsRef<str>>(
         &self,
-        d: &ExtInodeHandle,
+        index: &mut NameIndex,
         state: &mut ExtInodeMem,
-        edit: impl FnOnce(&mut NameIndex, &mut ExtInodeMem) -> Result<R>,
-    ) -> Result<R> {
-        let build = |s: &ExtInodeMem| dir::index(&self.cache, s);
-        self.namei.edit(&mut d.names.lock(), state, build, edit)
-    }
-
-    /// [`dir::remove`] of `name` from directory `d`, then its mtime and
-    /// inode.
-    fn remove_entry(&self, d: &ExtInodeHandle, name: &str, now: u64) -> Result<()> {
-        let mut state = d.state.write();
-        self.edit_names(d, &mut state, |index, _| {
-            dir::remove(&self.cache, &self.jbd, index, name, now)
-        })?;
-        state.mtime = now;
-        write_inode(&self.cache, &self.jbd, &self.layout, d.ino, &state, now)
-    }
-
-    fn resolve(&self, comps: &[&str]) -> Result<Arc<ExtInodeHandle>> {
-        let mut h = self.inode(ROOT_INO)?;
-        for comp in comps {
-            h = self.inode(self.lookup(&h, comp)?.ok_or(FsError::NotFound)?.0)?;
-        }
-        Ok(h)
-    }
-
-    fn resolve_parent<'p>(&self, path: &'p str) -> Result<(Arc<ExtInodeHandle>, &'p str)> {
-        let (parent_comps, name) = fskit::path::split_parent(path)?;
-        let parent = self.resolve(&parent_comps)?;
-        if parent.state.read().ftype != FileType::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        Ok((parent, name))
-    }
-
-    fn create_node(
-        &self,
-        parent: &Arc<ExtInodeHandle>,
-        name: &str,
-        ftype: FileType,
-    ) -> Result<Arc<ExtInodeHandle>> {
-        // Injected ENOSPC: refuse before any allocation so the namespace op
-        // is trivially all-or-nothing.
-        if nvmm::fault::alloc_blocked(self.bd.byte_device()) {
-            return Err(FsError::NoSpace);
-        }
-        let now = self.now();
-        let ino = self.ialloc.alloc(&self.cache, &self.jbd, now)?;
-        let mem = ExtInodeMem::new(ftype, now);
-        write_inode(&self.cache, &self.jbd, &self.layout, ino, &mem, now)?;
-        let mut pstate = parent.state.write();
-        if let Err(e) = self.add_entry(parent, &mut pstate, name, ino, ftype, now) {
-            clear_inode(&self.cache, &self.jbd, &self.layout, ino, now)?;
-            self.ialloc.release(&self.cache, &self.jbd, ino, now)?;
-            return Err(e);
-        }
-        let p = *pstate;
-        drop(pstate);
-        write_inode(&self.cache, &self.jbd, &self.layout, parent.ino, &p, now)?;
-        Ok(self.icache.install(ino, mem))
-    }
-
-    /// [`dir::add`] of `name -> ino` to directory `d`, under its write
-    /// lock (`state`), stamping its mtime; the caller writes the inode.
-    fn add_entry(
-        &self,
-        d: &ExtInodeHandle,
-        state: &mut ExtInodeMem,
-        name: &str,
-        ino: u64,
-        ftype: FileType,
+        edit: Edit<N>,
         now: u64,
-    ) -> Result<()> {
-        self.edit_names(d, state, |index, state| {
-            let (c, j, b) = (&self.cache, &self.jbd, &self.balloc);
-            dir::add(c, j, b, state, index, name, ino, ftype, now)
-        })?;
-        state.mtime = now;
-        Ok(())
-    }
-
-    /// Frees an inode's data and slot. A directory's name index goes
-    /// with it: a walker still holding the handle must find no names.
-    fn free_inode(&self, h: &Arc<ExtInodeHandle>) -> Result<()> {
-        let now = self.now();
-        let mut state = h.state.write();
-        self.namei.forget(&mut h.names.lock());
-        blkmap::free_from(&self.cache, &self.jbd, &self.balloc, &mut state, 0, now)?;
-        state.size = 0;
-        clear_inode(&self.cache, &self.jbd, &self.layout, h.ino, now)?;
-        self.ialloc.release(&self.cache, &self.jbd, h.ino, now)?;
-        drop(state);
-        self.icache.forget(h.ino);
-        self.dirty_data.lock().remove(&h.ino);
-        Ok(())
-    }
-
-    fn unlink_locked(&self, path: &str) -> Result<()> {
-        let (parent, name) = self.resolve_parent(path)?;
-        let now = self.now();
-        let (ino, ftype) = self.lookup(&parent, name)?.ok_or(FsError::NotFound)?;
-        if ftype != FileType::File {
-            return Err(FsError::IsADirectory);
-        }
-        let child = self.inode(ino)?;
-        self.remove_entry(&parent, name, now)?;
-        let freeable = {
-            let mut cstate = child.state.write();
-            cstate.nlink -= 1;
-            let freeable = cstate.nlink == 0 && *child.opens.lock() == 0;
-            if !freeable {
-                let snap = *cstate;
-                drop(cstate);
-                write_inode(&self.cache, &self.jbd, &self.layout, ino, &snap, now)?;
+    ) -> Result<bool> {
+        let (c, j, b) = (&self.cache, &self.jbd, &self.balloc);
+        match edit {
+            Edit::Add(n, ino, ftype) => {
+                dir::add(c, j, b, state, index, n.as_ref(), ino, ftype, now).map(|()| true)
             }
-            freeable
-        };
-        if freeable {
-            self.free_inode(&child)?;
+            Edit::Remove(n) => dir::remove(c, j, index, n.as_ref(), now).map(|_| true),
+            Edit::Rewrite(from, to, ino, ftype) => {
+                let (from, to) = (from.as_ref(), to.as_ref());
+                dir::rewrite(c, j, index, from, to, ino, ftype, now)
+            }
         }
-        Ok(())
     }
 
-    fn rmdir_locked(&self, path: &str) -> Result<()> {
-        let (parent, name) = self.resolve_parent(path)?;
+    /// Truncates or extends file `ino` (write-locked: `state`) to `size`,
+    /// zeroing the cut tail of a kept last block.
+    fn cut(&self, ino: u64, state: &mut ExtInodeMem, size: u64) -> Result<()> {
         let now = self.now();
-        let (ino, ftype) = self.lookup(&parent, name)?.ok_or(FsError::NotFound)?;
-        if ftype != FileType::Dir {
-            return Err(FsError::NotADirectory);
+        if size < state.size {
+            let keep = size.div_ceil(BLOCK_SIZE as u64);
+            blkmap::free_from(&self.cache, &self.jbd, &self.balloc, state, keep, now)?;
+            // Zero the tail of the new last block.
+            let in_blk = (size % BLOCK_SIZE as u64) as usize;
+            if in_blk != 0 {
+                if let Some(blk) = blkmap::lookup(&self.cache, state, size / BLOCK_SIZE as u64)? {
+                    let zeros = vec![0u8; BLOCK_SIZE - in_blk];
+                    if self.mode.dax_data() {
+                        self.bd.byte_device().zero_persist(
+                            Cat::UserWrite,
+                            blk * BLOCK_SIZE as u64 + in_blk as u64,
+                            BLOCK_SIZE - in_blk,
+                        );
+                    } else {
+                        self.cache.write(Cat::UserWrite, blk, in_blk, &zeros, now)?;
+                        self.dirty_data.lock().entry(ino).or_default().insert(blk);
+                    }
+                }
+            }
         }
-        let child = self.inode(ino)?;
-        if !dir::is_empty(&self.cache, &child.state.read())? {
-            return Err(FsError::DirectoryNotEmpty);
-        }
-        self.remove_entry(&parent, name, now)?;
-        self.free_inode(&child)
+        state.size = size;
+        state.mtime = now;
+        write_inode(&self.cache, &self.jbd, &self.layout, ino, state, now)
     }
 
     // ----- data paths -----
@@ -561,112 +456,22 @@ impl Extfs {
         Ok(())
     }
 
-    fn open_impl(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        self.env.charge_syscall();
-        let _ns = self.ns.lock();
-        let (parent, name) = self.resolve_parent(path)?;
-        fskit::path::validate_name(name)?;
-        let existing = self.lookup(&parent, name)?;
-        let handle = match existing {
-            Some((_, FileType::Dir)) => return Err(FsError::IsADirectory),
-            Some((ino, FileType::File)) => {
-                if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
-                    return Err(FsError::AlreadyExists);
-                }
-                self.inode(ino)?
-            }
-            None => {
-                if !flags.contains(OpenFlags::CREATE) {
-                    return Err(FsError::NotFound);
-                }
-                self.create_node(&parent, name, FileType::File)?
-            }
-        };
-        if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-            let now = self.now();
-            let mut state = handle.state.write();
-            if state.size > 0 {
-                blkmap::free_from(&self.cache, &self.jbd, &self.balloc, &mut state, 0, now)?;
-                state.size = 0;
-                state.mtime = now;
-                let snap = *state;
-                drop(state);
-                write_inode(&self.cache, &self.jbd, &self.layout, handle.ino, &snap, now)?;
-                self.dirty_data.lock().remove(&handle.ino);
-            }
-        }
-        *handle.opens.lock() += 1;
-        Ok(self.fds.insert(ExtOpenFile {
-            ino: handle.ino,
-            flags,
-            handle,
-        }))
-    }
-
     fn truncate_impl(&self, fd: Fd, size: u64) -> Result<()> {
         self.env.charge_syscall();
         let of = self.fds.get(fd)?;
         if !of.flags.writable() {
             return Err(FsError::BadFd);
         }
-        let now = self.now();
         let mut state = of.handle.state.write();
-        if size < state.size {
-            let keep = size.div_ceil(BLOCK_SIZE as u64);
-            blkmap::free_from(&self.cache, &self.jbd, &self.balloc, &mut state, keep, now)?;
-            // Zero the tail of the new last block.
-            let in_blk = (size % BLOCK_SIZE as u64) as usize;
-            if in_blk != 0 {
-                if let Some(blk) = blkmap::lookup(&self.cache, &state, size / BLOCK_SIZE as u64)? {
-                    let zeros = vec![0u8; BLOCK_SIZE - in_blk];
-                    if self.mode.dax_data() {
-                        self.bd.byte_device().zero_persist(
-                            Cat::UserWrite,
-                            blk * BLOCK_SIZE as u64 + in_blk as u64,
-                            BLOCK_SIZE - in_blk,
-                        );
-                    } else {
-                        self.cache.write(Cat::UserWrite, blk, in_blk, &zeros, now)?;
-                        self.dirty_data
-                            .lock()
-                            .entry(of.ino)
-                            .or_default()
-                            .insert(blk);
-                    }
-                }
-            }
-        }
-        state.size = size;
-        state.mtime = now;
-        let snap = *state;
-        drop(state);
-        write_inode(&self.cache, &self.jbd, &self.layout, of.ino, &snap, now)
+        self.cut(of.ino, &mut state, size)
     }
 }
 
 impl FileSystem for Extfs {
+    fskit::namespace_ops!();
+
     fn name(&self) -> &'static str {
         self.mode.name()
-    }
-
-    fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        self.obs.op(OpKind::Open, || self.open_impl(path, flags))
-    }
-
-    fn close(&self, fd: Fd) -> Result<()> {
-        self.obs.op(OpKind::Close, || {
-            self.env.charge_syscall();
-            let of = self.fds.remove(fd)?;
-            let orphan = {
-                let mut opens = of.handle.opens.lock();
-                *opens -= 1;
-                *opens == 0 && of.handle.state.read().nlink == 0
-            };
-            if orphan {
-                self.free_inode(&of.handle)?;
-            }
-            Ok(())
-        })
     }
 
     fn read(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
@@ -692,115 +497,9 @@ impl FileSystem for Extfs {
         })
     }
 
-    fn unlink(&self, path: &str) -> Result<()> {
-        self.obs.op(OpKind::Unlink, || {
-            self.env.charge_syscall();
-            let _ns = self.ns.lock();
-            self.unlink_locked(path)
-        })
-    }
-
     fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
         self.obs
             .op(OpKind::Truncate, || self.truncate_impl(fd, size))
-    }
-
-    fn mkdir(&self, path: &str) -> Result<()> {
-        self.env.charge_syscall();
-        let _ns = self.ns.lock();
-        let (parent, name) = self.resolve_parent(path)?;
-        fskit::path::validate_name(name)?;
-        if self.lookup(&parent, name)?.is_some() {
-            return Err(FsError::AlreadyExists);
-        }
-        self.create_node(&parent, name, FileType::Dir)?;
-        Ok(())
-    }
-
-    fn rmdir(&self, path: &str) -> Result<()> {
-        self.env.charge_syscall();
-        let _ns = self.ns.lock();
-        self.rmdir_locked(path)
-    }
-
-    fn readdir(&self, path: &str) -> Result<Vec<DirEntry>> {
-        self.env.charge_syscall();
-        let comps = fskit::path::components(path)?;
-        let h = self.resolve(&comps)?;
-        let state = h.state.read();
-        if state.ftype != FileType::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        dir::list(&self.cache, &state)
-    }
-
-    fn stat(&self, path: &str) -> Result<Stat> {
-        self.env.charge_syscall();
-        let comps = fskit::path::components(path)?;
-        Ok(self.resolve(&comps)?.stat())
-    }
-
-    fn fstat(&self, fd: Fd) -> Result<Stat> {
-        self.env.charge_syscall();
-        Ok(self.fds.get(fd)?.handle.stat())
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.env.charge_syscall();
-        let _ns = self.ns.lock();
-        let now = self.now();
-        let (src_parent, src_name) = self.resolve_parent(from)?;
-        let (dst_parent, dst_name) = self.resolve_parent(to)?;
-        fskit::path::validate_name(dst_name)?;
-        let (ino, ftype) = self
-            .lookup(&src_parent, src_name)?
-            .ok_or(FsError::NotFound)?;
-        if let Some((dino, dftype)) = self.lookup(&dst_parent, dst_name)? {
-            if dino == ino {
-                return Ok(());
-            }
-            match (ftype, dftype) {
-                (FileType::File, FileType::File) => self.unlink_locked(to)?,
-                (FileType::Dir, FileType::Dir) => self.rmdir_locked(to)?,
-                (FileType::File, FileType::Dir) => return Err(FsError::IsADirectory),
-                (FileType::Dir, FileType::File) => return Err(FsError::NotADirectory),
-            }
-        }
-        let mut pstate = if Arc::ptr_eq(&src_parent, &dst_parent) {
-            let mut pstate = src_parent.state.write();
-            self.edit_names(&src_parent, &mut pstate, |index, _| {
-                dir::remove(&self.cache, &self.jbd, index, src_name, now)
-            })?;
-            pstate
-        } else {
-            self.remove_entry(&src_parent, src_name, now)?;
-            dst_parent.state.write()
-        };
-        if let Err(e) = self.add_entry(&dst_parent, &mut pstate, dst_name, ino, ftype, now) {
-            // The add found no room and could not grow (ENOSPC): the
-            // source entry goes back, into the record its removal freed,
-            // so the rename changed no name.
-            drop(pstate);
-            let mut sstate = src_parent.state.write();
-            self.add_entry(&src_parent, &mut sstate, src_name, ino, ftype, now)?;
-            write_inode(
-                &self.cache,
-                &self.jbd,
-                &self.layout,
-                src_parent.ino,
-                &sstate,
-                now,
-            )?;
-            return Err(e);
-        }
-        write_inode(
-            &self.cache,
-            &self.jbd,
-            &self.layout,
-            dst_parent.ino,
-            &pstate,
-            now,
-        )
     }
 
     fn sync(&self) -> Result<()> {
@@ -836,6 +535,156 @@ impl FileSystem for Extfs {
     }
 }
 
+impl Namespace for Extfs {
+    type State = ExtInodeMem;
+    type Tx<'a> = ExtTx;
+    /// The one namespace lock, whatever the entries.
+    type Locked<'a> = TrackedMutexGuard<'a, ()>;
+    const ROOT: u64 = ROOT_INO;
+
+    fn device(&self) -> &NvmmDevice {
+        self.bd.byte_device()
+    }
+
+    fn obs(&self) -> &FsObs {
+        &self.obs
+    }
+
+    fn namei(&self) -> &NameiStats {
+        &self.namei
+    }
+
+    fn fds(&self) -> &FdTable<OpenFile<ExtInodeMem>> {
+        &self.fds
+    }
+
+    fn inode(&self, ino: u64) -> Result<Arc<ExtInodeHandle>> {
+        self.icache.get(&self.cache, &self.layout, ino)
+    }
+
+    fn index(&self, dir: &ExtInodeMem) -> Result<NameIndex> {
+        dir::index(&self.cache, dir)
+    }
+
+    fn list(&self, dir: &ExtInodeMem) -> Result<Vec<DirEntry>> {
+        dir::list(&self.cache, dir)
+    }
+
+    /// jbd commits on fsync, sync and the periodic tick: nothing pins it.
+    fn make_room(&self) {}
+
+    fn lock_entries<'a>(&'a self, _: &[(u64, &str)]) -> TrackedMutexGuard<'a, ()> {
+        self.ns.lock()
+    }
+
+    /// Every block the op dirties joins jbd's running transaction.
+    fn begin(&self, _: Reserve) -> Result<ExtTx> {
+        let (now, created, undo) = (self.now(), None, Vec::new());
+        Ok(ExtTx { now, created, undo })
+    }
+
+    /// Injected ENOSPC refuses here, before any allocation.
+    fn create(&self, tx: &mut ExtTx, ftype: FileType) -> Result<Arc<ExtInodeHandle>> {
+        if nvmm::fault::alloc_blocked(self.bd.byte_device()) {
+            return Err(FsError::NoSpace);
+        }
+        let ino = self.ialloc.alloc(&self.cache, &self.jbd, tx.now)?;
+        tx.created = Some(ino);
+        let mem = ExtInodeMem::new(ftype, tx.now);
+        write_inode(&self.cache, &self.jbd, &self.layout, ino, &mem, tx.now)?;
+        Ok(self.icache.install(ino, mem))
+    }
+
+    fn edit(
+        &self,
+        tx: &mut ExtTx,
+        d: &Arc<ExtInodeHandle>,
+        state: &mut ExtInodeMem,
+        edit: Edit<&str>,
+    ) -> Result<bool> {
+        let inverse = vfs::edit_names(self, d, state, |index, state| {
+            let bound = |name| index.get(name).ok_or(FsError::NotFound);
+            let inverse = match edit {
+                Edit::Add(name, ..) => Edit::Remove(name.into()),
+                Edit::Remove(name) => {
+                    let (ino, ftype) = bound(name)?;
+                    Edit::Add(name.into(), ino, ftype)
+                }
+                Edit::Rewrite(from, to, ..) => {
+                    let (ino, ftype) = bound(from)?;
+                    Edit::Rewrite(to.into(), from.into(), ino, ftype)
+                }
+            };
+            let done = self.apply(index, state, edit, tx.now)?;
+            Ok(done.then_some(inverse))
+        })?;
+        let done = inverse.is_some();
+        tx.undo.extend(inverse.map(|inverse| (d.clone(), inverse)));
+        Ok(done)
+    }
+
+    fn stamp(&self, tx: &mut ExtTx, d: &ExtInodeHandle, state: &mut ExtInodeMem) -> Result<()> {
+        state.mtime = tx.now;
+        write_inode(&self.cache, &self.jbd, &self.layout, d.ino, state, tx.now)
+    }
+
+    fn drop_link(&self, tx: &mut ExtTx, h: &ExtInodeHandle, state: &mut ExtInodeMem) -> Result<()> {
+        state.nlink -= 1;
+        write_inode(&self.cache, &self.jbd, &self.layout, h.ino, state, tx.now)
+    }
+
+    /// An inode's data and slot go. A directory's name index goes with
+    /// it: a walker still holding the handle must find no names.
+    fn free(&self, _: &mut ExtTx, h: &ExtInodeHandle, state: &mut ExtInodeMem) -> Result<()> {
+        let now = self.now();
+        self.namei.forget(&mut h.names.lock());
+        blkmap::free_from(&self.cache, &self.jbd, &self.balloc, state, 0, now)?;
+        state.size = 0;
+        state.nlink = 0;
+        clear_inode(&self.cache, &self.jbd, &self.layout, h.ino, now)?;
+        self.ialloc.release(&self.cache, &self.jbd, h.ino, now)?;
+        self.icache.forget(h.ino);
+        self.dirty_data.lock().remove(&h.ino);
+        Ok(())
+    }
+
+    /// A file already `size` bytes long is left as it is.
+    fn resize(&self, h: &ExtInodeHandle, size: u64) -> Result<()> {
+        let mut state = h.state.write();
+        if state.size == size {
+            return Ok(());
+        }
+        self.cut(h.ino, &mut state, size)?;
+        if size == 0 {
+            self.dirty_data.lock().remove(&h.ino);
+        }
+        Ok(())
+    }
+
+    /// A failed op's steps are undone in reverse, at its clock reading:
+    /// each entry edit's inverse, then the edited directory's inode
+    /// written; then the inode it allocated.
+    fn finish<R>(&self, tx: ExtTx, res: Result<R>) -> Result<R> {
+        let (c, j, l, now) = (&self.cache, &self.jbd, &self.layout, tx.now);
+        if res.is_ok() {
+            return res;
+        }
+        for (d, inverse) in tx.undo.into_iter().rev() {
+            let mut state = d.state.write();
+            vfs::edit_names(self, &d, &mut state, |index, state| {
+                self.apply(index, state, inverse, now)
+            })?;
+            write_inode(c, j, l, d.ino, &state, now)?;
+        }
+        if let Some(ino) = tx.created {
+            clear_inode(c, j, l, ino, now)?;
+            self.icache.forget(ino);
+            self.ialloc.release(c, j, ino, now)?;
+        }
+        res
+    }
+}
+
 impl obsv::Introspect for Extfs {
     fn snapshot(&self) -> obsv::FsSnapshot {
         let (cached, dirty, hits, misses) = self.cache.usage();
@@ -862,18 +711,8 @@ impl obsv::Introspect for Extfs {
         rep.check_le(12, 0, 0, dirty as u64, cached as u64);
         rep.check_le(12, 0, 0, cached as u64, self.cache.capacity() as u64);
         // namei.index, against the blocks as the page cache holds them.
-        let mut held = 0;
-        for h in self.icache.cached() {
-            if h.names.lock().is_none() {
-                continue;
-            }
-            let state = h.state.read();
-            let media = dir::index_uncharged(&self.cache, &state);
-            if let Some(index) = h.names.lock().as_ref() {
-                held += index.audit(&mut rep, h.ino, media);
-            }
-        }
-        self.namei.audit(&mut rep, held);
+        let media = |state: &ExtInodeMem| dir::index_uncharged(&self.cache, state);
+        vfs::audit_names(&mut rep, &self.namei, self.icache.cached(), media);
         rep
     }
 }

@@ -8,11 +8,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fskit::le::{u32_at, u64_at};
-use fskit::namei::NameIndex;
+use fskit::vfs::{Inode, InodeState};
 use fskit::{FileType, FsError, Result, Stat};
 use nvmm::Cat;
 use obsv::{ContentionTable, Site, TrackedMutex};
-use parking_lot::{Mutex, RwLock};
 
 use crate::cache::BufferCache;
 use crate::jbd::Jbd;
@@ -94,42 +93,21 @@ impl ExtInodeMem {
     }
 }
 
-/// Shared in-memory inode state.
-#[derive(Debug)]
-pub struct ExtInodeHandle {
-    pub ino: u64,
-    pub state: RwLock<ExtInodeMem>,
-    pub opens: Mutex<u32>,
-    /// Directories only: the name index ([`fskit::namei`]), built on the
-    /// first lookup after mount. Lock order: `state` → `names`.
-    pub names: Mutex<Option<NameIndex>>,
-}
-
-impl ExtInodeHandle {
-    /// `stat(2)`'s view of the inode.
-    pub fn stat(&self) -> Stat {
-        let s = self.state.read();
-        let (ino, ftype, size, blocks, nlink) = (self.ino, s.ftype, s.size, s.blocks, s.nlink);
-        let mtime_ns = s.mtime;
+impl InodeState for ExtInodeMem {
+    fn stat(&self, ino: u64) -> Stat {
         Stat {
             ino,
-            ftype,
-            size,
-            blocks,
-            nlink,
-            mtime_ns,
+            ftype: self.ftype,
+            size: self.size,
+            blocks: self.blocks,
+            nlink: self.nlink,
+            mtime_ns: self.mtime,
         }
     }
-
-    fn new(ino: u64, mem: ExtInodeMem) -> Arc<ExtInodeHandle> {
-        Arc::new(ExtInodeHandle {
-            ino,
-            state: RwLock::new(mem),
-            opens: Mutex::new(0),
-            names: Mutex::new(None),
-        })
-    }
 }
+
+/// Shared in-memory inode state ([`fskit::vfs::Inode`]).
+pub type ExtInodeHandle = Inode<ExtInodeMem>;
 
 /// Cache of in-memory inode handles.
 #[derive(Debug)]
@@ -164,14 +142,14 @@ impl ExtInodeCache {
         cache.read(Cat::Meta, blk, off, &mut buf)?;
         let mem =
             ExtInodeMem::decode(&buf)?.ok_or(FsError::Corrupted("reference to free ext inode"))?;
-        let h = ExtInodeHandle::new(ino, mem);
+        let h = Inode::new(ino, mem);
         map.insert(ino, h.clone());
         Ok(h)
     }
 
     /// Installs a handle for a just-created inode.
     pub fn install(&self, ino: u64, mem: ExtInodeMem) -> Arc<ExtInodeHandle> {
-        let h = ExtInodeHandle::new(ino, mem);
+        let h = Inode::new(ino, mem);
         self.map.lock().insert(ino, h.clone());
         h
     }

@@ -35,7 +35,7 @@
 use std::collections::BTreeSet;
 
 use fskit::FsError;
-use nvmm::{FaultPlan, TimeMode};
+use nvmm::{FaultPlan, InjectedFault, TimeMode};
 use obsv::{CoverageMap, Level};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -881,6 +881,85 @@ fn lockstep(
         return vec![format!("{}: op {i} `{op}` {diverged}", b.kind.label())];
     }
     model.diff(&*b.fs, b.kind.label())
+}
+
+/// The first op of a run that the system refused where the reference
+/// model succeeds ([`first_refusal`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Refusal {
+    /// Index of the op in the script.
+    pub index: usize,
+    /// The op.
+    pub op: Op,
+    /// What the system returned.
+    pub err: FsError,
+    /// How the system, with the fault lifted, differs from the model's
+    /// state before the op; empty: the refused op changed nothing.
+    pub diffs: Vec<String>,
+}
+
+impl Refusal {
+    /// Whether the refused op is a namespace op (create, unlink, rename,
+    /// mkdir, rmdir), whose refusal must change nothing.
+    pub fn namespace(&self) -> bool {
+        matches!(
+            self.op,
+            Op::Create { .. }
+                | Op::Unlink { .. }
+                | Op::Rename { .. }
+                | Op::Mkdir { .. }
+                | Op::Rmdir { .. }
+        )
+    }
+}
+
+/// The refusal drill's one run: replays `ops` on a fresh `kind` image
+/// formatted with `cfg`, in lockstep with the reference model, with the
+/// journal (`JournalFull`) or the allocator (`Enospc`) refusing every
+/// request after the first `admit`. Returns the first op the system
+/// refuses with a resource error where the model succeeds, and how the
+/// system then differs from the model's state before that op; `None`
+/// when no op is refused so (or the run diverged some other way, which
+/// [`differential`] reports).
+pub fn first_refusal(
+    kind: SystemKind,
+    cfg: &SystemConfig,
+    ops: &[Op],
+    fault: InjectedFault,
+    admit: u64,
+) -> Result<Option<Refusal>, String> {
+    let b = setups::build(kind, cfg).map_err(|e| format!("{}: mkfs: {e:?}", kind.label()))?;
+    let plan = FaultPlan::new();
+    b.dev.fault_hook().install(plan.clone());
+    match fault {
+        InjectedFault::JournalFull => plan.fail_journal_after(admit),
+        InjectedFault::Enospc => plan.fail_alloc_after(admit),
+        InjectedFault::WritebackStall => return Err("a stall refuses nothing".into()),
+    }
+    let mut model = RefModel::new();
+    let mut found = None;
+    for (index, &op) in ops.iter().enumerate() {
+        let before = model.clone();
+        let (got, want) = (exec_op(&*b.fs, &b.env, &op), model.apply(&op));
+        match (got, want) {
+            (Err(err), Ok(())) if resource_error(&err) => {
+                b.dev.fault_hook().clear();
+                let diffs = before.diff(&*b.fs, kind.label());
+                found = Some(Refusal {
+                    index,
+                    op,
+                    err,
+                    diffs,
+                });
+                break;
+            }
+            (Ok(()), Ok(())) | (Err(_), Err(_)) => {}
+            _ => break,
+        }
+    }
+    b.dev.fault_hook().clear();
+    let _ = b.fs.unmount();
+    Ok(found)
 }
 
 /// The seeded known-bad script of the shrinker self-test: a fixed random

@@ -38,7 +38,10 @@ pub mod model;
 pub mod oracle;
 pub mod script;
 
-pub use fuzz::{differential, shrink_differential, FuzzConfig, FuzzOutcome, Fuzzer, Repro};
+pub use fuzz::{
+    differential, first_refusal, shrink_differential, FuzzConfig, FuzzOutcome, Fuzzer, Refusal,
+    Repro,
+};
 pub use harness::{exec_op, Harness, RunOutcome, SweepConfig, SweepOutcome};
 pub use model::{ModelBug, RefModel};
 pub use nvmm::InjectedFault;

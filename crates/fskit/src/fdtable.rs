@@ -71,18 +71,6 @@ impl<T> FdTable<T> {
         inner.free.push(fd as usize);
         Ok(state)
     }
-
-    /// Number of currently open descriptors.
-    pub fn open_count(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Snapshot of all open states (used by `sync`/`unmount`).
-    pub fn all(&self) -> Vec<Arc<T>> {
-        let inner = self.inner.lock();
-        inner.slots.iter().filter_map(|s| s.clone()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -113,18 +101,6 @@ mod tests {
         assert_eq!(c, a, "lowest freed descriptor is reused");
         assert_eq!(*t.get(b).unwrap(), 2);
         assert_eq!(*t.get(c).unwrap(), 3);
-    }
-
-    #[test]
-    fn open_count_and_all() {
-        let t: FdTable<u32> = table();
-        let a = t.insert(1);
-        let _b = t.insert(2);
-        assert_eq!(t.open_count(), 2);
-        t.remove(a).unwrap();
-        assert_eq!(t.open_count(), 1);
-        let all: Vec<u32> = t.all().iter().map(|x| **x).collect();
-        assert_eq!(all, vec![2]);
     }
 
     #[test]

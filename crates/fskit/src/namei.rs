@@ -315,7 +315,7 @@ pub struct NameiStats {
 impl NameiStats {
     /// The index in `names` (a directory's locked slot), built with
     /// `build` — one pass over the blocks, at its cost — on first use.
-    fn index<'n>(
+    pub fn index<'n>(
         &self,
         names: &'n mut Option<NameIndex>,
         build: impl FnOnce() -> Result<NameIndex>,
@@ -329,46 +329,6 @@ impl NameiStats {
                 Ok(unbuilt.insert(index))
             }
         }
-    }
-
-    /// Looks `name` up in the index in `names` (built with `build` if need
-    /// be): hit or "no such name". A hit costs `dev` the DRAM copy of the
-    /// one entry.
-    pub fn lookup(
-        &self,
-        dev: &NvmmDevice,
-        names: &mut Option<NameIndex>,
-        build: impl FnOnce() -> Result<NameIndex>,
-        name: &str,
-    ) -> Result<Option<(u64, FileType)>> {
-        let found = self.index(names, build)?.get(name);
-        if found.is_some() {
-            self.hits.fetch_add(1, Relaxed);
-            charge(dev, entry_len(name.len()));
-        }
-        Ok(found)
-    }
-
-    /// Runs entry edit `edit` on the index in `names` (built from the
-    /// directory's `state` with `build` if need be), keeping the entries
-    /// gauge in step. An edit that fails partway drops the index; the
-    /// next lookup rebuilds it from what reached the media.
-    pub fn edit<S, R>(
-        &self,
-        names: &mut Option<NameIndex>,
-        state: &mut S,
-        build: impl FnOnce(&S) -> Result<NameIndex>,
-        edit: impl FnOnce(&mut NameIndex, &mut S) -> Result<R>,
-    ) -> Result<R> {
-        let index = self.index(names, || build(state))?;
-        let before = index.len() as u64;
-        let out = edit(index, state);
-        let delta = (index.len() as u64).wrapping_sub(before);
-        self.entries.fetch_add(delta, Relaxed);
-        if out.is_err() {
-            self.forget(names);
-        }
-        out
     }
 
     /// Drops the index in `names` (the next lookup rebuilds it).

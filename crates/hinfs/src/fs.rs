@@ -25,6 +25,7 @@ use std::collections::HashSet;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Weak};
 
+use fskit::vfs::Namespace;
 use fskit::{DirEntry, Fd, FileSystem, FsError, MmapHandle, OpenFlags, Result, Stat};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE, CACHELINE};
 use obsv::{FsObs, OpKind, Phase, Site, TraceEvent, TrackedMutex};
@@ -206,7 +207,7 @@ impl Hinfs {
     /// caller's iovec.
     fn write_impl(&self, fd: Fd, off_req: u64, iovs: &[&[u8]], append: bool) -> Result<u64> {
         self.env.charge_syscall();
-        let of = self.inner.open_file(fd)?;
+        let of = self.inner.fds().get(fd)?;
         if !of.flags.writable() {
             return Err(FsError::BadFd);
         }
@@ -538,7 +539,7 @@ impl Hinfs {
 
     fn read_impl(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
         self.env.charge_syscall();
-        let of = self.inner.open_file(fd)?;
+        let of = self.inner.fds().get(fd)?;
         if !of.flags.readable() {
             return Err(FsError::BadFd);
         }
@@ -766,7 +767,7 @@ impl FileSystem for Hinfs {
     fn fsync(&self, fd: Fd) -> Result<()> {
         self.obs.op(OpKind::Fsync, || {
             self.env.charge_syscall();
-            let of = self.inner.open_file(fd)?;
+            let of = self.inner.fds().get(fd)?;
             let mut guard = of.handle.state.write();
             self.fsync_core(of.ino, &mut guard, true)
         })
@@ -821,7 +822,7 @@ impl FileSystem for Hinfs {
     fn mmap(&self, fd: Fd, off: u64, len: usize) -> Result<Arc<dyn MmapHandle>> {
         // Paper §4.2: flush the file's dirty DRAM blocks, pin its blocks to
         // the Eager-Persistent state, then map NVMM directly.
-        let of = self.inner.open_file(fd)?;
+        let of = self.inner.fds().get(fd)?;
         {
             let mut guard = of.handle.state.write();
             self.fsync_core(of.ino, &mut guard, false)?;
@@ -849,27 +850,13 @@ impl VolatileLayer for Hinfs {
     /// rotation), whose contents are deleted too. A cut or an extend to
     /// `size != 0` first quiesces the file's ordered transactions, so
     /// that its buffered state can be dropped entirely (simple and safe;
-    /// partial truncate is rare in the evaluated workloads), and an
-    /// extend over the old tail block exposes zeroes even where the flush
-    /// path left stale bytes past the old end of file.
+    /// partial truncate is rare in the evaluated workloads); PMFS's
+    /// truncate then zeroes what an extend exposes of the old tail block.
     fn discard(&self, h: &InodeHandle, state: &mut InodeMem, size: u64) -> Result<()> {
         if size != 0 {
             self.quiesce(h.ino, state, false)?;
         }
         self.drop_buffers(h.ino);
-        let old_size = state.size;
-        if size > old_size && !old_size.is_multiple_of(BLOCK_SIZE as u64) {
-            if let Some(pblk) = pmfs::tree::lookup(self.dev(), state, old_size / BLOCK_SIZE as u64)
-            {
-                let in_blk = (old_size % BLOCK_SIZE as u64) as usize;
-                let len = (BLOCK_SIZE - in_blk).min((size - old_size) as usize);
-                self.dev().zero_persist(
-                    Cat::UserWrite,
-                    Layout::block_off(pblk) + in_blk as u64,
-                    len,
-                );
-            }
-        }
         Ok(())
     }
 

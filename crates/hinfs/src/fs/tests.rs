@@ -1,5 +1,6 @@
 use std::sync::Arc;
 
+use fskit::vfs::Namespace;
 use fskit::{FileSystem, FsError, OpenFlags};
 use nvmm::{CostModel, NvmmDevice, SimEnv, BLOCK_SIZE};
 use pmfs::{Pmfs, PmfsOptions};
@@ -304,7 +305,7 @@ fn clfw_fetches_only_partial_lines() {
     // Evict so the block leaves the buffer, then write 0..112 (the paper's
     // example): only the second line is partially covered and fetched.
     fs.sync().unwrap();
-    let of = fs.pmfs().open_file(fd).unwrap();
+    let of = fs.pmfs().fds().get(fd).unwrap();
     {
         let _guard = of.handle.state.write();
         fs.drop_buffers(of.ino);
@@ -961,7 +962,7 @@ fn schedule_of(dev: &NvmmDevice, f: impl FnOnce()) -> Vec<nvmm::BoundaryRec> {
 }
 
 fn inode_of(fs: &Hinfs, fd: fskit::Fd) -> (u64, pmfs::inode::InodeMem) {
-    let of = fs.pmfs().open_file(fd).unwrap();
+    let of = fs.pmfs().fds().get(fd).unwrap();
     let mem = *of.handle.state.read();
     (of.ino, mem)
 }

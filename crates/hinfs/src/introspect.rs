@@ -28,6 +28,7 @@
 //! run, unmount,
 //! post-recovery) always runs the full set.
 
+use fskit::vfs::Namespace;
 use obsv::{dirty_line_bucket, lrw_age_bucket, AuditReport, BufferSnap, FsSnapshot, Introspect};
 
 use crate::fs::Hinfs;
@@ -268,6 +269,7 @@ impl Hinfs {
 mod tests {
     use std::sync::Arc;
 
+    use fskit::vfs::Namespace;
     use fskit::{FileSystem, OpenFlags};
     use nvmm::{CostModel, NvmmDevice, SimEnv, BLOCK_SIZE};
     use obsv::Introspect;
@@ -458,7 +460,7 @@ mod tests {
         // with no carrier and no journaled core.
         fs.sync().unwrap();
         assert!(fs.audit().is_clean());
-        let of = fs.pmfs().open_file(fd).unwrap();
+        let of = fs.pmfs().fds().get(fd).unwrap();
         of.handle.state.write().size += 1;
         assert_eq!(found(&fs), vec![(17, ino)]);
         of.handle.state.write().size -= 1;

@@ -154,7 +154,7 @@ mod tests {
     /// transaction a file queues has journaled that file's.
     fn open_tx(fs: &Pmfs) -> (TxHandle, InodeLogged) {
         let tx = fs.journal().begin().unwrap();
-        let root = fs.resolve_path("/").unwrap();
+        let root = fskit::vfs::resolve(fs, "/").unwrap();
         let logged = fs.log_write_inode(&tx, &root, &root.state.write()).unwrap();
         (tx, logged)
     }

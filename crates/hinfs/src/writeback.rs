@@ -28,6 +28,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use fskit::vfs::Namespace;
 use fskit::{FsError, Result};
 use nvmm::{Cat, TimeMode, BLOCK_SIZE, CACHELINE};
 use obsv::{ContentionTable, DrainKind, Site, TraceEvent, TrackedCondvar, TrackedMutex};

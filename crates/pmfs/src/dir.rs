@@ -68,11 +68,6 @@ fn reader<'a>(
     }
 }
 
-/// Whether the directory has no live entries.
-pub fn is_empty(dev: &NvmmDevice, mem: &InodeMem) -> Result<bool> {
-    Ok(list(dev, mem)?.is_empty())
-}
-
 /// Byte address of `slot`'s header.
 fn addr(index: &NameIndex, slot: namei::Slot) -> u64 {
     Layout::block_off(index.pblk(slot)) + slot.off as u64
@@ -292,13 +287,13 @@ mod tests {
     #[test]
     fn empty_after_removing_everything() {
         let mut fx = setup();
-        assert!(is_empty(&fx.dev, &fx.mem).unwrap());
+        assert!(list(&fx.dev, &fx.mem).unwrap().is_empty());
         fx.add("a", 1, FileType::File).unwrap();
         fx.add("b", 2, FileType::File).unwrap();
-        assert!(!is_empty(&fx.dev, &fx.mem).unwrap());
+        assert!(!list(&fx.dev, &fx.mem).unwrap().is_empty());
         fx.remove("a").unwrap();
         fx.remove("b").unwrap();
-        assert!(is_empty(&fx.dev, &fx.mem).unwrap());
+        assert!(list(&fx.dev, &fx.mem).unwrap().is_empty());
     }
 
     #[test]

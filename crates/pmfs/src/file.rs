@@ -214,11 +214,30 @@ pub fn truncate<'a>(
         dev.sfence();
         emptied
     } else {
+        // No fence of its own: the caller's journaling of the grown core
+        // fences these zeroes before the size that exposes them lands.
+        zero_gap(dev, mem, size);
         tree::Emptied::none(alloc)
     };
     mem.size = size;
     mem.mtime = now;
     Ok(Some(emptied))
+}
+
+/// Zeroes `[mem.size, end)` where it lies in the file's mapped tail
+/// block, before an extend exposes it: bytes past EOF there may be
+/// stale — a crash between an in-place write and its size store leaves
+/// them behind. Unfenced.
+fn zero_gap(dev: &NvmmDevice, mem: &InodeMem, end: u64) {
+    let (size, block) = (mem.size, BLOCK_SIZE as u64);
+    if end <= size || size.is_multiple_of(block) {
+        return;
+    }
+    if let Some(pblk) = tree::lookup(dev, mem, size / block) {
+        let len = end.min(size.next_multiple_of(block)) - size;
+        let at = Layout::block_off(pblk) + size % block;
+        dev.zero_persist(Cat::UserWrite, at, len as usize);
+    }
 }
 
 /// Takes `freed` data blocks off `mem.blocks`. The tree can hold more

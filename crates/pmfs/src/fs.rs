@@ -24,19 +24,18 @@
 //!    its journal log and, when the directory grows, its allocation.
 //! 4. journal internal mutex — leaf lock, taken inside transactions.
 //!
-//! Names resolve through the per-directory DRAM name index
-//! ([`fskit::namei::NameIndex`]), never by scanning directory blocks: the
-//! media is read once per directory and mount, to build the index. Entry
-//! edits find their slot there too, and write only the bytes they change.
+//! The namespace rules are [`fskit::vfs`]'s; PMFS is its [`Namespace`],
+//! each op one journal transaction. Names resolve, and entry edits find
+//! their slot, through the per-directory DRAM name index, never by
+//! scanning directory blocks.
 
 use std::sync::{Arc, OnceLock, Weak};
 
 use fskit::namei::{NameIndex, NameiStats};
-use fskit::{
-    DirEntry, Fd, FdTable, FileSystem, FileType, FsError, MmapHandle, OpenFlags, Result, Stat,
-};
+use fskit::vfs::{self, Edit, Namespace, OpenFile, Reserve};
+use fskit::{DirEntry, Fd, FdTable, FileSystem, FileType, FsError, MmapHandle, OpenFlags, Result};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE};
-use obsv::{FsObs, OpKind, Site, TrackedMutex};
+use obsv::{FsObs, OpKind, Site, TrackedMutex, TrackedMutexGuard};
 
 use crate::alloc::Allocator;
 use crate::dir;
@@ -63,17 +62,6 @@ impl Default for PmfsOptions {
             inode_count: 16384,
         }
     }
-}
-
-/// Per-open state.
-#[derive(Debug)]
-pub struct OpenFile {
-    /// Inode number of the open file.
-    pub ino: u64,
-    /// Flags the file was opened with.
-    pub flags: OpenFlags,
-    /// Shared inode state.
-    pub handle: Arc<InodeHandle>,
 }
 
 /// Witness that a transaction journaled an inode's core: minted only by
@@ -111,26 +99,41 @@ pub trait VolatileLayer: Send + Sync {
     fn make_room(&self);
 }
 
-/// An inode [`Pmfs::free_inode`] freed: once its transaction commits,
-/// the tree nodes it cut are recycled and its slot returns to the free
-/// list.
-struct Freed<'a> {
-    ino: u64,
-    emptied: tree::Emptied<'a>,
+/// A namespace op's transaction: the journal handle, and what
+/// [`Namespace::finish`] settles when it commits or aborts.
+pub struct NsTx<'a> {
+    tx: TxHandle,
+    /// A grown directory's core, journaled by its add, for its stamp.
+    logged: Option<InodeLogged>,
+    /// The inode the op allocated: its slot goes back on abort.
+    created: Option<u64>,
+    /// The inode the op freed, and the tree nodes it cut: recycled, and
+    /// its slot returned, once the commit lands.
+    freed: Option<(u64, tree::Emptied<'a>)>,
+    /// Directories whose entries the op edited.
+    edited: Vec<Arc<InodeHandle>>,
 }
 
-/// Undo slots a rename to an `n`-byte name sets aside. In place it logs
-/// the entry's header and the new name; as a move, at worst the removed
-/// entry's predecessor header and a grown directory's core (an add that
-/// fits logs one header instead of the core); over an existing entry
-/// (`replace`), that entry's header, the removed entry's predecessor
-/// header and the replaced inode's liveness word.
-fn rename_undo_slots(n: usize, replace: bool) -> u64 {
-    let slots = |bytes: usize| bytes.div_ceil(crate::journal::PAYLOAD) as u64;
-    if replace {
-        return 2 + slots(crate::inode::LIVENESS);
+/// Journal slots that `bytes` bytes of undo image take.
+fn slots(bytes: usize) -> u64 {
+    bytes.div_ceil(crate::journal::PAYLOAD) as u64
+}
+
+/// Undo slots a namespace op sets aside at begin, so no log in it is
+/// refused. A removal logs an entry header and a liveness word; a reap,
+/// the word. A rename in place logs the header and the new name; as a
+/// move, at worst a header and a grown directory's core; over an entry,
+/// two headers and the replaced inode's word. A create is refused only
+/// before anything it cannot roll back.
+fn undo_slots(reserve: Reserve) -> u64 {
+    let liveness = slots(crate::inode::LIVENESS);
+    match reserve {
+        Reserve::Create => 0,
+        Reserve::Remove => slots(dir::HDR) + liveness,
+        Reserve::Reap => liveness,
+        Reserve::Rename { replace: true, .. } => 2 + liveness,
+        Reserve::Rename { name_len, .. } => (1 + slots(INODE_CORE)).max(slots(dir::HDR + name_len)),
     }
-    (1 + slots(INODE_CORE)).max(slots(dir::HDR + n))
 }
 
 /// A mounted PMFS instance.
@@ -141,7 +144,7 @@ pub struct Pmfs {
     journal: Journal,
     alloc: Allocator,
     icache: InodeCache,
-    fds: FdTable<OpenFile>,
+    fds: FdTable<OpenFile<InodeMem>>,
     ns_shards: Vec<TrackedMutex<()>>,
     recovery: RecoveryStats,
     obs: Arc<FsObs>,
@@ -247,12 +250,6 @@ impl Pmfs {
         self.layer.get()?.upgrade()
     }
 
-    fn make_room(&self) {
-        if let Some(layer) = self.layer() {
-            layer.make_room();
-        }
-    }
-
     /// The backing device.
     pub fn device(&self) -> &Arc<NvmmDevice> {
         &self.dev
@@ -282,22 +279,6 @@ impl Pmfs {
     /// The on-device layout.
     pub fn layout(&self) -> &Layout {
         &self.layout
-    }
-
-    /// Looks up the per-open state of a descriptor.
-    pub fn open_file(&self, fd: Fd) -> Result<Arc<OpenFile>> {
-        self.fds.get(fd)
-    }
-
-    /// Returns the shared handle of an inode.
-    pub fn inode(&self, ino: u64) -> Result<Arc<InodeHandle>> {
-        self.icache.get(&self.dev, &self.layout, ino)
-    }
-
-    /// Resolves a path to its inode handle.
-    pub fn resolve_path(&self, path: &str) -> Result<Arc<InodeHandle>> {
-        let comps = fskit::path::components(path)?;
-        self.resolve(&comps)
     }
 
     /// Journals inode `h`'s core's old image and persists the new one from
@@ -414,257 +395,6 @@ impl Pmfs {
             h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
         }
         (h % self.ns_shards.len() as u64) as usize
-    }
-
-    /// Locks the namespace shard guarding `(parent_ino, name)`.
-    fn lock_ns<'a>(&'a self, parent_ino: u64, name: &str) -> obsv::TrackedMutexGuard<'a, ()> {
-        self.ns_shards[self.ns_shard(parent_ino, name)].lock()
-    }
-
-    /// Runs entry edit `edit` on directory `d`'s name index, under its
-    /// write lock (`state`): [`NameiStats::edit`], the index built on
-    /// first use with one pass over the directory blocks, at that pass's
-    /// full NVMM-read cost.
-    fn edit_names<R>(
-        &self,
-        d: &InodeHandle,
-        state: &mut InodeMem,
-        edit: impl FnOnce(&mut NameIndex, &mut InodeMem) -> Result<R>,
-    ) -> Result<R> {
-        let build = |s: &InodeMem| dir::index(&self.dev, s);
-        self.namei.edit(&mut d.names.lock(), state, build, edit)
-    }
-
-    /// Looks `name` up in directory `d` (`state` read-locked by the caller)
-    /// through its name index: a hit costs the DRAM copy of the one entry.
-    fn lookup(
-        &self,
-        d: &InodeHandle,
-        state: &InodeMem,
-        name: &str,
-    ) -> Result<Option<(u64, FileType)>> {
-        let build = || dir::index(&self.dev, state);
-        self.namei
-            .lookup(&self.dev, &mut d.names.lock(), build, name)
-    }
-
-    /// [`dir::add`] under `tx`, through and into the directory's name
-    /// index. The caller holds `dir`'s write lock (`state`). When the
-    /// entry does not fit the directory's blocks, the directory's core is
-    /// journaled first — once a grown directory counts its new block in
-    /// memory, nothing is left that a full ring could refuse — and the
-    /// witness returned for [`Pmfs::stamp_dir`]; `None`: only the mtime
-    /// changes.
-    fn add_entry(
-        &self,
-        tx: &TxHandle,
-        dir: &InodeHandle,
-        state: &mut InodeMem,
-        name: &str,
-        ino: u64,
-        ftype: FileType,
-    ) -> Result<Option<InodeLogged>> {
-        self.edit_names(dir, state, |index, state| {
-            let logged = match index.host(dir::entry_len(name.len())) {
-                Some(_) => None,
-                None => Some(self.log_inode(tx, dir.ino)?),
-            };
-            let (dev, j, alloc) = (&self.dev, &self.journal, &self.alloc);
-            dir::add(dev, j, tx, alloc, state, index, name, ino, ftype)?;
-            Ok(logged)
-        })
-    }
-
-    /// [`dir::remove`] under `tx`, through and out of the directory's name
-    /// index. The caller holds `dir`'s write lock (`state`).
-    fn remove_entry(
-        &self,
-        tx: &TxHandle,
-        dir: &InodeHandle,
-        state: &mut InodeMem,
-        name: &str,
-    ) -> Result<()> {
-        self.edit_names(dir, state, |index, _| {
-            dir::remove(&self.dev, &self.journal, tx, index, name).map(drop)
-        })
-    }
-
-    /// Stamps directory `ino`'s mtime after an entry edit under `tx`.
-    /// With `logged` (the edit grew the directory) the core is rewritten
-    /// under its undo image; otherwise the mtime is the one field that
-    /// changed, and goes to the media as one 8-byte atomic store that no
-    /// rollback takes back.
-    fn stamp_dir(
-        &self,
-        tx: &TxHandle,
-        ino: u64,
-        state: &mut InodeMem,
-        logged: Option<InodeLogged>,
-    ) {
-        state.mtime = self.env.now();
-        match logged {
-            Some(logged) => self.rewrite_logged_inode(tx, logged, state),
-            None => self.store_word(ino, crate::inode::MTIME_OFF, state.mtime),
-        }
-    }
-
-    /// Aborts a namespace transaction that may have edited entries of
-    /// `dirs`: the rollback restores those entries on the media, under
-    /// the name indexes, so the indexes go too. Their locks are held
-    /// across the rollback — a lookup must not rebuild an index from
-    /// half-restored blocks and keep it.
-    fn abort_namespace(&self, tx: TxHandle, dirs: &[&Arc<InodeHandle>]) {
-        let mut dirs: Vec<&Arc<InodeHandle>> = dirs.to_vec();
-        dirs.sort_unstable_by_key(|d| d.ino);
-        dirs.dedup_by_key(|d| d.ino);
-        let mut held: Vec<_> = dirs.iter().map(|d| d.names.lock()).collect();
-        self.journal.abort(tx);
-        for names in &mut held {
-            self.namei.forget(names);
-        }
-    }
-
-    fn resolve(&self, comps: &[&str]) -> Result<Arc<InodeHandle>> {
-        let mut h = self.inode(ROOT_INO)?;
-        for comp in comps {
-            let next = {
-                let state = h.state.read();
-                if state.ftype != FileType::Dir {
-                    return Err(FsError::NotADirectory);
-                }
-                self.lookup(&h, &state, comp)?.ok_or(FsError::NotFound)?.0
-            };
-            h = self.inode(next)?;
-        }
-        Ok(h)
-    }
-
-    fn resolve_parent<'p>(&self, path: &'p str) -> Result<(Arc<InodeHandle>, &'p str)> {
-        let (parent_comps, name) = fskit::path::split_parent(path)?;
-        let parent = self.resolve(&parent_comps)?;
-        if parent.state.read().ftype != FileType::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        Ok((parent, name))
-    }
-
-    /// Creates a file or directory entry under `parent` (ns lock held).
-    fn create_node(
-        &self,
-        parent: &Arc<InodeHandle>,
-        name: &str,
-        ftype: FileType,
-    ) -> Result<Arc<InodeHandle>> {
-        let ino = self.icache.alloc_slot()?;
-        let tx = self.journal.begin()?;
-        let mem = InodeMem::new(ftype, self.env.now());
-        let res = (|| -> Result<()> {
-            self.log_liveness(&tx, ino)?;
-            self.persist_inode_core(ino, &mem);
-            let mut pstate = parent.state.write();
-            if pstate.ftype != FileType::Dir || pstate.nlink == 0 {
-                // The parent was removed between resolution and the
-                // shard lock (different entries, different shards).
-                return Err(FsError::NotFound);
-            }
-            let logged = self.add_entry(&tx, parent, &mut pstate, name, ino, ftype)?;
-            self.stamp_dir(&tx, parent.ino, &mut pstate, logged);
-            Ok(())
-        })();
-        match res {
-            Ok(()) => {
-                self.journal.commit(tx);
-                Ok(self.icache.install(ino, mem))
-            }
-            Err(e) => {
-                self.abort_namespace(tx, &[parent]);
-                self.icache.free_slot(ino);
-                Err(e)
-            }
-        }
-    }
-
-    /// Frees inode `h`, whose last link is gone and which no descriptor
-    /// holds open, inside `tx` and under its write lock (`state`): the one
-    /// place PMFS frees an inode. What the layer above holds for a regular
-    /// file goes first ([`VolatileLayer::discard`]); then word 0 is
-    /// journaled, the blocks freed and word 0 cleared (the rest of the core
-    /// is the slot's dead tail). The caller ends `tx` with
-    /// [`Pmfs::finish_namespace`].
-    fn free_inode(
-        &self,
-        tx: &TxHandle,
-        h: &InodeHandle,
-        state: &mut InodeMem,
-    ) -> Result<Freed<'_>> {
-        match state.ftype {
-            FileType::File => {
-                if let Some(layer) = self.layer() {
-                    layer.discard(h, state, 0)?;
-                }
-            }
-            // The inode number may come back as another directory; a
-            // walker still holding this handle must find no names in it.
-            FileType::Dir => self.namei.forget(&mut h.names.lock()),
-        }
-        self.log_liveness(tx, h.ino)?;
-        state.nlink = 0;
-        let emptied = file::free_all(&self.dev, &self.alloc, state);
-        self.store_word(h.ino, 0, 0);
-        Ok(Freed {
-            ino: h.ino,
-            emptied,
-        })
-    }
-
-    /// Drops one link of `h` inside `tx`, under its write lock (`state`):
-    /// frees the inode when that was its last link and no descriptor holds
-    /// it open, else journals word 0 and stores it with the lower count.
-    fn drop_link(
-        &self,
-        tx: &TxHandle,
-        h: &InodeHandle,
-        state: &mut InodeMem,
-    ) -> Result<Option<Freed<'_>>> {
-        if state.nlink == 1 && *h.opens.lock() == 0 {
-            return self.free_inode(tx, h, state).map(Some);
-        }
-        self.log_liveness(tx, h.ino)?;
-        state.nlink -= 1;
-        self.store_word(h.ino, 0, state.liveness_word());
-        Ok(None)
-    }
-
-    /// Ends a namespace transaction: commits `tx`, then recycles what it
-    /// freed and returns the inode slot (`None`: it freed none) — or, on
-    /// an error, aborts it ([`Pmfs::abort_namespace`] over `dirs`).
-    fn finish_namespace(
-        &self,
-        tx: TxHandle,
-        res: Result<Option<Freed<'_>>>,
-        dirs: &[&Arc<InodeHandle>],
-    ) -> Result<()> {
-        match res {
-            Ok(freed) => {
-                let ino = freed.as_ref().map(|f| f.ino);
-                self.commit_recycling(tx, freed.map(|f| f.emptied));
-                if let Some(ino) = ino {
-                    self.icache.free_slot(ino);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.abort_namespace(tx, dirs);
-                Err(e)
-            }
-        }
-    }
-
-    /// Frees an unlinked inode once its last descriptor closes.
-    fn reap(&self, h: &InodeHandle) -> Result<()> {
-        let tx = self.journal.begin()?;
-        let res = self.free_inode(&tx, h, &mut h.state.write());
-        self.finish_namespace(tx, res.map(Some), &[])
     }
 
     /// Truncates or extends `h` to `size` in a transaction of its own
@@ -790,128 +520,13 @@ impl Pmfs {
         self.store_word(ino, crate::inode::MTIME_OFF, now);
         true
     }
-
-    /// Looks `name` up in directory `dir` under its read lock: the entry,
-    /// if any — "no such name" when `dir` itself was removed.
-    fn entry(&self, dir: &InodeHandle, name: &str) -> Result<Option<(u64, FileType)>> {
-        let state = dir.state.read();
-        if state.nlink == 0 {
-            return Err(FsError::NotFound);
-        }
-        self.lookup(dir, &state, name)
-    }
-
-    /// Whether directory `state` (write-locked by the caller) may be
-    /// removed: still linked, and empty.
-    fn check_removable(&self, state: &InodeMem) -> Result<()> {
-        if state.nlink == 0 {
-            return Err(FsError::NotFound);
-        }
-        if !dir::is_empty(&self.dev, state)? {
-            return Err(FsError::DirectoryNotEmpty);
-        }
-        Ok(())
-    }
-
-    /// [`Pmfs::remove_entry`] under `dir`'s write lock, then the mtime
-    /// stamp: an entry edit that changes nothing else in the directory.
-    fn remove_stamped(&self, tx: &TxHandle, dir: &Arc<InodeHandle>, name: &str) -> Result<()> {
-        let mut state = dir.state.write();
-        self.remove_entry(tx, dir, &mut state, name)?;
-        self.stamp_dir(tx, dir.ino, &mut state, None);
-        Ok(())
-    }
-
-    /// Rename over an existing entry, inside `tx`: the destination entry
-    /// (`dst`, bound to `victim`) is pointed at the source inode in place,
-    /// the source entry goes, and `victim` loses the link — one
-    /// transaction, so a crash leaves the destination naming one file or
-    /// the other, never neither. `victim`'s write lock is held throughout:
-    /// a directory is checked empty under it, as in `rmdir`.
-    fn replace_entry(
-        &self,
-        tx: &TxHandle,
-        (src_parent, src_name): (&Arc<InodeHandle>, &str),
-        (dst_parent, dst_name): (&Arc<InodeHandle>, &str),
-        (ino, ftype): (u64, FileType),
-        victim: &InodeHandle,
-    ) -> Result<Option<Freed<'_>>> {
-        let mut vstate = victim.state.write();
-        if vstate.ftype == FileType::Dir {
-            self.check_removable(&vstate)?;
-        }
-        let same_dir = Arc::ptr_eq(src_parent, dst_parent);
-        {
-            let mut pstate = dst_parent.state.write();
-            self.edit_names(dst_parent, &mut pstate, |index, _| {
-                let (from, to) = (dst_name, dst_name);
-                dir::rewrite(&self.dev, &self.journal, tx, index, from, to, ino, ftype)
-            })?;
-            if same_dir {
-                self.remove_entry(tx, src_parent, &mut pstate, src_name)?;
-            }
-            self.stamp_dir(tx, dst_parent.ino, &mut pstate, None);
-        }
-        if !same_dir {
-            self.remove_stamped(tx, src_parent, src_name)?;
-        }
-        self.drop_link(tx, victim, &mut vstate)
-    }
 }
 
 impl FileSystem for Pmfs {
+    fskit::namespace_ops!();
+
     fn name(&self) -> &'static str {
         "pmfs"
-    }
-
-    fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        self.obs.op(OpKind::Open, || {
-            self.make_room();
-            self.env.charge_syscall();
-            let (parent, name) = self.resolve_parent(path)?;
-            fskit::path::validate_name(name)?;
-            let _ns = self.lock_ns(parent.ino, name);
-            let create = flags.contains(OpenFlags::CREATE);
-            let excl = create && flags.contains(OpenFlags::EXCL);
-            let handle = match self.entry(&parent, name)? {
-                Some((_, FileType::Dir)) => return Err(FsError::IsADirectory),
-                Some(_) if excl => return Err(FsError::AlreadyExists),
-                Some((ino, _)) => self.inode(ino)?,
-                None if !create => return Err(FsError::NotFound),
-                None => self.create_node(&parent, name, FileType::File)?,
-            };
-            if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                self.resize(&handle, 0)?;
-            }
-            *handle.opens.lock() += 1;
-            Ok(self.fds.insert(OpenFile {
-                ino: handle.ino,
-                flags,
-                handle,
-            }))
-        })
-    }
-
-    /// `close(2)`. The last descriptor of an unlinked file frees it; PMFS
-    /// decides "last one out" atomically with the descriptor count.
-    fn close(&self, fd: Fd) -> Result<()> {
-        self.obs.op(OpKind::Close, || {
-            self.make_room();
-            self.env.charge_syscall();
-            let of = self.fds.remove(fd)?;
-            let orphan = {
-                // `state` before `opens`, like every other site (see
-                // `InodeHandle`).
-                let state = of.handle.state.read();
-                let mut opens = of.handle.opens.lock();
-                *opens -= 1;
-                *opens == 0 && state.nlink == 0
-            };
-            if orphan {
-                self.reap(&of.handle)?;
-            }
-            Ok(())
-        })
     }
 
     fn read(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
@@ -968,160 +583,6 @@ impl FileSystem for Pmfs {
         })
     }
 
-    fn unlink(&self, path: &str) -> Result<()> {
-        self.obs.op(OpKind::Unlink, || {
-            self.make_room();
-            self.env.charge_syscall();
-            let (parent, name) = self.resolve_parent(path)?;
-            let _ns = self.lock_ns(parent.ino, name);
-            let (ino, ftype) = self.entry(&parent, name)?.ok_or(FsError::NotFound)?;
-            if ftype != FileType::File {
-                return Err(FsError::IsADirectory);
-            }
-            let child = self.inode(ino)?;
-            let tx = self.journal.begin()?;
-            // Fallible steps run before the volatile nlink/cache mutations
-            // so an abort leaves the in-memory state matching the
-            // rolled-back bytes.
-            let res = (|| -> Result<Option<Freed<'_>>> {
-                self.remove_stamped(&tx, &parent, name)?;
-                self.drop_link(&tx, &child, &mut child.state.write())
-            })();
-            self.finish_namespace(tx, res, &[&parent])
-        })
-    }
-
-    fn mkdir(&self, path: &str) -> Result<()> {
-        self.make_room();
-        self.env.charge_syscall();
-        let (parent, name) = self.resolve_parent(path)?;
-        fskit::path::validate_name(name)?;
-        let _ns = self.lock_ns(parent.ino, name);
-        if self.entry(&parent, name)?.is_some() {
-            return Err(FsError::AlreadyExists);
-        }
-        self.create_node(&parent, name, FileType::Dir)?;
-        Ok(())
-    }
-
-    fn rmdir(&self, path: &str) -> Result<()> {
-        self.make_room();
-        self.env.charge_syscall();
-        let (parent, name) = self.resolve_parent(path)?;
-        let _ns = self.lock_ns(parent.ino, name);
-        let (ino, ftype) = self.entry(&parent, name)?.ok_or(FsError::NotFound)?;
-        if ftype != FileType::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        let child = self.inode(ino)?;
-        let tx = self.journal.begin()?;
-        let res = (|| -> Result<Option<Freed<'_>>> {
-            // Hold the dying directory's write lock from the emptiness
-            // check through `nlink = 0`: a concurrent create into it
-            // either lands first (seen here as DirectoryNotEmpty) or
-            // observes the dead directory under its own parent lock.
-            // Child-then-parent nesting always follows tree depth upward,
-            // so it cannot deadlock against another rmdir.
-            let mut cstate = child.state.write();
-            self.check_removable(&cstate)?;
-            self.remove_stamped(&tx, &parent, name)?;
-            self.free_inode(&tx, &child, &mut cstate).map(Some)
-        })();
-        self.finish_namespace(tx, res, &[&parent])
-    }
-
-    fn readdir(&self, path: &str) -> Result<Vec<DirEntry>> {
-        self.env.charge_syscall();
-        let h = self.resolve_path(path)?;
-        let state = h.state.read();
-        if state.ftype != FileType::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        dir::list(&self.dev, &state)
-    }
-
-    fn stat(&self, path: &str) -> Result<Stat> {
-        self.env.charge_syscall();
-        Ok(self.resolve_path(path)?.stat())
-    }
-
-    fn fstat(&self, fd: Fd) -> Result<Stat> {
-        self.env.charge_syscall();
-        Ok(self.fds.get(fd)?.handle.stat())
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.make_room();
-        self.env.charge_syscall();
-        let (src_parent, src_name) = self.resolve_parent(from)?;
-        let (dst_parent, dst_name) = self.resolve_parent(to)?;
-        fskit::path::validate_name(dst_name)?;
-        // Lock both entries' shards in ascending index order (one lock
-        // when they collide) so concurrent renames cannot deadlock.
-        let si = self.ns_shard(src_parent.ino, src_name);
-        let di = self.ns_shard(dst_parent.ino, dst_name);
-        let (lo, hi) = (si.min(di), si.max(di));
-        let _ns_lo = self.ns_shards[lo].lock();
-        let _ns_hi = (hi != lo).then(|| self.ns_shards[hi].lock());
-        let (ino, ftype) = self
-            .entry(&src_parent, src_name)?
-            .ok_or(FsError::NotFound)?;
-        let replaced = {
-            let pstate = dst_parent.state.read();
-            self.lookup(&dst_parent, &pstate, dst_name)?
-        };
-        let victim = match replaced {
-            None => None,
-            Some((dino, _)) if dino == ino => return Ok(()),
-            Some((_, FileType::Dir)) if ftype == FileType::File => {
-                return Err(FsError::IsADirectory)
-            }
-            Some((_, FileType::File)) if ftype == FileType::Dir => {
-                return Err(FsError::NotADirectory)
-            }
-            Some((dino, _)) => Some(self.inode(dino)?),
-        };
-        // Undo slots for every log below are set aside up front: past the
-        // first entry edit, nothing can fail on a full ring.
-        let tx = self
-            .journal
-            .begin_reserving(rename_undo_slots(dst_name.len(), victim.is_some()))?;
-        let res = (|| -> Result<Option<Freed<'_>>> {
-            if let Some(victim) = &victim {
-                let (src, dst) = ((&src_parent, src_name), (&dst_parent, dst_name));
-                return self.replace_entry(&tx, src, dst, (ino, ftype), victim);
-            }
-            if Arc::ptr_eq(&src_parent, &dst_parent) {
-                // In place when the new name fits the old record, so a
-                // full directory does not grow. Otherwise add before
-                // remove: the new entry may only land on bytes no record
-                // reached when the transaction began — the removed
-                // entry's are not, once merged into its neighbour.
-                let mut pstate = src_parent.state.write();
-                let in_place = self.edit_names(&src_parent, &mut pstate, |index, _| {
-                    let (from, to) = (src_name, dst_name);
-                    dir::rewrite(&self.dev, &self.journal, &tx, index, from, to, ino, ftype)
-                })?;
-                let logged = if in_place {
-                    None
-                } else {
-                    let logged =
-                        self.add_entry(&tx, &src_parent, &mut pstate, dst_name, ino, ftype)?;
-                    self.remove_entry(&tx, &src_parent, &mut pstate, src_name)?;
-                    logged
-                };
-                self.stamp_dir(&tx, src_parent.ino, &mut pstate, logged);
-                return Ok(None);
-            }
-            self.remove_stamped(&tx, &src_parent, src_name)?;
-            let mut pstate = dst_parent.state.write();
-            let logged = self.add_entry(&tx, &dst_parent, &mut pstate, dst_name, ino, ftype)?;
-            self.stamp_dir(&tx, dst_parent.ino, &mut pstate, logged);
-            Ok(None)
-        })();
-        self.finish_namespace(tx, res, &[&src_parent, &dst_parent])
-    }
-
     fn sync(&self) -> Result<()> {
         self.env.charge_syscall();
         self.dev.sfence();
@@ -1141,6 +602,193 @@ impl FileSystem for Pmfs {
         let of = self.fds.get(fd)?;
         let handle = PmfsMmap::new(self, &of, off, len)?;
         Ok(Arc::new(handle))
+    }
+}
+
+impl Namespace for Pmfs {
+    type State = InodeMem;
+    type Tx<'a> = NsTx<'a>;
+    /// The shards of the (one or two) entries' `(parent, name)` pairs,
+    /// in ascending index order and one lock when they collide, so racing
+    /// ops on one entry serialize and no two ops deadlock.
+    type Locked<'a> = [Option<TrackedMutexGuard<'a, ()>>; 2];
+    const ROOT: u64 = ROOT_INO;
+
+    fn device(&self) -> &NvmmDevice {
+        &self.dev
+    }
+
+    fn obs(&self) -> &FsObs {
+        &self.obs
+    }
+
+    fn namei(&self) -> &NameiStats {
+        &self.namei
+    }
+
+    fn fds(&self) -> &FdTable<OpenFile<InodeMem>> {
+        &self.fds
+    }
+
+    fn inode(&self, ino: u64) -> Result<Arc<InodeHandle>> {
+        self.icache.get(&self.dev, &self.layout, ino)
+    }
+
+    fn index(&self, dir: &InodeMem) -> Result<NameIndex> {
+        dir::index(&self.dev, dir)
+    }
+
+    fn list(&self, dir: &InodeMem) -> Result<Vec<DirEntry>> {
+        dir::list(&self.dev, dir)
+    }
+
+    fn make_room(&self) {
+        if let Some(layer) = self.layer() {
+            layer.make_room();
+        }
+    }
+
+    fn lock_entries<'a>(&'a self, entries: &[(u64, &str)]) -> Self::Locked<'a> {
+        let mut shards = [None; 2];
+        for (shard, &(parent, name)) in shards.iter_mut().zip(entries) {
+            *shard = Some(self.ns_shard(parent, name));
+        }
+        shards.sort_unstable();
+        if shards[0] == shards[1] {
+            shards[0] = None;
+        }
+        shards.map(|shard| shard.map(|i| self.ns_shards[i].lock()))
+    }
+
+    fn begin(&self, reserve: Reserve) -> Result<NsTx<'_>> {
+        Ok(NsTx {
+            tx: self.journal.begin_reserving(undo_slots(reserve))?,
+            logged: None,
+            created: None,
+            freed: None,
+            edited: Vec::new(),
+        })
+    }
+
+    /// The slot's liveness word is journaled before the fresh core lands.
+    fn create(&self, tx: &mut NsTx<'_>, ftype: FileType) -> Result<Arc<InodeHandle>> {
+        let ino = self.icache.alloc_slot()?;
+        tx.created = Some(ino);
+        let mem = InodeMem::new(ftype, self.env.now());
+        self.log_liveness(&tx.tx, ino)?;
+        self.persist_inode_core(ino, &mem);
+        Ok(self.icache.install(ino, mem))
+    }
+
+    /// An add journals the one header it links — or, when the entry does
+    /// not fit the directory's blocks, the directory's core first: once a
+    /// grown directory counts its new block in memory, nothing is left
+    /// that a full ring could refuse. The core's witness goes to
+    /// [`Namespace::stamp`].
+    fn edit(
+        &self,
+        tx: &mut NsTx<'_>,
+        d: &Arc<InodeHandle>,
+        state: &mut InodeMem,
+        edit: Edit<&str>,
+    ) -> Result<bool> {
+        tx.edited.push(d.clone());
+        let (dev, j, alloc) = (&self.dev, &self.journal, &self.alloc);
+        vfs::edit_names(self, d, state, |index, state| match edit {
+            Edit::Add(name, ino, ftype) => {
+                if index.host(dir::entry_len(name.len())).is_none() {
+                    tx.logged = Some(self.log_inode(&tx.tx, d.ino)?);
+                }
+                dir::add(dev, j, &tx.tx, alloc, state, index, name, ino, ftype).map(|_| true)
+            }
+            Edit::Remove(name) => dir::remove(dev, j, &tx.tx, index, name).map(|_| true),
+            Edit::Rewrite(from, to, ino, ftype) => {
+                dir::rewrite(dev, j, &tx.tx, index, from, to, ino, ftype)
+            }
+        })
+    }
+
+    /// With the core journaled (the edit grew the directory) the core is
+    /// rewritten under its undo image; otherwise the mtime is the one
+    /// field that changed, and goes to the media as one 8-byte atomic
+    /// store that no rollback takes back.
+    fn stamp(&self, tx: &mut NsTx<'_>, d: &InodeHandle, state: &mut InodeMem) -> Result<()> {
+        state.mtime = self.env.now();
+        match tx.logged.take_if(|l| l.ino == d.ino) {
+            Some(logged) => self.rewrite_logged_inode(&tx.tx, logged, state),
+            None => self.store_word(d.ino, crate::inode::MTIME_OFF, state.mtime),
+        }
+        Ok(())
+    }
+
+    /// Journals word 0 and stores it with the lower count.
+    fn drop_link(&self, tx: &mut NsTx<'_>, h: &InodeHandle, state: &mut InodeMem) -> Result<()> {
+        self.log_liveness(&tx.tx, h.ino)?;
+        state.nlink -= 1;
+        self.store_word(h.ino, 0, state.liveness_word());
+        Ok(())
+    }
+
+    /// The one place PMFS frees an inode. What the layer above holds for
+    /// a regular file goes first ([`VolatileLayer::discard`]); then word
+    /// 0 is journaled, the blocks freed and word 0 cleared (the rest of
+    /// the core is the slot's dead tail). Every op that frees sets the
+    /// word's undo slot aside at begin ([`undo_slots`]), so nothing after
+    /// the discard can fail and leave a live file without its buffers.
+    fn free<'a>(&'a self, tx: &mut NsTx<'a>, h: &InodeHandle, state: &mut InodeMem) -> Result<()> {
+        match state.ftype {
+            FileType::File => {
+                if let Some(layer) = self.layer() {
+                    layer.discard(h, state, 0)?;
+                }
+            }
+            // The inode number may come back as another directory; a
+            // walker still holding this handle must find no names in it.
+            FileType::Dir => self.namei.forget(&mut h.names.lock()),
+        }
+        self.log_liveness(&tx.tx, h.ino)?;
+        state.nlink = 0;
+        let emptied = file::free_all(&self.dev, &self.alloc, state);
+        self.store_word(h.ino, 0, 0);
+        tx.freed = Some((h.ino, emptied));
+        Ok(())
+    }
+
+    fn resize(&self, h: &InodeHandle, size: u64) -> Result<()> {
+        Pmfs::resize(self, h, size)
+    }
+
+    /// Commits `tx`, then recycles what it freed and returns the inode
+    /// slot — or aborts it, dropping the indexes of the directories it
+    /// edited and returning the slot it allocated.
+    fn finish<R>(&self, tx: NsTx<'_>, res: Result<R>) -> Result<R> {
+        match res {
+            Ok(r) => {
+                let (ino, emptied) = tx.freed.unzip();
+                self.commit_recycling(tx.tx, emptied);
+                if let Some(ino) = ino {
+                    self.icache.free_slot(ino);
+                }
+                Ok(r)
+            }
+            Err(e) => {
+                // The rollback restores the edited entries under the
+                // indexes, so those go too, locked across it: a lookup
+                // must not rebuild one from half-restored blocks.
+                let mut dirs = tx.edited;
+                dirs.sort_unstable_by_key(|d| d.ino);
+                dirs.dedup_by_key(|d| d.ino);
+                let mut held: Vec<_> = dirs.iter().map(|d| d.names.lock()).collect();
+                self.journal.abort(tx.tx);
+                for names in &mut held {
+                    self.namei.forget(names);
+                }
+                if let Some(ino) = tx.created {
+                    self.icache.free_slot(ino);
+                }
+                Err(e)
+            }
+        }
     }
 }
 
@@ -1182,20 +830,8 @@ impl obsv::Introspect for Pmfs {
             s.begins.saturating_sub(s.commits + s.aborts),
             u.open_txs,
         );
-        // namei.index. Only handles that have an index are locked — the
-        // in-band auditor runs under a *file's* inode lock.
-        let mut held = 0;
-        for h in self.icache.cached() {
-            if h.names.lock().is_none() {
-                continue;
-            }
-            let state = h.state.read();
-            let media = dir::index_uncharged(&self.dev, &state);
-            if let Some(index) = h.names.lock().as_ref() {
-                held += index.audit(&mut rep, h.ino, media);
-            }
-        }
-        self.namei.audit(&mut rep, held);
+        let media = |state: &InodeMem| dir::index_uncharged(&self.dev, state);
+        vfs::audit_names(&mut rep, &self.namei, self.icache.cached(), media);
         self.alloc.audit_zeroed_pool(&self.dev, &mut rep);
         rep
     }

@@ -1,6 +1,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
+use fskit::vfs::Namespace;
 use fskit::{FileSystem, FileType, FsError, OpenFlags};
 use nvmm::{Cat, CostModel, FaultPlan, NvmmDevice, SimEnv, BLOCK_SIZE};
 use obsv::Introspect;
@@ -1140,7 +1141,7 @@ fn data_lines(in_blk: usize, len: usize) -> u64 {
 
 /// The core on NVMM decodes to the in-DRAM image of `/f`.
 fn assert_core_on_media(dev: &NvmmDevice, fs: &Pmfs, what: &str) {
-    let h = fs.resolve_path("/f").unwrap();
+    let h = fskit::vfs::resolve(fs, "/f").unwrap();
     let mut raw = [0u8; crate::inode::INODE_CORE];
     dev.peek(fs.layout().inode_off(h.ino), &mut raw);
     let media = InodeMem::decode(&raw).unwrap();

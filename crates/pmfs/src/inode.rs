@@ -11,11 +11,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fskit::le::{u32_at, u64_at};
-use fskit::namei::NameIndex;
+use fskit::vfs::{Inode, InodeState};
 use fskit::{FileType, FsError, Result, Stat};
 use nvmm::{Cat, NvmmDevice};
 use obsv::{Site, TrackedMutex};
-use parking_lot::{Mutex, RwLock};
 
 use crate::layout::Layout;
 
@@ -112,52 +111,25 @@ impl InodeMem {
     }
 }
 
+impl InodeState for InodeMem {
+    fn stat(&self, ino: u64) -> Stat {
+        Stat {
+            ino,
+            ftype: self.ftype,
+            size: self.size,
+            blocks: self.blocks,
+            nlink: self.nlink,
+            mtime_ns: self.mtime,
+        }
+    }
+}
+
 /// A held write lock on an inode's state ([`InodeHandle::state`]).
 pub type InodeGuard<'a> = parking_lot::RwLockWriteGuard<'a, InodeMem>;
 
-/// Shared in-memory inode state.
-#[derive(Debug)]
-pub struct InodeHandle {
-    /// The inode number.
-    pub ino: u64,
-    /// The mutable inode state. Lock order: namespace lock before inode
-    /// locks; never hold two inode locks except child-then-parent (see
-    /// [`crate::fs`]).
-    pub state: RwLock<InodeMem>,
-    /// Open descriptor count (volatile); freed inodes are reaped when it
-    /// reaches zero. Lock order: `state` → `opens`, never the reverse —
-    /// "is this the last reference?" reads `nlink` and the count
-    /// together, and unlink asks it holding `state.write()`.
-    pub opens: Mutex<u32>,
-    /// Directories only: the name index ([`fskit::namei`]), built on the
-    /// first lookup after mount; a journal abort that rolled entries back
-    /// drops it. Lock order: `state` → `names`.
-    pub names: Mutex<Option<NameIndex>>,
-}
-
-impl InodeHandle {
-    /// `stat(2)`'s view of the inode.
-    pub fn stat(&self) -> Stat {
-        let s = self.state.read();
-        Stat {
-            ino: self.ino,
-            ftype: s.ftype,
-            size: s.size,
-            blocks: s.blocks,
-            nlink: s.nlink,
-            mtime_ns: s.mtime,
-        }
-    }
-
-    fn new(ino: u64, mem: InodeMem) -> Arc<InodeHandle> {
-        Arc::new(InodeHandle {
-            ino,
-            state: RwLock::new(mem),
-            opens: Mutex::new(0),
-            names: Mutex::new(None),
-        })
-    }
-}
+/// Shared in-memory inode state ([`fskit::vfs::Inode`]); its lock order
+/// is documented in [`crate::fs`].
+pub type InodeHandle = Inode<InodeMem>;
 
 /// Cache of in-memory inode handles plus the free-slot list.
 ///
@@ -210,14 +182,14 @@ impl InodeCache {
         let mut buf = [0u8; INODE_CORE];
         dev.read(Cat::Meta, layout.inode_off(ino), &mut buf);
         let mem = InodeMem::decode(&buf)?.ok_or(FsError::Corrupted("reference to free inode"))?;
-        let h = InodeHandle::new(ino, mem);
+        let h = Inode::new(ino, mem);
         map.insert(ino, h.clone());
         Ok(h)
     }
 
     /// Installs a handle for a just-created inode.
     pub fn install(&self, ino: u64, mem: InodeMem) -> Arc<InodeHandle> {
-        let h = InodeHandle::new(ino, mem);
+        let h = Inode::new(ino, mem);
         self.shard(ino).lock().insert(ino, h.clone());
         h
     }

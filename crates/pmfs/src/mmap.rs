@@ -8,11 +8,13 @@
 
 use std::sync::Arc;
 
+use fskit::vfs::OpenFile;
 use fskit::{FsError, MmapHandle, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
 
 use crate::file::FreshRun;
-use crate::fs::{OpenFile, Pmfs};
+use crate::fs::Pmfs;
+use crate::inode::InodeMem;
 use crate::layout::Layout;
 use crate::tree;
 
@@ -30,7 +32,7 @@ impl PmfsMmap {
     /// Builds a mapping of `[off, off+len)` of the open file, allocating
     /// (zeroed) blocks for any holes in the range. The range must lie
     /// within the file.
-    pub fn new(fs: &Pmfs, of: &OpenFile, off: u64, len: usize) -> Result<PmfsMmap> {
+    pub fn new(fs: &Pmfs, of: &OpenFile<InodeMem>, off: u64, len: usize) -> Result<PmfsMmap> {
         if len == 0 {
             return Err(FsError::InvalidArgument("empty mapping"));
         }

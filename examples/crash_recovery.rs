@@ -30,6 +30,15 @@
 //! fails unless `hinfs_foreground_stalls` moved and the full shard gave
 //! a block up.
 //!
+//! The namespace-refusal drill runs every kind over 40 random scripts
+//! with the journal, then the allocator, refusing every request after
+//! the first `k` (k = 0..24). At the first op a system refuses where the
+//! reference model succeeds, the system (fault lifted) must equal the
+//! model's state before that op when the op is a namespace op (create,
+//! unlink, rename, mkdir, rmdir): a refused namespace op changes nothing.
+//! Refused data ops that changed the file are counted and printed, not
+//! failed (a known open bug).
+//!
 //! A last pass injects soft faults (journal-full backpressure, ENOSPC,
 //! writeback stalls) and demands graceful degradation: clean errors, no
 //! panics, and a clean crash + recovery afterwards.
@@ -173,7 +182,50 @@ fn main() {
         violations.push("hinfs: the budget drill never evicted from a foreign shard".into());
     }
 
-    // -- Pass 4: soft-fault injection over a journal-heavy script tail --
+    // -- Pass 4: the namespace-refusal drill --
+    println!("\n== namespace-refusal drill: 40 scripts x k 0..24, first refusal ==");
+    for fault in [InjectedFault::JournalFull, InjectedFault::Enospc] {
+        for kind in SystemKind::ALL {
+            let (mut ns, mut ns_bad, mut data, mut data_bad) = (0, 0, 0, 0);
+            for seed in 0..40 {
+                let script = Script::random(seed, 40);
+                for k in 0..24 {
+                    let found = faultfs::first_refusal(kind, h.config(), &script.ops, fault, k);
+                    let Some(r) = found.unwrap_or_else(|e| {
+                        violations.push(e);
+                        None
+                    }) else {
+                        continue;
+                    };
+                    if !r.namespace() {
+                        data += 1;
+                        data_bad += !r.diffs.is_empty() as u32;
+                        continue;
+                    }
+                    ns += 1;
+                    if !r.diffs.is_empty() {
+                        ns_bad += 1;
+                        let op = r.op.to_text();
+                        let what = format!("seed {seed} k {k}: op {} `{op}`", r.index);
+                        let first = &r.diffs[0];
+                        violations.push(format!("refused {what} ({:?}) changed {first}", r.err));
+                    }
+                }
+            }
+            println!(
+                "  {:<12} {:<15} -> {:>3} namespace refusals, {} changed something | \
+                 {:>3} data refusals, {} changed the file",
+                kind.label(),
+                fault.label(),
+                ns,
+                ns_bad,
+                data,
+                data_bad
+            );
+        }
+    }
+
+    // -- Pass 5: soft-fault injection over a journal-heavy script tail --
     let faulty = Script {
         ops: vec![
             Op::Create { file: 0 },

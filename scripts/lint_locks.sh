@@ -15,9 +15,9 @@ cd "$(dirname "$0")/.."
 CRATES=(nvmm blockdev fskit pmfs extfs hinfs)
 ALLOW=(
     "crates/nvmm/src/fault.rs"  # fault-injection control plane (test-only)
-    "crates/pmfs/src/inode.rs"  # per-inode state/opens: per-object, not a site
+    "crates/fskit/src/vfs.rs"   # per-inode state/opens/names: per-object, not a site
+    "crates/pmfs/src/inode.rs"  # per-inode state's write guard
     "crates/pmfs/src/mmap.rs"   # per-mapping dirty-line list
-    "crates/extfs/src/inode.rs" # per-inode state/opens
 )
 
 allowed() {

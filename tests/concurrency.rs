@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use faultfs::{Harness, Script};
+use fskit::vfs::{self, Namespace};
 use fskit::{FileSystem, OpenFlags};
 use nvmm::{CostModel, FaultPlan, SimEnv, TimeMode};
 use pmfs::alloc::Allocator;
@@ -334,12 +335,12 @@ fn within_secs(secs: u64, what: &str, body: impl FnOnce() + Send + 'static) {
 }
 
 /// Lock order on an inode is `state` → `opens` everywhere. `Pmfs::close`
-/// used to take `opens` → `state`, which deadlocked against a concurrent
-/// unlink of the same file (`state.write()` → `opens`): one thread
-/// open/close-loops a path while another unlink/create-loops it.
+/// (and ext's) used to take `opens` → `state`, which deadlocked against a
+/// concurrent unlink of the same file (`state.write()` → `opens`): one
+/// thread open/close-loops a path while another unlink/create-loops it.
 #[test]
 fn close_racing_unlink_of_the_same_file_does_not_deadlock() {
-    for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
+    for kind in [SystemKind::Pmfs, SystemKind::Hinfs, SystemKind::Ext4Dax] {
         within_secs(60, kind.label(), move || {
             let sys = spin_system(kind);
             let create = OpenFlags::RDWR | OpenFlags::CREATE;
@@ -407,36 +408,54 @@ fn eight_thread_unlink_create_churn_keeps_the_zeroed_pool_sound() {
 /// an unlinker inside its critical section (`state.write()` held, `opens`
 /// not yet taken) while another thread closes the file's descriptor. A
 /// closer that grabbed `opens` before waiting for `state` is holding the
-/// one lock the unlinker needs next.
+/// one lock the unlinker needs next. Both families close through the one
+/// namespace driver; ext4-dax's closer used to take `opens` first.
 #[test]
 fn close_never_holds_opens_while_waiting_for_state() {
     within_secs(60, "pmfs close lock order", || {
-        let env = nvmm::SimEnv::new(TimeMode::Spin, nvmm::CostModel::default());
-        let dev = nvmm::NvmmDevice::new(env, 16 << 20);
-        let fs = pmfs::Pmfs::mkfs(dev, pmfs::PmfsOptions::default()).unwrap();
-        let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
-        let h = fs.resolve_path("/f").unwrap();
-        let unlinker = h.state.write();
-        std::thread::scope(|scope| {
-            let closer = scope.spawn(|| fs.close(fd).unwrap());
-            // The descriptor leaves the table just before the closer
-            // turns to the inode's locks...
-            while fs.open_file(fd).is_ok() {
-                std::thread::yield_now();
-            }
-            // ...where it must now be parked on `state`, hands empty.
-            for _ in 0..10_000 {
-                assert!(
-                    h.opens.try_lock().is_some(),
-                    "close holds `opens` while blocked on `state` (order is state → opens)"
-                );
-                std::thread::yield_now();
-            }
-            drop(unlinker);
-            closer.join().unwrap();
-        });
-        fs.unmount().unwrap();
+        let fs = pmfs::Pmfs::mkfs(spin_device(), pmfs::PmfsOptions::default()).unwrap();
+        close_parks_on_state_with_empty_hands(&*fs);
     });
+    within_secs(60, "ext4-dax close lock order", || {
+        let opts = extfs::ExtOptions {
+            journal_blocks: 256,
+            inode_count: 4096,
+            cache_pages: 512,
+        };
+        let fs = extfs::Extfs::mkfs(spin_device(), extfs::ExtMode::Ext4Dax, opts).unwrap();
+        close_parks_on_state_with_empty_hands(&*fs);
+    });
+}
+
+/// A fresh 16 MiB spin-mode (real-thread) device.
+fn spin_device() -> Arc<nvmm::NvmmDevice> {
+    let env = SimEnv::new(TimeMode::Spin, CostModel::default());
+    nvmm::NvmmDevice::new(env, 16 << 20)
+}
+
+fn close_parks_on_state_with_empty_hands<F: FileSystem + Namespace>(fs: &F) {
+    let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
+    let h = vfs::resolve(fs, "/f").unwrap();
+    let unlinker = h.state.write();
+    std::thread::scope(|scope| {
+        let closer = scope.spawn(|| fs.close(fd).unwrap());
+        // The descriptor leaves the table just before the closer turns
+        // to the inode's locks...
+        while fs.fds().get(fd).is_ok() {
+            std::thread::yield_now();
+        }
+        // ...where it must now be parked on `state`, hands empty.
+        for _ in 0..10_000 {
+            assert!(
+                h.opens.try_lock().is_some(),
+                "close holds `opens` while blocked on `state` (order is state → opens)"
+            );
+            std::thread::yield_now();
+        }
+        drop(unlinker);
+        closer.join().unwrap();
+    });
+    fs.unmount().unwrap();
 }
 
 /// The last descriptor of an unlinked file and the last link of a closed

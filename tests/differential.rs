@@ -4,6 +4,10 @@
 //! the same VFS contract — and the same outcomes as the fuzzer's
 //! reference model.
 
+mod common;
+
+use common::fixture;
+use faultfs::{first_refusal, InjectedFault, Op};
 use hinfs_suite::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -175,5 +179,175 @@ fn every_system_runs_in_lockstep_with_the_model() {
             let vs = faultfs::differential(&h, kind, &script.ops, None);
             assert!(vs.is_empty(), "{} seed {seed}: {vs:#?}", kind.label());
         }
+    }
+}
+
+/// The namespace rules, one row per case: every system — one namespace
+/// driver over both families — gives the same outcome. `setup` runs
+/// first on a fresh image; `op` is the row.
+#[test]
+fn namespace_rules() {
+    type Row = (
+        &'static str,
+        &'static str,
+        fn(&dyn FileSystem) -> fskit::Result<()>,
+    );
+    fn open(fs: &dyn FileSystem, path: &str, flags: OpenFlags) -> fskit::Result<()> {
+        fs.open(path, flags).map(drop)
+    }
+    let rw = OpenFlags::RDWR;
+    let rows: [Row; 22] = [
+        ("open missing", "", |fs| open(fs, "/x", OpenFlags::RDWR)),
+        ("open creates", "", |fs| {
+            open(fs, "/x", OpenFlags::RDWR | OpenFlags::CREATE)
+        }),
+        ("open existing", "f", |fs| open(fs, "/f", OpenFlags::RDWR)),
+        ("open creat existing", "f", |fs| {
+            open(fs, "/f", OpenFlags::RDWR | OpenFlags::CREATE)
+        }),
+        ("open excl existing", "f", |fs| {
+            open(
+                fs,
+                "/f",
+                OpenFlags::RDWR | OpenFlags::CREATE | OpenFlags::EXCL,
+            )
+        }),
+        ("open excl missing", "", |fs| {
+            open(
+                fs,
+                "/x",
+                OpenFlags::RDWR | OpenFlags::CREATE | OpenFlags::EXCL,
+            )
+        }),
+        ("open trunc", "f", |fs| {
+            open(fs, "/f", OpenFlags::RDWR | OpenFlags::TRUNC)
+        }),
+        ("open a directory", "d", |fs| {
+            open(fs, "/d", OpenFlags::READ)
+        }),
+        ("create over a directory", "d", |fs| {
+            open(fs, "/d", OpenFlags::RDWR | OpenFlags::CREATE)
+        }),
+        ("file in mid-path", "f", |fs| {
+            open(fs, "/f/x", OpenFlags::RDWR | OpenFlags::CREATE)
+        }),
+        ("rename onto itself", "f", |fs| fs.rename("/f", "/f")),
+        ("rename onto itself through dots", "f", |fs| {
+            fs.rename("/f", "/x/../f")
+        }),
+        ("rename missing source", "", |fs| fs.rename("/x", "/y")),
+        ("rename file over file", "fg", |fs| fs.rename("/f", "/g")),
+        ("rename file over directory", "fd", |fs| {
+            fs.rename("/f", "/d")
+        }),
+        ("rename directory over file", "fd", |fs| {
+            fs.rename("/d", "/f")
+        }),
+        ("rename over empty directory", "de", |fs| {
+            fs.rename("/d", "/e")
+        }),
+        ("rename over non-empty directory", "dn", |fs| {
+            fs.rename("/d", "/n")
+        }),
+        ("rename into own subtree", "n", |fs| {
+            fs.rename("/n", "/n/s/t")
+        }),
+        ("rmdir non-empty", "n", |fs| fs.rmdir("/n")),
+        ("unlink a directory", "d", |fs| fs.unlink("/d")),
+        ("mkdir existing", "d", |fs| fs.mkdir("/d")),
+    ];
+    let want = [
+        Err(FsError::NotFound),
+        Ok(()),
+        Ok(()),
+        Ok(()),
+        Err(FsError::AlreadyExists),
+        Ok(()),
+        Ok(()),
+        Err(FsError::IsADirectory),
+        Err(FsError::IsADirectory),
+        Err(FsError::NotADirectory),
+        Ok(()),
+        Ok(()),
+        Err(FsError::NotFound),
+        Ok(()),
+        Err(FsError::IsADirectory),
+        Err(FsError::NotADirectory),
+        Ok(()),
+        Err(FsError::DirectoryNotEmpty),
+        Err(FsError::InvalidArgument("rename into its own subtree")),
+        Err(FsError::DirectoryNotEmpty),
+        Err(FsError::IsADirectory),
+        Err(FsError::AlreadyExists),
+    ];
+    for kind in SystemKind::ALL {
+        for ((what, setup, op), want) in rows.iter().zip(&want) {
+            let sys = build(kind, &cfg()).unwrap();
+            let fs = &*sys.fs;
+            // Setup letters: f, g files; d, e empty directories; n a
+            // directory holding /n/s.
+            for c in setup.chars() {
+                match c {
+                    'f' | 'g' => fs
+                        .close(fs.open(&format!("/{c}"), rw | OpenFlags::CREATE).unwrap())
+                        .unwrap(),
+                    'n' => {
+                        fs.mkdir("/n").unwrap();
+                        fs.mkdir("/n/s").unwrap();
+                    }
+                    _ => fs.mkdir(&format!("/{c}")).unwrap(),
+                }
+            }
+            let before: Vec<_> = fs.readdir("/").unwrap();
+            let got = op(fs);
+            assert_eq!(&got, want, "{}: {what}", kind.label());
+            if got.is_err() {
+                assert_eq!(fs.readdir("/").unwrap(), before, "{}: {what}", kind.label());
+            }
+            if *what == "rename into own subtree" {
+                assert!(
+                    fs.stat("/n/s").is_ok(),
+                    "{}: the subtree went",
+                    kind.label()
+                );
+            }
+            sys.fs.unmount().unwrap();
+        }
+    }
+}
+
+/// `tests/repro/unlink_journal_full_hinfs.repro`: an unlink the journal
+/// refuses changes nothing, under every admit count, on every kind. It
+/// used to discard HiNFS's buffered blocks of the file before its
+/// liveness log, which the full ring then refused: the file stayed, its
+/// data did not. The case it was shrunk from is checked as found.
+#[test]
+fn an_unlink_the_journal_refuses_keeps_the_files_data() {
+    let s = Script::random(8, 40);
+    let r = first_refusal(
+        SystemKind::HinfsWb,
+        &cfg(),
+        &s.ops,
+        InjectedFault::JournalFull,
+        8,
+    );
+    let r = r.unwrap().expect("the journal refuses an op of the script");
+    assert!(r.diffs.is_empty(), "{r:?}");
+    let ops = fixture("unlink_journal_full_hinfs").script.ops;
+    for kind in SystemKind::ALL {
+        let mut unlinks = 0;
+        for admit in 0..16 {
+            let fault = InjectedFault::JournalFull;
+            let Some(r) = first_refusal(kind, &cfg(), &ops, fault, admit).unwrap() else {
+                continue;
+            };
+            assert!(r.diffs.is_empty(), "{} admit {admit}: {r:?}", kind.label());
+            unlinks += matches!(r.op, Op::Unlink { .. }) as u32;
+        }
+        let journaled = !matches!(
+            kind,
+            SystemKind::Ext2Bd | SystemKind::Ext4Bd | SystemKind::Ext4Dax
+        );
+        assert_eq!(unlinks > 0, journaled, "{}", kind.label());
     }
 }

@@ -516,6 +516,45 @@ fn a_create_refused_the_parents_undo_image_is_clean_on_both_stacks() {
     }
 }
 
+/// An extend exposes zeroes past the old end of file, even where a crash
+/// left stale bytes there: 0xee written at EOF 5 000 lands in the mapped
+/// tail block, the power fails before the size that covers it does, and
+/// an `ftruncate(8192)` after recovery used to expose the 0xee on PMFS
+/// (HiNFS zeroed its own copy; the zeroing is PMFS's truncate's now).
+/// HiNFS writes with `O_SYNC` so the bytes go straight to NVMM too.
+#[test]
+fn an_extend_zeroes_the_stale_tail_a_crash_left_past_eof() {
+    for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
+        let cfg = Harness::new().config().clone();
+        let sys = setups::build(kind, &cfg).unwrap();
+        let (dev, env, fs) = (sys.dev.clone(), sys.env.clone(), sys.fs.clone());
+        let flags = OpenFlags::RDWR | OpenFlags::CREATE | OpenFlags::SYNC;
+        let fd = fs.open("/f", flags).unwrap();
+        fs.write(fd, 0, &[0x11; 5000]).unwrap();
+        fs.fsync(fd).unwrap();
+        let plan = FaultPlan::new();
+        dev.fault_hook().install(plan.clone());
+        // The first persist of the write is its data; the size follows.
+        plan.arm_crash(1);
+        let crashed = catch_unwind(AssertUnwindSafe(|| fs.write(fd, 5000, &[0xee; 100])));
+        assert!(crashed.is_err(), "{}: the write crashed", kind.label());
+        dev.fault_hook().clear();
+        drop((fs, sys));
+        dev.crash();
+        let sys = setups::remount_with(kind, dev, env, &cfg).unwrap();
+        let fs = &sys.fs;
+        assert_eq!(fs.stat("/f").unwrap().size, 5000, "{}", kind.label());
+        let fd = fs.open("/f", OpenFlags::RDWR).unwrap();
+        fs.truncate(fd, 8192).unwrap();
+        let mut buf = vec![0u8; 8192];
+        assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), 8192);
+        assert!(buf[..5000].iter().all(|&b| b == 0x11), "{}", kind.label());
+        let stale = buf[5000..].iter().position(|&b| b != 0);
+        assert_eq!(stale, None, "{}: stale byte past the old EOF", kind.label());
+        fs.close(fd).unwrap();
+    }
+}
+
 /// `tests/repro/truncate_journal_full.repro`: the ring refuses one of the
 /// script's truncates after `admit` requests. The second request of a
 /// truncate used to be the core's undo image, asked for after the cut: a

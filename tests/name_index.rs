@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use extfs::{ExtMode, ExtOptions, Extfs};
 use fskit::namei::NameIndex;
+use fskit::vfs::Namespace;
 use fskit::{FileSystem, FileType, FsError, OpenFlags};
 use nvmm::{CostModel, FaultPlan, NvmmDevice, SimEnv, BLOCK_SIZE};
 use obsv::{AuditReport, Introspect};
