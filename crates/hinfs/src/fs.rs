@@ -139,9 +139,7 @@ impl Hinfs {
 
     /// The buffer shard owning `ino`.
     pub(crate) fn shard(&self, ino: u64) -> &TrackedMutex<Shared> {
-        let idx = self.shard_idx(ino);
-        obsv::note_shard(idx as u32);
-        &self.shards[idx]
+        &self.shards[self.shard_idx(ino)]
     }
 
     // ----- write path -----

@@ -300,7 +300,7 @@ impl NvmmDevice {
     pub fn sfence(&self) {
         self.spans.scope(Phase::Fence, || {
             self.stats.add_fence();
-            obsv::note_fence(1);
+            obsv::note_fence();
             self.env.charge_fence();
             self.fault_boundary(BoundaryKind::Fence, 0, 0);
         })
@@ -316,7 +316,7 @@ impl NvmmDevice {
             if n > 1 {
                 self.stats.add_fences_coalesced(n - 1);
             }
-            obsv::note_fence(n.max(1));
+            obsv::note_fence();
             self.env.charge_fence();
             self.fault_boundary(BoundaryKind::Fence, 0, 0);
         })

@@ -15,7 +15,7 @@
 //! - **site × op attribution**: waits and holds are also charged to the
 //!   row of the op frame open on the calling thread (background row when
 //!   idle or detached), yielding a site × op matrix alongside the span
-//!   matrix; wait samples also land on the frame's in-flight record.
+//!   matrix.
 //!
 //! Blocking that happens *without* a lock — a foreground write paying
 //! for a writeback reclaim, a journal-full flush, bandwidth-gate
@@ -41,7 +41,7 @@
 //! spin mode (stress tests, Criterion).
 
 use crate::histo::{Histo, HistoSnapshot};
-use crate::scope::{current_row, note_wait};
+use crate::scope::current_row;
 use crate::span::SPAN_ROWS;
 use crate::{Clock, Level, MetricSource, Visitor};
 use std::sync;
@@ -274,10 +274,7 @@ impl ContentionTable {
     pub fn stall(&self, site: Site, wait_ns: u64) {
         match self.level() {
             Level::Off => {}
-            Level::Counts => {
-                self.note_contended(site);
-                note_wait(site, wait_ns);
-            }
+            Level::Counts => self.note_contended(site),
             Level::Full => self.record_wait(site, wait_ns),
         }
     }
@@ -345,7 +342,6 @@ impl ContentionTable {
         let s = &self.sites[site.index()];
         s.wait.record(wait_ns);
         s.wait_by_op[current_row()].fetch_add(wait_ns, Ordering::Relaxed);
-        note_wait(site, wait_ns);
     }
 
     fn record_hold(&self, site: Site, hold_ns: u64) {

@@ -5,12 +5,11 @@
 //!
 //! - every instrumented syscall runs inside [`FsObs::op`], which opens
 //!   the calling thread's op frame; while it is open every hook
-//!   (`note_*`, [`SpanTable::scope`], lock-wait samples) writes one
-//!   [`OpRecord`];
+//!   (`note_*`, [`SpanTable::scope`]) writes the frame's one record;
 //! - when the outermost scope closes, the record is folded once into
 //!   the aggregations: [`Histo`] latency histograms per [`OpKind`], the
-//!   [`SpanTable`] phase matrix, the [`LineageTable`] write-amplification
-//!   ledger and the [`FlightRecorder`] tail reservoir;
+//!   [`SpanTable`] phase matrix and the [`LineageTable`]
+//!   write-amplification ledger;
 //! - beside the per-op pipeline sit the event-driven pieces: the
 //!   [`TraceRing`] of structured [`TraceEvent`]s, the [`ContentionTable`]
 //!   lock/stall profiler, and [`MetricsRegistry`] / [`MetricSource`],
@@ -75,10 +74,7 @@ pub use histo::{
 };
 pub use lineage::{DrainKind, Layer, LineageSnap, LineageTable, Stamp, ALL_LAYERS, NLAYERS};
 pub use registry::{MetricSource, MetricsRegistry, RegistrySnapshot, Visitor};
-pub use scope::{
-    detached, note_batch, note_bytes, note_charge, note_fence, note_shard, FlightRecorder,
-    FlightSnapshot, OpRecord, Scope, TailAnatomy, FLIGHT_MERGED_TOPK, FLIGHT_TOPK, NO_SHARD,
-};
+pub use scope::{detached, note_bytes, note_charge, note_fence, Scope};
 pub use snapshot::{
     dirty_line_bucket, invariant_label, lrw_age_bucket, AuditReport, AuditViolation, BufferSnap,
     CacheSnap, DeviceSnap, FsSnapshot, Introspect, JournalSnap, AUDIT_INVARIANTS,
@@ -87,8 +83,7 @@ pub use snapshot::{
 pub use span::{row_label, Phase, SpanSnapshot, SpanTable, ALL_PHASES, BG_ROW, NPHASES, SPAN_ROWS};
 pub use trace::{TraceEvent, TraceRecord, TraceRing};
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// The simulation clock the observability layer reads (simulated ns):
@@ -127,8 +122,8 @@ pub enum Level {
     /// acquisition/contention counts.
     Counts = 1,
     /// Everything: per-op records and all their folds (latency
-    /// histograms, span matrix, lineage ledger, tail reservoir), plus
-    /// lock wait/hold histograms and the site × op matrix.
+    /// histograms, span matrix, lineage ledger), plus lock wait/hold
+    /// histograms and the site × op matrix.
     Full = 2,
 }
 
@@ -140,36 +135,6 @@ impl Level {
             _ => Level::Full,
         }
     }
-}
-
-/// Shards used by the per-thread collection structures (the tail
-/// reservoir, the trace ring's segments). A power of two so `ordinal %
-/// SHARDS` is a mask.
-pub const COLLECTION_SHARDS: usize = 8;
-
-static THREAD_COUNTER: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static THREAD_ORDINAL: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// A small dense id for the calling thread: 0 for the first thread that
-/// asks, 1 for the next, and so on for the life of the process. Cached
-/// in a thread-local, so the steady-state cost is one TLS read. Shard
-/// selectors take this modulo their shard count — single-threaded runs
-/// therefore always land in shard 0, which keeps them bit-identical to
-/// the unsharded layout.
-#[inline]
-pub fn thread_ordinal() -> usize {
-    THREAD_ORDINAL.with(|o| {
-        let v = o.get();
-        if v != usize::MAX {
-            return v;
-        }
-        let v = THREAD_COUNTER.fetch_add(1, Ordering::Relaxed);
-        o.set(v);
-        v
-    })
 }
 
 labelled! {
@@ -192,8 +157,7 @@ labelled! {
 }
 
 /// Per-file-system observability bundle: the level switch, one latency
-/// histogram per op kind, the trace ring, the lineage ledger and the tail
-/// reservoir. [`FsObs::op`] and [`FsObs::bg_scope`] (the per-op scope)
+/// histogram per op kind, the trace ring and the lineage ledger. [`FsObs::op`] and [`FsObs::bg_scope`] (the per-op scope)
 /// are the only way records reach the accumulators.
 #[derive(Debug)]
 pub struct FsObs {
@@ -210,8 +174,6 @@ pub struct FsObs {
     audit_checks: AtomicU64,
     /// Invariants found broken. Non-zero means structural corruption.
     audit_violations: AtomicU64,
-    /// The top-K tail reservoir (slowest finished op records).
-    flight: FlightRecorder,
     /// The data-lifecycle provenance ledger (durability lag, per-layer
     /// write amplification).
     lineage: LineageTable,
@@ -236,7 +198,6 @@ impl FsObs {
             spans,
             audit_checks: AtomicU64::new(0),
             audit_violations: AtomicU64::new(0),
-            flight: FlightRecorder::default(),
             lineage: LineageTable::default(),
         }
     }
@@ -260,12 +221,6 @@ impl FsObs {
     #[inline]
     pub fn full(&self) -> bool {
         self.level() == Level::Full
-    }
-
-    /// The tail reservoir bundled with this file system.
-    #[inline]
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     /// The data-lifecycle provenance ledger bundled with this file
@@ -358,13 +313,8 @@ impl MetricSource for FsObs {
                 out.histo(&format!("obsv_op_{}_ns", op.label()), snap);
             }
         }
-        out.counter("obsv_trace_events", self.trace.emitted());
-        out.counter("obsv_trace_dropped", self.trace.dropped());
         out.counter("obsv_audit_checks", self.audit_checks());
         out.counter("obsv_audit_violations", self.audit_violations());
-        if self.flight.recorded() > 0 {
-            out.counter("obsv_flight_records", self.flight.recorded());
-        }
         let lin = self.lineage.snap();
         if self.full() || !lin.is_empty() {
             lin.visit("obsv_lineage_", out, |out, name, v| {
@@ -374,9 +324,6 @@ impl MetricSource for FsObs {
                     out.counter(name, v)
                 }
             });
-            if lin.lag.count() > 0 {
-                out.histo("obsv_lineage_lag_ns", lin.lag);
-            }
         }
         self.spans.collect(out);
     }
@@ -530,14 +477,12 @@ mod tests {
             obs.op(op, || now.fetch_add(ns, Ordering::Relaxed));
         }
         assert_eq!(obs.op_histo(OpKind::Read).snapshot().count(), 2);
-        let slow = obs.flight().snapshot();
-        assert_eq!(slow.all()[0].op, OpKind::Fsync);
-        assert_eq!(slow.all()[0].total_ns, 5000);
+        assert_eq!(obs.op_histo(OpKind::Fsync).snapshot().sum(), 5000);
         let reg = MetricsRegistry::new();
         reg.register("", Arc::new(obs));
         let snap = reg.snapshot();
         assert_eq!(snap.histo("obsv_op_read_ns").unwrap().count(), 2);
-        assert_eq!(snap.counter("obsv_flight_records"), 3);
+        assert_eq!(snap.histo("obsv_op_fsync_ns").unwrap().sum(), 5000);
         assert!(
             snap.histo("obsv_op_write_ns").is_none(),
             "empty ops are omitted"

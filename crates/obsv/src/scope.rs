@@ -6,11 +6,11 @@
 //! outermost scope on a thread opens the frame and owns it; nested scopes
 //! — HiNFS delegating a syscall to PMFS, a writeback pass kicked inline
 //! by a write — only deepen it. While the frame is open every hook
-//! (`note_*`, [`SpanTable::scope`](crate::SpanTable::scope), the
-//! contention layer's wait samples) writes the frame's one [`OpRecord`].
+//! (`note_*`, [`SpanTable::scope`](crate::SpanTable::scope)) writes the
+//! frame's one record.
 //! When the outermost scope closes, the record is folded once into the
-//! aggregations: the op latency histogram, the span matrix, the lineage
-//! ledger row and the top-K tail reservoir.
+//! aggregations: the op latency histogram, the span matrix and the
+//! lineage ledger row.
 //!
 //! Rules, stated once:
 //!
@@ -19,12 +19,11 @@
 //! - **The outermost scope names the row.** A nested op never re-labels
 //!   the frame: an `open` that HiNFS forwards to PMFS is one `open`.
 //! - **Background is a row, not a mechanism.** A background scope is the
-//!   same frame with `row = BG_ROW`; it has no latency and no anatomy, so
-//!   only its span charges and ledger bytes fold. [`detached`] marks work
-//!   running inline on another actor's timeline (the virtual-mode
-//!   writeback pass): its span time lands in the background row, while
-//!   the bytes it persists and the stalls it absorbs stay on the op that
-//!   paid for them.
+//!   same frame with `row = BG_ROW`; it has no latency, so only its span
+//!   charges and ledger bytes fold. [`detached`] marks work running
+//!   inline on another actor's timeline (the virtual-mode writeback
+//!   pass): its span time lands in the background row, while the bytes
+//!   it persists stay on the op that paid for them.
 //! - **Time is booked, not timed.** The simulation's charge funnel
 //!   reports every modelled nanosecond through [`note_charge`]; a phase
 //!   span, a nested op and a [`detached`] block each own what is charged
@@ -33,125 +32,36 @@
 //!   remainder. Clocks are never advanced here, so the record changes
 //!   no result bit.
 
-use crate::histo::bucket_of;
-use crate::span::{Phase, ALL_PHASES, BG_ROW, NPHASES};
-use crate::{thread_ordinal, COLLECTION_SHARDS, NOPS};
-use crate::{FsObs, Layer, Level, OpKind, Site, ALL_SITES, NLAYERS, NSITES};
+use crate::span::{Phase, BG_ROW, NPHASES};
+use crate::{FsObs, Layer, Level, OpKind, NLAYERS};
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Shard id meaning "this op touched no buffer-pool shard".
-pub const NO_SHARD: u32 = u32::MAX;
-
-/// The complete anatomy of one operation: what every hook writes while
-/// the op is in flight, and what the tail reservoir keeps of the slowest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpRecord {
-    /// The op kind.
-    pub op: OpKind,
-    /// When the op started, simulated ns.
-    pub at_ns: u64,
-    /// Total op latency, simulated ns.
-    pub total_ns: u64,
-    /// Buffer-pool / allocator shard the op touched last, or
-    /// [`NO_SHARD`].
-    pub shard: u32,
-    /// Largest group-commit batch flushed inside the op (0 = none).
-    pub batch: u32,
-    /// Store fences issued while the op was in flight.
-    pub fences: u32,
-    /// Fences *saved* by group-commit coalescing (`sfence_coalesced(n)`
-    /// counts as 1 fence issued and `n-1` coalesced).
-    pub fences_coalesced: u32,
-    /// Stall events (`stall.*` sites) the op absorbed: writeback
-    /// interference, journal-full relief, bandwidth throttling.
-    pub stall_events: u32,
+/// What the hooks write while an op (or a background pass) is in flight:
+/// the bytes it moved, the fences it issued and its phase split.
+#[derive(Debug, Clone, Copy)]
+struct OpRecord {
     /// Bytes per [`Layer`] the op moved: logical bytes handed in, bytes
     /// staged in DRAM, bytes journaled, bytes persisted to NVMM
     /// (cacheline granularity). `WritebackDrained` is booked by stamp
     /// retirement, not per op, and stays 0 here.
-    pub bytes: [u64; NLAYERS],
-    /// Trace-ring seq ticket when the op began.
-    pub seq_start: u64,
-    /// Trace-ring seq ticket when the op finished; `seq_start..seq_end`
-    /// bounds the ring events emitted while the op was in flight.
-    pub seq_end: u64,
-    /// Exclusive simulated ns per [`Phase`]; sums to `total_ns` (the
-    /// remainder outside named phases is folded into [`Phase::Other`]).
-    pub phase_ns: [u64; NPHASES],
+    bytes: [u64; NLAYERS],
+    /// Store fences issued while the op was in flight.
+    fences: u64,
+    /// Exclusive simulated ns per [`Phase`]; an op's phases sum to its
+    /// latency (the remainder outside named phases is folded into
+    /// [`Phase::Other`]).
+    phase_ns: [u64; NPHASES],
     /// Scope completions per [`Phase`].
-    pub phase_calls: [u32; NPHASES],
-    /// Blocked simulated ns per [`Site`] (lock waits, condvar waits,
-    /// stall sites).
-    pub wait_ns: [u64; NSITES],
+    phase_calls: [u32; NPHASES],
 }
 
 impl OpRecord {
-    pub(crate) const EMPTY: OpRecord = OpRecord {
-        op: OpKind::Open,
-        at_ns: 0,
-        total_ns: 0,
-        shard: NO_SHARD,
-        batch: 0,
-        fences: 0,
-        fences_coalesced: 0,
-        stall_events: 0,
+    const EMPTY: OpRecord = OpRecord {
         bytes: [0; NLAYERS],
-        seq_start: 0,
-        seq_end: 0,
+        fences: 0,
         phase_ns: [0; NPHASES],
         phase_calls: [0; NPHASES],
-        wait_ns: [0; NSITES],
     };
-
-    /// The latency-histogram bucket this record's total falls in — the
-    /// link between an exemplar and the quantile math.
-    pub fn bucket(&self) -> usize {
-        bucket_of(self.total_ns)
-    }
-
-    /// The `k` largest nonzero phase contributions, largest first.
-    pub fn top_phases(&self, k: usize) -> Vec<(Phase, u64)> {
-        top_k(&ALL_PHASES, &self.phase_ns, k)
-    }
-
-    /// The `k` largest nonzero per-site waits, largest first.
-    pub fn top_waits(&self, k: usize) -> Vec<(Site, u64)> {
-        top_k(&ALL_SITES, &self.wait_ns, k)
-    }
-
-    /// Adds `r` into this record: times, bytes, fences, stalls, phases
-    /// and waits sum, `batch` keeps the larger, and `seq_start..seq_end`
-    /// widens to cover both; `op`, `at_ns` and `shard` stay this
-    /// record's.
-    pub fn absorb(&mut self, r: &OpRecord) {
-        self.total_ns += r.total_ns;
-        self.batch = self.batch.max(r.batch);
-        self.fences += r.fences;
-        self.fences_coalesced += r.fences_coalesced;
-        self.stall_events += r.stall_events;
-        self.seq_start = self.seq_start.min(r.seq_start);
-        self.seq_end = self.seq_end.max(r.seq_end);
-        let add = |a: &mut [u64], b: &[u64]| a.iter_mut().zip(b).for_each(|(a, b)| *a += b);
-        add(&mut self.bytes, &r.bytes);
-        add(&mut self.phase_ns, &r.phase_ns);
-        add(&mut self.wait_ns, &r.wait_ns);
-        for (a, b) in self.phase_calls.iter_mut().zip(r.phase_calls) {
-            *a += b;
-        }
-    }
-}
-
-/// The `k` largest nonzero `values`, largest first, ties in label order
-/// (the sort is stable).
-fn top_k<L: Copy>(labels: &[L], values: &[u64], k: usize) -> Vec<(L, u64)> {
-    let pairs = labels.iter().copied().zip(values.iter().copied());
-    let mut v: Vec<(L, u64)> = pairs.filter(|&(_, ns)| ns > 0).collect();
-    v.sort_by_key(|&(_, ns)| Reverse(ns));
-    v.truncate(k);
-    v
 }
 
 /// The calling thread's op frame.
@@ -163,7 +73,9 @@ struct Frame {
     row: usize,
     /// Inside [`detached`]: span charges go to the background row.
     detached: bool,
-    /// The in-flight record (the op's own anatomy).
+    /// When the outermost op scope opened, simulated ns.
+    start_ns: u64,
+    /// The in-flight record (the op's own).
     rec: OpRecord,
     /// Span charges owed to the background row (only its phases are
     /// used): everything in a background frame, detached work in an op
@@ -177,6 +89,7 @@ thread_local! {
             depth: 0,
             row: BG_ROW,
             detached: false,
+            start_ns: 0,
             rec: OpRecord::EMPTY,
             bg: OpRecord::EMPTY,
         })
@@ -204,21 +117,17 @@ pub(crate) fn swap_charged(v: u64) -> u64 {
 
 impl Frame {
     /// Opens a scope. The outermost one claims the frame for `row` and
-    /// starts a fresh record (an op's with its start time and seq); a
-    /// nested one only deepens it.
-    fn enter(&mut self, row: usize, start: Option<(u64, u64)>) {
+    /// starts a fresh record (an op's at its start time); a nested one
+    /// only deepens it.
+    fn enter(&mut self, row: usize, start_ns: u64) {
         self.depth += 1;
         if self.depth > 1 {
             return;
         }
         self.row = row;
+        self.start_ns = start_ns;
         self.bg = OpRecord::EMPTY;
         self.rec = OpRecord::EMPTY;
-        if let (Some(&op), Some((at_ns, seq))) = (crate::ALL_OPS.get(row), start) {
-            self.rec.op = op;
-            self.rec.at_ns = at_ns;
-            self.rec.seq_start = seq;
-        }
     }
 
     /// Books exclusive span time: on the op's own anatomy, or on the
@@ -233,26 +142,27 @@ impl Frame {
         rec.phase_calls[phase as usize] += 1;
     }
 
-    /// Closes a scope at `end` (the outermost op scope's clock read;
-    /// other scopes have none). Returns whether the frame is now
-    /// finished and must be folded.
-    fn exit(&mut self, end: Option<(u64, u64)>) -> bool {
+    /// Closes a scope at `end_ns` (the outermost op scope's clock read;
+    /// other scopes have none). Returns the op's latency once the frame
+    /// is finished and must be folded (0 for a background frame), `None`
+    /// while it stays open.
+    fn exit(&mut self, end_ns: Option<u64>) -> Option<u64> {
         self.depth -= 1;
         if self.depth > 0 {
-            return false;
+            return None;
         }
-        if let (true, Some((end_ns, seq))) = (self.row != BG_ROW, end) {
-            // The op's time in no named phase is its `Other` remainder,
-            // so the record's phases (and its span-matrix row) sum to
-            // the op's latency.
-            let rec = &mut self.rec;
-            rec.total_ns = end_ns.saturating_sub(rec.at_ns);
-            rec.seq_end = seq;
-            let phased: u64 = rec.phase_ns.iter().sum();
-            rec.phase_ns[Phase::Other as usize] += rec.total_ns.saturating_sub(phased);
-            rec.phase_calls[Phase::Other as usize] += 1;
-        }
-        true
+        let Some(end_ns) = end_ns.filter(|_| self.row != BG_ROW) else {
+            return Some(0);
+        };
+        // The op's time in no named phase is its `Other` remainder, so
+        // the record's phases (and its span-matrix row) sum to the op's
+        // latency.
+        let total_ns = end_ns.saturating_sub(self.start_ns);
+        let rec = &mut self.rec;
+        let phased: u64 = rec.phase_ns.iter().sum();
+        rec.phase_ns[Phase::Other as usize] += total_ns.saturating_sub(phased);
+        rec.phase_calls[Phase::Other as usize] += 1;
+        Some(total_ns)
     }
 }
 
@@ -275,45 +185,10 @@ pub fn note_bytes(layer: Layer, bytes: u64) {
     note(|r| r.bytes[layer as usize] += bytes);
 }
 
-/// Books one fence covering `coalesced` logical transactions (`sfence`
-/// passes 1; `sfence_coalesced(n)` passes `n`, crediting `n-1` saved
-/// fences).
+/// Books one store fence.
 #[inline]
-pub fn note_fence(coalesced: u64) {
-    note(|r| {
-        r.fences += 1;
-        r.fences_coalesced += coalesced.saturating_sub(1) as u32;
-    });
-}
-
-/// Books the buffer-pool / allocator shard the op is touching
-/// (last-wins; most ops touch exactly one).
-#[inline]
-pub fn note_shard(shard: u32) {
-    note(|r| r.shard = shard);
-}
-
-/// Books a group-commit batch of `n` transactions flushed inside the op
-/// (max-wins).
-#[inline]
-pub fn note_batch(n: u32) {
-    note(|r| r.batch = r.batch.max(n));
-}
-
-/// Adds blocked time at `site` to the in-flight record; `stall.*` sites
-/// also tick the stall-event count. Called by the contention layer on
-/// every wait sample.
-#[inline]
-pub(crate) fn note_wait(site: Site, wait_ns: u64) {
-    note(|r| {
-        r.wait_ns[site.index()] += wait_ns;
-        if matches!(
-            site,
-            Site::StallWriteback | Site::StallJournalFull | Site::StallThrottle
-        ) {
-            r.stall_events += 1;
-        }
-    });
+pub fn note_fence() {
+    note(|r| r.fences += 1);
 }
 
 /// The row the calling thread's span time and lock waits/holds belong
@@ -411,7 +286,7 @@ impl Drop for Scope<'_> {
             return;
         };
         let end = match self.close {
-            Close::Op => Some(obs.now_and_seq()),
+            Close::Op => Some(obs.spans().clock().now()),
             Close::Nested { outer } => {
                 let excl = swap_charged(outer);
                 FRAME.with(|fr| fr.borrow_mut().charge(Phase::Other, excl));
@@ -421,8 +296,8 @@ impl Drop for Scope<'_> {
         };
         FRAME.with(|fr| {
             let mut fr = fr.borrow_mut();
-            if fr.exit(end) {
-                obs.fold(&fr);
+            if let Some(total_ns) = fr.exit(end) {
+                obs.fold(&fr, total_ns);
             }
         });
     }
@@ -432,7 +307,7 @@ impl FsObs {
     /// Runs `f` as operation `op` — the only per-syscall entry point.
     /// Below [`Level::Full`] this is one relaxed load. At `Full` the
     /// outermost call on the thread opens the op frame, reads the clock
-    /// at both ends, and folds the finished [`OpRecord`]; a nested call
+    /// at both ends, and folds the finished record; a nested call
     /// (HiNFS forwarding to PMFS) deepens the frame and books what it
     /// charged outside named phases under [`Phase::Other`] on the same
     /// row, reading no clock.
@@ -442,8 +317,12 @@ impl FsObs {
             return f();
         }
         let nested = FRAME.with(|fr| fr.borrow().depth > 0);
-        let start = (!nested).then(|| self.now_and_seq());
-        FRAME.with(|fr| fr.borrow_mut().enter(op as usize, start));
+        let start_ns = if nested {
+            0
+        } else {
+            self.spans().clock().now()
+        };
+        FRAME.with(|fr| fr.borrow_mut().enter(op as usize, start_ns));
         let close = if nested {
             Close::Nested {
                 outer: swap_charged(0),
@@ -458,11 +337,6 @@ impl FsObs {
         f()
     }
 
-    /// The clock and the trace ring's seq ticket: an op's two ends.
-    fn now_and_seq(&self) -> (u64, u64) {
-        (self.spans().clock().now(), self.trace.emitted())
-    }
-
     /// Opens a background scope (writeback passes, periodic ticks,
     /// sync/unmount drains): hook traffic on this thread lands in the
     /// background row until the guard drops. Inert below
@@ -471,7 +345,7 @@ impl FsObs {
     pub fn bg_scope(&self) -> Scope<'_> {
         let open = self.level() == Level::Full;
         if open {
-            FRAME.with(|fr| fr.borrow_mut().enter(BG_ROW, None));
+            FRAME.with(|fr| fr.borrow_mut().enter(BG_ROW, 0));
         }
         Scope {
             obs: open.then_some(self),
@@ -481,194 +355,21 @@ impl FsObs {
 
     /// Folds a finished frame into the aggregations — the one place the
     /// per-op record meets the accumulators.
-    fn fold(&self, fr: &Frame) {
+    fn fold(&self, fr: &Frame, total_ns: u64) {
         self.spans()
             .fold(BG_ROW, &fr.bg.phase_ns, &fr.bg.phase_calls);
-        self.lineage()
-            .fold(fr.row, &fr.rec.bytes, fr.rec.fences as u64);
-        if fr.row == BG_ROW {
-            return;
+        self.lineage().fold(fr.row, &fr.rec.bytes, fr.rec.fences);
+        if let Some(&op) = crate::ALL_OPS.get(fr.row) {
+            self.op_histo(op).record(total_ns);
+            self.spans()
+                .fold(fr.row, &fr.rec.phase_ns, &fr.rec.phase_calls);
         }
-        let rec = &fr.rec;
-        self.op_histo(rec.op).record(rec.total_ns);
-        self.spans().fold(fr.row, &rec.phase_ns, &rec.phase_calls);
-        self.flight().retire(rec);
-    }
-}
-
-/// Records kept per op kind per collection shard. The merged snapshot
-/// keeps [`FLIGHT_MERGED_TOPK`]; any globally-top-K record necessarily
-/// survives its own shard's top-K pruning, so the merge is exact up to
-/// `FLIGHT_TOPK` records per shard.
-pub const FLIGHT_TOPK: usize = 8;
-
-/// Records kept per op kind after merging the collection shards.
-pub const FLIGHT_MERGED_TOPK: usize = 16;
-
-/// One collection shard's reservoirs: a top-K vector per op kind,
-/// boxed and lazily allocated on the shard's first retirement.
-type ShardReservoirs = Mutex<Option<Box<[Vec<OpRecord>; NOPS]>>>;
-
-/// The tail reservoir: per file system, the [`FLIGHT_TOPK`] slowest
-/// finished [`OpRecord`]s of each [`OpKind`] — one more fold of the
-/// record, fed by the scope alone. The histograms say *what* the p99 is;
-/// these say why one particular slow op was slow, and double as the
-/// histograms' exemplars ([`FlightSnapshot::cohort`]). Sharded per
-/// thread ordinal so concurrent retirements never serialize on one
-/// mutex; retiring replaces the shard's fastest kept record in place, so
-/// the only allocations are the lazy first-use reservoir boxes.
-#[derive(Debug, Default)]
-pub struct FlightRecorder {
-    recorded: AtomicU64,
-    shards: [ShardReservoirs; COLLECTION_SHARDS],
-}
-
-/// Locks a reservoir shard. A panic mid-retire leaves whole records
-/// behind, so a poisoned shard is still valid.
-fn lock(shard: &ShardReservoirs) -> MutexGuard<'_, Option<Box<[Vec<OpRecord>; NOPS]>>> {
-    shard.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Sort key putting the slowest record first, deterministically.
-fn slowest_first(r: &OpRecord) -> (Reverse<u64>, u64, u64) {
-    (Reverse(r.total_ns), r.at_ns, r.seq_start)
-}
-
-impl FlightRecorder {
-    /// Operations retired into the reservoirs so far.
-    pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
-
-    /// Inserts a finished record into the caller's reservoir shard,
-    /// replacing that shard's fastest record once the op's K slots are
-    /// full.
-    pub(crate) fn retire(&self, rec: &OpRecord) {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut guard = lock(&self.shards[thread_ordinal() % COLLECTION_SHARDS]);
-        let slots = guard.get_or_insert_with(|| {
-            Box::new(std::array::from_fn(|_| Vec::with_capacity(FLIGHT_TOPK)))
-        });
-        let v = &mut slots[rec.op as usize];
-        if v.len() < FLIGHT_TOPK {
-            v.push(*rec);
-        } else if let Some(min) = v.iter_mut().min_by_key(|r| r.total_ns) {
-            if rec.total_ns > min.total_ns {
-                *min = *rec;
-            }
-        }
-    }
-
-    /// Drops every record and zeroes the retire counter (timeline
-    /// rebasing, like `Histo::reset`).
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            *lock(shard) = None;
-        }
-        self.recorded.store(0, Ordering::Relaxed);
-    }
-
-    /// Merges the reservoir shards into a frozen snapshot: per op kind,
-    /// the up-to-[`FLIGHT_MERGED_TOPK`] slowest records, slowest first,
-    /// deterministically ordered.
-    pub fn snapshot(&self) -> FlightSnapshot {
-        let mut snap = FlightSnapshot {
-            recorded: self.recorded(),
-            ..FlightSnapshot::default()
-        };
-        for shard in &self.shards {
-            if let Some(slots) = lock(shard).as_ref() {
-                for (op, v) in slots.iter().enumerate() {
-                    snap.per_op[op].extend_from_slice(v);
-                }
-            }
-        }
-        for v in &mut snap.per_op {
-            v.sort_by_key(slowest_first);
-            v.truncate(FLIGHT_MERGED_TOPK);
-        }
-        snap
-    }
-}
-
-/// A frozen copy of a [`FlightRecorder`]'s reservoirs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FlightSnapshot {
-    per_op: [Vec<OpRecord>; NOPS],
-    recorded: u64,
-}
-
-impl FlightSnapshot {
-    /// Operations retired when the snapshot was taken.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// The kept records of one op kind, slowest first.
-    pub fn records(&self, op: OpKind) -> &[OpRecord] {
-        &self.per_op[op as usize]
-    }
-
-    /// Every kept record across all op kinds, slowest first.
-    pub fn all(&self) -> Vec<&OpRecord> {
-        self.cohort(0)
-    }
-
-    /// The exemplar cohort of a quantile: every kept record whose
-    /// latency bucket is at (or above) the bucket `quantile_ns` falls
-    /// in, slowest first. With `quantile_ns` from the merged histogram's
-    /// `quantile(q)`, these are the concrete anatomies behind the
-    /// reported pXX.
-    pub fn cohort(&self, quantile_ns: u64) -> Vec<&OpRecord> {
-        let floor = bucket_of(quantile_ns);
-        let mut v: Vec<&OpRecord> = self
-            .per_op
-            .iter()
-            .flatten()
-            .filter(|r| r.bucket() >= floor)
-            .collect();
-        v.sort_by_key(|r| slowest_first(r));
-        v
-    }
-}
-
-/// Aggregate anatomy of a set of records (an exemplar cohort): how many,
-/// and their sum.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TailAnatomy {
-    /// Records aggregated.
-    pub count: u64,
-    /// The records [absorbed](OpRecord::absorb) into one: summed phase,
-    /// wait and byte totals, the largest batch, and the covering
-    /// trace-seq window `seq_start..seq_end` (`0..0` for no records).
-    pub sum: OpRecord,
-}
-
-impl TailAnatomy {
-    /// Sums `records` into one anatomy.
-    pub fn aggregate<'a>(records: impl IntoIterator<Item = &'a OpRecord>) -> TailAnatomy {
-        let mut a = TailAnatomy {
-            count: 0,
-            sum: OpRecord {
-                seq_start: u64::MAX,
-                ..OpRecord::EMPTY
-            },
-        };
-        for r in records {
-            a.count += 1;
-            a.sum.absorb(r);
-        }
-        if a.count == 0 {
-            a.sum.seq_start = 0;
-        }
-        a
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histo::{bucket_lower, bucket_upper, Histo};
     use crate::{Clock, DrainKind, SpanTable};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -712,7 +413,7 @@ mod tests {
             let r = obs.op(OpKind::Write, || {
                 assert!(idle(), "no frame below Full");
                 note_bytes(Layer::Logical, 4096);
-                note_fence(1);
+                note_fence();
                 7
             });
             assert_eq!(r, 7);
@@ -720,7 +421,6 @@ mod tests {
             assert!(idle());
         }
         assert_eq!(obs.op_histo(OpKind::Write).snapshot().count(), 0);
-        assert_eq!(obs.flight().recorded(), 0);
         assert!(obs.lineage().snap().is_empty());
         assert_eq!(obs.stamp(100), crate::Stamp::default());
         assert_eq!(obs.record_drain(&obs.stamp(1), DrainKind::Lazy, 900, 64), 0);
@@ -737,44 +437,22 @@ mod tests {
             c.charge(10);
             t.scope(Phase::DramCopy, || c.charge(120));
             t.scope(Phase::Persist, || c.charge(300));
-            note_wait(Site::PmfsJournal, 40);
-            note_wait(Site::StallWriteback, 60);
-            note_fence(1);
-            note_fence(4); // one fence covering a 4-tx group commit
+            note_fence();
+            note_fence();
             note_bytes(Layer::Logical, 100);
             note_bytes(Layer::DramBuffered, 4096);
             note_bytes(Layer::JournalLogged, 128);
             note_bytes(Layer::NvmmPersisted, 256);
-            note_shard(3);
-            note_batch(4);
-            note_batch(2);
             c.charge(570);
         });
         assert!(idle(), "frame closes with the outermost scope");
-        // The tail reservoir keeps the whole anatomy...
-        let snap = obs.flight().snapshot();
-        let r = snap.records(OpKind::Write)[0];
-        assert_eq!((r.at_ns, r.total_ns), (1000, 1000));
-        assert_eq!(r.phase_ns[Phase::DramCopy as usize], 120);
-        assert_eq!(r.phase_ns[Phase::Persist as usize], 300);
-        // ...whose remainder lands in Other, so the phases sum to the total.
-        assert_eq!(r.phase_ns[Phase::Other as usize], 580);
-        assert_eq!(r.phase_ns.iter().sum::<u64>(), r.total_ns);
-        assert_eq!(r.wait_ns[Site::PmfsJournal.index()], 40);
-        assert_eq!(r.wait_ns[Site::StallWriteback.index()], 60);
-        assert_eq!(r.stall_events, 1);
-        assert_eq!((r.fences, r.fences_coalesced), (2, 3));
-        assert_eq!(r.bytes[Layer::NvmmPersisted as usize], 256);
-        assert_eq!((r.shard, r.batch), (3, 4));
-        assert_eq!(
-            r.top_phases(2),
-            vec![(Phase::Other, 580), (Phase::Persist, 300)]
-        );
-        assert_eq!(r.top_waits(1), vec![(Site::StallWriteback, 60)]);
-        // ...the histogram the latency...
-        assert_eq!(obs.op_histo(OpKind::Write).snapshot().sum(), 1000);
-        // ...the span matrix the phases, on the op's row...
+        // The histogram gets the latency...
+        let h = obs.op_histo(OpKind::Write).snapshot();
+        assert_eq!((h.count(), h.sum()), (1, 1000));
+        // ...the span matrix the phases, on the op's row, with the
+        // remainder in Other, so the row sums to the latency...
         let s = t.snapshot();
+        assert_eq!(s.ns_of(OpKind::Write, Phase::DramCopy), 120);
         assert_eq!(s.ns_of(OpKind::Write, Phase::Persist), 300);
         assert_eq!(s.ns_of(OpKind::Write, Phase::Other), 580);
         assert_eq!(s.row_total(OpKind::Write as usize), 1000);
@@ -829,19 +507,18 @@ mod tests {
             assert!(!idle(), "outer frame survives the inner scope");
             c.charge(2);
         });
-        assert_eq!(inner.flight().recorded(), 0);
+        assert_eq!(inner.op_histo(OpKind::Fsync).snapshot().count(), 0);
         assert!(
             inner.lineage().snap().is_empty(),
             "interloper books nothing"
         );
+        let open = outer.op_histo(OpKind::Open).snapshot();
         assert_eq!(
-            outer.flight().recorded(),
-            1,
-            "retired once, at the outer close"
+            (open.count(), open.sum()),
+            (1, 57),
+            "folded once, at the outer close"
         );
-        let snap = outer.flight().snapshot();
-        assert!(snap.records(OpKind::Fsync).is_empty());
-        assert_eq!(snap.records(OpKind::Open)[0].total_ns, 57);
+        assert_eq!(outer.op_histo(OpKind::Fsync).snapshot().count(), 0);
         assert_eq!(outer.lineage().snap().layer(Layer::Logical), 7);
         // Both wrappers book their remainder on the one row.
         let s = t.snapshot();
@@ -887,10 +564,6 @@ mod tests {
             l.row_bytes[OpKind::Write as usize][Layer::NvmmPersisted as usize],
             4096
         );
-        assert_eq!(
-            obs.flight().snapshot().all()[0].bytes[Layer::NvmmPersisted as usize],
-            4096
-        );
     }
 
     #[test]
@@ -901,15 +574,16 @@ mod tests {
             assert_eq!(stamp_row(), BG_ROW);
             t.scope(Phase::Persist, || c.charge(64));
             note_bytes(Layer::NvmmPersisted, 4096);
-            note_fence(1);
+            note_fence();
         }
         assert!(idle());
         assert_eq!(t.snapshot().ns[BG_ROW][Phase::Persist as usize], 64);
         let l = obs.lineage().snap();
         assert_eq!(l.row_bytes[BG_ROW][Layer::NvmmPersisted as usize], 4096);
         assert_eq!(l.fences, 1);
-        // No latency, no anatomy: a pass is not an op.
-        assert_eq!(obs.flight().recorded(), 0);
+        // No latency: a pass is not an op.
+        let ops = crate::ALL_OPS.map(|op| obs.op_histo(op).snapshot().count());
+        assert_eq!(ops, [0; crate::NOPS]);
     }
 
     #[test]
@@ -961,73 +635,5 @@ mod tests {
         let s = t.snapshot();
         assert_eq!(s.ns[BG_ROW][Phase::Fence as usize], 7);
         assert_eq!(s.ns[BG_ROW][Phase::Persist as usize], 6);
-    }
-
-    // The tail reservoir itself; how records are assembled and when they
-    // retire is tested above.
-
-    fn record_one(fl: &FlightRecorder, op: OpKind, at_ns: u64, total_ns: u64) {
-        let mut rec = OpRecord {
-            op,
-            at_ns,
-            total_ns,
-            ..OpRecord::EMPTY
-        };
-        rec.phase_ns[Phase::Other as usize] = total_ns;
-        fl.retire(&rec);
-    }
-
-    #[test]
-    fn reservoir_keeps_topk_slowest_per_op() {
-        let fl = FlightRecorder::default();
-        for i in 0..100u64 {
-            record_one(&fl, OpKind::Read, i, i + 1);
-        }
-        assert_eq!(fl.recorded(), 100);
-        let snap = fl.snapshot();
-        let recs = snap.records(OpKind::Read);
-        assert_eq!(recs.len(), FLIGHT_TOPK.min(FLIGHT_MERGED_TOPK));
-        assert_eq!(recs[0].total_ns, 100);
-        assert!(recs.windows(2).all(|w| w[0].total_ns >= w[1].total_ns));
-        assert_eq!(recs.last().unwrap().total_ns, 100 - FLIGHT_TOPK as u64 + 1);
-        fl.reset();
-        assert_eq!(fl.recorded(), 0);
-        assert!(fl.snapshot().all().is_empty());
-    }
-
-    #[test]
-    fn exemplars_agree_with_histogram_buckets() {
-        // The exemplar ↔ bucket contract: a record keyed to bucket b has
-        // bucket_lower(b) <= total_ns <= bucket_upper(b), and the cohort
-        // of the histogram's pXX contains exactly the records at or above
-        // the quantile's bucket.
-        let fl = FlightRecorder::default();
-        let h = Histo::new();
-        let samples: Vec<u64> = (1..=200u64).map(|i| i * 97).collect();
-        for (i, &ns) in samples.iter().enumerate() {
-            h.record(ns);
-            record_one(&fl, OpKind::Write, i as u64, ns);
-        }
-        let snap = fl.snapshot();
-        for r in snap.all() {
-            let b = r.bucket();
-            assert!(bucket_lower(b) <= r.total_ns && r.total_ns <= bucket_upper(b));
-        }
-        let p99 = h.snapshot().quantile(0.99);
-        let cohort = snap.cohort(p99);
-        assert!(!cohort.is_empty(), "top-K exemplars must cover the p99");
-        for r in &cohort {
-            assert!(
-                r.bucket() >= bucket_of(p99),
-                "cohort record below the p99 bucket"
-            );
-        }
-        let a = TailAnatomy::aggregate(cohort.iter().copied());
-        assert_eq!(a.count, cohort.len() as u64);
-        assert_eq!(
-            a.sum.total_ns,
-            cohort.iter().map(|r| r.total_ns).sum::<u64>()
-        );
-        assert_eq!(a.sum.phase_ns.iter().sum::<u64>(), a.sum.total_ns);
     }
 }

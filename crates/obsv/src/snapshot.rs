@@ -468,9 +468,12 @@ impl AuditReport {
             .iter()
             .map(|v| {
                 format!(
-                    "{{\"invariant\":\"{}\"{}}}",
+                    "{{\"invariant\":\"{}\",\"ino\":{},\"iblk\":{},\"got\":{},\"want\":{}}}",
                     v.invariant(),
-                    v.event().json_fields(1)
+                    v.ino,
+                    v.iblk,
+                    v.got,
+                    v.want
                 )
             })
             .collect();

@@ -1,41 +1,19 @@
-//! A fixed-capacity lock-free ring of structured trace events.
+//! A bounded queue of structured trace events.
 //!
-//! Writers never block and never allocate: a global ticket counter picks
-//! the slot, a per-slot sequence word (seqlock-style, odd while a write is
-//! in flight) makes torn slots detectable, and the event payload lives in
-//! plain atomic words so readers copy it without undefined behaviour. Under
-//! extreme wraparound contention an event can be dropped (counted in
-//! [`TraceRing::dropped`]) rather than ever blocking the writer.
+//! One mutex guards the newest `capacity` records; a push past capacity
+//! drops the oldest. Each event takes its seq ticket under that lock, so
+//! the queue is always in seq order and a reader copies whole records.
 //!
 //! When disabled — the default — [`TraceRing::emit`] is a single relaxed
 //! load and the event-constructing closure is never run, so instrumented
 //! hot paths cost nothing measurable.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Payload words per event: one per field of the widest kind.
-const PAYLOAD: usize = 8;
-
-/// Reads a trace-event field back from its `u64` word.
-trait FromWord {
-    fn from_word(w: u64) -> Self;
-}
-
-impl FromWord for u64 {
-    fn from_word(w: u64) -> u64 {
-        w
-    }
-}
-
-impl FromWord for bool {
-    fn from_word(w: u64) -> bool {
-        w != 0
-    }
-}
+use std::sync::{Mutex, PoisonError};
 
 /// Declares [`TraceEvent`] from one entry per kind — variant, dotted
-/// label, fields — and generates the ring's wire form from it: the tag is
-/// the kind's declaration index, the payload its fields in order. A field
+/// label, fields. The kind's index is its declaration position. A field
 /// marked `=> mag` (log₂-bucketed) or `=> raw` is part of the kind's
 /// coverage feature.
 macro_rules! trace_events {
@@ -45,37 +23,36 @@ macro_rules! trace_events {
             $kind:ident = $label:literal { $($field:ident: $ty:ty $(=> $cov:ident)?),+ $(,)? }
         )+
     ) => {
-        /// One structured event. Every variant is `Copy` and encodes into a
-        /// fixed number of `u64` payload words, which is what lets the ring
-        /// stay lock-free.
+        /// One structured event.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum TraceEvent {
             $( $(#[$meta])* $kind { $($field: $ty),+ }, )+
         }
 
-        /// Wire tags: the kinds in declaration order.
+        /// Kind indices: the kinds in declaration order.
         enum Tag {
             $( $kind, )+
         }
 
-        /// Dotted label per tag.
+        /// Dotted label per kind index.
         const KINDS: &[&str] = &[$($label),+];
 
-        /// Field names per tag, in payload order.
-        const FIELDS: &[&[&str]] = &[$(&[$(stringify!($field)),+]),+];
-
         impl TraceEvent {
-            /// `(tag, payload)` wire form.
-            fn encode(self) -> (u64, [u64; PAYLOAD]) {
-                let mut p = [0; PAYLOAD];
-                let tag = match self {
+            /// The kind's index (its declaration position).
+            pub(crate) fn tag(&self) -> u64 {
+                match self {
+                    $( TraceEvent::$kind { .. } => Tag::$kind as u64, )+
+                }
+            }
+
+            /// `(name, value)` fields in declaration order (flags are
+            /// 0/1).
+            fn fields(&self) -> Vec<(&'static str, u64)> {
+                match *self {
                     $( TraceEvent::$kind { $($field),+ } => {
-                        let words = [$(u64::from($field)),+];
-                        p[..words.len()].copy_from_slice(&words);
-                        Tag::$kind
+                        vec![$((stringify!($field), u64::from($field))),+]
                     } )+
-                };
-                (tag as u64, p)
+                }
             }
 
             /// The coverage sub-feature: the marked fields packed 8 bits
@@ -89,14 +66,6 @@ macro_rules! trace_events {
                     } )+
                 }
                 f
-            }
-
-            fn decode(tag: u64, p: [u64; PAYLOAD]) -> Option<TraceEvent> {
-                let mut w = p.into_iter();
-                $( if tag == Tag::$kind as u64 {
-                    return Some(TraceEvent::$kind { $($field: FromWord::from_word(w.next()?)),+ });
-                } )+
-                None
             }
         }
     };
@@ -187,28 +156,9 @@ trace_events! {
 const FAULT_KINDS: [&str; 4] = ["crash", "journal_full", "enospc", "writeback_stall"];
 
 impl TraceEvent {
-    /// The kind's wire tag (its declaration index).
-    pub(crate) fn tag(&self) -> u64 {
-        self.encode().0
-    }
-
-    /// Stable dotted kind label, shared by the human dump and the JSONL
-    /// export.
+    /// Stable dotted kind label.
     pub fn kind(&self) -> &'static str {
         KINDS[self.tag() as usize]
-    }
-
-    /// `(name, value)` payload fields in declaration order (flags are
-    /// 0/1).
-    fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
-        let (tag, p) = self.encode();
-        FIELDS[tag as usize].iter().copied().zip(p)
-    }
-
-    /// `,"name":value` for each field after the first `skip`.
-    pub(crate) fn json_fields(&self, skip: usize) -> String {
-        let fields = self.fields().skip(skip);
-        fields.map(|(k, v)| format!(",\"{k}\":{v}")).collect()
     }
 }
 
@@ -261,73 +211,32 @@ impl std::fmt::Display for TraceRecord {
     }
 }
 
-impl TraceRecord {
-    /// One flat JSON object: `{"seq":..,"at_ns":..,"kind":"..",<fields>}`.
-    /// All values are unsigned integers except `kind`; `to_lazy` is 0/1.
-    pub fn to_json(&self) -> String {
-        let (seq, at_ns, kind) = (self.seq, self.at_ns, self.ev.kind());
-        let fields = self.ev.json_fields(0);
-        format!("{{\"seq\":{seq},\"at_ns\":{at_ns},\"kind\":\"{kind}\"{fields}}}")
-    }
-}
-
-/// One ring slot. `seq == 0` means never written; an odd value means a
-/// write is in flight; `2 * (ticket + 1)` means the slot holds the event
-/// emitted with that ticket, whose `[tag, at_ns, payload..]` are `words`.
-#[derive(Default)]
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; PAYLOAD + 2],
-}
-
-/// One per-thread-shard ring segment: its own slot cursor, so threads in
-/// different segments never race on slot placement.
-struct Segment {
-    cursor: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-/// The ring. See the module docs for the concurrency protocol.
-///
-/// Storage is split into [`crate::COLLECTION_SHARDS`] per-thread-shard
-/// segments, each holding `capacity` slots: a writer picks its segment
-/// by thread ordinal and a slot by the segment's own cursor, so
-/// concurrent writers on different threads never contend for a slot.
-/// Global emit order is still a single ticket counter, stored in each
-/// slot's sequence word — [`TraceRing::tail`] merges the segments by
-/// sequence at read time. A single-threaded writer always lands in
-/// segment 0, making its retention behaviour identical to an unsharded
-/// ring of the same capacity.
+/// The ring: the newest `capacity` events, oldest first.
 pub struct TraceRing {
     enabled: AtomicBool,
+    /// Seq tickets handed out; taken under `events`' lock.
     next: AtomicU64,
-    dropped: AtomicU64,
-    segments: Box<[Segment]>,
+    capacity: usize,
+    events: Mutex<VecDeque<TraceRecord>>,
 }
 
 impl std::fmt::Debug for TraceRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceRing")
             .field("emitted", &self.emitted())
-            .field("dropped", &self.dropped())
             .finish_non_exhaustive()
     }
 }
 
 impl TraceRing {
-    /// A disabled ring holding up to `capacity` events *per segment*.
+    /// A disabled ring holding up to `capacity` events.
     pub fn new(capacity: usize) -> TraceRing {
         assert!(capacity > 0, "trace ring needs at least one slot");
         TraceRing {
             enabled: AtomicBool::new(false),
             next: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            segments: (0..crate::COLLECTION_SHARDS)
-                .map(|_| Segment {
-                    cursor: AtomicU64::new(0),
-                    slots: (0..capacity).map(|_| Slot::default()).collect(),
-                })
-                .collect(),
+            capacity,
+            events: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -352,86 +261,33 @@ impl TraceRing {
         }
     }
 
-    /// Unconditionally records an event (even while disabled).
+    /// Unconditionally records an event (even while disabled), dropping
+    /// the oldest once the ring is full. A panic elsewhere cannot leave a
+    /// half-written record, so a poisoned lock is still valid.
     pub fn push(&self, at_ns: u64, ev: TraceEvent) {
-        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
-        let seg = &self.segments[crate::thread_ordinal() % self.segments.len()];
-        let idx = seg.cursor.fetch_add(1, Ordering::Relaxed) % seg.slots.len() as u64;
-        let slot = &seg.slots[idx as usize];
-        let cur = slot.seq.load(Ordering::Relaxed);
-        if cur % 2 == 1
-            || slot
-                .seq
-                .compare_exchange(cur, cur + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            // Another writer lapped us onto the same slot mid-write; a
-            // trace ring prefers dropping one event over ever blocking.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+        let seq = self.next.fetch_add(1, Ordering::Relaxed);
+        if events.len() == self.capacity {
+            events.pop_front();
         }
-        let (tag, payload) = ev.encode();
-        for (w, v) in slot
-            .words
-            .iter()
-            .zip([tag, at_ns].into_iter().chain(payload))
-        {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * (ticket + 1), Ordering::Release);
+        events.push_back(TraceRecord { seq, at_ns, ev });
     }
 
-    /// Total events offered to the ring (including dropped ones).
+    /// Total events recorded so far (the next seq ticket).
     pub fn emitted(&self) -> u64 {
         self.next.load(Ordering::Relaxed)
     }
 
-    /// Events lost to slot contention.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Slot count per segment (the retention window of one thread
-    /// shard).
+    /// How many events the ring retains.
     pub fn capacity(&self) -> usize {
-        self.segments[0].slots.len()
+        self.capacity
     }
 
-    /// The most recent `n` retained events as JSONL, oldest first: one
-    /// [`TraceRecord::to_json`] object per line.
-    pub fn tail_jsonl(&self, n: usize) -> String {
-        self.tail(n).iter().map(|r| r.to_json() + "\n").collect()
-    }
-
-    /// The most recent `n` events, oldest first, merged across every
-    /// segment by global sequence. Concurrent writers may cause
-    /// individual slots to be skipped, never torn reads.
+    /// The most recent `n` retained events, oldest first.
     pub fn tail(&self, n: usize) -> Vec<TraceRecord> {
-        let mut out: Vec<TraceRecord> = Vec::with_capacity(self.capacity());
-        for slot in self.segments.iter().flat_map(|seg| seg.slots.iter()) {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 % 2 == 1 {
-                continue;
-            }
-            let [tag, at_ns, payload @ ..] =
-                slot.words.each_ref().map(|w| w.load(Ordering::Relaxed));
-            std::sync::atomic::fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != s1 {
-                continue; // overwritten while reading
-            }
-            if let Some(ev) = TraceEvent::decode(tag, payload) {
-                out.push(TraceRecord {
-                    seq: s1 / 2 - 1,
-                    at_ns,
-                    ev,
-                });
-            }
-        }
-        out.sort_by_key(|r| r.seq);
-        if out.len() > n {
-            out.drain(..out.len() - n);
-        }
-        out
+        let events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+        let skip = events.len().saturating_sub(n);
+        events.iter().skip(skip).copied().collect()
     }
 }
 
@@ -509,15 +365,6 @@ mod tests {
                 seq_hi: 30,
             },
         ]
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        for ev in all_variants() {
-            let (tag, payload) = ev.encode();
-            assert_eq!(TraceEvent::decode(tag, payload), Some(ev));
-        }
-        assert_eq!(TraceEvent::decode(0xff, [0; PAYLOAD]), None);
     }
 
     #[test]

@@ -604,10 +604,7 @@ impl Journal {
         if txs.is_empty() {
             return;
         }
-        self.span(|| {
-            obsv::note_batch(txs.len() as u32);
-            self.commit_batch(&txs)
-        })
+        self.span(|| self.commit_batch(&txs))
     }
 
     /// The body of [`Self::commit`] and [`Self::commit_group`]: one fence

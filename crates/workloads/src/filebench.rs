@@ -187,19 +187,21 @@ impl Actor for Webserver {
                 }
             }
         }
-        if self.log_fd.is_none() {
-            self.log_fd = Some(ctx.open(&self.log, rw_create() | OpenFlags::APPEND)?);
-        }
         let n = self.params.append_size;
-        append_burst(ctx, self.log_fd.unwrap(), &self.io.payload[..n])?;
-        rotate_log(ctx, self.log_fd.unwrap())?;
+        append_log(ctx, &self.log, &mut self.log_fd, &self.io.payload[..n])?;
         Ok(true)
     }
 }
 
-/// Rotates (truncates) a log descriptor once it exceeds 4 MiB, bounding
+/// Appends `payload` to the log at `path` (opened into `fd` on first
+/// use), then rotates (truncates) it once it exceeds 4 MiB, bounding
 /// device growth over long runs.
-fn rotate_log(ctx: &mut Ctx<'_>, fd: Fd) -> Result<()> {
+fn append_log(ctx: &mut Ctx<'_>, path: &str, fd: &mut Option<Fd>, payload: &[u8]) -> Result<()> {
+    let fd = match *fd {
+        Some(fd) => fd,
+        None => *fd.insert(ctx.open(path, rw_create() | OpenFlags::APPEND)?),
+    };
+    append_burst(ctx, fd, payload)?;
     if ctx.fstat(fd)?.size > 4 << 20 {
         ctx.truncate(fd, 0)?;
     }
@@ -254,12 +256,8 @@ impl Actor for Webproxy {
             }
         }
         // log append
-        if self.log_fd.is_none() {
-            self.log_fd = Some(ctx.open(&self.log, rw_create() | OpenFlags::APPEND)?);
-        }
         let n = self.params.append_size;
-        append_burst(ctx, self.log_fd.unwrap(), &self.io.payload[..n])?;
-        rotate_log(ctx, self.log_fd.unwrap())?;
+        append_log(ctx, &self.log, &mut self.log_fd, &self.io.payload[..n])?;
         Ok(true)
     }
 }

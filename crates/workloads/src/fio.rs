@@ -68,7 +68,9 @@ impl Fio {
 
 impl Actor for Fio {
     fn step(&mut self, ctx: &mut Ctx<'_>) -> Result<bool> {
-        if self.fd.is_none() {
+        let fd = if let Some(fd) = self.fd {
+            fd
+        } else {
             let fd = ctx.open(&self.params.path, OpenFlags::RDWR | OpenFlags::CREATE)?;
             // Preallocate whatever `setup` has not already materialized.
             let preallocated = ctx.fstat(fd)?.size;
@@ -79,9 +81,8 @@ impl Actor for Fio {
                 ctx.write(fd, off, &chunk[..n])?;
                 off += n as u64;
             }
-            self.fd = Some(fd);
-        }
-        let fd = self.fd.unwrap();
+            *self.fd.insert(fd)
+        };
         let span = self
             .params
             .file_size

@@ -249,16 +249,9 @@ impl Runner {
         let mut clocks = vec![start; n];
         let mut alive = vec![true; n];
         let mut steps = vec![0u64; n];
-        let mut live = n;
         let mut error = None;
-        while live > 0 {
-            // Smallest-clock live actor steps next.
-            let (i, _) = clocks
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| alive[i])
-                .min_by_key(|&(_, &c)| c)
-                .expect("live actor exists");
+        // Smallest-clock live actor steps next, until none is live.
+        while let Some(i) = (0..n).filter(|&i| alive[i]).min_by_key(|&i| clocks[i]) {
             self.env.set_now(clocks[i]);
             let step = actors[i].step(&mut ctxs[i]);
             ctxs[i].metrics.steps += u64::from(step.is_ok());
@@ -274,7 +267,6 @@ impl Runner {
                 || limit.max_steps.is_some_and(|m| steps[i] >= m);
             if done {
                 alive[i] = false;
-                live -= 1;
             }
         }
         let elapsed = clocks.iter().max().copied().unwrap_or(start) - start;
@@ -291,16 +283,14 @@ impl Runner {
             device: self
                 .device
                 .as_ref()
-                .map(|d| {
-                    d.stats()
-                        .snapshot()
-                        .since(&dev_before.expect("snapshot taken"))
-                })
+                .zip(dev_before)
+                .map(|(d, before)| d.stats().snapshot().since(&before))
                 .unwrap_or_default(),
-            registry: self.registry.as_ref().map(|r| {
-                r.snapshot()
-                    .since(reg_before.as_ref().expect("snapshot taken"))
-            }),
+            registry: self
+                .registry
+                .as_ref()
+                .zip(reg_before)
+                .map(|(r, before)| r.snapshot().since(&before)),
             actors: n,
             error,
         }
@@ -340,9 +330,11 @@ impl Runner {
                     (ctx.metrics, ledger::snapshot().since(&lb), error)
                 }));
             }
+            // A panicking actor panics the run, as it would in virtual
+            // mode.
             handles
                 .into_iter()
-                .map(|h| h.join().expect("actor thread"))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect::<Vec<_>>()
         });
         let mut metrics = ActorMetrics::default();
@@ -360,16 +352,14 @@ impl Runner {
             device: self
                 .device
                 .as_ref()
-                .map(|d| {
-                    d.stats()
-                        .snapshot()
-                        .since(&dev_before.expect("snapshot taken"))
-                })
+                .zip(dev_before)
+                .map(|(d, before)| d.stats().snapshot().since(&before))
                 .unwrap_or_default(),
-            registry: self.registry.as_ref().map(|r| {
-                r.snapshot()
-                    .since(reg_before.as_ref().expect("snapshot taken"))
-            }),
+            registry: self
+                .registry
+                .as_ref()
+                .zip(reg_before)
+                .map(|(r, before)| r.snapshot().since(&before)),
             actors: n,
             error,
         }

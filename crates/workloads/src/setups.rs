@@ -100,7 +100,7 @@ impl ObsvOptions {
     }
 
     /// [`Level::Full`]: per-op records and everything folded from them
-    /// (latency histograms, phase spans, lineage ledger, tail anatomies),
+    /// (latency histograms, phase spans, lineage ledger),
     /// the trace ring and the contention profiler — but not the auditor,
     /// which adds work to the timeline being profiled.
     pub fn flight() -> ObsvOptions {
@@ -656,17 +656,13 @@ mod tests {
                     kind.label()
                 );
             }
-            // `ObsvOptions::all()` arms the flight recorder, so the ops
-            // above must have produced records and the derived counter
-            // must surface through the same conformance-checked path
-            // (bench documents turn these into the `tail::` key family).
+            // `ObsvOptions::all()` arms the per-op records, so the write
+            // above must surface its latency histogram through the same
+            // conformance-checked path.
             assert!(
-                snap.counters
-                    .get("obsv_flight_records")
-                    .copied()
-                    .unwrap_or(0)
-                    > 0,
-                "{}: flight recorder armed but obsv_flight_records missing",
+                snap.histo("obsv_op_write_ns")
+                    .is_some_and(|h| h.count() > 0),
+                "{}: per-op records armed but obsv_op_write_ns missing",
                 kind.label()
             );
             // `ObsvOptions::all()` also arms lineage tracking: the write

@@ -50,8 +50,8 @@ impl Default for TpccParams {
 /// One database worker.
 pub struct Tpcc {
     params: TpccParams,
-    table_fd: Option<Fd>,
-    wal_fd: Option<Fd>,
+    /// The table and WAL descriptors, opened by the first step.
+    fds: Option<(Fd, Fd)>,
     txns: u64,
     buf: Vec<u8>,
 }
@@ -61,8 +61,7 @@ impl Tpcc {
     pub fn new(params: TpccParams) -> Tpcc {
         Tpcc {
             params,
-            table_fd: None,
-            wal_fd: None,
+            fds: None,
             txns: 0,
             buf: Vec::new(),
         }
@@ -90,7 +89,7 @@ const PAGE: usize = 8 << 10; // PostgreSQL-style 8 KiB pages.
 
 impl Actor for Tpcc {
     fn step(&mut self, ctx: &mut Ctx<'_>) -> Result<bool> {
-        if self.table_fd.is_none() {
+        let Some((table, wal)) = self.fds else {
             let fd = ctx.open(&self.params.table_path, OpenFlags::RDWR | OpenFlags::CREATE)?;
             // Materialize whatever `setup` has not already.
             let chunk = vec![0u8; 1 << 20];
@@ -100,15 +99,13 @@ impl Actor for Tpcc {
                 ctx.write(fd, off, &chunk[..n])?;
                 off += n as u64;
             }
-            self.table_fd = Some(fd);
-            self.wal_fd = Some(ctx.open(
+            let wal = ctx.open(
                 &self.params.wal_path,
                 OpenFlags::RDWR | OpenFlags::CREATE | OpenFlags::APPEND,
-            )?);
+            )?;
+            self.fds = Some((fd, wal));
             return Ok(true);
-        }
-        let table = self.table_fd.unwrap();
-        let wal = self.wal_fd.unwrap();
+        };
         let pages = self.params.table_size / PAGE as u64;
         // Database CPU work of the transaction.
         ctx.env.charge(nvmm::Cat::Other, self.params.think_ns);

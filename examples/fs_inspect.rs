@@ -16,9 +16,7 @@
 //!   --system S     pmfs | ext4-dax | ext2 | ext4 | hinfs   (snapshot/top)
 //!   --audit        + online invariant audit                (snapshot/top)
 //!   --contention   + lock/stall sites by wait time and the site × op matrix
-//!   --tail         + p99 tail anatomy and exemplars        (always in dump)
 //!   --lag          + durability lag and per-layer WAF      (always in dump)
-//!   --json         trace ring as JSONL, pipe into `jq`     (dump)
 //! ```
 //!
 //! `snapshot`/`top` keep stdout pure JSON — buffer-pool occupancy against
@@ -51,9 +49,7 @@ struct Args {
     kind: SystemKind,
     audit: bool,
     contention: bool,
-    tail: bool,
     lag: bool,
-    json: bool,
 }
 
 fn parse_args() -> Args {
@@ -88,9 +84,7 @@ fn parse_args() -> Args {
         kind,
         audit: flag("--audit"),
         contention: flag("--contention"),
-        tail: flag("--tail"),
         lag: flag("--lag"),
-        json: flag("--json"),
     }
 }
 
@@ -132,77 +126,6 @@ fn report_contention(out: &mut dyn Write, snap: &obsv::ContentionSnapshot) {
         if !cells.is_empty() {
             let _ = writeln!(out, "  {:<20} {}", site.site.label(), cells.join("  "));
         }
-    }
-}
-
-/// The p99 over every op histogram merged, the summed anatomy of the
-/// tail-reservoir exemplars at or above that bucket, and the slowest
-/// exemplars one by one (phase split, lock waits, fences, seq window).
-fn report_tail(out: &mut dyn Write, obs: &obsv::FsObs) {
-    let mut merged = obsv::HistoSnapshot::default();
-    for op in obsv::ALL_OPS {
-        merged.merge(&obs.op_histo(op).snapshot());
-    }
-    let p99 = merged.quantile(0.99);
-    let fsnap = obs.flight().snapshot();
-    let cohort = fsnap.cohort(p99);
-    let anatomy = obsv::TailAnatomy::aggregate(cohort.iter().copied());
-    let _ = writeln!(
-        out,
-        "--- tail: p99={}ns, {} exemplars (of {} recorded ops), seq [{}, {}] ---",
-        p99,
-        anatomy.count,
-        fsnap.recorded(),
-        anatomy.sum.seq_start,
-        anatomy.sum.seq_end
-    );
-    for (phase, ns) in anatomy.sum.top_phases(4) {
-        let per = ns / anatomy.count.max(1);
-        let _ = writeln!(
-            out,
-            "  phase {:<18} {ns:>10}ns ({per}ns/exemplar)",
-            phase.label()
-        );
-    }
-    for (site, ns) in anatomy.sum.top_waits(4) {
-        let per = ns / anatomy.count.max(1);
-        let _ = writeln!(
-            out,
-            "  wait  {:<18} {ns:>10}ns ({per}ns/exemplar)",
-            site.label()
-        );
-    }
-    for r in fsnap.all().into_iter().take(6) {
-        let phases: Vec<String> = r
-            .top_phases(3)
-            .into_iter()
-            .map(|(p, ns)| format!("{}={ns}", p.label()))
-            .collect();
-        let waits: Vec<String> = r
-            .top_waits(2)
-            .into_iter()
-            .map(|(s, ns)| format!("{}={ns}", s.label()))
-            .collect();
-        let shard = if r.shard == obsv::NO_SHARD {
-            "-".to_string()
-        } else {
-            r.shard.to_string()
-        };
-        let _ = writeln!(
-            out,
-            "  {:>10} ns  {:<8} at t={}ns shard={shard} batch={} fences={} stalls={} seq [{}, {}]  phases: {}{}{}",
-            r.total_ns,
-            r.op.label(),
-            r.at_ns,
-            r.batch,
-            r.fences,
-            r.stall_events,
-            r.seq_start,
-            r.seq_end,
-            phases.join(" "),
-            if waits.is_empty() { "" } else { "  waits: " },
-            waits.join(" "),
-        );
     }
 }
 
@@ -356,7 +279,7 @@ fn full_snapshot(sys: &System) -> obsv::FsSnapshot {
 /// `snapshot` / `top`: returns whether any check failed.
 fn inspect(args: &Args) -> bool {
     let top = args.command == "top";
-    let mut obsv = if args.contention || args.tail || args.lag {
+    let mut obsv = if args.contention || args.lag {
         ObsvOptions::flight()
     } else {
         ObsvOptions::none()
@@ -398,9 +321,6 @@ fn inspect(args: &Args) -> bool {
     let obs = &sys.obs;
     if args.contention {
         report_contention(err, &sys.env.contention().snapshot());
-    }
-    if args.tail {
-        report_tail(err, obs);
     }
     if args.lag {
         report_lineage(err, &obs.lineage().snap());
@@ -603,10 +523,6 @@ fn dump(args: &Args) {
     }
     println!();
 
-    let out = &mut std::io::stdout();
-    report_tail(out, &obs);
-    println!();
-
     // Span phase matrix: where each op's virtual time actually went during
     // the transaction phase. Rows are ops (plus the background row),
     // columns are phases; only non-empty cells print. Next to each row
@@ -636,6 +552,7 @@ fn dump(args: &Args) {
     }
     println!();
 
+    let out = &mut std::io::stdout();
     report_lineage(out, &obs.lineage().snap());
     println!();
     if args.contention {
@@ -643,34 +560,28 @@ fn dump(args: &Args) {
         println!();
     }
 
-    // The retained trace window: as raw JSONL under `--json`, otherwise
-    // per-kind totals, the last few events of each kind (so rare events
-    // like BBM flips are visible next to the journal-commit firehose),
-    // then the newest events verbatim.
+    // The retained trace window: per-kind totals, the last few events of
+    // each kind (so rare events like BBM flips are visible next to the
+    // journal-commit firehose), then the newest events verbatim.
     let window = obs.trace.tail(obs.trace.capacity());
     println!(
-        "--- trace ring ({} retained of {} emitted, {} dropped) ---",
+        "--- trace ring ({} retained of {} emitted) ---",
         window.len(),
-        obs.trace.emitted(),
-        obs.trace.dropped()
+        obs.trace.emitted()
     );
-    if args.json {
-        print!("{}", obs.trace.tail_jsonl(obs.trace.capacity()));
-    } else {
-        let mut kinds: Vec<&str> = window.iter().map(|r| r.ev.kind()).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        for kind in kinds {
-            let of_kind: Vec<_> = window.iter().filter(|r| r.ev.kind() == kind).collect();
-            println!("  {kind} x{} in window, last:", of_kind.len());
-            for rec in of_kind.iter().rev().take(3).rev() {
-                println!("    {rec}");
-            }
-        }
-        println!("  newest 12 events:");
-        for rec in window.iter().rev().take(12).rev() {
+    let mut kinds: Vec<&str> = window.iter().map(|r| r.ev.kind()).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    for kind in kinds {
+        let of_kind: Vec<_> = window.iter().filter(|r| r.ev.kind() == kind).collect();
+        println!("  {kind} x{} in window, last:", of_kind.len());
+        for rec in of_kind.iter().rev().take(3).rev() {
             println!("    {rec}");
         }
+    }
+    println!("  newest 12 events:");
+    for rec in window.iter().rev().take(12).rev() {
+        println!("    {rec}");
     }
     println!();
 

@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CRATES=(nvmm hinfs blockdev faultfs obsv fskit extfs pmfs)
+CRATES=(nvmm hinfs blockdev faultfs obsv fskit extfs pmfs workloads)
 
 fail=0
 for crate in "${CRATES[@]}"; do
