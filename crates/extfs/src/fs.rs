@@ -18,10 +18,10 @@ use std::sync::Arc;
 
 use blockdev::Nvmmbd;
 use fskit::namei::{NameIndex, NameiStats};
-use fskit::vfs::{self, Edit, Namespace, OpenFile, Reserve};
-use fskit::{DirEntry, Fd, FdTable, FileSystem, FileType, FsError, OpenFlags, Result};
+use fskit::vfs::{self, chunks, Edit, Files, Namespace, OpenFile, Reserve, StateGuard};
+use fskit::{DirEntry, FdTable, FileSystem, FileType, FsError, OpenFlags, Result};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE};
-use obsv::{FsObs, OpKind, Phase, Site, TraceEvent, TrackedMutex, TrackedMutexGuard};
+use obsv::{FsObs, Phase, Site, TraceEvent, TrackedMutex, TrackedMutexGuard};
 
 use crate::alloc::DiskBitmap;
 use crate::blkmap;
@@ -242,36 +242,6 @@ impl Extfs {
         }
     }
 
-    /// Truncates or extends file `ino` (write-locked: `state`) to `size`,
-    /// zeroing the cut tail of a kept last block.
-    fn cut(&self, ino: u64, state: &mut ExtInodeMem, size: u64) -> Result<()> {
-        let now = self.now();
-        if size < state.size {
-            let keep = size.div_ceil(BLOCK_SIZE as u64);
-            blkmap::free_from(&self.cache, &self.jbd, &self.balloc, state, keep, now)?;
-            // Zero the tail of the new last block.
-            let in_blk = (size % BLOCK_SIZE as u64) as usize;
-            if in_blk != 0 {
-                if let Some(blk) = blkmap::lookup(&self.cache, state, size / BLOCK_SIZE as u64)? {
-                    let zeros = vec![0u8; BLOCK_SIZE - in_blk];
-                    if self.mode.dax_data() {
-                        self.bd.byte_device().zero_persist(
-                            Cat::UserWrite,
-                            blk * BLOCK_SIZE as u64 + in_blk as u64,
-                            BLOCK_SIZE - in_blk,
-                        );
-                    } else {
-                        self.cache.write(Cat::UserWrite, blk, in_blk, &zeros, now)?;
-                        self.dirty_data.lock().entry(ino).or_default().insert(blk);
-                    }
-                }
-            }
-        }
-        state.size = size;
-        state.mtime = now;
-        write_inode(&self.cache, &self.jbd, &self.layout, ino, state, now)
-    }
-
     // ----- data paths -----
 
     /// Buffered (page cache) write of one chunk.
@@ -327,179 +297,14 @@ impl Extfs {
         self.obs.record_inline_drain(payload.len() as u64);
         Ok(())
     }
-
-    fn write_impl(&self, fd: Fd, off_req: u64, data: &[u8], append: bool) -> Result<u64> {
-        self.env.charge_syscall();
-        let of = self.fds.get(fd)?;
-        if !of.flags.writable() {
-            return Err(FsError::BadFd);
-        }
-        let now = self.now();
-        let mut state = of.handle.state.write();
-        let off = if append || of.flags.contains(OpenFlags::APPEND) {
-            state.size
-        } else {
-            off_req
-        };
-        if data.is_empty() {
-            return Ok(off);
-        }
-        // Injected ENOSPC: fail the whole write up front with a clean error
-        // rather than part-way through the chunk loop.
-        if nvmm::fault::alloc_blocked(self.bd.byte_device()) {
-            return Err(FsError::NoSpace);
-        }
-        let end = off
-            .checked_add(data.len() as u64)
-            .filter(|&e| e / BLOCK_SIZE as u64 <= blkmap::max_blocks())
-            .ok_or(FsError::FileTooLarge)?;
-        obsv::note_bytes(obsv::Layer::Logical, data.len() as u64);
-        let mut done = 0;
-        while done < data.len() {
-            let pos = off + done as u64;
-            let iblk = pos / BLOCK_SIZE as u64;
-            let in_blk = (pos % BLOCK_SIZE as u64) as usize;
-            let chunk = (BLOCK_SIZE - in_blk).min(data.len() - done);
-            let payload = &data[done..done + chunk];
-            if self.mode.dax_data() {
-                self.dax_write_chunk(&mut state, iblk, in_blk, payload, now)?;
-            } else {
-                self.cached_write_chunk(&mut state, of.ino, iblk, in_blk, payload, now)?;
-            }
-            done += chunk;
-        }
-        if end > state.size {
-            state.size = end;
-        }
-        state.mtime = now;
-        let snap = *state;
-        drop(state);
-        write_inode(&self.cache, &self.jbd, &self.layout, of.ino, &snap, now)?;
-        if of.flags.contains(OpenFlags::SYNC) {
-            self.fsync_ino(of.ino)?;
-        }
-        Ok(off)
-    }
-
-    fn read_impl(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
-        self.env.charge_syscall();
-        let of = self.fds.get(fd)?;
-        if !of.flags.readable() {
-            return Err(FsError::BadFd);
-        }
-        let state = of.handle.state.read();
-        if off >= state.size {
-            return Ok(0);
-        }
-        let n = buf.len().min((state.size - off) as usize);
-        let mut done = 0;
-        while done < n {
-            let pos = off + done as u64;
-            let iblk = pos / BLOCK_SIZE as u64;
-            let in_blk = (pos % BLOCK_SIZE as u64) as usize;
-            let chunk = (BLOCK_SIZE - in_blk).min(n - done);
-            let out = &mut buf[done..done + chunk];
-            match blkmap::lookup(&self.cache, &state, iblk)? {
-                Some(blk) => {
-                    if self.mode.dax_data() {
-                        // Single copy from the NVMM bytes.
-                        self.bd.byte_device().read(
-                            Cat::UserRead,
-                            blk * BLOCK_SIZE as u64 + in_blk as u64,
-                            out,
-                        );
-                    } else {
-                        self.bd.byte_device().spans().scope(Phase::DramCopy, || {
-                            self.cache.read(Cat::UserRead, blk, in_blk, out)
-                        })?;
-                    }
-                }
-                None => {
-                    out.fill(0);
-                    self.env.charge_dram_copy(Cat::UserRead, chunk);
-                }
-            }
-            done += chunk;
-        }
-        Ok(n)
-    }
-
-    /// fsync core: flush the file's data pages (ordered mode), then commit
-    /// the journal (ext4/dax) or flush its inode block (ext2).
-    fn fsync_ino(&self, ino: u64) -> Result<()> {
-        // Injected jbd backpressure: refuse the commit before draining the
-        // dirty set so a retry still sees every dirty block.
-        if self.jbd.enabled() && nvmm::fault::journal_blocked(self.bd.byte_device()) {
-            return Err(FsError::JournalFull);
-        }
-        let mut blocks: Vec<u64> = {
-            let mut dd = self.dirty_data.lock();
-            match dd.get_mut(&ino) {
-                Some(set) => set.drain().collect(),
-                None => Vec::new(),
-            }
-        };
-        // The set iterates in hash order; flush in block order so the
-        // journal and device see a run-independent sequence.
-        blocks.sort_unstable();
-        for blk in blocks {
-            self.cache.flush_block(blk, obsv::DrainKind::Sync);
-        }
-        if self.jbd.enabled() {
-            self.jbd_commit(obsv::DrainKind::Sync)?;
-        } else {
-            // ext2: push the inode block too, then barrier.
-            let (iblk, _) = self.layout.inode_loc(ino);
-            self.cache.flush_block(iblk, obsv::DrainKind::Sync);
-        }
-        self.bd.flush();
-        Ok(())
-    }
-
-    fn truncate_impl(&self, fd: Fd, size: u64) -> Result<()> {
-        self.env.charge_syscall();
-        let of = self.fds.get(fd)?;
-        if !of.flags.writable() {
-            return Err(FsError::BadFd);
-        }
-        let mut state = of.handle.state.write();
-        self.cut(of.ino, &mut state, size)
-    }
 }
 
 impl FileSystem for Extfs {
     fskit::namespace_ops!();
+    fskit::data_ops!();
 
     fn name(&self) -> &'static str {
         self.mode.name()
-    }
-
-    fn read(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
-        self.obs.op(OpKind::Read, || self.read_impl(fd, off, buf))
-    }
-
-    fn write(&self, fd: Fd, off: u64, data: &[u8]) -> Result<usize> {
-        self.obs.op(OpKind::Write, || {
-            self.write_impl(fd, off, data, false).map(|_| data.len())
-        })
-    }
-
-    fn append(&self, fd: Fd, data: &[u8]) -> Result<u64> {
-        self.obs
-            .op(OpKind::Write, || self.write_impl(fd, 0, data, true))
-    }
-
-    fn fsync(&self, fd: Fd) -> Result<()> {
-        self.obs.op(OpKind::Fsync, || {
-            self.env.charge_syscall();
-            let of = self.fds.get(fd)?;
-            self.fsync_ino(of.ino)
-        })
-    }
-
-    fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
-        self.obs
-            .op(OpKind::Truncate, || self.truncate_impl(fd, size))
     }
 
     fn sync(&self) -> Result<()> {
@@ -535,12 +340,8 @@ impl FileSystem for Extfs {
     }
 }
 
-impl Namespace for Extfs {
+impl Files for Extfs {
     type State = ExtInodeMem;
-    type Tx<'a> = ExtTx;
-    /// The one namespace lock, whatever the entries.
-    type Locked<'a> = TrackedMutexGuard<'a, ()>;
-    const ROOT: u64 = ROOT_INO;
 
     fn device(&self) -> &NvmmDevice {
         self.bd.byte_device()
@@ -550,12 +351,166 @@ impl Namespace for Extfs {
         &self.obs
     }
 
-    fn namei(&self) -> &NameiStats {
-        &self.namei
-    }
-
     fn fds(&self) -> &FdTable<OpenFile<ExtInodeMem>> {
         &self.fds
+    }
+
+    /// jbd commits on fsync, sync and the periodic tick: nothing pins it.
+    fn make_room(&self) {}
+
+    /// The cut tail of a kept last block is zeroed.
+    fn resize(&self, h: &ExtInodeHandle, size: u64) -> Result<()> {
+        let mut state = h.state.write();
+        if state.size == size {
+            return Ok(());
+        }
+        let now = self.now();
+        if size < state.size {
+            let keep = size.div_ceil(BLOCK_SIZE as u64);
+            blkmap::free_from(&self.cache, &self.jbd, &self.balloc, &mut state, keep, now)?;
+            let in_blk = (size % BLOCK_SIZE as u64) as usize;
+            if in_blk != 0 {
+                if let Some(blk) = blkmap::lookup(&self.cache, &state, size / BLOCK_SIZE as u64)? {
+                    if self.mode.dax_data() {
+                        self.bd.byte_device().zero_persist(
+                            Cat::UserWrite,
+                            blk * BLOCK_SIZE as u64 + in_blk as u64,
+                            BLOCK_SIZE - in_blk,
+                        );
+                    } else {
+                        let zeros = vec![0u8; BLOCK_SIZE - in_blk];
+                        self.cache.write(Cat::UserWrite, blk, in_blk, &zeros, now)?;
+                        self.dirty_data.lock().entry(h.ino).or_default().insert(blk);
+                    }
+                }
+            }
+        }
+        state.size = size;
+        state.mtime = now;
+        write_inode(&self.cache, &self.jbd, &self.layout, h.ino, &state, now)?;
+        if size == 0 {
+            self.dirty_data.lock().remove(&h.ino);
+        }
+        Ok(())
+    }
+
+    fn read_data(
+        &self,
+        _: &OpenFile<ExtInodeMem>,
+        state: &ExtInodeMem,
+        off: u64,
+        buf: &mut [u8],
+    ) -> Result<()> {
+        for (iblk, in_blk, r) in chunks(off, buf.len()) {
+            let chunk = r.len();
+            let out = &mut buf[r];
+            match blkmap::lookup(&self.cache, state, iblk)? {
+                Some(blk) => {
+                    if self.mode.dax_data() {
+                        // Single copy from the NVMM bytes.
+                        self.bd.byte_device().read(
+                            Cat::UserRead,
+                            blk * BLOCK_SIZE as u64 + in_blk as u64,
+                            out,
+                        );
+                    } else {
+                        self.bd.byte_device().spans().scope(Phase::DramCopy, || {
+                            self.cache.read(Cat::UserRead, blk, in_blk, out)
+                        })?;
+                    }
+                }
+                None => {
+                    out.fill(0);
+                    self.env.charge_dram_copy(Cat::UserRead, chunk);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Injected ENOSPC fails the whole write up front with a clean error
+    /// rather than part-way through the chunk loop.
+    fn write_data(
+        &self,
+        of: &OpenFile<ExtInodeMem>,
+        mut state: StateGuard<'_, ExtInodeMem>,
+        off: u64,
+        iovs: &[&[u8]],
+        total: u64,
+    ) -> Result<()> {
+        if nvmm::fault::alloc_blocked(self.bd.byte_device()) {
+            return Err(FsError::NoSpace);
+        }
+        let end = off
+            .checked_add(total)
+            .filter(|&e| e / BLOCK_SIZE as u64 <= blkmap::max_blocks())
+            .ok_or(FsError::FileTooLarge)?;
+        let now = self.now();
+        let mut start = off;
+        for data in iovs {
+            for (iblk, in_blk, r) in chunks(start, data.len()) {
+                let payload = &data[r];
+                if self.mode.dax_data() {
+                    self.dax_write_chunk(&mut state, iblk, in_blk, payload, now)?;
+                } else {
+                    self.cached_write_chunk(&mut state, of.ino, iblk, in_blk, payload, now)?;
+                }
+            }
+            start += data.len() as u64;
+        }
+        state.size = state.size.max(end);
+        state.mtime = now;
+        let snap = *state;
+        drop(state);
+        write_inode(&self.cache, &self.jbd, &self.layout, of.ino, &snap, now)?;
+        if of.flags.contains(OpenFlags::SYNC) {
+            self.fsync_data(of)?;
+        }
+        Ok(())
+    }
+
+    /// Flushes the file's data pages (ordered mode), then commits the
+    /// journal (ext4/dax) or flushes its inode block (ext2).
+    fn fsync_data(&self, of: &OpenFile<ExtInodeMem>) -> Result<()> {
+        let ino = of.ino;
+        // Injected jbd backpressure: refuse the commit before draining the
+        // dirty set so a retry still sees every dirty block.
+        if self.jbd.enabled() && nvmm::fault::journal_blocked(self.bd.byte_device()) {
+            return Err(FsError::JournalFull);
+        }
+        let mut blocks: Vec<u64> = {
+            let mut dd = self.dirty_data.lock();
+            match dd.get_mut(&ino) {
+                Some(set) => set.drain().collect(),
+                None => Vec::new(),
+            }
+        };
+        // The set iterates in hash order; flush in block order so the
+        // journal and device see a run-independent sequence.
+        blocks.sort_unstable();
+        for blk in blocks {
+            self.cache.flush_block(blk, obsv::DrainKind::Sync);
+        }
+        if self.jbd.enabled() {
+            self.jbd_commit(obsv::DrainKind::Sync)?;
+        } else {
+            // ext2: push the inode block too, then barrier.
+            let (iblk, _) = self.layout.inode_loc(ino);
+            self.cache.flush_block(iblk, obsv::DrainKind::Sync);
+        }
+        self.bd.flush();
+        Ok(())
+    }
+}
+
+impl Namespace for Extfs {
+    type Tx<'a> = ExtTx;
+    /// The one namespace lock, whatever the entries.
+    type Locked<'a> = TrackedMutexGuard<'a, ()>;
+    const ROOT: u64 = ROOT_INO;
+
+    fn namei(&self) -> &NameiStats {
+        &self.namei
     }
 
     fn inode(&self, ino: u64) -> Result<Arc<ExtInodeHandle>> {
@@ -569,9 +524,6 @@ impl Namespace for Extfs {
     fn list(&self, dir: &ExtInodeMem) -> Result<Vec<DirEntry>> {
         dir::list(&self.cache, dir)
     }
-
-    /// jbd commits on fsync, sync and the periodic tick: nothing pins it.
-    fn make_room(&self) {}
 
     fn lock_entries<'a>(&'a self, _: &[(u64, &str)]) -> TrackedMutexGuard<'a, ()> {
         self.ns.lock()
@@ -645,19 +597,6 @@ impl Namespace for Extfs {
         self.ialloc.release(&self.cache, &self.jbd, h.ino, now)?;
         self.icache.forget(h.ino);
         self.dirty_data.lock().remove(&h.ino);
-        Ok(())
-    }
-
-    /// A file already `size` bytes long is left as it is.
-    fn resize(&self, h: &ExtInodeHandle, size: u64) -> Result<()> {
-        let mut state = h.state.write();
-        if state.size == size {
-            return Ok(());
-        }
-        self.cut(h.ino, &mut state, size)?;
-        if size == 0 {
-            self.dirty_data.lock().remove(&h.ino);
-        }
         Ok(())
     }
 

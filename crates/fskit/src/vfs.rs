@@ -1,27 +1,34 @@
-//! The virtual file system: the interface and the one namespace driver.
+//! The virtual file system: the interface and the one driver.
 //!
 //! [`FileSystem`] is the syscall surface the paper's workloads exercise:
 //! `open`/`close`, positional `read`/`write`, `append`, `fsync`, namespace
 //! operations, and direct memory-mapped I/O for the NVMM-aware file
-//! systems. Implementations charge their own model costs (including the
-//! fixed per-call "syscall" overhead) so callers simply invoke the methods.
+//! systems. Implementations charge their own model costs (through the
+//! driver below, the fixed per-call "syscall" overhead included), so
+//! callers simply invoke the methods.
 //!
-//! The namespace half of that surface is written once, here, as the
-//! kernel VFS is for the paper's five systems: the path walk
+//! The rules of that surface are written once, here, as the kernel VFS
+//! is for the paper's five systems. The namespace half: the path walk
 //! ([`resolve`], [`resolve_parent`]), the `open` table, the rename matrix,
 //! the `rmdir`/`unlink` type and emptiness checks, `close`'s last-one-out
 //! decision and the descriptor table's [`OpenFile`]s. A file system family
 //! plugs in through [`Namespace`], statically dispatched: it owns its
 //! locks, its transactions and its media, and each op runs one
 //! [`Namespace::begin`] … [`Namespace::finish`] bracket, so a namespace op
-//! that returns an error changed nothing.
+//! that returns an error changed nothing. The data half ([`read`],
+//! [`write`], [`append`], [`fsync`], [`truncate`]): the descriptor's
+//! lookup and access mode, the `O_APPEND` offset, the end-of-file clamp
+//! and the empty-write rule, as `vfs_read`/`vfs_write` check them before
+//! a file system's `->read`/`->write` runs. A family plugs in through
+//! [`Files`], whose hooks only move data.
 
+use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-use nvmm::NvmmDevice;
+use nvmm::{NvmmDevice, BLOCK_SIZE};
 use obsv::{AuditReport, FsObs, OpKind};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 
 use crate::dirent::entry_len;
 use crate::error::{FsError, Result};
@@ -54,24 +61,10 @@ pub trait FileSystem: Send + Sync {
     fn write(&self, fd: Fd, off: u64, data: &[u8]) -> Result<usize>;
 
     /// Writes a gather list of slices as one contiguous run starting at
-    /// byte offset `off` (`pwritev(2)`). Returns the total number of
-    /// bytes written.
-    ///
-    /// The default forwards slice-by-slice through [`FileSystem::write`],
-    /// paying the full per-call cost for each slice. NVMM-aware
-    /// implementations override this to take their per-file locks and
-    /// open their journal transaction once for the whole vector.
-    fn write_vectored(&self, fd: Fd, off: u64, iovs: &[&[u8]]) -> Result<usize> {
-        let mut cur = off;
-        for iov in iovs {
-            let n = self.write(fd, cur, iov)?;
-            cur += n as u64;
-            if n < iov.len() {
-                break;
-            }
-        }
-        Ok((cur - off) as usize)
-    }
+    /// byte offset `off` (`pwritev(2)`): one call's costs, per-file locks
+    /// and journal transaction for the whole vector. Returns the total
+    /// number of bytes written.
+    fn write_vectored(&self, fd: Fd, off: u64, iovs: &[&[u8]]) -> Result<usize>;
 
     /// Appends `data` at the end of the file, returning the offset the data
     /// landed at.
@@ -160,7 +153,14 @@ pub trait InodeState: Send + Sync {
     fn nlink(&self) -> u32 {
         self.stat(0).nlink
     }
+    /// Size in bytes.
+    fn size(&self) -> u64 {
+        self.stat(0).size
+    }
 }
+
+/// A write lock held on an inode's state.
+pub type StateGuard<'a, S> = RwLockWriteGuard<'a, S>;
 
 /// An inode's shared in-memory state, one per cached inode.
 #[derive(Debug)]
@@ -234,12 +234,52 @@ pub enum Edit<N> {
     Rewrite(N, N, Ino, FileType),
 }
 
+/// A file system family as the data driver sees it: its descriptor
+/// table, and hooks that only move data, each called once the driver has
+/// checked the descriptor.
+pub trait Files: Sync {
+    /// An inode's in-memory state.
+    type State: InodeState;
+
+    /// The device the mount's time is charged to.
+    fn device(&self) -> &NvmmDevice;
+    /// The mount's op scopes.
+    fn obs(&self) -> &FsObs;
+    /// The descriptor table.
+    fn fds(&self) -> &FdTable<OpenFile<Self::State>>;
+    /// Makes journal room before a namespace op or a truncate, holding no
+    /// lock.
+    fn make_room(&self);
+    /// Truncates or extends `node` to `size`: `ftruncate`, and `open`
+    /// with `O_TRUNC`. A file already `size` bytes long is left as it is.
+    fn resize(&self, node: &Inode<Self::State>, size: u64) -> Result<()>;
+    /// Fills `buf`, which lies below end of file, from byte `off` of
+    /// `of`'s file (read-locked: `state`).
+    fn read_data(
+        &self,
+        of: &OpenFile<Self::State>,
+        state: &Self::State,
+        off: u64,
+        buf: &mut [u8],
+    ) -> Result<()>;
+    /// Writes `iovs`, `total > 0` bytes, as one run at `off` into `of`'s
+    /// file, write-locked by `state` until the hook drops it.
+    fn write_data(
+        &self,
+        of: &OpenFile<Self::State>,
+        state: StateGuard<'_, Self::State>,
+        off: u64,
+        iovs: &[&[u8]],
+        total: u64,
+    ) -> Result<()>;
+    /// Makes `of`'s file durable.
+    fn fsync_data(&self, of: &OpenFile<Self::State>) -> Result<()>;
+}
+
 /// A file system family as the namespace driver sees it. An op runs under
 /// its entries' locks, in one transaction from `begin` to `finish`; an
 /// entry edit holds its directory's write lock (the `state` passed).
-pub trait Namespace: Sync {
-    /// An inode's in-memory state.
-    type State: InodeState;
+pub trait Namespace: Files {
     /// A namespace op's transaction.
     type Tx<'a>
     where
@@ -251,22 +291,14 @@ pub trait Namespace: Sync {
     /// The root directory's inode number.
     const ROOT: Ino;
 
-    /// The device the mount's time is charged to.
-    fn device(&self) -> &NvmmDevice;
-    /// The mount's op scopes.
-    fn obs(&self) -> &FsObs;
     /// The mount's name-index counters.
     fn namei(&self) -> &NameiStats;
-    /// The descriptor table.
-    fn fds(&self) -> &FdTable<OpenFile<Self::State>>;
     /// The handle of a used inode.
     fn inode(&self, ino: Ino) -> Result<Arc<Inode<Self::State>>>;
     /// A directory's name index, built by one charged pass over its blocks.
     fn index(&self, dir: &Self::State) -> Result<NameIndex>;
     /// A directory's live entries, in media order.
     fn list(&self, dir: &Self::State) -> Result<Vec<DirEntry>>;
-    /// Makes journal room before a namespace op, holding no lock.
-    fn make_room(&self);
     /// Locks the `(parent, name)` entries an op looks up and edits.
     fn lock_entries<'a>(&'a self, entries: &[(Ino, &str)]) -> Self::Locked<'a>;
     /// Opens a namespace op's transaction; a refusal here changed nothing.
@@ -293,14 +325,12 @@ pub trait Namespace: Sync {
         node: &Node<Self>,
         state: &mut Self::State,
     ) -> Result<()>;
-    /// Truncates or extends `node` to `size` (`open` with `O_TRUNC`).
-    fn resize(&self, node: &Node<Self>, size: u64) -> Result<()>;
     /// Ends `tx`: keeps what it did when `res` is `Ok`, else undoes it.
     fn finish<R>(&self, tx: Self::Tx<'_>, res: Result<R>) -> Result<R>;
 }
 
 /// A family's inode.
-pub type Node<F> = Inode<<F as Namespace>::State>;
+pub type Node<F> = Inode<<F as Files>::State>;
 
 /// A family's inode handle, or why there is none.
 pub type InodeResult<F> = Result<Arc<Node<F>>>;
@@ -651,37 +681,160 @@ pub fn rename<F: Namespace>(fs: &F, from: &str, to: &str) -> Result<()> {
     fs.finish(tx, res)
 }
 
+/// The byte run `[off, off + len)` cut at block boundaries: for each
+/// piece, its file block, its offset in that block, and its range within
+/// the run.
+pub fn chunks(off: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        let pos = off + done as u64;
+        let in_blk = (pos % BLOCK_SIZE as u64) as usize;
+        let chunk = (BLOCK_SIZE - in_blk).min(len - done);
+        let range = done..done + chunk;
+        done += chunk;
+        (chunk > 0).then_some((pos / BLOCK_SIZE as u64, in_blk, range))
+    })
+}
+
+/// `read(2)` at `off`: a descriptor opened for reading, short at end of
+/// file.
+pub fn read<F: Files>(fs: &F, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
+    fs.obs().op(OpKind::Read, || {
+        fs.device().env().charge_syscall();
+        let of = fs.fds().get(fd)?;
+        if !of.flags.readable() {
+            return Err(FsError::BadFd);
+        }
+        let state = of.handle.state.read();
+        let n = buf.len().min(state.size().saturating_sub(off) as usize);
+        if n > 0 {
+            fs.read_data(&of, &state, off, &mut buf[..n])?;
+        }
+        Ok(n)
+    })
+}
+
+/// The write path of `write`, `pwritev` and `append`: a descriptor
+/// opened for writing, the run landing at `off`, or at end of file for
+/// `None` or an `O_APPEND` descriptor; an empty run changes nothing.
+/// Returns where the run landed and its length.
+fn write_run<F: Files>(fs: &F, fd: Fd, off: Option<u64>, iovs: &[&[u8]]) -> Result<(u64, usize)> {
+    fs.device().env().charge_syscall();
+    let of = fs.fds().get(fd)?;
+    if !of.flags.writable() {
+        return Err(FsError::BadFd);
+    }
+    let state = of.handle.state.write();
+    let start = match off {
+        Some(off) if !of.flags.contains(OpenFlags::APPEND) => off,
+        _ => state.size(),
+    };
+    let total: usize = iovs.iter().map(|s| s.len()).sum();
+    if total > 0 {
+        obsv::note_bytes(obsv::Layer::Logical, total as u64);
+        fs.write_data(&of, state, start, iovs, total as u64)?;
+    }
+    Ok((start, total))
+}
+
+/// `pwrite(2)`/`pwritev(2)`: the gather list `iovs` as one run at `off`.
+pub fn write<F: Files>(fs: &F, fd: Fd, off: u64, iovs: &[&[u8]]) -> Result<usize> {
+    fs.obs()
+        .op(OpKind::Write, || Ok(write_run(fs, fd, Some(off), iovs)?.1))
+}
+
+/// A write at end of file; returns where `data` landed.
+pub fn append<F: Files>(fs: &F, fd: Fd, data: &[u8]) -> Result<u64> {
+    fs.obs()
+        .op(OpKind::Write, || Ok(write_run(fs, fd, None, &[data])?.0))
+}
+
+/// `fsync(2)`: any open descriptor.
+pub fn fsync<F: Files>(fs: &F, fd: Fd) -> Result<()> {
+    fs.obs().op(OpKind::Fsync, || {
+        fs.device().env().charge_syscall();
+        let of = fs.fds().get(fd)?;
+        fs.fsync_data(&of)
+    })
+}
+
+/// `ftruncate(2)`: a descriptor opened for writing; the resize is
+/// `open`'s `O_TRUNC` one.
+pub fn truncate<F: Files>(fs: &F, fd: Fd, size: u64) -> Result<()> {
+    fs.obs().op(OpKind::Truncate, || {
+        fs.make_room();
+        fs.device().env().charge_syscall();
+        let of = fs.fds().get(fd)?;
+        if !of.flags.writable() {
+            return Err(FsError::BadFd);
+        }
+        fs.resize(&of.handle, size)
+    })
+}
+
+/// The data methods of a [`Files`] family's [`FileSystem`] impl: each is
+/// the driver's. Invoked inside the `impl` block.
+#[macro_export]
+macro_rules! data_ops {
+    () => {
+        fn read(&self, fd: $crate::Fd, off: u64, buf: &mut [u8]) -> $crate::Result<usize> {
+            $crate::vfs::read(self, fd, off, buf)
+        }
+        fn write(&self, fd: $crate::Fd, off: u64, data: &[u8]) -> $crate::Result<usize> {
+            $crate::vfs::write(self, fd, off, &[data])
+        }
+        fn write_vectored(
+            &self,
+            fd: $crate::Fd,
+            off: u64,
+            iovs: &[&[u8]],
+        ) -> $crate::Result<usize> {
+            $crate::vfs::write(self, fd, off, iovs)
+        }
+        fn append(&self, fd: $crate::Fd, data: &[u8]) -> $crate::Result<u64> {
+            $crate::vfs::append(self, fd, data)
+        }
+        fn fsync(&self, fd: $crate::Fd) -> $crate::Result<()> {
+            $crate::vfs::fsync(self, fd)
+        }
+        fn truncate(&self, fd: $crate::Fd, size: u64) -> $crate::Result<()> {
+            $crate::vfs::truncate(self, fd, size)
+        }
+    };
+}
+
 /// The namespace methods of a [`Namespace`] family's [`FileSystem`]
-/// impl: each is the driver's. Invoked inside the `impl` block.
+/// impl: each is the driver's. Invoked inside the `impl` block; with a
+/// field name, the family is that field's (a layer over it).
 #[macro_export]
 macro_rules! namespace_ops {
-    () => {
+    ($($via:ident)?) => {
         fn open(&self, path: &str, flags: $crate::OpenFlags) -> $crate::Result<$crate::Fd> {
-            $crate::vfs::open(self, path, flags)
+            $crate::vfs::open(&*self $(.$via)?, path, flags)
         }
         fn close(&self, fd: $crate::Fd) -> $crate::Result<()> {
-            $crate::vfs::close(self, fd)
+            $crate::vfs::close(&*self $(.$via)?, fd)
         }
         fn unlink(&self, path: &str) -> $crate::Result<()> {
-            $crate::vfs::unlink(self, path)
+            $crate::vfs::unlink(&*self $(.$via)?, path)
         }
         fn mkdir(&self, path: &str) -> $crate::Result<()> {
-            $crate::vfs::mkdir(self, path)
+            $crate::vfs::mkdir(&*self $(.$via)?, path)
         }
         fn rmdir(&self, path: &str) -> $crate::Result<()> {
-            $crate::vfs::rmdir(self, path)
+            $crate::vfs::rmdir(&*self $(.$via)?, path)
         }
         fn readdir(&self, path: &str) -> $crate::Result<Vec<$crate::DirEntry>> {
-            $crate::vfs::readdir(self, path)
+            $crate::vfs::readdir(&*self $(.$via)?, path)
         }
         fn stat(&self, path: &str) -> $crate::Result<$crate::Stat> {
-            $crate::vfs::stat(self, path)
+            $crate::vfs::stat(&*self $(.$via)?, path)
         }
         fn fstat(&self, fd: $crate::Fd) -> $crate::Result<$crate::Stat> {
-            $crate::vfs::fstat(self, fd)
+            $crate::vfs::fstat(&*self $(.$via)?, fd)
         }
         fn rename(&self, from: &str, to: &str) -> $crate::Result<()> {
-            $crate::vfs::rename(self, from, to)
+            $crate::vfs::rename(&*self $(.$via)?, from, to)
         }
     };
 }

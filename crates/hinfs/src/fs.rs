@@ -25,11 +25,11 @@ use std::collections::HashSet;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Weak};
 
-use fskit::vfs::Namespace;
-use fskit::{DirEntry, Fd, FileSystem, FsError, MmapHandle, OpenFlags, Result, Stat};
+use fskit::vfs::{chunks, Files, OpenFile};
+use fskit::{Fd, FdTable, FileSystem, FsError, MmapHandle, OpenFlags, Result};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE, CACHELINE};
-use obsv::{FsObs, OpKind, Phase, Site, TraceEvent, TrackedMutex};
-use pmfs::inode::{InodeHandle, InodeMem};
+use obsv::{FsObs, Phase, Site, TraceEvent, TrackedMutex};
+use pmfs::inode::{InodeGuard, InodeHandle, InodeMem};
 use pmfs::{Layout, Pmfs, PmfsOptions, TxHandle, VolatileLayer};
 
 use crate::buffer::{covered_mask, range_mask, runs, Shared, FULL_MASK};
@@ -197,208 +197,6 @@ impl Hinfs {
         }
     }
 
-    /// The shared write path: a gather list of slices lands as one
-    /// contiguous run at `off_req` (or EOF in append mode). One syscall
-    /// charge, one inode write lock, at most one metadata journal
-    /// transaction and one watermark check cover the whole vector —
-    /// `write`/`append` pass a single slice, `write_vectored` passes the
-    /// caller's iovec.
-    fn write_impl(&self, fd: Fd, off_req: u64, iovs: &[&[u8]], append: bool) -> Result<u64> {
-        self.env.charge_syscall();
-        let of = self.inner.fds().get(fd)?;
-        if !of.flags.writable() {
-            return Err(FsError::BadFd);
-        }
-        let ino = of.ino;
-        let mut guard = of.handle.state.write();
-        let state = &mut guard;
-        let off = if append || of.flags.contains(OpenFlags::APPEND) {
-            state.size
-        } else {
-            off_req
-        };
-        let total: u64 = iovs.iter().map(|s| s.len() as u64).sum();
-        if total == 0 {
-            return Ok(off);
-        }
-        let end = off
-            .checked_add(total)
-            .filter(|&e| e <= pmfs::file::MAX_FILE_SIZE)
-            .ok_or(FsError::FileTooLarge)?;
-        obsv::note_bytes(obsv::Layer::Logical, total);
-        let now = self.env.now();
-        let case1 = of.flags.contains(OpenFlags::SYNC);
-        let mut all_lazy = !case1;
-        let old_size = state.size;
-        let old_blocks = state.blocks;
-
-        let mut pending: HashSet<u64> = HashSet::new();
-        // POSIX: a write beyond EOF exposes the gap as zeroes. The block
-        // holding the old end of file may carry stale bytes past EOF on
-        // NVMM (the flush path only zeroes up to EOF), so zero the in-block
-        // gap explicitly before the size grows over it.
-        if off > old_size && old_size % BLOCK_SIZE as u64 != 0 {
-            let bblk = old_size / BLOCK_SIZE as u64;
-            let gap_end = off.min((bblk + 1) * BLOCK_SIZE as u64);
-            let materialized = {
-                let sh = self.shard(ino).lock();
-                sh.slot_of(ino, bblk).is_some()
-            } || pmfs::tree::lookup(self.dev(), state, bblk).is_some();
-            if materialized && gap_end > old_size {
-                let in_blk = (old_size % BLOCK_SIZE as u64) as usize;
-                let zeros = vec![0u8; (gap_end - old_size) as usize];
-                self.buffered_write_chunk(ino, state, bblk, in_blk, &zeros, now)?;
-                let mut sh = self.shard(ino).lock();
-                checker::record_write(
-                    sh.file_mut(ino),
-                    bblk,
-                    range_mask(in_blk, zeros.len()),
-                    true,
-                );
-                pending.insert(bblk);
-            }
-        }
-        let mut done: u64 = 0;
-        for data in iovs {
-            let mut idone = 0;
-            while idone < data.len() {
-                let pos = off + done;
-                let iblk = pos / BLOCK_SIZE as u64;
-                let in_blk = (pos % BLOCK_SIZE as u64) as usize;
-                let chunk = (BLOCK_SIZE - in_blk).min(data.len() - idone);
-                let payload = &data[idone..idone + chunk];
-                let mask = range_mask(in_blk, chunk);
-
-                let eager = case1 || {
-                    let mut sh = self.shard(ino).lock();
-                    checker::is_eager_block(&self.cfg, sh.file_mut(ino), iblk, now)
-                };
-                if !eager {
-                    self.buffered_write_chunk(ino, state, iblk, in_blk, payload, now)?;
-                    let mut sh = self.shard(ino).lock();
-                    checker::record_write(sh.file_mut(ino), iblk, mask, true);
-                    HinfsStats::bump(&self.stats.lazy_writes, 1);
-                    pending.insert(iblk);
-                } else {
-                    // Eager-persistent: the block's data must be on NVMM
-                    // when the write completes.
-                    all_lazy = false;
-                    let mut absorbed = false;
-                    {
-                        let mut sh = self.shard(ino).lock();
-                        if let Some(slot) = sh.slot_of(ino, iblk) {
-                            if case1 {
-                                // Case 1 on a buffered block: apply the
-                                // write to DRAM, then explicitly evict
-                                // (flush) it before returning to the user
-                                // (paper §3.3.2).
-                                let partial = mask & !covered_mask(in_blk, chunk);
-                                self.ensure_lines(&mut sh, slot, partial);
-                                self.apply_to_slot(&mut sh, slot, in_blk, payload, now);
-                                absorbed = true;
-                            }
-                            // Either way the buffered copy leaves the buffer
-                            // so NVMM stays the single source of truth.
-                            self.evict_batch_locked(
-                                &mut sh,
-                                &[slot],
-                                Some(state),
-                                obsv::DrainKind::Sync,
-                            )
-                            .1?;
-                        }
-                    }
-                    if !absorbed {
-                        pmfs::file::write_at(
-                            self.dev(),
-                            self.inner.allocator(),
-                            state,
-                            pos,
-                            payload,
-                            now,
-                        )?;
-                        // Eager-persistent: durable at op return, lag 0.
-                        self.obs.record_inline_drain(payload.len() as u64);
-                    }
-                    let mut sh = self.shard(ino).lock();
-                    checker::record_write(sh.file_mut(ino), iblk, mask, false);
-                    if case1 {
-                        HinfsStats::bump(&self.stats.sync_writes, 1);
-                    } else {
-                        HinfsStats::bump(&self.stats.eager_writes, 1);
-                    }
-                }
-                idone += chunk;
-                done += chunk as u64;
-            }
-        }
-
-        if end > state.size {
-            state.size = end;
-        }
-        state.mtime = now;
-        // Metadata durability (ordered mode, see `tracker`): a write whose
-        // chunks all went lazy leaves its inode update to the file's
-        // carriers, whose flush persists the core. Any other change
-        // journals the core now; its commit record waits for the data.
-        let grew = state.size != old_size || state.blocks != old_blocks;
-        let carried = grew && all_lazy && self.shard(ino).lock().carriers(ino) > 0;
-        if grew && !carried {
-            let tx = self.begin_tx(ino, state)?;
-            let logged = match self.inner.log_write_inode(&tx, &of.handle, state) {
-                Ok(logged) => logged,
-                Err(e) => {
-                    // Abort rather than leak the reservation: an open tx
-                    // record would pin the journal ring forever.
-                    self.inner.journal().abort(tx);
-                    return Err(e);
-                }
-            };
-            let mut sh = self.shard(ino).lock();
-            // A reclaim may already have flushed some of this op's blocks
-            // (pool pressure mid-write); only still-dirty blocks gate the
-            // commit.
-            pending.retain(|&iblk| {
-                sh.slot_of(ino, iblk)
-                    .is_some_and(|s| sh.pool().meta(s).dirty != 0)
-            });
-            // An eager write may land while earlier lazy writes' sizes
-            // still ride a carrier: the core it persists covers theirs.
-            if sh.carriers(ino) > 0 {
-                pending.extend(sh.dirty_below(ino, state.size));
-            }
-            let tstamp = self.obs.stamp(now);
-            let file = sh.file_mut(ino);
-            tracker::enqueue(file, tx, logged, pending, tstamp, &self.stats);
-            // A commit that happens here runs inside the op that logged
-            // it — the metadata is durable before the ack.
-            tracker::drain_ready(
-                file,
-                self.inner.journal(),
-                &self.obs,
-                obsv::DrainKind::Sync,
-                now,
-                &self.stats,
-            );
-        }
-        if case1 {
-            // O_SYNC semantics: data *and* metadata durable on return.
-            self.fsync_core(ino, state, false)?;
-        }
-        drop(guard);
-
-        // Wake the background writeback when the buffer runs low (Low_f).
-        let (free, low) = (self.free_buffer_blocks(), self.cfg.low_blocks());
-        if free < low {
-            self.obs.trace.emit(now, || TraceEvent::WatermarkLow {
-                free: free as u64,
-                low: low as u64,
-            });
-            self.kick_background(self.env.now());
-        }
-        Ok(off)
-    }
-
     /// Copies `payload` into an existing buffer slot (no fetch — the slot's
     /// missing partial lines must already be valid).
     fn apply_to_slot(&self, sh: &mut Shared, slot: u32, in_blk: usize, payload: &[u8], now: u64) {
@@ -533,89 +331,6 @@ impl Hinfs {
         Ok(())
     }
 
-    // ----- read path -----
-
-    fn read_impl(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
-        self.env.charge_syscall();
-        let of = self.inner.fds().get(fd)?;
-        if !of.flags.readable() {
-            return Err(FsError::BadFd);
-        }
-        let guard = of.handle.state.read();
-        let state = &*guard;
-        if off >= state.size {
-            return Ok(0);
-        }
-        let n = buf.len().min((state.size - off) as usize);
-        let mut done = 0;
-        while done < n {
-            let pos = off + done as u64;
-            let iblk = pos / BLOCK_SIZE as u64;
-            let in_blk = (pos % BLOCK_SIZE as u64) as usize;
-            let chunk = (BLOCK_SIZE - in_blk).min(n - done);
-            let out = &mut buf[done..done + chunk];
-            let sh = self.shard(of.ino).lock();
-            match sh.slot_of(of.ino, iblk) {
-                Some(slot) => {
-                    self.inner
-                        .device()
-                        .spans()
-                        .scope(Phase::CachelineStitch, || {
-                            let meta = *sh.pool().meta(slot);
-                            let rmask = range_mask(in_blk, chunk);
-                            // Stitch: valid lines from DRAM, the rest from
-                            // NVMM (or zero for holes). One copy per
-                            // consecutive run.
-                            for (start, nl) in runs(rmask & meta.valid) {
-                                let (s, e) = clip(start, nl, in_blk, chunk);
-                                out[s - in_blk..e - in_blk]
-                                    .copy_from_slice(&sh.pool().block(slot)[s..e]);
-                                self.env.charge_dram_copy(Cat::UserRead, e - s);
-                            }
-                            let nvmm_mask = rmask & !meta.valid;
-                            if nvmm_mask != 0 {
-                                let pblk = if meta.nvmm_block != 0 {
-                                    Some(meta.nvmm_block)
-                                } else {
-                                    pmfs::tree::lookup(self.dev(), state, iblk)
-                                };
-                                for (start, nl) in runs(nvmm_mask) {
-                                    let (s, e) = clip(start, nl, in_blk, chunk);
-                                    match pblk {
-                                        Some(p) => self.dev().read(
-                                            Cat::UserRead,
-                                            Layout::block_off(p) + s as u64,
-                                            &mut out[s - in_blk..e - in_blk],
-                                        ),
-                                        None => {
-                                            out[s - in_blk..e - in_blk].fill(0);
-                                            self.env.charge_dram_copy(Cat::UserRead, e - s);
-                                        }
-                                    }
-                                }
-                            }
-                        });
-                }
-                None => {
-                    drop(sh);
-                    match pmfs::tree::lookup(self.dev(), state, iblk) {
-                        Some(p) => self.dev().read(
-                            Cat::UserRead,
-                            Layout::block_off(p) + in_blk as u64,
-                            out,
-                        ),
-                        None => {
-                            out.fill(0);
-                            self.env.charge_dram_copy(Cat::UserRead, chunk);
-                        }
-                    }
-                }
-            }
-            done += chunk;
-        }
-        Ok(n)
-    }
-
     // ----- fsync -----
 
     /// Flushes the file's dirty buffered blocks, commits its ordered
@@ -730,78 +445,11 @@ impl FileSystem for Hinfs {
         }
     }
 
-    // Namespace ops and truncate are PMFS's: it calls back into this
-    // mount as its `VolatileLayer`.
-    fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
-        self.inner.open(path, flags)
-    }
+    fskit::data_ops!();
 
-    fn close(&self, fd: Fd) -> Result<()> {
-        self.inner.close(fd)
-    }
-
-    fn read(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
-        self.obs.op(OpKind::Read, || self.read_impl(fd, off, buf))
-    }
-
-    fn write(&self, fd: Fd, off: u64, data: &[u8]) -> Result<usize> {
-        self.obs.op(OpKind::Write, || {
-            self.write_impl(fd, off, &[data], false).map(|_| data.len())
-        })
-    }
-
-    fn write_vectored(&self, fd: Fd, off: u64, iovs: &[&[u8]]) -> Result<usize> {
-        self.obs.op(OpKind::Write, || {
-            let total = iovs.iter().map(|s| s.len()).sum();
-            self.write_impl(fd, off, iovs, false).map(|_| total)
-        })
-    }
-
-    fn append(&self, fd: Fd, data: &[u8]) -> Result<u64> {
-        self.obs
-            .op(OpKind::Write, || self.write_impl(fd, 0, &[data], true))
-    }
-
-    fn fsync(&self, fd: Fd) -> Result<()> {
-        self.obs.op(OpKind::Fsync, || {
-            self.env.charge_syscall();
-            let of = self.inner.fds().get(fd)?;
-            let mut guard = of.handle.state.write();
-            self.fsync_core(of.ino, &mut guard, true)
-        })
-    }
-
-    fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
-        self.inner.truncate(fd, size)
-    }
-
-    fn unlink(&self, path: &str) -> Result<()> {
-        self.inner.unlink(path)
-    }
-
-    fn mkdir(&self, path: &str) -> Result<()> {
-        self.inner.mkdir(path)
-    }
-
-    fn rmdir(&self, path: &str) -> Result<()> {
-        self.inner.rmdir(path)
-    }
-
-    fn readdir(&self, path: &str) -> Result<Vec<DirEntry>> {
-        self.inner.readdir(path)
-    }
-
-    fn stat(&self, path: &str) -> Result<Stat> {
-        self.inner.stat(path)
-    }
-
-    fn fstat(&self, fd: Fd) -> Result<Stat> {
-        self.inner.fstat(fd)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.inner.rename(from, to)
-    }
+    // Namespace ops are PMFS's: it calls back into this mount as its
+    // `VolatileLayer`, as the driver's truncate does.
+    fskit::namespace_ops!(inner);
 
     fn sync(&self) -> Result<()> {
         self.env.charge_syscall();
@@ -839,6 +487,292 @@ impl FileSystem for Hinfs {
 
     fn tick(&self, now_ns: u64) {
         self.tick_virtual(now_ns);
+    }
+}
+
+impl Files for Hinfs {
+    type State = InodeMem;
+
+    fn device(&self) -> &NvmmDevice {
+        self.dev()
+    }
+
+    fn obs(&self) -> &FsObs {
+        &self.obs
+    }
+
+    fn fds(&self) -> &FdTable<OpenFile<InodeMem>> {
+        self.inner.fds()
+    }
+
+    fn make_room(&self) {
+        self.inner.make_room();
+    }
+
+    fn resize(&self, h: &InodeHandle, size: u64) -> Result<()> {
+        self.inner.resize(h, size)
+    }
+
+    /// Each block is stitched from the buffer's valid lines and NVMM.
+    fn read_data(
+        &self,
+        of: &OpenFile<InodeMem>,
+        state: &InodeMem,
+        off: u64,
+        buf: &mut [u8],
+    ) -> Result<()> {
+        let ino = of.ino;
+        for (iblk, in_blk, r) in chunks(off, buf.len()) {
+            let chunk = r.len();
+            let out = &mut buf[r];
+            let sh = self.shard(ino).lock();
+            match sh.slot_of(ino, iblk) {
+                Some(slot) => {
+                    self.inner
+                        .device()
+                        .spans()
+                        .scope(Phase::CachelineStitch, || {
+                            let meta = *sh.pool().meta(slot);
+                            let rmask = range_mask(in_blk, chunk);
+                            // Stitch: valid lines from DRAM, the rest from
+                            // NVMM (or zero for holes). One copy per
+                            // consecutive run.
+                            for (start, nl) in runs(rmask & meta.valid) {
+                                let (s, e) = clip(start, nl, in_blk, chunk);
+                                out[s - in_blk..e - in_blk]
+                                    .copy_from_slice(&sh.pool().block(slot)[s..e]);
+                                self.env.charge_dram_copy(Cat::UserRead, e - s);
+                            }
+                            let nvmm_mask = rmask & !meta.valid;
+                            if nvmm_mask != 0 {
+                                let pblk = if meta.nvmm_block != 0 {
+                                    Some(meta.nvmm_block)
+                                } else {
+                                    pmfs::tree::lookup(self.dev(), state, iblk)
+                                };
+                                for (start, nl) in runs(nvmm_mask) {
+                                    let (s, e) = clip(start, nl, in_blk, chunk);
+                                    match pblk {
+                                        Some(p) => self.dev().read(
+                                            Cat::UserRead,
+                                            Layout::block_off(p) + s as u64,
+                                            &mut out[s - in_blk..e - in_blk],
+                                        ),
+                                        None => {
+                                            out[s - in_blk..e - in_blk].fill(0);
+                                            self.env.charge_dram_copy(Cat::UserRead, e - s);
+                                        }
+                                    }
+                                }
+                            }
+                        });
+                }
+                None => {
+                    drop(sh);
+                    match pmfs::tree::lookup(self.dev(), state, iblk) {
+                        Some(p) => self.dev().read(
+                            Cat::UserRead,
+                            Layout::block_off(p) + in_blk as u64,
+                            out,
+                        ),
+                        None => {
+                            out.fill(0);
+                            self.env.charge_dram_copy(Cat::UserRead, chunk);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A gather list of slices lands as one contiguous run at `off`. One
+    /// inode write lock, at most one metadata journal transaction and one
+    /// watermark check cover the whole vector.
+    fn write_data(
+        &self,
+        of: &OpenFile<InodeMem>,
+        mut guard: InodeGuard<'_>,
+        off: u64,
+        iovs: &[&[u8]],
+        total: u64,
+    ) -> Result<()> {
+        let ino = of.ino;
+        let state = &mut guard;
+        let end = off
+            .checked_add(total)
+            .filter(|&e| e <= pmfs::file::MAX_FILE_SIZE)
+            .ok_or(FsError::FileTooLarge)?;
+        let now = self.env.now();
+        let case1 = of.flags.contains(OpenFlags::SYNC);
+        let mut all_lazy = !case1;
+        let old_size = state.size;
+        let old_blocks = state.blocks;
+
+        let mut pending: HashSet<u64> = HashSet::new();
+        // POSIX: a write beyond EOF exposes the gap as zeroes. The block
+        // holding the old end of file may carry stale bytes past EOF on
+        // NVMM (the flush path only zeroes up to EOF), so zero the in-block
+        // gap explicitly before the size grows over it.
+        if off > old_size && !old_size.is_multiple_of(BLOCK_SIZE as u64) {
+            let bblk = old_size / BLOCK_SIZE as u64;
+            let gap_end = off.min((bblk + 1) * BLOCK_SIZE as u64);
+            let materialized = {
+                let sh = self.shard(ino).lock();
+                sh.slot_of(ino, bblk).is_some()
+            } || pmfs::tree::lookup(self.dev(), state, bblk).is_some();
+            if materialized && gap_end > old_size {
+                let in_blk = (old_size % BLOCK_SIZE as u64) as usize;
+                let zeros = vec![0u8; (gap_end - old_size) as usize];
+                self.buffered_write_chunk(ino, state, bblk, in_blk, &zeros, now)?;
+                let mut sh = self.shard(ino).lock();
+                checker::record_write(
+                    sh.file_mut(ino),
+                    bblk,
+                    range_mask(in_blk, zeros.len()),
+                    true,
+                );
+                pending.insert(bblk);
+            }
+        }
+        let mut start = off;
+        for data in iovs {
+            for (iblk, in_blk, r) in chunks(start, data.len()) {
+                let (chunk, pos) = (r.len(), start + r.start as u64);
+                let payload = &data[r];
+                let mask = range_mask(in_blk, chunk);
+
+                let eager = case1 || {
+                    let mut sh = self.shard(ino).lock();
+                    checker::is_eager_block(&self.cfg, sh.file_mut(ino), iblk, now)
+                };
+                if !eager {
+                    self.buffered_write_chunk(ino, state, iblk, in_blk, payload, now)?;
+                    let mut sh = self.shard(ino).lock();
+                    checker::record_write(sh.file_mut(ino), iblk, mask, true);
+                    HinfsStats::bump(&self.stats.lazy_writes, 1);
+                    pending.insert(iblk);
+                } else {
+                    // Eager-persistent: the block's data must be on NVMM
+                    // when the write completes.
+                    all_lazy = false;
+                    let mut absorbed = false;
+                    {
+                        let mut sh = self.shard(ino).lock();
+                        if let Some(slot) = sh.slot_of(ino, iblk) {
+                            if case1 {
+                                // Case 1 on a buffered block: apply the
+                                // write to DRAM, then explicitly evict
+                                // (flush) it before returning to the user
+                                // (paper §3.3.2).
+                                let partial = mask & !covered_mask(in_blk, chunk);
+                                self.ensure_lines(&mut sh, slot, partial);
+                                self.apply_to_slot(&mut sh, slot, in_blk, payload, now);
+                                absorbed = true;
+                            }
+                            // Either way the buffered copy leaves the buffer
+                            // so NVMM stays the single source of truth.
+                            self.evict_batch_locked(
+                                &mut sh,
+                                &[slot],
+                                Some(state),
+                                obsv::DrainKind::Sync,
+                            )
+                            .1?;
+                        }
+                    }
+                    if !absorbed {
+                        pmfs::file::write_at(
+                            self.dev(),
+                            self.inner.allocator(),
+                            state,
+                            pos,
+                            payload,
+                            now,
+                        )?;
+                        // Eager-persistent: durable at op return, lag 0.
+                        self.obs.record_inline_drain(payload.len() as u64);
+                    }
+                    let mut sh = self.shard(ino).lock();
+                    checker::record_write(sh.file_mut(ino), iblk, mask, false);
+                    if case1 {
+                        HinfsStats::bump(&self.stats.sync_writes, 1);
+                    } else {
+                        HinfsStats::bump(&self.stats.eager_writes, 1);
+                    }
+                }
+            }
+            start += data.len() as u64;
+        }
+
+        if end > state.size {
+            state.size = end;
+        }
+        state.mtime = now;
+        // Metadata durability (ordered mode, see `tracker`): a write whose
+        // chunks all went lazy leaves its inode update to the file's
+        // carriers, whose flush persists the core. Any other change
+        // journals the core now; its commit record waits for the data.
+        let grew = state.size != old_size || state.blocks != old_blocks;
+        let carried = grew && all_lazy && self.shard(ino).lock().carriers(ino) > 0;
+        if grew && !carried {
+            let tx = self.begin_tx(ino, state)?;
+            let logged = match self.inner.log_write_inode(&tx, &of.handle, state) {
+                Ok(logged) => logged,
+                Err(e) => {
+                    // Abort rather than leak the reservation: an open tx
+                    // record would pin the journal ring forever.
+                    self.inner.journal().abort(tx);
+                    return Err(e);
+                }
+            };
+            let mut sh = self.shard(ino).lock();
+            // A reclaim may already have flushed some of this op's blocks
+            // (pool pressure mid-write); only still-dirty blocks gate the
+            // commit.
+            pending.retain(|&iblk| {
+                sh.slot_of(ino, iblk)
+                    .is_some_and(|s| sh.pool().meta(s).dirty != 0)
+            });
+            // An eager write may land while earlier lazy writes' sizes
+            // still ride a carrier: the core it persists covers theirs.
+            if sh.carriers(ino) > 0 {
+                pending.extend(sh.dirty_below(ino, state.size));
+            }
+            let tstamp = self.obs.stamp(now);
+            let file = sh.file_mut(ino);
+            tracker::enqueue(file, tx, logged, pending, tstamp, &self.stats);
+            // A commit that happens here runs inside the op that logged
+            // it — the metadata is durable before the ack.
+            tracker::drain_ready(
+                file,
+                self.inner.journal(),
+                &self.obs,
+                obsv::DrainKind::Sync,
+                now,
+                &self.stats,
+            );
+        }
+        if case1 {
+            // O_SYNC semantics: data *and* metadata durable on return.
+            self.fsync_core(ino, state, false)?;
+        }
+        drop(guard);
+
+        // Wake the background writeback when the buffer runs low (Low_f).
+        let (free, low) = (self.free_buffer_blocks(), self.cfg.low_blocks());
+        if free < low {
+            self.obs.trace.emit(now, || TraceEvent::WatermarkLow {
+                free: free as u64,
+                low: low as u64,
+            });
+            self.kick_background(self.env.now());
+        }
+        Ok(())
+    }
+
+    fn fsync_data(&self, of: &OpenFile<InodeMem>) -> Result<()> {
+        self.fsync_core(of.ino, &mut of.handle.state.write(), true)
     }
 }
 

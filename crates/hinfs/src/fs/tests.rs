@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use fskit::vfs::Namespace;
+use fskit::vfs::Files;
 use fskit::{FileSystem, FsError, OpenFlags};
 use nvmm::{CostModel, NvmmDevice, SimEnv, BLOCK_SIZE};
 use pmfs::{Pmfs, PmfsOptions};

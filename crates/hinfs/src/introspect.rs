@@ -269,7 +269,7 @@ impl Hinfs {
 mod tests {
     use std::sync::Arc;
 
-    use fskit::vfs::Namespace;
+    use fskit::vfs::Files;
     use fskit::{FileSystem, OpenFlags};
     use nvmm::{CostModel, NvmmDevice, SimEnv, BLOCK_SIZE};
     use obsv::Introspect;

@@ -325,7 +325,6 @@ impl MetricSource for FsObs {
                 }
             });
         }
-        self.spans.collect(out);
     }
 }
 

@@ -18,10 +18,9 @@
 //!   stamped data. A max-lag gauge feeds the online auditor, which
 //!   checks it against the mount's sync-decay bound.
 //! - **Per-layer write amplification** — logical bytes vs DRAM-buffered
-//!   vs journal-logged vs NVMM-persisted vs writeback-drained bytes per
-//!   [`OpKind`] row (background work gets its own row, like the span
-//!   matrix), plus fences. `fences per logical KiB` and
-//!   `persisted/logical` fall straight out of the ledger.
+//!   vs journal-logged vs NVMM-persisted vs writeback-drained bytes, plus
+//!   fences. `fences per logical KiB` and `persisted/logical` fall
+//!   straight out of the ledger.
 //!
 //! The table is a pure accumulator fed by the op scope's fold and by
 //! [`FsObs::stamp`](crate::FsObs::stamp) /
@@ -30,7 +29,7 @@
 //! result bit (proven by `tests/determinism.rs`).
 
 use crate::histo::{Histo, HistoSnapshot};
-use crate::{OpKind, Visitor, BG_ROW, NOPS, SPAN_ROWS};
+use crate::Visitor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 labelled! {
@@ -79,14 +78,13 @@ pub struct Stamp {
     pub row: u8,
 }
 
-/// Per-file-system data-lifecycle ledger: a bytes matrix of
-/// [`SPAN_ROWS`] × [`NLAYERS`], the fence count, per-origin-op
-/// durability-lag histograms and the max-lag gauge.
+/// Per-file-system data-lifecycle ledger: bytes per layer, the fence
+/// count, the durability-lag histogram and the max-lag gauge.
 #[derive(Debug, Default)]
 pub struct LineageTable {
-    bytes: [[AtomicU64; NLAYERS]; SPAN_ROWS],
+    bytes: [AtomicU64; NLAYERS],
     fences: AtomicU64,
-    lag: [Histo; NOPS],
+    lag: Histo,
     max_lag_ns: AtomicU64,
     stamps: AtomicU64,
     drains_sync: AtomicU64,
@@ -94,9 +92,9 @@ pub struct LineageTable {
 }
 
 impl LineageTable {
-    /// Adds one finished frame's per-layer bytes and fences to `row`.
-    pub(crate) fn fold(&self, row: usize, bytes: &[u64; NLAYERS], fences: u64) {
-        for (cell, &b) in self.bytes[row].iter().zip(bytes) {
+    /// Adds one finished frame's per-layer bytes and fences.
+    pub(crate) fn fold(&self, bytes: &[u64; NLAYERS], fences: u64) {
+        for (cell, &b) in self.bytes.iter().zip(bytes) {
             if b > 0 {
                 cell.fetch_add(b, Ordering::Relaxed);
             }
@@ -130,14 +128,8 @@ impl LineageTable {
                 now_ns.saturating_sub(stamp.ack_ns)
             }
         };
-        let row = (stamp.row as usize).min(BG_ROW);
-        self.bytes[row][Layer::WritebackDrained as usize].fetch_add(bytes, Ordering::Relaxed);
-        let op_row = if row < NOPS {
-            row
-        } else {
-            OpKind::Write as usize
-        };
-        self.lag[op_row].record(lag);
+        self.bytes[Layer::WritebackDrained as usize].fetch_add(bytes, Ordering::Relaxed);
+        self.lag.record(lag);
         self.max_lag_ns.fetch_max(lag, Ordering::Relaxed);
         lag
     }
@@ -149,21 +141,10 @@ impl LineageTable {
 
     /// Point-in-time copy of the whole ledger.
     pub fn snap(&self) -> LineageSnap {
-        let row_bytes: Vec<[u64; NLAYERS]> = self
-            .bytes
-            .iter()
-            .map(|row| std::array::from_fn(|l| row[l].load(Ordering::Relaxed)))
-            .collect();
-        let lag_by_op: Vec<HistoSnapshot> = self.lag.iter().map(|h| h.snapshot()).collect();
-        let mut lag = HistoSnapshot::default();
-        for s in &lag_by_op {
-            lag.merge(s);
-        }
         LineageSnap {
-            row_bytes,
+            bytes: std::array::from_fn(|l| self.bytes[l].load(Ordering::Relaxed)),
             fences: self.fences.load(Ordering::Relaxed),
-            lag_by_op,
-            lag,
+            lag: self.lag.snapshot(),
             max_lag_ns: self.max_lag_ns(),
             stamps: self.stamps.load(Ordering::Relaxed),
             drains_sync: self.drains_sync.load(Ordering::Relaxed),
@@ -175,13 +156,11 @@ impl LineageTable {
 /// A frozen copy of a [`LineageTable`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineageSnap {
-    /// Bytes per row × layer ([`SPAN_ROWS`] rows, `bg` last).
-    pub row_bytes: Vec<[u64; NLAYERS]>,
+    /// Bytes per layer.
+    pub bytes: [u64; NLAYERS],
     /// Fences issued inside scopes.
     pub fences: u64,
-    /// Durability-lag distribution per origin [`OpKind`].
-    pub lag_by_op: Vec<HistoSnapshot>,
-    /// Durability-lag distribution merged over all origins.
+    /// Durability-lag distribution.
     pub lag: HistoSnapshot,
     /// Exact largest lag recorded, ns.
     pub max_lag_ns: u64,
@@ -232,9 +211,9 @@ impl LineageSnap {
         }
     }
 
-    /// Bytes in one layer (all rows).
+    /// Bytes in one layer.
     pub fn layer(&self, layer: Layer) -> u64 {
-        self.row_bytes.iter().map(|row| row[layer as usize]).sum()
+        self.bytes[layer as usize]
     }
 
     /// Fences per logical KiB, or 0 with no logical bytes.
@@ -255,36 +234,16 @@ impl LineageSnap {
         }
         self.layer(layer) as f64 / logical as f64
     }
-
-    /// The rows with the most NVMM-persisted + drained bytes, largest
-    /// first: `(row, persisted + drained bytes)`, zero rows skipped.
-    pub fn top_amplifiers(&self, k: usize) -> Vec<(usize, u64)> {
-        let mut v: Vec<(usize, u64)> = self
-            .row_bytes
-            .iter()
-            .enumerate()
-            .map(|(row, b)| {
-                (
-                    row,
-                    b[Layer::NvmmPersisted as usize] + b[Layer::WritebackDrained as usize],
-                )
-            })
-            .filter(|&(_, b)| b > 0)
-            .collect();
-        v.sort_by_key(|&(row, b)| (std::cmp::Reverse(b), row));
-        v.truncate(k);
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FsObs, Level};
+    use crate::{FsObs, Level, OpKind};
 
-    // How bytes reach a row (op scopes, nesting, background) is tested
-    // with the op scope in `scope.rs`; these cover stamps, drains and the
-    // derived ratios.
+    // How bytes reach the ledger (op scopes, nesting, background) is
+    // tested with the op scope in `scope.rs`; these cover stamps, drains
+    // and the derived ratios.
 
     fn full() -> FsObs {
         let obs = FsObs::default();
@@ -312,11 +271,7 @@ mod tests {
         assert_eq!(s.max_lag_ns, 9_000);
         assert_eq!(s.lag.count(), 2);
         assert_eq!(s.lag.max(), 9_000);
-        assert_eq!(s.lag_by_op[OpKind::Write as usize].count(), 2);
-        assert_eq!(
-            s.row_bytes[OpKind::Write as usize][Layer::WritebackDrained as usize],
-            8192
-        );
+        assert_eq!(s.layer(Layer::WritebackDrained), 8192);
     }
 
     #[test]
@@ -326,42 +281,21 @@ mod tests {
         let s = obs.lineage().snap();
         assert_eq!(s.drains_sync, 1);
         assert_eq!(s.max_lag_ns, 0);
-        assert_eq!(s.lag_by_op[OpKind::Truncate as usize].count(), 1);
-        assert_eq!(s.lag_by_op[OpKind::Truncate as usize].max(), 0);
-        assert_eq!(
-            s.row_bytes[OpKind::Truncate as usize][Layer::WritebackDrained as usize],
-            4096
-        );
-    }
-
-    #[test]
-    fn bg_stamps_fold_into_the_write_lag_histogram() {
-        let obs = full();
-        let stamp = obs.stamp(500); // no scope: bg provenance
-        assert_eq!(stamp.row as usize, BG_ROW);
-        assert_eq!(stamp.row as usize, BG_ROW);
-        obs.record_drain(&stamp, DrainKind::Lazy, 700, 64);
-        let s = obs.lineage().snap();
-        assert_eq!(s.row_bytes[BG_ROW][Layer::WritebackDrained as usize], 64);
-        assert_eq!(s.lag_by_op[OpKind::Write as usize].count(), 1);
-        assert_eq!(s.max_lag_ns, 200);
+        assert_eq!((s.lag.count(), s.lag.max()), (1, 0));
+        assert_eq!(s.layer(Layer::WritebackDrained), 4096);
     }
 
     #[test]
     fn snap_derives_amplification_and_fence_rate() {
         let t = LineageTable::default();
-        t.fold(OpKind::Write as usize, &[2048, 0, 0, 8192, 0], 3);
-        t.fold(BG_ROW, &[0, 0, 0, 100, 0], 0);
+        t.fold(&[2048, 0, 0, 8192, 0], 3);
+        t.fold(&[0, 0, 0, 100, 0], 0);
         let s = t.snap();
         assert_eq!(s.amplification(Layer::NvmmPersisted), 8292.0 / 2048.0);
         assert_eq!(s.fences_per_kib(), 1.5, "not truncated to 1");
-        let top = s.top_amplifiers(4);
-        assert_eq!(top[0], (OpKind::Write as usize, 8192));
-        assert_eq!(top[1], (BG_ROW, 100));
         // Empty table divides to zero, not a panic.
         let empty = LineageTable::default().snap();
         assert_eq!(empty.amplification(Layer::NvmmPersisted), 0.0);
         assert_eq!(empty.fences_per_kib(), 0.0);
-        assert!(empty.top_amplifiers(3).is_empty());
     }
 }

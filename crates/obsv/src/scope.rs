@@ -10,7 +10,7 @@
 //! frame's one record.
 //! When the outermost scope closes, the record is folded once into the
 //! aggregations: the op latency histogram, the span matrix and the
-//! lineage ledger row.
+//! lineage ledger.
 //!
 //! Rules, stated once:
 //!
@@ -23,7 +23,7 @@
 //!   charges and ledger bytes fold. [`detached`] marks work running
 //!   inline on another actor's timeline (the virtual-mode writeback
 //!   pass): its span time lands in the background row, while the bytes
-//!   it persists stay on the op that paid for them.
+//!   it persists fold with the op that paid for them.
 //! - **Time is booked, not timed.** The simulation's charge funnel
 //!   reports every modelled nanosecond through [`note_charge`]; a phase
 //!   span, a nested op and a [`detached`] block each own what is charged
@@ -358,7 +358,7 @@ impl FsObs {
     fn fold(&self, fr: &Frame, total_ns: u64) {
         self.spans()
             .fold(BG_ROW, &fr.bg.phase_ns, &fr.bg.phase_calls);
-        self.lineage().fold(fr.row, &fr.rec.bytes, fr.rec.fences);
+        self.lineage().fold(&fr.rec.bytes, fr.rec.fences);
         if let Some(&op) = crate::ALL_OPS.get(fr.row) {
             self.op_histo(op).record(total_ns);
             self.spans()
@@ -459,11 +459,7 @@ mod tests {
         assert_eq!(s.calls[OpKind::Write as usize][Phase::Other as usize], 1);
         // ...and the lineage ledger the bytes and fences.
         let l = obs.lineage().snap();
-        let w = &l.row_bytes[OpKind::Write as usize];
-        assert_eq!(w[Layer::Logical as usize], 100);
-        assert_eq!(w[Layer::DramBuffered as usize], 4096);
-        assert_eq!(w[Layer::JournalLogged as usize], 128);
-        assert_eq!(w[Layer::NvmmPersisted as usize], 256);
+        assert_eq!(l.bytes, [100, 4096, 128, 256, 0]);
         assert_eq!(l.fences, 2);
     }
 
@@ -558,12 +554,8 @@ mod tests {
         // op's Other remainder rather than vanishing — with a truly
         // separate clock it simply would not advance the op's window)...
         assert_eq!(s.ns_of(OpKind::Write, Phase::Other), 1517);
-        // ...and the op that triggered the pass owns what it persisted.
-        let l = obs.lineage().snap();
-        assert_eq!(
-            l.row_bytes[OpKind::Write as usize][Layer::NvmmPersisted as usize],
-            4096
-        );
+        // ...and the op that triggered the pass folds what it persisted.
+        assert_eq!(obs.lineage().snap().layer(Layer::NvmmPersisted), 4096);
     }
 
     #[test]
@@ -579,7 +571,7 @@ mod tests {
         assert!(idle());
         assert_eq!(t.snapshot().ns[BG_ROW][Phase::Persist as usize], 64);
         let l = obs.lineage().snap();
-        assert_eq!(l.row_bytes[BG_ROW][Layer::NvmmPersisted as usize], 4096);
+        assert_eq!(l.layer(Layer::NvmmPersisted), 4096);
         assert_eq!(l.fences, 1);
         // No latency: a pass is not an op.
         let ops = crate::ALL_OPS.map(|op| obs.op_histo(op).snapshot().count());

@@ -16,7 +16,7 @@
 //! directly.
 
 use crate::scope::{close_span, swap_charged};
-use crate::{Clock, MetricSource, OpKind, Visitor, ALL_OPS, NOPS};
+use crate::{Clock, OpKind, ALL_OPS, NOPS};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 labelled! {
@@ -216,27 +216,9 @@ impl SpanSnapshot {
     }
 }
 
-impl MetricSource for SpanTable {
-    fn collect(&self, out: &mut dyn Visitor) {
-        let snap = self.snapshot();
-        for r in 0..SPAN_ROWS {
-            for (p, phase) in ALL_PHASES.iter().enumerate() {
-                if snap.calls[r][p] == 0 {
-                    continue;
-                }
-                let base = format!("obsv_span_{}_{}", row_label(r), phase.label());
-                out.counter(&format!("{base}_ns"), snap.ns[r][p]);
-                out.counter(&format!("{base}_calls"), snap.calls[r][p]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsRegistry;
-    use std::sync::Arc;
 
     // Frame-level behaviour (nesting, detached, op rows) is tested with
     // the op scope in `scope.rs`; these cover the table itself.
@@ -259,24 +241,6 @@ mod tests {
         let d = t.snapshot().since(&early);
         assert_eq!(d.ns[BG_ROW][Phase::Fence as usize], 32);
         assert_eq!(d.calls[BG_ROW][Phase::Fence as usize], 1);
-    }
-
-    #[test]
-    fn exposes_only_touched_cells() {
-        let t = Arc::new(SpanTable::new(Clock::new(|| 0)));
-        let (mut ns, mut calls) = ([0; NPHASES], [0; NPHASES]);
-        ns[Phase::Fence as usize] = 48;
-        calls[Phase::Fence as usize] = 1;
-        calls[Phase::Other as usize] = 1;
-        t.fold(OpKind::Fsync as usize, &ns, &calls);
-        let reg = MetricsRegistry::new();
-        reg.register("", t.clone());
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("obsv_span_fsync_fence_ns"), 48);
-        assert_eq!(snap.counter("obsv_span_fsync_fence_calls"), 1);
-        assert_eq!(snap.counter("obsv_span_fsync_other_calls"), 1);
-        // Untouched cells stay out of the exposition entirely.
-        assert!(!snap.to_prometheus().contains("span_write_persist_ns"));
     }
 
     #[test]

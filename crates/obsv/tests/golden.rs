@@ -408,14 +408,8 @@ fn fs_obs_exposes_its_lineage_under_the_same_names() {
     });
     let mut names = Names(Vec::new());
     obsv::MetricSource::collect(&obs, &mut names);
-    let lines: Vec<&str> = names
-        .0
-        .iter()
-        .map(String::as_str)
-        .filter(|l| !l.contains("obsv_span_"))
-        .collect();
     assert_eq!(
-        lines.join(" "),
+        names.0.join(" "),
         "h obsv_op_write_ns=1 c obsv_audit_checks=0 c obsv_audit_violations=0 \
          c obsv_lineage_logical_bytes=4096 c obsv_lineage_dram_buffered_bytes=0 \
          c obsv_lineage_journal_logged_bytes=0 c obsv_lineage_nvmm_persisted_bytes=0 \

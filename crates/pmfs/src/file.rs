@@ -10,6 +10,7 @@
 //! the inode lock and persists inode-core changes through its journal
 //! transaction afterwards.
 
+use fskit::vfs::chunks;
 use fskit::{FsError, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
 
@@ -28,27 +29,21 @@ pub fn read_at(dev: &NvmmDevice, mem: &InodeMem, off: u64, buf: &mut [u8]) -> us
         return 0;
     }
     let n = buf.len().min((mem.size - off) as usize);
-    let mut done = 0;
-    while done < n {
-        let pos = off + done as u64;
-        let iblk = pos / BLOCK_SIZE as u64;
-        let in_blk = (pos % BLOCK_SIZE as u64) as usize;
-        let chunk = (BLOCK_SIZE - in_blk).min(n - done);
+    for (iblk, in_blk, r) in chunks(off, n) {
         match tree::lookup(dev, mem, iblk) {
             Some(pblk) => {
                 dev.read(
                     Cat::UserRead,
                     Layout::block_off(pblk) + in_blk as u64,
-                    &mut buf[done..done + chunk],
+                    &mut buf[r],
                 );
             }
             None => {
                 // Hole: zero-fill at DRAM copy cost.
-                buf[done..done + chunk].fill(0);
-                dev.env().charge_dram_copy(Cat::UserRead, chunk);
+                dev.env().charge_dram_copy(Cat::UserRead, r.len());
+                buf[r].fill(0);
             }
         }
-        done += chunk;
     }
     n
 }
@@ -115,7 +110,8 @@ impl Drop for FreshRun<'_> {
 }
 
 /// Writes `data` at `off` with direct, durable stores. Allocates blocks as
-/// needed (zeroing the uncovered parts of fresh blocks), links each run of
+/// needed (zeroing the uncovered parts of fresh blocks, and the gap past
+/// EOF in the tail block a start beyond it leaves), links each run of
 /// consecutive fresh blocks once it is filled, and updates
 /// `mem.size`/`mem.blocks`/`mem.mtime` in memory. Always returns `true`:
 /// `mtime` advances, so the caller must journal the inode core.
@@ -134,13 +130,10 @@ pub fn write_at(
         .checked_add(data.len() as u64)
         .filter(|&e| e <= MAX_FILE_SIZE)
         .ok_or(FsError::FileTooLarge)?;
+    // Fenced below with the data, before the core that exposes it.
+    zero_gap(dev, mem, off);
     let mut fresh = FreshRun::new(dev, alloc);
-    let mut done = 0;
-    while done < data.len() {
-        let pos = off + done as u64;
-        let iblk = pos / BLOCK_SIZE as u64;
-        let in_blk = (pos % BLOCK_SIZE as u64) as usize;
-        let chunk = (BLOCK_SIZE - in_blk).min(data.len() - done);
+    for (iblk, in_blk, r) in chunks(off, data.len()) {
         let pblk = match tree::lookup(dev, mem, iblk) {
             Some(p) => p,
             None => {
@@ -151,7 +144,7 @@ pub fn write_at(
                 if in_blk > 0 {
                     dev.zero_persist(Cat::UserWrite, base, in_blk);
                 }
-                let tail = in_blk + chunk;
+                let tail = in_blk + r.len();
                 if tail < BLOCK_SIZE {
                     dev.zero_persist(Cat::UserWrite, base + tail as u64, BLOCK_SIZE - tail);
                 }
@@ -161,9 +154,8 @@ pub fn write_at(
         dev.write_persist(
             Cat::UserWrite,
             Layout::block_off(pblk) + in_blk as u64,
-            &data[done..done + chunk],
+            &data[r],
         );
-        done += chunk;
     }
     if fresh.blocks.is_empty() {
         dev.sfence();
@@ -225,10 +217,10 @@ pub fn truncate<'a>(
 }
 
 /// Zeroes `[mem.size, end)` where it lies in the file's mapped tail
-/// block, before an extend exposes it: bytes past EOF there may be
-/// stale — a crash between an in-place write and its size store leaves
-/// them behind. Unfenced.
-fn zero_gap(dev: &NvmmDevice, mem: &InodeMem, end: u64) {
+/// block, before an extend or a write past EOF exposes it: bytes past
+/// EOF there may be stale — a crash between an in-place write and its
+/// size store leaves them behind. Unfenced.
+pub(crate) fn zero_gap(dev: &NvmmDevice, mem: &InodeMem, end: u64) {
     let (size, block) = (mem.size, BLOCK_SIZE as u64);
     if end <= size || size.is_multiple_of(block) {
         return;

@@ -32,10 +32,10 @@
 use std::sync::{Arc, OnceLock, Weak};
 
 use fskit::namei::{NameIndex, NameiStats};
-use fskit::vfs::{self, Edit, Namespace, OpenFile, Reserve};
-use fskit::{DirEntry, Fd, FdTable, FileSystem, FileType, FsError, MmapHandle, OpenFlags, Result};
+use fskit::vfs::{self, Edit, Files, Namespace, OpenFile, Reserve};
+use fskit::{DirEntry, Fd, FdTable, FileSystem, FileType, MmapHandle, Result};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE};
-use obsv::{FsObs, OpKind, Site, TrackedMutex, TrackedMutexGuard};
+use obsv::{FsObs, Site, TrackedMutex, TrackedMutexGuard};
 
 use crate::alloc::Allocator;
 use crate::dir;
@@ -397,10 +397,100 @@ impl Pmfs {
         (h % self.ns_shards.len() as u64) as usize
     }
 
-    /// Truncates or extends `h` to `size` in a transaction of its own
-    /// (`truncate` and `open` with `O_TRUNC`). What the layer above holds
-    /// for the file goes under the inode's write lock once the transaction
-    /// is open ([`VolatileLayer::discard`]).
+    /// PMFS's in-place write (`pmfs_file_write_fast`): when `data` ends
+    /// inside the block it starts in, and that block is mapped, the gap a
+    /// start past EOF leaves is zeroed and the bytes are copied there and
+    /// fenced, then a grown size and the mtime each go to the core with
+    /// one 8-byte atomic store — size first — and no transaction.
+    /// `data` is not empty. Returns `false`, having changed
+    /// nothing, for any other write. A block that holds no byte below EOF
+    /// is taken for a hole without walking the tree (only a crash between
+    /// linking a run and persisting its core leaves one mapped), so an
+    /// append that opens a block walks the tree once, in
+    /// [`file::write_at`]. Caller holds inode `ino`'s write lock (`state`).
+    fn write_in_place(&self, ino: u64, state: &mut InodeMem, off: u64, data: &[u8]) -> bool {
+        let block = BLOCK_SIZE as u64;
+        let (iblk, in_blk) = (off / block, (off % block) as usize);
+        if in_blk + data.len() > BLOCK_SIZE || iblk >= state.size.div_ceil(block) {
+            return false;
+        }
+        let Some(pblk) = tree::lookup(&self.dev, state, iblk) else {
+            return false;
+        };
+        let now = self.env.now();
+        // A start past EOF lies in this block: its stale gap goes first.
+        file::zero_gap(&self.dev, state, off);
+        self.dev.write_persist(
+            Cat::UserWrite,
+            Layout::block_off(pblk) + in_blk as u64,
+            data,
+        );
+        self.dev.sfence();
+        let end = off + data.len() as u64;
+        if end > state.size {
+            self.store_word(ino, crate::inode::SIZE_OFF, end);
+            state.size = end;
+        }
+        state.mtime = now;
+        self.store_word(ino, crate::inode::MTIME_OFF, now);
+        true
+    }
+}
+
+impl FileSystem for Pmfs {
+    fskit::namespace_ops!();
+    fskit::data_ops!();
+
+    fn name(&self) -> &'static str {
+        "pmfs"
+    }
+
+    fn sync(&self) -> Result<()> {
+        self.env.charge_syscall();
+        self.dev.sfence();
+        Ok(())
+    }
+
+    fn unmount(&self) -> Result<()> {
+        self.env.charge_syscall();
+        debug_assert_eq!(self.journal.open_txs(), 0, "unmount with open transactions");
+        self.alloc.persist(&self.dev, &self.layout);
+        layout::set_clean(&self.dev, true);
+        Ok(())
+    }
+
+    fn mmap(&self, fd: Fd, off: u64, len: usize) -> Result<Arc<dyn MmapHandle>> {
+        self.env.charge_syscall();
+        let of = self.fds.get(fd)?;
+        let handle = PmfsMmap::new(self, &of, off, len)?;
+        Ok(Arc::new(handle))
+    }
+}
+
+impl Files for Pmfs {
+    type State = InodeMem;
+
+    fn device(&self) -> &NvmmDevice {
+        &self.dev
+    }
+
+    fn obs(&self) -> &FsObs {
+        &self.obs
+    }
+
+    fn fds(&self) -> &FdTable<OpenFile<InodeMem>> {
+        &self.fds
+    }
+
+    fn make_room(&self) {
+        if let Some(layer) = self.layer() {
+            layer.make_room();
+        }
+    }
+
+    /// One transaction of its own. What the layer above holds for the
+    /// file goes under the inode's write lock once the transaction is
+    /// open ([`VolatileLayer::discard`]).
     fn resize(&self, h: &InodeHandle, size: u64) -> Result<()> {
         let tx = self.begin_core_tx()?;
         let res = (|| -> Result<Option<tree::Emptied>> {
@@ -428,185 +518,67 @@ impl Pmfs {
         }
     }
 
-    /// The write path of `write`, `write_vectored` and `append` (each
-    /// wraps it in the op scope and the syscall charge): the gather list
-    /// lands as one run at `off`, or at the end of file for `None` or an
-    /// `O_APPEND` descriptor. One inode lock hold covers the whole list.
+    fn read_data(
+        &self,
+        _: &OpenFile<InodeMem>,
+        s: &InodeMem,
+        off: u64,
+        buf: &mut [u8],
+    ) -> Result<()> {
+        file::read_at(&self.dev, s, off, buf);
+        Ok(())
+    }
+
     /// A one-slice write that stays inside one mapped block updates the
     /// inode in place ([`Pmfs::write_in_place`]); any other write is one
     /// journal transaction with one logged inode core, its undo slots set
     /// aside at `begin`, so a full ring refuses it before a byte moves —
-    /// per slice the only repeated cost is the data copy itself. Returns
-    /// where the run landed and its length.
-    fn write_inner(&self, fd: Fd, off: Option<u64>, iovs: &[&[u8]]) -> Result<(u64, usize)> {
-        let of = self.fds.get(fd)?;
-        if !of.flags.writable() {
-            return Err(FsError::BadFd);
-        }
-        obsv::note_bytes(
-            obsv::Layer::Logical,
-            iovs.iter().map(|s| s.len() as u64).sum(),
-        );
-        let mut state = of.handle.state.write();
-        let start = match off {
-            Some(off) if !of.flags.contains(OpenFlags::APPEND) => off,
-            _ => state.size,
-        };
+    /// per slice the only repeated cost is the data copy itself.
+    fn write_data(
+        &self,
+        of: &OpenFile<InodeMem>,
+        mut state: InodeGuard<'_>,
+        start: u64,
+        iovs: &[&[u8]],
+        total: u64,
+    ) -> Result<()> {
         if let [data] = iovs {
             if self.write_in_place(of.ino, &mut state, start, data) {
                 drop(state);
-                self.obs.record_inline_drain(data.len() as u64);
-                return Ok((start, data.len()));
+                self.obs.record_inline_drain(total);
+                return Ok(());
             }
         }
         let tx = self.begin_core_tx()?;
-        let res = (|| -> Result<usize> {
+        let res = (|| -> Result<()> {
             let mut cur = start;
             for iov in iovs {
                 file::write_at(&self.dev, &self.alloc, &mut state, cur, iov, self.env.now())?;
                 cur += iov.len() as u64;
             }
-            self.log_write_inode(&tx, &of.handle, &state)?;
-            Ok((cur - start) as usize)
+            self.log_write_inode(&tx, &of.handle, &state).map(drop)
         })();
         drop(state);
-        match res {
-            Ok(n) => {
-                self.journal.commit(tx);
-                // Direct access: the data is durable before the ack.
-                self.obs.record_inline_drain(n as u64);
-                Ok((start, n))
-            }
-            Err(e) => {
-                self.journal.abort(tx);
-                Err(e)
-            }
+        if let Err(e) = res {
+            self.journal.abort(tx);
+            return Err(e);
         }
-    }
-
-    /// PMFS's in-place write (`pmfs_file_write_fast`): when `data` is not
-    /// empty, ends inside the block it starts in, and that block is
-    /// mapped, the bytes are copied there and fenced, then a grown size
-    /// and the mtime each go to the core with one 8-byte atomic store —
-    /// size first — and no transaction. Returns `false`, having changed
-    /// nothing, for any other write. A block that holds no byte below EOF
-    /// is taken for a hole without walking the tree (only a crash between
-    /// linking a run and persisting its core leaves one mapped), so an
-    /// append that opens a block walks the tree once, in
-    /// [`file::write_at`]. Caller holds inode `ino`'s write lock (`state`).
-    fn write_in_place(&self, ino: u64, state: &mut InodeMem, off: u64, data: &[u8]) -> bool {
-        let block = BLOCK_SIZE as u64;
-        let (iblk, in_blk) = (off / block, (off % block) as usize);
-        if data.is_empty() || in_blk + data.len() > BLOCK_SIZE || iblk >= state.size.div_ceil(block)
-        {
-            return false;
-        }
-        let Some(pblk) = tree::lookup(&self.dev, state, iblk) else {
-            return false;
-        };
-        let now = self.env.now();
-        self.dev.write_persist(
-            Cat::UserWrite,
-            Layout::block_off(pblk) + in_blk as u64,
-            data,
-        );
-        self.dev.sfence();
-        let end = off + data.len() as u64;
-        if end > state.size {
-            self.store_word(ino, crate::inode::SIZE_OFF, end);
-            state.size = end;
-        }
-        state.mtime = now;
-        self.store_word(ino, crate::inode::MTIME_OFF, now);
-        true
-    }
-}
-
-impl FileSystem for Pmfs {
-    fskit::namespace_ops!();
-
-    fn name(&self) -> &'static str {
-        "pmfs"
-    }
-
-    fn read(&self, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize> {
-        self.obs.op(OpKind::Read, || {
-            self.env.charge_syscall();
-            let of = self.fds.get(fd)?;
-            if !of.flags.readable() {
-                return Err(FsError::BadFd);
-            }
-            let state = of.handle.state.read();
-            Ok(file::read_at(&self.dev, &state, off, buf))
-        })
-    }
-
-    fn write(&self, fd: Fd, off: u64, data: &[u8]) -> Result<usize> {
-        self.write_vectored(fd, off, &[data])
-    }
-
-    fn write_vectored(&self, fd: Fd, off: u64, iovs: &[&[u8]]) -> Result<usize> {
-        self.obs.op(OpKind::Write, || {
-            self.env.charge_syscall();
-            self.write_inner(fd, Some(off), iovs).map(|(_, n)| n)
-        })
-    }
-
-    fn append(&self, fd: Fd, data: &[u8]) -> Result<u64> {
-        self.obs.op(OpKind::Write, || {
-            self.env.charge_syscall();
-            self.write_inner(fd, None, &[data]).map(|(off, _)| off)
-        })
-    }
-
-    fn fsync(&self, fd: Fd) -> Result<()> {
-        self.obs.op(OpKind::Fsync, || {
-            self.env.charge_syscall();
-            let of = self.fds.get(fd)?;
-            // Direct-access writes are already durable; fsync only fences and
-            // records the synchronization time.
-            of.handle.state.write().last_sync = self.env.now();
-            self.dev.sfence();
-            Ok(())
-        })
-    }
-
-    fn truncate(&self, fd: Fd, size: u64) -> Result<()> {
-        self.obs.op(OpKind::Truncate, || {
-            self.make_room();
-            self.env.charge_syscall();
-            let of = self.fds.get(fd)?;
-            if !of.flags.writable() {
-                return Err(FsError::BadFd);
-            }
-            self.resize(&of.handle, size)
-        })
-    }
-
-    fn sync(&self) -> Result<()> {
-        self.env.charge_syscall();
-        self.dev.sfence();
+        self.journal.commit(tx);
+        // Direct access: the data is durable before the ack.
+        self.obs.record_inline_drain(total);
         Ok(())
     }
 
-    fn unmount(&self) -> Result<()> {
-        self.env.charge_syscall();
-        debug_assert_eq!(self.journal.open_txs(), 0, "unmount with open transactions");
-        self.alloc.persist(&self.dev, &self.layout);
-        layout::set_clean(&self.dev, true);
+    /// Direct-access writes are already durable; fsync only fences and
+    /// records the synchronization time.
+    fn fsync_data(&self, of: &OpenFile<InodeMem>) -> Result<()> {
+        of.handle.state.write().last_sync = self.env.now();
+        self.dev.sfence();
         Ok(())
-    }
-
-    fn mmap(&self, fd: Fd, off: u64, len: usize) -> Result<Arc<dyn MmapHandle>> {
-        self.env.charge_syscall();
-        let of = self.fds.get(fd)?;
-        let handle = PmfsMmap::new(self, &of, off, len)?;
-        Ok(Arc::new(handle))
     }
 }
 
 impl Namespace for Pmfs {
-    type State = InodeMem;
     type Tx<'a> = NsTx<'a>;
     /// The shards of the (one or two) entries' `(parent, name)` pairs,
     /// in ascending index order and one lock when they collide, so racing
@@ -614,20 +586,8 @@ impl Namespace for Pmfs {
     type Locked<'a> = [Option<TrackedMutexGuard<'a, ()>>; 2];
     const ROOT: u64 = ROOT_INO;
 
-    fn device(&self) -> &NvmmDevice {
-        &self.dev
-    }
-
-    fn obs(&self) -> &FsObs {
-        &self.obs
-    }
-
     fn namei(&self) -> &NameiStats {
         &self.namei
-    }
-
-    fn fds(&self) -> &FdTable<OpenFile<InodeMem>> {
-        &self.fds
     }
 
     fn inode(&self, ino: u64) -> Result<Arc<InodeHandle>> {
@@ -640,12 +600,6 @@ impl Namespace for Pmfs {
 
     fn list(&self, dir: &InodeMem) -> Result<Vec<DirEntry>> {
         dir::list(&self.dev, dir)
-    }
-
-    fn make_room(&self) {
-        if let Some(layer) = self.layer() {
-            layer.make_room();
-        }
     }
 
     fn lock_entries<'a>(&'a self, entries: &[(u64, &str)]) -> Self::Locked<'a> {
@@ -752,10 +706,6 @@ impl Namespace for Pmfs {
         self.store_word(h.ino, 0, 0);
         tx.freed = Some((h.ino, emptied));
         Ok(())
-    }
-
-    fn resize(&self, h: &InodeHandle, size: u64) -> Result<()> {
-        Pmfs::resize(self, h, size)
     }
 
     /// Commits `tx`, then recycles what it freed and returns the inode

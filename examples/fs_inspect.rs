@@ -159,22 +159,6 @@ fn report_lineage(out: &mut dyn Write, lin: &obsv::LineageSnap) {
         lin.max_lag_ns,
         lin.lag.count()
     );
-    for (row, bytes) in lin.top_amplifiers(4) {
-        // Background-row lag folds into the write histogram, mirroring
-        // the ledger's drain accounting.
-        let lag_row = if row < obsv::ALL_OPS.len() {
-            row
-        } else {
-            OpKind::Write as usize
-        };
-        let _ = writeln!(
-            out,
-            "  top persister {:<10} {:>12} persisted+drained bytes, lag p99 {}ns",
-            row_label(row),
-            bytes,
-            lin.lag_by_op[lag_row].quantile(0.99)
-        );
-    }
 }
 
 // ----- snapshot / top -----

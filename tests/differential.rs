@@ -316,6 +316,98 @@ fn namespace_rules() {
     }
 }
 
+/// The data rules, one row per case: every system — one data driver
+/// over all three families — gives the same outcome, size and mtime,
+/// and leaves the same bytes. Each row runs on a fresh image holding
+/// `/f`, 100 bytes of 0x11, through a descriptor of its own.
+#[test]
+fn data_rules() {
+    type Row = (
+        &'static str,
+        OpenFlags,
+        fn(&dyn FileSystem, Fd) -> fskit::Result<u64>,
+    );
+    let (rd, wr, rw) = (OpenFlags::READ, OpenFlags::WRITE, OpenFlags::RDWR);
+    let rows: [Row; 11] = [
+        ("write on O_RDONLY", rd, |fs, fd| {
+            fs.write(fd, 0, b"x").map(|n| n as u64)
+        }),
+        ("append on O_RDONLY", rd, |fs, fd| fs.append(fd, b"x")),
+        ("ftruncate on O_RDONLY", rd, |fs, fd| {
+            fs.truncate(fd, 0).map(|()| 0)
+        }),
+        ("read on O_WRONLY", wr, |fs, fd| {
+            fs.read(fd, 0, &mut [0; 8]).map(|n| n as u64)
+        }),
+        ("read past EOF", rd, |fs, fd| {
+            fs.read(fd, 200, &mut [0; 8]).map(|n| n as u64)
+        }),
+        ("empty write at EOF", rw, |fs, fd| {
+            fs.write(fd, 100, &[]).map(|n| n as u64)
+        }),
+        ("empty write past EOF", rw, |fs, fd| {
+            fs.write(fd, 5000, &[]).map(|n| n as u64)
+        }),
+        ("empty append", rw, |fs, fd| fs.append(fd, &[])),
+        (
+            "O_APPEND write at an offset",
+            rw | OpenFlags::APPEND,
+            |fs, fd| fs.write(fd, 7, b"abcde").map(|n| n as u64),
+        ),
+        ("write past EOF", rw, |fs, fd| {
+            fs.write(fd, 5000, b"z").map(|n| n as u64)
+        }),
+        ("ftruncate to the current size", rw, |fs, fd| {
+            fs.truncate(fd, 100).map(|()| 0)
+        }),
+    ];
+    // Outcome, size after, and whether the mtime moved.
+    let want: [(fskit::Result<u64>, u64, bool); 11] = [
+        (Err(FsError::BadFd), 100, false),
+        (Err(FsError::BadFd), 100, false),
+        (Err(FsError::BadFd), 100, false),
+        (Err(FsError::BadFd), 100, false),
+        (Ok(0), 100, false),
+        (Ok(0), 100, false),
+        (Ok(0), 100, false),
+        (Ok(100), 100, false),
+        (Ok(5), 105, true),
+        (Ok(1), 5001, true),
+        (Ok(0), 100, false),
+    ];
+    let mut reference: Vec<Vec<u8>> = Vec::new();
+    for kind in SystemKind::ALL {
+        for (i, ((what, flags, op), want)) in rows.iter().zip(&want).enumerate() {
+            let sys = build(kind, &cfg()).unwrap();
+            let fs = &*sys.fs;
+            let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
+            fs.write(fd, 0, &[0x11; 100]).unwrap();
+            fs.close(fd).unwrap();
+            let before = fs.stat("/f").unwrap();
+            let fd = fs.open("/f", *flags).unwrap();
+            let got = op(fs, fd);
+            fs.close(fd).unwrap();
+            let after = fs.stat("/f").unwrap();
+            let stamped = after.mtime_ns != before.mtime_ns;
+            let label = format!("{}: {what}", kind.label());
+            assert_eq!((got, after.size, stamped), want.clone(), "{label}");
+            let fd = fs.open("/f", OpenFlags::READ).unwrap();
+            let mut content = vec![0u8; after.size as usize];
+            assert_eq!(fs.read(fd, 0, &mut content), Ok(content.len()), "{label}");
+            fs.close(fd).unwrap();
+            assert!(content[..100].iter().all(|&b| b == 0x11), "{label}");
+            if *what == "write past EOF" {
+                assert!(content[100..5000].iter().all(|&b| b == 0), "{label}");
+            }
+            match reference.get(i) {
+                Some(r) => assert!(&content == r, "{label}: the bytes differ"),
+                None => reference.push(content),
+            }
+            sys.fs.unmount().unwrap();
+        }
+    }
+}
+
 /// `tests/repro/unlink_journal_full_hinfs.repro`: an unlink the journal
 /// refuses changes nothing, under every admit count, on every kind. It
 /// used to discard HiNFS's buffered blocks of the file before its

@@ -555,6 +555,55 @@ fn an_extend_zeroes_the_stale_tail_a_crash_left_past_eof() {
     }
 }
 
+/// A write that starts past the end of file exposes zeroes in the gap,
+/// even where a crash left stale bytes there: the 0xee a crashed write
+/// put past EOF 5 000 used to come back between the old EOF and a later
+/// write on PMFS — through the in-place path when that write starts in
+/// the same block, through the transaction path when it starts in a
+/// later one. HiNFS writes with `O_SYNC`, its eager path. Each second
+/// write is synchronous, so the gap is checked again after a crash.
+#[test]
+fn a_write_past_eof_zeroes_the_stale_tail_a_crash_left() {
+    for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
+        for at in [6000u64, 10_000] {
+            let what = format!("{} write at {at}", kind.label());
+            let cfg = Harness::new().config().clone();
+            let sys = setups::build(kind, &cfg).unwrap();
+            let (dev, env, fs) = (sys.dev.clone(), sys.env.clone(), sys.fs.clone());
+            let flags = OpenFlags::RDWR | OpenFlags::CREATE | OpenFlags::SYNC;
+            let fd = fs.open("/f", flags).unwrap();
+            fs.write(fd, 0, &[0x11; 5000]).unwrap();
+            fs.fsync(fd).unwrap();
+            let plan = FaultPlan::new();
+            dev.fault_hook().install(plan.clone());
+            // The first persist of the write is its data; the size follows.
+            plan.arm_crash(1);
+            let crashed = catch_unwind(AssertUnwindSafe(|| fs.write(fd, 5000, &[0xee; 100])));
+            assert!(crashed.is_err(), "{what}: the write crashed");
+            dev.fault_hook().clear();
+            drop((fs, sys));
+            dev.crash();
+            let sys = setups::remount_with(kind, dev.clone(), env.clone(), &cfg).unwrap();
+            assert_eq!(sys.fs.stat("/f").unwrap().size, 5000, "{what}");
+            let fd = sys
+                .fs
+                .open("/f", OpenFlags::RDWR | OpenFlags::SYNC)
+                .unwrap();
+            sys.fs.write(fd, at, &[0x22; 100]).unwrap();
+            drop(sys);
+            dev.crash();
+            let sys = setups::remount_with(kind, dev, env, &cfg).unwrap();
+            let fd = sys.fs.open("/f", OpenFlags::READ).unwrap();
+            let mut buf = vec![0u8; at as usize + 100];
+            assert_eq!(sys.fs.read(fd, 0, &mut buf).unwrap(), buf.len(), "{what}");
+            assert!(buf[..5000].iter().all(|&b| b == 0x11), "{what}");
+            let stale = buf[5000..at as usize].iter().position(|&b| b != 0);
+            assert_eq!(stale, None, "{what}: stale byte past the old EOF");
+            assert!(buf[at as usize..].iter().all(|&b| b == 0x22), "{what}");
+        }
+    }
+}
+
 /// `tests/repro/truncate_journal_full.repro`: the ring refuses one of the
 /// script's truncates after `admit` requests. The second request of a
 /// truncate used to be the core's undo image, asked for after the cut: a
