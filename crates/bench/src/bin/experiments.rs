@@ -47,20 +47,31 @@ fn main() {
     };
     let mut md = String::new();
     for n in figs_wanted {
-        let Some(table) = figs::fig(n, &scale) else {
-            eprintln!("figure {n} has no experiment (figures 3-5 are architecture diagrams)");
-            continue;
+        let table = match figs::fig(n, &scale) {
+            Some(Ok(table)) => table,
+            Some(Err(e)) => fail(&format!("figure {n}: {e}")),
+            None => {
+                eprintln!("figure {n} has no experiment (figures 3-5 are architecture diagrams)");
+                continue;
+            }
         };
         println!("{}", table.render_text());
         md.push_str(&table.render_markdown());
     }
     if let Some(path) = md_path {
-        let mut f = std::fs::OpenOptions::new()
+        let appended = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
-            .expect("open markdown output");
-        f.write_all(md.as_bytes()).expect("write markdown");
+            .and_then(|mut f| f.write_all(md.as_bytes()));
+        if let Err(e) = appended {
+            fail(&format!("{path}: {e}"));
+        }
         eprintln!("appended markdown tables to {path}");
     }
+}
+
+fn fail(why: &str) -> ! {
+    eprintln!("experiments: {why}");
+    std::process::exit(1);
 }

@@ -167,15 +167,19 @@ impl Personality {
 
 /// Builds a system, populates the filebench set through it, remounts (cold
 /// caches, like clearing the OS page cache) and rebases the timeline.
-pub fn prepared_system(kind: SystemKind, scale: &Scale, cost: CostModel) -> (System, Arc<Fileset>) {
+pub fn prepared_system(
+    kind: SystemKind,
+    scale: &Scale,
+    cost: CostModel,
+) -> Result<(System, Arc<Fileset>)> {
     let cfg = scale.system_config(cost);
-    let sys = build(kind, &cfg).expect("build system");
-    let set = Fileset::populate(&*sys.fs, scale.fileset_spec(), 0xF11E).expect("populate fileset");
-    sys.fs.unmount().expect("unmount after populate");
+    let sys = build(kind, &cfg).ctx("build system")?;
+    let set = Fileset::populate(&*sys.fs, scale.fileset_spec(), 0xF11E).ctx("populate fileset")?;
+    sys.fs.unmount().ctx("unmount after populate")?;
     let System { kind, dev, env, .. } = sys;
-    let sys = remount_with(kind, dev, env, &cfg).expect("remount");
+    let sys = remount_with(kind, dev, env, &cfg).ctx("remount")?;
     sys.env.rebase();
-    (sys, set)
+    Ok((sys, set))
 }
 
 /// Runs `threads` actors of a personality for the scaled duration.
@@ -185,13 +189,42 @@ pub fn run_personality(
     p: Personality,
     threads: usize,
     scale: &Scale,
-) -> RunReport {
+) -> Result<RunReport> {
     let actors = p.actors(set, scale.filebench_params(), threads);
     let report = Runner::new(sys.env.clone(), sys.fs.clone())
         .with_device(sys.dev.clone())
         .run(actors, RunLimit::duration_ms(scale.duration_ms), 0xBEEF);
-    assert_eq!(report.error, None, "{} on {}", p.label(), sys.kind.label());
-    report
+    let what = format!("{} on {}", p.label(), sys.kind.label());
+    checked(report, &what)
+}
+
+/// An experiment's failure: what failed, and why.
+pub type Result<T> = std::result::Result<T, String>;
+
+/// Names what failed, for the report.
+pub trait Context<T> {
+    /// The value, or `what` failed.
+    fn ctx(self, what: &str) -> Result<T>;
+}
+
+impl<T, E: std::fmt::Debug> Context<T> for std::result::Result<T, E> {
+    fn ctx(self, what: &str) -> Result<T> {
+        self.map_err(|e| format!("{what}: {e:?}"))
+    }
+}
+
+impl<T> Context<T> for Option<T> {
+    fn ctx(self, what: &str) -> Result<T> {
+        self.ok_or_else(|| format!("{what}: missing"))
+    }
+}
+
+/// `report`, or the error that ended its run early.
+pub fn checked(report: RunReport, what: &str) -> Result<RunReport> {
+    match &report.error {
+        Some(e) => Err(format!("{what}: {e:?}")),
+        None => Ok(report),
+    }
 }
 
 /// Convenience: build + populate + run one personality, returning the
@@ -202,11 +235,11 @@ pub fn filebench_once(
     threads: usize,
     scale: &Scale,
     cost: CostModel,
-) -> RunReport {
-    let (sys, set) = prepared_system(kind, scale, cost);
-    let report = run_personality(&sys, &set, p, threads, scale);
+) -> Result<RunReport> {
+    let (sys, set) = prepared_system(kind, scale, cost)?;
+    let report = run_personality(&sys, &set, p, threads, scale)?;
     let _ = sys.fs.unmount();
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -225,7 +258,7 @@ mod tests {
     fn quick_filebench_on_two_systems() {
         let scale = Scale::quick();
         for p in [Personality::Fileserver, Personality::Webproxy] {
-            let run = |kind| filebench_once(kind, p, 1, &scale, CostModel::default());
+            let run = |kind| filebench_once(kind, p, 1, &scale, CostModel::default()).unwrap();
             let (r_pmfs, r_hinfs) = (run(SystemKind::Pmfs), run(SystemKind::Hinfs));
             assert!(r_pmfs.metrics.steps > 0);
             assert!(r_hinfs.metrics.steps > 0);

@@ -12,11 +12,12 @@ use workloads::tpcc::{Tpcc, TpccParams};
 use workloads::traces::{TraceReplay, ALL_TRACES};
 use workloads::{OpKind, RunReport};
 
-use crate::common::{filebench_once, prepared_system, run_personality, Personality, Scale};
+use crate::common::{checked, filebench_once, prepared_system, run_personality};
+use crate::common::{Context, Personality, Result, Scale};
 use crate::table::{fmt2, mib, pct, Table};
 
 /// Runs one figure by number (1, 2, 6, 7, ..., 13).
-pub fn fig(n: u32, scale: &Scale) -> Option<Table> {
+pub fn fig(n: u32, scale: &Scale) -> Option<Result<Table>> {
     match n {
         1 => Some(fig01(scale)),
         2 => Some(fig02(scale)),
@@ -39,12 +40,16 @@ pub fn fig(n: u32, scale: &Scale) -> Option<Table> {
 /// All figure numbers with experiments.
 pub const ALL_FIGS: [u32; 10] = [1, 2, 6, 7, 8, 9, 10, 11, 12, 13];
 
-fn run_actors(sys: &System, actors: Vec<Box<dyn Actor>>, limit: RunLimit, seed: u64) -> RunReport {
+fn run_actors(
+    sys: &System,
+    actors: Vec<Box<dyn Actor>>,
+    limit: RunLimit,
+    seed: u64,
+) -> Result<RunReport> {
     let report = Runner::new(sys.env.clone(), sys.fs.clone())
         .with_device(sys.dev.clone())
         .run(actors, limit, seed);
-    assert_eq!(report.error, None, "{}", sys.kind.label());
-    report
+    checked(report, sys.kind.label())
 }
 
 // ---------------------------------------------------------------- Fig 1
@@ -52,7 +57,7 @@ fn run_actors(sys: &System, actors: Vec<Box<dyn Actor>>, limit: RunLimit, seed: 
 /// Fig 1: time breakdown of the fio benchmark on PMFS across I/O sizes
 /// (read:write = 1:2). Expected shape: Write Access dominates (> 80 %) at
 /// I/O sizes ≥ 4 KiB and still exceeds ~16 % at 64 B.
-pub fn fig01(scale: &Scale) -> Table {
+pub fn fig01(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig01",
         "fio on PMFS: time breakdown vs I/O size (r:w = 1:2)",
@@ -60,17 +65,17 @@ pub fn fig01(scale: &Scale) -> Table {
     );
     for &iosize in &[64usize, 1 << 10, 4 << 10, 16 << 10, 64 << 10] {
         let cfg = scale.system_config(CostModel::default());
-        let sys = workloads::setups::build(SystemKind::Pmfs, &cfg).expect("build pmfs");
+        let sys = workloads::setups::build(SystemKind::Pmfs, &cfg).ctx("build pmfs")?;
         let params = FioParams::new("/fio-job", 16 << 20, iosize);
-        Fio::setup(&*sys.fs, &params).expect("fio setup");
-        sys.fs.sync().expect("sync");
+        Fio::setup(&*sys.fs, &params).ctx("fio setup")?;
+        sys.fs.sync().ctx("sync")?;
         sys.env.rebase();
         let report = run_actors(
             &sys,
             vec![Box::new(Fio::new(params))],
             RunLimit::duration_ms(scale.duration_ms / 2),
             1,
-        );
+        )?;
         let ledger = &report.ledger;
         let total = ledger.total().max(1);
         t.row(vec![
@@ -81,7 +86,7 @@ pub fn fig01(scale: &Scale) -> Table {
         ]);
     }
     t.note("paper: write access ≥ 80% at ≥ 4KiB; ≥ 16% at 64B");
-    t
+    Ok(t)
 }
 
 /// Fig 1 recomputed from spans: the ledger's read-/write-access shares
@@ -90,7 +95,7 @@ pub fn fig01(scale: &Scale) -> Table {
 /// write access). The two disagree only by time charged outside any
 /// device scope (syscall software overhead lands in `Other`), so the
 /// columns track within ~5 percentage points.
-pub fn fig01_spans(scale: &Scale) -> Table {
+pub fn fig01_spans(scale: &Scale) -> Result<Table> {
     use obsv::Phase;
     let mut t = Table::new(
         "fig01s",
@@ -106,10 +111,10 @@ pub fn fig01_spans(scale: &Scale) -> Table {
     for &iosize in &[64usize, 4 << 10, 64 << 10] {
         let mut cfg = scale.system_config(CostModel::default());
         cfg.obsv = workloads::ObsvOptions::flight();
-        let sys = workloads::setups::build(SystemKind::Pmfs, &cfg).expect("build pmfs");
+        let sys = workloads::setups::build(SystemKind::Pmfs, &cfg).ctx("build pmfs")?;
         let params = FioParams::new("/fio-job", 16 << 20, iosize);
-        Fio::setup(&*sys.fs, &params).expect("fio setup");
-        sys.fs.sync().expect("sync");
+        Fio::setup(&*sys.fs, &params).ctx("fio setup")?;
+        sys.fs.sync().ctx("sync")?;
         sys.env.rebase();
         let s0 = sys.dev.spans().snapshot();
         let report = run_actors(
@@ -117,7 +122,7 @@ pub fn fig01_spans(scale: &Scale) -> Table {
             vec![Box::new(Fio::new(params))],
             RunLimit::duration_ms(scale.duration_ms / 2),
             1,
-        );
+        )?;
         let spans = sys.dev.spans().snapshot().since(&s0);
         let ledger = &report.ledger;
         let ltotal = ledger.total().max(1) as f64;
@@ -135,7 +140,7 @@ pub fn fig01_spans(scale: &Scale) -> Table {
         ]);
     }
     t.note("ledger and span shares agree within ~5pp (documented tolerance)");
-    t
+    Ok(t)
 }
 
 // ---------------------------------------------------------------- Fig 2
@@ -143,7 +148,7 @@ pub fn fig01_spans(scale: &Scale) -> Table {
 /// Fig 2: percentage of fsync bytes per workload (with total written bytes
 /// atop each bar). Expected: TPC-C > 90 %, LASR = 0 %, varmail/facebook
 /// high, filebench fileserver/webserver/webproxy ≈ 0 %.
-pub fn fig02(scale: &Scale) -> Table {
+pub fn fig02(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig02",
         "fsync bytes as a share of written bytes, per workload",
@@ -152,8 +157,8 @@ pub fn fig02(scale: &Scale) -> Table {
     let cost = CostModel::default;
     // Filebench personalities.
     for p in Personality::ALL {
-        let (sys, set) = prepared_system(SystemKind::Pmfs, scale, cost());
-        let r = run_personality(&sys, &set, p, scale.threads, scale);
+        let (sys, set) = prepared_system(SystemKind::Pmfs, scale, cost())?;
+        let r = run_personality(&sys, &set, p, scale.threads, scale)?;
         t.row(vec![
             p.label().into(),
             mib(r.metrics.bytes_written),
@@ -162,16 +167,16 @@ pub fn fig02(scale: &Scale) -> Table {
     }
     // Postmark.
     {
-        let (sys, _set) = prepared_system(SystemKind::Pmfs, scale, cost());
+        let (sys, _set) = prepared_system(SystemKind::Pmfs, scale, cost())?;
         let pool = Fileset::populate(&*sys.fs, FilesetSpec::new("/mail", 128, 20, 2 << 10), 3)
-            .expect("pool");
+            .ctx("pool")?;
         sys.env.rebase();
         let r = run_actors(
             &sys,
             vec![Box::new(Postmark::new(pool, PostmarkParams::default()))],
             RunLimit::steps(1500),
             2,
-        );
+        )?;
         t.row(vec![
             "postmark".into(),
             mib(r.metrics.bytes_written),
@@ -180,19 +185,19 @@ pub fn fig02(scale: &Scale) -> Table {
     }
     // TPC-C.
     {
-        let (sys, _set) = prepared_system(SystemKind::Pmfs, scale, cost());
+        let (sys, _set) = prepared_system(SystemKind::Pmfs, scale, cost())?;
         let params = TpccParams {
             table_size: 16 << 20,
             ..TpccParams::default()
         };
-        Tpcc::setup(&*sys.fs, &params).expect("tpcc setup");
+        Tpcc::setup(&*sys.fs, &params).ctx("tpcc setup")?;
         sys.env.rebase();
         let r = run_actors(
             &sys,
             vec![Box::new(Tpcc::new(params))],
             RunLimit::steps(400),
             2,
-        );
+        )?;
         t.row(vec![
             "tpcc".into(),
             mib(r.metrics.bytes_written),
@@ -201,14 +206,14 @@ pub fn fig02(scale: &Scale) -> Table {
     }
     // Traces.
     for profile in ALL_TRACES {
-        let (sys, set) = prepared_system(SystemKind::Pmfs, scale, cost());
+        let (sys, set) = prepared_system(SystemKind::Pmfs, scale, cost())?;
         sys.env.rebase();
         let r = run_actors(
             &sys,
             vec![Box::new(TraceReplay::new(set, profile, 5))],
             RunLimit::steps(1500),
             2,
-        );
+        )?;
         t.row(vec![
             profile.name.into(),
             mib(r.metrics.bytes_written),
@@ -216,7 +221,7 @@ pub fn fig02(scale: &Scale) -> Table {
         ]);
     }
     t.note("paper: TPC-C > 90%, LASR = 0%, desktops in between");
-    t
+    Ok(t)
 }
 
 // ---------------------------------------------------------------- Fig 6
@@ -224,7 +229,7 @@ pub fn fig02(scale: &Scale) -> Table {
 /// Fig 6: accuracy of the Buffer Benefit Model's use of the most recent
 /// synchronization information, per workload. Expected: ≈ 90 %+ even in
 /// the worst case.
-pub fn fig06(scale: &Scale) -> Table {
+pub fn fig06(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig06",
         "Buffer Benefit Model prediction accuracy (HiNFS)",
@@ -236,27 +241,27 @@ pub fn fig06(scale: &Scale) -> Table {
     };
     // Varmail.
     {
-        let (sys, set) = prepared_system(SystemKind::Hinfs, scale, CostModel::default());
-        let _ = run_personality(&sys, &set, Personality::Varmail, scale.threads, scale);
-        let s = sys.hinfs.as_ref().expect("hinfs").stats().snapshot();
+        let (sys, set) = prepared_system(SystemKind::Hinfs, scale, CostModel::default())?;
+        let _ = run_personality(&sys, &set, Personality::Varmail, scale.threads, scale)?;
+        let s = sys.hinfs.as_ref().ctx("hinfs")?.stats().snapshot();
         record("varmail", &sys, s.bbm_evals, s.bbm_accuracy());
     }
     // TPC-C.
     {
-        let (sys, _set) = prepared_system(SystemKind::Hinfs, scale, CostModel::default());
+        let (sys, _set) = prepared_system(SystemKind::Hinfs, scale, CostModel::default())?;
         let params = TpccParams {
             table_size: 16 << 20,
             ..TpccParams::default()
         };
-        Tpcc::setup(&*sys.fs, &params).expect("tpcc setup");
+        Tpcc::setup(&*sys.fs, &params).ctx("tpcc setup")?;
         sys.env.rebase();
         let _ = run_actors(
             &sys,
             vec![Box::new(Tpcc::new(params))],
             RunLimit::steps(400),
             6,
-        );
-        let s = sys.hinfs.as_ref().expect("hinfs").stats().snapshot();
+        )?;
+        let s = sys.hinfs.as_ref().ctx("hinfs")?.stats().snapshot();
         record("tpcc", &sys, s.bbm_evals, s.bbm_accuracy());
     }
     // Usr0, Usr1, Facebook.
@@ -265,19 +270,19 @@ pub fn fig06(scale: &Scale) -> Table {
         workloads::traces::USR1,
         workloads::traces::FACEBOOK,
     ] {
-        let (sys, set) = prepared_system(SystemKind::Hinfs, scale, CostModel::default());
+        let (sys, set) = prepared_system(SystemKind::Hinfs, scale, CostModel::default())?;
         sys.env.rebase();
         let _ = run_actors(
             &sys,
             vec![Box::new(TraceReplay::new(set, profile, 5))],
             RunLimit::steps(1500),
             6,
-        );
-        let s = sys.hinfs.as_ref().expect("hinfs").stats().snapshot();
+        )?;
+        let s = sys.hinfs.as_ref().ctx("hinfs")?.stats().snapshot();
         record(profile.name, &sys, s.bbm_evals, s.bbm_accuracy());
     }
     t.note("paper: close to 90% even in the worst case (Usr0)");
-    t
+    Ok(t)
 }
 
 // ---------------------------------------------------------------- Fig 7
@@ -285,7 +290,7 @@ pub fn fig06(scale: &Scale) -> Table {
 /// Fig 7: overall filebench throughput of the five systems, normalized to
 /// PMFS. Expected: HiNFS best everywhere (up to ~2.8× on fileserver),
 /// ≈ PMFS on webserver/varmail; NVMMBD systems worst except webproxy.
-pub fn fig07(scale: &Scale) -> Table {
+pub fn fig07(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig07",
         "filebench throughput normalized to PMFS (multi-thread)",
@@ -306,7 +311,7 @@ pub fn fig07(scale: &Scale) -> Table {
             scale.threads,
             scale,
             CostModel::default(),
-        )
+        )?
         .throughput();
         row.push(fmt2(1.0));
         for kind in [
@@ -316,19 +321,19 @@ pub fn fig07(scale: &Scale) -> Table {
             SystemKind::Hinfs,
         ] {
             let tput =
-                filebench_once(kind, p, scale.threads, scale, CostModel::default()).throughput();
+                filebench_once(kind, p, scale.threads, scale, CostModel::default())?.throughput();
             row.push(fmt2(tput / base.max(1e-9)));
         }
         t.row(row);
     }
     t.note("paper: HiNFS up to 2.84x PMFS on fileserver; ~1x on webserver/varmail");
-    t
+    Ok(t)
 }
 
 // ---------------------------------------------------------------- Fig 8
 
 /// Fig 8: throughput (ops/s) for 1–10 threads, per workload and system.
-pub fn fig08(scale: &Scale) -> Table {
+pub fn fig08(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig08",
         "throughput (ops/s) vs thread count",
@@ -343,14 +348,14 @@ pub fn fig08(scale: &Scale) -> Table {
         for kind in SystemKind::FIG7 {
             let mut row = vec![p.label().to_string(), kind.label().to_string()];
             for &threads in &thread_counts {
-                let r = filebench_once(kind, p, threads, &scale, CostModel::default());
+                let r = filebench_once(kind, p, threads, &scale, CostModel::default())?;
                 row.push(format!("{:.0}", r.throughput()));
             }
             t.row(row);
         }
     }
     t.note("paper: HiNFS scales best; PMFS/DAX are bandwidth-limited; HiNFS >= 1.5x PMFS at 10 threads on fileserver");
-    t
+    Ok(t)
 }
 
 // ---------------------------------------------------------------- Fig 9
@@ -358,7 +363,7 @@ pub fn fig08(scale: &Scale) -> Table {
 /// Fig 9: (a) fileserver throughput vs I/O size for HiNFS, HiNFS-NCLFW and
 /// PMFS; (b) total NVMM write bytes. Expected: CLFW wins (~30 %) below the
 /// 4 KiB block size and slashes the write traffic; parity at ≥ 4 KiB.
-pub fn fig09(scale: &Scale) -> Table {
+pub fn fig09(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig09",
         "fileserver vs I/O size: throughput (ops/s) and NVMM write MiB",
@@ -386,8 +391,8 @@ pub fn fig09(scale: &Scale) -> Table {
         let mut row = vec![format!("{iosize}B")];
         let mut wb = Vec::new();
         for kind in [SystemKind::Pmfs, SystemKind::HinfsNclfw, SystemKind::Hinfs] {
-            let (sys, set) = prepared_system(kind, &s, CostModel::default());
-            let r = run_personality(&sys, &set, Personality::Fileserver, 1, &s);
+            let (sys, set) = prepared_system(kind, &s, CostModel::default())?;
+            let r = run_personality(&sys, &set, Personality::Fileserver, 1, &s)?;
             row.push(format!("{:.0}", r.throughput()));
             // Buffer writeback traffic, per 1000 workload loops (the
             // "NVMM write size" of Fig 9b, isolated from journal traffic).
@@ -404,7 +409,7 @@ pub fn fig09(scale: &Scale) -> Table {
         t.row(row);
     }
     t.note("write MiB columns: buffer writeback traffic per 1000 loops; paper: CLFW far less traffic below 4KiB, parity at/above it");
-    t
+    Ok(t)
 }
 
 // ---------------------------------------------------------------- Fig 10
@@ -412,7 +417,7 @@ pub fn fig09(scale: &Scale) -> Table {
 /// Fig 10: throughput as a function of the DRAM buffer (and page cache)
 /// size relative to the dataset. Expected: fileserver improves with the
 /// ratio; webproxy is flat (locality + short-lived files).
-pub fn fig10(scale: &Scale) -> Table {
+pub fn fig10(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig10",
         "throughput (ops/s) vs buffer-size/dataset ratio",
@@ -436,14 +441,14 @@ pub fn fig10(scale: &Scale) -> Table {
                     duration_ms: scale.duration_ms / 2,
                     ..scale.clone()
                 };
-                let r = filebench_once(kind, p, scale.threads, &s, CostModel::default());
+                let r = filebench_once(kind, p, scale.threads, &s, CostModel::default())?;
                 row.push(format!("{:.0}", r.throughput()));
             }
             t.row(row);
         }
     }
     t.note("paper: fileserver grows with the ratio; webproxy flat; NVMMBD << PMFS even at 1.0");
-    t
+    Ok(t)
 }
 
 // ---------------------------------------------------------------- Fig 11
@@ -451,7 +456,7 @@ pub fn fig10(scale: &Scale) -> Table {
 /// Fig 11: single-thread throughput across NVMM write latencies
 /// (50–800 ns). Expected: the HiNFS/PMFS gap grows with latency (~6× at
 /// 800 ns on webproxy) and HiNFS is never worse, even at 50 ns.
-pub fn fig11(scale: &Scale) -> Table {
+pub fn fig11(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig11",
         "throughput (ops/s) vs NVMM write latency, 1 thread",
@@ -469,14 +474,14 @@ pub fn fig11(scale: &Scale) -> Table {
             let mut row = vec![p.label().to_string(), kind.label().to_string()];
             for &lat in &lats {
                 let cost = CostModel::default().with_write_latency(lat);
-                let r = filebench_once(kind, p, 1, &s, cost);
+                let r = filebench_once(kind, p, 1, &s, cost)?;
                 row.push(format!("{:.0}", r.throughput()));
             }
             t.row(row);
         }
     }
     t.note("paper: HiNFS/PMFS gap grows with latency; HiNFS no worse than PMFS even at 50ns");
-    t
+    Ok(t)
 }
 
 // ---------------------------------------------------------------- Fig 12
@@ -485,7 +490,7 @@ pub fn fig11(scale: &Scale) -> Table {
 /// unlink / fsync, normalized to PMFS's total. Expected: HiNFS cuts
 /// Usr0/Usr1/LASR by ~35–38 % vs PMFS (mostly write time), ties on
 /// Facebook; HiNFS-WB is 14–32 % slower than HiNFS on sync-heavy traces.
-pub fn fig12(scale: &Scale) -> Table {
+pub fn fig12(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig12",
         "trace replay: per-op time breakdown normalized to PMFS total",
@@ -502,14 +507,14 @@ pub fn fig12(scale: &Scale) -> Table {
     for profile in ALL_TRACES {
         let mut base_total = 0u64;
         for kind in SystemKind::FIG12 {
-            let (sys, set) = prepared_system(kind, &tscale, CostModel::default());
+            let (sys, set) = prepared_system(kind, &tscale, CostModel::default())?;
             sys.env.rebase();
             let r = run_actors(
                 &sys,
                 vec![Box::new(TraceReplay::new(set, profile, 5))],
                 RunLimit::steps(steps),
                 12,
-            );
+            )?;
             let _ = sys.fs.unmount();
             let read = r.op_ns(OpKind::Read);
             let write = r.op_ns(OpKind::Write);
@@ -532,7 +537,7 @@ pub fn fig12(scale: &Scale) -> Table {
         }
     }
     t.note("paper: HiNFS total ~0.62-0.65 of PMFS on usr0/usr1/lasr; ~1.0 on facebook; HiNFS-WB 14-32% above HiNFS on sync-heavy traces");
-    t
+    Ok(t)
 }
 
 /// Fig 12 recomputed from spans: per-op totals from the OpKind × Phase
@@ -541,7 +546,7 @@ pub fn fig12(scale: &Scale) -> Table {
 /// (the remainder under `Phase::Other`), so the two columns agree almost
 /// exactly — the span layer and the runner read the same virtual clock
 /// around the same call boundary.
-pub fn fig12_spans(scale: &Scale) -> Table {
+pub fn fig12_spans(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig12s",
         "trace replay: runner per-op ns vs span row totals",
@@ -557,12 +562,12 @@ pub fn fig12_spans(scale: &Scale) -> Table {
     for kind in [SystemKind::Pmfs, SystemKind::Hinfs] {
         let mut cfg = tscale.system_config(CostModel::default());
         cfg.obsv = workloads::ObsvOptions::flight();
-        let sys = workloads::setups::build(kind, &cfg).expect("build");
+        let sys = workloads::setups::build(kind, &cfg).ctx("build")?;
         let set = workloads::fileset::Fileset::populate(&*sys.fs, tscale.fileset_spec(), 0xF11E)
-            .expect("populate");
-        sys.fs.unmount().expect("unmount");
+            .ctx("populate")?;
+        sys.fs.unmount().ctx("unmount")?;
         let workloads::setups::System { kind, dev, env, .. } = sys;
-        let sys = remount_with(kind, dev, env, &cfg).expect("remount");
+        let sys = remount_with(kind, dev, env, &cfg).ctx("remount")?;
         sys.env.rebase();
         let s0 = sys.dev.spans().snapshot();
         let r = run_actors(
@@ -570,7 +575,7 @@ pub fn fig12_spans(scale: &Scale) -> Table {
             vec![Box::new(TraceReplay::new(set, profile, 5))],
             RunLimit::steps(steps),
             12,
-        );
+        )?;
         let spans = sys.dev.spans().snapshot().since(&s0);
         let _ = sys.fs.unmount();
         for op in [OpKind::Read, OpKind::Write, OpKind::Unlink, OpKind::Fsync] {
@@ -588,7 +593,7 @@ pub fn fig12_spans(scale: &Scale) -> Table {
         }
     }
     t.note("span row totals track the runner accounting (ratio ~1.00)");
-    t
+    Ok(t)
 }
 
 // ---------------------------------------------------------------- Fig 13
@@ -597,7 +602,7 @@ pub fn fig12_spans(scale: &Scale) -> Table {
 /// −60 % on postmark and −64 % on kernel-make vs PMFS; ≈ PMFS on TPC-C and
 /// kernel-grep; every NVMM-aware system far below EXT*/NVMMBD; EXT2 faster
 /// than EXT4 (no journal).
-pub fn fig13(scale: &Scale) -> Table {
+pub fn fig13(scale: &Scale) -> Result<Table> {
     let mut t = Table::new(
         "fig13",
         "macrobenchmark elapsed time normalized to PMFS",
@@ -628,19 +633,19 @@ pub fn fig13(scale: &Scale) -> Table {
         let mut elapsed = Vec::new();
         for kind in SystemKind::FIG12 {
             let cfg = scale.system_config(CostModel::default());
-            let sys = workloads::setups::build(kind, &cfg).expect("build");
+            let sys = workloads::setups::build(kind, &cfg).ctx("build")?;
             let r = match m {
                 Macro::Postmark => {
                     let pool =
                         Fileset::populate(&*sys.fs, FilesetSpec::new("/mail", 192, 20, 2 << 10), 3)
-                            .expect("pool");
-                    let sys = remount_and_rebase(sys, &cfg);
+                            .ctx("pool")?;
+                    let sys = remount_and_rebase(sys, &cfg)?;
                     let r = run_actors(
                         &sys,
                         vec![Box::new(Postmark::new(pool, PostmarkParams::default()))],
                         RunLimit::steps(2000),
                         13,
-                    );
+                    )?;
                     let _ = sys.fs.unmount();
                     r
                 }
@@ -649,40 +654,40 @@ pub fn fig13(scale: &Scale) -> Table {
                         table_size: 16 << 20,
                         ..TpccParams::default()
                     };
-                    Tpcc::setup(&*sys.fs, &params).expect("setup");
-                    let sys = remount_and_rebase(sys, &cfg);
+                    Tpcc::setup(&*sys.fs, &params).ctx("setup")?;
+                    let sys = remount_and_rebase(sys, &cfg)?;
                     let r = run_actors(
                         &sys,
                         vec![Box::new(Tpcc::new(params))],
                         RunLimit::steps(400),
                         13,
-                    );
+                    )?;
                     let _ = sys.fs.unmount();
                     r
                 }
                 Macro::Grep => {
                     let tree = SourceTree::build(&*sys.fs, "/linux", TreeParams::default(), 5)
-                        .expect("tree");
-                    let sys = remount_and_rebase(sys, &cfg);
+                        .ctx("tree")?;
+                    let sys = remount_and_rebase(sys, &cfg)?;
                     let r = run_actors(
                         &sys,
                         vec![Box::new(KernelGrep::new(tree))],
                         RunLimit::default(),
                         13,
-                    );
+                    )?;
                     let _ = sys.fs.unmount();
                     r
                 }
                 Macro::Make => {
                     let tree = SourceTree::build(&*sys.fs, "/linux", TreeParams::default(), 5)
-                        .expect("tree");
-                    let sys = remount_and_rebase(sys, &cfg);
+                        .ctx("tree")?;
+                    let sys = remount_and_rebase(sys, &cfg)?;
                     let r = run_actors(
                         &sys,
                         vec![Box::new(KernelMake::new(tree))],
                         RunLimit::default(),
                         13,
-                    );
+                    )?;
                     let _ = sys.fs.unmount();
                     r
                 }
@@ -697,18 +702,18 @@ pub fn fig13(scale: &Scale) -> Table {
         t.row(row);
     }
     t.note("paper: HiNFS ~0.40 of PMFS on postmark, ~0.36 on kernel-make, ~1.0 on tpcc/kernel-grep; ext2 < ext4");
-    t
+    Ok(t)
 }
 
-fn remount_and_rebase(sys: System, cfg: &workloads::setups::SystemConfig) -> System {
+fn remount_and_rebase(sys: System, cfg: &workloads::setups::SystemConfig) -> Result<System> {
     let System {
         kind, dev, env, fs, ..
     } = sys;
-    fs.unmount().expect("unmount");
+    fs.unmount().ctx("unmount")?;
     drop(fs);
-    let sys = remount_with(kind, dev, env, cfg).expect("remount");
+    let sys = remount_with(kind, dev, env, cfg).ctx("remount")?;
     sys.env.rebase();
-    sys
+    Ok(sys)
 }
 
 #[cfg(test)]
@@ -721,7 +726,7 @@ mod tests {
 
     #[test]
     fn fig01_breakdown_shape() {
-        let t = fig01(&quick());
+        let t = fig01(&quick()).unwrap();
         assert_eq!(t.rows.len(), 5);
         // Largest I/O size: write access dominates.
         let last = t.rows.last().unwrap();
@@ -736,7 +741,7 @@ mod tests {
 
     #[test]
     fn fig06_accuracy_is_high() {
-        let t = fig06(&quick());
+        let t = fig06(&quick()).unwrap();
         for row in &t.rows {
             let acc: f64 = row[2].trim_end_matches('%').parse().unwrap();
             assert!(acc > 75.0, "{} accuracy {acc}%", row[0]);
@@ -745,7 +750,7 @@ mod tests {
 
     #[test]
     fn fig01_spans_agree_with_ledger() {
-        let t = fig01_spans(&quick());
+        let t = fig01_spans(&quick()).unwrap();
         for row in &t.rows {
             let v = |i: usize| -> f64 { row[i].trim_end_matches('%').parse().unwrap() };
             assert!(
@@ -767,7 +772,7 @@ mod tests {
 
     #[test]
     fn fig12_spans_match_runner_accounting() {
-        let t = fig12_spans(&quick());
+        let t = fig12_spans(&quick()).unwrap();
         for row in &t.rows {
             let runner: u64 = row[3].parse().unwrap();
             if runner < 10_000 {
@@ -786,7 +791,7 @@ mod tests {
 
     #[test]
     fn fig09_clfw_reduces_traffic_at_small_io() {
-        let t = fig09(&quick());
+        let t = fig09(&quick()).unwrap();
         // 64 B row: NCLFW writes far more NVMM bytes than CLFW.
         let row = &t.rows[0];
         let nclfw: f64 = row[4].parse().unwrap();

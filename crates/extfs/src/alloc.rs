@@ -92,6 +92,18 @@ impl DiskBitmap {
         Ok(())
     }
 
+    /// jbd-style credits for the `n` bits an operation may allocate,
+    /// asked for before it changes anything: refused when fewer are free,
+    /// and the one place the ENOSPC fault hook is consulted.
+    pub fn reserve(&self, cache: &BufferCache, n: u64) -> Result<()> {
+        if n > 0
+            && (nvmm::fault::alloc_blocked(cache.device().byte_device()) || self.free_count() < n)
+        {
+            return Err(FsError::NoSpace);
+        }
+        Ok(())
+    }
+
     /// Allocates one bit, returning its index.
     pub fn alloc(&self, cache: &BufferCache, jbd: &Jbd, now: u64) -> Result<u64> {
         let mut s = self.state.lock();

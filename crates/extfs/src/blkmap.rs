@@ -2,6 +2,8 @@
 //! one double-indirect block (512 pointers each), all accessed through the
 //! buffer cache and journaled when modified.
 
+use std::ops::Range;
+
 use fskit::{FsError, Result};
 use nvmm::{Cat, BLOCK_SIZE};
 
@@ -86,6 +88,21 @@ fn resolve(
         return Ok(mapped(ptr(ind, iblk % PTRS)?));
     }
     Ok(None)
+}
+
+/// Blocks mapping the file blocks `iblks` of `mem` can take, at most:
+/// one each, and every indirect block whose span meets them.
+pub fn blocks_for(mem: &ExtInodeMem, iblks: Range<u64>) -> u64 {
+    let (single, double) = (NDIRECT as u64, NDIRECT as u64 + PTRS);
+    let mut n = iblks.end.saturating_sub(iblks.start);
+    if iblks.start < double && iblks.end > single && mem.ptrs[SINGLE] == 0 {
+        n += 1;
+    }
+    if iblks.end > double {
+        let (lo, hi) = (iblks.start.max(double) - double, iblks.end - 1 - double);
+        n += (mem.ptrs[DOUBLE] == 0) as u64 + hi / PTRS - lo / PTRS + 1;
+    }
+    n
 }
 
 /// Maps `iblk` to a (possibly fresh) device block, allocating indirect

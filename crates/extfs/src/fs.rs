@@ -220,6 +220,15 @@ impl Extfs {
         self.env.now()
     }
 
+    /// jbd's admission of a handle: injected backpressure refuses it in
+    /// the journaled modes.
+    fn admit(&self) -> Result<()> {
+        if self.jbd.enabled() && nvmm::fault::journal_blocked(self.bd.byte_device()) {
+            return Err(FsError::JournalFull);
+        }
+        Ok(())
+    }
+
     /// Carries entry edit `edit` of a directory (`state`) to its blocks
     /// through `index`, at time `now`.
     fn apply<N: AsRef<str>>(
@@ -297,6 +306,34 @@ impl Extfs {
         self.obs.record_inline_drain(payload.len() as u64);
         Ok(())
     }
+
+    /// `fsync`'s work once jbd has admitted it: flushes the file's data
+    /// pages (ordered mode), then commits the journal (ext4/dax) or
+    /// flushes its inode block (ext2).
+    fn sync_file(&self, ino: u64) -> Result<()> {
+        let mut blocks: Vec<u64> = {
+            let mut dd = self.dirty_data.lock();
+            match dd.get_mut(&ino) {
+                Some(set) => set.drain().collect(),
+                None => Vec::new(),
+            }
+        };
+        // The set iterates in hash order; flush in block order so the
+        // journal and device see a run-independent sequence.
+        blocks.sort_unstable();
+        for blk in blocks {
+            self.cache.flush_block(blk, obsv::DrainKind::Sync);
+        }
+        if self.jbd.enabled() {
+            self.jbd_commit(obsv::DrainKind::Sync)?;
+        } else {
+            // ext2: push the inode block too, then barrier.
+            let (iblk, _) = self.layout.inode_loc(ino);
+            self.cache.flush_block(iblk, obsv::DrainKind::Sync);
+        }
+        self.bd.flush();
+        Ok(())
+    }
 }
 
 impl FileSystem for Extfs {
@@ -342,6 +379,7 @@ impl FileSystem for Extfs {
 
 impl Files for Extfs {
     type State = ExtInodeMem;
+    type Held = ();
 
     fn device(&self) -> &NvmmDevice {
         self.bd.byte_device()
@@ -428,23 +466,35 @@ impl Files for Extfs {
         Ok(())
     }
 
-    /// Injected ENOSPC fails the whole write up front with a clean error
-    /// rather than part-way through the chunk loop.
+    /// jbd's admission (the journaled modes), then the blocks of the
+    /// holes the write may fill and their indirect blocks, as jbd credits
+    /// are taken before a handle runs.
+    fn reserve(
+        &self,
+        _: &OpenFile<ExtInodeMem>,
+        state: &mut ExtInodeMem,
+        off: u64,
+        _: &[&[u8]],
+        total: u64,
+    ) -> Result<()> {
+        let end = off
+            .checked_add(total)
+            .filter(|&e| e / BLOCK_SIZE as u64 <= blkmap::max_blocks())
+            .ok_or(FsError::FileTooLarge)?;
+        self.admit()?;
+        let holes = vfs::maybe_holes(state.size, state.blocks, off, end);
+        self.balloc
+            .reserve(&self.cache, blkmap::blocks_for(state, holes))
+    }
+
     fn write_data(
         &self,
         of: &OpenFile<ExtInodeMem>,
         mut state: StateGuard<'_, ExtInodeMem>,
         off: u64,
         iovs: &[&[u8]],
-        total: u64,
+        _: &mut (),
     ) -> Result<()> {
-        if nvmm::fault::alloc_blocked(self.bd.byte_device()) {
-            return Err(FsError::NoSpace);
-        }
-        let end = off
-            .checked_add(total)
-            .filter(|&e| e / BLOCK_SIZE as u64 <= blkmap::max_blocks())
-            .ok_or(FsError::FileTooLarge)?;
         let now = self.now();
         let mut start = off;
         for data in iovs {
@@ -458,48 +508,25 @@ impl Files for Extfs {
             }
             start += data.len() as u64;
         }
-        state.size = state.size.max(end);
+        state.size = state.size.max(start);
         state.mtime = now;
         let snap = *state;
         drop(state);
         write_inode(&self.cache, &self.jbd, &self.layout, of.ino, &snap, now)?;
         if of.flags.contains(OpenFlags::SYNC) {
-            self.fsync_data(of)?;
+            // Admitted with the write: no second admission to refuse.
+            self.sync_file(of.ino)?;
         }
         Ok(())
     }
 
-    /// Flushes the file's data pages (ordered mode), then commits the
-    /// journal (ext4/dax) or flushes its inode block (ext2).
+    fn release(&self, (): ()) {}
+
     fn fsync_data(&self, of: &OpenFile<ExtInodeMem>) -> Result<()> {
-        let ino = of.ino;
         // Injected jbd backpressure: refuse the commit before draining the
         // dirty set so a retry still sees every dirty block.
-        if self.jbd.enabled() && nvmm::fault::journal_blocked(self.bd.byte_device()) {
-            return Err(FsError::JournalFull);
-        }
-        let mut blocks: Vec<u64> = {
-            let mut dd = self.dirty_data.lock();
-            match dd.get_mut(&ino) {
-                Some(set) => set.drain().collect(),
-                None => Vec::new(),
-            }
-        };
-        // The set iterates in hash order; flush in block order so the
-        // journal and device see a run-independent sequence.
-        blocks.sort_unstable();
-        for blk in blocks {
-            self.cache.flush_block(blk, obsv::DrainKind::Sync);
-        }
-        if self.jbd.enabled() {
-            self.jbd_commit(obsv::DrainKind::Sync)?;
-        } else {
-            // ext2: push the inode block too, then barrier.
-            let (iblk, _) = self.layout.inode_loc(ino);
-            self.cache.flush_block(iblk, obsv::DrainKind::Sync);
-        }
-        self.bd.flush();
-        Ok(())
+        self.admit()?;
+        self.sync_file(of.ino)
     }
 }
 
@@ -529,17 +556,16 @@ impl Namespace for Extfs {
         self.ns.lock()
     }
 
-    /// Every block the op dirties joins jbd's running transaction.
+    /// jbd's admission; every block the op dirties joins its running
+    /// transaction.
     fn begin(&self, _: Reserve) -> Result<ExtTx> {
+        self.admit()?;
         let (now, created, undo) = (self.now(), None, Vec::new());
         Ok(ExtTx { now, created, undo })
     }
 
-    /// Injected ENOSPC refuses here, before any allocation.
     fn create(&self, tx: &mut ExtTx, ftype: FileType) -> Result<Arc<ExtInodeHandle>> {
-        if nvmm::fault::alloc_blocked(self.bd.byte_device()) {
-            return Err(FsError::NoSpace);
-        }
+        self.ialloc.reserve(&self.cache, 1)?;
         let ino = self.ialloc.alloc(&self.cache, &self.jbd, tx.now)?;
         tx.created = Some(ino);
         let mem = ExtInodeMem::new(ftype, tx.now);

@@ -854,9 +854,11 @@ pub fn differential(
 }
 
 /// The lockstep loop: per-op outcome classes must agree, and the final
-/// state must match unless resource exhaustion stopped the replay (that
-/// is capacity policy, not a semantic divergence, and the model applied
-/// the op the file system refused). `on_op` sees each op's outcome.
+/// state must match. An op the file system refuses for resource
+/// exhaustion where the model succeeds is capacity policy, not a
+/// semantic divergence — but it must have changed nothing: the system
+/// then equals the model's state before the op, and the replay goes on
+/// from that state. `on_op` sees each op's outcome.
 fn lockstep(
     b: &System,
     ops: &[Op],
@@ -868,13 +870,20 @@ fn lockstep(
         None => RefModel::new(),
     };
     for (i, op) in ops.iter().enumerate() {
+        let before = model.clone();
         let got = exec_op(&*b.fs, &b.env, op);
         let want = model.apply(op);
         on_op(op, &got);
         let diverged = match (&got, &want) {
             (Ok(()), Ok(())) | (Err(_), Err(_)) => continue,
             (Ok(()), Err(e)) => format!("succeeded but the model expects {e:?}"),
-            (Err(ge), Ok(())) if resource_error(ge) => return Vec::new(),
+            (Err(ge), Ok(())) if resource_error(ge) => {
+                let Some(first) = before.diff(&*b.fs, b.kind.label()).into_iter().next() else {
+                    model = before;
+                    continue;
+                };
+                format!("was refused ({ge:?}) but changed {first}")
+            }
             (Err(ge), Ok(())) => format!("failed {ge:?} but the model succeeds"),
         };
         let op = op.to_text();

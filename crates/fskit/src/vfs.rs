@@ -20,7 +20,9 @@
 //! lookup and access mode, the `O_APPEND` offset, the end-of-file clamp
 //! and the empty-write rule, as `vfs_read`/`vfs_write` check them before
 //! a file system's `->read`/`->write` runs. A family plugs in through
-//! [`Files`], whose hooks only move data.
+//! [`Files`], whose hooks only move data; a write reserves what it could
+//! be refused for before it moves a byte, so a write that returns an
+//! error changed nothing either.
 
 use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
@@ -236,10 +238,13 @@ pub enum Edit<N> {
 
 /// A file system family as the data driver sees it: its descriptor
 /// table, and hooks that only move data, each called once the driver has
-/// checked the descriptor.
+/// checked the descriptor. A write runs one [`Files::reserve`] …
+/// [`Files::release`] bracket around [`Files::write_data`].
 pub trait Files: Sync {
     /// An inode's in-memory state.
     type State: InodeState;
+    /// What a write set aside before it moved a byte.
+    type Held;
 
     /// The device the mount's time is charged to.
     fn device(&self) -> &NvmmDevice;
@@ -262,16 +267,31 @@ pub trait Files: Sync {
         off: u64,
         buf: &mut [u8],
     ) -> Result<()>;
-    /// Writes `iovs`, `total > 0` bytes, as one run at `off` into `of`'s
-    /// file, write-locked by `state` until the hook drops it.
+    /// Sets aside everything writing `iovs`, `total > 0` bytes, at `off`
+    /// into `of`'s file (write-locked: `state`) could be refused for: the
+    /// journal room of its inode update, the blocks of the holes it fills
+    /// directly. A refusal here changed nothing.
+    fn reserve(
+        &self,
+        of: &OpenFile<Self::State>,
+        state: &mut Self::State,
+        off: u64,
+        iovs: &[&[u8]],
+        total: u64,
+    ) -> Result<Self::Held>;
+    /// Writes `iovs` as one run at `off` into `of`'s file, write-locked by
+    /// `state` until the hook drops it, drawing on `held`: nothing is left
+    /// to refuse it for space.
     fn write_data(
         &self,
         of: &OpenFile<Self::State>,
         state: StateGuard<'_, Self::State>,
         off: u64,
         iovs: &[&[u8]],
-        total: u64,
+        held: &mut Self::Held,
     ) -> Result<()>;
+    /// Gives back what the write did not use of `held`.
+    fn release(&self, held: Self::Held);
     /// Makes `of`'s file durable.
     fn fsync_data(&self, of: &OpenFile<Self::State>) -> Result<()>;
 }
@@ -717,14 +737,16 @@ pub fn read<F: Files>(fs: &F, fd: Fd, off: u64, buf: &mut [u8]) -> Result<usize>
 /// The write path of `write`, `pwritev` and `append`: a descriptor
 /// opened for writing, the run landing at `off`, or at end of file for
 /// `None` or an `O_APPEND` descriptor; an empty run changes nothing.
-/// Returns where the run landed and its length.
+/// Reserve, then apply: what the family's write could be refused for is
+/// set aside before a byte moves. Returns where the run landed and its
+/// length.
 fn write_run<F: Files>(fs: &F, fd: Fd, off: Option<u64>, iovs: &[&[u8]]) -> Result<(u64, usize)> {
     fs.device().env().charge_syscall();
     let of = fs.fds().get(fd)?;
     if !of.flags.writable() {
         return Err(FsError::BadFd);
     }
-    let state = of.handle.state.write();
+    let mut state = of.handle.state.write();
     let start = match off {
         Some(off) if !of.flags.contains(OpenFlags::APPEND) => off,
         _ => state.size(),
@@ -732,9 +754,27 @@ fn write_run<F: Files>(fs: &F, fd: Fd, off: Option<u64>, iovs: &[&[u8]]) -> Resu
     let total: usize = iovs.iter().map(|s| s.len()).sum();
     if total > 0 {
         obsv::note_bytes(obsv::Layer::Logical, total as u64);
-        fs.write_data(&of, state, start, iovs, total as u64)?;
+        let mut held = fs.reserve(&of, &mut state, start, iovs, total as u64)?;
+        let res = fs.write_data(&of, state, start, iovs, &mut held);
+        fs.release(held);
+        res?;
     }
     Ok((start, total))
+}
+
+/// The file blocks of the write `[off, end)` that may be holes, judged
+/// from the file's `size` and mapped-block count `blocks` alone: past
+/// end of file when every block below it is mapped, else all of them. A
+/// file maps no block past its last byte's.
+pub fn maybe_holes(size: u64, blocks: u64, off: u64, end: u64) -> Range<u64> {
+    let (block, below) = (BLOCK_SIZE as u64, size.div_ceil(BLOCK_SIZE as u64));
+    let first = off / block;
+    let first = if blocks >= below {
+        first.max(below)
+    } else {
+        first
+    };
+    first..end.div_ceil(block).max(first)
 }
 
 /// `pwrite(2)`/`pwritev(2)`: the gather list `iovs` as one run at `off`.

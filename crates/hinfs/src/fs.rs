@@ -30,7 +30,7 @@ use fskit::{Fd, FdTable, FileSystem, FsError, MmapHandle, OpenFlags, Result};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE, CACHELINE};
 use obsv::{FsObs, Phase, Site, TraceEvent, TrackedMutex};
 use pmfs::inode::{InodeGuard, InodeHandle, InodeMem};
-use pmfs::{Layout, Pmfs, PmfsOptions, TxHandle, VolatileLayer};
+use pmfs::{Credits, Held, Layout, Pmfs, PmfsOptions, VolatileLayer};
 
 use crate::buffer::{covered_mask, range_mask, runs, Shared, FULL_MASK};
 use crate::checker;
@@ -165,12 +165,11 @@ impl Hinfs {
         }
     }
 
-    /// Begins the journal transaction of an inode-core update
-    /// ([`Pmfs::begin_core_tx`]: a refusal comes from here, not from the
-    /// core's log), relieving journal pressure by flushing (and thereby
-    /// committing) open lazy transactions if the ring is nearly full —
-    /// first this file's, then, best-effort, everyone's.
-    fn begin_tx(&self, ino: u64, state: &mut InodeMem) -> Result<TxHandle> {
+    /// Sets aside the journal transaction of an inode-core update
+    /// ([`Pmfs::reserve_core`]), relieving journal pressure by flushing
+    /// (and thereby committing) open lazy transactions if the ring is
+    /// nearly full — first this file's, then, best-effort, everyone's.
+    fn reserve_tx(&self, ino: u64, state: &mut InodeMem) -> Result<Credits> {
         if self.inner.journal().free_entries() < Self::TX_HEADROOM {
             let t0 = self.env.now();
             // A hole block of this file that the full ring refuses to map
@@ -185,13 +184,13 @@ impl Hinfs {
             }
             self.note_stall(Site::StallJournalFull, t0);
         }
-        match self.inner.begin_core_tx() {
-            Ok(tx) => Ok(tx),
+        match self.inner.reserve_core() {
+            Ok(credits) => Ok(credits),
             Err(FsError::JournalFull) => {
                 let t0 = self.env.now();
                 self.fsync_core(ino, state, false)?;
                 self.note_stall(Site::StallJournalFull, t0);
-                self.inner.begin_core_tx()
+                self.inner.reserve_core()
             }
             Err(e) => Err(e),
         }
@@ -490,8 +489,21 @@ impl FileSystem for Hinfs {
     }
 }
 
+/// What a HiNFS write set aside ([`Files::reserve`]).
+pub struct WriteHeld {
+    /// When the write began: its blocks' write stamps, and the clock the
+    /// checker decided at.
+    now: u64,
+    /// Whether each block of the run goes straight to NVMM, first first.
+    direct: Vec<bool>,
+    /// The inode update's transaction, when the write can change the core
+    /// and no carrier covers it; the direct blocks and their tree nodes.
+    held: Held,
+}
+
 impl Files for Hinfs {
     type State = InodeMem;
+    type Held = WriteHeld;
 
     fn device(&self) -> &NvmmDevice {
         self.dev()
@@ -586,6 +598,55 @@ impl Files for Hinfs {
         Ok(())
     }
 
+    /// The checker routes each block of the run (`O_SYNC`: all of them)
+    /// to NVMM or to the buffer; the direct ones may fill holes, whose
+    /// blocks and tree nodes are set aside. A write that can change the
+    /// inode core sets aside its transaction — unless every block goes to
+    /// the buffer and the file holds a carrier, whose flush persists the
+    /// core (see `tracker`).
+    fn reserve(
+        &self,
+        of: &OpenFile<InodeMem>,
+        state: &mut InodeMem,
+        off: u64,
+        _: &[&[u8]],
+        total: u64,
+    ) -> Result<WriteHeld> {
+        let ino = of.ino;
+        let end = pmfs::file::end_of(off, total)?;
+        let case1 = of.flags.contains(OpenFlags::SYNC);
+        if case1 && !self.shard(ino).lock().dirty_below(ino, u64::MAX).is_empty() {
+            // What `O_SYNC` flushes after the write is its own then: the
+            // blocks the file holds dirty now are mapped here, where a
+            // refusal changes nothing.
+            self.quiesce(ino, state, false)?;
+        }
+        let now = self.env.now();
+        let iblks = off / BLOCK_SIZE as u64..end.div_ceil(BLOCK_SIZE as u64);
+        let direct: Vec<bool> = iblks
+            .clone()
+            .map(|iblk| {
+                case1 || {
+                    let mut sh = self.shard(ino).lock();
+                    checker::is_eager_block(&self.cfg, sh.file_mut(ino), iblk, now)
+                }
+            })
+            .collect();
+        // Every direct block is taken for a hole.
+        let first = direct.iter().position(|&d| d).unwrap_or(direct.len());
+        let last = direct.iter().rposition(|&d| d).map_or(first, |i| i + 1);
+        let span = iblks.start + first as u64..iblks.start + last as u64;
+        let count = direct.iter().filter(|&&d| d).count() as u64;
+        let blocks = count + pmfs::tree::nodes_bound(state, &span);
+        let carried = count == 0 && self.shard(ino).lock().carriers(ino) > 0;
+        let mut credits = None;
+        if (end > state.size || count > 0) && !carried {
+            credits = Some(self.reserve_tx(ino, state)?);
+        }
+        let held = self.inner.hold(credits, blocks)?;
+        Ok(WriteHeld { now, direct, held })
+    }
+
     /// A gather list of slices lands as one contiguous run at `off`. One
     /// inode write lock, at most one metadata journal transaction and one
     /// watermark check cover the whole vector.
@@ -595,17 +656,13 @@ impl Files for Hinfs {
         mut guard: InodeGuard<'_>,
         off: u64,
         iovs: &[&[u8]],
-        total: u64,
+        held: &mut WriteHeld,
     ) -> Result<()> {
         let ino = of.ino;
         let state = &mut guard;
-        let end = off
-            .checked_add(total)
-            .filter(|&e| e <= pmfs::file::MAX_FILE_SIZE)
-            .ok_or(FsError::FileTooLarge)?;
-        let now = self.env.now();
+        let now = held.now;
         let case1 = of.flags.contains(OpenFlags::SYNC);
-        let mut all_lazy = !case1;
+        let all_lazy = !held.direct.contains(&true);
         let old_size = state.size;
         let old_blocks = state.blocks;
 
@@ -613,7 +670,8 @@ impl Files for Hinfs {
         // POSIX: a write beyond EOF exposes the gap as zeroes. The block
         // holding the old end of file may carry stale bytes past EOF on
         // NVMM (the flush path only zeroes up to EOF), so zero the in-block
-        // gap explicitly before the size grows over it.
+        // gap explicitly before the size grows over it — in the buffer,
+        // the one place the gap is zeroed, flushed with the block.
         if off > old_size && !old_size.is_multiple_of(BLOCK_SIZE as u64) {
             let bblk = old_size / BLOCK_SIZE as u64;
             let gap_end = off.min((bblk + 1) * BLOCK_SIZE as u64);
@@ -635,18 +693,14 @@ impl Files for Hinfs {
                 pending.insert(bblk);
             }
         }
+        let first = off / BLOCK_SIZE as u64;
         let mut start = off;
         for data in iovs {
             for (iblk, in_blk, r) in chunks(start, data.len()) {
                 let (chunk, pos) = (r.len(), start + r.start as u64);
                 let payload = &data[r];
                 let mask = range_mask(in_blk, chunk);
-
-                let eager = case1 || {
-                    let mut sh = self.shard(ino).lock();
-                    checker::is_eager_block(&self.cfg, sh.file_mut(ino), iblk, now)
-                };
-                if !eager {
+                if !held.direct[(iblk - first) as usize] {
                     self.buffered_write_chunk(ino, state, iblk, in_blk, payload, now)?;
                     let mut sh = self.shard(ino).lock();
                     checker::record_write(sh.file_mut(ino), iblk, mask, true);
@@ -655,7 +709,6 @@ impl Files for Hinfs {
                 } else {
                     // Eager-persistent: the block's data must be on NVMM
                     // when the write completes.
-                    all_lazy = false;
                     let mut absorbed = false;
                     {
                         let mut sh = self.shard(ino).lock();
@@ -682,14 +735,9 @@ impl Files for Hinfs {
                         }
                     }
                     if !absorbed {
-                        pmfs::file::write_at(
-                            self.dev(),
-                            self.inner.allocator(),
-                            state,
-                            pos,
-                            payload,
-                            now,
-                        )?;
+                        let (dev, alloc) = (self.dev(), self.inner.allocator());
+                        let blocks = &mut held.held.blocks;
+                        pmfs::file::write_at(dev, alloc, blocks, state, pos, payload, now);
                         // Eager-persistent: durable at op return, lag 0.
                         self.obs.record_inline_drain(payload.len() as u64);
                     }
@@ -705,9 +753,7 @@ impl Files for Hinfs {
             start += data.len() as u64;
         }
 
-        if end > state.size {
-            state.size = end;
-        }
+        state.size = state.size.max(start);
         state.mtime = now;
         // Metadata durability (ordered mode, see `tracker`): a write whose
         // chunks all went lazy leaves its inode update to the file's
@@ -716,42 +762,52 @@ impl Files for Hinfs {
         let grew = state.size != old_size || state.blocks != old_blocks;
         let carried = grew && all_lazy && self.shard(ino).lock().carriers(ino) > 0;
         if grew && !carried {
-            let tx = self.begin_tx(ino, state)?;
-            let logged = match self.inner.log_write_inode(&tx, &of.handle, state) {
-                Ok(logged) => logged,
-                Err(e) => {
-                    // Abort rather than leak the reservation: an open tx
-                    // record would pin the journal ring forever.
-                    self.inner.journal().abort(tx);
-                    return Err(e);
+            // A stall eviction may have retired the carrier the write
+            // counted on, or mapped blocks of a write that grew nothing.
+            let credits = held.held.credits.take();
+            match credits.or_else(|| self.inner.reserve_core().ok()) {
+                // The ring is full: no transaction. Such a write's every
+                // block went to the buffer, and no carrier is left, so the
+                // file's dirty blocks are all mapped: they reach NVMM in
+                // place, then the size and the mtime follow as atomic
+                // stores (the eviction persisted the rest of the core).
+                None => {
+                    if state.size > old_size {
+                        self.quiesce(ino, state, false)?;
+                    }
+                    self.inner.store_size_mtime(ino, state, old_size);
                 }
-            };
-            let mut sh = self.shard(ino).lock();
-            // A reclaim may already have flushed some of this op's blocks
-            // (pool pressure mid-write); only still-dirty blocks gate the
-            // commit.
-            pending.retain(|&iblk| {
-                sh.slot_of(ino, iblk)
-                    .is_some_and(|s| sh.pool().meta(s).dirty != 0)
-            });
-            // An eager write may land while earlier lazy writes' sizes
-            // still ride a carrier: the core it persists covers theirs.
-            if sh.carriers(ino) > 0 {
-                pending.extend(sh.dirty_below(ino, state.size));
+                Some(credits) => {
+                    let tx = self.inner.journal().begin_reserved(credits);
+                    let logged = self.inner.log_core(&tx, &of.handle, state);
+                    let mut sh = self.shard(ino).lock();
+                    // A reclaim may already have flushed some of this op's blocks
+                    // (pool pressure mid-write); only still-dirty blocks gate the
+                    // commit.
+                    pending.retain(|&iblk| {
+                        sh.slot_of(ino, iblk)
+                            .is_some_and(|s| sh.pool().meta(s).dirty != 0)
+                    });
+                    // An eager write may land while earlier lazy writes' sizes
+                    // still ride a carrier: the core it persists covers theirs.
+                    if sh.carriers(ino) > 0 {
+                        pending.extend(sh.dirty_below(ino, state.size));
+                    }
+                    let tstamp = self.obs.stamp(now);
+                    let file = sh.file_mut(ino);
+                    tracker::enqueue(file, tx, logged, pending, tstamp, &self.stats);
+                    // A commit that happens here runs inside the op that logged
+                    // it — the metadata is durable before the ack.
+                    tracker::drain_ready(
+                        file,
+                        self.inner.journal(),
+                        &self.obs,
+                        obsv::DrainKind::Sync,
+                        now,
+                        &self.stats,
+                    );
+                }
             }
-            let tstamp = self.obs.stamp(now);
-            let file = sh.file_mut(ino);
-            tracker::enqueue(file, tx, logged, pending, tstamp, &self.stats);
-            // A commit that happens here runs inside the op that logged
-            // it — the metadata is durable before the ack.
-            tracker::drain_ready(
-                file,
-                self.inner.journal(),
-                &self.obs,
-                obsv::DrainKind::Sync,
-                now,
-                &self.stats,
-            );
         }
         if case1 {
             // O_SYNC semantics: data *and* metadata durable on return.
@@ -769,6 +825,10 @@ impl Files for Hinfs {
             self.kick_background(self.env.now());
         }
         Ok(())
+    }
+
+    fn release(&self, held: WriteHeld) {
+        self.inner.release(held.held);
     }
 
     fn fsync_data(&self, of: &OpenFile<InodeMem>) -> Result<()> {

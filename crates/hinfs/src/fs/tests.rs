@@ -1124,10 +1124,13 @@ fn a_refused_batch_keeps_its_hole_blocks_dirty_and_still_flushes_the_mapped_ones
     fs.close(fd).unwrap();
 }
 
+/// A flush batch reserves its blocks and tree nodes as one: refused (the
+/// allocator's first request, `k` = 0), it maps none of them; admitted
+/// (`k` = 1), all of them, on that one request.
 #[test]
-fn an_allocator_running_dry_mid_batch_maps_the_prefix_and_reports_it() {
+fn an_allocator_refusing_a_batch_maps_none_of_it() {
     use obsv::Introspect;
-    for k in 0..6u64 {
+    for k in 0..2u64 {
         let (dev, fs) = fresh_cfg(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
         let fd = fs.open("/f", rw_create()).unwrap();
         // The leaf exists, so the batch allocates data blocks only.
@@ -1138,21 +1141,23 @@ fn an_allocator_running_dry_mid_batch_maps_the_prefix_and_reports_it() {
         let plan = nvmm::FaultPlan::new();
         dev.fault_hook().install(plan.clone());
         plan.fail_alloc_after(k);
-        assert_eq!(fs.fsync(fd), Err(FsError::NoSpace), "k={k}");
-        assert_eq!(
-            fs.dirty_blocks() as u64,
-            6 - k,
-            "k={k}: the rest stays dirty"
-        );
+        let want = if k == 0 {
+            Err(FsError::NoSpace)
+        } else {
+            Ok(())
+        };
+        assert_eq!(fs.fsync(fd), want, "k={k}");
+        let mapped = 6 * k;
+        assert_eq!(fs.dirty_blocks() as u64, 6 - mapped, "k={k}");
         let (_, mem) = inode_of(&fs, fd);
-        assert_eq!(mem.blocks, 1 + k);
+        assert_eq!(mem.blocks, 1 + mapped);
         for iblk in 1..=6u64 {
             let on_nvmm = pmfs::tree::lookup(&dev, &mem, iblk).map(|p| {
                 let mut b = vec![0u8; BLOCK_SIZE];
                 dev.peek(pmfs::Layout::block_off(p), &mut b);
                 b
             });
-            let want = (iblk <= k).then(|| vec![iblk as u8; BLOCK_SIZE]);
+            let want = (k == 1).then(|| vec![iblk as u8; BLOCK_SIZE]);
             assert_eq!(on_nvmm, want, "k={k} block {iblk}");
         }
         assert!(fs.audit().is_clean(), "k={k}: {}", fs.audit().to_json());
@@ -1273,4 +1278,113 @@ mod budget_props {
             prop_assert_eq!(fs.obs().audit_violations(), 0);
         }
     }
+}
+
+/// An `O_SYNC` write past EOF in a later block zeroes the tail block's
+/// gap once, in the buffer, and flushes it with the write: 100 bytes at
+/// 10 000 into a 5 000-byte file persist 7 744 bytes (the gap was zeroed
+/// on NVMM as well, 10 944). A crash at any boundary of it recovers the
+/// old file or the new one, the gap reading zero.
+#[test]
+fn an_o_sync_write_past_eof_zeroes_the_gap_once() {
+    const OLD: usize = 5000;
+    let pattern = |i: usize| (i % 251) as u8 + 1;
+    let setup = || {
+        let (dev, fs) = fresh();
+        let fd = fs.open("/f", rw_create()).unwrap();
+        let data: Vec<u8> = (0..OLD).map(pattern).collect();
+        fs.write(fd, 0, &data).unwrap();
+        fs.fsync(fd).unwrap();
+        fs.close(fd).unwrap();
+        let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::SYNC).unwrap();
+        (dev, fs, fd)
+    };
+    let (dev, fs, fd) = setup();
+    let before = dev.stats().snapshot();
+    fs.write(fd, 10_000, &[0xee; 100]).unwrap();
+    assert_eq!(
+        dev.stats().snapshot().since(&before).nvmm_bytes_written,
+        7744
+    );
+    for k in 1.. {
+        let (dev, fs, fd) = setup();
+        let plan = nvmm::FaultPlan::new();
+        dev.fault_hook().install(plan.clone());
+        plan.arm_crash(k);
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fs.write(fd, 10_000, &[0xee; 100])
+        }));
+        dev.fault_hook().clear();
+        let Err(payload) = res else {
+            assert!(k > 1, "the write crossed no boundary");
+            break;
+        };
+        assert!(payload.downcast_ref::<nvmm::CrashSignal>().is_some());
+        drop(fs);
+        dev.crash();
+        let fs = Pmfs::mount(dev).unwrap();
+        let fd = fs.open("/f", OpenFlags::READ).unwrap();
+        let size = fs.fstat(fd).unwrap().size as usize;
+        assert!(size == OLD || size == 10_100, "k={k}: size {size}");
+        let mut got = vec![0u8; size];
+        assert_eq!(fs.read(fd, 0, &mut got).unwrap(), size);
+        for (i, &b) in got.iter().enumerate() {
+            let want = match i {
+                _ if i < OLD => pattern(i),
+                10_000.. => 0xee,
+                _ => 0,
+            };
+            assert_eq!(b, want, "k={k}: byte {i}");
+        }
+    }
+}
+
+/// A lazy write that counted on a carrier (it set aside no transaction)
+/// loses it to its own stall eviction, and the ring then refuses: the
+/// write still lands whole. Its dirty blocks, all mapped now, reach NVMM
+/// in place, then its size follows as an atomic store.
+#[test]
+fn a_write_whose_stall_retires_its_carrier_lands_on_a_full_ring() {
+    let cfg = small_cfg().with_buffer_bytes(8 * BLOCK_SIZE);
+    let (dev, fs) = fresh_cfg(cfg.clone());
+    let fd = fs.open("/f", rw_create()).unwrap();
+    fs.write(fd, 0, &vec![1u8; 9 * BLOCK_SIZE]).unwrap();
+    fs.close(fd).unwrap();
+    fs.unmount().unwrap();
+    drop(fs);
+    // An empty buffer over nine mapped blocks.
+    let fs = Hinfs::mount(dev.clone(), cfg).unwrap();
+    let plan = nvmm::FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    plan.set_stall_writeback(true);
+    let fd = fs.open("/f", OpenFlags::RDWR).unwrap();
+    let base = 9 * BLOCK_SIZE as u64;
+    // Block 9 is the carrier, then blocks 0..6 fill the buffer after it.
+    fs.write(fd, base, &[2u8; 100]).unwrap();
+    for i in 0..7 {
+        fs.write(fd, i * BLOCK_SIZE as u64, &[3u8]).unwrap();
+    }
+    let begins = fs.pmfs().journal().stats().snapshot().begins;
+    plan.fail_journal_after(1);
+    // Block 8's slot evicts the carrier (its mapping takes the one
+    // admitted request), block 9's evicts block 0.
+    let data = vec![4u8; BLOCK_SIZE + 200];
+    fs.write(fd, base - BLOCK_SIZE as u64, &data).unwrap();
+    assert!(
+        plan.faults_injected() > 0,
+        "the ring refused the write's core"
+    );
+    assert_eq!(fs.pmfs().journal().stats().snapshot().begins, begins + 1);
+    assert_eq!(fs.pmfs().journal().open_txs(), 0);
+    dev.fault_hook().clear();
+    let size = base + 200;
+    assert_eq!(fs.fstat(fd).unwrap().size, size);
+    dev.crash();
+    drop((fd, fs));
+    let fs = Pmfs::mount(dev).unwrap();
+    let fd = fs.open("/f", OpenFlags::READ).unwrap();
+    assert_eq!(fs.fstat(fd).unwrap().size, size);
+    let mut got = vec![0u8; BLOCK_SIZE + 200];
+    fs.read(fd, base - BLOCK_SIZE as u64, &mut got).unwrap();
+    assert_eq!(got, data);
 }

@@ -240,7 +240,7 @@ impl Hinfs {
             // inode.carrier: a file whose in-DRAM size or block count is
             // not its on-NVMM core's holds a dirty block over a hole, whose
             // flush persists the core. Cross-layer: PMFS logs a core only
-            // under the inode's write guard (`Pmfs::log_write_inode`). A
+            // under the inode's write guard (`Pmfs::log_core`). A
             // file whose inode is locked (the in-band auditor runs under
             // one) is skipped.
             for ino in buffered {

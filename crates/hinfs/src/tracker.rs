@@ -153,9 +153,9 @@ mod tests {
     /// An open transaction that journaled the root inode's core, as every
     /// transaction a file queues has journaled that file's.
     fn open_tx(fs: &Pmfs) -> (TxHandle, InodeLogged) {
-        let tx = fs.journal().begin().unwrap();
+        let tx = fs.begin_core_tx().unwrap();
         let root = fskit::vfs::resolve(fs, "/").unwrap();
-        let logged = fs.log_write_inode(&tx, &root, &root.state.write()).unwrap();
+        let logged = fs.log_core(&tx, &root, &root.state.write());
         (tx, logged)
     }
 

@@ -190,28 +190,27 @@ impl Hinfs {
     /// and writes their content, in phases that let a crash or a refusal
     /// at any point leave a consistent file:
     ///
-    /// 1. **reserve** the inode-core update. A block may enter the file's
-    ///    tree only under a journaled core update — mapped in memory
-    ///    alone, it is gone after a clean remount — so the journal comes
-    ///    first. Every transaction a file queues holds an (older) undo
-    ///    image of its core and cannot commit while the shard lock is
-    ///    held, so when there is one the update rides on the oldest: the
-    ///    core is rewritten under that image, costing no journal space.
-    ///    Only a file with none opens a transaction of its own, one for
-    ///    the batch; on a full ring that fails here, before anything
-    ///    changed;
-    /// 2. **allocate**; an allocator that runs dry cuts the batch short;
-    /// 3. **fill** the unreachable blocks — zeroes on the clean lines a
-    ///    reader could reach, the dirty lines themselves — and **fence**;
-    /// 4. **link** each run of consecutive file blocks with one
-    ///    `insert_run`; what the tree has no node for is freed again;
-    /// 5. persist the in-DRAM **core** once, under the reserved
+    /// 1. **reserve** the blocks and the tree nodes, then the inode-core
+    ///    update. A block may enter the file's tree only under a
+    ///    journaled core update — mapped in memory alone, it is gone
+    ///    after a clean remount. Every transaction a file queues holds an
+    ///    (older) undo image of its core and cannot commit while the
+    ///    shard lock is held, so when there is one the update rides on
+    ///    the oldest: the core is rewritten under that image, costing no
+    ///    journal space. Only a file with none opens a transaction of its
+    ///    own, one for the batch. A full device or ring refuses here,
+    ///    before anything changed;
+    /// 2. **allocate** and **fill** the unreachable blocks — zeroes on
+    ///    the clean lines a reader could reach, the dirty lines themselves
+    ///    — and **fence**;
+    /// 3. **link** each run of consecutive file blocks with one
+    ///    `insert_run`;
+    /// 4. persist the in-DRAM **core** once, under the reserved
     ///    transaction, which then also waits for every other block of the
     ///    file still dirty below its size: the size may be lazy writes'
     ///    that left their update to a carrier (see `tracker`).
     ///
-    /// The blocks that made it are retired and added to `flushed`; the
-    /// refusal that kept the rest dirty, if any, is returned.
+    /// The blocks are retired and added to `flushed`.
     fn map_fresh_blocks(
         &self,
         sh: &mut Shared,
@@ -223,23 +222,23 @@ impl Hinfs {
     ) -> Result<()> {
         let dev = self.inner.device();
         let alloc = self.inner.allocator();
+        let span = fresh[0].0..fresh[fresh.len() - 1].0 + 1;
+        let mut r = alloc.reserve(fresh.len() as u64 + pmfs::tree::nodes_bound(st, &span))?;
         let rides = sh.files.get(&ino).is_some_and(|f| !f.txs.is_empty());
-        let own = if rides {
-            None
-        } else {
-            Some(self.inner.begin_inode_update(ino)?)
+        let own = match rides {
+            true => None,
+            false => match self.inner.begin_inode_update(ino) {
+                Ok(own) => Some(own),
+                Err(e) => {
+                    alloc.unreserve(r);
+                    return Err(e);
+                }
+            },
         };
-        let mut res = Ok(());
         let blocks: Vec<u64> = fresh
             .iter()
-            .map_while(|_| alloc.alloc().map_err(|e| res = Err(e)).ok())
+            .map(|_| alloc.alloc_reserved(&mut r, false).0)
             .collect();
-        if blocks.is_empty() {
-            if let Some((tx, _)) = own {
-                self.inner.journal().abort(tx);
-            }
-            return res;
-        }
         // Fill. Only the clean lines a reader could reach (up to end of
         // file) are zeroed: lines fully beyond EOF are unreachable and the
         // write path zeroes them explicitly if the file later grows over
@@ -261,26 +260,15 @@ impl Hinfs {
             write_dirty_runs(dev, sh.pool().block(slot), dirty, p);
         }
         dev.sfence();
-        // Link, run by run, while the tree takes them.
+        // Link, run by run: every slot is a hole, every node reserved.
         let mut linked = 0;
-        for run in fresh[..blocks.len()].chunk_by(|a, b| a.0 + 1 == b.0) {
+        for run in fresh.chunk_by(|a, b| a.0 + 1 == b.0) {
             let pblks = &blocks[linked..linked + run.len()];
-            let n = match pmfs::tree::insert_run(dev, alloc, st, run[0].0, pblks) {
-                Ok(n) => n,
-                Err(e) => {
-                    res = Err(e);
-                    break;
-                }
-            };
-            linked += n;
-            if n < run.len() {
-                res = Err(FsError::NoSpace);
-                break;
-            }
+            let res = pmfs::tree::insert_run(dev, alloc, &mut r, st, run[0].0, pblks);
+            debug_assert_eq!(res, Ok(()), "a fresh block over a mapped slot");
+            linked += run.len();
         }
-        for &p in &blocks[linked..] {
-            alloc.free(p);
-        }
+        alloc.unreserve(r);
         st.blocks += linked as u64;
         // The batch's own blocks among them clear when the caller notes
         // the flush.
@@ -307,11 +295,11 @@ impl Hinfs {
                 oldest.pending.extend(waits);
             }
         }
-        for (&(iblk, slot), &p) in fresh.iter().zip(&blocks).take(linked) {
+        for (&(iblk, slot), &p) in fresh.iter().zip(&blocks) {
             self.retire_slot(sh, slot, p, kind);
             flushed.push(iblk);
         }
-        res
+        Ok(())
     }
 
     /// Books a slot whose dirty lines are on NVMM block `pblk` as clean:

@@ -134,7 +134,7 @@ sites! {
         /// A foreground write paying for a buffer-pool reclaim itself.
         StallWriteback = "stall.writeback",
         /// Journal-pressure relief: flushing open transactions to free ring
-        /// space before (or inside) `begin_tx`.
+        /// space before (or inside) `reserve_tx`.
         StallJournalFull = "stall.journal_full",
         /// NVMM write-bandwidth throttling: queueing delay charged by the
         /// bandwidth gate beyond pure service time.

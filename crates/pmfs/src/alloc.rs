@@ -11,6 +11,9 @@
 //! `alloc` round-robins a preferred shard and *steals* from the next shard
 //! in index order when the preferred one is empty, so concurrent writers
 //! rarely collide on one lock while exhaustion still drains every segment.
+//! Every allocation draws on a reservation ([`Allocator::reserve`]): an
+//! operation sets aside, up front, the blocks it may take, so none is
+//! refused once it has changed something.
 //! `free`/`mark_used` route by block number to the owning segment. The
 //! persisted image is still one global bitmap, bit-compatible with the
 //! pre-sharding format.
@@ -18,7 +21,7 @@
 //! Each shard also keeps a small **zeroed pool**: free blocks known to hold
 //! nothing but (fenced) zeroes — tree nodes [`crate::tree`] emptied, wiped
 //! and parked here after the freeing transaction committed — which
-//! [`Allocator::alloc_zeroed`] hands to the next new tree node so that it
+//! [`Allocator::alloc_reserved`] hands to the next new tree node so that it
 //! need not persist 4 KiB of zeroes. The pool is as volatile as the bitmap:
 //! a parked block is marked used in its shard (so `alloc_one` skips it) but
 //! counts as free, is the last resort of [`Allocator::alloc`], is written
@@ -135,9 +138,24 @@ pub struct Allocator {
     /// Device whose fault-injection hook is consulted on `alloc` (attached
     /// at mount; absent in unit tests that build the allocator bare).
     fault_dev: std::sync::OnceLock<Arc<NvmmDevice>>,
-    /// [`Allocator::alloc_zeroed`] calls by whether a zeroed pool served
-    /// them: `[the caller had to zero the block, recycled]`.
+    /// Tree-node allocations by whether a zeroed pool served them: `[the
+    /// caller had to zero the block, recycled]`.
     nodes: [AtomicU64; 2],
+    /// Blocks set aside by [`Allocator::reserve`] and not drawn yet: never
+    /// more than the free ones.
+    reserved: TrackedMutex<u64>,
+    /// The shards' free blocks, parked ones included, summed: what a
+    /// reservation is checked against without visiting every shard.
+    free: AtomicU64,
+}
+
+/// Blocks set aside by [`Allocator::reserve`] for one operation: each
+/// [`Allocator::alloc_reserved`] draws one, with no fault consult and no
+/// refusal. What is left goes back with [`Allocator::unreserve`].
+#[must_use = "reserved blocks must be given back"]
+#[derive(Debug, Default)]
+pub struct Reserved {
+    left: u64,
 }
 
 /// Absolute bounds `[start, end)` of shard `i` over the data area.
@@ -160,6 +178,7 @@ impl Allocator {
 
     /// Builds the shard array, marking block `b` used when `used(b)`.
     fn from_bits(l: &Layout, t: &Arc<ContentionTable>, used: impl Fn(u64) -> bool) -> Allocator {
+        let free = AtomicU64::new(0);
         let (data_start, total_blocks) = (l.data_start, l.total_blocks);
         let shards = (0..NSHARDS)
             .map(|i| {
@@ -171,6 +190,7 @@ impl Allocator {
                         s.free -= 1;
                     }
                 }
+                free.fetch_add(s.free, Ordering::Relaxed);
                 TrackedMutex::new(t, Site::pmfs_alloc_shard(i), s)
             })
             .collect();
@@ -181,6 +201,8 @@ impl Allocator {
             total_blocks,
             fault_dev: std::sync::OnceLock::new(),
             nodes: Default::default(),
+            reserved: TrackedMutex::new(t, Site::PmfsAlloc, 0),
+            free,
         }
     }
 
@@ -197,33 +219,47 @@ impl Allocator {
         (((blk - self.data_start) / per) as usize).min(NSHARDS - 1)
     }
 
-    /// Allocates one block, returning its absolute block number.
-    ///
-    /// Round-robins a preferred shard, then steals from the following
-    /// shards in index order when the preferred segment is empty; the
-    /// zeroed pools go last, so exhaustion still yields every block.
+    /// Allocates one block outside any reserved operation, returning its
+    /// absolute block number: [`Allocator::reserve`] of one, drawn.
     pub fn alloc(&self) -> Result<u64> {
-        self.take(false).map(|(b, _)| b)
+        let mut r = self.reserve(1)?;
+        Ok(self.alloc_reserved(&mut r, false).0)
     }
 
-    /// Allocates the block of a new tree node: a parked block when any
-    /// shard has one (`true`: it is all-zero and fenced), else as
-    /// [`Allocator::alloc`] (`false`: the caller zeroes it).
-    pub(crate) fn alloc_zeroed(&self) -> Result<(u64, bool)> {
-        let got = self.take(true)?;
-        self.nodes[got.1 as usize].fetch_add(1, Ordering::Relaxed);
-        Ok(got)
-    }
-
-    /// One allocation — one consult of the ENOSPC fault hook — from the
-    /// zeroed pools and the bitmaps, in the order `zeroed_first` says.
-    /// Returns the block and whether it came out of a pool.
-    fn take(&self, zeroed_first: bool) -> Result<(u64, bool)> {
+    /// Sets `n` blocks aside — one consult of the ENOSPC fault hook when
+    /// `n > 0` — so that `n` [`Allocator::alloc_reserved`] calls cannot
+    /// fail. Refused when the free blocks do not cover every reservation.
+    pub fn reserve(&self, n: u64) -> Result<Reserved> {
+        if n == 0 {
+            return Ok(Reserved::default());
+        }
         if let Some(dev) = self.fault_dev.get() {
             if nvmm::fault::alloc_blocked(dev) {
                 return Err(FsError::NoSpace);
             }
         }
+        let mut reserved = self.reserved.lock();
+        if self.free_blocks() < *reserved + n {
+            return Err(FsError::NoSpace);
+        }
+        *reserved += n;
+        Ok(Reserved { left: n })
+    }
+
+    /// Gives back the blocks `r` did not draw.
+    pub fn unreserve(&self, r: Reserved) {
+        if r.left > 0 {
+            *self.reserved.lock() -= r.left;
+        }
+    }
+
+    /// Allocates one block set aside in `r`. Round-robins a preferred
+    /// shard, then steals from the following shards in index order when
+    /// the preferred segment is empty; the zeroed pools go last, or first
+    /// for a tree node (`zeroed_first`; `true` back: the block is all-zero
+    /// and fenced), so exhaustion still yields every block.
+    pub fn alloc_reserved(&self, r: &mut Reserved, zeroed_first: bool) -> (u64, bool) {
+        assert!(r.left > 0, "an allocation past its reservation");
         let preferred = self.next.fetch_add(1, Ordering::Relaxed) % NSHARDS;
         let shards = || (0..NSHARDS).map(|k| self.shards[(preferred + k) % NSHARDS].lock());
         let parked = || Some((shards().find_map(|mut s| s.zeroed.pop())?, true));
@@ -233,7 +269,17 @@ impl Allocator {
         } else {
             fresh().or_else(parked)
         };
-        got.ok_or(FsError::NoSpace)
+        // Reserved, so free: only a corrupt count finds none.
+        let Some(got) = got else {
+            panic!("the free blocks fell below the reserved ones");
+        };
+        r.left -= 1;
+        self.free.fetch_sub(1, Ordering::Relaxed);
+        *self.reserved.lock() -= 1;
+        if zeroed_first {
+            self.nodes[got.1 as usize].fetch_add(1, Ordering::Relaxed);
+        }
+        got
     }
 
     /// Whether the zeroed pool of `blk`'s shard has room: ask before
@@ -254,6 +300,7 @@ impl Allocator {
         } else {
             shard.release(blk);
         }
+        self.free.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Returns a block to the free pool of its owning shard.
@@ -270,6 +317,7 @@ impl Allocator {
         let mut shard = self.shards[self.shard_of(blk)].lock();
         assert!(shard.get(blk), "double free of block {blk}");
         shard.release(blk);
+        self.free.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Marks a block as in use during the recovery walk. Metadata blocks
@@ -283,12 +331,13 @@ impl Allocator {
         if !shard.get(blk) {
             shard.set(blk);
             shard.free -= 1;
+            self.free.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
     /// Number of free data blocks across all shards, parked ones included.
     pub fn free_blocks(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().free_blocks()).sum()
+        self.free.load(Ordering::Relaxed)
     }
 
     /// Free data blocks per shard, in shard order (diagnostics).
@@ -309,8 +358,11 @@ impl Allocator {
 
     /// Audit code 16 (`alloc.zeroed_pool`): every parked block is marked
     /// used in the shard that parks it, is parked once, and reads all-zero
-    /// (through [`NvmmDevice::peek`]: no charge, no counter moves).
+    /// (through [`NvmmDevice::peek`]: no charge, no counter moves); and
+    /// the summed free count equals the shards' own.
     pub(crate) fn audit_zeroed_pool(&self, dev: &NvmmDevice, rep: &mut obsv::AuditReport) {
+        let recount = self.free_blocks_by_shard().iter().sum();
+        rep.check_eq(16, 0, 0, self.free_blocks(), recount);
         let mut buf = [0u8; BLOCK_SIZE];
         for shard in &self.shards {
             let shard = shard.lock();
@@ -385,6 +437,15 @@ impl obsv::MetricSource for Allocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Allocator {
+        /// A tree node's block, as `tree` draws one.
+        fn alloc_zeroed(&self) -> Result<(u64, bool)> {
+            let mut r = self.reserve(1)?;
+            Ok(self.alloc_reserved(&mut r, true))
+        }
+    }
+
     use nvmm::{CostModel, SimEnv};
     use proptest::prelude::*;
 

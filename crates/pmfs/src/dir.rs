@@ -117,14 +117,15 @@ pub fn add(
     if let Some(edit) = index.add(name, ino, ftype) {
         return write_edit(dev, journal, tx, index, &edit, name);
     }
-    let pblk = alloc.alloc()?;
+    let iblk = dir_blocks(mem);
+    let mut r = alloc.reserve(1 + tree::nodes_bound(mem, &(iblk..iblk + 1)))?;
+    let (pblk, _) = alloc.alloc_reserved(&mut r, false);
     let block = init_block(BLOCK_SIZE, ino, name, ftype.as_u8());
     dev.write_persist(Cat::Meta, Layout::block_off(pblk), &block);
     dev.sfence();
-    if let Err(e) = tree::insert(dev, alloc, mem, dir_blocks(mem), pblk) {
-        alloc.free(pblk);
-        return Err(e);
-    }
+    let linked = tree::insert_run(dev, alloc, &mut r, mem, iblk, &[pblk]);
+    alloc.unreserve(r);
+    linked?;
     mem.size += BLOCK_SIZE as u64;
     mem.blocks += 1;
     index.push_block(pblk, &block)

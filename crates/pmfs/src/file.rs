@@ -10,11 +10,13 @@
 //! the inode lock and persists inode-core changes through its journal
 //! transaction afterwards.
 
+use std::ops::Range;
+
 use fskit::vfs::chunks;
 use fskit::{FsError, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
 
-use crate::alloc::Allocator;
+use crate::alloc::{Allocator, Reserved};
 use crate::inode::InodeMem;
 use crate::layout::Layout;
 use crate::tree;
@@ -48,24 +50,25 @@ pub fn read_at(dev: &NvmmDevice, mem: &InodeMem, off: u64, buf: &mut [u8]) -> us
     n
 }
 
-/// Fresh blocks for one run of consecutive file blocks: allocated, being
-/// filled by the caller, not yet reachable. [`FreshRun::link`] fences the
-/// fill and makes the run reachable with one [`tree::insert_run`] — fill
-/// before link, so a crash never exposes what a recycled block held
-/// before. Blocks still unlinked when the run is dropped (an error cut
-/// the operation short) return to the allocator.
+/// Fresh blocks for one run of consecutive file blocks: drawn from the
+/// operation's reservation, being filled by the caller, not yet
+/// reachable. [`FreshRun::link`] fences the fill and makes the run
+/// reachable with one [`tree::insert_run`] — fill before link, so a
+/// crash never exposes what a recycled block held before.
 pub(crate) struct FreshRun<'a> {
     dev: &'a NvmmDevice,
     alloc: &'a Allocator,
+    held: &'a mut Reserved,
     start: u64,
     blocks: Vec<u64>,
 }
 
 impl<'a> FreshRun<'a> {
-    pub(crate) fn new(dev: &'a NvmmDevice, alloc: &'a Allocator) -> Self {
+    pub(crate) fn new(dev: &'a NvmmDevice, alloc: &'a Allocator, held: &'a mut Reserved) -> Self {
         FreshRun {
             dev,
             alloc,
+            held,
             start: 0,
             blocks: Vec::new(),
         }
@@ -73,71 +76,72 @@ impl<'a> FreshRun<'a> {
 
     /// Allocates the block that will back file block `iblk` (a hole). A
     /// pending run that `iblk` does not extend is linked first.
-    pub(crate) fn alloc(&mut self, mem: &mut InodeMem, iblk: u64) -> Result<u64> {
+    pub(crate) fn alloc(&mut self, mem: &mut InodeMem, iblk: u64) -> u64 {
         if self.start + self.blocks.len() as u64 != iblk {
-            self.link(mem)?;
+            self.link(mem);
             self.start = iblk;
         }
-        let p = self.alloc.alloc()?;
+        let (p, _) = self.alloc.alloc_reserved(self.held, false);
         self.blocks.push(p);
-        Ok(p)
+        p
     }
 
     /// Links the pending run, if any, and counts it in `mem.blocks`.
-    pub(crate) fn link(&mut self, mem: &mut InodeMem) -> Result<()> {
+    pub(crate) fn link(&mut self, mem: &mut InodeMem) {
         if self.blocks.is_empty() {
-            return Ok(());
+            return;
         }
         self.dev.sfence();
-        let linked = tree::insert_run(self.dev, self.alloc, mem, self.start, &self.blocks)?;
-        mem.blocks += linked as u64;
-        // What the tree had no node for stays ours to free.
-        self.blocks.drain(..linked);
-        if self.blocks.is_empty() {
-            Ok(())
-        } else {
-            Err(FsError::NoSpace)
-        }
+        let linked = tree::insert_run(
+            self.dev,
+            self.alloc,
+            self.held,
+            mem,
+            self.start,
+            &self.blocks,
+        );
+        debug_assert_eq!(linked, Ok(()), "a fresh run over mapped slots");
+        mem.blocks += self.blocks.len() as u64;
+        self.blocks.clear();
     }
 }
 
-impl Drop for FreshRun<'_> {
-    fn drop(&mut self) {
-        for &p in &self.blocks {
-            self.alloc.free(p);
-        }
-    }
+/// The end of a write of `len` bytes at `off`, or `FileTooLarge`.
+pub fn end_of(off: u64, len: u64) -> Result<u64> {
+    off.checked_add(len)
+        .filter(|&e| e <= MAX_FILE_SIZE)
+        .ok_or(FsError::FileTooLarge)
 }
 
-/// Writes `data` at `off` with direct, durable stores. Allocates blocks as
-/// needed (zeroing the uncovered parts of fresh blocks, and the gap past
-/// EOF in the tail block a start beyond it leaves), links each run of
-/// consecutive fresh blocks once it is filled, and updates
-/// `mem.size`/`mem.blocks`/`mem.mtime` in memory. Always returns `true`:
-/// `mtime` advances, so the caller must journal the inode core.
+/// Blocks to reserve for writing the file blocks `iblks` of `mem`, which
+/// may all be holes: one each, and the tree nodes that can map them.
+pub fn blocks_for(mem: &InodeMem, iblks: Range<u64>) -> u64 {
+    iblks.end - iblks.start + tree::nodes_bound(mem, &iblks)
+}
+
+/// Writes `data` at `off` with direct, durable stores, drawing the blocks
+/// it allocates from `held` ([`blocks_for`] sized it). Zeroes the
+/// uncovered parts of fresh blocks, links each run of consecutive fresh
+/// blocks once it is filled, and updates `mem.size`/`mem.blocks`/
+/// `mem.mtime` in memory; the caller journals the inode core. The gap a
+/// start past EOF leaves in the tail block is the caller's
+/// ([`zero_gap`]). `data` is not empty and ends at or below
+/// [`MAX_FILE_SIZE`].
 pub fn write_at(
     dev: &NvmmDevice,
     alloc: &Allocator,
+    held: &mut Reserved,
     mem: &mut InodeMem,
     off: u64,
     data: &[u8],
     now: u64,
-) -> Result<bool> {
-    if data.is_empty() {
-        return Ok(false);
-    }
-    let end = off
-        .checked_add(data.len() as u64)
-        .filter(|&e| e <= MAX_FILE_SIZE)
-        .ok_or(FsError::FileTooLarge)?;
-    // Fenced below with the data, before the core that exposes it.
-    zero_gap(dev, mem, off);
-    let mut fresh = FreshRun::new(dev, alloc);
+) {
+    let mut fresh = FreshRun::new(dev, alloc, held);
     for (iblk, in_blk, r) in chunks(off, data.len()) {
         let pblk = match tree::lookup(dev, mem, iblk) {
             Some(p) => p,
             None => {
-                let p = fresh.alloc(mem, iblk)?;
+                let p = fresh.alloc(mem, iblk);
                 let base = Layout::block_off(p);
                 // Zero the parts of the fresh block the write leaves
                 // uncovered so holes and later extensions read as zeroes.
@@ -161,13 +165,10 @@ pub fn write_at(
         dev.sfence();
     } else {
         // Its fence orders the in-place writes above as well.
-        fresh.link(mem)?;
+        fresh.link(mem);
     }
-    if end > mem.size {
-        mem.size = end;
-    }
+    mem.size = mem.size.max(off + data.len() as u64);
     mem.mtime = now;
-    Ok(true)
 }
 
 /// Truncates (or extends with a hole) to `size`. Updates `mem` in memory;
@@ -274,11 +275,19 @@ mod tests {
         (dev, alloc, InodeMem::new(FileType::File, 0))
     }
 
+    /// [`write_at`] under a reservation of every block the run can take.
+    fn write(dev: &NvmmDevice, alloc: &Allocator, mem: &mut InodeMem, off: u64, data: &[u8]) {
+        let iblks = off / BLOCK_SIZE as u64..(off + data.len() as u64).div_ceil(BLOCK_SIZE as u64);
+        let mut held = alloc.reserve(blocks_for(mem, iblks)).unwrap();
+        write_at(dev, alloc, &mut held, mem, off, data, 1);
+        alloc.unreserve(held);
+    }
+
     #[test]
     fn write_read_roundtrip() {
         let (dev, alloc, mut mem) = setup();
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-        write_at(&dev, &alloc, &mut mem, 0, &data, 1).unwrap();
+        write(&dev, &alloc, &mut mem, 0, &data);
         assert_eq!(mem.size, 10_000);
         assert_eq!(mem.blocks, 3);
         let mut buf = vec![0u8; 10_000];
@@ -289,8 +298,8 @@ mod tests {
     #[test]
     fn unaligned_overwrite() {
         let (dev, alloc, mut mem) = setup();
-        write_at(&dev, &alloc, &mut mem, 0, &[1u8; 8192], 1).unwrap();
-        write_at(&dev, &alloc, &mut mem, 1000, &[2u8; 3000], 2).unwrap();
+        write(&dev, &alloc, &mut mem, 0, &[1u8; 8192]);
+        write(&dev, &alloc, &mut mem, 1000, &[2u8; 3000]);
         let mut buf = vec![0u8; 8192];
         read_at(&dev, &mem, 0, &mut buf);
         assert!(buf[..1000].iter().all(|&b| b == 1));
@@ -302,7 +311,7 @@ mod tests {
     #[test]
     fn sparse_write_reads_zero_holes() {
         let (dev, alloc, mut mem) = setup();
-        write_at(&dev, &alloc, &mut mem, 3 * 4096 + 100, b"tail", 1).unwrap();
+        write(&dev, &alloc, &mut mem, 3 * 4096 + 100, b"tail");
         assert_eq!(mem.size, 3 * 4096 + 104);
         assert_eq!(mem.blocks, 1, "only the written block is allocated");
         let mut buf = vec![0xffu8; 4096];
@@ -316,7 +325,7 @@ mod tests {
     #[test]
     fn fresh_partial_block_is_zero_padded() {
         let (dev, alloc, mut mem) = setup();
-        write_at(&dev, &alloc, &mut mem, 100, b"mid", 1).unwrap();
+        write(&dev, &alloc, &mut mem, 100, b"mid");
         // Bytes 0..100 of the block were never written but are allocated.
         let mut head = [0xffu8; 100];
         read_at(&dev, &mem, 0, &mut head);
@@ -326,7 +335,7 @@ mod tests {
     #[test]
     fn read_past_eof_is_short() {
         let (dev, alloc, mut mem) = setup();
-        write_at(&dev, &alloc, &mut mem, 0, &[7u8; 100], 1).unwrap();
+        write(&dev, &alloc, &mut mem, 0, &[7u8; 100]);
         let mut buf = [0u8; 200];
         assert_eq!(read_at(&dev, &mem, 0, &mut buf), 100);
         assert_eq!(read_at(&dev, &mem, 100, &mut buf), 0);
@@ -337,7 +346,7 @@ mod tests {
     fn truncate_shrink_frees_and_zeroes() {
         let (dev, alloc, mut mem) = setup();
         let free0 = alloc.free_blocks();
-        write_at(&dev, &alloc, &mut mem, 0, &[9u8; 3 * 4096], 1).unwrap();
+        write(&dev, &alloc, &mut mem, 0, &[9u8; 3 * 4096]);
         truncate(&dev, &alloc, &mut mem, 4096 + 50, 2).unwrap();
         assert_eq!(mem.size, 4096 + 50);
         assert_eq!(mem.blocks, 2);
@@ -355,11 +364,8 @@ mod tests {
 
     #[test]
     fn write_too_large_rejected() {
-        let (dev, alloc, mut mem) = setup();
-        assert_eq!(
-            write_at(&dev, &alloc, &mut mem, MAX_FILE_SIZE, b"x", 1),
-            Err(FsError::FileTooLarge)
-        );
+        assert_eq!(end_of(MAX_FILE_SIZE, 1), Err(FsError::FileTooLarge));
+        assert_eq!(end_of(MAX_FILE_SIZE - 1, 1), Ok(MAX_FILE_SIZE));
     }
 
     #[test]
@@ -372,7 +378,7 @@ mod tests {
         let layout = Layout::compute(blocks, 16, 128).unwrap();
         let alloc = Allocator::new_empty(&layout, dev.contention());
         let mut mem = InodeMem::new(FileType::File, 0);
-        write_at(&dev, &alloc, &mut mem, 0, &[3u8; 5000], 1).unwrap();
+        write(&dev, &alloc, &mut mem, 0, &[3u8; 5000]);
         dev.crash();
         let mut buf = vec![0u8; 5000];
         assert_eq!(read_at(&dev, &mem, 0, &mut buf), 5000);

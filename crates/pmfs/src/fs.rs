@@ -37,11 +37,11 @@ use fskit::{DirEntry, Fd, FdTable, FileSystem, FileType, MmapHandle, Result};
 use nvmm::{Cat, NvmmDevice, SimEnv, BLOCK_SIZE};
 use obsv::{FsObs, Site, TrackedMutex, TrackedMutexGuard};
 
-use crate::alloc::Allocator;
+use crate::alloc::{Allocator, Reserved};
 use crate::dir;
 use crate::file;
 use crate::inode::{InodeCache, InodeGuard, InodeHandle, InodeMem, INODE_CORE};
-use crate::journal::{Journal, RecoveryStats, TxHandle};
+use crate::journal::{Credits, Journal, RecoveryStats, TxHandle};
 use crate::layout::{self, Layout, ROOT_INO};
 use crate::mmap::PmfsMmap;
 use crate::tree;
@@ -65,7 +65,7 @@ impl Default for PmfsOptions {
 }
 
 /// Witness that a transaction journaled an inode's core: minted only by
-/// [`Pmfs::log_write_inode`], spent by [`Pmfs::rewrite_logged_inode`].
+/// [`Pmfs::log_core`], spent by [`Pmfs::rewrite_logged_inode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InodeLogged {
     ino: u64,
@@ -281,19 +281,15 @@ impl Pmfs {
         &self.layout
     }
 
-    /// Journals inode `h`'s core's old image and persists the new one from
+    /// Journals inode `h`'s core's old image in the slots `tx` set aside
+    /// for it ([`Pmfs::reserve_core`]) and persists the new one from
     /// `state`, the caller's live write guard on `h` (never a stale copy).
     /// The change becomes crash-durable when the transaction commits; the
     /// returned witness says which transaction now holds that image.
-    pub fn log_write_inode(
-        &self,
-        tx: &TxHandle,
-        h: &InodeHandle,
-        state: &InodeGuard,
-    ) -> Result<InodeLogged> {
-        let logged = self.log_inode(tx, h.ino)?;
+    pub fn log_core(&self, tx: &TxHandle, h: &InodeHandle, state: &InodeGuard) -> InodeLogged {
+        let logged = self.log_reserved_core(tx, h.ino);
         self.persist_inode_core(h.ino, state);
-        Ok(logged)
+        logged
     }
 
     /// Journals the inode core's current image under `tx`.
@@ -306,13 +302,61 @@ impl Pmfs {
         })
     }
 
+    /// [`Pmfs::log_inode`] in the slots `tx` set aside for it.
+    fn log_reserved_core(&self, tx: &TxHandle, ino: u64) -> InodeLogged {
+        let off = self.layout.inode_off(ino);
+        self.journal.log_reserved(tx, off, INODE_CORE);
+        InodeLogged {
+            ino,
+            txid: tx.txid(),
+        }
+    }
+
     /// Opens a transaction with the undo slots of one inode-core update
-    /// set aside: a full ring refuses here, not the core's
-    /// [`Pmfs::log_write_inode`] under it — which, in a truncate, follows
-    /// a cut of the tree that cannot be taken back.
+    /// set aside: a full ring refuses here, not the core's log under it —
+    /// which, in a truncate, follows a cut of the tree that cannot be
+    /// taken back.
     pub fn begin_core_tx(&self) -> Result<TxHandle> {
-        self.journal
-            .begin_reserving(INODE_CORE.div_ceil(crate::journal::PAYLOAD) as u64)
+        Ok(self.journal.begin_reserved(self.reserve_core()?))
+    }
+
+    /// Sets aside, without opening it, the transaction of one inode-core
+    /// update: its commit slot and the core's undo slots.
+    pub fn reserve_core(&self) -> Result<Credits> {
+        self.journal.reserve(slots(INODE_CORE))
+    }
+
+    /// A write's [`Held`]: `credits`, and `n` blocks — or, refused,
+    /// nothing (the credits go back).
+    pub fn hold(&self, credits: Option<Credits>, n: u64) -> Result<Held> {
+        match self.alloc.reserve(n) {
+            Ok(blocks) => Ok(Held {
+                in_place: None,
+                credits,
+                blocks,
+            }),
+            Err(e) => {
+                Files::release(
+                    self,
+                    Held {
+                        credits,
+                        ..Held::default()
+                    },
+                );
+                Err(e)
+            }
+        }
+    }
+
+    /// Stores a grown size and the mtime of inode `ino` (`state`) with one
+    /// 8-byte atomic store each, size first, and no transaction: the data
+    /// they expose is durable and fenced, and the core's other fields
+    /// stand as persisted.
+    pub fn store_size_mtime(&self, ino: u64, state: &InodeMem, old_size: u64) {
+        if state.size > old_size {
+            self.store_word(ino, crate::inode::SIZE_OFF, state.size);
+        }
+        self.store_word(ino, crate::inode::MTIME_OFF, state.mtime);
     }
 
     /// Opens a transaction that already holds the undo image of inode
@@ -323,15 +367,8 @@ impl Pmfs {
     /// cannot take back (HiNFS mapping blocks at flush time).
     pub fn begin_inode_update(&self, ino: u64) -> Result<(TxHandle, InodeLogged)> {
         let tx = self.begin_core_tx()?;
-        match self.log_inode(&tx, ino) {
-            Ok(logged) => Ok((tx, logged)),
-            Err(e) => {
-                // Not with the slots set aside above — but an open record
-                // would pin the ring forever.
-                self.journal.abort(tx);
-                Err(e)
-            }
-        }
+        let logged = self.log_reserved_core(&tx, ino);
+        Ok((tx, logged))
     }
 
     /// Persists the inode core again under a transaction that already
@@ -397,44 +434,51 @@ impl Pmfs {
         (h % self.ns_shards.len() as u64) as usize
     }
 
-    /// PMFS's in-place write (`pmfs_file_write_fast`): when `data` ends
-    /// inside the block it starts in, and that block is mapped, the gap a
-    /// start past EOF leaves is zeroed and the bytes are copied there and
-    /// fenced, then a grown size and the mtime each go to the core with
-    /// one 8-byte atomic store — size first — and no transaction.
-    /// `data` is not empty. Returns `false`, having changed
-    /// nothing, for any other write. A block that holds no byte below EOF
-    /// is taken for a hole without walking the tree (only a crash between
-    /// linking a run and persisting its core leaves one mapped), so an
-    /// append that opens a block walks the tree once, in
-    /// [`file::write_at`]. Caller holds inode `ino`'s write lock (`state`).
-    fn write_in_place(&self, ino: u64, state: &mut InodeMem, off: u64, data: &[u8]) -> bool {
+    /// The block of PMFS's in-place write (`pmfs_file_write_fast`): when
+    /// `data` ends inside the block it starts in, and that block is
+    /// mapped. `None` for any other write. A block that holds no byte
+    /// below EOF is taken for a hole without walking the tree (only a
+    /// crash between linking a run and persisting its core leaves one
+    /// mapped), so an append that opens a block walks the tree once, in
+    /// [`file::write_at`].
+    fn in_place_block(&self, state: &InodeMem, off: u64, data: &[u8]) -> Option<u64> {
         let block = BLOCK_SIZE as u64;
         let (iblk, in_blk) = (off / block, (off % block) as usize);
         if in_blk + data.len() > BLOCK_SIZE || iblk >= state.size.div_ceil(block) {
-            return false;
+            return None;
         }
-        let Some(pblk) = tree::lookup(&self.dev, state, iblk) else {
-            return false;
-        };
+        tree::lookup(&self.dev, state, iblk)
+    }
+
+    /// The in-place write into `pblk` ([`Pmfs::in_place_block`]): the gap
+    /// a start past EOF leaves is zeroed and the bytes are copied there
+    /// and fenced, then a grown size and the mtime each go to the core
+    /// with one 8-byte atomic store — size first — and no transaction.
+    /// Caller holds inode `ino`'s write lock (`state`).
+    fn write_in_place(&self, ino: u64, state: &mut InodeMem, pblk: u64, off: u64, data: &[u8]) {
         let now = self.env.now();
         // A start past EOF lies in this block: its stale gap goes first.
         file::zero_gap(&self.dev, state, off);
-        self.dev.write_persist(
-            Cat::UserWrite,
-            Layout::block_off(pblk) + in_blk as u64,
-            data,
-        );
+        let in_blk = off % BLOCK_SIZE as u64;
+        self.dev
+            .write_persist(Cat::UserWrite, Layout::block_off(pblk) + in_blk, data);
         self.dev.sfence();
-        let end = off + data.len() as u64;
-        if end > state.size {
-            self.store_word(ino, crate::inode::SIZE_OFF, end);
-            state.size = end;
-        }
+        let old_size = state.size;
+        state.size = old_size.max(off + data.len() as u64);
         state.mtime = now;
-        self.store_word(ino, crate::inode::MTIME_OFF, now);
-        true
+        self.store_size_mtime(ino, state, old_size);
     }
+}
+
+/// What a write set aside before it moved a byte ([`Files::reserve`]).
+#[derive(Default)]
+pub struct Held {
+    /// The one mapped block of an in-place write, which sets nothing aside.
+    in_place: Option<u64>,
+    /// The transaction of the write's inode update.
+    pub credits: Option<Credits>,
+    /// The blocks of the holes it may fill, and their tree nodes.
+    pub blocks: Reserved,
 }
 
 impl FileSystem for Pmfs {
@@ -469,6 +513,7 @@ impl FileSystem for Pmfs {
 
 impl Files for Pmfs {
     type State = InodeMem;
+    type Held = Held;
 
     fn device(&self) -> &NvmmDevice {
         &self.dev
@@ -502,7 +547,7 @@ impl Files for Pmfs {
             if emptied.is_some() {
                 // Logged under the lock: a writer that takes it next must
                 // find its own core persisted last.
-                self.log_write_inode(&tx, h, &state)?;
+                self.log_core(&tx, h, &state);
             }
             Ok(emptied)
         })();
@@ -530,43 +575,70 @@ impl Files for Pmfs {
     }
 
     /// A one-slice write that stays inside one mapped block updates the
-    /// inode in place ([`Pmfs::write_in_place`]); any other write is one
-    /// journal transaction with one logged inode core, its undo slots set
-    /// aside at `begin`, so a full ring refuses it before a byte moves —
-    /// per slice the only repeated cost is the data copy itself.
+    /// inode in place; any other write sets aside the undo slots of its
+    /// one logged inode core and the blocks of the holes it may fill, so
+    /// a full ring or device refuses it before a byte moves.
+    fn reserve(
+        &self,
+        _: &OpenFile<InodeMem>,
+        state: &mut InodeMem,
+        off: u64,
+        iovs: &[&[u8]],
+        total: u64,
+    ) -> Result<Held> {
+        let end = file::end_of(off, total)?;
+        if let [data] = iovs {
+            let in_place = self.in_place_block(state, off, data);
+            if in_place.is_some() {
+                return Ok(Held {
+                    in_place,
+                    ..Held::default()
+                });
+            }
+        }
+        let holes = vfs::maybe_holes(state.size, state.blocks, off, end);
+        self.hold(Some(self.reserve_core()?), file::blocks_for(state, holes))
+    }
+
+    /// One journal transaction with one logged inode core — per slice the
+    /// only repeated cost is the data copy itself.
     fn write_data(
         &self,
         of: &OpenFile<InodeMem>,
         mut state: InodeGuard<'_>,
         start: u64,
         iovs: &[&[u8]],
-        total: u64,
+        held: &mut Held,
     ) -> Result<()> {
-        if let [data] = iovs {
-            if self.write_in_place(of.ino, &mut state, start, data) {
-                drop(state);
-                self.obs.record_inline_drain(total);
-                return Ok(());
-            }
-        }
-        let tx = self.begin_core_tx()?;
-        let res = (|| -> Result<()> {
+        let total = iovs.iter().map(|d| d.len() as u64).sum();
+        if let Some(pblk) = held.in_place {
+            self.write_in_place(of.ino, &mut state, pblk, start, iovs[0]);
+        } else {
+            let tx = held.credits.take().map(|c| self.journal.begin_reserved(c));
+            // Fenced below with the data, before the core that exposes it.
+            file::zero_gap(&self.dev, &state, start);
             let mut cur = start;
-            for iov in iovs {
-                file::write_at(&self.dev, &self.alloc, &mut state, cur, iov, self.env.now())?;
+            for iov in iovs.iter().filter(|iov| !iov.is_empty()) {
+                let (now, blocks) = (self.env.now(), &mut held.blocks);
+                file::write_at(&self.dev, &self.alloc, blocks, &mut state, cur, iov, now);
                 cur += iov.len() as u64;
             }
-            self.log_write_inode(&tx, &of.handle, &state).map(drop)
-        })();
-        drop(state);
-        if let Err(e) = res {
-            self.journal.abort(tx);
-            return Err(e);
+            if let Some(tx) = tx {
+                self.log_core(&tx, &of.handle, &state);
+                drop(state);
+                self.journal.commit(tx);
+            }
         }
-        self.journal.commit(tx);
         // Direct access: the data is durable before the ack.
         self.obs.record_inline_drain(total);
         Ok(())
+    }
+
+    fn release(&self, held: Held) {
+        if let Some(credits) = held.credits {
+            self.journal.unreserve(credits);
+        }
+        self.alloc.unreserve(held.blocks);
     }
 
     /// Direct-access writes are already durable; fsync only fences and

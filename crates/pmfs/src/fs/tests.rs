@@ -589,11 +589,12 @@ fn mmap_that_runs_out_of_space_leaves_no_transaction_open() {
     dev.fault_hook().install(plan.clone());
     let fd = fs.open("/holes", rw_create()).unwrap();
     fs.truncate(fd, 8 * BLOCK_SIZE as u64).unwrap();
-    // The third hole of the mapping finds the allocator dry.
-    plan.fail_alloc_after(2);
+    // The reservation of the mapping's holes finds the allocator dry.
+    plan.fail_alloc_after(0);
     assert_eq!(fs.mmap(fd, 0, 8 * BLOCK_SIZE).err(), Some(FsError::NoSpace));
     plan.set_fail_alloc(false);
-    assert_eq!(fs.journal().open_txs(), 0, "the failed mapping aborted");
+    assert_eq!(fs.journal().open_txs(), 0, "the failed mapping opened none");
+    assert_eq!(fs.fstat(fd).unwrap().blocks, 0, "and mapped nothing");
     assert!(fs.audit().is_clean());
     // The ring is not pinned: the same mapping now goes through.
     fs.mmap(fd, 0, 8 * BLOCK_SIZE).unwrap();
@@ -610,12 +611,12 @@ fn a_directory_growth_refused_its_tree_node_gives_the_block_back() {
     dev.fault_hook().install(plan.clone());
     fs.mkdir("/d").unwrap();
     let free0 = fs.free_blocks();
-    // `/d` is empty: its first entry needs a block, which is granted, and
-    // a tree root to link it under, which is not.
-    plan.fail_alloc_after(1);
+    // `/d` is empty: its first entry needs a block and a tree root to
+    // link it under, reserved as one — and refused.
+    plan.fail_alloc_after(0);
     assert_eq!(fs.mkdir("/d/sub"), Err(FsError::NoSpace));
     assert_eq!(fs.free_blocks(), free0, "mkdir leaked its directory block");
-    plan.fail_alloc_after(1);
+    plan.fail_alloc_after(0);
     assert_eq!(fs.open("/d/f", rw_create()).err(), Some(FsError::NoSpace));
     assert_eq!(fs.free_blocks(), free0, "create leaked its directory block");
     plan.set_fail_alloc(false);
@@ -682,15 +683,10 @@ fn unlink_after_a_crash_that_left_the_core_behind_the_tree() {
         // core that would count them is journaled and persisted.
         let ino = fs.stat("/f").unwrap().ino;
         let mut ahead: InodeMem = *fs.inode(ino).unwrap().state.read();
-        file::write_at(
-            &dev,
-            fs.allocator(),
-            &mut ahead,
-            BLOCK_SIZE as u64,
-            &[2u8; 2 * BLOCK_SIZE],
-            1,
-        )
-        .unwrap();
+        let mut held = fs.allocator().reserve(3).unwrap();
+        let (off, data) = (BLOCK_SIZE as u64, &[2u8; 2 * BLOCK_SIZE]);
+        file::write_at(&dev, fs.allocator(), &mut held, &mut ahead, off, data, 1);
+        fs.allocator().unreserve(held);
         dev.crash();
         drop(fs);
         let fs = Pmfs::mount(dev).unwrap();

@@ -168,6 +168,24 @@ impl TxHandle {
     }
 }
 
+/// Journal room set aside for one transaction not opened yet: its commit
+/// slot and `undo` undo slots ([`Journal::reserve`]). Spent by
+/// [`Journal::begin_reserved`] or given back by [`Journal::unreserve`];
+/// dropped, it leaks the room until the next mount.
+#[must_use = "credits must be spent or given back"]
+#[derive(Debug)]
+pub struct Credits {
+    undo: u64,
+}
+
+/// Undo entries the ranges take.
+fn undo_slots(ranges: &[(u64, usize)]) -> u64 {
+    ranges
+        .iter()
+        .map(|&(_, len)| len.div_ceil(PAYLOAD) as u64)
+        .sum()
+}
+
 #[derive(Debug)]
 struct TxRec {
     txid: u32,
@@ -191,7 +209,8 @@ struct JInner {
     /// deque, so this is kept as a count, never recounted on a hot path.
     open: u64,
     /// Undo slots set aside and not yet logged, summed over the open
-    /// handles (each carries its own share in `TxHandle::reserved`).
+    /// handles (each carries its own share in `TxHandle::reserved`), plus
+    /// each outstanding [`Credits`]' undo and commit slots.
     undo_reserved: u64,
 }
 
@@ -224,7 +243,8 @@ pub struct JournalUsage {
     /// Commit slots reserved by uncommitted transactions (running count).
     pub reserved_entries: u64,
     /// Undo slots set aside for an inode-core update and not yet logged
-    /// (zero outside such a transaction's begin-to-log window).
+    /// (zero outside such a transaction's begin-to-log window), and the
+    /// slots of credits no transaction was opened with yet.
     pub undo_reserved_entries: u64,
     /// Entries available to `begin`/`log_range`.
     pub free_entries: u64,
@@ -395,13 +415,18 @@ impl Journal {
         self.begin_reserving(0)
     }
 
-    /// Opens a transaction and sets `undo_entries` undo slots aside for it
-    /// besides its commit slot: logging up to that many entries in it
-    /// cannot fail with [`FsError::JournalFull`], whatever other
-    /// transactions log in between. The handle carries the slots; those it
-    /// does not use are released when it resolves. Crate-private: the
-    /// users are [`crate::Pmfs::begin_inode_update`] and rename.
+    /// Opens a transaction with `undo_entries` undo slots set aside for it
+    /// besides its commit slot: [`Self::reserve`], then
+    /// [`Self::begin_reserved`].
     pub(crate) fn begin_reserving(&self, undo_entries: u64) -> Result<TxHandle> {
+        Ok(self.begin_reserved(self.reserve(undo_entries)?))
+    }
+
+    /// Sets aside one transaction's commit slot and `undo_entries` undo
+    /// slots without opening it — an in-memory count that no record and
+    /// no `begins` tick stands for. The one admission check of the
+    /// journal: a full ring (or injected backpressure) refuses here.
+    pub fn reserve(&self, undo_entries: u64) -> Result<Credits> {
         self.span(|| {
             if nvmm::fault::journal_blocked(&self.dev) {
                 return Err(FsError::JournalFull);
@@ -410,24 +435,41 @@ impl Journal {
             if inner.free(self.capacity) <= undo_entries {
                 return Err(FsError::JournalFull);
             }
-            let txid = inner.next_txid;
-            inner.next_txid = inner.next_txid.wrapping_add(1).max(1);
-            let start = inner.tail;
-            inner.txs.push_back(TxRec {
-                txid,
-                start,
-                committed: false,
-            });
-            inner.open += 1;
-            inner.undo_reserved += undo_entries;
-            self.stats
-                .begins
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Ok(TxHandle {
-                txid,
-                reserved: Cell::new(undo_entries),
-            })
+            inner.undo_reserved += undo_entries + 1;
+            Ok(Credits { undo: undo_entries })
         })
+    }
+
+    /// Opens the transaction `credits` set aside; cannot fail. Logging up
+    /// to its undo slots in it cannot fail either, whatever other
+    /// transactions log in between ([`Self::log_reserved`]). The handle
+    /// carries the slots; those it does not use are released when it
+    /// resolves.
+    pub fn begin_reserved(&self, credits: Credits) -> TxHandle {
+        let mut inner = self.inner.lock();
+        let txid = inner.next_txid;
+        inner.next_txid = inner.next_txid.wrapping_add(1).max(1);
+        let start = inner.tail;
+        inner.txs.push_back(TxRec {
+            txid,
+            start,
+            committed: false,
+        });
+        // The commit slot moves from the reservation to the open record.
+        inner.undo_reserved -= 1;
+        inner.open += 1;
+        self.stats
+            .begins
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        TxHandle {
+            txid,
+            reserved: Cell::new(credits.undo),
+        }
+    }
+
+    /// Gives back credits no transaction was opened with.
+    pub fn unreserve(&self, credits: Credits) {
+        self.inner.lock().undo_reserved -= credits.undo + 1;
     }
 
     /// Runs `f` inside a [`Phase::Journal`] span on the device's span
@@ -513,19 +555,32 @@ impl Journal {
 
     fn log_ranges_inner(&self, tx: &TxHandle, ranges: &[(u64, usize)]) -> Result<()> {
         let mut inner = self.inner.lock();
-        let needed: u64 = ranges
-            .iter()
-            .map(|&(_, len)| len.div_ceil(PAYLOAD) as u64)
-            .sum();
         // Slots the handle set aside at begin are its own to use — a log
         // they cover cannot fail, injected backpressure included; only the
         // rest must come out of the free pool.
+        let needed = undo_slots(ranges);
         let own = tx.reserved.get().min(needed);
         if own < needed
             && (nvmm::fault::journal_blocked(&self.dev) || inner.free(self.capacity) < needed - own)
         {
             return Err(FsError::JournalFull);
         }
+        self.append_undo(&mut inner, tx, ranges);
+        Ok(())
+    }
+
+    /// [`Journal::log_range`] inside the undo slots `tx` set aside
+    /// ([`Journal::begin_reserved`]): nothing is left to refuse.
+    pub fn log_reserved(&self, tx: &TxHandle, addr: u64, len: usize) {
+        debug_assert!(undo_slots(&[(addr, len)]) <= tx.reserved.get());
+        self.span(|| self.append_undo(&mut self.inner.lock(), tx, &[(addr, len)]))
+    }
+
+    /// Appends the undo entries of `ranges` for `tx`, drawing first on the
+    /// slots its handle set aside, and fences them.
+    fn append_undo(&self, inner: &mut JInner, tx: &TxHandle, ranges: &[(u64, usize)]) {
+        let needed = undo_slots(ranges);
+        let own = tx.reserved.get().min(needed);
         tx.reserved.set(tx.reserved.get() - own);
         inner.undo_reserved -= own;
         let gen = inner.gen as u32;
@@ -543,7 +598,7 @@ impl Journal {
                     data: [0; PAYLOAD],
                 };
                 self.dev.read(Cat::Journal, off, &mut e.data[..chunk]);
-                self.append_locked(&mut inner, &e);
+                self.append_locked(inner, &e);
                 off += chunk as u64;
                 remaining -= chunk;
             }
@@ -554,7 +609,6 @@ impl Journal {
         // One fence orders the whole batch before the caller's in-place
         // updates; the folded per-range ordering points stay accounted.
         self.dev.sfence_coalesced(ranges.len() as u64);
-        Ok(())
     }
 
     fn resolve_locked(&self, inner: &mut JInner, tx: &TxHandle) {

@@ -34,6 +34,6 @@ pub mod layout;
 pub mod mmap;
 pub mod tree;
 
-pub use fs::{InodeLogged, Pmfs, PmfsOptions, VolatileLayer};
-pub use journal::{Journal, JournalUsage, TxHandle};
+pub use fs::{Held, InodeLogged, Pmfs, PmfsOptions, VolatileLayer};
+pub use journal::{Credits, Journal, JournalUsage, TxHandle};
 pub use layout::Layout;

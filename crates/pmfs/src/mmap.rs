@@ -12,7 +12,7 @@ use fskit::vfs::OpenFile;
 use fskit::{FsError, MmapHandle, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
 
-use crate::file::FreshRun;
+use crate::file::{self, FreshRun};
 use crate::fs::Pmfs;
 use crate::inode::InodeMem;
 use crate::layout::Layout;
@@ -41,44 +41,42 @@ impl PmfsMmap {
         if off + len as u64 > state.size {
             return Err(FsError::InvalidArgument("mapping beyond end of file"));
         }
-        let first_iblk = off / BLOCK_SIZE as u64;
-        let last_iblk = (off + len as u64 - 1) / BLOCK_SIZE as u64;
-        let tx = fs.journal().begin()?;
-        let mapped = (|| -> Result<Vec<u64>> {
-            let mut blocks = Vec::with_capacity((last_iblk - first_iblk + 1) as usize);
-            let mut meta_changed = false;
-            let mut fresh = FreshRun::new(&dev, fs.allocator());
-            for iblk in first_iblk..=last_iblk {
-                let pblk = match tree::lookup(&dev, &state, iblk) {
-                    Some(p) => p,
-                    None => {
-                        let p = fresh.alloc(&mut state, iblk)?;
-                        dev.zero_persist(Cat::Meta, Layout::block_off(p), BLOCK_SIZE);
-                        meta_changed = true;
-                        p
-                    }
-                };
-                blocks.push(pblk);
-            }
-            fresh.link(&mut state)?;
-            drop(fresh);
-            if meta_changed {
-                fs.log_write_inode(&tx, &of.handle, &state)?;
-            }
-            Ok(blocks)
-        })();
-        drop(state);
-        let blocks = match mapped {
-            Ok(blocks) => {
-                fs.journal().commit(tx);
-                blocks
-            }
+        // Every block of the range is taken for a hole: the reservation
+        // then covers whatever the tree lacks.
+        let iblks = off / BLOCK_SIZE as u64..(off + len as u64).div_ceil(BLOCK_SIZE as u64);
+        let credits = fs.reserve_core()?;
+        let mut held = match fs
+            .allocator()
+            .reserve(file::blocks_for(&state, iblks.clone()))
+        {
+            Ok(held) => held,
             Err(e) => {
-                // An open record would pin the journal ring forever.
-                fs.journal().abort(tx);
+                fs.journal().unreserve(credits);
                 return Err(e);
             }
         };
+        let tx = fs.journal().begin_reserved(credits);
+        let mut blocks = Vec::with_capacity(iblks.clone().count());
+        let mapped = state.blocks;
+        let mut fresh = FreshRun::new(&dev, fs.allocator(), &mut held);
+        for iblk in iblks {
+            let pblk = match tree::lookup(&dev, &state, iblk) {
+                Some(p) => p,
+                None => {
+                    let p = fresh.alloc(&mut state, iblk);
+                    dev.zero_persist(Cat::Meta, Layout::block_off(p), BLOCK_SIZE);
+                    p
+                }
+            };
+            blocks.push(pblk);
+        }
+        fresh.link(&mut state);
+        if state.blocks != mapped {
+            fs.log_core(&tx, &of.handle, &state);
+        }
+        drop(state);
+        fs.journal().commit(tx);
+        fs.allocator().unreserve(held);
         Ok(PmfsMmap {
             dev,
             blocks,

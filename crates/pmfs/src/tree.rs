@@ -40,7 +40,7 @@
 use fskit::{FsError, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE, CACHELINE};
 
-use crate::alloc::Allocator;
+use crate::alloc::{Allocator, Reserved};
 use crate::inode::InodeMem;
 use crate::layout::Layout;
 
@@ -115,13 +115,32 @@ fn read_slots(dev: &NvmmDevice, node: u64, slot: u64, out: &mut [u64]) {
     }
 }
 
-/// A node of 512 holes: a recycled one as it is, a fresh block zeroed here.
-fn new_node(dev: &NvmmDevice, alloc: &Allocator) -> Result<u64> {
-    let (b, zeroed) = alloc.alloc_zeroed()?;
+/// A node of 512 holes from `r`: a recycled one as it is, a fresh block
+/// zeroed here.
+fn new_node(dev: &NvmmDevice, alloc: &Allocator, r: &mut Reserved) -> u64 {
+    let (b, zeroed) = alloc.alloc_reserved(r, true);
     if !zeroed {
         dev.zero_persist(Cat::Meta, Layout::block_off(b), BLOCK_SIZE);
     }
-    Ok(b)
+    b
+}
+
+/// New tree nodes that mapping the file blocks `iblks` into `mem`'s tree
+/// can take, at most: the roots that grow the tree to cover them, and
+/// on each level below the root every node whose span meets them.
+pub fn nodes_bound(mem: &InodeMem, iblks: &std::ops::Range<u64>) -> u64 {
+    if iblks.is_empty() {
+        return 0;
+    }
+    let last = iblks.end - 1;
+    let mut height = mem.tree_height.max(1);
+    while last >= capacity(height) {
+        height += 1;
+    }
+    let spans: u64 = (1..height)
+        .map(|level| (last >> (9 * level)) - (iblks.start >> (9 * level)) + 1)
+        .sum();
+    spans + (height - mem.tree_height) as u64
 }
 
 /// Splits the run `[iblk0, iblk0 + n)` at leaf boundaries into
@@ -140,15 +159,12 @@ fn leaf_segments(iblk0: u64, n: usize) -> impl Iterator<Item = (u64, usize)> {
 }
 
 /// Maps the consecutive file blocks `iblk0, iblk0 + 1, …` to `pblks`,
-/// growing the tree as needed: one descent and one fence per leaf, one
-/// persist per pointer cacheline. The caller has filled and fenced the
-/// blocks (a pointer makes its block reachable the moment it persists).
-/// Updates `mem.tree_root`/`mem.tree_height` in memory; the caller persists
-/// the inode core through its journal transaction.
-///
-/// Returns how many blocks of the run are linked: all of them, or — only
-/// when the allocator cannot supply a tree node — the prefix that fit the
-/// leaves reached so far.
+/// growing the tree with nodes drawn from `r` ([`nodes_bound`] sized
+/// it): one descent and one fence per leaf, one persist per pointer
+/// cacheline. The caller has filled and fenced the blocks (a pointer
+/// makes its block reachable the moment it persists). Updates
+/// `mem.tree_root`/`mem.tree_height` in memory; the caller persists the
+/// inode core through its journal transaction.
 ///
 /// Fails with [`FsError::AlreadyExists`], before linking anything, if a
 /// slot of the run is occupied (callers overwrite in place instead of
@@ -156,10 +172,11 @@ fn leaf_segments(iblk0: u64, n: usize) -> impl Iterator<Item = (u64, usize)> {
 pub fn insert_run(
     dev: &NvmmDevice,
     alloc: &Allocator,
+    r: &mut Reserved,
     mem: &mut InodeMem,
     iblk0: u64,
     pblks: &[u64],
-) -> Result<usize> {
+) -> Result<()> {
     debug_assert!(pblks.iter().all(|&p| p != 0));
     let mut slots = [0u64; FANOUT as usize];
     for (iblk, len) in leaf_segments(iblk0, pblks.len()) {
@@ -173,11 +190,7 @@ pub fn insert_run(
     }
     let mut linked = 0;
     for (iblk, len) in leaf_segments(iblk0, pblks.len()) {
-        let leaf = match leaf_for(dev, alloc, mem, iblk) {
-            Ok(leaf) => leaf,
-            Err(FsError::NoSpace) => break,
-            Err(e) => return Err(e),
-        };
+        let leaf = leaf_for(dev, alloc, r, mem, iblk);
         // The segment's pointers, one persist per cacheline they touch.
         let first = slot_at(iblk, 1);
         let mut line = [0u8; CACHELINE];
@@ -194,15 +207,21 @@ pub fn insert_run(
         dev.sfence();
         linked += len;
     }
-    Ok(linked)
+    Ok(())
 }
 
 /// The leaf node covering `iblk`, growing the tree and creating the
 /// interior nodes on the way as needed (each new node is zeroed, then
 /// linked with an 8-byte persist and a fence).
-fn leaf_for(dev: &NvmmDevice, alloc: &Allocator, mem: &mut InodeMem, iblk: u64) -> Result<u64> {
+fn leaf_for(
+    dev: &NvmmDevice,
+    alloc: &Allocator,
+    r: &mut Reserved,
+    mem: &mut InodeMem,
+    iblk: u64,
+) -> u64 {
     while mem.tree_root == 0 || iblk >= capacity(mem.tree_height) {
-        let root = new_node(dev, alloc)?;
+        let root = new_node(dev, alloc, r);
         if mem.tree_root != 0 {
             // Old tree becomes child 0 of the new root.
             dev.write_u64_persist(Cat::Meta, slot_off(root, 0), mem.tree_root);
@@ -216,16 +235,17 @@ fn leaf_for(dev: &NvmmDevice, alloc: &Allocator, mem: &mut InodeMem, iblk: u64) 
         let off = slot_off(node, slot_at(iblk, level));
         let mut child = dev.read_u64(Cat::Meta, off);
         if child == 0 {
-            child = new_node(dev, alloc)?;
+            child = new_node(dev, alloc, r);
             dev.write_u64_persist(Cat::Meta, off, child);
             dev.sfence();
         }
         node = child;
     }
-    Ok(node)
+    node
 }
 
-/// Maps the single file block `iblk` to `pblk`: [`insert_run`] of one.
+/// Maps the single file block `iblk` to `pblk` ([`insert_run`] of one),
+/// reserving the nodes it takes.
 pub fn insert(
     dev: &NvmmDevice,
     alloc: &Allocator,
@@ -233,10 +253,10 @@ pub fn insert(
     iblk: u64,
     pblk: u64,
 ) -> Result<()> {
-    match insert_run(dev, alloc, mem, iblk, &[pblk])? {
-        0 => Err(FsError::NoSpace),
-        _ => Ok(()),
-    }
+    let mut r = alloc.reserve(nodes_bound(mem, &(iblk..iblk + 1)))?;
+    let linked = insert_run(dev, alloc, &mut r, mem, iblk, &[pblk]);
+    alloc.unreserve(r);
+    linked
 }
 
 /// Calls `f(iblk, pblk)` for every mapped block, ascending.
@@ -436,6 +456,21 @@ fn prune(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`super::insert_run`] under a reservation of the nodes it can
+    /// take; the blocks linked.
+    fn insert_run(
+        dev: &NvmmDevice,
+        alloc: &Allocator,
+        mem: &mut InodeMem,
+        iblk0: u64,
+        pblks: &[u64],
+    ) -> Result<usize> {
+        let mut r = alloc.reserve(nodes_bound(mem, &(iblk0..iblk0 + pblks.len() as u64)))?;
+        let linked = super::insert_run(dev, alloc, &mut r, mem, iblk0, pblks);
+        alloc.unreserve(r);
+        linked.map(|()| pblks.len())
+    }
     use crate::layout::Layout;
     use fskit::FileType;
     use nvmm::{CostModel, SimEnv};
@@ -583,7 +618,9 @@ mod tests {
         iblk: u64,
         pblk: u64,
     ) -> Result<()> {
-        let leaf = leaf_for(dev, alloc, mem, iblk)?;
+        let mut r = alloc.reserve(nodes_bound(mem, &(iblk..iblk + 1)))?;
+        let leaf = leaf_for(dev, alloc, &mut r, mem, iblk);
+        alloc.unreserve(r);
         let off = slot_off(leaf, slot_at(iblk, 1));
         if dev.read_u64(Cat::Meta, off) != 0 {
             return Err(FsError::AlreadyExists);
@@ -812,21 +849,19 @@ mod tests {
     }
 
     #[test]
-    fn a_run_that_runs_out_of_nodes_links_the_leaves_it_reached() {
+    fn a_run_short_of_nodes_is_refused_before_it_links() {
         let (dev, alloc, mut mem) = setup();
-        // Leave exactly one block for tree nodes: the first leaf.
+        // Leave one block for tree nodes: a leaf, not two and a root.
         let pblks: Vec<u64> = (0..600).map(|_| alloc.alloc().unwrap()).collect();
         while alloc.free_blocks() > 1 {
             alloc.alloc().unwrap();
         }
-        assert_eq!(insert_run(&dev, &alloc, &mut mem, 0, &pblks), Ok(512));
-        assert_eq!(mem.tree_height, 1, "no block left to grow a root over it");
-        assert_eq!(lookup(&dev, &mem, 511), Some(pblks[511]));
-        assert_eq!(lookup(&dev, &mem, 512), None);
         assert_eq!(
-            insert(&dev, &alloc, &mut mem, 512, pblks[512]),
+            insert_run(&dev, &alloc, &mut mem, 0, &pblks),
             Err(FsError::NoSpace)
         );
+        assert_eq!((mem.tree_root, mem.tree_height), (0, 0), "nothing linked");
+        assert_eq!(alloc.free_blocks(), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CRATES=(nvmm hinfs blockdev faultfs obsv fskit extfs pmfs workloads)
+CRATES=(nvmm hinfs blockdev faultfs obsv fskit extfs pmfs workloads bench)
 
 fail=0
 for crate in "${CRATES[@]}"; do

@@ -405,6 +405,38 @@ fn data_rules() {
             }
             sys.fs.unmount().unwrap();
         }
+        // A refused write or append leaves size, mtime and bytes as they
+        // were: an `O_SYNC` one past EOF, with the journal refusing every
+        // request (the allocator, on ext2, which has no journal).
+        for (what, append) in [("refused write past EOF", false), ("refused append", true)] {
+            let sys = build(kind, &cfg()).unwrap();
+            let fs = &*sys.fs;
+            let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
+            fs.write(fd, 0, &[0x11; 100]).unwrap();
+            let before = fs.stat("/f").unwrap();
+            let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::SYNC).unwrap();
+            let plan = nvmm::FaultPlan::new();
+            sys.dev.fault_hook().install(plan.clone());
+            match kind {
+                SystemKind::Ext2Bd => plan.fail_alloc_after(0),
+                _ => plan.fail_journal_after(0),
+            }
+            let got = match append {
+                true => fs.append(fd, &[0x22; 5000]).map(drop),
+                false => fs.write(fd, 5000, b"z").map(drop),
+            };
+            sys.dev.fault_hook().clear();
+            let label = format!("{}: {what}", kind.label());
+            assert!(
+                matches!(got, Err(FsError::JournalFull | FsError::NoSpace)),
+                "{label}: {got:?}"
+            );
+            assert_eq!(fs.stat("/f").unwrap(), before, "{label}");
+            let mut content = vec![0u8; 200];
+            assert_eq!(fs.read(fd, 0, &mut content), Ok(100), "{label}");
+            assert!(content[..100].iter().all(|&b| b == 0x11), "{label}");
+            sys.fs.unmount().unwrap();
+        }
     }
 }
 
@@ -436,10 +468,53 @@ fn an_unlink_the_journal_refuses_keeps_the_files_data() {
             assert!(r.diffs.is_empty(), "{} admit {admit}: {r:?}", kind.label());
             unlinks += matches!(r.op, Op::Unlink { .. }) as u32;
         }
-        let journaled = !matches!(
-            kind,
-            SystemKind::Ext2Bd | SystemKind::Ext4Bd | SystemKind::Ext4Dax
-        );
+        let journaled = kind != SystemKind::Ext2Bd;
         assert_eq!(unlinks > 0, journaled, "{}", kind.label());
+    }
+}
+
+/// An `O_SYNC` write over a file holding unsynced data, with the journal
+/// or the allocator refusing every request after the first `admit`:
+/// refused, it changed no byte, size or mtime; admitted, it landed whole.
+#[test]
+fn an_o_sync_write_is_refused_whole_or_lands_whole() {
+    for kind in SystemKind::ALL {
+        for fault in [InjectedFault::JournalFull, InjectedFault::Enospc] {
+            for admit in 0..12 {
+                let sys = build(kind, &cfg()).unwrap();
+                let fs = &*sys.fs;
+                let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::CREATE).unwrap();
+                fs.write(fd, 0, &[0x11; 10_000]).unwrap();
+                fs.write(fd, 20_000, &[0x33; 100]).unwrap();
+                let before = fs.stat("/f").unwrap();
+                let sync = fs.open("/f", OpenFlags::RDWR | OpenFlags::SYNC).unwrap();
+                let plan = nvmm::FaultPlan::new();
+                sys.dev.fault_hook().install(plan.clone());
+                match fault {
+                    InjectedFault::JournalFull => plan.fail_journal_after(admit),
+                    _ => plan.fail_alloc_after(admit),
+                }
+                let got = fs.write(sync, 6_000, &[0x22; 9_000]);
+                sys.dev.fault_hook().clear();
+                let label = format!("{} {} admit {admit}: {got:?}", kind.label(), fault.label());
+                let mut content = vec![0u8; 20_100];
+                assert_eq!(fs.read(fd, 0, &mut content), Ok(20_100), "{label}");
+                let want = |i: usize| match i {
+                    _ if got.is_ok() && (6_000..15_000).contains(&i) => 0x22,
+                    0..10_000 => 0x11,
+                    20_000.. => 0x33,
+                    _ => 0,
+                };
+                let bad = (0..content.len()).find(|&i| content[i] != want(i));
+                assert_eq!(bad, None, "{label}");
+                if got.is_err() {
+                    // What it flushed of the unsynced data may count blocks.
+                    let after = fs.stat("/f").unwrap();
+                    let sized = (after.size, after.mtime_ns);
+                    assert_eq!(sized, (before.size, before.mtime_ns), "{label}");
+                }
+                sys.fs.unmount().unwrap();
+            }
+        }
     }
 }

@@ -734,3 +734,42 @@ fn harness_counters_flow_into_obsv() {
         .iter()
         .any(|r| matches!(r.ev, obsv::TraceEvent::RecoveryBegin { .. })));
 }
+
+/// `tests/repro/write_journal_full_hinfs.repro` and
+/// `tests/repro/write_enospc_pmfs.repro`: a HiNFS write the ring refused
+/// after it had buffered its data and grown the size, and a PMFS write
+/// the allocator refused part-way through its copy. Replayed on every
+/// kind with the fault refusing every request after the first 0..24:
+/// the first refused op changes nothing, and the fixture's own kind
+/// refuses a write at least once.
+#[test]
+fn a_refused_write_changes_nothing() {
+    let cases = [
+        (
+            "write_journal_full_hinfs",
+            InjectedFault::JournalFull,
+            SystemKind::Hinfs,
+        ),
+        ("write_enospc_pmfs", InjectedFault::Enospc, SystemKind::Pmfs),
+    ];
+    let cfg = Harness::new().config().clone();
+    for (name, fault, own) in cases {
+        let ops = fixture(name).script.ops;
+        for kind in SystemKind::ALL {
+            let mut writes = 0;
+            for admit in 0..24 {
+                let found = faultfs::first_refusal(kind, &cfg, &ops, fault, admit).unwrap();
+                let Some(r) = found else { continue };
+                assert!(
+                    r.diffs.is_empty(),
+                    "{name} {} admit {admit}: {r:?}",
+                    kind.label()
+                );
+                writes += matches!(r.op, Op::Write { .. }) as u32;
+            }
+            if kind == own {
+                assert!(writes > 0, "{name}: {} refused no write", kind.label());
+            }
+        }
+    }
+}
